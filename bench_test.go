@@ -489,13 +489,16 @@ func BenchmarkE14QueryStream(b *testing.B) {
 	member, _ := g.AddPredicate(kg.Predicate{Name: "memberOf"})
 	awardP, _ := g.AddPredicate(kg.Predicate{Name: "award"})
 	follows, _ := g.AddPredicate(kg.Predicate{Name: "follows"})
+	tier, _ := g.AddPredicate(kg.Predicate{Name: "tier"})
 	const nPeople = 8192
 	const nTeams = 64
+	const nGold = 5000 // the walked posting: (p, tier, gold) for the first 5000 people
 	teams := make([]kg.EntityID, nTeams)
 	for i := range teams {
 		teams[i] = add(fmt.Sprintf("team%d", i))
 	}
 	prize := add("prize")
+	gold := add("gold")
 	people := make([]kg.EntityID, nPeople)
 	for i := range people {
 		people[i] = add(fmt.Sprintf("p%d", i))
@@ -512,6 +515,9 @@ func BenchmarkE14QueryStream(b *testing.B) {
 		batch = append(batch, kg.Triple{Subject: p, Predicate: member, Object: kg.EntityValue(teams[ti])})
 		if ti == 0 || i%7 == 0 {
 			batch = append(batch, kg.Triple{Subject: p, Predicate: awardP, Object: kg.EntityValue(prize)})
+		}
+		if i < nGold {
+			batch = append(batch, kg.Triple{Subject: p, Predicate: tier, Object: kg.EntityValue(gold)})
 		}
 		for j := 1; j <= 4; j++ {
 			batch = append(batch, kg.Triple{Subject: p, Predicate: follows, Object: kg.EntityValue(people[(i+j*131)%nPeople])})
@@ -564,6 +570,44 @@ func BenchmarkE14QueryStream(b *testing.B) {
 			_ = res
 		}
 	})
+
+	// The cursor walk: 20 pages of 250 over the 5000-subject posting.
+	// page-first is the walk's first page, page-last its twentieth
+	// (resumed after row 4750). A cursor that seeks makes the two cost the
+	// same; one that replays makes the last page cost the whole walk.
+	// allocs/op is the noise-free witness.
+	walk := []graphengine.Clause{{Subject: graphengine.V("p"), Predicate: tier, Object: graphengine.CE(gold)}}
+	const pageSize, pages = 250, nGold / 250
+	page := func(b *testing.B, cursor []kg.ValueKey) graphengine.Binding {
+		var last graphengine.Binding
+		n := 0
+		for row, err := range eng.StreamConjunctive(walk, graphengine.QueryOptions{Limit: pageSize, Cursor: cursor}) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = row
+			n++
+		}
+		if n != pageSize {
+			b.Fatalf("page yielded %d rows, want %d", n, pageSize)
+		}
+		return last
+	}
+	var lastPageCursor []kg.ValueKey
+	for i := 0; i < pages-1; i++ {
+		lastPageCursor = graphengine.BindingKey(page(b, lastPageCursor))
+	}
+	for _, pg := range []struct {
+		name   string
+		cursor []kg.ValueKey
+	}{{"page-first", nil}, {"page-last", lastPageCursor}} {
+		b.Run(pg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				page(b, pg.cursor)
+			}
+		})
+	}
 }
 
 // BenchmarkE15Ingest measures parallel same-predicate batch ingestion —

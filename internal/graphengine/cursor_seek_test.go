@@ -1,0 +1,304 @@
+package graphengine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"saga/internal/kg"
+)
+
+// A resumed page seeks to its cursor instead of replaying the stream up
+// to it. These tests pin what that must not change: cursor pages,
+// concatenated, are the unlimited stream — on every read surface the
+// executor runs over, sequentially and in parallel — and a cursor whose
+// row is gone still ends the walk instead of restarting it.
+
+const (
+	seekEnts  = 40 // enough that an unbound clause spans two parallel units
+	seekPreds = 3
+)
+
+// seekWorld registers the fixed dictionary every replica of a history
+// shares, so replayed graphs assign identical IDs.
+func seekWorld(t testing.TB) (*kg.Graph, []kg.EntityID, []kg.PredicateID) {
+	t.Helper()
+	g := kg.NewGraph()
+	ents := make([]kg.EntityID, seekEnts)
+	for i := range ents {
+		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents[i] = id
+	}
+	preds := make([]kg.PredicateID, seekPreds)
+	for i := range preds {
+		id, err := g.AddPredicate(kg.Predicate{Name: fmt.Sprintf("p%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds[i] = id
+	}
+	return g, ents, preds
+}
+
+// seekTriple draws a random fact; a quarter of the objects are literals
+// from a small domain, and subjects are skewed so some fact lists and
+// postings are long.
+func seekTriple(rng *rand.Rand, ents []kg.EntityID, preds []kg.PredicateID) kg.Triple {
+	pick := func() kg.EntityID {
+		if rng.Intn(3) == 0 {
+			return ents[rng.Intn(4)]
+		}
+		return ents[rng.Intn(len(ents))]
+	}
+	tr := kg.Triple{Subject: pick(), Predicate: preds[rng.Intn(len(preds))]}
+	switch rng.Intn(8) {
+	case 0:
+		tr.Object = kg.StringValue(fmt.Sprintf("s%d", rng.Intn(3)))
+	case 1:
+		tr.Object = kg.IntValue(int64(rng.Intn(3)))
+	default:
+		tr.Object = kg.EntityValue(pick())
+	}
+	return tr
+}
+
+// seekHistory applies steps random asserts and retracts to g (retracts
+// leave the tombstones and spliced lists a real posting carries).
+func seekHistory(t testing.TB, g *kg.Graph, rng *rand.Rand, ents []kg.EntityID, preds []kg.PredicateID, steps int) {
+	t.Helper()
+	var live []kg.Triple
+	for i := 0; i < steps; i++ {
+		if len(live) > 8 && rng.Intn(5) == 0 {
+			j := rng.Intn(len(live))
+			if !g.Retract(live[j]) {
+				t.Fatalf("retract of live triple failed: %v", live[j])
+			}
+			live = slices.Delete(live, j, j+1)
+			continue
+		}
+		tr := seekTriple(rng, ents, preds)
+		added, err := g.AssertNew(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added {
+			live = append(live, tr)
+		}
+	}
+}
+
+// seekQueries covers every access path and the join shapes between them:
+// scans, postings, fact lists, membership probes, literals, a repeated
+// variable, and a clause with no variables at all.
+func seekQueries(ents []kg.EntityID, preds []kg.PredicateID) [][]Clause {
+	return [][]Clause{
+		{{Subject: V("x"), Predicate: preds[0], Object: V("y")}},
+		{{Subject: V("x"), Predicate: preds[1], Object: CE(ents[1])}},
+		{{Subject: CE(ents[0]), Predicate: preds[2], Object: V("y")}},
+		{{Subject: V("x"), Predicate: preds[0], Object: V("x")}},
+		{{Subject: V("x"), Predicate: preds[1], Object: C(kg.StringValue("s1"))}},
+		{
+			{Subject: V("x"), Predicate: preds[0], Object: V("y")},
+			{Subject: V("y"), Predicate: preds[1], Object: V("z")},
+		},
+		{
+			{Subject: V("x"), Predicate: preds[0], Object: CE(ents[2])},
+			{Subject: V("x"), Predicate: preds[1], Object: V("y")},
+		},
+		{
+			{Subject: V("x"), Predicate: preds[0], Object: V("y")},
+			{Subject: V("x"), Predicate: preds[2], Object: V("y")},
+		},
+		{
+			{Subject: V("a"), Predicate: preds[0], Object: V("b")},
+			{Subject: V("b"), Predicate: preds[1], Object: V("c")},
+			{Subject: V("c"), Predicate: preds[2], Object: V("a")},
+		},
+		{
+			{Subject: CE(ents[0]), Predicate: preds[0], Object: V("y")},
+			{Subject: CE(ents[1]), Predicate: preds[1], Object: CE(ents[2])},
+		},
+	}
+}
+
+// TestCursorPagesConcatenateToStream: for random histories, every query
+// shape and several page sizes, walking cursor pages to exhaustion yields
+// exactly the unlimited sequential stream — over the live graph, an as-of
+// overlay and a derived union view, with 1, 2 and 3 workers.
+func TestCursorPagesConcatenateToStream(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			live, ents, preds := seekWorld(t)
+			seekHistory(t, live, rng, ents, preds, 600)
+
+			// Overlay: the first half of the history as a replayed base,
+			// the second half as the suffix — the same state as live.
+			muts, complete := live.Feed(0).Pull()
+			if !complete || len(muts) == 0 {
+				t.Fatalf("history unavailable: %d muts, complete=%v", len(muts), complete)
+			}
+			base, _, _ := seekWorld(t)
+			for _, mu := range muts[:len(muts)/2] {
+				switch mu.Op {
+				case kg.OpAssert:
+					if _, err := base.AssertNew(mu.T); err != nil {
+						t.Fatal(err)
+					}
+				case kg.OpRetract:
+					base.Retract(mu.T)
+				}
+			}
+			overlay := NewOverlay(base, muts[len(muts)/2:])
+
+			// Derived view: the last predicate also carries derived facts,
+			// some of them shadowed by base facts.
+			reader := &fakeReader{preds: map[kg.PredicateID]bool{preds[2]: true}}
+			for i := 0; i < 60; i++ {
+				tr := seekTriple(rng, ents, preds)
+				tr.Predicate = preds[2]
+				if !reader.HasDerivedFact(tr.Subject, tr.Predicate, tr.Object) {
+					reader.facts = append(reader.facts, tr)
+				}
+			}
+			derived := NewDerivedView(live, reader)
+
+			surfaces := []struct {
+				name string
+				g    conjGraph
+			}{{"live", live}, {"overlay", overlay}, {"derived", derived}}
+			for _, sf := range surfaces {
+				for qi, q := range seekQueries(ents, preds) {
+					want := streamTokens(t, streamConjunctive(sf.g, q, QueryOptions{}))
+					for _, pageSize := range []int{2, 9} {
+						for _, workers := range []int{1, 2, 3} {
+							label := fmt.Sprintf("%s q=%d page=%d workers=%d", sf.name, qi, pageSize, workers)
+							var got []string
+							var cursor []kg.ValueKey
+							for {
+								n := 0
+								for b, err := range streamConjunctive(sf.g, q, QueryOptions{Limit: pageSize, Cursor: cursor, Parallelism: workers}) {
+									if err != nil {
+										t.Fatalf("%s: %v", label, err)
+									}
+									got = append(got, bindingToken(b))
+									cursor = BindingKey(b)
+									n++
+								}
+								if n < pageSize || len(got) > len(want) {
+									break
+								}
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s: %d paged rows vs %d streamed; pages diverge from the stream\npaged:  %v\nstream: %v", label, len(got), len(want), got, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// A cursor naming a row that has since been retracted yields an empty
+// remainder — not an error, and not a restart from the first row.
+func TestCursorVanishedRowYieldsEmptyRemainder(t *testing.T) {
+	const nMembers = 40
+	g, clauses := streamFixture(t, nMembers)
+	var page []Binding
+	for b, err := range streamConjunctive(g, clauses, QueryOptions{Limit: 10}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		page = append(page, b)
+	}
+	last := page[len(page)-1]
+	if !g.Retract(kg.Triple{Subject: last["p"].Entity, Predicate: clauses[1].Predicate, Object: clauses[1].Object.Const}) {
+		t.Fatal("retract of the cursor row's award failed")
+	}
+	for _, workers := range []int{1, 2} {
+		for b, err := range streamConjunctive(g, clauses, QueryOptions{Cursor: BindingKey(last), Parallelism: workers}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Fatalf("workers=%d: cursor naming a vanished row yielded %v, want an empty remainder", workers, b)
+		}
+	}
+}
+
+// restartGraph replays every chunked posting read once: after the last
+// chunk it delivers the posting again from the start, flagged restarted
+// — what a live read does when a concurrent splice shifts its slots.
+type restartGraph struct {
+	*kg.Graph
+}
+
+func (r *restartGraph) SubjectsWithChunked(p kg.PredicateID, o kg.Value, chunkSize int, fn func([]kg.EntityID, bool) bool) {
+	for pass := 0; pass < 2; pass++ {
+		stopped, first := false, pass == 1
+		r.Graph.SubjectsWithChunked(p, o, chunkSize, func(chunk []kg.EntityID, _ bool) bool {
+			ok := fn(chunk, first)
+			first = false
+			stopped = !ok
+			return ok
+		})
+		if stopped {
+			return
+		}
+	}
+}
+
+// A restarted read re-delivers the candidates the cursor descent dropped
+// unkeyed. The resumed stream must not mistake them for new rows: it
+// yields the rows after the cursor exactly once, sequentially and in
+// parallel.
+func TestCursorSeekSurvivesRestartedRead(t *testing.T) {
+	const nMembers, after = 300, 120
+	g, clauses := streamFixture(t, nMembers)
+	all := streamTokens(t, streamConjunctive(g, clauses, QueryOptions{}))
+	var cursor []kg.ValueKey
+	for b, err := range streamConjunctive(g, clauses, QueryOptions{Limit: after}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor = BindingKey(b)
+	}
+	for _, workers := range []int{1, 2} {
+		got := streamTokens(t, streamConjunctive(&restartGraph{Graph: g}, clauses, QueryOptions{Cursor: cursor, Parallelism: workers}))
+		if !slices.Equal(got, all[after:]) {
+			t.Fatalf("workers=%d: resumed stream over a restarted read = %d rows, want the %d after the cursor", workers, len(got), nMembers-after)
+		}
+	}
+}
+
+// FuzzDecodeCursor: no token makes the decoder panic or over-allocate,
+// and whatever it accepts re-encodes to a token that decodes to the same
+// tuple (the wire format has exactly one reading).
+func FuzzDecodeCursor(f *testing.F) {
+	f.Add("")
+	f.Add("AA")
+	f.Add("!!!")
+	f.Add(EncodeCursor(nil))
+	f.Add(EncodeCursor([]kg.ValueKey{kg.EntityValue(7).MapKey()}))
+	f.Add(EncodeCursor([]kg.ValueKey{kg.StringValue("a\x00b").MapKey(), kg.IntValue(-1).MapKey(), kg.StringValue("").MapKey()}))
+	f.Add(EncodeCursor([]kg.ValueKey{{Kind: kg.KindFloat, Num: -1}}))
+	f.Add("_w8") // a count far beyond the bytes that follow
+	f.Fuzz(func(t *testing.T, token string) {
+		keys, err := DecodeCursor(token)
+		if err != nil {
+			return
+		}
+		again, err := DecodeCursor(EncodeCursor(keys))
+		if err != nil {
+			t.Fatalf("re-encoded cursor rejected: %v", err)
+		}
+		if !slices.Equal(keys, again) {
+			t.Fatalf("cursor did not round-trip: %v vs %v", keys, again)
+		}
+	})
+}

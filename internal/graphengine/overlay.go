@@ -219,7 +219,9 @@ func (o *Overlay) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize 
 	if chunkSize <= 0 {
 		chunkSize = 1024
 	}
-	buf := make([]kg.Triple, 0, chunkSize)
+	// Sized to the list, not the chunk: a join expands thousands of short
+	// fact lists, and a chunk-capacity buffer each is ~128 KiB of clearing.
+	buf := make([]kg.Triple, 0, min(chunkSize, o.FactCount(subj, pred)))
 	stopped := false
 	emit := func(t kg.Triple) bool {
 		buf = append(buf, t)
@@ -289,7 +291,7 @@ func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, chunkSi
 		chunkSize = 1024
 	}
 	key := obj.MapKey()
-	buf := make([]kg.EntityID, 0, chunkSize)
+	buf := make([]kg.EntityID, 0, min(chunkSize, o.SubjectsWithCount(pred, obj)))
 	stopped := false
 	emit := func(s kg.EntityID) bool {
 		buf = append(buf, s)
@@ -360,13 +362,19 @@ func (o *Overlay) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.Value
 
 // --- Query surface ------------------------------------------------------
 
-// StreamConjunctive evaluates the conjunction against the overlay's
+// StreamRows evaluates the conjunction against the overlay's
 // point-in-time state, with the same streaming contract as
-// Engine.StreamConjunctive. Planning is per call (the overlay has no
-// plan cache); because the overlay's counter probes return exactly the
-// live graph's counts at the as-of watermark, the planner builds the
-// same plan a live query at that watermark would run, and the stream
-// order matches it row for row.
+// Engine.StreamRows. Planning is per call (the overlay has no plan
+// cache); because the overlay's counter probes return exactly the live
+// graph's counts at the as-of watermark, the planner builds the same
+// plan a live query at that watermark would run, and the stream order
+// matches it row for row.
+func (o *Overlay) StreamRows(clauses []Clause, opts QueryOptions) iter.Seq2[Row, error] {
+	return streamRows(o, clauses, opts)
+}
+
+// StreamConjunctive is StreamRows with every row detached into a
+// Binding, as Engine.StreamConjunctive is of Engine.StreamRows.
 func (o *Overlay) StreamConjunctive(clauses []Clause, opts QueryOptions) iter.Seq2[Binding, error] {
 	return streamConjunctive(o, clauses, opts)
 }

@@ -19,7 +19,12 @@ import (
 // the units in flight.
 //
 // Workers never dedup or count rows themselves — those are global
-// properties of the stream order, which only the merge point sees.
+// properties of the stream order, which only the merge point sees. A
+// resumed stream's cursor is honoured in two places: the producer drops
+// the first-step candidates ahead of the one on the cursor's path (the
+// executor's depth-0 prune, so the pages before this one are not
+// re-derived), and the merge skips the rows of that one candidate's
+// subtree that still precede the cursor row.
 
 // parallelUnitSize is how many first-step candidates one work unit
 // carries. Small enough that K workers stay busy on modest candidate
@@ -27,12 +32,12 @@ import (
 // stays amortized.
 const parallelUnitSize = 128
 
-// parallelRow is one complete binding a worker derived: a detached copy
-// plus its encoded key tuple (computed only when the merge needs it for
-// dedup or cursor replay).
+// parallelRow is one complete row a worker derived: a detached copy of
+// the slot row plus its encoded key tuple (computed only when the merge
+// needs it for dedup or the cursor skip).
 type parallelRow struct {
-	b   Binding
-	key []byte
+	vals []kg.Value
+	key  []byte
 }
 
 // parallelUnit is one slice of the first step's candidates, claimed by a
@@ -57,6 +62,9 @@ func runParallel(ex *executor, workers int) {
 	step0 := ex.plan.steps[0]
 	c0 := ex.clauses[step0.Input]
 	keyed := ex.dedup || ex.skipping
+	// The producer runs beside the merge, which clears ex.skipping when it
+	// reaches the cursor row; it gets its own copy of the starting state.
+	toCursor := ex.skipping
 
 	stopCh := make(chan struct{})
 	var stopOnce sync.Once
@@ -69,7 +77,7 @@ func runParallel(ex *executor, workers int) {
 	go func() {
 		defer close(orderCh)
 		defer close(unitCh)
-		produceUnits(ex, c0, step0.Path, func(u *parallelUnit) bool {
+		produceUnits(ex, c0, &step0, toCursor, func(u *parallelUnit) bool {
 			// orderCh first: the merge must see every unit a worker can
 			// claim, in production order.
 			select {
@@ -87,7 +95,7 @@ func runParallel(ex *executor, workers int) {
 	}()
 
 	for i := 0; i < workers; i++ {
-		go parallelWorker(ex, c0, keyed, stopCh, unitCh)
+		go parallelWorker(ex, &step0, keyed, stopCh, unitCh)
 	}
 
 	// Merge in production order. After an early exit the loop keeps
@@ -119,20 +127,39 @@ func runParallel(ex *executor, workers int) {
 // unit to send, in stream order. A chunked first step (bound-object
 // clause with dedup on) maps each posting slab to one unit without ever
 // materializing the full candidate list; other paths expand buffered and
-// split.
-func produceUnits(ex *executor, c0 Clause, path AccessPath, send func(*parallelUnit) bool) {
-	if path == PathPosting && ex.chunked {
-		ov, _ := resolve(c0.Object, ex.bound)
+// split. With toCursor set, candidates are dropped until the first one on
+// the cursor's path (PlanStep.onCursorPath — the same prune the
+// sequential descent applies at depth 0); a restarted chunked read starts
+// dropping again, as the sequential descent does.
+func produceUnits(ex *executor, c0 Clause, step0 *PlanStep, toCursor bool, send func(*parallelUnit) bool) {
+	dropping := toCursor
+	ahead := func(t *kg.Triple) bool {
+		if dropping && step0.onCursorPath(t, ex.cursor) {
+			dropping = false
+		}
+		return dropping
+	}
+	if step0.Path == PathPosting && ex.chunked {
+		ov := c0.Object.Const
 		ex.g.SubjectsWithChunked(c0.Predicate, ov, parallelUnitSize, func(chunk []kg.EntityID, restarted bool) bool {
-			cands := make([]kg.Triple, len(chunk))
-			for i, sub := range chunk {
-				cands[i] = kg.Triple{Subject: sub, Predicate: c0.Predicate, Object: ov}
+			if restarted {
+				dropping = toCursor
 			}
-			return send(&parallelUnit{cands: cands, done: make(chan struct{})})
+			cands := make([]kg.Triple, 0, len(chunk))
+			t := kg.Triple{Predicate: c0.Predicate, Object: ov}
+			for _, sub := range chunk {
+				if t.Subject = sub; !ahead(&t) {
+					cands = append(cands, t)
+				}
+			}
+			return len(cands) == 0 || send(&parallelUnit{cands: cands, done: make(chan struct{})})
 		})
 		return
 	}
-	buf := expandStep(ex.g, c0, path, ex.bound, nil)
+	buf := expandStep(ex.g, step0.Path, c0.Predicate, c0.Subject.Const, c0.Object.Const, nil)
+	for len(buf) > 0 && ahead(&buf[0]) {
+		buf = buf[1:]
+	}
 	for start := 0; start < len(buf); start += parallelUnitSize {
 		end := min(start+parallelUnitSize, len(buf))
 		if !send(&parallelUnit{cands: buf[start:end], done: make(chan struct{})}) {
@@ -145,12 +172,12 @@ func produceUnits(ex *executor, c0 Clause, path AccessPath, send func(*parallelU
 // after the first) for each candidate, publishing raw rows in DFS order.
 // The worker executor carries no dedup/cursor/limit state — sink mode
 // collects every derivation and the merge filters globally.
-func parallelWorker(ex *executor, c0 Clause, keyed bool, stopCh chan struct{}, unitCh chan *parallelUnit) {
+func parallelWorker(ex *executor, step0 *PlanStep, keyed bool, stopCh chan struct{}, unitCh chan *parallelUnit) {
 	w := &executor{
 		g:       ex.g,
 		plan:    ex.plan,
 		clauses: ex.clauses,
-		bound:   make(Binding, len(ex.plan.vars)),
+		row:     make([]kg.Value, len(ex.plan.vars)),
 		bufs:    make([][]kg.Triple, len(ex.plan.steps)),
 		keys:    make([]kg.ValueKey, len(ex.plan.vars)),
 		chunked: ex.chunked,
@@ -176,16 +203,12 @@ func parallelWorker(ex *executor, c0 Clause, keyed bool, stopCh chan struct{}, u
 		case <-stopCh:
 			return
 		}
-		w.sink = func(b Binding, key []byte) bool {
-			r := parallelRow{b: b}
-			if keyed {
-				r.key = slices.Clone(key)
-			}
-			u.rows = append(u.rows, r)
+		w.sink = func(vals []kg.Value, key []byte) bool {
+			u.rows = append(u.rows, parallelRow{vals: slices.Clone(vals), key: slices.Clone(key)})
 			return true
 		}
-		for _, t := range u.cands {
-			if !w.candidate(0, c0, t) {
+		for i := range u.cands {
+			if !w.candidate(0, step0, &u.cands[i]) {
 				break
 			}
 		}

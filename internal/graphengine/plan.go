@@ -2,6 +2,7 @@ package graphengine
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"saga/internal/kg"
 )
@@ -69,6 +70,30 @@ type PlanStep struct {
 	// at build time (see planCost). Estimates order the join; they are
 	// not a promise about execution.
 	Estimate int
+
+	// sSlot and oSlot are the row slots of the clause's subject and
+	// object variables (-1 for a constant position); a variable's slot is
+	// its index in Plan.vars. sNew and oNew mark the positions this step
+	// is the first to bind — every earlier-bound variable position is a
+	// read of the row, so the executor needs no per-candidate bookkeeping
+	// of what is bound. Each slot is newly bound by exactly one step.
+	sSlot, oSlot int
+	sNew, oNew   bool
+}
+
+// onCursorPath reports whether a candidate of this step lies on the path
+// to the cursor row: the values it newly binds are, by ValueKey identity,
+// the cursor's values for those slots. A step that binds nothing is on
+// every path. This is the one compare a resumed page pays per skipped
+// sibling, so the subject arm spells out kg.EntityValue(s).MapKey()
+// instead of building it.
+func (st *PlanStep) onCursorPath(t *kg.Triple, cursor []kg.ValueKey) bool {
+	if st.sNew {
+		if k := &cursor[st.sSlot]; k.Kind != kg.KindEntity || k.Num != int64(t.Subject) || k.Str != "" {
+			return false
+		}
+	}
+	return !st.oNew || cursor[st.oSlot] == t.Object.MapKey()
 }
 
 // planFreq snapshots one predicate's global frequency at build time, the
@@ -82,7 +107,7 @@ type planFreq struct {
 // buildPlan (or through the Engine's plan cache); run with an executor.
 type Plan struct {
 	steps []PlanStep
-	vars  []string // sorted variable names — the key-tuple order
+	vars  []string // sorted variable names — the key-tuple and row-slot order
 	shape string   // cache key this plan was built for
 	freqs []planFreq
 }
@@ -112,6 +137,18 @@ type StepInfo struct {
 	Path string `json:"path"`
 	// Estimate is the planner's build-time candidate estimate.
 	Estimate int `json:"estimate"`
+}
+
+// singleRow reports whether the plan can yield at most one row: every
+// step is a membership probe, so there is one candidate path and nothing
+// for a dedup set to collapse.
+func (p *Plan) singleRow() bool {
+	for _, st := range p.steps {
+		if st.Path != PathHasFact {
+			return false
+		}
+	}
+	return true
 }
 
 // Describe renders the plan for explain output.
@@ -187,18 +224,23 @@ func buildPlan(g conjGraph, clauses []Clause, shape string) *Plan {
 			}
 		}
 		c := clauses[best]
-		p.steps = append(p.steps, PlanStep{
+		st := PlanStep{
 			Input:    best,
 			Path:     pathFor(c, bound),
 			Estimate: bestCost,
-		})
+			sSlot:    slices.Index(p.vars, c.Subject.Var),
+			oSlot:    slices.Index(p.vars, c.Object.Var),
+		}
 		used[best] = true
-		if c.Subject.Var != "" {
+		if c.Subject.Var != "" && !bound[c.Subject.Var] {
 			bound[c.Subject.Var] = true
+			st.sNew = true
 		}
-		if c.Object.Var != "" {
+		if c.Object.Var != "" && !bound[c.Object.Var] {
 			bound[c.Object.Var] = true
+			st.oNew = true
 		}
+		p.steps = append(p.steps, st)
 	}
 	p.freqs = snapshotFreqs(g, clauses)
 	return p

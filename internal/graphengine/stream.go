@@ -37,10 +37,16 @@ type QueryOptions struct {
 	Limit int
 
 	// Cursor resumes a conjunctive enumeration after the row with this
-	// key tuple (the binding's values in sorted-variable order — see
-	// BindingKey). Rows up to and including the cursor row are re-derived
-	// and skipped, so a page costs O(rows before it) — resumption relies
-	// on the stream's deterministic order and is exact while the graph is
+	// key tuple (the row's values in sorted-variable order — see
+	// BindingKey and Row.Key). Resumption is a seek, not a replay: the
+	// executor descends straight to the cursor row, dropping at each join
+	// depth every candidate whose values differ from the cursor's without
+	// expanding it, so a page costs one compare per sibling skipped on the
+	// cursor's path plus the rows of the page itself — not the rows of the
+	// pages before it. (Siblings are compare-scanned today; once posting
+	// lists are sorted the scan becomes a binary search.) The resumed
+	// stream dedups from the cursor row onward. Resumption relies on the
+	// stream's deterministic order and is exact while the graph is
 	// unchanged; mutations in between may shift page boundaries. A cursor
 	// naming a row that no longer exists yields an empty remainder.
 	Cursor []kg.ValueKey
@@ -105,12 +111,43 @@ type conjGraph interface {
 	PredicateEntriesFunc(kg.PredicateID, func(kg.Value, kg.EntityID) bool)
 }
 
-// StreamConjunctive evaluates the conjunction and yields satisfying
-// bindings as the nested-loop join produces them. Duplicates are
-// collapsed on the fly (a seen-set of the bindings' ValueKey tuples in
-// sorted-variable order, never rendered strings), so each distinct
-// binding is yielded exactly once; the seen-set grows with the distinct
-// rows enumerated, which a Limit bounds.
+// Row is one answer of a conjunctive query in slot form: Vals[i] is the
+// value of variable Vars[i], in sorted-variable order — the order of key
+// tuples and cursors. Vars is shared with the plan and read-only. Vals
+// may be the executor's own scratch: it is valid until the consumer asks
+// for the next row, and must be copied (or turned into a Binding) to be
+// kept.
+type Row struct {
+	Vars []string
+	Vals []kg.Value
+}
+
+// Binding returns the row as a detached variable → value map.
+func (r Row) Binding() Binding {
+	b := make(Binding, len(r.Vars))
+	for i, name := range r.Vars {
+		b[name] = r.Vals[i]
+	}
+	return b
+}
+
+// Key returns the row's identity tuple, the same tuple BindingKey
+// computes for the row's Binding. It does not alias Vals.
+func (r Row) Key() []kg.ValueKey {
+	keys := make([]kg.ValueKey, len(r.Vals))
+	for i, v := range r.Vals {
+		keys[i] = v.MapKey()
+	}
+	return keys
+}
+
+// StreamRows evaluates the conjunction and yields satisfying rows as the
+// nested-loop join produces them — the one entry point every conjunctive
+// read goes through; StreamConjunctive is this stream with each row
+// turned into a Binding. Duplicates are collapsed on the fly (a seen-set
+// of the rows' ValueKey tuples, never rendered strings), so each distinct
+// row is yielded exactly once; the seen-set grows with the distinct rows
+// enumerated, which a Limit bounds.
 //
 // # Order
 //
@@ -122,9 +159,18 @@ type conjGraph interface {
 // map-backed and therefore sorted by (subject, object key) before
 // enumeration. The same plan and graph always stream the same sequence,
 // which is what Cursor resumption relies on; the Engine's plan cache
-// returns the same plan for an unchanged shape, so consecutive pages
-// replay identically. The order is NOT the sorted order of
-// QueryConjunctive; that shim sorts after collecting.
+// returns the same plan for an unchanged shape, so consecutive pages see
+// the same order. The order is NOT the sorted order of QueryConjunctive;
+// that shim sorts after collecting.
+//
+// A resumed stream seeks to its cursor (see QueryOptions.Cursor) and
+// dedups from the cursor row onward: rows ahead of the cursor are never
+// enumerated, so they are not in the seen-set. On a quiescent graph that
+// changes nothing — every variable is part of the row, so a full row
+// fixes the triple each clause matched and has exactly one derivation;
+// nothing after the cursor can repeat a row before it, and concatenated
+// pages equal the unlimited stream. The seen-set only ever absorbs the
+// re-deliveries of a chunked read that a concurrent write restarted.
 //
 // Candidate expansion never holds graph locks across a yield — bound-
 // object clauses stream postingChunkSize-entry slabs per lock
@@ -134,21 +180,48 @@ type conjGraph interface {
 // size.
 //
 // Errors (clause validation, cursor shape, context cancellation) are
-// yielded as the final (nil, err) element; rows always carry a nil error.
-func (e *Engine) StreamConjunctive(clauses []Clause, opts QueryOptions) iter.Seq2[Binding, error] {
+// yielded as the final (Row{}, err) element; rows always carry a nil
+// error.
+func (e *Engine) StreamRows(clauses []Clause, opts QueryOptions) iter.Seq2[Row, error] {
 	g := e.read()
 	return streamPlanned(g, clauses, opts, func() *Plan {
 		return e.plans.plan(g, clauses, shapeKey(clauses))
 	})
 }
 
-// streamConjunctive is StreamConjunctive over the solver's graph
-// interface (tests interpose counting wrappers here). It plans per call,
-// with no cache.
-func streamConjunctive(g conjGraph, clauses []Clause, opts QueryOptions) iter.Seq2[Binding, error] {
+// StreamConjunctive is StreamRows with every row detached into a Binding
+// (one map per row); errors yield as the final (nil, err) element.
+func (e *Engine) StreamConjunctive(clauses []Clause, opts QueryOptions) iter.Seq2[Binding, error] {
+	return bindings(e.StreamRows(clauses, opts))
+}
+
+// streamRows is StreamRows over the solver's graph interface (overlays,
+// derived views, and the tests' counting wrappers enter here). It plans
+// per call, with no cache.
+func streamRows(g conjGraph, clauses []Clause, opts QueryOptions) iter.Seq2[Row, error] {
 	return streamPlanned(g, clauses, opts, func() *Plan {
 		return buildPlan(g, clauses, "")
 	})
+}
+
+// streamConjunctive is streamRows as Bindings.
+func streamConjunctive(g conjGraph, clauses []Clause, opts QueryOptions) iter.Seq2[Binding, error] {
+	return bindings(streamRows(g, clauses, opts))
+}
+
+// bindings adapts a row stream to the Binding-per-row surface.
+func bindings(rows iter.Seq2[Row, error]) iter.Seq2[Binding, error] {
+	return func(yield func(Binding, error) bool) {
+		for r, err := range rows {
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !yield(r.Binding(), nil) {
+				return
+			}
+		}
+	}
 }
 
 // validateClauses checks the structural invariants every entry point
@@ -185,15 +258,15 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // decides caching), build an executor, and run it sequentially or in
 // parallel. planFn runs inside the iterator so each `range` over the
 // returned sequence replans against current counters.
-func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func() *Plan) iter.Seq2[Binding, error] {
-	return func(yield func(Binding, error) bool) {
+func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func() *Plan) iter.Seq2[Row, error] {
+	return func(yield func(Row, error) bool) {
 		if err := validateClauses(clauses); err != nil {
-			yield(nil, err)
+			yield(Row{}, err)
 			return
 		}
 		p := planFn()
 		if len(opts.Cursor) > 0 && len(opts.Cursor) != len(p.vars) {
-			yield(nil, fmt.Errorf("graphengine: cursor has %d values, query has %d variables", len(opts.Cursor), len(p.vars)))
+			yield(Row{}, fmt.Errorf("graphengine: cursor has %d values, query has %d variables", len(opts.Cursor), len(p.vars)))
 			return
 		}
 		ctx := opts.Context
@@ -210,20 +283,28 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			g:       g,
 			plan:    p,
 			clauses: clauses,
-			bound:   make(Binding, len(p.vars)),
+			row:     make([]kg.Value, len(p.vars)),
 			bufs:    make([][]kg.Triple, len(p.steps)),
 			keys:    make([]kg.ValueKey, len(p.vars)),
-			dedup:   !opts.NoDedup,
+			// A plan of membership probes has one candidate path and at
+			// most one row: nothing to collapse, so no seen-set. (chunked
+			// still follows the caller's NoDedup: such a plan has no
+			// chunked step.)
+			dedup:   !opts.NoDedup && !p.singleRow(),
 			chunked: !opts.NoDedup,
 			limit:   opts.Limit,
 			ctx:     ctx,
 			yield:   yield,
 		}
 		if ex.dedup {
-			ex.seen = make(map[string]struct{})
+			// A limited stream holds at most limit rows (plus the cursor
+			// row); sizing for them up front saves regrowing the set
+			// through every page.
+			ex.seen = make(map[string]struct{}, min(max(opts.Limit, 0), 1024))
 		}
 		if len(opts.Cursor) > 0 {
-			ex.cursor = string(appendKeyTuple(nil, opts.Cursor))
+			ex.cursor = opts.Cursor
+			ex.cursorKey = string(appendKeyTuple(nil, opts.Cursor))
 			ex.skipping = true
 		}
 		if opts.Parallelism > 1 && parallelizable(p) {
@@ -232,7 +313,7 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			ex.exec(0)
 		}
 		if ex.err != nil {
-			yield(nil, ex.err)
+			yield(Row{}, ex.err)
 		}
 	}
 }

@@ -215,7 +215,9 @@ func (c *countingGraph) SubjectsWithChunked(p kg.PredicateID, o kg.Value, chunkS
 // A limited solve must stop probing the graph once the page is full: with
 // every team member holding the award, each yielded row costs one
 // membership check, so limit rows cost limit checks — not one per member
-// as the full solve pays.
+// as the full solve pays. A resumed page is held to the same standard: the
+// cursor is a seek, so it pays for its own rows plus the cursor row, not
+// for the rows of the pages before it.
 func TestStreamConjunctiveLimitStopsProbing(t *testing.T) {
 	const nMembers = 512
 	g, clauses := streamFixture(t, nMembers)
@@ -249,6 +251,45 @@ func TestStreamConjunctiveLimitStopsProbing(t *testing.T) {
 	}
 	if limited.hasFact > limit {
 		t.Fatalf("limited solve made %d membership probes after limit %d — limit is not pushed into the solver", limited.hasFact, limit)
+	}
+
+	// Resume after row 500 of the 512: the members ahead of the cursor are
+	// compared against it and dropped, never probed.
+	const after = 500
+	var cursor []kg.ValueKey
+	rows = 0
+	for b, err := range streamConjunctive(g, clauses, QueryOptions{Limit: after}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		cursor = BindingKey(b)
+	}
+	if rows != after {
+		t.Fatalf("prefix solve = %d rows, want %d", rows, after)
+	}
+	for _, workers := range []int{0, 3} {
+		resumed := &raceCountingGraph{Graph: g}
+		rows = 0
+		for _, err := range streamConjunctive(resumed, clauses, QueryOptions{Limit: limit, Cursor: cursor, Parallelism: workers}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows++
+		}
+		if rows != limit {
+			t.Fatalf("workers=%d: resumed solve = %d rows, want %d", workers, rows, limit)
+		}
+		// Sequentially that is the cursor row plus the page; the parallel
+		// path prunes the same members but works in units, so it may probe
+		// out the rest of the posting — never the 500 behind the cursor.
+		bound := int64(limit + 1)
+		if workers > 0 {
+			bound = nMembers - after + 1
+		}
+		if got := resumed.hasFact.Load(); got > bound {
+			t.Fatalf("workers=%d: page resumed after row %d made %d membership probes, want <= %d — the cursor replays instead of seeking", workers, after, got, bound)
+		}
 	}
 }
 

@@ -107,6 +107,10 @@ type Subscription struct {
 	done      bool
 }
 
+// Vars returns the standing query's variable names in sorted order — the
+// key set of every binding the subscription delivers.
+func (s *Subscription) Vars() []string { return queryVars(s.clauses) }
+
 // Err reports why the subscription ended: nil after Close,
 // ErrSlowSubscriber after eviction. Valid once C is closed.
 func (s *Subscription) Err() error { return s.err }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -71,16 +70,8 @@ func (s *Server) resolveIngestTriple(i int, tj ingestTripleJSON) (kg.Triple, int
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", int64(maxQueryBodyBytes)))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeCapped(w, r, &req) {
 		return
 	}
 	if len(req.Asserts)+len(req.Retracts) == 0 {

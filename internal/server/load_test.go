@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -30,6 +31,16 @@ func loadServer(t *testing.T, read, write, subscribe admission.Limits) (*httptes
 // outlast the kernel's socket buffering.
 func loadServerSized(t *testing.T, people int, read, write, subscribe admission.Limits) (*httptest.Server, *Server, *saga.World) {
 	t.Helper()
+	srv, w := loadPlatform(t, people, read, write, subscribe)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, srv, w
+}
+
+// loadPlatform is loadServerSized without the listener, for tests that
+// configure the HTTP server before starting it.
+func loadPlatform(t *testing.T, people int, read, write, subscribe admission.Limits) (*Server, *saga.World) {
+	t.Helper()
 	w, err := saga.GenerateWorld(saga.WorldConfig{NumPeople: people, NumClusters: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +56,7 @@ func loadServerSized(t *testing.T, people int, read, write, subscribe admission.
 		t.Fatal(err)
 	}
 	srv.Admission = admission.NewController(read, write, subscribe)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv, w
+	return srv, w
 }
 
 // waitGoroutines fails the test if the goroutine count does not settle
@@ -227,7 +236,7 @@ func TestLoadDrain(t *testing.T) {
 	defer client.CloseIdleConnections()
 
 	srv.StartDrain()
-	for _, path := range []string{"/query", "/ingest"} {
+	for _, path := range []string{"/query", "/ingest", "/annotate"} {
 		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
@@ -285,13 +294,13 @@ func TestBudgetExpiry503(t *testing.T) {
 }
 
 // TestLoadFaultOversizedBody: bodies past the 1 MiB cap answer 413 on
-// both /query and /ingest, through real HTTP.
+// /query, /ingest and /annotate, through real HTTP.
 func TestLoadFaultOversizedBody(t *testing.T) {
 	read, write, subscribe := admission.DefaultLimits()
 	ts, _, _ := loadServer(t, read, write, subscribe)
 	client := workload.NewLoadClient(5 * time.Second)
 	defer client.CloseIdleConnections()
-	for _, path := range []string{"/query", "/ingest"} {
+	for _, path := range []string{"/query", "/ingest", "/annotate"} {
 		status, err := workload.OversizedBody(context.Background(), client, ts.URL, path, maxQueryBodyBytes)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -353,8 +362,34 @@ func TestSubscribeSlowClientEviction(t *testing.T) {
 	read, write, subscribe := admission.DefaultLimits()
 	// 400 people give ~160k distinct collaborator pairs — far more event
 	// volume than the kernel can buffer for a non-reading client.
-	ts, srv, w := loadServerSized(t, 400, read, write, subscribe)
-	client := workload.NewLoadClient(20 * time.Second)
+	srv, w := loadPlatform(t, 400, read, write, subscribe)
+	// The handler never falls behind a 1 ms coalescing window by itself,
+	// so what stalls it is a full socket, and the stall only lasts the
+	// 1.5 s the client sleeps. With the kernel's autotuned buffers "full"
+	// is several megabytes — more than the churn below produces in that
+	// time under the race detector. Fixed 16 KiB buffers on both ends
+	// make it a matter of kilobytes on any box.
+	shrink := func(c net.Conn, set func(*net.TCPConn, int) error) {
+		if tcp, ok := c.(*net.TCPConn); ok {
+			_ = set(tcp, 16<<10)
+		}
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
+		shrink(c, (*net.TCPConn).SetWriteBuffer)
+		return ctx
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	client := &http.Client{Timeout: 20 * time.Second, Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err == nil {
+				shrink(c, (*net.TCPConn).SetReadBuffer)
+			}
+			return c, err
+		},
+	}}
 	defer client.CloseIdleConnections()
 	baseline := runtime.NumGoroutine()
 

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"saga/internal/kg"
 	"saga/saga"
@@ -40,14 +40,16 @@ import (
 //	{"plan": [{"clause": 0, "path": "posting", "estimate": 12}, ...],
 //	 "variables": ["p"]}
 //
-// The solve streams (saga.Platform.QueryStream): it stops probing the
-// graph as soon as the page is full, and the request context aborts it
-// mid-join when the client disconnects (in parallel mode the context
-// cancels every worker). When the server is configured with
-// QueryWorkers > 1 (kgserve -query-workers), the first clause's
-// candidates are partitioned across workers and merged back into the
-// exact sequential order, so responses and cursors are byte-identical
-// at any worker count. Serving-path guards bound what
+// The solve streams (saga.Platform.QueryRows): it stops probing the
+// graph as soon as the page is full, each row is appended to the response
+// buffer as it is derived (encode.go — no per-row maps, no reflection;
+// the body goes out in one write with its Content-Length), and the
+// request context aborts it mid-join when the client disconnects (in
+// parallel mode the context cancels every worker). When the server is
+// configured with QueryWorkers > 1 (kgserve -query-workers), the first
+// clause's candidates are partitioned across workers and merged back
+// into the exact sequential order, so responses and cursors are
+// byte-identical at any worker count. Serving-path guards bound what
 // one request can cost: bodies over 1 MiB are rejected with 413,
 // conjunctions over 32 clauses with 400, a request without a limit gets
 // the default page size, and limits above the maximum are clamped.
@@ -55,11 +57,13 @@ import (
 // concurrent mutations may shift page boundaries (the token names the
 // last binding seen, not a snapshot). Streaming dedup is always on for
 // HTTP queries (QueryOptions.NoDedup is never set here): every request
-// solves with a limit, so the solver's seen-set is bounded by the rows
-// enumerated for that one request — limit+1 for a first page, plus the
-// replayed prior-page rows for a cursored request (page N re-derives
-// ~N*limit rows; the documented O(pages-before-it) cursor cost) — never
-// the unbounded answer-set growth NoDedup exists for.
+// solves with a limit, so the solver's seen-set is bounded by the rows of
+// that one page — limit+1, plus the cursor row on a resumed request —
+// never the unbounded answer-set growth NoDedup exists for. A cursor is
+// a seek, not a replay: the executor descends to the cursor row dropping
+// every candidate off its path unexpanded, so page N costs one compare
+// per sibling skipped on that path plus its own rows, and derives none of
+// the rows of the pages before it.
 //
 // Overload semantics: /query is Read-class traffic behind the admission
 // gate (see server.go). When the read tier is saturated the request
@@ -104,7 +108,7 @@ type queryRequest struct {
 	Explain bool              `json:"explain"`
 	// AsOf runs the query against the graph as it was at this mutation
 	// watermark, reconstructed from the durable checkpoint retention
-	// (saga.Platform.QueryStreamAt). Results are identical to what the
+	// (saga.Platform.QueryRowsAt). Results are identical to what the
 	// same query returned live at that watermark. Requires a durable
 	// platform; watermarks older than the retention window return 410.
 	// Explain ignores as_of (plans describe the live graph).
@@ -148,16 +152,8 @@ func (s *Server) parseTerm(t queryTermJSON) (saga.QueryTerm, error) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", int64(maxQueryBodyBytes)))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeCapped(w, r, &req) {
 		return
 	}
 	if len(req.Clauses) == 0 {
@@ -224,11 +220,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Context:     r.Context(),
 		Parallelism: s.QueryWorkers,
 	}
-	stream := s.Platform.QueryStream(clauses, opts)
+	rows := s.Platform.QueryRows(clauses, opts)
 	if req.AsOf != nil {
 		// Point-in-time read: same solve, same options, but over the
 		// as-of overlay instead of the live graph.
-		st, err := s.Platform.QueryStreamAt(clauses, *req.AsOf, opts)
+		at, err := s.Platform.QueryRowsAt(clauses, *req.AsOf, opts)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, saga.ErrOutsideRetention) {
@@ -237,11 +233,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, err)
 			return
 		}
-		stream = st
+		rows = at
 	}
-	bindings := make([]saga.QueryBinding, 0, min(limit, 64))
-	more := false
-	for b, err := range stream {
+
+	// Rows are encoded as they stream, straight into one pooled buffer;
+	// nothing is written until the page is complete, so an error mid-solve
+	// still gets its own status line.
+	bufp := respBufPool.Get().(*[]byte)
+	defer func() {
+		if cap(*bufp) <= maxPooledRespBytes {
+			respBufPool.Put(bufp)
+		}
+	}()
+	buf := append((*bufp)[:0], `{"bindings":[`...)
+	var (
+		enc   *rowEncoder
+		last  saga.QueryCursor // key tuple of the page's last row
+		count int
+		more  bool
+	)
+	for row, err := range rows {
 		if err != nil {
 			if contextEnded(w, r, err) {
 				return
@@ -249,22 +260,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if len(bindings) == limit {
+		if count == limit {
 			more = true
 			break
 		}
-		bindings = append(bindings, b)
+		if enc == nil {
+			enc = newRowEncoder(g, row.Vars)
+		} else {
+			buf = append(buf, ',')
+		}
+		buf = enc.appendRow(buf, row.Vals)
+		count++
+		if count == limit {
+			last = row.Key()
+		}
 	}
-
-	out := make([]map[string]any, 0, len(bindings))
-	for _, b := range bindings {
-		out = append(out, renderBinding(g, b))
-	}
-	resp := map[string]any{"bindings": out, "count": len(out), "limit": limit}
+	buf = append(buf, `],"count":`...)
+	buf = strconv.AppendInt(buf, int64(count), 10)
+	buf = append(buf, `,"limit":`...)
+	buf = strconv.AppendInt(buf, int64(limit), 10)
 	if more {
-		resp["next_cursor"] = saga.EncodeQueryCursor(saga.QueryBindingKey(bindings[len(bindings)-1]))
+		buf = append(buf, `,"next_cursor":`...)
+		buf = appendJSONString(buf, saga.EncodeQueryCursor(last))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf = append(buf, '}', '\n')
+	*bufp = buf
+	writeJSONBytes(w, http.StatusOK, buf)
 }
 
 // parseClauses converts the request's clause JSON into engine clauses,
@@ -289,21 +310,4 @@ func (s *Server) parseClauses(cjs []queryClauseJSON) ([]saga.QueryClause, int, e
 		clauses = append(clauses, saga.QueryClause{Subject: subj, Predicate: pred.ID, Object: obj})
 	}
 	return clauses, 0, nil
-}
-
-// renderBinding renders one query answer: entity values become
-// {key, name} objects, literals their string form. Shared by /query
-// and /subscribe.
-func renderBinding(g *saga.Graph, b saga.QueryBinding) map[string]any {
-	rowJSON := make(map[string]any, len(b))
-	for name, v := range b {
-		if v.IsEntity() {
-			if e := g.Entity(v.Entity); e != nil {
-				rowJSON[name] = map[string]string{"key": e.Key, "name": e.Name}
-				continue
-			}
-		}
-		rowJSON[name] = v.String()
-	}
-	return rowJSON
 }

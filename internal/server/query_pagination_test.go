@@ -12,7 +12,7 @@ import (
 
 // paginationServer stands up /query over a graph with one team of
 // nMembers members — no embeddings or search index needed.
-func paginationServer(t *testing.T, nMembers int) (*Server, []string) {
+func paginationServer(t testing.TB, nMembers int) (*Server, []string) {
 	t.Helper()
 	g := kg.NewGraphWithShards(8)
 	member, _ := g.AddPredicate(kg.Predicate{Name: "memberOf"})
@@ -163,5 +163,13 @@ func TestQueryEndpointGuards(t *testing.T) {
 	rec, _ = do(t, h, "POST", "/query", `{"clauses":[`+clause+`],"cursor":"!!!"}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage cursor: status = %d, want 400", rec.Code)
+	}
+
+	// Well-formed cursor of the wrong arity (two values, one variable):
+	// rejected, not silently treated as a row that vanished.
+	two := saga.EncodeQueryCursor(saga.QueryCursor{kg.IntValue(1).MapKey(), kg.IntValue(2).MapKey()})
+	rec, _ = do(t, h, "POST", "/query", `{"clauses":[`+clause+`],"cursor":"`+two+`"}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("wrong-arity cursor: status = %d, want 400", rec.Code)
 	}
 }

@@ -145,6 +145,25 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// decodeCapped decodes a JSON request body of at most maxQueryBodyBytes
+// into v. On failure it has already answered — 413 for a body over the
+// cap, 400 for anything else — and returns false.
+func decodeCapped(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", int64(maxQueryBodyBytes)))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	}
+	return false
+}
+
 // isClientGone reports whether an error means the request context ended —
 // the potentially-slow handlers (/query, /rank, /related, /search) thread
 // r.Context() into their compute so a disconnected client stops burning
@@ -267,7 +286,8 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.entityJSON(e))
 }
 
-// annotateRequest is the POST /annotate body.
+// annotateRequest is the POST /annotate body; like every JSON body the
+// server accepts it is capped at maxQueryBodyBytes (413 beyond).
 type annotateRequest struct {
 	Text string `json:"text"`
 }
@@ -284,8 +304,7 @@ type annotationJSON struct {
 
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	var req annotateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeCapped(w, r, &req) {
 		return
 	}
 	if req.Text == "" {

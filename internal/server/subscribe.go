@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"saga/saga"
@@ -56,12 +57,20 @@ type subscribeRequest struct {
 	MaxPending int `json:"max_pending"`
 }
 
-// subscribeEventJSON is the NDJSON shape of one subscription event.
-type subscribeEventJSON struct {
-	Adds      []map[string]any `json:"adds"`
-	Retracts  []map[string]any `json:"retracts"`
-	Watermark uint64           `json:"watermark"`
-	Reset     bool             `json:"reset,omitempty"`
+// appendSubscribeEvent appends the NDJSON line of one subscription
+// event: {"adds":[...],"retracts":[...],"watermark":N} plus "reset":true
+// on a reset event, bindings encoded as /query encodes its rows.
+func appendSubscribeEvent(dst []byte, enc *rowEncoder, ev saga.SubscriptionEvent) []byte {
+	dst = append(dst, `{"adds":`...)
+	dst = enc.appendBindings(dst, ev.Adds)
+	dst = append(dst, `,"retracts":`...)
+	dst = enc.appendBindings(dst, ev.Retracts)
+	dst = append(dst, `,"watermark":`...)
+	dst = strconv.AppendUint(dst, ev.Watermark, 10)
+	if ev.Reset {
+		dst = append(dst, `,"reset":true`...)
+	}
+	return append(dst, '}', '\n')
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
@@ -103,8 +112,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	g := s.Platform.Graph()
+	enc := newRowEncoder(s.Platform.Graph(), sub.Vars())
+	var line []byte // reused across events
 	ctx := r.Context()
 	for {
 		select {
@@ -115,27 +124,16 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				// Evicted by the hub: tell the client why before closing.
 				if err := sub.Err(); err != nil {
 					_ = rc.SetWriteDeadline(time.Now().Add(subscribeWriteTimeout))
-					_ = enc.Encode(map[string]string{"error": err.Error()})
+					_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 					_ = rc.Flush()
 				}
 				return
 			}
-			line := subscribeEventJSON{
-				Adds:      make([]map[string]any, 0, len(ev.Adds)),
-				Retracts:  make([]map[string]any, 0, len(ev.Retracts)),
-				Watermark: ev.Watermark,
-				Reset:     ev.Reset,
-			}
-			for _, b := range ev.Adds {
-				line.Adds = append(line.Adds, renderBinding(g, b))
-			}
-			for _, b := range ev.Retracts {
-				line.Retracts = append(line.Retracts, renderBinding(g, b))
-			}
+			line = appendSubscribeEvent(line[:0], enc, ev)
 			if err := rc.SetWriteDeadline(time.Now().Add(subscribeWriteTimeout)); err != nil {
 				return
 			}
-			if err := enc.Encode(line); err != nil {
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 			if err := rc.Flush(); err != nil {

@@ -308,20 +308,33 @@ func MeasureClosedLoop(ctx context.Context, client *http.Client, baseURL string,
 	return float64(completed) / elapsed
 }
 
-// SaturationQueryOp returns a deliberately expensive read — an
-// unselective two-clause collaborator self-join — for capacity probes
-// and overload runs. The point is a per-request cost high enough
-// (milliseconds, not microseconds) that the server saturates at a rate
-// the open-loop launcher can comfortably double; cheap point lookups
-// would put true capacity above what any single-process harness can
-// offer, and the overload run would never shed.
+// SaturationQueryOp returns a deliberately expensive read — the
+// six-cycles of the collaborator relation, a six-clause self-join — for
+// capacity probes and overload runs. The point is a per-request cost
+// that is high (tens of milliseconds on a 600-person world, not
+// microseconds) and spent inside the handler: the join walks every
+// five-step collaborator path and probes it for the closing edge, but
+// few paths close, so the response stays small. The server then
+// saturates at a rate the open-loop launcher can comfortably double and
+// its admission gate, not the harness draining response bodies on the
+// same cores, is what overload hits. Cheap point lookups would put true
+// capacity above what any single-process harness can offer, and an
+// output-heavy join spends the box on HTTP and the client; either way
+// the overload run would never shed.
 func SaturationQueryOp() LoadOp {
-	const body = `{"clauses":[` +
-		`{"subject":{"var":"a"},"predicate":"collaborator","object":{"var":"b"}},` +
-		`{"subject":{"var":"b"},"predicate":"collaborator","object":{"var":"c"}}` +
-		`],"limit":100000}`
-	return LoadOp{Name: "join2", Weight: 1, Do: func(ctx context.Context, c *http.Client, base string, seq int) (int, error) {
-		return doJSON(ctx, c, http.MethodPost, base+"/query", body)
+	const vars = "abcdef"
+	var body strings.Builder
+	body.WriteString(`{"clauses":[`)
+	for i := range vars {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"subject":{"var":"%c"},"predicate":"collaborator","object":{"var":"%c"}}`,
+			vars[i], vars[(i+1)%len(vars)])
+	}
+	body.WriteString(`],"limit":100000}`)
+	return LoadOp{Name: "cycle6", Weight: 1, Do: func(ctx context.Context, c *http.Client, base string, seq int) (int, error) {
+		return doJSON(ctx, c, http.MethodPost, base+"/query", body.String())
 	}}
 }
 

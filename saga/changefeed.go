@@ -61,11 +61,21 @@ func (p *Platform) QueryAt(clauses []QueryClause, asOf uint64) ([]QueryBinding, 
 	return ov.QueryConjunctive(clauses)
 }
 
-// QueryStreamAt is the streaming twin of QueryAt, with the same
-// options contract as QueryStream (limit push-down, cursors, timeout).
-// The stream's row order is identical to what QueryStream produced at
-// watermark asOf. Unlike QueryStream, reconstruction can fail, so the
+// QueryRowsAt is the streaming twin of QueryAt, with the same options
+// contract as QueryRows (limit push-down, cursors, timeout). The
+// stream's row order is identical to what QueryRows produced at
+// watermark asOf. Unlike QueryRows, reconstruction can fail, so the
 // iterator is returned alongside an error.
+func (p *Platform) QueryRowsAt(clauses []QueryClause, asOf uint64, opts QueryOptions) (iter.Seq2[QueryRow, error], error) {
+	ov, err := p.overlayAt(asOf)
+	if err != nil {
+		return nil, err
+	}
+	return ov.StreamRows(clauses, opts), nil
+}
+
+// QueryStreamAt is QueryRowsAt with every row detached into a
+// QueryBinding, as QueryStream is of QueryRows.
 func (p *Platform) QueryStreamAt(clauses []QueryClause, asOf uint64, opts QueryOptions) (iter.Seq2[QueryBinding, error], error) {
 	ov, err := p.overlayAt(asOf)
 	if err != nil {

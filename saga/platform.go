@@ -57,17 +57,26 @@ func (p *Platform) Engine() *Engine { return p.engine }
 // QueryConjunctive evaluates a conjunctive triple-pattern query (the §1
 // "movies directed by X" shape) and returns all satisfying bindings,
 // sorted and deduplicated. It materializes the whole answer set; serving
-// paths should prefer QueryStream with a limit.
+// paths should prefer QueryRows or QueryStream with a limit.
 func (p *Platform) QueryConjunctive(clauses []QueryClause) ([]QueryBinding, error) {
 	return p.engine.QueryConjunctive(clauses)
 }
 
-// QueryStream evaluates a conjunctive query as a stream: bindings yield
-// as the join produces them (deduplicated, deterministic order), a
-// QueryOptions.Limit terminates the solve early, a Cursor resumes after a
-// previous page's last binding, and Context/Timeout abort mid-join.
-// Errors yield as the final (nil, err) element. This is the serving-path
-// query surface behind POST /query.
+// QueryRows evaluates a conjunctive query as a stream of slot rows: rows
+// yield as the join produces them (deduplicated, deterministic order), a
+// QueryOptions.Limit terminates the solve early, a Cursor seeks to just
+// after a previous page's last row, and Context/Timeout abort mid-join.
+// A row's values are only valid until the next row is requested (see
+// QueryRow). Errors yield as the final element. This is the serving-path
+// query surface behind POST /query, and the stream every other
+// conjunctive read is an adapter over.
+func (p *Platform) QueryRows(clauses []QueryClause, opts QueryOptions) iter.Seq2[QueryRow, error] {
+	return p.engine.StreamRows(clauses, opts)
+}
+
+// QueryStream is QueryRows with every row detached into a QueryBinding
+// (one map per row), for consumers that keep rows or address values by
+// variable name. Errors yield as the final (nil, err) element.
 func (p *Platform) QueryStream(clauses []QueryClause, opts QueryOptions) iter.Seq2[QueryBinding, error] {
 	return p.engine.StreamConjunctive(clauses, opts)
 }

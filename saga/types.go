@@ -104,6 +104,10 @@ type (
 	QueryTerm = graphengine.Term
 	// QueryBinding maps variables to values in a query answer.
 	QueryBinding = graphengine.Binding
+	// QueryRow is a query answer in slot form: Vals[i] is the value of
+	// variable Vars[i], sorted-variable order. Vals is only valid until
+	// the stream's next row; Binding() and Key() detach it.
+	QueryRow = graphengine.Row
 	// QueryOptions configure one streaming query: limit push-down,
 	// cursor resumption, provenance routing, dedup opt-out for unlimited
 	// streams (NoDedup), timeout, and cancellation.

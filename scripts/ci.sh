@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # ci.sh — the local CI gate: formatting, vet, build, the full test
-# suite under the race detector, and a short open-loop load smoke
-# against an in-process server (kgload -smoke: zero 5xx, zero transport
-# errors, p99 of admitted requests under the read route's deadline).
+# suite under the race detector, the benchmark module's own vet + smoke
+# test (bench/ has its own go.mod, so ./... never reaches it and an API
+# drift in saga or internal/server would otherwise break the benchmark
+# silently), a few seconds of native fuzzing on the two wire decoders'
+# targets, and a short open-loop load smoke against an in-process server
+# (kgload -smoke: zero 5xx, zero transport errors, p99 of admitted
+# requests under the read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
 # run, so a clean exit here means a clean check there.
 #
@@ -10,6 +14,7 @@
 #   scripts/ci.sh            # full gate
 #   SKIP_RACE=1 scripts/ci.sh  # tests without -race (quick mode)
 #   SKIP_LOAD=1 scripts/ci.sh  # skip the load smoke
+#   FUZZTIME=30s scripts/ci.sh # longer fuzz smoke (default 5s per target)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +40,13 @@ else
     echo "== go test -race =="
     go test -race ./...
 fi
+
+echo "== bench module (vet + smoke test) =="
+(cd bench && go vet ./... && go test ./...)
+
+echo "== fuzz smoke =="
+go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
+go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 
 if [[ "${SKIP_LOAD:-}" != "1" ]]; then
     echo "== load smoke (kgload) =="
