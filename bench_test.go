@@ -374,12 +374,9 @@ func BenchmarkE12DiskTraining(b *testing.B) {
 // pair is selective. The "pom" case runs the planner over the
 // predicate-major index (counter estimates + one posting-list read); the
 // "sweep" case replays the pre-index strategy, where every selectivity
-// estimate and the expansion sweep all 64 shards via SubjectsWithSweep.
-// Since PR 5 shrank the per-shard pos postings to counts, the sweep
-// recovers subjects from bounded spo scans — it is the cost model of a
-// graph with no merged reverse index at all, and it is excluded from the
-// benchcmp gate as a deliberately-degraded baseline foil (see
-// scripts/benchcmp).
+// estimate and the expansion scan the stored triples — the cost model of
+// a graph with no reverse index at all, excluded from the benchcmp gate
+// as a deliberately-degraded baseline foil (see scripts/benchcmp).
 func BenchmarkE13Conjunctive(b *testing.B) {
 	g := kg.NewGraphWithShards(64)
 	add := func(key string) kg.EntityID {
@@ -429,19 +426,28 @@ func BenchmarkE13Conjunctive(b *testing.B) {
 		{Subject: graphengine.V("p"), Predicate: member, Object: graphengine.CE(teamRare)},
 		{Subject: graphengine.V("p"), Predicate: awardP, Object: graphengine.CE(prize)},
 	}
-	// The shard-sweeping baseline: selectivity-estimate both clauses and
-	// expand the cheaper one via the per-shard pos sweep, then filter with
-	// HasFact — exactly what the planner did before the predicate-major
-	// index existed (minus its dedup-map overhead, so the comparison is
-	// conservative).
+	// The index-free baseline: selectivity-estimate both clauses and
+	// expand the cheaper one via a scan of the stored triples, then filter
+	// with HasFact.
+	sweep := func(p kg.PredicateID, o kg.Value) []kg.EntityID {
+		var out []kg.EntityID
+		key := o.MapKey()
+		g.Triples(func(t kg.Triple) bool {
+			if t.Predicate == p && t.Object.MapKey() == key {
+				out = append(out, t.Subject)
+			}
+			return true
+		})
+		return out
+	}
 	sweepEval := func() int {
 		p1, o1 := member, kg.EntityValue(teamRare)
 		p2, o2 := awardP, kg.EntityValue(prize)
-		if len(g.SubjectsWithSweep(p2, o2)) < len(g.SubjectsWithSweep(p1, o1)) {
+		if len(sweep(p2, o2)) < len(sweep(p1, o1)) {
 			p1, o1, p2, o2 = p2, o2, p1, o1
 		}
 		n := 0
-		for _, s := range g.SubjectsWithSweep(p1, o1) {
+		for _, s := range sweep(p1, o1) {
 			if g.HasFact(s, p2, o2) {
 				n++
 			}
@@ -614,86 +620,69 @@ func BenchmarkE14QueryStream(b *testing.B) {
 // the ODKE bulk-load shape: 8 goroutines AssertBatch disjoint subject
 // ranges of ONE predicate into a 64-shard graph, so writers land on
 // distinct shards but every index update converges on the same hot
-// predicate. The "buffered" case is the serving configuration (per-shard
-// pom delta buffers, drained to the predicate stripe once per buffer);
-// the "unbuffered" case pins the flush threshold to 1, which applies
-// every record under the predicate's stripe lock inside the writer's
-// critical section — the PR-3/PR-4 write path, where all 8 workers
-// serialize on the hot stripe no matter how the subjects shard. Gated
-// (E15): the buffered number is the one the gate protects.
+// predicate's pom stripe, taken inline once per triple. Gated (E15).
 //
-// Like BenchmarkGraphAssertParallel, the contention removal this
-// measures needs real cores to show its full factor: on a single-core
-// container the workers never actually collide on the stripe (the lock
-// is free whenever a goroutine runs), so buffered vs unbuffered differ
-// only by the amortized lock/bookkeeping overhead (~5%); on multicore
-// hardware the unbuffered case serializes all 8 workers per record while
-// the buffered case contends once per 256 records.
+// The stripe contention this would expose needs real cores: on a single-
+// core container the workers never actually collide on the stripe (the
+// lock is free whenever a goroutine runs).
 func BenchmarkE15Ingest(b *testing.B) {
 	const pool = 1 << 16
 	const batchSize = 512
-	for _, mode := range []struct {
-		name    string
-		flushAt int
-	}{{"buffered", 0}, {"unbuffered", 1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			g := kg.NewGraphWithOptions(kg.GraphOptions{Shards: 64, PomFlushThreshold: mode.flushAt})
-			p, _ := g.AddPredicate(kg.Predicate{Name: "type"})
-			ids := make([]kg.EntityID, pool)
-			for i := range ids {
-				id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ids[i] = id
-			}
-			var worker atomic.Int64
-			procs := runtime.GOMAXPROCS(0)
-			// SetParallelism targets ≈8 goroutines but RunParallel spawns
-			// parallelism*GOMAXPROCS, which overshoots on core counts that
-			// don't divide 8 — so ranges are striped mod 64 (the shard
-			// count), keeping every worker's subjects on their own shard
-			// for any worker count up to 64.
-			b.SetParallelism((8 + procs - 1) / procs)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := int(worker.Add(1)) - 1
-				rng := rand.New(rand.NewSource(int64(w)))
-				batch := make([]kg.Triple, batchSize)
-				var i int64
-				for pb.Next() {
-					i++
-					for j := range batch {
-						// Worker w owns the subjects congruent to w mod 64
-						// (disjoint shards across workers); every object
-						// value is fresh, so each batch asserts batchSize
-						// new facts of the one shared predicate.
-						s := ids[rng.Intn(pool/64)*64+w%64]
-						batch[j] = kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(w)<<48 | i<<16 | int64(j))}
-					}
-					if _, err := g.AssertBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.ReportMetric(float64(batchSize), "triples/op")
-		})
+	g := kg.NewGraphWithShards(64)
+	p, _ := g.AddPredicate(kg.Predicate{Name: "type"})
+	ids := make([]kg.EntityID, pool)
+	for i := range ids {
+		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = id
 	}
+	var worker atomic.Int64
+	procs := runtime.GOMAXPROCS(0)
+	// SetParallelism targets ≈8 goroutines but RunParallel spawns
+	// parallelism*GOMAXPROCS, which overshoots on core counts that
+	// don't divide 8 — so ranges are striped mod 64 (the shard
+	// count), keeping every worker's subjects on their own shard
+	// for any worker count up to 64.
+	b.SetParallelism((8 + procs - 1) / procs)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := int(worker.Add(1)) - 1
+		rng := rand.New(rand.NewSource(int64(w)))
+		batch := make([]kg.Triple, batchSize)
+		var i int64
+		for pb.Next() {
+			i++
+			for j := range batch {
+				// Worker w owns the subjects congruent to w mod 64
+				// (disjoint shards across workers); every object
+				// value is fresh, so each batch asserts batchSize
+				// new facts of the one shared predicate.
+				s := ids[rng.Intn(pool/64)*64+w%64]
+				batch[j] = kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(w)<<48 | i<<16 | int64(j))}
+			}
+			if _, err := g.AssertBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.ReportMetric(float64(batchSize), "triples/op")
 }
 
 // BenchmarkGraphRetractHot measures Retract against a hot posting list —
 // n subjects all asserting (type, Person), the paper's person-entity
 // shape — at three sizes spanning 64×. Each op retracts one fact and
-// re-asserts it, so the posting stays at steady-state size while the
-// tombstone + position-map path (and its periodic compaction) is
-// exercised continuously. Near-flat ns/op across n demonstrates the O(1)
-// amortized retract: at equal sample counts the per-op cost grows only
-// ~2.5× over the 64× size spread (cache misses on the 64×-larger maps
-// and GC presence on the 64×-larger heap — memory hierarchy, not
-// algorithm), where the pre-PR-5 linear posting scans grew proportionally
-// with n. Prefer comparing sizes at a fixed -benchtime Nx: at small
-// time-based sample counts the amortized slice doublings and map
-// rehashes of the big fixture dominate the mean.
+// re-asserts it, so the posting stays at steady-state size. The posting
+// is a sorted []EntityID: finding the slot is a binary search, but
+// removing it and putting it back each shift the tail of the list — a
+// memmove of on average n/2 four-byte IDs, twice per op. The cost is
+// therefore linear in n with a small constant (it stays in the noise of
+// the rest of the write path up to n ≈ 16k and dominates at n ≈ 1M);
+// that is the known price of order being a function of the facts, paid
+// here in the worst case — mid-list churn on the single hottest posting —
+// and deliberately not hidden behind a blocked or tree-shaped posting.
+// Compare sizes at a fixed -benchtime Nx.
 func BenchmarkGraphRetractHot(b *testing.B) {
 	for _, n := range []int{16384, 131072, 1048576} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -719,13 +708,9 @@ func BenchmarkGraphRetractHot(b *testing.B) {
 			if _, err := g.AssertBatch(batch); err != nil {
 				b.Fatal(err)
 			}
-			g.SyncIndexes()
 			// Warm the amortized structures off the clock: the first
-			// retract against the hot posting builds its position map (an
-			// O(n) one-time cost amortized over the n asserts that grew
-			// it), and the first retract landing on each shard builds that
-			// shard's osp position map. Steady state is what the loop
-			// below must show flat.
+			// retract landing on each shard builds that shard's osp
+			// position map for the Person hub.
 			for i := 0; i < g.NumShards()*2; i++ {
 				tr := kg.Triple{Subject: subs[i], Predicate: typeP, Object: obj}
 				if !g.Retract(tr) {
@@ -735,7 +720,6 @@ func BenchmarkGraphRetractHot(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			g.SyncIndexes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tr := kg.Triple{Subject: subs[i%n], Predicate: typeP, Object: obj}

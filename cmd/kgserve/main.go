@@ -23,13 +23,9 @@
 //	curl -s localhost:8080/query -d '{
 //	  "clauses": [...], "explain": true}'
 //
-// -query-workers N (default 1) solves each /query with N parallel
-// workers over the first clause's candidates. Responses, pages, and
-// cursors are byte-identical at any worker count; the flag only trades
-// CPU for latency on large solves. /health reports the plan cache's
-// hit/miss/invalidation/eviction counters under "plan_cache" and the
-// changefeed's watermark, durable LSN, checkpoint retention, and
-// subscriber health under "changefeed".
+// /health reports the plan cache's hit/miss/invalidation/eviction
+// counters under "plan_cache" and the changefeed's watermark, durable
+// LSN, checkpoint retention, and subscriber health under "changefeed".
 //
 // POST /subscribe streams a standing query's answer set as NDJSON: a
 // full snapshot first, then coalesced add/retract deltas as the graph
@@ -89,7 +85,7 @@
 //
 // Usage:
 //
-//	kgserve [-addr :8080] [-people 200] [-clusters 10] [-docs 400] [-seed 1] [-data-dir DIR] [-query-workers 1] [-rules FILE]
+//	kgserve [-addr :8080] [-people 200] [-clusters 10] [-docs 400] [-seed 1] [-data-dir DIR] [-rules FILE]
 //	        [-read-limit 256] [-read-queue 512] [-read-queue-wait 250ms] [-read-budget 5s]
 //	        [-write-limit 64] [-write-queue 128] [-write-queue-wait 100ms] [-write-budget 5s] [-max-subscriptions 1024]
 package main
@@ -119,7 +115,6 @@ func main() {
 	dim := flag.Int("dim", 32, "embedding dimensionality")
 	epochs := flag.Int("epochs", 25, "training epochs")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty serves from memory only. World flags (-people, -clusters, -seed) must match across restarts of the same directory")
-	queryWorkers := flag.Int("query-workers", 1, "parallel workers per /query solve (1 = sequential; results are identical at any count)")
 	rulesFile := flag.String("rules", "", "Datalog-style rule program to install at startup (see internal/rules for the syntax)")
 	defRead, defWrite, defSub := admission.DefaultLimits()
 	readLimit := flag.Int("read-limit", defRead.MaxInFlight, "max in-flight read requests (0 = unlimited)")
@@ -218,7 +213,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("build server: %v", err)
 	}
-	srv.QueryWorkers = *queryWorkers
 	srv.Admission = admission.NewController(
 		admission.Limits{MaxInFlight: *readLimit, MaxQueue: *readQueue, QueueWait: *readQueueWait, Budget: *readBudget},
 		admission.Limits{MaxInFlight: *writeLimit, MaxQueue: *writeQueue, QueueWait: *writeQueueWait, Budget: *writeBudget},

@@ -76,9 +76,14 @@ func buildFixture() (*fixture, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One worker: Hogwild workers race by design, so with several of them
+	// the shared model — and every quality threshold asserted on it —
+	// varies run to run on a multi-core box (E1's embedding-beats-random
+	// margin flipped in roughly one run in seven). E5 prices worker scaling
+	// on its own models.
 	f.model, err = embedding.Train(f.train, embedding.TrainConfig{
 		Model: embedding.DistMult, Dim: 32, Epochs: 30, LearningRate: 0.08,
-		Negatives: 4, Workers: 4, Seed: 2023,
+		Negatives: 4, Workers: 1, Seed: 2023,
 	})
 	if err != nil {
 		return nil, err

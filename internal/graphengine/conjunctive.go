@@ -49,13 +49,12 @@ type Binding map[string]kg.Value
 
 // QueryConjunctive evaluates the conjunction and returns all satisfying
 // bindings. It is a collect-and-sort shim over StreamConjunctive, kept
-// for callers (and tests) that pin the sorted order: the stream already
-// collapses duplicates on the bindings' kg.ValueKey tuples in sorted-
-// variable order, and this shim additionally sorts the collected rows by
-// those same tuples, so both identity and order are defined by comparable
-// keys, never by rendered strings. Callers that do not need every row
-// sorted should consume StreamConjunctive directly and push their limit
-// into the solve.
+// for callers (and tests) that pin the sorted order: the stream yields
+// each distinct binding once, in plan order, and this shim sorts the
+// collected rows by their kg.ValueKey tuples in sorted-variable order, so
+// order is defined by comparable keys, never by rendered strings. Callers
+// that do not need every row sorted should consume StreamConjunctive
+// directly and push their limit into the solve.
 func (e *Engine) QueryConjunctive(clauses []Clause) ([]Binding, error) {
 	var out []Binding
 	for b, err := range e.StreamConjunctive(clauses, QueryOptions{}) {
@@ -64,8 +63,7 @@ func (e *Engine) QueryConjunctive(clauses []Clause) ([]Binding, error) {
 		}
 		out = append(out, b)
 	}
-	// Deterministic order on the comparable key tuples (the stream has
-	// already deduplicated on them).
+	// Deterministic order on the comparable key tuples.
 	vars := queryVars(clauses)
 	type keyedBinding struct {
 		b   Binding

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"saga/internal/kg"
@@ -12,11 +14,11 @@ import (
 // A resumed page seeks to its cursor instead of replaying the stream up
 // to it. These tests pin what that must not change: cursor pages,
 // concatenated, are the unlimited stream — on every read surface the
-// executor runs over, sequentially and in parallel — and a cursor whose
-// row is gone still ends the walk instead of restarting it.
+// executor runs over — a cursor whose row is gone resumes at that row's
+// successor, and no stream ever repeats a row, writer or no writer.
 
 const (
-	seekEnts  = 40 // enough that an unbound clause spans two parallel units
+	seekEnts  = 40
 	seekPreds = 3
 )
 
@@ -66,8 +68,7 @@ func seekTriple(rng *rand.Rand, ents []kg.EntityID, preds []kg.PredicateID) kg.T
 	return tr
 }
 
-// seekHistory applies steps random asserts and retracts to g (retracts
-// leave the tombstones and spliced lists a real posting carries).
+// seekHistory applies steps random asserts and retracts to g.
 func seekHistory(t testing.TB, g *kg.Graph, rng *rand.Rand, ents []kg.EntityID, preds []kg.PredicateID, steps int) {
 	t.Helper()
 	var live []kg.Triple
@@ -127,8 +128,8 @@ func seekQueries(ents []kg.EntityID, preds []kg.PredicateID) [][]Clause {
 
 // TestCursorPagesConcatenateToStream: for random histories, every query
 // shape and several page sizes, walking cursor pages to exhaustion yields
-// exactly the unlimited sequential stream — over the live graph, an as-of
-// overlay and a derived union view, with 1, 2 and 3 workers.
+// exactly the unlimited stream — over the live graph, an as-of overlay
+// and a derived union view.
 func TestCursorPagesConcatenateToStream(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -176,27 +177,25 @@ func TestCursorPagesConcatenateToStream(t *testing.T) {
 				for qi, q := range seekQueries(ents, preds) {
 					want := streamTokens(t, streamConjunctive(sf.g, q, QueryOptions{}))
 					for _, pageSize := range []int{2, 9} {
-						for _, workers := range []int{1, 2, 3} {
-							label := fmt.Sprintf("%s q=%d page=%d workers=%d", sf.name, qi, pageSize, workers)
-							var got []string
-							var cursor []kg.ValueKey
-							for {
-								n := 0
-								for b, err := range streamConjunctive(sf.g, q, QueryOptions{Limit: pageSize, Cursor: cursor, Parallelism: workers}) {
-									if err != nil {
-										t.Fatalf("%s: %v", label, err)
-									}
-									got = append(got, bindingToken(b))
-									cursor = BindingKey(b)
-									n++
+						label := fmt.Sprintf("%s q=%d page=%d", sf.name, qi, pageSize)
+						var got []string
+						var cursor []kg.ValueKey
+						for {
+							n := 0
+							for b, err := range streamConjunctive(sf.g, q, QueryOptions{Limit: pageSize, Cursor: cursor}) {
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
 								}
-								if n < pageSize || len(got) > len(want) {
-									break
-								}
+								got = append(got, bindingToken(b))
+								cursor = BindingKey(b)
+								n++
 							}
-							if !slices.Equal(got, want) {
-								t.Fatalf("%s: %d paged rows vs %d streamed; pages diverge from the stream\npaged:  %v\nstream: %v", label, len(got), len(want), got, want)
+							if n < pageSize || len(got) > len(want) {
+								break
 							}
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s: %d paged rows vs %d streamed; pages diverge from the stream\npaged:  %v\nstream: %v", label, len(got), len(want), got, want)
 						}
 					}
 				}
@@ -205,74 +204,113 @@ func TestCursorPagesConcatenateToStream(t *testing.T) {
 	}
 }
 
-// A cursor naming a row that has since been retracted yields an empty
-// remainder — not an error, and not a restart from the first row.
-func TestCursorVanishedRowYieldsEmptyRemainder(t *testing.T) {
+// A cursor naming a row that has since been retracted resumes at that
+// row's successor: a client paging beside a writer sees every later row,
+// not a clean end-of-results with rows missing. The row can vanish at any
+// join depth — its first-step candidate gone, or only a deeper clause.
+func TestCursorVanishedRowResumesAtSuccessor(t *testing.T) {
 	const nMembers = 40
-	g, clauses := streamFixture(t, nMembers)
-	var page []Binding
-	for b, err := range streamConjunctive(g, clauses, QueryOptions{Limit: 10}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		page = append(page, b)
-	}
-	last := page[len(page)-1]
-	if !g.Retract(kg.Triple{Subject: last["p"].Entity, Predicate: clauses[1].Predicate, Object: clauses[1].Object.Const}) {
-		t.Fatal("retract of the cursor row's award failed")
-	}
-	for _, workers := range []int{1, 2} {
-		for b, err := range streamConjunctive(g, clauses, QueryOptions{Cursor: BindingKey(last), Parallelism: workers}) {
+	for _, depth := range []int{0, 1} {
+		g, clauses := streamFixture(t, nMembers)
+		all := streamTokens(t, streamConjunctive(g, clauses, QueryOptions{}))
+		var last Binding
+		for b, err := range streamConjunctive(g, clauses, QueryOptions{Limit: 10}) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Fatalf("workers=%d: cursor naming a vanished row yielded %v, want an empty remainder", workers, b)
+			last = b
+		}
+		c := clauses[depth]
+		if !g.Retract(kg.Triple{Subject: last["p"].Entity, Predicate: c.Predicate, Object: c.Object.Const}) {
+			t.Fatal("retract under the cursor row failed")
+		}
+		got := streamTokens(t, streamConjunctive(g, clauses, QueryOptions{Cursor: BindingKey(last)}))
+		if !slices.Equal(got, all[10:]) {
+			t.Fatalf("clause %d retracted: resumed stream = %d rows, want the %d after the vanished cursor row", depth, len(got), len(all)-10)
 		}
 	}
 }
 
-// restartGraph replays every chunked posting read once: after the last
-// chunk it delivers the posting again from the start, flagged restarted
-// — what a live read does when a concurrent splice shifts its slots.
-type restartGraph struct {
-	*kg.Graph
-}
+// TestNoDuplicateRowsUnderConcurrentWrites gates the executor's missing
+// seen-set: with a writer splicing the very fact lists and postings the
+// reader is walking, no stream over the live graph or a derived union
+// view (whose base facts shadow and unshadow derived ones mid-read) may
+// yield the same row twice, on any query shape. An as-of overlay cannot
+// be raced — its base is immutable — and is held to the same property.
+func TestNoDuplicateRowsUnderConcurrentWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	live, ents, preds := seekWorld(t)
+	seekHistory(t, live, rng, ents, preds, 600)
 
-func (r *restartGraph) SubjectsWithChunked(p kg.PredicateID, o kg.Value, chunkSize int, fn func([]kg.EntityID, bool) bool) {
-	for pass := 0; pass < 2; pass++ {
-		stopped, first := false, pass == 1
-		r.Graph.SubjectsWithChunked(p, o, chunkSize, func(chunk []kg.EntityID, _ bool) bool {
-			ok := fn(chunk, first)
-			first = false
-			stopped = !ok
-			return ok
-		})
-		if stopped {
-			return
+	// The pre-race state, for the overlay below.
+	base, _, _ := seekWorld(t)
+	snapshot, wm := live.AllTriplesSnapshot()
+	if _, err := base.AssertBatch(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	reader := &fakeReader{preds: map[kg.PredicateID]bool{preds[2]: true}}
+	for i := 0; i < 80; i++ {
+		tr := seekTriple(rng, ents, preds)
+		tr.Predicate = preds[2]
+		if !reader.HasDerivedFact(tr.Subject, tr.Predicate, tr.Object) {
+			reader.facts = append(reader.facts, tr)
 		}
 	}
-}
 
-// A restarted read re-delivers the candidates the cursor descent dropped
-// unkeyed. The resumed stream must not mistake them for new rows: it
-// yields the rows after the cursor exactly once, sequentially and in
-// parallel.
-func TestCursorSeekSurvivesRestartedRead(t *testing.T) {
-	const nMembers, after = 300, 120
-	g, clauses := streamFixture(t, nMembers)
-	all := streamTokens(t, streamConjunctive(g, clauses, QueryOptions{}))
-	var cursor []kg.ValueKey
-	for b, err := range streamConjunctive(g, clauses, QueryOptions{Limit: after}) {
-		if err != nil {
-			t.Fatal(err)
+	var (
+		stop   atomic.Bool
+		writes atomic.Int64
+		wg     sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wrng := rand.New(rand.NewSource(8))
+		for !stop.Load() {
+			tr := seekTriple(wrng, ents, preds)
+			if !live.Retract(tr) {
+				if err := live.Assert(tr); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			writes.Add(1)
 		}
-		cursor = BindingKey(b)
+	}()
+
+	noDups := func(label string, g conjGraph, q []Clause) {
+		seen := make(map[string]bool)
+		for b, err := range streamConjunctive(g, q, QueryOptions{}) {
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			tok := bindingToken(b)
+			if seen[tok] {
+				t.Fatalf("%s: row %v streamed twice", label, b)
+			}
+			seen[tok] = true
+		}
 	}
-	for _, workers := range []int{1, 2} {
-		got := streamTokens(t, streamConjunctive(&restartGraph{Graph: g}, clauses, QueryOptions{Cursor: cursor, Parallelism: workers}))
-		if !slices.Equal(got, all[after:]) {
-			t.Fatalf("workers=%d: resumed stream over a restarted read = %d rows, want the %d after the cursor", workers, len(got), nMembers-after)
+	derived := NewDerivedView(live, reader)
+	queries := seekQueries(ents, preds)
+	for round := 0; round < 4 || writes.Load() < 500; round++ {
+		for qi, q := range queries {
+			noDups(fmt.Sprintf("live round=%d q=%d", round, qi), live, q)
+			noDups(fmt.Sprintf("derived round=%d q=%d", round, qi), derived, q)
 		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	// The overlay: everything the writer did since the snapshot, as a
+	// suffix over the pre-race state.
+	suffix, complete := live.Feed(wm).Pull()
+	if !complete {
+		t.Fatal("suffix unavailable")
+	}
+	overlay := NewOverlay(base, suffix)
+	for qi, q := range queries {
+		noDups(fmt.Sprintf("overlay q=%d", qi), overlay, q)
 	}
 }
 

@@ -2,6 +2,7 @@ package graphengine
 
 import (
 	"iter"
+	"slices"
 
 	"saga/internal/kg"
 )
@@ -16,14 +17,13 @@ import (
 //
 // # Enumeration order
 //
-// For a derived predicate, every enumeration yields the graph's own
-// facts first (in their usual index order — a head predicate may also
-// carry base facts), then the reader's derived facts in the reader's
-// stable insertion order, skipping derived facts the base also asserts.
-// A reader that keeps its lists append-ordered therefore gives the same
-// deterministic stream the executor guarantees for base predicates,
-// which is what makes cursors over derived predicates exact while the
-// derived store is unchanged.
+// For a derived predicate, every enumeration is the sorted merge of the
+// graph's own facts (a head predicate may also carry base facts) with a
+// sorted copy of the reader's derived facts, a derived fact the base also
+// asserts collapsing into the base's copy (layeredChunks). The reader's
+// own list order is irrelevant: the view enumerates in the same canonical
+// key order as a base predicate, so cursors over derived predicates
+// resume the same way.
 //
 // # Locking
 //
@@ -49,14 +49,14 @@ type DerivedReader interface {
 	// HasDerivedFact reports membership under SPO identity (MapKey), the
 	// same identity the graph's HasFact uses.
 	HasDerivedFact(kg.EntityID, kg.PredicateID, kg.Value) bool
-	// DerivedFacts returns a copy of the (subj, pred) derived facts in
-	// stable insertion order.
+	// DerivedFacts returns a copy of the (subj, pred) derived facts, in
+	// any order; the caller may reorder it.
 	DerivedFacts(kg.EntityID, kg.PredicateID) []kg.Triple
-	// DerivedSubjects returns a copy of the (pred, obj) derived subjects
-	// in stable insertion order.
+	// DerivedSubjects returns a copy of the (pred, obj) derived subjects,
+	// in any order; the caller may reorder it.
 	DerivedSubjects(kg.PredicateID, kg.Value) []kg.EntityID
 	// DerivedEntries returns a copy of every derived fact under pred, in
-	// stable insertion order.
+	// any order.
 	DerivedEntries(kg.PredicateID) []kg.Triple
 }
 
@@ -201,146 +201,37 @@ func (v *DerivedView) HasFact(subj kg.EntityID, pred kg.PredicateID, obj kg.Valu
 	return v.d.IsDerived(pred) && v.d.HasDerivedFact(subj, pred, obj)
 }
 
-// FactsFunc streams base facts in index order, then derived facts in
-// insertion order, skipping derived facts the base also asserts.
-func (v *DerivedView) FactsFunc(subj kg.EntityID, pred kg.PredicateID, fn func(kg.Triple) bool) {
-	if !v.d.IsDerived(pred) {
-		v.g.FactsFunc(subj, pred, fn)
-		return
+// FactsChunked streams the union of the base and derived (subj, pred)
+// facts in object-key order, in chunks.
+func (v *DerivedView) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize int, fn func(chunk []kg.Triple) bool) {
+	var derived []kg.Triple
+	if v.d.IsDerived(pred) {
+		derived = v.d.DerivedFacts(subj, pred)
+		slices.SortFunc(derived, cmpObject)
 	}
-	stopped := false
-	v.g.FactsFunc(subj, pred, func(t kg.Triple) bool {
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, t := range v.d.DerivedFacts(subj, pred) {
-		if v.g.HasFact(t.Subject, t.Predicate, t.Object) {
-			continue
-		}
-		if !fn(t) {
-			return
-		}
-	}
-}
-
-// FactsChunked streams base chunks first (with the live restart
-// contract), then derived facts re-chunked; derived chunks never
-// restart.
-func (v *DerivedView) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize int, fn func(chunk []kg.Triple, restarted bool) bool) {
-	if !v.d.IsDerived(pred) {
+	layeredChunks(derived, nil, cmpObject, func(fn func([]kg.Triple) bool) {
 		v.g.FactsChunked(subj, pred, chunkSize, fn)
-		return
-	}
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	stopped := false
-	v.g.FactsChunked(subj, pred, chunkSize, func(chunk []kg.Triple, restarted bool) bool {
-		if !fn(chunk, restarted) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	derived := v.d.DerivedFacts(subj, pred)
-	buf := make([]kg.Triple, 0, min(len(derived), chunkSize))
-	for _, t := range derived {
-		if v.g.HasFact(t.Subject, t.Predicate, t.Object) {
-			continue
-		}
-		buf = append(buf, t)
-		if len(buf) == chunkSize {
-			if !fn(buf, false) {
-				return
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		fn(buf, false)
-	}
+	}, fn)
 }
 
-// SubjectsWithFunc streams base subjects first, then derived subjects,
-// skipping derived entries the base also asserts.
-func (v *DerivedView) SubjectsWithFunc(pred kg.PredicateID, obj kg.Value, fn func(kg.EntityID) bool) {
-	if !v.d.IsDerived(pred) {
-		v.g.SubjectsWithFunc(pred, obj, fn)
-		return
+// SubjectsWithChunked streams the union of the base and derived
+// (pred, obj) subjects greater than after in ascending ID order, in
+// chunks.
+func (v *DerivedView) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, after kg.EntityID, chunkSize int, fn func(chunk []kg.EntityID) bool) {
+	var derived []kg.EntityID
+	if v.d.IsDerived(pred) {
+		derived = v.d.DerivedSubjects(pred, obj)
+		slices.Sort(derived)
+		derived = derived[upTo(derived, after, cmpEntity):]
 	}
-	stopped := false
-	v.g.SubjectsWithFunc(pred, obj, func(s kg.EntityID) bool {
-		if !fn(s) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, s := range v.d.DerivedSubjects(pred, obj) {
-		if v.g.HasFact(s, pred, obj) {
-			continue
-		}
-		if !fn(s) {
-			return
-		}
-	}
+	layeredChunks(derived, nil, cmpEntity, func(fn func([]kg.EntityID) bool) {
+		v.g.SubjectsWithChunked(pred, obj, after, chunkSize, fn)
+	}, fn)
 }
 
-// SubjectsWithChunked streams base chunks first (live restart contract),
-// then derived subjects re-chunked; derived chunks never restart.
-func (v *DerivedView) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, chunkSize int, fn func(chunk []kg.EntityID, restarted bool) bool) {
-	if !v.d.IsDerived(pred) {
-		v.g.SubjectsWithChunked(pred, obj, chunkSize, fn)
-		return
-	}
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	stopped := false
-	v.g.SubjectsWithChunked(pred, obj, chunkSize, func(chunk []kg.EntityID, restarted bool) bool {
-		if !fn(chunk, restarted) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	derived := v.d.DerivedSubjects(pred, obj)
-	buf := make([]kg.EntityID, 0, min(len(derived), chunkSize))
-	for _, s := range derived {
-		if v.g.HasFact(s, pred, obj) {
-			continue
-		}
-		buf = append(buf, s)
-		if len(buf) == chunkSize {
-			if !fn(buf, false) {
-				return
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		fn(buf, false)
-	}
-}
-
-// PredicateEntriesFunc streams base entries, then derived entries,
-// skipping derived facts the base also asserts. Order is unspecified,
-// as on the live graph (the executor sorts unbound expansions).
+// PredicateEntriesFunc streams base entries, then derived entries. Order
+// is unspecified, as on the live graph, and a derived fact the base also
+// asserts appears twice: the executor's scan sorts and collapses both.
 func (v *DerivedView) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.Value, subj kg.EntityID) bool) {
 	if !v.d.IsDerived(pred) {
 		v.g.PredicateEntriesFunc(pred, fn)
@@ -348,19 +239,13 @@ func (v *DerivedView) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.V
 	}
 	stopped := false
 	v.g.PredicateEntriesFunc(pred, func(obj kg.Value, subj kg.EntityID) bool {
-		if !fn(obj, subj) {
-			stopped = true
-			return false
-		}
-		return true
+		stopped = !fn(obj, subj)
+		return !stopped
 	})
 	if stopped {
 		return
 	}
 	for _, t := range v.d.DerivedEntries(pred) {
-		if v.g.HasFact(t.Subject, t.Predicate, t.Object) {
-			continue
-		}
 		if !fn(t.Object, t.Subject) {
 			return
 		}

@@ -92,10 +92,9 @@ func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *fakeReader, []kg.EntityID,
 	return g, e, r, ents, base, der
 }
 
-// TestDerivedViewUnionOrder: base facts stream first in index order,
-// then derived facts in reader insertion order, with base-overlapping
-// derived facts skipped — the order cursors over derived predicates
-// depend on.
+// TestDerivedViewUnionOrder: base and derived facts stream as one sorted
+// merge in object-key order — whatever order the reader keeps its list
+// in — with a base-overlapping derived fact collapsing into the base's.
 func TestDerivedViewUnionOrder(t *testing.T) {
 	g, _, r, ents, _, der := derivedWorld(t)
 	overlap := kg.Triple{Subject: ents[0], Predicate: der, Object: kg.IntValue(1)}
@@ -112,26 +111,18 @@ func TestDerivedViewUnionOrder(t *testing.T) {
 	}
 	v := NewDerivedView(g, r)
 
-	var objs []int64
-	v.FactsFunc(ents[0], der, func(tr kg.Triple) bool {
-		objs = append(objs, tr.Object.Num)
-		return true
-	})
-	want := []int64{1, 2, 9, 7} // base index order, then reader order, overlap skipped
-	if fmt.Sprint(objs) != fmt.Sprint(want) {
-		t.Fatalf("union order = %v, want %v", objs, want)
-	}
-
-	// Chunked agrees with streaming.
-	objs = objs[:0]
-	v.FactsChunked(ents[0], der, 2, func(chunk []kg.Triple, restarted bool) bool {
-		for _, tr := range chunk {
-			objs = append(objs, tr.Object.Num)
+	want := []int64{1, 2, 7, 9}
+	for _, chunkSize := range []int{1, 2, 1024} {
+		var objs []int64
+		v.FactsChunked(ents[0], der, chunkSize, func(chunk []kg.Triple) bool {
+			for _, tr := range chunk {
+				objs = append(objs, tr.Object.Num)
+			}
+			return true
+		})
+		if fmt.Sprint(objs) != fmt.Sprint(want) {
+			t.Fatalf("chunk=%d: union order = %v, want %v", chunkSize, objs, want)
 		}
-		return true
-	})
-	if fmt.Sprint(objs) != fmt.Sprint(want) {
-		t.Fatalf("chunked union order = %v, want %v", objs, want)
 	}
 
 	if !v.HasFact(ents[0], der, kg.IntValue(9)) || !v.HasFact(ents[0], der, kg.IntValue(2)) {
@@ -248,9 +239,8 @@ func TestApplyDerivedDeltasReachesSubscriptions(t *testing.T) {
 	}
 }
 
-// TestChunkedFactsExpansion: a bound-subject clause over a long fact
-// list streams through the chunked facts path (dedup on) and yields the
-// same rows as the buffered path (dedup off).
+// TestChunkedFactsExpansion: a bound-subject clause over a fact list
+// spanning several chunks yields every fact once, in object-key order.
 func TestChunkedFactsExpansion(t *testing.T) {
 	g := kg.NewGraph()
 	e := New(g)
@@ -263,30 +253,23 @@ func TestChunkedFactsExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 3000 // spans several postingChunkSize chunks
-	for i := 0; i < total; i++ {
+	for i := total - 1; i >= 0; i-- {
 		if err := g.Assert(kg.Triple{Subject: subj, Predicate: p, Object: kg.IntValue(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clauses := []Clause{{Subject: Term{Const: kg.EntityValue(subj)}, Predicate: p, Object: V("Y")}}
-	collect := func(opts QueryOptions) []string {
-		var out []string
-		for b, err := range e.StreamConjunctive(clauses, opts) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, fmt.Sprint(BindingKey(b)))
+	next := int64(0)
+	for b, err := range e.StreamConjunctive(clauses, QueryOptions{}) {
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	chunked := collect(QueryOptions{})               // dedup on -> chunked path
-	buffered := collect(QueryOptions{NoDedup: true}) // buffered path
-	if len(chunked) != total || len(buffered) != total {
-		t.Fatalf("rows chunked=%d buffered=%d, want %d", len(chunked), len(buffered), total)
-	}
-	for i := range chunked {
-		if chunked[i] != buffered[i] {
-			t.Fatalf("chunked/buffered order diverged at %d", i)
+		if b["Y"].Num != next {
+			t.Fatalf("row %d = %d: chunked expansion out of object-key order", next, b["Y"].Num)
 		}
+		next++
+	}
+	if next != total {
+		t.Fatalf("chunked expansion yielded %d rows, want %d", next, total)
 	}
 }

@@ -17,14 +17,14 @@ import (
 // The overlay implements the conjunctive solver's read surface
 // (conjGraph) with the exact semantics a live graph would have at the
 // as-of watermark: counts are base counts plus exact deltas (so the
-// planner picks the same plan it would against the live graph), and
-// enumeration order matches live construction order — base entries in
-// the base's index order with suffix-retracted entries skipped (live
-// retraction splices preserve relative order), suffix-added entries
-// appended in mutation order (live assertion appends). A query streamed
-// through the overlay is therefore byte-identical to the same query
-// streamed against a graph recovered from the same checkpoint and
-// replayed to the as-of watermark.
+// planner picks the same plan it would against the live graph), and every
+// enumeration is the base's sorted list with the suffix's sorted removals
+// and additions merged in (layeredChunks) — the canonical order of the
+// facts at the watermark, which is the order any graph holding those
+// facts enumerates in. A query streamed through the overlay is therefore
+// byte-identical to the same query streamed against the live graph at
+// that watermark, or against a graph recovered from the checkpoint and
+// replayed to it.
 //
 // The base must not be mutated while the overlay is in use; wal's
 // SnapshotAt bases satisfy this by construction. The overlay itself is
@@ -47,18 +47,14 @@ type poKey struct {
 type Overlay struct {
 	base *kg.Graph
 
-	// Base-present triples retracted by the suffix. Enumerations skip
-	// them; the count maps below carry the same information aggregated
-	// per fact list and posting so the planner probes stay O(1).
-	removed  map[kg.TripleKey]struct{}
-	remFacts map[spKey]int
-	remPosts map[poKey]int
-
-	// Suffix-added triples, per fact list and posting, in mutation
-	// order (matching live assertion-append order). inAdded is their
-	// identity set; a suffix retract of a suffix add splices these
-	// lists order-preservingly, exactly as live retraction does.
-	inAdded    map[kg.TripleKey]struct{}
+	// The suffix's net effect per fact list and per posting, each list in
+	// the base's own order (facts by object key, postings by subject ID):
+	// rem* are base-present entries the suffix retracted, added* entries
+	// the suffix asserted. A base fact retracted and then re-asserted sits
+	// in both — the re-assertion carries its own provenance — and the
+	// merge lets the added copy take the removed one's place.
+	remFacts   map[spKey][]kg.Triple
+	remPosts   map[poKey][]kg.EntityID
 	addedFacts map[spKey][]kg.Triple
 	addedPosts map[poKey][]kg.EntityID
 
@@ -73,10 +69,8 @@ type Overlay struct {
 func NewOverlay(base *kg.Graph, muts []kg.Mutation) *Overlay {
 	o := &Overlay{
 		base:       base,
-		removed:    make(map[kg.TripleKey]struct{}),
-		remFacts:   make(map[spKey]int),
-		remPosts:   make(map[poKey]int),
-		inAdded:    make(map[kg.TripleKey]struct{}),
+		remFacts:   make(map[spKey][]kg.Triple),
+		remPosts:   make(map[poKey][]kg.EntityID),
 		addedFacts: make(map[spKey][]kg.Triple),
 		addedPosts: make(map[poKey][]kg.EntityID),
 		predDelta:  make(map[kg.PredicateID]int),
@@ -92,65 +86,51 @@ func NewOverlay(base *kg.Graph, muts []kg.Mutation) *Overlay {
 	return o
 }
 
+// insertSorted adds v to the sorted list m[k], reporting whether it was
+// absent.
+func insertSorted[K comparable, T any](m map[K][]T, k K, v T, cmp func(a, b T) int) bool {
+	i, found := slices.BinarySearchFunc(m[k], v, cmp)
+	if !found {
+		m[k] = slices.Insert(m[k], i, v)
+	}
+	return !found
+}
+
+// removeSorted deletes v from the sorted list m[k], reporting whether it
+// was present.
+func removeSorted[K comparable, T any](m map[K][]T, k K, v T, cmp func(a, b T) int) bool {
+	i, found := slices.BinarySearchFunc(m[k], v, cmp)
+	if found {
+		m[k] = slices.Delete(m[k], i, i+1)
+	}
+	return found
+}
+
+func hasSorted[T any](s []T, v T, cmp func(a, b T) int) bool {
+	_, found := slices.BinarySearchFunc(s, v, cmp)
+	return found
+}
+
 func (o *Overlay) applyAssert(t kg.Triple) {
-	k := t.IdentityKey()
-	if _, ok := o.inAdded[k]; ok {
-		return // duplicate assert of a suffix add: live no-op
+	if o.HasFact(t.Subject, t.Predicate, t.Object) {
+		return // already present at this point of the suffix: live no-op
 	}
-	if _, gone := o.removed[k]; !gone && o.base.HasFact(t.Subject, t.Predicate, t.Object) {
-		return // already present in the base and not retracted: live no-op
-	}
-	// Not currently present: append. A re-assert of a suffix-retracted
-	// base triple lands here too — it stays in removed (its original
-	// index position is gone for good) and appends at the end, which is
-	// where live re-assertion puts it.
-	sp, po := spKey{t.Subject, t.Predicate}, poKey{t.Predicate, k.Object}
-	o.inAdded[k] = struct{}{}
-	o.addedFacts[sp] = append(o.addedFacts[sp], t)
-	o.addedPosts[po] = append(o.addedPosts[po], t.Subject)
+	insertSorted(o.addedFacts, spKey{t.Subject, t.Predicate}, t, cmpObject)
+	insertSorted(o.addedPosts, poKey{t.Predicate, t.Object.MapKey()}, t.Subject, cmpEntity)
 	o.predDelta[t.Predicate]++
 }
 
 func (o *Overlay) applyRetract(t kg.Triple) {
-	k := t.IdentityKey()
-	sp, po := spKey{t.Subject, t.Predicate}, poKey{t.Predicate, k.Object}
-	if _, ok := o.inAdded[k]; ok {
-		delete(o.inAdded, k)
-		o.addedFacts[sp] = spliceTriple(o.addedFacts[sp], k)
-		o.addedPosts[po] = spliceSubject(o.addedPosts[po], t.Subject)
-		o.predDelta[t.Predicate]--
-		return
-	}
-	if _, gone := o.removed[k]; gone || !o.base.HasFact(t.Subject, t.Predicate, t.Object) {
+	sp, po := spKey{t.Subject, t.Predicate}, poKey{t.Predicate, t.Object.MapKey()}
+	switch {
+	case removeSorted(o.addedFacts, sp, t, cmpObject):
+		removeSorted(o.addedPosts, po, t.Subject, cmpEntity)
+	case o.base.HasFact(t.Subject, t.Predicate, t.Object) && insertSorted(o.remFacts, sp, t, cmpObject):
+		insertSorted(o.remPosts, po, t.Subject, cmpEntity)
+	default:
 		return // not present: live no-op
 	}
-	o.removed[k] = struct{}{}
-	o.remFacts[sp]++
-	o.remPosts[po]++
 	o.predDelta[t.Predicate]--
-}
-
-// spliceTriple removes the triple with the given identity, preserving
-// relative order — the overlay twin of the live graph's removeTriple.
-func spliceTriple(ts []kg.Triple, key kg.TripleKey) []kg.Triple {
-	for i := range ts {
-		if ts[i].IdentityKey() == key {
-			return append(ts[:i], ts[i+1:]...)
-		}
-	}
-	return ts
-}
-
-// spliceSubject removes the first occurrence of s, preserving relative
-// order. A posting holds at most one entry per subject (SPO identity
-// includes the subject), so first occurrence is the only occurrence.
-func spliceSubject(subs []kg.EntityID, s kg.EntityID) []kg.EntityID {
-	for i := range subs {
-		if subs[i] == s {
-			return append(subs[:i], subs[i+1:]...)
-		}
-	}
-	return subs
 }
 
 // --- conjGraph ----------------------------------------------------------
@@ -158,14 +138,14 @@ func spliceSubject(subs []kg.EntityID, s kg.EntityID) []kg.EntityID {
 // FactCount returns the (subj, pred) fact count at the as-of watermark.
 func (o *Overlay) FactCount(subj kg.EntityID, pred kg.PredicateID) int {
 	sp := spKey{subj, pred}
-	return o.base.FactCount(subj, pred) - o.remFacts[sp] + len(o.addedFacts[sp])
+	return o.base.FactCount(subj, pred) - len(o.remFacts[sp]) + len(o.addedFacts[sp])
 }
 
 // SubjectsWithCount returns the (pred, obj) posting size at the as-of
 // watermark.
 func (o *Overlay) SubjectsWithCount(pred kg.PredicateID, obj kg.Value) int {
 	po := poKey{pred, obj.MapKey()}
-	return o.base.SubjectsWithCount(pred, obj) - o.remPosts[po] + len(o.addedPosts[po])
+	return o.base.SubjectsWithCount(pred, obj) - len(o.remPosts[po]) + len(o.addedPosts[po])
 }
 
 // PredicateFrequency returns the predicate's triple count at the as-of
@@ -176,157 +156,33 @@ func (o *Overlay) PredicateFrequency(pred kg.PredicateID) int {
 
 // HasFact reports whether the fact is asserted at the as-of watermark.
 func (o *Overlay) HasFact(subj kg.EntityID, pred kg.PredicateID, obj kg.Value) bool {
-	k := kg.TripleKey{Subject: subj, Predicate: pred, Object: obj.MapKey()}
-	if _, ok := o.inAdded[k]; ok {
+	sp, t := spKey{subj, pred}, kg.Triple{Object: obj}
+	if hasSorted(o.addedFacts[sp], t, cmpObject) {
 		return true
 	}
-	if _, gone := o.removed[k]; gone {
+	if hasSorted(o.remFacts[sp], t, cmpObject) {
 		return false
 	}
 	return o.base.HasFact(subj, pred, obj)
 }
 
-// FactsFunc streams the (subj, pred) facts in live enumeration order:
-// surviving base facts in base order, then suffix-added facts in
-// mutation order.
-func (o *Overlay) FactsFunc(subj kg.EntityID, pred kg.PredicateID, fn func(kg.Triple) bool) {
-	stopped := false
-	o.base.FactsFunc(subj, pred, func(t kg.Triple) bool {
-		if _, gone := o.removed[t.IdentityKey()]; gone {
-			return true
-		}
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, t := range o.addedFacts[spKey{subj, pred}] {
-		if !fn(t) {
-			return
-		}
-	}
+// FactsChunked streams the (subj, pred) facts at the as-of watermark in
+// object-key order, in chunks (see layeredChunks for their sizes).
+func (o *Overlay) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize int, fn func(chunk []kg.Triple) bool) {
+	sp := spKey{subj, pred}
+	layeredChunks(o.addedFacts[sp], o.remFacts[sp], cmpObject, func(fn func([]kg.Triple) bool) {
+		o.base.FactsChunked(subj, pred, chunkSize, fn)
+	}, fn)
 }
 
-// FactsChunked streams the (subj, pred) facts in chunks of at most
-// chunkSize, in the same order as FactsFunc. The base is immutable, so
-// unlike the live graph's chunked read the enumeration can never
-// restart: restarted is always false.
-func (o *Overlay) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize int, fn func(chunk []kg.Triple, restarted bool) bool) {
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	// Sized to the list, not the chunk: a join expands thousands of short
-	// fact lists, and a chunk-capacity buffer each is ~128 KiB of clearing.
-	buf := make([]kg.Triple, 0, min(chunkSize, o.FactCount(subj, pred)))
-	stopped := false
-	emit := func(t kg.Triple) bool {
-		buf = append(buf, t)
-		if len(buf) < chunkSize {
-			return true
-		}
-		ok := fn(buf, false)
-		buf = buf[:0]
-		return ok
-	}
-	o.base.FactsChunked(subj, pred, chunkSize, func(chunk []kg.Triple, _ bool) bool {
-		for _, t := range chunk {
-			if _, gone := o.removed[t.IdentityKey()]; gone {
-				continue
-			}
-			if !emit(t) {
-				stopped = true
-				return false
-			}
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, t := range o.addedFacts[spKey{subj, pred}] {
-		if !emit(t) {
-			return
-		}
-	}
-	if len(buf) > 0 {
-		fn(buf, false)
-	}
-}
-
-// SubjectsWithFunc streams the (pred, obj) subjects in live posting
-// order: surviving base subjects, then suffix-added subjects.
-func (o *Overlay) SubjectsWithFunc(pred kg.PredicateID, obj kg.Value, fn func(kg.EntityID) bool) {
-	key := obj.MapKey()
-	stopped := false
-	o.base.SubjectsWithFunc(pred, obj, func(s kg.EntityID) bool {
-		if _, gone := o.removed[kg.TripleKey{Subject: s, Predicate: pred, Object: key}]; gone {
-			return true
-		}
-		if !fn(s) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, s := range o.addedPosts[poKey{pred, key}] {
-		if !fn(s) {
-			return
-		}
-	}
-}
-
-// SubjectsWithChunked streams the (pred, obj) subjects in chunks of at
-// most chunkSize, in the same order as SubjectsWithFunc. The base is
-// immutable, so unlike the live graph's chunked read the enumeration
-// can never restart: restarted is always false.
-func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, chunkSize int, fn func(chunk []kg.EntityID, restarted bool) bool) {
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	key := obj.MapKey()
-	buf := make([]kg.EntityID, 0, min(chunkSize, o.SubjectsWithCount(pred, obj)))
-	stopped := false
-	emit := func(s kg.EntityID) bool {
-		buf = append(buf, s)
-		if len(buf) < chunkSize {
-			return true
-		}
-		ok := fn(buf, false)
-		buf = buf[:0]
-		return ok
-	}
-	// The base's chunked read copies slabs out under its stripe lock, so
-	// fn below runs lock-free, matching the live contract.
-	o.base.SubjectsWithChunked(pred, obj, chunkSize, func(chunk []kg.EntityID, _ bool) bool {
-		for _, s := range chunk {
-			if _, gone := o.removed[kg.TripleKey{Subject: s, Predicate: pred, Object: key}]; gone {
-				continue
-			}
-			if !emit(s) {
-				stopped = true
-				return false
-			}
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, s := range o.addedPosts[poKey{pred, key}] {
-		if !emit(s) {
-			return
-		}
-	}
-	if len(buf) > 0 {
-		fn(buf, false)
-	}
+// SubjectsWithChunked streams the (pred, obj) subjects greater than
+// after at the as-of watermark in ascending ID order, in chunks.
+func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, after kg.EntityID, chunkSize int, fn func(chunk []kg.EntityID) bool) {
+	po := poKey{pred, obj.MapKey()}
+	added := o.addedPosts[po]
+	layeredChunks(added[upTo(added, after, cmpEntity):], o.remPosts[po], cmpEntity, func(fn func([]kg.EntityID) bool) {
+		o.base.SubjectsWithChunked(pred, obj, after, chunkSize, fn)
+	}, fn)
 }
 
 // PredicateEntriesFunc streams every (object, subject) pair under pred
@@ -335,14 +191,11 @@ func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, chunkSi
 func (o *Overlay) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.Value, subj kg.EntityID) bool) {
 	stopped := false
 	o.base.PredicateEntriesFunc(pred, func(obj kg.Value, subj kg.EntityID) bool {
-		if _, gone := o.removed[kg.TripleKey{Subject: subj, Predicate: pred, Object: obj.MapKey()}]; gone {
+		if hasSorted(o.remPosts[poKey{pred, obj.MapKey()}], subj, cmpEntity) {
 			return true
 		}
-		if !fn(obj, subj) {
-			stopped = true
-			return false
-		}
-		return true
+		stopped = !fn(obj, subj)
+		return !stopped
 	})
 	if stopped {
 		return

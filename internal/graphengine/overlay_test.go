@@ -301,49 +301,44 @@ func TestOverlayConjGraphContract(t *testing.T) {
 				t.Fatalf("FactCount(%d,%d): %d, want %d", s, p, got, want)
 			}
 			var gotFacts, wantFacts []string
-			ov.FactsFunc(s, p, func(tr kg.Triple) bool {
-				gotFacts = append(gotFacts, fmt.Sprintf("%v", tr.IdentityKey()))
+			ov.FactsChunked(s, p, 3, func(chunk []kg.Triple) bool {
+				for _, tr := range chunk {
+					gotFacts = append(gotFacts, fmt.Sprintf("%v", tr.IdentityKey()))
+				}
 				return true
 			})
-			live.FactsFunc(s, p, func(tr kg.Triple) bool {
-				wantFacts = append(wantFacts, fmt.Sprintf("%v", tr.IdentityKey()))
+			live.FactsChunked(s, p, 3, func(chunk []kg.Triple) bool {
+				for _, tr := range chunk {
+					wantFacts = append(wantFacts, fmt.Sprintf("%v", tr.IdentityKey()))
+				}
 				return true
 			})
 			if !equalRows(wantFacts, gotFacts) {
-				t.Fatalf("FactsFunc(%d,%d) order: %v, want %v", s, p, gotFacts, wantFacts)
+				t.Fatalf("FactsChunked(%d,%d) order: %v, want %v", s, p, gotFacts, wantFacts)
 			}
 		}
 		for _, o := range objects {
 			if got, want := ov.SubjectsWithCount(p, o), live.SubjectsWithCount(p, o); got != want {
 				t.Fatalf("SubjectsWithCount(%d,%v): %d, want %d", p, o, got, want)
 			}
-			var gotSubs, wantSubs []string
-			ov.SubjectsWithFunc(p, o, func(id kg.EntityID) bool {
-				gotSubs = append(gotSubs, fmt.Sprint(id))
-				return true
-			})
-			live.SubjectsWithFunc(p, o, func(id kg.EntityID) bool {
-				wantSubs = append(wantSubs, fmt.Sprint(id))
-				return true
-			})
-			if !equalRows(wantSubs, gotSubs) {
-				t.Fatalf("SubjectsWithFunc(%d,%v) order: %v, want %v", p, o, gotSubs, wantSubs)
-			}
-			var gotChunks, wantChunks []string
-			ov.SubjectsWithChunked(p, o, 3, func(chunk []kg.EntityID, restarted bool) bool {
-				for _, id := range chunk {
-					gotChunks = append(gotChunks, fmt.Sprint(id))
+			// From the start, and resumed after a key in the middle.
+			for _, after := range []kg.EntityID{kg.NoEntity, ents[len(ents)/2]} {
+				var gotSubs, wantSubs []string
+				ov.SubjectsWithChunked(p, o, after, 3, func(chunk []kg.EntityID) bool {
+					for _, id := range chunk {
+						gotSubs = append(gotSubs, fmt.Sprint(id))
+					}
+					return true
+				})
+				live.SubjectsWithChunked(p, o, after, 3, func(chunk []kg.EntityID) bool {
+					for _, id := range chunk {
+						wantSubs = append(wantSubs, fmt.Sprint(id))
+					}
+					return true
+				})
+				if !equalRows(wantSubs, gotSubs) {
+					t.Fatalf("SubjectsWithChunked(%d,%v) after %d order: %v, want %v", p, o, after, gotSubs, wantSubs)
 				}
-				return true
-			})
-			live.SubjectsWithChunked(p, o, 3, func(chunk []kg.EntityID, restarted bool) bool {
-				for _, id := range chunk {
-					wantChunks = append(wantChunks, fmt.Sprint(id))
-				}
-				return true
-			})
-			if !equalRows(wantChunks, gotChunks) {
-				t.Fatalf("SubjectsWithChunked(%d,%v) order: %v, want %v", p, o, gotChunks, wantChunks)
 			}
 			for _, s := range ents {
 				if got, want := ov.HasFact(s, p, o), live.HasFact(s, p, o); got != want {
@@ -373,8 +368,8 @@ func TestOverlayConjGraphContract(t *testing.T) {
 
 	// Early-stop contract: a false return halts enumeration.
 	stops := 0
-	ov.FactsFunc(ents[0], preds[0], func(kg.Triple) bool { stops++; return false })
+	ov.FactsChunked(ents[0], preds[0], 1, func([]kg.Triple) bool { stops++; return false })
 	if stops > 1 {
-		t.Fatalf("FactsFunc ignored early stop: %d calls", stops)
+		t.Fatalf("FactsChunked ignored early stop: %d calls", stops)
 	}
 }

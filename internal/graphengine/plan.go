@@ -2,6 +2,7 @@ package graphengine
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 
 	"saga/internal/kg"
@@ -11,9 +12,9 @@ import (
 // query into an immutable Plan — a clause execution order with one
 // statically chosen access path and one cardinality estimate per step —
 // and the executor (executor.go) runs a Plan against the graph. The
-// split exists so a plan can be cached (plancache.go), explained to the
-// serving tier, and partitioned across workers (parallel.go), none of
-// which a solver that re-plans inside its own recursion can support.
+// split exists so a plan can be cached (plancache.go) and explained to
+// the serving tier, neither of which a solver that re-plans inside its
+// own recursion can support.
 //
 // A Plan deliberately does not store the query's terms: steps reference
 // the caller's clauses by input index, so one cached Plan serves every
@@ -81,19 +82,34 @@ type PlanStep struct {
 	sNew, oNew   bool
 }
 
-// onCursorPath reports whether a candidate of this step lies on the path
-// to the cursor row: the values it newly binds are, by ValueKey identity,
-// the cursor's values for those slots. A step that binds nothing is on
-// every path. This is the one compare a resumed page pays per skipped
-// sibling, so the subject arm spells out kg.EntityValue(s).MapKey()
-// instead of building it.
-func (st *PlanStep) onCursorPath(t *kg.Triple, cursor []kg.ValueKey) bool {
+// compareCursor three-way compares the values a candidate of this step
+// newly binds with the cursor's values for those slots, in the step's
+// enumeration order (subject, then object key) and under the ValueKey
+// order the indexes themselves are sorted by. A step that binds nothing
+// compares equal: it is on every path.
+func (st *PlanStep) compareCursor(t *kg.Triple, cursor []kg.ValueKey) int {
 	if st.sNew {
-		if k := &cursor[st.sSlot]; k.Kind != kg.KindEntity || k.Num != int64(t.Subject) || k.Str != "" {
-			return false
+		if c := (kg.ValueKey{Kind: kg.KindEntity, Num: int64(t.Subject)}).Compare(cursor[st.sSlot]); c != 0 {
+			return c
 		}
 	}
-	return !st.oNew || cursor[st.oSlot] == t.Object.MapKey()
+	if st.oNew {
+		return t.Object.MapKey().Compare(cursor[st.oSlot])
+	}
+	return 0
+}
+
+// seekAfter returns the subject ID a posting read of this step may start
+// after on the way to the cursor: the entries up to it all compare less
+// than the cursor's subject and would be dropped one by one. NoEntity
+// (start at the beginning) when the cursor's slot holds no usable ID.
+func (st *PlanStep) seekAfter(cursor []kg.ValueKey) kg.EntityID {
+	if st.sNew {
+		if k := cursor[st.sSlot]; k.Kind == kg.KindEntity && k.Num > 0 && k.Num <= math.MaxUint32 {
+			return kg.EntityID(k.Num - 1)
+		}
+	}
+	return kg.NoEntity
 }
 
 // planFreq snapshots one predicate's global frequency at build time, the
@@ -137,18 +153,6 @@ type StepInfo struct {
 	Path string `json:"path"`
 	// Estimate is the planner's build-time candidate estimate.
 	Estimate int `json:"estimate"`
-}
-
-// singleRow reports whether the plan can yield at most one row: every
-// step is a membership probe, so there is one candidate path and nothing
-// for a dedup set to collapse.
-func (p *Plan) singleRow() bool {
-	for _, st := range p.steps {
-		if st.Path != PathHasFact {
-			return false
-		}
-	}
-	return true
 }
 
 // Describe renders the plan for explain output.

@@ -2,6 +2,7 @@ package graphengine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,7 +296,12 @@ func applyAdjacencyDelta(prev *AdjacencySnapshot, muts []kg.Mutation) *Adjacency
 	for id := 0; id < numRows; {
 		if ti < len(touched) && int(touched[ti]) == id {
 			offsets[id] = int32(len(nbrs))
-			nbrs = mergeRow(nbrs, prev.Neighbors(kg.EntityID(id)), adds[kg.EntityID(id)], dels[kg.EntityID(id)])
+			// adds is disjoint from the previous row and dels ⊆ it; both are
+			// small and arrive unsorted.
+			a, d := adds[kg.EntityID(id)], dels[kg.EntityID(id)]
+			slices.Sort(a)
+			slices.Sort(d)
+			nbrs = mergeSorted(nbrs, prev.Neighbors(kg.EntityID(id)), a, d, cmpEntity)
 			id++
 			ti++
 			continue
@@ -332,26 +338,6 @@ func applyAdjacencyDelta(prev *AdjacencySnapshot, muts []kg.Mutation) *Adjacency
 func hasNeighbor(row []kg.EntityID, v kg.EntityID) bool {
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
 	return i < len(row) && row[i] == v
-}
-
-// mergeRow appends prev ∪ adds \ dels to out in sorted order. adds is
-// disjoint from prev, dels ⊆ prev, and both are small and unsorted.
-func mergeRow(out, prev, adds, dels []kg.EntityID) []kg.EntityID {
-	sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
-	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
-	ai, di := 0, 0
-	for _, n := range prev {
-		for ai < len(adds) && adds[ai] < n {
-			out = append(out, adds[ai])
-			ai++
-		}
-		if di < len(dels) && dels[di] == n {
-			di++
-			continue
-		}
-		out = append(out, n)
-	}
-	return append(out, adds[ai:]...)
 }
 
 // buildAdjacencySnapshot scans the graph's entity-valued triples once

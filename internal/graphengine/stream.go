@@ -38,17 +38,21 @@ type QueryOptions struct {
 
 	// Cursor resumes a conjunctive enumeration after the row with this
 	// key tuple (the row's values in sorted-variable order — see
-	// BindingKey and Row.Key). Resumption is a seek, not a replay: the
-	// executor descends straight to the cursor row, dropping at each join
-	// depth every candidate whose values differ from the cursor's without
-	// expanding it, so a page costs one compare per sibling skipped on the
-	// cursor's path plus the rows of the page itself — not the rows of the
-	// pages before it. (Siblings are compare-scanned today; once posting
-	// lists are sorted the scan becomes a binary search.) The resumed
-	// stream dedups from the cursor row onward. Resumption relies on the
-	// stream's deterministic order and is exact while the graph is
-	// unchanged; mutations in between may shift page boundaries. A cursor
-	// naming a row that no longer exists yields an empty remainder.
+	// BindingKey and Row.Key). Resumption is a seek, not a replay: every
+	// join depth enumerates in canonical key order, so the executor
+	// compares each candidate's newly bound values with the cursor's —
+	// before it: dropped unexpanded; equal: descended into; past it: the
+	// page starts here — and a bound-object step starts its posting read
+	// at the cursor's subject outright. A page costs its own rows, not the
+	// rows of the pages before it.
+	//
+	// The stream order is a function of the plan and the facts alone, so
+	// a cursor stays meaningful across restarts, checkpoint recovery and
+	// shard counts, and under concurrent writes: the page resumes at the
+	// cursor row's successor in that order whether or not the cursor row
+	// itself still exists, and a row present throughout a cursor walk is
+	// delivered exactly once. (A plan-cache replan after large drift can
+	// reorder the join; the walk then continues in the new order.)
 	Cursor []kg.ValueKey
 
 	// Provenance selects stored-triple enumeration for pattern queries.
@@ -64,20 +68,6 @@ type QueryOptions struct {
 	// StreamConjunctive.
 	Provenance bool
 
-	// NoDedup disables StreamConjunctive's duplicate collapse. The
-	// streaming dedup holds a seen-set entry per distinct row enumerated,
-	// so an unlimited stream over a huge answer set carries O(answers)
-	// memory; an aggregation that tolerates (or wants) multiplicity can
-	// set NoDedup and run in O(1) solver memory instead. With it set, a
-	// binding derivable along several join paths is yielded once per
-	// derivation, and cursor resumption (still supported) resumes after
-	// the first occurrence of the cursor row. The HTTP query surface is
-	// unaffected: it never sets NoDedup and always solves with a Limit,
-	// which bounds the seen-set at limit+1 entries. Pattern streams have
-	// no dedup to disable (an index never yields the same triple twice);
-	// the flag is a no-op for StreamPattern.
-	NoDedup bool
-
 	// Timeout bounds the solve's wall-clock time (0 = none). It is
 	// implemented as a context deadline layered over Context.
 	Timeout time.Duration
@@ -85,29 +75,23 @@ type QueryOptions struct {
 	// Context aborts the solve when cancelled (nil = never). The stream
 	// yields the context error as its final element.
 	Context context.Context
-
-	// Parallelism runs a conjunctive solve with this many workers
-	// partitioning the first plan step's candidates (<= 1 = sequential).
-	// The output stream is byte-identical to the sequential one — same
-	// row order, dedup set, and cursors — for every worker count; only
-	// wall-clock changes. Workers are cancelled as soon as the limit
-	// fills, the consumer breaks, or Context is cancelled. The flag is a
-	// no-op for StreamPattern.
-	Parallelism int
 }
 
-// conjGraph is the read surface the conjunctive solver touches. It is an
-// interface so tests can interpose a counting wrapper and pin how much of
-// the graph a limited solve actually probes; *kg.Graph implements it.
+// conjGraph is the read surface the conjunctive solver touches: three
+// counters for the planner, a membership probe, and one ordered
+// enumeration per access path — fact lists by object key, postings by
+// subject ID (resumable after a given subject), and the unordered
+// per-predicate scan the executor sorts. It is an interface so tests can
+// interpose a counting wrapper and pin how much of the graph a limited
+// solve actually probes; *kg.Graph, *Overlay and *DerivedView implement
+// it.
 type conjGraph interface {
 	FactCount(kg.EntityID, kg.PredicateID) int
 	SubjectsWithCount(kg.PredicateID, kg.Value) int
 	PredicateFrequency(kg.PredicateID) int
 	HasFact(kg.EntityID, kg.PredicateID, kg.Value) bool
-	FactsFunc(kg.EntityID, kg.PredicateID, func(kg.Triple) bool)
-	FactsChunked(kg.EntityID, kg.PredicateID, int, func([]kg.Triple, bool) bool)
-	SubjectsWithFunc(kg.PredicateID, kg.Value, func(kg.EntityID) bool)
-	SubjectsWithChunked(kg.PredicateID, kg.Value, int, func([]kg.EntityID, bool) bool)
+	FactsChunked(kg.EntityID, kg.PredicateID, int, func([]kg.Triple) bool)
+	SubjectsWithChunked(kg.PredicateID, kg.Value, kg.EntityID, int, func([]kg.EntityID) bool)
 	PredicateEntriesFunc(kg.PredicateID, func(kg.Value, kg.EntityID) bool)
 }
 
@@ -144,40 +128,34 @@ func (r Row) Key() []kg.ValueKey {
 // StreamRows evaluates the conjunction and yields satisfying rows as the
 // nested-loop join produces them — the one entry point every conjunctive
 // read goes through; StreamConjunctive is this stream with each row
-// turned into a Binding. Duplicates are collapsed on the fly (a seen-set
-// of the rows' ValueKey tuples, never rendered strings), so each distinct
-// row is yielded exactly once; the seen-set grows with the distinct rows
-// enumerated, which a Limit bounds.
+// turned into a Binding. Each distinct row is yielded exactly once, with
+// no seen-set: every variable is part of the row, so a row fixes the
+// triple each clause matched, and the walk below reaches it once.
 //
 // # Order
 //
-// The stream order is the plan's depth-first order and it is
-// deterministic for a fixed graph state: the planner fixes a clause
+// The stream order is the plan's depth-first order with every join depth
+// enumerated in canonical key order — a bound-subject step by object key,
+// a bound-object step by subject ID, an unbound step by (subject, object
+// key) — which makes it a function of the plan and the facts, not of how
+// the facts arrived: the live graph, a graph recovered from a checkpoint,
+// an as-of Overlay at the same watermark and a graph with a different
+// shard count all stream byte-identical rows. The planner fixes a clause
 // order once from counter estimates (ties keep the earlier clause — see
-// buildPlan), and the candidates of each expansion enumerate in index
-// (assertion) order — except unbound-clause expansions, which are
-// map-backed and therefore sorted by (subject, object key) before
-// enumeration. The same plan and graph always stream the same sequence,
-// which is what Cursor resumption relies on; the Engine's plan cache
-// returns the same plan for an unchanged shape, so consecutive pages see
-// the same order. The order is NOT the sorted order of QueryConjunctive;
-// that shim sorts after collecting.
+// buildPlan) and the Engine's plan cache returns the same plan for an
+// unchanged shape, so consecutive pages see the same order. The order is
+// NOT the sorted order of QueryConjunctive; that shim sorts after
+// collecting.
 //
-// A resumed stream seeks to its cursor (see QueryOptions.Cursor) and
-// dedups from the cursor row onward: rows ahead of the cursor are never
-// enumerated, so they are not in the seen-set. On a quiescent graph that
-// changes nothing — every variable is part of the row, so a full row
-// fixes the triple each clause matched and has exactly one derivation;
-// nothing after the cursor can repeat a row before it, and concatenated
-// pages equal the unlimited stream. The seen-set only ever absorbs the
-// re-deliveries of a chunked read that a concurrent write restarted.
+// A resumed stream seeks to its cursor (see QueryOptions.Cursor); rows
+// ahead of the cursor are never enumerated, and concatenated pages equal
+// the unlimited stream.
 //
-// Candidate expansion never holds graph locks across a yield — bound-
-// object clauses stream postingChunkSize-entry slabs per lock
-// acquisition, other paths buffer one node's candidates — so the
-// consumer may freely read the graph or block, and the delay between
-// consecutive yields is bounded by one node's fan-out, not the result
-// size.
+// Candidate expansion never holds graph locks across a yield — fact
+// lists and postings stream postingChunkSize-entry slabs per lock
+// acquisition, a scan buffers one predicate's entries — so the consumer
+// may freely read the graph or block, and the delay between consecutive
+// yields is bounded by one node's fan-out, not the result size.
 //
 // Errors (clause validation, cursor shape, context cancellation) are
 // yielded as the final (Row{}, err) element; rows always carry a nil
@@ -255,9 +233,9 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 }
 
 // streamPlanned is the shared entry body: validate, plan (the planFn
-// decides caching), build an executor, and run it sequentially or in
-// parallel. planFn runs inside the iterator so each `range` over the
-// returned sequence replans against current counters.
+// decides caching), build an executor, and run it. planFn runs inside the
+// iterator so each `range` over the returned sequence replans against
+// current counters.
 func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func() *Plan) iter.Seq2[Row, error] {
 	return func(yield func(Row, error) bool) {
 		if err := validateClauses(clauses); err != nil {
@@ -280,38 +258,18 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			defer cancel()
 		}
 		ex := &executor{
-			g:       g,
-			plan:    p,
-			clauses: clauses,
-			row:     make([]kg.Value, len(p.vars)),
-			bufs:    make([][]kg.Triple, len(p.steps)),
-			keys:    make([]kg.ValueKey, len(p.vars)),
-			// A plan of membership probes has one candidate path and at
-			// most one row: nothing to collapse, so no seen-set. (chunked
-			// still follows the caller's NoDedup: such a plan has no
-			// chunked step.)
-			dedup:   !opts.NoDedup && !p.singleRow(),
-			chunked: !opts.NoDedup,
-			limit:   opts.Limit,
-			ctx:     ctx,
-			yield:   yield,
+			g:        g,
+			plan:     p,
+			clauses:  clauses,
+			row:      make([]kg.Value, len(p.vars)),
+			bufs:     make([][]kg.Triple, len(p.steps)),
+			cursor:   opts.Cursor,
+			skipping: len(opts.Cursor) > 0,
+			limit:    opts.Limit,
+			ctx:      ctx,
+			yield:    yield,
 		}
-		if ex.dedup {
-			// A limited stream holds at most limit rows (plus the cursor
-			// row); sizing for them up front saves regrowing the set
-			// through every page.
-			ex.seen = make(map[string]struct{}, min(max(opts.Limit, 0), 1024))
-		}
-		if len(opts.Cursor) > 0 {
-			ex.cursor = opts.Cursor
-			ex.cursorKey = string(appendKeyTuple(nil, opts.Cursor))
-			ex.skipping = true
-		}
-		if opts.Parallelism > 1 && parallelizable(p) {
-			runParallel(ex, opts.Parallelism)
-		} else {
-			ex.exec(0)
-		}
+		ex.exec(0)
 		if ex.err != nil {
 			yield(Row{}, ex.err)
 		}
@@ -319,7 +277,7 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 }
 
 // queryVars returns the query's variable names, sorted — the canonical
-// order of every binding's key tuple (dedup, result sort, cursors).
+// order of every binding's key tuple (result sort, cursors).
 func queryVars(clauses []Clause) []string {
 	var vars []string
 	for _, c := range clauses {
@@ -461,8 +419,8 @@ func (e *Engine) StreamPattern(p Pattern, opts QueryOptions) iter.Seq2[kg.Triple
 // --- Cursor tokens ------------------------------------------------------
 
 // BindingKey returns the binding's identity tuple: the values' ValueKeys
-// in sorted-variable order — the same tuple streaming dedup, result
-// ordering, and cursors are defined over. Pass it to EncodeCursor to
+// in sorted-variable order — the same tuple result ordering and cursors
+// are defined over. Pass it to EncodeCursor to
 // build the resume token for the page ending at this binding.
 func BindingKey(b Binding) []kg.ValueKey {
 	names := make([]string, 0, len(b))
@@ -528,8 +486,7 @@ const maxCursorKeys = 4096
 // tuple: a uvarint count, then per key a kind byte, the 8-byte big-endian
 // numeric payload, and the length-prefixed string payload. Fixed-width
 // fields keep each key's encoding prefix-free, so distinct tuples can
-// never encode to the same bytes (the property the streaming dedup set
-// and cursor comparison rely on; rendered-string encodings lost it to
+// never encode to the same bytes (rendered-string encodings lost that to
 // separator collisions).
 func appendKeyTuple(b []byte, keys []kg.ValueKey) []byte {
 	b = binary.AppendUvarint(b, uint64(len(keys)))

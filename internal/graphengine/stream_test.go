@@ -65,6 +65,20 @@ func collectStream(t *testing.T, seq func(func(Binding, error) bool)) []Binding 
 // the encoded cursor of its key tuple.
 func bindingToken(b Binding) string { return EncodeCursor(BindingKey(b)) }
 
+// streamTokens drains a stream into binding tokens, preserving order and
+// failing on any error.
+func streamTokens(t *testing.T, seq func(func(Binding, error) bool)) []string {
+	t.Helper()
+	var out []string
+	for b, err := range seq {
+		if err != nil {
+			t.Fatalf("stream error: %v", err)
+		}
+		out = append(out, bindingToken(b))
+	}
+	return out
+}
+
 // Property: on random graphs and random two-clause queries, the stream-
 // collected result set is exactly QueryConjunctive's (same dedup, same
 // count), the stream itself never yields a duplicate, a limited stream is
@@ -198,17 +212,10 @@ func (c *countingGraph) HasFact(s kg.EntityID, p kg.PredicateID, o kg.Value) boo
 	return c.Graph.HasFact(s, p, o)
 }
 
-func (c *countingGraph) SubjectsWithFunc(p kg.PredicateID, o kg.Value, fn func(kg.EntityID) bool) {
-	c.Graph.SubjectsWithFunc(p, o, func(id kg.EntityID) bool {
-		c.postings++
-		return fn(id)
-	})
-}
-
-func (c *countingGraph) SubjectsWithChunked(p kg.PredicateID, o kg.Value, chunkSize int, fn func([]kg.EntityID, bool) bool) {
-	c.Graph.SubjectsWithChunked(p, o, chunkSize, func(chunk []kg.EntityID, restarted bool) bool {
+func (c *countingGraph) SubjectsWithChunked(p kg.PredicateID, o kg.Value, after kg.EntityID, chunkSize int, fn func([]kg.EntityID) bool) {
+	c.Graph.SubjectsWithChunked(p, o, after, chunkSize, func(chunk []kg.EntityID) bool {
 		c.postings += len(chunk)
-		return fn(chunk, restarted)
+		return fn(chunk)
 	})
 }
 
@@ -254,7 +261,7 @@ func TestStreamConjunctiveLimitStopsProbing(t *testing.T) {
 	}
 
 	// Resume after row 500 of the 512: the members ahead of the cursor are
-	// compared against it and dropped, never probed.
+	// never probed.
 	const after = 500
 	var cursor []kg.ValueKey
 	rows = 0
@@ -268,28 +275,25 @@ func TestStreamConjunctiveLimitStopsProbing(t *testing.T) {
 	if rows != after {
 		t.Fatalf("prefix solve = %d rows, want %d", rows, after)
 	}
-	for _, workers := range []int{0, 3} {
-		resumed := &raceCountingGraph{Graph: g}
-		rows = 0
-		for _, err := range streamConjunctive(resumed, clauses, QueryOptions{Limit: limit, Cursor: cursor, Parallelism: workers}) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows++
+	resumed := &countingGraph{Graph: g}
+	rows = 0
+	for _, err := range streamConjunctive(resumed, clauses, QueryOptions{Limit: limit, Cursor: cursor}) {
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rows != limit {
-			t.Fatalf("workers=%d: resumed solve = %d rows, want %d", workers, rows, limit)
-		}
-		// Sequentially that is the cursor row plus the page; the parallel
-		// path prunes the same members but works in units, so it may probe
-		// out the rest of the posting — never the 500 behind the cursor.
-		bound := int64(limit + 1)
-		if workers > 0 {
-			bound = nMembers - after + 1
-		}
-		if got := resumed.hasFact.Load(); got > bound {
-			t.Fatalf("workers=%d: page resumed after row %d made %d membership probes, want <= %d — the cursor replays instead of seeking", workers, after, got, bound)
-		}
+		rows++
+	}
+	if rows != limit {
+		t.Fatalf("resumed solve = %d rows, want %d", rows, limit)
+	}
+	// The cursor row plus the page.
+	if resumed.hasFact > limit+1 {
+		t.Fatalf("page resumed after row %d made %d membership probes, want <= %d — the cursor replays instead of seeking", after, resumed.hasFact, limit+1)
+	}
+	// And the posting read itself started at the cursor: the 500 members
+	// behind it were never copied out, let alone compared.
+	if resumed.postings > nMembers-after+1 {
+		t.Fatalf("page resumed after row %d read %d posting entries, want <= %d — the read starts at the head, not the cursor", after, resumed.postings, nMembers-after+1)
 	}
 }
 
@@ -337,11 +341,16 @@ func TestStreamConjunctiveCursorPagination(t *testing.T) {
 		}
 	}
 
-	// A cursor naming a row that does not exist yields an empty remainder,
-	// not an error and not a restart.
-	ghost := []kg.ValueKey{kg.StringValue("no-such-binding").MapKey()}
-	if got := collectStream(t, e.StreamConjunctive(clauses, QueryOptions{Cursor: ghost})); len(got) != 0 {
-		t.Fatalf("unknown cursor yielded %d rows, want 0", len(got))
+	// A cursor naming a row that never existed is a position in the order
+	// like any other: one past every row yields an empty remainder, one
+	// before every row yields them all — never an error.
+	beyond := []kg.ValueKey{kg.StringValue("no-such-binding").MapKey()} // strings sort after entities
+	if got := collectStream(t, e.StreamConjunctive(clauses, QueryOptions{Cursor: beyond})); len(got) != 0 {
+		t.Fatalf("cursor past the last row yielded %d rows, want 0", len(got))
+	}
+	before := []kg.ValueKey{{Kind: kg.KindEntity, Num: -5}}
+	if got := collectStream(t, e.StreamConjunctive(clauses, QueryOptions{Cursor: before})); len(got) != nMembers {
+		t.Fatalf("cursor before the first row yielded %d rows, want %d", len(got), nMembers)
 	}
 
 	// A cursor of the wrong arity is an error.
@@ -573,88 +582,16 @@ func TestPPRSparseMapReuse(t *testing.T) {
 	}
 }
 
-// dupGraph wraps a graph so every posting-list enumeration yields each
-// subject twice — a synthetic duplicate source that lets the dedup tests
-// observe the seen-set directly (real indexes are set-semantic and never
-// repeat a row, so the streaming dedup is a guard the fixture must force).
-type dupGraph struct {
-	*kg.Graph
-}
-
-func (d *dupGraph) SubjectsWithFunc(p kg.PredicateID, o kg.Value, fn func(kg.EntityID) bool) {
-	d.Graph.SubjectsWithFunc(p, o, func(id kg.EntityID) bool {
-		if !fn(id) {
-			return false
-		}
-		return fn(id)
-	})
-}
-
-func (d *dupGraph) SubjectsWithChunked(p kg.PredicateID, o kg.Value, chunkSize int, fn func([]kg.EntityID, bool) bool) {
-	d.Graph.SubjectsWithChunked(p, o, chunkSize, func(chunk []kg.EntityID, restarted bool) bool {
-		doubled := make([]kg.EntityID, 0, 2*len(chunk))
-		for _, id := range chunk {
-			doubled = append(doubled, id, id)
-		}
-		return fn(doubled, restarted)
-	})
-}
-
-// NoDedup disables the streaming duplicate collapse: over a duplicate-
-// producing expansion the default stream yields each distinct binding
-// once, the NoDedup stream yields one row per derivation.
-func TestStreamNoDedup(t *testing.T) {
-	const nMembers = 16
-	g, clauses := streamFixture(t, nMembers)
-	dg := &dupGraph{Graph: g}
-
-	deduped := 0
-	for _, err := range streamConjunctive(dg, clauses, QueryOptions{}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		deduped++
-	}
-	if deduped != nMembers {
-		t.Fatalf("deduped stream = %d rows, want %d", deduped, nMembers)
-	}
-
-	raw := 0
-	for _, err := range streamConjunctive(dg, clauses, QueryOptions{NoDedup: true}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw++
-	}
-	if raw != 2*nMembers {
-		t.Fatalf("NoDedup stream = %d rows, want %d (one per derivation)", raw, 2*nMembers)
-	}
-
-	// A limit still terminates the raw stream.
-	limited := 0
-	for _, err := range streamConjunctive(dg, clauses, QueryOptions{NoDedup: true, Limit: 3}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		limited++
-	}
-	if limited != 3 {
-		t.Fatalf("NoDedup limited stream = %d rows, want 3", limited)
-	}
-}
-
-// The planner's selectivity counters must read through the write path's
-// buffered pom deltas: facts asserted moments ago (still sitting in
-// shard-local delta buffers, nothing has forced a flush) must be visible
-// to estimates and expansions of the very next query.
-func TestPlannerCountersSeeBufferedWrites(t *testing.T) {
+// Read-your-writes for the planner: facts asserted moments ago must be
+// visible to the estimates and expansions of the very next query.
+func TestPlannerCountersSeeFreshWrites(t *testing.T) {
 	g := kg.NewGraphWithShards(8)
 	member, _ := g.AddPredicate(kg.Predicate{Name: "memberOf"})
 	team, err := g.AddEntity(kg.Entity{Key: "team"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 20 // far below the flush threshold: every delta stays buffered
+	const n = 20
 	for i := 0; i < n; i++ {
 		p, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("p%d", i)})
 		if err != nil {
@@ -666,10 +603,10 @@ func TestPlannerCountersSeeBufferedWrites(t *testing.T) {
 	}
 	clause := Clause{Subject: V("p"), Predicate: member, Object: CE(team)}
 	if got := estimateOn(g, clause, Binding{}); got != n+1 {
-		t.Fatalf("estimate over buffered writes = %d, want %d", got, n+1)
+		t.Fatalf("estimate over fresh writes = %d, want %d", got, n+1)
 	}
 	rows := collectStream(t, New(g).StreamConjunctive([]Clause{clause}, QueryOptions{}))
 	if len(rows) != n {
-		t.Fatalf("stream over buffered writes = %d rows, want %d", len(rows), n)
+		t.Fatalf("stream over fresh writes = %d rows, want %d", len(rows), n)
 	}
 }

@@ -12,8 +12,8 @@
 // The query surface is iterator-first (see stream.go): Stream and
 // StreamConjunctive yield matches as the planner produces them, with one
 // QueryOptions struct for limit push-down, cursor pagination, provenance
-// routing, timeouts, context cancellation, and parallel execution — the
-// serving-path contract, where evaluation cost tracks output consumed.
+// routing, timeouts and context cancellation — the serving-path
+// contract, where evaluation cost tracks output consumed.
 // The slice-returning Query and QueryConjunctive are collect(-and-sort)
 // shims over the streams.
 //
@@ -24,12 +24,11 @@
 // order, one statically chosen access path per step (has_fact probe,
 // subject-major facts read, predicate-major posting read, or sorted
 // predicate scan), and the build-time cardinality estimates that chose
-// the order. The executor (executor.go) runs a Plan depth-first with
-// streaming dedup, cursor replay, and limit push-down; it never
-// re-plans, so a fixed plan over a fixed graph state always streams the
-// same sequence. QueryOptions.Parallelism partitions the first step's
-// candidates across workers (parallel.go) with the merge preserving that
-// exact sequence.
+// the order. The executor (executor.go) runs a Plan depth-first with a
+// cursor seek and limit push-down; it never re-plans, and every access
+// path enumerates in a canonical key order, so a fixed plan over a fixed
+// set of facts always streams the same sequence — however the facts
+// arrived.
 //
 // Plans reference the caller's clauses by index and carry no constant
 // values, so the Engine caches them by query shape — predicate IDs plus

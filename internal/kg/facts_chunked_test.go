@@ -1,6 +1,8 @@
 package kg
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -24,10 +26,7 @@ func TestFactsChunkedMatchesFactsFunc(t *testing.T) {
 	})
 	for _, chunk := range []int{1, 3, 10, 1000, 0 /* default */, -5} {
 		var got []Triple
-		g.FactsChunked(s, p, chunk, func(c []Triple, restarted bool) bool {
-			if restarted {
-				t.Fatalf("chunk=%d: restart on a quiescent graph", chunk)
-			}
+		g.FactsChunked(s, p, chunk, func(c []Triple) bool {
 			got = append(got, c...)
 			return true
 		})
@@ -53,7 +52,7 @@ func TestFactsChunkedEarlyStop(t *testing.T) {
 		}
 	}
 	calls := 0
-	g.FactsChunked(s, p, 2, func(c []Triple, restarted bool) bool {
+	g.FactsChunked(s, p, 2, func(c []Triple) bool {
 		calls++
 		return false
 	})
@@ -62,60 +61,93 @@ func TestFactsChunkedEarlyStop(t *testing.T) {
 	}
 }
 
-// TestFactsChunkedRestartOnRetract: a retract in the subject's shard
-// between chunks splices the fact list, so the read must restart from
-// offset zero with restarted=true — saved offsets are only valid while
-// the shard's splice counter is unchanged.
-func TestFactsChunkedRestartOnRetract(t *testing.T) {
+func cmpObjectKey(a, b Triple) int { return a.Object.MapKey().Compare(b.Object.MapKey()) }
+
+// TestFactsChunkedSpliceMidRead: retracts and asserts between chunks
+// splice the list on both sides of the read position; the read resumes
+// by key, so it neither restarts nor re-delivers, and the facts that
+// stayed are delivered exactly once.
+func TestFactsChunkedSpliceMidRead(t *testing.T) {
 	g := NewGraph()
 	s := mustEntity(t, g, "Q1", "subj")
 	p := mustPredicate(t, g, "score")
-	const total = 8
+	const total = 40
+	var stable []Triple
 	for i := 0; i < total; i++ {
-		if err := g.Assert(Triple{Subject: s, Predicate: p, Object: IntValue(int64(i))}); err != nil {
+		tr := Triple{Subject: s, Predicate: p, Object: IntValue(int64(2 * i))}
+		if err := g.Assert(tr); err != nil {
 			t.Fatal(err)
 		}
+		if i%2 == 0 {
+			stable = append(stable, tr)
+		}
 	}
-	var restarts int
-	var got []Triple
+	var delivered []Triple
 	first := true
-	g.FactsChunked(s, p, 2, func(c []Triple, restarted bool) bool {
-		if restarted {
-			restarts++
-			got = got[:0]
-		}
-		got = append(got, c...)
+	g.FactsChunked(s, p, 4, func(c []Triple) bool {
+		delivered = append(delivered, c...)
 		if first {
 			first = false
-			// Retract the first fact mid-enumeration: splices the list.
-			if !g.Retract(Triple{Subject: s, Predicate: p, Object: IntValue(0)}) {
-				t.Fatal("retract failed")
+			for i := 1; i < total; i += 2 {
+				if !g.Retract(Triple{Subject: s, Predicate: p, Object: IntValue(int64(2 * i))}) {
+					t.Fatal("retract failed")
+				}
+				// An odd value lands between two survivors, behind or ahead.
+				if err := g.Assert(Triple{Subject: s, Predicate: p, Object: IntValue(int64(2*i + 1))}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return true
 	})
-	if restarts == 0 {
-		t.Fatal("no restart after a concurrent retract spliced the list")
-	}
-	if len(got) != total-1 {
-		t.Fatalf("post-restart read saw %d facts, want %d", len(got), total-1)
-	}
-	// Asserts do NOT restart the read: lists only grow in place.
-	restarts = 0
-	first = true
-	g.FactsChunked(s, p, 2, func(c []Triple, restarted bool) bool {
-		if restarted {
-			restarts++
+	checkExactlyOnce(t, delivered, stable, cmpObjectKey)
+}
+
+// TestFactsChunkedExactlyOnceUnderChurn: with a writer churning the
+// interleaved half of a fact list, every chunked pass delivers each
+// stable fact exactly once and no fact twice.
+func TestFactsChunkedExactlyOnceUnderChurn(t *testing.T) {
+	g := NewGraph()
+	s := mustEntity(t, g, "Q1", "subj")
+	p := mustPredicate(t, g, "score")
+	const total = 300
+	var stable []Triple
+	for i := 0; i < total; i++ {
+		tr := Triple{Subject: s, Predicate: p, Object: IntValue(int64(i))}
+		if err := g.Assert(tr); err != nil {
+			t.Fatal(err)
 		}
-		if first {
-			first = false
-			if err := g.Assert(Triple{Subject: s, Predicate: p, Object: IntValue(99)}); err != nil {
-				t.Fatal(err)
+		if i%2 == 0 {
+			stable = append(stable, tr)
+		}
+	}
+	var (
+		stop   atomic.Bool
+		writes atomic.Int64
+		wg     sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; !stop.Load(); i = (i + 2) % total {
+			tr := Triple{Subject: s, Predicate: p, Object: IntValue(int64(i))}
+			if !g.Retract(tr) {
+				if err := g.Assert(tr); err != nil {
+					t.Error(err)
+					return
+				}
 			}
+			writes.Add(1)
 		}
-		return true
-	})
-	if restarts != 0 {
-		t.Fatal("an append-only assert restarted the chunked read")
+	}()
+	for pass := 0; pass < 50 || writes.Load() < 2000; pass++ {
+		var delivered []Triple
+		g.FactsChunked(s, p, 8, func(c []Triple) bool {
+			delivered = append(delivered, c...)
+			return true
+		})
+		checkExactlyOnce(t, delivered, stable, cmpObjectKey)
 	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -57,16 +58,10 @@ type Predicate struct {
 type graphShard struct {
 	mu sync.RWMutex
 
+	// spo maps subject -> predicate -> the (subj, pred) fact list, sorted
+	// by object ValueKey with no duplicates. The sorted list is also the
+	// shard's identity set: membership is a binary search of it.
 	spo map[EntityID]map[PredicateID][]Triple
-	// pos counts, per (predicate, object key), how many of this shard's
-	// subjects assert the fact. It is the shard-local remnant of the old
-	// per-shard posting lists: the predicate-major index (pom.go) carries
-	// the actual merged subject postings, so duplicating them here only
-	// doubled reverse-index memory. The counts are enough for the
-	// shard-swept reference reads (SubjectsWithSweep skips shards with a
-	// zero count and stops its spo scan after `count` matches) and keep
-	// Retract's shard-local reverse maintenance O(1).
-	pos map[PredicateID]map[ValueKey]int
 	// osp maps object entity -> posting of triples whose *subject* lives
 	// in this shard; incoming-edge reads merge the entry across all
 	// shards. Postings tombstone instead of splicing once they grow hot
@@ -74,37 +69,37 @@ type graphShard struct {
 	// does not rescan the hub's posting.
 	osp map[EntityID]ospPosting
 
-	tripleKeys map[TripleKey]struct{}
-
-	// factSplices counts retracts applied to this shard. Assertion only
-	// ever appends to spo fact lists (Assert, assertShardBatch), so a
-	// saved list offset stays valid across concurrent asserts; Retract is
-	// the one operation that splices a list and shifts offsets. Chunked
-	// fact readers (FactsChunked) capture the counter at their first read
-	// and restart from the beginning when it moves.
-	factSplices uint64
+	// triples is the number of facts in spo.
+	triples int
 
 	// log holds this shard's slice of the global mutation feed. Sequence
 	// numbers are drawn from Graph.seq while the shard write lock is held,
 	// so within one shard the log is strictly ascending in Seq.
 	log []Mutation
 
-	// pomPending buffers this shard's not-yet-applied predicate-major
-	// index deltas, appended under mu like the indexes above and drained
-	// to the pom stripes in batches (see pom.go). pomDirty mirrors
-	// len(pomPending) > 0 so readers can skip clean shards without taking
-	// the lock.
-	pomPending []pomDelta
-	pomDirty   atomic.Bool
-
-	_ [16]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
+	_ [56]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
 }
 
 func (sh *graphShard) init() {
 	sh.spo = make(map[EntityID]map[PredicateID][]Triple)
-	sh.pos = make(map[PredicateID]map[ValueKey]int)
 	sh.osp = make(map[EntityID]ospPosting)
-	sh.tripleKeys = make(map[TripleKey]struct{})
+}
+
+// factIndex returns where the fact with object key k sits in a fact list
+// sorted by object key, or where it would be inserted.
+func factIndex(ts []Triple, k ValueKey) (int, bool) {
+	// Hand-rolled so each probe reads ts[h] in place: slices.BinarySearchFunc
+	// would pass the 136-byte Triple to its comparator by value.
+	i, j := 0, len(ts)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if ts[h].Object.MapKey().Compare(k) < 0 {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(ts) && ts[i].Object.MapKey() == k
 }
 
 // Graph is an in-memory triple store with entity/predicate dictionaries,
@@ -119,11 +114,10 @@ func (sh *graphShard) init() {
 // subject (Facts, Outgoing, HasFact) touch exactly one shard. Reads
 // bound to a predicate (SubjectsWith, PredicateFrequency) touch exactly
 // one pom stripe. Reads that span subjects either visit shards one at a
-// time (Incoming, SubjectsWithSweep, NumTriples — each shard internally
-// consistent, the union as fresh as the moment its shard was visited)
-// or, when they carry watermark
-// semantics (TriplesSnapshot, MutationsSince, Triples, AllTriples),
-// hold every shard's read lock at once for a single
+// time (Incoming, NumTriples — each shard internally consistent, the
+// union as fresh as the moment its shard was visited) or, when they carry
+// watermark semantics (TriplesSnapshot, MutationsSince, Triples,
+// AllTriples), hold every shard's read lock at once for a single
 // consistent cut. Shard locks are always acquired in index order and
 // writers hold at most one shard lock, so the two patterns cannot
 // deadlock.
@@ -132,53 +126,40 @@ func (sh *graphShard) init() {
 // own lock; assert validation reads only atomically published dictionary
 // lengths, keeping dictionary readers off the write hot path.
 //
-// # Index layout and key encoding
+// # Index layout and canonical order
 //
-//	spo: subject -> predicate -> []Triple          (fact lookup, outgoing)
-//	pos: predicate -> ValueKey -> count            (shard-local reverse
-//	     fact counts; SubjectsWithSweep uses them to skip shards and
-//	     bound its spo scans)
+//	spo: subject -> predicate -> []Triple          (fact lookup, outgoing,
+//	     and SPO identity: each list is sorted by object ValueKey, so
+//	     membership and removal are a binary search)
 //	osp: object-entity -> ospPosting               (incoming entity edges;
 //	     tombstoned + position-mapped once hot, so retracts stay O(1))
-//	tripleKeys: set of TripleKey                   (SPO identity, dedup)
+//	pom: predicate -> ValueKey -> []EntityID       (the predicate-major
+//	     index, see pom.go: each posting sorted by subject ID, merged
+//	     across shards, partitioned into per-predicate lock stripes, with
+//	     per-predicate triple and entity-triple totals)
 //
-// Alongside the subject-sharded indexes lives the predicate-major
-// secondary index (pom, see pom.go): predicate -> ValueKey -> the
-// subjects asserting that (pred, obj) fact, merged across shards and
-// partitioned into fixed per-predicate lock stripes, with per-predicate
-// triple and entity-triple totals. Cross-subject probes (SubjectsWith,
-// SubjectsWithCount, PredicateFrequency, PredicateEntriesFunc,
-// ComputeStats) read one stripe instead of sweeping every shard.
-//
-// The per-shard pos postings that PR 3 kept alongside pom were shrunk to
-// bare (pred, objKey) counts: the subject lists existed twice (once per
-// shard, once merged in pom), which roughly doubled reverse-index memory
-// for zero read benefit — every serving path reads pom. What the counts
-// still buy is a pom-independent reference read (SubjectsWithSweep
-// recovers the subjects from spo, using the counts to skip shards and
-// stop early) and O(1) shard-local reverse maintenance on Retract.
+// Every enumeration the query stack builds on — a fact list, a posting —
+// is ordered by a key of the facts themselves, never by arrival: two
+// graphs holding the same facts enumerate them identically whatever
+// their shard counts, writer interleavings or retract/re-assert
+// histories, and so does a graph recovered from a checkpoint. (osp is
+// off that surface and keeps arrival order.) Cross-subject probes
+// (SubjectsWith, SubjectsWithCount, PredicateFrequency,
+// PredicateEntriesFunc, ComputeStats) read one pom stripe instead of
+// sweeping every shard.
 //
 // # Write path and lock order
 //
-// Writers follow a strict shard lock -> delta buffer -> stripe flush
-// order. A mutation takes its subject shard's write lock, applies the
-// shard-local indexes synchronously, and appends a pom delta record to
-// the shard's buffer instead of touching the pom stripe inline; when the
-// buffer reaches the flush threshold the writer drains it to the stripes
-// (stripe locks strictly leaf-level, taken only while a shard write lock
-// is held, one acquisition per run of same-stripe records). Bulk
-// same-predicate ingestion therefore touches the hot predicate's stripe
-// once per buffer instead of once per triple, which is what lets
-// parallel writers on disjoint shards scale instead of serializing on
-// one stripe.
-//
-// Deferred maintenance is invisible to readers: every pom-reading
-// accessor first drains all dirty shard buffers (flush-on-read, a single
-// atomic check when the graph is clean), and the all-shard read lock
-// (rlockAll) re-drains until it observes a fully-applied state, so a
-// consistent cut still freezes the pom index at the watermark exactly
-// like the sharded indexes. SyncIndexes exposes the drain to batch
-// producers that want maintenance paid inside the write phase.
+// A mutation takes its subject shard's write lock, finds the fact's slot
+// in the sorted (subj, pred) list by binary search (which is also the
+// duplicate check), splices the list, and then maintains the pom posting
+// inline under the predicate's stripe lock — shard lock, then stripe
+// lock, the stripe strictly leaf-level. Because every stripe write
+// happens under a shard write lock, the all-shard read lock (rlockAll)
+// freezes the pom index at the watermark exactly like the sharded
+// indexes. Entity IDs are dense and grow monotonically and AssertBatch
+// applies in ascending subject order, so world generation, ImportGraph
+// and checkpoint recovery insert at the tail of every list they grow.
 //
 // Fact identity is the comparable TripleKey struct (subject ID, predicate
 // ID, object ValueKey); see ValueKey for the per-kind payload encoding.
@@ -267,13 +248,7 @@ type Graph struct {
 	shards    []graphShard
 
 	// pom is the predicate-major secondary index (see pom.go).
-	// pomFlushAt is the per-shard delta-buffer length that triggers a
-	// flush; pomDirtyShards counts shards with non-empty buffers (only
-	// ever changed under that shard's write lock, so it is frozen while
-	// every shard's read lock is held).
-	pom            [pomStripeCount]pomStripe
-	pomFlushAt     int
-	pomDirtyShards atomic.Int64
+	pom [pomStripeCount]pomStripe
 }
 
 // defaultShardCount returns GOMAXPROCS rounded up to a power of two,
@@ -314,14 +289,6 @@ type GraphOptions struct {
 	// Shards is the write shard count, rounded up to a power of two and
 	// clamped to [1, 256]; 0 selects GOMAXPROCS rounded up.
 	Shards int
-	// PomFlushThreshold is the per-shard predicate-major delta-buffer
-	// length that triggers a flush to the pom stripes (see pom.go);
-	// 0 selects the default (256). 1 applies every record under its
-	// stripe lock inside the writer's critical section — the
-	// pre-buffering write path, kept as the ingestion benchmark baseline
-	// and as a tuning escape hatch for read-dominated deployments that
-	// would rather never pay a flush on a read.
-	PomFlushThreshold int
 }
 
 // NewGraphWithOptions returns an empty graph configured by opts.
@@ -337,10 +304,6 @@ func NewGraphWithOptions(opts GraphOptions) *Graph {
 	if s > 256 {
 		s = 256
 	}
-	flushAt := opts.PomFlushThreshold
-	if flushAt <= 0 {
-		flushAt = pomFlushThresholdDefault
-	}
 	g := &Graph{
 		ontology:   NewOntology(),
 		entities:   []*Entity{nil},
@@ -349,7 +312,6 @@ func NewGraphWithOptions(opts GraphOptions) *Graph {
 		predByName: make(map[string]PredicateID),
 		shardMask:  uint32(s - 1),
 		shards:     make([]graphShard, s),
-		pomFlushAt: flushAt,
 	}
 	g.entLen.Store(1)
 	g.predLen.Store(1)
@@ -369,52 +331,19 @@ func (g *Graph) shardIndex(subj EntityID) uint32 { return uint32(subj) & g.shard
 
 func (g *Graph) shard(subj EntityID) *graphShard { return &g.shards[g.shardIndex(subj)] }
 
-// rlockAll acquires every shard's lock in index order, freezing the
-// watermark and the whole triple state for a consistent cut. Buffered pom
-// deltas are drained first so the cut freezes the predicate-major index
-// at the watermark too; a writer can slip a new delta in between the
-// drain and the last lock acquisition, so the drain re-runs until a
-// fully-applied state is observed under the locks (pomDirtyShards only
-// changes under a shard write lock, so it is stable while every read
-// lock is held; writers queued behind our partially acquired read locks
-// usually make the second attempt succeed). The optimistic attempts are
-// bounded: under sustained writer pressure the final attempt takes every
-// shard's WRITE lock and drains under them — strictly stronger (writers
-// and readers excluded for the cut's duration) and guaranteed to
-// terminate, never a livelock. The returned mode must be passed to
-// runlockAll. A side effect of the drained guarantee: code running under
-// the all-shard cut can safely read the pom accessors, because their
-// flush-on-read check is necessarily clean.
-func (g *Graph) rlockAll() (writeMode bool) {
-	const optimisticAttempts = 4
-	for attempt := 0; attempt < optimisticAttempts; attempt++ {
-		if g.pomDirtyShards.Load() != 0 {
-			g.pomFlushDirtyShards()
-		}
-		for i := range g.shards {
-			g.shards[i].mu.RLock()
-		}
-		if g.pomDirtyShards.Load() == 0 {
-			return false
-		}
-		g.runlockAll(false)
-	}
+// rlockAll acquires every shard's read lock in index order, freezing the
+// watermark and the whole triple state — the pom index included, since
+// every stripe write happens under a shard write lock — for a consistent
+// cut.
+func (g *Graph) rlockAll() {
 	for i := range g.shards {
-		g.shards[i].mu.Lock()
+		g.shards[i].mu.RLock()
 	}
-	for i := range g.shards {
-		g.pomFlushShardLocked(&g.shards[i])
-	}
-	return true
 }
 
-func (g *Graph) runlockAll(writeMode bool) {
+func (g *Graph) runlockAll() {
 	for i := range g.shards {
-		if writeMode {
-			g.shards[i].mu.Unlock()
-		} else {
-			g.shards[i].mu.RUnlock()
-		}
+		g.shards[i].mu.RUnlock()
 	}
 }
 
@@ -645,58 +574,55 @@ func (g *Graph) AssertNew(t Triple) (bool, error) {
 // assertShardLocked applies one pre-validated triple under sh's write
 // lock, returning whether it was newly added.
 func (g *Graph) assertShardLocked(sh *graphShard, t Triple, key TripleKey) bool {
-	if _, dup := sh.tripleKeys[key]; dup {
+	bySubj := sh.spo[t.Subject]
+	i, dup := factIndex(bySubj[t.Predicate], key.Object)
+	if dup {
 		return false
 	}
-	sh.tripleKeys[key] = struct{}{}
-
-	bySubj := sh.spo[t.Subject]
 	if bySubj == nil {
 		bySubj = make(map[PredicateID][]Triple)
 		sh.spo[t.Subject] = bySubj
 	}
-	bySubj[t.Predicate] = append(bySubj[t.Predicate], t)
-
-	byPred := sh.pos[t.Predicate]
-	if byPred == nil {
-		byPred = make(map[ValueKey]int)
-		sh.pos[t.Predicate] = byPred
-	}
-	byPred[key.Object]++
-
-	if t.Object.IsEntity() {
-		sh.osp[t.Object.Entity] = sh.osp[t.Object.Entity].add(t, key)
-	}
-	g.pomBufferLocked(sh, t.Predicate, t.Subject, key.Object, true)
-
-	sh.log = append(sh.log, Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
+	bySubj[t.Predicate] = slices.Insert(bySubj[t.Predicate], i, t)
+	g.indexNewFactLocked(sh, t, key)
 	return true
 }
 
-// AssertAll adds a batch of triples, taking each touched shard's lock
-// exactly once. Unlike looped Assert calls, the whole batch is validated
-// up front: if any triple is invalid, an error is returned and nothing is
-// applied.
+// indexNewFactLocked finishes an assert whose triple was just spliced
+// into its spo fact list: the osp and pom postings, the shard's fact
+// count and the mutation log. The caller holds sh's write lock.
+func (g *Graph) indexNewFactLocked(sh *graphShard, t Triple, key TripleKey) {
+	sh.triples++
+	if t.Object.IsEntity() {
+		sh.osp[t.Object.Entity] = sh.osp[t.Object.Entity].add(t, key)
+	}
+	g.pomAdd(t.Predicate, key.Object, t.Subject)
+	sh.log = append(sh.log, Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
+}
+
+// AssertAll adds a batch of triples. Unlike looped Assert calls, the whole
+// batch is validated up front: if any triple is invalid, an error is
+// returned and nothing is applied.
 func (g *Graph) AssertAll(ts []Triple) error {
 	_, err := g.AssertBatch(ts)
 	return err
 }
 
 // AssertBatch is the batch ingestion fast path: it validates every triple
-// up front (applying nothing on error), groups the batch by shard, sorts
-// each group by (subject, predicate, object identity), and applies it
-// under a single shard lock acquisition with index slices grown once per
+// up front (applying nothing on error), orders the batch by (subject,
+// predicate, object identity), and applies it one subject at a time —
+// one shard lock acquisition per subject, index slices grown once per
 // (subject, predicate) run. It returns the number of facts newly added —
 // triples whose SPO identity already existed in the graph, or that repeat
 // an identity earlier in the batch (first occurrence in input order
 // wins), are skipped.
 //
-// Input already sorted by SPO identity (the order AllTriples emits, i.e.
-// what a disk restore or a sorted bulk load feeds back) is detected in
-// O(n) and takes a merge-append path: a stable counting bucket by shard
-// replaces the O(n log n) comparison sort, because a subject maps to
-// exactly one shard, so a globally identity-sorted batch is already
-// identity-sorted within every shard bucket.
+// Applying in ascending subject order is what keeps a bulk load cheap on
+// the sorted indexes: fresh subjects reach every posting in ID order, so
+// each insert lands at the tail instead of splicing mid-list. Input
+// already sorted by SPO identity (the order AllTriples emits, i.e. what a
+// disk restore or a sorted bulk load feeds back) is detected in O(n) and
+// skips the O(n log n) comparison sort.
 func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 	if len(ts) == 0 {
 		return 0, nil
@@ -719,77 +645,48 @@ func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 			break
 		}
 	}
-	if sorted {
-		// Merge-append: stable-bucket the already-ordered input by shard.
-		// Within each bucket the input order is preserved, which is both
-		// the identity order (the input is globally sorted and a subject
-		// never spans shards) and the first-occurrence-wins tie-break for
-		// in-batch duplicates (equal keys are adjacent in a sorted input).
-		starts := make([]int32, len(g.shards)+1)
-		for i := range keys {
-			starts[g.shardIndex(keys[i].Subject)+1]++
-		}
-		for s := 0; s < len(g.shards); s++ {
-			starts[s+1] += starts[s]
-		}
-		cur := append([]int32(nil), starts[:len(g.shards)]...)
-		for i := range keys {
-			s := g.shardIndex(keys[i].Subject)
-			order[cur[s]] = int32(i)
-			cur[s]++
-		}
-		for s := 0; s < len(g.shards); s++ {
-			if starts[s] == starts[s+1] {
-				continue
+	if !sorted {
+		// Key ordering makes duplicates adjacent and (subject, predicate)
+		// runs contiguous; the input-index tie-break keeps "first assertion
+		// wins" provenance semantics for in-batch duplicates (which a sorted
+		// input has by construction: equal keys are adjacent, in input order).
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := keys[a].Compare(keys[b]); c != 0 {
+				return c
 			}
-			added += g.assertShardBatch(&g.shards[s], ts, keys, order[starts[s]:starts[s+1]])
-		}
-		return added, nil
+			return cmp.Compare(a, b)
+		})
 	}
-	// Sort by (shard, identity key, input index): shard grouping gives one
-	// lock acquisition per shard, key ordering makes duplicates adjacent
-	// and (subject, predicate) runs contiguous, and the input-index
-	// tie-break keeps "first assertion wins" provenance semantics for
-	// in-batch duplicates.
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := keys[order[a]], keys[order[b]]
-		sa, sb := g.shardIndex(ka.Subject), g.shardIndex(kb.Subject)
-		if sa != sb {
-			return sa < sb
-		}
-		if c := ka.Compare(kb); c != 0 {
-			return c < 0
-		}
-		return order[a] < order[b]
-	})
 	for lo := 0; lo < len(order); {
-		shIdx := g.shardIndex(keys[order[lo]].Subject)
+		subj := keys[order[lo]].Subject
 		hi := lo + 1
-		for hi < len(order) && g.shardIndex(keys[order[hi]].Subject) == shIdx {
+		for hi < len(order) && keys[order[hi]].Subject == subj {
 			hi++
 		}
-		added += g.assertShardBatch(&g.shards[shIdx], ts, keys, order[lo:hi])
+		added += g.assertSubjectBatch(g.shard(subj), ts, keys, order[lo:hi])
 		lo = hi
 	}
 	return added, nil
 }
 
-// assertShardBatch applies one shard's slice of a sorted batch under a
-// single lock acquisition.
-func (g *Graph) assertShardBatch(sh *graphShard, ts []Triple, keys []TripleKey, order []int32) int {
+// assertSubjectBatch applies one subject's slice of a sorted batch under
+// a single acquisition of its shard's lock.
+func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey, order []int32) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	// Filter duplicates first — in-batch (adjacent after sorting) and
-	// against the existing identity set — so the grow sizes below are
-	// exact. Compaction reuses order's backing array.
+	// against the stored fact lists — so the grow sizes below are exact.
+	// Compaction reuses order's backing array.
+	subj := keys[order[0]].Subject
+	bySubj := sh.spo[subj]
 	kept := order[:0]
 	for i, oi := range order {
 		k := keys[oi]
 		if i > 0 && k == keys[order[i-1]] {
 			continue
 		}
-		if _, dup := sh.tripleKeys[k]; dup {
+		if _, dup := factIndex(bySubj[k.Predicate], k.Object); dup {
 			continue
 		}
 		kept = append(kept, oi)
@@ -797,37 +694,26 @@ func (g *Graph) assertShardBatch(sh *graphShard, ts []Triple, keys []TripleKey, 
 	if len(kept) == 0 {
 		return 0
 	}
+	if bySubj == nil {
+		bySubj = make(map[PredicateID][]Triple)
+		sh.spo[subj] = bySubj
+	}
 	sh.log = slices.Grow(sh.log, len(kept))
 	for i := 0; i < len(kept); {
-		t0 := ts[kept[i]]
+		pred := keys[kept[i]].Predicate
 		j := i + 1
-		for j < len(kept) && ts[kept[j]].Subject == t0.Subject && ts[kept[j]].Predicate == t0.Predicate {
+		for j < len(kept) && keys[kept[j]].Predicate == pred {
 			j++
 		}
-		run := kept[i:j]
-		bySubj := sh.spo[t0.Subject]
-		if bySubj == nil {
-			bySubj = make(map[PredicateID][]Triple)
-			sh.spo[t0.Subject] = bySubj
+		// The run is sorted by object key like the list it merges into; a
+		// load into an empty list (restore, bulk import) inserts at the tail.
+		lst := slices.Grow(bySubj[pred], j-i)
+		for _, oi := range kept[i:j] {
+			at, _ := factIndex(lst, keys[oi].Object)
+			lst = slices.Insert(lst, at, ts[oi])
+			g.indexNewFactLocked(sh, ts[oi], keys[oi])
 		}
-		lst := slices.Grow(bySubj[t0.Predicate], len(run))
-		for _, oi := range run {
-			t, k := ts[oi], keys[oi]
-			sh.tripleKeys[k] = struct{}{}
-			lst = append(lst, t)
-			byPred := sh.pos[t.Predicate]
-			if byPred == nil {
-				byPred = make(map[ValueKey]int)
-				sh.pos[t.Predicate] = byPred
-			}
-			byPred[k.Object]++
-			if t.Object.IsEntity() {
-				sh.osp[t.Object.Entity] = sh.osp[t.Object.Entity].add(t, k)
-			}
-			g.pomBufferLocked(sh, t.Predicate, t.Subject, k.Object, true)
-			sh.log = append(sh.log, Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
-		}
-		bySubj[t0.Predicate] = lst
+		bySubj[pred] = lst
 		i = j
 	}
 	return len(kept)
@@ -840,30 +726,21 @@ func (g *Graph) Retract(t Triple) bool {
 	sh := g.shard(t.Subject)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.tripleKeys[key]; !ok {
+	bySubj := sh.spo[t.Subject]
+	lst := bySubj[t.Predicate]
+	i, ok := factIndex(lst, key.Object)
+	if !ok {
 		return false
 	}
-	delete(sh.tripleKeys, key)
-
-	if bySubj := sh.spo[t.Subject]; bySubj != nil {
-		bySubj[t.Predicate] = removeTriple(bySubj[t.Predicate], key)
-		if len(bySubj[t.Predicate]) == 0 {
-			delete(bySubj, t.Predicate)
-		}
+	if len(lst) > 1 {
+		bySubj[t.Predicate] = slices.Delete(lst, i, i+1)
+	} else {
+		delete(bySubj, t.Predicate)
 		if len(bySubj) == 0 {
 			delete(sh.spo, t.Subject)
 		}
 	}
-	if byPred := sh.pos[t.Predicate]; byPred != nil {
-		if n := byPred[key.Object]; n <= 1 {
-			delete(byPred, key.Object)
-		} else {
-			byPred[key.Object] = n - 1
-		}
-		if len(byPred) == 0 {
-			delete(sh.pos, t.Predicate)
-		}
-	}
+	sh.triples--
 	if t.Object.IsEntity() {
 		if p, ok := sh.osp[t.Object.Entity]; ok {
 			p = p.remove(key)
@@ -874,18 +751,15 @@ func (g *Graph) Retract(t Triple) bool {
 			}
 		}
 	}
-	g.pomBufferLocked(sh, t.Predicate, t.Subject, key.Object, false)
-	sh.factSplices++
+	g.pomRemove(t.Predicate, key.Object, t.Subject)
 
 	sh.log = append(sh.log, Mutation{Seq: g.seq.Add(1), Op: OpRetract, T: t})
 	return true
 }
 
 // removeTriple deletes the triple with the given SPO identity from ts.
-// Matching goes through IdentityKey — the same identity the dedup set
-// uses — not Value.Equal: the two disagree on NaN-valued floats (equal
-// bits, unequal under ==), and an index removal that misses while the
-// identity set forgets the key would leave a phantom triple in spo.
+// Matching goes through IdentityKey, not Value.Equal: the two disagree on
+// NaN-valued floats (equal bits, unequal under ==).
 func removeTriple(ts []Triple, key TripleKey) []Triple {
 	for i := range ts {
 		if ts[i].IdentityKey() == key {
@@ -895,26 +769,24 @@ func removeTriple(ts []Triple, key TripleKey) []Triple {
 	return ts
 }
 
-func removeEntity(es []EntityID, e EntityID) []EntityID {
-	for i := range es {
-		if es[i] == e {
-			return append(es[:i], es[i+1:]...)
-		}
-	}
-	return es
-}
+// ospIdxThreshold is the osp posting length at which removal switches
+// from linear splice to the position-map + tombstone scheme. Below it a
+// splice touches at most a cache line or two; above it the one-time map
+// build is amortized over the asserts that grew the list.
+const ospIdxThreshold = 64
 
 // ospPosting is one object entity's incoming-edge posting within a shard.
 // Short postings splice on removal like any small slice. The first
-// removal from a posting that has grown past postingIdxThreshold builds a
+// removal from a posting that has grown past ospIdxThreshold builds a
 // position map (identity -> slot) and switches the posting to tombstoning:
 // removals zero the slot in O(1) and the posting compacts in place once
 // half its slots are dead, so retract cost is amortized O(1) regardless
 // of how many edges point at the hub. Write-once bulk loads never pay for
 // the map — it exists only after a hot posting's first retract. The zero
 // Triple (Subject == NoEntity, an ID never assigned) is the tombstone;
-// readers skip it. This is the deliberate monomorphic twin of pom.go's
-// posting type (see the note there): invariant changes must be mirrored.
+// readers skip it. Entries keep arrival order: the incoming-edge posting
+// is off the conjunctive read surface, and a sorted splice of 136-byte
+// Triples would move 34x the bytes a subject posting's does.
 type ospPosting struct {
 	triples []Triple
 	dead    int
@@ -933,7 +805,7 @@ func (p ospPosting) add(t Triple, key TripleKey) ospPosting {
 
 func (p ospPosting) remove(key TripleKey) ospPosting {
 	if p.idx == nil {
-		if len(p.triples) < postingIdxThreshold {
+		if len(p.triples) < ospIdxThreshold {
 			p.triples = removeTriple(p.triples, key)
 			return p
 		}
@@ -974,7 +846,8 @@ func (p ospPosting) compact() ospPosting {
 	return p
 }
 
-// Facts returns all triples with the given subject and predicate.
+// Facts returns all triples with the given subject and predicate, in
+// object-key order.
 func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 	sh := g.shard(subj)
 	sh.mu.RLock()
@@ -989,11 +862,11 @@ func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 	return out
 }
 
-// FactsFunc streams the (subj, pred) triples to fn under the subject
-// shard's read lock, stopping early if fn returns false. It is the
-// copy-free counterpart of Facts for callers that filter or aggregate and
-// would discard the slice. fn must not mutate the graph or retain the
-// Triple's interior slices.
+// FactsFunc streams the (subj, pred) triples to fn in object-key order
+// under the subject shard's read lock, stopping early if fn returns
+// false. It is the copy-free counterpart of Facts for callers that filter
+// or aggregate and would discard the slice. fn must not mutate the graph
+// or retain the Triple's interior slices.
 func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
@@ -1009,66 +882,45 @@ func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool)
 	}
 }
 
-// FactsChunked streams the (subj, pred) triples to fn in chunks of at
-// most chunkSize — the fact-list counterpart of the pom index's
-// SubjectsWithChunked. Each chunk is copied out under one shard read-lock
-// acquisition and fn runs with no locks held, so fn may read (or mutate)
-// the graph and the lock hold time is bounded by chunkSize regardless of
-// the fact list's length. fn returning false stops the enumeration.
+// FactsChunked streams the (subj, pred) triples to fn in object-key
+// order, in chunks of at most chunkSize — the fact-list counterpart of
+// the pom index's SubjectsWithChunked. Each chunk is copied out under one
+// shard read-lock acquisition and fn runs with no locks held, so fn may
+// read (or mutate) the graph and the lock hold time is bounded by
+// chunkSize regardless of the fact list's length. fn returning false
+// stops the enumeration; the chunk slice is reused across calls.
 //
-// Resumption between chunks is offset-based and guarded by the shard's
-// splice counter: assertion only appends to fact lists, so a saved offset
-// survives concurrent asserts, but any retract in the shard splices a
-// list and the reader restarts from the beginning, delivering the next
-// chunk with restarted=true. A restart can re-deliver triples already
-// seen; callers needing exactly-once must dedup (the conjunctive
-// executor's streaming dedup absorbs this). The guarantee is one-sided,
-// matching SubjectsWithChunked: every triple present for the entire
-// enumeration is delivered at least once.
-func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn func(chunk []Triple, restarted bool) bool) {
+// Each chunk resumes at the first fact whose object key is greater than
+// the last one delivered, so concurrent splices cannot shift the read:
+// every fact present for the whole enumeration is delivered exactly once,
+// and none is delivered twice.
+func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn func(chunk []Triple) bool) {
 	if chunkSize <= 0 {
 		chunkSize = 1024
 	}
 	sh := g.shard(subj)
 	var (
-		buf       []Triple
-		off       int
-		ver       uint64
-		first     = true
-		restarted bool
+		buf   []Triple
+		after ValueKey // the zero key sorts before every fact's
 	)
 	for {
 		sh.mu.RLock()
-		var ts []Triple
-		if bySubj := sh.spo[subj]; bySubj != nil {
-			ts = bySubj[pred]
+		ts := sh.spo[subj][pred]
+		i, found := factIndex(ts, after)
+		if found {
+			i++
 		}
-		if first {
-			ver = sh.factSplices
-			first = false
-			if n := min(len(ts), chunkSize); n > 0 {
-				buf = make([]Triple, 0, n)
-			}
-		} else if sh.factSplices != ver {
-			ver = sh.factSplices
-			off = 0
-			restarted = true
+		end := min(i+chunkSize, len(ts))
+		if buf == nil {
+			buf = make([]Triple, 0, end-i)
 		}
-		end := min(off+chunkSize, len(ts))
-		buf = append(buf[:0], ts[off:end]...)
-		done := end >= len(ts)
+		buf = append(buf[:0], ts[i:end]...)
+		done := end == len(ts)
 		sh.mu.RUnlock()
-
-		if len(buf) > 0 {
-			if !fn(buf, restarted) {
-				return
-			}
-			restarted = false
-		}
-		if done {
+		if len(buf) == 0 || !fn(buf) || done {
 			return
 		}
-		off = end
+		after = buf[len(buf)-1].Object.MapKey()
 	}
 }
 
@@ -1168,7 +1020,7 @@ func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := sh.tripleKeys[TripleKey{Subject: subj, Predicate: pred, Object: obj.MapKey()}]
+	_, ok := factIndex(sh.spo[subj][pred], obj.MapKey())
 	return ok
 }
 
@@ -1188,7 +1040,7 @@ func (g *Graph) NumTriples() int {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
-		n += len(sh.tripleKeys)
+		n += sh.triples
 		sh.mu.RUnlock()
 	}
 	return n
@@ -1199,8 +1051,8 @@ func (g *Graph) NumTriples() int {
 // the duration, so the iteration is one consistent cut; fn must not
 // mutate the graph.
 func (g *Graph) Triples(fn func(Triple) bool) {
-	wm := g.rlockAll()
-	defer g.runlockAll(wm)
+	g.rlockAll()
+	defer g.runlockAll()
 	g.triplesLocked(fn)
 }
 
@@ -1225,26 +1077,25 @@ func (g *Graph) triplesLocked(fn func(Triple) bool) {
 // pair: the visited triples are exactly the state after the first `seq`
 // mutations.
 func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
-	wm := g.rlockAll()
-	defer g.runlockAll(wm)
+	g.rlockAll()
+	defer g.runlockAll()
 	g.triplesLocked(fn)
 	return g.seq.Load()
 }
 
-// AllTriples materializes every asserted triple in a deterministic order
-// (by subject, then predicate, then object identity key). Object keys are
-// precomputed once per triple instead of being rebuilt O(n log n) times
-// inside the sort comparator.
+// AllTriples materializes every asserted triple in identity order (by
+// subject, then predicate, then object identity key — the fact lists'
+// own order).
 func (g *Graph) AllTriples() []Triple {
-	wm := g.rlockAll()
-	defer g.runlockAll(wm)
+	g.rlockAll()
+	defer g.runlockAll()
 	return g.allTriplesLocked()
 }
 
 func (g *Graph) allTriplesLocked() []Triple {
 	total := 0
 	for i := range g.shards {
-		total += len(g.shards[i].tripleKeys)
+		total += g.shards[i].triples
 	}
 	out := make([]Triple, 0, total)
 	var subjects []EntityID
@@ -1253,28 +1104,16 @@ func (g *Graph) allTriplesLocked() []Triple {
 			subjects = append(subjects, s)
 		}
 	}
-	sort.Slice(subjects, func(i, j int) bool { return subjects[i] < subjects[j] })
-	type keyed struct {
-		t Triple
-		k ValueKey
-	}
-	var scratch []keyed
+	slices.Sort(subjects)
 	for _, s := range subjects {
 		bySubj := g.shard(s).spo[s]
 		preds := make([]PredicateID, 0, len(bySubj))
 		for p := range bySubj {
 			preds = append(preds, p)
 		}
-		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+		slices.Sort(preds)
 		for _, p := range preds {
-			scratch = scratch[:0]
-			for _, t := range bySubj[p] {
-				scratch = append(scratch, keyed{t: t, k: t.Object.MapKey()})
-			}
-			sort.Slice(scratch, func(i, j int) bool { return scratch[i].k.Compare(scratch[j].k) < 0 })
-			for _, kt := range scratch {
-				out = append(out, kt.t)
-			}
+			out = append(out, bySubj[p]...) // already in object-key order
 		}
 	}
 	return out
@@ -1326,8 +1165,8 @@ func (g *Graph) mutationsSinceLocked(seq uint64) []Mutation {
 // numbers strictly greater than seq, in ascending sequence order, merged
 // across the per-shard sub-logs under one consistent all-shard cut.
 func (g *Graph) MutationsSince(seq uint64) []Mutation {
-	wm := g.rlockAll()
-	defer g.runlockAll(wm)
+	g.rlockAll()
+	defer g.runlockAll()
 	return g.mutationsSinceLocked(seq)
 }
 
@@ -1404,8 +1243,8 @@ func (g *Graph) TruncateLog(upTo uint64) int {
 // watermark W restores its triples through AssertBatch (which assigns
 // fresh low sequence numbers), after which AdvanceWatermark(W) makes the
 // graph's watermark agree with the durable LSN space again — subsequent
-// mutations draw W+1, W+2, ... exactly as if the process had never
-// restarted. Rewinding is not possible: seq below the current watermark
+// mutations draw W+1, W+2, ... exactly as if the process had kept
+// running. Rewinding is not possible: seq below the current watermark
 // is an error, and nothing is modified.
 func (g *Graph) AdvanceWatermark(seq uint64) error {
 	for i := range g.shards {
@@ -1441,7 +1280,7 @@ func (g *Graph) AdvanceWatermark(seq uint64) error {
 // the first seq mutations, in identity order — the order AssertBatch's
 // merge-append restore path detects in O(n).
 func (g *Graph) AllTriplesSnapshot() (ts []Triple, seq uint64) {
-	wm := g.rlockAll()
-	defer g.runlockAll(wm)
+	g.rlockAll()
+	defer g.runlockAll()
 	return g.allTriplesLocked(), g.seq.Load()
 }

@@ -14,17 +14,15 @@ import "iter"
 // and it must not call back into the triple indexes (Facts, Outgoing,
 // HasFact, SubjectsWith, ...): a read on a subject hashing to the same
 // shard re-enters the shard's RWMutex, which deadlocks when a writer is
-// queued between the two acquisitions — and the pom accessors
-// (SubjectsWith, PredicateFrequency, ...) may additionally take shard
-// *write* locks to drain buffered index deltas, which self-deadlocks
-// against any shard read lock the body already holds. Dictionary reads
-// (Entity, Predicate, Ontology) are safe — their lock is never held
-// together with a shard lock by any writer. Consumers that need to join
-// streamed elements against further index reads should buffer a batch
-// first (see graphengine's conjunctive solver) or use the slice
-// accessors.
+// queued between the two acquisitions (and likewise for a pom stripe).
+// Dictionary reads (Entity, Predicate, Ontology) are safe — their lock is
+// never held together with a shard lock by any writer. Consumers that
+// need to join
+// streamed elements against further index reads should use the chunked
+// reads (FactsChunked, SubjectsWithChunked — see graphengine's
+// conjunctive solver) or the slice accessors.
 
-// FactsSeq streams the (subj, pred) triples in assertion order. It is the
+// FactsSeq streams the (subj, pred) triples in object-key order. It is the
 // iterator twin of Facts/FactsFunc.
 func (g *Graph) FactsSeq(subj EntityID, pred PredicateID) iter.Seq[Triple] {
 	return func(yield func(Triple) bool) {
@@ -34,7 +32,7 @@ func (g *Graph) FactsSeq(subj EntityID, pred PredicateID) iter.Seq[Triple] {
 
 // OutgoingSeq streams every triple whose subject is subj. Iteration order
 // across predicates is unspecified (map order); within one predicate it
-// is assertion order. It is the iterator twin of Outgoing/OutgoingFunc.
+// is object-key order. It is the iterator twin of Outgoing/OutgoingFunc.
 func (g *Graph) OutgoingSeq(subj EntityID) iter.Seq[Triple] {
 	return func(yield func(Triple) bool) {
 		g.OutgoingFunc(subj, yield)
@@ -54,10 +52,9 @@ func (g *Graph) IncomingSeq(obj EntityID) iter.Seq[Triple] {
 // SubjectsWithSeq streams the posting list of subjects carrying
 // (pred, obj) facts under one pom-stripe read lock — posting-list
 // iteration with early stop, where SubjectsWith copies the whole list up
-// front. Order is the posting order: per-shard assertion order, with a
-// fixed but unspecified interleaving across shards (deterministic for a
-// fixed graph state, which is what cursor replays rely on). It is the
-// iterator twin of SubjectsWith/SubjectsWithFunc.
+// front. Order is ascending subject ID — a function of the facts, not of
+// how they arrived. It is the iterator twin of
+// SubjectsWith/SubjectsWithFunc.
 func (g *Graph) SubjectsWithSeq(pred PredicateID, obj Value) iter.Seq[EntityID] {
 	return func(yield func(EntityID) bool) {
 		g.SubjectsWithFunc(pred, obj, yield)
@@ -68,7 +65,7 @@ func (g *Graph) SubjectsWithSeq(pred PredicateID, obj Value) iter.Seq[EntityID] 
 // under pred from the predicate-major index. Object values are
 // reconstructed from their identity keys, so provenance is not carried
 // and iteration order across objects is unspecified; within one object's
-// posting list it is assertion order. It is the iterator twin of
+// posting list it is ascending subject ID. It is the iterator twin of
 // PredicateEntriesFunc.
 func (g *Graph) PredicateEntriesSeq(pred PredicateID) iter.Seq2[Value, EntityID] {
 	return func(yield func(Value, EntityID) bool) {

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -76,6 +77,9 @@ func TestSeqAccessorsMatchSliceAccessors(t *testing.T) {
 		if posted[i] != want[i] {
 			t.Fatalf("SubjectsWithSeq order diverges from SubjectsWith at %d: %v vs %v", i, posted, want)
 		}
+	}
+	if !slices.IsSorted(posted) {
+		t.Fatalf("SubjectsWithSeq = %v, want ascending subject IDs", posted)
 	}
 
 	entries := 0

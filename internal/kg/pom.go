@@ -1,8 +1,8 @@
 package kg
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // The predicate-major secondary index ("pom": predicate → object key →
@@ -14,160 +14,50 @@ import (
 // totals ride along, making PredicateFrequency and the planner's cost
 // estimates O(1) count lookups instead of shard sweeps or slice builds.
 //
-// # Deferred maintenance (delta buffers)
+// # The sorted-posting invariant
 //
-// Writers do not touch the stripes inline. Each mutation appends a
-// pomDelta record (pred, objKey, subj, ±1) to its subject shard's buffer
-// while holding the shard write lock, and the buffer drains to the
-// stripes — in record order, one stripe acquisition per run of
-// same-stripe records — when it reaches the graph's flush threshold.
-// Same-predicate parallel ingestion therefore takes the hot predicate's
-// stripe lock once per buffer instead of once per triple, which removes
-// the cross-shard stripe serialization that taxed parallel writers.
-//
-// Readers never observe the deferral: every pom accessor starts with
-// pomSync, which drains all dirty shards' buffers when the graph-level
-// dirty count is non-zero (one atomic load when clean — the read-heavy
-// fast path costs nothing). A mutation that returned before the read
-// began has its record in some buffer by then, so flush-on-read
-// preserves read-your-writes; records of concurrent in-flight mutations
-// may or may not be seen, exactly as before buffering.
+// A (pred, obj) posting is a []EntityID in ascending subject-ID order
+// with no duplicates (the graph dedups SPO identity, and a subject is
+// owned by one shard, so two writers never race on one slot). The order
+// is a function of the facts alone: whatever the shard count, the writer
+// interleaving, or the retract/re-assert history, two graphs holding the
+// same facts hold byte-identical postings — which is what lets a
+// checkpoint-recovered graph, an as-of overlay and the live graph stream
+// the same rows in the same order. Add and remove are a binary search
+// plus a splice; entity IDs are dense and grow monotonically, so bulk
+// loads of fresh subjects append at the tail.
 //
 // # Locking and watermark contract
 //
-// Stripe locks are strictly leaf-level: they are only ever taken while
-// holding either the flushing shard's write lock (writer-triggered and
-// reader-triggered drains both flush under the shard lock) or no shard
-// lock at all (plain stripe reads). Readers holding a stripe lock never
-// acquire a shard lock inside it. Because every stripe write happens
-// under some shard write lock, the all-shard read lock (rlockAll, which
-// additionally re-drains until it observes every buffer empty) freezes
-// the pom index — a consistent cut at watermark w observes pom postings
-// reflecting exactly the first w mutations. A plain pom read is
-// internally consistent for its predicate's stripe and as fresh as the
-// moment the stripe lock was taken.
+// Writers maintain the posting inline: the mutation takes its subject
+// shard's write lock, then the predicate's stripe lock (strictly
+// leaf-level — nothing is acquired inside it), applies, and releases.
+// Readers take the stripe read lock alone and never a shard lock inside
+// it. Because every stripe write happens under some shard write lock,
+// the all-shard read lock (rlockAll) freezes the pom index: a consistent
+// cut at watermark w observes postings reflecting exactly the first w
+// mutations. A plain pom read is internally consistent for its
+// predicate's stripe and as fresh as the moment the stripe lock was taken.
 //
-// # Posting lists and O(1) retract
+// # Key-resume chunked reads
 //
-// Postings are append-ordered subject lists. Removal from a short list
-// splices; the first removal from a list that has grown past
-// postingIdxThreshold builds a subject → slot position map and switches
-// the list to tombstoning (slot zeroed in O(1), compaction once half the
-// slots are dead), so retracting from a hot posting — millions of
-// subjects sharing one (type, Person) pair — costs amortized O(1)
-// instead of a linear rescan. Bulk write-once loads never build the map.
+// SubjectsWithChunked copies a posting out a chunk at a time and resumes
+// each chunk at the first subject greater than the last one delivered —
+// by key, never by offset — so concurrent splices cannot shift it: the
+// delivered subjects are strictly ascending, every subject present for
+// the whole enumeration is delivered exactly once, and none is delivered
+// twice. Graph.FactsChunked gives fact lists the same guarantee.
 
 // pomStripeCount is the number of predicate lock stripes. Predicates are
 // few (hundreds, not millions); 64 stripes keeps writer collisions on
 // distinct predicates rare while bounding the fixed per-graph footprint.
 const pomStripeCount = 64
 
-// pomFlushThresholdDefault is the per-shard delta-buffer length that
-// triggers a writer-side flush. Large enough to amortize a stripe
-// acquisition over many same-predicate records, small enough that a
-// reader-triggered drain of every shard stays cheap (shards × threshold
-// records worst case).
-const pomFlushThresholdDefault = 256
-
-// postingIdxThreshold is the posting length at which removal switches
-// from linear splice to the position-map + tombstone scheme. Below it a
-// splice touches at most a cache line or two; above it the one-time map
-// build is amortized over the asserts that grew the list.
-const postingIdxThreshold = 64
-
-// pomDelta is one buffered maintenance record: apply (add) or remove
-// subj from the (pred, obj) posting.
-type pomDelta struct {
-	pred PredicateID
-	subj EntityID
-	obj  ValueKey
-	add  bool
-}
-
-// posting is one (pred, obj) subject list. Same tombstone scheme as
-// ospPosting (see graph.go): idx is nil until the first removal from a
-// long list, NoEntity marks dead slots, live() is the true cardinality.
-// The two types are deliberately parallel monomorphic implementations —
-// a shared generic would put a non-inlinable key-function call on the
-// hot add path — so a change to either's invariants (threshold,
-// compaction trigger, idx-build condition) must be mirrored in the other.
-type posting struct {
-	subs []EntityID
-	dead int
-	idx  map[EntityID]int32
-	// ver is the posting's slot-stability epoch: it advances whenever an
-	// operation shifts surviving subjects to new slots (a short-list
-	// splice or a compaction), and only then. Appends extend the tail and
-	// tombstoning zeroes a slot in place, so neither moves a survivor —
-	// a chunked reader (SubjectsWithChunked) that resumes at a saved
-	// offset under an unchanged ver can never skip or re-read a subject
-	// that was present throughout; a ver change tells it to restart.
-	ver uint32
-}
-
-func (p posting) live() int { return len(p.subs) - p.dead }
-
-func (p posting) add(subj EntityID) posting {
-	if p.idx != nil {
-		p.idx[subj] = int32(len(p.subs))
-	}
-	p.subs = append(p.subs, subj)
-	return p
-}
-
-func (p posting) remove(subj EntityID) posting {
-	if p.idx == nil {
-		if len(p.subs) < postingIdxThreshold {
-			p.subs = removeEntity(p.subs, subj)
-			p.ver++
-			return p
-		}
-		p.idx = make(map[EntityID]int32, len(p.subs))
-		for i, s := range p.subs {
-			p.idx[s] = int32(i)
-		}
-	}
-	slot, ok := p.idx[subj]
-	if !ok {
-		return p
-	}
-	p.subs[slot] = NoEntity
-	delete(p.idx, subj)
-	p.dead++
-	if p.dead*2 >= len(p.subs) {
-		p = p.compact()
-	}
-	return p
-}
-
-// compact drops tombstones in place (preserving assertion order) and
-// re-points the surviving subjects' slots.
-func (p posting) compact() posting {
-	live := p.subs[:0]
-	for _, s := range p.subs {
-		if s != NoEntity {
-			live = append(live, s)
-		}
-	}
-	p.subs = live
-	p.dead = 0
-	p.ver++
-	for i, s := range p.subs {
-		p.idx[s] = int32(i)
-	}
-	return p
-}
-
 // predPostings holds one predicate's postings and counters.
 type predPostings struct {
-	// objs maps object identity -> the posting of subjects asserting
-	// (pred, obj). Subjects are unique within a posting (the graph dedups
-	// SPO identity) and appear in per-shard assertion order; across
-	// shards the interleaving is the order the shards' delta buffers
-	// drained, which is fixed for a fixed graph state but not the global
-	// mutation order (it never was observable as such: pre-buffering, the
-	// interleaving was the writers' stripe-acquisition order).
-	objs map[ValueKey]posting
+	// objs maps object identity -> the sorted posting of subjects
+	// asserting (pred, obj).
+	objs map[ValueKey][]EntityID
 	// total is the number of (pred, *) triples; entityTotal the subset
 	// whose object is an entity.
 	total       int
@@ -179,396 +69,156 @@ type predPostings struct {
 type pomStripe struct {
 	mu    sync.RWMutex
 	preds map[PredicateID]*predPostings
-	// applied counts flush runs into this stripe — the validation epoch
-	// for the count read-through (see SubjectsWithCount): a reader that
-	// observes the same epoch before its base read and after its buffer
-	// scan knows no buffered record moved into the stripe in between, so
-	// base + buffered cannot double- or under-count.
-	applied atomic.Uint64
 
-	_ [88]byte // pad to 128 bytes
+	_ [96]byte // pad to 128 bytes
 }
 
 func (g *Graph) pomStripe(pred PredicateID) *pomStripe {
 	return &g.pom[uint32(pred)&(pomStripeCount-1)]
 }
 
-// apply plays one delta record into the stripe. The caller holds the
-// stripe write lock.
-func (st *pomStripe) apply(d *pomDelta) {
-	pp := st.preds[d.pred]
-	if d.add {
-		if pp == nil {
-			pp = &predPostings{objs: make(map[ValueKey]posting)}
-			st.preds[d.pred] = pp
-		}
-		pp.objs[d.obj] = pp.objs[d.obj].add(d.subj)
-		pp.total++
-		if d.obj.Kind == KindEntity {
-			pp.entityTotal++
-		}
-		return
-	}
+// pomAdd inserts subj into the (pred, obj) posting. The caller holds
+// subj's shard write lock and has established the fact is new.
+func (g *Graph) pomAdd(pred PredicateID, obj ValueKey, subj EntityID) {
+	st := g.pomStripe(pred)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	pp := st.preds[pred]
 	if pp == nil {
-		return
+		pp = &predPostings{objs: make(map[ValueKey][]EntityID)}
+		st.preds[pred] = pp
 	}
-	if p, ok := pp.objs[d.obj]; ok {
-		p = p.remove(d.subj)
-		if p.live() == 0 {
-			delete(pp.objs, d.obj)
+	p := pp.objs[obj]
+	i, _ := slices.BinarySearch(p, subj)
+	pp.objs[obj] = slices.Insert(p, i, subj)
+	pp.total++
+	if obj.Kind == KindEntity {
+		pp.entityTotal++
+	}
+}
+
+// pomRemove deletes subj from the (pred, obj) posting. The caller holds
+// subj's shard write lock and has established the fact was present.
+func (g *Graph) pomRemove(pred PredicateID, obj ValueKey, subj EntityID) {
+	st := g.pomStripe(pred)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	pp := st.preds[pred]
+	p := pp.objs[obj]
+	if i, ok := slices.BinarySearch(p, subj); ok {
+		if len(p) == 1 {
+			delete(pp.objs, obj)
 		} else {
-			pp.objs[d.obj] = p
+			pp.objs[obj] = slices.Delete(p, i, i+1)
 		}
 	}
 	pp.total--
-	if d.obj.Kind == KindEntity {
+	if obj.Kind == KindEntity {
 		pp.entityTotal--
 	}
 	if pp.total == 0 {
-		delete(st.preds, d.pred)
+		delete(st.preds, pred)
 	}
 }
 
-// pomBufferLocked appends one maintenance record to the shard's delta
-// buffer, draining it when it reaches the graph's flush threshold. The
-// caller holds sh's write lock. Within one shard the buffer preserves
-// mutation order, and a (pred, obj, subj) triplet is owned by exactly one
-// shard (its subject's), so records affecting the same posting slot can
-// never be reordered across buffers.
-func (g *Graph) pomBufferLocked(sh *graphShard, pred PredicateID, subj EntityID, obj ValueKey, add bool) {
-	if len(sh.pomPending) == 0 {
-		sh.pomDirty.Store(true)
-		g.pomDirtyShards.Add(1)
+// posting returns the (pred, obj) posting. The caller holds the stripe
+// lock.
+func (st *pomStripe) posting(pred PredicateID, obj ValueKey) []EntityID {
+	if pp := st.preds[pred]; pp != nil {
+		return pp.objs[obj]
 	}
-	sh.pomPending = append(sh.pomPending, pomDelta{pred: pred, subj: subj, obj: obj, add: add})
-	if len(sh.pomPending) >= g.pomFlushAt {
-		g.pomFlushShardLocked(sh)
-	}
+	return nil
 }
 
-// pomFlushShardLocked applies and clears sh's buffered deltas, holding
-// each stripe lock across the maximal run of consecutive same-stripe
-// records (for bulk same-predicate ingestion that is one acquisition for
-// the whole buffer). The caller holds sh's write lock; stripe locks stay
-// strictly leaf-level.
-func (g *Graph) pomFlushShardLocked(sh *graphShard) {
-	if len(sh.pomPending) == 0 {
-		return
-	}
-	var st *pomStripe
-	for i := range sh.pomPending {
-		d := &sh.pomPending[i]
-		next := g.pomStripe(d.pred)
-		if next != st {
-			if st != nil {
-				st.applied.Add(1)
-				st.mu.Unlock()
-			}
-			st = next
-			st.mu.Lock()
-		}
-		st.apply(d)
-	}
-	if st != nil {
-		st.applied.Add(1)
-		st.mu.Unlock()
-	}
-	sh.pomPending = sh.pomPending[:0]
-	sh.pomDirty.Store(false)
-	g.pomDirtyShards.Add(-1)
-}
+// SyncIndexes is a no-op: the predicate-major index is maintained inline
+// with every mutation, so there is never deferred work to apply. It is
+// kept because the benchmark harness (bench/trace.go) still calls it.
+func (g *Graph) SyncIndexes() {}
 
-// pomSync makes the pom index current before a read: a single atomic
-// check when no shard has buffered deltas (the read-heavy fast path),
-// otherwise a drain of every dirty shard. Callers must hold no stripe or
-// shard lock (the drain takes shard write locks).
-func (g *Graph) pomSync() {
-	if g.pomDirtyShards.Load() == 0 {
-		return
-	}
-	g.pomFlushDirtyShards()
-}
-
-// pomFlushDirtyShards drains every shard whose delta buffer is non-empty,
-// one shard at a time.
-func (g *Graph) pomFlushDirtyShards() {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		if !sh.pomDirty.Load() {
-			continue
-		}
-		sh.mu.Lock()
-		g.pomFlushShardLocked(sh)
-		sh.mu.Unlock()
-	}
-}
-
-// SyncIndexes applies every buffered predicate-major index delta. Reads
-// never require it — pom accessors drain buffers themselves — but batch
-// producers (disk restore, ODKE write-back) can call it to pay the
-// maintenance inside the write phase, keeping the first post-ingest read
-// on its lock-free fast path.
-func (g *Graph) SyncIndexes() { g.pomSync() }
-
-// SubjectsWith returns the subjects that carry (pred, obj) facts, read
-// from the predicate-major index under a single stripe lock (one
-// consistent point for the whole predicate, where the shard-swept variant
-// could interleave with writers between shards). Order is unspecified.
+// SubjectsWith returns the subjects that carry (pred, obj) facts in
+// ascending ID order, read from the predicate-major index under a single
+// stripe lock (one consistent point for the whole predicate).
 func (g *Graph) SubjectsWith(pred PredicateID, obj Value) []EntityID {
-	g.pomSync()
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		return nil
-	}
-	p, ok := pp.objs[obj.MapKey()]
-	if !ok || p.live() == 0 {
-		return nil
-	}
-	out := make([]EntityID, 0, p.live())
-	for _, s := range p.subs {
-		if s != NoEntity {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.Clone(st.posting(pred, obj.MapKey()))
 }
 
 // SubjectsWithFunc streams the subjects carrying (pred, obj) facts to fn
-// under the stripe read lock, stopping early if fn returns false. It is
-// the copy-free counterpart of SubjectsWith; fn must not mutate the graph.
+// in ascending ID order under the stripe read lock, stopping early if fn
+// returns false. It is the copy-free counterpart of SubjectsWith; fn must
+// not mutate the graph.
 func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) bool) {
-	g.pomSync()
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		return
-	}
-	for _, s := range pp.objs[obj.MapKey()].subs {
-		if s == NoEntity {
-			continue
-		}
+	for _, s := range st.posting(pred, obj.MapKey()) {
 		if !fn(s) {
 			return
 		}
 	}
 }
 
-// SubjectsWithChunked streams the subjects carrying (pred, obj) facts to
-// fn in chunks of at most chunkSize, copying each chunk out under one
+// SubjectsWithChunked streams the subjects greater than after (NoEntity
+// for all of them) carrying (pred, obj) facts to fn in ascending ID
+// order, in chunks of at most chunkSize, copying each chunk out under one
 // stripe read-lock acquisition and invoking fn with no locks held — the
 // bounded-copy counterpart of SubjectsWith for huge postings, where a
 // limit=10 query should not pay a million-entry slab copy before its
-// first row. fn may read the graph freely and stops the enumeration by
-// returning false; the chunk slice is reused across calls and must not
-// be retained.
+// first row. fn may read or mutate the graph freely and stops the
+// enumeration by returning false; the chunk slice is reused across calls
+// and must not be retained.
 //
-// Because the posting can mutate between chunk reads, resumption is
-// guarded by the posting's slot-stability epoch: appends and in-place
-// tombstones leave saved offsets valid, but a splice or compaction
-// shifts slots, and the reader then restarts from the beginning and
-// delivers the next chunk with restarted=true — the caller must
-// tolerate re-delivered subjects (the conjunctive executor's streaming
-// dedup absorbs them). The guarantee is one-sided, matching a slab
-// copy's: every subject present for the whole enumeration is delivered
-// at least once, and no subject is delivered that was never present;
-// subjects asserted or retracted concurrently may or may not appear.
-func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, chunkSize int, fn func(chunk []EntityID, restarted bool) bool) {
+// Each chunk resumes at the first subject greater than the last one
+// delivered (see the package notes above): subjects present throughout
+// are delivered exactly once, none twice; subjects asserted or retracted
+// concurrently may or may not appear.
+func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID, chunkSize int, fn func(chunk []EntityID) bool) {
 	if chunkSize <= 0 {
 		chunkSize = 1024
 	}
-	g.pomSync()
 	st := g.pomStripe(pred)
 	key := obj.MapKey()
 	var buf []EntityID
-	var (
-		off       int
-		ver       uint32
-		first     = true
-		restarted bool
-	)
 	for {
 		st.mu.RLock()
-		pp := st.preds[pred]
-		var p posting
-		if pp != nil {
-			p = pp.objs[key]
+		p := st.posting(pred, key)
+		i, found := slices.BinarySearch(p, after)
+		if found {
+			i++
 		}
-		if first {
-			ver = p.ver
-			first = false
-			// Size the chunk buffer to the smaller of the chunk and the
-			// posting itself: a selective query over an 8-subject posting
-			// must not pay a chunkSize-capacity allocation.
-			if n := p.live(); n > 0 {
-				if n > chunkSize {
-					n = chunkSize
-				}
-				buf = make([]EntityID, 0, n)
-			}
-		} else if p.ver != ver {
-			// Slots shifted under us: restart, flagging the next chunk so
-			// the caller knows earlier subjects may be delivered again.
-			ver = p.ver
-			off = 0
-			restarted = true
+		end := min(i+chunkSize, len(p))
+		if buf == nil {
+			// Sized to the smaller of the chunk and the posting: a selective
+			// query over an 8-subject posting must not pay a chunkSize-
+			// capacity allocation.
+			buf = make([]EntityID, 0, end-i)
 		}
-		buf = buf[:0]
-		for off < len(p.subs) && len(buf) < chunkSize {
-			if s := p.subs[off]; s != NoEntity {
-				buf = append(buf, s)
-			}
-			off++
-		}
-		end := off >= len(p.subs)
+		buf = append(buf[:0], p[i:end]...)
+		done := end == len(p)
 		st.mu.RUnlock()
-		if len(buf) > 0 {
-			if !fn(buf, restarted) {
-				return
-			}
-			restarted = false
-		}
-		if end {
+		if len(buf) == 0 || !fn(buf) || done {
 			return
 		}
+		after = buf[len(buf)-1]
 	}
 }
 
 // SubjectsWithCount returns the number of subjects carrying (pred, obj)
 // facts without materializing the posting list. It is the planner's
 // bound-object selectivity probe: one stripe read lock, two map lookups,
-// zero allocations. Unlike the posting-list accessors it never drains
-// buffered deltas — while writers have buffered work it answers
-// read-through, merging the matching buffered records into the applied
-// base count (see pomCountReadThrough), so a planner probe during
-// sustained ingest does not pay the drain or serialize behind shard
-// write locks.
+// zero allocations.
 func (g *Graph) SubjectsWithCount(pred PredicateID, obj Value) int {
-	key := obj.MapKey()
-	if n, ok := g.pomCountReadThrough(pred, key, true); ok {
-		return n
-	}
-	g.pomSync()
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		return 0
-	}
-	return pp.objs[key].live()
-}
-
-// pomCountReadThrough answers a count probe for pred — restricted to
-// object key when byObj — while delta buffers are dirty, WITHOUT
-// draining them: the applied base count from the stripe plus the net of
-// matching records still sitting in dirty shards' buffers. Validation
-// is optimistic: the stripe's applied epoch must be identical before
-// the base read and after the buffer scan, proving no buffered record
-// migrated into the stripe in between (a migration would make base +
-// buffered double-count it, or — if it moved before the base read but
-// after a buffer was scanned empty — under-count). On epoch movement it
-// retries, and after a few failed rounds reports !ok so the caller
-// falls back to the drain-and-read path. Returns !ok immediately when
-// buffers are clean — the plain locked read is strictly cheaper then.
-//
-// Lock order stays legal: the stripe RLock and each shard RLock are
-// taken and released separately, never nested.
-func (g *Graph) pomCountReadThrough(pred PredicateID, key ValueKey, byObj bool) (int, bool) {
-	st := g.pomStripe(pred)
-	for attempt := 0; attempt < 4; attempt++ {
-		if g.pomDirtyShards.Load() == 0 {
-			return 0, false
-		}
-		seq := st.applied.Load()
-		base := 0
-		st.mu.RLock()
-		if pp := st.preds[pred]; pp != nil {
-			if byObj {
-				base = pp.objs[key].live()
-			} else {
-				base = pp.total
-			}
-		}
-		st.mu.RUnlock()
-		delta := 0
-		for i := range g.shards {
-			sh := &g.shards[i]
-			if !sh.pomDirty.Load() {
-				continue
-			}
-			sh.mu.RLock()
-			for j := range sh.pomPending {
-				d := &sh.pomPending[j]
-				if d.pred != pred || (byObj && d.obj != key) {
-					continue
-				}
-				if d.add {
-					delta++
-				} else {
-					delta--
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		if st.applied.Load() == seq {
-			return base + delta, true
-		}
-	}
-	return 0, false
-}
-
-// SubjectsWithSweep answers SubjectsWith from the subject-sharded indexes
-// alone, never touching the predicate-major index: per shard, the pos
-// count for (pred, obj) gates a bounded spo scan that recovers the
-// matching subjects (shards with a zero count are skipped; the scan stops
-// once the counted matches are found). Shards are visited one at a time
-// (each contribution internally consistent, writers may land between
-// visits). It is the index-free reference implementation the pom property
-// tests compare against and the E13 benchmark baseline; serving paths use
-// SubjectsWith. Since the pos shrink it costs a shard spo scan rather
-// than a posting read — the price of keeping one reverse index instead of
-// two.
-func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
-	key := obj.MapKey()
-	var out []EntityID
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		if want := sh.pos[pred][key]; want > 0 {
-			found := 0
-			for subj, bySubj := range sh.spo {
-				for _, t := range bySubj[pred] {
-					if t.Object.MapKey() == key {
-						out = append(out, subj)
-						found++
-						break
-					}
-				}
-				if found == want {
-					break
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+	return len(st.posting(pred, obj.MapKey()))
 }
 
 // PredicateFrequency returns the current number of triples using pred —
-// an O(1) counter read from the predicate-major index, not a shard
-// sweep. Like SubjectsWithCount it never drains buffered deltas: under
-// sustained ingest the buffered records for pred are merged into the
-// applied total read-through (see pomCountReadThrough).
+// an O(1) counter read from the predicate-major index, not a shard sweep.
 func (g *Graph) PredicateFrequency(pred PredicateID) int {
-	if n, ok := g.pomCountReadThrough(pred, ValueKey{}, false); ok {
-		return n
-	}
-	g.pomSync()
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -580,11 +230,11 @@ func (g *Graph) PredicateFrequency(pred PredicateID) int {
 
 // PredicateEntriesFunc streams every (object value, subject) pair indexed
 // under pred to fn, stopping early if fn returns false. Object values are
-// reconstructed from their identity keys, so provenance is not carried
-// and iteration order is unspecified. fn runs under the stripe read lock
+// reconstructed from their identity keys, so provenance is not carried.
+// Iteration order across objects is unspecified (map order); within one
+// object it is ascending subject ID. fn runs under the stripe read lock
 // and must not mutate the graph.
 func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj EntityID) bool) {
-	g.pomSync()
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -594,10 +244,7 @@ func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj E
 	}
 	for key, p := range pp.objs {
 		obj := key.Value()
-		for _, s := range p.subs {
-			if s == NoEntity {
-				continue
-			}
+		for _, s := range p {
 			if !fn(obj, s) {
 				return
 			}

@@ -1,7 +1,11 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -42,7 +46,7 @@ func chunkedFixture(t testing.TB, n int) (g *Graph, pred PredicateID, team Value
 
 // Chunked enumeration over a quiescent graph must reproduce
 // SubjectsWith exactly — same subjects, same posting order — in chunks
-// no larger than requested, with no restarts.
+// no larger than requested, and from any resume key.
 func TestSubjectsWithChunkedMatchesSlab(t *testing.T) {
 	const n = 300
 	g, pred, team, _ := chunkedFixture(t, n)
@@ -53,10 +57,7 @@ func TestSubjectsWithChunkedMatchesSlab(t *testing.T) {
 	for _, chunkSize := range []int{1, 7, 64, 300, 1000} {
 		var got []EntityID
 		chunks := 0
-		g.SubjectsWithChunked(pred, team, chunkSize, func(chunk []EntityID, restarted bool) bool {
-			if restarted {
-				t.Fatalf("chunkSize %d: restart on a quiescent graph", chunkSize)
-			}
+		g.SubjectsWithChunked(pred, team, NoEntity, chunkSize, func(chunk []EntityID) bool {
 			if len(chunk) > chunkSize {
 				t.Fatalf("chunkSize %d: got chunk of %d", chunkSize, len(chunk))
 			}
@@ -76,6 +77,21 @@ func TestSubjectsWithChunkedMatchesSlab(t *testing.T) {
 			t.Fatalf("chunkSize %d: delivered %d chunks, want %d", chunkSize, chunks, wantChunks)
 		}
 	}
+	// after is exclusive, whether or not it names a member of the posting.
+	for _, after := range []EntityID{want[0] - 1, want[0], want[n/2], want[n-1], want[n-1] + 1} {
+		var got []EntityID
+		g.SubjectsWithChunked(pred, team, after, 7, func(chunk []EntityID) bool {
+			got = append(got, chunk...)
+			return true
+		})
+		i, found := slices.BinarySearch(want, after)
+		if found {
+			i++
+		}
+		if !slices.Equal(got, want[i:]) {
+			t.Fatalf("after=%d: got %v, want %v", after, got, want[i:])
+		}
+	}
 }
 
 // Early termination stops the enumeration after the first chunk; the
@@ -83,7 +99,7 @@ func TestSubjectsWithChunkedMatchesSlab(t *testing.T) {
 func TestSubjectsWithChunkedEarlyStop(t *testing.T) {
 	g, pred, team, subs := chunkedFixture(t, 100)
 	calls := 0
-	g.SubjectsWithChunked(pred, team, 10, func(chunk []EntityID, restarted bool) bool {
+	g.SubjectsWithChunked(pred, team, NoEntity, 10, func(chunk []EntityID) bool {
 		calls++
 		return false
 	})
@@ -95,86 +111,92 @@ func TestSubjectsWithChunkedEarlyStop(t *testing.T) {
 	}
 }
 
-// A splice or compaction between chunk reads must trigger a restart (the
-// epoch check), and the union of delivered subjects must still cover
-// every subject that stayed in the posting throughout.
-func TestSubjectsWithChunkedRestartOnCompaction(t *testing.T) {
-	const n = 200
-	g, pred, team, subs := chunkedFixture(t, n)
-
-	// Retract from inside the callback (it runs lock-free): removing
-	// enough early subjects forces tombstones and then a compaction,
-	// which shifts slots and must flip the epoch.
-	removed := map[EntityID]bool{}
-	sawRestart := false
-	delivered := map[EntityID]int{}
-	g.SubjectsWithChunked(pred, team, 16, func(chunk []EntityID, restarted bool) bool {
-		if restarted {
-			sawRestart = true
+// checkExactlyOnce holds one chunked pass to the key-resume guarantee:
+// the delivered keys are strictly ascending (so none is delivered twice)
+// and every key that was present throughout is among them.
+func checkExactlyOnce[K any](t *testing.T, delivered, stable []K, cmp func(a, b K) int) {
+	t.Helper()
+	for i := 1; i < len(delivered); i++ {
+		if cmp(delivered[i-1], delivered[i]) >= 0 {
+			t.Fatalf("delivery not strictly ascending at %d: %v then %v", i, delivered[i-1], delivered[i])
 		}
-		for _, s := range chunk {
-			delivered[s]++
-		}
-		if len(removed) == 0 {
-			// Retract half the subjects so the posting's dead ratio
-			// crosses the compaction threshold, then sync so the pom
-			// applies the buffered deltas mid-enumeration.
-			for _, s := range subs[n/2:] {
-				if !g.Retract(Triple{Subject: s, Predicate: pred, Object: team}) {
-					t.Fatalf("retract of %d failed", s)
-				}
-				removed[s] = true
-			}
-			g.SyncIndexes()
-		}
-		return true
-	})
-	if !sawRestart {
-		t.Fatal("compaction mid-enumeration did not trigger a restart")
 	}
-	for _, s := range subs {
-		if removed[s] {
-			continue
-		}
-		if delivered[s] == 0 {
-			t.Fatalf("subject %d stayed in the posting but was never delivered", s)
+	for _, k := range stable {
+		if _, ok := slices.BinarySearchFunc(delivered, k, cmp); !ok {
+			t.Fatalf("%v was present throughout but never delivered", k)
 		}
 	}
 }
 
-// The restart flag exists so callers can dedup re-deliveries; verify a
-// restart actually re-delivers (the documented at-least-once semantics)
-// rather than silently resuming at a stale offset.
-func TestSubjectsWithChunkedRedeliversAfterRestart(t *testing.T) {
-	const n = 64
+// Splices between chunk reads — ahead of and behind the read position —
+// shift every offset, and the read must not notice: it resumes by key, so
+// the survivors are delivered exactly once and nothing is re-delivered.
+func TestSubjectsWithChunkedSpliceMidRead(t *testing.T) {
+	const n = 200
 	g, pred, team, subs := chunkedFixture(t, n)
-	delivered := map[EntityID]int{}
-	spliced := false
-	g.SubjectsWithChunked(pred, team, 8, func(chunk []EntityID, restarted bool) bool {
-		for _, s := range chunk {
-			delivered[s]++
-		}
-		if !spliced {
-			spliced = true
-			// Retract half the posting so the tombstone ratio trips
-			// compaction (slots shift left past our saved offset), then
-			// sync to apply the buffered deltas.
-			for _, s := range subs[n/2:] {
-				if !g.Retract(Triple{Subject: s, Predicate: pred, Object: team}) {
-					t.Fatalf("retract of %d failed", s)
+	// Odd-indexed subjects are retracted from inside the first callback
+	// (it runs lock-free); the even-indexed ones stay throughout.
+	var stable []EntityID
+	for i := 0; i < n; i += 2 {
+		stable = append(stable, subs[i])
+	}
+	var delivered []EntityID
+	first := true
+	g.SubjectsWithChunked(pred, team, NoEntity, 16, func(chunk []EntityID) bool {
+		delivered = append(delivered, chunk...)
+		if first {
+			first = false
+			for i := 1; i < n; i += 2 {
+				if !g.Retract(Triple{Subject: subs[i], Predicate: pred, Object: team}) {
+					t.Fatalf("retract of %d failed", subs[i])
 				}
 			}
-			g.SyncIndexes()
 		}
 		return true
 	})
-	dups := 0
-	for _, c := range delivered {
-		if c > 1 {
-			dups++
+	checkExactlyOnce(t, delivered, stable, cmp.Compare[EntityID])
+	if len(delivered) != 16+(n-16)/2 {
+		t.Fatalf("delivered %d subjects: want the first chunk plus the survivors after it (%d)", len(delivered), 16+(n-16)/2)
+	}
+}
+
+// Under concurrent churn on the interleaved half of the posting, every
+// pass of a chunked read delivers each stable subject exactly once and no
+// subject twice.
+func TestSubjectsWithChunkedExactlyOnceUnderChurn(t *testing.T) {
+	const n = 400
+	g, pred, team, subs := chunkedFixture(t, n)
+	var stable []EntityID
+	for i := 0; i < n; i += 2 {
+		stable = append(stable, subs[i])
+	}
+	var (
+		stop   atomic.Bool
+		writes atomic.Int64
+		wg     sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; !stop.Load(); i = (i + 2) % n {
+			tr := Triple{Subject: subs[i], Predicate: pred, Object: team}
+			if !g.Retract(tr) {
+				if err := g.Assert(tr); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			writes.Add(1)
 		}
+	}()
+	for pass := 0; pass < 50 || writes.Load() < 2000; pass++ {
+		var delivered []EntityID
+		g.SubjectsWithChunked(pred, team, NoEntity, 16, func(chunk []EntityID) bool {
+			delivered = append(delivered, chunk...)
+			return true
+		})
+		checkExactlyOnce(t, delivered, stable, cmp.Compare[EntityID])
 	}
-	if dups == 0 {
-		t.Fatal("restart delivered no subject twice — offset was not rewound")
-	}
+	stop.Store(true)
+	wg.Wait()
 }

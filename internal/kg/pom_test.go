@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,13 +41,45 @@ func sortedIDs(ids []EntityID) []EntityID {
 	return out
 }
 
+// SubjectsWithSweep answers SubjectsWith from the subject-sharded spo
+// index alone, never touching the predicate-major index: the index-free
+// reference the pom tests compare against. Shards are visited one at a
+// time; order is unspecified.
+func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
+	key := obj.MapKey()
+	var out []EntityID
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.RLock()
+		for subj, bySubj := range sh.spo {
+			if _, ok := factIndex(bySubj[pred], key); ok {
+				out = append(out, subj)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
 // checkPomAgainstSweep compares, for every (pred, obj) pair in the pools,
 // the predicate-major index (SubjectsWith / SubjectsWithCount /
-// PredicateFrequency) against the shard-swept per-shard pos reference
+// PredicateFrequency) against the shard-swept spo reference
 // (SubjectsWithSweep), and the counter-driven ComputeStats against a full
-// triple scan.
+// triple scan. It also holds every enumeration to the canonical order:
+// postings ascending by subject ID, fact lists ascending by object key.
 func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Value) {
 	t.Helper()
+	for i := range g.shards {
+		for subj, bySubj := range g.shards[i].spo {
+			for p, ts := range bySubj {
+				for j := 1; j < len(ts); j++ {
+					if ts[j-1].Object.MapKey().Compare(ts[j].Object.MapKey()) >= 0 {
+						t.Fatalf("fact list (%v, %v) not strictly ascending by object key at %d", subj, p, j)
+					}
+				}
+			}
+		}
+	}
 	for _, p := range preds {
 		total := 0
 		seen := make(map[ValueKey]bool, len(objs))
@@ -56,7 +89,10 @@ func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Va
 			} else {
 				seen[k] = true
 			}
-			pom := sortedIDs(g.SubjectsWith(p, o))
+			pom := g.SubjectsWith(p, o)
+			if !slices.IsSorted(pom) {
+				t.Fatalf("pred %v obj %v: posting %v not in ascending subject order", p, o, pom)
+			}
 			sweep := sortedIDs(g.SubjectsWithSweep(p, o))
 			if len(pom) != len(sweep) {
 				t.Fatalf("pred %v obj %v: pom %v vs sweep %v", p, o, pom, sweep)
@@ -295,11 +331,11 @@ func TestValueKeyRoundTrip(t *testing.T) {
 
 // Retract-heavy churn on hot postings under the race detector: 4 writers
 // interleave Assert/Retract/AssertBatch with a retract-biased mix over a
-// deliberately small (pred, obj) space, so posting lists grow past
-// postingIdxThreshold, build their position maps, tombstone, and compact
-// while readers (including the shard-swept reference) hammer the
-// accessors. When the writers drain, the tombstoned predicate-major index
-// must agree exactly with SubjectsWithSweep.
+// deliberately small (pred, obj) space, so postings grow to hundreds of
+// subjects and are spliced mid-list constantly while readers (including
+// the shard-swept reference) hammer the accessors. When the writers
+// drain, the predicate-major index must agree exactly with
+// SubjectsWithSweep and still be sorted.
 func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 	g := NewGraphWithShards(8)
 	const nEnts = 512
@@ -321,7 +357,7 @@ func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 		preds[i] = id
 	}
 	// A handful of hot objects: postings concentrate to hundreds of
-	// subjects each, the shape the tombstone path exists for.
+	// subjects each.
 	objs := pomTestObjects(ents[:2])
 
 	var done atomic.Bool
@@ -385,108 +421,98 @@ func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 	checkPomAgainstSweep(t, g, preds, objs)
 }
 
-// The count accessors must answer read-through while delta buffers are
-// dirty: correct values (base plus buffered net, retracts included) with
-// the buffers left in place — no drain, verified by pomDirtyShards
-// staying nonzero across every count read.
-func TestPomCountReadThrough(t *testing.T) {
-	g := NewGraphWithShards(8)
-	pA, _ := g.AddPredicate(Predicate{Name: "a"})
-	pB, _ := g.AddPredicate(Predicate{Name: "b"})
-	team, err := g.AddEntity(Entity{Key: "team"})
+// Retract from a hot posting, then read: through rounds of random
+// retracts and re-asserts the accessors report the live subjects only, in
+// ascending ID order whatever the history — for the pom posting — and the
+// right live set for the osp incoming posting, which still tombstones.
+func TestHotPostingRetractThenRead(t *testing.T) {
+	const n = 200 // well past ospIdxThreshold
+	g := NewGraphWithShards(1)
+	p, _ := g.AddPredicate(Predicate{Name: "type"})
+	person, err := g.AddEntity(Entity{Key: "Person"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := g.AddEntity(Entity{Key: "other"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := make([]EntityID, 32)
+	subs := make([]EntityID, n)
+	batch := make([]Triple, n)
 	for i := range subs {
 		id, err := g.AddEntity(Entity{Key: fmt.Sprintf("s%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		subs[i] = id
+		batch[i] = Triple{Subject: id, Predicate: p, Object: EntityValue(person)}
 	}
-	// Drain the clean slate so every later delta is a buffered one.
-	g.SyncIndexes()
+	if _, err := g.AssertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
 
-	check := func(wantTeamA, wantOtherA, wantFreqA, wantFreqB int) {
+	obj := EntityValue(person)
+	live := append([]EntityID(nil), subs...)
+	rng := rand.New(rand.NewSource(1))
+	check := func(round int) {
 		t.Helper()
-		if g.pomDirtyShards.Load() == 0 {
-			t.Fatal("buffers unexpectedly clean; the read-through path is not being exercised")
+		if got, want := g.SubjectsWith(p, obj), sortedIDs(live); !slices.Equal(got, want) {
+			t.Fatalf("round %d: posting %v, want the live subjects ascending %v", round, got, want)
 		}
-		if got := g.SubjectsWithCount(pA, EntityValue(team)); got != wantTeamA {
-			t.Fatalf("SubjectsWithCount(a, team) = %d, want %d", got, wantTeamA)
+		if inc := g.Incoming(person); len(inc) != len(live) {
+			t.Fatalf("round %d: Incoming = %d triples, want %d", round, len(inc), len(live))
 		}
-		if got := g.SubjectsWithCount(pA, EntityValue(other)); got != wantOtherA {
-			t.Fatalf("SubjectsWithCount(a, other) = %d, want %d", got, wantOtherA)
+		checkPomAgainstSweep(t, g, []PredicateID{p}, []Value{obj})
+	}
+	for round := 0; round < 3; round++ {
+		// Retract a random half of the live subjects.
+		for i := 0; i < len(live)/2; i++ {
+			j := rng.Intn(len(live))
+			s := live[j]
+			live = append(live[:j], live[j+1:]...)
+			if !g.Retract(Triple{Subject: s, Predicate: p, Object: obj}) {
+				t.Fatalf("retract of live subject %v failed", s)
+			}
 		}
-		if got := g.PredicateFrequency(pA); got != wantFreqA {
-			t.Fatalf("PredicateFrequency(a) = %d, want %d", got, wantFreqA)
+		check(round)
+		// Re-assert a few retracted subjects; they return to their
+		// canonical slots, not to the tail.
+		for i := 0; i < 10; i++ {
+			s := subs[rng.Intn(n)]
+			if slices.Contains(live, s) {
+				continue
+			}
+			if err := g.Assert(Triple{Subject: s, Predicate: p, Object: obj}); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, s)
 		}
-		if got := g.PredicateFrequency(pB); got != wantFreqB {
-			t.Fatalf("PredicateFrequency(b) = %d, want %d", got, wantFreqB)
-		}
-		if g.pomDirtyShards.Load() == 0 {
-			t.Fatal("a count read drained the buffers")
-		}
+		check(round)
 	}
 
-	// Buffered asserts across two predicates and two objects.
-	for i, s := range subs {
-		obj := EntityValue(team)
-		if i%4 == 3 {
-			obj = EntityValue(other)
-		}
-		if err := g.Assert(Triple{Subject: s, Predicate: pA, Object: obj}); err != nil {
-			t.Fatal(err)
-		}
+	// The osp posting must actually be running the tombstone scheme
+	// (single shard, so the hub's incoming posting is long enough to index).
+	if g.shards[0].osp[person].idx == nil {
+		t.Fatal("hot osp posting never built its position map")
 	}
-	for _, s := range subs[:10] {
-		if err := g.Assert(Triple{Subject: s, Predicate: pB, Object: StringValue("x")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check(24, 8, 32, 10)
 
-	// Buffered retracts must subtract through the same path.
-	for _, s := range subs[:6] {
-		// subs[3] carries (a, other), not (a, team), so that retract is a
-		// no-op — 5 live facts actually go.
-		g.Retract(Triple{Subject: s, Predicate: pA, Object: EntityValue(team)})
-	}
-	g.Retract(Triple{Subject: subs[3], Predicate: pA, Object: EntityValue(other)})
-	check(19, 7, 26, 10)
-
-	// A second wave on top of still-buffered work: mixed base (some
-	// shards may have flushed nothing yet) plus fresh deltas. subs[3]
-	// joins team for the first time here.
-	for _, s := range subs[:6] {
-		if err := g.Assert(Triple{Subject: s, Predicate: pA, Object: EntityValue(team)}); err != nil {
-			t.Fatal(err)
+	// Retract everything: the posting and the osp entry must drain fully.
+	for _, s := range g.SubjectsWith(p, obj) {
+		if !g.Retract(Triple{Subject: s, Predicate: p, Object: obj}) {
+			t.Fatalf("final drain: retract of %v failed", s)
 		}
 	}
-	check(25, 7, 32, 10)
-
-	// Draining must not change any answer.
-	g.SyncIndexes()
-	if g.pomDirtyShards.Load() != 0 {
-		t.Fatal("buffers dirty after SyncIndexes")
+	if c := g.SubjectsWithCount(p, obj); c != 0 {
+		t.Fatalf("count after full drain = %d, want 0", c)
 	}
-	if got := g.SubjectsWithCount(pA, EntityValue(team)); got != 25 {
-		t.Fatalf("post-drain SubjectsWithCount(a, team) = %d, want 25", got)
+	if len(g.Incoming(person)) != 0 {
+		t.Fatal("Incoming non-empty after full drain")
 	}
-	if got := g.PredicateFrequency(pA); got != 32 {
-		t.Fatalf("post-drain PredicateFrequency(a) = %d, want 32", got)
+	if g.PredicateFrequency(p) != 0 {
+		t.Fatalf("PredicateFrequency after drain = %d, want 0", g.PredicateFrequency(p))
 	}
 }
 
-// Property: under randomized assert/retract interleavings the
-// read-through counts agree with a model maintained by the test, at
-// every probe point, without the probes ever draining the buffers.
-func TestPomCountReadThroughRandomized(t *testing.T) {
+// Property: under randomized assert/retract interleavings the count
+// accessors agree with a model maintained by the test at every probe
+// point.
+func TestPomCountsMatchModelRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := NewGraphWithShards(16)
 	const nEnts, nPreds = 48, 4
@@ -507,7 +533,6 @@ func TestPomCountReadThroughRandomized(t *testing.T) {
 		preds[i] = id
 	}
 	objs := pomTestObjects(ents[:8])
-	g.SyncIndexes()
 
 	type cell struct {
 		pred PredicateID
@@ -547,7 +572,6 @@ func TestPomCountReadThroughRandomized(t *testing.T) {
 			}
 		}
 		if step%97 == 0 {
-			dirtyBefore := g.pomDirtyShards.Load()
 			p := preds[rng.Intn(nPreds)]
 			o := objs[rng.Intn(len(objs))]
 			if got, want := g.SubjectsWithCount(p, o), counts[cell{p, o.MapKey()}]; got != want {
@@ -555,9 +579,6 @@ func TestPomCountReadThroughRandomized(t *testing.T) {
 			}
 			if got, want := g.PredicateFrequency(p), freq[p]; got != want {
 				t.Fatalf("step %d: PredicateFrequency = %d, model says %d", step, got, want)
-			}
-			if dirtyBefore != 0 && g.pomDirtyShards.Load() == 0 {
-				t.Fatalf("step %d: count probes drained the buffers", step)
 			}
 		}
 	}

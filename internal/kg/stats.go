@@ -29,7 +29,6 @@ type Stats struct {
 // shard was read rather than one all-shard cut — the same freshness
 // contract as NumTriples.
 func ComputeStats(g *Graph) Stats {
-	g.pomSync() // drain buffered pom deltas so the stripe counters are current
 	s := Stats{
 		Entities:   g.NumEntities(),
 		Predicates: g.NumPredicates(),

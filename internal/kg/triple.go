@@ -32,8 +32,9 @@ type Triple struct {
 
 // TripleKey is the comparable (subject, predicate, object) identity of a
 // triple, ignoring provenance. Two triples with equal TripleKeys assert
-// the same fact. It keys the graph's dedup set and materialized-view
-// indexes without the per-operation string build SPO() requires.
+// the same fact. It is the graph's notion of fact identity and keys
+// materialized-view indexes without the per-operation string build SPO()
+// requires.
 type TripleKey struct {
 	Subject   EntityID
 	Predicate PredicateID

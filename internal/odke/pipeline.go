@@ -109,17 +109,7 @@ func (p *Pipeline) CollectCandidates(gap Gap) ([]CandidateFact, []string, int) {
 // deferring the asserts is observationally equivalent within a run — with
 // one exception: a stale gap reads (and retracts) the slot's facts, so
 // any pending writes are flushed first to preserve read-your-writes
-// ordering when a run both fills and refreshes the same slot. (That read
-// is a subject-bound spo lookup, which the graph maintains synchronously;
-// the batch path may still owe deferred predicate-major index deltas
-// after AssertBatch returns.)
-//
-// Flush ordering: after the final batch lands, Run drains the graph's
-// buffered index deltas (Graph.SyncIndexes) so a finished run leaves no
-// deferred maintenance behind — the profiler's stats pass and the
-// planner's selectivity counters that typically follow a run read the
-// predicate-major index on its lock-free fast path instead of paying the
-// first-reader flush.
+// ordering when a run both fills and refreshes the same slot.
 func (p *Pipeline) Run(gaps []Gap) (Report, error) {
 	rep := Report{Gaps: len(gaps)}
 	var pending []kg.Triple
@@ -162,7 +152,6 @@ func (p *Pipeline) Run(gaps []Gap) (Report, error) {
 	if err := flush(); err != nil {
 		return rep, fmt.Errorf("odke: assert fused facts: %w", err)
 	}
-	p.graph.SyncIndexes()
 	if p.DurabilityBarrier != nil {
 		if err := p.DurabilityBarrier(p.graph.LastSeq()); err != nil {
 			return rep, fmt.Errorf("odke: durability barrier: %w", err)

@@ -29,8 +29,9 @@ import (
 // Setting "as_of": <watermark> evaluates the query against the graph as
 // it was at that mutation watermark, reconstructed from the durable
 // checkpoint retention — results match what the query returned live at
-// that watermark, byte for byte. Watermarks behind the retention window
-// return 410 Gone; memory-only platforms return 400.
+// that watermark, byte for byte and on any core count: row order is a
+// function of the facts, not of how they arrived. Watermarks behind the
+// retention window return 410 Gone; memory-only platforms return 400.
 //
 // Setting "explain": true returns the execution plan instead of any
 // bindings — one entry per clause in execution order with its access
@@ -44,26 +45,22 @@ import (
 // graph as soon as the page is full, each row is appended to the response
 // buffer as it is derived (encode.go — no per-row maps, no reflection;
 // the body goes out in one write with its Content-Length), and the
-// request context aborts it mid-join when the client disconnects (in
-// parallel mode the context cancels every worker). When the server is
-// configured with QueryWorkers > 1 (kgserve -query-workers), the first
-// clause's candidates are partitioned across workers and merged back
-// into the exact sequential order, so responses and cursors are
-// byte-identical at any worker count. Serving-path guards bound what
-// one request can cost: bodies over 1 MiB are rejected with 413,
-// conjunctions over 32 clauses with 400, a request without a limit gets
-// the default page size, and limits above the maximum are clamped.
-// Cursor pagination is deterministic while the graph is unchanged;
-// concurrent mutations may shift page boundaries (the token names the
-// last binding seen, not a snapshot). Streaming dedup is always on for
-// HTTP queries (QueryOptions.NoDedup is never set here): every request
-// solves with a limit, so the solver's seen-set is bounded by the rows of
-// that one page — limit+1, plus the cursor row on a resumed request —
-// never the unbounded answer-set growth NoDedup exists for. A cursor is
-// a seek, not a replay: the executor descends to the cursor row dropping
-// every candidate off its path unexpanded, so page N costs one compare
-// per sibling skipped on that path plus its own rows, and derives none of
-// the rows of the pages before it.
+// request context aborts it mid-join when the client disconnects.
+// Serving-path guards bound what one request can cost: bodies over 1 MiB
+// are rejected with 413, conjunctions over 32 clauses with 400, a request
+// without a limit gets the default page size, and limits above the
+// maximum are clamped.
+//
+// A cursor is a position in the stream's canonical order, and resuming
+// is a seek: the executor compares candidates against the cursor's values
+// at each join depth (and starts a posting read at the cursor outright),
+// so page N derives none of the rows of the pages before it. The token
+// names the last binding seen, not a snapshot, but the order it indexes
+// does not depend on history: it survives restarts and recovery, and
+// beside a concurrent writer the next page resumes at the cursor row's
+// successor even if that row was retracted in between — rows present
+// throughout a walk are each delivered exactly once, never skipped by a
+// shifted page boundary. The solver keeps no per-row state.
 //
 // Overload semantics: /query is Read-class traffic behind the admission
 // gate (see server.go). When the read tier is saturated the request
@@ -211,14 +208,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Stream one row past the page size: the extra row proves more answers
 	// remain without solving for them, and the page's last binding becomes
-	// the next_cursor token. QueryWorkers > 1 partitions the first clause
-	// across that many workers; the merged stream (and so every page and
-	// cursor) is byte-identical to the sequential one.
+	// the next_cursor token.
 	opts := saga.QueryOptions{
-		Limit:       limit + 1,
-		Cursor:      cursor,
-		Context:     r.Context(),
-		Parallelism: s.QueryWorkers,
+		Limit:   limit + 1,
+		Cursor:  cursor,
+		Context: r.Context(),
 	}
 	rows := s.Platform.QueryRows(clauses, opts)
 	if req.AsOf != nil {

@@ -59,50 +59,3 @@ func TestQueryEndpointExplain(t *testing.T) {
 		t.Fatalf("plan_cache misses = %d, want >= 1 after an explain", got)
 	}
 }
-
-// A server configured with QueryWorkers > 1 returns byte-identical pages
-// and cursors to the sequential server, including a full cursor walk.
-func TestQueryEndpointParallelMatchesSequential(t *testing.T) {
-	const nMembers = 57
-	const pageSize = 10
-	seqSrv, _ := paginationServer(t, nMembers)
-	parSrv, _ := paginationServer(t, nMembers)
-	parSrv.QueryWorkers = 4
-
-	clause := `{"subject":{"var":"p"},"predicate":"memberOf","object":{"key":"team"}}`
-	walk := func(srv *Server) []string {
-		h := srv.Handler()
-		var out []string
-		cursor := ""
-		for {
-			body := fmt.Sprintf(`{"clauses":[%s],"limit":%d`, clause, pageSize)
-			if cursor != "" {
-				body += fmt.Sprintf(`,"cursor":%q`, cursor)
-			}
-			body += "}"
-			rec, resp := do(t, h, "POST", "/query", body)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status = %d body %v", rec.Code, resp)
-			}
-			for _, b := range resp["bindings"].([]any) {
-				out = append(out, b.(map[string]any)["p"].(map[string]any)["key"].(string))
-			}
-			next, more := resp["next_cursor"].(string)
-			if !more {
-				return out
-			}
-			cursor = next
-		}
-	}
-
-	want := walk(seqSrv)
-	got := walk(parSrv)
-	if len(want) != nMembers || len(got) != len(want) {
-		t.Fatalf("walks returned %d sequential / %d parallel rows, want %d", len(want), len(got), nMembers)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: parallel walk returned %q, sequential %q", i, got[i], want[i])
-		}
-	}
-}

@@ -44,17 +44,13 @@ import (
 )
 
 // Server holds the serving dependencies. Search is optional (nil disables
-// /search). QueryWorkers sets the parallelism of every POST /query solve
-// (0 or 1 runs sequentially); responses are byte-identical at any worker
-// count, so it is purely a throughput knob. Admission is the overload
-// gate every route passes through; New installs the stock limits
-// (admission.DefaultLimits), and callers may replace the controller
-// before Handler is first used.
+// /search). Admission is the overload gate every route passes through;
+// New installs the stock limits (admission.DefaultLimits), and callers
+// may replace the controller before Handler is first used.
 type Server struct {
-	Platform     *saga.Platform
-	Search       *websearch.Index
-	QueryWorkers int
-	Admission    *admission.Controller
+	Platform  *saga.Platform
+	Search    *websearch.Index
+	Admission *admission.Controller
 }
 
 // New builds a Server over an initialized platform.

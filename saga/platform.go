@@ -63,7 +63,8 @@ func (p *Platform) QueryConjunctive(clauses []QueryClause) ([]QueryBinding, erro
 }
 
 // QueryRows evaluates a conjunctive query as a stream of slot rows: rows
-// yield as the join produces them (deduplicated, deterministic order), a
+// yield as the join produces them (each once, in an order that is a
+// function of the plan and the facts, not of how the facts arrived), a
 // QueryOptions.Limit terminates the solve early, a Cursor seeks to just
 // after a previous page's last row, and Context/Timeout abort mid-join.
 // A row's values are only valid until the next row is requested (see

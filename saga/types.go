@@ -109,11 +109,13 @@ type (
 	// the stream's next row; Binding() and Key() detach it.
 	QueryRow = graphengine.Row
 	// QueryOptions configure one streaming query: limit push-down,
-	// cursor resumption, provenance routing, dedup opt-out for unlimited
-	// streams (NoDedup), timeout, and cancellation.
+	// cursor resumption, provenance routing, timeout, and cancellation.
 	QueryOptions = graphengine.QueryOptions
 	// QueryCursor is a binding's identity tuple, the resume position of
-	// a paginated conjunctive query.
+	// a paginated conjunctive query: the next page starts at that row's
+	// successor in the stream's canonical order, which depends on the
+	// facts alone — not on restarts, recovery, shard count or whether the
+	// row itself still exists.
 	QueryCursor = []kg.ValueKey
 	// QueryPlan is an immutable conjunctive-query execution plan:
 	// clause order, access paths, and build-time cardinality estimates.

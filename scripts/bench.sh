@@ -54,7 +54,7 @@ BEGIN { print "["; first = 1 }
 /^Benchmark/ {
     name = $1; iters = $2
     # go test appends -GOMAXPROCS to benchmark names ("BenchmarkFoo-8").
-    # Record it (parallel benchmarks like E17 are meaningless without
+    # Record it (parallel benchmarks like E15 are meaningless without
     # it), then strip it so snapshots from machines with different core
     # counts still key on the same names (else the --check gate compares
     # nothing and passes vacuously).

@@ -13,16 +13,15 @@
 // was defined against, and gating them would punish exactly that trade.
 // Excluded names are still reported.
 //
-// E16 (durability cost), E17 (parallel query scaling), E18
-// (subscription fan-out), E19 (rule derivation), and E20 (open-loop
-// overload) are report-only for now: the default -filter stops at E15,
-// so their numbers land in every snapshot and show up in --check output
-// without failing it. E17's worker-scaling curve in particular depends
-// on the machine's core count (the JSON records gomaxprocs/numcpu per
-// row), every E18 number includes a real coalescing-window wait, and
-// E20 wraps a wall-clock capacity probe plus a saturated open-loop run,
-// so wall-clock jitter swamps the threshold; gate them only once
-// snapshots come from fixed hardware.
+// E16 (durability cost), E18 (subscription fan-out), E19 (rule
+// derivation), and E20 (open-loop overload) are report-only for now (E17,
+// the parallel executor's scaling curve, left with the executor): the
+// default -filter stops at E15, so their numbers land in every snapshot
+// and show up in --check output without failing it. Every E18 number
+// includes a real coalescing-window wait, and E20 wraps a wall-clock
+// capacity probe plus a saturated open-loop run, so wall-clock jitter
+// swamps the threshold; gate them only once snapshots come from fixed
+// hardware (the JSON records gomaxprocs/numcpu per row).
 //
 // Allocation regressions are reported but never fail the gate: any
 // compared benchmark whose allocs/op grew beyond the threshold gets an

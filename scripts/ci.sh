@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# ci.sh — the local CI gate: formatting, vet, build, the full test
-# suite under the race detector, the benchmark module's own vet + smoke
-# test (bench/ has its own go.mod, so ./... never reaches it and an API
-# drift in saga or internal/server would otherwise break the benchmark
-# silently), a few seconds of native fuzzing on the two wire decoders'
-# targets, and a short open-loop load smoke against an in-process server
+# ci.sh — the local CI gate: formatting, vet, build, a flag-parse smoke
+# of kgserve (cmd/* has no tests), the full test suite under the race
+# detector — the graph, query, serving and durability packages again at
+# 1, 2 and 4 procs, since green at GOMAXPROCS=1 only is red — the
+# benchmark module's own vet + smoke test (bench/ has its own go.mod, so
+# ./... never reaches it and an API drift in saga or internal/server
+# would otherwise break the benchmark silently), a few seconds of native
+# fuzzing on the two wire decoders' targets, and a short open-loop load
+# smoke against an in-process server
 # (kgload -smoke: zero 5xx, zero transport errors, p99 of admitted
 # requests under the read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
@@ -33,12 +36,17 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== kgserve flag parse =="
+go run ./cmd/kgserve -h >/dev/null 2>&1
+
 if [[ "${SKIP_RACE:-}" == "1" ]]; then
     echo "== go test =="
     go test ./...
 else
     echo "== go test -race =="
     go test -race ./...
+    echo "== go test -race -cpu 1,2,4 (order and concurrency contracts) =="
+    go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/server ./internal/wal ./saga
 fi
 
 echo "== bench module (vet + smoke test) =="
