@@ -49,14 +49,21 @@ func (g *Graph) Feed(cursor uint64) *Changefeed {
 // left unchanged and the caller must rebuild its derived state and
 // Reset. A complete empty batch means the feed is caught up.
 func (f *Changefeed) Pull() (muts []Mutation, complete bool) {
-	muts = f.g.MutationsSince(f.cursor)
+	return f.PullAppend(nil)
+}
+
+// PullAppend is Pull appending the batch to dst and returning the
+// extended slice, for a consumer that drains on a hot path into one
+// buffer it owns. An incomplete pull returns dst as it was given.
+func (f *Changefeed) PullAppend(dst []Mutation) (muts []Mutation, complete bool) {
+	muts = f.g.appendMutationsSince(dst, f.cursor)
 	// Floor check AFTER the pull: the floor is raised before entries
 	// drop, so floor <= cursor here proves no entry below the batch was
 	// discarded mid-pull.
 	if f.g.LogFloor() > f.cursor {
-		return nil, false
+		return dst, false
 	}
-	if n := len(muts); n > 0 {
+	if n := len(muts); n > len(dst) {
 		f.cursor = muts[n-1].Seq
 	}
 	return muts, true

@@ -2,6 +2,9 @@ package kg
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -166,4 +169,140 @@ func TestAllTriplesSnapshotMatchesAllTriples(t *testing.T) {
 	if g.NumTriples() != len(snap) {
 		t.Fatalf("NumTriples %d, snapshot %d", g.NumTriples(), len(snap))
 	}
+}
+
+// checkFeed requires muts to be the gapless run after+1, after+2, ...
+func checkFeed(t *testing.T, what string, muts []Mutation, after uint64) {
+	t.Helper()
+	for i, m := range muts {
+		if want := after + uint64(i) + 1; m.Seq != want {
+			t.Fatalf("%s: entry %d has seq %d, want %d", what, i, m.Seq, want)
+		}
+	}
+}
+
+// The per-shard log is chunked: pulls, truncation and appends must all
+// behave across chunk boundaries exactly as they do inside one chunk
+// (the tests above never fill one).
+func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
+	g := NewGraphWithShards(2)
+	buildMutating(t, g, 10*mutLogChunkCap) // 12 mutations per 10 steps: ~6 chunks a shard
+	wm := g.LastSeq()
+	for i := range g.shards {
+		if n := len(g.shards[i].log.chunks); n < 4 {
+			t.Fatalf("shard %d holds %d chunks; the test needs several", i, n)
+		}
+	}
+	for _, from := range []uint64{0, 1, mutLogChunkCap - 1, mutLogChunkCap, 3*mutLogChunkCap + 7, wm - 1, wm} {
+		muts := g.MutationsSince(from)
+		if uint64(len(muts)) != wm-from {
+			t.Fatalf("MutationsSince(%d) has %d entries, want %d", from, len(muts), wm-from)
+		}
+		checkFeed(t, fmt.Sprintf("MutationsSince(%d)", from), muts, from)
+	}
+
+	// A cut inside a chunk trims it; whole chunks before it go.
+	cut := uint64(2*mutLogChunkCap*len(g.shards) + 11)
+	if dropped := g.TruncateLog(cut); uint64(dropped) != cut {
+		t.Fatalf("TruncateLog(%d) dropped %d", cut, dropped)
+	}
+	checkFeed(t, "after truncation", g.MutationsSince(cut), cut)
+	if n := len(g.MutationsSince(0)); uint64(n) != wm-cut {
+		t.Fatalf("a pull from below the floor has %d entries, want the %d retained", n, wm-cut)
+	}
+	// Appends continue in the trimmed log, and a reused, dirty destination
+	// buffer comes back holding exactly the batch.
+	p, _ := g.PredicateByName("score")
+	e, _ := g.EntityByKey("c0")
+	dst := g.MutationsSince(cut)[:5] // stale entries beyond len are fair game
+	for i := 0; i < 3*mutLogChunkCap; i++ {
+		if err := g.Assert(Triple{Subject: e.ID, Predicate: p.ID, Object: IntValue(int64(1e6 + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed := g.Feed(wm)
+	got, complete := feed.PullAppend(dst)
+	if !complete || len(got) != 5+3*mutLogChunkCap {
+		t.Fatalf("PullAppend: complete=%v, %d entries", complete, len(got))
+	}
+	checkFeed(t, "PullAppend kept prefix", got[:5], cut)
+	checkFeed(t, "PullAppend batch", got[5:], wm)
+	if feed.Cursor() != g.LastSeq() {
+		t.Fatalf("cursor %d, watermark %d", feed.Cursor(), g.LastSeq())
+	}
+
+	// A truncation caught half-way — one shard cut, the other not yet —
+	// leaves holes below the floor. The pull must still come back
+	// ascending with nothing invented in the gaps, into a dirty buffer too.
+	half := g.LastSeq() - uint64(mutLogChunkCap)
+	g.shards[0].log.dropThrough(half)
+	holed := g.appendMutationsSince(got[:0], cut)
+	if len(holed) == 0 || uint64(len(holed)) >= g.LastSeq()-cut {
+		t.Fatalf("holed pull has %d entries", len(holed))
+	}
+	for i, m := range holed {
+		if m.Seq <= cut || (i > 0 && m.Seq <= holed[i-1].Seq) {
+			t.Fatalf("holed pull entry %d has seq %d after %d", i, m.Seq, holed[max(i-1, 0)].Seq)
+		}
+		if m.Seq <= half && g.shardIndex(m.T.Subject) == 0 {
+			t.Fatalf("holed pull resurrected dropped entry %d", m.Seq)
+		}
+	}
+}
+
+// A consumer pulling across chunk boundaries beside a live writer and a
+// truncator that keeps cutting just behind it — inside a chunk more
+// often than not — always sees the gapless feed; a consumer left behind
+// the floor is told so rather than handed a batch with holes.
+func TestChunkedLogPullDuringTruncate(t *testing.T) {
+	g := NewGraphWithShards(2)
+	e := make([]EntityID, 8)
+	for i := range e {
+		e[i] = mustEntity(t, g, fmt.Sprintf("c%d", i), "")
+	}
+	p := mustPredicate(t, g, "score")
+	const total = 40 * mutLogChunkCap
+	var consumed atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // writer
+		defer wg.Done()
+		for i := 0; i < total; i++ {
+			if err := g.Assert(Triple{Subject: e[i%len(e)], Predicate: p, Object: IntValue(int64(i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // truncator: never past what the consumer has taken
+		defer wg.Done()
+		for consumed.Load() < total {
+			if c := consumed.Load(); c > 3 {
+				g.TruncateLog(c - 3)
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	feed, lagging := g.Feed(0), g.Feed(0)
+	var buf []Mutation
+	for feed.Cursor() < total {
+		before := feed.Cursor()
+		var complete bool
+		buf, complete = feed.PullAppend(buf[:0])
+		if !complete {
+			t.Fatalf("consumer at %d fell behind floor %d though truncation trails it", before, g.LogFloor())
+		}
+		checkFeed(t, "live pull", buf, before)
+		consumed.Store(feed.Cursor())
+		if len(buf) > 0 && feed.Cursor()%7 == 0 {
+			at := lagging.Cursor()
+			if muts, complete := lagging.Pull(); complete {
+				checkFeed(t, "lagging pull", muts, at)
+			} else if muts != nil || lagging.Cursor() != at {
+				t.Fatalf("incomplete pull returned %d entries, cursor %d -> %d", len(muts), at, lagging.Cursor())
+			}
+		}
+	}
+	wg.Wait()
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -75,7 +74,7 @@ type graphShard struct {
 	// log holds this shard's slice of the global mutation feed. Sequence
 	// numbers are drawn from Graph.seq while the shard write lock is held,
 	// so within one shard the log is strictly ascending in Seq.
-	log []Mutation
+	log mutLog
 
 	_ [56]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
 }
@@ -177,9 +176,10 @@ func factIndex(ts []Triple, k ValueKey) (int, bool) {
 // (materialized views, adjacency snapshots) can record the watermark they
 // were built at and later decide staleness with a single comparison: a
 // derived structure at watermark w reflects exactly the first w
-// mutations. The log itself is stored as per-shard sub-logs;
-// MutationsSince merges them by sequence number under the all-shard read
-// lock, so consumers still see one totally ordered change feed.
+// mutations. The log itself is stored as per-shard sub-logs of
+// fixed-capacity chunks (mutlog.go); MutationsSince merges them by
+// sequence number under the all-shard read lock, so consumers still see
+// one totally ordered change feed.
 // Registering entities or predicates does not bump the watermark — a new
 // entity is observable in derived edge structures only once a triple
 // mentions it, and asserting that triple bumps the watermark.
@@ -529,6 +529,32 @@ func (g *Graph) PredicateByName(name string) (*Predicate, bool) {
 	return g.predicates[id], true
 }
 
+// DictReader resolves external keys and predicate names, given as the
+// bytes a request carried them in, to IDs without allocating. It is only
+// valid inside the Graph.ReadDict call that supplied it.
+type DictReader struct{ g *Graph }
+
+// ReadDict runs fn with the dictionaries read-locked once, so a batch of
+// lookups costs one lock round-trip instead of one per key. fn must only
+// look up: it must not call back into the graph's dictionaries or block.
+func (g *Graph) ReadDict(fn func(DictReader)) {
+	g.dictMu.RLock()
+	defer g.dictMu.RUnlock()
+	fn(DictReader{g})
+}
+
+// EntityID resolves an entity key.
+func (d DictReader) EntityID(key []byte) (EntityID, bool) {
+	id, ok := d.g.entByKey[string(key)]
+	return id, ok
+}
+
+// PredicateID resolves a predicate name.
+func (d DictReader) PredicateID(name []byte) (PredicateID, bool) {
+	id, ok := d.g.predByName[string(name)]
+	return id, ok
+}
+
 // validate checks a triple's references against the atomically published
 // dictionary lengths. IDs are assigned densely and only ever grow, so an
 // ID below a length observed now is guaranteed registered; the check
@@ -597,7 +623,7 @@ func (g *Graph) indexNewFactLocked(sh *graphShard, t Triple, key TripleKey) {
 		sh.osp[t.Object.Entity] = sh.osp[t.Object.Entity].add(t, key)
 	}
 	g.pomAdd(t.Predicate, key.Object, t.Subject)
-	sh.log = append(sh.log, Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
+	sh.log.append(Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
 }
 
 // AssertAll adds a batch of triples. Unlike looped Assert calls, the whole
@@ -698,7 +724,6 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 		bySubj = make(map[PredicateID][]Triple)
 		sh.spo[subj] = bySubj
 	}
-	sh.log = slices.Grow(sh.log, len(kept))
 	for i := 0; i < len(kept); {
 		pred := keys[kept[i]].Predicate
 		j := i + 1
@@ -753,7 +778,7 @@ func (g *Graph) Retract(t Triple) bool {
 	}
 	g.pomRemove(t.Predicate, key.Object, t.Subject)
 
-	sh.log = append(sh.log, Mutation{Seq: g.seq.Add(1), Op: OpRetract, T: t})
+	sh.log.append(Mutation{Seq: g.seq.Add(1), Op: OpRetract, T: t})
 	return true
 }
 
@@ -1142,32 +1167,73 @@ func (g *Graph) Predicates(fn func(*Predicate) bool) {
 	}
 }
 
-// mutationsSinceLocked merges the per-shard logs' entries with sequence
-// numbers strictly greater than seq into one ascending feed. Callers must
-// hold every shard's read lock.
-func (g *Graph) mutationsSinceLocked(seq uint64) []Mutation {
+// appendMutationsSince appends the per-shard logs' entries with sequence
+// numbers strictly greater than seq to dst as one ascending feed, under
+// one all-shard cut: MutationsSince for a consumer that reuses a buffer.
+//
+// Sequence numbers are dense — every number drawn is logged on exactly
+// one shard — so the entries past seq are the contiguous range
+// first..last and each is placed at its offset from first: no comparison
+// sort, no scratch. Only a pull racing TruncateLog (or starting below the
+// floor) can see a range with holes, where some shards have dropped
+// entries others still hold; the empty slots are then squeezed out, and
+// the floor check every consumer makes rejects the batch.
+func (g *Graph) appendMutationsSince(dst []Mutation, seq uint64) []Mutation {
+	g.rlockAll()
+	defer g.runlockAll()
 	total := 0
-	starts := make([]int, len(g.shards))
+	first, last := ^uint64(0), uint64(0)
 	for i := range g.shards {
-		log := g.shards[i].log
-		starts[i] = sort.Search(len(log), func(j int) bool { return log[j].Seq > seq })
-		total += len(log) - starts[i]
+		log := &g.shards[i].log
+		c, off := log.seek(seq)
+		if c == len(log.chunks) {
+			continue
+		}
+		first = min(first, log.chunks[c][off].Seq)
+		tail := log.chunks[len(log.chunks)-1]
+		last = max(last, tail[len(tail)-1].Seq)
+		total -= off
+		for _, chunk := range log.chunks[c:] {
+			total += len(chunk)
+		}
 	}
-	out := make([]Mutation, 0, total)
+	if total == 0 {
+		return dst
+	}
+	span := int(last - first + 1)
+	dst = slices.Grow(dst, span)
+	out := dst[len(dst) : len(dst)+span]
+	if span != total {
+		clear(out)
+	}
 	for i := range g.shards {
-		out = append(out, g.shards[i].log[starts[i]:]...)
+		log := &g.shards[i].log
+		c, off := log.seek(seq)
+		for ; c < len(log.chunks); c, off = c+1, 0 {
+			chunk := log.chunks[c][off:]
+			for j := range chunk {
+				out[chunk[j].Seq-first] = chunk[j]
+			}
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
+	if span != total {
+		n := 0
+		for i := range out {
+			if out[i].Seq != 0 {
+				out[n] = out[i]
+				n++
+			}
+		}
+		out = out[:n]
+	}
+	return dst[:len(dst)+len(out)]
 }
 
 // MutationsSince returns a copy of the mutation log entries with sequence
 // numbers strictly greater than seq, in ascending sequence order, merged
 // across the per-shard sub-logs under one consistent all-shard cut.
 func (g *Graph) MutationsSince(seq uint64) []Mutation {
-	g.rlockAll()
-	defer g.runlockAll()
-	return g.mutationsSinceLocked(seq)
+	return g.appendMutationsSince(nil, seq)
 }
 
 // LastSeq returns the sequence number of the most recent mutation. A bare
@@ -1223,15 +1289,7 @@ func (g *Graph) TruncateLog(upTo uint64) int {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		cut := sort.Search(len(sh.log), func(j int) bool { return sh.log[j].Seq > upTo })
-		if cut > 0 {
-			dropped += cut
-			// Copy the tail to a fresh slice so the dropped prefix's
-			// backing array (and the Triples it pins) becomes collectable.
-			tail := make([]Mutation, len(sh.log)-cut)
-			copy(tail, sh.log[cut:])
-			sh.log = tail
-		}
+		dropped += sh.log.dropThrough(upTo)
 		sh.mu.Unlock()
 	}
 	return dropped
@@ -1268,7 +1326,7 @@ func (g *Graph) AdvanceWatermark(seq uint64) error {
 		}
 	}
 	for i := range g.shards {
-		g.shards[i].log = nil
+		g.shards[i].log = mutLog{}
 	}
 	g.seq.Store(seq)
 	return nil

@@ -2,9 +2,11 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
+	"saga/internal/wal"
 	"saga/saga"
 )
 
@@ -161,5 +163,88 @@ func TestIngestDurableWatermark(t *testing.T) {
 	}
 	if durable := p.Durability().DurableLSN(); durable < wm {
 		t.Fatalf("durable LSN %d behind response watermark %d", durable, wm)
+	}
+}
+
+// TestIngestStopsApplyingOnceDurabilityIsLost pins the write path's
+// runtime-fault contract: the batch whose fsync fails is the last one
+// applied to the in-memory graph; from then on /ingest answers 503 +
+// Retry-After without mutating, /health reports the degraded state, and
+// reads keep serving.
+func TestIngestStopsApplyingOnceDurabilityIsLost(t *testing.T) {
+	w, err := saga.GenerateWorld(saga.WorldConfig{NumPeople: 10, NumClusters: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := wal.NewFaultFS(1)
+	p, _, err := saga.OpenDurablePlatform("/data", saga.DurableOptions{FS: fs, Sync: saga.SyncEachCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.CloseDurable() // reports the latched fault; nothing to check
+	if err := saga.ImportGraph(p.Graph(), w.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CheckpointDurable(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, g := srv.Handler(), p.Graph()
+	key := func(i int) string { return g.Entity(w.People[i]).Key }
+	batch := func(i int) string {
+		return `{"asserts":[{"subject":"` + key(i) + `","predicate":"followers","object":{"int":` + strconv.Itoa(1000+i) + `}}]}`
+	}
+	health := func() (status, durabilityErr string, durable, applied float64) {
+		t.Helper()
+		rec, resp := do(t, h, "GET", "/health", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/health status %d", rec.Code)
+		}
+		d := resp["durability"].(map[string]any)
+		return resp["status"].(string), d["error"].(string), d["durable_lsn"].(float64), d["applied_lsn"].(float64)
+	}
+
+	if rec, resp := do(t, h, "POST", "/ingest", batch(0)); rec.Code != http.StatusOK {
+		t.Fatalf("healthy ingest: %d %v", rec.Code, resp)
+	}
+	if status, derr, durable, applied := health(); status != "ok" || derr != "" || durable != applied || uint64(durable) != g.LastSeq() {
+		t.Fatalf("healthy /health: status %q error %q durable %v applied %v (graph at %d)", status, derr, durable, applied, g.LastSeq())
+	}
+
+	// The next fsync fails: that batch is applied, logged, and answered 500.
+	fs.SetSyncBudget(0)
+	triples, seq := g.NumTriples(), g.LastSeq()
+	if rec, resp := do(t, h, "POST", "/ingest", batch(1)); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("ingest across the failing fsync: %d %v", rec.Code, resp)
+	}
+	if g.NumTriples() != triples+1 || g.LastSeq() != seq+1 {
+		t.Fatalf("failing batch: triples %d -> %d, seq %d -> %d", triples, g.NumTriples(), seq, g.LastSeq())
+	}
+	status, derr, durable, applied := health()
+	if status != "degraded" || derr == "" || uint64(durable) != seq || uint64(applied) != seq+1 {
+		t.Fatalf("degraded /health: status %q error %q durable %v applied %v (fault at seq %d)", status, derr, durable, applied, seq)
+	}
+
+	// Every later batch is refused before it touches the graph.
+	triples, seq = g.NumTriples(), g.LastSeq()
+	for i := 2; i < 5; i++ {
+		rec, resp := do(t, h, "POST", "/ingest", batch(i))
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("ingest after the fault: %d (Retry-After %q) %v", rec.Code, rec.Header().Get("Retry-After"), resp)
+		}
+		if g.NumTriples() != triples || g.LastSeq() != seq {
+			t.Fatalf("refused batch %d mutated the graph: triples %d -> %d, seq %d -> %d", i, triples, g.NumTriples(), seq, g.LastSeq())
+		}
+	}
+	// Reads are unaffected, and see the last applied batch.
+	if rec, _ := do(t, h, "GET", "/entity?key="+key(1), ""); rec.Code != http.StatusOK {
+		t.Fatalf("/entity while degraded: %d", rec.Code)
+	}
+	q := `{"clauses":[{"subject":{"key":"` + key(1) + `"},"predicate":"followers","object":{"int":1001}}]}`
+	if rec, resp := do(t, h, "POST", "/query", q); rec.Code != http.StatusOK || resp["count"].(float64) != 1 {
+		t.Fatalf("/query while degraded: %d %v", rec.Code, resp)
 	}
 }

@@ -195,6 +195,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"plan_cache": s.Platform.QueryPlanCacheStats(),
 		"changefeed": s.Platform.ChangefeedStats(),
 	}
+	if wal := s.Platform.Durability(); wal != nil {
+		// A latched write/fsync error means acknowledged state has stopped
+		// advancing: reads still serve, /ingest answers 503.
+		errText := ""
+		if err := wal.Err(); err != nil {
+			resp["status"] = "degraded"
+			errText = err.Error()
+		}
+		resp["durability"] = map[string]any{
+			"durable_lsn": wal.DurableLSN(),
+			"applied_lsn": wal.AppliedLSN(),
+			"error":       errText,
+		}
+	}
 	if s.Admission != nil {
 		resp["admission"] = s.Admission.Stats()
 	}

@@ -67,11 +67,23 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("wal: corrupt frame in %s at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// appendFrame frames payload onto dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// Records are framed in place: beginFrame reserves the header at the end
+// of dst, the record's encoder appends the payload behind it, and
+// endFrame back-fills length and CRC — no per-record payload temporary.
+//
+//	buf, at := beginFrame(buf)
+//	buf = encMutation(buf, mu)
+//	endFrame(buf, at)
+func beginFrame(dst []byte) (_ []byte, at int) {
+	return append(dst, make([]byte, frameHeaderSize)...), len(dst)
+}
+
+// endFrame completes the frame begun at offset at of buf; the payload is
+// everything appended since.
+func endFrame(buf []byte, at int) {
+	payload := buf[at+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(payload, crcTable))
 }
 
 // scanFrames reads consecutive frames from r, invoking fn with each

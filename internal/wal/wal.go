@@ -221,6 +221,11 @@ type Manager struct {
 	entCur, predCur, ontCur int
 	failed                  error
 	closed                  bool
+	// commitMuts and commitBuf are commitLocked's drain and framing
+	// buffers, reused across commits so a steady stream of small batches
+	// allocates nothing per record (see retainCommitBuffers).
+	commitMuts []kg.Mutation
+	commitBuf  []byte
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -309,7 +314,9 @@ func (m *Manager) openSegmentLocked() error {
 		return m.latch(fmt.Errorf("wal: create segment %s: %w", name, err))
 	}
 	first := m.feed.Cursor()
-	hdr := appendFrame(nil, encSegHeader(nil, segHeader{version: walVersion, gen: m.gen, firstLSN: first}))
+	hdr, at := beginFrame(nil)
+	hdr = encSegHeader(hdr, segHeader{version: walVersion, gen: m.gen, firstLSN: first})
+	endFrame(hdr, at)
 	if _, err := f.Write(hdr); err != nil {
 		return m.latch(fmt.Errorf("wal: write segment header: %w", err))
 	}
@@ -329,6 +336,15 @@ func (m *Manager) latch(err error) error {
 		m.failed = err
 	}
 	return err
+}
+
+// Err returns the write or fsync error the manager has latched, or nil
+// while the log is healthy. Once it is non-nil nothing further reaches
+// disk: a server should stop acknowledging (and applying) writes.
+func (m *Manager) Err() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.failed
 }
 
 func (m *Manager) checkLocked() error {
@@ -376,15 +392,19 @@ func (m *Manager) Commit() (uint64, error) {
 // The feed's cursor advances with the pull; a write failure afterwards
 // latches the manager, so the cursor never silently skips records that
 // were not persisted.
+//
+// Every record is framed in place in one buffer the manager keeps across
+// commits, and the whole commit goes out in one Write.
 func (m *Manager) commitLocked() error {
-	muts, complete := m.feed.Pull()
+	muts, complete := m.feed.PullAppend(m.commitMuts[:0])
 	if !complete {
 		// Cannot happen through this manager (only checkpointLocked
 		// truncates, after resetting the feed); an external TruncateLog
 		// call would silently lose mutations, so fail loudly.
 		return m.latch(fmt.Errorf("wal: graph log truncated past applied LSN %d (floor %d)", m.feed.Cursor(), m.g.LogFloor()))
 	}
-	buf := m.encodeDictDeltasLocked(nil)
+	buf := m.encodeDictDeltasLocked(m.commitBuf[:0])
+	var at int
 	// Record updates for already-shipped entities ride every commit;
 	// entities at or past the (just-advanced) cursor were shipped above
 	// with their current record, so an update entry would be redundant.
@@ -393,36 +413,69 @@ func (m *Manager) commitLocked() error {
 			continue
 		}
 		if e := m.g.Entity(id); e != nil {
-			buf = appendFrame(buf, encEntityUpdate(nil, e))
+			buf, at = beginFrame(buf)
+			buf = encEntityUpdate(buf, e)
+			endFrame(buf, at)
 		}
 	}
-	for _, mu := range muts {
-		buf = appendFrame(buf, encMutation(nil, mu))
+	for i := range muts {
+		buf, at = beginFrame(buf)
+		buf = encMutation(buf, muts[i])
+		endFrame(buf, at)
 	}
-	if len(buf) == 0 {
-		return nil
+	var err error
+	if len(buf) > 0 {
+		_, err = m.seg.Write(buf)
 	}
-	if _, err := m.seg.Write(buf); err != nil {
+	m.retainCommitBuffers(muts, buf)
+	if err != nil {
 		return m.latch(fmt.Errorf("wal: append: %w", err))
 	}
 	return nil
 }
 
+// Commit buffers above these sizes are released instead of kept: a bulk
+// load's one huge commit must not pin tens of megabytes for the life of
+// the manager.
+const (
+	maxRetainedCommitMuts  = 1 << 13 // ~1.2 MB of kg.Mutation
+	maxRetainedCommitBytes = 1 << 20
+)
+
+// retainCommitBuffers keeps the drain and framing buffers for the next
+// commit. The drained mutations are zeroed so the buffer does not keep
+// their strings reachable in between.
+func (m *Manager) retainCommitBuffers(muts []kg.Mutation, buf []byte) {
+	m.commitMuts, m.commitBuf = nil, nil
+	if cap(muts) <= maxRetainedCommitMuts {
+		clear(muts)
+		m.commitMuts = muts[:0]
+	}
+	if cap(buf) <= maxRetainedCommitBytes {
+		m.commitBuf = buf[:0]
+	}
+}
+
 // encodeDictDeltasLocked appends framed records for every dictionary
 // entry past the cursors, advancing them.
 func (m *Manager) encodeDictDeltasLocked(buf []byte) []byte {
+	var at int
 	ont := m.g.Ontology()
 	for n := ont.Len(); m.ontCur < n; m.ontCur++ {
 		id := kg.TypeID(m.ontCur + 1)
-		buf = appendFrame(buf, encOntType(nil, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)}))
+		buf, at = beginFrame(buf)
+		buf = encOntType(buf, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)})
+		endFrame(buf, at)
 	}
 	for n := m.g.NumEntities(); m.entCur < n; m.entCur++ {
-		e := m.g.Entity(kg.EntityID(m.entCur + 1))
-		buf = appendFrame(buf, encEntity(nil, e))
+		buf, at = beginFrame(buf)
+		buf = encEntity(buf, m.g.Entity(kg.EntityID(m.entCur+1)))
+		endFrame(buf, at)
 	}
 	for n := m.g.NumPredicates(); m.predCur < n; m.predCur++ {
-		p := m.g.Predicate(kg.PredicateID(m.predCur + 1))
-		buf = appendFrame(buf, encPredicate(nil, p))
+		buf, at = beginFrame(buf)
+		buf = encPredicate(buf, m.g.Predicate(kg.PredicateID(m.predCur+1)))
+		endFrame(buf, at)
 	}
 	return buf
 }
@@ -523,8 +576,7 @@ func (m *Manager) Checkpoint() (uint64, error) {
 
 // ckptTripleBlockSize is how many triples share one checkpoint frame.
 // Large enough to amortize the frame header, CRC pass, and scan dispatch
-// to noise; small enough that a torn tail or corrupt frame loses little
-// and the encoder's scratch payload stays tens of KB.
+// to noise; small enough that a torn tail or corrupt frame loses little.
 const ckptTripleBlockSize = 512
 
 func (m *Manager) checkpointLocked() error {
@@ -547,32 +599,40 @@ func (m *Manager) checkpointLocked() error {
 	if err != nil {
 		return m.latch(fmt.Errorf("wal: create checkpoint: %w", err))
 	}
-	buf := appendFrame(nil, encCkptHeader(nil, ckptHeader{
+	buf, at := beginFrame(nil)
+	buf = encCkptHeader(buf, ckptHeader{
 		watermark: wm,
 		nEntities: uint64(nEnt),
 		nPreds:    uint64(nPred),
 		nOntTypes: uint64(nOnt),
 		nTriples:  uint64(len(ts)),
-	}))
+	})
+	endFrame(buf, at)
 	for id := kg.TypeID(1); int(id) <= nOnt; id++ {
-		buf = appendFrame(buf, encOntType(nil, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)}))
+		buf, at = beginFrame(buf)
+		buf = encOntType(buf, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)})
+		endFrame(buf, at)
 	}
 	for id := kg.EntityID(1); int(id) <= nEnt; id++ {
-		buf = appendFrame(buf, encEntity(nil, m.g.Entity(id)))
+		buf, at = beginFrame(buf)
+		buf = encEntity(buf, m.g.Entity(id))
+		endFrame(buf, at)
 	}
 	for id := kg.PredicateID(1); int(id) <= nPred; id++ {
-		buf = appendFrame(buf, encPredicate(nil, m.g.Predicate(id)))
+		buf, at = beginFrame(buf)
+		buf = encPredicate(buf, m.g.Predicate(id))
+		endFrame(buf, at)
 	}
 	// Triples are framed in blocks (many triples per CRC frame) so
 	// recovery amortizes the per-frame scan-and-dispatch cost, and
 	// flushed in chunks so checkpointing a large graph does not hold the
 	// whole serialized image in memory alongside the triples.
 	const chunk = 1 << 20
-	var payload []byte
 	for start := 0; start < len(ts); start += ckptTripleBlockSize {
 		end := min(start+ckptTripleBlockSize, len(ts))
-		payload = encTripleBlock(payload[:0], ts[start:end])
-		buf = appendFrame(buf, payload)
+		buf, at = beginFrame(buf)
+		buf = encTripleBlock(buf, ts[start:end])
+		endFrame(buf, at)
 		if len(buf) >= chunk {
 			if _, err := f.Write(buf); err != nil {
 				return m.latch(fmt.Errorf("wal: write checkpoint: %w", err))
@@ -580,7 +640,9 @@ func (m *Manager) checkpointLocked() error {
 			buf = buf[:0]
 		}
 	}
-	buf = appendFrame(buf, encCkptFooter(nil, ckptFooter{watermark: wm, nTriples: uint64(len(ts))}))
+	buf, at = beginFrame(buf)
+	buf = encCkptFooter(buf, ckptFooter{watermark: wm, nTriples: uint64(len(ts))})
+	endFrame(buf, at)
 	if _, err := f.Write(buf); err != nil {
 		return m.latch(fmt.Errorf("wal: write checkpoint: %w", err))
 	}

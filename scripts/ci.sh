@@ -6,8 +6,8 @@
 # benchmark module's own vet + smoke test (bench/ has its own go.mod, so
 # ./... never reaches it and an API drift in saga or internal/server
 # would otherwise break the benchmark silently), a few seconds of native
-# fuzzing on the two wire decoders' targets, and a short open-loop load
-# smoke against an in-process server
+# fuzzing on the wire encoder's and the two wire decoders' targets, and a
+# short open-loop load smoke against an in-process server
 # (kgload -smoke: zero 5xx, zero transport errors, p99 of admitted
 # requests under the read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
@@ -45,6 +45,8 @@ if [[ "${SKIP_RACE:-}" == "1" ]]; then
 else
     echo "== go test -race =="
     go test -race ./...
+    # internal/wal's on-disk byte-identity test and internal/kg's chunked-
+    # log pull-beside-truncate test ride this set.
     echo "== go test -race -cpu 1,2,4 (order and concurrency contracts) =="
     go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/server ./internal/wal ./saga
 fi
@@ -54,6 +56,7 @@ echo "== bench module (vet + smoke test) =="
 
 echo "== fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
+go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 
 if [[ "${SKIP_LOAD:-}" != "1" ]]; then
