@@ -14,6 +14,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 
 	"saga/internal/kg"
@@ -92,16 +93,40 @@ type Annotator struct {
 
 	matcher *textutil.Matcher
 	// patEnts maps automaton pattern ID -> candidate entities sharing that
-	// alias.
+	// alias; patNorm holds the pattern itself, the normalized alias, which
+	// is also the normalized surface of anything the pattern matches.
 	patEnts [][]kg.EntityID
+	patNorm []string
 
-	// entVecs caches the text-feature embedding of every entity — the
-	// precomputed, cached entity embeddings of §3.2.
-	entVecs map[kg.EntityID]vecindex.Vector
-	// featCache memoizes token feature vectors.
+	// ents holds what ranking needs of every entity, derived once at New.
+	ents map[kg.EntityID]entityInfo
+
+	// Token feature vectors. vocab holds every token of the entity names
+	// and descriptions seen at New and is immutable afterwards, so it is
+	// read without a lock; featCache memoizes tokens that only requests
+	// have brought (document words, window-edge fragments) and is dropped
+	// wholesale at featCacheMax entries.
+	vocab     map[string]vecindex.Vector
 	featMu    sync.RWMutex
 	featCache map[string]vecindex.Vector
 }
+
+// entityInfo is the per-entity state ranking reads instead of re-deriving
+// it per candidate.
+type entityInfo struct {
+	name     string // Entity.Name at New; normName is stale once they differ
+	normName string // NormalizePhrase(name)
+	// vec is the cached text-feature embedding of the entity — the
+	// precomputed entity embeddings of §3.2 — and norm its L2 norm
+	// (contextual mode only).
+	vec  vecindex.Vector
+	norm float32
+}
+
+// featCacheMax bounds the request-time feature cache (about 5 MB of
+// 64-dimensional vectors). /annotate is a public endpoint: without a
+// bound every distinct token ever posted would stay resident.
+const featCacheMax = 1 << 14
 
 // New builds an annotator over the graph's entity alias dictionary.
 func New(g *kg.Graph, cfg Config) (*Annotator, error) {
@@ -109,14 +134,12 @@ func New(g *kg.Graph, cfg Config) (*Annotator, error) {
 	a := &Annotator{
 		g:         g,
 		cfg:       cfg,
-		entVecs:   make(map[kg.EntityID]vecindex.Vector),
+		ents:      make(map[kg.EntityID]entityInfo),
 		featCache: make(map[string]vecindex.Vector),
 	}
 	builder := textutil.NewMatcherBuilder()
 	// alias -> pattern id dedup: multiple entities share one pattern.
 	patByAlias := make(map[string]int)
-	var patEnts [][]kg.EntityID
-	count := 0
 	g.Entities(func(e *kg.Entity) bool {
 		aliases := e.Aliases
 		if len(aliases) == 0 {
@@ -134,25 +157,33 @@ func New(g *kg.Graph, cfg Config) (*Annotator, error) {
 					continue
 				}
 				patByAlias[norm] = pid
-				patEnts = append(patEnts, nil)
+				a.patEnts = append(a.patEnts, nil)
+				a.patNorm = append(a.patNorm, norm)
 			}
-			patEnts[pid] = append(patEnts[pid], e.ID)
+			a.patEnts[pid] = append(a.patEnts[pid], e.ID)
 		}
+		info := entityInfo{name: e.Name, normName: textutil.NormalizePhrase(e.Name)}
 		if cfg.Mode == ModeContextual {
-			a.entVecs[e.ID] = a.textEmbedding(e.Name + " " + e.Description)
+			info.vec = make(vecindex.Vector, cfg.EmbedDim)
+			a.addText(info.vec, e.Name+" "+e.Description)
+			vecindex.Normalize(info.vec)
+			info.norm = vecindex.Norm(info.vec)
 		}
-		count++
+		a.ents[e.ID] = info
 		return true
 	})
-	if count == 0 {
+	if len(a.ents) == 0 {
 		return nil, fmt.Errorf("annotate: graph has no entities")
 	}
 	a.matcher = builder.Build()
-	a.patEnts = patEnts
+	// Everything cached so far is the build-time vocabulary.
+	a.vocab, a.featCache = a.featCache, make(map[string]vecindex.Vector)
 	return a, nil
 }
 
-// Annotate links all detected mentions in text.
+// Annotate links all detected mentions in text. The text is tokenized
+// once: mention detection, surface normalization and every mention's
+// context vector all work from that one token list.
 func (a *Annotator) Annotate(text string) []Annotation {
 	tokens := textutil.Tokenize(text)
 	if len(tokens) == 0 {
@@ -162,15 +193,19 @@ func (a *Annotator) Annotate(text string) []Annotation {
 	for i, t := range tokens {
 		words[i] = t.Text
 	}
-	matches := a.matcher.Match(words)
-	spans := resolveOverlaps(matches)
+	spans := resolveOverlaps(a.matcher.Match(words), len(tokens))
+	var feats []vecindex.Vector // token features, looked up on first use
+	if a.cfg.Mode == ModeContextual && len(spans) > 0 {
+		feats = make([]vecindex.Vector, len(tokens))
+	}
 
-	var out []Annotation
+	out := make([]Annotation, 0, len(spans))
 	for _, m := range spans {
-		startByte := tokens[m.Start].Start
-		endByte := tokens[m.End-1].End
-		surface := text[startByte:endByte]
-		cands := a.rankCandidates(surface, a.patEnts[m.Pattern], text, startByte, endByte)
+		var ctxVec vecindex.Vector
+		if a.cfg.Mode == ModeContextual {
+			ctxVec = a.contextVector(text, tokens, feats, m)
+		}
+		cands := a.rankCandidates(a.patNorm[m.Pattern], a.patEnts[m.Pattern], ctxVec)
 		if len(cands) == 0 {
 			continue
 		}
@@ -178,22 +213,27 @@ func (a *Annotator) Annotate(text string) []Annotation {
 		if best.Score < a.cfg.MinScore {
 			continue
 		}
+		startByte, endByte := tokens[m.Start].Start, tokens[m.End-1].End
 		out = append(out, Annotation{
 			Start:      startByte,
 			End:        endByte,
-			Surface:    surface,
+			Surface:    text[startByte:endByte],
 			Entity:     best.Entity,
 			Score:      best.Score,
 			Candidates: cands,
 		})
 	}
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
-// resolveOverlaps keeps a non-overlapping subset of matches, preferring
-// longer spans, then earlier ones (standard longest-match annotation
-// policy: "New York City" beats "New York" beats "York").
-func resolveOverlaps(matches []textutil.TokenMatch) []textutil.TokenMatch {
+// resolveOverlaps keeps a non-overlapping subset of matches over a text
+// of nTokens tokens, preferring longer spans, then earlier ones (standard
+// longest-match annotation policy: "New York City" beats "New York" beats
+// "York").
+func resolveOverlaps(matches []textutil.TokenMatch, nTokens int) []textutil.TokenMatch {
 	sorted := append([]textutil.TokenMatch(nil), matches...)
 	sort.Slice(sorted, func(i, j int) bool {
 		li := sorted[i].End - sorted[i].Start
@@ -207,7 +247,7 @@ func resolveOverlaps(matches []textutil.TokenMatch) []textutil.TokenMatch {
 		return sorted[i].Pattern < sorted[j].Pattern
 	})
 	var kept []textutil.TokenMatch
-	used := make(map[int]bool)
+	used := make([]bool, nTokens)
 	for _, m := range sorted {
 		free := true
 		for t := m.Start; t < m.End; t++ {
@@ -228,41 +268,79 @@ func resolveOverlaps(matches []textutil.TokenMatch) []textutil.TokenMatch {
 	return kept
 }
 
-// rankCandidates scores each candidate entity for a mention according to
-// the configured mode.
-func (a *Annotator) rankCandidates(surface string, ents []kg.EntityID, text string, startByte, endByte int) []Candidate {
+// contextVector embeds the text within ContextWindow bytes on each side
+// of mention m, the mention itself excluded so ambiguous candidates are
+// not all boosted equally by their shared surface form. It is the
+// embedding of text[lo:start] + " " + text[end:hi] without building or
+// re-tokenizing that string: a document token wholly inside the window
+// contributes its feature as it stands, and the at most two tokens the
+// window's edges cut (possibly mid-rune) are tokenized as the fragments
+// they are. Token features are vectors of ±1, so the sums are small
+// integers, exact in float32 in any order.
+func (a *Annotator) contextVector(text string, tokens []textutil.Token, feats []vecindex.Vector, m textutil.TokenMatch) vecindex.Vector {
+	lo := tokens[m.Start].Start - a.cfg.ContextWindow
+	if lo < 0 {
+		lo = 0
+	}
+	hi := tokens[m.End-1].End + a.cfg.ContextWindow
+	if hi > len(text) {
+		hi = len(text)
+	}
+	vec := make(vecindex.Vector, a.cfg.EmbedDim)
+	addToken := func(i int) {
+		if feats[i] == nil {
+			feats[i] = a.tokenFeature(tokens[i].Text)
+		}
+		for d, x := range feats[i] {
+			vec[d] += x
+		}
+	}
+	i := m.Start - 1
+	for ; i >= 0 && tokens[i].Start >= lo; i-- {
+		addToken(i)
+	}
+	if i >= 0 && tokens[i].End > lo {
+		a.addText(vec, text[lo:tokens[i].End])
+	}
+	i = m.End
+	for ; i < len(tokens) && tokens[i].End <= hi; i++ {
+		addToken(i)
+	}
+	if i < len(tokens) && tokens[i].Start < hi {
+		a.addText(vec, text[tokens[i].Start:hi])
+	}
+	return vecindex.Normalize(vec)
+}
+
+// rankCandidates scores each candidate entity for a mention whose
+// normalized surface is normSurface, according to the configured mode.
+func (a *Annotator) rankCandidates(normSurface string, ents []kg.EntityID, ctxVec vecindex.Vector) []Candidate {
 	if len(ents) == 0 {
 		return nil
 	}
-	var ctxVec vecindex.Vector
-	if a.cfg.Mode == ModeContextual {
-		lo := startByte - a.cfg.ContextWindow
-		if lo < 0 {
-			lo = 0
-		}
-		hi := endByte + a.cfg.ContextWindow
-		if hi > len(text) {
-			hi = len(text)
-		}
-		// Exclude the mention itself so ambiguous candidates are not all
-		// boosted equally by their shared surface form.
-		ctxVec = a.textEmbedding(text[lo:startByte] + " " + text[endByte:hi])
-	}
+	ctxNorm := vecindex.Norm(ctxVec)
 	out := make([]Candidate, 0, len(ents))
 	for _, id := range ents {
 		e := a.g.Entity(id)
 		if e == nil {
 			continue
 		}
-		score := textutil.JaroWinkler(textutil.NormalizePhrase(surface), textutil.NormalizePhrase(e.Name))
+		info := a.ents[id]
+		if e.Name != info.name { // renamed since New
+			info.normName = textutil.NormalizePhrase(e.Name)
+		}
+		score := textutil.JaroWinkler(normSurface, info.normName)
 		switch a.cfg.Mode {
 		case ModeLexical:
 			// surface similarity only
 		case ModePopularity:
 			score = 0.5*score + 0.5*e.Popularity
 		case ModeContextual:
-			ctx := float64(vecindex.Cosine(ctxVec, a.entVecs[id]))
-			score = 0.25*score + 0.15*e.Popularity + 0.6*ctx
+			var ctx float32 // cosine of context and entity embeddings; 0 if either is a zero vector
+			if ctxNorm != 0 && info.norm != 0 {
+				ctx = vecindex.Dot(ctxVec, info.vec) / (ctxNorm * info.norm)
+			}
+			score = 0.25*score + 0.15*e.Popularity + 0.6*float64(ctx)
 		}
 		out = append(out, Candidate{Entity: id, Score: score})
 	}
@@ -275,22 +353,23 @@ func (a *Annotator) rankCandidates(surface string, ents []kg.EntityID, text stri
 	return out
 }
 
-// textEmbedding builds the hashed bag-of-words embedding of a text: the
-// sum of deterministic pseudo-random token vectors, L2-normalized. These
-// play the role of the paper's textual-feature embeddings; they are
-// training-free and cheap enough to precompute for every entity.
-func (a *Annotator) textEmbedding(text string) vecindex.Vector {
-	vec := make(vecindex.Vector, a.cfg.EmbedDim)
+// addText adds to vec the feature vector of every token of text. A text's
+// hashed bag-of-words embedding — the sum of deterministic pseudo-random
+// token vectors, L2-normalized — plays the role of the paper's
+// textual-feature embeddings; it is training-free and cheap enough to
+// precompute for every entity.
+func (a *Annotator) addText(vec vecindex.Vector, text string) {
 	for _, tok := range textutil.Tokenize(text) {
-		f := a.tokenFeature(tok.Text)
-		for i := range vec {
-			vec[i] += f[i]
+		for d, x := range a.tokenFeature(tok.Text) {
+			vec[d] += x
 		}
 	}
-	return vecindex.Normalize(vec)
 }
 
 func (a *Annotator) tokenFeature(token string) vecindex.Vector {
+	if v, ok := a.vocab[token]; ok {
+		return v
+	}
 	a.featMu.RLock()
 	v, ok := a.featCache[token]
 	a.featMu.RUnlock()
@@ -309,7 +388,12 @@ func (a *Annotator) tokenFeature(token string) vecindex.Vector {
 		}
 	}
 	a.featMu.Lock()
-	a.featCache[token] = v
+	if len(a.featCache) >= featCacheMax {
+		a.featCache = make(map[string]vecindex.Vector)
+	}
+	// The token may be a substring of a request body; the key must not
+	// pin it.
+	a.featCache[strings.Clone(token)] = v
 	a.featMu.Unlock()
 	return v
 }

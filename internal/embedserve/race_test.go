@@ -1,8 +1,11 @@
 package embedserve
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -209,5 +212,70 @@ func TestRelatedEntitiesFallbackMatchesSimilarity(t *testing.T) {
 		if res[i].Score > res[i-1].Score {
 			t.Fatalf("results not sorted by cosine: %v", res)
 		}
+	}
+}
+
+// TestWalkEmbeddingsTieBreakIsStable: walk vectors reach the service as a
+// Go map, whose iteration order differs from run to run. Several entities
+// with the same vector tie at the k boundary; which of them is returned
+// must be the lowest IDs, on every installation.
+func TestWalkEmbeddingsTieBreakIsStable(t *testing.T) {
+	h := newHarness(t)
+	vecs := make(map[kg.EntityID]vecindex.Vector)
+	for i, p := range h.w.People[:40] {
+		v := vecindex.Vector{1, 0, 0, 0}
+		if i%2 == 1 {
+			v = vecindex.Vector{0.6, 0.8, 0, 0}
+		}
+		vecs[p] = v
+	}
+	subject := h.w.People[1] // twenty entities tie at 1.0, twenty at 0.6
+	var first []ScoredEntity
+	for round := 0; round < 8; round++ {
+		cp := make(map[kg.EntityID]vecindex.Vector, len(vecs))
+		for id, v := range vecs {
+			cp[id] = v
+		}
+		if err := h.svc.SetWalkEmbeddings(cp); err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.svc.RelatedEntities(subject, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 25 {
+			t.Fatalf("got %d related entities, want 25", len(got))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].Score == got[i-1].Score && got[i].ID < got[i-1].ID {
+				t.Fatalf("round %d: ties not in ascending ID order: %v", round, got)
+			}
+		}
+		if round == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("round %d: result depends on installation order\n got %v\nwant %v", round, got, first)
+		}
+	}
+}
+
+// TestRelatedEntitiesCancelled: an abandoned scan returns the context's
+// error and leaves nothing in the result cache.
+func TestRelatedEntitiesCancelled(t *testing.T) {
+	h := newHarness(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := h.w.People[2]
+	if res, err := h.svc.RelatedEntitiesContext(ctx, p, 4); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled request returned %v, %v", res, err)
+	}
+	h.svc.relMu.RLock()
+	_, cached := h.svc.relCache[relCacheKey{id: p, k: 4}]
+	h.svc.relMu.RUnlock()
+	if cached {
+		t.Fatal("a cancelled scan's result was cached")
+	}
+	if res, err := h.svc.RelatedEntitiesContext(context.Background(), p, 4); err != nil || len(res) != 4 {
+		t.Fatalf("live request after a cancelled one returned %v, %v", res, err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,9 +110,16 @@ func New(g *kg.Graph, model embedding.Model, dataset *embedding.Dataset) (*Servi
 // the previous installation or the complete new one. The caller must not
 // mutate vecs after handing it over.
 func (s *Service) SetWalkEmbeddings(vecs map[kg.EntityID]vecindex.Vector) error {
+	// Rows go in by ascending ID, not in map-iteration order, so the slab
+	// layout is the same on every process start.
+	ids := make([]kg.EntityID, 0, len(vecs))
+	for id := range vecs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	idx := vecindex.NewFlat()
-	for id, v := range vecs {
-		if err := idx.Add(uint64(id), v); err != nil {
+	for _, id := range ids {
+		if err := idx.Add(uint64(id), vecs[id]); err != nil {
 			return err
 		}
 	}
@@ -265,10 +273,9 @@ func (s *Service) RelatedEntities(id kg.EntityID, k int) ([]ScoredEntity, error)
 }
 
 // RelatedEntitiesContext is RelatedEntities with cancellation: the kNN
-// scan's candidate filter checks ctx periodically, so a disconnected
-// client's scan degenerates to cheap row skips instead of dot products,
-// and a result computed under a cancelled context is discarded rather
-// than cached.
+// scan polls ctx once per block of rows, so a disconnected client's scan
+// stops within a block, and an abandoned scan returns ctx's error and
+// caches nothing.
 func (s *Service) RelatedEntitiesContext(ctx context.Context, id kg.EntityID, k int) ([]ScoredEntity, error) {
 	// Load the walk installation once and use it consistently below: a
 	// concurrent SetWalkEmbeddings must not swap the index out from under
@@ -291,8 +298,9 @@ func (s *Service) RelatedEntitiesContext(ctx context.Context, id kg.EntityID, k 
 	}
 	s.relMu.RUnlock()
 
-	keep := cancellableKeep(ctx, func(cand uint64) bool { return cand != uint64(id) })
-	var out []ScoredEntity
+	keep := func(cand uint64) bool { return cand != uint64(id) }
+	var res []vecindex.Result
+	var err error
 	if walk != nil {
 		v, ok := walk.vecs[id]
 		if !ok {
@@ -300,21 +308,18 @@ func (s *Service) RelatedEntitiesContext(ctx context.Context, id kg.EntityID, k 
 		}
 		// Walk vectors are unit-normalized at training time, so inner
 		// product already equals cosine here.
-		res := walk.idx.SearchFiltered(v, k+1, keep)
-		out = toScored(res, k)
+		res, err = walk.idx.SearchFiltered(ctx, v, k+1, keep)
 	} else {
 		v, ok := s.entIndex.Get(uint64(id))
 		if !ok {
 			return nil, fmt.Errorf("embedserve: entity %v not in embedding space", id)
 		}
-		res := s.entIndex.SearchCosineFiltered(v, k+1, keep)
-		out = toScored(res, k)
+		res, err = s.entIndex.SearchCosineFiltered(ctx, v, k+1, keep)
 	}
-	if err := ctx.Err(); err != nil {
-		// A cancelled scan skipped candidates; its result is partial and
-		// must be neither cached nor returned.
+	if err != nil {
 		return nil, err
 	}
+	out := toScored(res, k)
 
 	s.relMu.Lock()
 	switch {
@@ -347,30 +352,6 @@ func (s *Service) RelatedEntitiesContext(ctx context.Context, id kg.EntityID, k 
 // primitive (query embedding vs cached entity embeddings, §3.2).
 func (s *Service) NearestByVector(q vecindex.Vector, k int) []ScoredEntity {
 	return toScored(s.entIndex.Search(q, k), k)
-}
-
-// cancellableKeep wraps a kNN candidate filter so that once ctx is
-// cancelled every remaining row is rejected before its similarity is
-// computed: the scan still walks the row index to completion but does no
-// further floating-point work. ctx is polled every 512 candidates to keep
-// the filter's own cost off the scan kernel. A never-cancelled context
-// (Background) keeps the filter unwrapped.
-func cancellableKeep(ctx context.Context, keep func(uint64) bool) func(uint64) bool {
-	if ctx.Done() == nil {
-		return keep
-	}
-	n := 0
-	cancelled := false
-	return func(cand uint64) bool {
-		if cancelled {
-			return false
-		}
-		if n++; n&511 == 0 && ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		return keep(cand)
-	}
 }
 
 func toScored(res []vecindex.Result, k int) []ScoredEntity {

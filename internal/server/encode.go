@@ -152,6 +152,12 @@ var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledRespBytes = 1 << 20
 
+func putRespBuf(bufp *[]byte) {
+	if cap(*bufp) <= maxPooledRespBytes {
+		respBufPool.Put(bufp)
+	}
+}
+
 // writeJSONBytes writes a complete, already-encoded JSON body in one
 // Write with its Content-Length.
 func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {

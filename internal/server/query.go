@@ -234,11 +234,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// nothing is written until the page is complete, so an error mid-solve
 	// still gets its own status line.
 	bufp := respBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bufp) <= maxPooledRespBytes {
-			respBufPool.Put(bufp)
-		}
-	}()
+	defer putRespBuf(bufp)
 	buf := append((*bufp)[:0], `{"bindings":[`...)
 	var (
 		enc   *rowEncoder

@@ -128,13 +128,29 @@ func writeShed(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeJSON encodes v into a pooled buffer and sends it as one Write with
+// its Content-Length (a body over net/http's 2 KB buffer would otherwise
+// leave chunked). The bytes are json.Encoder's, trailing newline
+// included. A value that cannot be encoded answers 500.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Too late to change the status; nothing useful to do.
-		_ = err
+	bufp := respBufPool.Get().(*[]byte)
+	defer putRespBuf(bufp)
+	*bufp = (*bufp)[:0]
+	if err := json.NewEncoder((*appendWriter)(bufp)).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		*bufp = append((*bufp)[:0], `{"error":`...)
+		*bufp = appendJSONString(*bufp, "encode response: "+err.Error())
+		*bufp = append(*bufp, "}\n"...)
 	}
+	writeJSONBytes(w, status, *bufp)
+}
+
+// appendWriter is a byte slice as an io.Writer.
+type appendWriter []byte
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -403,6 +419,21 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
+// queryK reads the optional k parameter of the kNN routes: 10 when
+// absent, otherwise an integer in 1..max; anything else is an error, never
+// a silent default.
+func queryK(r *http.Request, max int) (int, error) {
+	ks := r.URL.Query().Get("k")
+	if ks == "" {
+		return 10, nil
+	}
+	n, err := strconv.Atoi(ks)
+	if err != nil || n <= 0 || n > max {
+		return 0, fmt.Errorf("bad k %q", ks)
+	}
+	return n, nil
+}
+
 // handleRelated serves GET /related?key=<key>&k=<n>.
 func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	g := s.Platform.Graph()
@@ -411,14 +442,10 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("unknown entity"))
 		return
 	}
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		n, err := strconv.Atoi(ks)
-		if err != nil || n <= 0 || n > 1000 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
-			return
-		}
-		k = n
+	k, err := queryK(r, 1000)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	rel, err := s.Platform.RelatedEntitiesContext(r.Context(), e.ID, k)
 	if err != nil {
@@ -445,7 +472,8 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"related": out})
 }
 
-// handleSearch serves GET /search?q=...&k=10 over the web corpus.
+// handleSearch serves GET /search?q=...&k=10 over the web corpus; k
+// outside 1..100 is a 400, as on /related.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.Search == nil {
 		writeError(w, http.StatusServiceUnavailable, errors.New("search index not configured"))
@@ -456,11 +484,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("empty query"))
 		return
 	}
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		if n, err := strconv.Atoi(ks); err == nil && n > 0 && n <= 100 {
-			k = n
-		}
+	k, err := queryK(r, 100)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	hits, err := s.Search.SearchContext(r.Context(), q, k)
 	if err != nil {

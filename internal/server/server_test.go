@@ -2,8 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -194,6 +197,75 @@ func TestRelatedEndpoint(t *testing.T) {
 	}
 }
 
+// A k that is not a number in range is a 400 on both kNN routes, never a
+// silent fall-back to the default.
+func TestBadKIsRejected(t *testing.T) {
+	srv, w := testServer(t)
+	h := srv.Handler()
+	key := w.Graph.Entity(w.People[0]).Key
+	for _, route := range []struct {
+		path string
+		max  int
+	}{{"/related?key=" + key, 1000}, {"/search?q=award", 100}} {
+		for _, k := range []string{"abc", "0", "-1", "1.5", strconv.Itoa(route.max + 1), "99999999999999999999"} {
+			rec, body := do(t, h, "GET", route.path+"&k="+k, "")
+			if rec.Code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), "bad k") {
+				t.Fatalf("%s&k=%s: status %d body %v, want 400 bad k", route.path, k, rec.Code, body)
+			}
+		}
+		for _, k := range []string{"1", strconv.Itoa(route.max)} {
+			if rec, body := do(t, h, "GET", route.path+"&k="+k, ""); rec.Code != http.StatusOK {
+				t.Fatalf("%s&k=%s: status %d body %v", route.path, k, rec.Code, body)
+			}
+		}
+	}
+}
+
+// Every read route answers with a Content-Length and one complete body,
+// trailing newline included — also /search and /entity bodies over
+// net/http's 2 KB write buffer, which used to leave chunked. Checked over
+// a real connection: chunking is the transport's decision, not the
+// recorder's.
+func TestReadRoutesSendContentLength(t *testing.T) {
+	srv, w := testServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	e := w.Graph.Entity(w.People[0])
+	get := func(path string) *http.Response {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	annotate, err := http.Post(ts.URL+"/annotate", "application/json", strings.NewReader(`{"text":`+strconv.Quote(e.Name+" won an award.")+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, resp := range map[string]*http.Response{
+		"/entity":   get("/entity?key=" + e.Key),
+		"/related":  get("/related?key=" + e.Key + "&k=10"),
+		"/search":   get("/search?q=award+the+match&k=100"),
+		"/annotate": annotate,
+		"400":       get("/search?q=x&k=abc"),
+	} {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v, body %d bytes", name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if !json.Valid(body) || body[len(body)-1] != '\n' {
+			t.Fatalf("%s: body is not one JSON document and a newline: %q", name, body)
+		}
+		if name == "/search" && len(body) <= 2048 {
+			t.Fatalf("/search body is only %d bytes; the test needs one over net/http's 2 KB buffer", len(body))
+		}
+	}
+}
+
 func TestSearchEndpoint(t *testing.T) {
 	srv, w := testServer(t)
 	h := srv.Handler()
@@ -208,6 +280,10 @@ func TestSearchEndpoint(t *testing.T) {
 	rec, _ = do(t, h, "GET", "/search?q=", "")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty query status = %d", rec.Code)
+	}
+	rec, body = do(t, h, "GET", "/search?q=award&k=3", "")
+	if hits, _ := body["hits"].([]any); rec.Code != http.StatusOK || len(hits) != 3 {
+		t.Fatalf("k=3: status %d body %v", rec.Code, body)
 	}
 	// No index configured.
 	srv2 := &Server{Platform: srv.Platform}

@@ -8,9 +8,11 @@ package textutil
 // letters; Tokenize applies it so both the alias dictionary and the
 // document tokens are folded consistently.
 
-// foldTable maps accented runes to ASCII replacements. Multi-rune
-// expansions (æ→ae, ß→ss) are handled separately in FoldString.
-var foldTable = map[rune]rune{
+// foldTable maps accented runes to ASCII replacements (0 = no fold); it
+// is an array indexed by rune, covering the Latin-1 Supplement and Latin
+// Extended-A blocks. Multi-rune expansions (æ→ae, ß→ss) are handled
+// separately in FoldString.
+var foldTable = [...]rune{
 	'à': 'a', 'á': 'a', 'â': 'a', 'ã': 'a', 'ä': 'a', 'å': 'a', 'ā': 'a', 'ă': 'a', 'ą': 'a',
 	'ç': 'c', 'ć': 'c', 'ĉ': 'c', 'ċ': 'c', 'č': 'c',
 	'ď': 'd', 'đ': 'd', 'ð': 'd',
@@ -36,8 +38,8 @@ var foldTable = map[rune]rune{
 // FoldRune maps an accented lowercase Latin rune to its ASCII base, or
 // returns the rune unchanged. Callers lowercase first.
 func FoldRune(r rune) rune {
-	if f, ok := foldTable[r]; ok {
-		return f
+	if uint32(r) < uint32(len(foldTable)) && foldTable[r] != 0 {
+		return foldTable[r]
 	}
 	return r
 }

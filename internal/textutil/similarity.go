@@ -56,9 +56,26 @@ func LevenshteinSimilarity(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(longest)
 }
 
+// jaroStack is how many runes of each string Jaro handles in buffers on
+// its own stack; names and surface forms are shorter, so comparing them
+// allocates nothing.
+const jaroStack = 64
+
+// runesOf appends the runes of s to buf.
+func runesOf(buf []rune, s string) []rune {
+	for _, r := range s {
+		buf = append(buf, r)
+	}
+	return buf
+}
+
 // Jaro computes the Jaro similarity of two strings in [0,1].
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	var bufA, bufB [jaroStack]rune
+	return jaro(runesOf(bufA[:0], a), runesOf(bufB[:0], b))
+}
+
+func jaro(ra, rb []rune) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
@@ -69,8 +86,14 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, len(ra))
-	matchB := make([]bool, len(rb))
+	var bufA, bufB [jaroStack]bool
+	matchA, matchB := bufA[:], bufB[:]
+	if len(ra) > jaroStack {
+		matchA = make([]bool, len(ra))
+	}
+	if len(rb) > jaroStack {
+		matchB = make([]bool, len(rb))
+	}
 	var matches int
 	for i := range ra {
 		lo := i - window
@@ -116,9 +139,10 @@ func Jaro(a, b string) float64 {
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix
 // (up to 4 runes), with the standard scaling factor 0.1.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	var bufA, bufB [jaroStack]rune
+	ra, rb := runesOf(bufA[:0], a), runesOf(bufB[:0], b)
+	j := jaro(ra, rb)
 	prefix := 0
-	ra, rb := []rune(a), []rune(b)
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}

@@ -7,6 +7,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single token with its byte offsets in the original text.
@@ -22,29 +23,76 @@ type Token struct {
 // annotations can be mapped back onto documents. Folding (café → cafe,
 // Beyoncé → beyonce) makes alias matching accent-insensitive, the
 // lightweight multilingual requirement of §3.2.
+//
+// ASCII is classified and lowercased through a table, and a token that
+// is ASCII and already lowercase is a substring of text (no allocation;
+// a caller that keeps such a token beyond the text's life should
+// strings.Clone it). Any token holding a non-ASCII rune goes through
+// strings.ToLower and FoldString. Bytes that are not valid UTF-8 separate
+// tokens.
 func Tokenize(text string) []Token {
 	var tokens []Token
 	start := -1
+	ascii, lower := true, true // what the token being scanned has been so far
 	emit := func(s, e int) {
-		tokens = append(tokens, Token{Text: FoldString(strings.ToLower(text[s:e])), Start: s, End: e})
+		if tokens == nil {
+			tokens = make([]Token, 0, (len(text)-s)/5+1)
+		}
+		tok := text[s:e]
+		switch {
+		case !ascii:
+			tok = FoldString(strings.ToLower(tok))
+		case !lower:
+			buf := make([]byte, len(tok))
+			for i := range buf {
+				buf[i] = asciiWord[tok[i]]
+			}
+			tok = string(buf)
+		}
+		tokens = append(tokens, Token{Text: tok, Start: s, End: e})
+		ascii, lower = true, true
 	}
-	for i, r := range text {
-		if isWordRune(r) {
+	for i := 0; i < len(text); {
+		c, width, word := text[i], 1, false
+		if c < utf8.RuneSelf {
+			lc := asciiWord[c]
+			word = lc != 0
+			if word && lc != c {
+				lower = false
+			}
+		} else {
+			var r rune
+			r, width = utf8.DecodeRuneInString(text[i:])
+			if word = isWordRune(r); word {
+				ascii = false
+			}
+		}
+		if word {
 			if start < 0 {
 				start = i
 			}
-			continue
-		}
-		if start >= 0 {
+		} else if start >= 0 {
 			emit(start, i)
 			start = -1
 		}
+		i += width
 	}
 	if start >= 0 {
 		emit(start, len(text))
 	}
 	return tokens
 }
+
+// asciiWord maps an ASCII word byte to its lowercase form and every other
+// ASCII byte to 0.
+var asciiWord = func() (t [utf8.RuneSelf]byte) {
+	for c := range t {
+		if r := rune(c); isWordRune(r) {
+			t[c] = byte(unicode.ToLower(r))
+		}
+	}
+	return t
+}()
 
 func isWordRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\'' || r == '-'

@@ -1,0 +1,8 @@
+//go:build !amd64 || purego
+
+package vecindex
+
+// kernelBodies lists every dotRows body this build can run.
+func kernelBodies() map[string]func(dst, q, rows []float32) {
+	return map[string]func(dst, q, rows []float32){"go": dotRowsGo, "dispatch": dotRows}
+}

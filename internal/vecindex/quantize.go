@@ -3,8 +3,9 @@ package vecindex
 import (
 	"errors"
 	"math"
-	"sort"
 	"sync"
+
+	"saga/internal/topk"
 )
 
 // Int8 scalar quantization: the reproduction of the paper's model
@@ -123,20 +124,13 @@ func (f *QuantizedIndex) Search(q Vector, k int) []Result {
 	if k <= 0 || len(q) != f.dim {
 		return nil
 	}
-	out := make([]Result, 0, len(f.ids))
+	sel := topk.New(k, len(f.ids), worse)
 	for i, id := range f.ids {
-		out = append(out, Result{ID: id, Score: DotQuantized(q, f.vecs[i])})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+		if r := (Result{ID: id, Score: DotQuantized(q, f.vecs[i])}); !below(&sel, r.Score) && sel.Admits(r) {
+			sel.Push(r)
 		}
-		return out[a].ID < out[b].ID
-	})
-	if k < len(out) {
-		out = out[:k]
 	}
-	return out
+	return sel.Sorted()
 }
 
 // Len returns the number of stored vectors.

@@ -4,15 +4,45 @@
 // clustering. The IVF nprobe parameter is the price/performance knob the
 // paper's semantic-annotation section calls out: fewer probes are cheaper
 // but recall drops (experiment E11 measures the curve).
+//
+// # The scan kernel
+//
+// Every exact search is one blocked scan (FlatIndex.scan): dotRows scores
+// scanBlock consecutive rows of the slab per call, and a selection pass
+// over that block keeps the best k. dotRows(dst, q, rows) sets dst[r] to
+// the inner product of q and row r, computed as follows, and every body
+// of the kernel computes exactly this:
+//
+//   - eight float32 lanes, all starting at +0; element i of the row is
+//     multiplied with q[i] and the product, rounded to float32, is added
+//     to lane i%8 in order of increasing i (multiply, round, add — never
+//     a fused multiply-add);
+//   - the dim%8 trailing elements go to lanes 0..dim%8-1 the same way;
+//   - the lanes are summed as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+//
+// There are two bodies: dotRowsGo on every platform, and dotRowsAVX2 on
+// amd64 hosts that report AVX2 (checked once, at init). Because both
+// follow the contract above they agree bit for bit on every input whose
+// result is not NaN, and return NaN together otherwise (a NaN's payload
+// is not part of the contract), so which body ran cannot be observed in
+// any search result; TestDotRowsBodiesAgreeBitForBit and FuzzDotRows hold
+// them to it. The purego build tag forces the Go body.
+//
+// Results are ranked under one total order everywhere in the package
+// (flat, IVF, quantized): score descending, a NaN score after every
+// number, ties by ascending ID — see worse.
 package vecindex
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
+
+	"saga/internal/topk"
 )
 
 // Vector is a dense float32 embedding.
@@ -88,8 +118,8 @@ type Index interface {
 // FlatIndex is an exact brute-force index. Safe for concurrent use.
 // Vectors are stored in one contiguous float32 slab (row i occupies
 // data[i*dim:(i+1)*dim]) so a full scan is sequential memory traversal
-// with an unrolled dot-product kernel, not a pointer chase through
-// per-vector allocations.
+// through the dotRows kernel, not a pointer chase through per-vector
+// allocations.
 type FlatIndex struct {
 	mu      sync.RWMutex
 	dim     int
@@ -152,21 +182,14 @@ func (f *FlatIndex) Get(id uint64) (Vector, bool) {
 
 // Search implements Index.
 func (f *FlatIndex) Search(q Vector, k int) []Result {
-	return f.SearchFiltered(q, k, nil)
+	res, _ := f.scan(context.Background(), q, k, false, nil)
+	return res
 }
 
-// SearchFiltered is Search restricted to IDs accepted by keep (nil = all).
-func (f *FlatIndex) SearchFiltered(q Vector, k int, keep func(uint64) bool) []Result {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if len(q) != f.dim || f.dim == 0 {
-		return nil
-	}
-	dim := f.dim
-	return topKRows(len(f.ids), k,
-		func(i int) uint64 { return f.ids[i] },
-		func(i int) float32 { return dotContig(q, f.data[i*dim:(i+1)*dim]) },
-		func(i int) bool { return keep == nil || keep(f.ids[i]) })
+// SearchFiltered is Search restricted to IDs accepted by keep (nil = all)
+// and abandoned with ctx's error once ctx is done.
+func (f *FlatIndex) SearchFiltered(ctx context.Context, q Vector, k int, keep func(uint64) bool) ([]Result, error) {
+	return f.scan(ctx, q, k, false, keep)
 }
 
 // SearchCosineFiltered ranks by cosine similarity instead of raw inner
@@ -174,47 +197,68 @@ func (f *FlatIndex) SearchFiltered(q Vector, k int, keep func(uint64) bool) []Re
 // need not be normalized: each row's score is its inner product with q
 // scaled by the row's cached L2 norm and q's norm, so the ranking agrees
 // with Cosine() regardless of how the vectors were scaled at Add time.
-// Zero-norm rows (and a zero-norm query) score 0, matching Cosine.
-func (f *FlatIndex) SearchCosineFiltered(q Vector, k int, keep func(uint64) bool) []Result {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if len(q) != f.dim || f.dim == 0 {
-		return nil
-	}
-	qn := Norm(q)
-	if qn == 0 {
-		return nil
-	}
-	dim := f.dim
-	return topKRows(len(f.ids), k,
-		func(i int) uint64 { return f.ids[i] },
-		func(i int) float32 {
-			n := f.norms[i]
-			if n == 0 {
-				return 0
-			}
-			return dotContig(q, f.data[i*dim:(i+1)*dim]) / (qn * n)
-		},
-		func(i int) bool { return keep == nil || keep(f.ids[i]) })
+// Zero-norm rows score 0, matching Cosine; a zero-norm query has no
+// neighbours.
+func (f *FlatIndex) SearchCosineFiltered(ctx context.Context, q Vector, k int, keep func(uint64) bool) ([]Result, error) {
+	return f.scan(ctx, q, k, true, keep)
 }
 
-// dotContig is the scan kernel: an inner product unrolled into four
-// independent accumulators so the compiler can keep them in registers and
-// the loop is not serialized on one addition chain. b must have len(a).
-func dotContig(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	b = b[:len(a)] // hoist the bounds check out of the loop
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+// scanBlock is how many rows one kernel call scores: 1 KB of scores, so
+// the selection pass reads them back from L1, and the unit at which a
+// scan polls its context.
+const scanBlock = 256
+
+// scan is the one exact search: the kernel fills a block of inner
+// products, then one pass over the block applies the cosine scaling, the
+// heap's running threshold and, for the few rows that survive it,
+// the keep filter. keep therefore sees only rows that would otherwise
+// enter the result.
+func (f *FlatIndex) scan(ctx context.Context, q Vector, k int, cosine bool, keep func(uint64) bool) ([]Result, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if len(q) != f.dim || f.dim == 0 || k <= 0 {
+		return nil, nil
 	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+	var qn float32
+	if cosine {
+		if qn = Norm(q); qn == 0 {
+			return nil, nil
+		}
 	}
-	return (s0 + s1) + (s2 + s3)
+	n, dim := len(f.ids), f.dim
+	sel := topk.New(k, n, worse)
+	done := ctx.Done()
+	var buf [scanBlock]float32
+	for lo := 0; lo < n; lo += scanBlock {
+		if done != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		hi := lo + scanBlock
+		if hi > n {
+			hi = n
+		}
+		scores := buf[:hi-lo]
+		dotRows(scores, q, f.data[lo*dim:hi*dim])
+		ids, norms := f.ids[lo:hi], f.norms[lo:hi]
+		for i, s := range scores {
+			if cosine {
+				if rn := norms[i]; rn == 0 {
+					s = 0
+				} else {
+					s /= qn * rn
+				}
+			}
+			if below(&sel, s) {
+				continue
+			}
+			if r := (Result{ID: ids[i], Score: s}); sel.Admits(r) && (keep == nil || keep(r.ID)) {
+				sel.Push(r)
+			}
+		}
+	}
+	return sel.Sorted(), nil
 }
 
 // Len implements Index.
@@ -234,52 +278,47 @@ func (f *FlatIndex) Dim() int {
 // topK selects the k best rows of a slice-of-vectors layout (the IVF
 // candidate path). Rows whose dimensionality does not match q are skipped.
 func topK(q Vector, ids []uint64, vecs []Vector, k int, keep func(uint64) bool) []Result {
-	return topKRows(len(ids), k,
-		func(i int) uint64 { return ids[i] },
-		func(i int) float32 { return Dot(q, vecs[i]) },
-		func(i int) bool {
-			return (keep == nil || keep(ids[i])) && len(vecs[i]) == len(q)
-		})
-}
-
-// topKRows is the shared top-k selection kernel: it scans n rows through
-// the idAt/scoreAt accessors (keepRow gates each row), maintaining the
-// best k with an insertion pass, and returns them sorted by descending
-// score with ascending-ID tie-break. Both index layouts (flat slab and
-// IVF candidate lists) rank through this one loop so their tie-break and
-// selection semantics cannot diverge.
-func topKRows(n, k int, idAt func(int) uint64, scoreAt func(int) float32, keepRow func(int) bool) []Result {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]Result, 0, k+1)
-	for i := 0; i < n; i++ {
-		if !keepRow(i) {
+	sel := topk.New(k, len(ids), worse)
+	for i, id := range ids {
+		if len(vecs[i]) != len(q) || (keep != nil && !keep(id)) {
 			continue
 		}
-		s := scoreAt(i)
-		if len(out) < k {
-			out = append(out, Result{ID: idAt(i), Score: s})
-			if len(out) == k {
-				sort.Slice(out, func(a, b int) bool { return out[a].Score > out[b].Score })
-			}
-			continue
-		}
-		if s > out[k-1].Score {
-			out[k-1] = Result{ID: idAt(i), Score: s}
-			// Restore order with an insertion pass (k is small).
-			for j := k - 1; j > 0 && out[j].Score > out[j-1].Score; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
+		if r := (Result{ID: id, Score: Dot(q, vecs[i])}); !below(&sel, r.Score) && sel.Admits(r) {
+			sel.Push(r)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
+	return sel.Sorted()
+}
+
+// below is the cheap test every scan loop runs first: a full heap turns
+// away any score strictly below its worst without a call through the
+// order. (False if either score is NaN; Admits decides those, and ties.)
+func below(sel *topk.Heap[Result], score float32) bool {
+	return sel.Full() && score < sel.Worst().Score
+}
+
+// worse reports whether a ranks after b under the one total order every
+// index in the package selects and sorts by: higher score first, a NaN
+// score after every number, ties by ascending ID. Which of several
+// equal-scored rows survives at the k boundary is therefore a function of
+// the rows, not of the order they were scanned in.
+func worse(a, b Result) bool {
+	switch {
+	case a.Score < b.Score:
+		return true
+	case a.Score > b.Score:
+		return false
+	case a.Score == b.Score:
+		return a.ID > b.ID
+	}
+	// At least one score is NaN.
+	if an, bn := a.Score != a.Score, b.Score != b.Score; an != bn {
+		return an
+	}
+	return a.ID > b.ID
 }
 
 // IVFIndex is an inverted-file approximate index: vectors are assigned to

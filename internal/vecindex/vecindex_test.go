@@ -1,6 +1,7 @@
 package vecindex
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,8 +111,8 @@ func TestFlatSearchFiltered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := f.SearchFiltered(Vector{1, 0}, 3, func(id uint64) bool { return id%2 == 0 })
-	if len(res) != 3 {
+	res, err := f.SearchFiltered(context.Background(), Vector{1, 0}, 3, func(id uint64) bool { return id%2 == 0 })
+	if err != nil || len(res) != 3 {
 		t.Fatalf("filtered results = %v", res)
 	}
 	for _, r := range res {

@@ -3,15 +3,38 @@
 // engine the ODKE pipeline calls ("leverage Web search to find relevant
 // documents", Fig 5): the query synthesizer issues queries here and gets
 // relevance-ranked documents back.
+//
+// Layout. Documents and terms are numbered densely in order of first
+// appearance (a document keeps its number for life; none is ever
+// removed), and everything per document or per term is a slice indexed by
+// that number: a term's postings are {document, term frequency} pairs
+// sorted by document number, a document's length and its distinct terms
+// sit beside its pointer. A search accumulates scores into a pooled
+// float64 slice indexed by document number and selects the top k with a
+// bounded heap, so its cost is the postings of the query's terms plus
+// O(log k) per document that beats the running k-th score — no map of
+// scores, no sort of every hit.
+//
+// Update re-indexes one document under its existing number (or adds it
+// if its ID is new): the postings of the terms it held at its last
+// indexing — remembered by the index, so the caller may have edited the
+// document in place — are removed, and the current text is indexed. A
+// term whose last posting goes keeps its number and an empty list. The
+// BM25 length normalization depends on the corpus-wide average length,
+// which every Update moves, so it is computed per posting at query time
+// from the stored document length rather than cached per document.
 package websearch
 
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"saga/internal/textutil"
+	"saga/internal/topk"
 	"saga/internal/webcorpus"
 )
 
@@ -21,74 +44,119 @@ const (
 	b  = 0.75
 )
 
+// posting is one document's entry in a term's list.
+type posting struct {
+	doc int32
+	tf  int32
+}
+
 // Index is an inverted index with BM25 scoring. Build with NewIndex;
 // Search is safe for concurrent use. Documents can be re-indexed after
 // mutation with Update.
 type Index struct {
 	mu sync.RWMutex
 
-	docs map[string]*webcorpus.Document
-	// postings: term -> docID -> term frequency.
-	postings map[string]map[string]int
-	// docTerms snapshots each document's indexed term counts so Update can
-	// remove stale postings even if the caller mutated the document text
-	// in place before calling Update.
-	docTerms map[string]map[string]int
-	docLen   map[string]int
+	docNum   map[string]int32      // Doc.ID -> document number
+	docs     []*webcorpus.Document // by document number
+	docLen   []int32               // tokens at last indexing, by document number
+	docTerms [][]int32             // distinct term numbers at last indexing, by document number
 	totalLen int
+
+	termNum  map[string]int32 // term -> term number
+	postings [][]posting      // by term number, sorted by document number
+
+	scratch sync.Pool // *searchScratch
+}
+
+// searchScratch is one search's accumulator: acc is indexed by document
+// number and all zero between searches; touched lists the entries a
+// search made nonzero.
+type searchScratch struct {
+	acc     []float64
+	touched []int32
 }
 
 // NewIndex builds an index over the documents (title + text).
 func NewIndex(docs []*webcorpus.Document) *Index {
 	ix := &Index{
-		docs:     make(map[string]*webcorpus.Document),
-		postings: make(map[string]map[string]int),
-		docTerms: make(map[string]map[string]int),
-		docLen:   make(map[string]int),
+		docNum:  make(map[string]int32, len(docs)),
+		termNum: make(map[string]int32),
 	}
+	ix.scratch.New = func() any { return new(searchScratch) }
 	for _, d := range docs {
-		ix.addLocked(d)
+		ix.indexLocked(d)
 	}
 	return ix
 }
 
-func (ix *Index) addLocked(d *webcorpus.Document) {
-	toks := textutil.Tokenize(d.Title + " " + d.Text)
-	ix.docs[d.ID] = d
-	ix.docLen[d.ID] = len(toks)
-	ix.totalLen += len(toks)
-	terms := make(map[string]int, len(toks))
-	for _, t := range toks {
-		m := ix.postings[t.Text]
-		if m == nil {
-			m = make(map[string]int)
-			ix.postings[t.Text] = m
-		}
-		m[d.ID]++
-		terms[t.Text]++
+// indexLocked (re-)indexes d under its document number, assigning the
+// next one if d.ID is new. A known document's old postings must already
+// be gone.
+func (ix *Index) indexLocked(d *webcorpus.Document) {
+	num, known := ix.docNum[d.ID]
+	if !known {
+		num = int32(len(ix.docs))
+		ix.docNum[d.ID] = num
+		ix.docs = append(ix.docs, nil)
+		ix.docLen = append(ix.docLen, 0)
+		ix.docTerms = append(ix.docTerms, nil)
 	}
-	ix.docTerms[d.ID] = terms
+	toks := textutil.Tokenize(d.Title + " " + d.Text)
+	ix.docs[num] = d
+	ix.docLen[num] = int32(len(toks))
+	ix.totalLen += len(toks)
+
+	terms := make([]int32, len(toks))
+	for i, t := range toks {
+		tn, ok := ix.termNum[t.Text]
+		if !ok {
+			tn = int32(len(ix.postings))
+			// The token may be a substring of the document; the map key
+			// must not pin the whole text.
+			ix.termNum[strings.Clone(t.Text)] = tn
+			ix.postings = append(ix.postings, nil)
+		}
+		terms[i] = tn
+	}
+	slices.Sort(terms)
+	distinct := terms[:0]
+	for i := 0; i < len(terms); {
+		j := i
+		for j < len(terms) && terms[j] == terms[i] {
+			j++
+		}
+		ix.insertPosting(terms[i], posting{doc: num, tf: int32(j - i)})
+		distinct = append(distinct, terms[i])
+		i = j
+	}
+	ix.docTerms[num] = distinct
+}
+
+// insertPosting places p in term tn's list, which stays sorted by
+// document number; a new document's number is the largest, so building an
+// index only ever appends.
+func (ix *Index) insertPosting(tn int32, p posting) {
+	post := ix.postings[tn]
+	i := len(post)
+	if i > 0 && post[i-1].doc > p.doc {
+		i = sort.Search(len(post), func(i int) bool { return post[i].doc >= p.doc })
+	}
+	ix.postings[tn] = slices.Insert(post, i, p)
 }
 
 // Update re-indexes a changed document (removing its old postings).
 func (ix *Index) Update(d *webcorpus.Document) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if oldTerms, ok := ix.docTerms[d.ID]; ok {
-		for term, n := range oldTerms {
-			if m := ix.postings[term]; m != nil {
-				m[d.ID] -= n
-				if m[d.ID] <= 0 {
-					delete(m, d.ID)
-				}
-				if len(m) == 0 {
-					delete(ix.postings, term)
-				}
-			}
+	if num, ok := ix.docNum[d.ID]; ok {
+		for _, tn := range ix.docTerms[num] {
+			post := ix.postings[tn]
+			i := sort.Search(len(post), func(i int) bool { return post[i].doc >= num })
+			ix.postings[tn] = slices.Delete(post, i, i+1)
 		}
-		ix.totalLen -= ix.docLen[d.ID]
+		ix.totalLen -= int(ix.docLen[num])
 	}
-	ix.addLocked(d)
+	ix.indexLocked(d)
 }
 
 // NumDocs returns the indexed document count.
@@ -102,8 +170,11 @@ func (ix *Index) NumDocs() int {
 func (ix *Index) Doc(id string) (*webcorpus.Document, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	d, ok := ix.docs[id]
-	return d, ok
+	num, ok := ix.docNum[id]
+	if !ok {
+		return nil, false
+	}
+	return ix.docs[num], true
 }
 
 // Hit is one search result.
@@ -133,42 +204,70 @@ func (ix *Index) SearchContext(ctx context.Context, query string, k int) ([]Hit,
 	if len(qToks) == 0 {
 		return nil, nil
 	}
+	sc := ix.scratch.Get().(*searchScratch)
+	if len(sc.acc) < len(ix.docs) {
+		sc.acc = make([]float64, len(ix.docs))
+	}
+	acc, touched := sc.acc, sc.touched[:0]
+	defer func() {
+		for _, d := range touched {
+			acc[d] = 0
+		}
+		sc.touched = touched
+		ix.scratch.Put(sc)
+	}()
+
 	n := float64(len(ix.docs))
 	avgLen := float64(ix.totalLen) / n
-	scores := make(map[string]float64)
 	visited := 0
 	for _, qt := range qToks {
-		post := ix.postings[qt.Text]
+		tn, ok := ix.termNum[qt.Text]
+		if !ok {
+			continue
+		}
+		post := ix.postings[tn]
 		if len(post) == 0 {
 			continue
 		}
 		idf := math.Log(1 + (n-float64(len(post))+0.5)/(float64(len(post))+0.5))
-		for docID, tf := range post {
+		for _, p := range post {
 			if visited++; visited&4095 == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			dl := float64(ix.docLen[docID])
-			denom := float64(tf) + k1*(1-b+b*dl/avgLen)
-			scores[docID] += idf * float64(tf) * (k1 + 1) / denom
+			tf, dl := float64(p.tf), float64(ix.docLen[p.doc])
+			denom := tf + k1*(1-b+b*dl/avgLen)
+			// Every contribution is positive (idf > 0, tf ≥ 1), so a zero
+			// entry is one no term has reached yet.
+			if acc[p.doc] == 0 {
+				touched = append(touched, p.doc)
+			}
+			acc[p.doc] += idf * tf * (k1 + 1) / denom
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	hits := make([]Hit, 0, len(scores))
-	for docID, s := range scores {
-		hits = append(hits, Hit{Doc: ix.docs[docID], Score: s})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+
+	// Bounded selection: a document enters the heap only by beating the
+	// worst hit held.
+	sel := topk.New(k, len(touched), worseHit)
+	for _, d := range touched {
+		if sel.Full() && acc[d] < sel.Worst().Score {
+			continue
 		}
-		return hits[i].Doc.ID < hits[j].Doc.ID
-	})
-	if k < len(hits) {
-		hits = hits[:k]
+		if h := (Hit{Doc: ix.docs[d], Score: acc[d]}); sel.Admits(h) {
+			sel.Push(h)
+		}
 	}
-	return hits, nil
+	return sel.Sorted(), nil
+}
+
+// worseHit reports whether a ranks after b: lower score, then higher ID.
+func worseHit(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Doc.ID > b.Doc.ID
 }
