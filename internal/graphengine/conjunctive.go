@@ -1,6 +1,8 @@
 package graphengine
 
 import (
+	"iter"
+	"maps"
 	"slices"
 
 	"saga/internal/kg"
@@ -56,22 +58,39 @@ type Binding map[string]kg.Value
 // that do not need every row sorted should consume StreamConjunctive
 // directly and push their limit into the solve.
 func (e *Engine) QueryConjunctive(clauses []Clause) ([]Binding, error) {
+	return collectSorted(e.StreamConjunctive(clauses, QueryOptions{}))
+}
+
+// collectSorted drains a binding stream and sorts it by key tuple.
+func collectSorted(stream iter.Seq2[Binding, error]) ([]Binding, error) {
 	var out []Binding
-	for b, err := range e.StreamConjunctive(clauses, QueryOptions{}) {
+	for b, err := range stream {
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, b)
 	}
-	// Deterministic order on the comparable key tuples.
-	vars := queryVars(clauses)
+	sortBindingsByKey(out)
+	return out, nil
+}
+
+// sortBindingsByKey orders the bindings of one query (so all over the
+// same variables) by their key tuples: the values' ValueKeys in
+// sorted-variable order — the order QueryConjunctive returns and
+// subscription events are defined over.
+func sortBindingsByKey(bs []Binding) {
+	if len(bs) < 2 {
+		return
+	}
+	vars := slices.Sorted(maps.Keys(bs[0]))
 	type keyedBinding struct {
 		b   Binding
 		key []kg.ValueKey
 	}
-	rows := make([]keyedBinding, len(out))
-	for i, b := range out {
-		row := make([]kg.ValueKey, len(vars))
+	rows := make([]keyedBinding, len(bs))
+	keys := make([]kg.ValueKey, len(bs)*len(vars))
+	for i, b := range bs {
+		row := keys[i*len(vars) : (i+1)*len(vars)]
 		for j, name := range vars {
 			row[j] = b[name].MapKey()
 		}
@@ -79,9 +98,8 @@ func (e *Engine) QueryConjunctive(clauses []Clause) ([]Binding, error) {
 	}
 	slices.SortFunc(rows, func(a, b keyedBinding) int { return compareKeyRows(a.key, b.key) })
 	for i, r := range rows {
-		out[i] = r.b
+		bs[i] = r.b
 	}
-	return out, nil
 }
 
 // compareKeyRows lexicographically orders two equal-length ValueKey

@@ -159,15 +159,13 @@ func TestCursorPagesConcatenateToStream(t *testing.T) {
 
 			// Derived view: the last predicate also carries derived facts,
 			// some of them shadowed by base facts.
-			reader := &fakeReader{preds: map[kg.PredicateID]bool{preds[2]: true}}
+			set := NewFactSet()
 			for i := 0; i < 60; i++ {
 				tr := seekTriple(rng, ents, preds)
 				tr.Predicate = preds[2]
-				if !reader.HasDerivedFact(tr.Subject, tr.Predicate, tr.Object) {
-					reader.facts = append(reader.facts, tr)
-				}
+				set.Insert(tr)
 			}
-			derived := NewDerivedView(live, reader)
+			derived := Union(live, set)
 
 			surfaces := []struct {
 				name string
@@ -248,13 +246,11 @@ func TestNoDuplicateRowsUnderConcurrentWrites(t *testing.T) {
 	if _, err := base.AssertBatch(snapshot); err != nil {
 		t.Fatal(err)
 	}
-	reader := &fakeReader{preds: map[kg.PredicateID]bool{preds[2]: true}}
+	set := NewFactSet()
 	for i := 0; i < 80; i++ {
 		tr := seekTriple(rng, ents, preds)
 		tr.Predicate = preds[2]
-		if !reader.HasDerivedFact(tr.Subject, tr.Predicate, tr.Object) {
-			reader.facts = append(reader.facts, tr)
-		}
+		set.Insert(tr)
 	}
 
 	var (
@@ -291,7 +287,7 @@ func TestNoDuplicateRowsUnderConcurrentWrites(t *testing.T) {
 			seen[tok] = true
 		}
 	}
-	derived := NewDerivedView(live, reader)
+	derived := Union(live, set)
 	queries := seekQueries(ents, preds)
 	for round := 0; round < 4 || writes.Load() < 500; round++ {
 		for qi, q := range queries {

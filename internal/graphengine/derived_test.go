@@ -8,67 +8,9 @@ import (
 	"saga/internal/kg"
 )
 
-// fakeReader is a minimal DerivedReader over a fixed fact list, for
-// testing the view seam without the rules engine.
-type fakeReader struct {
-	preds map[kg.PredicateID]bool
-	facts []kg.Triple // insertion order
-}
-
-func (f *fakeReader) IsDerived(p kg.PredicateID) bool { return f.preds[p] }
-
-func (f *fakeReader) DerivedFactCount(s kg.EntityID, p kg.PredicateID) int {
-	return len(f.DerivedFacts(s, p))
-}
-
-func (f *fakeReader) DerivedSubjectCount(p kg.PredicateID, o kg.Value) int {
-	return len(f.DerivedSubjects(p, o))
-}
-
-func (f *fakeReader) DerivedFrequency(p kg.PredicateID) int { return len(f.DerivedEntries(p)) }
-
-func (f *fakeReader) HasDerivedFact(s kg.EntityID, p kg.PredicateID, o kg.Value) bool {
-	key := kg.Triple{Subject: s, Predicate: p, Object: o}.IdentityKey()
-	for _, t := range f.facts {
-		if t.IdentityKey() == key {
-			return true
-		}
-	}
-	return false
-}
-
-func (f *fakeReader) DerivedFacts(s kg.EntityID, p kg.PredicateID) []kg.Triple {
-	var out []kg.Triple
-	for _, t := range f.facts {
-		if t.Subject == s && t.Predicate == p {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func (f *fakeReader) DerivedSubjects(p kg.PredicateID, o kg.Value) []kg.EntityID {
-	key := o.MapKey()
-	var out []kg.EntityID
-	for _, t := range f.facts {
-		if t.Predicate == p && t.Object.MapKey() == key {
-			out = append(out, t.Subject)
-		}
-	}
-	return out
-}
-
-func (f *fakeReader) DerivedEntries(p kg.PredicateID) []kg.Triple {
-	var out []kg.Triple
-	for _, t := range f.facts {
-		if t.Predicate == p {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *fakeReader, []kg.EntityID, kg.PredicateID, kg.PredicateID) {
+// derivedWorld is a four-entity graph with a base predicate and one that
+// carries derived facts, and the (empty) set those live in.
+func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *FactSet, []kg.EntityID, kg.PredicateID, kg.PredicateID) {
 	t.Helper()
 	g := kg.NewGraph()
 	e := New(g)
@@ -88,54 +30,7 @@ func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *fakeReader, []kg.EntityID,
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &fakeReader{preds: map[kg.PredicateID]bool{der: true}}
-	return g, e, r, ents, base, der
-}
-
-// TestDerivedViewUnionOrder: base and derived facts stream as one sorted
-// merge in object-key order — whatever order the reader keeps its list
-// in — with a base-overlapping derived fact collapsing into the base's.
-func TestDerivedViewUnionOrder(t *testing.T) {
-	g, _, r, ents, _, der := derivedWorld(t)
-	overlap := kg.Triple{Subject: ents[0], Predicate: der, Object: kg.IntValue(1)}
-	if err := g.Assert(overlap); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Assert(kg.Triple{Subject: ents[0], Predicate: der, Object: kg.IntValue(2)}); err != nil {
-		t.Fatal(err)
-	}
-	r.facts = []kg.Triple{
-		{Subject: ents[0], Predicate: der, Object: kg.IntValue(9)},
-		overlap, // also base-asserted: must not double-stream
-		{Subject: ents[0], Predicate: der, Object: kg.IntValue(7)},
-	}
-	v := NewDerivedView(g, r)
-
-	want := []int64{1, 2, 7, 9}
-	for _, chunkSize := range []int{1, 2, 1024} {
-		var objs []int64
-		v.FactsChunked(ents[0], der, chunkSize, func(chunk []kg.Triple) bool {
-			for _, tr := range chunk {
-				objs = append(objs, tr.Object.Num)
-			}
-			return true
-		})
-		if fmt.Sprint(objs) != fmt.Sprint(want) {
-			t.Fatalf("chunk=%d: union order = %v, want %v", chunkSize, objs, want)
-		}
-	}
-
-	if !v.HasFact(ents[0], der, kg.IntValue(9)) || !v.HasFact(ents[0], der, kg.IntValue(2)) {
-		t.Fatal("HasFact missed a union member")
-	}
-	if v.HasFact(ents[1], der, kg.IntValue(9)) {
-		t.Fatal("HasFact invented a fact")
-	}
-	// Counts are estimates: at least the distinct size, double-counting
-	// the overlap is allowed.
-	if n := v.FactCount(ents[0], der); n < 4 {
-		t.Fatalf("FactCount = %d, want >= 4", n)
-	}
+	return g, e, NewFactSet(), ents, base, der
 }
 
 // TestAttachDerivedQueryTransparency: after AttachDerived, the Engine's
@@ -146,7 +41,7 @@ func TestAttachDerivedQueryTransparency(t *testing.T) {
 	if err := g.Assert(kg.Triple{Subject: ents[1], Predicate: base, Object: kg.StringValue("on")}); err != nil {
 		t.Fatal(err)
 	}
-	r.facts = []kg.Triple{{Subject: ents[1], Predicate: der, Object: kg.EntityValue(ents[2])}}
+	r.Insert(kg.Triple{Subject: ents[1], Predicate: der, Object: kg.EntityValue(ents[2])})
 
 	clauses := []Clause{
 		{Subject: V("X"), Predicate: der, Object: V("Y")},
@@ -217,14 +112,14 @@ func TestApplyDerivedDeltasReachesSubscriptions(t *testing.T) {
 	}
 
 	add := kg.Triple{Subject: ents[0], Predicate: der, Object: kg.IntValue(5)}
-	r.facts = append(r.facts, add)
+	r.Insert(add)
 	e.ApplyDerivedDeltas([]kg.Triple{add}, nil)
 	ev := recv(sub)
 	if len(ev.Adds) != 1 || len(ev.Retracts) != 0 {
 		t.Fatalf("delta event = %+v, want one add", ev)
 	}
 
-	r.facts = nil
+	r.Remove(add.IdentityKey())
 	e.ApplyDerivedDeltas(nil, []kg.Triple{add})
 	ev = recv(sub)
 	if len(ev.Retracts) != 1 {

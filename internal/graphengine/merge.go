@@ -7,11 +7,11 @@ import (
 	"saga/internal/kg"
 )
 
-// The one sorted merge behind every layered read: the as-of Overlay
-// (base − retracted ⊕ added), the DerivedView (base ∪ derived) and the
-// incremental CSR rebuild (row ∪ adds ∖ dels) all enumerate a sorted base
-// with a sorted delta folded in, so the result is in the same canonical
-// order a from-scratch build of the same facts would have.
+// The one sorted merge behind every layered read: the Overlay
+// ((base ∖ dels) ∪ adds, as-of and derived alike) and the incremental CSR
+// rebuild (row ∪ adds ∖ dels) both enumerate a sorted base with a sorted
+// delta folded in, so the result is in the same canonical order a
+// from-scratch build of the same facts would have.
 
 // cmpObject orders fact-list entries the way kg.Graph stores them: by
 // object ValueKey.

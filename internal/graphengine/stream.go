@@ -77,14 +77,28 @@ type QueryOptions struct {
 	Context context.Context
 }
 
+// deadline returns the context the solve runs under — Context with
+// Timeout layered over it as a deadline; nil when neither is set — and
+// the function that releases it.
+func (o QueryOptions) deadline() (context.Context, context.CancelFunc) {
+	if o.Timeout <= 0 {
+		return o.Context, func() {}
+	}
+	base := o.Context
+	if base == nil {
+		base = context.Background()
+	}
+	return context.WithTimeout(base, o.Timeout)
+}
+
 // conjGraph is the read surface the conjunctive solver touches: three
 // counters for the planner, a membership probe, and one ordered
 // enumeration per access path — fact lists by object key, postings by
 // subject ID (resumable after a given subject), and the unordered
 // per-predicate scan the executor sorts. It is an interface so tests can
 // interpose a counting wrapper and pin how much of the graph a limited
-// solve actually probes; *kg.Graph, *Overlay and *DerivedView implement
-// it.
+// solve actually probes; *kg.Graph and *Overlay (the layered view)
+// implement it.
 type conjGraph interface {
 	FactCount(kg.EntityID, kg.PredicateID) int
 	SubjectsWithCount(kg.PredicateID, kg.Value) int
@@ -173,9 +187,9 @@ func (e *Engine) StreamConjunctive(clauses []Clause, opts QueryOptions) iter.Seq
 	return bindings(e.StreamRows(clauses, opts))
 }
 
-// streamRows is StreamRows over the solver's graph interface (overlays,
-// derived views, and the tests' counting wrappers enter here). It plans
-// per call, with no cache.
+// streamRows is StreamRows over the solver's graph interface (overlays
+// and the tests' counting wrappers enter here). It plans per call, with
+// no cache.
 func streamRows(g conjGraph, clauses []Clause, opts QueryOptions) iter.Seq2[Row, error] {
 	return streamPlanned(g, clauses, opts, func() *Plan {
 		return buildPlan(g, clauses, "")
@@ -247,16 +261,8 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			yield(Row{}, fmt.Errorf("graphengine: cursor has %d values, query has %d variables", len(opts.Cursor), len(p.vars)))
 			return
 		}
-		ctx := opts.Context
-		if opts.Timeout > 0 {
-			base := ctx
-			if base == nil {
-				base = context.Background()
-			}
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(base, opts.Timeout)
-			defer cancel()
-		}
+		ctx, cancel := opts.deadline()
+		defer cancel()
 		ex := &executor{
 			g:        g,
 			plan:     p,
@@ -327,16 +333,8 @@ func (e *Engine) StreamPattern(p Pattern, opts QueryOptions) iter.Seq2[kg.Triple
 			yield(kg.Triple{}, fmt.Errorf("graphengine: cursors are not supported for pattern queries"))
 			return
 		}
-		ctx := opts.Context
-		if opts.Timeout > 0 {
-			base := ctx
-			if base == nil {
-				base = context.Background()
-			}
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(base, opts.Timeout)
-			defer cancel()
-		}
+		ctx, cancel := opts.deadline()
+		defer cancel()
 		g := e.g
 		n := 0
 		var ctxErr error

@@ -2,7 +2,6 @@ package graphengine
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,9 +18,9 @@ import (
 // query entirely off the per-mutation path:
 //
 //   - an assert that θ-unifies with a clause triggers a residual solve
-//     of the θ-substituted conjunction through the Engine's plan cache
-//     (the substituted shape is cached like any other), adding bindings
-//     the subscriber has not seen;
+//     of the other clauses with θ substituted (DeltaRows, the delta-join
+//     the rule engine shares), adding bindings the subscriber has not
+//     seen;
 //   - a retract grounds against the current answer set: bindings whose
 //     grounded clause instances include the retracted triple are
 //     re-verified clause by clause (HasFact) and retracted if dead.
@@ -352,7 +351,14 @@ func (h *subHub) pollLocked() {
 	if len(muts) == 0 {
 		return
 	}
+	g := h.e.read()
 	for _, mu := range muts {
+		// An assert retracted again since adds nothing: the delta-join
+		// solves against the current graph and is told only of facts that
+		// hold.
+		if mu.Op == kg.OpAssert && !g.HasFact(mu.T.Subject, mu.T.Predicate, mu.T.Object) {
+			continue
+		}
 		for s := range h.byPred[mu.T.Predicate] {
 			// Mutations at or below the subscription's snapshot (or
 			// fallback re-solve) watermark are already reflected.
@@ -388,36 +394,29 @@ func (s *Subscription) notePendingLocked(wm uint64) {
 }
 
 // deltaAssertLocked joins one asserted triple against the standing
-// query: every clause it unifies with seeds a residual solve whose rows
-// extend the answer set.
+// query: every clause it unifies with contributes the rows that use it
+// there (DeltaRows), extending the answer set. The caller has checked
+// that t still holds.
 func (h *subHub) deltaAssertLocked(s *Subscription, t kg.Triple) {
 	for i := range s.clauses {
-		theta, ok := unifyClause(s.clauses[i], t)
-		if !ok {
-			continue
-		}
-		residual, ok := substituteClauses(s.clauses, theta)
-		if !ok {
-			continue // θ puts a non-entity in a subject slot: no rows
-		}
-		for b, err := range h.e.StreamConjunctive(residual, QueryOptions{}) {
-			if err != nil {
-				break
-			}
-			// Merge θ back: residual rows lack the substituted vars.
-			full := make(Binding, len(b)+len(theta))
-			for k, v := range theta {
-				full[k] = v
-			}
-			for k, v := range b {
-				full[k] = v
-			}
+		for full := range DeltaRows(s.clauses, i, t, h.solve) {
 			key := string(appendKeyTuple(nil, BindingKey(full)))
 			if _, have := s.current[key]; have {
 				continue
 			}
 			s.current[key] = full
 			s.addPendingLocked(key, full, true)
+		}
+	}
+}
+
+// solve streams a residual conjunction's rows through the Engine's plan
+// cache (the substituted shape is cached like any other), until yield
+// returns false or the stream errs.
+func (h *subHub) solve(clauses []Clause, yield func(Binding) bool) {
+	for b, err := range h.e.StreamConjunctive(clauses, QueryOptions{}) {
+		if err != nil || !yield(b) {
+			return
 		}
 	}
 }
@@ -528,58 +527,6 @@ func (h *subHub) flushLocked() {
 	}
 }
 
-// unifyClause matches one clause against a concrete triple, returning
-// the variable substitution θ. Repeated variables must bind
-// consistently (Equal semantics, matching the executor's bindVar).
-func unifyClause(c Clause, t kg.Triple) (Binding, bool) {
-	if c.Predicate != t.Predicate {
-		return nil, false
-	}
-	theta := make(Binding, 2)
-	if c.Subject.Var != "" {
-		theta[c.Subject.Var] = kg.EntityValue(t.Subject)
-	} else if !c.Subject.Const.IsEntity() || c.Subject.Const.Entity != t.Subject {
-		return nil, false
-	}
-	if c.Object.Var != "" {
-		if prev, ok := theta[c.Object.Var]; ok {
-			if !prev.Equal(t.Object) {
-				return nil, false
-			}
-		} else {
-			theta[c.Object.Var] = t.Object
-		}
-	} else if c.Object.Const.MapKey() != t.Object.MapKey() {
-		return nil, false
-	}
-	return theta, true
-}
-
-// substituteClauses grounds θ's variables into the query, leaving the
-// remaining variables free. ok is false when θ would place a non-entity
-// value in a subject slot — such a conjunction has no rows (subjects
-// are entities) and is also structurally invalid.
-func substituteClauses(clauses []Clause, theta Binding) ([]Clause, bool) {
-	out := make([]Clause, len(clauses))
-	for i, c := range clauses {
-		if c.Subject.Var != "" {
-			if v, ok := theta[c.Subject.Var]; ok {
-				if !v.IsEntity() {
-					return nil, false
-				}
-				c.Subject = Term{Const: v}
-			}
-		}
-		if c.Object.Var != "" {
-			if v, ok := theta[c.Object.Var]; ok {
-				c.Object = Term{Const: v}
-			}
-		}
-		out[i] = c
-	}
-	return out, true
-}
-
 // bindingGrounds reports whether some clause, grounded under the
 // complete binding b, is exactly the triple with identity tk.
 func bindingGrounds(clauses []Clause, b Binding, tk kg.TripleKey) bool {
@@ -617,26 +564,4 @@ func bindingHolds(g conjGraph, clauses []Clause, b Binding) bool {
 		}
 	}
 	return true
-}
-
-// sortBindingsByKey orders bindings by their key tuples — the same
-// order QueryConjunctive returns and that events are defined over.
-func sortBindingsByKey(bs []Binding) {
-	if len(bs) < 2 {
-		return
-	}
-	keys := make([][]kg.ValueKey, len(bs))
-	order := make([]int, len(bs))
-	for i, b := range bs {
-		keys[i] = BindingKey(b)
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return compareKeyRows(keys[order[a]], keys[order[b]]) < 0
-	})
-	sorted := make([]Binding, len(bs))
-	for i, oi := range order {
-		sorted[i] = bs[oi]
-	}
-	copy(bs, sorted)
 }

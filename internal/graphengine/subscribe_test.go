@@ -3,7 +3,10 @@ package graphengine
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -290,4 +293,85 @@ func TestSubscriptionSlowClientEvicted(t *testing.T) {
 		t.Fatalf("stats after eviction: %+v", st)
 	}
 	sub.Close() // must be a no-op on an evicted subscription
+}
+
+// TestSubscriptionNaNJoinMatchesFromScratch: a NaN never joins (Equal
+// semantics), so a standing query joined on ?x must not gain a row when
+// both sides assert NaN with identical bits — substituting the NaN as a
+// constant would match it under SPO identity — while a variable that
+// occurs once must still deliver it. Every mirror ends equal to a fresh
+// solve. A row over an ordinary value, asserted last, marks the point by
+// which each subscriber has heard everything before it.
+func TestSubscriptionNaNJoinMatchesFromScratch(t *testing.T) {
+	g, ents, preds := newOverlayWorld(t)
+	eng := New(g)
+	p, q := preds[0], preds[1]
+	queries := []struct {
+		name    string
+		clauses []Clause
+		rows    int
+	}{
+		{"join", []Clause{{Subject: V("a"), Predicate: p, Object: V("x")}, {Subject: V("b"), Predicate: q, Object: V("x")}}, 1},
+		{"single-p", []Clause{{Subject: V("a"), Predicate: p, Object: V("x")}}, 2},
+		{"single-q", []Clause{{Subject: V("b"), Predicate: q, Object: V("x")}}, 2},
+	}
+	clients := make([]*subClient, len(queries))
+	for i, qu := range queries {
+		sub, err := eng.Subscribe(qu.clauses, SubscribeOptions{Coalesce: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		clients[i] = runSubClient(sub)
+	}
+	// waitFor blocks until client i's mirror holds a row binding x to v.
+	waitFor := func(i int, v kg.Value) map[string]Binding {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			got, err := clients[i].snapshot()
+			if err != nil {
+				t.Fatalf("%s: delivery invariant violated: %v", queries[i].name, err)
+			}
+			for _, b := range got {
+				if b["x"].MapKey() == v.MapKey() {
+					return got
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no row with x=%v delivered", queries[i].name, v)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	assert := func(s kg.EntityID, pred kg.PredicateID, o kg.Value) {
+		t.Helper()
+		if err := g.Assert(kg.Triple{Subject: s, Predicate: pred, Object: o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	nan, seven := kg.FloatValue(math.NaN()), kg.IntValue(7)
+	assert(ents[2], q, nan)
+	waitFor(2, nan) // the hub has consumed the first NaN before the second arrives
+	assert(ents[1], p, nan)
+	assert(ents[3], p, seven)
+	assert(ents[2], q, seven)
+	for i, qu := range queries {
+		got := waitFor(i, seven)
+		rows, err := eng.QueryConjunctive(qu.clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != qu.rows {
+			t.Fatalf("%s: fresh solve has %d rows, want %d", qu.name, len(rows), qu.rows)
+		}
+		want := make(map[string]Binding, len(rows))
+		for _, b := range rows {
+			want[bindingMapKey(b)] = b
+		}
+		if !setsMatch(want, got) {
+			t.Fatalf("%s: mirror holds %v, a fresh solve %v", qu.name, slices.Collect(maps.Values(got)), rows)
+		}
+	}
 }

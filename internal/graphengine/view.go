@@ -115,7 +115,7 @@ type Engine struct {
 	// read surface conjunctive solves run against, making derived
 	// predicates queryable transparently. Atomic so the hot query path
 	// never takes e.mu.
-	derived atomic.Pointer[DerivedView]
+	derived atomic.Pointer[Overlay]
 }
 
 // New returns an engine over g.
@@ -140,31 +140,8 @@ func (e *Engine) Materialize(def ViewDef) *View {
 	}
 	e.mu.Unlock()
 
-	v := &View{
-		def:      def,
-		g:        e.g,
-		keys:     make(map[kg.TripleKey]int),
-		predFreq: make(map[kg.PredicateID]int),
-	}
-	// Collect the triples and the watermark in one lock window
-	// (TriplesSnapshot), tallying predicate frequencies as we go so the
-	// MinPredicateFreq decision is stable for the whole materialization;
-	// filtering happens outside the lock against the collected set. A
-	// separate frequency pass followed by LastSeq would let a concurrent
-	// writer slip a mutation between the two, permanently skewing
-	// predFreq against the watermark Refresh resumes from.
-	var all []kg.Triple
-	v.seq = e.g.TriplesSnapshot(func(t kg.Triple) bool {
-		v.predFreq[t.Predicate]++
-		all = append(all, t)
-		return true
-	})
-	for _, t := range all {
-		if v.match(t) {
-			v.keys[t.IdentityKey()] = len(v.triples)
-			v.triples = append(v.triples, t)
-		}
-	}
+	v := &View{def: def, g: e.g}
+	v.rematerializeLocked() // v is not published yet: no lock needed
 	if def.Name != "" {
 		e.mu.Lock()
 		e.views[def.Name] = v
@@ -269,9 +246,16 @@ func (v *View) Refresh() int {
 	return applied
 }
 
-// rematerializeLocked rebuilds the view from a fresh consistent cut of
-// the graph — same logic as Engine.Materialize, reusing the view's
-// definition. Caller holds v.mu.
+// rematerializeLocked (re)builds the view from a fresh consistent cut of
+// the graph. Caller holds v.mu.
+//
+// The triples and the watermark are collected in one lock window
+// (TriplesSnapshot), tallying predicate frequencies on the way so the
+// MinPredicateFreq decision is stable for the whole materialization;
+// filtering happens outside the lock against the collected set. A
+// separate frequency pass followed by LastSeq would let a concurrent
+// writer slip a mutation between the two, permanently skewing predFreq
+// against the watermark Refresh resumes from.
 func (v *View) rematerializeLocked() int {
 	v.triples = nil
 	v.keys = make(map[kg.TripleKey]int)

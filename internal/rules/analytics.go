@@ -31,7 +31,7 @@ type DeriveReport struct {
 // at least one edge, where the representative is the smallest entity ID
 // in the component. Facts are emitted in ascending member order.
 func (e *Engine) DeriveComponents(out kg.PredicateID) (DeriveReport, error) {
-	if err := e.registerExternal(out); err != nil {
+	if err := e.checkExternal(out); err != nil {
 		return DeriveReport{}, err
 	}
 	snap := e.geng.Snapshot()
@@ -80,7 +80,7 @@ func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, err
 	if src == kg.NoPredicate {
 		return DeriveReport{}, fmt.Errorf("rules: sameas closure: source predicate required")
 	}
-	if err := e.registerExternal(out); err != nil {
+	if err := e.checkExternal(out); err != nil {
 		return DeriveReport{}, err
 	}
 	wm := e.g.LastSeq()
@@ -136,7 +136,7 @@ func (e *Engine) DeriveKHop(out kg.PredicateID, sources []kg.EntityID, k int) (D
 	if len(sources) == 0 {
 		return DeriveReport{}, fmt.Errorf("rules: khop: at least one source required")
 	}
-	if err := e.registerExternal(out); err != nil {
+	if err := e.checkExternal(out); err != nil {
 		return DeriveReport{}, err
 	}
 	snap := e.geng.Snapshot()
@@ -173,20 +173,16 @@ func (e *Engine) DeriveKHop(out kg.PredicateID, sources []kg.EntityID, k int) (D
 	return DeriveReport{Facts: len(facts), Watermark: snap.Seq()}, nil
 }
 
-// registerExternal validates and registers an analytics output
-// predicate. A rule head cannot double as an analytics output — the two
-// maintenance regimes (fixpoint vs wholesale replacement) would fight
-// over the same facts.
-func (e *Engine) registerExternal(out kg.PredicateID) error {
+// checkExternal validates an analytics output predicate. A rule head
+// cannot double as an analytics output — the two maintenance regimes
+// (fixpoint vs wholesale replacement) would fight over the same facts.
+func (e *Engine) checkExternal(out kg.PredicateID) error {
 	if out == kg.NoPredicate {
 		return fmt.Errorf("rules: analytics: output predicate required")
 	}
 	if e.rs.IsHead(out) {
 		return fmt.Errorf("rules: analytics: predicate %d is a rule head", out)
 	}
-	e.extMu.Lock()
-	e.external[out] = struct{}{}
-	e.extMu.Unlock()
 	return nil
 }
 
@@ -200,7 +196,7 @@ func (e *Engine) replaceExternal(out kg.PredicateID, facts []kg.Triple) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	oldKeys := make(map[kg.TripleKey]kg.Triple)
-	for _, t := range e.st.predFacts(out) {
+	for _, t := range e.st.facts.Entries(out) {
 		oldKeys[t.IdentityKey()] = t
 	}
 	var adds, rets []kg.Triple

@@ -37,16 +37,16 @@ func TestDeriveComponents(t *testing.T) {
 		t.Fatalf("component facts = %d, want 5 (f is isolated)", rep.Facts)
 	}
 	for _, m := range []kg.EntityID{a, b, c} {
-		if !e.HasDerivedFact(m, comp, kg.EntityValue(a)) {
+		if !hasDerived(e, m, comp, kg.EntityValue(a)) {
 			t.Fatalf("component(%d) != a", m)
 		}
 	}
 	for _, m := range []kg.EntityID{d, ee} {
-		if !e.HasDerivedFact(m, comp, kg.EntityValue(d)) {
+		if !hasDerived(e, m, comp, kg.EntityValue(d)) {
 			t.Fatalf("component(%d) != d", m)
 		}
 	}
-	if e.DerivedFactCount(f, comp) != 0 {
+	if e.Derived().FactCount(f, comp) != 0 {
 		t.Fatal("isolated entity got a component fact")
 	}
 
@@ -60,11 +60,11 @@ func TestDeriveComponents(t *testing.T) {
 		t.Fatalf("merged component facts = %d, want 5", rep.Facts)
 	}
 	for _, m := range []kg.EntityID{a, b, c, d, ee} {
-		if !e.HasDerivedFact(m, comp, kg.EntityValue(a)) {
+		if !hasDerived(e, m, comp, kg.EntityValue(a)) {
 			t.Fatalf("merged component(%d) != a", m)
 		}
 	}
-	if e.HasDerivedFact(d, comp, kg.EntityValue(d)) {
+	if hasDerived(e, d, comp, kg.EntityValue(d)) {
 		t.Fatal("stale component(d)=d fact survived the re-derivation")
 	}
 }
@@ -94,12 +94,12 @@ func TestDeriveSameAsClosure(t *testing.T) {
 		t.Fatalf("closure facts = %d, want 5", rep.Facts)
 	}
 	for _, m := range []kg.EntityID{a, b, c} {
-		if !e.HasDerivedFact(m, canon, kg.EntityValue(a)) {
+		if !hasDerived(e, m, canon, kg.EntityValue(a)) {
 			t.Fatalf("canonical(%d) != a", m)
 		}
 	}
 	for _, m := range []kg.EntityID{d, ee} {
-		if !e.HasDerivedFact(m, canon, kg.EntityValue(d)) {
+		if !hasDerived(e, m, canon, kg.EntityValue(d)) {
 			t.Fatalf("canonical(%d) != d", m)
 		}
 	}
@@ -123,11 +123,11 @@ func TestDeriveKHop(t *testing.T) {
 	for _, want := range []struct {
 		src, dst int
 	}{{0, 1}, {0, 2}, {3, 1}, {3, 2}, {3, 4}, {3, 5}} {
-		if !e.HasDerivedFact(ents[want.src], near, kg.EntityValue(ents[want.dst])) {
+		if !hasDerived(e, ents[want.src], near, kg.EntityValue(ents[want.dst])) {
 			t.Fatalf("near(a%d, a%d) missing", want.src, want.dst)
 		}
 	}
-	if e.HasDerivedFact(ents[0], near, kg.EntityValue(ents[0])) {
+	if hasDerived(e, ents[0], near, kg.EntityValue(ents[0])) {
 		t.Fatal("source reached itself")
 	}
 
@@ -165,7 +165,7 @@ func TestRuleOverAnalyticsPredicate(t *testing.T) {
 	if _, err := e.DeriveComponents(comp.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !e.HasDerivedFact(c, grouped.ID, kg.EntityValue(c)) {
+	if !hasDerived(e, c, grouped.ID, kg.EntityValue(c)) {
 		t.Fatal("rule did not fire over analytics facts")
 	}
 
@@ -175,10 +175,10 @@ func TestRuleOverAnalyticsPredicate(t *testing.T) {
 	if _, err := e.DeriveComponents(comp.ID); err != nil {
 		t.Fatal(err)
 	}
-	if e.HasDerivedFact(c, grouped.ID, kg.EntityValue(c)) {
+	if hasDerived(e, c, grouped.ID, kg.EntityValue(c)) {
 		t.Fatal("grouped fact over removed analytics label survived")
 	}
-	if !e.HasDerivedFact(c, grouped.ID, kg.EntityValue(a)) {
+	if !hasDerived(e, c, grouped.ID, kg.EntityValue(a)) {
 		t.Fatal("grouped fact over new analytics label missing")
 	}
 }
@@ -215,7 +215,7 @@ func TestAnalyticsVisibleThroughQueries(t *testing.T) {
 	mustAssert(t, g, ents[2], link, kg.EntityValue(ents[3]))
 	rs, _ := NewRuleSet(nil)
 	e := newTestEngine(t, geng, rs)
-	geng.AttachDerived(e)
+	geng.AttachDerived(e.Derived())
 	comp := mustPred(t, g, "component")
 	if _, err := e.DeriveComponents(comp); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 package rules
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,29 +54,22 @@ type Stats struct {
 // changefeed to keep the store at the fixpoint incrementally
 // (semi-naive: each mutation is delta-substituted into the body atoms
 // that mention its predicate and the residual is solved by the regular
-// executor). It implements graphengine.DerivedReader, so attaching it
-// to a graphengine.Engine makes the derived predicates queryable
-// through every existing surface.
+// executor). Attaching its fact set (Derived) to a graphengine.Engine
+// makes the derived predicates queryable through every existing surface.
 type Engine struct {
 	g    *kg.Graph
 	geng *graphengine.Engine
 	rs   *RuleSet
 	st   *store
-	view *graphengine.DerivedView
+	view *graphengine.Overlay // g ∪ st.facts: what rule bodies are solved against
 
 	// mu serializes maintenance: changefeed pumping, full re-derivation,
-	// and analytics replacement. Reads (DerivedReader) go straight to the
-	// store's own lock and never take mu. Lock order: mu -> st.mu; the
-	// OnDelta callback (hub locks) runs under mu but never under st.mu.
+	// and analytics replacement, and with them every write to the store.
+	// Queries read the store's fact set under its own leaf lock and never
+	// take mu; the OnDelta callback (hub locks) runs under mu.
 	mu      sync.Mutex
 	feed    *kg.Changefeed
 	onDelta func(adds, rets []kg.Triple)
-
-	// external is the analytics predicates: derived predicates whose
-	// facts come from Derive* passes, not rules. Guarded by extMu (the
-	// read side is on the executor's hot path).
-	extMu    sync.RWMutex
-	external map[kg.PredicateID]struct{}
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -90,21 +84,20 @@ type Engine struct {
 // New builds the engine, runs the initial full derivation synchronously
 // (the store is at the fixpoint when New returns), and starts the
 // background maintainer unless opts.NoMaintainer. The caller attaches
-// the engine to the graphengine.Engine (AttachDerived) to make derived
-// predicates queryable; Close stops the maintainer.
+// the engine's facts to the graphengine.Engine (AttachDerived(e.Derived()))
+// to make derived predicates queryable; Close stops the maintainer.
 func New(geng *graphengine.Engine, rs *RuleSet, opts Options) (*Engine, error) {
 	g := geng.Graph()
 	e := &Engine{
-		g:        g,
-		geng:     geng,
-		rs:       rs,
-		st:       newStore(),
-		onDelta:  opts.OnDelta,
-		external: make(map[kg.PredicateID]struct{}),
-		feed:     g.Feed(0),
-		stop:     make(chan struct{}),
+		g:       g,
+		geng:    geng,
+		rs:      rs,
+		st:      newStore(),
+		onDelta: opts.OnDelta,
+		feed:    g.Feed(0),
+		stop:    make(chan struct{}),
 	}
-	e.view = graphengine.NewDerivedView(g, e)
+	e.view = graphengine.Union(g, e.st.facts)
 	e.mu.Lock()
 	e.rederiveFullLocked()
 	e.mu.Unlock()
@@ -141,14 +134,15 @@ func (e *Engine) Close() {
 // RuleSet returns the engine's rule set.
 func (e *Engine) RuleSet() *RuleSet { return e.rs }
 
-// View returns the union read surface (base graph + this engine's
-// derived store) — the same view rule bodies are solved against.
-func (e *Engine) View() *graphengine.DerivedView { return e.view }
+// Derived returns the engine's derived facts (rules and analytics), live:
+// the set graphengine.Engine.AttachDerived layers over the graph. Callers
+// only read it.
+func (e *Engine) Derived() *graphengine.FactSet { return e.st.facts }
 
 // Stats snapshots the maintenance counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Facts:       e.st.size(),
+		Facts:       e.st.facts.Len(),
 		Rules:       e.rs.Len(),
 		Strata:      len(e.rs.strata),
 		Batches:     e.batches.Load(),
@@ -238,56 +232,39 @@ func (e *Engine) propagateLocked(work []kg.Triple, adds []kg.Triple) []kg.Triple
 		work = work[1:]
 		for _, ref := range e.rs.byBody[w.Predicate] {
 			r := e.rs.rules[ref.rule]
-			theta, ok := graphengine.UnifyClause(r.Body[ref.clause], w)
-			if !ok {
-				continue
-			}
-			rest := restClauses(r.Body, ref.clause)
-			// Split θ into Equal-safe values and the rest (NaN floats:
-			// v.Equal(v) false). Substituting a NaN into a residual clause
-			// would match it under SPO identity, but a from-scratch solve
-			// keeps it a join variable with Equal semantics — which never
-			// matches NaN — so a dropped variable still occurring in the
-			// residual makes the derivation impossible; take the same
-			// branch here or incremental and full evaluation diverge.
-			safe, dropped := splitEqualSafe(theta)
-			if anyVarOccurs(rest, dropped) {
-				continue
-			}
-			sub, ok := graphengine.SubstituteClauses(rest, safe)
-			if !ok {
-				continue
-			}
-			matched := w.IdentityKey()
-			e.solveBody(sub, func(row graphengine.Binding) {
-				full := mergeBindings(theta, row)
+			for full := range graphengine.DeltaRows(r.Body, ref.clause, w, e.solve) {
 				head, ok := groundClause(r.Head, full)
 				if !ok {
-					return
+					continue
 				}
-				sup := support{rule: ref.rule, body: make([]kg.TripleKey, 0, len(r.Body))}
-				for ci, c := range r.Body {
-					if ci == ref.clause {
-						sup.body = append(sup.body, matched)
-						continue
-					}
-					b, ok := groundClause(c, full)
-					if !ok {
-						return
-					}
-					sup.body = append(sup.body, b.IdentityKey())
-				}
-				if e.st.insert(head, sup) {
+				sup, ok := e.supportFor(ref.rule, full)
+				if ok && e.st.insert(head, sup) {
 					e.derivations.Add(1)
 					if !e.g.HasFact(head.Subject, head.Predicate, head.Object) {
 						adds = append(adds, head)
 					}
 					work = append(work, head)
 				}
-			})
+			}
 		}
 	}
 	return adds
+}
+
+// supportFor grounds rule ri's body under a complete row into the
+// support the row witnesses. ok is false when the row leaves a body
+// variable unbound.
+func (e *Engine) supportFor(ri int, row graphengine.Binding) (support, bool) {
+	body := e.rs.rules[ri].Body
+	sup := support{rule: ri, body: make([]kg.TripleKey, len(body))}
+	for ci, c := range body {
+		b, ok := groundClause(c, row)
+		if !ok {
+			return support{}, false
+		}
+		sup.body[ci] = b.IdentityKey()
+	}
+	return sup, true
 }
 
 // cascadeLocked overdeletes for one retracted base key: the store copy
@@ -308,7 +285,7 @@ func (e *Engine) cascadeLocked(bk kg.TripleKey, pending map[kg.TripleKey]kg.Trip
 	for len(queue) > 0 {
 		k := queue[0]
 		queue = queue[1:]
-		for _, hk := range e.st.dependentsOf(k) {
+		for hk := range e.st.dependents[k] {
 			if ht, ok := e.st.remove(hk); ok {
 				pending[hk] = ht
 				queue = append(queue, hk)
@@ -337,9 +314,9 @@ func (e *Engine) rederivePendingLocked(pending map[kg.TripleKey]kg.Triple, adds,
 	for k := range pending {
 		keys = append(keys, k)
 	}
-	sortTripleKeys(keys)
+	slices.SortFunc(keys, kg.TripleKey.Compare)
 	for _, k := range keys {
-		if e.st.has(k) {
+		if e.st.facts.Has(k) {
 			// Reinstated by an assert's or an earlier repair's propagation
 			// (which reported the visibility add already).
 			delete(pending, k)
@@ -363,7 +340,7 @@ func (e *Engine) rederivePendingLocked(pending map[kg.TripleKey]kg.Triple, adds,
 	}
 	for _, k := range keys {
 		ht, waiting := pending[k]
-		if !waiting || e.st.has(k) {
+		if !waiting || e.st.facts.Has(k) {
 			continue
 		}
 		e.retractions.Add(1)
@@ -377,52 +354,37 @@ func (e *Engine) rederivePendingLocked(pending map[kg.TripleKey]kg.Triple, adds,
 // deriveSupport searches for one currently valid derivation of h:
 // a rule whose head unifies with h and a body solve (through the union
 // view, i.e. against facts visible right now) whose grounding reproduces
-// h's identity key. Non-Equal-safe head bindings (NaN) are left as free
-// body variables and checked by the key comparison instead — the
-// executor would otherwise prune them at substituted clauses in a way a
-// from-scratch derivation would not.
+// h's identity key. This is not the delta-join: a head variable is not a
+// join, so a NaN it binds is derivable through a single body occurrence.
+// Such bindings are left as free body variables and checked by the key
+// comparison instead — substituted as constants they would match under
+// SPO identity where a from-scratch derivation joins with Equal.
 func (e *Engine) deriveSupport(h kg.Triple) (support, bool) {
 	hk := h.IdentityKey()
-	var found support
-	ok := false
-	for ri := range e.rs.rules {
-		if ok {
-			break
-		}
-		r := e.rs.rules[ri]
-		if r.Head.Predicate != h.Predicate {
-			continue
-		}
+	for ri, r := range e.rs.rules {
 		theta, unified := graphengine.UnifyClause(r.Head, h)
 		if !unified {
 			continue
 		}
-		safe, _ := splitEqualSafe(theta)
-		sub, valid := graphengine.SubstituteClauses(r.Body, safe)
+		maps.DeleteFunc(theta, func(_ string, v kg.Value) bool { return !v.Equal(v) })
+		sub, valid := graphengine.SubstituteClauses(r.Body, theta)
 		if !valid {
 			continue
 		}
-		e.solveBody(sub, func(row graphengine.Binding) {
-			if ok {
-				return
+		var found support
+		ok := false
+		e.solve(sub, func(row graphengine.Binding) bool {
+			maps.Copy(row, theta)
+			if head, grounded := groundClause(r.Head, row); grounded && head.IdentityKey() == hk {
+				found, ok = e.supportFor(ri, row)
 			}
-			full := mergeBindings(safe, row)
-			head, grounded := groundClause(r.Head, full)
-			if !grounded || head.IdentityKey() != hk {
-				return
-			}
-			sup := support{rule: ri, body: make([]kg.TripleKey, 0, len(r.Body))}
-			for _, c := range r.Body {
-				b, g := groundClause(c, full)
-				if !g {
-					return
-				}
-				sup.body = append(sup.body, b.IdentityKey())
-			}
-			found, ok = sup, true
+			return !ok
 		})
+		if ok {
+			return found, true
+		}
 	}
-	return found, ok
+	return support{}, false
 }
 
 // rederiveFullLocked rebuilds the rule-derived half of the store from
@@ -438,12 +400,12 @@ func (e *Engine) rederiveFullLocked() {
 	e.fullRuns.Add(1)
 
 	old := make(map[kg.TripleKey]kg.Triple)
-	for _, k := range e.st.keys() {
-		if !e.rs.IsHead(k.Predicate) {
-			continue
-		}
-		if t, ok := e.st.remove(k); ok {
-			old[k] = t
+	for p := range e.rs.heads {
+		for _, t := range e.st.facts.Entries(p) {
+			k := t.IdentityKey()
+			if t, ok := e.st.remove(k); ok {
+				old[k] = t
+			}
 		}
 	}
 
@@ -451,29 +413,20 @@ func (e *Engine) rederiveFullLocked() {
 		var work []kg.Triple
 		for _, ri := range stratum {
 			r := e.rs.rules[ri]
-			e.solveBody(r.Body, func(row graphengine.Binding) {
-				head, ok := groundClause(r.Head, row)
-				if !ok {
-					return
-				}
-				sup := support{rule: ri, body: make([]kg.TripleKey, 0, len(r.Body))}
-				for _, c := range r.Body {
-					b, ok := groundClause(c, row)
-					if !ok {
-						return
+			e.solve(r.Body, func(row graphengine.Binding) bool {
+				if head, ok := groundClause(r.Head, row); ok {
+					if sup, ok := e.supportFor(ri, row); ok && e.st.insert(head, sup) {
+						e.derivations.Add(1)
+						work = append(work, head)
 					}
-					sup.body = append(sup.body, b.IdentityKey())
 				}
-				if e.st.insert(head, sup) {
-					e.derivations.Add(1)
-					work = append(work, head)
-				}
+				return true
 			})
 		}
 		// Drain recursion within (and, harmlessly, ahead into later)
 		// strata. Visibility notifications are computed from the final
 		// old/new diff below, not during propagation.
-		e.propagateDiscard(work)
+		e.propagateLocked(work, nil)
 	}
 
 	e.feed.Reset(wm)
@@ -482,16 +435,14 @@ func (e *Engine) rederiveFullLocked() {
 	// changed for facts on exactly one side that the base does not also
 	// assert.
 	var adds, rets []kg.Triple
-	for _, k := range e.st.keys() {
-		if !e.rs.IsHead(k.Predicate) {
-			continue
-		}
-		if _, had := old[k]; had {
-			delete(old, k)
-			continue
-		}
-		if t, ok := e.st.get(k); ok && !e.g.HasFact(t.Subject, t.Predicate, t.Object) {
-			adds = append(adds, t)
+	for p := range e.rs.heads {
+		for _, t := range e.st.facts.Entries(p) {
+			k := t.IdentityKey()
+			if _, had := old[k]; had {
+				delete(old, k)
+			} else if !e.g.HasFact(t.Subject, t.Predicate, t.Object) {
+				adds = append(adds, t)
+			}
 		}
 	}
 	for _, t := range old {
@@ -503,85 +454,17 @@ func (e *Engine) rederiveFullLocked() {
 	e.notifyLocked(adds, rets)
 }
 
-// propagateDiscard runs the propagation worklist ignoring visibility
-// deltas (full rebuild computes them from the final diff).
-func (e *Engine) propagateDiscard(work []kg.Triple) {
-	_ = e.propagateLocked(work, nil)
-}
-
-// solveBody streams the rows of a (possibly empty) conjunction through
-// the union view. An empty body — every clause grounded by θ — has
-// exactly one row, the empty binding. Row errors (clause validation)
-// abort the enumeration; structurally invalid residuals derive nothing,
-// matching the executor's treatment of the same query.
-func (e *Engine) solveBody(clauses []graphengine.Clause, fn func(graphengine.Binding)) {
-	if len(clauses) == 0 {
-		fn(graphengine.Binding{})
-		return
-	}
+// solve streams a conjunction's rows, until yield returns false, through
+// the union of the graph and the store, so rule evaluation sees its own
+// previously derived facts — the recursion that makes transitive closure
+// converge. A structurally invalid residual stops at its error and derives
+// nothing, matching the executor's treatment of the same query.
+func (e *Engine) solve(clauses []graphengine.Clause, yield func(graphengine.Binding) bool) {
 	for row, err := range e.view.StreamConjunctive(clauses, graphengine.QueryOptions{}) {
-		if err != nil {
+		if err != nil || !yield(row) {
 			return
 		}
-		fn(row)
 	}
-}
-
-// --- small helpers ------------------------------------------------------
-
-// restClauses returns body without clause skip (a fresh slice).
-func restClauses(body []graphengine.Clause, skip int) []graphengine.Clause {
-	rest := make([]graphengine.Clause, 0, len(body)-1)
-	for ci, c := range body {
-		if ci != skip {
-			rest = append(rest, c)
-		}
-	}
-	return rest
-}
-
-// splitEqualSafe partitions a binding into the values that are safe to
-// substitute as constants (v.Equal(v), i.e. everything but NaN floats)
-// and the names of the rest.
-func splitEqualSafe(theta graphengine.Binding) (safe graphengine.Binding, dropped []string) {
-	safe = make(graphengine.Binding, len(theta))
-	for name, v := range theta {
-		if v.Equal(v) {
-			safe[name] = v
-		} else {
-			dropped = append(dropped, name)
-		}
-	}
-	return safe, dropped
-}
-
-// anyVarOccurs reports whether any of the named variables occurs in the
-// clauses.
-func anyVarOccurs(clauses []graphengine.Clause, names []string) bool {
-	if len(names) == 0 {
-		return false
-	}
-	for _, c := range clauses {
-		for _, n := range names {
-			if c.Subject.Var == n || c.Object.Var == n {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// mergeBindings overlays row onto theta (theta wins on conflicts, which
-// cannot disagree: shared names were substituted as constants).
-func mergeBindings(theta, row graphengine.Binding) graphengine.Binding {
-	full := make(graphengine.Binding, len(theta)+len(row))
-	for n, v := range row {
-		full[n] = v
-	}
-	for n, v := range theta {
-		full[n] = v
-	}
-	return full
 }
 
 // groundClause instantiates a clause under a full binding. ok is false
@@ -612,71 +495,4 @@ func groundClause(c graphengine.Clause, b graphengine.Binding) (kg.Triple, bool)
 	}
 	t = kg.Triple{Subject: sv.Entity, Predicate: c.Predicate, Object: ov}
 	return t, true
-}
-
-// sortTripleKeys orders keys by (subject, predicate, object key) — the
-// deterministic processing order of the rederive fixpoint.
-func sortTripleKeys(keys []kg.TripleKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		if a.Predicate != b.Predicate {
-			return a.Predicate < b.Predicate
-		}
-		return a.Object.Compare(b.Object) < 0
-	})
-}
-
-// --- graphengine.DerivedReader ------------------------------------------
-
-// IsDerived reports whether pred is a rule head or a registered
-// analytics predicate.
-func (e *Engine) IsDerived(pred kg.PredicateID) bool {
-	if e.rs.IsHead(pred) {
-		return true
-	}
-	e.extMu.RLock()
-	_, ok := e.external[pred]
-	e.extMu.RUnlock()
-	return ok
-}
-
-// DerivedFactCount returns the stored (subj, pred) fact count.
-func (e *Engine) DerivedFactCount(subj kg.EntityID, pred kg.PredicateID) int {
-	return e.st.factCount(subj, pred)
-}
-
-// DerivedSubjectCount returns the stored (pred, obj) subject count.
-func (e *Engine) DerivedSubjectCount(pred kg.PredicateID, obj kg.Value) int {
-	return e.st.subjectCount(pred, obj.MapKey())
-}
-
-// DerivedFrequency returns the stored fact count under pred.
-func (e *Engine) DerivedFrequency(pred kg.PredicateID) int {
-	return e.st.frequency(pred)
-}
-
-// HasDerivedFact reports membership under SPO identity.
-func (e *Engine) HasDerivedFact(subj kg.EntityID, pred kg.PredicateID, obj kg.Value) bool {
-	return e.st.has(kg.TripleKey{Subject: subj, Predicate: pred, Object: obj.MapKey()})
-}
-
-// DerivedFacts returns a copy of the stored (subj, pred) facts in
-// insertion order.
-func (e *Engine) DerivedFacts(subj kg.EntityID, pred kg.PredicateID) []kg.Triple {
-	return e.st.factsCopy(subj, pred)
-}
-
-// DerivedSubjects returns a copy of the stored (pred, obj) subjects in
-// insertion order.
-func (e *Engine) DerivedSubjects(pred kg.PredicateID, obj kg.Value) []kg.EntityID {
-	return e.st.subjectsCopy(pred, obj.MapKey())
-}
-
-// DerivedEntries returns a copy of every stored fact under pred in
-// insertion order.
-func (e *Engine) DerivedEntries(pred kg.PredicateID) []kg.Triple {
-	return e.st.predFacts(pred)
 }

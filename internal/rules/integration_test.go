@@ -19,7 +19,7 @@ func TestDerivedQueryTransparency(t *testing.T) {
 	const n = 6
 	g, geng, rs, ents, _, chain := chainWorld(t, n)
 	e := newTestEngine(t, geng, rs)
-	geng.AttachDerived(e)
+	geng.AttachDerived(e.Derived())
 	dept := mustPred(t, g, "dept")
 	mustAssert(t, g, ents[n-1], dept, kg.StringValue("infra"))
 
@@ -66,7 +66,7 @@ func TestHostileCursorWalkOverDerived(t *testing.T) {
 	const n = 7
 	g, geng, rs, ents, rt, chain := chainWorld(t, n)
 	e := newTestEngine(t, geng, rs)
-	geng.AttachDerived(e)
+	geng.AttachDerived(e.Derived())
 	clauses := []graphengine.Clause{
 		{Subject: graphengine.V("X"), Predicate: chain, Object: graphengine.V("Y")},
 	}
@@ -173,7 +173,7 @@ func TestSubscriptionOverDerivedPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	geng.AttachDerived(e)
+	geng.AttachDerived(e.Derived())
 	chain, _ := g.PredicateByName("chain")
 
 	sub, err := geng.Subscribe([]graphengine.Clause{
@@ -268,26 +268,30 @@ func TestIncrementalEqualsFromScratchUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	geng.AttachDerived(e)
+	geng.AttachDerived(e.Derived())
 	chain, _ := g.PredicateByName("chain")
 
 	var wg sync.WaitGroup
 	stopRead := make(chan struct{})
 	// Concurrent readers over the derived predicate, racing the
-	// maintainer's store writes.
+	// maintainer's writes to the fact set on each of its access paths:
+	// the scan, a fact list, a posting.
+	shapes := [][]graphengine.Clause{
+		{{Subject: graphengine.V("X"), Predicate: chain.ID, Object: graphengine.V("Y")}},
+		{{Subject: graphengine.CE(ents[0]), Predicate: chain.ID, Object: graphengine.V("Y")}},
+		{{Subject: graphengine.V("X"), Predicate: chain.ID, Object: graphengine.CE(ents[1])}},
+	}
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stopRead:
 					return
 				default:
 				}
-				for _, err := range geng.StreamConjunctive([]graphengine.Clause{
-					{Subject: graphengine.V("X"), Predicate: chain.ID, Object: graphengine.V("Y")},
-				}, graphengine.QueryOptions{Limit: 50}) {
+				for _, err := range geng.StreamConjunctive(shapes[i%len(shapes)], graphengine.QueryOptions{Limit: 50}) {
 					if err != nil {
 						return
 					}

@@ -24,9 +24,9 @@
 //
 // Head predicates are ordinary kg predicates (so the HTTP layer resolves
 // them by name), but derived facts are never written into kg.Graph: they
-// live in the rule engine's overlay store and reach queries through
-// graphengine's DerivedView. A head predicate may also carry base facts;
-// the union view presents both.
+// live in the rule engine's own graphengine.FactSet, which the query
+// stack layers over the graph (graphengine.Overlay). A head predicate may
+// also carry base facts; the union presents both.
 //
 // # Consistency contract
 //

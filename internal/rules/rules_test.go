@@ -54,13 +54,18 @@ func newTestEngine(t testing.TB, geng *graphengine.Engine, rs *RuleSet) *Engine 
 	return e
 }
 
+// hasDerived probes the engine's derived fact set.
+func hasDerived(e *Engine, s kg.EntityID, p kg.PredicateID, o kg.Value) bool {
+	return e.Derived().Has(kg.Triple{Subject: s, Predicate: p, Object: o}.IdentityKey())
+}
+
 // derivedKeys snapshots the engine's rule-derived fact keys (analytics
 // predicates excluded).
 func derivedKeys(e *Engine) map[kg.TripleKey]bool {
 	out := make(map[kg.TripleKey]bool)
-	for _, k := range e.st.keys() {
-		if e.rs.IsHead(k.Predicate) {
-			out[k] = true
+	for _, p := range e.rs.Heads() {
+		for _, t := range e.Derived().Entries(p) {
+			out[t.IdentityKey()] = true
 		}
 	}
 	return out
@@ -354,12 +359,12 @@ func TestFullDerivationClosure(t *testing.T) {
 	g, geng, rs, ents, _, chain := chainWorld(t, n)
 	e := newTestEngine(t, geng, rs)
 	want := n * (n - 1) / 2
-	if got := e.st.size(); got != want {
+	if got := e.Derived().Len(); got != want {
 		t.Fatalf("closure size = %d, want %d", got, want)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !e.HasDerivedFact(ents[i], chain, kg.EntityValue(ents[j])) {
+			if !hasDerived(e, ents[i], chain, kg.EntityValue(ents[j])) {
 				t.Fatalf("chain(a%d, a%d) missing", i, j)
 			}
 		}
@@ -378,7 +383,7 @@ func TestIncrementalAssertExtendsClosure(t *testing.T) {
 	tail := mustEnt(t, g, "tail")
 	mustAssert(t, g, ents[n-1], rt, kg.EntityValue(tail))
 	e.Sync()
-	if !e.HasDerivedFact(ents[0], chain, kg.EntityValue(tail)) {
+	if !hasDerived(e, ents[0], chain, kg.EntityValue(tail)) {
 		t.Fatal("chain(a0, tail) missing after incremental assert")
 	}
 	requireFixpoint(t, e, g)
@@ -397,10 +402,10 @@ func TestIncrementalRetractSplitsClosure(t *testing.T) {
 		t.Fatal("retract failed")
 	}
 	e.Sync()
-	if e.HasDerivedFact(ents[0], chain, kg.EntityValue(ents[n-1])) {
+	if hasDerived(e, ents[0], chain, kg.EntityValue(ents[n-1])) {
 		t.Fatal("chain(a0, a6) survived the cut")
 	}
-	if !e.HasDerivedFact(ents[0], chain, kg.EntityValue(ents[cut])) {
+	if !hasDerived(e, ents[0], chain, kg.EntityValue(ents[cut])) {
 		t.Fatal("chain(a0, a_cut) lost below the cut")
 	}
 	requireFixpoint(t, e, g)
@@ -431,18 +436,18 @@ func TestRetractKillsSelfSupportGhost(t *testing.T) {
 	}
 	e := newTestEngine(t, geng, rs)
 	// Cycle closure: chain(a,b), chain(b,a), chain(a,a), chain(b,b).
-	if e.st.size() != 4 {
-		t.Fatalf("cycle closure size = %d, want 4", e.st.size())
+	if e.Derived().Len() != 4 {
+		t.Fatalf("cycle closure size = %d, want 4", e.Derived().Len())
 	}
 	if !g.Retract(kg.Triple{Subject: a, Predicate: rt, Object: kg.EntityValue(b)}) {
 		t.Fatal("retract failed")
 	}
 	e.Sync()
 	chain, _ := g.PredicateByName("chain")
-	if e.HasDerivedFact(a, chain.ID, kg.EntityValue(a)) || e.HasDerivedFact(b, chain.ID, kg.EntityValue(b)) {
+	if hasDerived(e, a, chain.ID, kg.EntityValue(a)) || hasDerived(e, b, chain.ID, kg.EntityValue(b)) {
 		t.Fatal("self-loop closure facts survived as self-supporting ghosts")
 	}
-	if !e.HasDerivedFact(b, chain.ID, kg.EntityValue(a)) {
+	if !hasDerived(e, b, chain.ID, kg.EntityValue(a)) {
 		t.Fatal("chain(b, a) lost; its base edge is intact")
 	}
 	requireFixpoint(t, e, g)
@@ -468,7 +473,7 @@ func TestBaseOverlapRetract(t *testing.T) {
 	// Base-assert the same fact the rule derives.
 	mustAssert(t, g, a, chain, kg.EntityValue(b))
 	e := newTestEngine(t, geng, rs)
-	view := e.View()
+	view := graphengine.Union(g, e.Derived())
 	if !view.HasFact(a, chain, kg.EntityValue(b)) {
 		t.Fatal("fact invisible while doubly asserted")
 	}
@@ -538,11 +543,11 @@ func TestNaNRuleSemantics(t *testing.T) {
 	mustAssert(t, g, b, alsoScore, nan)
 	e.Sync()
 	// Single occurrence: the NaN propagates into the head.
-	if !e.HasDerivedFact(a, copied.ID, nan) {
+	if !hasDerived(e, a, copied.ID, nan) {
 		t.Fatal("copied(a, NaN) missing")
 	}
 	// Join on NaN: Equal(NaN, NaN) is false, so no agreement.
-	if e.HasDerivedFact(a, agreed.ID, kg.EntityValue(b)) {
+	if hasDerived(e, a, agreed.ID, kg.EntityValue(b)) {
 		t.Fatal("agreed(a, b) derived through a NaN join")
 	}
 	requireFixpoint(t, e, g)
@@ -552,7 +557,7 @@ func TestNaNRuleSemantics(t *testing.T) {
 		t.Fatal("retract failed")
 	}
 	e.Sync()
-	if e.HasDerivedFact(a, copied.ID, nan) {
+	if hasDerived(e, a, copied.ID, nan) {
 		t.Fatal("copied(a, NaN) survived its source")
 	}
 	requireFixpoint(t, e, g)
@@ -578,13 +583,13 @@ func TestOperatorLiteralConstants(t *testing.T) {
 	e := newTestEngine(t, geng, rs)
 	eqOp, _ := g.PredicateByName("eqOp")
 	weirdOp, _ := g.PredicateByName("weirdOp")
-	if !e.HasDerivedFact(a, eqOp.ID, kg.StringValue("matched")) {
+	if !hasDerived(e, a, eqOp.ID, kg.StringValue("matched")) {
 		t.Fatal(`eqOp(a, "matched") missing`)
 	}
-	if e.HasDerivedFact(b, eqOp.ID, kg.StringValue("matched")) {
+	if hasDerived(e, b, eqOp.ID, kg.StringValue("matched")) {
 		t.Fatal(`eqOp(b, ...) derived; ':- ,' literal matched "="`)
 	}
-	if !e.HasDerivedFact(b, weirdOp.ID, kg.StringValue(":- , \"quoted\"")) {
+	if !hasDerived(e, b, weirdOp.ID, kg.StringValue(":- , \"quoted\"")) {
 		t.Fatal("operator-soup literal mangled in flight")
 	}
 	requireFixpoint(t, e, g)

@@ -1,81 +1,41 @@
 package rules
 
 import (
-	"sync"
-
+	"saga/internal/graphengine"
 	"saga/internal/kg"
 )
 
-// store is the derived-fact overlay: every fact the rule engine (or an
-// analytics pass) has materialized, indexed the same three ways the base
-// graph indexes postings — by identity key, by (subject, predicate), and
-// by (predicate, object key) — so the DerivedReader surface can answer
-// the executor's access paths without scanning.
+// store is the derived-fact state: every fact the rule engine (or an
+// analytics pass) has materialized, held in a graphengine.FactSet — the
+// same sorted index the query stack layers over the graph, so derived
+// facts get every access path and the canonical order for free — plus
+// what is rule-specific, the support side-tables.
 //
-// Incremental maintenance state lives here too. Each derived fact
-// records ONE support: the rule and the grounded body facts of one
-// derivation that produced it. A single support is enough because
-// retraction never trusts supports alone — the cascade removes every
-// fact whose recorded support lost a member, then a bottom-up rederive
-// fixpoint reinstates anything still derivable through other
+// Each derived fact records ONE support: the rule and the grounded body
+// facts of one derivation that produced it. A single support is enough
+// because retraction never trusts supports alone — the cascade removes
+// every fact whose recorded support lost a member, then a bottom-up
+// rederive fixpoint reinstates anything still derivable through other
 // derivations. (Counting all supports — classic DRed bookkeeping — is
 // unsound against a live graph anyway: derivations observed mid-churn
 // can double- or under-count.) The dependents index inverts supports:
 // body fact key -> head fact keys it currently supports, which is what
 // makes the cascade a key-chase instead of a store scan.
 //
-// Analytics predicates are marked external: their facts have no rule
-// support (sup.rule == externalRule) and are replaced wholesale by
-// Derive* calls, but they participate in the dependents index like any
-// base fact, so a rule body over an analytics predicate stays
-// incremental.
+// Analytics facts have no rule support (sup.rule == externalRule) and are
+// replaced wholesale by Derive* calls, but they participate in the
+// dependents index like any base fact, so a rule body over an analytics
+// predicate stays incremental.
 //
-// Locking: store.mu is a leaf lock — nothing is called while holding it
-// — and every read method copies results out before returning, so
-// callers (the executor, deep in a recursive DerivedView solve) never
-// run user code inside it.
+// Locking: queries read facts concurrently under its own leaf lock; the
+// side-tables belong to the maintainer and are guarded by Engine.mu, as
+// is every insert and remove.
 type store struct {
-	mu sync.RWMutex
-
-	present map[kg.TripleKey]kg.Triple // identity -> stored fact
-	facts   map[spKey][]kg.Triple      // (subject, predicate) -> facts, insertion order
-	posts   map[poKey][]kg.EntityID    // (predicate, object key) -> subjects, insertion order
-
-	// byPred keeps the per-predicate fact list in insertion order with
-	// O(1) removal: a cascade can remove a large fraction of a
-	// predicate's facts in one batch, so the splice-scan the other lists
-	// use would make retraction quadratic in the derived set. Removal
-	// tombstones the slot through byPredPos and compaction rebuilds the
-	// list once tombstones outnumber live entries (amortized O(1)).
-	byPred    map[kg.PredicateID]*predList
-	byPredPos map[kg.TripleKey]int // identity -> index into its predList
+	facts *graphengine.FactSet
 
 	supports   map[kg.TripleKey]support
 	dependents map[kg.TripleKey]map[kg.TripleKey]struct{} // body key -> head keys
-
-	subjects map[kg.EntityID]int // subject -> derived fact count (for DerivedSubjectCount)
 }
-
-type spKey struct {
-	S kg.EntityID
-	P kg.PredicateID
-}
-
-type poKey struct {
-	P kg.PredicateID
-	O kg.ValueKey
-}
-
-// predList is one predicate's facts in insertion order, with tombstoned
-// slots (dead == true at the matching index) awaiting compaction.
-type predList struct {
-	list []kg.Triple
-	dead []bool
-	gone int // count of tombstones in list
-}
-
-// live returns the fact count net of tombstones.
-func (pl *predList) live() int { return len(pl.list) - pl.gone }
 
 // externalRule marks facts materialized by analytics passes rather than
 // rule derivations; they are never cascaded away by retracts (only
@@ -92,14 +52,9 @@ type support struct {
 
 func newStore() *store {
 	return &store{
-		present:    make(map[kg.TripleKey]kg.Triple),
-		facts:      make(map[spKey][]kg.Triple),
-		posts:      make(map[poKey][]kg.EntityID),
-		byPred:     make(map[kg.PredicateID]*predList),
-		byPredPos:  make(map[kg.TripleKey]int),
+		facts:      graphengine.NewFactSet(),
 		supports:   make(map[kg.TripleKey]support),
 		dependents: make(map[kg.TripleKey]map[kg.TripleKey]struct{}),
-		subjects:   make(map[kg.EntityID]int),
 	}
 }
 
@@ -107,25 +62,10 @@ func newStore() *store {
 // An already-present fact keeps its existing support (first derivation
 // wins; any valid support serves the cascade equally).
 func (st *store) insert(t kg.Triple, sup support) bool {
-	k := t.IdentityKey()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.present[k]; dup {
+	if !st.facts.Insert(t) {
 		return false
 	}
-	st.present[k] = t
-	sk := spKey{S: t.Subject, P: t.Predicate}
-	st.facts[sk] = append(st.facts[sk], t)
-	pk := poKey{P: t.Predicate, O: k.Object}
-	st.posts[pk] = append(st.posts[pk], t.Subject)
-	pl := st.byPred[t.Predicate]
-	if pl == nil {
-		pl = &predList{}
-		st.byPred[t.Predicate] = pl
-	}
-	st.byPredPos[k] = len(pl.list)
-	pl.list = append(pl.list, t)
-	pl.dead = append(pl.dead, false)
+	k := t.IdentityKey()
 	st.supports[k] = sup
 	for _, bk := range sup.body {
 		deps := st.dependents[bk]
@@ -135,46 +75,19 @@ func (st *store) insert(t kg.Triple, sup support) bool {
 		}
 		deps[k] = struct{}{}
 	}
-	st.subjects[t.Subject]++
 	return true
 }
 
 // remove deletes the fact with identity key k, reporting whether it was
-// present. Index lists are spliced order-preservingly. The fact's own
-// support is unindexed from dependents, but dependents[k] — the facts k
-// supports — is preserved: the caller's cascade consumes it.
+// present. The fact's own support is unindexed from dependents, but
+// dependents[k] — the facts k supports — is preserved: the caller's
+// cascade consumes it.
 func (st *store) remove(k kg.TripleKey) (kg.Triple, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	t, ok := st.present[k]
+	t, ok := st.facts.Remove(k)
 	if !ok {
 		return kg.Triple{}, false
 	}
-	delete(st.present, k)
-	sk := spKey{S: t.Subject, P: t.Predicate}
-	st.facts[sk] = spliceTriples(st.facts[sk], k)
-	if len(st.facts[sk]) == 0 {
-		delete(st.facts, sk)
-	}
-	pk := poKey{P: t.Predicate, O: k.Object}
-	st.posts[pk] = spliceSubjects(st.posts[pk], t.Subject)
-	if len(st.posts[pk]) == 0 {
-		delete(st.posts, pk)
-	}
-	if pl := st.byPred[t.Predicate]; pl != nil {
-		pl.dead[st.byPredPos[k]] = true
-		pl.gone++
-		delete(st.byPredPos, k)
-		switch {
-		case pl.live() == 0:
-			delete(st.byPred, t.Predicate)
-		case pl.gone > pl.live():
-			st.compactLocked(t.Predicate, pl)
-		}
-	}
-	sup := st.supports[k]
-	delete(st.supports, k)
-	for _, bk := range sup.body {
+	for _, bk := range st.supports[k].body {
 		if deps := st.dependents[bk]; deps != nil {
 			delete(deps, k)
 			if len(deps) == 0 {
@@ -182,174 +95,6 @@ func (st *store) remove(k kg.TripleKey) (kg.Triple, bool) {
 			}
 		}
 	}
-	if st.subjects[t.Subject]--; st.subjects[t.Subject] == 0 {
-		delete(st.subjects, t.Subject)
-	}
+	delete(st.supports, k)
 	return t, true
-}
-
-// compactLocked rebuilds pred's list without tombstones, preserving
-// insertion order and reindexing positions. Called under st.mu.
-func (st *store) compactLocked(pred kg.PredicateID, pl *predList) {
-	live := make([]kg.Triple, 0, pl.live())
-	for i, t := range pl.list {
-		if pl.dead[i] {
-			continue
-		}
-		st.byPredPos[t.IdentityKey()] = len(live)
-		live = append(live, t)
-	}
-	pl.list = live
-	pl.dead = make([]bool, len(live))
-	pl.gone = 0
-}
-
-// spliceTriples removes the first triple with identity key k from list,
-// preserving order.
-func spliceTriples(list []kg.Triple, k kg.TripleKey) []kg.Triple {
-	for i, t := range list {
-		if t.IdentityKey() == k {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-// spliceSubjects removes the first occurrence of s from list, preserving
-// order. Duplicate subjects cannot occur within one (predicate, object)
-// posting — insert dedups on full identity — so first-match is exact.
-func spliceSubjects(list []kg.EntityID, s kg.EntityID) []kg.EntityID {
-	for i, e := range list {
-		if e == s {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-// has reports whether the fact with identity key k is stored.
-func (st *store) has(k kg.TripleKey) bool {
-	st.mu.RLock()
-	_, ok := st.present[k]
-	st.mu.RUnlock()
-	return ok
-}
-
-// dependentsOf returns a copy of the head-fact keys whose recorded
-// support includes k.
-func (st *store) dependentsOf(k kg.TripleKey) []kg.TripleKey {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	deps := st.dependents[k]
-	if len(deps) == 0 {
-		return nil
-	}
-	out := make([]kg.TripleKey, 0, len(deps))
-	for hk := range deps {
-		out = append(out, hk)
-	}
-	return out
-}
-
-// supportOf returns the recorded support of the fact with key k.
-func (st *store) supportOf(k kg.TripleKey) (support, bool) {
-	st.mu.RLock()
-	sup, ok := st.supports[k]
-	st.mu.RUnlock()
-	return sup, ok
-}
-
-// get returns the stored fact with identity key k.
-func (st *store) get(k kg.TripleKey) (kg.Triple, bool) {
-	st.mu.RLock()
-	t, ok := st.present[k]
-	st.mu.RUnlock()
-	return t, ok
-}
-
-// factCount returns the stored (subject, predicate) fact count.
-func (st *store) factCount(s kg.EntityID, p kg.PredicateID) int {
-	st.mu.RLock()
-	n := len(st.facts[spKey{S: s, P: p}])
-	st.mu.RUnlock()
-	return n
-}
-
-// subjectCount returns the stored (predicate, object) subject count.
-func (st *store) subjectCount(p kg.PredicateID, o kg.ValueKey) int {
-	st.mu.RLock()
-	n := len(st.posts[poKey{P: p, O: o}])
-	st.mu.RUnlock()
-	return n
-}
-
-// frequency returns the stored fact count under p.
-func (st *store) frequency(p kg.PredicateID) int {
-	st.mu.RLock()
-	n := 0
-	if pl := st.byPred[p]; pl != nil {
-		n = pl.live()
-	}
-	st.mu.RUnlock()
-	return n
-}
-
-// factsCopy returns a copy of the stored (subject, predicate) facts in
-// insertion order.
-func (st *store) factsCopy(s kg.EntityID, p kg.PredicateID) []kg.Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	list := st.facts[spKey{S: s, P: p}]
-	if len(list) == 0 {
-		return nil
-	}
-	return append([]kg.Triple(nil), list...)
-}
-
-// subjectsCopy returns a copy of the stored (predicate, object) subjects
-// in insertion order.
-func (st *store) subjectsCopy(p kg.PredicateID, o kg.ValueKey) []kg.EntityID {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	list := st.posts[poKey{P: p, O: o}]
-	if len(list) == 0 {
-		return nil
-	}
-	return append([]kg.EntityID(nil), list...)
-}
-
-// keys returns a copy of every stored identity key.
-func (st *store) keys() []kg.TripleKey {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]kg.TripleKey, 0, len(st.present))
-	for k := range st.present {
-		out = append(out, k)
-	}
-	return out
-}
-
-// predFacts returns a copy of the stored facts for pred, insertion order.
-func (st *store) predFacts(pred kg.PredicateID) []kg.Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	pl := st.byPred[pred]
-	if pl == nil || pl.live() == 0 {
-		return nil
-	}
-	out := make([]kg.Triple, 0, pl.live())
-	for i, t := range pl.list {
-		if !pl.dead[i] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// size returns the stored fact count.
-func (st *store) size() int {
-	st.mu.RLock()
-	n := len(st.present)
-	st.mu.RUnlock()
-	return n
 }

@@ -29,6 +29,14 @@ import (
 // whole closure and full re-derivation wins. Org hierarchies are
 // shallow; the forest is the representative case.)
 //
+// "closure/fanin" is the delta case on the shape the forest never has: one
+// manager with 2,000 direct reports, so every closure fact shares one
+// object and the derived (chain, manager) posting is 2,000 subjects long;
+// 1% of the edges are cut and re-asserted per iteration. Removal from that
+// posting was a linear scan per fact in the rule store's private indexes
+// (quadratic in the cut); on the shared FactSet it is a binary search.
+// Reported, not gated.
+//
 // "cc" prices one connected-components materialization (CSR snapshot
 // build + BFS + diff against the previous labelling) over a synthetic
 // open-domain world, the analytics path's steady-state cost.
@@ -36,34 +44,43 @@ func BenchmarkE19Rules(b *testing.B) {
 	b.Run("closure/full", benchRulesFull)
 	for _, churn := range []int{1, 5} {
 		b.Run(fmt.Sprintf("closure/delta-churn=%d%%", churn), func(b *testing.B) {
-			benchRulesDelta(b, churn)
+			benchRulesDelta(b, benchOrgChains, benchOrgDepth, false, churn)
 		})
 	}
+	b.Run("closure/fanin", func(b *testing.B) { benchRulesDelta(b, benchFaninReports, 2, true, 1) })
 	b.Run("cc", benchRulesComponents)
 }
 
 const (
-	benchOrgChains = 200
-	benchOrgDepth  = 10
+	benchOrgChains    = 200
+	benchOrgDepth     = 10
+	benchFaninReports = 2000
 )
 
-// benchOrgWorld builds the org forest — benchOrgChains reporting chains
-// of benchOrgDepth entities each — and its two-rule closure program.
-// Returns the base edges and the closure's expected fact count.
-func benchOrgWorld(b *testing.B) (*kg.Graph, *graphengine.Engine, *rules.RuleSet, []kg.Triple, int) {
+// benchOrgWorld builds an org forest — chains reporting chains of depth
+// entities each, all ending at one shared root when shareRoot is set —
+// and its two-rule closure program. Returns the base edges and the
+// closure's expected fact count.
+func benchOrgWorld(b *testing.B, chains, depth int, shareRoot bool) (*kg.Graph, *graphengine.Engine, *rules.RuleSet, []kg.Triple, int) {
 	b.Helper()
 	g := kg.NewGraphWithShards(16)
 	pred, err := g.AddPredicate(kg.Predicate{Name: "reportsTo"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	root, err := g.AddEntity(kg.Entity{Key: "root"})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var edges []kg.Triple
-	for c := 0; c < benchOrgChains; c++ {
+	for c := 0; c < chains; c++ {
 		prev := kg.NoEntity
-		for d := 0; d < benchOrgDepth; d++ {
-			id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("c%dd%d", c, d)})
-			if err != nil {
-				b.Fatal(err)
+		for d := 0; d < depth; d++ {
+			id := root
+			if !shareRoot || d < depth-1 {
+				if id, err = g.AddEntity(kg.Entity{Key: fmt.Sprintf("c%dd%d", c, d)}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			if prev != kg.NoEntity {
 				tr := kg.Triple{Subject: prev, Predicate: pred, Object: kg.EntityValue(id)}
@@ -82,12 +99,11 @@ func benchOrgWorld(b *testing.B) (*kg.Graph, *graphengine.Engine, *rules.RuleSet
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantFacts := benchOrgChains * benchOrgDepth * (benchOrgDepth - 1) / 2
-	return g, graphengine.New(g), rs, edges, wantFacts
+	return g, graphengine.New(g), rs, edges, chains * depth * (depth - 1) / 2
 }
 
 func benchRulesFull(b *testing.B) {
-	_, geng, rs, _, wantFacts := benchOrgWorld(b)
+	_, geng, rs, _, wantFacts := benchOrgWorld(b, benchOrgChains, benchOrgDepth, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, err := rules.New(geng, rs, rules.Options{NoMaintainer: true})
@@ -102,8 +118,8 @@ func benchRulesFull(b *testing.B) {
 	b.ReportMetric(float64(wantFacts), "facts")
 }
 
-func benchRulesDelta(b *testing.B, churnPct int) {
-	g, geng, rs, edges, wantFacts := benchOrgWorld(b)
+func benchRulesDelta(b *testing.B, chains, depth int, shareRoot bool, churnPct int) {
+	g, geng, rs, edges, wantFacts := benchOrgWorld(b, chains, depth, shareRoot)
 	e, err := rules.New(geng, rs, rules.Options{NoMaintainer: true})
 	if err != nil {
 		b.Fatal(err)

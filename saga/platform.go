@@ -106,12 +106,12 @@ func (p *Platform) StreamQuery(pat Pattern) iter.Seq[Triple] {
 // DefineRulesText installs a Datalog-style rule program (see
 // internal/rules for the language): the program is parsed and validated
 // against the graph (head predicates are created on demand), a rules
-// engine runs the initial full derivation, attaches itself as the query
-// engine's derived-fact source — derived predicates become queryable
-// through every surface, POST /query included — and keeps the fixpoint
-// fresh against the graph's changefeed, feeding derived visibility
-// changes into live subscriptions. Redefining replaces the previous
-// program (its engine is stopped and detached first).
+// engine runs the initial full derivation, its derived facts are layered
+// over the graph on the query engine's read surface — derived predicates
+// become queryable through every surface, POST /query included — and it
+// keeps the fixpoint fresh against the graph's changefeed, feeding
+// derived visibility changes into live subscriptions. Redefining replaces
+// the previous program (its engine is stopped and detached first).
 func (p *Platform) DefineRulesText(text string) error {
 	rs, err := rules.ParseRules(p.graph, text)
 	if err != nil {
@@ -139,7 +139,7 @@ func (p *Platform) installRules(rs *rules.RuleSet) error {
 		p.rules.Close()
 	}
 	p.rules = eng
-	p.engine.AttachDerived(eng)
+	p.engine.AttachDerived(eng.Derived())
 	return nil
 }
 

@@ -2,16 +2,16 @@
 # ci.sh — the local CI gate: formatting, vet, build (plus an arm64
 # cross-build: the kNN kernel's generic body must compile where the amd64
 # assembly does not), a flag-parse smoke of kgserve (cmd/* has no tests),
-# the full test suite under the race detector — the graph, query, serving
-# and durability packages again at 1, 2 and 4 procs, since green at
-# GOMAXPROCS=1 only is red — the kNN packages again under -tags purego
+# the full test suite under the race detector — the graph, query, rules,
+# serving and durability packages again at 1, 2 and 4 procs, since green
+# at GOMAXPROCS=1 only is red — the kNN packages again under -tags purego
 # (the Go body of the scan kernel, which an AVX2 host never otherwise
 # runs a search through), the benchmark module's own vet + smoke test
 # (bench/ has its own go.mod, so ./... never reaches it and an API drift
 # in saga or internal/server would otherwise break the benchmark
 # silently), a few seconds of native fuzzing on the wire encoder's and the
-# two wire decoders' targets and on the kNN kernel's and the tokenizer's
-# differential targets, and a short open-loop load smoke against an
+# two wire decoders' targets, on the kNN kernel's and the tokenizer's
+# differential targets and on the fact set's model-based one, and a short open-loop load smoke against an
 # in-process server (kgload -smoke: zero 5xx, zero transport errors, p99
 # of admitted requests under the read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
@@ -51,9 +51,11 @@ else
     echo "== go test -race =="
     go test -race ./...
     # internal/wal's on-disk byte-identity test and internal/kg's chunked-
-    # log pull-beside-truncate test ride this set.
+    # log pull-beside-truncate test ride this set; internal/rules is in it
+    # because query goroutines read the rule engine's FactSet directly
+    # while the maintainer writes it.
     echo "== go test -race -cpu 1,2,4 (order and concurrency contracts) =="
-    go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/server ./internal/wal ./saga
+    go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/rules ./internal/server ./internal/wal ./saga
 fi
 
 echo "== go test -tags purego (Go body of the kNN kernel) =="
@@ -66,6 +68,7 @@ echo "== fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
+go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "${FUZZTIME:-5s}" ./internal/textutil/
 
