@@ -88,7 +88,7 @@ func BenchmarkE4EntityLinking(b *testing.B) {
 
 // BenchmarkE5TrainingThroughput measures Hogwild SGD edge throughput at
 // 1, 2, and 4 workers (the paper's multi-GPU scaling axis, mapped to
-// goroutines per DESIGN.md).
+// goroutines; ROADMAP.md's Hogwild residual records how it scales).
 func BenchmarkE5TrainingThroughput(b *testing.B) {
 	f := getFixture(b)
 	for _, workers := range []int{1, 2, 4} {

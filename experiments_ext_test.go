@@ -164,8 +164,8 @@ func TestE14MultiHopReasoning(t *testing.T) {
 }
 
 // ------------------------------------------------------------ ablations
-// Design-choice ablations called out in DESIGN.md: negative-sample count
-// and embedding dimensionality, at a fixed epoch budget.
+// Design-choice ablations: negative-sample count and embedding
+// dimensionality, at a fixed epoch budget.
 func TestAblationNegativesAndDim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep skipped in -short")

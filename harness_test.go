@@ -1,9 +1,9 @@
 // Package repro_test is the benchmark and experiment harness at the root
 // of the repository. It reproduces, for each figure of the paper, a
 // quantified experiment (experiments_test.go, TestE1–TestE12) and a
-// performance benchmark (bench_test.go, BenchmarkE1–BenchmarkE12). See
-// DESIGN.md for the per-experiment index and EXPERIMENTS.md for recorded
-// results.
+// performance benchmark (bench_test.go, BenchmarkE1–BenchmarkE12).
+// Recorded results are the committed BENCH_<date>.json snapshots
+// (scripts/bench.sh); ROADMAP.md says which of them gate.
 package repro_test
 
 import (
@@ -120,8 +120,7 @@ func buildFixture() (*fixture, error) {
 	return f, nil
 }
 
-// row prints an experiment result row in a uniform, grep-able format that
-// EXPERIMENTS.md quotes.
+// row prints an experiment result row in a uniform, grep-able format.
 func row(tb testing.TB, exp, label string, kv ...any) {
 	tb.Helper()
 	s := fmt.Sprintf("[%s] %-32s", exp, label)

@@ -251,7 +251,7 @@ func TestDiskPartitionRoundTrip(t *testing.T) {
 	var total int
 	seen := make(map[[3]int32]int)
 	for _, p := range paths {
-		triples, err := ReadPartition(p)
+		triples, err := ReadPartition(p, d.NumEntities(), d.NumRelations())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestWritePartitionsErrors(t *testing.T) {
 	if _, err := WritePartitions(d, t.TempDir(), 0, 1); err == nil {
 		t.Fatal("nParts=0 accepted")
 	}
-	if _, err := ReadPartition("/nonexistent/path.bin"); err == nil {
+	if _, err := ReadPartition("/nonexistent/path.bin", 1, 1); err == nil {
 		t.Fatal("missing partition accepted")
 	}
 }

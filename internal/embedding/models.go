@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"saga/internal/vecindex"
 )
@@ -42,6 +43,9 @@ type Model interface {
 	// EntityVector returns the (possibly concatenated re/im) entity
 	// embedding as a vecindex.Vector copy.
 	EntityVector(e int32) vecindex.Vector
+	// EntityVectors returns a copy of every entity's EntityVector as one
+	// row-major matrix, entity e at row e.
+	EntityVectors() []float32
 }
 
 // NewModel constructs a model with Xavier-style random initialization.
@@ -65,36 +69,46 @@ func NewModel(kind ModelKind, numEnts, numRels, dim int, seed int64) (Model, err
 	}
 }
 
-// base holds the embedding matrices shared by all model kinds.
+// base holds the parameter matrices shared by all model kinds, each one
+// flat and row-major: row i is m[i*dim : (i+1)*dim].
 type base struct {
-	ent [][]float32
-	rel [][]float32
+	ent []float32
+	rel []float32
 	dim int
 }
 
 func newBase(numEnts, numRels, dim int, rng *rand.Rand) base {
 	bound := float32(6 / math.Sqrt(float64(dim)))
-	mk := func(n int) [][]float32 {
-		m := make([][]float32, n)
+	mk := func(n int) []float32 {
+		m := make([]float32, n*dim)
 		for i := range m {
-			v := make([]float32, dim)
-			for j := range v {
-				v[j] = (rng.Float32()*2 - 1) * bound
-			}
-			m[i] = v
+			m[i] = (rng.Float32()*2 - 1) * bound
 		}
 		return m
 	}
 	return base{ent: mk(numEnts), rel: mk(numRels), dim: dim}
 }
 
-func (b *base) NumEntities() int  { return len(b.ent) }
-func (b *base) NumRelations() int { return len(b.rel) }
+// entRow and relRow are the one way to a parameter row: a full-capacity
+// window of the flat matrix, so writes go to the model and an append
+// cannot run into the next row.
+func (b *base) entRow(e int32) []float32 { return row(b.ent, e, b.dim) }
+func (b *base) relRow(r int32) []float32 { return row(b.rel, r, b.dim) }
+
+func row(m []float32, i int32, dim int) []float32 {
+	o := int(i) * dim
+	return m[o : o+dim : o+dim]
+}
+
+func (b *base) NumEntities() int  { return len(b.ent) / b.dim }
+func (b *base) NumRelations() int { return len(b.rel) / b.dim }
 func (b *base) Dim() int          { return b.dim }
 
 func (b *base) EntityVector(e int32) vecindex.Vector {
-	return append(vecindex.Vector(nil), b.ent[e]...)
+	return append(vecindex.Vector(nil), b.entRow(e)...)
 }
+
+func (b *base) EntityVectors() []float32 { return slices.Clone(b.ent) }
 
 // ---------------------------------------------------------------- TransE
 
@@ -106,7 +120,7 @@ func (m *transEModel) Kind() ModelKind { return TransE }
 
 // Score returns the negated squared L2 distance ||h + r - t||².
 func (m *transEModel) Score(h, r, t int32) float64 {
-	hv, rv, tv := m.ent[h], m.rel[r], m.ent[t]
+	hv, rv, tv := m.entRow(h), m.relRow(r), m.entRow(t)
 	var s float64
 	for i := 0; i < m.dim; i++ {
 		d := float64(hv[i] + rv[i] - tv[i])
@@ -120,14 +134,12 @@ const transEMargin = 1.0
 // Update applies a margin-ranking step: push the positive distance below
 // the negative distance by at least the margin.
 func (m *transEModel) Update(h, r, t, nh, nt int32, lr float64) {
-	posLoss := -m.Score(h, r, t)
-	negLoss := -m.Score(nh, r, nt)
-	if posLoss+transEMargin <= negLoss {
+	hv, rv, tv := m.entRow(h), m.relRow(r), m.entRow(t)
+	nhv, ntv := m.entRow(nh), m.entRow(nt)
+	if transEDist(hv, rv, tv)+transEMargin <= transEDist(nhv, rv, ntv) {
 		return // margin satisfied, no gradient
 	}
 	step := float32(lr)
-	hv, rv, tv := m.ent[h], m.rel[r], m.ent[t]
-	nhv, ntv := m.ent[nh], m.ent[nt]
 	for i := 0; i < m.dim; i++ {
 		dPos := hv[i] + rv[i] - tv[i]
 		dNeg := nhv[i] + rv[i] - ntv[i]
@@ -148,9 +160,20 @@ func (m *transEModel) Update(h, r, t, nh, nt int32, lr float64) {
 	normalizeVec(ntv)
 }
 
+// transEDist is the training step's ‖h + r − t‖², in the parameters'
+// own precision (Score is the float64 definition serving reads).
+func transEDist(hv, rv, tv []float32) float32 {
+	var s float32
+	for i, x := range hv {
+		d := x + rv[i] - tv[i]
+		s += d * d
+	}
+	return s
+}
+
 func (m *transEModel) normalizeEntities() {
-	for _, v := range m.ent {
-		normalizeVec(v)
+	for e := 0; e < m.NumEntities(); e++ {
+		normalizeVec(m.entRow(int32(e)))
 	}
 }
 
@@ -180,7 +203,7 @@ func (m *distMultModel) Kind() ModelKind { return DistMult }
 
 // Score is the trilinear product Σ h·r·t.
 func (m *distMultModel) Score(h, r, t int32) float64 {
-	hv, rv, tv := m.ent[h], m.rel[r], m.ent[t]
+	hv, rv, tv := m.entRow(h), m.relRow(r), m.entRow(t)
 	var s float64
 	for i := 0; i < m.dim; i++ {
 		s += float64(hv[i]) * float64(rv[i]) * float64(tv[i])
@@ -190,27 +213,23 @@ func (m *distMultModel) Score(h, r, t int32) float64 {
 
 const l2Reg = 1e-5
 
-// Update applies one logistic-loss step on the positive and the negative.
+// Update applies one logistic-loss step on the positive and one on the
+// negative, each a TriDot, a sigmoid and a TriUpdate (the step kernel of
+// the package comment). The second step reads what the first wrote: the
+// two triples share r and one end.
 func (m *distMultModel) Update(h, r, t, nh, nt int32, lr float64) {
-	m.logisticStep(h, r, t, 1, lr)
-	m.logisticStep(nh, r, nt, -1, lr)
+	decay := float32(1 - lr*l2Reg)
+	rv := m.relRow(r)
+	m.logisticStep(m.entRow(h), rv, m.entRow(t), 1, lr, decay)
+	m.logisticStep(m.entRow(nh), rv, m.entRow(nt), -1, lr, decay)
 }
 
-func (m *distMultModel) logisticStep(h, r, t int32, label float64, lr float64) {
-	s := m.Score(h, r, t)
-	// dLoss/ds for loss = log(1 + exp(-label*s)).
+// logisticStep descends loss = log(1 + exp(-label·s)) + (l2Reg/2)·‖θ‖² on
+// one triple: x ← x·(1 − lr·l2Reg) − lr·(dLoss/ds)·(∂s/∂x).
+func (m *distMultModel) logisticStep(hv, rv, tv []float32, label, lr float64, decay float32) {
+	s := float64(vecindex.TriDot(hv, rv, tv))
 	g := -label * sigmoid(-label*s)
-	hv, rv, tv := m.ent[h], m.rel[r], m.ent[t]
-	step := float32(lr)
-	gf := float32(g)
-	for i := 0; i < m.dim; i++ {
-		gh := gf*rv[i]*tv[i] + l2Reg*hv[i]
-		gr := gf*hv[i]*tv[i] + l2Reg*rv[i]
-		gt := gf*hv[i]*rv[i] + l2Reg*tv[i]
-		hv[i] -= step * gh
-		rv[i] -= step * gr
-		tv[i] -= step * gt
-	}
+	vecindex.TriUpdate(hv, rv, tv, float32(lr*g), decay)
 }
 
 // --------------------------------------------------------------- ComplEx
@@ -225,7 +244,7 @@ func (m *complExModel) Dim() int        { return m.half }
 
 // Score is Re(<h, r, conj(t)>).
 func (m *complExModel) Score(h, r, t int32) float64 {
-	hv, rv, tv := m.ent[h], m.rel[r], m.ent[t]
+	hv, rv, tv := m.entRow(h), m.relRow(r), m.entRow(t)
 	d := m.half
 	var s float64
 	for i := 0; i < d; i++ {
@@ -244,10 +263,18 @@ func (m *complExModel) Update(h, r, t, nh, nt int32, lr float64) {
 }
 
 func (m *complExModel) logisticStep(h, r, t int32, label float64, lr float64) {
-	s := m.Score(h, r, t)
-	g := float32(-label * sigmoid(-label*s))
-	hv, rv, tv := m.ent[h], m.rel[r], m.ent[t]
+	hv, rv, tv := m.entRow(h), m.relRow(r), m.entRow(t)
 	d := m.half
+	// The step's own score, in the parameters' precision (Score is the
+	// float64 definition serving reads).
+	var s float32
+	for i := 0; i < d; i++ {
+		hr, hi := hv[i], hv[d+i]
+		rr, ri := rv[i], rv[d+i]
+		tr, ti := tv[i], tv[d+i]
+		s += hr*rr*tr + hi*rr*ti + hr*ri*ti - hi*ri*tr
+	}
+	g := float32(-label * sigmoid(-label*float64(s)))
 	step := float32(lr)
 	for i := 0; i < d; i++ {
 		hr, hi := hv[i], hv[d+i]

@@ -55,15 +55,15 @@ func pathScorer(m Model, q PathQuery) (func(int32) float64, error) {
 	switch mm := m.(type) {
 	case *transEModel:
 		// q = h + Σ r; score = -||q - t||².
-		acc := append([]float32(nil), mm.ent[q.Start]...)
+		acc := append([]float32(nil), mm.entRow(q.Start)...)
 		for _, r := range q.Relations {
-			rv := mm.rel[r]
+			rv := mm.relRow(r)
 			for i := range acc {
 				acc[i] += rv[i]
 			}
 		}
 		return func(t int32) float64 {
-			tv := mm.ent[t]
+			tv := mm.entRow(t)
 			var s float64
 			for i := range acc {
 				d := float64(acc[i] - tv[i])
@@ -73,15 +73,15 @@ func pathScorer(m Model, q PathQuery) (func(int32) float64, error) {
 		}, nil
 	case *distMultModel:
 		// q = h ⊙ r1 ⊙ ... ⊙ rk; score = Σ q·t.
-		acc := append([]float32(nil), mm.ent[q.Start]...)
+		acc := append([]float32(nil), mm.entRow(q.Start)...)
 		for _, r := range q.Relations {
-			rv := mm.rel[r]
+			rv := mm.relRow(r)
 			for i := range acc {
 				acc[i] *= rv[i]
 			}
 		}
 		return func(t int32) float64 {
-			tv := mm.ent[t]
+			tv := mm.entRow(t)
 			var s float64
 			for i := range acc {
 				s += float64(acc[i]) * float64(tv[i])
@@ -93,13 +93,13 @@ func pathScorer(m Model, q PathQuery) (func(int32) float64, error) {
 		d := mm.half
 		re := make([]float64, d)
 		im := make([]float64, d)
-		hv := mm.ent[q.Start]
+		hv := mm.entRow(q.Start)
 		for i := 0; i < d; i++ {
 			re[i] = float64(hv[i])
 			im[i] = float64(hv[d+i])
 		}
 		for _, r := range q.Relations {
-			rv := mm.rel[r]
+			rv := mm.relRow(r)
 			for i := 0; i < d; i++ {
 				rr, ri := float64(rv[i]), float64(rv[d+i])
 				nre := re[i]*rr - im[i]*ri
@@ -108,7 +108,7 @@ func pathScorer(m Model, q PathQuery) (func(int32) float64, error) {
 			}
 		}
 		return func(t int32) float64 {
-			tv := mm.ent[t]
+			tv := mm.entRow(t)
 			var s float64
 			for i := 0; i < d; i++ {
 				tr, ti := float64(tv[i]), float64(tv[d+i])

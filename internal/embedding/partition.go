@@ -65,8 +65,10 @@ func WritePartitions(d *Dataset, dir string, nParts int, seed int64) ([]string, 
 	return paths, nil
 }
 
-// ReadPartition loads one partition file's triples.
-func ReadPartition(path string) ([][3]int32, error) {
+// ReadPartition loads one partition file's triples, each checked against
+// the vocabulary sizes it will index: a record outside them is a corrupt
+// file, reported here instead of as a panic inside a model update.
+func ReadPartition(path string, numEnts, numRels int) ([][3]int32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -89,11 +91,12 @@ func ReadPartition(path string) ([][3]int32, error) {
 			}
 			return nil, fmt.Errorf("embedding: partition %s truncated: %w", path, err)
 		}
-		out = append(out, [3]int32{
-			int32(binary.LittleEndian.Uint32(rec[0:4])),
-			int32(binary.LittleEndian.Uint32(rec[4:8])),
-			int32(binary.LittleEndian.Uint32(rec[8:12])),
-		})
+		h, rel, t := binary.LittleEndian.Uint32(rec[0:4]), binary.LittleEndian.Uint32(rec[4:8]), binary.LittleEndian.Uint32(rec[8:12])
+		if int64(h) >= int64(numEnts) || int64(rel) >= int64(numRels) || int64(t) >= int64(numEnts) {
+			return nil, fmt.Errorf("embedding: partition %s: record %d (%d, %d, %d) outside %d entities, %d relations",
+				path, len(out), h, rel, t, numEnts, numRels)
+		}
+		out = append(out, [3]int32{int32(h), int32(rel), int32(t)})
 	}
 }
 
@@ -122,7 +125,7 @@ func TrainFromDisk(d *Dataset, paths []string, cfg TrainConfig) (Model, DiskTrai
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for pi, path := range paths {
-			triples, err := ReadPartition(path)
+			triples, err := ReadPartition(path, d.NumEntities(), d.NumRelations())
 			if err != nil {
 				return nil, stats, err
 			}
@@ -133,14 +136,7 @@ func TrainFromDisk(d *Dataset, paths []string, cfg TrainConfig) (Model, DiskTrai
 			if len(triples) == 0 {
 				continue
 			}
-			bucket := &Dataset{
-				Ents:    d.Ents,
-				Rels:    d.Rels,
-				entIdx:  d.entIdx,
-				relIdx:  d.relIdx,
-				known:   d.known,
-				Triples: triples,
-			}
+			bucket := d.sharing(triples)
 			part := make([]int32, len(triples))
 			for i := range part {
 				part[i] = int32(i)

@@ -32,53 +32,66 @@ func SaveModel(m Model, path string) error {
 	}
 	w := bufio.NewWriter(f)
 	kind := []byte(m.Kind())
-	hdr := []any{
-		modelMagic,
-		uint32(len(kind)),
+	hdr := binary.LittleEndian.AppendUint32(nil, modelMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(kind)))
+	hdr = append(hdr, kind...)
+	for _, v := range []int{b.NumEntities(), b.NumRelations(), b.dim, half} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v))
 	}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			f.Close()
-			return err
-		}
+	_, err = w.Write(hdr)
+	if err == nil {
+		err = writeFloats(w, b.ent)
 	}
-	if _, err := w.Write(kind); err != nil {
+	if err == nil {
+		err = writeFloats(w, b.rel)
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
-		return err
-	}
-	for _, v := range []uint32{uint32(len(b.ent)), uint32(len(b.rel)), uint32(b.dim), uint32(half)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	writeMatrix := func(m [][]float32) error {
-		for _, row := range m {
-			for _, x := range row {
-				if err := binary.Write(w, binary.LittleEndian, math.Float32bits(x)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := writeMatrix(b.ent); err != nil {
-		f.Close()
-		return err
-	}
-	if err := writeMatrix(b.rel); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+		return fmt.Errorf("embedding: save model %s: %w", path, err)
 	}
 	return f.Close()
+}
+
+// floatChunk is how many matrix elements move through the stack buffer
+// of writeFloats and readFloats at a time.
+const floatChunk = 1024
+
+// writeFloats writes m as little-endian float32 words.
+func writeFloats(w io.Writer, m []float32) error {
+	var buf [4 * floatChunk]byte
+	for len(m) > 0 {
+		n := min(len(m), floatChunk)
+		for i, x := range m[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
+		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		m = m[n:]
+	}
+	return nil
+}
+
+// readFloats fills m from little-endian float32 words.
+func readFloats(r io.Reader, m []float32) error {
+	var buf [4 * floatChunk]byte
+	for len(m) > 0 {
+		n := min(len(m), floatChunk)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return err
+		}
+		for i := range m[:n] {
+			m[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		m = m[n:]
+	}
+	return nil
 }
 
 // LoadModel deserializes a model saved by SaveModel.
@@ -88,63 +101,78 @@ func LoadModel(path string) (Model, error) {
 		return nil, fmt.Errorf("embedding: load model: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	var magic, kindLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("embedding: load model: %w", err)
+	}
+	m, err := readModel(bufio.NewReader(f), st.Size())
+	if err != nil {
 		return nil, fmt.Errorf("embedding: model %s: %w", path, err)
 	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("embedding: model %s: bad magic %x", path, magic)
+	return m, nil
+}
+
+// readModel decodes a model file of the given size. Nothing in the header
+// is trusted: the kind, the dim/half pairing and the shape are checked,
+// and the shape must account for the file's size to the byte, before a
+// matrix is allocated — a corrupt header can neither drive an allocation
+// larger than the file nor yield a model whose Score indexes past a row.
+func readModel(r io.Reader, size int64) (Model, error) {
+	var fixed [8]byte
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &kindLen); err != nil {
-		return nil, err
+	if magic := binary.LittleEndian.Uint32(fixed[0:]); magic != modelMagic {
+		return nil, fmt.Errorf("bad magic %x", magic)
 	}
+	kindLen := binary.LittleEndian.Uint32(fixed[4:])
 	if kindLen > 64 {
-		return nil, fmt.Errorf("embedding: model %s: implausible kind length %d", path, kindLen)
+		return nil, fmt.Errorf("implausible kind length %d", kindLen)
 	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(r, kindBuf); err != nil {
-		return nil, err
+	rest := make([]byte, kindLen+16)
+	if _, err := io.ReadFull(r, rest); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
 	}
-	var nEnt, nRel, dim, half uint32
-	for _, p := range []*uint32{&nEnt, &nRel, &dim, &half} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, err
+	kind := ModelKind(rest[:kindLen])
+	shape := rest[kindLen:]
+	nEnt := uint64(binary.LittleEndian.Uint32(shape[0:]))
+	nRel := uint64(binary.LittleEndian.Uint32(shape[4:]))
+	dim := uint64(binary.LittleEndian.Uint32(shape[8:]))
+	half := uint64(binary.LittleEndian.Uint32(shape[12:]))
+	switch kind {
+	case TransE, DistMult:
+		if half != 0 {
+			return nil, fmt.Errorf("kind %q with half = %d", kind, half)
 		}
-	}
-	readMatrix := func(n, d uint32) ([][]float32, error) {
-		m := make([][]float32, n)
-		buf := make([]byte, 4*d)
-		for i := range m {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, fmt.Errorf("embedding: model %s truncated: %w", path, err)
-			}
-			row := make([]float32, d)
-			for j := range row {
-				row[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
-			}
-			m[i] = row
+	case ComplEx:
+		if dim != 2*half {
+			return nil, fmt.Errorf("kind %q with dim = %d, half = %d (want dim = 2·half)", kind, dim, half)
 		}
-		return m, nil
+	default:
+		return nil, fmt.Errorf("unknown kind %q", kind)
 	}
-	ent, err := readMatrix(nEnt, dim)
-	if err != nil {
-		return nil, err
+	if nEnt == 0 || nRel == 0 || dim == 0 {
+		return nil, fmt.Errorf("invalid shape ents=%d rels=%d dim=%d", nEnt, nRel, dim)
 	}
-	rel, err := readMatrix(nRel, dim)
-	if err != nil {
-		return nil, err
+	// nEnt+nRel < 2³³ and dim < 2³², so the product can pass 2⁶⁴: divide.
+	payload := uint64(max(0, size-int64(len(fixed)+len(rest))))
+	if payload%(4*dim) != 0 || payload/(4*dim) != nEnt+nRel {
+		return nil, fmt.Errorf("shape ents=%d rels=%d dim=%d does not match the %d-byte file", nEnt, nRel, dim, size)
 	}
-	b := base{ent: ent, rel: rel, dim: int(dim)}
-	switch ModelKind(kindBuf) {
+	b := base{ent: make([]float32, nEnt*dim), rel: make([]float32, nRel*dim), dim: int(dim)}
+	if err := readFloats(r, b.ent); err != nil {
+		return nil, fmt.Errorf("truncated: %w", err)
+	}
+	if err := readFloats(r, b.rel); err != nil {
+		return nil, fmt.Errorf("truncated: %w", err)
+	}
+	switch kind {
 	case TransE:
 		return &transEModel{base: b}, nil
 	case DistMult:
 		return &distMultModel{base: b}, nil
-	case ComplEx:
-		return &complExModel{base: b, half: int(half)}, nil
 	default:
-		return nil, fmt.Errorf("embedding: model %s: unknown kind %q", path, kindBuf)
+		return &complExModel{base: b, half: int(half)}, nil
 	}
 }
 

@@ -1,8 +1,13 @@
 package embedding
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"saga/internal/graphengine"
@@ -191,4 +196,132 @@ func TestRegistryReopen(t *testing.T) {
 	if loaded.Score(tr[0], tr[1], tr[2]) != m.Score(tr[0], tr[1], tr[2]) {
 		t.Fatal("reopened registry served a different model")
 	}
+}
+
+// parentModelFiles are model files written by the SaveModel that preceded
+// the flat parameter matrices (one reflective binary.Write per float): a
+// 3-entity, 2-relation model of each kind after one Update.
+var parentModelFiles = map[ModelKind]string{
+	TransE:   "444d4153060000007472616e7365030000000200000002000000000000004cb875be358578bf0335c43ee0746cbf7cca78bf634c71be11e92940ab027bbf8e3f6ebfba369f3f",
+	DistMult: "444d415308000000646973746d756c74030000000200000002000000000000002b0280bfce456dc0666a353f119319c088ca73c0a8c06bbf11e92940ab027bbf5c1a3dbfbb47973f",
+	ComplEx:  "444d415307000000636f6d706c657803000000020000000400000002000000410743bfdea726c059e31f3f8ba0dfbf213b38c00a2605bf160ad93f8a45ecbe835190be9f7d533f0ed6d33f3558c6bf8c7454bfcf7111c0baeb7b3f18a54fbe4a0b863fea45a23fbcb4314072142f40",
+}
+
+// TestModelFileFormatUnchanged: a file the previous writer produced
+// loads, and saving it again reproduces it byte for byte.
+func TestModelFileFormatUnchanged(t *testing.T) {
+	for kind, golden := range parentModelFiles {
+		want, err := hex.DecodeString(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "in.model"), filepath.Join(dir, "out.model")
+		if err := os.WriteFile(in, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadModel(in)
+		if err != nil {
+			t.Fatalf("%s: load: %v", kind, err)
+		}
+		if m.Kind() != kind || m.NumEntities() != 3 || m.NumRelations() != 2 || m.Dim() != 2 {
+			t.Fatalf("%s: loaded %s with %d entities, %d relations, dim %d", kind, m.Kind(), m.NumEntities(), m.NumRelations(), m.Dim())
+		}
+		if s := m.Score(0, 1, 2); math.IsNaN(s) {
+			t.Fatalf("%s: score = %v", kind, s)
+		}
+		if err := SaveModel(m, out); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: re-saved file differs:\n got %x\nwant %x", kind, got, want)
+		}
+	}
+}
+
+// modelFile assembles a model file with an arbitrary header over payload.
+func modelFile(kind string, nEnt, nRel, dim, half uint32, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, modelMagic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(kind)))
+	b = append(b, kind...)
+	for _, v := range []uint32{nEnt, nRel, dim, half} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return append(b, payload...)
+}
+
+// TestLoadModelDistrustsItsHeader: every inconsistent header is an error
+// — none a panic, and none an allocation sized by the header instead of
+// by the file.
+func TestLoadModelDistrustsItsHeader(t *testing.T) {
+	floats := func(n int) []byte { return make([]byte, 4*n) }
+	cases := []struct {
+		name string
+		file []byte
+	}{
+		{"dim 2^30: 4*dim wraps uint32", modelFile("distmult", 1, 1, 1<<30, 0, floats(8))},
+		{"dim 2^31", modelFile("distmult", 1, 1, 1<<31, 0, nil)},
+		{"shape product wraps uint64", modelFile("distmult", 1<<31, 1<<31, 1<<31, 0, nil)},
+		{"billions of entities, empty payload", modelFile("transe", 1<<31, 1, 4, 0, nil)},
+		{"complex half > dim/2", modelFile("complex", 2, 1, 4, 3, floats(12))},
+		{"complex half < dim/2", modelFile("complex", 2, 1, 4, 1, floats(12))},
+		{"complex odd dim", modelFile("complex", 2, 1, 3, 1, floats(9))},
+		{"distmult with half set", modelFile("distmult", 2, 1, 4, 2, floats(12))},
+		{"zero dim", modelFile("distmult", 2, 1, 0, 0, nil)},
+		{"zero entities", modelFile("distmult", 0, 1, 4, 0, floats(4))},
+		{"zero relations", modelFile("distmult", 2, 0, 4, 0, floats(8))},
+		{"payload one row short", modelFile("distmult", 2, 1, 4, 0, floats(8))},
+		{"payload one byte long", modelFile("distmult", 2, 1, 4, 0, make([]byte, 4*12+1))},
+		{"unknown kind", modelFile("rotate", 2, 1, 4, 0, floats(12))},
+		{"kind length past the file", modelFile("distmult", 2, 1, 4, 0, nil)[:10]},
+		{"header only", modelFile("distmult", 2, 1, 4, 0, nil)},
+	}
+	path := filepath.Join(t.TempDir(), "m.model")
+	for _, c := range cases {
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := LoadModel(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: loaded a %s model", c.name, m.Kind())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: allocated %d bytes reading a %d-byte file", c.name, grew, len(c.file))
+		}
+	}
+	if err := os.WriteFile(path, modelFile("complex", 2, 1, 4, 2, floats(12)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := LoadModel(path); err != nil || m.Score(1, 0, 1) != 0 {
+		t.Fatalf("consistent file: %v", err)
+	}
+}
+
+func FuzzLoadModel(f *testing.F) {
+	for _, golden := range parentModelFiles {
+		b, _ := hex.DecodeString(golden)
+		f.Add(b)
+	}
+	f.Add(modelFile("complex", 2, 1, 4, 3, make([]byte, 48)))
+	f.Add(modelFile("distmult", 1, 1, 1<<30, 0, make([]byte, 32)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := readModel(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return
+		}
+		// Whatever loads is usable to its last row.
+		if 4*(m.NumEntities()+m.NumRelations())*len(m.EntityVector(0)) > len(data) {
+			t.Fatalf("model larger than its %d-byte file", len(data))
+		}
+		e, r := int32(m.NumEntities()-1), int32(m.NumRelations()-1)
+		m.Score(e, r, e)
+		m.Update(e, r, 0, 0, e, 0.05)
+	})
 }

@@ -95,13 +95,22 @@ func New(g *kg.Graph, model embedding.Model, dataset *embedding.Dataset) (*Servi
 	if g == nil || model == nil || dataset == nil {
 		return nil, errors.New("embedserve: nil graph, model, or dataset")
 	}
-	s := &Service{graph: g, dataset: dataset, model: model, entIndex: vecindex.NewFlat()}
-	for i, gid := range dataset.Ents {
-		if err := s.entIndex.Add(uint64(gid), model.EntityVector(int32(i))); err != nil {
-			return nil, fmt.Errorf("embedserve: index entity %v: %w", gid, err)
-		}
+	if len(dataset.Ents) == 0 || model.NumEntities() < len(dataset.Ents) {
+		return nil, fmt.Errorf("embedserve: model has %d entities, dataset %d", model.NumEntities(), len(dataset.Ents))
 	}
-	return s, nil
+	// One copy of the entity matrix becomes the index's slab; a model
+	// trained for a larger vocabulary (TrainInto) lends its leading rows.
+	rows := model.EntityVectors()
+	rows = rows[:len(rows)/model.NumEntities()*len(dataset.Ents)]
+	ids := make([]uint64, len(dataset.Ents))
+	for i, gid := range dataset.Ents {
+		ids[i] = uint64(gid)
+	}
+	idx, err := vecindex.NewFlatFromRows(ids, rows)
+	if err != nil {
+		return nil, fmt.Errorf("embedserve: index entities: %w", err)
+	}
+	return &Service{graph: g, dataset: dataset, model: model, entIndex: idx}, nil
 }
 
 // SetWalkEmbeddings installs traversal-based related-entity vectors. The

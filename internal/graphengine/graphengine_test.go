@@ -412,3 +412,45 @@ func TestLargeGraphBFSDepths(t *testing.T) {
 		}
 	}
 }
+
+// TestScanStreamsWhatMaterializeKeeps: Scan is the pass views are built
+// from, so for every kind of clause — those applied inside the cut and
+// those that wait for its end — it hands over exactly the view's triples
+// and the view's watermark, and it retains nothing.
+func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
+	f := newFixture(t)
+	defs := []ViewDef{
+		{},
+		{DropLiteralFacts: true},
+		{DropEntityFacts: true},
+		{MinPredicateFreq: 2},
+		{DropLiteralFacts: true, MinPredicateFreq: 3},
+		{IncludePredicates: map[kg.PredicateID]bool{f.award: true}},
+		{ExcludePredicates: map[kg.PredicateID]bool{f.award: true}},
+		{SubjectType: f.athleteType},
+		{SubjectType: f.personType, MinPredicateFreq: 2},
+		{MinConfidence: 0.5},
+	}
+	for i, def := range defs {
+		want := make(map[kg.TripleKey]bool)
+		for _, tr := range f.e.Materialize(def).Triples() {
+			want[tr.IdentityKey()] = true
+		}
+		got := make(map[kg.TripleKey]bool)
+		seq := f.e.Scan(def, func(tr kg.Triple) { got[tr.IdentityKey()] = true })
+		if seq != f.g.LastSeq() {
+			t.Fatalf("def %d: watermark %d, graph is at %d", i, seq, f.g.LastSeq())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("def %d: Scan kept %d triples, the view %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("def %d: Scan missed %v", i, k)
+			}
+		}
+	}
+	if len(f.e.views) != 0 {
+		t.Fatalf("unnamed reads left %d views in the engine", len(f.e.views))
+	}
+}

@@ -131,7 +131,9 @@ func New(g *kg.Graph) *Engine {
 func (e *Engine) Graph() *kg.Graph { return e.g }
 
 // Materialize builds (or returns the previously built) view for def.Name.
-// Views with the same name are assumed to have the same definition.
+// Views with the same name are assumed to have the same definition. A
+// named view is kept by the engine and handed back as it was last left:
+// call Refresh before reading one that may have been built earlier.
 func (e *Engine) Materialize(def ViewDef) *View {
 	e.mu.Lock()
 	if v, ok := e.views[def.Name]; ok && def.Name != "" {
@@ -150,9 +152,54 @@ func (e *Engine) Materialize(def ViewDef) *View {
 	return v
 }
 
-// match applies the view predicate to one triple.
-func (v *View) match(t kg.Triple) bool {
-	d := &v.def
+// Scan calls fn with every triple that def keeps out of one consistent
+// cut of the graph, without building a View, and returns the cut's
+// watermark. It is the read for a consumer that wants the filtered facts
+// once — the embedding trainer collects 12-byte ID records from it — and
+// the pass every View is materialized from.
+//
+// fn may run inside the graph's all-shard read lock and must not call
+// back into the graph.
+func (e *Engine) Scan(def ViewDef, fn func(kg.Triple)) (seq uint64) {
+	_, seq = scan(e.g, &def, fn)
+	return seq
+}
+
+func scan(g *kg.Graph, def *ViewDef, fn func(kg.Triple)) (predFreq map[kg.PredicateID]int, seq uint64) {
+	predFreq = make(map[kg.PredicateID]int)
+	// The clauses that read only the triple are applied inside the cut.
+	// The other two wait for its end, buffering their candidates: a
+	// predicate's frequency is complete only then, and a SubjectType
+	// lookup takes the dictionary lock, which must not nest inside the
+	// shard locks.
+	late := def.MinPredicateFreq > 0 || def.SubjectType != kg.NoType
+	var held []kg.Triple
+	// Frequencies are tallied in the same lock window as the triples and
+	// the watermark: a separate frequency pass would let a concurrent
+	// writer slip a mutation in between, skewing predFreq against the
+	// watermark Refresh resumes from.
+	seq = g.TriplesSnapshot(func(t kg.Triple) bool {
+		predFreq[t.Predicate]++
+		if !def.keepsFact(t) {
+			return true
+		}
+		if late {
+			held = append(held, t)
+		} else {
+			fn(t)
+		}
+		return true
+	})
+	for _, t := range held {
+		if def.keepsInContext(g, predFreq, t) {
+			fn(t)
+		}
+	}
+	return predFreq, seq
+}
+
+// keepsFact is the part of the view predicate that reads only the triple.
+func (d *ViewDef) keepsFact(t kg.Triple) bool {
 	if d.DropLiteralFacts && t.Object.IsLiteral() {
 		return false
 	}
@@ -165,29 +212,28 @@ func (v *View) match(t kg.Triple) bool {
 	if d.IncludePredicates != nil && !d.IncludePredicates[t.Predicate] {
 		return false
 	}
-	if d.MinPredicateFreq > 0 && v.predFreq[t.Predicate] < d.MinPredicateFreq {
+	return d.MinConfidence <= 0 || t.Prov.Confidence >= d.MinConfidence
+}
+
+// keepsInContext is the rest of the view predicate: the clauses that read
+// the predicate frequencies or the graph's dictionaries.
+func (d *ViewDef) keepsInContext(g *kg.Graph, predFreq map[kg.PredicateID]int, t kg.Triple) bool {
+	if d.MinPredicateFreq > 0 && predFreq[t.Predicate] < d.MinPredicateFreq {
 		return false
 	}
-	if d.MinConfidence > 0 && t.Prov.Confidence < d.MinConfidence {
+	if d.SubjectType == kg.NoType {
+		return true
+	}
+	ent := g.Entity(t.Subject)
+	if ent == nil {
 		return false
 	}
-	if d.SubjectType != kg.NoType {
-		ent := v.g.Entity(t.Subject)
-		if ent == nil {
-			return false
-		}
-		ok := false
-		for _, ty := range ent.Types {
-			if v.g.Ontology().IsA(ty, d.SubjectType) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
+	for _, ty := range ent.Types {
+		if g.Ontology().IsA(ty, d.SubjectType) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // Refresh applies all graph mutations since the view's last refresh. This
@@ -216,7 +262,7 @@ func (v *View) Refresh() int {
 		switch m.Op {
 		case kg.OpAssert:
 			v.predFreq[m.T.Predicate]++
-			if !v.match(m.T) {
+			if !v.def.keepsFact(m.T) || !v.def.keepsInContext(v.g, v.predFreq, m.T) {
 				continue
 			}
 			key := m.T.IdentityKey()
@@ -248,30 +294,13 @@ func (v *View) Refresh() int {
 
 // rematerializeLocked (re)builds the view from a fresh consistent cut of
 // the graph. Caller holds v.mu.
-//
-// The triples and the watermark are collected in one lock window
-// (TriplesSnapshot), tallying predicate frequencies on the way so the
-// MinPredicateFreq decision is stable for the whole materialization;
-// filtering happens outside the lock against the collected set. A
-// separate frequency pass followed by LastSeq would let a concurrent
-// writer slip a mutation between the two, permanently skewing predFreq
-// against the watermark Refresh resumes from.
 func (v *View) rematerializeLocked() int {
 	v.triples = nil
 	v.keys = make(map[kg.TripleKey]int)
-	v.predFreq = make(map[kg.PredicateID]int)
-	var all []kg.Triple
-	v.seq = v.g.TriplesSnapshot(func(t kg.Triple) bool {
-		v.predFreq[t.Predicate]++
-		all = append(all, t)
-		return true
+	v.predFreq, v.seq = scan(v.g, &v.def, func(t kg.Triple) {
+		v.keys[t.IdentityKey()] = len(v.triples)
+		v.triples = append(v.triples, t)
 	})
-	for _, t := range all {
-		if v.match(t) {
-			v.keys[t.IdentityKey()] = len(v.triples)
-			v.triples = append(v.triples, t)
-		}
-	}
 	return len(v.triples)
 }
 

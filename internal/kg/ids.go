@@ -3,9 +3,9 @@
 // provenance, an ontology type hierarchy, and an in-memory triple store
 // with SPO/POS/OSP indexes and a mutation log.
 //
-// The package corresponds to systems S1 and S2 in DESIGN.md. Everything
-// else in the repository (graph engine, embeddings, annotation, ODKE,
-// on-device construction) is layered on top of this model.
+// Everything else in the repository (graph engine, embeddings,
+// annotation, ODKE, on-device construction) is layered on top of this
+// model.
 package kg
 
 import "fmt"

@@ -35,8 +35,33 @@ func dotRows(dst, q, rows []float32) {
 	dotRowsGo(dst, q, rows)
 }
 
+// TriDot is the score half of the training step kernel.
+func TriDot(h, r, t []float32) float32 {
+	r, t = r[:len(h)], t[:len(h)] // the assembly trusts these bounds
+	if useAVX2 {
+		return triDotAVX2(h, r, t)
+	}
+	return triDotGo(h, r, t)
+}
+
+// TriUpdate is the update half of the training step kernel.
+func TriUpdate(h, r, t []float32, gf, decay float32) {
+	r, t = r[:len(h)], t[:len(h)] // the assembly trusts these bounds
+	if useAVX2 {
+		triUpdateAVX2(h, r, t, gf, decay)
+		return
+	}
+	triUpdateGo(h, r, t, gf, decay)
+}
+
 //go:noescape
 func dotRowsAVX2(dst, q, rows []float32)
+
+//go:noescape
+func triDotAVX2(h, r, t []float32) float32
+
+//go:noescape
+func triUpdateAVX2(h, r, t []float32, gf, decay float32)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

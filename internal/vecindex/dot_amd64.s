@@ -78,6 +78,125 @@ reduce:
 done:
 	RET
 
+// func triDotAVX2(h, r, t []float32) float32
+//
+// triDotGo, eight lanes to a YMM register: two VMULPS and a VADDPS per
+// block (each product rounded, never an FMA), then dotRowsAVX2's tail
+// mask and reduction. A masked-off lane adds (0*0)*0 = +0.
+TEXT ·triDotAVX2(SB), NOSPLIT, $0-76
+	MOVQ h_base+0(FP), SI
+	MOVQ h_len+8(FP), DX     // dim
+	MOVQ r_base+24(FP), BX
+	MOVQ t_base+48(FP), DI
+	MOVQ DX, R8
+	ANDQ $7, R8              // r = dim % 8
+	SUBQ R8, DX              // dim - r
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   tdtail
+
+tdblock:
+	VMOVUPS (SI)(AX*4), Y1
+	VMULPS (BX)(AX*4), Y1, Y1
+	VMULPS (DI)(AX*4), Y1, Y1
+	VADDPS Y1, Y0, Y0
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JLT  tdblock
+
+tdtail:
+	TESTQ R8, R8
+	JZ   tdreduce
+	MOVQ $8, R11
+	SUBQ R8, R11
+	LEAQ tailMask<>(SB), R10
+	VMOVDQU (R10)(R11*4), Y3
+	VMASKMOVPS (SI)(AX*4), Y3, Y1
+	VMASKMOVPS (BX)(AX*4), Y3, Y2
+	VMULPS Y2, Y1, Y1
+	VMASKMOVPS (DI)(AX*4), Y3, Y2
+	VMULPS Y2, Y1, Y1
+	VADDPS Y1, Y0, Y0
+
+tdreduce:
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0        // l0+l4 l1+l5 l2+l6 l3+l7
+	VMOVHLPS X0, X0, X1
+	VADDPS X1, X0, X0        // (l0+l4)+(l2+l6) (l1+l5)+(l3+l7)
+	VMOVSHDUP X0, X1
+	VADDSS X1, X0, X0
+	VMOVSS X0, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// TRI_UPDATE_LANES: (Y0, Y1, Y2) = (h, r, t) -> (h', r', t') with gf in Y6
+// and decay in Y7; clobbers Y3-Y5. Multiplies and subtractions only.
+#define TRI_UPDATE_LANES \
+	VMULPS Y6, Y1, Y3 \ // gf*r
+	VMULPS Y2, Y3, Y3 \ // (gf*r)*t
+	VMULPS Y6, Y0, Y4 \ // gh = gf*h
+	VMULPS Y2, Y4, Y5 \ // gh*t
+	VMULPS Y1, Y4, Y4 \ // gh*r
+	VMULPS Y7, Y0, Y0 \ // h*decay
+	VMULPS Y7, Y1, Y1 \ // r*decay
+	VMULPS Y7, Y2, Y2 \ // t*decay
+	VSUBPS Y3, Y0, Y0 \ // h' = h*decay - (gf*r)*t
+	VSUBPS Y5, Y1, Y1 \ // r' = r*decay - gh*t
+	VSUBPS Y4, Y2, Y2    // t' = t*decay - gh*r
+
+// func triUpdateAVX2(h, r, t []float32, gf, decay float32)
+//
+// triUpdateGo, eight elements to a block: all three rows are loaded
+// before any is stored and the stores go h, r, t, so a block computes
+// what eight iterations of the Go loop compute — also when h and t are
+// one row (rows either coincide or are disjoint). The tail is loaded and
+// stored under the mask; nothing beyond dim is touched.
+TEXT ·triUpdateAVX2(SB), NOSPLIT, $0-80
+	MOVQ h_base+0(FP), SI
+	MOVQ h_len+8(FP), DX     // dim
+	MOVQ r_base+24(FP), BX
+	MOVQ t_base+48(FP), DI
+	VBROADCASTSS gf+72(FP), Y6
+	VBROADCASTSS decay+76(FP), Y7
+	MOVQ DX, R8
+	ANDQ $7, R8              // r = dim % 8
+	SUBQ R8, DX              // dim - r
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   tutail
+
+tublock:
+	VMOVUPS (SI)(AX*4), Y0   // h
+	VMOVUPS (BX)(AX*4), Y1   // r
+	VMOVUPS (DI)(AX*4), Y2   // t
+	TRI_UPDATE_LANES
+	VMOVUPS Y0, (SI)(AX*4)
+	VMOVUPS Y1, (BX)(AX*4)
+	VMOVUPS Y2, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JLT  tublock
+
+tutail:
+	TESTQ R8, R8
+	JZ   tudone
+	MOVQ $8, R11
+	SUBQ R8, R11
+	LEAQ tailMask<>(SB), R10
+	VMOVDQU (R10)(R11*4), Y8
+	VMASKMOVPS (SI)(AX*4), Y8, Y0
+	VMASKMOVPS (BX)(AX*4), Y8, Y1
+	VMASKMOVPS (DI)(AX*4), Y8, Y2
+	TRI_UPDATE_LANES
+	VMASKMOVPS Y0, Y8, (SI)(AX*4)
+	VMASKMOVPS Y1, Y8, (BX)(AX*4)
+	VMASKMOVPS Y2, Y8, (DI)(AX*4)
+
+tudone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

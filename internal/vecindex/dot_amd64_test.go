@@ -10,3 +10,13 @@ func kernelBodies() map[string]func(dst, q, rows []float32) {
 	}
 	return m
 }
+
+// triBodies lists every body of the training step kernel this build can
+// run.
+func triBodies() map[string]triBody {
+	m := map[string]triBody{"go": {triDotGo, triUpdateGo}, "dispatch": {TriDot, TriUpdate}}
+	if useAVX2 {
+		m["avx2"] = triBody{triDotAVX2, triUpdateAVX2}
+	}
+	return m
+}

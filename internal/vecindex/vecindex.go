@@ -28,6 +28,26 @@
 // any search result; TestDotRowsBodiesAgreeBitForBit and FuzzDotRows hold
 // them to it. The purego build tag forces the Go body.
 //
+// # The training step kernel
+//
+// The same package holds the one other place the repository drops to
+// assembly: TriDot and TriUpdate, the two halves of the embedding
+// trainer's DistMult step (package embedding states what a step is).
+// TriDot(h, r, t) is Σ (h[i]·r[i])·t[i] under the scan kernel's rules —
+// each of the two products rounded to float32, lane i%8, the same
+// reduction tree, no fused multiply-add. TriUpdate(h, r, t, gf, decay)
+// sets, per element and from the element's old values,
+//
+//	h' = h·decay − (gf·r)·t,  r' = r·decay − (gf·h)·t,  t' = t·decay − (gf·h)·r
+//
+// with every product and difference rounded to float32. The rows have
+// equal length; r is disjoint from h and t, and h and t are either
+// disjoint or the same row — then each element is read before any row is
+// written and t' is the value that stays. triDotGo/triUpdateGo are the
+// contract, triDotAVX2/triUpdateAVX2 run where dotRowsAVX2 does, and
+// TestTriStepBodiesAgreeBitForBit and FuzzTriStep hold the pairs
+// bit-identical (NaN for NaN), aliasing included.
+//
 // Results are ranked under one total order everywhere in the package
 // (flat, IVF, quantized): score descending, a NaN score after every
 // number, ties by ascending ID — see worse.
@@ -133,6 +153,29 @@ type FlatIndex struct {
 // NewFlat returns an empty exact index.
 func NewFlat() *FlatIndex {
 	return &FlatIndex{pos: make(map[uint64]int)}
+}
+
+// NewFlatFromRows returns an exact index whose slab is rows: row i, under
+// ids[i], is rows[i*dim:(i+1)*dim] with dim = len(rows)/len(ids). The
+// index takes both slices over — the bulk load for a caller that already
+// holds its vectors as one matrix, where an Add loop would copy every row
+// and regrow the slab as it went.
+func NewFlatFromRows(ids []uint64, rows []float32) (*FlatIndex, error) {
+	if len(ids) == 0 || len(rows) == 0 || len(rows)%len(ids) != 0 {
+		return nil, fmt.Errorf("vecindex: %d floats do not make %d equal non-empty rows", len(rows), len(ids))
+	}
+	f := &FlatIndex{
+		dim: len(rows) / len(ids), ids: ids, data: rows,
+		norms: make([]float32, len(ids)), pos: make(map[uint64]int, len(ids)), version: 1,
+	}
+	for i, id := range ids {
+		if _, dup := f.pos[id]; dup {
+			return nil, fmt.Errorf("vecindex: duplicate id %d", id)
+		}
+		f.pos[id] = i
+		f.norms[i] = Norm(rows[i*f.dim : (i+1)*f.dim])
+	}
+	return f, nil
 }
 
 // Add implements Index.

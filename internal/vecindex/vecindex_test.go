@@ -316,3 +316,70 @@ func TestFlatTopKMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNewFlatFromRowsEqualsAddLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, dim = 300, 12
+	ids, rows := make([]uint64, n), make([]float32, n*dim)
+	byAdd := NewFlat()
+	for i := range ids {
+		ids[i] = uint64(1000 - 3*i)
+		row := rows[i*dim : (i+1)*dim]
+		for j := range row {
+			row[j] = float32(rng.NormFloat64())
+		}
+		if err := byAdd.Add(ids[i], row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk, err := NewFlatFromRows(ids, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bulk.Len() != n || bulk.Dim() != dim {
+		t.Fatalf("bulk index: %d vectors of dim %d", bulk.Len(), bulk.Dim())
+	}
+	for i := 0; i < 20; i++ {
+		q, _ := byAdd.Get(ids[i*7])
+		if got, _ := bulk.Get(ids[i*7]); !sameVector(got, q) {
+			t.Fatalf("Get(%d) differs", ids[i*7])
+		}
+		if got, want := bulk.Search(q, 10), byAdd.Search(q, 10); !sameResults(got, want) {
+			t.Fatalf("Search differs: %v vs %v", got, want)
+		}
+		got, _ := bulk.SearchCosineFiltered(context.Background(), q, 10, nil)
+		want, _ := byAdd.SearchCosineFiltered(context.Background(), q, 10, nil)
+		if !sameResults(got, want) {
+			t.Fatalf("cosine search differs: %v vs %v", got, want)
+		}
+	}
+	// An index built in bulk grows like any other.
+	if err := bulk.Add(5, make(Vector, dim)); err != nil || bulk.Len() != n+1 {
+		t.Fatalf("Add after bulk load: %v, len %d", err, bulk.Len())
+	}
+	for name, c := range map[string]struct {
+		ids  []uint64
+		rows []float32
+	}{
+		"no ids":       {nil, []float32{1}},
+		"no rows":      {[]uint64{1}, nil},
+		"ragged":       {[]uint64{1, 2}, []float32{1, 2, 3}},
+		"duplicate id": {[]uint64{4, 4}, []float32{1, 2}},
+	} {
+		if _, err := NewFlatFromRows(c.ids, c.rows); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func sameVector(a, b Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameFloat(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -1,10 +1,9 @@
 // Package workload generates the synthetic datasets that substitute for
-// the paper's production resources (see DESIGN.md substitution table): an
-// open-domain knowledge graph with a typed ontology, Zipfian popularity,
-// planted community structure, multi-valued facts with hidden gold
-// importance order, ambiguous entity names, literal/noise facts, and a
-// query log. Every generator is deterministic under its seed so
-// experiments are reproducible.
+// the paper's production resources: an open-domain knowledge graph with
+// a typed ontology, Zipfian popularity, planted community structure,
+// multi-valued facts with hidden gold importance order, ambiguous entity
+// names, literal/noise facts, and a query log. Every generator is
+// deterministic under its seed so experiments are reproducible.
 package workload
 
 import (

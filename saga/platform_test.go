@@ -252,3 +252,79 @@ func TestFacadeAccessorsAndHelpers(t *testing.T) {
 		t.Fatal("value constructor re-exports broken")
 	}
 }
+
+// TestRetrainSeesTheGraphAsItIsNow: a platform for continuous construction
+// retrains as the graph grows, and every TrainEmbeddings call — with the
+// default view or a view the caller named — trains on the facts of that
+// moment, not on the first call's snapshot.
+func TestRetrainSeesTheGraphAsItIsNow(t *testing.T) {
+	for _, viewName := range []string{"", "people-facts"} {
+		w, err := GenerateWorld(WorldConfig{NumPeople: 60, NumClusters: 6, Seed: 109})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := New(w.Graph)
+		opts := EmbeddingOptions{
+			View:  ViewDef{Name: viewName, DropLiteralFacts: true},
+			Train: TrainConfig{Model: DistMult, Dim: 8, Epochs: 2, Workers: 1, Seed: 3},
+		}
+		train := func() int {
+			t.Helper()
+			if err := p.TrainEmbeddings(opts); err != nil {
+				t.Fatal(err)
+			}
+			return len(p.Dataset().Triples)
+		}
+		before := train()
+
+		// Two entities no fact mentions yet, and 20 entity-valued facts.
+		var fresh []EntityID
+		for _, key := range []string{"newcomer-a", "newcomer-b"} {
+			id, err := w.Graph.AddEntity(Entity{Key: key, Name: key})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh = append(fresh, id)
+			if _, ok := p.EmbeddingService().EntityEmbedding(id); ok {
+				t.Fatalf("view %q: %s has a vector before any fact mentions it", viewName, key)
+			}
+		}
+		var added []Triple
+		for i := 0; i < 20; i++ {
+			added = append(added, Triple{
+				Subject: w.People[i], Predicate: w.Preds["collaborator"], Object: EntityValue(fresh[i%2]),
+			})
+		}
+		if err := w.Graph.AssertAll(added); err != nil {
+			t.Fatal(err)
+		}
+		if got := train(); got != before+len(added) {
+			t.Fatalf("view %q: retrain after %d asserts trained on %d triples, want %d", viewName, len(added), got, before+len(added))
+		}
+		for _, id := range fresh {
+			if _, ok := p.Dataset().EntityIndex(id); !ok {
+				t.Fatalf("view %q: new entity %d missing from the retrained dataset", viewName, id)
+			}
+			if v, ok := p.EmbeddingService().EntityEmbedding(id); !ok || len(v) != 8 {
+				t.Fatalf("view %q: new entity %d has no vector after retraining", viewName, id)
+			}
+		}
+		if rel, err := p.RelatedEntities(fresh[0], 3); err != nil || len(rel) != 3 {
+			t.Fatalf("view %q: RelatedEntities(new entity) = %v, %v", viewName, rel, err)
+		}
+
+		for _, tr := range added {
+			if !w.Graph.Retract(tr) {
+				t.Fatalf("view %q: retract of %v found nothing", viewName, tr)
+			}
+		}
+		if got := train(); got != before {
+			t.Fatalf("view %q: retrain after retracting them trained on %d triples, want %d", viewName, got, before)
+		}
+		for _, id := range fresh {
+			if _, ok := p.EmbeddingService().EntityEmbedding(id); ok {
+				t.Fatalf("view %q: entity %d keeps a vector after its facts were retracted", viewName, id)
+			}
+		}
+	}
+}

@@ -4,15 +4,19 @@
 # assembly does not), a flag-parse smoke of kgserve (cmd/* has no tests),
 # the full test suite under the race detector — the graph, query, rules,
 # serving and durability packages again at 1, 2 and 4 procs, since green
-# at GOMAXPROCS=1 only is red — the kNN packages again under -tags purego
-# (the Go body of the scan kernel, which an AVX2 host never otherwise
-# runs a search through), the benchmark module's own vet + smoke test
+# at GOMAXPROCS=1 only is red — the kNN and embedding packages again
+# under -tags purego (the Go bodies of the scan kernel and the training
+# step kernel, which an AVX2 host never otherwise runs a search or a
+# training through; the trained-matrix hash committed in
+# internal/embedding must come out the same), the benchmark module's own
+# vet + smoke test
 # (bench/ has its own go.mod, so ./... never reaches it and an API drift
 # in saga or internal/server would otherwise break the benchmark
 # silently), a few seconds of native fuzzing on the wire encoder's and the
-# two wire decoders' targets, on the kNN kernel's and the tokenizer's
-# differential targets and on the fact set's model-based one, and a short open-loop load smoke against an
-# in-process server (kgload -smoke: zero 5xx, zero transport errors, p99
+# two wire decoders' targets, on the two kernels' and the tokenizer's
+# differential targets, on the fact set's model-based one and on the model
+# file reader's, and a short open-loop load smoke against an in-process
+# server (kgload -smoke: zero 5xx, zero transport errors, p99
 # of admitted requests under the read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
 # run, so a clean exit here means a clean check there.
@@ -58,8 +62,8 @@ else
     go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/rules ./internal/server ./internal/wal ./saga
 fi
 
-echo "== go test -tags purego (Go body of the kNN kernel) =="
-go test -tags purego ./internal/vecindex ./internal/embedserve
+echo "== go test -tags purego (Go bodies of the kNN and training kernels) =="
+go test -tags purego ./internal/vecindex ./internal/embedserve ./internal/embedding
 
 echo "== bench module (vet + smoke test) =="
 (cd bench && go vet ./... && go test ./...)
@@ -70,6 +74,8 @@ go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./inter
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
+go test -run '^$' -fuzz '^FuzzTriStep$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
+go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime "${FUZZTIME:-5s}" ./internal/embedding/
 go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "${FUZZTIME:-5s}" ./internal/textutil/
 
 if [[ "${SKIP_LOAD:-}" != "1" ]]; then

@@ -126,3 +126,27 @@ func BenchmarkAnnotateDocBenchSize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainEmbeddingsBenchSize is the end-to-end benchmark's training
+// stage (bench/setup.go: DistMult dim 32, 5 epochs, one worker) through
+// Platform.TrainEmbeddings on the bench-size world: graph scan, dataset,
+// SGD, vector index. B/op and allocs/op are the set-up's garbage; ns/step
+// divides the whole call by its logistic steps (epochs × triples ×
+// negatives × 2), so it also carries the prep.
+func BenchmarkTrainEmbeddingsBenchSize(b *testing.B) {
+	f := getServingFixture(b)
+	cfg := saga.TrainConfig{Model: saga.DistMult, Dim: 32, Epochs: 5, Seed: 1, Workers: 1}
+	const negatives = 2 // TrainConfig's default
+	steps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := saga.New(f.world.Graph)
+		if err := p.TrainEmbeddings(saga.EmbeddingOptions{Train: cfg}); err != nil {
+			b.Fatal(err)
+		}
+		steps += cfg.Epochs * len(p.Dataset().Triples) * negatives * 2
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(steps/b.N), "steps/op")
+}
