@@ -179,9 +179,10 @@ func main() {
 	occ := w.Preds["occupation"]
 	var pos, neg [][3]uint32
 	for _, person := range w.People {
-		for f := range g.FactsSeq(person, occ) {
+		g.FactsFunc(person, occ, func(f saga.Triple) bool {
 			pos = append(pos, [3]uint32{uint32(person), uint32(occ), uint32(f.Object.Entity)})
-		}
+			return true
+		})
 		other := w.People[(int(person)+7)%len(w.People)]
 		neg = append(neg, [3]uint32{uint32(person), uint32(occ), uint32(other)})
 	}

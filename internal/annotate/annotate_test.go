@@ -283,7 +283,7 @@ func TestLinkToGraph(t *testing.T) {
 	// equal what LinkToGraph reported, and at least one person must be
 	// linked.
 	var linked, personLinked int
-	w.Graph.Triples(func(tr kg.Triple) bool {
+	w.Graph.TriplesSnapshot(func(tr kg.Triple) bool {
 		if tr.Predicate == pred.ID {
 			linked++
 		}

@@ -201,16 +201,15 @@ func (s *Service) RankFactsContext(ctx context.Context, subject kg.EntityID, pre
 	// The count is a capacity hint only (a writer may land between the two
 	// lock acquisitions); the streamed read below is the enumeration.
 	cands := make([]candidate, 0, s.graph.FactCount(subject, predicate))
-	for f := range s.graph.FactsSeq(subject, predicate) {
+	s.graph.FactsFunc(subject, predicate, func(f kg.Triple) bool {
 		if !f.Object.IsEntity() {
-			continue
+			return true
 		}
-		tIdx, ok := s.dataset.EntityIndex(f.Object.Entity)
-		if !ok {
-			continue
+		if tIdx, ok := s.dataset.EntityIndex(f.Object.Entity); ok {
+			cands = append(cands, candidate{t: f, tIdx: tIdx})
 		}
-		cands = append(cands, candidate{t: f, tIdx: tIdx})
-	}
+		return true
+	})
 	cancellable := ctx.Done() != nil
 	out := make([]RankedFact, 0, len(cands))
 	for i, c := range cands {

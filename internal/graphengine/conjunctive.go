@@ -122,30 +122,3 @@ func resolve(t Term, bound Binding) (kg.Value, bool) {
 	v, ok := bound[t.Var]
 	return v, ok
 }
-
-// estimate approximates how many triples expanding the clause would
-// enumerate under the binding (kept as a method for the planner tests;
-// the solver calls estimateOn).
-func (e *Engine) estimate(c Clause, bound Binding) int {
-	return estimateOn(e.g, c, bound)
-}
-
-// estimateOn approximates how many triples expanding the clause would
-// enumerate under the binding. Every arm is a counter lookup (FactCount,
-// SubjectsWithCount, PredicateFrequency) — no result slice is ever
-// materialized for cost estimation, so the planner can afford to
-// re-estimate at every join depth.
-func estimateOn(g conjGraph, c Clause, bound Binding) int {
-	s, sBound := resolve(c.Subject, bound)
-	o, oBound := resolve(c.Object, bound)
-	switch {
-	case sBound && oBound:
-		return 1
-	case sBound:
-		return g.FactCount(s.Entity, c.Predicate) + 1
-	case oBound:
-		return g.SubjectsWithCount(c.Predicate, o) + 1
-	default:
-		return g.PredicateFrequency(c.Predicate) + 2
-	}
-}

@@ -251,12 +251,12 @@ func TestConjunctiveNaNVarJoinPrunes(t *testing.T) {
 	}, 0)
 }
 
-// estimate must never allocate: cost probes are counter lookups on the
-// predicate-major index, and the planner re-estimates every remaining
-// clause at every join depth.
+// planCost must never allocate: cost probes are counter lookups on the
+// predicate-major index, and the planner prices every remaining clause at
+// every join depth.
 func TestEstimateZeroAllocs(t *testing.T) {
 	f := newFixture(t)
-	bound := Binding{"who": kg.EntityValue(f.lebron)}
+	bound := map[string]bool{"who": true}
 	clauses := []Clause{
 		{Subject: V("x"), Predicate: f.award, Object: CE(f.mvp)},                        // object bound
 		{Subject: CE(f.lebron), Predicate: f.occ, Object: V("o")},                       // subject bound
@@ -268,15 +268,15 @@ func TestEstimateZeroAllocs(t *testing.T) {
 	var sink int
 	for i, c := range clauses {
 		c := c
-		if allocs := testing.AllocsPerRun(200, func() { sink += f.e.estimate(c, bound) }); allocs != 0 {
-			t.Errorf("clause %d: estimate allocates %.1f per op, want 0", i, allocs)
+		if allocs := testing.AllocsPerRun(200, func() { sink += planCost(f.g, c, bound) }); allocs != 0 {
+			t.Errorf("clause %d: planCost allocates %.1f per op, want 0", i, allocs)
 		}
 	}
 	_ = sink
 }
 
 // BenchmarkConjunctiveEstimate reports the planner's cost-probe price
-// directly (the acceptance surface for "estimate() shows 0 allocs/op").
+// directly (the acceptance surface for "planCost shows 0 allocs/op").
 func BenchmarkConjunctiveEstimate(b *testing.B) {
 	g := kg.NewGraph()
 	member, _ := g.AddPredicate(kg.Predicate{Name: "memberOf"})
@@ -290,14 +290,12 @@ func BenchmarkConjunctiveEstimate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	e := New(g)
 	c := Clause{Subject: V("p"), Predicate: member, Object: CE(team)}
-	bound := Binding{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
-		sink += e.estimate(c, bound)
+		sink += planCost(g, c, nil)
 	}
 	_ = sink
 }

@@ -74,44 +74,6 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func TestQueryBoundPatterns(t *testing.T) {
-	f := newFixture(t)
-	// S+P bound.
-	got := f.e.Query(Pattern{Subject: S(f.lebron), Predicate: P(f.occ)})
-	if len(got) != 2 {
-		t.Fatalf("S+P query = %v", got)
-	}
-	// S+P+O bound.
-	got = f.e.Query(Pattern{Subject: S(f.lebron), Predicate: P(f.occ), Object: O(kg.EntityValue(f.bball))})
-	if len(got) != 1 {
-		t.Fatalf("S+P+O query = %v", got)
-	}
-	// P+O bound: who has the MVP award?
-	got = f.e.Query(Pattern{Predicate: P(f.award), Object: O(kg.EntityValue(f.mvp))})
-	if len(got) != 3 {
-		t.Fatalf("P+O query = %v", got)
-	}
-	// O bound only (entity object).
-	got = f.e.Query(Pattern{Object: O(kg.EntityValue(f.mvp))})
-	if len(got) != 3 {
-		t.Fatalf("O query = %v", got)
-	}
-	// S bound only.
-	got = f.e.Query(Pattern{Subject: S(f.lebron)})
-	if len(got) != 5 {
-		t.Fatalf("S query = %d triples, want 5", len(got))
-	}
-	// P bound only (scan path).
-	got = f.e.Query(Pattern{Predicate: P(f.height)})
-	if len(got) != 1 || got[0].Object.Num != 203 {
-		t.Fatalf("P-only query = %v", got)
-	}
-	// Unbound full scan.
-	if got := f.e.Query(Pattern{}); len(got) != 7 {
-		t.Fatalf("full scan = %d triples, want 7", len(got))
-	}
-}
-
 func TestViewDropLiterals(t *testing.T) {
 	f := newFixture(t)
 	v := f.e.Materialize(ViewDef{Name: "emb", DropLiteralFacts: true})

@@ -201,10 +201,10 @@ func appendTermSig(b []byte, t Term) []byte {
 // buildPlan orders the clauses greedily by estimated candidate count and
 // fixes each step's access path. At every depth the cheapest remaining
 // clause wins; ties keep the earlier input index, so planning is
-// deterministic. Costs for positions resolved by constants are the same
-// counter lookups the dynamic solver used (estimateOn); positions
-// resolved by a variable bound at an earlier step have no value to probe
-// at plan time and get the varBoundCost heuristic instead.
+// deterministic. Costs for positions resolved by constants are exact
+// counter lookups; positions resolved by a variable bound at an earlier
+// step have no value to probe at plan time and get the varBoundCost
+// heuristic instead (see planCost).
 //
 // The clauses must already be validated (entity subjects, non-zero
 // predicates) — the entry points in stream.go validate before planning.
@@ -269,8 +269,9 @@ func pathFor(c Clause, bound map[string]bool) AccessPath {
 
 // planCost estimates how many candidates expanding the clause would
 // enumerate, with only static boundness known. Constant-resolved arms
-// are exact counter lookups (matching estimateOn); variable-resolved
-// arms use varBoundCost.
+// are exact counter lookups (FactCount, SubjectsWithCount,
+// PredicateFrequency) — no result slice is ever materialized for cost
+// estimation; variable-resolved arms use varBoundCost.
 func planCost(g conjGraph, c Clause, bound map[string]bool) int {
 	sConst := c.Subject.Var == ""
 	oConst := c.Object.Var == ""

@@ -7,38 +7,6 @@ import (
 	"saga/internal/kg"
 )
 
-// Pattern is a triple pattern with optional bindings: nil fields are
-// wildcards. It is the primitive of the engine's query interface.
-type Pattern struct {
-	Subject   *kg.EntityID
-	Predicate *kg.PredicateID
-	Object    *kg.Value
-}
-
-// S binds a subject.
-func S(id kg.EntityID) *kg.EntityID { return &id }
-
-// P binds a predicate.
-func P(id kg.PredicateID) *kg.PredicateID { return &id }
-
-// O binds an object.
-func O(v kg.Value) *kg.Value { return &v }
-
-// Query returns all triples matching the pattern, choosing the cheapest
-// index for the bound positions. It is the collect shim over Stream, kept
-// for callers that want a detached slice; consumers that filter, join, or
-// stop early should range over Stream/StreamPattern instead and pay only
-// for the rows they take. Predicate-bound paths read the predicate-major
-// index and carry no provenance (see QueryOptions.Provenance for the
-// stored-triple route).
-func (e *Engine) Query(p Pattern) []kg.Triple {
-	var out []kg.Triple
-	for t := range e.Stream(p) {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Neighbors returns the distinct entities adjacent to id via entity-valued
 // facts in either direction, sorted ascending. It reads the cached CSR
 // snapshot; the result is a fresh copy the caller may keep.

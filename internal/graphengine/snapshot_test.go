@@ -10,19 +10,23 @@ import (
 	"saga/internal/kg"
 )
 
-// naiveNeighbors recomputes the undirected entity adjacency of id the way
-// the engine did before CSR snapshots: from the live SPO/OSP indexes,
-// deduplicated through a map, self-loops removed, sorted. It is the
-// reference the snapshot must agree with exactly.
+// naiveNeighbors recomputes the undirected entity adjacency of id from a
+// scan of every stored triple — out-edges are the triples id is the
+// subject of, in-edges those it is the entity object of — deduplicated
+// through a map, self-loops removed, sorted. It is the reference the
+// snapshot must agree with exactly.
 func naiveNeighbors(g *kg.Graph, id kg.EntityID) []kg.EntityID {
 	set := make(map[kg.EntityID]struct{})
-	for _, t := range g.Outgoing(id) {
-		if t.Object.IsEntity() {
+	for _, t := range g.AllTriples() {
+		if !t.Object.IsEntity() {
+			continue
+		}
+		if t.Subject == id {
 			set[t.Object.Entity] = struct{}{}
 		}
-	}
-	for _, t := range g.Incoming(id) {
-		set[t.Subject] = struct{}{}
+		if t.Object.Entity == id {
+			set[t.Subject] = struct{}{}
+		}
 	}
 	delete(set, id)
 	out := make([]kg.EntityID, 0, len(set))

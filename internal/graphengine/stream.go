@@ -13,21 +13,21 @@ import (
 	"saga/internal/kg"
 )
 
-// Streaming query surface. The slice-returning Query/QueryConjunctive
-// APIs solve the whole answer set before the caller sees the first row —
-// fine for training views, hostile for serving, where a caller wanting
-// ten rows should pay for ten rows. This layer redesigns the query
-// surface around Go 1.24 iterators: Stream and StreamConjunctive yield
-// results as the planner produces them, so a limit terminates the solve
-// early, context cancellation aborts a join mid-flight, and an opaque
-// cursor resumes enumeration where the previous page stopped (the
-// "enumeration with bounded delay" serving contract — evaluation cost
-// tracks output consumed, not output possible). The slice APIs remain as
-// collect-and-sort shims over this layer.
+// Streaming query surface. The slice-returning QueryConjunctive solves
+// the whole answer set before the caller sees the first row — fine for
+// training views, hostile for serving, where a caller wanting ten rows
+// should pay for ten rows. This layer builds the query surface on Go 1.24
+// iterators: StreamRows and StreamConjunctive yield results as the
+// planner produces them, so a limit terminates the solve early, context
+// cancellation aborts a join mid-flight, and an opaque cursor resumes
+// enumeration where the previous page stopped (the "enumeration with
+// bounded delay" serving contract — evaluation cost tracks output
+// consumed, not output possible). QueryConjunctive remains as a
+// collect-and-sort shim over this layer.
 
 // QueryOptions configure one streaming query. The zero value streams the
 // full answer set with no deadline. One options struct serves every
-// planner entry point (StreamConjunctive, StreamPattern, and the
+// conjunctive entry point (StreamRows, StreamConjunctive, and the
 // platform/HTTP layers above them).
 type QueryOptions struct {
 	// Limit stops the solve after this many rows have been yielded
@@ -54,19 +54,6 @@ type QueryOptions struct {
 	// delivered exactly once. (A plan-cache replan after large drift can
 	// reorder the join; the walk then continues in the new order.)
 	Cursor []kg.ValueKey
-
-	// Provenance selects stored-triple enumeration for pattern queries.
-	// By default the predicate-bound pattern paths (predicate-only and
-	// predicate+object) read the predicate-major index, whose postings
-	// reconstruct objects from identity keys — those triples carry no
-	// Prov (the planner expansion has always been provenance-free there).
-	// Setting Provenance routes these two paths through the full stored-
-	// triple scan instead: every yielded triple carries its provenance,
-	// at full-scan cost. Match semantics are unchanged (SPO identity).
-	// Conjunctive bindings map variables to values, which carry no
-	// provenance either way, so the flag is a no-op for
-	// StreamConjunctive.
-	Provenance bool
 
 	// Timeout bounds the solve's wall-clock time (0 = none). It is
 	// implemented as a context deadline layered over Context.
@@ -295,123 +282,6 @@ func queryVars(clauses []Clause) []string {
 	}
 	sort.Strings(vars)
 	return vars
-}
-
-// Stream yields the triples matching the pattern, choosing the cheapest
-// index for the bound positions — the iterator twin of Query. Unlike
-// StreamConjunctive, the yield runs under the graph's read locks (the
-// same contract as the kg *Func/*Seq visitors): the loop body must not
-// mutate the graph or call back into it; breaking out stops the scan and
-// releases the lock. Use StreamPattern for limits, provenance routing,
-// and cancellation; use Query for a detached copy.
-func (e *Engine) Stream(p Pattern) iter.Seq[kg.Triple] {
-	return func(yield func(kg.Triple) bool) {
-		for t, err := range e.StreamPattern(p, QueryOptions{}) {
-			// The zero options cannot produce an error (no cursor, no
-			// context); guard anyway so a future error path cannot yield
-			// a zero triple silently.
-			if err != nil {
-				return
-			}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-}
-
-// StreamPattern is Stream with options: Limit stops the index scan after
-// that many matches, Context/Timeout abort it between matches, and
-// Provenance selects stored-triple enumeration for the predicate-bound
-// paths (see QueryOptions.Provenance). Cursors are a conjunctive-query
-// feature; a pattern query with a cursor yields an error. Rows yield
-// under the graph's read locks, like Stream; error elements yield after
-// the locks are released.
-func (e *Engine) StreamPattern(p Pattern, opts QueryOptions) iter.Seq2[kg.Triple, error] {
-	return func(yield func(kg.Triple, error) bool) {
-		if len(opts.Cursor) > 0 {
-			yield(kg.Triple{}, fmt.Errorf("graphengine: cursors are not supported for pattern queries"))
-			return
-		}
-		ctx, cancel := opts.deadline()
-		defer cancel()
-		g := e.g
-		n := 0
-		var ctxErr error
-		// emit forwards one match; it returns false to stop the scan
-		// (consumer break, limit, cancellation).
-		emit := func(t kg.Triple) bool {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					return false
-				}
-			}
-			if !yield(t, nil) {
-				return false
-			}
-			n++
-			return opts.Limit <= 0 || n < opts.Limit
-		}
-		switch {
-		case p.Subject != nil && p.Predicate != nil:
-			g.FactsFunc(*p.Subject, *p.Predicate, func(t kg.Triple) bool {
-				if p.Object != nil && !t.Object.Equal(*p.Object) {
-					return true
-				}
-				return emit(t)
-			})
-		case p.Subject != nil:
-			g.OutgoingFunc(*p.Subject, func(t kg.Triple) bool {
-				if p.Object != nil && !t.Object.Equal(*p.Object) {
-					return true
-				}
-				return emit(t)
-			})
-		case p.Predicate != nil && p.Object != nil && !opts.Provenance:
-			obj := *p.Object
-			g.SubjectsWithFunc(*p.Predicate, obj, func(s kg.EntityID) bool {
-				return emit(kg.Triple{Subject: s, Predicate: *p.Predicate, Object: obj})
-			})
-		case p.Predicate != nil && p.Object != nil:
-			// Provenance route: stored triples at full-scan cost, with the
-			// same SPO-identity match the index path applies.
-			key := p.Object.MapKey()
-			g.Triples(func(t kg.Triple) bool {
-				if t.Predicate != *p.Predicate || t.Object.MapKey() != key {
-					return true
-				}
-				return emit(t)
-			})
-		case p.Object != nil && p.Object.IsEntity():
-			// The P+O cases above have already captured patterns with a
-			// bound predicate, so only the bare incoming-edge scan remains.
-			g.IncomingFunc(p.Object.Entity, emit)
-		case p.Predicate != nil && !opts.Provenance:
-			g.PredicateEntriesFunc(*p.Predicate, func(obj kg.Value, subj kg.EntityID) bool {
-				return emit(kg.Triple{Subject: subj, Predicate: *p.Predicate, Object: obj})
-			})
-		case p.Predicate != nil:
-			g.Triples(func(t kg.Triple) bool {
-				if t.Predicate != *p.Predicate {
-					return true
-				}
-				return emit(t)
-			})
-		default:
-			// Nothing bound, or only a literal object: full scan with the
-			// residual object filter.
-			g.Triples(func(t kg.Triple) bool {
-				if p.Object != nil && !t.Object.Equal(*p.Object) {
-					return true
-				}
-				return emit(t)
-			})
-		}
-		if ctxErr != nil {
-			yield(kg.Triple{}, ctxErr)
-		}
-	}
 }
 
 // --- Cursor tokens ------------------------------------------------------

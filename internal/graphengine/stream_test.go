@@ -450,103 +450,6 @@ func TestStreamConjunctiveContextCancel(t *testing.T) {
 	}
 }
 
-// Stream/StreamPattern: limit push-down, early break, and provenance
-// routing on the predicate-bound paths.
-func TestStreamPattern(t *testing.T) {
-	g := kg.NewGraph()
-	s, _ := g.AddEntity(kg.Entity{Key: "s"})
-	o, _ := g.AddEntity(kg.Entity{Key: "o"})
-	p, _ := g.AddPredicate(kg.Predicate{Name: "p"})
-	for i := 0; i < 10; i++ {
-		tr := kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(i)), Prov: kg.Provenance{Source: "src"}}
-		if err := g.Assert(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Assert(kg.Triple{Subject: s, Predicate: p, Object: kg.EntityValue(o), Prov: kg.Provenance{Source: "src"}}); err != nil {
-		t.Fatal(err)
-	}
-	e := New(g)
-
-	n := 0
-	for t2, err := range e.StreamPattern(Pattern{Predicate: P(p)}, QueryOptions{Limit: 3}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = t2
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("limited pattern stream = %d rows, want 3", n)
-	}
-
-	// Early break stops the scan and releases the lock: a write afterwards
-	// must not deadlock.
-	for range e.Stream(Pattern{Predicate: P(p)}) {
-		break
-	}
-	if err := g.Assert(kg.Triple{Subject: o, Predicate: p, Object: kg.IntValue(99)}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Default predicate-only path reconstructs objects without provenance;
-	// the Provenance option routes through stored triples.
-	for tr, err := range e.StreamPattern(Pattern{Predicate: P(p)}, QueryOptions{}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Prov.Source != "" {
-			t.Fatalf("index-path triple carries provenance %q, expected none", tr.Prov.Source)
-		}
-	}
-	withProv := 0
-	for tr, err := range e.StreamPattern(Pattern{Predicate: P(p)}, QueryOptions{Provenance: true}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Subject == s && tr.Prov.Source != "src" {
-			t.Fatalf("provenance-path triple lost its provenance: %+v", tr)
-		}
-		withProv++
-	}
-	if withProv != 12 {
-		t.Fatalf("provenance-path stream = %d rows, want 12", withProv)
-	}
-
-	// P+O: both routes yield the same match set, provenance only on the
-	// stored-triple route.
-	obj := kg.EntityValue(o)
-	idx := collectPattern(t, e, Pattern{Predicate: P(p), Object: O(obj)}, QueryOptions{})
-	prov := collectPattern(t, e, Pattern{Predicate: P(p), Object: O(obj)}, QueryOptions{Provenance: true})
-	if len(idx) != 1 || len(prov) != 1 {
-		t.Fatalf("P+O match counts diverge: index=%d provenance=%d, want 1/1", len(idx), len(prov))
-	}
-	if idx[0].Prov.Source != "" || prov[0].Prov.Source != "src" {
-		t.Fatalf("P+O provenance routing wrong: index=%q provenance=%q", idx[0].Prov.Source, prov[0].Prov.Source)
-	}
-
-	// Cursors are conjunctive-only.
-	var cursorErr error
-	for _, err := range e.StreamPattern(Pattern{Predicate: P(p)}, QueryOptions{Cursor: []kg.ValueKey{{}}}) {
-		cursorErr = err
-	}
-	if cursorErr == nil {
-		t.Fatal("pattern stream accepted a cursor")
-	}
-}
-
-func collectPattern(t *testing.T, e *Engine, p Pattern, opts QueryOptions) []kg.Triple {
-	t.Helper()
-	var out []kg.Triple
-	for tr, err := range e.StreamPattern(p, opts) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, tr)
-	}
-	return out
-}
-
 // pprSparse must reuse its two frontier maps across iterations (the
 // pprDense swap mirrored onto maps): allocations must not scale with the
 // iteration count.
@@ -602,7 +505,7 @@ func TestPlannerCountersSeeFreshWrites(t *testing.T) {
 		}
 	}
 	clause := Clause{Subject: V("p"), Predicate: member, Object: CE(team)}
-	if got := estimateOn(g, clause, Binding{}); got != n+1 {
+	if got := planCost(g, clause, nil); got != n+1 {
 		t.Fatalf("estimate over fresh writes = %d, want %d", got, n+1)
 	}
 	rows := collectStream(t, New(g).StreamConjunctive([]Clause{clause}, QueryOptions{}))

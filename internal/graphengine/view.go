@@ -1,7 +1,7 @@
 // Package graphengine implements the computational graph engine of the
 // Saga platform (Fig 1, Fig 3 of the paper): declarative view definitions
-// that filter the KG into task-specific training views, triple-pattern
-// queries, graph traversals (BFS, random walks), and personalized
+// that filter the KG into task-specific training views, conjunctive
+// triple-pattern queries, graph traversals (BFS, random walks), and personalized
 // PageRank. The embedding pipeline trains on views produced here ("we
 // leverage a computational graph engine to generate a view of the KG by
 // filtering out non-relevant facts and possible noises", §2), and the
@@ -9,13 +9,13 @@
 // scalable graph processing capabilities of our graph engine to
 // pre-compute graph traversals", §2).
 //
-// The query surface is iterator-first (see stream.go): Stream and
-// StreamConjunctive yield matches as the planner produces them, with one
-// QueryOptions struct for limit push-down, cursor pagination, provenance
-// routing, timeouts and context cancellation — the serving-path
-// contract, where evaluation cost tracks output consumed.
-// The slice-returning Query and QueryConjunctive are collect(-and-sort)
-// shims over the streams.
+// The query surface is conjunctive and iterator-first (see stream.go):
+// StreamRows and StreamConjunctive yield matches as the planner produces
+// them, with one QueryOptions struct for limit push-down, cursor
+// pagination, timeouts and context cancellation — the serving-path
+// contract, where evaluation cost tracks output consumed. The
+// slice-returning QueryConjunctive is a collect-and-sort shim over the
+// stream.
 //
 // # Plan / executor contract
 //
@@ -170,8 +170,8 @@ func scan(g *kg.Graph, def *ViewDef, fn func(kg.Triple)) (predFreq map[kg.Predic
 	// The clauses that read only the triple are applied inside the cut.
 	// The other two wait for its end, buffering their candidates: a
 	// predicate's frequency is complete only then, and a SubjectType
-	// lookup takes the dictionary lock, which must not nest inside the
-	// shard locks.
+	// lookup takes the dictionary lock once per candidate, which would
+	// stretch the all-shard cut writers wait behind.
 	late := def.MinPredicateFreq > 0 || def.SubjectType != kg.NoType
 	var held []kg.Triple
 	// Frequencies are tallied in the same lock window as the triples and

@@ -128,7 +128,7 @@ func TestRemoveHelpersMissingElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Retract a triple with same subject+predicate but different object:
-	// exercises the not-found path of removeTriple/removeEntity.
+	// exercises the not-found path of the fact-list search.
 	if g.Retract(Triple{Subject: a, Predicate: p, Object: EntityValue(a)}) {
 		t.Fatal("retracted a fact that does not exist")
 	}

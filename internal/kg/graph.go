@@ -61,12 +61,6 @@ type graphShard struct {
 	// by object ValueKey with no duplicates. The sorted list is also the
 	// shard's identity set: membership is a binary search of it.
 	spo map[EntityID]map[PredicateID][]Triple
-	// osp maps object entity -> posting of triples whose *subject* lives
-	// in this shard; incoming-edge reads merge the entry across all
-	// shards. Postings tombstone instead of splicing once they grow hot
-	// (see ospPosting), so retracting an edge into a million-fan-in hub
-	// does not rescan the hub's posting.
-	osp map[EntityID]ospPosting
 
 	// triples is the number of facts in spo.
 	triples int
@@ -76,12 +70,11 @@ type graphShard struct {
 	// so within one shard the log is strictly ascending in Seq.
 	log mutLog
 
-	_ [56]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
+	_ [64]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
 }
 
 func (sh *graphShard) init() {
 	sh.spo = make(map[EntityID]map[PredicateID][]Triple)
-	sh.osp = make(map[EntityID]ospPosting)
 }
 
 // factIndex returns where the fact with object key k sits in a fact list
@@ -102,24 +95,24 @@ func factIndex(ts []Triple, k ValueKey) (int, bool) {
 }
 
 // Graph is an in-memory triple store with entity/predicate dictionaries,
-// SPO/POS/OSP indexes, and a mutation log. It is safe for concurrent use.
+// a subject-major and a predicate-major index, and a mutation log. It is
+// safe for concurrent use.
 //
 // # Sharded write path
 //
-// The triple indexes are partitioned into S shards (S a power of two,
-// default GOMAXPROCS rounded up) by subject ID, each with its own
+// The subject-major index is partitioned into S shards (S a power of
+// two, default GOMAXPROCS rounded up) by subject ID, each with its own
 // RWMutex, so concurrent Assert/Retract on different subjects scale with
 // cores instead of serializing on one graph lock. Reads bound to a
-// subject (Facts, Outgoing, HasFact) touch exactly one shard. Reads
-// bound to a predicate (SubjectsWith, PredicateFrequency) touch exactly
-// one pom stripe. Reads that span subjects either visit shards one at a
-// time (Incoming, NumTriples — each shard internally consistent, the
-// union as fresh as the moment its shard was visited) or, when they carry
-// watermark semantics (TriplesSnapshot, MutationsSince, Triples,
-// AllTriples), hold every shard's read lock at once for a single
-// consistent cut. Shard locks are always acquired in index order and
-// writers hold at most one shard lock, so the two patterns cannot
-// deadlock.
+// subject (Facts, OutgoingFunc, HasFact) touch exactly one shard. Reads
+// bound to a predicate (SubjectsWithFunc, PredicateFrequency) touch
+// exactly one pom stripe. Reads that span subjects either visit shards
+// one at a time (NumTriples — each shard internally consistent, the sum
+// as fresh as the moment its shard was visited) or, when they carry
+// watermark semantics (TriplesSnapshot, MutationsSince, AllTriples), hold
+// every shard's read lock at once for a single consistent cut. Shard
+// locks are always acquired in index order and writers hold at most one
+// shard lock, so the two patterns cannot deadlock.
 //
 // The entity/predicate dictionaries live outside the shards behind their
 // own lock; assert validation reads only atomically published dictionary
@@ -130,8 +123,6 @@ func factIndex(ts []Triple, k ValueKey) (int, bool) {
 //	spo: subject -> predicate -> []Triple          (fact lookup, outgoing,
 //	     and SPO identity: each list is sorted by object ValueKey, so
 //	     membership and removal are a binary search)
-//	osp: object-entity -> ospPosting               (incoming entity edges;
-//	     tombstoned + position-mapped once hot, so retracts stay O(1))
 //	pom: predicate -> ValueKey -> []EntityID       (the predicate-major
 //	     index, see pom.go: each posting sorted by subject ID, merged
 //	     across shards, partitioned into per-predicate lock stripes, with
@@ -141,11 +132,11 @@ func factIndex(ts []Triple, k ValueKey) (int, bool) {
 // is ordered by a key of the facts themselves, never by arrival: two
 // graphs holding the same facts enumerate them identically whatever
 // their shard counts, writer interleavings or retract/re-assert
-// histories, and so does a graph recovered from a checkpoint. (osp is
-// off that surface and keeps arrival order.) Cross-subject probes
-// (SubjectsWith, SubjectsWithCount, PredicateFrequency,
-// PredicateEntriesFunc, ComputeStats) read one pom stripe instead of
-// sweeping every shard.
+// histories, and so does a graph recovered from a checkpoint.
+// Cross-subject probes (SubjectsWithFunc, SubjectsWithCount,
+// PredicateFrequency, PredicateEntriesFunc, ComputeStats) read one pom
+// stripe instead of sweeping every shard; an entity's incoming edges
+// under a known predicate are its posting.
 //
 // # Write path and lock order
 //
@@ -159,6 +150,20 @@ func factIndex(ts []Triple, k ValueKey) (int, bool) {
 // indexes. Entity IDs are dense and grow monotonically and AssertBatch
 // applies in ascending subject order, so world generation, ImportGraph
 // and checkpoint recovery insert at the tail of every list they grow.
+//
+// # Visitor callbacks
+//
+// The visitors — FactsFunc, OutgoingFunc, SubjectsWithFunc,
+// PredicateEntriesFunc, TriplesSnapshot — run their callback under a
+// shard or stripe read lock. The callback must not mutate the graph, and
+// must not read the triple indexes either: a second read lock on a shard
+// or stripe blocks behind any writer queued between the two, and that
+// writer waits for the first. Dictionary reads (Entity, Predicate,
+// EntityByKey, PredicateByName, Entities, ...) are allowed: no code path
+// takes a shard or stripe lock while holding the dictionary lock, and
+// Entities/Predicates run their own callbacks with no lock held. Joins
+// against further index reads use the chunked reads (FactsChunked,
+// SubjectsWithChunked), whose callbacks run with no lock held.
 //
 // Fact identity is the comparable TripleKey struct (subject ID, predicate
 // ID, object ValueKey); see ValueKey for the per-kind payload encoding.
@@ -615,13 +620,10 @@ func (g *Graph) assertShardLocked(sh *graphShard, t Triple, key TripleKey) bool 
 }
 
 // indexNewFactLocked finishes an assert whose triple was just spliced
-// into its spo fact list: the osp and pom postings, the shard's fact
-// count and the mutation log. The caller holds sh's write lock.
+// into its spo fact list: the pom posting, the shard's fact count and the
+// mutation log. The caller holds sh's write lock.
 func (g *Graph) indexNewFactLocked(sh *graphShard, t Triple, key TripleKey) {
 	sh.triples++
-	if t.Object.IsEntity() {
-		sh.osp[t.Object.Entity] = sh.osp[t.Object.Entity].add(t, key)
-	}
 	g.pomAdd(t.Predicate, key.Object, t.Subject)
 	sh.log.append(Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
 }
@@ -766,109 +768,10 @@ func (g *Graph) Retract(t Triple) bool {
 		}
 	}
 	sh.triples--
-	if t.Object.IsEntity() {
-		if p, ok := sh.osp[t.Object.Entity]; ok {
-			p = p.remove(key)
-			if p.live() == 0 {
-				delete(sh.osp, t.Object.Entity)
-			} else {
-				sh.osp[t.Object.Entity] = p
-			}
-		}
-	}
 	g.pomRemove(t.Predicate, key.Object, t.Subject)
 
 	sh.log.append(Mutation{Seq: g.seq.Add(1), Op: OpRetract, T: t})
 	return true
-}
-
-// removeTriple deletes the triple with the given SPO identity from ts.
-// Matching goes through IdentityKey, not Value.Equal: the two disagree on
-// NaN-valued floats (equal bits, unequal under ==).
-func removeTriple(ts []Triple, key TripleKey) []Triple {
-	for i := range ts {
-		if ts[i].IdentityKey() == key {
-			return append(ts[:i], ts[i+1:]...)
-		}
-	}
-	return ts
-}
-
-// ospIdxThreshold is the osp posting length at which removal switches
-// from linear splice to the position-map + tombstone scheme. Below it a
-// splice touches at most a cache line or two; above it the one-time map
-// build is amortized over the asserts that grew the list.
-const ospIdxThreshold = 64
-
-// ospPosting is one object entity's incoming-edge posting within a shard.
-// Short postings splice on removal like any small slice. The first
-// removal from a posting that has grown past ospIdxThreshold builds a
-// position map (identity -> slot) and switches the posting to tombstoning:
-// removals zero the slot in O(1) and the posting compacts in place once
-// half its slots are dead, so retract cost is amortized O(1) regardless
-// of how many edges point at the hub. Write-once bulk loads never pay for
-// the map — it exists only after a hot posting's first retract. The zero
-// Triple (Subject == NoEntity, an ID never assigned) is the tombstone;
-// readers skip it. Entries keep arrival order: the incoming-edge posting
-// is off the conjunctive read surface, and a sorted splice of 136-byte
-// Triples would move 34x the bytes a subject posting's does.
-type ospPosting struct {
-	triples []Triple
-	dead    int
-	idx     map[TripleKey]int32
-}
-
-func (p ospPosting) live() int { return len(p.triples) - p.dead }
-
-func (p ospPosting) add(t Triple, key TripleKey) ospPosting {
-	if p.idx != nil {
-		p.idx[key] = int32(len(p.triples))
-	}
-	p.triples = append(p.triples, t)
-	return p
-}
-
-func (p ospPosting) remove(key TripleKey) ospPosting {
-	if p.idx == nil {
-		if len(p.triples) < ospIdxThreshold {
-			p.triples = removeTriple(p.triples, key)
-			return p
-		}
-		p.idx = make(map[TripleKey]int32, len(p.triples))
-		for i := range p.triples {
-			p.idx[p.triples[i].IdentityKey()] = int32(i)
-		}
-	}
-	slot, ok := p.idx[key]
-	if !ok {
-		return p
-	}
-	p.triples[slot] = Triple{}
-	delete(p.idx, key)
-	p.dead++
-	if p.dead*2 >= len(p.triples) {
-		p = p.compact()
-	}
-	return p
-}
-
-// compact drops tombstones in place and rebuilds the live slots'
-// positions. The position map only ever holds live identities, so
-// re-pointing them is a full rebuild of the map's values but never leaves
-// stale keys behind.
-func (p ospPosting) compact() ospPosting {
-	live := p.triples[:0]
-	for i := range p.triples {
-		if p.triples[i].Subject != NoEntity {
-			live = append(live, p.triples[i])
-		}
-	}
-	p.triples = live
-	p.dead = 0
-	for i := range p.triples {
-		p.idx[p.triples[i].IdentityKey()] = int32(i)
-	}
-	return p
 }
 
 // Facts returns all triples with the given subject and predicate, in
@@ -891,7 +794,8 @@ func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 // under the subject shard's read lock, stopping early if fn returns
 // false. It is the copy-free counterpart of Facts for callers that filter
 // or aggregate and would discard the slice. fn must not mutate the graph
-// or retain the Triple's interior slices.
+// or read its triple indexes; it may read the dictionaries (see Visitor
+// callbacks on Graph).
 func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
@@ -949,12 +853,6 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 	}
 }
 
-// HasFacts reports whether at least one (subj, pred, *) fact is asserted,
-// without materializing the fact slice.
-func (g *Graph) HasFacts(subj EntityID, pred PredicateID) bool {
-	return g.FactCount(subj, pred) > 0
-}
-
 // FactCount returns the number of (subj, pred, *) facts without
 // materializing the fact slice: one shard read lock and two map lookups.
 // It is the planner's bound-subject selectivity probe.
@@ -969,22 +867,11 @@ func (g *Graph) FactCount(subj EntityID, pred PredicateID) int {
 	return len(bySubj[pred])
 }
 
-// Outgoing returns every triple whose subject is subj.
-func (g *Graph) Outgoing(subj EntityID) []Triple {
-	sh := g.shard(subj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var out []Triple
-	for _, ts := range sh.spo[subj] {
-		out = append(out, ts...)
-	}
-	return out
-}
-
 // OutgoingFunc streams every triple whose subject is subj to fn under the
 // subject shard's read lock, stopping early if fn returns false.
-// Iteration order across predicates is unspecified. fn must not mutate
-// the graph.
+// Iteration order across predicates is unspecified; within one predicate
+// it is object-key order. fn must not mutate the graph or read its triple
+// indexes; it may read the dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
@@ -995,48 +882,6 @@ func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
 				return
 			}
 		}
-	}
-}
-
-// Incoming returns every triple whose object is the entity obj. The scan
-// visits shards one at a time; each shard's contribution is internally
-// consistent, but a concurrent writer may land between shard visits.
-func (g *Graph) Incoming(obj EntityID) []Triple {
-	var out []Triple
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		if p, ok := sh.osp[obj]; ok {
-			out = slices.Grow(out, p.live())
-			for j := range p.triples {
-				if p.triples[j].Subject != NoEntity {
-					out = append(out, p.triples[j])
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// IncomingFunc streams every triple whose object is the entity obj to fn,
-// stopping early if fn returns false. Shards are visited one at a time
-// (see Incoming); fn must not mutate the graph.
-func (g *Graph) IncomingFunc(obj EntityID, fn func(Triple) bool) {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		p := sh.osp[obj]
-		for j := range p.triples {
-			if p.triples[j].Subject == NoEntity {
-				continue
-			}
-			if !fn(p.triples[j]) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
-		sh.mu.RUnlock()
 	}
 }
 
@@ -1071,40 +916,28 @@ func (g *Graph) NumTriples() int {
 	return n
 }
 
-// Triples streams every asserted triple to fn in unspecified order,
-// stopping early if fn returns false. Every shard's read lock is held for
-// the duration, so the iteration is one consistent cut; fn must not
-// mutate the graph.
-func (g *Graph) Triples(fn func(Triple) bool) {
+// TriplesSnapshot streams every asserted triple to fn in unspecified
+// order, stopping early if fn returns false, and returns the mutation
+// watermark the iteration reflects. Both happen under one all-shard
+// read-lock acquisition, so derived structures (adjacency snapshots,
+// views) get a consistent (triples, watermark) pair: the visited triples
+// are exactly the state after the first `seq` mutations. fn must not
+// mutate the graph or read its triple indexes; it may read the
+// dictionaries (see Visitor callbacks on Graph).
+func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
 	g.rlockAll()
 	defer g.runlockAll()
-	g.triplesLocked(fn)
-}
-
-func (g *Graph) triplesLocked(fn func(Triple) bool) {
 	for i := range g.shards {
 		for _, bySubj := range g.shards[i].spo {
 			for _, ts := range bySubj {
 				for _, t := range ts {
 					if !fn(t) {
-						return
+						return g.seq.Load()
 					}
 				}
 			}
 		}
 	}
-}
-
-// TriplesSnapshot streams every asserted triple to fn like Triples and
-// returns the mutation watermark the iteration reflects. Both happen
-// under one all-shard read-lock acquisition, so derived structures
-// (adjacency snapshots, views) get a consistent (triples, watermark)
-// pair: the visited triples are exactly the state after the first `seq`
-// mutations.
-func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
-	g.rlockAll()
-	defer g.runlockAll()
-	g.triplesLocked(fn)
 	return g.seq.Load()
 }
 
@@ -1144,23 +977,29 @@ func (g *Graph) allTriplesLocked() []Triple {
 	return out
 }
 
-// Entities streams every entity record to fn, stopping early if fn
-// returns false.
+// Entities streams the records of every entity registered when it is
+// called to fn, stopping early if fn returns false. The records come from
+// a copy of the dictionary taken under its lock, and fn runs with no lock
+// held: it may read the graph, dictionaries and triple indexes alike.
 func (g *Graph) Entities(fn func(*Entity) bool) {
 	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	for _, e := range g.entities[1:] {
+	ents := slices.Clone(g.entities[1:])
+	g.dictMu.RUnlock()
+	for _, e := range ents {
 		if !fn(e) {
 			return
 		}
 	}
 }
 
-// Predicates streams every predicate record to fn.
+// Predicates streams the records of every predicate registered when it
+// is called to fn, stopping early if fn returns false; like Entities, fn
+// runs with no lock held.
 func (g *Graph) Predicates(fn func(*Predicate) bool) {
 	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	for _, p := range g.predicates[1:] {
+	preds := slices.Clone(g.predicates[1:])
+	g.dictMu.RUnlock()
+	for _, p := range preds {
 		if !fn(p) {
 			return
 		}

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -142,11 +143,8 @@ func TestRetract(t *testing.T) {
 	if len(g.Facts(a, p)) != 0 {
 		t.Fatal("Facts non-empty after retract")
 	}
-	if len(g.Incoming(b)) != 0 {
-		t.Fatal("Incoming non-empty after retract")
-	}
-	if len(g.SubjectsWith(p, EntityValue(b))) != 0 {
-		t.Fatal("SubjectsWith non-empty after retract")
+	if len(subjectsWith(g, p, EntityValue(b))) != 0 {
+		t.Fatal("posting non-empty after retract")
 	}
 	muts := g.MutationsSince(0)
 	if len(muts) != 2 || muts[1].Op != OpRetract {
@@ -173,6 +171,8 @@ func TestReassertAfterRetract(t *testing.T) {
 	}
 }
 
+// An entity's outgoing edges come from its fact lists, its incoming edges
+// under a predicate from that predicate's posting.
 func TestIncomingOutgoing(t *testing.T) {
 	g := NewGraph()
 	a := mustEntity(t, g, "Q1", "A")
@@ -184,15 +184,45 @@ func TestIncomingOutgoing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(g.Incoming(c)); got != 2 {
-		t.Fatalf("Incoming(c) = %d, want 2", got)
+	out := 0
+	g.OutgoingFunc(a, func(tr Triple) bool {
+		if tr.Subject != a || !tr.Object.Equal(EntityValue(c)) {
+			t.Fatalf("OutgoingFunc(a) yielded %v", tr)
+		}
+		out++
+		return true
+	})
+	if out != 1 {
+		t.Fatalf("OutgoingFunc(a) = %d triples, want 1", out)
 	}
-	if got := len(g.Outgoing(a)); got != 1 {
-		t.Fatalf("Outgoing(a) = %d, want 1", got)
+	if subs := subjectsWith(g, p, EntityValue(c)); !slices.Equal(subs, []EntityID{a, b}) {
+		t.Fatalf("posting of (links, c) = %v, want [%v %v]", subs, a, b)
 	}
-	subs := g.SubjectsWith(p, EntityValue(c))
-	if len(subs) != 2 {
-		t.Fatalf("SubjectsWith = %v, want 2 subjects", subs)
+}
+
+// A visitor whose callback returns false stops after that element and
+// releases its lock: a write right after it must not block.
+func TestVisitorsEarlyStop(t *testing.T) {
+	g := NewGraphWithShards(4)
+	obj := mustEntity(t, g, "obj", "O")
+	p := mustPredicate(t, g, "p")
+	for i := 0; i < 6; i++ {
+		s := mustEntity(t, g, fmt.Sprintf("s%d", i), "S")
+		if err := g.Assert(Triple{Subject: s, Predicate: p, Object: EntityValue(obj)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	g.SubjectsWithFunc(p, EntityValue(obj), func(EntityID) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("SubjectsWithFunc visited %d subjects after a stop, want 1", n)
+	}
+	n = 0
+	if seq := g.TriplesSnapshot(func(Triple) bool { n++; return n < 3 }); n != 3 || seq != g.LastSeq() {
+		t.Fatalf("TriplesSnapshot visited %d triples at watermark %d, want 3 at %d", n, seq, g.LastSeq())
+	}
+	if err := g.Assert(Triple{Subject: obj, Predicate: p, Object: StringValue("after the stop")}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -135,20 +135,11 @@ func (st *pomStripe) posting(pred PredicateID, obj ValueKey) []EntityID {
 // kept because the benchmark harness (bench/trace.go) still calls it.
 func (g *Graph) SyncIndexes() {}
 
-// SubjectsWith returns the subjects that carry (pred, obj) facts in
-// ascending ID order, read from the predicate-major index under a single
-// stripe lock (one consistent point for the whole predicate).
-func (g *Graph) SubjectsWith(pred PredicateID, obj Value) []EntityID {
-	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return slices.Clone(st.posting(pred, obj.MapKey()))
-}
-
 // SubjectsWithFunc streams the subjects carrying (pred, obj) facts to fn
-// in ascending ID order under the stripe read lock, stopping early if fn
-// returns false. It is the copy-free counterpart of SubjectsWith; fn must
-// not mutate the graph.
+// in ascending ID order under the stripe read lock — one consistent point
+// for the whole predicate — stopping early if fn returns false. fn must
+// not mutate the graph or read its triple indexes; it may read the
+// dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) bool) {
 	st := g.pomStripe(pred)
 	st.mu.RLock()
@@ -164,9 +155,8 @@ func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) 
 // for all of them) carrying (pred, obj) facts to fn in ascending ID
 // order, in chunks of at most chunkSize, copying each chunk out under one
 // stripe read-lock acquisition and invoking fn with no locks held — the
-// bounded-copy counterpart of SubjectsWith for huge postings, where a
-// limit=10 query should not pay a million-entry slab copy before its
-// first row. fn may read or mutate the graph freely and stops the
+// bounded-copy read for huge postings, where a limit=10 query should not
+// pay a million-entry slab copy before its first row. fn may read or mutate the graph freely and stops the
 // enumeration by returning false; the chunk slice is reused across calls
 // and must not be retained.
 //
@@ -232,8 +222,9 @@ func (g *Graph) PredicateFrequency(pred PredicateID) int {
 // under pred to fn, stopping early if fn returns false. Object values are
 // reconstructed from their identity keys, so provenance is not carried.
 // Iteration order across objects is unspecified (map order); within one
-// object it is ascending subject ID. fn runs under the stripe read lock
-// and must not mutate the graph.
+// object it is ascending subject ID. fn runs under the stripe read lock:
+// it must not mutate the graph or read its triple indexes; it may read
+// the dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj EntityID) bool) {
 	st := g.pomStripe(pred)
 	st.mu.RLock()

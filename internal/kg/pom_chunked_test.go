@@ -45,12 +45,12 @@ func chunkedFixture(t testing.TB, n int) (g *Graph, pred PredicateID, team Value
 }
 
 // Chunked enumeration over a quiescent graph must reproduce
-// SubjectsWith exactly — same subjects, same posting order — in chunks
+// SubjectsWithFunc exactly — same subjects, same posting order — in chunks
 // no larger than requested, and from any resume key.
 func TestSubjectsWithChunkedMatchesSlab(t *testing.T) {
 	const n = 300
 	g, pred, team, _ := chunkedFixture(t, n)
-	want := g.SubjectsWith(pred, team)
+	want := subjectsWith(g, pred, team)
 	if len(want) != n {
 		t.Fatalf("slab read = %d subjects, want %d", len(want), n)
 	}

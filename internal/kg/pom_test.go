@@ -41,7 +41,17 @@ func sortedIDs(ids []EntityID) []EntityID {
 	return out
 }
 
-// SubjectsWithSweep answers SubjectsWith from the subject-sharded spo
+// subjectsWith collects the (pred, obj) posting through SubjectsWithFunc.
+func subjectsWith(g *Graph, pred PredicateID, obj Value) []EntityID {
+	var out []EntityID
+	g.SubjectsWithFunc(pred, obj, func(s EntityID) bool {
+		out = append(out, s)
+		return true
+	})
+	return out
+}
+
+// SubjectsWithSweep answers subjectsWith from the subject-sharded spo
 // index alone, never touching the predicate-major index: the index-free
 // reference the pom tests compare against. Shards are visited one at a
 // time; order is unspecified.
@@ -62,7 +72,7 @@ func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
 }
 
 // checkPomAgainstSweep compares, for every (pred, obj) pair in the pools,
-// the predicate-major index (SubjectsWith / SubjectsWithCount /
+// the predicate-major index (SubjectsWithFunc / SubjectsWithCount /
 // PredicateFrequency) against the shard-swept spo reference
 // (SubjectsWithSweep), and the counter-driven ComputeStats against a full
 // triple scan. It also holds every enumeration to the canonical order:
@@ -89,7 +99,7 @@ func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Va
 			} else {
 				seen[k] = true
 			}
-			pom := g.SubjectsWith(p, o)
+			pom := subjectsWith(g, p, o)
 			if !slices.IsSorted(pom) {
 				t.Fatalf("pred %v obj %v: posting %v not in ascending subject order", p, o, pom)
 			}
@@ -116,7 +126,7 @@ func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Va
 	wantFreq := make(map[PredicateID]int)
 	wantTriples, wantEntity := 0, 0
 	outDeg := make(map[EntityID]int)
-	g.Triples(func(tr Triple) bool {
+	g.TriplesSnapshot(func(tr Triple) bool {
 		wantTriples++
 		if tr.Object.IsEntity() {
 			wantEntity++
@@ -279,7 +289,7 @@ func TestPomConcurrentChurn(t *testing.T) {
 			for !done.Load() {
 				p := preds[rng.Intn(nPreds)]
 				o := objs[rng.Intn(len(objs))]
-				_ = g.SubjectsWith(p, o)
+				_ = subjectsWith(g, p, o)
 				_ = g.SubjectsWithCount(p, o)
 				_ = g.SubjectsWithSweep(p, o)
 				_ = g.PredicateFrequency(p)
@@ -405,7 +415,7 @@ func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 			for !done.Load() {
 				p := preds[rng.Intn(nPreds)]
 				o := objs[rng.Intn(len(objs))]
-				_ = g.SubjectsWith(p, o)
+				_ = subjectsWith(g, p, o)
 				_ = g.SubjectsWithCount(p, o)
 				_ = g.SubjectsWithSweep(p, o)
 				_ = g.PredicateFrequency(p)
@@ -423,10 +433,9 @@ func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 
 // Retract from a hot posting, then read: through rounds of random
 // retracts and re-asserts the accessors report the live subjects only, in
-// ascending ID order whatever the history — for the pom posting — and the
-// right live set for the osp incoming posting, which still tombstones.
+// ascending ID order whatever the history.
 func TestHotPostingRetractThenRead(t *testing.T) {
-	const n = 200 // well past ospIdxThreshold
+	const n = 200
 	g := NewGraphWithShards(1)
 	p, _ := g.AddPredicate(Predicate{Name: "type"})
 	person, err := g.AddEntity(Entity{Key: "Person"})
@@ -452,11 +461,8 @@ func TestHotPostingRetractThenRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	check := func(round int) {
 		t.Helper()
-		if got, want := g.SubjectsWith(p, obj), sortedIDs(live); !slices.Equal(got, want) {
+		if got, want := subjectsWith(g, p, obj), sortedIDs(live); !slices.Equal(got, want) {
 			t.Fatalf("round %d: posting %v, want the live subjects ascending %v", round, got, want)
-		}
-		if inc := g.Incoming(person); len(inc) != len(live) {
-			t.Fatalf("round %d: Incoming = %d triples, want %d", round, len(inc), len(live))
 		}
 		checkPomAgainstSweep(t, g, []PredicateID{p}, []Value{obj})
 	}
@@ -486,23 +492,15 @@ func TestHotPostingRetractThenRead(t *testing.T) {
 		check(round)
 	}
 
-	// The osp posting must actually be running the tombstone scheme
-	// (single shard, so the hub's incoming posting is long enough to index).
-	if g.shards[0].osp[person].idx == nil {
-		t.Fatal("hot osp posting never built its position map")
-	}
-
-	// Retract everything: the posting and the osp entry must drain fully.
-	for _, s := range g.SubjectsWith(p, obj) {
+	// Retract everything: the posting and the predicate's entry must drain
+	// fully.
+	for _, s := range subjectsWith(g, p, obj) {
 		if !g.Retract(Triple{Subject: s, Predicate: p, Object: obj}) {
 			t.Fatalf("final drain: retract of %v failed", s)
 		}
 	}
 	if c := g.SubjectsWithCount(p, obj); c != 0 {
 		t.Fatalf("count after full drain = %d, want 0", c)
-	}
-	if len(g.Incoming(person)) != 0 {
-		t.Fatal("Incoming non-empty after full drain")
 	}
 	if g.PredicateFrequency(p) != 0 {
 		t.Fatalf("PredicateFrequency after drain = %d, want 0", g.PredicateFrequency(p))

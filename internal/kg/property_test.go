@@ -2,6 +2,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,7 +62,7 @@ func TestGraphMatchesMapModel(t *testing.T) {
 		}
 		count := 0
 		ok := true
-		g.Triples(func(tr Triple) bool {
+		g.TriplesSnapshot(func(tr Triple) bool {
 			count++
 			if _, in := model[tr.SPO()]; !in {
 				ok = false
@@ -72,17 +73,24 @@ func TestGraphMatchesMapModel(t *testing.T) {
 		if !ok || count != len(model) {
 			return false
 		}
-		// Index consistency: Incoming/SubjectsWith agree with model.
-		for _, o := range ents {
-			incoming := g.Incoming(o)
-			wantIncoming := 0
-			for _, tr := range model {
-				if tr.Object.Entity == o {
-					wantIncoming++
+		// Index consistency: every (pred, obj) posting, read in small
+		// chunks, is exactly the model's subjects for it, ascending.
+		for _, p := range preds {
+			for _, o := range ents {
+				var want []EntityID
+				for _, s := range ents {
+					if _, in := model[Triple{Subject: s, Predicate: p, Object: EntityValue(o)}.SPO()]; in {
+						want = append(want, s)
+					}
 				}
-			}
-			if len(incoming) != wantIncoming {
-				return false
+				var got []EntityID
+				g.SubjectsWithChunked(p, EntityValue(o), NoEntity, 3, func(chunk []EntityID) bool {
+					got = append(got, chunk...)
+					return true
+				})
+				if !slices.Equal(got, want) {
+					return false
+				}
 			}
 		}
 		// Mutation log replay reproduces the graph.

@@ -94,7 +94,7 @@ func TestConcurrentShardHammer(t *testing.T) {
 				_ = g.MutationsSince(seq / 2)
 				_ = g.NumTriples()
 				g.FactsFunc(ids[i%pool], p, func(Triple) bool { return true })
-				_ = g.Incoming(ids[i%pool])
+				g.OutgoingFunc(ids[i%pool], func(Triple) bool { return true })
 			}
 		}(r)
 	}

@@ -169,7 +169,7 @@ func Coverage(g *kg.Graph, slots [][2]uint64) float64 {
 	}
 	var have int
 	for _, s := range slots {
-		if g.HasFacts(kg.EntityID(s[0]), kg.PredicateID(s[1])) {
+		if g.FactCount(kg.EntityID(s[0]), kg.PredicateID(s[1])) > 0 {
 			have++
 		}
 	}

@@ -153,7 +153,7 @@ func FindGaps(g *kg.Graph, queryLog []workload.QueryLogEntry, cfg ProfilerConfig
 				continue // not an expected predicate for this type
 			}
 			for _, id := range ts.entities {
-				if g.HasFacts(id, pred) {
+				if g.FactCount(id, pred) > 0 {
 					continue
 				}
 				ent := g.Entity(id)
@@ -179,11 +179,12 @@ func FindGaps(g *kg.Graph, queryLog []workload.QueryLogEntry, cfg ProfilerConfig
 		g.Entities(func(e *kg.Entity) bool {
 			// Stream the outgoing facts instead of materializing the full
 			// per-entity slice: the profiler only inspects each triple's
-			// predicate record and provenance timestamp.
-			for tr := range g.OutgoingSeq(e.ID) {
+			// predicate record (a dictionary read, which a visitor allows)
+			// and provenance timestamp.
+			g.OutgoingFunc(e.ID, func(tr kg.Triple) bool {
 				p := g.Predicate(tr.Predicate)
 				if p == nil || !p.Functional {
-					continue
+					return true
 				}
 				if !tr.Prov.ObservedAt.IsZero() && now.Sub(tr.Prov.ObservedAt) > cfg.StaleAfter {
 					addGap(Gap{
@@ -194,7 +195,8 @@ func FindGaps(g *kg.Graph, queryLog []workload.QueryLogEntry, cfg ProfilerConfig
 						Source:    "profile",
 					})
 				}
-			}
+				return true
+			})
 			return true
 		})
 	}

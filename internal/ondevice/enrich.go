@@ -212,12 +212,13 @@ type PIRServer struct {
 // NewPIRServer indexes the global graph for PIR lookups.
 func NewPIRServer(g *kg.Graph) *PIRServer {
 	s := &PIRServer{rows: make(map[string][]string)}
+	var pvs []predValue
 	g.Entities(func(e *kg.Entity) bool {
 		var facts []string
-		for _, tr := range g.Outgoing(e.ID) {
-			p := g.Predicate(tr.Predicate)
-			if p != nil {
-				facts = append(facts, p.Name+"="+tr.Object.String())
+		pvs = collectOutgoing(g, e.ID, pvs[:0])
+		for _, pv := range pvs {
+			if p := g.Predicate(pv.pred); p != nil {
+				facts = append(facts, p.Name+"="+pv.obj.String())
 			}
 		}
 		sort.Strings(facts)

@@ -151,10 +151,11 @@ func TestLoadSmoke(t *testing.T) {
 
 // TestLoadOverloadSheds is the 2x-capacity acceptance run: measure
 // capacity closed-loop, then offer twice that in open loop against a
-// deliberately tight read tier. Overflow must shed as 429 (zero 5xx,
-// zero transport errors), goodput must stay within 20% of measured
-// capacity, p99 of admitted requests must respect the route deadline,
-// and the server must end the run with no leaked goroutines.
+// deliberately tight read tier, then measure capacity again. Overflow
+// must shed as 429 (zero 5xx, zero transport errors), goodput must stay
+// within 20% of the lower capacity reading, p99 of admitted requests must
+// respect the route deadline, and the server must end the run with no
+// leaked goroutines.
 func TestLoadOverloadSheds(t *testing.T) {
 	read := admission.Limits{MaxInFlight: 4, MaxQueue: 8, QueueWait: 40 * time.Millisecond, Budget: 2 * time.Second}
 	write := admission.Limits{MaxInFlight: 4, MaxQueue: 8, QueueWait: 40 * time.Millisecond, Budget: 2 * time.Second}
@@ -186,7 +187,15 @@ func TestLoadOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("overload at 2x capacity (capacity %.0f/s): %s", capacity, rep)
+	// A second probe after the run brackets it: goodput is judged against
+	// the lower of the two, so a box that slows down mid-test (other
+	// packages' tests share its cores) does not read as collapse.
+	after := workload.MeasureClosedLoop(context.Background(), client, ts.URL, queryOp, 16, 800*time.Millisecond)
+	t.Logf("overload at 2x capacity (capacity %.0f/s before, %.0f/s after): %s", capacity, after, rep)
+	if after <= 0 {
+		t.Fatal("capacity probe after the run measured zero")
+	}
+	capacity = min(capacity, after)
 
 	if rep.ServerErrors != 0 {
 		t.Fatalf("5xx under overload: %s", rep)

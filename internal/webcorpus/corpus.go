@@ -215,11 +215,12 @@ func buildInfobox(w *workload.World, subject kg.EntityID, rng *rand.Rand, wrongF
 	box := make(map[string]string)
 	// Each field wants only the first asserted fact; pull it with an
 	// early-stopped posting iteration instead of copying the whole slice.
-	first := func(pred kg.PredicateID) (kg.Value, bool) {
-		for t := range g.FactsSeq(subject, pred) {
-			return t.Object, true
-		}
-		return kg.Value{}, false
+	first := func(pred kg.PredicateID) (obj kg.Value, ok bool) {
+		g.FactsFunc(subject, pred, func(t kg.Triple) bool {
+			obj, ok = t.Object, true
+			return false
+		})
+		return obj, ok
 	}
 	if obj, ok := first(w.Preds["dateOfBirth"]); ok {
 		box["dateOfBirth"] = obj.TS.Format("2006-01-02")

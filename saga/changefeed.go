@@ -44,44 +44,23 @@ var (
 	ErrSlowSubscriber = graphengine.ErrSlowSubscriber
 )
 
-// QueryAt evaluates a conjunctive query against the graph as it was at
-// watermark asOf, returning all satisfying bindings sorted and
-// deduplicated — the point-in-time twin of QueryConjunctive. The state
-// is reconstructed from the newest retained checkpoint at or below
-// asOf plus the log suffix, joined through a read overlay; the live
-// graph is never blocked or copied. Requires a durable platform;
-// watermarks older than the oldest retained checkpoint return
-// ErrOutsideRetention (raise DurableOptions.RetainCheckpoints to keep
-// more history).
-func (p *Platform) QueryAt(clauses []QueryClause, asOf uint64) ([]QueryBinding, error) {
-	ov, err := p.overlayAt(asOf)
-	if err != nil {
-		return nil, err
-	}
-	return ov.QueryConjunctive(clauses)
-}
-
-// QueryRowsAt is the streaming twin of QueryAt, with the same options
-// contract as QueryRows (limit push-down, cursors, timeout). The
-// stream's row order is identical to what QueryRows produced at
-// watermark asOf. Unlike QueryRows, reconstruction can fail, so the
-// iterator is returned alongside an error.
+// QueryRowsAt evaluates a conjunctive query against the graph as it was
+// at watermark asOf, with the same options contract as QueryRows (limit
+// push-down, cursors, timeout); the stream's row order is identical to
+// what QueryRows produced at that watermark. The state is reconstructed
+// from the newest retained checkpoint at or below asOf plus the log
+// suffix, joined through a read overlay; the live graph is never blocked
+// or copied. Requires a durable platform; watermarks older than the
+// oldest retained checkpoint return ErrOutsideRetention (raise
+// DurableOptions.RetainCheckpoints to keep more history). Unlike
+// QueryRows, reconstruction can fail, so the iterator is returned
+// alongside an error.
 func (p *Platform) QueryRowsAt(clauses []QueryClause, asOf uint64, opts QueryOptions) (iter.Seq2[QueryRow, error], error) {
 	ov, err := p.overlayAt(asOf)
 	if err != nil {
 		return nil, err
 	}
 	return ov.StreamRows(clauses, opts), nil
-}
-
-// QueryStreamAt is QueryRowsAt with every row detached into a
-// QueryBinding, as QueryStream is of QueryRows.
-func (p *Platform) QueryStreamAt(clauses []QueryClause, asOf uint64, opts QueryOptions) (iter.Seq2[QueryBinding, error], error) {
-	ov, err := p.overlayAt(asOf)
-	if err != nil {
-		return nil, err
-	}
-	return ov.StreamConjunctive(clauses, opts), nil
 }
 
 // overlayAt reconstructs the point-in-time read overlay for asOf.

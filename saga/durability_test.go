@@ -70,9 +70,9 @@ func TestDurablePlatformRoundTrip(t *testing.T) {
 		t.Fatalf("post-checkpoint entity lost: %+v ok=%v", e, ok)
 	}
 	// The recovered platform is queryable.
-	got := p2.Engine().Query(Pattern{Subject: &id, Predicate: &pred})
-	if len(got) != 1 || !got[0].Object.Equal(IntValue(42)) {
-		t.Fatalf("recovered fact query = %v", got)
+	got, err := p2.QueryConjunctive([]QueryClause{{Subject: QEntity(id), Predicate: pred, Object: QVar("v")}})
+	if err != nil || len(got) != 1 || !got[0]["v"].Equal(IntValue(42)) {
+		t.Fatalf("recovered fact query = %v, %v", got, err)
 	}
 }
 

@@ -96,13 +96,6 @@ func (p *Platform) QueryPlanCacheStats() QueryPlanCacheStats {
 	return p.engine.PlanCacheStats()
 }
 
-// StreamQuery yields the triples matching a pattern — the iterator twin
-// of Engine.Query. The yield runs under the graph's read locks; the body
-// must not mutate the graph (see Engine.Stream).
-func (p *Platform) StreamQuery(pat Pattern) iter.Seq[Triple] {
-	return p.engine.Stream(pat)
-}
-
 // DefineRulesText installs a Datalog-style rule program (see
 // internal/rules for the language): the program is parsed and validated
 // against the graph (head predicates are created on demand), a rules

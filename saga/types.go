@@ -88,14 +88,13 @@ func NewGraphWithShards(n int) *Graph { return kg.NewGraphWithShards(n) }
 
 // Graph engine (internal/graphengine).
 type (
-	// Engine provides queries, traversals, and materialized views.
+	// Engine provides conjunctive queries, traversals, and materialized
+	// views.
 	Engine = graphengine.Engine
 	// ViewDef declares a filtered graph view.
 	ViewDef = graphengine.ViewDef
 	// View is a materialized, incrementally-maintained view.
 	View = graphengine.View
-	// Pattern is a triple pattern with optional bindings.
-	Pattern = graphengine.Pattern
 	// ScoredEntity pairs an entity with a relevance score.
 	ScoredEntity = graphengine.ScoredEntity
 	// QueryClause is one triple pattern of a conjunctive query.
@@ -109,7 +108,7 @@ type (
 	// the stream's next row; Binding() and Key() detach it.
 	QueryRow = graphengine.Row
 	// QueryOptions configure one streaming query: limit push-down,
-	// cursor resumption, provenance routing, timeout, and cancellation.
+	// cursor resumption, timeout, and cancellation.
 	QueryOptions = graphengine.QueryOptions
 	// QueryCursor is a binding's identity tuple, the resume position of
 	// a paginated conjunctive query: the next page starts at that row's

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ci.sh — the local CI gate: formatting, vet, build (plus an arm64
 # cross-build: the kNN kernel's generic body must compile where the amd64
-# assembly does not), a flag-parse smoke of kgserve (cmd/* has no tests),
-# the full test suite under the race detector — the graph, query, rules,
+# assembly does not), a flag-parse smoke of kgserve and a default-argument
+# run of every example and the odke/weblink/embedtrain commands (cmd/* and
+# examples/* have no tests), the full test suite under the race detector — the graph, query, rules,
 # serving and durability packages again at 1, 2 and 4 procs, since green
 # at GOMAXPROCS=1 only is red — the kNN and embedding packages again
 # under -tags purego (the Go bodies of the scan kernel and the training
@@ -47,6 +48,18 @@ GOARCH=arm64 go build ./...
 
 echo "== kgserve flag parse =="
 go run ./cmd/kgserve -h >/dev/null 2>&1
+
+# cmd/* and examples/* have no tests; running each with its default
+# arguments is what catches a caller broken by an API change.
+echo "== examples and commands (default arguments) =="
+for main in examples/quickstart examples/weblinking examples/odke examples/ondevice \
+    cmd/odke cmd/weblink cmd/embedtrain; do
+    if ! out=$(go run "./$main" 2>&1); then
+        echo "$main exited non-zero:" >&2
+        echo "$out" | tail -20 >&2
+        exit 1
+    fi
+done
 
 if [[ "${SKIP_RACE:-}" == "1" ]]; then
     echo "== go test =="
