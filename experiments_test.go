@@ -239,8 +239,8 @@ func TestE5FilteringAblation(t *testing.T) {
 		}
 	}
 	eng := graphengine.New(w.Graph)
-	filteredView := eng.Materialize(graphengine.ViewDef{Name: "filtered", DropLiteralFacts: true, MinPredicateFreq: 20})
-	noisyView := eng.Materialize(graphengine.ViewDef{Name: "noisy", DropLiteralFacts: true})
+	filteredView := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true, MinPredicateFreq: 20})
+	noisyView := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
 	row(t, "E5", "view sizes", "filtered", filteredView.Len(), "noisy", noisyView.Len())
 	if noisyView.Len() <= filteredView.Len() {
 		t.Fatal("noise injection failed")

@@ -37,6 +37,9 @@ const (
 	ModeContextual Mode = "contextual"
 )
 
+// embedDim is the dimensionality of the hashed text-feature embeddings.
+const embedDim = 64
+
 // Config configures an Annotator.
 type Config struct {
 	// Mode selects the ranking component; default ModeContextual.
@@ -47,9 +50,6 @@ type Config struct {
 	// MinScore suppresses annotations whose best candidate scores below
 	// it; default 0 (emit everything).
 	MinScore float64
-	// EmbedDim is the dimensionality of the hashed text-feature
-	// embeddings; default 64.
-	EmbedDim int
 	// Seed drives embedding hashing.
 	Seed int64
 }
@@ -60,9 +60,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.ContextWindow <= 0 {
 		c.ContextWindow = 200
-	}
-	if c.EmbedDim <= 0 {
-		c.EmbedDim = 64
 	}
 }
 
@@ -164,7 +161,7 @@ func New(g *kg.Graph, cfg Config) (*Annotator, error) {
 		}
 		info := entityInfo{name: e.Name, normName: textutil.NormalizePhrase(e.Name)}
 		if cfg.Mode == ModeContextual {
-			info.vec = make(vecindex.Vector, cfg.EmbedDim)
+			info.vec = make(vecindex.Vector, embedDim)
 			a.addText(info.vec, e.Name+" "+e.Description)
 			vecindex.Normalize(info.vec)
 			info.norm = vecindex.Norm(info.vec)
@@ -286,7 +283,7 @@ func (a *Annotator) contextVector(text string, tokens []textutil.Token, feats []
 	if hi > len(text) {
 		hi = len(text)
 	}
-	vec := make(vecindex.Vector, a.cfg.EmbedDim)
+	vec := make(vecindex.Vector, embedDim)
 	addToken := func(i int) {
 		if feats[i] == nil {
 			feats[i] = a.tokenFeature(tokens[i].Text)
@@ -379,7 +376,7 @@ func (a *Annotator) tokenFeature(token string) vecindex.Vector {
 	h := fnv.New64a()
 	h.Write([]byte(token))
 	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ a.cfg.Seed))
-	v = make(vecindex.Vector, a.cfg.EmbedDim)
+	v = make(vecindex.Vector, embedDim)
 	for i := range v {
 		if rng.Intn(2) == 0 {
 			v[i] = 1

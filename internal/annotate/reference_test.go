@@ -40,7 +40,7 @@ func (r *refAnnotator) tokenFeature(token string) vecindex.Vector {
 	h := fnv.New64a()
 	h.Write([]byte(token))
 	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ r.a.cfg.Seed))
-	v := make(vecindex.Vector, r.a.cfg.EmbedDim)
+	v := make(vecindex.Vector, embedDim)
 	for i := range v {
 		if rng.Intn(2) == 0 {
 			v[i] = 1
@@ -53,7 +53,7 @@ func (r *refAnnotator) tokenFeature(token string) vecindex.Vector {
 }
 
 func (r *refAnnotator) textEmbedding(text string) vecindex.Vector {
-	vec := make(vecindex.Vector, r.a.cfg.EmbedDim)
+	vec := make(vecindex.Vector, embedDim)
 	for _, tok := range textutil.Tokenize(text) {
 		f := r.tokenFeature(tok.Text)
 		for i := range vec {

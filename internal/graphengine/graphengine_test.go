@@ -76,7 +76,7 @@ func newFixture(t *testing.T) *fixture {
 
 func TestViewDropLiterals(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{Name: "emb", DropLiteralFacts: true})
+	v := f.e.Materialize(ViewDef{DropLiteralFacts: true})
 	if v.Len() != 5 {
 		t.Fatalf("view len = %d, want 5 entity facts", v.Len())
 	}
@@ -89,7 +89,7 @@ func TestViewDropLiterals(t *testing.T) {
 
 func TestViewMinPredicateFreq(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{Name: "freq", MinPredicateFreq: 2})
+	v := f.e.Materialize(ViewDef{MinPredicateFreq: 2})
 	// occ(2), award(3) survive; height(1), libid(1) dropped.
 	if v.Len() != 5 {
 		t.Fatalf("view len = %d, want 5", v.Len())
@@ -103,11 +103,11 @@ func TestViewMinPredicateFreq(t *testing.T) {
 
 func TestViewIncludeExcludePredicates(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{Name: "inc", IncludePredicates: map[kg.PredicateID]bool{f.award: true}})
+	v := f.e.Materialize(ViewDef{IncludePredicates: map[kg.PredicateID]bool{f.award: true}})
 	if v.Len() != 3 {
 		t.Fatalf("include view len = %d", v.Len())
 	}
-	v2 := f.e.Materialize(ViewDef{Name: "exc", ExcludePredicates: map[kg.PredicateID]bool{f.award: true}})
+	v2 := f.e.Materialize(ViewDef{ExcludePredicates: map[kg.PredicateID]bool{f.award: true}})
 	if v2.Len() != 4 {
 		t.Fatalf("exclude view len = %d", v2.Len())
 	}
@@ -116,12 +116,12 @@ func TestViewIncludeExcludePredicates(t *testing.T) {
 func TestViewSubjectType(t *testing.T) {
 	f := newFixture(t)
 	// Athlete subjects only — all facts have athlete subjects in fixture.
-	v := f.e.Materialize(ViewDef{Name: "ath", SubjectType: f.athleteType})
+	v := f.e.Materialize(ViewDef{SubjectType: f.athleteType})
 	if v.Len() != 7 {
 		t.Fatalf("athlete view len = %d", v.Len())
 	}
 	// Person supertype matches via inheritance too.
-	v2 := f.e.Materialize(ViewDef{Name: "per", SubjectType: f.personType})
+	v2 := f.e.Materialize(ViewDef{SubjectType: f.personType})
 	if v2.Len() != 7 {
 		t.Fatalf("person view len = %d", v2.Len())
 	}
@@ -133,7 +133,7 @@ func TestViewMinConfidence(t *testing.T) {
 	if err := f.g.Assert(low); err != nil {
 		t.Fatal(err)
 	}
-	v := f.e.Materialize(ViewDef{Name: "conf", MinConfidence: 0.5})
+	v := f.e.Materialize(ViewDef{MinConfidence: 0.5})
 	if v.Contains(low) {
 		t.Fatal("low-confidence fact leaked into view")
 	}
@@ -144,7 +144,7 @@ func TestViewMinConfidence(t *testing.T) {
 
 func TestViewIncrementalRefresh(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{Name: "inc2", DropLiteralFacts: true})
+	v := f.e.Materialize(ViewDef{DropLiteralFacts: true})
 	base := v.Len()
 
 	newFact := kg.Triple{Subject: f.curry, Predicate: f.occ, Object: kg.EntityValue(f.bball)}
@@ -176,38 +176,64 @@ func TestViewIncrementalRefresh(t *testing.T) {
 	}
 }
 
+// TestViewRefreshMatchesRematerialize: after any run of asserts and
+// retracts, a refreshed view holds exactly what a fresh Materialize of
+// the same definition holds — for every definition Scan is checked
+// against, MinPredicateFreq included. Each literal predicate has only
+// four possible facts, so its frequency crosses the thresholds in both
+// directions.
 func TestViewRefreshMatchesRematerialize(t *testing.T) {
-	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{Name: "equiv", DropLiteralFacts: true})
-	rng := rand.New(rand.NewSource(7))
-	ents := []kg.EntityID{f.lebron, f.curry, f.kobe, f.bball, f.tvactor, f.mvp}
-	for i := 0; i < 100; i++ {
-		s := ents[rng.Intn(len(ents))]
-		o := ents[rng.Intn(len(ents))]
-		tr := kg.Triple{Subject: s, Predicate: f.award, Object: kg.EntityValue(o)}
-		if rng.Intn(3) == 0 {
-			f.g.Retract(tr)
-		} else {
-			if err := f.g.Assert(tr); err != nil {
-				t.Fatal(err)
+	for i := range viewDefsUnderTest(newFixture(t)) {
+		f := newFixture(t)
+		def := viewDefsUnderTest(f)[i]
+		v := f.e.Materialize(def)
+		rng := rand.New(rand.NewSource(int64(7 + i)))
+		ents := []kg.EntityID{f.lebron, f.curry, f.kobe, f.bball, f.tvactor, f.mvp}
+		randomFact := func() kg.Triple {
+			tr := kg.Triple{Subject: ents[rng.Intn(len(ents))], Prov: kg.Provenance{Confidence: 0.1}}
+			if rng.Intn(2) == 0 {
+				tr.Prov.Confidence = 0.9
 			}
+			switch rng.Intn(4) {
+			case 0:
+				tr.Predicate, tr.Object = f.occ, kg.EntityValue(ents[rng.Intn(len(ents))])
+			case 1:
+				tr.Predicate, tr.Object = f.award, kg.EntityValue(ents[rng.Intn(len(ents))])
+			case 2:
+				tr.Subject = ents[rng.Intn(2)]
+				tr.Predicate, tr.Object = f.height, kg.IntValue(int64(200+rng.Intn(2)))
+			default:
+				tr.Subject = ents[rng.Intn(2)]
+				tr.Predicate, tr.Object = f.libid, kg.StringValue(fmt.Sprintf("L%d", rng.Intn(2)))
+			}
+			return tr
 		}
-	}
-	v.Refresh()
-	fresh := New(f.g).Materialize(ViewDef{Name: "", DropLiteralFacts: true})
-	if v.Len() != fresh.Len() {
-		t.Fatalf("incremental view len %d != fresh view len %d", v.Len(), fresh.Len())
-	}
-	for _, tr := range fresh.Triples() {
-		if !v.Contains(tr) {
-			t.Fatalf("incremental view missing %v", tr)
+		for batch := 0; batch < 60; batch++ {
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				tr := randomFact()
+				if rng.Intn(2) == 0 {
+					f.g.Retract(tr)
+				} else if err := f.g.Assert(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.Refresh()
+			fresh := f.e.Materialize(def)
+			if v.Len() != fresh.Len() {
+				t.Fatalf("def %d, batch %d: refreshed view holds %d triples, a fresh one %d", i, batch, v.Len(), fresh.Len())
+			}
+			for _, tr := range fresh.Triples() {
+				if !v.Contains(tr) {
+					t.Fatalf("def %d, batch %d: refreshed view misses %v", i, batch, tr)
+				}
+			}
 		}
 	}
 }
 
 func TestViewVocabulary(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{Name: "vocab", DropLiteralFacts: true})
+	v := f.e.Materialize(ViewDef{DropLiteralFacts: true})
 	ents := v.EntityIDs()
 	if len(ents) != 6 {
 		t.Fatalf("EntityIDs = %v, want 6", ents)
@@ -237,7 +263,7 @@ func TestNeighbors(t *testing.T) {
 
 func TestBFS(t *testing.T) {
 	f := newFixture(t)
-	dist := f.e.BFS(f.lebron, 2)
+	dist := f.e.Snapshot().BFS(f.lebron, 2)
 	if dist[f.lebron] != 0 {
 		t.Fatal("source distance != 0")
 	}
@@ -247,7 +273,7 @@ func TestBFS(t *testing.T) {
 	if dist[f.curry] != 2 { // via mvp
 		t.Fatalf("dist(curry) = %d", dist[f.curry])
 	}
-	dist1 := f.e.BFS(f.lebron, 1)
+	dist1 := f.e.Snapshot().BFS(f.lebron, 1)
 	if _, ok := dist1[f.curry]; ok {
 		t.Fatal("depth-1 BFS reached 2-hop node")
 	}
@@ -296,7 +322,7 @@ func TestPPRMassConservation(t *testing.T) {
 func TestRandomWalksAndCoOccurrence(t *testing.T) {
 	f := newFixture(t)
 	rng := rand.New(rand.NewSource(1))
-	walks := f.e.RandomWalks(f.lebron, 50, 4, rng)
+	walks := f.e.Snapshot().RandomWalks(f.lebron, 50, 4, rng)
 	if len(walks) != 50 {
 		t.Fatalf("walks = %d", len(walks))
 	}
@@ -324,7 +350,7 @@ func TestRandomWalkIsolatedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(g)
-	walks := e.RandomWalks(id, 3, 5, rand.New(rand.NewSource(2)))
+	walks := e.Snapshot().RandomWalks(id, 3, 5, rand.New(rand.NewSource(2)))
 	for _, w := range walks {
 		if len(w) != 1 {
 			t.Fatalf("isolated node walk = %v", w)
@@ -332,20 +358,6 @@ func TestRandomWalkIsolatedNode(t *testing.T) {
 	}
 	if got := e.TopRelatedByPPR(id, 5); len(got) != 0 {
 		t.Fatalf("isolated node PPR related = %v", got)
-	}
-}
-
-func TestMaterializeCachesByName(t *testing.T) {
-	f := newFixture(t)
-	v1 := f.e.Materialize(ViewDef{Name: "same"})
-	v2 := f.e.Materialize(ViewDef{Name: "same"})
-	if v1 != v2 {
-		t.Fatal("named views not cached")
-	}
-	anon1 := f.e.Materialize(ViewDef{})
-	anon2 := f.e.Materialize(ViewDef{})
-	if anon1 == anon2 {
-		t.Fatal("anonymous views must be distinct")
 	}
 }
 
@@ -367,7 +379,7 @@ func TestLargeGraphBFSDepths(t *testing.T) {
 		}
 	}
 	e := New(g)
-	dist := e.BFS(ids[0], 49)
+	dist := e.Snapshot().BFS(ids[0], 49)
 	for i, id := range ids {
 		if dist[id] != i {
 			t.Fatalf("dist(e%d) = %d, want %d", i, dist[id], i)
@@ -375,13 +387,11 @@ func TestLargeGraphBFSDepths(t *testing.T) {
 	}
 }
 
-// TestScanStreamsWhatMaterializeKeeps: Scan is the pass views are built
-// from, so for every kind of clause — those applied inside the cut and
-// those that wait for its end — it hands over exactly the view's triples
-// and the view's watermark, and it retains nothing.
-func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
-	f := newFixture(t)
-	defs := []ViewDef{
+// viewDefsUnderTest holds a definition for every kind of clause, alone
+// and combined: those applied inside the scan's cut and those that wait
+// for its end.
+func viewDefsUnderTest(f *fixture) []ViewDef {
+	return []ViewDef{
 		{},
 		{DropLiteralFacts: true},
 		{DropEntityFacts: true},
@@ -393,7 +403,14 @@ func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
 		{SubjectType: f.personType, MinPredicateFreq: 2},
 		{MinConfidence: 0.5},
 	}
-	for i, def := range defs {
+}
+
+// TestScanStreamsWhatMaterializeKeeps: Scan is the pass views are built
+// from, so for every kind of clause it hands over exactly the view's
+// triples and the view's watermark.
+func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
+	f := newFixture(t)
+	for i, def := range viewDefsUnderTest(f) {
 		want := make(map[kg.TripleKey]bool)
 		for _, tr := range f.e.Materialize(def).Triples() {
 			want[tr.IdentityKey()] = true
@@ -411,8 +428,5 @@ func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
 				t.Fatalf("def %d: Scan missed %v", i, k)
 			}
 		}
-	}
-	if len(f.e.views) != 0 {
-		t.Fatalf("unnamed reads left %d views in the engine", len(f.e.views))
 	}
 }

@@ -231,7 +231,7 @@ func TestSnapshotConcurrentWithShardedWrites(t *testing.T) {
 					}
 				}
 				src := ids[rng.Intn(len(ids))]
-				_ = eng.BFS(src, 2)
+				_ = eng.Snapshot().BFS(src, 2)
 				_ = eng.Neighbors(src)
 			}
 		}(r)

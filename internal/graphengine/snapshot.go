@@ -109,6 +109,26 @@ func (s *AdjacencySnapshot) RandomWalks(source kg.EntityID, n, length int, rng *
 	return walks
 }
 
+// BFS returns the shortest hop distance from source to every entity
+// within maxDepth hops. The source maps to distance 0.
+func (s *AdjacencySnapshot) BFS(source kg.EntityID, maxDepth int) map[kg.EntityID]int {
+	dist := map[kg.EntityID]int{source: 0}
+	frontier := []kg.EntityID{source}
+	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
+		var next []kg.EntityID
+		for _, u := range frontier {
+			for _, v := range s.Neighbors(u) {
+				if _, seen := dist[v]; !seen {
+					dist[v] = depth
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
 // snapshotCache is the engine-side holder: one immutable snapshot behind
 // an atomic pointer, a mutex serializing rebuilds so concurrent readers
 // of a stale snapshot trigger exactly one rebuild.

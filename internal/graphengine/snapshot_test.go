@@ -248,7 +248,7 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 				}
 				_ = e.Neighbors(id)
 				if i%50 == 0 {
-					_ = e.BFS(id, 2)
+					_ = e.Snapshot().BFS(id, 2)
 					_ = e.PersonalizedPageRank(id, 0.15, 3)
 				}
 			}

@@ -450,41 +450,6 @@ func TestStreamConjunctiveContextCancel(t *testing.T) {
 	}
 }
 
-// pprSparse must reuse its two frontier maps across iterations (the
-// pprDense swap mirrored onto maps): allocations must not scale with the
-// iteration count.
-func TestPPRSparseMapReuse(t *testing.T) {
-	g := kg.NewGraph()
-	p, _ := g.AddPredicate(kg.Predicate{Name: "p"})
-	// A small ring so the PPR frontier saturates within the short run:
-	// any allocation difference between the two run lengths below is then
-	// per-iteration cost, not frontier-growth cost.
-	ids := make([]kg.EntityID, 8)
-	for i := range ids {
-		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	for i := range ids {
-		if err := g.Assert(kg.Triple{Subject: ids[i], Predicate: p, Object: kg.EntityValue(ids[(i+1)%len(ids)])}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(g)
-	snap := e.Snapshot()
-	src := ids[0]
-
-	short := testing.AllocsPerRun(20, func() { pprSparse(snap, src, 0.15, 8) })
-	long := testing.AllocsPerRun(20, func() { pprSparse(snap, src, 0.15, 40) })
-	// The fixed cost (two maps + growth) is identical; the old
-	// allocate-per-iteration behavior would add ~36 map headers here.
-	if long > short+4 {
-		t.Fatalf("pprSparse allocations scale with iters: %0.1f at 4 iters vs %0.1f at 40", short, long)
-	}
-}
-
 // Read-your-writes for the planner: facts asserted moments ago must be
 // visible to the estimates and expansions of the very next query.
 func TestPlannerCountersSeeFreshWrites(t *testing.T) {

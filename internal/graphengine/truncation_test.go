@@ -17,7 +17,7 @@ import (
 func TestViewRefreshAfterTruncation(t *testing.T) {
 	g, ids, p := incrFixture(t, 4, 30, 200, 11)
 	e := New(g)
-	v := e.Materialize(ViewDef{Name: "all"})
+	v := e.Materialize(ViewDef{})
 
 	// Mutate past the view's watermark, then compact the whole log away.
 	rng := rand.New(rand.NewSource(12))
@@ -35,7 +35,7 @@ func TestViewRefreshAfterTruncation(t *testing.T) {
 	}
 
 	v.Refresh()
-	fresh := New(g).Materialize(ViewDef{Name: "fresh"})
+	fresh := New(g).Materialize(ViewDef{})
 	if v.Len() != fresh.Len() {
 		t.Fatalf("refreshed view has %d triples, fresh materialization %d", v.Len(), fresh.Len())
 	}

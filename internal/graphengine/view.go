@@ -9,6 +9,10 @@
 // scalable graph processing capabilities of our graph engine to
 // pre-compute graph traversals", §2).
 //
+// Materialize builds a fresh View on every call and the engine keeps no
+// registry of them: a caller that wants a view maintained holds it and
+// calls Refresh; a caller that wants the filtered facts once calls Scan.
+//
 // The query surface is conjunctive and iterator-first (see stream.go):
 // StreamRows and StreamConjunctive yield matches as the planner produces
 // them, with one QueryOptions struct for limit push-down, cursor
@@ -53,8 +57,6 @@ import (
 // ViewDef declares a filtered view of the knowledge graph. The zero value
 // keeps every triple; fields progressively restrict it.
 type ViewDef struct {
-	// Name identifies the view in the registry and in checkpoints.
-	Name string
 	// DropLiteralFacts removes literal-valued facts (heights, external IDs,
 	// follower counts): the paper's canonical example of facts that are
 	// "not important for learning an embedding for an entity" (§2).
@@ -88,25 +90,22 @@ type View struct {
 	g       *kg.Graph
 	triples []kg.Triple
 	keys    map[kg.TripleKey]int // SPO identity -> index in triples
-	// predFreq is the frequency snapshot used for MinPredicateFreq
-	// decisions; it is computed at materialization time.
+	// predFreq is every predicate's frequency in the graph as of seq, for
+	// MinPredicateFreq decisions.
 	predFreq map[kg.PredicateID]int
 	seq      uint64 // last applied mutation sequence
 }
 
-// Def returns the view's definition.
-func (v *View) Def() ViewDef { return v.def }
-
-// Engine wraps a graph with query and view capabilities, plus a cached
-// CSR adjacency snapshot (see AdjacencySnapshot) that the traversal
-// methods read lock-free and that is invalidated by the graph's mutation
-// watermark.
+// Engine wraps a graph with query capabilities, plus a cached CSR
+// adjacency snapshot (see AdjacencySnapshot) that traversals read
+// lock-free and that is invalidated by the graph's mutation watermark.
+// It builds views (Materialize) but registers none: every view belongs to
+// the caller that asked for it.
 type Engine struct {
 	g *kg.Graph
 
-	mu    sync.Mutex
-	views map[string]*View
-	hub   *subHub // lazily created live-subscription dispatcher
+	mu  sync.Mutex
+	hub *subHub // lazily created live-subscription dispatcher
 
 	snap  snapshotCache
 	plans *planCache
@@ -122,7 +121,6 @@ type Engine struct {
 func New(g *kg.Graph) *Engine {
 	return &Engine{
 		g:     g,
-		views: make(map[string]*View),
 		plans: newPlanCache(planCacheCapacity),
 	}
 }
@@ -130,25 +128,12 @@ func New(g *kg.Graph) *Engine {
 // Graph returns the underlying graph.
 func (e *Engine) Graph() *kg.Graph { return e.g }
 
-// Materialize builds (or returns the previously built) view for def.Name.
-// Views with the same name are assumed to have the same definition. A
-// named view is kept by the engine and handed back as it was last left:
-// call Refresh before reading one that may have been built earlier.
+// Materialize builds a new view of def from a fresh consistent cut of the
+// graph. The engine does not keep it: the caller holds the view and calls
+// Refresh to bring it up to date.
 func (e *Engine) Materialize(def ViewDef) *View {
-	e.mu.Lock()
-	if v, ok := e.views[def.Name]; ok && def.Name != "" {
-		e.mu.Unlock()
-		return v
-	}
-	e.mu.Unlock()
-
 	v := &View{def: def, g: e.g}
 	v.rematerializeLocked() // v is not published yet: no lock needed
-	if def.Name != "" {
-		e.mu.Lock()
-		e.views[def.Name] = v
-		e.mu.Unlock()
-	}
 	return v
 }
 
@@ -241,19 +226,19 @@ func (d *ViewDef) keepsInContext(g *kg.Graph, predFreq map[kg.PredicateID]int, t
 // ("the view is automatically maintained and can be shipped to devices")
 // uses exactly this mechanism.
 //
-// When log compaction (kg.Graph.TruncateLog — the durability layer's
-// checkpoint hook) has dropped entries past the view's watermark, the
-// incremental feed is incomplete and Refresh falls back to a full
-// re-materialization; it then returns the rebuilt view's size.
+// A refreshed view holds what a fresh Materialize would. Two cases are
+// beyond a fact-at-a-time update and fall back to a full
+// re-materialization, returning the rebuilt view's size: log compaction
+// (kg.Graph.TruncateLog — the durability layer's checkpoint hook) has
+// dropped entries past the view's watermark, or the batch moves a
+// predicate across MinPredicateFreq, which admits or drops every fact of
+// that predicate, old ones included.
 func (v *View) Refresh() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	feed := v.g.Feed(v.seq)
 	muts, complete := feed.Pull()
-	if !complete {
-		// Compaction passed the view's watermark: the incremental feed is
-		// missing its head, so rebuild from a fresh cut (the changefeed's
-		// rematerialization fallback).
+	if !complete || v.applyFreqsLocked(muts) {
 		return v.rematerializeLocked()
 	}
 	v.seq = feed.Cursor()
@@ -261,7 +246,8 @@ func (v *View) Refresh() int {
 	for _, m := range muts {
 		switch m.Op {
 		case kg.OpAssert:
-			v.predFreq[m.T.Predicate]++
+			// Judged against the batch's final frequencies, as a fresh
+			// materialization would judge it.
 			if !v.def.keepsFact(m.T) || !v.def.keepsInContext(v.g, v.predFreq, m.T) {
 				continue
 			}
@@ -273,7 +259,6 @@ func (v *View) Refresh() int {
 			v.triples = append(v.triples, m.T)
 			applied++
 		case kg.OpRetract:
-			v.predFreq[m.T.Predicate]--
 			key := m.T.IdentityKey()
 			idx, ok := v.keys[key]
 			if !ok {
@@ -290,6 +275,34 @@ func (v *View) Refresh() int {
 		}
 	}
 	return applied
+}
+
+// applyFreqsLocked moves predFreq by the batch and reports whether any
+// predicate ends it on the other side of MinPredicateFreq from where it
+// started. Caller holds v.mu.
+func (v *View) applyFreqsLocked(muts []kg.Mutation) (crossed bool) {
+	floor := v.def.MinPredicateFreq
+	var start map[kg.PredicateID]int
+	if floor > 0 {
+		start = make(map[kg.PredicateID]int)
+	}
+	for _, m := range muts {
+		p := m.T.Predicate
+		if _, seen := start[p]; start != nil && !seen {
+			start[p] = v.predFreq[p]
+		}
+		if m.Op == kg.OpAssert {
+			v.predFreq[p]++
+		} else {
+			v.predFreq[p]--
+		}
+	}
+	for p, f := range start {
+		if (f >= floor) != (v.predFreq[p] >= floor) {
+			return true
+		}
+	}
+	return false
 }
 
 // rematerializeLocked (re)builds the view from a fresh consistent cut of

@@ -256,58 +256,20 @@ type Graph struct {
 	pom [pomStripeCount]pomStripe
 }
 
-// defaultShardCount returns GOMAXPROCS rounded up to a power of two,
-// clamped to [1, 256].
-func defaultShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	s := 1
-	for s < n {
-		s <<= 1
-	}
-	if s > 256 {
-		s = 256
-	}
-	return s
-}
-
 // NewGraph returns an empty graph with a fresh ontology and the default
 // shard count (GOMAXPROCS rounded up to a power of two).
 func NewGraph() *Graph {
-	return NewGraphWithShards(defaultShardCount())
+	return NewGraphWithShards(runtime.GOMAXPROCS(0))
 }
 
 // NewGraphWithShards returns an empty graph with the given number of
 // write shards, rounded up to a power of two and clamped to [1, 256]
 // (n <= 0 clamps to 1, the classic single-lock graph; benchmarks use it
-// as the scaling baseline — note the contrast with GraphOptions.Shards,
-// where 0 selects the GOMAXPROCS default).
+// as the scaling baseline).
 func NewGraphWithShards(n int) *Graph {
-	if n <= 0 {
-		n = 1
-	}
-	return NewGraphWithOptions(GraphOptions{Shards: n})
-}
-
-// GraphOptions configure NewGraphWithOptions. The zero value selects
-// every default.
-type GraphOptions struct {
-	// Shards is the write shard count, rounded up to a power of two and
-	// clamped to [1, 256]; 0 selects GOMAXPROCS rounded up.
-	Shards int
-}
-
-// NewGraphWithOptions returns an empty graph configured by opts.
-func NewGraphWithOptions(opts GraphOptions) *Graph {
-	n := opts.Shards
-	if n <= 0 {
-		n = defaultShardCount()
-	}
 	s := 1
-	for s < n {
+	for s < n && s < 256 {
 		s <<= 1
-	}
-	if s > 256 {
-		s = 256
 	}
 	g := &Graph{
 		ontology:   NewOntology(),

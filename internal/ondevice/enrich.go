@@ -55,7 +55,7 @@ func BuildStaticAsset(g *kg.Graph, topK int) (*StaticAsset, error) {
 		return nil, errors.New("ondevice: topK must be positive")
 	}
 	eng := graphengine.New(g)
-	view := eng.Materialize(graphengine.ViewDef{Name: "static-asset"})
+	view := eng.Materialize(graphengine.ViewDef{})
 	a := &StaticAsset{graph: g, view: view, feed: g.Feed(0), topK: topK}
 	a.rebuild()
 	return a, nil

@@ -133,19 +133,6 @@ func (sg *SyncGroup) SyncRound() error {
 	return nil
 }
 
-// SyncedProjection returns the device's canonical clusters restricted to
-// records of sources the whole group syncs on this device.
-func (d *Device) SyncedProjection() ([]string, error) {
-	return d.b.CanonicalClusters(func(recordKey string) bool {
-		for kind := range d.SyncPrefs {
-			if d.SyncPrefs[kind] && hasSourcePrefix(recordKey, kind) {
-				return true
-			}
-		}
-		return false
-	})
-}
-
 func hasSourcePrefix(recordKey string, kind SourceKind) bool {
 	prefix := string(kind) + "/"
 	return len(recordKey) >= len(prefix) && recordKey[:len(prefix)] == prefix

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"saga/internal/kg"
@@ -126,9 +127,8 @@ func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, err
 
 // DeriveKHop materializes k-hop reachability over the adjacency
 // snapshot under out: one fact (source, out, node) for every node
-// within 1..k hops of a source (sources themselves are excluded unless
-// reachable through a cycle). Facts are emitted in ascending (source,
-// node) order.
+// within 1..k hops of a source, the source itself excluded. Facts are
+// emitted in ascending (source, node) order.
 func (e *Engine) DeriveKHop(out kg.PredicateID, sources []kg.EntityID, k int) (DeriveReport, error) {
 	if k <= 0 {
 		return DeriveReport{}, fmt.Errorf("rules: khop: k must be positive")
@@ -147,24 +147,13 @@ func (e *Engine) DeriveKHop(out kg.PredicateID, sources []kg.EntityID, k int) (D
 		if i > 0 && srcs[i-1] == src {
 			continue
 		}
-		dist := map[kg.EntityID]int{src: 0}
-		frontier := []kg.EntityID{src}
 		var reached []kg.EntityID
-		for d := 1; d <= k && len(frontier) > 0; d++ {
-			var next []kg.EntityID
-			for _, v := range frontier {
-				for _, w := range snap.Neighbors(v) {
-					if _, seen := dist[w]; seen {
-						continue
-					}
-					dist[w] = d
-					next = append(next, w)
-					reached = append(reached, w)
-				}
+		for w := range snap.BFS(src, k) {
+			if w != src {
+				reached = append(reached, w)
 			}
-			frontier = next
 		}
-		sort.Slice(reached, func(a, b int) bool { return reached[a] < reached[b] })
+		slices.Sort(reached)
 		for _, w := range reached {
 			facts = append(facts, kg.Triple{Subject: src, Predicate: out, Object: kg.EntityValue(w)})
 		}

@@ -11,8 +11,8 @@ import (
 	"saga/internal/kg"
 )
 
-// defaultPoll is the background maintainer's changefeed polling cadence.
-const defaultPoll = 5 * time.Millisecond
+// pollEvery is the background maintainer's changefeed polling cadence.
+const pollEvery = 5 * time.Millisecond
 
 // Options configures an Engine.
 type Options struct {
@@ -24,10 +24,6 @@ type Options struct {
 	// with the engine's maintenance lock held; the callback must not call
 	// back into the rules engine.
 	OnDelta func(adds, rets []kg.Triple)
-
-	// Poll is the background maintainer's changefeed polling interval
-	// (default 5ms).
-	Poll time.Duration
 
 	// NoMaintainer disables the background goroutine; the owner drives
 	// maintenance explicitly through Sync. Tests and benchmarks use this
@@ -102,14 +98,10 @@ func New(geng *graphengine.Engine, rs *RuleSet, opts Options) (*Engine, error) {
 	e.rederiveFullLocked()
 	e.mu.Unlock()
 	if !opts.NoMaintainer {
-		poll := opts.Poll
-		if poll <= 0 {
-			poll = defaultPoll
-		}
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			t := time.NewTicker(poll)
+			t := time.NewTicker(pollEvery)
 			defer t.Stop()
 			for {
 				select {

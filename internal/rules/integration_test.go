@@ -263,7 +263,7 @@ func TestIncrementalEqualsFromScratchUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(geng, rs, Options{Poll: time.Millisecond, OnDelta: geng.ApplyDerivedDeltas})
+	e, err := New(geng, rs, Options{OnDelta: geng.ApplyDerivedDeltas})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,5 +327,63 @@ func TestIncrementalEqualsFromScratchUnderChurn(t *testing.T) {
 	requireFixpoint(t, e, g)
 	if s := e.Stats(); s.Lag != 0 {
 		t.Fatalf("lag = %d after Sync on a quiescent graph", s.Lag)
+	}
+}
+
+// TestPlanCacheRevalidatesAcrossDerivation: a plan cached while a derived
+// predicate is empty puts that predicate's scan first. Once the rules
+// derive past the staleness rule (more than 64 facts and more than 2x
+// the build-time count) the next solve of the shape must rebuild the
+// plan — one invalidation, counted as a miss — and lead with the
+// selective base clause. Nothing on the write path tells the cache:
+// revalidation reads the counters of the graph-plus-derived surface.
+func TestPlanCacheRevalidatesAcrossDerivation(t *testing.T) {
+	g := kg.NewGraph()
+	geng := graphengine.New(g)
+	link, tag := mustPred(t, g, "link"), mustPred(t, g, "tag")
+	rs, err := ParseRules(g, `near(X, Y) :- link(X, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, geng, rs)
+	geng.AttachDerived(e.Derived())
+	near := mustPred(t, g, "near")
+	ents := make([]kg.EntityID, 101)
+	for i := range ents {
+		ents[i] = mustEnt(t, g, fmt.Sprintf("n%d", i))
+	}
+	for _, s := range ents[:3] {
+		mustAssert(t, g, s, tag, kg.StringValue("hot"))
+	}
+	clauses := []graphengine.Clause{
+		{Subject: graphengine.V("X"), Predicate: near, Object: graphengine.V("Y")},
+		{Subject: graphengine.V("X"), Predicate: tag, Object: graphengine.Term{Const: kg.StringValue("hot")}},
+	}
+	first, err := geng.PlanConjunctive(clauses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := first.Steps()[0].Input; in != 0 {
+		t.Fatalf("with near empty the plan starts at clause %d, want its scan (clause 0)", in)
+	}
+
+	for i := 0; i+1 < len(ents); i++ {
+		mustAssert(t, g, ents[i], link, kg.EntityValue(ents[i+1]))
+	}
+	e.Sync()
+	if n := e.Derived().Len(); n != 100 {
+		t.Fatalf("rules derived %d near facts, want 100", n)
+	}
+	before := geng.PlanCacheStats()
+	second, err := geng.PlanConjunctive(clauses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := geng.PlanCacheStats()
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Invalidations != 1 {
+		t.Fatalf("plan cache %+v -> %+v, want one more miss, no hit, 1 invalidation", before, after)
+	}
+	if in := second.Steps()[0].Input; in != 1 {
+		t.Fatalf("after 100 derivations the plan starts at clause %d, want the selective tag clause (1)", in)
 	}
 }

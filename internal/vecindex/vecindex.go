@@ -383,8 +383,6 @@ type IVFOptions struct {
 	NList int
 	// NProbe is the default number of lists scanned per query; default 4.
 	NProbe int
-	// KMeansIters bounds Lloyd iterations; default 10.
-	KMeansIters int
 	// Seed makes clustering reproducible.
 	Seed int64
 }
@@ -416,10 +414,6 @@ func BuildIVF(ids []uint64, vecs []Vector, opts IVFOptions) (*IVFIndex, error) {
 	if nlist > len(vecs) {
 		nlist = len(vecs)
 	}
-	iters := opts.KMeansIters
-	if iters <= 0 {
-		iters = 10
-	}
 	nprobe := opts.NProbe
 	if nprobe <= 0 {
 		nprobe = 4
@@ -428,7 +422,7 @@ func BuildIVF(ids []uint64, vecs []Vector, opts IVFOptions) (*IVFIndex, error) {
 		nprobe = nlist
 	}
 
-	centroids := kmeans(vecs, nlist, iters, rand.New(rand.NewSource(opts.Seed)))
+	centroids := kmeans(vecs, nlist, rand.New(rand.NewSource(opts.Seed)))
 	lists := make([][]int, len(centroids))
 	for i, v := range vecs {
 		c := nearestCentroid(v, centroids)
@@ -494,8 +488,11 @@ func (ix *IVFIndex) SearchNProbe(q Vector, k, nprobe int) []Result {
 	return topK(q, candIDs, candVecs, k, nil)
 }
 
+// kmeansIters bounds kmeans' Lloyd iterations.
+const kmeansIters = 10
+
 // kmeans runs Lloyd's algorithm with k-means++ style seeding.
-func kmeans(vecs []Vector, k, iters int, rng *rand.Rand) []Vector {
+func kmeans(vecs []Vector, k int, rng *rand.Rand) []Vector {
 	dim := len(vecs[0])
 	centroids := make([]Vector, 0, k)
 	// Seed: first centroid uniformly, rest weighted by squared distance.
@@ -527,7 +524,7 @@ func kmeans(vecs []Vector, k, iters int, rng *rand.Rand) []Vector {
 		centroids = append(centroids, append(Vector(nil), vecs[pick]...))
 	}
 	assign := make([]int, len(vecs))
-	for it := 0; it < iters; it++ {
+	for it := 0; it < kmeansIters; it++ {
 		changed := false
 		for i, v := range vecs {
 			c := nearestCentroid(v, centroids)

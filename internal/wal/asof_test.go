@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"saga/internal/kg"
 )
@@ -192,89 +191,4 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 		t.Fatalf("SnapshotAt(%d) after reopen: %v, want ErrOutsideRetention", wms[0], err)
 	}
 	_ = m2.Close()
-}
-
-// RetainAge is a wall-clock floor under count-based eviction: a
-// checkpoint storm cannot age history out while every checkpoint is
-// younger than the floor, and once they age past it the sweep falls
-// back to the RetainCheckpoints budget. Runs on a fake clock.
-func TestRetainAgeFloorSweep(t *testing.T) {
-	fs := NewFaultFS(37)
-	g, m, _ := mustOpen(t, fs, Options{
-		Sync: SyncEachCommit, KeepGraphLog: true,
-		RetainCheckpoints: 2, RetainAge: time.Hour,
-	})
-	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	m.now = func() time.Time { return clock }
-	s := newScripted(t, g, 37)
-
-	ckptFiles := func() int {
-		t.Helper()
-		names, err := fs.ReadDir(testDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, name := range names {
-			if strings.HasPrefix(name, ckptPrefix) {
-				n++
-			}
-		}
-		return n
-	}
-
-	// A storm: five checkpoints a minute apart. All are younger than the
-	// hour floor, so none may be evicted despite RetainCheckpoints=2.
-	var wms []uint64
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 20; j++ {
-			s.step()
-		}
-		wm, err := m.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wms = append(wms, wm)
-		clock = clock.Add(time.Minute)
-	}
-	if n := m.RetainedCheckpoints(); n != 5 {
-		t.Fatalf("retained %d checkpoints during the storm, want all 5 (age floor)", n)
-	}
-	if n := ckptFiles(); n != 5 {
-		t.Fatalf("disk holds %d checkpoint files during the storm, want 5", n)
-	}
-	// The whole window must stay readable as-of.
-	if _, _, err := m.SnapshotAt(wms[0]); err != nil {
-		t.Fatalf("SnapshotAt(oldest stormed checkpoint): %v", err)
-	}
-
-	// Age everything past the floor; the next checkpoint's sweep falls
-	// back to the count budget.
-	clock = clock.Add(2 * time.Hour)
-	for j := 0; j < 20; j++ {
-		s.step()
-	}
-	last, err := m.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := m.RetainedCheckpoints(); n != 2 {
-		t.Fatalf("retained %d checkpoints after aging, want 2 (count budget)", n)
-	}
-	if n := ckptFiles(); n != 2 {
-		t.Fatalf("disk holds %d checkpoint files after aging, want 2", n)
-	}
-	// The survivors are the two newest, still readable.
-	for _, wm := range []uint64{wms[4], last} {
-		if _, _, err := m.SnapshotAt(wm); err != nil {
-			t.Fatalf("SnapshotAt(%d) after sweep: %v", wm, err)
-		}
-	}
-	// History below the floor is gone.
-	if _, _, err := m.SnapshotAt(wms[0]); err == nil {
-		t.Fatal("SnapshotAt below the retention floor succeeded, want error")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
 }

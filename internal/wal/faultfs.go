@@ -96,13 +96,6 @@ func (fs *FaultFS) SetSyncBudget(n int) {
 	fs.syncBudget = n
 }
 
-// Tripped reports whether a fault has fired.
-func (fs *FaultFS) Tripped() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.tripped
-}
-
 // BytesAccepted reports the total bytes accepted across all writes. The
 // crash matrix runs an unlimited probe first and uses its total to
 // enumerate kill offsets.
@@ -325,18 +318,6 @@ func (fs *FaultFS) Crash() *FaultFS {
 	for d := range fs.dirs {
 		out.dirs[d] = true
 	}
-	return out
-}
-
-// DumpPaths lists every live path (diagnostic helper for tests).
-func (fs *FaultFS) DumpPaths() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var out []string
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -18,16 +18,14 @@
 //
 // # Durability contract
 //
-// The fsync policy decides which prefix survives a crash:
+// One of two fsync policies decides which prefix survives a crash:
 //
 //   - SyncEachCommit: every Commit fsyncs before returning; DurableLSN
 //     tracks the last committed LSN. Nothing acknowledged is ever lost.
-//   - SyncInterval: a background flusher fsyncs every Options.SyncEvery;
-//     at most one interval of committed-but-unsynced mutations is exposed.
 //   - SyncNever: fsync only at checkpoint/close; the durable watermark is
 //     the newest checkpoint (plus whatever the OS happened to write back).
 //
-// In every mode the recovery guarantee is the same shape: Open restores a
+// Under either policy the recovery guarantee is the same shape: Open restores a
 // watermark-consistent prefix of the mutation history — the state after
 // exactly the first W mutations for the recovered watermark W — with
 // W >= DurableLSN as of the crash. Torn or corrupt log tails are
@@ -69,7 +67,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"saga/internal/kg"
 )
@@ -81,8 +78,6 @@ type SyncPolicy int
 const (
 	// SyncEachCommit fsyncs inside every Commit (the default).
 	SyncEachCommit SyncPolicy = iota
-	// SyncInterval fsyncs from a background flusher every SyncEvery.
-	SyncInterval
 	// SyncNever fsyncs only at checkpoints and Close.
 	SyncNever
 )
@@ -93,8 +88,6 @@ type Options struct {
 	FS FS
 	// Sync is the fsync policy.
 	Sync SyncPolicy
-	// SyncEvery is the flush period for SyncInterval; 0 selects 100ms.
-	SyncEvery time.Duration
 	// CheckpointEvery triggers an automatic checkpoint once that many
 	// mutations have been committed past the previous checkpoint.
 	// 0 disables automatic checkpoints (Checkpoint stays available).
@@ -112,17 +105,6 @@ type Options struct {
 	// stays readable. 0 and 1 both mean "newest only" — the eager
 	// behavior.
 	RetainCheckpoints int
-	// RetainAge protects young checkpoints from count-based eviction: a
-	// checkpoint is only deleted once it is older than RetainAge, so the
-	// as-of window covers at least that much wall-clock history no
-	// matter how frequently checkpoints are taken (a checkpoint storm
-	// cannot age history out early). It never forces deletion — a
-	// checkpoint inside the RetainCheckpoints budget is kept at any age
-	// — and 0 disables the age floor. Checkpoints found on disk at Open
-	// are stamped with the open time (their true age is unknowable
-	// without trusting file metadata), so a freshly reopened manager
-	// retains them for a full RetainAge.
-	RetainAge time.Duration
 }
 
 func (o Options) fs() FS {
@@ -207,12 +189,6 @@ type Manager struct {
 	// Both drive retention deletion and as-of suffix collection.
 	ckpts    []uint64
 	segFirst map[uint64]uint64
-	// ckptTimes stamps each indexed checkpoint with its creation time
-	// (or the Open time, for checkpoints discovered on disk) for the
-	// RetainAge floor; now is swappable so retention tests can run a
-	// fake clock instead of sleeping.
-	ckptTimes map[uint64]time.Time
-	now       func() time.Time
 	// asofBases caches checkpoint base graphs loaded for SnapshotAt,
 	// keyed by checkpoint watermark. Bases are immutable once loaded.
 	asofBases map[uint64]*kg.Graph
@@ -226,9 +202,6 @@ type Manager struct {
 	// allocates nothing per record (see retainCommitBuffers).
 	commitMuts []kg.Mutation
 	commitBuf  []byte
-
-	flushStop chan struct{}
-	flushDone chan struct{}
 }
 
 // Open attaches durability to g, recovering any prior state found in
@@ -251,19 +224,17 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 		return nil, info, err
 	}
 	m := &Manager{
-		fs:        fs,
-		dir:       dir,
-		g:         g,
-		opts:      opts,
-		gen:       maxGen, // openSegment bumps to maxGen+1
-		feed:      g.Feed(g.LastSeq()),
-		ckptLSN:   info.CheckpointLSN,
-		segFirst:  make(map[uint64]uint64),
-		ckptTimes: make(map[uint64]time.Time),
-		now:       time.Now,
-		entCur:    g.NumEntities(),
-		predCur:   g.NumPredicates(),
-		ontCur:    g.Ontology().Len(),
+		fs:       fs,
+		dir:      dir,
+		g:        g,
+		opts:     opts,
+		gen:      maxGen, // openSegment bumps to maxGen+1
+		feed:     g.Feed(g.LastSeq()),
+		ckptLSN:  info.CheckpointLSN,
+		segFirst: make(map[uint64]uint64),
+		entCur:   g.NumEntities(),
+		predCur:  g.NumPredicates(),
+		ontCur:   g.Ontology().Len(),
 	}
 	m.durable.Store(g.LastSeq())
 	// Index the surviving files: retention deletion and as-of suffix
@@ -281,24 +252,8 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 		}
 		sort.Slice(m.ckpts, func(i, j int) bool { return m.ckpts[i] < m.ckpts[j] })
 	}
-	// Discovered checkpoints count as created now: their real age is not
-	// recorded anywhere trustworthy, and over-retaining is the safe
-	// direction for an age floor.
-	openedAt := m.now()
-	for _, w := range m.ckpts {
-		m.ckptTimes[w] = openedAt
-	}
 	if err := m.openSegmentLocked(); err != nil {
 		return nil, info, err
-	}
-	if opts.Sync == SyncInterval {
-		every := opts.SyncEvery
-		if every <= 0 {
-			every = 100 * time.Millisecond
-		}
-		m.flushStop = make(chan struct{})
-		m.flushDone = make(chan struct{})
-		go m.flushLoop(every, m.flushStop, m.flushDone)
 	}
 	return m, info, nil
 }
@@ -665,7 +620,6 @@ func (m *Manager) checkpointLocked() error {
 	if len(m.ckpts) == 0 || m.ckpts[len(m.ckpts)-1] != wm {
 		m.ckpts = append(m.ckpts, wm)
 	}
-	m.ckptTimes[wm] = m.now()
 	if m.feed.Cursor() < wm {
 		m.feed.Reset(wm)
 	}
@@ -696,10 +650,8 @@ func (m *Manager) checkpointLocked() error {
 	return nil
 }
 
-// applyRetentionLocked deletes checkpoints beyond Options.
-// RetainCheckpoints (newest first, and additionally aged past
-// Options.RetainAge when that floor is set) and every retired log
-// segment whose content is entirely at or below the oldest retained
+// applyRetentionLocked deletes the checkpoints beyond Options.
+// RetainCheckpoints (oldest first) and every retired log segment whose content is entirely at or below the oldest retained
 // checkpoint's watermark. A segment's content spans (firstLSN, next
 // segment's firstLSN], so segment g is dead once its successor's
 // firstLSN is at or below that watermark; firstLSN is non-decreasing
@@ -711,25 +663,9 @@ func (m *Manager) applyRetentionLocked(oldGen uint64) {
 	if retain < 1 {
 		retain = 1
 	}
-	drop := len(m.ckpts) - retain
-	if drop > 0 && m.opts.RetainAge > 0 {
-		// The age floor only shrinks the drop: checkpoint times are
-		// non-decreasing in watermark order, so the stale ones form a
-		// prefix and count-based eviction stops at the first young one.
-		cutoff := m.now().Add(-m.opts.RetainAge)
-		stale := 0
-		for _, w := range m.ckpts[:drop] {
-			if m.ckptTimes[w].After(cutoff) {
-				break
-			}
-			stale++
-		}
-		drop = stale
-	}
-	if drop > 0 {
+	if drop := len(m.ckpts) - retain; drop > 0 {
 		for _, w := range m.ckpts[:drop] {
 			_ = m.fs.Remove(filepath.Join(m.dir, ckptName(w)))
-			delete(m.ckptTimes, w)
 		}
 		m.ckpts = append(m.ckpts[:0], m.ckpts[drop:]...)
 	}
@@ -761,14 +697,6 @@ func (m *Manager) applyRetentionLocked(oldGen uint64) {
 // The graph stays usable; further mutations are simply no longer logged.
 func (m *Manager) Close() error {
 	m.mu.Lock()
-	if m.flushStop != nil {
-		close(m.flushStop)
-		stop := m.flushDone
-		m.flushStop = nil
-		m.mu.Unlock()
-		<-stop
-		m.mu.Lock()
-	}
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
@@ -787,26 +715,6 @@ func (m *Manager) Close() error {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
 	return nil
-}
-
-func (m *Manager) flushLoop(every time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			m.mu.Lock()
-			if m.checkLocked() == nil {
-				if m.commitLocked() == nil {
-					_ = m.syncLocked()
-				}
-			}
-			m.mu.Unlock()
-		}
-	}
 }
 
 // ImportGraph copies src's ontology, dictionaries, and triples into the

@@ -665,26 +665,3 @@ func TestCheckpointRestart64K(t *testing.T) {
 	}
 	_ = m2.Close()
 }
-
-func TestSyncIntervalFlushes(t *testing.T) {
-	fs := NewFaultFS(31)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncInterval, SyncEvery: time.Millisecond})
-	s := newScripted(t, g, 31)
-	for i := 0; i < 40; i++ {
-		s.step()
-	}
-	wm := g.LastSeq()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.DurableLSN() < wm {
-		if time.Now().After(deadline) {
-			t.Fatalf("background flusher never caught up: durable %d, want %d", m.DurableLSN(), wm)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g2, m2, _ := mustOpen(t, fs, Options{})
-	sameTriples(t, g, g2)
-	_ = m2.Close()
-}

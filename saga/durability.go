@@ -24,12 +24,11 @@ type (
 	SyncPolicy = wal.SyncPolicy
 )
 
-// Fsync policies.
+// The two fsync policies.
 const (
-	// SyncEachCommit fsyncs inside every Commit (the default).
+	// SyncEachCommit fsyncs inside every Commit (the default); nothing
+	// acknowledged is lost.
 	SyncEachCommit = wal.SyncEachCommit
-	// SyncInterval fsyncs from a background flusher every SyncEvery.
-	SyncInterval = wal.SyncInterval
 	// SyncNever fsyncs only at checkpoints and Close.
 	SyncNever = wal.SyncNever
 )

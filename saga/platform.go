@@ -231,29 +231,21 @@ type EmbeddingOptions struct {
 
 // TrainEmbeddings filters the graph into training facts, trains the
 // model, and stands up the embedding service (Fig 3's training path).
-// Every call trains on the graph as it is now: the default view is
-// scanned afresh and not retained, and a view the caller named — which
-// the engine keeps for them — is refreshed before it is read.
+// Every call scans the graph as it is now through the view and keeps
+// nothing of the scan but the training facts.
 func (p *Platform) TrainEmbeddings(opts EmbeddingOptions) error {
 	view := opts.View
-	var d *embedding.Dataset
-	if view.Name == "" {
-		if !view.DropLiteralFacts && !view.DropEntityFacts && view.MinPredicateFreq == 0 &&
-			view.IncludePredicates == nil && view.ExcludePredicates == nil {
-			view.DropLiteralFacts = true
-		}
-		facts := make([]embedding.Fact, 0, p.graph.NumTriples())
-		p.engine.Scan(view, func(t kg.Triple) {
-			if t.Object.IsEntity() {
-				facts = append(facts, embedding.Fact{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object.Entity})
-			}
-		})
-		d = embedding.NewDatasetFromFacts(facts)
-	} else {
-		v := p.engine.Materialize(view)
-		v.Refresh()
-		d = embedding.NewDataset(v.Triples())
+	if !view.DropLiteralFacts && !view.DropEntityFacts && view.MinPredicateFreq == 0 &&
+		view.IncludePredicates == nil && view.ExcludePredicates == nil {
+		view.DropLiteralFacts = true
 	}
+	facts := make([]embedding.Fact, 0, p.graph.NumTriples())
+	p.engine.Scan(view, func(t kg.Triple) {
+		if t.Object.IsEntity() {
+			facts = append(facts, embedding.Fact{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object.Entity})
+		}
+	})
+	d := embedding.NewDatasetFromFacts(facts)
 	if len(d.Triples) == 0 {
 		return errors.New("saga: training view produced no entity-valued triples")
 	}

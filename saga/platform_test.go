@@ -255,17 +255,24 @@ func TestFacadeAccessorsAndHelpers(t *testing.T) {
 
 // TestRetrainSeesTheGraphAsItIsNow: a platform for continuous construction
 // retrains as the graph grows, and every TrainEmbeddings call — with the
-// default view or a view the caller named — trains on the facts of that
+// default view or one the caller defines — trains on the facts of that
 // moment, not on the first call's snapshot.
 func TestRetrainSeesTheGraphAsItIsNow(t *testing.T) {
-	for _, viewName := range []string{"", "people-facts"} {
+	for _, c := range []struct {
+		name string
+		view ViewDef
+	}{
+		{"default", ViewDef{}},
+		{"caller's own", ViewDef{DropLiteralFacts: true, MinPredicateFreq: 2}},
+	} {
+		viewName := c.name
 		w, err := GenerateWorld(WorldConfig{NumPeople: 60, NumClusters: 6, Seed: 109})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := New(w.Graph)
 		opts := EmbeddingOptions{
-			View:  ViewDef{Name: viewName, DropLiteralFacts: true},
+			View:  c.view,
 			Train: TrainConfig{Model: DistMult, Dim: 8, Epochs: 2, Workers: 1, Seed: 3},
 		}
 		train := func() int {

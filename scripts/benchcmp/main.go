@@ -28,6 +28,12 @@
 // "allocs" line, so writer-side alloc creep is visible in --check output
 // without making the gate flaky on allocation-count noise.
 //
+// ns/op is gated only between rows taken on the same kind of machine: a
+// benchmark whose two rows differ in numcpu or gomaxprocs is printed as
+// "otherbox" and never fails the gate (its allocs/op is still compared).
+// When no gated benchmark was run on the same machine, the gate says so
+// and passes instead of judging one machine's speed by another's.
+//
 // Usage:
 //
 //	go run ./scripts/benchcmp [-threshold 1.20] [-filter regex] [-exclude regex] old.json new.json
@@ -37,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -50,6 +57,8 @@ type entry struct {
 	NsPerOp    float64            `json:"ns_per_op"`
 	BytesPerOp float64            `json:"bytes_per_op"`
 	AllocsOp   float64            `json:"allocs_per_op"`
+	GoMaxProcs int                `json:"gomaxprocs"`
+	NumCPU     int                `json:"numcpu"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
@@ -75,6 +84,78 @@ func load(path string) (map[string]entry, error) {
 		out[e.Name] = e
 	}
 	return out, nil
+}
+
+// gate is what decides whether a compared benchmark regressed.
+type gate struct {
+	threshold       float64
+	filter, exclude *regexp.Regexp
+}
+
+// compare writes one line per benchmark of cur (plus GONE lines for the
+// names only old has) and returns the gated ns/op regressions, how many
+// gated names were compared on the same machine, and how many gated names
+// were left ungated because their two rows come from different machines.
+func compare(w io.Writer, old, cur map[string]entry, g gate) (regressions []string, gated, otherBox int) {
+	names := make([]string, 0, len(cur))
+	for name := range cur {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		n := cur[name]
+		o, ok := old[name]
+		if !ok {
+			fmt.Fprintf(w, "NEW      %-55s %12.0f ns/op\n", name, n.NsPerOp)
+			continue
+		}
+		if o.NsPerOp <= 0 {
+			continue
+		}
+		ratio := n.NsPerOp / o.NsPerOp
+		inGate := g.filter.MatchString(name) && !g.exclude.MatchString(name)
+		sameBox := o.NumCPU == n.NumCPU && o.GoMaxProcs == n.GoMaxProcs
+		status := "ok"
+		switch {
+		case !sameBox:
+			status = "otherbox"
+		case inGate && ratio > g.threshold:
+			status = "REGRESS"
+			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx)", name, o.NsPerOp, n.NsPerOp, ratio))
+		case ratio > g.threshold:
+			status = "slower" // informational: outside the gated set
+		case ratio < 1/g.threshold:
+			status = "faster"
+		}
+		switch {
+		case inGate && sameBox:
+			gated++
+		case inGate:
+			otherBox++
+		}
+		fmt.Fprintf(w, "%-8s %-55s %12.0f -> %10.0f ns/op  %5.2fx", status, name, o.NsPerOp, n.NsPerOp, ratio)
+		if !sameBox {
+			fmt.Fprintf(w, "  (not gated: numcpu %d -> %d, gomaxprocs %d -> %d)", o.NumCPU, n.NumCPU, o.GoMaxProcs, n.GoMaxProcs)
+		}
+		fmt.Fprintln(w)
+		// Allocation creep is report-only: flag any compared benchmark
+		// whose allocs/op grew past the threshold, gated or not.
+		if o.AllocsOp > 0 && n.AllocsOp/o.AllocsOp > g.threshold {
+			fmt.Fprintf(w, "allocs   %-55s %12.0f -> %10.0f allocs/op  %5.2fx (report-only)\n",
+				name, o.AllocsOp, n.AllocsOp, n.AllocsOp/o.AllocsOp)
+		}
+	}
+	var gone []string
+	for name := range old {
+		if _, ok := cur[name]; !ok {
+			gone = append(gone, name)
+		}
+	}
+	sort.Strings(gone)
+	for _, name := range gone {
+		fmt.Fprintf(w, "GONE     %-55s\n", name)
+	}
+	return regressions, gated, otherBox
 }
 
 func main() {
@@ -107,53 +188,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var regressions []string
-	gatedCompared := 0
-	for _, name := range names {
-		n := cur[name]
-		o, ok := old[name]
-		if !ok {
-			fmt.Printf("NEW      %-55s %12.0f ns/op\n", name, n.NsPerOp)
-			continue
-		}
-		if o.NsPerOp <= 0 {
-			continue
-		}
-		ratio := n.NsPerOp / o.NsPerOp
-		status := "ok"
-		gated := re.MatchString(name) && !exRe.MatchString(name)
-		if gated {
-			gatedCompared++
-		}
-		switch {
-		case gated && ratio > *threshold:
-			status = "REGRESS"
-			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx)", name, o.NsPerOp, n.NsPerOp, ratio))
-		case ratio > *threshold:
-			status = "slower" // informational: outside the gated set
-		case ratio < 1/(*threshold):
-			status = "faster"
-		}
-		fmt.Printf("%-8s %-55s %12.0f -> %10.0f ns/op  %5.2fx\n", status, name, o.NsPerOp, n.NsPerOp, ratio)
-		// Allocation creep is report-only: flag any compared benchmark
-		// whose allocs/op grew past the threshold, gated or not.
-		if o.AllocsOp > 0 && n.AllocsOp/o.AllocsOp > *threshold {
-			fmt.Printf("allocs   %-55s %12.0f -> %10.0f allocs/op  %5.2fx (report-only)\n",
-				name, o.AllocsOp, n.AllocsOp, n.AllocsOp/o.AllocsOp)
-		}
-	}
-	for name := range old {
-		if _, ok := cur[name]; !ok {
-			fmt.Printf("GONE     %-55s\n", name)
-		}
-	}
-
+	regressions, gated, otherBox := compare(os.Stdout, old, cur, gate{threshold: *threshold, filter: re, exclude: exRe})
 	if len(regressions) > 0 {
 		fmt.Fprintf(os.Stderr, "\nbenchcmp: %d gated regression(s) beyond %.2fx:\n", len(regressions), *threshold)
 		for _, r := range regressions {
@@ -161,11 +196,15 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	if gatedCompared == 0 {
+	if gated == 0 && otherBox > 0 {
+		fmt.Printf("\nbenchcmp: ns/op not gated: the %d benchmarks matching %q were run on different machines (numcpu/gomaxprocs differ); allocs/op is reported above\n", otherBox, *filter)
+		return
+	}
+	if gated == 0 {
 		// A gate that compared nothing proves nothing — most likely the
 		// two snapshots' names do not line up (or the filter is wrong).
 		fmt.Fprintf(os.Stderr, "\nbenchcmp: no benchmark matching %q was present in BOTH snapshots; the gate is vacuous\n", *filter)
 		os.Exit(1)
 	}
-	fmt.Printf("\nbenchcmp: no gated regressions beyond %.2fx (%d benchmarks compared, %d gated)\n", *threshold, len(names), gatedCompared)
+	fmt.Printf("\nbenchcmp: no gated regressions beyond %.2fx (%d gated, %d on another machine and not gated)\n", *threshold, gated, otherBox)
 }
