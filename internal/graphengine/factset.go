@@ -20,7 +20,10 @@ import (
 // order kg.Graph keeps, so a layered read (Overlay) merges a set into a
 // graph's enumeration without sorting anything. The fact list is also the
 // identity set: membership, insert and remove are a binary search plus a
-// splice, and each fact is stored once.
+// splice, and each fact is stored once, as the graph stores it: a
+// kg.FactRow, the 40-byte row the graph's own fact lists hold, keyed by
+// (subject, predicate). Reads build Triples from the rows, so a fact
+// comes back with its provenance normalised exactly as the graph's do.
 //
 // # The leaf-lock rule
 //
@@ -33,7 +36,7 @@ import (
 // Facts, Subjects — treat a nil *FactSet as the empty set.
 type FactSet struct {
 	mu    sync.RWMutex
-	facts map[spKey][]kg.Triple
+	facts map[spKey][]kg.FactRow
 	preds map[kg.PredicateID]*predPosts
 	n     int
 }
@@ -54,31 +57,24 @@ type predPosts struct {
 // NewFactSet returns an empty set.
 func NewFactSet() *FactSet {
 	return &FactSet{
-		facts: make(map[spKey][]kg.Triple),
+		facts: make(map[spKey][]kg.FactRow),
 		preds: make(map[kg.PredicateID]*predPosts),
 	}
-}
-
-// factIndex returns where the fact with object key k sits in a fact list
-// sorted by object key, or where it would be inserted.
-func factIndex(list []kg.Triple, k kg.ValueKey) (int, bool) {
-	return slices.BinarySearchFunc(list, k, func(t kg.Triple, k kg.ValueKey) int {
-		return t.Object.MapKey().Compare(k)
-	})
 }
 
 // Insert adds t, reporting whether it was absent. A fact already present
 // keeps its stored copy.
 func (fs *FactSet) Insert(t kg.Triple) bool {
-	sp, obj := spKey{t.Subject, t.Predicate}, t.Object.MapKey()
+	row := kg.RowOf(t.Object, t.Prov)
+	sp, obj := spKey{t.Subject, t.Predicate}, row.Key()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	list := fs.facts[sp]
-	i, found := factIndex(list, obj)
+	i, found := kg.SearchRows(list, obj)
 	if found {
 		return false
 	}
-	fs.facts[sp] = slices.Insert(list, i, t)
+	fs.facts[sp] = slices.Insert(list, i, row)
 	pp := fs.preds[t.Predicate]
 	if pp == nil {
 		pp = &predPosts{objs: make(map[kg.ValueKey][]kg.EntityID)}
@@ -99,11 +95,11 @@ func (fs *FactSet) Remove(k kg.TripleKey) (kg.Triple, bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	list := fs.facts[sp]
-	i, found := factIndex(list, k.Object)
+	i, found := kg.SearchRows(list, k.Object)
 	if !found {
 		return kg.Triple{}, false
 	}
-	t := list[i]
+	t := list[i].Triple(k.Subject, k.Predicate)
 	if len(list) == 1 {
 		delete(fs.facts, sp)
 	} else {
@@ -130,7 +126,7 @@ func (fs *FactSet) Has(k kg.TripleKey) bool {
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	_, found := factIndex(fs.facts[spKey{k.Subject, k.Predicate}], k.Object)
+	_, found := kg.SearchRows(fs.facts[spKey{k.Subject, k.Predicate}], k.Object)
 	return found
 }
 
@@ -184,7 +180,15 @@ func (fs *FactSet) Facts(subj kg.EntityID, pred kg.PredicateID) []kg.Triple {
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return slices.Clone(fs.facts[spKey{subj, pred}])
+	rows := fs.facts[spKey{subj, pred}]
+	if rows == nil {
+		return nil
+	}
+	out := make([]kg.Triple, len(rows))
+	for i := range rows {
+		out[i] = rows[i].Triple(subj, pred)
+	}
+	return out
 }
 
 // Subjects returns a copy of the (pred, obj) subjects greater than after

@@ -96,11 +96,11 @@ func checkFactSet(t *testing.T, step int, fs *FactSet, model map[kg.TripleKey]kg
 		if len(list) == 0 {
 			t.Fatalf("step %d: empty fact list kept for %v", step, sp)
 		}
-		for i, tr := range list {
-			if i > 0 && cmpObject(list[i-1], tr) >= 0 {
+		for i := range list {
+			if i > 0 && list[i-1].Key().Compare(list[i].Key()) >= 0 {
 				t.Fatalf("step %d: fact list %v not strictly ascending at %d", step, sp, i)
 			}
-			if tr.Subject != sp.S || tr.Predicate != sp.P || !sameStored(model[tr.IdentityKey()], tr) {
+			if tr := list[i].Triple(sp.S, sp.P); !sameStored(model[tr.IdentityKey()], tr) {
 				t.Fatalf("step %d: fact list %v holds %v, model holds %v", step, sp, tr, model[tr.IdentityKey()])
 			}
 		}
@@ -154,8 +154,15 @@ func checkFactSet(t *testing.T, step int, fs *FactSet, model map[kg.TripleKey]kg
 		}
 		for s := kg.EntityID(1); s <= fsSubjects; s++ {
 			facts := fs.Facts(s, p)
-			if !slices.EqualFunc(facts, fs.facts[spKey{s, p}], sameStored) || fs.FactCount(s, p) != len(facts) {
-				t.Fatalf("step %d: Facts(%d,%d) = %v (count %d), list is %v", step, s, p, facts, fs.FactCount(s, p), fs.facts[spKey{s, p}])
+			var want []kg.Triple
+			for k, tr := range model {
+				if k.Subject == s && k.Predicate == p {
+					want = append(want, tr)
+				}
+			}
+			slices.SortFunc(want, cmpObject)
+			if !slices.EqualFunc(facts, want, sameStored) || fs.FactCount(s, p) != len(facts) {
+				t.Fatalf("step %d: Facts(%d,%d) = %v (count %d), model holds %v", step, s, p, facts, fs.FactCount(s, p), want)
 			}
 		}
 		for _, o := range fsObjects {

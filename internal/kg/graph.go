@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Entity is the metadata record for a node in the graph. Facts about the
@@ -58,9 +59,9 @@ type graphShard struct {
 	mu sync.RWMutex
 
 	// spo maps subject -> predicate -> the (subj, pred) fact list, sorted
-	// by object ValueKey with no duplicates. The sorted list is also the
+	// by object key with no duplicates. The sorted list is also the
 	// shard's identity set: membership is a binary search of it.
-	spo map[EntityID]map[PredicateID][]Triple
+	spo map[EntityID]map[PredicateID][]FactRow
 
 	// triples is the number of facts in spo.
 	triples int
@@ -74,24 +75,7 @@ type graphShard struct {
 }
 
 func (sh *graphShard) init() {
-	sh.spo = make(map[EntityID]map[PredicateID][]Triple)
-}
-
-// factIndex returns where the fact with object key k sits in a fact list
-// sorted by object key, or where it would be inserted.
-func factIndex(ts []Triple, k ValueKey) (int, bool) {
-	// Hand-rolled so each probe reads ts[h] in place: slices.BinarySearchFunc
-	// would pass the 136-byte Triple to its comparator by value.
-	i, j := 0, len(ts)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if ts[h].Object.MapKey().Compare(k) < 0 {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i, i < len(ts) && ts[i].Object.MapKey() == k
+	sh.spo = make(map[EntityID]map[PredicateID][]FactRow)
 }
 
 // Graph is an in-memory triple store with entity/predicate dictionaries,
@@ -120,13 +104,25 @@ func factIndex(ts []Triple, k ValueKey) (int, bool) {
 //
 // # Index layout and canonical order
 //
-//	spo: subject -> predicate -> []Triple          (fact lookup, outgoing,
-//	     and SPO identity: each list is sorted by object ValueKey, so
+//	spo: subject -> predicate -> []FactRow         (fact lookup, outgoing,
+//	     and SPO identity: each list is sorted by object key, so
 //	     membership and removal are a binary search)
 //	pom: predicate -> ValueKey -> []EntityID       (the predicate-major
 //	     index, see pom.go: each posting sorted by subject ID, merged
 //	     across shards, partitioned into per-predicate lock stripes, with
 //	     per-predicate triple and entity-triple totals)
+//	log: per shard, chunks of 56-byte entries      (seq, subject,
+//	     predicate and a FactRow whose op field holds the mutation's op;
+//	     see mutlog.go)
+//
+// A fact is stored as a FactRow (row.go): its object key laid out flat
+// and an interned provenance handle, 40 bytes where a Triple is 128. The
+// subject and predicate are the map keys above it. No Triple is stored:
+// every read that hands out Triples (Facts, FactsFunc, FactsChunked,
+// OutgoingFunc, TriplesSnapshot, AllTriples, MutationsSince) builds them
+// from rows, so what a reader gets is a copy. A built Triple's object is
+// its key's Value and its ObservedAt a UTC instant with no monotonic
+// reading — exactly what a graph recovered from the write-ahead log holds.
 //
 // Every enumeration the query stack builds on — a fact list, a posting —
 // is ordered by a key of the facts themselves, never by arrival: two
@@ -523,8 +519,9 @@ func (d DictReader) PredicateID(name []byte) (PredicateID, bool) {
 }
 
 // validate checks a triple's references against the atomically published
-// dictionary lengths. IDs are assigned densely and only ever grow, so an
-// ID below a length observed now is guaranteed registered; the check
+// dictionary lengths, and that every time it carries is one a row can
+// hold (see TimeInRange). IDs are assigned densely and only ever grow, so
+// an ID below a length observed now is guaranteed registered; the check
 // never takes a lock.
 func (g *Graph) validate(t Triple) error {
 	if int64(t.Subject) >= g.entLen.Load() || t.Subject == NoEntity {
@@ -538,6 +535,12 @@ func (g *Graph) validate(t Triple) error {
 	}
 	if t.Object.IsEntity() && (int64(t.Object.Entity) >= g.entLen.Load() || t.Object.Entity == NoEntity) {
 		return fmt.Errorf("kg: assert: unknown object entity %v", t.Object.Entity)
+	}
+	if t.Object.Kind == KindTime && !TimeInRange(t.Object.TS) {
+		return fmt.Errorf("kg: assert: time %s is outside the representable range", t.Object.TS.Format(time.RFC3339))
+	}
+	if ts := t.Prov.ObservedAt; !ts.IsZero() && !TimeInRange(ts) {
+		return fmt.Errorf("kg: assert: observation time %s is outside the representable range", ts.Format(time.RFC3339))
 	}
 	return nil
 }
@@ -558,36 +561,32 @@ func (g *Graph) AssertNew(t Triple) (bool, error) {
 	if err := g.validate(t); err != nil {
 		return false, err
 	}
+	row := RowOf(t.Object, t.Prov)
 	sh := g.shard(t.Subject)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return g.assertShardLocked(sh, t, t.IdentityKey()), nil
-}
-
-// assertShardLocked applies one pre-validated triple under sh's write
-// lock, returning whether it was newly added.
-func (g *Graph) assertShardLocked(sh *graphShard, t Triple, key TripleKey) bool {
 	bySubj := sh.spo[t.Subject]
-	i, dup := factIndex(bySubj[t.Predicate], key.Object)
+	i, dup := SearchRows(bySubj[t.Predicate], row.Key())
 	if dup {
-		return false
+		return false, nil
 	}
 	if bySubj == nil {
-		bySubj = make(map[PredicateID][]Triple)
+		bySubj = make(map[PredicateID][]FactRow)
 		sh.spo[t.Subject] = bySubj
 	}
-	bySubj[t.Predicate] = slices.Insert(bySubj[t.Predicate], i, t)
-	g.indexNewFactLocked(sh, t, key)
-	return true
+	bySubj[t.Predicate] = slices.Insert(bySubj[t.Predicate], i, row)
+	g.indexNewFactLocked(sh, t.Subject, t.Predicate, row)
+	return true, nil
 }
 
-// indexNewFactLocked finishes an assert whose triple was just spliced
-// into its spo fact list: the pom posting, the shard's fact count and the
+// indexNewFactLocked finishes an assert whose row was just spliced into
+// its spo fact list: the pom posting, the shard's fact count and the
 // mutation log. The caller holds sh's write lock.
-func (g *Graph) indexNewFactLocked(sh *graphShard, t Triple, key TripleKey) {
+func (g *Graph) indexNewFactLocked(sh *graphShard, subj EntityID, pred PredicateID, row FactRow) {
 	sh.triples++
-	g.pomAdd(t.Predicate, key.Object, t.Subject)
-	sh.log.append(Mutation{Seq: g.seq.Add(1), Op: OpAssert, T: t})
+	g.pomAdd(pred, row.Key(), subj)
+	row.op = OpAssert
+	sh.log.append(logEntry{seq: g.seq.Add(1), subj: subj, pred: pred, row: row})
 }
 
 // AssertAll adds a batch of triples. Unlike looped Assert calls, the whole
@@ -676,7 +675,7 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 		if i > 0 && k == keys[order[i-1]] {
 			continue
 		}
-		if _, dup := factIndex(bySubj[k.Predicate], k.Object); dup {
+		if _, dup := SearchRows(bySubj[k.Predicate], k.Object); dup {
 			continue
 		}
 		kept = append(kept, oi)
@@ -685,7 +684,7 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 		return 0
 	}
 	if bySubj == nil {
-		bySubj = make(map[PredicateID][]Triple)
+		bySubj = make(map[PredicateID][]FactRow)
 		sh.spo[subj] = bySubj
 	}
 	for i := 0; i < len(kept); {
@@ -698,9 +697,10 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 		// load into an empty list (restore, bulk import) inserts at the tail.
 		lst := slices.Grow(bySubj[pred], j-i)
 		for _, oi := range kept[i:j] {
-			at, _ := factIndex(lst, keys[oi].Object)
-			lst = slices.Insert(lst, at, ts[oi])
-			g.indexNewFactLocked(sh, ts[oi], keys[oi])
+			row := rowOf(keys[oi].Object, ts[oi].Prov)
+			at, _ := SearchRows(lst, keys[oi].Object)
+			lst = slices.Insert(lst, at, row)
+			g.indexNewFactLocked(sh, subj, pred, row)
 		}
 		bySubj[pred] = lst
 		i = j
@@ -709,15 +709,16 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 }
 
 // Retract removes the fact with the same SPO identity as t, if present,
-// and appends an OpRetract mutation. It reports whether a fact was removed.
+// and appends an OpRetract mutation carrying t. It reports whether a fact
+// was removed.
 func (g *Graph) Retract(t Triple) bool {
-	key := t.IdentityKey()
+	key := t.Object.MapKey()
 	sh := g.shard(t.Subject)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	bySubj := sh.spo[t.Subject]
 	lst := bySubj[t.Predicate]
-	i, ok := factIndex(lst, key.Object)
+	i, ok := SearchRows(lst, key)
 	if !ok {
 		return false
 	}
@@ -730,9 +731,11 @@ func (g *Graph) Retract(t Triple) bool {
 		}
 	}
 	sh.triples--
-	g.pomRemove(t.Predicate, key.Object, t.Subject)
+	g.pomRemove(t.Predicate, key, t.Subject)
 
-	sh.log.append(Mutation{Seq: g.seq.Add(1), Op: OpRetract, T: t})
+	row := rowOf(key, t.Prov)
+	row.op = OpRetract
+	sh.log.append(logEntry{seq: g.seq.Add(1), subj: t.Subject, pred: t.Predicate, row: row})
 	return true
 }
 
@@ -742,31 +745,31 @@ func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	bySubj := sh.spo[subj]
-	if bySubj == nil {
+	rows := sh.spo[subj][pred]
+	if rows == nil {
 		return nil
 	}
-	ts := bySubj[pred]
-	out := make([]Triple, len(ts))
-	copy(out, ts)
+	out := make([]Triple, len(rows))
+	for i := range rows {
+		rows[i].fill(&out[i], subj, pred)
+	}
 	return out
 }
 
 // FactsFunc streams the (subj, pred) triples to fn in object-key order
 // under the subject shard's read lock, stopping early if fn returns
-// false. It is the copy-free counterpart of Facts for callers that filter
-// or aggregate and would discard the slice. fn must not mutate the graph
-// or read its triple indexes; it may read the dictionaries (see Visitor
-// callbacks on Graph).
+// false. It is the allocation-free counterpart of Facts for callers that
+// filter or aggregate and would discard the slice. fn must not mutate the
+// graph or read its triple indexes; it may read the dictionaries (see
+// Visitor callbacks on Graph).
 func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	bySubj := sh.spo[subj]
-	if bySubj == nil {
-		return
-	}
-	for _, t := range bySubj[pred] {
+	rows := sh.spo[subj][pred]
+	var t Triple
+	for i := range rows {
+		rows[i].fill(&t, subj, pred)
 		if !fn(t) {
 			return
 		}
@@ -796,17 +799,17 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 	)
 	for {
 		sh.mu.RLock()
-		ts := sh.spo[subj][pred]
-		i, found := factIndex(ts, after)
+		rows := sh.spo[subj][pred]
+		i, found := SearchRows(rows, after)
 		if found {
 			i++
 		}
-		end := min(i+chunkSize, len(ts))
-		if buf == nil {
-			buf = make([]Triple, 0, end-i)
+		end := min(i+chunkSize, len(rows))
+		buf = slices.Grow(buf[:0], end-i)[:end-i]
+		for j := range buf {
+			rows[i+j].fill(&buf[j], subj, pred)
 		}
-		buf = append(buf[:0], ts[i:end]...)
-		done := end == len(ts)
+		done := end == len(rows)
 		sh.mu.RUnlock()
 		if len(buf) == 0 || !fn(buf) || done {
 			return
@@ -838,8 +841,10 @@ func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for _, ts := range sh.spo[subj] {
-		for _, t := range ts {
+	var t Triple
+	for pred, rows := range sh.spo[subj] {
+		for i := range rows {
+			rows[i].fill(&t, subj, pred)
 			if !fn(t) {
 				return
 			}
@@ -852,7 +857,7 @@ func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := factIndex(sh.spo[subj][pred], obj.MapKey())
+	_, ok := SearchRows(sh.spo[subj][pred], obj.MapKey())
 	return ok
 }
 
@@ -889,10 +894,12 @@ func (g *Graph) NumTriples() int {
 func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
 	g.rlockAll()
 	defer g.runlockAll()
+	var t Triple
 	for i := range g.shards {
-		for _, bySubj := range g.shards[i].spo {
-			for _, ts := range bySubj {
-				for _, t := range ts {
+		for subj, bySubj := range g.shards[i].spo {
+			for pred, rows := range bySubj {
+				for j := range rows {
+					rows[j].fill(&t, subj, pred)
 					if !fn(t) {
 						return g.seq.Load()
 					}
@@ -933,7 +940,12 @@ func (g *Graph) allTriplesLocked() []Triple {
 		}
 		slices.Sort(preds)
 		for _, p := range preds {
-			out = append(out, bySubj[p]...) // already in object-key order
+			rows := bySubj[p] // already in object-key order
+			n := len(out)
+			out = slices.Grow(out, len(rows))[:n+len(rows)]
+			for i := range rows {
+				rows[i].fill(&out[n+i], s, p)
+			}
 		}
 	}
 	return out
@@ -990,9 +1002,9 @@ func (g *Graph) appendMutationsSince(dst []Mutation, seq uint64) []Mutation {
 		if c == len(log.chunks) {
 			continue
 		}
-		first = min(first, log.chunks[c][off].Seq)
+		first = min(first, log.chunks[c][off].seq)
 		tail := log.chunks[len(log.chunks)-1]
-		last = max(last, tail[len(tail)-1].Seq)
+		last = max(last, tail[len(tail)-1].seq)
 		total -= off
 		for _, chunk := range log.chunks[c:] {
 			total += len(chunk)
@@ -1013,7 +1025,7 @@ func (g *Graph) appendMutationsSince(dst []Mutation, seq uint64) []Mutation {
 		for ; c < len(log.chunks); c, off = c+1, 0 {
 			chunk := log.chunks[c][off:]
 			for j := range chunk {
-				out[chunk[j].Seq-first] = chunk[j]
+				chunk[j].fill(&out[chunk[j].seq-first])
 			}
 		}
 	}

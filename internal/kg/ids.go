@@ -1,7 +1,7 @@
 // Package kg implements the core knowledge-graph data model used by the
 // Saga reproduction: entities, predicates, literals, triples with
 // provenance, an ontology type hierarchy, and an in-memory triple store
-// with SPO/POS/OSP indexes and a mutation log.
+// with a subject-major and a predicate-major index and a mutation log.
 //
 // Everything else in the repository (graph engine, embeddings,
 // annotation, ODKE, on-device construction) is layered on top of this

@@ -62,7 +62,7 @@ func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
 		sh := &g.shards[i]
 		sh.mu.RLock()
 		for subj, bySubj := range sh.spo {
-			if _, ok := factIndex(bySubj[pred], key); ok {
+			if _, ok := SearchRows(bySubj[pred], key); ok {
 				out = append(out, subj)
 			}
 		}
@@ -83,7 +83,7 @@ func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Va
 		for subj, bySubj := range g.shards[i].spo {
 			for p, ts := range bySubj {
 				for j := 1; j < len(ts); j++ {
-					if ts[j-1].Object.MapKey().Compare(ts[j].Object.MapKey()) >= 0 {
+					if ts[j-1].Key().Compare(ts[j].Key()) >= 0 {
 						t.Fatalf("fact list (%v, %v) not strictly ascending by object key at %d", subj, p, j)
 					}
 				}

@@ -23,6 +23,8 @@ type Provenance struct {
 }
 
 // Triple is a single fact: subject, predicate, object, with provenance.
+// It is the form facts go into and come out of the graph in; the graph
+// stores each one as a FactRow and builds Triples from rows on reads.
 type Triple struct {
 	Subject   EntityID
 	Predicate PredicateID
@@ -97,10 +99,11 @@ func (op MutationOp) String() string {
 	}
 }
 
-// Mutation is one entry in the graph's mutation log. The log gives
-// downstream consumers (materialized views, annotation freshness, sync)
-// a totally ordered change feed, which is how Saga's streaming
-// construction path exposes updates.
+// Mutation is one entry of the graph's mutation log, as MutationsSince
+// and a Changefeed hand it out (the log itself stores compact entries,
+// see mutlog.go). The log gives downstream consumers (materialized views,
+// annotation freshness, sync) a totally ordered change feed, which is how
+// Saga's streaming construction path exposes updates.
 type Mutation struct {
 	// Seq is the 1-based sequence number of the mutation.
 	Seq uint64

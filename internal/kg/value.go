@@ -76,8 +76,16 @@ func IntValue(n int64) Value { return Value{Kind: KindInt, Num: n} }
 // FloatValue returns a float-literal Value.
 func FloatValue(f float64) Value { return Value{Kind: KindFloat, Flt: f} }
 
-// TimeValue returns a timestamp-literal Value.
+// TimeValue returns a timestamp-literal Value. A time literal is carried
+// as its UnixNano, so only instants from 1677-09-21T00:12:43.145224192Z
+// to 2262-04-11T23:47:16.854775807Z can be stored (see TimeInRange); the
+// graph refuses to assert any other.
 func TimeValue(t time.Time) Value { return Value{Kind: KindTime, TS: t.UTC()} }
+
+// TimeInRange reports whether t's UnixNano denotes t — whether the graph,
+// its log and the write-ahead log, which all carry a time as UnixNano,
+// can hold it. Outside the range UnixNano wraps around silently.
+func TimeInRange(t time.Time) bool { return time.Unix(0, t.UnixNano()).Equal(t) }
 
 // BoolValue returns a boolean-literal Value.
 func BoolValue(b bool) Value {
@@ -162,20 +170,28 @@ func (v Value) MapKey() ValueKey {
 // UTC instant of the stored UnixNano. The predicate-major index uses it
 // to enumerate (object, subject) pairs without storing Values twice;
 // reconstructed triples carry no provenance.
-func (k ValueKey) Value() Value {
+func (k ValueKey) Value() (v Value) {
+	k.fill(&v)
+	return v
+}
+
+// fill overwrites *v with the Value k denotes, in place (see
+// FactRow.fill for why).
+func (k ValueKey) fill(v *Value) {
+	*v = Value{Kind: k.Kind}
 	switch k.Kind {
 	case KindEntity:
-		return Value{Kind: KindEntity, Entity: EntityID(k.Num)}
+		v.Entity = EntityID(k.Num)
 	case KindString:
-		return Value{Kind: KindString, Str: k.Str}
+		v.Str = k.Str
 	case KindInt, KindBool:
-		return Value{Kind: k.Kind, Num: k.Num}
+		v.Num = k.Num
 	case KindFloat:
-		return Value{Kind: KindFloat, Flt: math.Float64frombits(uint64(k.Num))}
+		v.Flt = math.Float64frombits(uint64(k.Num))
 	case KindTime:
-		return Value{Kind: KindTime, TS: time.Unix(0, k.Num).UTC()}
+		v.TS = time.Unix(0, k.Num).UTC()
 	default:
-		return Value{}
+		v.Kind = 0
 	}
 }
 

@@ -141,12 +141,13 @@ func (x *InfoboxExtractor) Extract(doc *webcorpus.Document, _ []annotate.Annotat
 }
 
 // parseValue converts an infobox string into a typed Value per the
-// predicate's declared kind.
+// predicate's declared kind. A date the graph cannot hold (see
+// kg.TimeInRange) is refused like an unparseable one.
 func (x *InfoboxExtractor) parseValue(pred *kg.Predicate, raw string) (kg.Value, bool) {
 	switch pred.ValueKind {
 	case kg.KindTime:
 		ts, err := time.Parse("2006-01-02", raw)
-		if err != nil {
+		if err != nil || !kg.TimeInRange(ts) {
 			return kg.Value{}, false
 		}
 		return kg.TimeValue(ts), true

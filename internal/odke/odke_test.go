@@ -550,3 +550,32 @@ func TestRunDurabilityBarrier(t *testing.T) {
 }
 
 var errBarrier = errors.New("sync failed")
+
+// The infobox extractor parses any 2006-01-02 date, but the graph carries
+// a time as UnixNano, which wraps outside 1677-2262: a date of birth of
+// 1452-04-15 would come back as 2036-11-02. Such a date is refused like
+// an unparseable one; an ordinary one still parses.
+func TestInfoboxRefusesDatesTheGraphCannotHold(t *testing.T) {
+	g := kg.NewGraph()
+	subj, err := g.AddEntity(kg.Entity{Key: "leonardo", Name: "Leonardo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dob, err := g.AddPredicate(kg.Predicate{Name: "dateOfBirth", ValueKind: kg.KindTime, Functional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := NewInfoboxExtractor(g, NewEntityResolver(g))
+	gap := Gap{Subject: subj, Predicate: dob}
+	extract := func(date string) []CandidateFact {
+		doc := &webcorpus.Document{ID: "d", Infobox: map[string]string{"dateOfBirth": date}, InfoboxSubject: subj}
+		return x.Extract(doc, nil, gap)
+	}
+	if got := extract("1452-04-15"); len(got) != 0 {
+		t.Fatalf("extracted %v from a date outside the graph's range", got[0].Value.TS)
+	}
+	got := extract("1985-06-01")
+	if len(got) != 1 || !got[0].Value.TS.Equal(time.Date(1985, 6, 1, 0, 0, 0, 0, time.UTC)) {
+		t.Fatalf("extracted %v from 1985-06-01", got)
+	}
+}

@@ -15,8 +15,8 @@
 # in saga or internal/server would otherwise break the benchmark
 # silently), a few seconds of native fuzzing on the wire encoder's and the
 # two wire decoders' targets, on the two kernels' and the tokenizer's
-# differential targets, on the fact set's model-based one and on the model
-# file reader's, and a short open-loop load smoke against an in-process
+# differential targets, on the fact set's model-based one, on the stored
+# fact row's round trip and on the model file reader's, and a short open-loop load smoke against an in-process
 # server (kgload -smoke: zero 5xx, zero transport errors, p99
 # of admitted requests under the read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
@@ -86,6 +86,7 @@ go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime "${FUZZTIME:-5s}" ./i
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
+go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzTriStep$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime "${FUZZTIME:-5s}" ./internal/embedding/
