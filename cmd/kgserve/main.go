@@ -75,13 +75,15 @@
 // constant-arrival-rate workload and misbehaving-client fault modes.
 //
 // With -data-dir the graph is durable: a fresh directory is seeded from
-// the generated world (checkpointed on startup), an existing one is
-// recovered — checkpoint load plus write-ahead-log replay — and served
-// in place of a fresh generation. Durable platforms additionally serve
-// point-in-time reads: "as_of": <watermark> in a /query body evaluates
-// against the graph as of that mutation watermark, reconstructed from
-// retained checkpoints plus the log. SIGINT/SIGTERM drain in-flight
-// requests, then flush and close the log.
+// the generated world (a full checkpoint on startup), an existing one is
+// recovered — the newest checkpoint's chain (a full checkpoint and the
+// deltas after it) plus write-ahead-log replay — and served in place of
+// a fresh generation. Durable platforms additionally serve point-in-time
+// reads: "as_of": <watermark> in a /query body evaluates against the
+// graph as of that mutation watermark, reconstructed from retained
+// checkpoints plus the log. SIGINT/SIGTERM drain in-flight requests,
+// then checkpoint — a delta of what the session changed, nothing after
+// a read-only one — and flush and close the log.
 //
 // Usage:
 //

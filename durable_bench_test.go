@@ -10,8 +10,9 @@ import (
 // BenchmarkE16Durable measures what durability costs (experiment E16,
 // report-only — excluded from the benchcmp gate): bulk ingest of a
 // 64K-triple graph with the WAL off, with fsync-per-commit, and with
-// fsync deferred (SyncNever), plus the restart axis — recovering the
-// checkpointed graph versus re-ingesting it from scratch.
+// fsync deferred (SyncNever), the restart axis — recovering the
+// checkpointed graph versus re-ingesting it from scratch — and the
+// checkpoint axis: a full checkpoint against a delta after 1 % churn.
 const (
 	e16Triples  = 1 << 16
 	e16Entities = 4096
@@ -167,4 +168,83 @@ func BenchmarkE16Durable(b *testing.B) {
 		}
 		b.ReportMetric(float64(e16Triples), "triples/op")
 	})
+	// Checkpoint axis: one checkpoint of the graph after 1 % churn — 328
+	// facts retracted, the 328 retracted the round before asserted again —
+	// written full, and as a delta chained to the previous checkpoint
+	// (in-memory FaultFS, so the figures are CPU and bytes, not the
+	// disk). ckpt_bytes/op is what the checkpoint writes.
+	for _, mode := range []string{"full", "delta-1pct"} {
+		b.Run("checkpoint/"+mode, func(b *testing.B) {
+			fs := wal.NewFaultFS(16)
+			g := kg.NewGraph()
+			m, _, err := wal.Open("/e16", g, wal.Options{FS: fs, Sync: wal.SyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			triples := e16Seed(b, g)
+			e16Ingest(b, g, m, triples)
+			checkpoint := func() {
+				if _, err := m.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			commit := func() {
+				if _, err := m.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			checkpoint()
+			// A log truncated past the previous checkpoint forces a full one.
+			forceFull := func() {
+				commit()
+				g.TruncateLog(g.LastSeq())
+			}
+			const churn = e16Triples / 200
+			round := func(i int) {
+				for j := 0; j < churn; j++ {
+					if i > 0 {
+						if err := g.Assert(triples[((i-1)*churn+j)%e16Triples]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					g.Retract(triples[(i*churn+j)%e16Triples])
+				}
+			}
+			round(0)
+			commit()
+			checkpoint()
+			var written int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				b.StopTimer()
+				if mode != "full" && i%64 == 0 {
+					// Restart the chain before the compaction rule would, so
+					// every timed checkpoint is one delta over a full one.
+					spacer := kg.Triple{Subject: triples[0].Subject, Predicate: triples[0].Predicate, Object: kg.IntValue(-1)}
+					if err := g.Assert(spacer); err != nil {
+						b.Fatal(err)
+					}
+					g.Retract(spacer)
+					forceFull()
+					checkpoint()
+				}
+				round(i)
+				if mode == "full" {
+					forceFull()
+				} else {
+					commit()
+				}
+				before := fs.BytesAccepted()
+				b.StartTimer()
+				checkpoint()
+				written += fs.BytesAccepted() - before
+			}
+			b.ReportMetric(float64(written)/float64(b.N), "ckpt_bytes/op")
+			b.StopTimer()
+			if err := m.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

@@ -208,9 +208,11 @@ func (sh *graphShard) init() {
 // guaranteed to restore a watermark-consistent prefix that includes every
 // mutation at or below the WAL's acknowledged-durable watermark
 // (wal.Manager.DurableLSN); see the internal/wal package documentation.
-// Recovery loads the newest durable checkpoint through the AssertBatch
-// merge-append path, fast-forwards the watermark with AdvanceWatermark,
-// and replays the log suffix.
+// A checkpoint other than a full one is the net change of a log window
+// since the previous checkpoint, folded by NetChangeSince. Recovery loads
+// a full checkpoint through the AssertBatch merge-append path and applies
+// each delta after it, fast-forwards the watermark with
+// AdvanceWatermark, and replays the log suffix.
 type Graph struct {
 	ontology *Ontology
 

@@ -74,14 +74,15 @@ func (m *Manager) SnapshotAt(asOf uint64) (base *kg.Graph, suffix []kg.Mutation,
 }
 
 // loadBaseLocked returns the (cached) immutable base graph for the
-// checkpoint at watermark wm — the empty graph when haveCkpt is false.
+// checkpoint at watermark wm, restored through its chain — the empty
+// graph when haveCkpt is false.
 func (m *Manager) loadBaseLocked(wm uint64, haveCkpt bool) (*kg.Graph, error) {
 	if g, ok := m.asofBases[wm]; ok {
 		return g, nil
 	}
 	g := kg.NewGraph()
 	if haveCkpt {
-		if err := loadCheckpoint(m.fs, m.dir, ckptName(wm), wm, g); err != nil {
+		if err := loadChain(m.fs, m.dir, wm, g); err != nil {
 			return nil, fmt.Errorf("wal: load as-of base %s: %w", ckptName(wm), err)
 		}
 	}
@@ -195,28 +196,35 @@ func (m *Manager) scanSegmentMutations(gen uint64, muts *[]kg.Mutation, last *ui
 // readSegFirstLSN reads a segment's header firstLSN without replaying
 // it, for rebuilding the segment index on Open.
 func readSegFirstLSN(fs FS, path string) (uint64, error) {
-	rc, err := fs.OpenRead(path)
+	p, err := readFirstRecord(fs, path)
 	if err != nil {
 		return 0, err
 	}
+	if p[0] != recSegmentHeader {
+		return 0, fmt.Errorf("wal: %s: first record is not a segment header", path)
+	}
+	h, err := decSegHeader(p)
+	return h.firstLSN, err
+}
+
+// readFirstRecord returns a copy of the payload of the first record of
+// the file at path, reading no further than its frame.
+func readFirstRecord(fs FS, path string) ([]byte, error) {
+	rc, err := fs.OpenRead(path)
+	if err != nil {
+		return nil, err
+	}
 	defer rc.Close()
-	var first uint64
+	var first []byte
 	_, serr := scanFrames(path, io.LimitReader(rc, 1<<16), func(p []byte) error {
-		if len(p) == 0 || p[0] != recSegmentHeader {
-			return fmt.Errorf("wal: %s: first record is not a segment header", path)
-		}
-		h, err := decSegHeader(p)
-		if err != nil {
-			return err
-		}
-		first = h.firstLSN
+		first = append([]byte(nil), p...)
 		return errStopScan
 	})
-	if errors.Is(serr, errStopScan) {
+	switch {
+	case errors.Is(serr, errStopScan):
 		return first, nil
+	case serr != nil:
+		return nil, serr
 	}
-	if serr != nil {
-		return 0, serr
-	}
-	return 0, fmt.Errorf("wal: %s: empty segment", path)
+	return nil, fmt.Errorf("wal: %s: empty file", path)
 }

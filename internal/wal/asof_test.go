@@ -26,6 +26,26 @@ func ckptEvery(t *testing.T, s *scripted, m *Manager, steps, every int) []uint64
 	return wms
 }
 
+// chainFiles counts the checkpoint files the chains of the checkpoints
+// at wms name, reading each header from disk.
+func chainFiles(t *testing.T, fs FS, wms ...uint64) int {
+	t.Helper()
+	seen := make(map[uint64]bool)
+	for _, w := range wms {
+		for !seen[w] {
+			seen[w] = true
+			h, err := readCkptHeader(fs, testDir, w)
+			if err != nil {
+				t.Fatalf("%s: %v", ckptName(w), err)
+			}
+			if h.base != 0 {
+				w = h.base
+			}
+		}
+	}
+	return len(seen)
+}
+
 // TestSnapshotAtReconstructs checks SnapshotAt's contract across the
 // retention window: the base graph is exactly the replayed prefix up to
 // the chosen checkpoint, and the suffix read back from the on-disk
@@ -144,8 +164,8 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 			ckptFiles++
 		}
 	}
-	if ckptFiles != 2 {
-		t.Fatalf("disk holds %d checkpoints, want 2 (files: %v)", ckptFiles, names)
+	if want := chainFiles(t, fs, wms[len(wms)-2:]...); ckptFiles != want {
+		t.Fatalf("disk holds %d checkpoints, want the 2 retained and their chains' %d files (files: %v)", ckptFiles, want, names)
 	}
 
 	g2, m2, info := mustOpen(t, fs, Options{Sync: SyncEachCommit, RetainCheckpoints: 2})

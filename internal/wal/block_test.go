@@ -1,12 +1,10 @@
 package wal
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -81,83 +79,79 @@ func TestTripleBlockTruncation(t *testing.T) {
 	}
 }
 
-// Checkpoints written before block framing carried one triple per frame
-// (recTriple). Rewrite a current checkpoint into that format on disk and
-// recover from it: the restored graph must be identical.
-func TestOldSingleTripleCheckpointRestores(t *testing.T) {
-	fs := NewFaultFS(23)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit})
-	s := newScripted(t, g, 23)
-	for i := 0; i < 200; i++ {
+// A checkpoint written before checkpoints were chained has the same
+// records under a five-field header — no base, no retraction count.
+// Frame one by hand from a scripted graph: it must open as a full
+// checkpoint, and the next checkpoint must chain to it.
+func TestUnchainedCheckpointOpensAsFull(t *testing.T) {
+	src := kg.NewGraphWithShards(4)
+	s := newScripted(t, src, 31)
+	for i := 0; i < 300; i++ {
 		s.step()
 	}
-	if _, err := m.Checkpoint(); err != nil {
+	ts, wm := src.AllTriplesSnapshot()
+	ont := src.Ontology()
+	hdr := []byte{recCheckpointHeader}
+	for _, v := range []uint64{wm, uint64(src.NumEntities()), uint64(src.NumPredicates()), uint64(ont.Len()), uint64(len(ts))} {
+		hdr = binary.LittleEndian.AppendUint64(hdr, v)
+	}
+	file := appendFrame(nil, hdr)
+	for id := kg.TypeID(1); int(id) <= ont.Len(); id++ {
+		file = appendFrame(file, encOntType(nil, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)}))
+	}
+	for id := kg.EntityID(1); int(id) <= src.NumEntities(); id++ {
+		file = appendFrame(file, encEntity(nil, src.Entity(id)))
+	}
+	for id := kg.PredicateID(1); int(id) <= src.NumPredicates(); id++ {
+		file = appendFrame(file, encPredicate(nil, src.Predicate(id)))
+	}
+	for start := 0; start < len(ts); start += ckptTripleBlockSize {
+		file = appendFrame(file, encTripleBlock(nil, ts[start:min(start+ckptTripleBlockSize, len(ts))]))
+	}
+	file = appendFrame(file, encCkptFooter(nil, ckptFooter{watermark: wm, nTriples: uint64(len(ts))}))
+
+	fs := NewFaultFS(31)
+	if err := fs.MkdirAll(testDir); err != nil {
 		t.Fatal(err)
+	}
+	f, err := fs.Create(filepath.Join(testDir, ckptName(wm)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(file); err != nil {
+		t.Fatal(err)
+	}
+	g, m, info := mustOpen(t, fs, Options{})
+	if info.CheckpointLSN != wm || info.RecoveredLSN != wm {
+		t.Fatalf("recovered checkpoint %d to LSN %d, want %d", info.CheckpointLSN, info.RecoveredLSN, wm)
+	}
+	if f := m.files[wm]; f.base != 0 || f.rows != 0 {
+		t.Fatalf("unchained checkpoint indexed as %+v, want a full one", f)
+	}
+	sameTriples(t, src, g)
+	sameDicts(t, src, g)
+
+	// The next checkpoint is a delta over it, and recovers through it.
+	if !g.Retract(ts[0]) {
+		t.Fatal("retract failed")
+	}
+	if err := g.Assert(kg.Triple{Subject: ts[0].Subject, Predicate: ts[0].Predicate, Object: kg.StringValue("after")}); err != nil {
+		t.Fatal(err)
+	}
+	wm2, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := m.files[wm2].base; base != wm {
+		t.Fatalf("checkpoint at %d has base %d, want the unchained checkpoint %d", wm2, base, wm)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantTriples, wantWM := g.AllTriplesSnapshot()
-
-	names, _ := fs.ReadDir(testDir)
-	rewrote := false
-	for _, n := range names {
-		if !strings.HasPrefix(n, ckptPrefix) {
-			continue
-		}
-		p := filepath.Join(testDir, n)
-		r, err := fs.OpenRead(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(r)
-		r.Close()
-		var old []byte
-		blocks := 0
-		if _, err := scanFrames(n, bytes.NewReader(data), func(payload []byte) error {
-			if payload[0] != recTripleBlock {
-				old = appendFrame(old, payload)
-				return nil
-			}
-			blocks++
-			return decTripleBlock(payload, func(tr kg.Triple) error {
-				old = appendFrame(old, encTriple(nil, tr))
-				return nil
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if blocks == 0 {
-			t.Fatal("checkpoint contains no triple blocks — writer no longer block-frames")
-		}
-		f, err := fs.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(old); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		rewrote = true
-	}
-	if !rewrote {
-		t.Fatal("no checkpoint file found")
-	}
-
-	g2, m2, info := mustOpen(t, fs, Options{})
+	g2, m2, _ := mustOpen(t, fs, Options{})
 	defer m2.Close()
-	if info.CheckpointLSN != wantWM {
-		t.Fatalf("recovered checkpoint LSN %d, want %d", info.CheckpointLSN, wantWM)
-	}
-	gotTriples, _ := g2.AllTriplesSnapshot()
-	if len(gotTriples) != len(wantTriples) {
-		t.Fatalf("restored %d triples, want %d", len(gotTriples), len(wantTriples))
-	}
-	for i := range wantTriples {
-		if gotTriples[i].IdentityKey() != wantTriples[i].IdentityKey() {
-			t.Fatalf("triple %d: %v, want %v", i, gotTriples[i].IdentityKey(), wantTriples[i].IdentityKey())
-		}
-	}
+	sameTriples(t, g, g2)
+	sameDicts(t, g, g2)
 }
 
 // A checkpoint of a graph larger than one block must still restore

@@ -60,11 +60,20 @@ func crashPoints() int {
 
 const scenarioSteps = 400
 
+// The checkpoint schedule: a full checkpoint over the first 150 steps,
+// two deltas chained to it, then — after a burst retracting most facts —
+// a checkpoint the chain rule compacts to a full one. Kill points land
+// inside delta writes and recoveries run through a chain.
+var scenarioCheckpoints = map[int]bool{149: true, 199: true, 249: true, 349: true}
+
+const scenarioBurst = 300
+
 // runScenario drives the scripted workload for one seed over fs until it
 // completes or the first injected failure, returning the writer graph
-// (with its full mutation history) and the fsync-acknowledged watermark
-// at the moment of death.
-func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, applied uint64, ackedPops, finalPops map[kg.EntityID]float64) {
+// (with its full mutation history), the fsync-acknowledged watermark at
+// the moment of death, and the kind of every checkpoint taken in order
+// ("F" full, "D" delta).
+func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, applied uint64, ackedPops, finalPops map[kg.EntityID]float64, kinds string) {
 	t.Helper()
 	g = kg.NewGraphWithShards(4)
 	m, _, err := Open(testDir, g, Options{FS: fs, Sync: SyncEachCommit, KeepGraphLog: true})
@@ -72,18 +81,26 @@ func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, app
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("Open failed with a non-injected error: %v", err)
 		}
-		return g, 0, g.LastSeq(), nil, nil
+		return g, 0, g.LastSeq(), nil, nil, ""
 	}
 	s := newScripted(t, g, seed)
 	broken := false
 	for i := 0; i < scenarioSteps; i++ {
 		s.step()
+		if i == scenarioBurst {
+			s.retractMost()
+		}
 		var err error
 		synced := false
 		switch {
-		case i%90 == 89:
+		case scenarioCheckpoints[i]:
 			_, err = m.Checkpoint()
 			synced = err == nil
+			if synced && m.files[m.ckptLSN].base != 0 {
+				kinds += "D"
+			} else if synced {
+				kinds += "F"
+			}
 		case i%7 == 6:
 			_, err = m.Commit()
 			synced = err == nil
@@ -107,7 +124,7 @@ func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, app
 			t.Fatalf("Close failed with a non-injected error: %v", err)
 		}
 	}
-	return g, m.DurableLSN(), g.LastSeq(), ackedPops, s.snapshotPops()
+	return g, m.DurableLSN(), g.LastSeq(), ackedPops, s.snapshotPops(), kinds
 }
 
 // checkRecovery reopens the crashed image and enforces the matrix
@@ -195,10 +212,13 @@ func TestCrashMatrixWriteKills(t *testing.T) {
 			t.Parallel()
 			// Probe: full run, no faults, to learn the byte budget.
 			probe := NewFaultFS(seed)
-			runScenario(t, seed, probe)
+			_, _, _, _, _, kinds := runScenario(t, seed, probe)
 			total := probe.BytesAccepted()
 			if total == 0 {
 				t.Fatal("probe run wrote nothing")
+			}
+			if !strings.Contains(kinds, "DD") || !strings.Contains(kinds, "DF") {
+				t.Fatalf("probe run took checkpoints %q: want two chained deltas and a compaction to full", kinds)
 			}
 			points := crashPoints()
 			stride := total / int64(points)
@@ -208,7 +228,7 @@ func TestCrashMatrixWriteKills(t *testing.T) {
 			for off := int64(0); off <= total; off += stride {
 				fs := NewFaultFS(seed)
 				fs.SetWriteBudget(off)
-				writer, acked, applied, ackedPops, finalPops := runScenario(t, seed, fs)
+				writer, acked, applied, ackedPops, finalPops, _ := runScenario(t, seed, fs)
 				checkRecovery(t, fmt.Sprintf("seed=%d kill@%d/%d", seed, off, total),
 					writer, acked, applied, ackedPops, finalPops, fs.Crash())
 			}
@@ -222,12 +242,13 @@ func TestCrashMatrixSyncFailures(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			// Every sync count up to the cap: sync #n fails and the
-			// process dies with it.
-			const maxSyncs = 30
+			// process dies with it. The cap reaches through the second
+			// delta of the schedule.
+			const maxSyncs = 56
 			for n := 0; n < maxSyncs; n++ {
 				fs := NewFaultFS(seed)
 				fs.SetSyncBudget(n)
-				writer, acked, applied, ackedPops, finalPops := runScenario(t, seed, fs)
+				writer, acked, applied, ackedPops, finalPops, _ := runScenario(t, seed, fs)
 				checkRecovery(t, fmt.Sprintf("seed=%d sync-fail@%d", seed, n),
 					writer, acked, applied, ackedPops, finalPops, fs.Crash())
 			}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"saga/internal/kg"
@@ -40,8 +41,8 @@ const (
 	recPredicate        = 3 // predicate-dictionary delta
 	recOntType          = 4 // ontology-type delta
 	recMutation         = 5 // one graph mutation (LSN, op, triple)
-	recCheckpointHeader = 6 // watermark + expected record counts
-	recTriple           = 7 // one checkpointed triple (no LSN)
+	recCheckpointHeader = 6 // watermark, base, expected record counts
+	// 7 was a one-triple checkpoint record, written before triple blocks.
 	recCheckpointFooter = 8 // watermark + triple count; validity marker
 	recTripleBlock      = 9 // many checkpointed triples in one CRC frame
 	// recEntityUpdate is an in-place entity record update (SetPopularity/
@@ -49,6 +50,7 @@ const (
 	// existing record (ReplaceEntity) where recEntity verifies-or-
 	// registers and never modifies an existing ID.
 	recEntityUpdate = 10
+	recKeyBlock     = 11 // fact keys a checkpoint retracts from its base
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -109,12 +111,18 @@ func scanFrames(path string, r io.Reader, fn func(payload []byte) error) (good i
 		if length == 0 || length > maxRecordSize {
 			return good, &CorruptError{Path: path, Offset: good, Reason: fmt.Sprintf("implausible payload length %d", length)}
 		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if n, rerr := io.ReadFull(r, buf); rerr != nil {
-			return good, &CorruptError{Path: path, Offset: good, Reason: fmt.Sprintf("short payload (%d of %d bytes)", n, length)}
+		// The buffer grows with the bytes that arrive, at most doubling,
+		// not to the length the header claims: a corrupt length must not
+		// allocate hundreds of megabytes ahead of a short payload.
+		buf = buf[:0]
+		for len(buf) < int(length) {
+			step := min(int(length)-len(buf), max(len(buf), 64<<10))
+			buf = slices.Grow(buf, step)
+			n, rerr := io.ReadFull(r, buf[len(buf):len(buf)+step])
+			buf = buf[:len(buf)+n]
+			if rerr != nil {
+				return good, &CorruptError{Path: path, Offset: good, Reason: fmt.Sprintf("short payload (%d of %d bytes)", len(buf), length)}
+			}
 		}
 		if crc32.Checksum(buf, crcTable) != sum {
 			return good, &CorruptError{Path: path, Offset: good, Reason: "CRC mismatch"}
@@ -335,12 +343,7 @@ func decOntType(p []byte) (ontRec, error) {
 // times as UTC UnixNano — sub-year-1678 / post-2262 instants are outside
 // the representable range, like everywhere else UnixNano is used).
 func appendTripleBody(dst []byte, t kg.Triple) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Subject))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Predicate))
-	k := t.Object.MapKey()
-	dst = append(dst, byte(k.Kind))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(k.Num))
-	dst = appendStr(dst, k.Str)
+	dst = appendTripleKey(dst, t.IdentityKey())
 	dst = appendStr(dst, t.Prov.Source)
 	dst = appendF64(dst, t.Prov.Confidence)
 	dst = appendF64(dst, t.Prov.SourceQuality)
@@ -351,15 +354,31 @@ func appendTripleBody(dst []byte, t kg.Triple) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(t.Prov.ObservedAt.UnixNano()))
 }
 
-func (d *dec) tripleBody() kg.Triple {
-	t := kg.Triple{
+// appendTripleKey encodes a fact's identity: subject, predicate and the
+// object's ValueKey — the head of a triple body, and all of a key block's
+// entry.
+func appendTripleKey(dst []byte, k kg.TripleKey) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k.Subject))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k.Predicate))
+	dst = append(dst, byte(k.Object.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(k.Object.Num))
+	return appendStr(dst, k.Object.Str)
+}
+
+func (d *dec) tripleKey() kg.TripleKey {
+	k := kg.TripleKey{
 		Subject:   kg.EntityID(d.u32()),
 		Predicate: kg.PredicateID(d.u32()),
 	}
-	k := kg.ValueKey{Kind: kg.ValueKind(d.u8())}
-	k.Num = d.i64()
-	k.Str = d.str()
-	t.Object = k.Value()
+	k.Object.Kind = kg.ValueKind(d.u8())
+	k.Object.Num = d.i64()
+	k.Object.Str = d.str()
+	return k
+}
+
+func (d *dec) tripleBody() kg.Triple {
+	k := d.tripleKey()
+	t := kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}
 	t.Prov.Source = d.str()
 	t.Prov.Confidence = d.f64()
 	t.Prov.SourceQuality = d.f64()
@@ -387,17 +406,6 @@ func decMutation(p []byte) (kg.Mutation, error) {
 		return kg.Mutation{}, fmt.Errorf("wal: decode mutation: unknown op %d", m.Op)
 	}
 	return m, nil
-}
-
-func encTriple(dst []byte, t kg.Triple) []byte {
-	dst = append(dst, recTriple)
-	return appendTripleBody(dst, t)
-}
-
-func decTriple(p []byte) (kg.Triple, error) {
-	d := &dec{b: p, off: 1}
-	t := d.tripleBody()
-	return t, d.done("triple")
 }
 
 // encTripleBlock encodes a batch of checkpointed triples into one
@@ -432,12 +440,47 @@ func decTripleBlock(p []byte, fn func(kg.Triple) error) error {
 	return d.done("triple block")
 }
 
+// encKeyBlock encodes a batch of retracted fact keys into one payload:
+// type byte, u32 count, then the keys back to back.
+func encKeyBlock(dst []byte, ks []kg.TripleKey) []byte {
+	dst = append(dst, recKeyBlock)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ks)))
+	for _, k := range ks {
+		dst = appendTripleKey(dst, k)
+	}
+	return dst
+}
+
+// decKeyBlock decodes a key-block payload, invoking fn per key, with the
+// failure semantics of decTripleBlock.
+func decKeyBlock(p []byte, fn func(kg.TripleKey) error) error {
+	d := &dec{b: p, off: 1}
+	n := d.u32()
+	for i := uint32(0); i < n; i++ {
+		k := d.tripleKey()
+		if d.err != nil {
+			break
+		}
+		if err := fn(k); err != nil {
+			return err
+		}
+	}
+	return d.done("key block")
+}
+
+// ckptHeader opens a checkpoint. A checkpoint at watermark W with base B
+// holds the net change (B, W] over the checkpoint at B — the keys it
+// retracts, the facts it adds, and the dictionary entries and entity
+// records new or updated since; base 0 means a full checkpoint, which
+// retracts nothing. The dictionary counts are totals at W.
 type ckptHeader struct {
 	watermark uint64
 	nEntities uint64
 	nPreds    uint64
 	nOntTypes uint64
-	nTriples  uint64
+	nTriples  uint64 // facts added
+	base      uint64
+	nDeleted  uint64 // fact keys retracted
 }
 
 func encCkptHeader(dst []byte, h ckptHeader) []byte {
@@ -446,9 +489,13 @@ func encCkptHeader(dst []byte, h ckptHeader) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, h.nEntities)
 	dst = binary.LittleEndian.AppendUint64(dst, h.nPreds)
 	dst = binary.LittleEndian.AppendUint64(dst, h.nOntTypes)
-	return binary.LittleEndian.AppendUint64(dst, h.nTriples)
+	dst = binary.LittleEndian.AppendUint64(dst, h.nTriples)
+	dst = binary.LittleEndian.AppendUint64(dst, h.base)
+	return binary.LittleEndian.AppendUint64(dst, h.nDeleted)
 }
 
+// decCkptHeader also reads the header checkpoints carried before they
+// were chained — the first five fields alone — as a full checkpoint.
 func decCkptHeader(p []byte) (ckptHeader, error) {
 	d := &dec{b: p, off: 1}
 	h := ckptHeader{
@@ -457,6 +504,9 @@ func decCkptHeader(p []byte) (ckptHeader, error) {
 		nPreds:    d.u64(),
 		nOntTypes: d.u64(),
 		nTriples:  d.u64(),
+	}
+	if d.err == nil && d.off < len(d.b) {
+		h.base, h.nDeleted = d.u64(), d.u64()
 	}
 	return h, d.done("checkpoint header")
 }

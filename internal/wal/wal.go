@@ -10,11 +10,28 @@
 // same thing in memory and on disk. A Manager attached to a graph drains
 // MutationsSince into the current log segment on every Commit, writing
 // entity/predicate/ontology dictionary deltas ahead of the mutations
-// that reference them. Checkpoints serialize the whole graph under the
-// all-shard cut (AllTriplesSnapshot) in identity order — exactly the
-// order AssertBatch's merge-append restore path detects in O(n) — then
-// truncate the log: older segments and checkpoints are deleted, and the
-// graph's own in-memory mutation log is compacted via TruncateLog.
+// that reference them.
+//
+// A checkpoint records the state at a watermark W. Most are deltas: the
+// net change since the newest checkpoint B, which the delta names as its
+// base — fact keys retracted, facts added with their provenance, and the
+// dictionary entries and entity records new or updated since — folded
+// from the graph's in-memory log window (B, W] (kg.Graph.NetChangeSince),
+// which the manager keeps from one checkpoint to the next. Writing one
+// costs O(change), not O(graph). A full checkpoint — the whole graph
+// under the all-shard cut (AllTriplesSnapshot) — is the same format with
+// base 0 and no retractions, so there is one writer and one loader; added
+// facts go in identity order, exactly the order AssertBatch's
+// merge-append restore path detects in O(n). A checkpoint is full when
+// there is no base, when the graph's log no longer reaches back to it
+// (LogFloor() > B), or when the delta rows of the chain plus the new
+// delta's would reach the live fact count: a chain — what recovery reads
+// and what sits on disk — stays under two full checkpoints' worth of
+// rows. Recovery loads the newest checkpoint's chain, the full checkpoint
+// it starts from and then each delta. After a checkpoint the log is
+// truncated: older segments and checkpoints no chain needs are deleted,
+// and the graph's own in-memory mutation log is compacted via
+// TruncateLog.
 //
 // # Durability contract
 //
@@ -45,17 +62,19 @@
 //
 // The manager is also the platform's time-travel substrate. With
 // Options.RetainCheckpoints = N > 1, a checkpoint no longer deletes all
-// superseded files: the newest N checkpoints survive, along with every
-// log segment needed to replay forward from the oldest retained one.
-// SnapshotAt(asOf) picks the newest retained checkpoint at or below
-// asOf, loads it into a fresh immutable base graph (cached — bases are
-// shared across reads), and collects the mutation suffix
-// (checkpoint, asOf] from the retained segments. The pair feeds a
-// graphengine read overlay that answers queries pinned at watermark
-// asOf without touching live state. Watermarks below the oldest
-// retained checkpoint are gone — SnapshotAt reports them as outside
-// retention. The graph's in-memory mutation log is still truncated at
-// the newest checkpoint (as-of reads replay from disk, not memory).
+// superseded files: the newest N checkpoints survive, with every ancestor
+// their chains need, along with every log segment needed to replay
+// forward from the oldest retained one. SnapshotAt(asOf) picks the newest
+// retained checkpoint at or below asOf, loads it through its chain into a
+// fresh immutable base graph (cached — bases are shared across reads),
+// and collects the mutation suffix (checkpoint, asOf] from the retained
+// segments. The pair feeds a graphengine read overlay that answers
+// queries pinned at watermark asOf without touching live state.
+// Watermarks below the oldest retained checkpoint are gone — SnapshotAt
+// reports them as outside retention, even where an older checkpoint is
+// still on disk as an ancestor of a retained one. The graph's in-memory
+// mutation log is still truncated at the newest checkpoint (as-of reads
+// replay from disk, not memory; the next delta folds what is left).
 package wal
 
 import (
@@ -63,6 +82,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,13 +117,15 @@ type Options struct {
 	// want a Feed(0) pull to stay complete (tests, shadow replicas) set
 	// this; servers leave it off so the log stays bounded.
 	KeepGraphLog bool
-	// RetainCheckpoints keeps the newest N checkpoints on disk (plus the
-	// log segments needed to replay between them and the live tail)
+	// RetainCheckpoints keeps the newest N checkpoints restorable on
+	// disk — with the older checkpoints their chains of bases need, and
+	// the log segments needed to replay between them and the live tail —
 	// instead of eagerly deleting everything a new checkpoint
 	// supersedes. Retained history is what SnapshotAt serves as-of reads
 	// from: any watermark at or above the oldest retained checkpoint
-	// stays readable. 0 and 1 both mean "newest only" — the eager
-	// behavior.
+	// stays readable; a checkpoint kept only as an ancestor is not
+	// counted and serves no read. 0 and 1 both mean "newest only" — the
+	// eager behavior.
 	RetainCheckpoints int
 }
 
@@ -183,12 +205,23 @@ type Manager struct {
 	// unlogged mutations.
 	feed    *kg.Changefeed
 	ckptLSN uint64 // watermark of the newest durable checkpoint
-	// ckpts tracks the watermarks of the checkpoints currently on disk,
-	// ascending; segFirst maps each on-disk segment generation to its
-	// header firstLSN (the last LSN before the segment's first record).
-	// Both drive retention deletion and as-of suffix collection.
+	// ckpts holds the watermarks of the restorable checkpoints — those
+	// retention counts and SnapshotAt bases reads on — ascending. files
+	// describes every checkpoint file on disk: those, and the ancestors
+	// their chains need. segFirst maps each on-disk segment generation to
+	// its header firstLSN (the last LSN before the segment's first record).
+	// They drive retention deletion and as-of suffix collection.
 	ckpts    []uint64
+	files    map[uint64]ckptFile
 	segFirst map[uint64]uint64
+	// chainRows is the rows of the deltas in the newest checkpoint's
+	// chain (see ckptFile.rows): once the next delta would bring it to the
+	// live fact count, the next checkpoint is a full one.
+	chainRows uint64
+	// updated holds the entities whose records changed since the newest
+	// checkpoint. Commits log their updates; the next delta carries their
+	// records.
+	updated map[kg.EntityID]struct{}
 	// asofBases caches checkpoint base graphs loaded for SnapshotAt,
 	// keyed by checkpoint watermark. Bases are immutable once loaded.
 	asofBases map[uint64]*kg.Graph
@@ -219,7 +252,7 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
 	info := &RecoveryInfo{}
-	maxGen, err := recoverState(fs, dir, g, info)
+	maxGen, updated, err := recoverState(fs, dir, g, info)
 	if err != nil {
 		return nil, info, err
 	}
@@ -231,31 +264,89 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 		gen:      maxGen, // openSegment bumps to maxGen+1
 		feed:     g.Feed(g.LastSeq()),
 		ckptLSN:  info.CheckpointLSN,
+		files:    make(map[uint64]ckptFile),
 		segFirst: make(map[uint64]uint64),
+		updated:  updated,
 		entCur:   g.NumEntities(),
 		predCur:  g.NumPredicates(),
 		ontCur:   g.Ontology().Len(),
 	}
 	m.durable.Store(g.LastSeq())
-	// Index the surviving files: retention deletion and as-of suffix
-	// collection need each checkpoint's watermark and each segment's
+	// Index the surviving files: retention deletion, chaining and as-of
+	// suffix collection need each checkpoint's header and each segment's
 	// firstLSN without re-reading the directory per decision.
 	if names, derr := fs.ReadDir(dir); derr == nil {
 		for _, n := range names {
 			if w, ok := parseName(n, ckptPrefix, ckptSuffix); ok {
-				m.ckpts = append(m.ckpts, w)
+				// An unreadable header indexes as a full checkpoint, so
+				// retention can still delete the file.
+				h, _ := readCkptHeader(fs, dir, w)
+				m.files[w] = fileOf(h)
 			} else if gen, ok := parseName(n, segPrefix, segSuffix); ok {
 				if first, herr := readSegFirstLSN(fs, filepath.Join(dir, n)); herr == nil {
 					m.segFirst[gen] = first
 				}
 			}
 		}
-		sort.Slice(m.ckpts, func(i, j int) bool { return m.ckpts[i] < m.ckpts[j] })
 	}
 	if err := m.openSegmentLocked(); err != nil {
 		return nil, info, err
 	}
+	// Restorable are the checkpoints whose chain is whole on disk and from
+	// which the on-disk log replays forward; an ancestor kept only for a
+	// newer checkpoint's chain lies below the oldest segment.
+	oldest := m.segFirst[m.gen]
+	for _, first := range m.segFirst {
+		oldest = min(oldest, first)
+	}
+	for w := range m.files {
+		if w >= oldest && m.chainOnDisk(w) {
+			m.ckpts = append(m.ckpts, w)
+		}
+	}
+	slices.Sort(m.ckpts)
+	for w := m.ckptLSN; m.files[w].base != 0; w = m.files[w].base {
+		m.chainRows += m.files[w].rows
+	}
 	return m, info, nil
+}
+
+// ckptFile is what the manager keeps of a checkpoint file's header.
+type ckptFile struct {
+	base uint64 // 0 for a full checkpoint
+	// rows is a delta's fact rows plus one (so a chain of empty deltas
+	// still compacts); 0 for a full checkpoint.
+	rows uint64
+	// Dictionary totals at the checkpoint's watermark: a delta chained to
+	// it carries the entries past them.
+	nOnt, nEnt, nPred int
+}
+
+func fileOf(h ckptHeader) ckptFile {
+	f := ckptFile{base: h.base, nOnt: int(h.nOntTypes), nEnt: int(h.nEntities), nPred: int(h.nPreds)}
+	if h.base != 0 {
+		f.rows = deltaRows(h.nTriples, h.nDeleted)
+	}
+	return f
+}
+
+func deltaRows(added, retracted uint64) uint64 { return added + retracted + 1 }
+
+// chainOnDisk reports whether every file of the checkpoint at w's chain
+// is on disk.
+func (m *Manager) chainOnDisk(w uint64) bool {
+	for {
+		f, ok := m.files[w]
+		switch {
+		case !ok:
+			return false
+		case f.base == 0:
+			return true
+		case f.base >= w:
+			return false
+		}
+		w = f.base
+	}
 }
 
 // openSegmentLocked creates the next log segment (gen+1), writes its
@@ -368,6 +459,10 @@ func (m *Manager) commitLocked() error {
 			continue
 		}
 		if e := m.g.Entity(id); e != nil {
+			if m.updated == nil {
+				m.updated = make(map[kg.EntityID]struct{})
+			}
+			m.updated[id] = struct{}{}
 			buf, at = beginFrame(buf)
 			buf = encEntityUpdate(buf, e)
 			endFrame(buf, at)
@@ -498,8 +593,9 @@ func (m *Manager) AppliedLSN() uint64 {
 	return m.feed.Cursor()
 }
 
-// RetainedCheckpoints returns how many checkpoints are currently on
-// disk (at most Options.RetainCheckpoints after the next checkpoint).
+// RetainedCheckpoints returns how many restorable checkpoints are on
+// disk (at most Options.RetainCheckpoints after the next checkpoint);
+// ancestors kept only for a chain are not counted.
 func (m *Manager) RetainedCheckpoints() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -513,10 +609,25 @@ func (m *Manager) CheckpointLSN() uint64 {
 	return m.ckptLSN
 }
 
-// Checkpoint serializes the full graph state under one consistent cut,
-// makes it durable, rotates the log, deletes superseded files, and
-// compacts the graph's in-memory mutation log (unless KeepGraphLog).
-// Returns the checkpoint watermark.
+// Checkpoint records the graph state under one consistent cut, makes it
+// durable, rotates the log, deletes superseded files, and compacts the
+// graph's in-memory mutation log (unless KeepGraphLog). Returns the
+// checkpoint watermark.
+//
+// A checkpoint is a delta: the net change since the newest checkpoint —
+// fact keys retracted, facts added, dictionary entries and entity
+// records new or updated since — chained to that checkpoint as its base,
+// folded from the graph's in-memory log without reading the rest of the
+// graph. It is a full checkpoint (every fact and dictionary entry, base
+// 0) when there is no base, when the graph's log no longer reaches back
+// to the base, or when the delta rows of the chain plus the new delta's
+// would reach the live fact count, which keeps a chain — what recovery
+// reads and what sits on disk — under two full checkpoints' worth of
+// rows. When the watermark has not moved since the newest checkpoint
+// nothing is written: pending dictionary entries and record updates are
+// committed and synced, the log segments that hold them are kept until a
+// checkpoint that writes a file carries them, and the newest checkpoint's
+// watermark is returned.
 func (m *Manager) Checkpoint() (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -529,97 +640,69 @@ func (m *Manager) Checkpoint() (uint64, error) {
 	return m.ckptLSN, nil
 }
 
-// ckptTripleBlockSize is how many triples share one checkpoint frame.
-// Large enough to amortize the frame header, CRC pass, and scan dispatch
-// to noise; small enough that a torn tail or corrupt frame loses little.
+// ckptTripleBlockSize is how many triples (or retracted keys) share one
+// checkpoint frame. Large enough to amortize the frame header, CRC pass,
+// and scan dispatch to noise; small enough that a torn tail or corrupt
+// frame loses little.
 const ckptTripleBlockSize = 512
 
 func (m *Manager) checkpointLocked() error {
 	// Drain pending mutations first so the old segment is complete up to
-	// some LSN <= wm; everything the snapshot covers beyond that is in
+	// some LSN <= wm; everything the checkpoint covers beyond that is in
 	// the checkpoint itself.
 	if err := m.commitLocked(); err != nil {
 		return err
 	}
-	ts, wm := m.g.AllTriplesSnapshot()
-	// Dictionary state is read after the snapshot: registrations are not
-	// watermarked, and extras beyond wm are harmless on restore (replay
-	// dict records dedup by key/name).
-	ont := m.g.Ontology()
-	nOnt, nEnt, nPred := ont.Len(), m.g.NumEntities(), m.g.NumPredicates()
-
-	name := ckptName(wm)
-	tmp := filepath.Join(m.dir, tmpPrefix+name)
-	f, err := m.fs.Create(tmp)
-	if err != nil {
-		return m.latch(fmt.Errorf("wal: create checkpoint: %w", err))
+	// No fact has changed since the newest checkpoint: no file is written.
+	// Syncing the segment makes what the commit wrote — dictionary
+	// entries, record updates — as durable as a checkpoint would. The
+	// segments a restart left behind are retired only if the dictionaries
+	// and entity records have not moved past the checkpoint either;
+	// otherwise they hold what recovery replayed, and only the next
+	// checkpoint that writes a file carries it.
+	last, haveBase := m.files[m.ckptLSN]
+	if haveBase && m.g.LastSeq() == m.ckptLSN {
+		if err := m.syncLocked(); err != nil {
+			return err
+		}
+		if len(m.updated) == 0 && last.nOnt == m.g.Ontology().Len() &&
+			last.nEnt == m.g.NumEntities() && last.nPred == m.g.NumPredicates() {
+			m.applyRetentionLocked(m.gen - 1)
+		}
+		return nil
 	}
-	buf, at := beginFrame(nil)
-	buf = encCkptHeader(buf, ckptHeader{
-		watermark: wm,
-		nEntities: uint64(nEnt),
-		nPreds:    uint64(nPred),
-		nOntTypes: uint64(nOnt),
-		nTriples:  uint64(len(ts)),
-	})
-	endFrame(buf, at)
-	for id := kg.TypeID(1); int(id) <= nOnt; id++ {
-		buf, at = beginFrame(buf)
-		buf = encOntType(buf, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)})
-		endFrame(buf, at)
-	}
-	for id := kg.EntityID(1); int(id) <= nEnt; id++ {
-		buf, at = beginFrame(buf)
-		buf = encEntity(buf, m.g.Entity(id))
-		endFrame(buf, at)
-	}
-	for id := kg.PredicateID(1); int(id) <= nPred; id++ {
-		buf, at = beginFrame(buf)
-		buf = encPredicate(buf, m.g.Predicate(id))
-		endFrame(buf, at)
-	}
-	// Triples are framed in blocks (many triples per CRC frame) so
-	// recovery amortizes the per-frame scan-and-dispatch cost, and
-	// flushed in chunks so checkpointing a large graph does not hold the
-	// whole serialized image in memory alongside the triples.
-	const chunk = 1 << 20
-	for start := 0; start < len(ts); start += ckptTripleBlockSize {
-		end := min(start+ckptTripleBlockSize, len(ts))
-		buf, at = beginFrame(buf)
-		buf = encTripleBlock(buf, ts[start:end])
-		endFrame(buf, at)
-		if len(buf) >= chunk {
-			if _, err := f.Write(buf); err != nil {
-				return m.latch(fmt.Errorf("wal: write checkpoint: %w", err))
-			}
-			buf = buf[:0]
+	var (
+		ch   kg.NetChange
+		wm   uint64
+		base uint64
+	)
+	if haveBase && m.ckptLSN > 0 {
+		var folded bool
+		ch, wm, folded = m.g.NetChangeSince(m.ckptLSN)
+		if rows := deltaRows(uint64(len(ch.Asserted)), uint64(len(ch.Retracted))); folded && m.chainRows+rows < uint64(ch.Facts) {
+			base = m.ckptLSN
 		}
 	}
-	buf, at = beginFrame(buf)
-	buf = encCkptFooter(buf, ckptFooter{watermark: wm, nTriples: uint64(len(ts))})
-	endFrame(buf, at)
-	if _, err := f.Write(buf); err != nil {
-		return m.latch(fmt.Errorf("wal: write checkpoint: %w", err))
+	if base == 0 {
+		ts, w := m.g.AllTriplesSnapshot()
+		ch, wm = kg.NetChange{Asserted: ts}, w
 	}
-	if err := f.Sync(); err != nil {
-		return m.latch(fmt.Errorf("wal: sync checkpoint: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return m.latch(fmt.Errorf("wal: close checkpoint: %w", err))
-	}
-	final := filepath.Join(m.dir, name)
-	if err := m.fs.Rename(tmp, final); err != nil {
-		return m.latch(fmt.Errorf("wal: publish checkpoint: %w", err))
-	}
-	if err := m.fs.SyncDir(m.dir); err != nil {
-		return m.latch(fmt.Errorf("wal: sync dir after checkpoint: %w", err))
+	f, err := m.writeCheckpointLocked(wm, base, ch)
+	if err != nil {
+		return err
 	}
 	// The checkpoint is durable: it subsumes every mutation <= wm, so
 	// both cursors advance even if the log itself was never fsynced.
 	m.ckptLSN = wm
+	m.files[wm] = f
 	if len(m.ckpts) == 0 || m.ckpts[len(m.ckpts)-1] != wm {
 		m.ckpts = append(m.ckpts, wm)
 	}
+	if base == 0 {
+		m.chainRows = 0
+	}
+	m.chainRows += f.rows
+	clear(m.updated)
 	if m.feed.Cursor() < wm {
 		m.feed.Reset(wm)
 	}
@@ -628,7 +711,7 @@ func (m *Manager) checkpointLocked() error {
 	}
 	// Advance dictionary cursors past everything the checkpoint captured
 	// so the new segment does not re-ship it.
-	m.ontCur, m.entCur, m.predCur = nOnt, nEnt, nPred
+	m.ontCur, m.entCur, m.predCur = f.nOnt, f.nEnt, f.nPred
 
 	// Rotate: retire the old segment, open a fresh one, then apply the
 	// retention policy. Deletion durability is best-effort (a leftover
@@ -650,24 +733,144 @@ func (m *Manager) checkpointLocked() error {
 	return nil
 }
 
-// applyRetentionLocked deletes the checkpoints beyond Options.
-// RetainCheckpoints (oldest first) and every retired log segment whose content is entirely at or below the oldest retained
-// checkpoint's watermark. A segment's content spans (firstLSN, next
-// segment's firstLSN], so segment g is dead once its successor's
-// firstLSN is at or below that watermark; firstLSN is non-decreasing
-// across generations, which makes deletability a prefix property.
-// oldGen is the just-retired generation — the active segment is never
-// deleted.
-func (m *Manager) applyRetentionLocked(oldGen uint64) {
-	retain := m.opts.RetainCheckpoints
-	if retain < 1 {
-		retain = 1
+// writeCheckpointLocked writes and publishes the checkpoint at wm: the
+// net change ch over the checkpoint at base, or with base 0 a full
+// checkpoint, ch holding every fact and no retraction. Added facts go in
+// identity order, the order AssertBatch's merge-append restore path
+// detects in O(n). It returns what the manager keeps of the file.
+func (m *Manager) writeCheckpointLocked(wm, base uint64, ch kg.NetChange) (ckptFile, error) {
+	// Dictionary state is read after the cut: registrations are not
+	// watermarked, and extras beyond wm are harmless on restore (replay
+	// dict records dedup by key/name).
+	ont := m.g.Ontology()
+	hdr := ckptHeader{
+		watermark: wm,
+		nEntities: uint64(m.g.NumEntities()),
+		nPreds:    uint64(m.g.NumPredicates()),
+		nOntTypes: uint64(ont.Len()),
+		nTriples:  uint64(len(ch.Asserted)),
+		base:      base,
+		nDeleted:  uint64(len(ch.Retracted)),
 	}
-	if drop := len(m.ckpts) - retain; drop > 0 {
-		for _, w := range m.ckpts[:drop] {
-			_ = m.fs.Remove(filepath.Join(m.dir, ckptName(w)))
+	f := fileOf(hdr)
+	var from ckptFile // the base's dictionary totals; zero for a full checkpoint
+	var updated []kg.EntityID
+	if base != 0 {
+		from = m.files[base]
+		for id := range m.updated {
+			if int(id) <= from.nEnt {
+				updated = append(updated, id)
+			}
 		}
+		slices.Sort(updated)
+	}
+
+	name := ckptName(wm)
+	tmp := filepath.Join(m.dir, tmpPrefix+name)
+	out, err := m.fs.Create(tmp)
+	if err != nil {
+		return f, m.latch(fmt.Errorf("wal: create checkpoint: %w", err))
+	}
+	buf, at := beginFrame(nil)
+	buf = encCkptHeader(buf, hdr)
+	endFrame(buf, at)
+	for id := kg.TypeID(from.nOnt + 1); int(id) <= f.nOnt; id++ {
+		buf, at = beginFrame(buf)
+		buf = encOntType(buf, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)})
+		endFrame(buf, at)
+	}
+	for id := kg.EntityID(from.nEnt + 1); int(id) <= f.nEnt; id++ {
+		buf, at = beginFrame(buf)
+		buf = encEntity(buf, m.g.Entity(id))
+		endFrame(buf, at)
+	}
+	for id := kg.PredicateID(from.nPred + 1); int(id) <= f.nPred; id++ {
+		buf, at = beginFrame(buf)
+		buf = encPredicate(buf, m.g.Predicate(id))
+		endFrame(buf, at)
+	}
+	for _, id := range updated {
+		buf, at = beginFrame(buf)
+		buf = encEntityUpdate(buf, m.g.Entity(id))
+		endFrame(buf, at)
+	}
+	// Facts and keys are framed in blocks (many per CRC frame) so recovery
+	// amortizes the per-frame scan-and-dispatch cost, and flushed in
+	// chunks so checkpointing a large graph does not hold the whole
+	// serialized image in memory alongside the triples.
+	const chunk = 1 << 20
+	flush := func() error {
+		if len(buf) < chunk {
+			return nil
+		}
+		_, err := out.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	for start := 0; start < len(ch.Retracted) && err == nil; start += ckptTripleBlockSize {
+		buf, at = beginFrame(buf)
+		buf = encKeyBlock(buf, ch.Retracted[start:min(start+ckptTripleBlockSize, len(ch.Retracted))])
+		endFrame(buf, at)
+		err = flush()
+	}
+	for start := 0; start < len(ch.Asserted) && err == nil; start += ckptTripleBlockSize {
+		buf, at = beginFrame(buf)
+		buf = encTripleBlock(buf, ch.Asserted[start:min(start+ckptTripleBlockSize, len(ch.Asserted))])
+		endFrame(buf, at)
+		err = flush()
+	}
+	if err == nil {
+		buf, at = beginFrame(buf)
+		buf = encCkptFooter(buf, ckptFooter{watermark: wm, nTriples: uint64(len(ch.Asserted))})
+		endFrame(buf, at)
+		_, err = out.Write(buf)
+	}
+	if err != nil {
+		return f, m.latch(fmt.Errorf("wal: write checkpoint: %w", err))
+	}
+	if err := out.Sync(); err != nil {
+		return f, m.latch(fmt.Errorf("wal: sync checkpoint: %w", err))
+	}
+	if err := out.Close(); err != nil {
+		return f, m.latch(fmt.Errorf("wal: close checkpoint: %w", err))
+	}
+	if err := m.fs.Rename(tmp, filepath.Join(m.dir, name)); err != nil {
+		return f, m.latch(fmt.Errorf("wal: publish checkpoint: %w", err))
+	}
+	if err := m.fs.SyncDir(m.dir); err != nil {
+		return f, m.latch(fmt.Errorf("wal: sync dir after checkpoint: %w", err))
+	}
+	return f, nil
+}
+
+// applyRetentionLocked keeps the newest Options.RetainCheckpoints
+// restorable checkpoints, deletes every checkpoint file none of their
+// chains needs, and deletes every retired log segment whose content is
+// entirely at or below the oldest retained checkpoint's watermark. A
+// segment's content spans (firstLSN, next segment's firstLSN], so segment
+// g is dead once its successor's firstLSN is at or below that watermark;
+// firstLSN is non-decreasing across generations, which makes deletability
+// a prefix property. oldGen is the just-retired generation — the active
+// segment is never deleted.
+func (m *Manager) applyRetentionLocked(oldGen uint64) {
+	retain := max(m.opts.RetainCheckpoints, 1)
+	if drop := len(m.ckpts) - retain; drop > 0 {
 		m.ckpts = append(m.ckpts[:0], m.ckpts[drop:]...)
+	}
+	keep := make(map[uint64]bool, len(m.files))
+	for _, w := range m.ckpts {
+		for !keep[w] {
+			keep[w] = true
+			if b := m.files[w].base; b != 0 {
+				w = b
+			}
+		}
+	}
+	for w := range m.files {
+		if !keep[w] {
+			_ = m.fs.Remove(filepath.Join(m.dir, ckptName(w)))
+			delete(m.files, w)
+		}
 	}
 	if len(m.ckpts) == 0 {
 		return
@@ -769,12 +972,13 @@ func ImportGraph(dst, src *kg.Graph) error {
 
 // --- recovery -----------------------------------------------------------
 
-// recoverState loads the newest checkpoint and replays the log suffix
-// into g, returning the highest segment generation seen on disk.
-func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen uint64, err error) {
+// recoverState loads the newest checkpoint's chain and replays the log
+// suffix into g, returning the highest segment generation seen on disk
+// and the entities whose records the replayed log updated.
+func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen uint64, updated map[kg.EntityID]struct{}, err error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("wal: read dir: %w", err)
+		return 0, nil, fmt.Errorf("wal: read dir: %w", err)
 	}
 	var ckpts []uint64
 	var segs []uint64
@@ -801,16 +1005,16 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
-	// Load the newest checkpoint. Older checkpoints are not a fallback:
-	// taking checkpoint W deletes the segments covering (0, W], so state
-	// before the newest checkpoint is simply gone — a corrupt newest
-	// checkpoint (a fully-fsynced file, not a crash artifact) is
-	// unrecoverable data loss and must surface as an error, not as a
-	// silently emptier graph.
+	// Load the newest checkpoint with its chain. Older checkpoints are
+	// not a fallback: taking checkpoint W deletes the segments covering
+	// (0, W], so state before the newest checkpoint is simply gone — a
+	// corrupt newest checkpoint or ancestor (a fully-fsynced file, not a
+	// crash artifact) is unrecoverable data loss and must surface as an
+	// error, not as a silently emptier graph.
 	if len(ckpts) > 0 {
 		wm := ckpts[0]
-		if err := loadCheckpoint(fs, dir, ckptName(wm), wm, g); err != nil {
-			return maxGen, fmt.Errorf("wal: checkpoint %s unusable: %w", ckptName(wm), err)
+		if err := loadChain(fs, dir, wm, g); err != nil {
+			return maxGen, nil, fmt.Errorf("wal: checkpoint %s unusable: %w", ckptName(wm), err)
 		}
 		info.CheckpointLSN = wm
 	}
@@ -819,6 +1023,7 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 	// CRC failure, LSN gap, replay mismatch) ends the usable suffix:
 	// everything after it in this segment and all later segments is
 	// discarded so the next incarnation's log stays contiguous.
+	updated = make(map[kg.EntityID]struct{})
 	stopped := false
 	for _, gen := range segs {
 		name := segName(gen)
@@ -829,14 +1034,14 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 			}
 			continue
 		}
-		good, torn, replayed, diag, rerr := replaySegment(fs, path, name, gen, g)
+		good, torn, replayed, diag, rerr := replaySegment(fs, path, name, gen, g, updated)
 		info.SegmentsReplayed++
 		info.MutationsReplayed += replayed
 		if diag != "" {
 			info.Diagnostics = append(info.Diagnostics, diag)
 		}
 		if rerr != nil {
-			return maxGen, rerr
+			return maxGen, nil, rerr
 		}
 		if diag != "" {
 			// Truncate the bad tail so old garbage cannot be misread as
@@ -850,13 +1055,62 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 	}
 	_ = fs.SyncDir(dir)
 	info.RecoveredLSN = g.LastSeq()
-	return maxGen, nil
+	return maxGen, updated, nil
 }
 
-// loadCheckpoint restores one checkpoint file into the empty graph g.
-// Any integrity failure (bad frame, missing footer, count mismatch,
-// ID drift) is an error; the caller decides whether that is fatal.
-func loadCheckpoint(fs FS, dir, name string, wantWM uint64, g *kg.Graph) error {
+// readCkptHeader reads the header of the checkpoint at watermark wm.
+func readCkptHeader(fs FS, dir string, wm uint64) (ckptHeader, error) {
+	p, err := readFirstRecord(fs, filepath.Join(dir, ckptName(wm)))
+	if err != nil {
+		return ckptHeader{}, err
+	}
+	if p[0] != recCheckpointHeader {
+		return ckptHeader{}, fmt.Errorf("first record type %d, want checkpoint header", p[0])
+	}
+	h, err := decCkptHeader(p)
+	if err == nil && h.watermark != wm {
+		err = fmt.Errorf("header watermark %d, want %d (filename)", h.watermark, wm)
+	}
+	return h, err
+}
+
+// loadChain restores the checkpoint at watermark wm into the empty graph
+// g: the full checkpoint its chain of bases starts from, then every delta
+// up to wm.
+func loadChain(fs FS, dir string, wm uint64, g *kg.Graph) error {
+	chain := []uint64{wm}
+	for w := wm; ; {
+		h, err := readCkptHeader(fs, dir, w)
+		if err != nil {
+			return fmt.Errorf("%s: %w", ckptName(w), err)
+		}
+		if h.base == 0 {
+			break
+		}
+		if h.base >= w {
+			return fmt.Errorf("%s names base %d, not below it", ckptName(w), h.base)
+		}
+		w = h.base
+		chain = append(chain, w)
+	}
+	base := uint64(0)
+	for i := len(chain) - 1; i >= 0; i-- {
+		if err := loadCheckpoint(fs, dir, chain[i], base, g); err != nil {
+			return fmt.Errorf("%s: %w", ckptName(chain[i]), err)
+		}
+		base = chain[i]
+	}
+	return nil
+}
+
+// loadCheckpoint applies the checkpoint file at watermark wm to g, which
+// must hold the state of the checkpoint at base — the empty graph for a
+// full checkpoint (base 0). Any integrity failure (bad frame, missing
+// footer, count mismatch, ID drift, a retraction of an absent fact, an
+// addition of a present one) is an error; the caller decides whether that
+// is fatal.
+func loadCheckpoint(fs FS, dir string, wm, base uint64, g *kg.Graph) error {
+	name := ckptName(wm)
 	r, err := fs.OpenRead(filepath.Join(dir, name))
 	if err != nil {
 		return err
@@ -865,89 +1119,94 @@ func loadCheckpoint(fs FS, dir, name string, wantWM uint64, g *kg.Graph) error {
 
 	var hdr ckptHeader
 	sawHeader, sawFooter := false, false
-	var triples []kg.Triple
-	err = func() error {
-		_, err := scanFrames(name, r, func(p []byte) error {
-			if len(p) == 0 {
-				return errors.New("empty payload")
+	var dels []kg.TripleKey
+	var adds []kg.Triple
+	_, err = scanFrames(name, r, func(p []byte) error {
+		if len(p) == 0 {
+			return errors.New("empty payload")
+		}
+		if !sawHeader {
+			if p[0] != recCheckpointHeader {
+				return fmt.Errorf("first record type %d, want checkpoint header", p[0])
 			}
-			if !sawHeader {
-				if p[0] != recCheckpointHeader {
-					return fmt.Errorf("first record type %d, want checkpoint header", p[0])
-				}
-				h, err := decCkptHeader(p)
-				if err != nil {
-					return err
-				}
-				if h.watermark != wantWM {
-					return fmt.Errorf("header watermark %d, want %d (filename)", h.watermark, wantWM)
-				}
-				hdr, sawHeader = h, true
+			h, err := decCkptHeader(p)
+			if err != nil {
+				return err
+			}
+			if h.watermark != wm || h.base != base {
+				return fmt.Errorf("header (wm=%d base=%d), want (wm=%d base=%d)", h.watermark, h.base, wm, base)
+			}
+			hdr, sawHeader = h, true
+			return nil
+		}
+		if sawFooter {
+			return errors.New("records after footer")
+		}
+		switch p[0] {
+		case recOntType, recEntity, recPredicate:
+			return applyDictRecord(g, p)
+		case recEntityUpdate:
+			e, err := decEntityUpdate(p)
+			if err != nil {
+				return err
+			}
+			return g.ReplaceEntity(e)
+		case recKeyBlock:
+			return decKeyBlock(p, func(k kg.TripleKey) error {
+				dels = append(dels, k)
 				return nil
-			}
-			if sawFooter {
-				return errors.New("records after footer")
-			}
-			switch p[0] {
-			case recOntType, recEntity, recPredicate:
-				return applyDictRecord(g, p)
-			case recTriple:
-				// Single-triple frames: the pre-block checkpoint format,
-				// still accepted so old checkpoints restore.
-				t, err := decTriple(p)
-				if err != nil {
-					return err
-				}
-				triples = append(triples, t)
+			})
+		case recTripleBlock:
+			return decTripleBlock(p, func(t kg.Triple) error {
+				adds = append(adds, t)
 				return nil
-			case recTripleBlock:
-				return decTripleBlock(p, func(t kg.Triple) error {
-					triples = append(triples, t)
-					return nil
-				})
-			case recCheckpointFooter:
-				f, err := decCkptFooter(p)
-				if err != nil {
-					return err
-				}
-				if f.watermark != hdr.watermark || f.nTriples != uint64(len(triples)) {
-					return fmt.Errorf("footer (wm=%d n=%d) disagrees with body (wm=%d n=%d)",
-						f.watermark, f.nTriples, hdr.watermark, len(triples))
-				}
-				sawFooter = true
-				return nil
-			default:
-				return fmt.Errorf("unexpected record type %d in checkpoint", p[0])
+			})
+		case recCheckpointFooter:
+			f, err := decCkptFooter(p)
+			if err != nil {
+				return err
 			}
-		})
-		return err
-	}()
+			if f.watermark != hdr.watermark || f.nTriples != uint64(len(adds)) {
+				return fmt.Errorf("footer (wm=%d n=%d) disagrees with body (wm=%d n=%d)",
+					f.watermark, f.nTriples, hdr.watermark, len(adds))
+			}
+			sawFooter = true
+			return nil
+		default:
+			return fmt.Errorf("unexpected record type %d in checkpoint", p[0])
+		}
+	})
 	if err != nil {
 		return err
 	}
 	if !sawHeader || !sawFooter {
 		return errors.New("incomplete checkpoint (missing header or footer)")
 	}
+	if hdr.nTriples != uint64(len(adds)) || hdr.nDeleted != uint64(len(dels)) {
+		return fmt.Errorf("body (%d added, %d retracted) disagrees with header (%d, %d)", len(adds), len(dels), hdr.nTriples, hdr.nDeleted)
+	}
 	if uint64(g.NumEntities()) != hdr.nEntities || uint64(g.NumPredicates()) != hdr.nPreds ||
 		uint64(g.Ontology().Len()) != hdr.nOntTypes {
 		return fmt.Errorf("dictionary counts (%d ent, %d pred, %d ont) disagree with header (%d, %d, %d)",
 			g.NumEntities(), g.NumPredicates(), g.Ontology().Len(), hdr.nEntities, hdr.nPreds, hdr.nOntTypes)
 	}
-	// The checkpoint wrote triples in identity order (AllTriplesSnapshot),
-	// so this restore takes AssertBatch's merge-append fast path.
-	added, err := g.AssertBatch(triples)
+	for _, k := range dels {
+		if !g.Retract(kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}) {
+			return fmt.Errorf("retracts %v, absent from its base", k)
+		}
+	}
+	// The checkpoint wrote its facts in identity order, so a full
+	// checkpoint's restore takes AssertBatch's merge-append fast path.
+	added, err := g.AssertBatch(adds)
 	if err != nil {
 		return fmt.Errorf("restore triples: %w", err)
 	}
-	if added != len(triples) {
-		return fmt.Errorf("restore triples: %d of %d added (duplicates in checkpoint)", added, len(triples))
+	if added != len(adds) {
+		return fmt.Errorf("restore triples: %d of %d added (present already)", added, len(adds))
 	}
 	// Fast-forward the graph's watermark into the durable LSN space: the
 	// restored state IS the state after the first wm mutations.
-	if err := g.AdvanceWatermark(hdr.watermark); err != nil {
-		return err
-	}
-	return nil
+	return g.AdvanceWatermark(hdr.watermark)
 }
 
 // applyDictRecord registers one dictionary record, enforcing that replay
@@ -1004,12 +1263,13 @@ type replayStop struct{ reason string }
 
 func (e *replayStop) Error() string { return e.reason }
 
-// replaySegment scans one segment, applying dictionary records and every
-// mutation that extends the graph's watermark. It returns the byte
+// replaySegment scans one segment, applying dictionary records, entity
+// record updates (noting each entity in updated) and every mutation that
+// extends the graph's watermark. It returns the byte
 // length of the applied prefix, the count of tail bytes past it, the
 // number of mutations applied, a non-empty diagnostic if the segment's
 // tail was unusable, and a fatal error only for FS-level read failures.
-func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph) (good, torn int64, replayed int, diag string, err error) {
+func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated map[kg.EntityID]struct{}) (good, torn int64, replayed int, diag string, err error) {
 	rc, err := fs.OpenRead(path)
 	if err != nil {
 		return 0, 0, 0, "", fmt.Errorf("wal: open segment %s: %w", name, err)
@@ -1056,6 +1316,7 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph) (good, tor
 			if err := g.ReplaceEntity(e); err != nil {
 				return &replayStop{reason: fmt.Sprintf("replay entity update: %v", err)}
 			}
+			updated[e.ID] = struct{}{}
 			return nil
 		case recMutation:
 			mu, err := decMutation(p)

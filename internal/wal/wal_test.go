@@ -181,6 +181,17 @@ func (s *scripted) step() {
 	}
 }
 
+// retractMost retracts three in four of the live facts at once.
+func (s *scripted) retractMost() {
+	n := len(s.live) * 3 / 4
+	for _, tr := range s.live[:n] {
+		if !s.g.Retract(tr) {
+			s.t.Fatalf("scripted retract of live triple failed: %v", tr)
+		}
+	}
+	s.live = append(s.live[:0], s.live[n:]...)
+}
+
 // sameTriples requires got to hold exactly want's triples, provenance
 // included.
 func sameTriples(t testing.TB, want, got *kg.Graph) {

@@ -74,8 +74,10 @@ func (p *Platform) SyncDurable() (uint64, error) {
 	return p.wal.Sync()
 }
 
-// CheckpointDurable writes a full checkpoint at the current watermark
-// and truncates the log behind it.
+// CheckpointDurable checkpoints the current watermark — as a delta
+// chained to the previous checkpoint, or a full one when the chain rule
+// calls for it (see wal.Manager.Checkpoint); nothing when the watermark
+// has not moved — and truncates the log behind it.
 func (p *Platform) CheckpointDurable() (uint64, error) {
 	if p.wal == nil {
 		return 0, errors.New("saga: platform is not durable; use OpenDurablePlatform")
