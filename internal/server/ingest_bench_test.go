@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,15 +77,17 @@ func ingestRing(tb testing.TB, w *saga.World, g *saga.Graph, size, lag int) []st
 
 // BenchmarkIngestBatch posts the end-to-end benchmark's /ingest batch —
 // 32 asserts + 32 retracts against a durable 20k-person world — through
-// the handler into a recorder. allocs/op and B/op are the stable numbers
-// (ns/op includes one fsync).
+// the handler into a recorder. allocs/op, B/op and wal_bytes/op — how much
+// the data directory's log segments grow per batch — are the stable
+// numbers (ns/op includes one fsync).
 func BenchmarkIngestBatch(b *testing.B) {
 	const size, lag = 32, 64
 	w, err := saga.GenerateWorld(saga.WorldConfig{NumPeople: 20000, NumClusters: 400, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, _, err := saga.OpenDurablePlatform(b.TempDir(), saga.DurableOptions{Sync: saga.SyncEachCommit})
+	dir := b.TempDir()
+	p, _, err := saga.OpenDurablePlatform(dir, saga.DurableOptions{Sync: saga.SyncEachCommit})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -113,9 +117,30 @@ func BenchmarkIngestBatch(b *testing.B) {
 	for i := 0; i < len(ring); i++ {
 		post(i, false)
 	}
+	walBefore := segmentBytes(b, dir)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post(len(ring)+i, true)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(segmentBytes(b, dir)-walBefore)/float64(b.N), "wal_bytes/op")
+}
+
+// segmentBytes sums the sizes of the write-ahead log segments in dir.
+func segmentBytes(tb testing.TB, dir string) int64 {
+	tb.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var n int64
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
 }

@@ -157,24 +157,27 @@ func (m *Manager) scanSegmentMutations(gen uint64, muts *[]kg.Mutation, last *ui
 		return false, fmt.Errorf("wal: open segment %s for as-of read: %w", name, err)
 	}
 	defer rc.Close()
+	var block []kg.Mutation
 	_, serr := scanFrames(name, rc, func(p []byte) error {
-		if len(p) == 0 || p[0] != recMutation {
+		if len(p) == 0 || (p[0] != recFactBlock && p[0] != recMutation) {
 			return nil
 		}
-		mu, err := decMutation(p)
-		if err != nil {
+		var err error
+		if block, err = decFacts(p, block[:0]); err != nil {
 			return fmt.Errorf("wal: as-of read %s: %w", name, err)
 		}
-		switch {
-		case mu.Seq <= *last:
-			return nil // overlap with a previous segment's re-shipped prefix
-		case mu.Seq > to:
-			return errStopScan
-		case mu.Seq != *last+1:
-			return fmt.Errorf("wal: as-of read %s: LSN gap %d -> %d", name, *last, mu.Seq)
+		for _, mu := range block {
+			switch {
+			case mu.Seq <= *last:
+				continue // overlap with a previous segment's re-shipped prefix
+			case mu.Seq > to:
+				return errStopScan
+			case mu.Seq != *last+1:
+				return fmt.Errorf("wal: as-of read %s: LSN gap %d -> %d", name, *last, mu.Seq)
+			}
+			*muts = append(*muts, mu)
+			*last = mu.Seq
 		}
-		*muts = append(*muts, mu)
-		*last = mu.Seq
 		return nil
 	})
 	switch {

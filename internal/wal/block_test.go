@@ -11,9 +11,10 @@ import (
 	"saga/internal/kg"
 )
 
-// Block payloads round-trip adversarial triple content exactly: NaN
-// floats, empty strings, zero and non-zero observation times, every
-// value kind the tripleBody codec covers.
+// The fixed-width triple and key blocks still decode exactly:
+// adversarial triple content — NaN floats, empty strings, zero and
+// non-zero observation times, every value kind — comes back as asserts,
+// and keys as retracts.
 func TestTripleBlockRoundTrip(t *testing.T) {
 	ts := []kg.Triple{
 		{Subject: 1, Predicate: 2, Object: kg.EntityValue(3)},
@@ -25,56 +26,54 @@ func TestTripleBlockRoundTrip(t *testing.T) {
 			ObservedAt: time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC),
 		}},
 	}
-	p := encTripleBlock(nil, ts)
-	if p[0] != recTripleBlock {
-		t.Fatalf("payload type = %d, want %d", p[0], recTripleBlock)
+	keys := make([]kg.TripleKey, len(ts))
+	for i, tr := range ts {
+		keys[i] = tr.IdentityKey()
 	}
-	var got []kg.Triple
-	if err := decTripleBlock(p, func(tr kg.Triple) error {
-		got = append(got, tr)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("decoded %d triples, want %d", len(got), len(ts))
-	}
-	for i := range ts {
-		if got[i].IdentityKey() != ts[i].IdentityKey() {
-			t.Fatalf("triple %d: key %v, want %v", i, got[i].IdentityKey(), ts[i].IdentityKey())
+	for _, c := range []struct {
+		payload []byte
+		op      kg.MutationOp
+		prov    bool
+	}{
+		{encTripleBlock(nil, ts), kg.OpAssert, true},
+		{encKeyBlock(nil, keys), kg.OpRetract, false},
+	} {
+		got, err := decFacts(c.payload, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got[i].Prov != ts[i].Prov {
-			t.Fatalf("triple %d: prov %+v, want %+v", i, got[i].Prov, ts[i].Prov)
+		if len(got) != len(ts) {
+			t.Fatalf("record type %d: decoded %d facts, want %d", c.payload[0], len(got), len(ts))
+		}
+		for i := range ts {
+			want := kg.Mutation{Op: c.op, T: ts[i]}
+			if !c.prov {
+				want.T.Prov = kg.Provenance{}
+			}
+			if !sameMutation(got[i], want) {
+				t.Fatalf("record type %d, fact %d: %+v, want %+v", c.payload[0], i, got[i], want)
+			}
 		}
 	}
 	// An empty block is legal (and decodes to nothing).
-	if err := decTripleBlock(encTripleBlock(nil, nil), func(kg.Triple) error {
-		t.Fatal("empty block delivered a triple")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if got, err := decFacts(encTripleBlock(nil, nil), nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty block: %d facts, err %v", len(got), err)
 	}
 }
 
-// A truncated block payload errors without delivering the partially
-// decoded triple.
+// A truncated block payload, in either format, errors: no block decodes
+// to part of itself.
 func TestTripleBlockTruncation(t *testing.T) {
 	ts := []kg.Triple{
 		{Subject: 1, Predicate: 2, Object: kg.EntityValue(3)},
 		{Subject: 4, Predicate: 5, Object: kg.StringValue("tail")},
 	}
-	p := encTripleBlock(nil, ts)
-	for cut := len(p) - 1; cut > 5; cut -= 7 {
-		delivered := 0
-		err := decTripleBlock(p[:cut], func(kg.Triple) error {
-			delivered++
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("cut at %d decoded cleanly", cut)
-		}
-		if delivered > 1 {
-			t.Fatalf("cut at %d delivered %d triples from a torn two-triple block", cut, delivered)
+	muts := []kg.Mutation{{Seq: 7, Op: kg.OpAssert, T: ts[0]}, {Seq: 8, Op: kg.OpRetract, T: ts[1]}}
+	for _, p := range [][]byte{encTripleBlock(nil, ts), firstPayload(appendFactBlocks(nil, 7, muts, mutationFact))} {
+		for cut := len(p) - 1; cut > 0; cut-- {
+			if _, err := decFacts(p[:cut], nil); err == nil {
+				t.Fatalf("record type %d cut at %d of %d bytes decoded cleanly", p[0], cut, len(p))
+			}
 		}
 	}
 }
@@ -105,8 +104,8 @@ func TestUnchainedCheckpointOpensAsFull(t *testing.T) {
 	for id := kg.PredicateID(1); int(id) <= src.NumPredicates(); id++ {
 		file = appendFrame(file, encPredicate(nil, src.Predicate(id)))
 	}
-	for start := 0; start < len(ts); start += ckptTripleBlockSize {
-		file = appendFrame(file, encTripleBlock(nil, ts[start:min(start+ckptTripleBlockSize, len(ts))]))
+	for start := 0; start < len(ts); start += factBlockSize {
+		file = appendFrame(file, encTripleBlock(nil, ts[start:min(start+factBlockSize, len(ts))]))
 	}
 	file = appendFrame(file, encCkptFooter(nil, ckptFooter{watermark: wm, nTriples: uint64(len(ts))}))
 
@@ -171,7 +170,7 @@ func TestBlockCheckpointMultiBlockRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]kg.Triple, 0, ckptTripleBlockSize*2+37)
+	batch := make([]kg.Triple, 0, factBlockSize*2+37)
 	for i := 0; i < cap(batch); i++ {
 		batch = append(batch, kg.Triple{
 			Subject:   ent[i%len(ent)],

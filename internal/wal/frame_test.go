@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -22,7 +23,7 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-func readFile(t *testing.T, fs FS, name string) []byte {
+func readFile(t testing.TB, fs FS, name string) []byte {
 	t.Helper()
 	r, err := fs.OpenRead(filepath.Join(testDir, name))
 	if err != nil {
@@ -36,14 +37,86 @@ func readFile(t *testing.T, fs FS, name string) []byte {
 	return data
 }
 
+// refFactBlock is the reference encoding of one fact block, written from
+// the format's description apart from the manager's encoder: the facts'
+// LSNs are first on (0 in a checkpoint), and whether a provenance is zero
+// or the previous entry's is decided by comparing stored rows.
+func refFactBlock(first uint64, facts []kg.Mutation) []byte {
+	p := binary.AppendUvarint([]byte{recFactBlock}, first)
+	p = binary.AppendUvarint(p, uint64(len(facts)))
+	row := func(prov kg.Provenance) kg.FactRow { return kg.RowOf(kg.BoolValue(true), prov) }
+	for i, f := range facts {
+		v, prov := f.T.Object, f.T.Prov
+		mode := byte(3)
+		switch {
+		case row(prov) == row(kg.Provenance{}):
+			mode = 0
+		case i > 0 && row(prov) == row(facts[i-1].T.Prov):
+			mode = 1
+		case prov.ObservedAt.IsZero():
+			mode = 2
+		}
+		h := byte(v.Kind) | mode<<4
+		if f.Op == kg.OpRetract {
+			h |= 8
+		}
+		p = append(p, h)
+		p = binary.AppendUvarint(p, uint64(f.T.Subject))
+		p = binary.AppendUvarint(p, uint64(f.T.Predicate))
+		switch v.Kind {
+		case kg.KindEntity:
+			p = binary.AppendUvarint(p, uint64(v.Entity))
+		case kg.KindBool:
+			p = binary.AppendUvarint(p, uint64(v.Num))
+		case kg.KindString:
+			p = binary.AppendUvarint(p, uint64(len(v.Str)))
+			p = append(p, v.Str...)
+		case kg.KindInt:
+			p = binary.AppendVarint(p, v.Num)
+		case kg.KindTime:
+			p = binary.AppendVarint(p, v.TS.UnixNano())
+		case kg.KindFloat:
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v.Flt))
+		}
+		if mode >= 2 {
+			p = binary.AppendUvarint(p, uint64(len(prov.Source)))
+			p = append(p, prov.Source...)
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(prov.Confidence))
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(prov.SourceQuality))
+			if mode == 3 {
+				p = binary.AppendVarint(p, prov.ObservedAt.UnixNano())
+			}
+		}
+	}
+	return p
+}
+
+// refFactFrames frames facts as the reference fact blocks of at most
+// factBlockSize facts each.
+func refFactFrames(first uint64, facts []kg.Mutation) []byte {
+	var out []byte
+	for len(facts) > 0 {
+		n := min(len(facts), factBlockSize)
+		out = appendFrame(out, refFactBlock(first, facts[:n]))
+		if first != 0 {
+			first += uint64(n)
+		}
+		facts = facts[n:]
+	}
+	return out
+}
+
 // refWriter rebuilds, record by record through the reference encoders,
 // what a manager must have written: it shadows the manager's dictionary
-// cursors and drains its own changefeed at every commit.
+// cursors and drains its own changefeed at every commit. With fixedWidth
+// set it writes facts as the records used before fact blocks, which is
+// how the tests build a directory in that format.
 type refWriter struct {
 	g              *kg.Graph
 	feed           *kg.Changefeed
 	ont, ent, pred int
 	pops           map[kg.EntityID]float64 // popularity as of the previous commit
+	fixedWidth     bool
 }
 
 func (r *refWriter) segHeader(gen uint64) []byte {
@@ -53,7 +126,7 @@ func (r *refWriter) segHeader(gen uint64) []byte {
 // commit returns the bytes of one commit: dictionary deltas, updates of
 // entity records (pops is the script's shadow of every popularity),
 // mutations.
-func (r *refWriter) commit(t *testing.T, pops map[kg.EntityID]float64) []byte {
+func (r *refWriter) commit(t testing.TB, pops map[kg.EntityID]float64) []byte {
 	t.Helper()
 	muts, complete := r.feed.Pull()
 	if !complete {
@@ -85,12 +158,17 @@ func (r *refWriter) commit(t *testing.T, pops map[kg.EntityID]float64) []byte {
 		out = appendFrame(out, encEntityUpdate(nil, r.g.Entity(id)))
 	}
 	r.pops = pops
-	for _, mu := range muts {
-		out = appendFrame(out, encMutation(nil, mu))
+	if r.fixedWidth {
+		return append(out, fixedWidthFacts(muts)...)
+	}
+	if len(muts) > 0 {
+		out = append(out, refFactFrames(muts[0].Seq, muts)...)
 	}
 	return out
 }
 
+// checkpoint returns the bytes of a full checkpoint at wm and moves the
+// writer past it, as the manager's cursors move.
 func (r *refWriter) checkpoint(wm uint64) []byte {
 	ts := r.g.AllTriples()
 	ont := r.g.Ontology()
@@ -110,21 +188,31 @@ func (r *refWriter) checkpoint(wm uint64) []byte {
 	for id := kg.PredicateID(1); int(id) <= r.g.NumPredicates(); id++ {
 		out = appendFrame(out, encPredicate(nil, r.g.Predicate(id)))
 	}
-	for start := 0; start < len(ts); start += ckptTripleBlockSize {
-		out = appendFrame(out, encTripleBlock(nil, ts[start:min(start+ckptTripleBlockSize, len(ts))]))
+	if r.fixedWidth {
+		for start := 0; start < len(ts); start += factBlockSize {
+			out = appendFrame(out, encTripleBlock(nil, ts[start:min(start+factBlockSize, len(ts))]))
+		}
+	} else {
+		adds := make([]kg.Mutation, len(ts))
+		for i, t := range ts {
+			adds[i] = kg.Mutation{Op: kg.OpAssert, T: t}
+		}
+		out = append(out, refFactFrames(0, adds)...)
 	}
+	r.ont, r.ent, r.pred = ont.Len(), r.g.NumEntities(), r.g.NumPredicates()
+	r.feed.Reset(wm)
 	return appendFrame(out, encCkptFooter(nil, ckptFooter{watermark: wm, nTriples: uint64(len(ts))}))
 }
 
-// TestSegmentBytesMatchReferenceEncoders pins the on-disk format across
-// the in-place framing rewrite: for a seeded history — entities,
+// TestSegmentBytesMatchReferenceEncoders pins the on-disk format and the
+// manager's in-place framing: for a seeded history — entities,
 // predicates and ontology types registered mid-stream, entity record
 // updates, asserts and retracts of every value kind, provenance with and
 // without an observation time — every segment and the checkpoint hold
-// exactly the bytes the reference appendFrame(nil, encX(nil, …))
-// encoders produce for the same records in the same order. Commit sizes
-// vary from empty to hundreds of records so the reused buffers are
-// exercised empty, regrown and reused.
+// exactly the bytes the reference appendFrame(nil, encX(nil, …)) and
+// refFactBlock encoders produce for the same records in the same order.
+// Commit sizes vary from empty to more than one fact block so the reused
+// buffers are exercised empty, regrown and reused.
 func TestSegmentBytesMatchReferenceEncoders(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		fs := NewFaultFS(seed)
@@ -140,7 +228,7 @@ func TestSegmentBytesMatchReferenceEncoders(t *testing.T) {
 		}
 		want := ref.segHeader(1)
 		want = commit(want) // an empty commit writes nothing
-		for _, steps := range []int{1, 7, 0, 300, 2, 40, 0, 1} {
+		for _, steps := range []int{1, 7, 0, 300, 2, 1200, 40, 0, 1} {
 			for i := 0; i < steps; i++ {
 				s.step()
 			}

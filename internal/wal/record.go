@@ -20,8 +20,10 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 //	[4B LE payload length][4B LE CRC32C(payload)][payload]
 //
 // with CRC32C the Castagnoli polynomial (hardware-accelerated on amd64
-// and arm64). The payload's first byte is the record type; all integers
-// are fixed-width little-endian, strings are u32-length-prefixed UTF-8.
+// and arm64). The payload's first byte is the record type. Facts are
+// written as fact blocks, whose integers are varints (see appendFact);
+// every other record holds fixed-width little-endian integers and
+// u32-length-prefixed UTF-8 strings.
 // A reader that hits a short header, short payload, or CRC mismatch has
 // found a torn tail (or corruption): everything before the offending
 // frame is valid, everything from its start offset on is discarded.
@@ -34,7 +36,9 @@ const (
 	walVersion = 1
 )
 
-// Record types (payload byte 0).
+// Record types (payload byte 0). Types 5, 9 and 11 are read, never
+// written: they held facts before fact blocks did, and a directory
+// written then still recovers.
 const (
 	recSegmentHeader    = 1 // version, generation, firstLSN
 	recEntity           = 2 // entity-dictionary delta
@@ -44,13 +48,14 @@ const (
 	recCheckpointHeader = 6 // watermark, base, expected record counts
 	// 7 was a one-triple checkpoint record, written before triple blocks.
 	recCheckpointFooter = 8 // watermark + triple count; validity marker
-	recTripleBlock      = 9 // many checkpointed triples in one CRC frame
+	recTripleBlock      = 9 // checkpointed triples
 	// recEntityUpdate is an in-place entity record update (SetPopularity/
 	// UpdateEntity): same payload as recEntity, but replay overwrites the
 	// existing record (ReplaceEntity) where recEntity verifies-or-
 	// registers and never modifies an existing ID.
 	recEntityUpdate = 10
 	recKeyBlock     = 11 // fact keys a checkpoint retracts from its base
+	recFactBlock    = 12 // facts: logged mutations, or a checkpoint's changes
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -74,7 +79,7 @@ func (e *CorruptError) Error() string {
 // endFrame back-fills length and CRC — no per-record payload temporary.
 //
 //	buf, at := beginFrame(buf)
-//	buf = encMutation(buf, mu)
+//	buf = encEntity(buf, e)
 //	endFrame(buf, at)
 func beginFrame(dst []byte) (_ []byte, at int) {
 	return append(dst, make([]byte, frameHeaderSize)...), len(dst)
@@ -156,11 +161,7 @@ type dec struct {
 	err error
 }
 
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s at byte %d", what, d.off)
-	}
-}
+func (d *dec) fail(what string) { d.invalid("truncated " + what) }
 
 func (d *dec) u8() byte {
 	if d.err != nil || d.off+1 > len(d.b) {
@@ -196,15 +197,52 @@ func (d *dec) i64() int64 { return int64(d.u64()) }
 
 func (d *dec) f64() float64 { return floatFromBits(d.u64()) }
 
-func (d *dec) str() string {
-	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.b) || int(n) < 0 {
+func (d *dec) str() string { return d.bytes(uint64(d.u32())) }
+
+// bytes reads the next n bytes as a string.
+func (d *dec) bytes(n uint64) string {
+	if d.err != nil || n > uint64(len(d.b)-d.off) {
 		d.fail("string")
 		return ""
 	}
 	s := string(d.b[d.off : d.off+int(n)])
 	d.off += int(n)
 	return s
+}
+
+func (d *dec) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("uvarint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// varint reads a zigzag varint (binary.AppendVarint's encoding).
+func (d *dec) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// id reads a uvarint entity or predicate ID, which must fit 32 bits.
+func (d *dec) id() uint32 {
+	v := d.uvarint()
+	if v > math.MaxUint32 {
+		d.invalid(fmt.Sprintf("ID %d out of range", v))
+	}
+	return uint32(v)
+}
+
+// invalid latches a malformed-content error; fail, a short read.
+func (d *dec) invalid(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%s at byte %d", what, d.off)
+	}
 }
 
 // done returns the latched error, or an error if trailing bytes remain —
@@ -336,35 +374,262 @@ func decOntType(p []byte) (ontRec, error) {
 	return r, d.done("ontology type")
 }
 
-// appendTripleBody encodes subject, predicate, object identity, and
-// provenance — the shared tail of mutation and checkpoint-triple records.
-// The object is stored as its ValueKey, whose Value() round-trip preserves
-// identity for every kind (float bit patterns including NaN payloads,
-// times as UTC UnixNano — sub-year-1678 / post-2262 instants are outside
-// the representable range, like everywhere else UnixNano is used).
-func appendTripleBody(dst []byte, t kg.Triple) []byte {
-	dst = appendTripleKey(dst, t.IdentityKey())
-	dst = appendStr(dst, t.Prov.Source)
-	dst = appendF64(dst, t.Prov.Confidence)
-	dst = appendF64(dst, t.Prov.SourceQuality)
-	if t.Prov.ObservedAt.IsZero() {
-		return append(dst, 0)
+// --- fact blocks ----------------------------------------------------------
+
+// A fact block is the one written form of a fact: a commit frames its
+// mutations as fact blocks, and a checkpoint its retracted keys and its
+// added facts. Its payload is
+//
+//	[type][uvarint first LSN][uvarint count][count entries]
+//
+// where the entries' LSNs are first, first+1, and so on; a checkpoint
+// writes 0 and its entries carry no LSN. A block decodes on its own: no
+// state carries over from the blocks before it. The entry layout is
+// appendFact's.
+const (
+	// factBlockSize is how many facts share one fact block, in the log
+	// and in checkpoints. Large enough to amortize the frame header, CRC
+	// pass and scan dispatch to noise; small enough that a torn tail or
+	// corrupt frame loses little.
+	factBlockSize = 512
+	// factBlockBytes ends a block before factBlockSize facts once its
+	// facts' strings reach it, so a block of long literals stays far
+	// below maxRecordSize.
+	factBlockBytes = 1 << 20
+
+	// The entry header byte: the object kind in bits 0-2, factRetract
+	// set for a retract, the provenance mode in bits 4-5; bits 6-7 are 0.
+	factKindMask  = 0x07
+	factRetract   = 0x08
+	factProvShift = 4
+
+	// Provenance modes. An entry repeats its predecessor's provenance in
+	// the same block with provSame; the explicit modes write it out, with
+	// or without ObservedAt.
+	provZero       = 0
+	provSame       = 1
+	provExplicit   = 2
+	provExplicitAt = 3
+
+	// minFactSize is the fewest bytes an entry takes — header, subject,
+	// predicate and a one-byte object — which bounds a block's count by
+	// its payload length.
+	minFactSize = 4
+)
+
+// appendFactBlocks frames facts as fact blocks of at most factBlockSize
+// facts each, fewer where their strings reach factBlockBytes, and
+// appends them to buf. fact gives a fact's op, identity and provenance
+// (nil for none). facts[0] has LSN first and the rest follow it in LSN
+// order; a checkpoint passes 0.
+func appendFactBlocks[F any](buf []byte, first uint64, facts []F, fact func(*F) (kg.MutationOp, kg.TripleKey, *kg.Provenance)) []byte {
+	for len(facts) > 0 {
+		n := min(len(facts), factBlockSize)
+		for i, size := 0, 0; i < n; i++ {
+			_, k, p := fact(&facts[i])
+			if size += len(k.Object.Str); p != nil {
+				size += len(p.Source)
+			}
+			if size >= factBlockBytes {
+				n = i + 1
+				break
+			}
+		}
+		var at int
+		buf, at = beginFrame(buf)
+		buf = append(buf, recFactBlock)
+		buf = binary.AppendUvarint(buf, first)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		var prev *kg.Provenance
+		for i := range facts[:n] {
+			op, k, p := fact(&facts[i])
+			buf = appendFact(buf, op, k, p, prev)
+			prev = p
+		}
+		endFrame(buf, at)
+		facts = facts[n:]
+		if first != 0 {
+			first += uint64(n)
+		}
 	}
-	dst = append(dst, 1)
-	return binary.LittleEndian.AppendUint64(dst, uint64(t.Prov.ObservedAt.UnixNano()))
+	return buf
 }
 
-// appendTripleKey encodes a fact's identity: subject, predicate and the
-// object's ValueKey — the head of a triple body, and all of a key block's
-// entry.
-func appendTripleKey(dst []byte, k kg.TripleKey) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(k.Subject))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(k.Predicate))
-	dst = append(dst, byte(k.Object.Kind))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(k.Object.Num))
-	return appendStr(dst, k.Object.Str)
+// The fact accessors of the three kinds of list appendFactBlocks frames.
+func mutationFact(m *kg.Mutation) (kg.MutationOp, kg.TripleKey, *kg.Provenance) {
+	return m.Op, m.T.IdentityKey(), &m.T.Prov
 }
 
+func assertedFact(t *kg.Triple) (kg.MutationOp, kg.TripleKey, *kg.Provenance) {
+	return kg.OpAssert, t.IdentityKey(), &t.Prov
+}
+
+func retractedFact(k *kg.TripleKey) (kg.MutationOp, kg.TripleKey, *kg.Provenance) {
+	return kg.OpRetract, *k, nil
+}
+
+// appendFact appends one fact-block entry:
+//
+//	[header][uvarint subject][uvarint predicate][object][provenance]
+//
+// The object is a uvarint for an entity ID or a bool, a uvarint length
+// and the bytes for a string, a zigzag varint for an int or a time (its
+// UnixNano), and the 8 little-endian bytes of a float's bits, so NaN
+// payloads and -0 survive. The provenance takes no bytes when it is zero
+// or the same as prev's, the provenance of the entry before it in the
+// block; otherwise it is the source as a uvarint length and bytes, the
+// bits of the confidence and of the source quality (8 bytes each) and,
+// in mode provExplicitAt, ObservedAt's UnixNano as a zigzag varint.
+func appendFact(dst []byte, op kg.MutationOp, k kg.TripleKey, p, prev *kg.Provenance) []byte {
+	mode := byte(provExplicitAt)
+	switch {
+	case p == nil || sameProv(p, &kg.Provenance{}):
+		mode = provZero
+	case prev != nil && sameProv(p, prev):
+		mode = provSame
+	case p.ObservedAt.IsZero():
+		mode = provExplicit
+	}
+	h := byte(k.Object.Kind)&factKindMask | mode<<factProvShift
+	if op == kg.OpRetract {
+		h |= factRetract
+	}
+	dst = append(dst, h)
+	dst = binary.AppendUvarint(dst, uint64(k.Subject))
+	dst = binary.AppendUvarint(dst, uint64(k.Predicate))
+	switch k.Object.Kind {
+	case kg.KindString:
+		dst = binary.AppendUvarint(dst, uint64(len(k.Object.Str)))
+		dst = append(dst, k.Object.Str...)
+	case kg.KindInt, kg.KindTime:
+		dst = binary.AppendVarint(dst, k.Object.Num)
+	case kg.KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(k.Object.Num))
+	default: // entity, bool
+		dst = binary.AppendUvarint(dst, uint64(k.Object.Num))
+	}
+	if mode >= provExplicit {
+		dst = binary.AppendUvarint(dst, uint64(len(p.Source)))
+		dst = append(dst, p.Source...)
+		dst = appendF64(dst, p.Confidence)
+		dst = appendF64(dst, p.SourceQuality)
+		if mode == provExplicitAt {
+			dst = binary.AppendVarint(dst, p.ObservedAt.UnixNano())
+		}
+	}
+	return dst
+}
+
+// sameProv reports whether a and b are one provenance as the graph
+// stores it (kg.RowOf): the floats compared as bits, ObservedAt as its
+// UnixNano.
+func sameProv(a, b *kg.Provenance) bool {
+	return a.Source == b.Source &&
+		floatBits(a.Confidence) == floatBits(b.Confidence) &&
+		floatBits(a.SourceQuality) == floatBits(b.SourceQuality) &&
+		a.ObservedAt.IsZero() == b.ObservedAt.IsZero() &&
+		(a.ObservedAt.IsZero() || a.ObservedAt.UnixNano() == b.ObservedAt.UnixNano())
+}
+
+// factBlock decodes the rest of a fact-block payload, appending its
+// facts to dst. It decodes the whole block or returns an error.
+func (d *dec) factBlock(dst []kg.Mutation) []kg.Mutation {
+	first, n := d.uvarint(), d.uvarint()
+	switch {
+	case d.err != nil:
+		return dst
+	case n > uint64(len(d.b)-d.off)/minFactSize:
+		d.invalid(fmt.Sprintf("count %d in %d bytes", n, len(d.b)-d.off))
+		return dst
+	case n > 0 && first+n-1 < first:
+		d.invalid(fmt.Sprintf("LSNs from %d overflow", first))
+		return dst
+	}
+	dst = slices.Grow(dst, int(n))
+	start := len(dst)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		m := kg.Mutation{Seq: first + i, Op: kg.OpAssert}
+		h := d.u8()
+		if h&factRetract != 0 {
+			m.Op = kg.OpRetract
+		}
+		m.T.Subject, m.T.Predicate = kg.EntityID(d.id()), kg.PredicateID(d.id())
+		k := kg.ValueKey{Kind: kg.ValueKind(h & factKindMask)}
+		switch k.Kind {
+		case kg.KindEntity:
+			k.Num = int64(d.id())
+		case kg.KindBool:
+			k.Num = int64(d.uvarint())
+		case kg.KindString:
+			k.Str = d.bytes(d.uvarint())
+		case kg.KindInt, kg.KindTime:
+			k.Num = d.varint()
+		case kg.KindFloat:
+			k.Num = d.i64()
+		default:
+			d.invalid(fmt.Sprintf("object kind %d", k.Kind))
+		}
+		m.T.Object = k.Value()
+		switch mode := h >> factProvShift; mode {
+		case provZero:
+		case provSame:
+			if len(dst) == start {
+				d.invalid("first entry repeats a provenance")
+			} else {
+				m.T.Prov = dst[len(dst)-1].T.Prov
+			}
+		case provExplicit, provExplicitAt:
+			m.T.Prov.Source = d.bytes(d.uvarint())
+			m.T.Prov.Confidence, m.T.Prov.SourceQuality = d.f64(), d.f64()
+			if mode == provExplicitAt {
+				m.T.Prov.ObservedAt = time.Unix(0, d.varint()).UTC()
+			}
+		default:
+			d.invalid(fmt.Sprintf("entry header %#x", h))
+		}
+		dst = append(dst, m)
+	}
+	return dst
+}
+
+// decFacts decodes a record that carries facts and appends them to dst
+// as mutations. Besides a fact block it reads the records that carried
+// facts before fact blocks did: a log's mutation record, read as a block
+// of one, and a checkpoint's triple block (asserts) and key block
+// (retracts), whose entries carry no LSN. It decodes the whole record or
+// returns an error.
+func decFacts(p []byte, dst []kg.Mutation) ([]kg.Mutation, error) {
+	d := &dec{b: p, off: 1}
+	switch p[0] {
+	case recFactBlock:
+		dst = d.factBlock(dst)
+	case recMutation:
+		m := kg.Mutation{Seq: d.u64(), Op: kg.MutationOp(d.u8())}
+		m.T = d.tripleBody()
+		if m.Op != kg.OpAssert && m.Op != kg.OpRetract {
+			d.invalid(fmt.Sprintf("op %d", m.Op))
+		}
+		dst = append(dst, m)
+	case recTripleBlock:
+		for n := d.u32(); n > 0 && d.err == nil; n-- {
+			dst = append(dst, kg.Mutation{Op: kg.OpAssert, T: d.tripleBody()})
+		}
+	case recKeyBlock:
+		for n := d.u32(); n > 0 && d.err == nil; n-- {
+			k := d.tripleKey()
+			dst = append(dst, kg.Mutation{Op: kg.OpRetract, T: kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}})
+		}
+	default:
+		return dst, fmt.Errorf("wal: record type %d holds no facts", p[0])
+	}
+	return dst, d.done("fact record")
+}
+
+// tripleKey and tripleBody read the fact records written before fact
+// blocks: a fact's identity — u32 subject and predicate, the object's
+// kind byte, 8-byte payload and u32-length-prefixed string — then, in a
+// body, the provenance: source, confidence and quality bits, and a flag
+// byte followed, when set, by ObservedAt's UnixNano.
 func (d *dec) tripleKey() kg.TripleKey {
 	k := kg.TripleKey{
 		Subject:   kg.EntityID(d.u32()),
@@ -386,86 +651,6 @@ func (d *dec) tripleBody() kg.Triple {
 		t.Prov.ObservedAt = time.Unix(0, d.i64()).UTC()
 	}
 	return t
-}
-
-func encMutation(dst []byte, m kg.Mutation) []byte {
-	dst = append(dst, recMutation)
-	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
-	dst = append(dst, byte(m.Op))
-	return appendTripleBody(dst, m.T)
-}
-
-func decMutation(p []byte) (kg.Mutation, error) {
-	d := &dec{b: p, off: 1}
-	m := kg.Mutation{Seq: d.u64(), Op: kg.MutationOp(d.u8())}
-	m.T = d.tripleBody()
-	if err := d.done("mutation"); err != nil {
-		return kg.Mutation{}, err
-	}
-	if m.Op != kg.OpAssert && m.Op != kg.OpRetract {
-		return kg.Mutation{}, fmt.Errorf("wal: decode mutation: unknown op %d", m.Op)
-	}
-	return m, nil
-}
-
-// encTripleBlock encodes a batch of checkpointed triples into one
-// payload: type byte, u32 count, then the triple bodies back to back.
-// Blocks amortize the per-frame cost (8-byte header, one CRC pass, one
-// scanFrames round, one type dispatch) over many triples; per-frame
-// decode dominated checkpoint recovery when every triple paid it alone.
-func encTripleBlock(dst []byte, ts []kg.Triple) []byte {
-	dst = append(dst, recTripleBlock)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ts)))
-	for _, t := range ts {
-		dst = appendTripleBody(dst, t)
-	}
-	return dst
-}
-
-// decTripleBlock decodes a triple-block payload, invoking fn per triple.
-// A decode failure mid-block aborts before delivering the partially
-// decoded triple; an error from fn aborts the block as-is.
-func decTripleBlock(p []byte, fn func(kg.Triple) error) error {
-	d := &dec{b: p, off: 1}
-	n := d.u32()
-	for i := uint32(0); i < n; i++ {
-		t := d.tripleBody()
-		if d.err != nil {
-			break
-		}
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return d.done("triple block")
-}
-
-// encKeyBlock encodes a batch of retracted fact keys into one payload:
-// type byte, u32 count, then the keys back to back.
-func encKeyBlock(dst []byte, ks []kg.TripleKey) []byte {
-	dst = append(dst, recKeyBlock)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ks)))
-	for _, k := range ks {
-		dst = appendTripleKey(dst, k)
-	}
-	return dst
-}
-
-// decKeyBlock decodes a key-block payload, invoking fn per key, with the
-// failure semantics of decTripleBlock.
-func decKeyBlock(p []byte, fn func(kg.TripleKey) error) error {
-	d := &dec{b: p, off: 1}
-	n := d.u32()
-	for i := uint32(0); i < n; i++ {
-		k := d.tripleKey()
-		if d.err != nil {
-			break
-		}
-		if err := fn(k); err != nil {
-			return err
-		}
-	}
-	return d.done("key block")
 }
 
 // ckptHeader opens a checkpoint. A checkpoint at watermark W with base B

@@ -12,6 +12,17 @@
 // entity/predicate/ontology dictionary deltas ahead of the mutations
 // that reference them.
 //
+// A fact is written in one form, the fact block (record.go): up to 512
+// facts in one CRC frame, each a header byte and varints, its provenance
+// left out when it is zero or repeats the previous entry's. A commit
+// frames its mutations as fact blocks, numbered from the block's first
+// LSN; a checkpoint frames its retracted keys and added facts the same
+// way. A block decodes on its own. The records that held facts before
+// fact blocks — one frame per logged mutation, and fixed-width triple and
+// key blocks in checkpoints — are still read, so a data directory written
+// in that format recovers, serves as-of reads and takes delta
+// checkpoints; a logged mutation record is applied as a block of one.
+//
 // A checkpoint records the state at a watermark W. Most are deltas: the
 // net change since the newest checkpoint B, which the delta names as its
 // base — fact keys retracted, facts added with their provenance, and the
@@ -47,6 +58,13 @@
 // exactly the first W mutations for the recovered watermark W — with
 // W >= DurableLSN as of the crash. Torn or corrupt log tails are
 // truncated and reported as diagnostics in RecoveryInfo, never a panic.
+// Replay takes a fact block whole: it decodes the block before applying
+// any of it and skips the part at or below the watermark, and a torn or
+// malformed block ends the recovered prefix before it. A block whose
+// frame is intact but whose mutations do not apply — a duplicate assert,
+// a retract of an absent fact — fails Open with an error naming the
+// segment and the block's offset: a torn write cannot produce one, and
+// the part of it applied by then cannot be rolled back.
 // SyncToWatermark is the explicit barrier: after it returns nil, every
 // mutation at or below the given watermark is on disk regardless of
 // policy.
@@ -440,7 +458,8 @@ func (m *Manager) Commit() (uint64, error) {
 // were not persisted.
 //
 // Every record is framed in place in one buffer the manager keeps across
-// commits, and the whole commit goes out in one Write.
+// commits, and the whole commit goes out in one Write: dictionary
+// entries, record updates, then the mutations as fact blocks.
 func (m *Manager) commitLocked() error {
 	muts, complete := m.feed.PullAppend(m.commitMuts[:0])
 	if !complete {
@@ -468,10 +487,10 @@ func (m *Manager) commitLocked() error {
 			endFrame(buf, at)
 		}
 	}
-	for i := range muts {
-		buf, at = beginFrame(buf)
-		buf = encMutation(buf, muts[i])
-		endFrame(buf, at)
+	// A complete pull is gapless, so the LSNs of a block's mutations are
+	// its first plus their index.
+	if len(muts) > 0 {
+		buf = appendFactBlocks(buf, muts[0].Seq, muts, mutationFact)
 	}
 	var err error
 	if len(buf) > 0 {
@@ -640,12 +659,6 @@ func (m *Manager) Checkpoint() (uint64, error) {
 	return m.ckptLSN, nil
 }
 
-// ckptTripleBlockSize is how many triples (or retracted keys) share one
-// checkpoint frame. Large enough to amortize the frame header, CRC pass,
-// and scan dispatch to noise; small enough that a torn tail or corrupt
-// frame loses little.
-const ckptTripleBlockSize = 512
-
 func (m *Manager) checkpointLocked() error {
 	// Drain pending mutations first so the old segment is complete up to
 	// some LSN <= wm; everything the checkpoint covers beyond that is in
@@ -794,10 +807,9 @@ func (m *Manager) writeCheckpointLocked(wm, base uint64, ch kg.NetChange) (ckptF
 		buf = encEntityUpdate(buf, m.g.Entity(id))
 		endFrame(buf, at)
 	}
-	// Facts and keys are framed in blocks (many per CRC frame) so recovery
-	// amortizes the per-frame scan-and-dispatch cost, and flushed in
-	// chunks so checkpointing a large graph does not hold the whole
-	// serialized image in memory alongside the triples.
+	// The retracted keys, then the added facts, go out as fact blocks,
+	// flushed in chunks so checkpointing a large graph does not hold the
+	// whole serialized image in memory alongside the triples.
 	const chunk = 1 << 20
 	flush := func() error {
 		if len(buf) < chunk {
@@ -807,16 +819,12 @@ func (m *Manager) writeCheckpointLocked(wm, base uint64, ch kg.NetChange) (ckptF
 		buf = buf[:0]
 		return err
 	}
-	for start := 0; start < len(ch.Retracted) && err == nil; start += ckptTripleBlockSize {
-		buf, at = beginFrame(buf)
-		buf = encKeyBlock(buf, ch.Retracted[start:min(start+ckptTripleBlockSize, len(ch.Retracted))])
-		endFrame(buf, at)
+	for start := 0; start < len(ch.Retracted) && err == nil; start += factBlockSize {
+		buf = appendFactBlocks(buf, 0, ch.Retracted[start:min(start+factBlockSize, len(ch.Retracted))], retractedFact)
 		err = flush()
 	}
-	for start := 0; start < len(ch.Asserted) && err == nil; start += ckptTripleBlockSize {
-		buf, at = beginFrame(buf)
-		buf = encTripleBlock(buf, ch.Asserted[start:min(start+ckptTripleBlockSize, len(ch.Asserted))])
-		endFrame(buf, at)
+	for start := 0; start < len(ch.Asserted) && err == nil; start += factBlockSize {
+		buf = appendFactBlocks(buf, 0, ch.Asserted[start:min(start+factBlockSize, len(ch.Asserted))], assertedFact)
 		err = flush()
 	}
 	if err == nil {
@@ -1020,9 +1028,10 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 	}
 
 	// Replay segments in generation order. The first anomaly (torn tail,
-	// CRC failure, LSN gap, replay mismatch) ends the usable suffix:
+	// CRC failure, LSN gap, malformed record) ends the usable suffix:
 	// everything after it in this segment and all later segments is
-	// discarded so the next incarnation's log stays contiguous.
+	// discarded so the next incarnation's log stays contiguous. A block
+	// that does not apply fails recovery.
 	updated = make(map[kg.EntityID]struct{})
 	stopped := false
 	for _, gen := range segs {
@@ -1119,8 +1128,8 @@ func loadCheckpoint(fs FS, dir string, wm, base uint64, g *kg.Graph) error {
 
 	var hdr ckptHeader
 	sawHeader, sawFooter := false, false
-	var dels []kg.TripleKey
-	var adds []kg.Triple
+	var dels, adds []kg.Triple
+	var block []kg.Mutation
 	_, err = scanFrames(name, r, func(p []byte) error {
 		if len(p) == 0 {
 			return errors.New("empty payload")
@@ -1151,16 +1160,19 @@ func loadCheckpoint(fs FS, dir string, wm, base uint64, g *kg.Graph) error {
 				return err
 			}
 			return g.ReplaceEntity(e)
-		case recKeyBlock:
-			return decKeyBlock(p, func(k kg.TripleKey) error {
-				dels = append(dels, k)
-				return nil
-			})
-		case recTripleBlock:
-			return decTripleBlock(p, func(t kg.Triple) error {
-				adds = append(adds, t)
-				return nil
-			})
+		case recFactBlock, recTripleBlock, recKeyBlock:
+			var err error
+			if block, err = decFacts(p, block[:0]); err != nil {
+				return err
+			}
+			for i := range block {
+				if block[i].Op == kg.OpRetract {
+					dels = append(dels, block[i].T)
+				} else {
+					adds = append(adds, block[i].T)
+				}
+			}
+			return nil
 		case recCheckpointFooter:
 			f, err := decCkptFooter(p)
 			if err != nil {
@@ -1190,9 +1202,9 @@ func loadCheckpoint(fs FS, dir string, wm, base uint64, g *kg.Graph) error {
 		return fmt.Errorf("dictionary counts (%d ent, %d pred, %d ont) disagree with header (%d, %d, %d)",
 			g.NumEntities(), g.NumPredicates(), g.Ontology().Len(), hdr.nEntities, hdr.nPreds, hdr.nOntTypes)
 	}
-	for _, k := range dels {
-		if !g.Retract(kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}) {
-			return fmt.Errorf("retracts %v, absent from its base", k)
+	for _, t := range dels {
+		if !g.Retract(t) {
+			return fmt.Errorf("retracts %v, absent from its base", t)
 		}
 	}
 	// The checkpoint wrote its facts in identity order, so a full
@@ -1256,19 +1268,44 @@ func applyDictRecord(g *kg.Graph, p []byte) error {
 	return nil
 }
 
-// replayStop signals a non-corrupt-frame replay anomaly (LSN gap, apply
-// mismatch, malformed record); the scan stops before the offending frame
-// and the tail is discarded.
+// replayStop signals a non-corrupt-frame replay anomaly (LSN gap,
+// malformed record); the scan stops before the offending frame and the
+// tail is discarded.
 type replayStop struct{ reason string }
 
 func (e *replayStop) Error() string { return e.reason }
 
+// notApplied reports a block whose frame is intact but whose mutations
+// do not apply to the graph. A torn write cannot produce one, and the
+// mutations applied before the failing one cannot be rolled back, so
+// recovery fails instead of stopping.
+type notApplied struct{ reason string }
+
+func (e *notApplied) Error() string { return e.reason }
+
+// applyMutation applies one replayed mutation, which must change the
+// graph: an assert must add its fact, a retract must remove one.
+func applyMutation(g *kg.Graph, mu kg.Mutation) error {
+	if mu.Op == kg.OpRetract {
+		if !g.Retract(mu.T) {
+			return errors.New("retract of absent fact")
+		}
+		return nil
+	}
+	added, err := g.AssertNew(mu.T)
+	if err == nil && !added {
+		err = errors.New("assert was a duplicate")
+	}
+	return err
+}
+
 // replaySegment scans one segment, applying dictionary records, entity
 // record updates (noting each entity in updated) and every mutation that
-// extends the graph's watermark. It returns the byte
-// length of the applied prefix, the count of tail bytes past it, the
-// number of mutations applied, a non-empty diagnostic if the segment's
-// tail was unusable, and a fatal error only for FS-level read failures.
+// extends the graph's watermark, a whole fact block at a time. It
+// returns the byte length of the applied prefix, the count of tail bytes
+// past it, the number of mutations applied, a non-empty diagnostic if
+// the segment's tail was unusable, and a fatal error for FS-level read
+// failures and for a block that does not apply.
 func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated map[kg.EntityID]struct{}) (good, torn int64, replayed int, diag string, err error) {
 	rc, err := fs.OpenRead(path)
 	if err != nil {
@@ -1277,6 +1314,7 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 	defer rc.Close()
 	r := &countReader{r: rc}
 	sawHeader := false
+	var block []kg.Mutation
 	good, serr := scanFrames(name, r, func(p []byte) error {
 		if len(p) == 0 {
 			return &replayStop{reason: "empty payload"}
@@ -1318,33 +1356,27 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 			}
 			updated[e.ID] = struct{}{}
 			return nil
-		case recMutation:
-			mu, err := decMutation(p)
-			if err != nil {
+		case recFactBlock, recMutation:
+			// The whole block is decoded before any of it is applied.
+			var err error
+			if block, err = decFacts(p, block[:0]); err != nil {
 				return &replayStop{reason: err.Error()}
 			}
-			last := g.LastSeq()
-			if mu.Seq <= last {
-				return nil // covered by the checkpoint (or a re-shipped prefix)
+			// Mutations at or below the watermark are covered by the
+			// checkpoint (or a re-shipped prefix).
+			muts := block
+			for len(muts) > 0 && muts[0].Seq <= g.LastSeq() {
+				muts = muts[1:]
 			}
-			if mu.Seq != last+1 {
-				return &replayStop{reason: fmt.Sprintf("LSN gap: log continues at %d, graph watermark %d", mu.Seq, last)}
+			if len(muts) > 0 && muts[0].Seq != g.LastSeq()+1 {
+				return &replayStop{reason: fmt.Sprintf("LSN gap: log continues at %d, graph watermark %d", muts[0].Seq, g.LastSeq())}
 			}
-			switch mu.Op {
-			case kg.OpAssert:
-				added, err := g.AssertNew(mu.T)
-				if err != nil {
-					return &replayStop{reason: fmt.Sprintf("replay LSN %d: %v", mu.Seq, err)}
+			for _, mu := range muts {
+				if err := applyMutation(g, mu); err != nil {
+					return &notApplied{reason: fmt.Sprintf("LSN %d: %v", mu.Seq, err)}
 				}
-				if !added {
-					return &replayStop{reason: fmt.Sprintf("replay LSN %d: assert was a duplicate", mu.Seq)}
-				}
-			case kg.OpRetract:
-				if !g.Retract(mu.T) {
-					return &replayStop{reason: fmt.Sprintf("replay LSN %d: retract of absent fact", mu.Seq)}
-				}
+				replayed++
 			}
-			replayed++
 			return nil
 		default:
 			return &replayStop{reason: fmt.Sprintf("unexpected record type %d in segment", p[0])}
@@ -1361,6 +1393,8 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 		return good, torn, replayed, e.Error(), nil
 	case *replayStop:
 		return good, torn, replayed, fmt.Sprintf("wal: replay stopped in %s at offset %d: %s", name, good, e.reason), nil
+	case *notApplied:
+		return good, torn, replayed, "", fmt.Errorf("wal: replay of %s: the block at offset %d does not apply: %s", name, good, e.reason)
 	default:
 		return good, torn, replayed, "", fmt.Errorf("wal: read segment %s: %w", name, serr)
 	}

@@ -16,10 +16,11 @@
 # silently), a few seconds of native fuzzing on the wire encoder's and the
 # two wire decoders' targets, on the two kernels' and the tokenizer's
 # differential targets, on the fact set's model-based one, on the stored
-# fact row's round trip, on the model file reader's and on the checkpoint
-# loader's, and a short open-loop load smoke against an in-process
-# server (kgload -smoke: zero 5xx, zero transport errors, p99
-# of admitted requests under the read route's deadline).
+# fact row's round trip, on the model file reader's, on the checkpoint
+# loader's and on the log segment replayer's, and a short open-loop load
+# smoke against an in-process server (kgload -smoke: zero 5xx, zero
+# transport errors, p99 of admitted requests under the read route's
+# deadline).
 # Run it before every push; it is exactly what a hosted CI job would
 # run, so a clean exit here means a clean check there.
 #
@@ -92,6 +93,7 @@ go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/v
 go test -run '^$' -fuzz '^FuzzTriStep$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime "${FUZZTIME:-5s}" ./internal/embedding/
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime "${FUZZTIME:-5s}" ./internal/wal/
+go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime "${FUZZTIME:-5s}" ./internal/wal/
 go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "${FUZZTIME:-5s}" ./internal/textutil/
 
 if [[ "${SKIP_LOAD:-}" != "1" ]]; then
