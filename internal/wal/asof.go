@@ -145,12 +145,12 @@ func (m *Manager) collectSuffixLocked(from, to uint64) ([]kg.Mutation, error) {
 	return muts, nil
 }
 
-// scanSegmentMutations appends segment gen's mutation records in
-// (*last, to] to *muts, advancing *last. done reports that to was
+// scanSegmentMutations appends segment gen's logged mutations in
+// (*last, to] to *dst, advancing *last. done reports that to was
 // reached. Non-mutation records (dictionary deltas, entity updates) are
 // skipped: as-of queries resolve IDs against the live dictionaries,
 // which are append-only, and render records from live state.
-func (m *Manager) scanSegmentMutations(gen uint64, muts *[]kg.Mutation, last *uint64, to uint64) (done bool, err error) {
+func (m *Manager) scanSegmentMutations(gen uint64, dst *[]kg.Mutation, last *uint64, to uint64) (done bool, err error) {
 	name := segName(gen)
 	rc, err := m.fs.OpenRead(filepath.Join(m.dir, name))
 	if err != nil {
@@ -159,23 +159,22 @@ func (m *Manager) scanSegmentMutations(gen uint64, muts *[]kg.Mutation, last *ui
 	defer rc.Close()
 	var block []kg.Mutation
 	_, serr := scanFrames(name, rc, func(p []byte) error {
-		if len(p) == 0 || (p[0] != recFactBlock && p[0] != recMutation) {
+		if p[0] != recFactBlock {
 			return nil
 		}
+		var muts []kg.Mutation
 		var err error
-		if block, err = decFacts(p, block[:0]); err != nil {
+		if block, err = decFacts(p, block[:0]); err == nil {
+			muts, err = pastLSN(block, *last)
+		}
+		if err != nil {
 			return fmt.Errorf("wal: as-of read %s: %w", name, err)
 		}
-		for _, mu := range block {
-			switch {
-			case mu.Seq <= *last:
-				continue // overlap with a previous segment's re-shipped prefix
-			case mu.Seq > to:
+		for _, mu := range muts {
+			if mu.Seq > to {
 				return errStopScan
-			case mu.Seq != *last+1:
-				return fmt.Errorf("wal: as-of read %s: LSN gap %d -> %d", name, *last, mu.Seq)
 			}
-			*muts = append(*muts, mu)
+			*dst = append(*dst, mu)
 			*last = mu.Seq
 		}
 		return nil
@@ -202,9 +201,6 @@ func readSegFirstLSN(fs FS, path string) (uint64, error) {
 	p, err := readFirstRecord(fs, path)
 	if err != nil {
 		return 0, err
-	}
-	if p[0] != recSegmentHeader {
-		return 0, fmt.Errorf("wal: %s: first record is not a segment header", path)
 	}
 	h, err := decSegHeader(p)
 	return h.firstLSN, err

@@ -28,6 +28,13 @@ func decodeFrames(t *testing.T, data []byte) (muts []kg.Mutation, frames int) {
 	return muts, frames
 }
 
+// sameMutation reports whether a and b log one mutation: the same LSN,
+// op and fact, with the object and provenance compared as stored rows.
+func sameMutation(a, b kg.Mutation) bool {
+	return a.Seq == b.Seq && a.Op == b.Op && a.T.Subject == b.T.Subject && a.T.Predicate == b.T.Predicate &&
+		kg.RowOf(a.T.Object, a.T.Prov) == kg.RowOf(b.T.Object, b.T.Prov)
+}
+
 // roundTrip encodes facts as fact blocks from LSN first, decodes them and
 // requires every fact back as the same stored row, with its op and, in
 // the log (first != 0), its LSN.
@@ -204,6 +211,19 @@ func TestBlockCutMidFrameEndsAtPreviousBlock(t *testing.T) {
 	sameTriples(t, replayPrefix(t, g, acked), g2)
 }
 
+// recordTypes counts the records of each type in framed bytes.
+func recordTypes(t testing.TB, data []byte) map[byte]int {
+	t.Helper()
+	types := make(map[byte]int)
+	if _, err := scanFrames("bytes", bytes.NewReader(data), func(p []byte) error {
+		types[p[0]]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return types
+}
+
 // writeFile creates the file name in fs's test directory holding data.
 func writeFile(t testing.TB, fs FS, name string, data []byte) {
 	t.Helper()
@@ -220,27 +240,22 @@ func writeFile(t testing.TB, fs FS, name string, data []byte) {
 }
 
 // FuzzReplaySegment feeds recovery arbitrary bytes after a valid segment
-// header, seeded with a segment of fact blocks a manager wrote, the same
-// history in the fixed-width format and a segment whose last block is cut
-// short. Open returns a graph or an error; it never panics, and sizes
-// nothing from a count the payload has not bounded.
+// header, seeded with the records a manager wrote (dictionary entries,
+// entity record updates and fact blocks), the same cut short mid-block,
+// nothing, and an entity record whose alias count exceeds its payload.
+// Open returns a graph or an error; it never panics, and sizes nothing
+// from a count the payload has not bounded.
 func FuzzReplaySegment(f *testing.F) {
-	header := appendFrame(nil, encSegHeader(nil, segHeader{version: walVersion, gen: 1}))
+	header := appendFrame(nil, refSegHeader(1, 0))
 	fs := NewFaultFS(79)
 	g, m, _ := mustOpen(f, fs, Options{Sync: SyncNever})
 	s := newScripted(f, g, 79)
-	src := kg.NewGraphWithShards(2)
-	ss := newScripted(f, src, 79)
-	ref := &refWriter{g: src, feed: src.Feed(0), pops: map[kg.EntityID]float64{}, fixedWidth: true}
-	var fixed []byte
 	for i := 0; i < 120; i++ {
 		s.step()
-		ss.step()
 		if i%40 == 39 {
 			if _, err := m.Commit(); err != nil {
 				f.Fatal(err)
 			}
-			fixed = append(fixed, ref.commit(f, ss.snapshotPops())...)
 		}
 	}
 	if err := m.Close(); err != nil {
@@ -250,11 +265,15 @@ func FuzzReplaySegment(f *testing.F) {
 	if !bytes.HasPrefix(seg, header) {
 		f.Fatal("the manager's segment does not start with the expected header")
 	}
-	blocks := seg[len(header):]
-	f.Add(blocks)
-	f.Add(fixed)
-	f.Add(blocks[:len(blocks)-5])
+	records := seg[len(header):]
+	if types := recordTypes(f, records); types[recEntity] == 0 || types[recEntityUpdate] == 0 || types[recFactBlock] == 0 {
+		f.Fatalf("the seed segment holds records %v", types)
+	}
+	f.Add(records)
+	f.Add(records[:len(records)-5])
 	f.Add([]byte{})
+	hostile := binary.LittleEndian.AppendUint64(refStr(refStr(refStr([]byte{recEntity, 1}, "e1"), ""), ""), 0)
+	f.Add(appendFrame(nil, binary.AppendUvarint(hostile, 1<<16))) // 65 536 aliases in no bytes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := NewFaultFS(1)

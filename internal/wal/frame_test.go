@@ -91,6 +91,58 @@ func refFactBlock(first uint64, facts []kg.Mutation) []byte {
 	return p
 }
 
+// The reference encodings of the records that are not fact blocks,
+// written from record.go's format comment apart from the manager's
+// encoders: the type byte as a literal, then IDs, counts, LSNs and
+// lengths as uvarints, strings as a length and their bytes, floats as
+// their 8 little-endian bits, kinds and flags as one byte.
+func refUvarints(p []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		p = binary.AppendUvarint(p, v)
+	}
+	return p
+}
+
+func refStr(p []byte, s string) []byte {
+	return append(binary.AppendUvarint(p, uint64(len(s))), s...)
+}
+
+// refSegHeader is a segment header of format version 2.
+func refSegHeader(gen, first uint64) []byte { return refUvarints([]byte{1}, 2, gen, first) }
+
+// refEntity encodes an entity record (type 2) or record update (10).
+func refEntity(typ byte, e *kg.Entity) []byte {
+	p := refStr(refStr(refStr(refUvarints([]byte{typ}, uint64(e.ID)), e.Key), e.Name), e.Description)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(e.Popularity))
+	p = binary.AppendUvarint(p, uint64(len(e.Aliases)))
+	for _, a := range e.Aliases {
+		p = refStr(p, a)
+	}
+	p = binary.AppendUvarint(p, uint64(len(e.Types)))
+	for _, id := range e.Types {
+		p = binary.AppendUvarint(p, uint64(id))
+	}
+	return p
+}
+
+func refPredicate(pr *kg.Predicate) []byte {
+	p := refStr(refUvarints([]byte{3}, uint64(pr.ID)), pr.Name)
+	if pr.Functional {
+		return append(p, byte(pr.ValueKind), 1)
+	}
+	return append(p, byte(pr.ValueKind), 0)
+}
+
+func refOntType(id kg.TypeID, name string, parent kg.TypeID) []byte {
+	return refUvarints(refStr(refUvarints([]byte{4}, uint64(id)), name), uint64(parent))
+}
+
+// refCkptHeader's fields are the watermark, the entity, predicate and
+// ontology-type totals, the facts added, the base and the keys retracted.
+func refCkptHeader(fields ...uint64) []byte { return refUvarints([]byte{13}, fields...) }
+
+func refCkptFooter(wm, added uint64) []byte { return refUvarints([]byte{8}, wm, added) }
+
 // refFactFrames frames facts as the reference fact blocks of at most
 // factBlockSize facts each.
 func refFactFrames(first uint64, facts []kg.Mutation) []byte {
@@ -108,19 +160,16 @@ func refFactFrames(first uint64, facts []kg.Mutation) []byte {
 
 // refWriter rebuilds, record by record through the reference encoders,
 // what a manager must have written: it shadows the manager's dictionary
-// cursors and drains its own changefeed at every commit. With fixedWidth
-// set it writes facts as the records used before fact blocks, which is
-// how the tests build a directory in that format.
+// cursors and drains its own changefeed at every commit.
 type refWriter struct {
 	g              *kg.Graph
 	feed           *kg.Changefeed
 	ont, ent, pred int
 	pops           map[kg.EntityID]float64 // popularity as of the previous commit
-	fixedWidth     bool
 }
 
 func (r *refWriter) segHeader(gen uint64) []byte {
-	return appendFrame(nil, encSegHeader(nil, segHeader{version: walVersion, gen: gen, firstLSN: r.feed.Cursor()}))
+	return appendFrame(nil, refSegHeader(gen, r.feed.Cursor()))
 }
 
 // commit returns the bytes of one commit: dictionary deltas, updates of
@@ -136,13 +185,13 @@ func (r *refWriter) commit(t testing.TB, pops map[kg.EntityID]float64) []byte {
 	ont := r.g.Ontology()
 	for ; r.ont < ont.Len(); r.ont++ {
 		id := kg.TypeID(r.ont + 1)
-		out = appendFrame(out, encOntType(nil, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)}))
+		out = appendFrame(out, refOntType(id, ont.Name(id), ont.Parent(id)))
 	}
 	for ; r.ent < r.g.NumEntities(); r.ent++ {
-		out = appendFrame(out, encEntity(nil, r.g.Entity(kg.EntityID(r.ent+1))))
+		out = appendFrame(out, refEntity(2, r.g.Entity(kg.EntityID(r.ent+1))))
 	}
 	for ; r.pred < r.g.NumPredicates(); r.pred++ {
-		out = appendFrame(out, encPredicate(nil, r.g.Predicate(kg.PredicateID(r.pred+1))))
+		out = appendFrame(out, refPredicate(r.g.Predicate(kg.PredicateID(r.pred+1))))
 	}
 	// The script's updates only ever raise a popularity, by at least 1
 	// from a start below 1, so an entity is dirty when its popularity
@@ -155,12 +204,9 @@ func (r *refWriter) commit(t testing.TB, pops map[kg.EntityID]float64) []byte {
 	}
 	slices.Sort(dirty)
 	for _, id := range dirty {
-		out = appendFrame(out, encEntityUpdate(nil, r.g.Entity(id)))
+		out = appendFrame(out, refEntity(10, r.g.Entity(id)))
 	}
 	r.pops = pops
-	if r.fixedWidth {
-		return append(out, fixedWidthFacts(muts)...)
-	}
 	if len(muts) > 0 {
 		out = append(out, refFactFrames(muts[0].Seq, muts)...)
 	}
@@ -172,36 +218,24 @@ func (r *refWriter) commit(t testing.TB, pops map[kg.EntityID]float64) []byte {
 func (r *refWriter) checkpoint(wm uint64) []byte {
 	ts := r.g.AllTriples()
 	ont := r.g.Ontology()
-	out := appendFrame(nil, encCkptHeader(nil, ckptHeader{
-		watermark: wm,
-		nEntities: uint64(r.g.NumEntities()),
-		nPreds:    uint64(r.g.NumPredicates()),
-		nOntTypes: uint64(ont.Len()),
-		nTriples:  uint64(len(ts)),
-	}))
+	out := appendFrame(nil, refCkptHeader(wm, uint64(r.g.NumEntities()), uint64(r.g.NumPredicates()), uint64(ont.Len()), uint64(len(ts)), 0, 0))
 	for id := kg.TypeID(1); int(id) <= ont.Len(); id++ {
-		out = appendFrame(out, encOntType(nil, ontRec{id: id, name: ont.Name(id), parent: ont.Parent(id)}))
+		out = appendFrame(out, refOntType(id, ont.Name(id), ont.Parent(id)))
 	}
 	for id := kg.EntityID(1); int(id) <= r.g.NumEntities(); id++ {
-		out = appendFrame(out, encEntity(nil, r.g.Entity(id)))
+		out = appendFrame(out, refEntity(2, r.g.Entity(id)))
 	}
 	for id := kg.PredicateID(1); int(id) <= r.g.NumPredicates(); id++ {
-		out = appendFrame(out, encPredicate(nil, r.g.Predicate(id)))
+		out = appendFrame(out, refPredicate(r.g.Predicate(id)))
 	}
-	if r.fixedWidth {
-		for start := 0; start < len(ts); start += factBlockSize {
-			out = appendFrame(out, encTripleBlock(nil, ts[start:min(start+factBlockSize, len(ts))]))
-		}
-	} else {
-		adds := make([]kg.Mutation, len(ts))
-		for i, t := range ts {
-			adds[i] = kg.Mutation{Op: kg.OpAssert, T: t}
-		}
-		out = append(out, refFactFrames(0, adds)...)
+	adds := make([]kg.Mutation, len(ts))
+	for i, t := range ts {
+		adds[i] = kg.Mutation{Op: kg.OpAssert, T: t}
 	}
+	out = append(out, refFactFrames(0, adds)...)
 	r.ont, r.ent, r.pred = ont.Len(), r.g.NumEntities(), r.g.NumPredicates()
 	r.feed.Reset(wm)
-	return appendFrame(out, encCkptFooter(nil, ckptFooter{watermark: wm, nTriples: uint64(len(ts))}))
+	return appendFrame(out, refCkptFooter(wm, uint64(len(ts))))
 }
 
 // TestSegmentBytesMatchReferenceEncoders pins the on-disk format and the
@@ -209,8 +243,8 @@ func (r *refWriter) checkpoint(wm uint64) []byte {
 // predicates and ontology types registered mid-stream, entity record
 // updates, asserts and retracts of every value kind, provenance with and
 // without an observation time — every segment and the checkpoint hold
-// exactly the bytes the reference appendFrame(nil, encX(nil, …)) and
-// refFactBlock encoders produce for the same records in the same order.
+// exactly the bytes the reference encoders (appendFrame around refX)
+// produce for the same records in the same order.
 // Commit sizes vary from empty to more than one fact block so the reused
 // buffers are exercised empty, regrown and reused.
 func TestSegmentBytesMatchReferenceEncoders(t *testing.T) {

@@ -20,10 +20,12 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 //	[4B LE payload length][4B LE CRC32C(payload)][payload]
 //
 // with CRC32C the Castagnoli polynomial (hardware-accelerated on amd64
-// and arm64). The payload's first byte is the record type. Facts are
-// written as fact blocks, whose integers are varints (see appendFact);
-// every other record holds fixed-width little-endian integers and
-// u32-length-prefixed UTF-8 strings.
+// and arm64). The payload's first byte is the record type. Every record
+// is written in one codec: IDs, counts, LSNs and lengths are uvarints
+// (an ID must fit 32 bits), an int or a time a zigzag varint (a time its
+// UnixNano), a float the 8 little-endian bytes of its bits, so NaN
+// payloads and -0 survive, and a string a uvarint length and its bytes.
+// A kind, flag or entry header is one byte.
 // A reader that hits a short header, short payload, or CRC mismatch has
 // found a torn tail (or corruption): everything before the offending
 // frame is valid, everything from its start offset on is discarded.
@@ -33,29 +35,28 @@ const (
 	// treated as corruption rather than trusted for allocation.
 	maxRecordSize = 1 << 28
 
-	walVersion = 1
+	// walVersion is the format version a segment header names. Version 1
+	// held fixed-width integers and wrote facts as records 5, 9 and 11;
+	// it is not read.
+	walVersion = 2
 )
 
-// Record types (payload byte 0). Types 5, 9 and 11 are read, never
-// written: they held facts before fact blocks did, and a directory
-// written then still recovers.
+// Record types (payload byte 0). Types 5, 6, 7, 9 and 11 belonged to
+// format version 1 and are never read: a checkpoint whose first record is
+// not recCheckpointHeader is refused.
 const (
 	recSegmentHeader    = 1 // version, generation, firstLSN
 	recEntity           = 2 // entity-dictionary delta
 	recPredicate        = 3 // predicate-dictionary delta
 	recOntType          = 4 // ontology-type delta
-	recMutation         = 5 // one graph mutation (LSN, op, triple)
-	recCheckpointHeader = 6 // watermark, base, expected record counts
-	// 7 was a one-triple checkpoint record, written before triple blocks.
 	recCheckpointFooter = 8 // watermark + triple count; validity marker
-	recTripleBlock      = 9 // checkpointed triples
 	// recEntityUpdate is an in-place entity record update (SetPopularity/
 	// UpdateEntity): same payload as recEntity, but replay overwrites the
 	// existing record (ReplaceEntity) where recEntity verifies-or-
 	// registers and never modifies an existing ID.
-	recEntityUpdate = 10
-	recKeyBlock     = 11 // fact keys a checkpoint retracts from its base
-	recFactBlock    = 12 // facts: logged mutations, or a checkpoint's changes
+	recEntityUpdate     = 10
+	recFactBlock        = 12 // facts: logged mutations, or a checkpoint's changes
+	recCheckpointHeader = 13 // watermark, expected record counts, base
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -94,12 +95,13 @@ func endFrame(buf []byte, at int) {
 }
 
 // scanFrames reads consecutive frames from r, invoking fn with each
-// payload (valid only for the duration of the call). It returns the byte
-// offset of the end of the last frame that was both intact and accepted
-// by fn. A clean EOF at a frame boundary returns a nil error; a torn or
-// corrupt frame returns a *CorruptError; an error from fn aborts the scan
-// and is returned as-is. In both failure cases good is the start offset
-// of the offending frame — truncating there discards it.
+// payload (valid only for the duration of the call; never empty). It
+// returns the byte offset of the end of the last frame that was both
+// intact and accepted by fn. A clean EOF at a frame boundary returns a
+// nil error; a torn or corrupt frame returns a *CorruptError; an error
+// from fn aborts the scan and is returned as-is. In both failure cases
+// good is the start offset of the offending frame — truncating there
+// discards it.
 func scanFrames(path string, r io.Reader, fn func(payload []byte) error) (good int64, err error) {
 	var header [frameHeaderSize]byte
 	var buf []byte
@@ -141,9 +143,15 @@ func scanFrames(path string, r io.Reader, fn func(payload []byte) error) (good i
 
 // --- primitive encoders -------------------------------------------------
 
+func appendUvarints(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
 func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 func appendF64(b []byte, f float64) []byte {
@@ -173,16 +181,6 @@ func (d *dec) u8() byte {
 	return v
 }
 
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
 func (d *dec) u64() uint64 {
 	if d.err != nil || d.off+8 > len(d.b) {
 		d.fail("u64")
@@ -193,14 +191,11 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
 func (d *dec) f64() float64 { return floatFromBits(d.u64()) }
 
-func (d *dec) str() string { return d.bytes(uint64(d.u32())) }
-
-// bytes reads the next n bytes as a string.
-func (d *dec) bytes(n uint64) string {
+// str reads a uvarint length and that many bytes as a string.
+func (d *dec) str() string {
+	n := d.uvarint()
 	if d.err != nil || n > uint64(len(d.b)-d.off) {
 		d.fail("string")
 		return ""
@@ -229,13 +224,27 @@ func (d *dec) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// id reads a uvarint entity or predicate ID, which must fit 32 bits.
+// id reads a uvarint entity, predicate or type ID, which must fit 32
+// bits.
 func (d *dec) id() uint32 {
 	v := d.uvarint()
 	if v > math.MaxUint32 {
 		d.invalid(fmt.Sprintf("ID %d out of range", v))
 	}
 	return uint32(v)
+}
+
+// count reads a uvarint count of items of at least size bytes each. It
+// must fit in the bytes left, so nothing is sized from a count the
+// payload cannot hold.
+func (d *dec) count(size int) int {
+	n := d.uvarint()
+	rest := len(d.b) - d.off
+	if n > uint64(rest/size) {
+		d.invalid(fmt.Sprintf("count %d in %d bytes", n, rest))
+		return 0
+	}
+	return int(n)
 }
 
 // invalid latches a malformed-content error; fail, a short read.
@@ -259,62 +268,76 @@ func (d *dec) done(what string) error {
 
 // --- record codecs ------------------------------------------------------
 
+// segHeader opens a segment:
+//
+//	[type][uvarint version][uvarint generation][uvarint first LSN]
 type segHeader struct {
-	version  uint32
+	version  uint64
 	gen      uint64
 	firstLSN uint64
 }
 
 func encSegHeader(dst []byte, h segHeader) []byte {
-	dst = append(dst, recSegmentHeader)
-	dst = binary.LittleEndian.AppendUint32(dst, h.version)
-	dst = binary.LittleEndian.AppendUint64(dst, h.gen)
-	return binary.LittleEndian.AppendUint64(dst, h.firstLSN)
+	return appendUvarints(append(dst, recSegmentHeader), h.version, h.gen, h.firstLSN)
 }
 
+// decSegHeader reads the version before the rest: a header in another
+// format is refused for its version, not misread.
 func decSegHeader(p []byte) (segHeader, error) {
+	if p[0] != recSegmentHeader {
+		return segHeader{}, fmt.Errorf("first record type %d, want a segment header", p[0])
+	}
 	d := &dec{b: p, off: 1}
-	h := segHeader{version: d.u32(), gen: d.u64(), firstLSN: d.u64()}
+	h := segHeader{version: d.uvarint()}
+	if d.err == nil && h.version != walVersion {
+		return h, fmt.Errorf("unsupported format version %d (this build reads version %d)", h.version, walVersion)
+	}
+	h.gen, h.firstLSN = d.uvarint(), d.uvarint()
 	return h, d.done("segment header")
 }
 
+// An entity record is
+//
+//	[type][uvarint ID][string key][string name][string description]
+//	[8B popularity bits][uvarint n][n alias strings][uvarint m][m uvarint type IDs]
 func encEntity(dst []byte, e *kg.Entity) []byte {
-	dst = append(dst, recEntity)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ID))
+	dst = binary.AppendUvarint(append(dst, recEntity), uint64(e.ID))
 	dst = appendStr(dst, e.Key)
 	dst = appendStr(dst, e.Name)
 	dst = appendStr(dst, e.Description)
 	dst = appendF64(dst, e.Popularity)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Aliases)))
+	dst = binary.AppendUvarint(dst, uint64(len(e.Aliases)))
 	for _, a := range e.Aliases {
 		dst = appendStr(dst, a)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Types)))
+	dst = binary.AppendUvarint(dst, uint64(len(e.Types)))
 	for _, t := range e.Types {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(t))
+		dst = binary.AppendUvarint(dst, uint64(t))
 	}
 	return dst
 }
 
+// decEntity reads a recEntity or recEntityUpdate payload. An alias or a
+// type ID takes at least one byte, which bounds both counts.
 func decEntity(p []byte) (kg.Entity, error) {
 	d := &dec{b: p, off: 1}
 	e := kg.Entity{
-		ID:          kg.EntityID(d.u32()),
+		ID:          kg.EntityID(d.id()),
 		Key:         d.str(),
 		Name:        d.str(),
 		Description: d.str(),
 		Popularity:  d.f64(),
 	}
-	if n := d.u32(); n > 0 && d.err == nil {
-		e.Aliases = make([]string, 0, min(int(n), 1024))
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			e.Aliases = append(e.Aliases, d.str())
+	if n := d.count(1); n > 0 {
+		e.Aliases = make([]string, n)
+		for i := range e.Aliases {
+			e.Aliases[i] = d.str()
 		}
 	}
-	if n := d.u32(); n > 0 && d.err == nil {
-		e.Types = make([]kg.TypeID, 0, min(int(n), 1024))
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			e.Types = append(e.Types, kg.TypeID(d.u32()))
+	if n := d.count(1); n > 0 {
+		e.Types = make([]kg.TypeID, n)
+		for i := range e.Types {
+			e.Types[i] = kg.TypeID(d.id())
 		}
 	}
 	return e, d.done("entity")
@@ -329,15 +352,12 @@ func encEntityUpdate(dst []byte, e *kg.Entity) []byte {
 	return dst
 }
 
-func decEntityUpdate(p []byte) (kg.Entity, error) {
-	return decEntity(p)
-}
-
+// A predicate record is
+//
+//	[type][uvarint ID][string name][value kind byte][functional byte 0/1]
 func encPredicate(dst []byte, p *kg.Predicate) []byte {
-	dst = append(dst, recPredicate)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.ID))
-	dst = appendStr(dst, p.Name)
-	dst = append(dst, byte(p.ValueKind))
+	dst = binary.AppendUvarint(append(dst, recPredicate), uint64(p.ID))
+	dst = append(appendStr(dst, p.Name), byte(p.ValueKind))
 	if p.Functional {
 		return append(dst, 1)
 	}
@@ -347,7 +367,7 @@ func encPredicate(dst []byte, p *kg.Predicate) []byte {
 func decPredicate(p []byte) (kg.Predicate, error) {
 	d := &dec{b: p, off: 1}
 	pr := kg.Predicate{
-		ID:        kg.PredicateID(d.u32()),
+		ID:        kg.PredicateID(d.id()),
 		Name:      d.str(),
 		ValueKind: kg.ValueKind(d.u8()),
 	}
@@ -355,6 +375,9 @@ func decPredicate(p []byte) (kg.Predicate, error) {
 	return pr, d.done("predicate")
 }
 
+// An ontology-type record is
+//
+//	[type][uvarint ID][string name][uvarint parent ID]
 type ontRec struct {
 	id     kg.TypeID
 	name   string
@@ -362,15 +385,13 @@ type ontRec struct {
 }
 
 func encOntType(dst []byte, r ontRec) []byte {
-	dst = append(dst, recOntType)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.id))
-	dst = appendStr(dst, r.name)
-	return binary.LittleEndian.AppendUint32(dst, uint32(r.parent))
+	dst = binary.AppendUvarint(append(dst, recOntType), uint64(r.id))
+	return binary.AppendUvarint(appendStr(dst, r.name), uint64(r.parent))
 }
 
 func decOntType(p []byte) (ontRec, error) {
 	d := &dec{b: p, off: 1}
-	r := ontRec{id: kg.TypeID(d.u32()), name: d.str(), parent: kg.TypeID(d.u32())}
+	r := ontRec{id: kg.TypeID(d.id()), name: d.str(), parent: kg.TypeID(d.id())}
 	return r, d.done("ontology type")
 }
 
@@ -437,9 +458,7 @@ func appendFactBlocks[F any](buf []byte, first uint64, facts []F, fact func(*F) 
 		}
 		var at int
 		buf, at = beginFrame(buf)
-		buf = append(buf, recFactBlock)
-		buf = binary.AppendUvarint(buf, first)
-		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = appendUvarints(append(buf, recFactBlock), first, uint64(n))
 		var prev *kg.Provenance
 		for i := range facts[:n] {
 			op, k, p := fact(&facts[i])
@@ -472,14 +491,13 @@ func retractedFact(k *kg.TripleKey) (kg.MutationOp, kg.TripleKey, *kg.Provenance
 //
 //	[header][uvarint subject][uvarint predicate][object][provenance]
 //
-// The object is a uvarint for an entity ID or a bool, a uvarint length
-// and the bytes for a string, a zigzag varint for an int or a time (its
-// UnixNano), and the 8 little-endian bytes of a float's bits, so NaN
-// payloads and -0 survive. The provenance takes no bytes when it is zero
-// or the same as prev's, the provenance of the entry before it in the
-// block; otherwise it is the source as a uvarint length and bytes, the
-// bits of the confidence and of the source quality (8 bytes each) and,
-// in mode provExplicitAt, ObservedAt's UnixNano as a zigzag varint.
+// The object is a uvarint for an entity ID or a bool, a string for a
+// string, a zigzag varint for an int or a time, and the 8 bytes of a
+// float's bits. The provenance takes no bytes when it is zero or the same
+// as prev's, the provenance of the entry before it in the block;
+// otherwise it is the source string, the bits of the confidence and of
+// the source quality and, in mode provExplicitAt, ObservedAt as a zigzag
+// varint.
 func appendFact(dst []byte, op kg.MutationOp, k kg.TripleKey, p, prev *kg.Provenance) []byte {
 	mode := byte(provExplicitAt)
 	switch {
@@ -494,13 +512,10 @@ func appendFact(dst []byte, op kg.MutationOp, k kg.TripleKey, p, prev *kg.Proven
 	if op == kg.OpRetract {
 		h |= factRetract
 	}
-	dst = append(dst, h)
-	dst = binary.AppendUvarint(dst, uint64(k.Subject))
-	dst = binary.AppendUvarint(dst, uint64(k.Predicate))
+	dst = appendUvarints(append(dst, h), uint64(k.Subject), uint64(k.Predicate))
 	switch k.Object.Kind {
 	case kg.KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(k.Object.Str)))
-		dst = append(dst, k.Object.Str...)
+		dst = appendStr(dst, k.Object.Str)
 	case kg.KindInt, kg.KindTime:
 		dst = binary.AppendVarint(dst, k.Object.Num)
 	case kg.KindFloat:
@@ -509,8 +524,7 @@ func appendFact(dst []byte, op kg.MutationOp, k kg.TripleKey, p, prev *kg.Proven
 		dst = binary.AppendUvarint(dst, uint64(k.Object.Num))
 	}
 	if mode >= provExplicit {
-		dst = binary.AppendUvarint(dst, uint64(len(p.Source)))
-		dst = append(dst, p.Source...)
+		dst = appendStr(dst, p.Source)
 		dst = appendF64(dst, p.Confidence)
 		dst = appendF64(dst, p.SourceQuality)
 		if mode == provExplicitAt {
@@ -531,19 +545,16 @@ func sameProv(a, b *kg.Provenance) bool {
 		(a.ObservedAt.IsZero() || a.ObservedAt.UnixNano() == b.ObservedAt.UnixNano())
 }
 
-// factBlock decodes the rest of a fact-block payload, appending its
-// facts to dst. It decodes the whole block or returns an error.
-func (d *dec) factBlock(dst []kg.Mutation) []kg.Mutation {
-	first, n := d.uvarint(), d.uvarint()
-	switch {
-	case d.err != nil:
-		return dst
-	case n > uint64(len(d.b)-d.off)/minFactSize:
-		d.invalid(fmt.Sprintf("count %d in %d bytes", n, len(d.b)-d.off))
-		return dst
-	case n > 0 && first+n-1 < first:
+// decFacts decodes a fact block and appends its facts to dst as
+// mutations. It decodes the whole block or returns an error.
+func decFacts(p []byte, dst []kg.Mutation) ([]kg.Mutation, error) {
+	d := &dec{b: p, off: 1}
+	first, n := d.uvarint(), uint64(d.count(minFactSize))
+	if n > 0 && first+n-1 < first {
 		d.invalid(fmt.Sprintf("LSNs from %d overflow", first))
-		return dst
+	}
+	if d.err != nil {
+		return dst, d.done("fact block")
 	}
 	dst = slices.Grow(dst, int(n))
 	start := len(dst)
@@ -561,11 +572,11 @@ func (d *dec) factBlock(dst []kg.Mutation) []kg.Mutation {
 		case kg.KindBool:
 			k.Num = int64(d.uvarint())
 		case kg.KindString:
-			k.Str = d.bytes(d.uvarint())
+			k.Str = d.str()
 		case kg.KindInt, kg.KindTime:
 			k.Num = d.varint()
 		case kg.KindFloat:
-			k.Num = d.i64()
+			k.Num = int64(d.u64())
 		default:
 			d.invalid(fmt.Sprintf("object kind %d", k.Kind))
 		}
@@ -579,7 +590,7 @@ func (d *dec) factBlock(dst []kg.Mutation) []kg.Mutation {
 				m.T.Prov = dst[len(dst)-1].T.Prov
 			}
 		case provExplicit, provExplicitAt:
-			m.T.Prov.Source = d.bytes(d.uvarint())
+			m.T.Prov.Source = d.str()
 			m.T.Prov.Confidence, m.T.Prov.SourceQuality = d.f64(), d.f64()
 			if mode == provExplicitAt {
 				m.T.Prov.ObservedAt = time.Unix(0, d.varint()).UTC()
@@ -589,75 +600,15 @@ func (d *dec) factBlock(dst []kg.Mutation) []kg.Mutation {
 		}
 		dst = append(dst, m)
 	}
-	return dst
-}
-
-// decFacts decodes a record that carries facts and appends them to dst
-// as mutations. Besides a fact block it reads the records that carried
-// facts before fact blocks did: a log's mutation record, read as a block
-// of one, and a checkpoint's triple block (asserts) and key block
-// (retracts), whose entries carry no LSN. It decodes the whole record or
-// returns an error.
-func decFacts(p []byte, dst []kg.Mutation) ([]kg.Mutation, error) {
-	d := &dec{b: p, off: 1}
-	switch p[0] {
-	case recFactBlock:
-		dst = d.factBlock(dst)
-	case recMutation:
-		m := kg.Mutation{Seq: d.u64(), Op: kg.MutationOp(d.u8())}
-		m.T = d.tripleBody()
-		if m.Op != kg.OpAssert && m.Op != kg.OpRetract {
-			d.invalid(fmt.Sprintf("op %d", m.Op))
-		}
-		dst = append(dst, m)
-	case recTripleBlock:
-		for n := d.u32(); n > 0 && d.err == nil; n-- {
-			dst = append(dst, kg.Mutation{Op: kg.OpAssert, T: d.tripleBody()})
-		}
-	case recKeyBlock:
-		for n := d.u32(); n > 0 && d.err == nil; n-- {
-			k := d.tripleKey()
-			dst = append(dst, kg.Mutation{Op: kg.OpRetract, T: kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}})
-		}
-	default:
-		return dst, fmt.Errorf("wal: record type %d holds no facts", p[0])
-	}
-	return dst, d.done("fact record")
-}
-
-// tripleKey and tripleBody read the fact records written before fact
-// blocks: a fact's identity — u32 subject and predicate, the object's
-// kind byte, 8-byte payload and u32-length-prefixed string — then, in a
-// body, the provenance: source, confidence and quality bits, and a flag
-// byte followed, when set, by ObservedAt's UnixNano.
-func (d *dec) tripleKey() kg.TripleKey {
-	k := kg.TripleKey{
-		Subject:   kg.EntityID(d.u32()),
-		Predicate: kg.PredicateID(d.u32()),
-	}
-	k.Object.Kind = kg.ValueKind(d.u8())
-	k.Object.Num = d.i64()
-	k.Object.Str = d.str()
-	return k
-}
-
-func (d *dec) tripleBody() kg.Triple {
-	k := d.tripleKey()
-	t := kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}
-	t.Prov.Source = d.str()
-	t.Prov.Confidence = d.f64()
-	t.Prov.SourceQuality = d.f64()
-	if d.u8() != 0 {
-		t.Prov.ObservedAt = time.Unix(0, d.i64()).UTC()
-	}
-	return t
+	return dst, d.done("fact block")
 }
 
 // ckptHeader opens a checkpoint. A checkpoint at watermark W with base B
 // holds the net change (B, W] over the checkpoint at B — the keys it
 // retracts, the facts it adds, and the dictionary entries and entity
 // records new or updated since; base 0 means a full checkpoint, which
-// retracts nothing. The dictionary counts are totals at W.
+// retracts nothing. The dictionary counts are totals at W. Its payload is
+// the type byte and the seven fields as uvarints, in declaration order.
 type ckptHeader struct {
 	watermark uint64
 	nEntities uint64
@@ -669,46 +620,40 @@ type ckptHeader struct {
 }
 
 func encCkptHeader(dst []byte, h ckptHeader) []byte {
-	dst = append(dst, recCheckpointHeader)
-	dst = binary.LittleEndian.AppendUint64(dst, h.watermark)
-	dst = binary.LittleEndian.AppendUint64(dst, h.nEntities)
-	dst = binary.LittleEndian.AppendUint64(dst, h.nPreds)
-	dst = binary.LittleEndian.AppendUint64(dst, h.nOntTypes)
-	dst = binary.LittleEndian.AppendUint64(dst, h.nTriples)
-	dst = binary.LittleEndian.AppendUint64(dst, h.base)
-	return binary.LittleEndian.AppendUint64(dst, h.nDeleted)
+	return appendUvarints(append(dst, recCheckpointHeader),
+		h.watermark, h.nEntities, h.nPreds, h.nOntTypes, h.nTriples, h.base, h.nDeleted)
 }
 
-// decCkptHeader also reads the header checkpoints carried before they
-// were chained — the first five fields alone — as a full checkpoint.
 func decCkptHeader(p []byte) (ckptHeader, error) {
+	if p[0] != recCheckpointHeader {
+		return ckptHeader{}, fmt.Errorf("first record type %d, want a format version %d checkpoint header (type %d)", p[0], walVersion, recCheckpointHeader)
+	}
 	d := &dec{b: p, off: 1}
 	h := ckptHeader{
-		watermark: d.u64(),
-		nEntities: d.u64(),
-		nPreds:    d.u64(),
-		nOntTypes: d.u64(),
-		nTriples:  d.u64(),
-	}
-	if d.err == nil && d.off < len(d.b) {
-		h.base, h.nDeleted = d.u64(), d.u64()
+		watermark: d.uvarint(),
+		nEntities: d.uvarint(),
+		nPreds:    d.uvarint(),
+		nOntTypes: d.uvarint(),
+		nTriples:  d.uvarint(),
+		base:      d.uvarint(),
+		nDeleted:  d.uvarint(),
 	}
 	return h, d.done("checkpoint header")
 }
 
+// ckptFooter closes a checkpoint: the type byte, then the watermark and
+// the count of facts added as uvarints.
 type ckptFooter struct {
 	watermark uint64
 	nTriples  uint64
 }
 
 func encCkptFooter(dst []byte, f ckptFooter) []byte {
-	dst = append(dst, recCheckpointFooter)
-	dst = binary.LittleEndian.AppendUint64(dst, f.watermark)
-	return binary.LittleEndian.AppendUint64(dst, f.nTriples)
+	return appendUvarints(append(dst, recCheckpointFooter), f.watermark, f.nTriples)
 }
 
 func decCkptFooter(p []byte) (ckptFooter, error) {
 	d := &dec{b: p, off: 1}
-	f := ckptFooter{watermark: d.u64(), nTriples: d.u64()}
+	f := ckptFooter{watermark: d.uvarint(), nTriples: d.uvarint()}
 	return f, d.done("checkpoint footer")
 }

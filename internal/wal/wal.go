@@ -17,11 +17,7 @@
 // left out when it is zero or repeats the previous entry's. A commit
 // frames its mutations as fact blocks, numbered from the block's first
 // LSN; a checkpoint frames its retracted keys and added facts the same
-// way. A block decodes on its own. The records that held facts before
-// fact blocks — one frame per logged mutation, and fixed-width triple and
-// key blocks in checkpoints — are still read, so a data directory written
-// in that format recovers, serves as-of reads and takes delta
-// checkpoints; a logged mutation record is applied as a block of one.
+// way. A block decodes on its own.
 //
 // A checkpoint records the state at a watermark W. Most are deltas: the
 // net change since the newest checkpoint B, which the delta names as its
@@ -65,6 +61,17 @@
 // a retract of an absent fact — fails Open with an error naming the
 // segment and the block's offset: a torn write cannot produce one, and
 // the part of it applied by then cannot be rolled back.
+//
+// Every record, in the log and in checkpoints, is written in one codec
+// (record.go: varints, length-prefixed strings, float bits), and Open
+// reads exactly that format: format version 2, named by every segment
+// header and, for checkpoints, by the header's record type. A segment
+// whose intact header names another version, generation or record type,
+// or a checkpoint whose first record is not a current checkpoint header,
+// fails Open with an error naming the file, and recovery leaves a
+// directory in another format as it found it: a torn write cannot produce
+// an intact header, so there is no crash to repair.
+//
 // SyncToWatermark is the explicit barrier: after it returns nil, every
 // mutation at or below the given watermark is on disk regardless of
 // policy.
@@ -988,26 +995,18 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 	if err != nil {
 		return 0, nil, fmt.Errorf("wal: read dir: %w", err)
 	}
-	var ckpts []uint64
-	var segs []uint64
+	var ckpts, segs []uint64
+	var tmps []string
 	for _, n := range names {
-		switch {
-		case strings.HasPrefix(n, tmpPrefix):
-			// Leftover from a checkpoint interrupted before publish.
-			if rerr := fs.Remove(filepath.Join(dir, n)); rerr == nil {
-				info.Diagnostics = append(info.Diagnostics, fmt.Sprintf("removed leftover temp file %s", n))
-			}
-		default:
-			if w, ok := parseName(n, ckptPrefix, ckptSuffix); ok {
-				ckpts = append(ckpts, w)
-			} else if gen, ok := parseName(n, segPrefix, segSuffix); ok {
-				segs = append(segs, gen)
-				if gen > maxGen {
-					maxGen = gen
-				}
-			} else {
-				info.Diagnostics = append(info.Diagnostics, fmt.Sprintf("ignoring unrecognized file %s", n))
-			}
+		if w, ok := parseName(n, ckptPrefix, ckptSuffix); ok {
+			ckpts = append(ckpts, w)
+		} else if gen, ok := parseName(n, segPrefix, segSuffix); ok {
+			segs = append(segs, gen)
+			maxGen = max(maxGen, gen)
+		} else if strings.HasPrefix(n, tmpPrefix) {
+			tmps = append(tmps, n) // from a checkpoint interrupted before publish
+		} else {
+			info.Diagnostics = append(info.Diagnostics, fmt.Sprintf("ignoring unrecognized file %s", n))
 		}
 	}
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
@@ -1030,8 +1029,11 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 	// Replay segments in generation order. The first anomaly (torn tail,
 	// CRC failure, LSN gap, malformed record) ends the usable suffix:
 	// everything after it in this segment and all later segments is
-	// discarded so the next incarnation's log stays contiguous. A block
-	// that does not apply fails recovery.
+	// discarded so the next incarnation's log stays contiguous. A segment
+	// header in another format, or a block that does not apply, fails
+	// recovery with every file as it was: replay reaches it only if no
+	// segment before it was truncated, and leftover temp files are removed
+	// only after replay.
 	updated = make(map[kg.EntityID]struct{})
 	stopped := false
 	for _, gen := range segs {
@@ -1062,6 +1064,11 @@ func recoverState(fs FS, dir string, g *kg.Graph, info *RecoveryInfo) (maxGen ui
 			stopped = true
 		}
 	}
+	for _, n := range tmps {
+		if rerr := fs.Remove(filepath.Join(dir, n)); rerr == nil {
+			info.Diagnostics = append(info.Diagnostics, fmt.Sprintf("removed leftover temp file %s", n))
+		}
+	}
 	_ = fs.SyncDir(dir)
 	info.RecoveredLSN = g.LastSeq()
 	return maxGen, updated, nil
@@ -1072,9 +1079,6 @@ func readCkptHeader(fs FS, dir string, wm uint64) (ckptHeader, error) {
 	p, err := readFirstRecord(fs, filepath.Join(dir, ckptName(wm)))
 	if err != nil {
 		return ckptHeader{}, err
-	}
-	if p[0] != recCheckpointHeader {
-		return ckptHeader{}, fmt.Errorf("first record type %d, want checkpoint header", p[0])
 	}
 	h, err := decCkptHeader(p)
 	if err == nil && h.watermark != wm {
@@ -1131,13 +1135,7 @@ func loadCheckpoint(fs FS, dir string, wm, base uint64, g *kg.Graph) error {
 	var dels, adds []kg.Triple
 	var block []kg.Mutation
 	_, err = scanFrames(name, r, func(p []byte) error {
-		if len(p) == 0 {
-			return errors.New("empty payload")
-		}
 		if !sawHeader {
-			if p[0] != recCheckpointHeader {
-				return fmt.Errorf("first record type %d, want checkpoint header", p[0])
-			}
 			h, err := decCkptHeader(p)
 			if err != nil {
 				return err
@@ -1155,12 +1153,12 @@ func loadCheckpoint(fs FS, dir string, wm, base uint64, g *kg.Graph) error {
 		case recOntType, recEntity, recPredicate:
 			return applyDictRecord(g, p)
 		case recEntityUpdate:
-			e, err := decEntityUpdate(p)
+			e, err := decEntity(p)
 			if err != nil {
 				return err
 			}
 			return g.ReplaceEntity(e)
-		case recFactBlock, recTripleBlock, recKeyBlock:
+		case recFactBlock:
 			var err error
 			if block, err = decFacts(p, block[:0]); err != nil {
 				return err
@@ -1299,13 +1297,27 @@ func applyMutation(g *kg.Graph, mu kg.Mutation) error {
 	return err
 }
 
+// pastLSN returns the part of a decoded log block after LSN last — the
+// part at or below it is covered already, by a checkpoint or by an earlier
+// segment's copy — and an error if that part does not continue at last+1.
+// Replay and the as-of suffix scan both take a block through it.
+func pastLSN(block []kg.Mutation, last uint64) ([]kg.Mutation, error) {
+	for len(block) > 0 && block[0].Seq <= last {
+		block = block[1:]
+	}
+	if len(block) > 0 && block[0].Seq != last+1 {
+		return nil, fmt.Errorf("LSN gap: log continues at %d after %d", block[0].Seq, last)
+	}
+	return block, nil
+}
+
 // replaySegment scans one segment, applying dictionary records, entity
 // record updates (noting each entity in updated) and every mutation that
 // extends the graph's watermark, a whole fact block at a time. It
 // returns the byte length of the applied prefix, the count of tail bytes
 // past it, the number of mutations applied, a non-empty diagnostic if
 // the segment's tail was unusable, and a fatal error for FS-level read
-// failures and for a block that does not apply.
+// failures, a header in another format and a block that does not apply.
 func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated map[kg.EntityID]struct{}) (good, torn int64, replayed int, diag string, err error) {
 	rc, err := fs.OpenRead(path)
 	if err != nil {
@@ -1316,25 +1328,15 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 	sawHeader := false
 	var block []kg.Mutation
 	good, serr := scanFrames(name, r, func(p []byte) error {
-		if len(p) == 0 {
-			return &replayStop{reason: "empty payload"}
-		}
 		if !sawHeader {
-			if p[0] != recSegmentHeader {
-				return &replayStop{reason: fmt.Sprintf("first record type %d, want segment header", p[0])}
-			}
+			// An intact header this build does not read is not a torn
+			// write: it fails Open (the default case below).
 			h, err := decSegHeader(p)
-			if err != nil {
-				return &replayStop{reason: err.Error()}
-			}
-			if h.version != walVersion {
-				return &replayStop{reason: fmt.Sprintf("unsupported version %d", h.version)}
-			}
-			if h.gen != gen {
-				return &replayStop{reason: fmt.Sprintf("header generation %d, filename generation %d", h.gen, gen)}
+			if err == nil && h.gen != gen {
+				err = fmt.Errorf("header generation %d, filename generation %d", h.gen, gen)
 			}
 			sawHeader = true
-			return nil
+			return err
 		}
 		switch p[0] {
 		case recOntType, recEntity, recPredicate:
@@ -1347,7 +1349,7 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 			// order, so last-write-wins replay reproduces the final
 			// record state (a checkpoint's copy is re-overwritten by the
 			// updates that preceded it, landing on the same value).
-			e, err := decEntityUpdate(p)
+			e, err := decEntity(p)
 			if err != nil {
 				return &replayStop{reason: err.Error()}
 			}
@@ -1356,20 +1358,15 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 			}
 			updated[e.ID] = struct{}{}
 			return nil
-		case recFactBlock, recMutation:
+		case recFactBlock:
 			// The whole block is decoded before any of it is applied.
+			var muts []kg.Mutation
 			var err error
-			if block, err = decFacts(p, block[:0]); err != nil {
+			if block, err = decFacts(p, block[:0]); err == nil {
+				muts, err = pastLSN(block, g.LastSeq())
+			}
+			if err != nil {
 				return &replayStop{reason: err.Error()}
-			}
-			// Mutations at or below the watermark are covered by the
-			// checkpoint (or a re-shipped prefix).
-			muts := block
-			for len(muts) > 0 && muts[0].Seq <= g.LastSeq() {
-				muts = muts[1:]
-			}
-			if len(muts) > 0 && muts[0].Seq != g.LastSeq()+1 {
-				return &replayStop{reason: fmt.Sprintf("LSN gap: log continues at %d, graph watermark %d", muts[0].Seq, g.LastSeq())}
 			}
 			for _, mu := range muts {
 				if err := applyMutation(g, mu); err != nil {
@@ -1396,7 +1393,7 @@ func replaySegment(fs FS, path, name string, gen uint64, g *kg.Graph, updated ma
 	case *notApplied:
 		return good, torn, replayed, "", fmt.Errorf("wal: replay of %s: the block at offset %d does not apply: %s", name, good, e.reason)
 	default:
-		return good, torn, replayed, "", fmt.Errorf("wal: read segment %s: %w", name, serr)
+		return good, torn, replayed, "", fmt.Errorf("wal: segment %s: %w", name, serr)
 	}
 }
 

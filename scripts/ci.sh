@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # ci.sh — the local CI gate: formatting, vet, build (plus an arm64
 # cross-build: the kNN kernel's generic body must compile where the amd64
-# assembly does not), a flag-parse smoke of kgserve and a default-argument
-# run of every example and the odke/weblink/embedtrain commands (cmd/* and
+# assembly does not), a flag-parse smoke of kgserve, a durable kgserve
+# smoke (seed a data dir, ingest, kill -9, restart, SIGTERM, restart: the
+# on-disk format through the real binary), a default-argument run of
+# every example and the odke/weblink/embedtrain commands (cmd/* and
 # examples/* have no tests), the full test suite under the race detector — the graph, query, rules,
 # serving and durability packages again at 1, 2 and 4 procs, since green
 # at GOMAXPROCS=1 only is red — the kNN and embedding packages again
@@ -50,6 +52,63 @@ GOARCH=arm64 go build ./...
 
 echo "== kgserve flag parse =="
 go run ./cmd/kgserve -h >/dev/null 2>&1
+
+# The on-disk format through the real binary, on a temp data dir and a
+# loopback port: seed, ingest one fact, kill -9, restart (the log replays
+# the fact), SIGTERM (writes a delta checkpoint), restart again (full +
+# delta recover it). Any failed step fails the gate.
+echo "== kgserve durable smoke (seed, ingest, kill -9, recover, delta) =="
+smoke=$(mktemp -d)
+kgpid=""
+trap '[[ -n "$kgpid" ]] && kill -9 "$kgpid" 2>/dev/null; rm -rf "$smoke"' EXIT
+go build -o "$smoke/kgserve" ./cmd/kgserve
+addr="127.0.0.1:$((20000 + RANDOM % 20000))"
+smoke_fail() {
+    echo "durable smoke: $1; kgserve log $2:" >&2
+    tail -20 "$smoke/$2" >&2
+    exit 1
+}
+smoke_start() { # smoke_start <log>: start kgserve and wait until it answers
+    "$smoke/kgserve" -addr "$addr" -people 40 -docs 50 -epochs 5 -data-dir "$smoke/data" >"$smoke/$1" 2>&1 &
+    kgpid=$!
+    for _ in $(seq 240); do
+        if curl -sf "http://$addr/health" >/dev/null; then return 0; fi
+        kill -0 "$kgpid" 2>/dev/null || break
+        sleep 0.5
+    done
+    smoke_fail "kgserve did not come up" "$1"
+}
+smoke_stop() { # smoke_stop <signal>
+    kill "-$1" "$kgpid"
+    wait "$kgpid" 2>/dev/null || true
+    kgpid=""
+}
+smoke_expect() { # smoke_expect <log> <text>: the log holds the text
+    grep -qF -- "$2" "$smoke/$1" || smoke_fail "no '$2'" "$1"
+}
+smoke_has_fact() { # smoke_has_fact <log>: /query finds the ingested fact
+    local out
+    out=$(curl -sf -X POST "http://$addr/query" \
+        -d '{"clauses":[{"subject":{"key":"person0"},"predicate":"libraryID","object":{"var":"x"}}]}') || true
+    [[ "$out" == *crash-test* ]] || smoke_fail "/query does not find the ingested fact: $out" "$1"
+}
+smoke_start seed.log
+smoke_expect seed.log "seeding fresh data dir"
+out=$(curl -sf -X POST "http://$addr/ingest" \
+    -d '{"asserts":[{"subject":"person0","predicate":"libraryID","object":{"string":"crash-test"}}]}') || true
+[[ "$out" == *'"added":1'* ]] || smoke_fail "/ingest answered '$out'" seed.log
+smoke_stop 9
+smoke_start crash.log
+smoke_expect crash.log ", 1 mutations replayed past checkpoint"
+smoke_has_fact crash.log
+smoke_stop TERM
+smoke_expect crash.log "durable state closed"
+ckpts=$(find "$smoke/data" -name 'checkpoint-*.ckpt' | wc -l)
+[[ "$ckpts" -eq 2 ]] || smoke_fail "$ckpts checkpoint files after SIGTERM, want the full one and a delta" crash.log
+smoke_start delta.log
+smoke_expect delta.log ", 0 mutations replayed past checkpoint"
+smoke_has_fact delta.log
+smoke_stop TERM
 
 # cmd/* and examples/* have no tests; running each with its default
 # arguments is what catches a caller broken by an API change.
