@@ -41,11 +41,11 @@ func main() {
 		log.Fatalf("generate world: %v", err)
 	}
 	eng := graphengine.New(w.Graph)
-	view := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true, MinPredicateFreq: *minFreq})
+	view := eng.Materialize(graphengine.ViewDef{MinPredicateFreq: *minFreq})
 	fmt.Printf("graph: %d entities, %d triples; view: %d triples after filtering\n",
-		w.Graph.NumEntities(), w.Graph.NumTriples(), view.Len())
+		w.Graph.NumEntities(), w.Graph.NumTriples(), len(view))
 
-	d := embedding.NewDataset(view.Triples())
+	d := embedding.NewDataset(view)
 	train, test, err := d.Split(0.1, *seed)
 	if err != nil {
 		log.Fatalf("split: %v", err)

@@ -133,6 +133,15 @@ func main() {
 		fmt.Printf("static asset (%d entities) answers %q locally: %d facts, zero leakage\n",
 			asset.Size(), entry.Name, len(entry.Facts))
 	}
+	// The asset follows popularity (§5): a tail entity that becomes popular
+	// ships with the next refresh.
+	rising := world.Graph.Entity(world.People[len(world.People)-1])
+	world.Graph.SetPopularity(rising.ID, 1e9)
+	asset.Refresh()
+	if _, ok := asset.Lookup(rising.Key); !ok {
+		log.Fatalf("refreshed static asset lacks %s after its popularity rose", rising.Key)
+	}
+	fmt.Printf("after %s's popularity rose, the refreshed asset answers it locally\n", rising.Key)
 
 	cache := ondevice.NewPiggybackCache()
 	midKey := world.Graph.Entity(world.People[40]).Key

@@ -239,15 +239,15 @@ func TestE5FilteringAblation(t *testing.T) {
 		}
 	}
 	eng := graphengine.New(w.Graph)
-	filteredView := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true, MinPredicateFreq: 20})
-	noisyView := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	row(t, "E5", "view sizes", "filtered", filteredView.Len(), "noisy", noisyView.Len())
-	if noisyView.Len() <= filteredView.Len() {
+	filteredView := eng.Materialize(graphengine.ViewDef{MinPredicateFreq: 20})
+	noisyView := eng.Materialize(graphengine.ViewDef{})
+	row(t, "E5", "view sizes", "filtered", len(filteredView), "noisy", len(noisyView))
+	if len(noisyView) <= len(filteredView) {
 		t.Fatal("noise injection failed")
 	}
 
 	// Clean dataset defines the test split.
-	dClean := embedding.NewDataset(filteredView.Triples())
+	dClean := embedding.NewDataset(filteredView)
 	trainClean, testClean, err := dClean.Split(0.12, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestE5FilteringAblation(t *testing.T) {
 
 	// Noisy dataset: full vocab, but exclude the clean test facts from
 	// training so the comparison is fair.
-	dNoisy := embedding.NewDataset(noisyView.Triples())
+	dNoisy := embedding.NewDataset(noisyView)
 	testSPO := make(map[[3]int32]bool)
 	var testNoisy [][3]int32
 	for _, tr := range testClean.Triples {

@@ -70,8 +70,7 @@ func buildFixture() (*fixture, error) {
 	}
 	f := &fixture{w: w, engine: graphengine.New(w.Graph)}
 
-	view := f.engine.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	f.dataset = embedding.NewDataset(view.Triples())
+	f.dataset = embedding.NewDataset(f.engine.Materialize(graphengine.ViewDef{}))
 	f.train, f.test, err = f.dataset.Split(0.1, 2023)
 	if err != nil {
 		return nil, err

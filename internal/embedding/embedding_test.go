@@ -23,7 +23,7 @@ func testWorld(t *testing.T) *workload.World {
 func entityView(t *testing.T, w *workload.World) []kg.Triple {
 	t.Helper()
 	eng := graphengine.New(w.Graph)
-	return eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true}).Triples()
+	return eng.Materialize(graphengine.ViewDef{})
 }
 
 func TestNewDatasetFiltersLiterals(t *testing.T) {

@@ -25,9 +25,7 @@ func newMultihopFixture(t *testing.T) *multihopFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := graphengine.New(w.Graph)
-	view := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	d := NewDataset(view.Triples())
+	d := NewDataset(graphengine.New(w.Graph).Materialize(graphengine.ViewDef{}))
 	f := &multihopFixture{w: w, d: d, models: make(map[ModelKind]Model)}
 	var ok bool
 	if f.collab, ok = d.RelationIndex(w.Preds["collaborator"]); !ok {

@@ -21,7 +21,7 @@ func trainedModelFor(t *testing.T, kind ModelKind) (Model, *Dataset) {
 		t.Fatal(err)
 	}
 	eng := graphengine.New(w.Graph)
-	d := NewDataset(eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true}).Triples())
+	d := NewDataset(eng.Materialize(graphengine.ViewDef{}))
 	m, err := Train(d, TrainConfig{Model: kind, Dim: 16, Epochs: 5, Workers: 1, Seed: 151})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,8 +25,7 @@ import (
 func TestConcurrentConfigurationAndQueries(t *testing.T) {
 	h := newHarness(t)
 	eng := graphengine.New(h.w.Graph)
-	view := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	entities := view.EntityIDs()
+	entities := slices.Sorted(slices.Values(h.dataset.Ents))
 
 	makeWalks := func(seed int64) map[kg.EntityID]vecindex.Vector {
 		return embedding.TrainWalkEmbeddings(eng, entities, embedding.WalkEmbedConfig{
@@ -178,8 +178,7 @@ func TestRelatedEntitiesCachePopulates(t *testing.T) {
 	check("fallback (gen 0)")
 
 	eng := graphengine.New(h.w.Graph)
-	view := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	walks := embedding.TrainWalkEmbeddings(eng, view.EntityIDs(), embedding.WalkEmbedConfig{
+	walks := embedding.TrainWalkEmbeddings(eng, slices.Sorted(slices.Values(h.dataset.Ents)), embedding.WalkEmbedConfig{
 		Dim: 16, WalksPerNode: 4, WalkLength: 3, Seed: 9,
 	})
 	if err := h.svc.SetWalkEmbeddings(walks); err != nil {

@@ -25,9 +25,7 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := graphengine.New(w.Graph)
-	view := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	d := embedding.NewDataset(view.Triples())
+	d := embedding.NewDataset(graphengine.New(w.Graph).Materialize(graphengine.ViewDef{}))
 	m, err := embedding.Train(d, embedding.TrainConfig{
 		Model: embedding.DistMult, Dim: 32, Epochs: 40, LearningRate: 0.08,
 		Negatives: 4, Workers: 2, Seed: 3,
@@ -375,9 +373,7 @@ func BenchmarkBatchScore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := graphengine.New(w.Graph)
-	view := eng.Materialize(graphengine.ViewDef{DropLiteralFacts: true})
-	d := embedding.NewDataset(view.Triples())
+	d := embedding.NewDataset(graphengine.New(w.Graph).Materialize(graphengine.ViewDef{}))
 	m, err := embedding.Train(d, embedding.TrainConfig{Model: embedding.DistMult, Dim: 32, Epochs: 5, Seed: 17})
 	if err != nil {
 		b.Fatal(err)

@@ -76,12 +76,12 @@ func newFixture(t *testing.T) *fixture {
 
 func TestViewDropLiterals(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{DropLiteralFacts: true})
-	if v.Len() != 5 {
-		t.Fatalf("view len = %d, want 5 entity facts", v.Len())
+	v := f.e.Materialize(ViewDef{})
+	if len(v) != 5 {
+		t.Fatalf("view len = %d, want 5 entity facts", len(v))
 	}
-	for _, tr := range v.Triples() {
-		if tr.Object.IsLiteral() {
+	for _, tr := range v {
+		if !tr.Object.IsEntity() {
 			t.Fatalf("literal fact leaked into view: %v", tr)
 		}
 	}
@@ -89,111 +89,50 @@ func TestViewDropLiterals(t *testing.T) {
 
 func TestViewMinPredicateFreq(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{MinPredicateFreq: 2})
-	// occ(2), award(3) survive; height(1), libid(1) dropped.
-	if v.Len() != 5 {
-		t.Fatalf("view len = %d, want 5", v.Len())
+	v := f.e.Materialize(ViewDef{MinPredicateFreq: 3})
+	// award(3) survives; occupation(2), height(1) and libid(1) are dropped.
+	if len(v) != 3 {
+		t.Fatalf("view len = %d, want 3", len(v))
 	}
-	for _, tr := range v.Triples() {
-		if tr.Predicate == f.height || tr.Predicate == f.libid {
+	for _, tr := range v {
+		if tr.Predicate != f.award {
 			t.Fatalf("rare predicate leaked: %v", tr)
 		}
 	}
 }
 
-func TestViewIncludeExcludePredicates(t *testing.T) {
+// TestViewVocabulary: the view's vocabulary — what the trainer indexes —
+// is every entity its facts mention and only the entity-valued predicates.
+func TestViewVocabulary(t *testing.T) {
 	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{IncludePredicates: map[kg.PredicateID]bool{f.award: true}})
-	if v.Len() != 3 {
-		t.Fatalf("include view len = %d", v.Len())
+	ents := make(map[kg.EntityID]bool)
+	preds := make(map[kg.PredicateID]bool)
+	for _, tr := range f.e.Materialize(ViewDef{}) {
+		ents[tr.Subject], ents[tr.Object.Entity] = true, true
+		preds[tr.Predicate] = true
 	}
-	v2 := f.e.Materialize(ViewDef{ExcludePredicates: map[kg.PredicateID]bool{f.award: true}})
-	if v2.Len() != 4 {
-		t.Fatalf("exclude view len = %d", v2.Len())
+	if len(ents) != 6 {
+		t.Fatalf("view mentions %d entities, want 6", len(ents))
+	}
+	if len(preds) != 2 || !preds[f.occ] || !preds[f.award] {
+		t.Fatalf("view predicates = %v, want occupation and award", preds)
 	}
 }
 
-func TestViewSubjectType(t *testing.T) {
-	f := newFixture(t)
-	// Athlete subjects only — all facts have athlete subjects in fixture.
-	v := f.e.Materialize(ViewDef{SubjectType: f.athleteType})
-	if v.Len() != 7 {
-		t.Fatalf("athlete view len = %d", v.Len())
-	}
-	// Person supertype matches via inheritance too.
-	v2 := f.e.Materialize(ViewDef{SubjectType: f.personType})
-	if v2.Len() != 7 {
-		t.Fatalf("person view len = %d", v2.Len())
-	}
-}
-
-func TestViewMinConfidence(t *testing.T) {
-	f := newFixture(t)
-	low := kg.Triple{Subject: f.curry, Predicate: f.occ, Object: kg.EntityValue(f.bball), Prov: kg.Provenance{Confidence: 0.1}}
-	if err := f.g.Assert(low); err != nil {
-		t.Fatal(err)
-	}
-	v := f.e.Materialize(ViewDef{MinConfidence: 0.5})
-	if v.Contains(low) {
-		t.Fatal("low-confidence fact leaked into view")
-	}
-	if v.Len() != 7 {
-		t.Fatalf("view len = %d, want 7", v.Len())
-	}
-}
-
-func TestViewIncrementalRefresh(t *testing.T) {
-	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{DropLiteralFacts: true})
-	base := v.Len()
-
-	newFact := kg.Triple{Subject: f.curry, Predicate: f.occ, Object: kg.EntityValue(f.bball)}
-	if err := f.g.Assert(newFact); err != nil {
-		t.Fatal(err)
-	}
-	litFact := kg.Triple{Subject: f.curry, Predicate: f.height, Object: kg.IntValue(188)}
-	if err := f.g.Assert(litFact); err != nil {
-		t.Fatal(err)
-	}
-	applied := v.Refresh()
-	if applied != 1 {
-		t.Fatalf("Refresh applied %d, want 1 (literal filtered)", applied)
-	}
-	if v.Len() != base+1 || !v.Contains(newFact) {
-		t.Fatalf("view missing new fact; len=%d", v.Len())
-	}
-
-	f.g.Retract(newFact)
-	if v.Refresh() != 1 {
-		t.Fatal("retraction not applied")
-	}
-	if v.Contains(newFact) || v.Len() != base {
-		t.Fatal("view still contains retracted fact")
-	}
-	// Refresh with no new mutations is a no-op.
-	if v.Refresh() != 0 {
-		t.Fatal("idle refresh applied mutations")
-	}
-}
-
-// TestViewRefreshMatchesRematerialize: after any run of asserts and
-// retracts, a refreshed view holds exactly what a fresh Materialize of
-// the same definition holds — for every definition Scan is checked
-// against, MinPredicateFreq included. Each literal predicate has only
-// four possible facts, so its frequency crosses the thresholds in both
-// directions.
-func TestViewRefreshMatchesRematerialize(t *testing.T) {
-	for i := range viewDefsUnderTest(newFixture(t)) {
+// TestScanMatchesReference: after any run of asserts and retracts, Scan
+// keeps exactly what a brute-force filter over AllTriples keeps — the
+// entity-valued facts whose predicate occurs at least MinPredicateFreq
+// times among all the graph's facts, literal ones counted. Each literal
+// predicate has only four possible facts, and libraryID takes entity
+// objects as well as literal ones, so frequencies cross every threshold
+// in both directions, and counting only the facts that pass would show.
+func TestScanMatchesReference(t *testing.T) {
+	for _, minFreq := range []int{0, 1, 2, 3, 5} {
 		f := newFixture(t)
-		def := viewDefsUnderTest(f)[i]
-		v := f.e.Materialize(def)
-		rng := rand.New(rand.NewSource(int64(7 + i)))
+		rng := rand.New(rand.NewSource(int64(7 + minFreq)))
 		ents := []kg.EntityID{f.lebron, f.curry, f.kobe, f.bball, f.tvactor, f.mvp}
 		randomFact := func() kg.Triple {
-			tr := kg.Triple{Subject: ents[rng.Intn(len(ents))], Prov: kg.Provenance{Confidence: 0.1}}
-			if rng.Intn(2) == 0 {
-				tr.Prov.Confidence = 0.9
-			}
+			tr := kg.Triple{Subject: ents[rng.Intn(len(ents))]}
 			switch rng.Intn(4) {
 			case 0:
 				tr.Predicate, tr.Object = f.occ, kg.EntityValue(ents[rng.Intn(len(ents))])
@@ -205,6 +144,9 @@ func TestViewRefreshMatchesRematerialize(t *testing.T) {
 			default:
 				tr.Subject = ents[rng.Intn(2)]
 				tr.Predicate, tr.Object = f.libid, kg.StringValue(fmt.Sprintf("L%d", rng.Intn(2)))
+				if rng.Intn(2) == 0 {
+					tr.Object = kg.EntityValue(ents[rng.Intn(2)])
+				}
 			}
 			return tr
 		}
@@ -217,36 +159,41 @@ func TestViewRefreshMatchesRematerialize(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			v.Refresh()
-			fresh := f.e.Materialize(def)
-			if v.Len() != fresh.Len() {
-				t.Fatalf("def %d, batch %d: refreshed view holds %d triples, a fresh one %d", i, batch, v.Len(), fresh.Len())
+			want := scanReference(f.g, minFreq)
+			got := make(map[kg.TripleKey]bool)
+			f.e.Scan(ViewDef{MinPredicateFreq: minFreq}, func(tr kg.Triple) {
+				if got[tr.IdentityKey()] {
+					t.Fatalf("min %d, batch %d: Scan handed over %v twice", minFreq, batch, tr)
+				}
+				got[tr.IdentityKey()] = true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("min %d, batch %d: Scan kept %d facts, the reference %d", minFreq, batch, len(got), len(want))
 			}
-			for _, tr := range fresh.Triples() {
-				if !v.Contains(tr) {
-					t.Fatalf("def %d, batch %d: refreshed view misses %v", i, batch, tr)
+			for k := range want {
+				if !got[k] {
+					t.Fatalf("min %d, batch %d: Scan missed %v", minFreq, batch, k)
 				}
 			}
 		}
 	}
 }
 
-func TestViewVocabulary(t *testing.T) {
-	f := newFixture(t)
-	v := f.e.Materialize(ViewDef{DropLiteralFacts: true})
-	ents := v.EntityIDs()
-	if len(ents) != 6 {
-		t.Fatalf("EntityIDs = %v, want 6", ents)
+// scanReference is the training view by brute force: every fact counted,
+// then the entity-valued ones of frequent-enough predicates kept.
+func scanReference(g *kg.Graph, minFreq int) map[kg.TripleKey]bool {
+	all := g.AllTriples()
+	freq := make(map[kg.PredicateID]int)
+	for _, tr := range all {
+		freq[tr.Predicate]++
 	}
-	for i := 1; i < len(ents); i++ {
-		if ents[i] <= ents[i-1] {
-			t.Fatal("EntityIDs not sorted/unique")
+	keep := make(map[kg.TripleKey]bool)
+	for _, tr := range all {
+		if tr.Object.IsEntity() && freq[tr.Predicate] >= minFreq {
+			keep[tr.IdentityKey()] = true
 		}
 	}
-	preds := v.PredicateIDs()
-	if len(preds) != 2 {
-		t.Fatalf("PredicateIDs = %v, want occ+award", preds)
-	}
+	return keep
 }
 
 func TestNeighbors(t *testing.T) {
@@ -383,50 +330,6 @@ func TestLargeGraphBFSDepths(t *testing.T) {
 	for i, id := range ids {
 		if dist[id] != i {
 			t.Fatalf("dist(e%d) = %d, want %d", i, dist[id], i)
-		}
-	}
-}
-
-// viewDefsUnderTest holds a definition for every kind of clause, alone
-// and combined: those applied inside the scan's cut and those that wait
-// for its end.
-func viewDefsUnderTest(f *fixture) []ViewDef {
-	return []ViewDef{
-		{},
-		{DropLiteralFacts: true},
-		{DropEntityFacts: true},
-		{MinPredicateFreq: 2},
-		{DropLiteralFacts: true, MinPredicateFreq: 3},
-		{IncludePredicates: map[kg.PredicateID]bool{f.award: true}},
-		{ExcludePredicates: map[kg.PredicateID]bool{f.award: true}},
-		{SubjectType: f.athleteType},
-		{SubjectType: f.personType, MinPredicateFreq: 2},
-		{MinConfidence: 0.5},
-	}
-}
-
-// TestScanStreamsWhatMaterializeKeeps: Scan is the pass views are built
-// from, so for every kind of clause it hands over exactly the view's
-// triples and the view's watermark.
-func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
-	f := newFixture(t)
-	for i, def := range viewDefsUnderTest(f) {
-		want := make(map[kg.TripleKey]bool)
-		for _, tr := range f.e.Materialize(def).Triples() {
-			want[tr.IdentityKey()] = true
-		}
-		got := make(map[kg.TripleKey]bool)
-		seq := f.e.Scan(def, func(tr kg.Triple) { got[tr.IdentityKey()] = true })
-		if seq != f.g.LastSeq() {
-			t.Fatalf("def %d: watermark %d, graph is at %d", i, seq, f.g.LastSeq())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("def %d: Scan kept %d triples, the view %d", i, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("def %d: Scan missed %v", i, k)
-			}
 		}
 	}
 }

@@ -3,8 +3,8 @@ package kg
 // Changefeed is a cursor-bearing subscriber handle over the graph's
 // mutation log: the one implementation of the pull-then-recheck-floor
 // consumption contract that every derived structure (adjacency
-// snapshots, materialized views, ondevice static assets, the WAL
-// drain, live subscriptions) rides instead of hand-rolling it.
+// snapshots, the rules engine's derived facts, the WAL drain, live
+// subscriptions) rides instead of hand-rolling it.
 //
 // The contract:
 //

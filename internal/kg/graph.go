@@ -174,7 +174,7 @@ func (sh *graphShard) init() {
 // counter is only ever advanced while the mutating shard's write lock is
 // held, so holding every shard's read lock freezes it. LastSeq()/
 // TriplesSnapshot() expose the counter so derived structures
-// (materialized views, adjacency snapshots) can record the watermark they
+// (adjacency snapshots, checkpoints) can record the watermark they
 // were built at and later decide staleness with a single comparison: a
 // derived structure at watermark w reflects exactly the first w
 // mutations. The log itself is stored as per-shard sub-logs of
@@ -195,8 +195,8 @@ func (sh *graphShard) init() {
 // batch, verify LogFloor has not passed the cursor, advance — as a
 // cursor-bearing handle with explicit floor/lag semantics and a single
 // rematerialization fallback contract. The graphengine adjacency
-// snapshot, materialized views, ondevice static assets, the WAL drain,
-// and live subscriptions all consume the log through it.
+// snapshot, the rules engine, the WAL drain, and live subscriptions all
+// consume the log through it.
 //
 // # Durability
 //

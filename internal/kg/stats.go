@@ -2,8 +2,7 @@ package kg
 
 import "sort"
 
-// Stats summarizes the shape of a graph. The ODKE profiler and the view
-// builder both consume these summaries.
+// Stats summarizes the shape of a graph, for diagnostics.
 type Stats struct {
 	Entities   int
 	Predicates int

@@ -101,9 +101,10 @@ func (op MutationOp) String() string {
 
 // Mutation is one entry of the graph's mutation log, as MutationsSince
 // and a Changefeed hand it out (the log itself stores compact entries,
-// see mutlog.go). The log gives downstream consumers (materialized views,
-// annotation freshness, sync) a totally ordered change feed, which is how
-// Saga's streaming construction path exposes updates.
+// see mutlog.go). The log gives downstream consumers (adjacency
+// snapshots, derived rules, the WAL, subscriptions) a totally ordered
+// change feed, which is how Saga's streaming construction path exposes
+// updates.
 type Mutation struct {
 	// Seq is the 1-based sequence number of the mutation.
 	Seq uint64

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"saga/internal/graphengine"
 	"saga/internal/kg"
 )
 
@@ -15,8 +14,8 @@ import (
 // trade-offs:
 //
 //  1. Static knowledge asset — a popularity-ranked subgraph shipped to
-//     every device; zero request leakage, bounded size, maintained as a
-//     graph-engine view.
+//     every device; zero request leakage, bounded size, rebuilt from the
+//     live graph on every Refresh.
 //  2. Dynamic piggyback — global facts ride along on responses to server
 //     interactions the user already makes; no extra leakage.
 //  3. Private retrieval — PIR-style lookups whose simulated cost is a
@@ -36,37 +35,35 @@ type AssetEntry struct {
 // StaticAsset is the on-device popular-entity artifact.
 type StaticAsset struct {
 	Entries map[string]AssetEntry // by entity key
-	// SourceSeq is the graph mutation sequence the asset was built at —
-	// the changefeed cursor's position, exported so sync tooling can
-	// compare asset versions across devices.
+	// SourceSeq is the graph mutation sequence the asset was built at,
+	// exported so sync tooling can compare asset versions across devices.
 	SourceSeq uint64
-	size      int
-	view      *graphengine.View
 	graph     *kg.Graph
-	feed      *kg.Changefeed
 	topK      int
 }
 
 // BuildStaticAsset materializes the top-k most popular global entities
-// (with their facts) into a shippable asset. The view is maintained
-// incrementally: call Refresh after the global graph changes.
+// (with their facts) into a shippable asset. Call Refresh after the global
+// graph changes.
 func BuildStaticAsset(g *kg.Graph, topK int) (*StaticAsset, error) {
 	if topK <= 0 {
 		return nil, errors.New("ondevice: topK must be positive")
 	}
-	eng := graphengine.New(g)
-	view := eng.Materialize(graphengine.ViewDef{})
-	a := &StaticAsset{graph: g, view: view, feed: g.Feed(0), topK: topK}
-	a.rebuild()
+	a := &StaticAsset{graph: g, topK: topK}
+	a.Refresh()
 	return a, nil
 }
 
-func (a *StaticAsset) rebuild() {
-	// Reset the feed to the watermark BEFORE scanning: a mutation that
-	// lands mid-scan may or may not be reflected in the entries, so the
-	// conservative cursor makes the next Refresh re-pull it rather than
-	// silently skip it (resetting after the scan could mark unseen
-	// mutations as consumed).
+// Refresh rebuilds the asset from the live dictionary and graph ("as the
+// set of popular entities changes over time, the view is automatically
+// maintained and can be shipped to devices", §5). It re-ranks on every
+// call: a popularity or entity-record change draws no mutation sequence,
+// so no changefeed would report it, and a rebuild is one sort of the
+// entity list plus the top-k entities' outgoing reads.
+func (a *StaticAsset) Refresh() {
+	// The watermark is read before the scan: a mutation that lands mid-scan
+	// may or may not be in the entries, so SourceSeq claims no more than
+	// they are sure to hold.
 	seq := a.graph.LastSeq()
 	var all []*kg.Entity
 	a.graph.Entities(func(e *kg.Entity) bool {
@@ -98,29 +95,7 @@ func (a *StaticAsset) rebuild() {
 		entries[e.Key] = entry
 	}
 	a.Entries = entries
-	a.feed.Reset(seq)
 	a.SourceSeq = seq
-	a.size = len(entries)
-}
-
-// Refresh incrementally applies graph changes since the asset was built
-// ("as the set of popular entities changes over time, the view is
-// automatically maintained and can be shipped to devices"). Returns the
-// number of view mutations applied.
-//
-// Staleness is decided by the asset's changefeed: a non-empty (or
-// incomplete, when compaction passed the cursor) pull means the graph
-// moved past the asset's watermark and the entries are recomputed. The
-// pulled batch itself is not replayed — rebuild re-ranks from the live
-// dictionary anyway, which also picks up popularity changes that carry
-// no mutation sequence.
-func (a *StaticAsset) Refresh() int {
-	applied := a.view.Refresh()
-	muts, complete := a.feed.Pull()
-	if applied > 0 || len(muts) > 0 || !complete {
-		a.rebuild()
-	}
-	return applied
 }
 
 // Lookup serves a device query from the asset; no network request, no
@@ -131,7 +106,7 @@ func (a *StaticAsset) Lookup(entityKey string) (AssetEntry, bool) {
 }
 
 // Size returns the number of entities in the asset.
-func (a *StaticAsset) Size() int { return a.size }
+func (a *StaticAsset) Size() int { return len(a.Entries) }
 
 // --- Dynamic piggyback ---------------------------------------------------
 

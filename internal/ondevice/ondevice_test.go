@@ -3,6 +3,8 @@ package ondevice
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -503,6 +505,68 @@ func TestStaticAssetRefresh(t *testing.T) {
 	after := len(asset.Entries[top.Key].Facts)
 	if after != before+1 {
 		t.Fatalf("facts after refresh = %d, want %d", after, before+1)
+	}
+}
+
+// TestStaticAssetFollowsPopularityAndRecords: a refreshed asset is what a
+// fresh build on the same graph is — after a popularity change and an
+// entity-record change, neither of which draws a mutation sequence, and
+// after the mutation log is compacted past the asset's watermark.
+func TestStaticAssetFollowsPopularityAndRecords(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// change moves the graph and names the entry it must show.
+		change func(t *testing.T, w *workload.World, asset *StaticAsset) (key string, holds func(AssetEntry) bool)
+	}{
+		{"popularity", func(t *testing.T, w *workload.World, _ *StaticAsset) (string, func(AssetEntry) bool) {
+			tail := w.People[len(w.People)-1]
+			w.Graph.SetPopularity(tail, 1e9)
+			return w.Graph.Entity(tail).Key, func(e AssetEntry) bool { return e.Popularity == 1e9 }
+		}},
+		{"record", func(t *testing.T, w *workload.World, _ *StaticAsset) (string, func(AssetEntry) bool) {
+			w.Graph.UpdateEntity(w.People[0], func(e *kg.Entity) { e.Name = "Renamed" })
+			return w.Graph.Entity(w.People[0]).Key, func(e AssetEntry) bool { return e.Name == "Renamed" }
+		}},
+		{"truncated-log", func(t *testing.T, w *workload.World, asset *StaticAsset) (string, func(AssetEntry) bool) {
+			probe, err := w.Graph.AddPredicate(kg.Predicate{Name: "assetProbe"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range w.People[1:4] {
+				if err := w.Graph.Assert(kgTriple(w, w.People[0], probe, o)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if w.Graph.TruncateLog(w.Graph.LastSeq()) == 0 || w.Graph.LastSeq() <= asset.SourceSeq {
+				t.Fatal("the log was not compacted past the asset's watermark")
+			}
+			want := "assetProbe=" + kg.EntityValue(w.People[1]).String()
+			return w.Graph.Entity(w.People[0]).Key, func(e AssetEntry) bool { return slices.Contains(e.Facts, want) }
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := workload.GenerateKG(workload.KGConfig{NumPeople: 40, NumClusters: 4, Seed: 31})
+			if err != nil {
+				t.Fatal(err)
+			}
+			asset, err := BuildStaticAsset(w.Graph, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, holds := c.change(t, w, asset)
+			asset.Refresh()
+			if e, ok := asset.Lookup(key); !ok || !holds(e) {
+				t.Fatalf("refreshed asset shows %s as %+v (present %v)", key, e, ok)
+			}
+			fresh, err := BuildStaticAsset(w.Graph, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(asset.Entries, fresh.Entries) || asset.SourceSeq != fresh.SourceSeq || asset.Size() != fresh.Size() {
+				t.Fatalf("refreshed asset (seq %d, %d entries) differs from a fresh build (seq %d, %d entries)",
+					asset.SourceSeq, asset.Size(), fresh.SourceSeq, fresh.Size())
+			}
+		})
 	}
 }
 

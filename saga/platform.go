@@ -42,8 +42,8 @@ type Platform struct {
 	wal *wal.Manager
 }
 
-// New wraps a graph in a platform. The graph may keep growing; views and
-// services observe updates per their own refresh semantics.
+// New wraps a graph in a platform. The graph may keep growing: queries
+// read it live, and TrainEmbeddings trains on it as it is at the call.
 func New(g *Graph) *Platform {
 	return &Platform{graph: g, engine: graphengine.New(g)}
 }
@@ -217,8 +217,9 @@ func (p *Platform) predicateID(name string) (PredicateID, error) {
 
 // EmbeddingOptions configure Platform.TrainEmbeddings.
 type EmbeddingOptions struct {
-	// View filters the training triples; zero value drops literal facts,
-	// which is the §2 default for entity embeddings.
+	// View filters the training facts: literal facts never pass, and
+	// View.MinPredicateFreq drops rare predicates; the zero value keeps
+	// every entity-valued fact (§2).
 	View ViewDef
 	// Train configures the trainer; zero values pick sensible defaults.
 	Train TrainConfig
@@ -234,16 +235,9 @@ type EmbeddingOptions struct {
 // Every call scans the graph as it is now through the view and keeps
 // nothing of the scan but the training facts.
 func (p *Platform) TrainEmbeddings(opts EmbeddingOptions) error {
-	view := opts.View
-	if !view.DropLiteralFacts && !view.DropEntityFacts && view.MinPredicateFreq == 0 &&
-		view.IncludePredicates == nil && view.ExcludePredicates == nil {
-		view.DropLiteralFacts = true
-	}
 	facts := make([]embedding.Fact, 0, p.graph.NumTriples())
-	p.engine.Scan(view, func(t kg.Triple) {
-		if t.Object.IsEntity() {
-			facts = append(facts, embedding.Fact{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object.Entity})
-		}
+	p.engine.Scan(opts.View, func(t kg.Triple) {
+		facts = append(facts, embedding.Fact{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object.Entity})
 	})
 	d := embedding.NewDatasetFromFacts(facts)
 	if len(d.Triples) == 0 {

@@ -263,7 +263,7 @@ func TestRetrainSeesTheGraphAsItIsNow(t *testing.T) {
 		view ViewDef
 	}{
 		{"default", ViewDef{}},
-		{"caller's own", ViewDef{DropLiteralFacts: true, MinPredicateFreq: 2}},
+		{"caller's own", ViewDef{MinPredicateFreq: 2}},
 	} {
 		viewName := c.name
 		w, err := GenerateWorld(WorldConfig{NumPeople: 60, NumClusters: 6, Seed: 109})

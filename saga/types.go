@@ -88,13 +88,11 @@ func NewGraphWithShards(n int) *Graph { return kg.NewGraphWithShards(n) }
 
 // Graph engine (internal/graphengine).
 type (
-	// Engine provides conjunctive queries, traversals, and materialized
-	// views.
+	// Engine provides conjunctive queries, traversals, and the filtered
+	// training-view scan.
 	Engine = graphengine.Engine
-	// ViewDef declares a filtered graph view.
+	// ViewDef declares the training view's filter.
 	ViewDef = graphengine.ViewDef
-	// View is a materialized, incrementally-maintained view.
-	View = graphengine.View
 	// ScoredEntity pairs an entity with a relevance score.
 	ScoredEntity = graphengine.ScoredEntity
 	// QueryClause is one triple pattern of a conjunctive query.
