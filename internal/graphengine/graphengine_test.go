@@ -25,6 +25,26 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	f := newBareFixture(t)
+	assert := func(s kg.EntityID, p kg.PredicateID, o kg.Value) {
+		if err := f.g.Assert(kg.Triple{Subject: s, Predicate: p, Object: o, Prov: kg.Provenance{Confidence: 0.9}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assert(f.lebron, f.occ, kg.EntityValue(f.bball))
+	assert(f.lebron, f.occ, kg.EntityValue(f.tvactor))
+	assert(f.lebron, f.award, kg.EntityValue(f.mvp))
+	assert(f.curry, f.award, kg.EntityValue(f.mvp))
+	assert(f.kobe, f.award, kg.EntityValue(f.mvp))
+	assert(f.lebron, f.height, kg.IntValue(203))
+	assert(f.lebron, f.libid, kg.StringValue("L1"))
+	return f
+}
+
+// newBareFixture builds the fixture's ontology, entities and predicates,
+// with the same IDs on every call, and no facts.
+func newBareFixture(t *testing.T) *fixture {
+	t.Helper()
 	f := &fixture{g: kg.NewGraph()}
 	o := f.g.Ontology()
 	thing, _ := o.AddType("Thing", kg.NoType)
@@ -57,21 +77,49 @@ func newFixture(t *testing.T) *fixture {
 	f.height = pred("height")
 	f.libid = pred("libraryID")
 
-	assert := func(s kg.EntityID, p kg.PredicateID, o kg.Value) {
-		if err := f.g.Assert(kg.Triple{Subject: s, Predicate: p, Object: o, Prov: kg.Provenance{Confidence: 0.9}}); err != nil {
+	f.e = New(f.g)
+	return f
+}
+
+// mutate applies one batch of one to four random asserts and retracts.
+// Each literal predicate has only four possible facts, and libraryID takes
+// entity objects as well as literal ones, so predicate frequencies cross
+// every threshold in both directions.
+func (f *fixture) mutate(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	ents := []kg.EntityID{f.lebron, f.curry, f.kobe, f.bball, f.tvactor, f.mvp}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		tr := kg.Triple{Subject: ents[rng.Intn(len(ents))]}
+		switch rng.Intn(4) {
+		case 0:
+			tr.Predicate, tr.Object = f.occ, kg.EntityValue(ents[rng.Intn(len(ents))])
+		case 1:
+			tr.Predicate, tr.Object = f.award, kg.EntityValue(ents[rng.Intn(len(ents))])
+		case 2:
+			tr.Subject = ents[rng.Intn(2)]
+			tr.Predicate, tr.Object = f.height, kg.IntValue(int64(200+rng.Intn(2)))
+		default:
+			tr.Subject = ents[rng.Intn(2)]
+			tr.Predicate, tr.Object = f.libid, kg.StringValue(fmt.Sprintf("L%d", rng.Intn(2)))
+			if rng.Intn(2) == 0 {
+				tr.Object = kg.EntityValue(ents[rng.Intn(2)])
+			}
+		}
+		if rng.Intn(2) == 0 {
+			f.g.Retract(tr)
+		} else if err := f.g.Assert(tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	assert(f.lebron, f.occ, kg.EntityValue(f.bball))
-	assert(f.lebron, f.occ, kg.EntityValue(f.tvactor))
-	assert(f.lebron, f.award, kg.EntityValue(f.mvp))
-	assert(f.curry, f.award, kg.EntityValue(f.mvp))
-	assert(f.kobe, f.award, kg.EntityValue(f.mvp))
-	assert(f.lebron, f.height, kg.IntValue(203))
-	assert(f.lebron, f.libid, kg.StringValue("L1"))
+}
 
-	f.e = New(f.g)
-	return f
+// viewKeys is the view def keeps of e, as a set.
+func viewKeys(e *Engine, def ViewDef) map[kg.TripleKey]bool {
+	keys := make(map[kg.TripleKey]bool)
+	for _, tr := range e.Materialize(def) {
+		keys[tr.IdentityKey()] = true
+	}
+	return keys
 }
 
 func TestViewDropLiterals(t *testing.T) {
@@ -119,46 +167,68 @@ func TestViewVocabulary(t *testing.T) {
 	}
 }
 
+// TestScanStreamsWhatMaterializeKeeps: Scan hands over each fact
+// Materialize returns once, and no other, at every threshold.
+func TestScanStreamsWhatMaterializeKeeps(t *testing.T) {
+	f := newFixture(t)
+	for _, minFreq := range []int{0, 1, 2, 3, 4} {
+		def := ViewDef{MinPredicateFreq: minFreq}
+		want := viewKeys(f.e, def)
+		streamed := 0
+		f.e.Scan(def, func(tr kg.Triple) {
+			streamed++
+			if !want[tr.IdentityKey()] {
+				t.Fatalf("min %d: Scan streamed %v, which Materialize does not keep", minFreq, tr)
+			}
+		})
+		if n := len(f.e.Materialize(def)); streamed != n || len(want) != n {
+			t.Fatalf("min %d: Scan streamed %d facts, Materialize kept %d (%d distinct)", minFreq, streamed, n, len(want))
+		}
+	}
+}
+
+// TestViewRefreshMatchesRematerialize: after any run of asserts and
+// retracts, the view read again from the live graph keeps exactly what it
+// keeps of a graph built from scratch with the same facts — retracted
+// facts and the frequencies they once raised leave nothing behind.
+func TestViewRefreshMatchesRematerialize(t *testing.T) {
+	for _, minFreq := range []int{0, 2, 3} {
+		f := newFixture(t)
+		rng := rand.New(rand.NewSource(int64(11 + minFreq)))
+		def := ViewDef{MinPredicateFreq: minFreq}
+		for batch := 0; batch < 30; batch++ {
+			f.mutate(t, rng)
+			fresh := newBareFixture(t)
+			for _, tr := range f.g.AllTriples() {
+				if err := fresh.g.Assert(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, want := viewKeys(f.e, def), viewKeys(fresh.e, def)
+			if len(got) != len(want) {
+				t.Fatalf("min %d, batch %d: live view has %d facts, rebuilt %d", minFreq, batch, len(got), len(want))
+			}
+			for k := range want {
+				if !got[k] {
+					t.Fatalf("min %d, batch %d: live view misses %v", minFreq, batch, k)
+				}
+			}
+		}
+	}
+}
+
 // TestScanMatchesReference: after any run of asserts and retracts, Scan
 // keeps exactly what a brute-force filter over AllTriples keeps — the
 // entity-valued facts whose predicate occurs at least MinPredicateFreq
-// times among all the graph's facts, literal ones counted. Each literal
-// predicate has only four possible facts, and libraryID takes entity
-// objects as well as literal ones, so frequencies cross every threshold
-// in both directions, and counting only the facts that pass would show.
+// times among all the graph's facts, literal ones counted. mutate's
+// frequencies cross every threshold in both directions, so counting only
+// the facts that pass would show.
 func TestScanMatchesReference(t *testing.T) {
 	for _, minFreq := range []int{0, 1, 2, 3, 5} {
 		f := newFixture(t)
 		rng := rand.New(rand.NewSource(int64(7 + minFreq)))
-		ents := []kg.EntityID{f.lebron, f.curry, f.kobe, f.bball, f.tvactor, f.mvp}
-		randomFact := func() kg.Triple {
-			tr := kg.Triple{Subject: ents[rng.Intn(len(ents))]}
-			switch rng.Intn(4) {
-			case 0:
-				tr.Predicate, tr.Object = f.occ, kg.EntityValue(ents[rng.Intn(len(ents))])
-			case 1:
-				tr.Predicate, tr.Object = f.award, kg.EntityValue(ents[rng.Intn(len(ents))])
-			case 2:
-				tr.Subject = ents[rng.Intn(2)]
-				tr.Predicate, tr.Object = f.height, kg.IntValue(int64(200+rng.Intn(2)))
-			default:
-				tr.Subject = ents[rng.Intn(2)]
-				tr.Predicate, tr.Object = f.libid, kg.StringValue(fmt.Sprintf("L%d", rng.Intn(2)))
-				if rng.Intn(2) == 0 {
-					tr.Object = kg.EntityValue(ents[rng.Intn(2)])
-				}
-			}
-			return tr
-		}
 		for batch := 0; batch < 60; batch++ {
-			for n := 1 + rng.Intn(4); n > 0; n-- {
-				tr := randomFact()
-				if rng.Intn(2) == 0 {
-					f.g.Retract(tr)
-				} else if err := f.g.Assert(tr); err != nil {
-					t.Fatal(err)
-				}
-			}
+			f.mutate(t, rng)
 			want := scanReference(f.g, minFreq)
 			got := make(map[kg.TripleKey]bool)
 			f.e.Scan(ViewDef{MinPredicateFreq: minFreq}, func(tr kg.Triple) {
