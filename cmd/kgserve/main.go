@@ -24,8 +24,9 @@
 //	  "clauses": [...], "explain": true}'
 //
 // /health reports the plan cache's hit/miss/invalidation/eviction
-// counters under "plan_cache" and the changefeed's watermark, durable
-// LSN, checkpoint retention, and subscriber health under "changefeed".
+// counters under "plan_cache" and the changefeed's watermark, in-memory
+// log retention (log_entries, log_floor), durable LSN, checkpoint
+// retention, and subscriber health under "changefeed".
 //
 // POST /subscribe streams a standing query's answer set as NDJSON: a
 // full snapshot first, then coalesced add/retract deltas as the graph

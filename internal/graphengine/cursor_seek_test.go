@@ -27,6 +27,7 @@ const (
 func seekWorld(t testing.TB) (*kg.Graph, []kg.EntityID, []kg.PredicateID) {
 	t.Helper()
 	g := kg.NewGraph()
+	g.Feed(0) // keep the whole history: the tests replay it
 	ents := make([]kg.EntityID, seekEnts)
 	for i := range ents {
 		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})

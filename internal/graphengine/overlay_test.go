@@ -28,6 +28,7 @@ const (
 func newOverlayWorld(t testing.TB) (*kg.Graph, []kg.EntityID, []kg.PredicateID) {
 	t.Helper()
 	g := kg.NewGraph()
+	g.Feed(0) // keep the whole history: the tests replay it
 	ents := make([]kg.EntityID, ovEnts)
 	for i := range ents {
 		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})

@@ -181,11 +181,14 @@ func advanceAdjacencySnapshot(g *kg.Graph, prev *AdjacencySnapshot) *AdjacencySn
 		return buildAdjacencySnapshot(g)
 	}
 	// Snapshots are immutable, so the feed is transient: positioned at the
-	// previous snapshot's watermark, pulled once. An incomplete pull means
-	// log compaction has discarded entries in (prev.seq, now] — the
-	// changefeed's rematerialization fallback, which here is a full
-	// rebuild.
-	muts, complete := g.Feed(prev.seq).Pull()
+	// previous snapshot's watermark, pulled once, closed. Between two
+	// advances nothing holds the log for the snapshot, so an incomplete
+	// pull — retention or compaction has discarded entries in
+	// (prev.seq, now] — is the changefeed's rematerialization fallback,
+	// which here is a full rebuild.
+	f := g.Feed(prev.seq)
+	muts, complete := f.Pull()
+	f.Close()
 	if !complete {
 		return buildAdjacencySnapshot(g)
 	}

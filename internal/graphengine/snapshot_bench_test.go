@@ -50,6 +50,10 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	for _, deltaPct := range []int{1, 5} {
 		g, ids, p := benchGraph(b, pool, edges)
 		prev := buildAdjacencySnapshot(g)
+		// An open feed holds the delta in the log, as a lagging consumer
+		// would; each iteration pulls it through a transient feed of its
+		// own, as advanceAdjacencySnapshot does.
+		hold := g.Feed(prev.Seq())
 		rng := rand.New(rand.NewSource(11))
 		n := prev.NumEdges() * deltaPct / 100
 		for j := 0; j < n; j++ {
@@ -62,7 +66,9 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("delta=%d%%/incremental", deltaPct), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				muts, _ := g.Feed(prev.Seq()).Pull()
+				f := g.Feed(prev.Seq())
+				muts, _ := f.Pull()
+				f.Close()
 				next := applyAdjacencyDelta(prev, muts)
 				if next.Seq() != g.LastSeq() {
 					b.Fatal("stale delta apply")
@@ -76,5 +82,6 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 				}
 			}
 		})
+		hold.Close()
 	}
 }

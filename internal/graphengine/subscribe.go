@@ -182,10 +182,19 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 	// but the lock keeps the first event's semantics exact).
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if !h.running {
+		// Open the hub's feed before reading the watermark: an open feed
+		// at 0 keeps every entry in the log, so nothing past wm is dropped
+		// before the feed is Reset to it.
+		h.feed = e.g.Feed(0)
+	}
 	wm := e.g.LastSeq()
 	var adds []Binding
 	for b, err := range e.StreamConjunctive(clauses, QueryOptions{}) {
 		if err != nil {
+			if !h.running {
+				h.feed.Close()
+			}
 			return nil, err
 		}
 		s.current[string(appendKeyTuple(nil, BindingKey(b)))] = b
@@ -201,7 +210,7 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 	h.subs[s] = struct{}{}
 	h.indexLocked(s)
 	if !h.running {
-		h.feed = e.g.Feed(wm)
+		h.feed.Reset(wm)
 		h.stop = make(chan struct{})
 		h.running = true
 		go h.run(h.stop)
@@ -290,8 +299,8 @@ func (e *Engine) subHub() *subHub {
 }
 
 // run is the hub goroutine: pull the changefeed, delta-join, flush due
-// subscribers, reap closed ones. It exits when every subscription is
-// gone, and a later Subscribe starts a fresh one.
+// subscribers, reap closed ones. It exits, closing the feed, when every
+// subscription is gone, and a later Subscribe starts a fresh one.
 func (h *subHub) run(stop chan struct{}) {
 	tick := time.NewTicker(h.tickInterval())
 	defer tick.Stop()
@@ -304,6 +313,7 @@ func (h *subHub) run(stop chan struct{}) {
 		h.mu.Lock()
 		if len(h.subs) == 0 {
 			h.running = false
+			h.feed.Close()
 			h.mu.Unlock()
 			return
 		}

@@ -1,5 +1,7 @@
 package kg
 
+import "slices"
+
 // Changefeed is a cursor-bearing subscriber handle over the graph's
 // mutation log: the one implementation of the pull-then-recheck-floor
 // consumption contract that every derived structure (adjacency
@@ -8,19 +10,30 @@ package kg
 //
 // The contract:
 //
+//   - Registration: Feed opens a feed and registers it with the graph;
+//     Close unregisters it. The log keeps exactly the entries above the
+//     smallest open cursor (give or take the one chunk per shard the
+//     log is trimmed by) and none when no feed is open, so a consumer
+//     that stops reading must Close its feed or it pins the log.
 //   - Cursor: the feed has consumed exactly the first Cursor()
 //     mutations. A fresh feed starts wherever the consumer's derived
 //     state stands — Feed(0) for "from the beginning", Feed(LastSeq())
-//     for "from now on".
+//     for "from now on". A feed opened at or above LogFloor() stays
+//     complete while it is open. A consumer that builds its state from
+//     a cut opens its feed first (at 0, or at any cursor it already
+//     holds), reads the cut, and Resets the feed to the cut's watermark:
+//     the open feed keeps every entry past the cut in the log.
 //   - Pull: returns the mutations strictly after the cursor under one
 //     consistent all-shard cut and advances the cursor past them. The
 //     second return value reports completeness.
-//   - Floor: the in-memory log is compacted (TruncateLog /
-//     AdvanceWatermark raise LogFloor before dropping entries), so a
-//     feed can fall behind the floor. Pull detects this — floor
-//     observed above the cursor after pulling — and returns
-//     (nil, false) without advancing: the batch may be missing dropped
-//     entries, so applying it would corrupt derived state.
+//   - Floor: LogFloor is the highest sequence number dropped from the
+//     log. Retention never raises it past an open cursor; TruncateLog
+//     and AdvanceWatermark may, and a feed opened below it starts
+//     behind it. Entries are dropped only after the floor is raised, so
+//     Pull detects a hole — floor observed above the cursor after
+//     pulling — and returns (nil, false) without advancing: the batch
+//     may be missing dropped entries, so applying it would corrupt
+//     derived state.
 //   - Fallback: on an incomplete Pull the consumer must rematerialize
 //     its derived state from a full read (TriplesSnapshot or
 //     equivalent) and Reset the feed to the watermark that read
@@ -30,16 +43,31 @@ package kg
 //     consumer is, the staleness metric exported by /health.
 //
 // A Changefeed is not safe for concurrent use; each consumer owns its
-// own feed (they are a cursor plus a graph pointer, free to create).
+// own feed.
 type Changefeed struct {
-	g      *Graph
+	g *Graph
+	// cursor is written under g.feedMu, so retention reads it there;
+	// the owner reads it without the lock.
 	cursor uint64
 }
 
-// Feed returns a changefeed positioned at cursor: the first Pull
-// returns mutations with sequence numbers strictly greater than cursor.
+// Feed opens a changefeed positioned at cursor and registers it: the
+// first Pull returns mutations with sequence numbers strictly greater
+// than cursor, and the log keeps them until the feed reads past them or
+// is closed.
 func (g *Graph) Feed(cursor uint64) *Changefeed {
-	return &Changefeed{g: g, cursor: cursor}
+	f := &Changefeed{g: g, cursor: cursor}
+	g.updateFeeds(func() { g.feeds = append(g.feeds, f) })
+	return f
+}
+
+// Close unregisters the feed, releasing the log entries it alone held.
+// Closing a closed feed does nothing. A closed feed still pulls, but
+// nothing holds its entries, so its pulls may come back incomplete.
+func (f *Changefeed) Close() {
+	f.g.updateFeeds(func() {
+		f.g.feeds = slices.DeleteFunc(f.g.feeds, func(o *Changefeed) bool { return o == f })
+	})
 }
 
 // Pull returns the mutations strictly after the cursor, in ascending
@@ -64,7 +92,7 @@ func (f *Changefeed) PullAppend(dst []Mutation) (muts []Mutation, complete bool)
 		return dst, false
 	}
 	if n := len(muts); n > len(dst) {
-		f.cursor = muts[n-1].Seq
+		f.Reset(muts[n-1].Seq)
 	}
 	return muts, true
 }
@@ -77,7 +105,9 @@ func (f *Changefeed) Cursor() uint64 { return f.cursor }
 // Consumers call it after rematerializing derived state at watermark
 // seq (the fallback leg of the contract) or when adopting state built
 // elsewhere (a loaded checkpoint).
-func (f *Changefeed) Reset(seq uint64) { f.cursor = seq }
+func (f *Changefeed) Reset(seq uint64) {
+	f.g.updateFeeds(func() { f.cursor = seq })
+}
 
 // Lag returns how many mutations the feed is behind the graph's
 // watermark (0 when caught up). The watermark is a bare atomic load, so
@@ -87,4 +117,53 @@ func (f *Changefeed) Lag() uint64 {
 		return wm - f.cursor
 	}
 	return 0
+}
+
+// updateFeeds runs change — a registration, a cursor move or a close —
+// under feedMu and, when that raised the smallest open cursor, drops
+// what no open feed still needs.
+func (g *Graph) updateFeeds(change func()) {
+	g.feedMu.Lock()
+	before := g.retainAboveLocked()
+	change()
+	rose := g.retainAboveLocked() > before
+	g.feedMu.Unlock()
+	if rose {
+		g.trimLog()
+	}
+}
+
+// retainAboveLocked returns the smallest open cursor: the log must keep
+// every entry above it. With no feed open it is the largest seq, and
+// the log need keep nothing. The caller holds g.feedMu.
+func (g *Graph) retainAboveLocked() uint64 {
+	keep := ^uint64(0)
+	for _, f := range g.feeds {
+		keep = min(keep, f.cursor)
+	}
+	return keep
+}
+
+// trimLog drops, shard by shard, the log chunks every open feed has
+// read.
+func (g *Graph) trimLog() {
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.Lock()
+		g.trimShardLocked(sh)
+		sh.mu.Unlock()
+	}
+}
+
+// trimShardLocked drops sh's leading log chunks whose entries every open
+// feed has read, raising the floor past them first. The floor is raised
+// under feedMu, so a feed registered after the smallest cursor was read
+// sees the raised floor: it is never both counted out and left above
+// the floor. The caller holds sh's write lock.
+func (g *Graph) trimShardLocked(sh *graphShard) {
+	g.feedMu.Lock()
+	n, last := sh.log.chunksThrough(g.retainAboveLocked())
+	g.raiseFloor(last)
+	g.feedMu.Unlock()
+	sh.log.dropChunks(n)
 }

@@ -186,6 +186,8 @@ func checkFeed(t *testing.T, what string, muts []Mutation, after uint64) {
 // (the tests above never fill one).
 func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
 	g := NewGraphWithShards(2)
+	// Keep the whole history in the chunks under test.
+	g.Feed(0)
 	buildMutating(t, g, 10*mutLogChunkCap) // 12 mutations per 10 steps: ~6 chunks a shard
 	wm := g.LastSeq()
 	for i := range g.shards {

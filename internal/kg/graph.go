@@ -185,10 +185,13 @@ func (sh *graphShard) init() {
 // entity is observable in derived edge structures only once a triple
 // mentions it, and asserting that triple bumps the watermark.
 //
-// The in-memory log can be compacted: TruncateLog drops entries at or
-// below a sequence number once a durable copy exists elsewhere (a WAL
-// segment, a checkpoint), and LogFloor reports the highest dropped
-// sequence. MutationsSince(seq) is complete only when seq >= LogFloor().
+// The in-memory log keeps only what an open changefeed still needs:
+// Feed registers a feed and Close unregisters it, and the log holds the
+// entries above the smallest open cursor — none when no feed is open —
+// trimmed a chunk at a time as feeds read on (and checked whenever a
+// shard's last chunk fills). TruncateLog drops a prefix whatever the
+// feeds have read, and LogFloor reports the highest dropped sequence
+// number. MutationsSince(seq) is complete only when seq >= LogFloor().
 //
 // Consumers do not call MutationsSince directly: the Changefeed (see
 // changefeed.go) packages the pull-then-recheck-floor protocol — pull a
@@ -240,12 +243,18 @@ type Graph struct {
 	seq atomic.Uint64
 
 	// logFloor is the highest sequence number dropped from the per-shard
-	// mutation sub-logs (TruncateLog / AdvanceWatermark). Entries at or
-	// below it are no longer retrievable via MutationsSince. It is raised
-	// BEFORE any entry is dropped, so a consumer that pulls mutations and
-	// then observes logFloor <= its watermark is guaranteed a complete
-	// feed.
+	// mutation sub-logs (retention, TruncateLog, AdvanceWatermark).
+	// Entries at or below it are no longer retrievable via
+	// MutationsSince. It is raised BEFORE any entry is dropped, so a
+	// consumer that pulls mutations and then observes logFloor <= its
+	// watermark is guaranteed a complete feed.
 	logFloor atomic.Uint64
+
+	// feedMu guards feeds, every open feed's cursor, and retention's
+	// reading of them with the raise of logFloor that follows. A shard's
+	// trim takes it under the shard's write lock: feedMu is leaf-level.
+	feedMu sync.Mutex
+	feeds  []*Changefeed
 
 	shardMask uint32
 	shards    []graphShard
@@ -588,6 +597,17 @@ func (g *Graph) indexNewFactLocked(sh *graphShard, subj EntityID, pred Predicate
 	sh.triples++
 	g.pomAdd(pred, row.Key(), subj)
 	row.op = OpAssert
+	g.logLocked(sh, subj, pred, row)
+}
+
+// logLocked appends a mutation to sh's log under a fresh sequence
+// number. When the shard's last chunk is full it first drops the chunks
+// every open feed has read: a check per chunk, not per entry. The caller
+// holds sh's write lock.
+func (g *Graph) logLocked(sh *graphShard, subj EntityID, pred PredicateID, row FactRow) {
+	if sh.log.full() {
+		g.trimShardLocked(sh)
+	}
 	sh.log.append(logEntry{seq: g.seq.Add(1), subj: subj, pred: pred, row: row})
 }
 
@@ -737,7 +757,7 @@ func (g *Graph) Retract(t Triple) bool {
 
 	row := rowOf(key, t.Prov)
 	row.op = OpRetract
-	sh.log.append(logEntry{seq: g.seq.Add(1), subj: t.Subject, pred: t.Predicate, row: row})
+	g.logLocked(sh, t.Subject, t.Predicate, row)
 	return true
 }
 
@@ -1061,25 +1081,49 @@ func (g *Graph) LastSeq() uint64 {
 }
 
 // LogFloor returns the highest mutation sequence number that has been
-// dropped from the in-memory log (0 when nothing was ever truncated).
-// MutationsSince(seq) is a complete feed only when seq >= LogFloor();
-// consumers maintaining derived state should pull, then re-check the
-// floor, and rebuild from scratch when the floor has passed their
-// watermark (the floor is raised before entries are dropped, so this
-// ordering can never miss a truncation).
+// dropped from the in-memory log (0 when nothing was ever dropped).
+// MutationsSince(seq) is a complete feed only when seq >= LogFloor().
+// Retention keeps the floor at or below the smallest open feed's
+// cursor; TruncateLog and AdvanceWatermark may raise it past any feed.
+// Consumers maintaining derived state pull, then re-check the floor,
+// and rebuild from scratch when the floor has passed their watermark
+// (the floor is raised before entries are dropped, so this ordering can
+// never miss a drop).
 func (g *Graph) LogFloor() uint64 {
 	return g.logFloor.Load()
 }
 
+// LogEntries returns the number of mutations the in-memory log holds.
+func (g *Graph) LogEntries() int {
+	n := 0
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.RLock()
+		n += sh.log.len()
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// raiseFloor raises logFloor to seq unless it is already there.
+func (g *Graph) raiseFloor(seq uint64) {
+	for {
+		cur := g.logFloor.Load()
+		if cur >= seq || g.logFloor.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
+}
+
 // TruncateLog drops every mutation-log entry with sequence number at or
-// below upTo and returns the number of entries dropped. It is the log
-// compaction hook for durability: once the WAL has a durable copy of the
-// prefix (a checkpoint at watermark upTo), the in-memory copy is dead
-// weight in a long-running server. The floor (LogFloor) is raised first,
-// then shards are compacted one at a time; concurrent writers are
-// unaffected (their entries are strictly above upTo), and concurrent
-// MutationsSince callers detect the truncation via the floor check
-// described on LogFloor.
+// below upTo, whether or not an open feed has read it, and returns the
+// number of entries dropped. Retention already drops what no open feed
+// needs; TruncateLog passes feeds that have not, which then see an
+// incomplete Pull and fall back to a full read. The floor (LogFloor) is
+// raised first, then shards are compacted one at a time; concurrent
+// writers are unaffected (their entries are strictly above upTo), and
+// concurrent MutationsSince callers detect the truncation via the floor
+// check described on LogFloor.
 func (g *Graph) TruncateLog(upTo uint64) int {
 	if upTo == 0 {
 		return 0
@@ -1091,15 +1135,7 @@ func (g *Graph) TruncateLog(upTo uint64) int {
 	if wm := g.seq.Load(); upTo > wm {
 		upTo = wm
 	}
-	for {
-		cur := g.logFloor.Load()
-		if cur >= upTo {
-			break
-		}
-		if g.logFloor.CompareAndSwap(cur, upTo) {
-			break
-		}
-	}
+	g.raiseFloor(upTo)
 	dropped := 0
 	for i := range g.shards {
 		sh := &g.shards[i]
@@ -1134,12 +1170,7 @@ func (g *Graph) AdvanceWatermark(seq uint64) error {
 	}
 	// Floor first, then drop (same ordering contract as TruncateLog) —
 	// though with every shard write-locked no reader can interleave.
-	for {
-		old := g.logFloor.Load()
-		if old >= seq || g.logFloor.CompareAndSwap(old, seq) {
-			break
-		}
-	}
+	g.raiseFloor(seq)
 	for i := range g.shards {
 		g.shards[i].log = mutLog{}
 	}

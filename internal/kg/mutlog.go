@@ -40,21 +40,44 @@ const mutLogChunkCap = 73
 // mutLog is one shard's slice of the mutation feed, strictly ascending in
 // seq, held as fixed-capacity chunks. Appending never copies an entry
 // already logged (a grown slice re-copies every entry about five times
-// over on its way up), and truncation drops whole chunks instead of
+// over on its way up), and retention drops whole chunks instead of
 // copying the surviving tail. No chunk is empty; every chunk but the last
 // is full to its capacity.
 type mutLog struct {
 	chunks [][]logEntry
+	// spare is an emptied full-capacity chunk kept for the next append,
+	// so a log that no feed reads reuses one chunk and allocates nothing.
+	spare []logEntry
+}
+
+// full reports whether the next append starts a new chunk over a log
+// that holds entries: the point at which the log is trimmed.
+func (l *mutLog) full() bool {
+	n := len(l.chunks)
+	return n > 0 && len(l.chunks[n-1]) == cap(l.chunks[n-1])
 }
 
 // append logs e, whose seq must exceed every entry's so far.
 func (l *mutLog) append(e logEntry) {
-	n := len(l.chunks)
-	if n == 0 || len(l.chunks[n-1]) == cap(l.chunks[n-1]) {
-		l.chunks = append(l.chunks, make([]logEntry, 0, mutLogChunkCap))
-		n++
+	if len(l.chunks) == 0 || l.full() {
+		c := l.spare
+		if c == nil {
+			c = make([]logEntry, 0, mutLogChunkCap)
+		}
+		l.spare = nil
+		l.chunks = append(l.chunks, c)
 	}
+	n := len(l.chunks)
 	l.chunks[n-1] = append(l.chunks[n-1], e)
+}
+
+// len returns the number of entries the log holds.
+func (l *mutLog) len() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // seek returns the position of the first entry with seq > seq: the chunk
@@ -62,16 +85,41 @@ func (l *mutLog) append(e logEntry) {
 // is past seq. Every later entry — the rest of that chunk and all chunks
 // after it — is past seq too.
 func (l *mutLog) seek(seq uint64) (chunk, off int) {
-	// The first chunk whose last entry is past seq holds the boundary.
-	chunk = sort.Search(len(l.chunks), func(i int) bool {
-		c := l.chunks[i]
-		return c[len(c)-1].seq > seq
-	})
+	chunk, _ = l.chunksThrough(seq)
 	if chunk == len(l.chunks) {
 		return chunk, 0
 	}
 	c := l.chunks[chunk]
 	return chunk, sort.Search(len(c), func(i int) bool { return c[i].seq > seq })
+}
+
+// chunksThrough returns how many leading chunks hold only entries with
+// seq <= seq, and the seq of the last entry among them (0 for none).
+func (l *mutLog) chunksThrough(seq uint64) (n int, last uint64) {
+	// The first chunk whose last entry is past seq holds the boundary.
+	n = sort.Search(len(l.chunks), func(i int) bool {
+		c := l.chunks[i]
+		return c[len(c)-1].seq > seq
+	})
+	if n > 0 {
+		c := l.chunks[n-1]
+		last = c[len(c)-1].seq
+	}
+	return n, last
+}
+
+// dropChunks releases the first n chunks, keeping the last of them as
+// the spare when it has the full capacity. Its slots are zeroed so the
+// strings and provenance handles they held stop being reachable.
+func (l *mutLog) dropChunks(n int) {
+	if n == 0 {
+		return
+	}
+	if c := l.chunks[n-1]; cap(c) == mutLogChunkCap {
+		clear(c)
+		l.spare = c[:0]
+	}
+	l.chunks = slices.Delete(l.chunks, 0, n)
 }
 
 // dropThrough discards every entry with seq <= seq and returns how many

@@ -13,6 +13,7 @@ import (
 func TestGraphMatchesMapModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		g := NewGraph()
+		g.Feed(0) // keep the whole history: the log is replayed below
 		const nEnts = 8
 		const nPreds = 3
 		ents := make([]EntityID, nEnts)

@@ -13,6 +13,7 @@ import (
 func shardFixture(t testing.TB, shards, pool int) (*Graph, []EntityID, PredicateID) {
 	t.Helper()
 	g := NewGraphWithShards(shards)
+	g.Feed(0) // keep the whole history: the tests replay it
 	p, err := g.AddPredicate(Predicate{Name: "p"})
 	if err != nil {
 		t.Fatal(err)

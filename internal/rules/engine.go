@@ -116,11 +116,16 @@ func New(geng *graphengine.Engine, rs *RuleSet, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Close stops the background maintainer. The store stays readable (a
-// detached engine serves its last fixpoint, going stale).
+// Close stops the background maintainer and closes the engine's
+// changefeed, so the graph's log no longer keeps what the engine has not
+// read. The store stays readable (a detached engine serves its last
+// fixpoint, going stale); a later Sync rederives it in full.
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
+	e.mu.Lock()
+	e.feed.Close()
+	e.mu.Unlock()
 }
 
 // RuleSet returns the engine's rule set.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"saga/internal/kg"
 	"saga/internal/wal"
 	"saga/saga"
 )
@@ -247,4 +248,99 @@ func TestIngestStopsApplyingOnceDurabilityIsLost(t *testing.T) {
 	if rec, resp := do(t, h, "POST", "/query", q); rec.Code != http.StatusOK || resp["count"].(float64) != 1 {
 		t.Fatalf("/query while degraded: %d %v", rec.Code, resp)
 	}
+}
+
+// logChunk is the capacity of one chunk of the graph's mutation log
+// (kg's TestStoredSizes pins it): retention drops whole chunks, so a
+// shard may hold up to one chunk it no longer needs.
+const logChunk = 73
+
+// healthLog reads the log retention figures off /health.
+func healthLog(t *testing.T, srv *Server) (entries, floor uint64) {
+	t.Helper()
+	rec, body := do(t, srv.Handler(), "GET", "/health", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("health: %d", rec.Code)
+	}
+	cf := body["changefeed"].(map[string]any)
+	e, ok1 := cf["log_entries"].(float64)
+	f, ok2 := cf["log_floor"].(float64)
+	if !ok1 || !ok2 {
+		t.Fatalf("changefeed block lacks log_entries or log_floor: %v", cf)
+	}
+	return uint64(e), uint64(f)
+}
+
+// TestHealthReportsLogRetention: /health reports how much of the
+// mutation log the graph keeps. With no changefeed open — a memory-only
+// server — that is at most one chunk a shard, whatever was ingested; a
+// durable server keeps the entries since its newest checkpoint, and
+// after a checkpoint again at most one chunk a shard.
+func TestHealthReportsLogRetention(t *testing.T) {
+	batch := func(w *saga.World, g *kg.Graph, n int) string {
+		var sb strings.Builder
+		sb.WriteString(`{"asserts":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(`{"subject":"` + g.Entity(w.People[i%len(w.People)]).Key + `","predicate":"libraryID","object":{"string":"id` + strconv.Itoa(i) + `"}}`)
+		}
+		sb.WriteString(`]}`)
+		return sb.String()
+	}
+
+	t.Run("memory", func(t *testing.T) {
+		srv, w := ingestServer(t)
+		g := w.Graph
+		if rec, resp := do(t, srv.Handler(), "POST", "/ingest", batch(w, g, 200)); rec.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %v", rec.Code, resp)
+		}
+		entries, floor := healthLog(t, srv)
+		if max := uint64(g.NumShards() * logChunk); entries > max {
+			t.Fatalf("log_entries = %d with no feed open, want at most %d (%d shards)", entries, max, g.NumShards())
+		}
+		if floor == 0 || floor > g.LastSeq() {
+			t.Fatalf("log_floor = %d, watermark %d", floor, g.LastSeq())
+		}
+	})
+
+	t.Run("durable", func(t *testing.T) {
+		w, err := saga.GenerateWorld(saga.WorldConfig{NumPeople: 30, NumClusters: 3, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := saga.OpenDurablePlatform(t.TempDir(), saga.DurableOptions{Sync: saga.SyncEachCommit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.CloseDurable()
+		g := p.Graph()
+		if err := saga.ImportGraph(g, w.Graph); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := p.CheckpointDurable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, resp := do(t, srv.Handler(), "POST", "/ingest", batch(w, g, 200)); rec.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %v", rec.Code, resp)
+		}
+		entries, floor := healthLog(t, srv)
+		since := g.LastSeq() - ckpt
+		if entries < since || entries > since+uint64(g.NumShards()*logChunk) || floor > ckpt {
+			t.Fatalf("log_entries = %d, log_floor = %d; %d mutations since the checkpoint at %d (%d shards)",
+				entries, floor, since, ckpt, g.NumShards())
+		}
+		if _, err := p.CheckpointDurable(); err != nil {
+			t.Fatal(err)
+		}
+		if entries, _ := healthLog(t, srv); entries > uint64(g.NumShards()*logChunk) {
+			t.Fatalf("log_entries = %d right after a checkpoint, want at most %d (%d shards)", entries, g.NumShards()*logChunk, g.NumShards())
+		}
+	})
 }

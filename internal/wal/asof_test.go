@@ -53,7 +53,8 @@ func chainFiles(t *testing.T, fs FS, wms ...uint64) int {
 // (checkpoint, asOf].
 func TestSnapshotAtReconstructs(t *testing.T) {
 	fs := NewFaultFS(21)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, KeepGraphLog: true, RetainCheckpoints: 3})
+	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, RetainCheckpoints: 3})
+	g.Feed(0)
 	s := newScripted(t, g, 21)
 	wms := ckptEvery(t, s, m, 240, 60)
 	for i := 0; i < 25; i++ { // live tail past the last checkpoint
@@ -66,7 +67,7 @@ func TestSnapshotAtReconstructs(t *testing.T) {
 
 	full, complete := g.Feed(0).Pull()
 	if !complete {
-		t.Fatal("KeepGraphLog graph reported a truncated log")
+		t.Fatal("a graph with a feed open at 0 reported a truncated log")
 	}
 
 	probes := []uint64{retained[0], retained[1], retained[1] + 7, retained[2], g.LastSeq()}
@@ -147,7 +148,8 @@ func TestSnapshotAtBounds(t *testing.T) {
 // index from the directory and serves the same as-of reads.
 func TestRetentionSurvivesReopen(t *testing.T) {
 	fs := NewFaultFS(29)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, KeepGraphLog: true, RetainCheckpoints: 2})
+	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, RetainCheckpoints: 2})
+	g.Feed(0)
 	s := newScripted(t, g, 29)
 	wms := ckptEvery(t, s, m, 200, 40)
 	if err := m.Close(); err != nil {

@@ -50,7 +50,8 @@ func TestCheckpointChainEqualsReplay(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fs, twinFS := NewFaultFS(seed), NewFaultFS(seed)
-			g, m, _ := mustOpen(t, fs, Options{Sync: SyncNever, KeepGraphLog: true, RetainCheckpoints: 100})
+			g, m, _ := mustOpen(t, fs, Options{Sync: SyncNever, RetainCheckpoints: 100})
+			g.Feed(0)
 			twin, tm, _ := mustOpen(t, twinFS, Options{Sync: SyncNever})
 			s, ts := newScripted(t, g, seed), newScripted(t, twin, seed)
 			steps := func(n int) {

@@ -76,7 +76,8 @@ const scenarioBurst = 300
 func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, applied uint64, ackedPops, finalPops map[kg.EntityID]float64, kinds string) {
 	t.Helper()
 	g = kg.NewGraphWithShards(4)
-	m, _, err := Open(testDir, g, Options{FS: fs, Sync: SyncEachCommit, KeepGraphLog: true})
+	g.Feed(0)
+	m, _, err := Open(testDir, g, Options{FS: fs, Sync: SyncEachCommit})
 	if err != nil {
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("Open failed with a non-injected error: %v", err)
@@ -132,7 +133,8 @@ func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, app
 func checkRecovery(t *testing.T, label string, writer *kg.Graph, acked, applied uint64, ackedPops, finalPops map[kg.EntityID]float64, crashed *FaultFS) {
 	t.Helper()
 	g2 := kg.NewGraphWithShards(4)
-	m2, info, err := Open(testDir, g2, Options{FS: crashed, Sync: SyncEachCommit, KeepGraphLog: true})
+	g2.Feed(0)
+	m2, info, err := Open(testDir, g2, Options{FS: crashed, Sync: SyncEachCommit})
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v (info %+v)", label, err, info)
 	}

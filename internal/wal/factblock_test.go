@@ -180,7 +180,8 @@ func TestBlockThatDoesNotApplyFailsOpen(t *testing.T) {
 // but its last byte are on disk.
 func TestBlockCutMidFrameEndsAtPreviousBlock(t *testing.T) {
 	fs := NewFaultFS(73)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, KeepGraphLog: true})
+	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit})
+	g.Feed(0)
 	s := newScripted(t, g, 73)
 	for i := 0; i < 100; i++ {
 		s.step()

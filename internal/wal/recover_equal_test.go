@@ -14,7 +14,8 @@ func crashAndRecover(t *testing.T, fs *FaultFS, m *Manager) *kg.Graph {
 	if _, err := m.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	g2, m2, info := mustOpen(t, fs.Crash(), Options{Sync: SyncEachCommit, KeepGraphLog: true})
+	g2, m2, info := mustOpen(t, fs.Crash(), Options{Sync: SyncEachCommit})
+	g2.Feed(0)
 	t.Cleanup(func() { _ = m2.Close() })
 	if len(info.Diagnostics) != 0 {
 		t.Fatalf("recovery diagnostics: %v", info.Diagnostics)

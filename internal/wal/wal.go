@@ -24,12 +24,13 @@
 // base — fact keys retracted, facts added with their provenance, and the
 // dictionary entries and entity records new or updated since — folded
 // from the graph's in-memory log window (B, W] (kg.Graph.NetChangeSince),
-// which the manager keeps from one checkpoint to the next. Writing one
-// costs O(change), not O(graph). A full checkpoint — the whole graph
-// under the all-shard cut (AllTriplesSnapshot) — is the same format with
-// base 0 and no retractions, so there is one writer and one loader; added
-// facts go in identity order, exactly the order AssertBatch's
-// merge-append restore path detects in O(n). A checkpoint is full when
+// which the manager keeps in memory by holding a changefeed open at B.
+// Writing one costs O(change), not O(graph). A full checkpoint — the
+// whole graph under the all-shard cut (AllTriplesSnapshot) — is the same
+// format with base 0 and no retractions, so there is one writer and one
+// loader; added facts go in identity order, exactly the order
+// AssertBatch's merge-append restore path detects in O(n). A checkpoint
+// is full when
 // there is no base, when the graph's log no longer reaches back to it
 // (LogFloor() > B), or when the delta rows of the chain plus the new
 // delta's would reach the live fact count: a chain — what recovery reads
@@ -37,8 +38,9 @@
 // rows. Recovery loads the newest checkpoint's chain, the full checkpoint
 // it starts from and then each delta. After a checkpoint the log is
 // truncated: older segments and checkpoints no chain needs are deleted,
-// and the graph's own in-memory mutation log is compacted via
-// TruncateLog.
+// and the manager moves its checkpoint feed to the new watermark, which
+// releases the graph's in-memory log entries at or below it that no
+// other open changefeed still needs.
 //
 // # Durability contract
 //
@@ -137,11 +139,6 @@ type Options struct {
 	// mutations have been committed past the previous checkpoint.
 	// 0 disables automatic checkpoints (Checkpoint stays available).
 	CheckpointEvery uint64
-	// KeepGraphLog disables the TruncateLog call after a checkpoint,
-	// preserving the graph's full in-memory mutation log. Consumers that
-	// want a Feed(0) pull to stay complete (tests, shadow replicas) set
-	// this; servers leave it off so the log stays bounded.
-	KeepGraphLog bool
 	// RetainCheckpoints keeps the newest N checkpoints restorable on
 	// disk — with the older checkpoints their chains of bases need, and
 	// the log segments needed to replay between them and the live tail —
@@ -224,12 +221,15 @@ type Manager struct {
 	gen     uint64
 	// feed is the manager's changefeed over the graph's mutation log; its
 	// cursor is the highest LSN written (not necessarily synced) to the
-	// log. An incomplete pull latches the manager: only checkpointLocked
-	// truncates the graph log, after resetting the feed, so the floor
-	// passing the cursor means an external TruncateLog silently dropped
-	// unlogged mutations.
-	feed    *kg.Changefeed
-	ckptLSN uint64 // watermark of the newest durable checkpoint
+	// log. An incomplete pull latches the manager: an open feed holds
+	// its entries, so the floor passing the cursor means an external
+	// TruncateLog silently dropped unlogged mutations.
+	feed *kg.Changefeed
+	// ckptFeed is held open at ckptLSN and never pulled: it keeps the
+	// graph's log window past the newest checkpoint, which the next
+	// delta folds (NetChangeSince).
+	ckptFeed *kg.Changefeed
+	ckptLSN  uint64 // watermark of the newest durable checkpoint
 	// ckpts holds the watermarks of the restorable checkpoints — those
 	// retention counts and SnapshotAt bases reads on — ascending. files
 	// describes every checkpoint file on disk: those, and the ancestors
@@ -276,11 +276,17 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
+	// The checkpoint feed is open before recovery replays the log past
+	// the checkpoint into g, so the graph keeps that window for the next
+	// delta; it moves to the checkpoint's watermark once it is known.
+	ckptFeed := g.Feed(0)
 	info := &RecoveryInfo{}
 	maxGen, updated, err := recoverState(fs, dir, g, info)
 	if err != nil {
+		ckptFeed.Close()
 		return nil, info, err
 	}
+	ckptFeed.Reset(info.CheckpointLSN)
 	m := &Manager{
 		fs:       fs,
 		dir:      dir,
@@ -288,6 +294,7 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 		opts:     opts,
 		gen:      maxGen, // openSegment bumps to maxGen+1
 		feed:     g.Feed(g.LastSeq()),
+		ckptFeed: ckptFeed,
 		ckptLSN:  info.CheckpointLSN,
 		files:    make(map[uint64]ckptFile),
 		segFirst: make(map[uint64]uint64),
@@ -315,6 +322,7 @@ func Open(dir string, g *kg.Graph, opts Options) (*Manager, *RecoveryInfo, error
 		}
 	}
 	if err := m.openSegmentLocked(); err != nil {
+		m.closeFeeds()
 		return nil, info, err
 	}
 	// Restorable are the checkpoints whose chain is whole on disk and from
@@ -470,9 +478,9 @@ func (m *Manager) Commit() (uint64, error) {
 func (m *Manager) commitLocked() error {
 	muts, complete := m.feed.PullAppend(m.commitMuts[:0])
 	if !complete {
-		// Cannot happen through this manager (only checkpointLocked
-		// truncates, after resetting the feed); an external TruncateLog
-		// call would silently lose mutations, so fail loudly.
+		// Cannot happen through retention (the open feed holds what it
+		// has not read); an external TruncateLog call would silently lose
+		// mutations, so fail loudly.
 		return m.latch(fmt.Errorf("wal: graph log truncated past applied LSN %d (floor %d)", m.feed.Cursor(), m.g.LogFloor()))
 	}
 	buf := m.encodeDictDeltasLocked(m.commitBuf[:0])
@@ -636,9 +644,10 @@ func (m *Manager) CheckpointLSN() uint64 {
 }
 
 // Checkpoint records the graph state under one consistent cut, makes it
-// durable, rotates the log, deletes superseded files, and compacts the
-// graph's in-memory mutation log (unless KeepGraphLog). Returns the
-// checkpoint watermark.
+// durable, rotates the log, deletes superseded files, and moves the
+// checkpoint feed to the new watermark, releasing the graph's in-memory
+// log entries at or below it that no other open changefeed still needs.
+// Returns the checkpoint watermark.
 //
 // A checkpoint is a delta: the net change since the newest checkpoint —
 // fact keys retracted, facts added, dictionary entries and entity
@@ -714,6 +723,7 @@ func (m *Manager) checkpointLocked() error {
 	// The checkpoint is durable: it subsumes every mutation <= wm, so
 	// both cursors advance even if the log itself was never fsynced.
 	m.ckptLSN = wm
+	m.ckptFeed.Reset(wm)
 	m.files[wm] = f
 	if len(m.ckpts) == 0 || m.ckpts[len(m.ckpts)-1] != wm {
 		m.ckpts = append(m.ckpts, wm)
@@ -747,9 +757,6 @@ func (m *Manager) checkpointLocked() error {
 		return err
 	}
 	m.applyRetentionLocked(oldGen)
-	if !m.opts.KeepGraphLog {
-		m.g.TruncateLog(wm)
-	}
 	return nil
 }
 
@@ -911,8 +918,9 @@ func (m *Manager) applyRetentionLocked(oldGen uint64) {
 	_ = m.fs.SyncDir(m.dir)
 }
 
-// Close flushes and fsyncs all pending state and closes the segment.
-// The graph stays usable; further mutations are simply no longer logged.
+// Close flushes and fsyncs all pending state, closes the segment, and
+// closes the manager's changefeeds. The graph stays usable; further
+// mutations are simply no longer logged.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -920,6 +928,7 @@ func (m *Manager) Close() error {
 		return ErrClosed
 	}
 	m.closed = true
+	defer m.closeFeeds()
 	if m.failed != nil {
 		return m.failed
 	}
@@ -933,6 +942,12 @@ func (m *Manager) Close() error {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
 	return nil
+}
+
+// closeFeeds unregisters the manager's changefeeds from the graph.
+func (m *Manager) closeFeeds() {
+	m.feed.Close()
+	m.ckptFeed.Close()
 }
 
 // ImportGraph copies src's ontology, dictionaries, and triples into the

@@ -268,7 +268,7 @@ func copyDicts(t testing.TB, dst, src *kg.Graph) {
 }
 
 // replayPrefix rebuilds the state after the first wm mutations of src's
-// full history (src must have been run with KeepGraphLog).
+// full history (src must have held a feed open at 0 from the start).
 func replayPrefix(t testing.TB, src *kg.Graph, wm uint64) *kg.Graph {
 	t.Helper()
 	if src.LogFloor() != 0 {
@@ -326,7 +326,8 @@ func TestOpenRequiresEmptyGraph(t *testing.T) {
 
 func TestRoundTripCleanClose(t *testing.T) {
 	fs := NewFaultFS(7)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, KeepGraphLog: true})
+	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit})
+	g.Feed(0)
 	s := newScripted(t, g, 7)
 	for i := 0; i < 300; i++ {
 		s.step()
@@ -343,7 +344,8 @@ func TestRoundTripCleanClose(t *testing.T) {
 		t.Fatalf("durable %d != watermark %d after Close", d, g.LastSeq())
 	}
 
-	g2, m2, info := mustOpen(t, fs, Options{Sync: SyncEachCommit, KeepGraphLog: true})
+	g2, m2, info := mustOpen(t, fs, Options{Sync: SyncEachCommit})
+	g2.Feed(0)
 	if info.RecoveredLSN != g.LastSeq() {
 		t.Fatalf("recovered LSN %d, want %d (diagnostics: %v)", info.RecoveredLSN, g.LastSeq(), info.Diagnostics)
 	}
@@ -491,7 +493,8 @@ func TestSyncToWatermarkBarrier(t *testing.T) {
 // recovery lands on the longest valid prefix with a diagnostic.
 func TestTornTailTruncated(t *testing.T) {
 	fs := NewFaultFS(13)
-	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit, KeepGraphLog: true})
+	g, m, _ := mustOpen(t, fs, Options{Sync: SyncEachCommit})
+	g.Feed(0)
 	s := newScripted(t, g, 13)
 	var ackedMid uint64
 	for i := 0; i < 120; i++ {

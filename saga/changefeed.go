@@ -109,13 +109,25 @@ type ChangefeedStats struct {
 	// SubscriberEvictions counts subscribers dropped for falling too
 	// far behind, over the platform's lifetime.
 	SubscriberEvictions int64 `json:"subscriber_evictions"`
+	// LogEntries is the number of mutations the graph's in-memory log
+	// retains: those above the slowest open changefeed's cursor (on a
+	// durable platform, the newest checkpoint at the latest), give or
+	// take a log chunk a shard.
+	LogEntries int `json:"log_entries"`
+	// LogFloor is the highest mutation sequence number dropped from the
+	// in-memory log.
+	LogFloor uint64 `json:"log_floor"`
 }
 
 // ChangefeedStats snapshots the platform's changefeed: the mutation-log
-// watermark, durability progress, as-of retention, and subscription
-// health.
+// watermark and retention, durability progress, as-of retention, and
+// subscription health.
 func (p *Platform) ChangefeedStats() ChangefeedStats {
-	st := ChangefeedStats{Watermark: p.graph.LastSeq()}
+	st := ChangefeedStats{
+		Watermark:  p.graph.LastSeq(),
+		LogEntries: p.graph.LogEntries(),
+		LogFloor:   p.graph.LogFloor(),
+	}
 	if p.wal != nil {
 		st.DurableLSN = p.wal.DurableLSN()
 		st.RetainedCheckpoints = p.wal.RetainedCheckpoints()

@@ -77,7 +77,8 @@ func (p *Platform) SyncDurable() (uint64, error) {
 // CheckpointDurable checkpoints the current watermark — as a delta
 // chained to the previous checkpoint, or a full one when the chain rule
 // calls for it (see wal.Manager.Checkpoint); nothing when the watermark
-// has not moved — and truncates the log behind it.
+// has not moved — retires the log segments behind it, and releases the
+// graph's in-memory log entries no open changefeed still needs.
 func (p *Platform) CheckpointDurable() (uint64, error) {
 	if p.wal == nil {
 		return 0, errors.New("saga: platform is not durable; use OpenDurablePlatform")
