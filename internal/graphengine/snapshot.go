@@ -131,10 +131,13 @@ func (s *AdjacencySnapshot) BFS(source kg.EntityID, maxDepth int) map[kg.EntityI
 
 // snapshotCache is the engine-side holder: one immutable snapshot behind
 // an atomic pointer, a mutex serializing rebuilds so concurrent readers
-// of a stale snapshot trigger exactly one rebuild.
+// of a stale snapshot trigger exactly one rebuild, and the changefeed
+// that holds the mutation log from the published snapshot's watermark
+// on, opened with the first snapshot.
 type snapshotCache struct {
 	cur     atomic.Pointer[AdjacencySnapshot]
 	rebuild sync.Mutex
+	feed    *kg.Changefeed // guarded by rebuild
 }
 
 // incrementalMaxDeltaFraction gates the incremental maintenance path: the
@@ -146,7 +149,10 @@ type snapshotCache struct {
 // rebuild, which also re-compacts the arrays. Literal mutations are
 // excluded from the count: they can never change adjacency, so even an
 // arbitrarily long literal-churn delta (ODKE refreshing heights and
-// follower counts) stays on the cheap re-stamp path.
+// follower counts) stays on the cheap re-stamp path — as long as the log
+// holds it: the snapshot's feed is bounded at the same fraction of the
+// edge count, counting every mutation, so past it the log is released
+// and the next advance rebuilds.
 const incrementalMaxDeltaFraction = 4
 
 // Snapshot returns a CSR adjacency snapshot no older than the graph's
@@ -168,29 +174,35 @@ func (e *Engine) Snapshot() *AdjacencySnapshot {
 	if s := e.snap.cur.Load(); s != nil && s.seq >= want {
 		return s
 	}
-	s := advanceAdjacencySnapshot(e.g, e.snap.cur.Load())
-	e.snap.cur.Store(s)
+	// The snapshot's feed holds the log from the published snapshot's
+	// watermark on, bounded at the delta the next advance could still
+	// apply, so that between advances the log keeps what an incremental
+	// advance needs and no more.
+	c := &e.snap
+	if c.feed == nil {
+		c.feed = e.g.Feed(e.g.LastSeq())
+	}
+	s := advanceAdjacencySnapshot(e.g, c.feed, c.cur.Load())
+	c.feed.Reset(s.seq)
+	c.feed.Bound(uint64(s.NumEdges()/incrementalMaxDeltaFraction) + 1)
+	c.cur.Store(s)
 	return s
 }
 
-// advanceAdjacencySnapshot brings prev (possibly nil) up to the graph's
-// current watermark, choosing between incremental delta application and a
-// full rebuild.
-func advanceAdjacencySnapshot(g *kg.Graph, prev *AdjacencySnapshot) *AdjacencySnapshot {
+// advanceAdjacencySnapshot brings prev (nil for none) up to the graph's
+// current watermark, choosing between incremental delta application and
+// a full rebuild. f is the snapshot's feed, positioned at prev's
+// watermark, or at or below the graph's when prev is nil.
+func advanceAdjacencySnapshot(g *kg.Graph, f *kg.Changefeed, prev *AdjacencySnapshot) *AdjacencySnapshot {
 	if prev == nil {
 		return buildAdjacencySnapshot(g)
 	}
-	// Snapshots are immutable, so the feed is transient: positioned at the
-	// previous snapshot's watermark, pulled once, closed. Between two
-	// advances nothing holds the log for the snapshot, so an incomplete
-	// pull — retention or compaction has discarded entries in
-	// (prev.seq, now] — is the changefeed's rematerialization fallback,
-	// which here is a full rebuild.
-	f := g.Feed(prev.seq)
+	// An incomplete pull — the feed lagged past its bound, or a
+	// TruncateLog passed it — is the changefeed's rematerialization
+	// fallback, which here is a full rebuild.
 	muts, complete := f.Pull()
-	f.Close()
 	if !complete {
-		return buildAdjacencySnapshot(g)
+		return rebuildAdjacencySnapshot(g, f)
 	}
 	relevant := 0
 	for _, m := range muts {
@@ -202,9 +214,17 @@ func advanceAdjacencySnapshot(g *kg.Graph, prev *AdjacencySnapshot) *AdjacencySn
 	// snapshot to the rebuild path (relevant*N > 0), while pure literal
 	// churn on such a snapshot stays on the cheap re-stamp.
 	if relevant*incrementalMaxDeltaFraction > prev.NumEdges() {
-		return buildAdjacencySnapshot(g)
+		return rebuildAdjacencySnapshot(g, f)
 	}
 	return applyAdjacencyDelta(prev, muts)
+}
+
+// rebuildAdjacencySnapshot builds a snapshot from scratch with f moved
+// up to the watermark first, so that f holds the log past the cut the
+// build reads however far it lagged.
+func rebuildAdjacencySnapshot(g *kg.Graph, f *kg.Changefeed) *AdjacencySnapshot {
+	f.Reset(g.LastSeq())
+	return buildAdjacencySnapshot(g)
 }
 
 // applyAdjacencyDelta produces the successor snapshot of prev after muts,

@@ -50,9 +50,10 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	for _, deltaPct := range []int{1, 5} {
 		g, ids, p := benchGraph(b, pool, edges)
 		prev := buildAdjacencySnapshot(g)
-		// An open feed holds the delta in the log, as a lagging consumer
-		// would; each iteration pulls it through a transient feed of its
-		// own, as advanceAdjacencySnapshot does.
+		// hold keeps the delta in the log, as the engine's snapshot feed
+		// does between two advances (BenchmarkSnapshotAfterIngest runs
+		// that path end to end); each iteration pulls the delta through a
+		// feed of its own at prev's watermark.
 		hold := g.Feed(prev.Seq())
 		rng := rand.New(rand.NewSource(11))
 		n := prev.NumEdges() * deltaPct / 100
@@ -83,5 +84,47 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 			}
 		})
 		hold.Close()
+	}
+}
+
+// BenchmarkSnapshotAfterIngest measures what a /derive request after an
+// ingest burst pays for its adjacency snapshot: the previous snapshot was
+// published before the burst, nothing else reads the log, and the burst
+// is the named fraction of the edge count, written as 64-triple batches
+// that alternately assert fresh edges and retract the previous burst's.
+// Only the Snapshot call is timed.
+func BenchmarkSnapshotAfterIngest(b *testing.B) {
+	const pool, edges = 4000, 40000
+	for _, deltaPct := range []int{1, 5} {
+		b.Run(fmt.Sprintf("delta=%d%%", deltaPct), func(b *testing.B) {
+			g, ids, p := benchGraph(b, pool, edges)
+			e := New(g)
+			n := e.Snapshot().NumEdges() * deltaPct / 100
+			rng := rand.New(rand.NewSource(11))
+			var burst []kg.Triple
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if i%2 == 1 {
+					for _, tr := range burst {
+						g.Retract(tr)
+					}
+				} else {
+					burst = burst[:0]
+					for j := 0; j < n; j++ {
+						burst = append(burst, kg.Triple{Subject: ids[rng.Intn(pool)], Predicate: p, Object: kg.EntityValue(ids[rng.Intn(pool)])})
+					}
+					for j := 0; j < n; j += 64 {
+						if _, err := g.AssertBatch(burst[j:min(j+64, n)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StartTimer()
+				if s := e.Snapshot(); s.Seq() != g.LastSeq() {
+					b.Fatal("stale snapshot")
+				}
+			}
+		})
 	}
 }

@@ -14,7 +14,8 @@ import "slices"
 //     Close unregisters it. The log keeps exactly the entries above the
 //     smallest open cursor (give or take the one chunk per shard the
 //     log is trimmed by) and none when no feed is open, so a consumer
-//     that stops reading must Close its feed or it pins the log.
+//     that stops reading must Close its feed or it pins the log. A feed
+//     Bound at a lag stops holding the log once it lags past it.
 //   - Cursor: the feed has consumed exactly the first Cursor()
 //     mutations. A fresh feed starts wherever the consumer's derived
 //     state stands — Feed(0) for "from the beginning", Feed(LastSeq())
@@ -27,13 +28,13 @@ import "slices"
 //     consistent all-shard cut and advances the cursor past them. The
 //     second return value reports completeness.
 //   - Floor: LogFloor is the highest sequence number dropped from the
-//     log. Retention never raises it past an open cursor; TruncateLog
-//     and AdvanceWatermark may, and a feed opened below it starts
-//     behind it. Entries are dropped only after the floor is raised, so
-//     Pull detects a hole — floor observed above the cursor after
-//     pulling — and returns (nil, false) without advancing: the batch
-//     may be missing dropped entries, so applying it would corrupt
-//     derived state.
+//     log. Retention never raises it past an open cursor within its
+//     feed's bound; TruncateLog and AdvanceWatermark may, and a feed
+//     opened below it starts behind it. Entries are dropped only after
+//     the floor is raised, so Pull detects a hole — floor observed
+//     above the cursor after pulling — and returns (nil, false) without
+//     advancing: the batch may be missing dropped entries, so applying
+//     it would corrupt derived state.
 //   - Fallback: on an incomplete Pull the consumer must rematerialize
 //     its derived state from a full read (TriplesSnapshot or
 //     equivalent) and Reset the feed to the watermark that read
@@ -46,9 +47,10 @@ import "slices"
 // own feed.
 type Changefeed struct {
 	g *Graph
-	// cursor is written under g.feedMu, so retention reads it there;
-	// the owner reads it without the lock.
+	// cursor and maxLag are written under g.feedMu, so retention reads
+	// them there; the owner reads them without the lock.
 	cursor uint64
+	maxLag uint64
 }
 
 // Feed opens a changefeed positioned at cursor and registers it: the
@@ -109,6 +111,16 @@ func (f *Changefeed) Reset(seq uint64) {
 	f.g.updateFeeds(func() { f.cursor = seq })
 }
 
+// Bound caps the lag at which the feed still holds the log: once the
+// watermark is more than maxLag past the cursor, retention keeps nothing
+// for the feed, and its next Pull may come back incomplete. A consumer
+// for which a delta that long costs no less than its fallback bounds its
+// feed, so that a spell without reads does not pin the log. 0 removes
+// the cap.
+func (f *Changefeed) Bound(maxLag uint64) {
+	f.g.updateFeeds(func() { f.maxLag = maxLag })
+}
+
 // Lag returns how many mutations the feed is behind the graph's
 // watermark (0 when caught up). The watermark is a bare atomic load, so
 // treat the value as a staleness hint, not an exact queue depth.
@@ -119,51 +131,51 @@ func (f *Changefeed) Lag() uint64 {
 	return 0
 }
 
-// updateFeeds runs change — a registration, a cursor move or a close —
-// under feedMu and, when that raised the smallest open cursor, drops
-// what no open feed still needs.
+// updateFeeds runs change — a registration, a cursor move, a bound or
+// a close — under feedMu, then drops the chunks no open feed still
+// needs. It locks only the shards whose first chunk can go: a cursor
+// that moves within a chunk costs a load per shard.
 func (g *Graph) updateFeeds(change func()) {
 	g.feedMu.Lock()
-	before := g.retainAboveLocked()
 	change()
-	rose := g.retainAboveLocked() > before
+	keep := g.retainAboveLocked()
 	g.feedMu.Unlock()
-	if rose {
-		g.trimLog()
+	for i := range g.shards {
+		sh := &g.shards[i]
+		if at := sh.trimAt.Load(); at != 0 && at <= keep {
+			sh.mu.Lock()
+			g.trimShardLocked(sh)
+			sh.mu.Unlock()
+		}
 	}
 }
 
-// retainAboveLocked returns the smallest open cursor: the log must keep
-// every entry above it. With no feed open it is the largest seq, and
-// the log need keep nothing. The caller holds g.feedMu.
+// retainAboveLocked returns the smallest cursor among the open feeds
+// that still hold the log — every feed but a bounded one lagging past
+// its bound: the log must keep every entry above it. With no such feed
+// it is the largest seq, and the log need keep nothing. The caller
+// holds g.feedMu.
 func (g *Graph) retainAboveLocked() uint64 {
-	keep := ^uint64(0)
+	keep, wm := ^uint64(0), g.seq.Load()
 	for _, f := range g.feeds {
-		keep = min(keep, f.cursor)
+		if f.maxLag == 0 || f.cursor+f.maxLag >= wm {
+			keep = min(keep, f.cursor)
+		}
 	}
 	return keep
 }
 
-// trimLog drops, shard by shard, the log chunks every open feed has
-// read.
-func (g *Graph) trimLog() {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		g.trimShardLocked(sh)
-		sh.mu.Unlock()
-	}
-}
-
 // trimShardLocked drops sh's leading log chunks whose entries every open
-// feed has read, raising the floor past them first. The floor is raised
-// under feedMu, so a feed registered after the smallest cursor was read
-// sees the raised floor: it is never both counted out and left above
-// the floor. The caller holds sh's write lock.
+// feed has read, raising the floor past them first, and records where
+// the first chunk left ends. Both happen under feedMu: a feed registered
+// after the smallest cursor was read sees the raised floor, so it is
+// never both counted out and left above the floor, and an updateFeeds
+// that follows sees the recorded end. The caller holds sh's write lock.
 func (g *Graph) trimShardLocked(sh *graphShard) {
 	g.feedMu.Lock()
 	n, last := sh.log.chunksThrough(g.retainAboveLocked())
 	g.raiseFloor(last)
-	g.feedMu.Unlock()
 	sh.log.dropChunks(n)
+	sh.trimAt.Store(sh.log.firstEnd())
+	g.feedMu.Unlock()
 }

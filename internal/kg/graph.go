@@ -71,6 +71,13 @@ type graphShard struct {
 	// so within one shard the log is strictly ascending in Seq.
 	log mutLog
 
+	// trimAt is the cursor at which the log's first chunk can be
+	// dropped (mutLog.firstEnd), 0 for an empty log. It is stored under
+	// the shard's write lock: by a trim, which also holds Graph.feedMu,
+	// and by an append to a one-chunk log. A value left stale by
+	// TruncateLog or AdvanceWatermark costs at most one needless trim.
+	trimAt atomic.Uint64
+
 	_ [64]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
 }
 
@@ -189,9 +196,11 @@ func (sh *graphShard) init() {
 // Feed registers a feed and Close unregisters it, and the log holds the
 // entries above the smallest open cursor — none when no feed is open —
 // trimmed a chunk at a time as feeds read on (and checked whenever a
-// shard's last chunk fills). TruncateLog drops a prefix whatever the
-// feeds have read, and LogFloor reports the highest dropped sequence
-// number. MutationsSince(seq) is complete only when seq >= LogFloor().
+// shard's last chunk fills). A feed may be bounded, so that it stops
+// holding the log once it lags too far. TruncateLog, a test hook, drops a
+// prefix whatever the feeds have read, and LogFloor reports the highest
+// dropped sequence number. MutationsSince(seq) is complete only when
+// seq >= LogFloor().
 //
 // Consumers do not call MutationsSince directly: the Changefeed (see
 // changefeed.go) packages the pull-then-recheck-floor protocol — pull a
@@ -602,13 +611,17 @@ func (g *Graph) indexNewFactLocked(sh *graphShard, subj EntityID, pred Predicate
 
 // logLocked appends a mutation to sh's log under a fresh sequence
 // number. When the shard's last chunk is full it first drops the chunks
-// every open feed has read: a check per chunk, not per entry. The caller
+// every open feed has read: a trim per chunk, not per entry. The caller
 // holds sh's write lock.
 func (g *Graph) logLocked(sh *graphShard, subj EntityID, pred PredicateID, row FactRow) {
 	if sh.log.full() {
 		g.trimShardLocked(sh)
 	}
-	sh.log.append(logEntry{seq: g.seq.Add(1), subj: subj, pred: pred, row: row})
+	seq := g.seq.Add(1)
+	sh.log.append(logEntry{seq: seq, subj: subj, pred: pred, row: row})
+	if len(sh.log.chunks) == 1 {
+		sh.trimAt.Store(seq)
+	}
 }
 
 // AssertAll adds a batch of triples. Unlike looped Assert calls, the whole
@@ -1083,8 +1096,9 @@ func (g *Graph) LastSeq() uint64 {
 // LogFloor returns the highest mutation sequence number that has been
 // dropped from the in-memory log (0 when nothing was ever dropped).
 // MutationsSince(seq) is a complete feed only when seq >= LogFloor().
-// Retention keeps the floor at or below the smallest open feed's
-// cursor; TruncateLog and AdvanceWatermark may raise it past any feed.
+// Retention keeps the floor at or below the smallest cursor of an open
+// feed within its bound (see Changefeed.Bound); TruncateLog and
+// AdvanceWatermark may raise it past any feed.
 // Consumers maintaining derived state pull, then re-check the floor,
 // and rebuild from scratch when the floor has passed their watermark
 // (the floor is raised before entries are dropped, so this ordering can
@@ -1117,13 +1131,14 @@ func (g *Graph) raiseFloor(seq uint64) {
 
 // TruncateLog drops every mutation-log entry with sequence number at or
 // below upTo, whether or not an open feed has read it, and returns the
-// number of entries dropped. Retention already drops what no open feed
-// needs; TruncateLog passes feeds that have not, which then see an
-// incomplete Pull and fall back to a full read. The floor (LogFloor) is
-// raised first, then shards are compacted one at a time; concurrent
-// writers are unaffected (their entries are strictly above upTo), and
-// concurrent MutationsSince callers detect the truncation via the floor
-// check described on LogFloor.
+// number of entries dropped. It is not how the log is compacted —
+// retention drops what no open feed needs — but the fault hook tests use
+// to force a floor pass: feeds it passes see an incomplete Pull and must
+// fall back to a full read. The floor (LogFloor) is raised first, then
+// shards are compacted one at a time, the chunk the cut lands in trimmed
+// at its head; concurrent writers are unaffected (their entries are
+// strictly above upTo), and concurrent MutationsSince callers detect the
+// truncation via the floor check described on LogFloor.
 func (g *Graph) TruncateLog(upTo uint64) int {
 	if upTo == 0 {
 		return 0

@@ -57,6 +57,16 @@ func (l *mutLog) full() bool {
 	return n > 0 && len(l.chunks[n-1]) == cap(l.chunks[n-1])
 }
 
+// firstEnd returns the seq of the first chunk's last entry, 0 for an
+// empty log: the smallest cursor past which a trim drops a chunk.
+func (l *mutLog) firstEnd() uint64 {
+	if len(l.chunks) == 0 {
+		return 0
+	}
+	c := l.chunks[0]
+	return c[len(c)-1].seq
+}
+
 // append logs e, whose seq must exceed every entry's so far.
 func (l *mutLog) append(e logEntry) {
 	if len(l.chunks) == 0 || l.full() {

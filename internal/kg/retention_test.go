@@ -9,21 +9,24 @@ import (
 	"testing"
 )
 
-// retentionFeed is the model's view of one open feed: its cursor, and
-// whether the floor may lawfully have passed it — it was opened or
-// Reset below the floor, or a TruncateLog call passed it. Retention
-// alone never passes an open feed.
+// retentionFeed is the model's view of one open feed: its cursor, its
+// bound (0 for none), and whether the floor may lawfully have passed it
+// — it was opened or Reset below the floor, a TruncateLog call passed
+// it, or it lagged past its bound. Retention alone never passes an open
+// feed within its bound.
 type retentionFeed struct {
 	f      *Changefeed
 	cursor uint64
+	maxLag uint64
 	passed bool
 }
 
 // FuzzLogRetention checks the mutation log's retention against a
 // reference model: a plain slice of every mutation the graph applied.
 // Each input byte pair is one op — open a feed at 0, at LastSeq() or at
-// a random seq; Pull, Reset or Close one; Assert, Retract (a few facts),
-// AssertBatch; TruncateLog. After every op:
+// a random seq, the first of them bounded at an odd lag; Pull, Reset or
+// Close one; Assert, Retract (a few facts), AssertBatch; TruncateLog.
+// After every op:
 //
 //   - every open feed not lawfully passed has its cursor at or above
 //     LogFloor(), and every feed with its cursor at or above the floor
@@ -38,8 +41,9 @@ type retentionFeed struct {
 // a pull the floor check accepts must have no hole.
 func FuzzLogRetention(f *testing.F) {
 	// Byte 0 picks the shard count; then (op, arg) pairs, op = byte % 10:
-	// 0/1/2 open a feed at 0 / LastSeq() / a seq, 3 Pull, 4 Reset,
-	// 5 Close, 6 Assert, 7 Retract, 8 AssertBatch, 9 TruncateLog.
+	// 0/1/2 open a feed at 0 (bounded at arg when arg is odd) /
+	// LastSeq() / a seq, 3 Pull, 4 Reset, 5 Close, 6 Assert, 7 Retract,
+	// 8 AssertBatch, 9 TruncateLog.
 	f.Add([]byte{1, 0, 0, 8, 63, 8, 63, 3, 0, 8, 63, 6, 1, 7, 2, 9, 100, 3, 0, 5, 0, 8, 63})
 	f.Add([]byte{2, 1, 0, 8, 63, 8, 63, 8, 63, 0, 0, 8, 63, 3, 1, 4, 0, 3, 0, 9, 255, 3, 0, 5, 1, 5, 0, 8, 63, 8, 63})
 	f.Add([]byte{3, 2, 200, 8, 63, 8, 63, 8, 63, 2, 100, 3, 0, 3, 1, 3, 2, 4, 77, 8, 63, 8, 63, 5, 2, 5, 1, 8, 63, 3, 0, 5, 0, 8, 63})
@@ -54,6 +58,7 @@ func FuzzLogRetention(f *testing.F) {
 		}
 		return b
 	}())
+	f.Add([]byte{2, 0, 101, 8, 63, 8, 63, 3, 0, 8, 63, 8, 63, 8, 63, 3, 0, 0, 9, 8, 63, 3, 1, 8, 63, 8, 63, 3, 1, 4, 255, 8, 63, 3, 0, 5, 0, 8, 63})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 2 || len(ops) > 800 {
 			return
@@ -149,7 +154,12 @@ func FuzzLogRetention(f *testing.F) {
 				case 2:
 					c = seqOf(arg)
 				}
-				feeds = append(feeds, &retentionFeed{f: g.Feed(c), cursor: c, passed: c < g.LogFloor()})
+				rf := &retentionFeed{f: g.Feed(c), cursor: c, passed: c < g.LogFloor()}
+				if op == 0 && arg%2 == 1 {
+					rf.maxLag = uint64(arg)
+					rf.f.Bound(rf.maxLag)
+				}
+				feeds = append(feeds, rf)
 			case 3:
 				if len(feeds) == 0 {
 					continue
@@ -165,7 +175,7 @@ func FuzzLogRetention(f *testing.F) {
 				if want := ref[rf.cursor:]; !slices.Equal(muts, want) {
 					t.Fatalf("op %d: pull from %d returned %d mutations, want %d\n got %v\nwant %v", i, rf.cursor, len(muts), len(want), muts, want)
 				}
-				rf.cursor = uint64(len(ref))
+				rf.cursor, rf.passed = uint64(len(ref)), false
 				if rf.f.Cursor() != rf.cursor {
 					t.Fatalf("op %d: cursor %d after a complete pull, want %d", i, rf.f.Cursor(), rf.cursor)
 				}
@@ -236,17 +246,23 @@ func FuzzLogRetention(f *testing.F) {
 			if g.LastSeq() != uint64(len(ref)) {
 				t.Fatalf("op %d: watermark %d, reference holds %d mutations", i, g.LastSeq(), len(ref))
 			}
-			floor := g.LogFloor()
 			keep := uint64(len(ref))
 			for _, rf := range feeds {
 				keep = min(keep, rf.cursor)
+				if rf.maxLag > 0 && rf.cursor+rf.maxLag < g.LastSeq() {
+					rf.passed = true
+				}
+				// The floor is read after the pull: the reader's Close may
+				// trim meanwhile, past a feed that lags past its bound.
+				got := g.MutationsSince(rf.cursor)
+				floor := g.LogFloor()
 				if !rf.passed && rf.cursor < floor {
 					t.Fatalf("op %d: floor %d passed the open feed at %d", i, floor, rf.cursor)
 				}
 				if rf.cursor < floor {
 					continue
 				}
-				if got, want := g.MutationsSince(rf.cursor), ref[rf.cursor:]; !slices.Equal(got, want) {
+				if want := ref[rf.cursor:]; !slices.Equal(got, want) {
 					t.Fatalf("op %d: the feed at %d reads %d mutations, the reference %d", i, rf.cursor, len(got), len(want))
 				}
 			}
@@ -294,5 +310,45 @@ func truncatePartway(t *testing.T, g *Graph, upTo uint64) {
 	<-done
 	if floor < upTo {
 		t.Fatalf("TruncateLog(%d) dropped entries with the floor still at %d", upTo, floor)
+	}
+}
+
+// TestBoundedFeedReleasesTheLog checks Bound: a bounded feed holds the
+// log while it lags within its bound; past it, the log keeps nothing for
+// the feed and the feed's next Pull comes back incomplete. Reset and
+// Bound(0) make it hold the log again.
+func TestBoundedFeedReleasesTheLog(t *testing.T) {
+	g := NewGraphWithShards(1)
+	s := mustEntity(t, g, "s", "")
+	pred := mustPredicate(t, g, "p")
+	assertN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := g.Assert(Triple{Subject: s, Predicate: pred, Object: IntValue(int64(g.LastSeq()))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const bound = 200
+	f := g.Feed(g.LastSeq())
+	defer f.Close()
+	f.Bound(bound)
+	assertN(bound)
+	if muts, ok := f.Pull(); !ok || len(muts) != bound {
+		t.Fatalf("a feed within its bound pulled %d mutations, complete=%v; want %d, complete", len(muts), ok, bound)
+	}
+	// Past the bound, and far enough for a chunk to fill after it.
+	assertN(bound + 1 + mutLogChunkCap)
+	if n := g.LogEntries(); n > mutLogChunkCap {
+		t.Fatalf("the log holds %d entries for a feed past its bound", n)
+	}
+	if _, ok := f.Pull(); ok {
+		t.Fatalf("a feed past its bound pulled complete with the floor at %d", g.LogFloor())
+	}
+	f.Reset(g.LastSeq())
+	f.Bound(0)
+	assertN(3 * bound)
+	if muts, ok := f.Pull(); !ok || len(muts) != 3*bound {
+		t.Fatalf("an unbounded feed pulled %d mutations, complete=%v; want %d, complete", len(muts), ok, 3*bound)
 	}
 }
