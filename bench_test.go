@@ -736,6 +736,47 @@ func BenchmarkGraphRetractHot(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphAssertWideSubject measures the one shape a subject's run
+// makes costlier: a subject with 64 predicates × 256 facts, the run
+// 16 384 rows long. Each op retracts the fact in the middle of the run
+// and asserts it again, so each splice moves half the subject's run (a
+// memmove of ~8 192 40-byte rows), where a list per predicate would move
+// half of one predicate's 256.
+func BenchmarkGraphAssertWideSubject(b *testing.B) {
+	const preds, perPred = 64, 256
+	g := kg.NewGraphWithShards(8)
+	s, err := g.AddEntity(kg.Entity{Key: "wide"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]kg.Triple, 0, preds*perPred)
+	var mid kg.Triple
+	for i := 0; i < preds; i++ {
+		p, err := g.AddPredicate(kg.Predicate{Name: fmt.Sprintf("p%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < perPred; k++ {
+			batch = append(batch, kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(k))})
+		}
+		if i == preds/2 {
+			mid = batch[len(batch)-perPred/2]
+		}
+	}
+	if _, err := g.AssertBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !g.Retract(mid) {
+			b.Fatal("retract missed a live fact")
+		}
+		if err := g.Assert(mid); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGraphAssertBatchSorted measures the disk-restore shape: one
 // 65536-triple snapshot in AllTriples order (subjects ascending, then
 // predicate, then object identity) bulk-loaded into a fresh 64-shard

@@ -8,7 +8,7 @@ import (
 )
 
 // FactSet is a sorted set of facts with the graph's two access paths —
-// the unsharded, log-free twin of kg.Graph's spo/pom layout, for facts
+// the unsharded, log-free twin of kg.Graph's runs/pom layout, for facts
 // that must not go through a graph: an as-of suffix and the rule engine's
 // derived facts are never validated against a dictionary, draw no
 // sequence numbers and feed no changefeed.
@@ -21,8 +21,8 @@ import (
 // graph's enumeration without sorting anything. The fact list is also the
 // identity set: membership, insert and remove are a binary search plus a
 // splice, and each fact is stored once, as the graph stores it: a
-// kg.FactRow, the 40-byte row the graph's own fact lists hold, keyed by
-// (subject, predicate). Reads build Triples from the rows, so a fact
+// kg.FactRow, the 40-byte row the graph's own subject runs hold, keyed
+// by (subject, predicate). Reads build Triples from the rows, so a fact
 // comes back with its provenance normalised exactly as the graph's do.
 //
 // # The leaf-lock rule

@@ -51,19 +51,20 @@ type Predicate struct {
 	Functional bool
 }
 
-// graphShard holds the triple indexes and mutation sub-log for the
-// subjects whose ID hashes to the shard. Everything inside is guarded by
-// the shard's own lock, so writers touching different shards never
+// graphShard holds the subject runs and mutation sub-log for the subjects
+// whose ID is ≡ i mod S, S the shard count. Everything inside is guarded
+// by the shard's own lock, so writers touching different shards never
 // contend. The trailing pad keeps two shards' mutexes off one cache line.
 type graphShard struct {
 	mu sync.RWMutex
 
-	// spo maps subject -> predicate -> the (subj, pred) fact list, sorted
-	// by object key with no duplicates. The sorted list is also the
-	// shard's identity set: membership is a binary search of it.
-	spo map[EntityID]map[PredicateID][]FactRow
+	// runs[uint32(subj) >> log2(S)] is subj's run: every fact about it,
+	// sorted by (predicate, object key) with no duplicates, nil when it
+	// has none. The shard's subject IDs are dense in that index. The runs
+	// are also the shard's identity set: membership is a binary search.
+	runs [][]FactRow
 
-	// triples is the number of facts in spo.
+	// triples is the number of facts in runs.
 	triples int
 
 	// log holds this shard's slice of the global mutation feed. Sequence
@@ -81,8 +82,20 @@ type graphShard struct {
 	_ [64]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
 }
 
-func (sh *graphShard) init() {
-	sh.spo = make(map[EntityID]map[PredicateID][]FactRow)
+// run returns the run at slot, nil past the end.
+func (sh *graphShard) run(slot uint32) []FactRow {
+	if int(slot) < len(sh.runs) {
+		return sh.runs[slot]
+	}
+	return nil
+}
+
+// setRun stores the run at slot, growing runs to reach it.
+func (sh *graphShard) setRun(slot uint32, run []FactRow) {
+	if n := int(slot) + 1 - len(sh.runs); n > 0 {
+		sh.runs = append(sh.runs, make([][]FactRow, n)...)
+	}
+	sh.runs[slot] = run
 }
 
 // Graph is an in-memory triple store with entity/predicate dictionaries,
@@ -111,9 +124,11 @@ func (sh *graphShard) init() {
 //
 // # Index layout and canonical order
 //
-//	spo: subject -> predicate -> []FactRow         (fact lookup, outgoing,
-//	     and SPO identity: each list is sorted by object key, so
-//	     membership and removal are a binary search)
+//	runs: per shard, subject slot -> []FactRow     (fact lookup, outgoing,
+//	     and SPO identity: a subject's facts in one run sorted by
+//	     (predicate, object key), so a (subject, predicate) list is the
+//	     sub-run a binary search on the predicate finds, and membership
+//	     and removal are a binary search within it)
 //	pom: predicate -> ValueKey -> []EntityID       (the predicate-major
 //	     index, see pom.go: each posting sorted by subject ID, merged
 //	     across shards, partitioned into per-predicate lock stripes, with
@@ -124,10 +139,12 @@ func (sh *graphShard) init() {
 //
 // A fact is stored as a FactRow (row.go): its object key laid out flat
 // and an interned provenance handle, 40 bytes where a Triple is 128. The
-// subject and predicate are the map keys above it. No Triple is stored:
-// every read that hands out Triples (Facts, FactsFunc, FactsChunked,
-// OutgoingFunc, TriplesSnapshot, AllTriples, MutationsSince) builds them
-// from rows, so what a reader gets is a copy. A built Triple's object is
+// subject is the run's slot: subject s lives in shard s mod S at index
+// s >> log2(S), so each shard's slots are dense. The predicate sits in
+// the row's padding. No Triple is stored: every read that hands out
+// Triples (Facts, FactsFunc, FactsChunked, OutgoingFunc, TriplesSnapshot,
+// AllTriples, MutationsSince) builds them from rows, so what a reader
+// gets is a copy. A built Triple's object is
 // its key's Value and its ObservedAt a UTC instant with no monotonic
 // reading — exactly what a graph recovered from the write-ahead log holds.
 //
@@ -143,9 +160,9 @@ func (sh *graphShard) init() {
 //
 // # Write path and lock order
 //
-// A mutation takes its subject shard's write lock, finds the fact's slot
-// in the sorted (subj, pred) list by binary search (which is also the
-// duplicate check), splices the list, and then maintains the pom posting
+// A mutation takes its subject shard's write lock, finds the fact's place
+// in the subject's run by binary search (which is also the duplicate
+// check), splices the run, and then maintains the pom posting
 // inline under the predicate's stripe lock — shard lock, then stripe
 // lock, the stripe strictly leaf-level. Because every stripe write
 // happens under a shard write lock, the all-shard read lock (rlockAll)
@@ -170,9 +187,9 @@ func (sh *graphShard) init() {
 //
 // Fact identity is the comparable TripleKey struct (subject ID, predicate
 // ID, object ValueKey); see ValueKey for the per-kind payload encoding.
-// No strings are built on the Assert/Retract/HasFact paths. Index slices
-// and inner maps are deleted as they drain, so a long-lived graph under
-// assert/retract churn does not leak map entries.
+// No strings are built on the Assert/Retract/HasFact paths. A run that
+// drains is set to nil and pom entries are deleted as they drain, so a
+// long-lived graph under assert/retract churn does not leak them.
 //
 // # Mutation log and watermark semantics
 //
@@ -266,6 +283,7 @@ type Graph struct {
 	feeds  []*Changefeed
 
 	shardMask uint32
+	shardBits uint8 // log2(len(shards))
 	shards    []graphShard
 
 	// pom is the predicate-major secondary index (see pom.go).
@@ -283,9 +301,9 @@ func NewGraph() *Graph {
 // (n <= 0 clamps to 1, the classic single-lock graph; benchmarks use it
 // as the scaling baseline).
 func NewGraphWithShards(n int) *Graph {
-	s := 1
+	s, bits := 1, uint8(0)
 	for s < n && s < 256 {
-		s <<= 1
+		s, bits = s<<1, bits+1
 	}
 	g := &Graph{
 		ontology:   NewOntology(),
@@ -294,13 +312,11 @@ func NewGraphWithShards(n int) *Graph {
 		predicates: []*Predicate{nil},
 		predByName: make(map[string]PredicateID),
 		shardMask:  uint32(s - 1),
+		shardBits:  bits,
 		shards:     make([]graphShard, s),
 	}
 	g.entLen.Store(1)
 	g.predLen.Store(1)
-	for i := range g.shards {
-		g.shards[i].init()
-	}
 	for i := range g.pom {
 		g.pom[i].preds = make(map[PredicateID]*predPostings)
 	}
@@ -313,6 +329,9 @@ func (g *Graph) NumShards() int { return len(g.shards) }
 func (g *Graph) shardIndex(subj EntityID) uint32 { return uint32(subj) & g.shardMask }
 
 func (g *Graph) shard(subj EntityID) *graphShard { return &g.shards[g.shardIndex(subj)] }
+
+// slot is subj's index in its shard's runs.
+func (g *Graph) slot(subj EntityID) uint32 { return uint32(subj) >> g.shardBits }
 
 // rlockAll acquires every shard's read lock in index order, freezing the
 // watermark and the whole triple state — the pom index included, since
@@ -582,31 +601,32 @@ func (g *Graph) AssertNew(t Triple) (bool, error) {
 		return false, err
 	}
 	row := RowOf(t.Object, t.Prov)
-	sh := g.shard(t.Subject)
+	sh, slot := g.shard(t.Subject), g.slot(t.Subject)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	bySubj := sh.spo[t.Subject]
-	i, dup := SearchRows(bySubj[t.Predicate], row.Key())
+	run := sh.run(slot)
+	lo, hi := predBounds(run, t.Predicate)
+	i, dup := SearchRows(run[lo:hi], row.Key())
 	if dup {
 		return false, nil
 	}
-	if bySubj == nil {
-		bySubj = make(map[PredicateID][]FactRow)
-		sh.spo[t.Subject] = bySubj
-	}
-	bySubj[t.Predicate] = slices.Insert(bySubj[t.Predicate], i, row)
-	g.indexNewFactLocked(sh, t.Subject, t.Predicate, row)
+	sh.setRun(slot, g.insertLocked(sh, run, lo+i, t.Subject, t.Predicate, row))
 	return true, nil
 }
 
-// indexNewFactLocked finishes an assert whose row was just spliced into
-// its spo fact list: the pom posting, the shard's fact count and the
-// mutation log. The caller holds sh's write lock.
-func (g *Graph) indexNewFactLocked(sh *graphShard, subj EntityID, pred PredicateID, row FactRow) {
+// insertLocked splices row into subj's run at i under pred and indexes
+// it: the pom posting, the shard's fact count and the mutation log. It
+// returns the grown run for the caller to store. The caller holds sh's
+// write lock.
+func (g *Graph) insertLocked(sh *graphShard, run []FactRow, i int, subj EntityID, pred PredicateID, row FactRow) []FactRow {
+	stored := row
+	stored.pred = pred
+	run = slices.Insert(run, i, stored)
 	sh.triples++
 	g.pomAdd(pred, row.Key(), subj)
 	row.op = OpAssert
 	g.logLocked(sh, subj, pred, row)
+	return run
 }
 
 // logLocked appends a mutation to sh's log under a fresh sequence
@@ -635,8 +655,8 @@ func (g *Graph) AssertAll(ts []Triple) error {
 // AssertBatch is the batch ingestion fast path: it validates every triple
 // up front (applying nothing on error), orders the batch by (subject,
 // predicate, object identity), and applies it one subject at a time —
-// one shard lock acquisition per subject, index slices grown once per
-// (subject, predicate) run. It returns the number of facts newly added —
+// one shard lock acquisition and one grow of the subject's run per
+// subject. It returns the number of facts newly added —
 // triples whose SPO identity already existed in the graph, or that repeat
 // an identity earlier in the batch (first occurrence in input order
 // wins), are skipped.
@@ -700,17 +720,19 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 	defer sh.mu.Unlock()
 
 	// Filter duplicates first — in-batch (adjacent after sorting) and
-	// against the stored fact lists — so the grow sizes below are exact.
+	// against the stored run — so the grow size below is exact.
 	// Compaction reuses order's backing array.
 	subj := keys[order[0]].Subject
-	bySubj := sh.spo[subj]
+	slot := g.slot(subj)
+	run := sh.run(slot)
 	kept := order[:0]
 	for i, oi := range order {
 		k := keys[oi]
 		if i > 0 && k == keys[order[i-1]] {
 			continue
 		}
-		if _, dup := SearchRows(bySubj[k.Predicate], k.Object); dup {
+		lo, hi := predBounds(run, k.Predicate)
+		if _, dup := SearchRows(run[lo:hi], k.Object); dup {
 			continue
 		}
 		kept = append(kept, oi)
@@ -718,28 +740,17 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 	if len(kept) == 0 {
 		return 0
 	}
-	if bySubj == nil {
-		bySubj = make(map[PredicateID][]FactRow)
-		sh.spo[subj] = bySubj
+	// The batch is sorted by (predicate, object key) like the run it
+	// merges into; a load into an empty run (restore, bulk import)
+	// inserts at the tail.
+	run = slices.Grow(run, len(kept))
+	for _, oi := range kept {
+		k := keys[oi]
+		lo, hi := predBounds(run, k.Predicate)
+		at, _ := SearchRows(run[lo:hi], k.Object)
+		run = g.insertLocked(sh, run, lo+at, subj, k.Predicate, rowOf(k.Object, ts[oi].Prov))
 	}
-	for i := 0; i < len(kept); {
-		pred := keys[kept[i]].Predicate
-		j := i + 1
-		for j < len(kept) && keys[kept[j]].Predicate == pred {
-			j++
-		}
-		// The run is sorted by object key like the list it merges into; a
-		// load into an empty list (restore, bulk import) inserts at the tail.
-		lst := slices.Grow(bySubj[pred], j-i)
-		for _, oi := range kept[i:j] {
-			row := rowOf(keys[oi].Object, ts[oi].Prov)
-			at, _ := SearchRows(lst, keys[oi].Object)
-			lst = slices.Insert(lst, at, row)
-			g.indexNewFactLocked(sh, subj, pred, row)
-		}
-		bySubj[pred] = lst
-		i = j
-	}
+	sh.setRun(slot, run)
 	return len(kept)
 }
 
@@ -748,22 +759,19 @@ func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey
 // was removed.
 func (g *Graph) Retract(t Triple) bool {
 	key := t.Object.MapKey()
-	sh := g.shard(t.Subject)
+	sh, slot := g.shard(t.Subject), g.slot(t.Subject)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	bySubj := sh.spo[t.Subject]
-	lst := bySubj[t.Predicate]
-	i, ok := SearchRows(lst, key)
+	run := sh.run(slot)
+	lo, hi := predBounds(run, t.Predicate)
+	i, ok := SearchRows(run[lo:hi], key)
 	if !ok {
 		return false
 	}
-	if len(lst) > 1 {
-		bySubj[t.Predicate] = slices.Delete(lst, i, i+1)
+	if len(run) > 1 {
+		sh.runs[slot] = slices.Delete(run, lo+i, lo+i+1)
 	} else {
-		delete(bySubj, t.Predicate)
-		if len(bySubj) == 0 {
-			delete(sh.spo, t.Subject)
-		}
+		sh.runs[slot] = nil
 	}
 	sh.triples--
 	g.pomRemove(t.Predicate, key, t.Subject)
@@ -780,8 +788,8 @@ func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rows := sh.spo[subj][pred]
-	if rows == nil {
+	rows := g.rowsLocked(sh, subj, pred)
+	if len(rows) == 0 {
 		return nil
 	}
 	out := make([]Triple, len(rows))
@@ -801,7 +809,7 @@ func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool)
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rows := sh.spo[subj][pred]
+	rows := g.rowsLocked(sh, subj, pred)
 	var t Triple
 	for i := range rows {
 		rows[i].fill(&t, subj, pred)
@@ -834,7 +842,7 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 	)
 	for {
 		sh.mu.RLock()
-		rows := sh.spo[subj][pred]
+		rows := g.rowsLocked(sh, subj, pred)
 		i, found := SearchRows(rows, after)
 		if found {
 			i++
@@ -854,35 +862,39 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 }
 
 // FactCount returns the number of (subj, pred, *) facts without
-// materializing the fact slice: one shard read lock and two map lookups.
-// It is the planner's bound-subject selectivity probe.
+// materializing the fact slice: one shard read lock and two binary
+// searches of the subject's run. It is the planner's bound-subject
+// selectivity probe.
 func (g *Graph) FactCount(subj EntityID, pred PredicateID) int {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	bySubj := sh.spo[subj]
-	if bySubj == nil {
-		return 0
-	}
-	return len(bySubj[pred])
+	return len(g.rowsLocked(sh, subj, pred))
+}
+
+// rowsLocked returns subj's facts under pred, the sub-run of its run in
+// object-key order. The caller holds sh's lock.
+func (g *Graph) rowsLocked(sh *graphShard, subj EntityID, pred PredicateID) []FactRow {
+	run := sh.run(g.slot(subj))
+	lo, hi := predBounds(run, pred)
+	return run[lo:hi]
 }
 
 // OutgoingFunc streams every triple whose subject is subj to fn under the
-// subject shard's read lock, stopping early if fn returns false.
-// Iteration order across predicates is unspecified; within one predicate
-// it is object-key order. fn must not mutate the graph or read its triple
-// indexes; it may read the dictionaries (see Visitor callbacks on Graph).
+// subject shard's read lock, stopping early if fn returns false. The
+// order is the subject's run: by predicate ID, then by object key. fn
+// must not mutate the graph or read its triple indexes; it may read the
+// dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var t Triple
-	for pred, rows := range sh.spo[subj] {
-		for i := range rows {
-			rows[i].fill(&t, subj, pred)
-			if !fn(t) {
-				return
-			}
+	run := sh.run(g.slot(subj))
+	for i := range run {
+		run[i].fill(&t, subj, run[i].pred)
+		if !fn(t) {
+			return
 		}
 	}
 }
@@ -892,7 +904,7 @@ func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := SearchRows(sh.spo[subj][pred], obj.MapKey())
+	_, ok := SearchRows(g.rowsLocked(sh, subj, pred), obj.MapKey())
 	return ok
 }
 
@@ -918,8 +930,9 @@ func (g *Graph) NumTriples() int {
 	return n
 }
 
-// TriplesSnapshot streams every asserted triple to fn in unspecified
-// order, stopping early if fn returns false, and returns the mutation
+// TriplesSnapshot streams every asserted triple to fn in identity order
+// (by subject, then predicate ID, then object key), stopping early if fn
+// returns false, and returns the mutation
 // watermark the iteration reflects. Both happen under one all-shard
 // read-lock acquisition, so derived structures (adjacency snapshots,
 // views) get a consistent (triples, watermark) pair: the visited triples
@@ -930,24 +943,39 @@ func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
 	g.rlockAll()
 	defer g.runlockAll()
 	var t Triple
-	for i := range g.shards {
-		for subj, bySubj := range g.shards[i].spo {
-			for pred, rows := range bySubj {
-				for j := range rows {
-					rows[j].fill(&t, subj, pred)
-					if !fn(t) {
-						return g.seq.Load()
-					}
-				}
+	g.runsLocked(func(subj EntityID, run []FactRow) bool {
+		for i := range run {
+			run[i].fill(&t, subj, run[i].pred)
+			if !fn(t) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 	return g.seq.Load()
 }
 
+// runsLocked calls fn with every non-empty run in ascending subject ID
+// order, stopping early if fn returns false: slot by slot, and within a
+// slot shard by shard, since subject s sits at slot s >> log2(S) of
+// shard s mod S. The caller holds every shard's read lock.
+func (g *Graph) runsLocked(fn func(subj EntityID, run []FactRow) bool) {
+	slots := 0
+	for i := range g.shards {
+		slots = max(slots, len(g.shards[i].runs))
+	}
+	for slot := range uint32(slots) {
+		for i := range g.shards {
+			if run := g.shards[i].run(slot); len(run) > 0 && !fn(EntityID(slot<<g.shardBits|uint32(i)), run) {
+				return
+			}
+		}
+	}
+}
+
 // AllTriples materializes every asserted triple in identity order (by
-// subject, then predicate, then object identity key — the fact lists'
-// own order).
+// subject, then predicate, then object identity key — the runs' own
+// order).
 func (g *Graph) AllTriples() []Triple {
 	g.rlockAll()
 	defer g.runlockAll()
@@ -959,30 +987,15 @@ func (g *Graph) allTriplesLocked() []Triple {
 	for i := range g.shards {
 		total += g.shards[i].triples
 	}
-	out := make([]Triple, 0, total)
-	var subjects []EntityID
-	for i := range g.shards {
-		for s := range g.shards[i].spo {
-			subjects = append(subjects, s)
+	out := make([]Triple, total)
+	n := 0
+	g.runsLocked(func(subj EntityID, run []FactRow) bool {
+		for i := range run {
+			run[i].fill(&out[n+i], subj, run[i].pred)
 		}
-	}
-	slices.Sort(subjects)
-	for _, s := range subjects {
-		bySubj := g.shard(s).spo[s]
-		preds := make([]PredicateID, 0, len(bySubj))
-		for p := range bySubj {
-			preds = append(preds, p)
-		}
-		slices.Sort(preds)
-		for _, p := range preds {
-			rows := bySubj[p] // already in object-key order
-			n := len(out)
-			out = slices.Grow(out, len(rows))[:n+len(rows)]
-			for i := range rows {
-				rows[i].fill(&out[n+i], s, p)
-			}
-		}
-	}
+		n += len(run)
+		return true
+	})
 	return out
 }
 

@@ -51,8 +51,8 @@ func subjectsWith(g *Graph, pred PredicateID, obj Value) []EntityID {
 	return out
 }
 
-// SubjectsWithSweep answers subjectsWith from the subject-sharded spo
-// index alone, never touching the predicate-major index: the index-free
+// SubjectsWithSweep answers subjectsWith from the subject-sharded runs
+// alone, never touching the predicate-major index: the index-free
 // reference the pom tests compare against. Shards are visited one at a
 // time; order is unspecified.
 func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
@@ -61,9 +61,10 @@ func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
-		for subj, bySubj := range sh.spo {
-			if _, ok := SearchRows(bySubj[pred], key); ok {
-				out = append(out, subj)
+		for slot, run := range sh.runs {
+			lo, hi := predBounds(run, pred)
+			if _, ok := SearchRows(run[lo:hi], key); ok {
+				out = append(out, EntityID(slot<<g.shardBits|i))
 			}
 		}
 		sh.mu.RUnlock()
@@ -73,19 +74,18 @@ func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
 
 // checkPomAgainstSweep compares, for every (pred, obj) pair in the pools,
 // the predicate-major index (SubjectsWithFunc / SubjectsWithCount /
-// PredicateFrequency) against the shard-swept spo reference
+// PredicateFrequency) against the shard-swept runs reference
 // (SubjectsWithSweep), and the counter-driven ComputeStats against a full
 // triple scan. It also holds every enumeration to the canonical order:
 // postings ascending by subject ID, fact lists ascending by object key.
 func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Value) {
 	t.Helper()
 	for i := range g.shards {
-		for subj, bySubj := range g.shards[i].spo {
-			for p, ts := range bySubj {
-				for j := 1; j < len(ts); j++ {
-					if ts[j-1].Key().Compare(ts[j].Key()) >= 0 {
-						t.Fatalf("fact list (%v, %v) not strictly ascending by object key at %d", subj, p, j)
-					}
+		for slot, run := range g.shards[i].runs {
+			subj := EntityID(slot<<g.shardBits | i)
+			for j := 1; j < len(run); j++ {
+				if p := run[j].pred; run[j-1].pred == p && run[j-1].Key().Compare(run[j].Key()) >= 0 {
+					t.Fatalf("fact list (%v, %v) not strictly ascending by object key at %d", subj, p, j)
 				}
 			}
 		}

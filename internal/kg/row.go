@@ -6,26 +6,33 @@ import (
 	"unique"
 )
 
-// FactRow is the stored form of a fact: what a (subject, predicate) fact
-// list, a mutation-log entry and a graphengine.FactSet hold in place of a
+// FactRow is the stored form of a fact: what a subject's run of facts, a
+// mutation-log entry and a graphengine.FactSet hold in place of a
 // Triple, which is built from the row at the read edge. Every holder keys
-// its rows by subject and predicate, so the row leaves them out. The
-// object is its identity key laid out flat — kind, the 8-byte payload
-// every kind but a string uses, and a string header only string literals
-// fill — and the provenance is an interned handle. A row is 40 bytes on a
-// 64-bit platform; the Triple it stands for is 128.
+// its rows by subject, so the row leaves it out. The object is its
+// identity key laid out flat — kind, the 8-byte payload every kind but a
+// string uses, and a string header only string literals fill — and the
+// provenance is an interned handle. A row is 40 bytes on a 64-bit
+// platform; the Triple it stands for is 128.
 //
-// Rows order by object key exactly as ValueKey.Compare orders the keys
-// they carry, which is the canonical fact-list order.
+// Within one predicate, rows order by object key exactly as
+// ValueKey.Compare orders the keys they carry, which is the canonical
+// fact-list order.
 type FactRow struct {
 	num  int64                  // ValueKey.Num
 	str  string                 // ValueKey.Str
 	prov unique.Handle[provKey] // the zero handle is the zero Provenance
 	kind ValueKind              // ValueKey.Kind
-	// op is the mutation a log entry records. The rows of fact lists and
-	// fact sets leave it zero; it sits in what would otherwise be padding
-	// after kind, which is what keeps a log entry at 56 bytes.
+	// op is the mutation a log entry records. The rows of subject runs
+	// and fact sets leave it zero.
 	op MutationOp
+	// pred is the predicate of a row in a subject's run, which is sorted
+	// by (pred, object key). Every other row — a log entry's (which keys
+	// it by predicate beside the row), RowOf's, a fact set's — leaves it
+	// zero, so == on such rows compares object and provenance only. op
+	// and pred sit in what would otherwise be padding after kind, which
+	// is what keeps a row at 40 bytes and a log entry at 56.
+	pred PredicateID
 }
 
 // provKey is a Provenance in the form it is interned: the floats as their
@@ -90,6 +97,31 @@ func (r *FactRow) fill(t *Triple, subj EntityID, pred PredicateID) {
 	t.Prov.Confidence = math.Float64frombits(pk.conf)
 	t.Prov.SourceQuality = math.Float64frombits(pk.quality)
 	t.Prov.ObservedAt = pk.at
+}
+
+// predBounds returns the bounds [lo, hi) of pred's facts in a subject's
+// run, sorted by predicate: two binary searches, an empty range at pred's
+// place when the subject has none.
+func predBounds(run []FactRow, pred PredicateID) (lo, hi int) {
+	lo, hi = 0, len(run)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if run[h].pred < pred {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	end := len(run)
+	for hi = lo; hi < end; {
+		h := int(uint(hi+end) >> 1)
+		if run[h].pred <= pred {
+			hi = h + 1
+		} else {
+			end = h
+		}
+	}
+	return lo, hi
 }
 
 // SearchRows returns where the row with object key k sits in rows sorted

@@ -21,12 +21,12 @@ type Stats struct {
 // ComputeStats summarizes the graph from its maintained counters instead
 // of a full triple scan: predicate frequencies and the entity/literal
 // split come from the predicate-major index's per-predicate totals (one
-// pass over the pom stripes), and out-degrees from the spo index's list
-// lengths (one pass over each shard's subjects, never touching individual
-// triples). Stripes and shards are visited one at a time, so under
-// concurrent writers each counter is exact as of the moment its stripe or
-// shard was read rather than one all-shard cut — the same freshness
-// contract as NumTriples.
+// pass over the pom stripes), and out-degrees from the lengths of the
+// subjects' runs (one pass over each shard's slots, never touching
+// individual triples). Stripes and shards are visited one at a time, so
+// under concurrent writers each counter is exact as of the moment its
+// stripe or shard was read rather than one all-shard cut — the same
+// freshness contract as NumTriples.
 func ComputeStats(g *Graph) Stats {
 	s := Stats{
 		Entities:   g.NumEntities(),
@@ -47,14 +47,8 @@ func ComputeStats(g *Graph) Stats {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
-		for _, bySubj := range sh.spo {
-			d := 0
-			for _, ts := range bySubj {
-				d += len(ts)
-			}
-			if d > s.MaxOutDegree {
-				s.MaxOutDegree = d
-			}
+		for _, run := range sh.runs {
+			s.MaxOutDegree = max(s.MaxOutDegree, len(run))
 		}
 		sh.mu.RUnlock()
 	}

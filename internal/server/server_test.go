@@ -114,6 +114,66 @@ func TestEntityEndpoint(t *testing.T) {
 	}
 }
 
+// GET /entity lists a subject's facts in the graph's order for them, by
+// predicate ID and then object key: two calls answer the same bytes, and
+// so does a graph holding the same facts asserted in another order on
+// another shard count.
+func TestEntityBodyIsDeterministic(t *testing.T) {
+	build := func(shards int, order []int) http.Handler {
+		g := kg.NewGraphWithShards(shards)
+		var ids []kg.EntityID
+		for _, key := range []string{"ada", "babbage", "lovelace", "turing"} {
+			id, err := g.AddEntity(kg.Entity{Key: key, Name: strings.ToUpper(key)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		var preds []kg.PredicateID
+		for _, name := range []string{"knows", "bornIn", "field", "year", "award"} {
+			p, err := g.AddPredicate(kg.Predicate{Name: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds = append(preds, p)
+		}
+		for _, x := range order {
+			obj := kg.EntityValue(ids[1+x%3])
+			if x%2 == 1 {
+				obj = kg.IntValue(int64(1800 + x))
+			}
+			if err := g.Assert(kg.Triple{Subject: ids[0], Predicate: preds[x%5], Object: obj}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := New(saga.New(g), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.Handler()
+	}
+	forward := make([]int, 15)
+	for i := range forward {
+		forward[i] = i
+	}
+	get := func(h http.Handler) string {
+		rec, _ := do(t, h, "GET", "/entity?key=ada", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	h := build(1, forward)
+	want := get(h)
+	if got := get(h); got != want {
+		t.Fatalf("second call answered\n%s\nfirst\n%s", got, want)
+	}
+	other := build(8, []int{14, 3, 9, 0, 12, 6, 1, 11, 4, 8, 13, 2, 7, 10, 5})
+	if got := get(other); got != want {
+		t.Fatalf("same facts in another insertion order answered\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestAnnotateEndpoint(t *testing.T) {
 	srv, w := testServer(t)
 	h := srv.Handler()

@@ -17,9 +17,9 @@
 # in saga or internal/server would otherwise break the benchmark
 # silently), a few seconds of native fuzzing on the wire encoder's and the
 # two wire decoders' targets, on the two kernels' and the tokenizer's
-# differential targets, on the fact set's and the mutation log
-# retention's model-based ones, on the stored fact row's round trip, on
-# the model file reader's, on the checkpoint
+# differential targets, on the fact set's, the mutation log
+# retention's and the subject runs' model-based ones, on the stored fact
+# row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, and a short open-loop load
 # smoke against an in-process server (kgload -smoke: zero 5xx, zero
 # transport errors, p99 of admitted requests under the read route's
@@ -150,6 +150,7 @@ go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./inter
 go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzLogRetention$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
+go test -run '^$' -fuzz '^FuzzFactRuns$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzTriStep$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime "${FUZZTIME:-5s}" ./internal/embedding/
