@@ -75,6 +75,10 @@ type Engine struct {
 	fullRuns    atomic.Uint64
 	derivations atomic.Uint64
 	retractions atomic.Uint64
+	// cursor is the feed's position as of the end of the last
+	// maintenance step, published so Stats takes no lock: a step holds
+	// mu for as long as its repair runs.
+	cursor atomic.Uint64
 }
 
 // New builds the engine, runs the initial full derivation synchronously
@@ -88,7 +92,7 @@ func New(geng *graphengine.Engine, rs *RuleSet, opts Options) (*Engine, error) {
 		g:       g,
 		geng:    geng,
 		rs:      rs,
-		st:      newStore(),
+		st:      newStore(rs),
 		onDelta: opts.OnDelta,
 		feed:    g.Feed(0),
 		stop:    make(chan struct{}),
@@ -96,6 +100,7 @@ func New(geng *graphengine.Engine, rs *RuleSet, opts Options) (*Engine, error) {
 	e.view = graphengine.Union(g, e.st.facts)
 	e.mu.Lock()
 	e.rederiveFullLocked()
+	e.cursor.Store(e.feed.Cursor())
 	e.mu.Unlock()
 	if !opts.NoMaintainer {
 		e.wg.Add(1)
@@ -136,8 +141,12 @@ func (e *Engine) RuleSet() *RuleSet { return e.rs }
 // only read it.
 func (e *Engine) Derived() *graphengine.FactSet { return e.st.facts }
 
-// Stats snapshots the maintenance counters.
+// Stats snapshots the maintenance counters. It takes no engine lock, so
+// it answers while a maintenance step runs: Cursor is as of the end of
+// the last step, and Lag counts the mutations since, the running step's
+// included.
 func (e *Engine) Stats() Stats {
+	cursor, wm := e.cursor.Load(), e.g.LastSeq()
 	return Stats{
 		Facts:       e.st.facts.Len(),
 		Rules:       e.rs.Len(),
@@ -146,21 +155,9 @@ func (e *Engine) Stats() Stats {
 		FullRuns:    e.fullRuns.Load(),
 		Derivations: e.derivations.Load(),
 		Retractions: e.retractions.Load(),
-		Cursor:      e.feedCursor(),
-		Lag:         e.feedLag(),
+		Cursor:      cursor,
+		Lag:         wm - min(cursor, wm),
 	}
-}
-
-func (e *Engine) feedCursor() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.feed.Cursor()
-}
-
-func (e *Engine) feedLag() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.feed.Lag()
 }
 
 // Sync drains the changefeed: when it returns, the derived store is the
@@ -178,6 +175,7 @@ func (e *Engine) Sync() {
 // progress (false = caught up). A floor-passed feed (incomplete pull)
 // falls back to full re-derivation, per the changefeed contract.
 func (e *Engine) pumpLocked() bool {
+	defer func() { e.cursor.Store(e.feed.Cursor()) }()
 	muts, complete := e.feed.Pull()
 	if !complete {
 		e.rederiveFullLocked()
@@ -274,6 +272,13 @@ func (e *Engine) supportFor(ri int, row graphengine.Binding) (support, bool) {
 // fact removed, reinstated by a later assert's propagation, and hit by
 // another retract cascades again because the store removal (not pending
 // membership) gates the chase.
+//
+// A chased key's heads are its dependents list, taken out of the index
+// before any is removed, plus the heads it grounds through an atom that
+// binds every head variable (boundHeadsLocked). Each of them has the key
+// in its support, so all of them go, and removing one swap-deletes it
+// from the lists of its other body keys — never from the list being
+// walked.
 func (e *Engine) cascadeLocked(bk kg.TripleKey, pending map[kg.TripleKey]kg.Triple) {
 	queue := []kg.TripleKey{bk}
 	if rt, ok := e.st.remove(bk); ok {
@@ -282,13 +287,59 @@ func (e *Engine) cascadeLocked(bk kg.TripleKey, pending map[kg.TripleKey]kg.Trip
 	for len(queue) > 0 {
 		k := queue[0]
 		queue = queue[1:]
-		for hk := range e.st.dependents[k] {
+		deps := e.st.dependents[k]
+		delete(e.st.dependents, k)
+		for _, hk := range e.boundHeadsLocked(k, deps) {
 			if ht, ok := e.st.remove(hk); ok {
 				pending[hk] = ht
 				queue = append(queue, hk)
 			}
 		}
 	}
+}
+
+// boundHeadsLocked appends to heads the stored facts whose support has
+// body key k at an atom that binds every head variable. The store does
+// not list those under k: the atom grounded with k gives the head, and
+// the head's support says whether k is its body fact there.
+func (e *Engine) boundHeadsLocked(k kg.TripleKey, heads []kg.TripleKey) []kg.TripleKey {
+	body := kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}
+	for _, ref := range e.rs.byBody[k.Predicate] {
+		if !e.rs.bindsHead[ref.rule][ref.clause] {
+			continue
+		}
+		r := e.rs.rules[ref.rule]
+		head, ok := headGroundedBy(r.Head, r.Body[ref.clause], body)
+		if !ok {
+			continue
+		}
+		hk := head.IdentityKey()
+		if sup, ok := e.st.supports[hk]; ok && sup.rule == ref.rule && sup.body[ref.clause] == k {
+			heads = append(heads, hk)
+		}
+	}
+	return heads
+}
+
+// headGroundedBy grounds head from body fact t at atom c, which binds
+// every head variable. ok is false when the head subject grounds to a
+// literal.
+func headGroundedBy(head, c graphengine.Clause, t kg.Triple) (kg.Triple, bool) {
+	value := func(term graphengine.Term) kg.Value {
+		switch term.Var {
+		case "":
+			return term.Const
+		case c.Subject.Var:
+			return kg.EntityValue(t.Subject)
+		default:
+			return t.Object
+		}
+	}
+	s := value(head.Subject)
+	if !s.IsEntity() {
+		return kg.Triple{}, false
+	}
+	return kg.Triple{Subject: s.Entity, Predicate: head.Predicate, Object: value(head.Object)}, true
 }
 
 // rederivePendingLocked repairs a batch's overdeletion: one pass over

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,5 +386,64 @@ func TestPlanCacheRevalidatesAcrossDerivation(t *testing.T) {
 	}
 	if in := second.Steps()[0].Input; in != 1 {
 		t.Fatalf("after 100 derivations the plan starts at clause %d, want the selective tag clause (1)", in)
+	}
+}
+
+// TestStatsAnswersDuringMaintenance: Stats (behind GET /health and
+// Platform.RuleStats) must not wait for a maintenance step. The OnDelta
+// callback holds the maintainer mid-batch while Stats is called; Stats
+// answers at once with the cursor of the last finished step, and the
+// step's own cursor once it finishes.
+func TestStatsAnswersDuringMaintenance(t *testing.T) {
+	g := kg.NewGraph()
+	geng := graphengine.New(g)
+	a := mustEnt(t, g, "a")
+	b := mustEnt(t, g, "b")
+	rt := mustPred(t, g, "reportsTo")
+	rs, err := ParseRules(g, `chain(X, Y) :- reportsTo(X, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	e, err := New(geng, rs, Options{NoMaintainer: true, OnDelta: func(adds, rets []kg.Triple) {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	before := g.LastSeq()
+	if st := e.Stats(); st.Cursor != before || st.Lag != 0 {
+		t.Fatalf("after New: cursor %d lag %d, watermark %d", st.Cursor, st.Lag, before)
+	}
+
+	armed.Store(true)
+	mustAssert(t, g, a, rt, kg.EntityValue(b))
+	synced := make(chan struct{})
+	go func() {
+		defer close(synced)
+		e.Sync()
+	}()
+	<-entered
+	answered := make(chan Stats, 1)
+	go func() { answered <- e.Stats() }()
+	select {
+	case st := <-answered:
+		if st.Cursor != before {
+			t.Errorf("mid-batch Stats cursor %d, want the last finished step's %d", st.Cursor, before)
+		}
+	case <-time.After(time.Second):
+		close(release)
+		<-synced
+		t.Fatal("Stats waited behind a maintenance step")
+	}
+	close(release)
+	<-synced
+	if st, wm := e.Stats(), g.LastSeq(); st.Cursor != wm || st.Lag != 0 || st.Facts != 1 {
+		t.Fatalf("after Sync: cursor %d lag %d facts %d, want %d, 0, 1", st.Cursor, st.Lag, st.Facts, wm)
 	}
 }

@@ -72,8 +72,12 @@ type RuleSet struct {
 	rules  []Rule
 	heads  map[kg.PredicateID]struct{}
 	byBody map[kg.PredicateID][]bodyRef
-	strata [][]int // rule indices per stratum, dependencies first
-	source string  // original text when built by ParseRules, else ""
+	// bindsHead[ri][ci] reports whether body atom ci of rule ri binds
+	// every head variable: a fact that grounds it names the one head it
+	// can support.
+	bindsHead [][]bool
+	strata    [][]int // rule indices per stratum, dependencies first
+	source    string  // original text when built by ParseRules, else ""
 }
 
 // NewRuleSet validates and stratifies the rules. An empty rule set is
@@ -83,9 +87,10 @@ type RuleSet struct {
 // slots, and a head subject that is a variable or an entity constant.
 func NewRuleSet(rules []Rule) (*RuleSet, error) {
 	rs := &RuleSet{
-		rules:  make([]Rule, len(rules)),
-		heads:  make(map[kg.PredicateID]struct{}),
-		byBody: make(map[kg.PredicateID][]bodyRef),
+		rules:     make([]Rule, len(rules)),
+		heads:     make(map[kg.PredicateID]struct{}),
+		byBody:    make(map[kg.PredicateID][]bodyRef),
+		bindsHead: make([][]bool, len(rules)),
 	}
 	copy(rs.rules, rules)
 	for ri, r := range rs.rules {
@@ -95,8 +100,10 @@ func NewRuleSet(rules []Rule) (*RuleSet, error) {
 		rs.heads[r.Head.Predicate] = struct{}{}
 	}
 	for ri, r := range rs.rules {
+		rs.bindsHead[ri] = make([]bool, len(r.Body))
 		for ci, c := range r.Body {
 			rs.byBody[c.Predicate] = append(rs.byBody[c.Predicate], bodyRef{rule: ri, clause: ci})
+			rs.bindsHead[ri][ci] = bindsEveryVar(c, r.Head)
 		}
 	}
 	rs.strata = stratify(rs.rules, rs.heads)
@@ -140,6 +147,16 @@ func validateRule(r Rule) error {
 		}
 	}
 	return nil
+}
+
+// bindsEveryVar reports whether clause c mentions every variable of head.
+func bindsEveryVar(c, head graphengine.Clause) bool {
+	for _, t := range [2]graphengine.Term{head.Subject, head.Object} {
+		if t.Var != "" && t.Var != c.Subject.Var && t.Var != c.Object.Var {
+			return false
+		}
+	}
+	return true
 }
 
 // Rules returns a copy of the rule list in definition order.

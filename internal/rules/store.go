@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+
 	"saga/internal/graphengine"
 	"saga/internal/kg"
 )
@@ -22,6 +24,17 @@ import (
 // body fact key -> head fact keys it currently supports, which is what
 // makes the cascade a key-chase instead of a store scan.
 //
+// dependents is flat: a body key maps to a slice of head keys, unlisted
+// by swap-delete. A head has one to three body keys and a body key
+// supports a handful of heads, so a list is a scan of a few entries and
+// costs a fraction of a map per body fact. A head is listed once under
+// each distinct body key of its support (a body fact that grounds two
+// atoms of one rule is listed once), except a key that grounds an atom
+// binding every head variable (RuleSet.bindsHead): that atom and the key
+// name the one head they can support, so the cascade grounds the head
+// and checks its support instead (Engine.boundHeadsLocked); on the
+// mixed-live program that spares a sixth of the store's bytes.
+//
 // Analytics facts have no rule support (sup.rule == externalRule) and are
 // replaced wholesale by Derive* calls, but they participate in the
 // dependents index like any base fact, so a rule body over an analytics
@@ -32,9 +45,10 @@ import (
 // is every insert and remove.
 type store struct {
 	facts *graphengine.FactSet
+	rs    *RuleSet
 
 	supports   map[kg.TripleKey]support
-	dependents map[kg.TripleKey]map[kg.TripleKey]struct{} // body key -> head keys
+	dependents map[kg.TripleKey][]kg.TripleKey // body key -> head keys
 }
 
 // externalRule marks facts materialized by analytics passes rather than
@@ -50,11 +64,12 @@ type support struct {
 	body []kg.TripleKey
 }
 
-func newStore() *store {
+func newStore(rs *RuleSet) *store {
 	return &store{
 		facts:      graphengine.NewFactSet(),
+		rs:         rs,
 		supports:   make(map[kg.TripleKey]support),
-		dependents: make(map[kg.TripleKey]map[kg.TripleKey]struct{}),
+		dependents: make(map[kg.TripleKey][]kg.TripleKey),
 	}
 }
 
@@ -67,19 +82,28 @@ func (st *store) insert(t kg.Triple, sup support) bool {
 	}
 	k := t.IdentityKey()
 	st.supports[k] = sup
-	for _, bk := range sup.body {
-		deps := st.dependents[bk]
-		if deps == nil {
-			deps = make(map[kg.TripleKey]struct{})
-			st.dependents[bk] = deps
+	for i, bk := range sup.body {
+		if st.listed(sup, i) {
+			st.dependents[bk] = append(st.dependents[bk], k)
 		}
-		deps[k] = struct{}{}
+	}
+	return true
+}
+
+// listed reports whether a head with support sup is listed under body
+// key i: the key's first occurrence in the body, and no atom that binds
+// every head variable grounds it.
+func (st *store) listed(sup support, i int) bool {
+	for j, bk := range sup.body {
+		if bk == sup.body[i] && (j < i || st.rs.bindsHead[sup.rule][j]) {
+			return false
+		}
 	}
 	return true
 }
 
 // remove deletes the fact with identity key k, reporting whether it was
-// present. The fact's own support is unindexed from dependents, but
+// present. The fact's own support is unlisted from dependents, but
 // dependents[k] — the facts k supports — is preserved: the caller's
 // cascade consumes it.
 func (st *store) remove(k kg.TripleKey) (kg.Triple, bool) {
@@ -87,14 +111,30 @@ func (st *store) remove(k kg.TripleKey) (kg.Triple, bool) {
 	if !ok {
 		return kg.Triple{}, false
 	}
-	for _, bk := range st.supports[k].body {
-		if deps := st.dependents[bk]; deps != nil {
-			delete(deps, k)
-			if len(deps) == 0 {
-				delete(st.dependents, bk)
-			}
+	sup := st.supports[k]
+	for i, bk := range sup.body {
+		if st.listed(sup, i) {
+			st.unlist(bk, k)
 		}
 	}
 	delete(st.supports, k)
 	return t, true
+}
+
+// unlist removes head key k from body key bk's dependents by
+// swap-delete. A list the cascade has already taken finds nothing.
+func (st *store) unlist(bk, k kg.TripleKey) {
+	deps := st.dependents[bk]
+	i := slices.Index(deps, k)
+	if i < 0 {
+		return
+	}
+	last := len(deps) - 1
+	if last == 0 {
+		delete(st.dependents, bk)
+		return
+	}
+	deps[i] = deps[last]
+	deps[last] = kg.TripleKey{} // release its string for the collector
+	st.dependents[bk] = deps[:last]
 }

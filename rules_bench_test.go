@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"saga/internal/graphengine"
@@ -155,6 +156,51 @@ func benchRulesDelta(b *testing.B, chains, depth int, shareRoot bool, churnPct i
 		b.Fatalf("maintenance fell back to full re-derivation %d times", e.Stats().FullRuns-1)
 	}
 	b.ReportMetric(float64(churn), "edges/op")
+}
+
+// footprintRules is the end-to-end benchmark's mixed-live program: a
+// link is a collaboration that reaches someone with a spouse on record,
+// and a circle is the transitive closure of link.
+const footprintRules = `
+link(X, Y) :- collaborator(X, Y), spouse(Y, S).
+circle(X, Y) :- link(X, Y).
+circle(X, Z) :- circle(X, Y), link(Y, Z).
+`
+
+// BenchmarkRuleStoreFootprint reports heap_B/derived, the heap a rules
+// engine retains per derived fact: live heap after collection with the
+// engine built, less the live heap before, divided by Stats().Facts.
+// The world and the program are the mixed-live workload's (seed 1, 20 000
+// people, 400 clusters: about 22 000 derived facts). Report-only; the
+// figure counts bytes, so it does not drift with the box's speed (the
+// collector's timing moves it by a few bytes a fact).
+func BenchmarkRuleStoreFootprint(b *testing.B) {
+	w, err := workload.GenerateKG(workload.KGConfig{NumPeople: 20000, NumClusters: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	geng := graphengine.New(w.Graph)
+	rs, err := rules.ParseRules(w.Graph, footprintRules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var perFact float64
+	var facts int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		e, err := rules.New(geng, rs, rules.Options{NoMaintainer: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		retained := int64(liveHeap()) - int64(before)
+		facts = e.Stats().Facts
+		perFact = float64(retained) / float64(facts)
+		e.Close()
+		runtime.KeepAlive(e)
+	}
+	b.ReportMetric(perFact, "heap_B/derived")
+	b.ReportMetric(float64(facts), "facts")
 }
 
 func benchRulesComponents(b *testing.B) {

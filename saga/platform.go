@@ -110,20 +110,6 @@ func (p *Platform) DefineRulesText(text string) error {
 	if err != nil {
 		return err
 	}
-	return p.installRules(rs)
-}
-
-// DefineRules is DefineRulesText for programs built from Rule values
-// directly.
-func (p *Platform) DefineRules(list []Rule) error {
-	rs, err := rules.NewRuleSet(list)
-	if err != nil {
-		return err
-	}
-	return p.installRules(rs)
-}
-
-func (p *Platform) installRules(rs *rules.RuleSet) error {
 	eng, err := rules.New(p.engine, rs, rules.Options{OnDelta: p.engine.ApplyDerivedDeltas})
 	if err != nil {
 		return fmt.Errorf("saga: define rules: %w", err)
@@ -136,11 +122,11 @@ func (p *Platform) installRules(rs *rules.RuleSet) error {
 	return nil
 }
 
-// Rules returns the rules engine, or nil before DefineRules.
+// Rules returns the rules engine, or nil before DefineRulesText.
 func (p *Platform) Rules() *RulesEngine { return p.rules }
 
 // RuleStats snapshots the rules engine's derived-store size and
-// maintenance counters (zero value before DefineRules).
+// maintenance counters (zero value before DefineRulesText).
 func (p *Platform) RuleStats() RuleEngineStats {
 	if p.rules == nil {
 		return RuleEngineStats{}
@@ -167,11 +153,11 @@ type DeriveRequest struct {
 
 // DeriveStats runs one analytics pass and materializes the result as a
 // derived predicate (replacing any previous materialization of the same
-// predicate). Requires DefineRules first — an empty program
+// predicate). Requires DefineRulesText first — an empty program
 // (DefineRulesText("")) stands up an analytics-only engine.
 func (p *Platform) DeriveStats(req DeriveRequest) (DeriveReport, error) {
 	if p.rules == nil {
-		return DeriveReport{}, errors.New("saga: rules engine not initialized; call DefineRules first (an empty program works)")
+		return DeriveReport{}, errors.New("saga: rules engine not initialized; call DefineRulesText first (an empty program works)")
 	}
 	if req.Out == "" {
 		return DeriveReport{}, errors.New("saga: derive: output predicate name required")

@@ -146,8 +146,6 @@ func NewEngine(g *Graph) *Engine { return graphengine.New(g) }
 
 // Rule layer (internal/rules).
 type (
-	// Rule is one Datalog-style rule over query clauses.
-	Rule = rules.Rule
 	// RuleSet is a validated, stratified rule program.
 	RuleSet = rules.RuleSet
 	// RulesEngine maintains the derived-fact fixpoint incrementally.
