@@ -14,6 +14,7 @@ import (
 	"saga/internal/odke"
 	"saga/internal/ondevice"
 	"saga/internal/vecindex"
+	"saga/internal/wal"
 	"saga/internal/webcorpus"
 	"saga/internal/websearch"
 	"saga/internal/workload"
@@ -775,6 +776,36 @@ func BenchmarkGraphAssertWideSubject(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGraphFootprint reports heap_B/triple, the heap a graph
+// retains per fact: live heap after collection with the world imported
+// into a fresh graph, less the live heap before, divided by the graph's
+// fact count. The world is the end-to-end benchmark's (seed 1, 20 000
+// people, 400 clusters: 178 751 facts), imported as wal.ImportGraph does
+// it, so the figure covers the entity records as well as the facts.
+// Report-only; it counts bytes, so it does not drift with the box's
+// speed.
+func BenchmarkGraphFootprint(b *testing.B) {
+	w, err := workload.GenerateKG(workload.KGConfig{NumPeople: 20000, NumClusters: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var perTriple float64
+	var facts int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		g := kg.NewGraph()
+		if err := wal.ImportGraph(g, w.Graph); err != nil {
+			b.Fatal(err)
+		}
+		facts = g.NumTriples()
+		perTriple = float64(int64(liveHeap())-int64(before)) / float64(facts)
+		runtime.KeepAlive(g)
+	}
+	b.ReportMetric(perTriple, "heap_B/triple")
+	b.ReportMetric(float64(facts), "facts")
 }
 
 // BenchmarkGraphAssertBatchSorted measures the disk-restore shape: one

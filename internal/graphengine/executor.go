@@ -196,9 +196,9 @@ func (e *executor) emit() bool {
 // scanSorted appends every (subject, object) pair under pred to buf as
 // triples in (subject, object key) order and returns it. The pairs are
 // copied out under the index locks (one consistent read) so the caller
-// can enumerate and recurse lock-free; the predicate's postings are
-// map-backed across objects, so this is the one access path that has to
-// sort. Equal pairs — a derived fact the base graph also asserts —
+// can enumerate and recurse lock-free; the predicate's entries come in
+// (object, subject) order and an overlay's adds after them, so this is
+// the one access path that has to sort. Equal pairs — a derived fact the base graph also asserts —
 // collapse to one.
 func scanSorted(g conjGraph, pred kg.PredicateID, buf []kg.Triple) []kg.Triple {
 	g.PredicateEntriesFunc(pred, func(obj kg.Value, subj kg.EntityID) bool {

@@ -21,7 +21,7 @@ import (
 // graph's enumeration without sorting anything. The fact list is also the
 // identity set: membership, insert and remove are a binary search plus a
 // splice, and each fact is stored once, as the graph stores it: a
-// kg.FactRow, the 40-byte row the graph's own subject runs hold, keyed
+// kg.FactRow, the 40-byte row the graph's own delta holds, keyed
 // by (subject, predicate). Reads build Triples from the rows, so a fact
 // comes back with its provenance normalised exactly as the graph's do.
 //

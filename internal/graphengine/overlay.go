@@ -130,9 +130,10 @@ func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, after k
 }
 
 // PredicateEntriesFunc streams every (object, subject) pair under pred:
-// the base's entries not in dels, then the added ones. Like the live
-// graph's, the order is unspecified, and an add the base also holds
-// appears twice: the executor's scan sorts and collapses both.
+// the base's entries not in dels, then the added ones. The order is
+// unspecified (the live graph's is by object, then subject), and an add
+// the base also holds appears twice: the executor's scan sorts and
+// collapses both.
 func (o *Overlay) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.Value, subj kg.EntityID) bool) {
 	removed := o.dels.Frequency(pred) > 0
 	stopped := false

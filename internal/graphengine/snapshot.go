@@ -228,8 +228,8 @@ func rebuildAdjacencySnapshot(g *kg.Graph, f *kg.Changefeed) *AdjacencySnapshot 
 }
 
 // applyAdjacencyDelta produces the successor snapshot of prev after muts,
-// which must be the exact ordered mutation feed (prev.Seq(), w] as
-// returned by MutationsSince(prev.Seq()) — every OpAssert a fact that was
+// which must be the exact ordered mutation feed (prev.Seq(), w] as a
+// changefeed at prev.Seq() pulls it — every OpAssert a fact that was
 // really added, every OpRetract one that was really removed. That
 // exactness lets the delta be applied with no graph reads at all: the net
 // per-pair count change across the delta, added to the pair's previous

@@ -37,7 +37,7 @@ func TestTruncateLogRaisesFloorAndDropsEntries(t *testing.T) {
 	if g.LogFloor() != 0 {
 		t.Fatalf("fresh graph has floor %d", g.LogFloor())
 	}
-	all := g.MutationsSince(0)
+	all := g.appendMutationsSince(nil, 0)
 	if uint64(len(all)) != wm {
 		t.Fatalf("full log has %d entries, watermark %d", len(all), wm)
 	}
@@ -52,7 +52,7 @@ func TestTruncateLogRaisesFloorAndDropsEntries(t *testing.T) {
 	}
 
 	// MutationsSince(floor) must still be a complete, gapless feed.
-	rest := g.MutationsSince(cut)
+	rest := g.appendMutationsSince(nil, cut)
 	if uint64(len(rest)) != wm-cut {
 		t.Fatalf("MutationsSince(%d) has %d entries, want %d", cut, len(rest), wm-cut)
 	}
@@ -88,7 +88,7 @@ func TestTruncateLogClampsToWatermark(t *testing.T) {
 	if g.LogFloor() != wm {
 		t.Fatalf("LogFloor = %d, want watermark %d", g.LogFloor(), wm)
 	}
-	if rest := g.MutationsSince(wm); len(rest) != 0 {
+	if rest := g.appendMutationsSince(nil, wm); len(rest) != 0 {
 		t.Fatalf("log still has %d entries past the watermark", len(rest))
 	}
 	// New mutations land above the floor and feed normally.
@@ -97,7 +97,7 @@ func TestTruncateLogClampsToWatermark(t *testing.T) {
 	if err := g.Assert(Triple{Subject: id, Predicate: p, Object: BoolValue(true)}); err != nil {
 		t.Fatal(err)
 	}
-	rest := g.MutationsSince(g.LogFloor())
+	rest := g.appendMutationsSince(nil, g.LogFloor())
 	if len(rest) != 1 || rest[0].Seq != wm+1 {
 		t.Fatalf("post-truncation feed = %+v, want single entry at seq %d", rest, wm+1)
 	}
@@ -126,7 +126,7 @@ func TestAdvanceWatermark(t *testing.T) {
 	if g.LogFloor() != target {
 		t.Fatalf("LogFloor = %d, want %d", g.LogFloor(), target)
 	}
-	if ms := g.MutationsSince(0); len(ms) != 0 {
+	if ms := g.appendMutationsSince(nil, 0); len(ms) != 0 {
 		t.Fatalf("log retained %d entries across AdvanceWatermark", len(ms))
 	}
 
@@ -139,7 +139,7 @@ func TestAdvanceWatermark(t *testing.T) {
 	if g.LastSeq() != target+1 {
 		t.Fatalf("post-advance mutation drew seq %d, want %d", g.LastSeq(), target+1)
 	}
-	ms := g.MutationsSince(target)
+	ms := g.appendMutationsSince(nil, target)
 	if len(ms) != 1 || ms[0].Seq != target+1 {
 		t.Fatalf("MutationsSince(%d) = %+v", target, ms)
 	}
@@ -196,7 +196,7 @@ func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
 		}
 	}
 	for _, from := range []uint64{0, 1, mutLogChunkCap - 1, mutLogChunkCap, 3*mutLogChunkCap + 7, wm - 1, wm} {
-		muts := g.MutationsSince(from)
+		muts := g.appendMutationsSince(nil, from)
 		if uint64(len(muts)) != wm-from {
 			t.Fatalf("MutationsSince(%d) has %d entries, want %d", from, len(muts), wm-from)
 		}
@@ -208,15 +208,15 @@ func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
 	if dropped := g.TruncateLog(cut); uint64(dropped) != cut {
 		t.Fatalf("TruncateLog(%d) dropped %d", cut, dropped)
 	}
-	checkFeed(t, "after truncation", g.MutationsSince(cut), cut)
-	if n := len(g.MutationsSince(0)); uint64(n) != wm-cut {
+	checkFeed(t, "after truncation", g.appendMutationsSince(nil, cut), cut)
+	if n := len(g.appendMutationsSince(nil, 0)); uint64(n) != wm-cut {
 		t.Fatalf("a pull from below the floor has %d entries, want the %d retained", n, wm-cut)
 	}
 	// Appends continue in the trimmed log, and a reused, dirty destination
 	// buffer comes back holding exactly the batch.
 	p, _ := g.PredicateByName("score")
 	e, _ := g.EntityByKey("c0")
-	dst := g.MutationsSince(cut)[:5] // stale entries beyond len are fair game
+	dst := g.appendMutationsSince(nil, cut)[:5] // stale entries beyond len are fair game
 	for i := 0; i < 3*mutLogChunkCap; i++ {
 		if err := g.Assert(Triple{Subject: e.ID, Predicate: p.ID, Object: IntValue(int64(1e6 + i))}); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,20 +52,21 @@ type Predicate struct {
 	Functional bool
 }
 
-// graphShard holds the subject runs and mutation sub-log for the subjects
+// graphShard holds the delta and the mutation sub-log for the subjects
 // whose ID is ≡ i mod S, S the shard count. Everything inside is guarded
 // by the shard's own lock, so writers touching different shards never
 // contend. The trailing pad keeps two shards' mutexes off one cache line.
 type graphShard struct {
 	mu sync.RWMutex
 
-	// runs[uint32(subj) >> log2(S)] is subj's run: every fact about it,
-	// sorted by (predicate, object key) with no duplicates, nil when it
-	// has none. The shard's subject IDs are dense in that index. The runs
-	// are also the shard's identity set: membership is a binary search.
-	runs [][]FactRow
+	// delta[subj] is what the writes since the last fold changed of
+	// subj's facts: its rows sorted by (predicate, object key), each
+	// with an op that says what it does to the base (see frozen.merge).
+	// A subject the writes left as the base has it has no entry.
+	delta map[EntityID][]FactRow
+	spare spares[FactRow]
 
-	// triples is the number of facts in runs.
+	// triples is the number of facts about the shard's subjects.
 	triples int
 
 	// log holds this shard's slice of the global mutation feed. Sequence
@@ -82,20 +84,14 @@ type graphShard struct {
 	_ [64]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
 }
 
-// run returns the run at slot, nil past the end.
-func (sh *graphShard) run(slot uint32) []FactRow {
-	if int(slot) < len(sh.runs) {
-		return sh.runs[slot]
+// setDelta stores subj's delta rows, dropping the entry once they drain.
+func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
+	if len(rows) > 0 {
+		sh.delta[subj] = rows
+		return
 	}
-	return nil
-}
-
-// setRun stores the run at slot, growing runs to reach it.
-func (sh *graphShard) setRun(slot uint32, run []FactRow) {
-	if n := int(slot) + 1 - len(sh.runs); n > 0 {
-		sh.runs = append(sh.runs, make([][]FactRow, n)...)
-	}
-	sh.runs[slot] = run
+	sh.spare.give(rows)
+	delete(sh.delta, subj)
 }
 
 // Graph is an in-memory triple store with entity/predicate dictionaries,
@@ -113,7 +109,8 @@ func (sh *graphShard) setRun(slot uint32, run []FactRow) {
 // exactly one pom stripe. Reads that span subjects either visit shards
 // one at a time (NumTriples — each shard internally consistent, the sum
 // as fresh as the moment its shard was visited) or, when they carry
-// watermark semantics (TriplesSnapshot, MutationsSince, AllTriples), hold
+// watermark semantics (TriplesSnapshot, AllTriples, a Changefeed's
+// Pull), hold
 // every shard's read lock at once for a single consistent cut. Shard
 // locks are always acquired in index order and writers hold at most one
 // shard lock, so the two patterns cannot deadlock.
@@ -124,52 +121,73 @@ func (sh *graphShard) setRun(slot uint32, run []FactRow) {
 //
 // # Index layout and canonical order
 //
-//	runs: per shard, subject slot -> []FactRow     (fact lookup, outgoing,
-//	     and SPO identity: a subject's facts in one run sorted by
-//	     (predicate, object key), so a (subject, predicate) list is the
-//	     sub-run a binary search on the predicate finds, and membership
-//	     and removal are a binary search within it)
-//	pom: predicate -> ValueKey -> []EntityID       (the predicate-major
-//	     index, see pom.go: each posting sorted by subject ID, merged
-//	     across shards, partitioned into per-predicate lock stripes, with
-//	     per-predicate triple and entity-triple totals)
+// The facts sit in two layers: a frozen base that holds most of them and
+// a small delta of the writes since. Every read merges the two.
+//
+//	base: one immutable, pointer-free frozen value (base.go)
+//	     rows:  subject -> offsets into packed 16-byte rows, a subject's
+//	            rows sorted by (predicate, object key); a string literal
+//	            is an offset into one arena, a provenance an index into a
+//	            small table of interned handles
+//	     preds: predicate -> its distinct objects in key order, each
+//	            with offsets into one []EntityID of ascending subjects
+//	delta: per shard, subject -> []FactRow          (the rows the writes
+//	     since the base changed, sorted like the base's: a fact the base
+//	     lacks, a base fact hidden (op OpRetract), or a base fact under
+//	     another provenance (op OpAssert))
+//	pom: per stripe, predicate -> the postings' delta (pom.go: the
+//	     subjects each (predicate, object) gained and lost since the
+//	     base, each list ascending, and the change in the totals)
 //	log: per shard, chunks of 56-byte entries      (seq, subject,
 //	     predicate and a FactRow whose op field holds the mutation's op;
 //	     see mutlog.go)
 //
-// A fact is stored as a FactRow (row.go): its object key laid out flat
-// and an interned provenance handle, 40 bytes where a Triple is 128. The
-// subject is the run's slot: subject s lives in shard s mod S at index
-// s >> log2(S), so each shard's slots are dense. The predicate sits in
-// the row's padding. No Triple is stored: every read that hands out
-// Triples (Facts, FactsFunc, FactsChunked, OutgoingFunc, TriplesSnapshot,
-// AllTriples, MutationsSince) builds them from rows, so what a reader
-// gets is a copy. A built Triple's object is
-// its key's Value and its ObservedAt a UTC instant with no monotonic
-// reading — exactly what a graph recovered from the write-ahead log holds.
+// A read finds a (subject, predicate) list, or a (predicate, object)
+// posting, by binary search in each layer and merges the two in key
+// order (frozen.merge, posting.each), the way the as-of Overlay layers
+// its fact sets over a graph. A bulk load into a graph that holds no
+// fact — AssertBatch, the path of world generation, ImportGraph and
+// checkpoint recovery — freezes its batch straight into the base. After
+// that, once the delta holds more than a quarter of the base's facts
+// (and more than foldFloor rows), the write that crossed the line folds
+// it into a new base under every shard's and every stripe's write lock:
+// the adjacency snapshot's rebuild rule, so the folds cost a write O(1)
+// on average. A base frozen from any update history, read through its
+// delta, holds exactly what a graph built from scratch with the same
+// facts holds. Layers reports the two layers' sizes and the folds.
+//
+// A delta row is a FactRow (row.go): its object key laid out flat and an
+// interned provenance handle, 40 bytes where a Triple is 128; a base row
+// is 16 bytes. No Triple is stored: every read that hands out Triples
+// (Facts, FactsFunc, FactsChunked, OutgoingFunc, TriplesSnapshot,
+// AllTriples, a Changefeed's Pull) builds them from rows, so what a
+// reader gets is a copy. A built Triple's object is its key's Value —
+// a string literal from the base is a substring of its arena — and its
+// ObservedAt a UTC instant with no monotonic reading: exactly what a
+// graph recovered from the write-ahead log holds.
 //
 // Every enumeration the query stack builds on — a fact list, a posting —
 // is ordered by a key of the facts themselves, never by arrival: two
 // graphs holding the same facts enumerate them identically whatever
-// their shard counts, writer interleavings or retract/re-assert
+// their shard counts, writer interleavings, folds or retract/re-assert
 // histories, and so does a graph recovered from a checkpoint.
 // Cross-subject probes (SubjectsWithFunc, SubjectsWithCount,
-// PredicateFrequency, PredicateEntriesFunc, ComputeStats) read one pom
-// stripe instead of sweeping every shard; an entity's incoming edges
-// under a known predicate are its posting.
+// PredicateFrequency, PredicateEntriesFunc) read one pom stripe instead
+// of sweeping every shard; an entity's incoming edges under a known
+// predicate are its posting.
 //
 // # Write path and lock order
 //
-// A mutation takes its subject shard's write lock, finds the fact's place
-// in the subject's run by binary search (which is also the duplicate
-// check), splices the run, and then maintains the pom posting
-// inline under the predicate's stripe lock — shard lock, then stripe
-// lock, the stripe strictly leaf-level. Because every stripe write
-// happens under a shard write lock, the all-shard read lock (rlockAll)
-// freezes the pom index at the watermark exactly like the sharded
-// indexes. Entity IDs are dense and grow monotonically and AssertBatch
-// applies in ascending subject order, so world generation, ImportGraph
-// and checkpoint recovery insert at the tail of every list they grow.
+// A mutation takes its subject shard's write lock, finds the fact in the
+// subject's delta rows and, failing that, in its base rows by binary
+// search (which is also the duplicate check), records the change in the
+// delta, and then maintains the pom delta inline under the predicate's
+// stripe lock — shard lock, then stripe lock, the stripe strictly
+// leaf-level. Because every stripe write happens under a shard write
+// lock, the all-shard read lock (rlockAll) freezes the pom index at the
+// watermark exactly like the subject-major layers. A fold and a bulk
+// load take every shard's write lock in index order and then every
+// stripe's (lockAll), the same order.
 //
 // # Visitor callbacks
 //
@@ -187,9 +205,10 @@ func (sh *graphShard) setRun(slot uint32, run []FactRow) {
 //
 // Fact identity is the comparable TripleKey struct (subject ID, predicate
 // ID, object ValueKey); see ValueKey for the per-kind payload encoding.
-// No strings are built on the Assert/Retract/HasFact paths. A run that
-// drains is set to nil and pom entries are deleted as they drain, so a
-// long-lived graph under assert/retract churn does not leak them.
+// No strings are built on the Assert/Retract/HasFact paths. A subject's
+// delta entry and a posting's delta list are deleted as they drain, and
+// a fold empties the delta, so a long-lived graph under assert/retract
+// churn does not leak them.
 //
 // # Mutation log and watermark semantics
 //
@@ -202,9 +221,9 @@ func (sh *graphShard) setRun(slot uint32, run []FactRow) {
 // were built at and later decide staleness with a single comparison: a
 // derived structure at watermark w reflects exactly the first w
 // mutations. The log itself is stored as per-shard sub-logs of
-// fixed-capacity chunks (mutlog.go); MutationsSince merges them by
-// sequence number under the all-shard read lock, so consumers still see
-// one totally ordered change feed.
+// fixed-capacity chunks (mutlog.go); a Changefeed's Pull merges them
+// by sequence number under the all-shard read lock, so consumers still
+// see one totally ordered change feed.
 // Registering entities or predicates does not bump the watermark — a new
 // entity is observable in derived edge structures only once a triple
 // mentions it, and asserting that triple bumps the watermark.
@@ -216,11 +235,11 @@ func (sh *graphShard) setRun(slot uint32, run []FactRow) {
 // shard's last chunk fills). A feed may be bounded, so that it stops
 // holding the log once it lags too far. TruncateLog, a test hook, drops a
 // prefix whatever the feeds have read, and LogFloor reports the highest
-// dropped sequence number. MutationsSince(seq) is complete only when
-// seq >= LogFloor().
+// dropped sequence number. A read of the log past seq is complete only
+// when seq >= LogFloor().
 //
-// Consumers do not call MutationsSince directly: the Changefeed (see
-// changefeed.go) packages the pull-then-recheck-floor protocol — pull a
+// Consumers read the log through a Changefeed (see changefeed.go), which
+// packages the pull-then-recheck-floor protocol — pull a
 // batch, verify LogFloor has not passed the cursor, advance — as a
 // cursor-bearing handle with explicit floor/lag semantics and a single
 // rematerialization fallback contract. The graphengine adjacency
@@ -239,7 +258,7 @@ func (sh *graphShard) setRun(slot uint32, run []FactRow) {
 // (wal.Manager.DurableLSN); see the internal/wal package documentation.
 // A checkpoint other than a full one is the net change of a log window
 // since the previous checkpoint, folded by NetChangeSince. Recovery loads
-// a full checkpoint through the AssertBatch merge-append path and applies
+// a full checkpoint through AssertBatch's bulk load and applies
 // each delta after it, fast-forwards the watermark with
 // AdvanceWatermark, and replays the log suffix.
 type Graph struct {
@@ -271,7 +290,7 @@ type Graph struct {
 	// logFloor is the highest sequence number dropped from the per-shard
 	// mutation sub-logs (retention, TruncateLog, AdvanceWatermark).
 	// Entries at or below it are no longer retrievable via
-	// MutationsSince. It is raised BEFORE any entry is dropped, so a
+	// a Changefeed. It is raised BEFORE any entry is dropped, so a
 	// consumer that pulls mutations and then observes logFloor <= its
 	// watermark is guaranteed a complete feed.
 	logFloor atomic.Uint64
@@ -283,11 +302,16 @@ type Graph struct {
 	feeds  []*Changefeed
 
 	shardMask uint32
-	shardBits uint8 // log2(len(shards))
 	shards    []graphShard
 
-	// pom is the predicate-major secondary index (see pom.go).
+	// pom holds the predicate-major index's delta (see pom.go).
 	pom [pomStripeCount]pomStripe
+
+	// base is the frozen layer (base.go). Only a fold or a bulk load
+	// replaces it, under every shard's and every stripe's write lock, so
+	// any one of those locks keeps it fixed.
+	base   *frozen
+	layers layerCounts
 }
 
 // NewGraph returns an empty graph with a fresh ontology and the default
@@ -301,9 +325,9 @@ func NewGraph() *Graph {
 // (n <= 0 clamps to 1, the classic single-lock graph; benchmarks use it
 // as the scaling baseline).
 func NewGraphWithShards(n int) *Graph {
-	s, bits := 1, uint8(0)
+	s := 1
 	for s < n && s < 256 {
-		s, bits = s<<1, bits+1
+		s <<= 1
 	}
 	g := &Graph{
 		ontology:   NewOntology(),
@@ -312,13 +336,16 @@ func NewGraphWithShards(n int) *Graph {
 		predicates: []*Predicate{nil},
 		predByName: make(map[string]PredicateID),
 		shardMask:  uint32(s - 1),
-		shardBits:  bits,
 		shards:     make([]graphShard, s),
+		base:       &frozen{},
 	}
 	g.entLen.Store(1)
 	g.predLen.Store(1)
+	for i := range g.shards {
+		g.shards[i].delta = map[EntityID][]FactRow{}
+	}
 	for i := range g.pom {
-		g.pom[i].preds = make(map[PredicateID]*predPostings)
+		g.pom[i].preds = make(map[PredicateID]*predDelta)
 	}
 	return g
 }
@@ -329,9 +356,6 @@ func (g *Graph) NumShards() int { return len(g.shards) }
 func (g *Graph) shardIndex(subj EntityID) uint32 { return uint32(subj) & g.shardMask }
 
 func (g *Graph) shard(subj EntityID) *graphShard { return &g.shards[g.shardIndex(subj)] }
-
-// slot is subj's index in its shard's runs.
-func (g *Graph) slot(subj EntityID) uint32 { return uint32(subj) >> g.shardBits }
 
 // rlockAll acquires every shard's read lock in index order, freezing the
 // watermark and the whole triple state — the pom index included, since
@@ -346,6 +370,26 @@ func (g *Graph) rlockAll() {
 func (g *Graph) runlockAll() {
 	for i := range g.shards {
 		g.shards[i].mu.RUnlock()
+	}
+}
+
+// lockAll write-locks every shard, then every pom stripe: the cut under
+// which the base is replaced.
+func (g *Graph) lockAll() {
+	for i := range g.shards {
+		g.shards[i].mu.Lock()
+	}
+	for i := range g.pom {
+		g.pom[i].mu.Lock()
+	}
+}
+
+func (g *Graph) unlockAll() {
+	for i := range g.pom {
+		g.pom[i].mu.Unlock()
+	}
+	for i := range g.shards {
+		g.shards[i].mu.Unlock()
 	}
 }
 
@@ -601,32 +645,56 @@ func (g *Graph) AssertNew(t Triple) (bool, error) {
 		return false, err
 	}
 	row := RowOf(t.Object, t.Prov)
-	sh, slot := g.shard(t.Subject), g.slot(t.Subject)
+	row.pred = t.Predicate
+	sh := g.shard(t.Subject)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	run := sh.run(slot)
-	lo, hi := predBounds(run, t.Predicate)
-	i, dup := SearchRows(run[lo:hi], row.Key())
-	if dup {
-		return false, nil
+	added := g.addLocked(sh, t.Subject, row)
+	sh.mu.Unlock()
+	if added {
+		g.maybeFold()
 	}
-	sh.setRun(slot, g.insertLocked(sh, run, lo+i, t.Subject, t.Predicate, row))
-	return true, nil
+	return added, nil
 }
 
-// insertLocked splices row into subj's run at i under pred and indexes
-// it: the pom posting, the shard's fact count and the mutation log. It
-// returns the grown run for the caller to store. The caller holds sh's
-// write lock.
-func (g *Graph) insertLocked(sh *graphShard, run []FactRow, i int, subj EntityID, pred PredicateID, row FactRow) []FactRow {
-	stored := row
-	stored.pred = pred
-	run = slices.Insert(run, i, stored)
+// addLocked adds subj's fact row, which carries its predicate and no op,
+// unless the graph holds it, and reports whether it did. The delta takes
+// it as a row the base lacks, or by undoing (or, under another
+// provenance, replacing) its base row's removal; the pom posting, the
+// fact count and the log follow. The caller holds sh's write lock.
+func (g *Graph) addLocked(sh *graphShard, subj EntityID, row FactRow) bool {
+	d, key := sh.delta[subj], row.Key()
+	// A delta row found is a hidden base fact or the fact itself.
+	i, inBase := slices.BinarySearchFunc(d, row, compareRows)
+	switch {
+	case inBase && d[i].op != OpRetract:
+		return false
+	case inBase:
+		base := g.base.subject(subj, row.pred)
+		if j, _ := g.base.search(base, key); g.base.provs[base[j].tag>>3] == row.prov {
+			d = slices.Delete(d, i, i+1)
+			g.layers.dels.Add(-1)
+		} else {
+			d[i] = row
+			d[i].op = OpAssert
+			g.layers.adds.Add(1)
+		}
+	default:
+		if _, ok := g.base.search(g.base.subject(subj, row.pred), key); ok {
+			return false
+		}
+		if d == nil {
+			d = sh.spare.take()
+		}
+		d = slices.Insert(d, i, row)
+		g.layers.adds.Add(1)
+	}
+	sh.setDelta(subj, d)
 	sh.triples++
-	g.pomAdd(pred, row.Key(), subj)
-	row.op = OpAssert
+	g.pomEdit(row.pred, key, subj, true, inBase)
+	pred := row.pred
+	row.pred, row.op = 0, OpAssert
 	g.logLocked(sh, subj, pred, row)
-	return run
+	return true
 }
 
 // logLocked appends a mutation to sh's log under a fresh sequence
@@ -655,18 +723,16 @@ func (g *Graph) AssertAll(ts []Triple) error {
 // AssertBatch is the batch ingestion fast path: it validates every triple
 // up front (applying nothing on error), orders the batch by (subject,
 // predicate, object identity), and applies it one subject at a time —
-// one shard lock acquisition and one grow of the subject's run per
-// subject. It returns the number of facts newly added —
-// triples whose SPO identity already existed in the graph, or that repeat
-// an identity earlier in the batch (first occurrence in input order
-// wins), are skipped.
+// one shard lock acquisition per subject. It returns the number of facts
+// newly added — triples whose SPO identity already existed in the graph,
+// or that repeat an identity earlier in the batch (first occurrence in
+// input order wins), are skipped.
 //
-// Applying in ascending subject order is what keeps a bulk load cheap on
-// the sorted indexes: fresh subjects reach every posting in ID order, so
-// each insert lands at the tail instead of splicing mid-list. Input
-// already sorted by SPO identity (the order AllTriples emits, i.e. what a
-// disk restore or a sorted bulk load feeds back) is detected in O(n) and
-// skips the O(n log n) comparison sort.
+// A batch into a graph that holds no fact — world generation, ImportGraph,
+// checkpoint recovery — is frozen straight into the base (see load).
+// Input already sorted by SPO identity (the order AllTriples emits, i.e.
+// what a disk restore or a sorted bulk load feeds back) is detected in
+// O(n) and skips the O(n log n) comparison sort.
 func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 	if len(ts) == 0 {
 		return 0, nil
@@ -701,81 +767,105 @@ func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 			return cmp.Compare(a, b)
 		})
 	}
-	for lo := 0; lo < len(order); {
-		subj := keys[order[lo]].Subject
-		hi := lo + 1
-		for hi < len(order) && keys[order[hi]].Subject == subj {
-			hi++
+	kept := order[:0]
+	for _, oi := range order {
+		if len(kept) == 0 || keys[oi] != keys[kept[len(kept)-1]] {
+			kept = append(kept, oi)
 		}
-		added += g.assertSubjectBatch(g.shard(subj), ts, keys, order[lo:hi])
-		lo = hi
 	}
+	if g.load(ts, keys, kept) {
+		return len(kept), nil
+	}
+	for i := 0; i < len(kept); {
+		subj := keys[kept[i]].Subject
+		sh := g.shard(subj)
+		sh.mu.Lock()
+		for ; i < len(kept) && keys[kept[i]].Subject == subj; i++ {
+			row := rowOf(keys[kept[i]].Object, ts[kept[i]].Prov)
+			row.pred = keys[kept[i]].Predicate
+			if g.addLocked(sh, subj, row) {
+				added++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	g.maybeFold()
 	return added, nil
 }
 
-// assertSubjectBatch applies one subject's slice of a sorted batch under
-// a single acquisition of its shard's lock.
-func (g *Graph) assertSubjectBatch(sh *graphShard, ts []Triple, keys []TripleKey, order []int32) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	// Filter duplicates first — in-batch (adjacent after sorting) and
-	// against the stored run — so the grow size below is exact.
-	// Compaction reuses order's backing array.
-	subj := keys[order[0]].Subject
-	slot := g.slot(subj)
-	run := sh.run(slot)
-	kept := order[:0]
-	for i, oi := range order {
-		k := keys[oi]
-		if i > 0 && k == keys[order[i-1]] {
-			continue
+// load freezes the deduplicated, sorted batch kept straight into a new
+// base, logging each fact, when the graph holds no fact; it reports
+// false, and does nothing, otherwise.
+func (g *Graph) load(ts []Triple, keys []TripleKey, kept []int32) bool {
+	g.lockAll()
+	defer g.unlockAll()
+	for i := range g.shards {
+		if g.shards[i].triples > 0 {
+			return false
 		}
-		lo, hi := predBounds(run, k.Predicate)
-		if _, dup := SearchRows(run[lo:hi], k.Object); dup {
-			continue
-		}
-		kept = append(kept, oi)
 	}
-	if len(kept) == 0 {
-		return 0
-	}
-	// The batch is sorted by (predicate, object key) like the run it
-	// merges into; a load into an empty run (restore, bulk import)
-	// inserts at the tail.
-	run = slices.Grow(run, len(kept))
+	bl := newBuilder(len(kept))
 	for _, oi := range kept {
 		k := keys[oi]
-		lo, hi := predBounds(run, k.Predicate)
-		at, _ := SearchRows(run[lo:hi], k.Object)
-		run = g.insertLocked(sh, run, lo+at, subj, k.Predicate, rowOf(k.Object, ts[oi].Prov))
+		sh := g.shard(k.Subject)
+		row := rowOf(k.Object, ts[oi].Prov)
+		row.op = OpAssert
+		g.logLocked(sh, k.Subject, k.Predicate, row)
+		sh.triples++
+		row.pred, row.op = k.Predicate, 0
+		bl.add(k.Subject, row)
 	}
-	sh.setRun(slot, run)
-	return len(kept)
+	b := bl.seal()
+	b.sortPostings()
+	g.install(b)
+	return true
 }
 
 // Retract removes the fact with the same SPO identity as t, if present,
 // and appends an OpRetract mutation carrying t. It reports whether a fact
 // was removed.
 func (g *Graph) Retract(t Triple) bool {
-	key := t.Object.MapKey()
-	sh, slot := g.shard(t.Subject), g.slot(t.Subject)
+	sh := g.shard(t.Subject)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	run := sh.run(slot)
-	lo, hi := predBounds(run, t.Predicate)
-	i, ok := SearchRows(run[lo:hi], key)
-	if !ok {
-		return false
+	removed := g.removeLocked(sh, t)
+	sh.mu.Unlock()
+	if removed {
+		g.maybeFold()
 	}
-	if len(run) > 1 {
-		sh.runs[slot] = slices.Delete(run, lo+i, lo+i+1)
-	} else {
-		sh.runs[slot] = nil
-	}
-	sh.triples--
-	g.pomRemove(t.Predicate, key, t.Subject)
+	return removed
+}
 
+// removeLocked removes t's fact if the graph holds it, and reports
+// whether it did: the delta drops the fact's added row, or hides its base
+// row. The caller holds sh's write lock.
+func (g *Graph) removeLocked(sh *graphShard, t Triple) bool {
+	key := t.Object.MapKey()
+	hide := FactRow{num: key.Num, str: key.Str, kind: key.Kind, op: OpRetract, pred: t.Predicate}
+	d := sh.delta[t.Subject]
+	i, found := slices.BinarySearchFunc(d, hide, compareRows)
+	inBase := !found || d[i].op != 0
+	switch {
+	case found && d[i].op == OpRetract:
+		return false
+	case !inBase:
+		d = slices.Delete(d, i, i+1)
+		g.layers.adds.Add(-1)
+	case found:
+		d[i] = hide
+		g.layers.adds.Add(-1)
+	default:
+		if _, ok := g.base.search(g.base.subject(t.Subject, t.Predicate), key); !ok {
+			return false
+		}
+		if d == nil {
+			d = sh.spare.take()
+		}
+		d = slices.Insert(d, i, hide)
+		g.layers.dels.Add(1)
+	}
+	sh.setDelta(t.Subject, d)
+	sh.triples--
+	g.pomEdit(t.Predicate, key, t.Subject, false, inBase)
 	row := rowOf(key, t.Prov)
 	row.op = OpRetract
 	g.logLocked(sh, t.Subject, t.Predicate, row)
@@ -788,14 +878,17 @@ func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rows := g.rowsLocked(sh, subj, pred)
-	if len(rows) == 0 {
+	base, delta := g.layersLocked(sh, subj, pred)
+	n := countRows(base, delta)
+	if n == 0 {
 		return nil
 	}
-	out := make([]Triple, len(rows))
-	for i := range rows {
-		rows[i].fill(&out[i], subj, pred)
-	}
+	out := make([]Triple, 0, n)
+	g.base.merge(base, delta, func(r FactRow) bool {
+		out = out[:len(out)+1]
+		r.fill(&out[len(out)-1], subj, pred)
+		return true
+	})
 	return out
 }
 
@@ -809,14 +902,12 @@ func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool)
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rows := g.rowsLocked(sh, subj, pred)
+	base, delta := g.layersLocked(sh, subj, pred)
 	var t Triple
-	for i := range rows {
-		rows[i].fill(&t, subj, pred)
-		if !fn(t) {
-			return
-		}
-	}
+	g.base.merge(base, delta, func(r FactRow) bool {
+		r.fill(&t, subj, pred)
+		return fn(t)
+	})
 }
 
 // FactsChunked streams the (subj, pred) triples to fn in object-key
@@ -828,9 +919,9 @@ func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool)
 // stops the enumeration; the chunk slice is reused across calls.
 //
 // Each chunk resumes at the first fact whose object key is greater than
-// the last one delivered, so concurrent splices cannot shift the read:
-// every fact present for the whole enumeration is delivered exactly once,
-// and none is delivered twice.
+// the last one delivered, so neither a write nor a fold can shift the
+// read: every fact present for the whole enumeration is delivered exactly
+// once, and none is delivered twice.
 func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn func(chunk []Triple) bool) {
 	if chunkSize <= 0 {
 		chunkSize = 1024
@@ -842,17 +933,26 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 	)
 	for {
 		sh.mu.RLock()
-		rows := g.rowsLocked(sh, subj, pred)
-		i, found := SearchRows(rows, after)
-		if found {
-			i++
+		base, delta := g.layersLocked(sh, subj, pred)
+		if i, found := g.base.search(base, after); found {
+			base = base[i+1:]
+		} else {
+			base = base[i:]
 		}
-		end := min(i+chunkSize, len(rows))
-		buf = slices.Grow(buf[:0], end-i)[:end-i]
-		for j := range buf {
-			rows[i+j].fill(&buf[j], subj, pred)
+		if i, found := SearchRows(delta, after); found {
+			delta = delta[i+1:]
+		} else {
+			delta = delta[i:]
 		}
-		done := end == len(rows)
+		buf = slices.Grow(buf[:0], min(chunkSize, countRows(base, delta)))
+		done := g.base.merge(base, delta, func(r FactRow) bool {
+			if len(buf) == chunkSize {
+				return false
+			}
+			buf = append(buf, Triple{})
+			r.fill(&buf[len(buf)-1], subj, pred)
+			return true
+		})
 		sh.mu.RUnlock()
 		if len(buf) == 0 || !fn(buf) || done {
 			return
@@ -862,41 +962,42 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 }
 
 // FactCount returns the number of (subj, pred, *) facts without
-// materializing the fact slice: one shard read lock and two binary
-// searches of the subject's run. It is the planner's bound-subject
-// selectivity probe.
+// materializing the fact slice: one shard read lock and a few binary
+// searches. It is the planner's bound-subject selectivity probe.
 func (g *Graph) FactCount(subj EntityID, pred PredicateID) int {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(g.rowsLocked(sh, subj, pred))
+	return countRows(g.layersLocked(sh, subj, pred))
 }
 
-// rowsLocked returns subj's facts under pred, the sub-run of its run in
-// object-key order. The caller holds sh's lock.
-func (g *Graph) rowsLocked(sh *graphShard, subj EntityID, pred PredicateID) []FactRow {
-	run := sh.run(g.slot(subj))
-	lo, hi := predBounds(run, pred)
-	return run[lo:hi]
+// layersLocked returns subj's facts under pred — under every predicate
+// for NoPredicate — as its base rows and its delta rows (see
+// frozen.merge). The caller holds sh's lock.
+func (g *Graph) layersLocked(sh *graphShard, subj EntityID, pred PredicateID) ([]baseRow, []FactRow) {
+	delta := sh.delta[subj]
+	if pred != NoPredicate {
+		lo := sort.Search(len(delta), func(i int) bool { return delta[i].pred >= pred })
+		delta = delta[lo : lo+sort.Search(len(delta[lo:]), func(i int) bool { return delta[lo+i].pred > pred })]
+	}
+	return g.base.subject(subj, pred), delta
 }
 
 // OutgoingFunc streams every triple whose subject is subj to fn under the
 // subject shard's read lock, stopping early if fn returns false. The
-// order is the subject's run: by predicate ID, then by object key. fn
-// must not mutate the graph or read its triple indexes; it may read the
-// dictionaries (see Visitor callbacks on Graph).
+// order is by predicate ID, then by object key. fn must not mutate the
+// graph or read its triple indexes; it may read the dictionaries (see
+// Visitor callbacks on Graph).
 func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	base, delta := g.layersLocked(sh, subj, NoPredicate)
 	var t Triple
-	run := sh.run(g.slot(subj))
-	for i := range run {
-		run[i].fill(&t, subj, run[i].pred)
-		if !fn(t) {
-			return
-		}
-	}
+	g.base.merge(base, delta, func(r FactRow) bool {
+		r.fill(&t, subj, r.pred)
+		return fn(t)
+	})
 }
 
 // HasFact reports whether the exact fact (ignoring provenance) is asserted.
@@ -904,7 +1005,12 @@ func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
 	sh := g.shard(subj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := SearchRows(g.rowsLocked(sh, subj, pred), obj.MapKey())
+	base, delta := g.layersLocked(sh, subj, pred)
+	key := obj.MapKey()
+	if i, ok := SearchRows(delta, key); ok {
+		return delta[i].op != OpRetract
+	}
+	_, ok := g.base.search(base, key)
 	return ok
 }
 
@@ -943,39 +1049,26 @@ func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
 	g.rlockAll()
 	defer g.runlockAll()
 	var t Triple
-	g.runsLocked(func(subj EntityID, run []FactRow) bool {
-		for i := range run {
-			run[i].fill(&t, subj, run[i].pred)
-			if !fn(t) {
-				return false
-			}
-		}
-		return true
+	g.factsLocked(func(subj EntityID, r FactRow) bool {
+		r.fill(&t, subj, r.pred)
+		return fn(t)
 	})
 	return g.seq.Load()
 }
 
-// runsLocked calls fn with every non-empty run in ascending subject ID
-// order, stopping early if fn returns false: slot by slot, and within a
-// slot shard by shard, since subject s sits at slot s >> log2(S) of
-// shard s mod S. The caller holds every shard's read lock.
-func (g *Graph) runsLocked(fn func(subj EntityID, run []FactRow) bool) {
-	slots := 0
-	for i := range g.shards {
-		slots = max(slots, len(g.shards[i].runs))
-	}
-	for slot := range uint32(slots) {
-		for i := range g.shards {
-			if run := g.shards[i].run(slot); len(run) > 0 && !fn(EntityID(slot<<g.shardBits|uint32(i)), run) {
-				return
-			}
+// factsLocked calls fn with every fact in identity order, stopping early
+// if fn returns false. The caller holds every shard's lock.
+func (g *Graph) factsLocked(fn func(subj EntityID, r FactRow) bool) {
+	for s := EntityID(1); int64(s) < g.entLen.Load(); s++ {
+		base, delta := g.layersLocked(g.shard(s), s, NoPredicate)
+		if !g.base.merge(base, delta, func(r FactRow) bool { return fn(s, r) }) {
+			return
 		}
 	}
 }
 
 // AllTriples materializes every asserted triple in identity order (by
-// subject, then predicate, then object identity key — the runs' own
-// order).
+// subject, then predicate, then object identity key).
 func (g *Graph) AllTriples() []Triple {
 	g.rlockAll()
 	defer g.runlockAll()
@@ -987,13 +1080,10 @@ func (g *Graph) allTriplesLocked() []Triple {
 	for i := range g.shards {
 		total += g.shards[i].triples
 	}
-	out := make([]Triple, total)
-	n := 0
-	g.runsLocked(func(subj EntityID, run []FactRow) bool {
-		for i := range run {
-			run[i].fill(&out[n+i], subj, run[i].pred)
-		}
-		n += len(run)
+	out := make([]Triple, 0, total)
+	g.factsLocked(func(subj EntityID, r FactRow) bool {
+		out = out[:len(out)+1]
+		r.fill(&out[len(out)-1], subj, r.pred)
 		return true
 	})
 	return out
@@ -1030,7 +1120,7 @@ func (g *Graph) Predicates(fn func(*Predicate) bool) {
 
 // appendMutationsSince appends the per-shard logs' entries with sequence
 // numbers strictly greater than seq to dst as one ascending feed, under
-// one all-shard cut: MutationsSince for a consumer that reuses a buffer.
+// one all-shard cut: the read behind a Changefeed's Pull.
 //
 // Sequence numbers are dense — every number drawn is logged on exactly
 // one shard — so the entries past seq are the contiguous range
@@ -1090,17 +1180,10 @@ func (g *Graph) appendMutationsSince(dst []Mutation, seq uint64) []Mutation {
 	return dst[:len(dst)+len(out)]
 }
 
-// MutationsSince returns a copy of the mutation log entries with sequence
-// numbers strictly greater than seq, in ascending sequence order, merged
-// across the per-shard sub-logs under one consistent all-shard cut.
-func (g *Graph) MutationsSince(seq uint64) []Mutation {
-	return g.appendMutationsSince(nil, seq)
-}
-
 // LastSeq returns the sequence number of the most recent mutation. A bare
 // atomic load: the mutation that owns the returned number may still be
 // completing on its shard, so treat the value as a staleness hint; use
-// TriplesSnapshot or MutationsSince for reads whose watermark must
+// TriplesSnapshot or a Changefeed for reads whose watermark must
 // exactly match the observed state.
 func (g *Graph) LastSeq() uint64 {
 	return g.seq.Load()
@@ -1108,7 +1191,7 @@ func (g *Graph) LastSeq() uint64 {
 
 // LogFloor returns the highest mutation sequence number that has been
 // dropped from the in-memory log (0 when nothing was ever dropped).
-// MutationsSince(seq) is a complete feed only when seq >= LogFloor().
+// A read of the log past seq is complete only when seq >= LogFloor().
 // Retention keeps the floor at or below the smallest cursor of an open
 // feed within its bound (see Changefeed.Bound); TruncateLog and
 // AdvanceWatermark may raise it past any feed.
@@ -1150,7 +1233,7 @@ func (g *Graph) raiseFloor(seq uint64) {
 // fall back to a full read. The floor (LogFloor) is raised first, then
 // shards are compacted one at a time, the chunk the cut lands in trimmed
 // at its head; concurrent writers are unaffected (their entries are
-// strictly above upTo), and concurrent MutationsSince callers detect the
+// strictly above upTo), and concurrent log readers detect the
 // truncation via the floor check described on LogFloor.
 func (g *Graph) TruncateLog(upTo uint64) int {
 	if upTo == 0 {
@@ -1184,14 +1267,8 @@ func (g *Graph) TruncateLog(upTo uint64) int {
 // running. Rewinding is not possible: seq below the current watermark
 // is an error, and nothing is modified.
 func (g *Graph) AdvanceWatermark(seq uint64) error {
-	for i := range g.shards {
-		g.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range g.shards {
-			g.shards[i].mu.Unlock()
-		}
-	}()
+	g.lockAll()
+	defer g.unlockAll()
 	cur := g.seq.Load()
 	if seq < cur {
 		return fmt.Errorf("kg: AdvanceWatermark(%d) below current watermark %d", seq, cur)
@@ -1209,8 +1286,8 @@ func (g *Graph) AdvanceWatermark(seq uint64) error {
 // AllTriplesSnapshot is AllTriples plus the mutation watermark the
 // materialized slice reflects, both taken under one all-shard cut. It is
 // the checkpoint read: the returned triples are exactly the state after
-// the first seq mutations, in identity order — the order AssertBatch's
-// merge-append restore path detects in O(n).
+// the first seq mutations, in identity order — the order AssertBatch
+// detects in O(n) and a bulk load freezes straight into a base.
 func (g *Graph) AllTriplesSnapshot() (ts []Triple, seq uint64) {
 	g.rlockAll()
 	defer g.runlockAll()

@@ -117,8 +117,8 @@ func TestAssertDedup(t *testing.T) {
 	if g.NumTriples() != 1 {
 		t.Fatalf("NumTriples = %d, want 1 after duplicate asserts", g.NumTriples())
 	}
-	if len(g.MutationsSince(0)) != 1 {
-		t.Fatalf("mutation log has %d entries, want 1", len(g.MutationsSince(0)))
+	if len(g.appendMutationsSince(nil, 0)) != 1 {
+		t.Fatalf("mutation log has %d entries, want 1", len(g.appendMutationsSince(nil, 0)))
 	}
 }
 
@@ -146,7 +146,7 @@ func TestRetract(t *testing.T) {
 	if len(subjectsWith(g, p, EntityValue(b))) != 0 {
 		t.Fatal("posting non-empty after retract")
 	}
-	muts := g.MutationsSince(0)
+	muts := g.appendMutationsSince(nil, 0)
 	if len(muts) != 2 || muts[1].Op != OpRetract {
 		t.Fatalf("mutation log = %v, want assert+retract", muts)
 	}
@@ -263,13 +263,13 @@ func TestMutationsSince(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(g.MutationsSince(0)); got != 5 {
+	if got := len(g.appendMutationsSince(nil, 0)); got != 5 {
 		t.Fatalf("MutationsSince(0) = %d, want 5", got)
 	}
-	if got := len(g.MutationsSince(3)); got != 2 {
+	if got := len(g.appendMutationsSince(nil, 3)); got != 2 {
 		t.Fatalf("MutationsSince(3) = %d, want 2", got)
 	}
-	if got := len(g.MutationsSince(5)); got != 0 {
+	if got := len(g.appendMutationsSince(nil, 5)); got != 0 {
 		t.Fatalf("MutationsSince(5) = %d, want 0", got)
 	}
 	if g.LastSeq() != 5 {

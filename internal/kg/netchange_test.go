@@ -57,7 +57,7 @@ func TestNetChangeSinceReproducesWindow(t *testing.T) {
 	}
 	preds := []PredicateID{mustPredicate(t, g, "p"), mustPredicate(t, g, "q"), mustPredicate(t, g, "r")}
 	churn(g, rand.New(rand.NewSource(5)), ents, preds, 3000)
-	history := g.MutationsSince(0)
+	history := g.appendMutationsSince(nil, 0)
 	live := g.AllTriples()
 
 	for _, base := range []uint64{0, 1, 17, uint64(len(history)) / 2, uint64(len(history)) - 3, uint64(len(history))} {

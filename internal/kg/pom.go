@@ -9,10 +9,14 @@ import (
 // posting list of subjects). Any cross-subject probe — the bound-object
 // clause of a conjunctive query, a selectivity estimate — would otherwise
 // have to sweep every subject shard; the pom index holds the postings
-// merged across shards, partitioned by predicate into fixed lock stripes,
-// so one stripe read-lock answers the whole-graph question. Per-predicate
-// totals ride along, making PredicateFrequency and the planner's cost
-// estimates O(1) count lookups instead of shard sweeps or slice builds.
+// merged across shards, so one stripe read-lock answers the whole-graph
+// question. A posting is in two layers: the base's (frozen.posting: a
+// predicate's distinct objects in key order, each with its subjects in
+// one []EntityID) and the delta's, partitioned by predicate into fixed
+// lock stripes (predDelta: the subjects each object gained and lost since
+// the base). Per-predicate totals ride along, making PredicateFrequency
+// and the planner's cost estimates O(1) count lookups instead of shard
+// sweeps or slice builds.
 //
 // # The sorted-posting invariant
 //
@@ -23,9 +27,9 @@ import (
 // interleaving, or the retract/re-assert history, two graphs holding the
 // same facts hold byte-identical postings — which is what lets a
 // checkpoint-recovered graph, an as-of overlay and the live graph stream
-// the same rows in the same order. Add and remove are a binary search
-// plus a splice; entity IDs are dense and grow monotonically, so bulk
-// loads of fresh subjects append at the tail.
+// the same rows in the same order. A read merges the base's list with
+// the delta's (posting.each); a write splices only the delta's short
+// lists.
 //
 // # Locking and watermark contract
 //
@@ -43,7 +47,7 @@ import (
 //
 // SubjectsWithChunked copies a posting out a chunk at a time and resumes
 // each chunk at the first subject greater than the last one delivered —
-// by key, never by offset — so concurrent splices cannot shift it: the
+// by key, never by offset — so neither a write nor a fold can shift it: the
 // delivered subjects are strictly ascending, every subject present for
 // the whole enumeration is delivered exactly once, and none is delivered
 // twice. Graph.FactsChunked gives fact lists the same guarantee.
@@ -53,22 +57,25 @@ import (
 // distinct predicates rare while bounding the fixed per-graph footprint.
 const pomStripeCount = 64
 
-// predPostings holds one predicate's postings and counters.
-type predPostings struct {
-	// objs maps object identity -> the sorted posting of subjects
-	// asserting (pred, obj).
-	objs map[ValueKey][]EntityID
-	// total is the number of (pred, *) triples; entityTotal the subset
-	// whose object is an entity.
-	total       int
-	entityTotal int
+// predDelta is what the writes since the last fold changed of one
+// predicate's postings.
+type predDelta struct {
+	// adds[obj] holds, ascending, the subjects whose (pred, obj) fact the
+	// base lacks and the graph holds; dels[obj] those whose fact the base
+	// holds and the graph no longer does.
+	adds, dels map[ValueKey][]EntityID
+	// total is the change in the number of (pred, *) facts; entities the
+	// change among those whose object is an entity.
+	total, entities int
 }
 
-// pomStripe guards the postings of the predicates hashing to the stripe.
-// The trailing pad keeps neighboring stripes' mutexes off one cache line.
+// pomStripe guards the posting deltas of the predicates hashing to the
+// stripe. The trailing pad keeps neighboring stripes' mutexes off one
+// cache line.
 type pomStripe struct {
 	mu    sync.RWMutex
-	preds map[PredicateID]*predPostings
+	preds map[PredicateID]*predDelta
+	spare spares[EntityID]
 
 	_ [96]byte // pad to 128 bytes
 }
@@ -77,57 +84,82 @@ func (g *Graph) pomStripe(pred PredicateID) *pomStripe {
 	return &g.pom[uint32(pred)&(pomStripeCount-1)]
 }
 
-// pomAdd inserts subj into the (pred, obj) posting. The caller holds
-// subj's shard write lock and has established the fact is new.
-func (g *Graph) pomAdd(pred PredicateID, obj ValueKey, subj EntityID) {
+// pomEdit records that subj's (pred, obj) fact is now present or absent;
+// inBase says whether the base holds it. The caller holds subj's shard
+// write lock and has established the fact's presence changed.
+func (g *Graph) pomEdit(pred PredicateID, obj ValueKey, subj EntityID, present, inBase bool) {
 	st := g.pomStripe(pred)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		pp = &predPostings{objs: make(map[ValueKey][]EntityID)}
-		st.preds[pred] = pp
+	pd := st.preds[pred]
+	if pd == nil {
+		pd = &predDelta{adds: map[ValueKey][]EntityID{}, dels: map[ValueKey][]EntityID{}}
+		st.preds[pred] = pd
 	}
-	p := pp.objs[obj]
+	m := pd.adds
+	if inBase {
+		m = pd.dels
+	}
+	p := m[obj]
+	if p == nil {
+		p = st.spare.take()
+	}
 	i, _ := slices.BinarySearch(p, subj)
-	pp.objs[obj] = slices.Insert(p, i, subj)
-	pp.total++
+	switch {
+	case present != inBase:
+		m[obj] = slices.Insert(p, i, subj)
+	case len(p) == 1:
+		st.spare.give(p)
+		delete(m, obj)
+	default:
+		m[obj] = slices.Delete(p, i, i+1)
+	}
+	n := -1
+	if present {
+		n = 1
+	}
+	pd.total += n
 	if obj.Kind == KindEntity {
-		pp.entityTotal++
+		pd.entities += n
 	}
 }
 
-// pomRemove deletes subj from the (pred, obj) posting. The caller holds
-// subj's shard write lock and has established the fact was present.
-func (g *Graph) pomRemove(pred PredicateID, obj ValueKey, subj EntityID) {
-	st := g.pomStripe(pred)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	pp := st.preds[pred]
-	p := pp.objs[obj]
-	if i, ok := slices.BinarySearch(p, subj); ok {
-		if len(p) == 1 {
-			delete(pp.objs, obj)
+// posting is a (pred, obj) posting in its layers: the base's subjects,
+// and the delta's added ones, which the base lacks, and removed ones,
+// which it holds; each ascending.
+type posting struct{ base, adds, dels []EntityID }
+
+// postingLocked returns the (pred, obj) posting. The caller holds the
+// stripe's lock.
+func (g *Graph) postingLocked(st *pomStripe, pred PredicateID, obj ValueKey) (p posting) {
+	if pd := st.preds[pred]; pd != nil {
+		p.adds, p.dels = pd.adds[obj], pd.dels[obj]
+	}
+	p.base = g.base.posting(pred, obj)
+	return p
+}
+
+func (p posting) count() int { return len(p.base) + len(p.adds) - len(p.dels) }
+
+// each calls fn with p's subjects in ascending order and reports whether
+// it ran to the end.
+func (p posting) each(fn func(EntityID) bool) bool {
+	for i, j, k := 0, 0, 0; i < len(p.base) || j < len(p.adds); {
+		var s EntityID
+		if j < len(p.adds) && (i == len(p.base) || p.adds[j] < p.base[i]) {
+			s, j = p.adds[j], j+1
 		} else {
-			pp.objs[obj] = slices.Delete(p, i, i+1)
+			s, i = p.base[i], i+1
+			if k < len(p.dels) && p.dels[k] == s {
+				k++
+				continue
+			}
+		}
+		if !fn(s) {
+			return false
 		}
 	}
-	pp.total--
-	if obj.Kind == KindEntity {
-		pp.entityTotal--
-	}
-	if pp.total == 0 {
-		delete(st.preds, pred)
-	}
-}
-
-// posting returns the (pred, obj) posting. The caller holds the stripe
-// lock.
-func (st *pomStripe) posting(pred PredicateID, obj ValueKey) []EntityID {
-	if pp := st.preds[pred]; pp != nil {
-		return pp.objs[obj]
-	}
-	return nil
+	return true
 }
 
 // SyncIndexes is a no-op: the predicate-major index is maintained inline
@@ -144,11 +176,7 @@ func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) 
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	for _, s := range st.posting(pred, obj.MapKey()) {
-		if !fn(s) {
-			return
-		}
-	}
+	g.postingLocked(st, pred, obj.MapKey()).each(fn)
 }
 
 // SubjectsWithChunked streams the subjects greater than after (NoEntity
@@ -170,23 +198,39 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID,
 	}
 	st := g.pomStripe(pred)
 	key := obj.MapKey()
-	var buf []EntityID
-	for {
-		st.mu.RLock()
-		p := st.posting(pred, key)
-		i, found := slices.BinarySearch(p, after)
+	past := func(ids []EntityID) []EntityID {
+		i, found := slices.BinarySearch(ids, after)
 		if found {
 			i++
 		}
-		end := min(i+chunkSize, len(p))
+		return ids[i:]
+	}
+	var buf []EntityID
+	for {
+		st.mu.RLock()
+		p := g.postingLocked(st, pred, key)
+		p = posting{past(p.base), past(p.adds), past(p.dels)}
 		if buf == nil {
 			// Sized to the smaller of the chunk and the posting: a selective
 			// query over an 8-subject posting must not pay a chunkSize-
 			// capacity allocation.
-			buf = make([]EntityID, 0, end-i)
+			buf = make([]EntityID, 0, min(chunkSize, p.count()))
 		}
-		buf = append(buf[:0], p[i:end]...)
-		done := end == len(p)
+		var done bool
+		if len(p.adds)+len(p.dels) == 0 {
+			// The posting is all base: copy it out in one move.
+			buf = append(buf[:0], p.base[:min(chunkSize, len(p.base))]...)
+			done = len(buf) == len(p.base)
+		} else {
+			buf = buf[:0]
+			done = p.each(func(s EntityID) bool {
+				if len(buf) == chunkSize {
+					return false
+				}
+				buf = append(buf, s)
+				return true
+			})
+		}
 		st.mu.RUnlock()
 		if len(buf) == 0 || !fn(buf) || done {
 			return
@@ -197,13 +241,13 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID,
 
 // SubjectsWithCount returns the number of subjects carrying (pred, obj)
 // facts without materializing the posting list. It is the planner's
-// bound-object selectivity probe: one stripe read lock, two map lookups,
-// zero allocations.
+// bound-object selectivity probe: one stripe read lock, a binary search
+// and two map lookups, zero allocations.
 func (g *Graph) SubjectsWithCount(pred PredicateID, obj Value) int {
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.posting(pred, obj.MapKey()))
+	return g.postingLocked(st, pred, obj.MapKey()).count()
 }
 
 // PredicateFrequency returns the current number of triples using pred —
@@ -212,33 +256,76 @@ func (g *Graph) PredicateFrequency(pred PredicateID) int {
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if pp := st.preds[pred]; pp != nil {
-		return pp.total
+	n, _ := g.predTotalsLocked(st, pred)
+	return n
+}
+
+// predTotalsLocked returns the number of (pred, *) facts, and of those
+// whose object is an entity. The caller holds the stripe's lock.
+func (g *Graph) predTotalsLocked(st *pomStripe, pred PredicateID) (total, entities int) {
+	if int(pred) < len(g.base.preds) {
+		p := &g.base.preds[pred]
+		total, entities = len(p.subjs), p.entities
 	}
-	return 0
+	if pd := st.preds[pred]; pd != nil {
+		total, entities = total+pd.total, entities+pd.entities
+	}
+	return total, entities
 }
 
 // PredicateEntriesFunc streams every (object value, subject) pair indexed
-// under pred to fn, stopping early if fn returns false. Object values are
+// under pred to fn, in object-key order and within one object by
+// subject, stopping early if fn returns false. Object values are
 // reconstructed from their identity keys, so provenance is not carried.
-// Iteration order across objects is unspecified (map order); within one
-// object it is ascending subject ID. fn runs under the stripe read lock:
-// it must not mutate the graph or read its triple indexes; it may read
-// the dictionaries (see Visitor callbacks on Graph).
+// fn runs under the stripe read lock: it must not mutate the graph or
+// read its triple indexes; it may read the dictionaries (see Visitor
+// callbacks on Graph).
 func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj EntityID) bool) {
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		return
+	g.postingsLocked(st, pred, func(k ValueKey, p posting) bool {
+		obj := k.Value()
+		return p.each(func(s EntityID) bool { return fn(obj, s) })
+	})
+}
+
+// postingsLocked calls fn with pred's postings in object-key order — the
+// base's keys merged with the ones only the delta holds, which are the
+// only keys sorted, each posting in its layers — and reports whether it
+// ran to the end. A posting the delta drained comes out empty. The
+// caller holds the stripe's lock.
+func (g *Graph) postingsLocked(st *pomStripe, pred PredicateID, fn func(k ValueKey, p posting) bool) bool {
+	var old basePred
+	if int(pred) < len(g.base.preds) {
+		old = g.base.preds[pred]
 	}
-	for key, p := range pp.objs {
-		obj := key.Value()
-		for _, s := range p {
-			if !fn(obj, s) {
-				return
+	pd := st.preds[pred]
+	var keys []ValueKey
+	if pd != nil {
+		for k := range pd.adds {
+			if len(g.base.posting(pred, k)) == 0 {
+				keys = append(keys, k)
 			}
 		}
+		slices.SortFunc(keys, ValueKey.Compare)
 	}
+	for i, j := 0, 0; i < len(old.keys) || j < len(keys); {
+		var k ValueKey
+		var p posting
+		if j == len(keys) || i < len(old.keys) && g.base.key(old.keys[i]).Compare(keys[j]) < 0 {
+			k, p.base = g.base.key(old.keys[i]), old.subjs[old.off[i]:old.off[i+1]]
+			i++
+		} else {
+			k = keys[j]
+			j++
+		}
+		if pd != nil {
+			p.adds, p.dels = pd.adds[k], pd.dels[k]
+		}
+		if !fn(k, p) {
+			return false
+		}
+	}
+	return true
 }

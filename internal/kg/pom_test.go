@@ -51,23 +51,16 @@ func subjectsWith(g *Graph, pred PredicateID, obj Value) []EntityID {
 	return out
 }
 
-// SubjectsWithSweep answers subjectsWith from the subject-sharded runs
+// SubjectsWithSweep answers subjectsWith from the subject-major reads
 // alone, never touching the predicate-major index: the index-free
-// reference the pom tests compare against. Shards are visited one at a
-// time; order is unspecified.
+// reference the pom tests compare against. It probes every registered
+// subject with HasFact; order is unspecified.
 func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
-	key := obj.MapKey()
 	var out []EntityID
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		for slot, run := range sh.runs {
-			lo, hi := predBounds(run, pred)
-			if _, ok := SearchRows(run[lo:hi], key); ok {
-				out = append(out, EntityID(slot<<g.shardBits|i))
-			}
+	for s := EntityID(1); int(s) <= g.NumEntities(); s++ {
+		if g.HasFact(s, pred, obj) {
+			out = append(out, s)
 		}
-		sh.mu.RUnlock()
 	}
 	return out
 }
@@ -80,16 +73,14 @@ func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
 // postings ascending by subject ID, fact lists ascending by object key.
 func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Value) {
 	t.Helper()
-	for i := range g.shards {
-		for slot, run := range g.shards[i].runs {
-			subj := EntityID(slot<<g.shardBits | i)
-			for j := 1; j < len(run); j++ {
-				if p := run[j].pred; run[j-1].pred == p && run[j-1].Key().Compare(run[j].Key()) >= 0 {
-					t.Fatalf("fact list (%v, %v) not strictly ascending by object key at %d", subj, p, j)
-				}
-			}
+	var prev Triple
+	g.TriplesSnapshot(func(tr Triple) bool {
+		if tr.Subject == prev.Subject && tr.Predicate == prev.Predicate && prev.Object.MapKey().Compare(tr.Object.MapKey()) >= 0 {
+			t.Fatalf("fact list (%v, %v) not strictly ascending by object key at %v", tr.Subject, tr.Predicate, tr.Object)
 		}
-	}
+		prev = tr
+		return true
+	})
 	for _, p := range preds {
 		total := 0
 		seen := make(map[ValueKey]bool, len(objs))
@@ -420,7 +411,7 @@ func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 				_ = g.SubjectsWithSweep(p, o)
 				_ = g.PredicateFrequency(p)
 				if rng.Intn(8) == 0 {
-					_ = g.MutationsSince(g.LastSeq() / 2)
+					_ = g.appendMutationsSince(nil, g.LastSeq()/2)
 				}
 			}
 		}(r)

@@ -106,7 +106,7 @@ func TestGraphMatchesMapModel(t *testing.T) {
 				return false
 			}
 		}
-		for _, m := range g.MutationsSince(0) {
+		for _, m := range g.appendMutationsSince(nil, 0) {
 			switch m.Op {
 			case OpAssert:
 				if err := replay.Assert(m.T); err != nil {

@@ -6,7 +6,7 @@ import (
 	"unique"
 )
 
-// FactRow is the stored form of a fact: what a subject's run of facts, a
+// FactRow is the written form of a fact: what the graph's delta, a
 // mutation-log entry and a graphengine.FactSet hold in place of a
 // Triple, which is built from the row at the read edge. Every holder keys
 // its rows by subject, so the row leaves it out. The object is its
@@ -23,12 +23,14 @@ type FactRow struct {
 	str  string                 // ValueKey.Str
 	prov unique.Handle[provKey] // the zero handle is the zero Provenance
 	kind ValueKind              // ValueKey.Kind
-	// op is the mutation a log entry records. The rows of subject runs
-	// and fact sets leave it zero.
+	// op is the mutation a log entry records. A row of the graph's delta
+	// holds what it does to the base (see frozen.merge): zero for a fact
+	// the base lacks. Fact sets leave it zero.
 	op MutationOp
-	// pred is the predicate of a row in a subject's run, which is sorted
-	// by (pred, object key). Every other row — a log entry's (which keys
-	// it by predicate beside the row), RowOf's, a fact set's — leaves it
+	// pred is the predicate of a row in a subject's delta, which is
+	// sorted by (pred, object key), and of a row a read hands on. Every
+	// other row — a log entry's (which keys it by predicate beside the
+	// row), RowOf's, a fact set's — leaves it
 	// zero, so == on such rows compares object and provenance only. op
 	// and pred sit in what would otherwise be padding after kind, which
 	// is what keeps a row at 40 bytes and a log entry at 56.
@@ -97,31 +99,6 @@ func (r *FactRow) fill(t *Triple, subj EntityID, pred PredicateID) {
 	t.Prov.Confidence = math.Float64frombits(pk.conf)
 	t.Prov.SourceQuality = math.Float64frombits(pk.quality)
 	t.Prov.ObservedAt = pk.at
-}
-
-// predBounds returns the bounds [lo, hi) of pred's facts in a subject's
-// run, sorted by predicate: two binary searches, an empty range at pred's
-// place when the subject has none.
-func predBounds(run []FactRow, pred PredicateID) (lo, hi int) {
-	lo, hi = 0, len(run)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if run[h].pred < pred {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	end := len(run)
-	for hi = lo; hi < end; {
-		h := int(uint(hi+end) >> 1)
-		if run[h].pred <= pred {
-			hi = h + 1
-		} else {
-			end = h
-		}
-	}
-	return lo, hi
 }
 
 // SearchRows returns where the row with object key k sits in rows sorted

@@ -3,6 +3,7 @@ package kg
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -65,19 +66,29 @@ var factRunsPool = []Value{
 // sit past a shard's slot range until something grows it.
 var factRunsSubjects = []EntityID{1, 2, 3, 9, 16, 17, 33, 40}
 
-// FuzzFactRuns checks the subject runs against a reference model, a
-// plain map from fact identity to the provenance the first assertion
-// gave it. Byte 0 picks 1, 2 or 8 shards; then each (op, arg) pair is an
-// op, op % 4: 0 AssertNew, 1 Retract, 2 AssertBatch of 1–8 facts where
-// every third repeats the first with another provenance, 3 retract every
-// fact of one subject (a run drained to empty; later asserts re-assert).
-// arg picks a fact: the subject from its low 3 bits, one of 4 predicates
-// (asserted in any interleaving) from the next 2, the object from the top
-// 3. After every op each read agrees with the model: Facts, FactsFunc,
-// FactsChunked at chunk sizes 1–3, FactCount and HasFact per (subject,
-// predicate); OutgoingFunc's order per subject; AllTriples' and
+// forceFold folds the delta into a new base whatever its size.
+func forceFold(g *Graph) {
+	g.lockAll()
+	defer g.unlockAll()
+	g.foldLocked()
+}
+
+// FuzzFactRuns checks the base and delta layers against a reference
+// model, a plain map from fact identity to the provenance the first
+// assertion gave it. Byte 0 picks 1, 2 or 8 shards; then each (op, arg)
+// pair is an op, op % 4: 0 AssertNew, 1 Retract, 2 AssertBatch of 1–8
+// facts where every third repeats the first with another provenance, 3
+// retract every fact of one subject (a subject drained to empty; later
+// asserts re-assert), or, when op's bit 2 is set, fold the delta into a
+// new base. arg picks a fact: the subject from its low 3 bits, one of 4
+// predicates (asserted in any interleaving) from the next 2, the object
+// from the top 3. After every op each read agrees with the model: Facts,
+// FactsFunc, FactsChunked at chunk sizes 1–3, FactCount and HasFact per
+// (subject, predicate); OutgoingFunc's order per subject; AllTriples' and
 // TriplesSnapshot's identity order; NumTriples; ComputeStats'
-// MaxOutDegree.
+// MaxOutDegree; SubjectsWithFunc, SubjectsWithCount, PredicateFrequency
+// and PredicateEntriesFunc (as a set) per predicate; and the layer
+// counts' sum.
 func FuzzFactRuns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 255, 0, 9, 0, 17, 1, 9, 0, 9, 3, 0, 0, 0})
 	f.Add([]byte{1, 2, 5, 0, 24, 0, 8, 0, 16, 0, 0, 1, 8, 2, 200, 3, 0, 2, 7, 1, 7})
@@ -92,6 +103,7 @@ func FuzzFactRuns(f *testing.F) {
 		}
 		return b
 	}())
+	f.Add([]byte{1, 0, 9, 0, 41, 0, 201, 7, 0, 1, 9, 0, 9, 2, 77, 1, 41, 7, 0, 0, 41, 3, 1, 0, 1, 7, 0, 0, 72, 1, 72, 0, 72})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 1 || len(ops) > 400 {
 			return
@@ -156,6 +168,10 @@ func FuzzFactRuns(f *testing.F) {
 					t.Fatalf("AssertBatch(%v) = %d, %v, want %d added", batch, added, err, want)
 				}
 			case 3:
+				if op&4 != 0 {
+					forceFold(g)
+					break
+				}
 				subj := factRunsSubjects[arg&7]
 				for _, p := range preds {
 					for _, obj := range factRunsPool {
@@ -249,5 +265,133 @@ func checkFactRuns(t *testing.T, g *Graph, preds []PredicateID, ref map[TripleKe
 	}
 	if got := ComputeStats(g).MaxOutDegree; got != maxOut {
 		t.Fatalf("MaxOutDegree = %d, want %d", got, maxOut)
+	}
+	for _, p := range preds {
+		total := 0
+		for _, obj := range factRunsPool {
+			var want []EntityID
+			for _, s := range factRunsSubjects {
+				if _, had := ref[TripleKey{Subject: s, Predicate: p, Object: obj.MapKey()}]; had {
+					want = append(want, s)
+				}
+			}
+			if got := subjectsWith(g, p, obj); !slices.Equal(got, want) {
+				t.Fatalf("SubjectsWithFunc(%v, %v) = %v, want %v", p, obj, got, want)
+			}
+			if got := g.SubjectsWithCount(p, obj); got != len(want) {
+				t.Fatalf("SubjectsWithCount(%v, %v) = %d, want %d", p, obj, got, len(want))
+			}
+			total += len(want)
+		}
+		if got := g.PredicateFrequency(p); got != total {
+			t.Fatalf("PredicateFrequency(%v) = %d, want %d", p, got, total)
+		}
+		var entries, want []TripleKey
+		g.PredicateEntriesFunc(p, func(obj Value, s EntityID) bool {
+			entries = append(entries, TripleKey{Subject: s, Predicate: p, Object: obj.MapKey()})
+			return true
+		})
+		for k := range ref {
+			if k.Predicate == p {
+				want = append(want, k)
+			}
+		}
+		slices.SortFunc(entries, TripleKey.Compare)
+		slices.SortFunc(want, TripleKey.Compare)
+		if !slices.Equal(entries, want) {
+			t.Fatalf("PredicateEntriesFunc(%v) = %v, want %v", p, entries, want)
+		}
+	}
+	if l := g.Layers(); l.BaseFacts+l.DeltaAdds-l.DeltaRemovals != int64(len(ref)) {
+		t.Fatalf("layers %+v do not sum to %d facts", l, len(ref))
+	}
+}
+
+// Chunked readers racing folds and writes deliver, in strictly ascending
+// order, every fact that stayed present: a hub subject's fact list
+// (FactsChunked) and a posting (SubjectsWithChunked). Run it with -race.
+func TestChunkedReadsAcrossFold(t *testing.T) {
+	const n = 600
+	g := NewGraphWithShards(4)
+	for i := 1; i <= n; i++ {
+		mustEntity(t, g, fmt.Sprintf("e%d", i), "")
+	}
+	p, q := mustPredicate(t, g, "p"), mustPredicate(t, g, "q")
+	const hub = EntityID(1)
+	hubFact := func(i int) Triple { return Triple{Subject: hub, Predicate: p, Object: IntValue(int64(i))} }
+	inFact := func(s int) Triple { return Triple{Subject: EntityID(s), Predicate: q, Object: EntityValue(hub)} }
+	var batch []Triple
+	for i := 2; i <= n; i++ {
+		batch = append(batch, hubFact(i), inFact(i))
+	}
+	if _, err := g.AssertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	// Odd facts churn; even ones stay.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 3; ; i = (i+2)%n | 1 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, tr := range []Triple{hubFact(i), inFact(max(i, 3)), hubFact(n + i)} {
+				if !g.Retract(tr) {
+					_ = g.Assert(tr) // every fact here is valid
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				forceFold(g)
+			}
+		}
+	}()
+	for round := 0; round < 30; round++ {
+		var facts []int64
+		g.FactsChunked(hub, p, 7, func(chunk []Triple) bool {
+			for _, tr := range chunk {
+				facts = append(facts, tr.Object.Num)
+			}
+			return true
+		})
+		var subjs []EntityID
+		g.SubjectsWithChunked(q, EntityValue(hub), NoEntity, 7, func(chunk []EntityID) bool {
+			subjs = append(subjs, chunk...)
+			return true
+		})
+		for i := 1; i < len(facts); i++ {
+			if facts[i-1] >= facts[i] {
+				t.Fatalf("round %d: FactsChunked not strictly ascending at %d: %v", round, i, facts)
+			}
+		}
+		for i := 1; i < len(subjs); i++ {
+			if subjs[i-1] >= subjs[i] {
+				t.Fatalf("round %d: SubjectsWithChunked not strictly ascending at %d: %v", round, i, subjs)
+			}
+		}
+		for i := 2; i <= n; i += 2 {
+			if _, ok := slices.BinarySearch(facts, int64(i)); !ok {
+				t.Fatalf("round %d: FactsChunked missed the fact %d, present throughout", round, i)
+			}
+			if _, ok := slices.BinarySearch(subjs, EntityID(i)); !ok {
+				t.Fatalf("round %d: SubjectsWithChunked missed subject %d, present throughout", round, i)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if g.Layers().Folds == 0 {
+		t.Fatal("no fold ran during the reads")
 	}
 }

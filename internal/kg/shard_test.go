@@ -92,7 +92,7 @@ func TestConcurrentShardHammer(t *testing.T) {
 				obsMu.Lock()
 				observed = append(observed, snapObs{seq: seq, count: n})
 				obsMu.Unlock()
-				_ = g.MutationsSince(seq / 2)
+				_ = g.appendMutationsSince(nil, seq/2)
 				_ = g.NumTriples()
 				g.FactsFunc(ids[i%pool], p, func(Triple) bool { return true })
 				g.OutgoingFunc(ids[i%pool], func(Triple) bool { return true })
@@ -101,7 +101,7 @@ func TestConcurrentShardHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	muts := g.MutationsSince(0)
+	muts := g.appendMutationsSince(nil, 0)
 	if uint64(len(muts)) != g.LastSeq() {
 		t.Fatalf("merged log has %d entries, watermark %d", len(muts), g.LastSeq())
 	}
@@ -200,7 +200,7 @@ func TestAssertBatchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, m := range gBatch.MutationsSince(0) {
+		for _, m := range gBatch.appendMutationsSince(nil, 0) {
 			if err := gSeq.Assert(m.T); err != nil {
 				t.Fatal(err)
 			}
@@ -383,7 +383,7 @@ func TestMutationsSinceWatermark(t *testing.T) {
 	}
 	g.Retract(Triple{Subject: ids[3], Predicate: p, Object: EntityValue(ids[4])})
 
-	muts := g.MutationsSince(base)
+	muts := g.appendMutationsSince(nil, base)
 	if len(muts) != 2 {
 		t.Fatalf("MutationsSince delivered %d muts, want 2", len(muts))
 	}

@@ -20,37 +20,32 @@ type Stats struct {
 
 // ComputeStats summarizes the graph from its maintained counters instead
 // of a full triple scan: predicate frequencies and the entity/literal
-// split come from the predicate-major index's per-predicate totals (one
-// pass over the pom stripes), and out-degrees from the lengths of the
-// subjects' runs (one pass over each shard's slots, never touching
-// individual triples). Stripes and shards are visited one at a time, so
-// under concurrent writers each counter is exact as of the moment its
-// stripe or shard was read rather than one all-shard cut — the same
-// freshness contract as NumTriples.
+// split come from the predicate-major index's per-predicate totals, and
+// out-degrees from the lengths of the subjects' rows (never touching
+// individual triples). It reads under the all-shard cut, so the counters
+// are of one consistent state.
 func ComputeStats(g *Graph) Stats {
 	s := Stats{
 		Entities:   g.NumEntities(),
 		Predicates: g.NumPredicates(),
 		PredFreq:   make(map[PredicateID]int),
 	}
-	for i := range g.pom {
-		st := &g.pom[i]
+	g.rlockAll()
+	defer g.runlockAll()
+	for p := PredicateID(1); int64(p) < g.predLen.Load(); p++ {
+		st := g.pomStripe(p)
 		st.mu.RLock()
-		for p, pp := range st.preds {
-			s.PredFreq[p] = pp.total
-			s.Triples += pp.total
-			s.EntityTriples += pp.entityTotal
-		}
+		total, entities := g.predTotalsLocked(st, p)
 		st.mu.RUnlock()
+		if total > 0 {
+			s.PredFreq[p] = total
+			s.Triples += total
+			s.EntityTriples += entities
+		}
 	}
 	s.LiteralTriples = s.Triples - s.EntityTriples
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		for _, run := range sh.runs {
-			s.MaxOutDegree = max(s.MaxOutDegree, len(run))
-		}
-		sh.mu.RUnlock()
+	for subj := EntityID(1); int64(subj) < g.entLen.Load(); subj++ {
+		s.MaxOutDegree = max(s.MaxOutDegree, countRows(g.layersLocked(g.shard(subj), subj, NoPredicate)))
 	}
 	if s.Entities > 0 {
 		s.MeanOutDegree = float64(s.Triples) / float64(s.Entities)

@@ -250,6 +250,74 @@ func TestIngestStopsApplyingOnceDurabilityIsLost(t *testing.T) {
 	}
 }
 
+// healthGraph reads the graph's layer figures and fact count off /health.
+func healthGraph(t *testing.T, srv *Server) (layers map[string]float64, triples float64) {
+	t.Helper()
+	rec, body := do(t, srv.Handler(), "GET", "/health", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("health: %d", rec.Code)
+	}
+	block, _ := body["graph"].(map[string]any)
+	layers = map[string]float64{}
+	for _, k := range []string{"base_facts", "delta_adds", "delta_removals", "folds", "last_fold_ms"} {
+		v, ok := block[k].(float64)
+		if !ok {
+			t.Fatalf("graph block lacks %s: %v", k, body["graph"])
+		}
+		layers[k] = v
+	}
+	if sum := layers["base_facts"] + layers["delta_adds"] - layers["delta_removals"]; sum != body["triples"].(float64) {
+		t.Fatalf("base + adds - removals = %v, triples = %v: %v", sum, body["triples"], layers)
+	}
+	return layers, body["triples"].(float64)
+}
+
+// TestHealthReportsGraphLayers: /health's graph block says where the
+// facts sit — the world's bulk load in the base, ingested facts and
+// retracted base facts in the delta — and counts the folds that freeze a
+// large delta into a new base.
+func TestHealthReportsGraphLayers(t *testing.T) {
+	srv, w := ingestServer(t)
+	g := w.Graph
+	layers, triples := healthGraph(t, srv)
+	if layers["base_facts"] != triples || layers["delta_adds"] != 0 || layers["folds"] != 0 {
+		t.Fatalf("a generated world is not all base: %v, %v triples", layers, triples)
+	}
+	var sb strings.Builder
+	sb.WriteString(`{"asserts":[`)
+	for i := 0; i < 50; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(`{"subject":"` + g.Entity(w.People[i%len(w.People)]).Key + `","predicate":"libraryID","object":{"string":"layer` + strconv.Itoa(i) + `"}}`)
+	}
+	sb.WriteString(`]}`)
+	if rec, resp := do(t, srv.Handler(), "POST", "/ingest", sb.String()); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %v", rec.Code, resp)
+	}
+	if !g.Retract(g.AllTriples()[0]) {
+		t.Fatal("Retract found nothing")
+	}
+	if layers, _ = healthGraph(t, srv); layers["delta_adds"] != 50 || layers["delta_removals"] != 1 {
+		t.Fatalf("after 50 asserts and a base retract: %v", layers)
+	}
+	// A batch four times the base's size passes the fold rule.
+	pred, err := g.AddPredicate(kg.Predicate{Name: "layerTest"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []kg.Triple
+	for i := 0; batch == nil || len(batch) < 4*int(triples)+5000; i++ {
+		batch = append(batch, kg.Triple{Subject: w.People[i%len(w.People)], Predicate: pred, Object: kg.IntValue(int64(i))})
+	}
+	if _, err := g.AssertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if layers, triples = healthGraph(t, srv); layers["folds"] != 1 || layers["base_facts"] != triples || layers["delta_adds"]+layers["delta_removals"] != 0 {
+		t.Fatalf("after a batch past the fold rule: %v, %v triples", layers, triples)
+	}
+}
+
 // logChunk is the capacity of one chunk of the graph's mutation log
 // (kg's TestStoredSizes pins it): retention drops whole chunks, so a
 // shard may hold up to one chunk it no longer needs.

@@ -208,6 +208,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"entities":   g.NumEntities(),
 		"predicates": g.NumPredicates(),
 		"triples":    g.NumTriples(),
+		"graph":      g.Layers(),
 		"plan_cache": s.Platform.QueryPlanCacheStats(),
 		"changefeed": s.Platform.ChangefeedStats(),
 	}

@@ -8,7 +8,7 @@
 // The graph's global mutation watermark is the LSN space: mutation seq N
 // in kg.Graph is LSN N in the log, so "the first W mutations" means the
 // same thing in memory and on disk. A Manager attached to a graph drains
-// MutationsSince into the current log segment on every Commit, writing
+// its changefeed into the current log segment on every Commit, writing
 // entity/predicate/ontology dictionary deltas ahead of the mutations
 // that reference them.
 //

@@ -58,7 +58,9 @@ go run ./cmd/kgserve -h >/dev/null 2>&1
 # The on-disk format through the real binary, on a temp data dir and a
 # loopback port: seed, ingest one fact, kill -9, restart (the log replays
 # the fact), SIGTERM (writes a delta checkpoint), restart again (full +
-# delta recover it). Any failed step fails the gate.
+# delta recover it). After each restart /health's graph layers (base +
+# delta adds - delta removals) must sum to its triples. Any failed step
+# fails the gate.
 echo "== kgserve durable smoke (seed, ingest, kill -9, recover, delta) =="
 smoke=$(mktemp -d)
 kgpid=""
@@ -94,6 +96,16 @@ smoke_has_fact() { # smoke_has_fact <log>: /query finds the ingested fact
         -d '{"clauses":[{"subject":{"key":"person0"},"predicate":"libraryID","object":{"var":"x"}}]}') || true
     [[ "$out" == *crash-test* ]] || smoke_fail "/query does not find the ingested fact: $out" "$1"
 }
+smoke_layers() { # smoke_layers <log>: /health's graph layers sum to its fact count
+    local h base adds dels triples
+    h=$(curl -sf "http://$addr/health") || true
+    base=$(grep -o '"base_facts":[0-9]*' <<<"$h" | cut -d: -f2)
+    adds=$(grep -o '"delta_adds":[0-9]*' <<<"$h" | cut -d: -f2)
+    dels=$(grep -o '"delta_removals":[0-9]*' <<<"$h" | cut -d: -f2)
+    triples=$(grep -o '"triples":[0-9]*' <<<"$h" | cut -d: -f2)
+    [[ -n "$base" && -n "$adds" && -n "$dels" && -n "$triples" && $((base + adds - dels)) -eq "$triples" ]] ||
+        smoke_fail "/health graph layers do not sum to its triples: $h" "$1"
+}
 smoke_start seed.log
 smoke_expect seed.log "seeding fresh data dir"
 out=$(curl -sf -X POST "http://$addr/ingest" \
@@ -103,6 +115,7 @@ smoke_stop 9
 smoke_start crash.log
 smoke_expect crash.log ", 1 mutations replayed past checkpoint"
 smoke_has_fact crash.log
+smoke_layers crash.log
 smoke_stop TERM
 smoke_expect crash.log "durable state closed"
 ckpts=$(find "$smoke/data" -name 'checkpoint-*.ckpt' | wc -l)
@@ -110,6 +123,7 @@ ckpts=$(find "$smoke/data" -name 'checkpoint-*.ckpt' | wc -l)
 smoke_start delta.log
 smoke_expect delta.log ", 0 mutations replayed past checkpoint"
 smoke_has_fact delta.log
+smoke_layers delta.log
 smoke_stop TERM
 
 # cmd/* and examples/* have no tests; running each with its default
