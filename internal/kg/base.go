@@ -2,6 +2,7 @@ package kg
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -23,15 +24,16 @@ type frozen struct {
 	// provs is the provenance table a row's tag indexes; provs[0] is the
 	// zero provenance.
 	provs []unique.Handle[provKey]
-	// strs is the arena holding every string literal once.
+	// strs is the arena holding every string literal once, in order.
 	strs string
 	// preds[p] is predicate p's postings.
 	preds []basePred
 }
 
 // baseRow is a fact in the base, 16 bytes: its object key's payload —
-// for a string, the literal's offset in the arena over its length — its
-// predicate, and its provenance's index in the table over the key's kind.
+// for a string, the literal's offset in the arena over its length, which
+// orders as the literal does — its predicate, and its provenance's index
+// in the table over the key's kind.
 // The postings' keys are baseRows with no predicate or provenance. So a
 // base holds up to 2^32 facts, 4 GiB of string literals and 2^29
 // distinct provenances.
@@ -76,30 +78,33 @@ func (b *frozen) subject(subj EntityID, pred PredicateID) []baseRow {
 	if pred == NoPredicate {
 		return rows
 	}
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		if h := int(uint(lo+hi) >> 1); rows[h].pred < pred {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	for hi = lo; hi < len(rows) && rows[hi].pred == pred; hi++ {
-	}
-	return rows[lo:hi]
+	return predRows(rows, pred, func(r baseRow) PredicateID { return r.pred })
 }
 
-// search returns where the row with object key k sits in rows sorted by
-// object key, or where it would go, and whether it is there.
-func (b *frozen) search(rows []baseRow, k ValueKey) (int, bool) {
+// predRows returns the rows under pred of rows sorted by predicate.
+func predRows[R any](rows []R, pred PredicateID, predOf func(R) PredicateID) []R {
+	from := func(p PredicateID) int { return lowerBound(rows, func(r R) bool { return predOf(r) < p }) }
+	return rows[from(pred):from(pred+1)]
+}
+
+// lowerBound returns the index of the first of rows that before does not
+// hold of, where before holds of a prefix of rows: a binary search.
+func lowerBound[R any](rows []R, before func(R) bool) int {
 	i, j := 0, len(rows)
 	for i < j {
-		if h := int(uint(i+j) >> 1); b.key(rows[h]).Compare(k) < 0 {
+		if h := int(uint(i+j) >> 1); before(rows[h]) {
 			i = h + 1
 		} else {
 			j = h
 		}
 	}
+	return i
+}
+
+// search returns where the row with object key k sits in rows sorted by
+// object key, or where it would go, and whether it is there.
+func (b *frozen) search(rows []baseRow, k ValueKey) (int, bool) {
+	i := lowerBound(rows, func(r baseRow) bool { return b.key(r).Compare(k) < 0 })
 	return i, i < len(rows) && b.key(rows[i]) == k
 }
 
@@ -177,8 +182,7 @@ func countRows(base []baseRow, delta []FactRow) int {
 type builder struct {
 	b     *frozen
 	provs map[unique.Handle[provKey]]uint32
-	strs  map[string]int64
-	arena []byte
+	strs  map[string]int64 // a literal's index in arrival order, until seal
 }
 
 func newBuilder(facts int) *builder {
@@ -206,43 +210,57 @@ func (bl *builder) add(subj EntityID, r FactRow) {
 	b.rows = append(b.rows, row)
 }
 
-// key encodes k as a key of the base being built, putting a string in
-// the arena unless it is there.
+// key encodes k as a key of the base being built; a string's payload is
+// its index among the literals until seal places it in the arena.
 func (bl *builder) key(k ValueKey) baseRow {
 	r := baseRow{num: k.Num, tag: uint32(k.Kind)}
 	if k.Kind == KindString {
 		at, ok := bl.strs[k.Str]
 		if !ok {
-			at = int64(len(bl.arena))<<32 | int64(len(k.Str))
+			at = int64(len(bl.strs))
 			bl.strs[k.Str] = at
-			bl.arena = append(bl.arena, k.Str...)
 		}
 		r.num = at
 	}
 	return r
 }
 
-// seal ends the rows and the arena.
+// seal ends the rows and lays the string literals out in the arena in
+// order, so that string keys order as their payloads do.
 func (bl *builder) seal() *frozen {
 	b := bl.b
 	b.off = append(b.off, uint32(len(b.rows)))
-	b.strs = string(bl.arena)
+	at := make([]int64, len(bl.strs))
+	var arena []byte
+	for _, s := range slices.Sorted(maps.Keys(bl.strs)) {
+		at[bl.strs[s]] = int64(len(arena))<<32 | int64(len(s))
+		arena = append(arena, s...)
+	}
+	for i, r := range b.rows {
+		if r.tag&7 == uint32(KindString) {
+			b.rows[i].num = at[r.num]
+		}
+	}
+	b.strs = string(arena)
 	return b
 }
 
 // sortPostings builds the postings of a sealed base from its rows: each
-// predicate's (object key, subject) pairs, laid out by predicate in one
-// pass and sorted by key, then subject.
+// predicate's (object key, subject) pairs, laid out by predicate and kind
+// in subject order, then radix-sorted on the key's payload, which keeps
+// each key's subjects ascending.
 func (b *frozen) sortPostings() {
-	var start []int // start[p+1] is where predicate p's pairs end
+	preds := 0
 	for _, r := range b.rows {
-		if n := int(r.pred) + 2 - len(start); n > 0 {
-			start = append(start, make([]int, n)...)
-		}
-		start[r.pred+1]++
+		preds = max(preds, int(r.pred)+1)
 	}
-	for p := 1; p < len(start); p++ {
-		start[p] += start[p-1]
+	class := func(r baseRow) int { return int(r.pred)<<3 | int(r.tag&7) }
+	start := make([]int, preds<<3+1) // start[c+1] is where class c's pairs end
+	for _, r := range b.rows {
+		start[class(r)+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
 	type entry struct {
 		key  baseRow
@@ -251,19 +269,21 @@ func (b *frozen) sortPostings() {
 	es, at := make([]entry, len(b.rows)), slices.Clone(start)
 	for s := 0; s+1 < len(b.off); s++ {
 		for _, r := range b.rows[b.off[s]:b.off[s+1]] {
-			es[at[r.pred]] = entry{baseRow{num: r.num, tag: r.tag & 7}, EntityID(s)}
-			at[r.pred]++
+			es[at[class(r)]] = entry{baseRow{num: r.num, tag: r.tag & 7}, EntityID(s)}
+			at[class(r)]++
 		}
 	}
-	b.preds = make([]basePred, max(len(start)-1, 0))
-	for pred := range b.preds {
-		es := es[start[pred]:start[pred+1]]
-		slices.SortFunc(es, func(x, y entry) int {
-			if c := b.compareKeys(x.key, y.key); c != 0 {
-				return c
+	for c := 0; c+1 < len(start); c++ {
+		radixSort(es[start[c]:start[c+1]], func(e entry) uint64 {
+			if e.key.tag == uint32(KindString) {
+				return uint64(e.key.num)
 			}
-			return cmp.Compare(x.subj, y.subj)
+			return uint64(e.key.num) ^ 1<<63 // a signed payload
 		})
+	}
+	b.preds = make([]basePred, preds)
+	for pred := range b.preds {
+		es := es[start[pred<<3]:start[(pred+1)<<3]]
 		// Strings are in the arena once, so keys are == exactly when equal.
 		keys := 0
 		for i := range es {
@@ -285,61 +305,6 @@ func (b *frozen) sortPostings() {
 		}
 		p.off = append(p.off, uint32(len(es)))
 	}
-}
-
-// foldPostings builds the postings of b, the base bl is building from
-// every fact, from the current base's and the delta's (postingsLocked):
-// no sort but of the keys only the delta holds. The caller holds every
-// shard's and every stripe's write lock.
-func (g *Graph) foldPostings(b *frozen, bl *builder) {
-	b.preds = make([]basePred, len(g.base.preds))
-	for i := range g.pom {
-		for pred := range g.pom[i].preds {
-			if n := int(pred) + 1 - len(b.preds); n > 0 {
-				b.preds = append(b.preds, make([]basePred, n)...)
-			}
-		}
-	}
-	for pi := range b.preds {
-		pred, p := PredicateID(pi), &b.preds[pi]
-		st := g.pomStripe(pred)
-		total, _ := g.predTotalsLocked(st, pred)
-		keys := 0 // at most the base's keys and the delta's
-		if pi < len(g.base.preds) {
-			keys = len(g.base.preds[pi].keys)
-		}
-		if pd := st.preds[pred]; pd != nil {
-			keys += len(pd.adds)
-		}
-		p.keys, p.off, p.subjs = make([]baseRow, 0, keys), make([]uint32, 0, keys+1), make([]EntityID, 0, total)
-		g.postingsLocked(st, pred, func(k ValueKey, ps posting) bool {
-			at := len(p.subjs)
-			ps.each(func(s EntityID) bool {
-				p.subjs = append(p.subjs, s)
-				return true
-			})
-			if len(p.subjs) > at {
-				p.keys, p.off = append(p.keys, bl.key(k)), append(p.off, uint32(at))
-				if k.Kind == KindEntity {
-					p.entities += len(p.subjs) - at
-				}
-			}
-			return true
-		})
-		p.off = append(p.off, uint32(len(p.subjs)))
-	}
-}
-
-// compareKeys orders two keys of the postings as ValueKey.Compare
-// orders the keys they carry.
-func (b *frozen) compareKeys(x, y baseRow) int {
-	if x.tag != y.tag {
-		return cmp.Compare(x.tag, y.tag)
-	}
-	if x.tag != uint32(KindString) {
-		return cmp.Compare(x.num, y.num)
-	}
-	return strings.Compare(b.key(x).Str, b.key(y).Str)
 }
 
 // spares keeps the arrays of drained delta lists for the lists the next
@@ -395,8 +360,9 @@ func (g *Graph) foldLocked() {
 		bl.add(subj, r)
 		return true
 	})
-	g.foldPostings(bl.b, bl)
-	g.install(bl.seal())
+	b := bl.seal()
+	b.sortPostings()
+	g.install(b)
 	g.layers.folds.Add(1)
 	g.layers.foldNanos.Store(int64(time.Since(start)))
 }

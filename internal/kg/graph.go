@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,8 +126,8 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 //	base: one immutable, pointer-free frozen value (base.go)
 //	     rows:  subject -> offsets into packed 16-byte rows, a subject's
 //	            rows sorted by (predicate, object key); a string literal
-//	            is an offset into one arena, a provenance an index into a
-//	            small table of interned handles
+//	            is an offset into one arena of the literals in order, a
+//	            provenance an index into a small table of interned handles
 //	     preds: predicate -> its distinct objects in key order, each
 //	            with offsets into one []EntityID of ascending subjects
 //	delta: per shard, subject -> []FactRow          (the rows the writes
@@ -152,9 +151,11 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // (and more than foldFloor rows), the write that crossed the line folds
 // it into a new base under every shard's and every stripe's write lock:
 // the adjacency snapshot's rebuild rule, so the folds cost a write O(1)
-// on average. A base frozen from any update history, read through its
-// delta, holds exactly what a graph built from scratch with the same
-// facts holds. Layers reports the two layers' sizes and the folds.
+// on average. Both build the base the one way (builder, sortPostings):
+// the rows in identity order, then each predicate's postings
+// radix-sorted on the object key. A base frozen from any update history,
+// read through its delta, holds exactly what a graph built from scratch
+// with the same facts holds. Layers reports the two layers' sizes and the folds.
 //
 // A delta row is a FactRow (row.go): its object key laid out flat and an
 // interned provenance handle, 40 bytes where a Triple is 128; a base row
@@ -795,8 +796,13 @@ func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 
 // load freezes the deduplicated, sorted batch kept straight into a new
 // base, logging each fact, when the graph holds no fact; it reports
-// false, and does nothing, otherwise.
+// false, and does nothing, otherwise. A graph that holds facts is told
+// from its layer counts, without a lock, so that a batch into it never
+// waits for the all-shard cut.
 func (g *Graph) load(ts []Triple, keys []TripleKey, kept []int32) bool {
+	if g.layers.base.Load()+g.layers.adds.Load() > g.layers.dels.Load() {
+		return false
+	}
 	g.lockAll()
 	defer g.unlockAll()
 	for i := range g.shards {
@@ -977,8 +983,7 @@ func (g *Graph) FactCount(subj EntityID, pred PredicateID) int {
 func (g *Graph) layersLocked(sh *graphShard, subj EntityID, pred PredicateID) ([]baseRow, []FactRow) {
 	delta := sh.delta[subj]
 	if pred != NoPredicate {
-		lo := sort.Search(len(delta), func(i int) bool { return delta[i].pred >= pred })
-		delta = delta[lo : lo+sort.Search(len(delta[lo:]), func(i int) bool { return delta[lo+i].pred > pred })]
+		delta = predRows(delta, pred, func(r FactRow) PredicateID { return r.pred })
 	}
 	return g.base.subject(subj, pred), delta
 }

@@ -217,7 +217,7 @@ func (g *Graph) NetChangeSince(base uint64) (ch NetChange, wm uint64, ok bool) {
 			}
 		}
 	}
-	words = radixSortHigh(words)
+	radixSort(words, func(w uint64) uint64 { return w >> 32 })
 
 	// Fold each fact's entries. Facts whose hashes collide share a group;
 	// a stable sort by identity splits it.
@@ -262,28 +262,38 @@ func (g *Graph) NetChangeSince(base uint64) (ch NetChange, wm uint64, ok bool) {
 // netSeed seeds the fact hash NetChangeSince groups by.
 var netSeed = maphash.MakeSeed()
 
-// radixSortHigh sorts words on their upper 32 bits, 16 bits a pass,
-// keeping words with equal upper halves in their order, and returns the
-// sorted slice (words or the scratch it allocates).
-func radixSortHigh(words []uint64) []uint64 {
-	tmp := make([]uint64, len(words))
-	counts := make([]int, 1<<16)
-	for shift := 32; shift < 64; shift += 16 {
-		clear(counts)
-		for _, w := range words {
-			counts[w>>shift&0xffff]++
+// radixSort sorts xs by key, keeping xs with equal keys in their order:
+// one pass per 11-bit digit of the key, least significant first,
+// skipping the digits every key shares.
+func radixSort[T any](xs []T, key func(T) uint64) {
+	const bits, passes = 11, 6
+	var counts [passes][1 << bits]int
+	for _, x := range xs {
+		k := key(x)
+		for d := range counts {
+			counts[d][k>>(bits*d)&(1<<bits-1)]++
+		}
+	}
+	src, tmp := xs, []T(nil)
+	for d := range counts {
+		c := &counts[d]
+		if len(src) == 0 || c[key(src[0])>>(bits*d)&(1<<bits-1)] == len(src) {
+			continue
+		}
+		if tmp == nil {
+			tmp = make([]T, len(src))
 		}
 		at := 0
-		for b, c := range counts {
-			counts[b] = at
-			at += c
+		for b, n := range c {
+			c[b] = at
+			at += n
 		}
-		for _, w := range words {
-			b := w >> shift & 0xffff
-			tmp[counts[b]] = w
-			counts[b]++
+		for _, x := range src {
+			b := key(x) >> (bits * d) & (1<<bits - 1)
+			tmp[c[b]] = x
+			c[b]++
 		}
-		words, tmp = tmp, words
+		src, tmp = tmp, src
 	}
-	return words
+	copy(xs, src)
 }

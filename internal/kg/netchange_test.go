@@ -1,9 +1,11 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -255,5 +257,30 @@ func BenchmarkNetChangeSince(b *testing.B) {
 			b.Fatalf("ok=%v, %d retracted, %d asserted", ok, len(ch.Retracted), len(ch.Asserted))
 		}
 		b.ReportMetric(float64(wm-base), "entries/op")
+	}
+}
+
+// radixSort orders like a stable comparison sort by key: keys sharing
+// some bytes (passes skipped), keys differing in every byte, many
+// duplicates and none, an odd and an even number of passes.
+func TestRadixSortIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type item struct {
+		key uint64
+		at  int
+	}
+	for _, mask := range []uint64{0, 0x3, 0xff, 0xff_00ff, 0xffff_0000_0000_ff00, ^uint64(0)} {
+		for _, n := range []int{0, 1, 2, 300, 5000} {
+			xs := make([]item, n)
+			for i := range xs {
+				xs[i] = item{rng.Uint64() & mask, i}
+			}
+			want := slices.Clone(xs)
+			slices.SortStableFunc(want, func(x, y item) int { return cmp.Compare(x.key, y.key) })
+			radixSort(xs, func(x item) uint64 { return x.key })
+			if !slices.Equal(xs, want) {
+				t.Fatalf("mask %#x, %d items: radixSort = %v, want %v", mask, n, xs, want)
+			}
+		}
 	}
 }

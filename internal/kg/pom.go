@@ -275,27 +275,16 @@ func (g *Graph) predTotalsLocked(st *pomStripe, pred PredicateID) (total, entiti
 
 // PredicateEntriesFunc streams every (object value, subject) pair indexed
 // under pred to fn, in object-key order and within one object by
-// subject, stopping early if fn returns false. Object values are
-// reconstructed from their identity keys, so provenance is not carried.
-// fn runs under the stripe read lock: it must not mutate the graph or
-// read its triple indexes; it may read the dictionaries (see Visitor
-// callbacks on Graph).
+// subject, stopping early if fn returns false: the base's keys merged
+// with the ones only the delta holds, which are the only keys sorted.
+// Object values are reconstructed from their identity keys, so
+// provenance is not carried. fn runs under the stripe read lock: it must
+// not mutate the graph or read its triple indexes; it may read the
+// dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj EntityID) bool) {
 	st := g.pomStripe(pred)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	g.postingsLocked(st, pred, func(k ValueKey, p posting) bool {
-		obj := k.Value()
-		return p.each(func(s EntityID) bool { return fn(obj, s) })
-	})
-}
-
-// postingsLocked calls fn with pred's postings in object-key order — the
-// base's keys merged with the ones only the delta holds, which are the
-// only keys sorted, each posting in its layers — and reports whether it
-// ran to the end. A posting the delta drained comes out empty. The
-// caller holds the stripe's lock.
-func (g *Graph) postingsLocked(st *pomStripe, pred PredicateID, fn func(k ValueKey, p posting) bool) bool {
 	var old basePred
 	if int(pred) < len(g.base.preds) {
 		old = g.base.preds[pred]
@@ -323,9 +312,9 @@ func (g *Graph) postingsLocked(st *pomStripe, pred PredicateID, fn func(k ValueK
 		if pd != nil {
 			p.adds, p.dels = pd.adds[k], pd.dels[k]
 		}
-		if !fn(k, p) {
-			return false
+		obj := k.Value()
+		if !p.each(func(s EntityID) bool { return fn(obj, s) }) {
+			return
 		}
 	}
-	return true
 }

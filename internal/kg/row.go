@@ -104,14 +104,6 @@ func (r *FactRow) fill(t *Triple, subj EntityID, pred PredicateID) {
 // SearchRows returns where the row with object key k sits in rows sorted
 // by object key, or where it would be inserted, and whether it is there.
 func SearchRows(rows []FactRow, k ValueKey) (int, bool) {
-	i, j := 0, len(rows)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if rows[h].Key().Compare(k) < 0 {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
+	i := lowerBound(rows, func(r FactRow) bool { return r.Key().Compare(k) < 0 })
 	return i, i < len(rows) && rows[i].Key() == k
 }
