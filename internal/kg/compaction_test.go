@@ -265,6 +265,9 @@ func TestChunkedLogPullDuringTruncate(t *testing.T) {
 	p := mustPredicate(t, g, "score")
 	const total = 40 * mutLogChunkCap
 	var consumed atomic.Uint64
+	// Open the feeds before the writer starts: with no feed open the log
+	// keeps only a chunk a shard, and the floor would pass cursor 0.
+	feed, lagging := g.Feed(0), g.Feed(0)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // writer
@@ -286,7 +289,6 @@ func TestChunkedLogPullDuringTruncate(t *testing.T) {
 		}
 	}()
 
-	feed, lagging := g.Feed(0), g.Feed(0)
 	var buf []Mutation
 	for feed.Cursor() < total {
 		before := feed.Cursor()

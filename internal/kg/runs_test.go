@@ -391,3 +391,62 @@ func TestChunkedReadsAcrossFold(t *testing.T) {
 		t.Fatal("no fold ran during the reads")
 	}
 }
+
+// Batches racing into an empty graph: at most one is frozen into the
+// base and the others go through the delta, so every fact is added once
+// and the graph holds the batches' union. Run it with -race.
+func TestConcurrentBulkLoads(t *testing.T) {
+	const writers = 4
+	for round := 0; round < 20; round++ {
+		g := NewGraphWithShards(4)
+		for i := 1; i <= 32; i++ {
+			mustEntity(t, g, fmt.Sprintf("e%d", i), "")
+		}
+		p := mustPredicate(t, g, "p")
+		batch := func(w int) (ts []Triple) {
+			for i := 0; i < 64; i++ {
+				ts = append(ts, Triple{Subject: EntityID(1 + (7*i+w)%32), Predicate: p, Object: IntValue(int64(i % (16 + w)))})
+			}
+			return ts
+		}
+		want := map[TripleKey]bool{}
+		for w := range writers {
+			for _, tr := range batch(w) {
+				want[tr.IdentityKey()] = true
+			}
+		}
+		added := make([]int, writers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				n, err := g.AssertBatch(batch(w))
+				if err != nil {
+					t.Error(err)
+				}
+				added[w] = n
+			}()
+		}
+		close(start)
+		wg.Wait()
+		sum := 0
+		for _, n := range added {
+			sum += n
+		}
+		got := g.AllTriples()
+		if sum != len(want) || len(got) != len(want) {
+			t.Fatalf("round %d: batches added %d facts and the graph holds %d, want %d", round, sum, len(got), len(want))
+		}
+		for _, tr := range got {
+			if !want[tr.IdentityKey()] {
+				t.Fatalf("round %d: the graph holds %v, which no batch asserted", round, tr)
+			}
+		}
+		if l := g.Layers(); l.BaseFacts+l.DeltaAdds-l.DeltaRemovals != int64(len(want)) {
+			t.Fatalf("round %d: layers %+v do not sum to %d facts", round, l, len(want))
+		}
+	}
+}
