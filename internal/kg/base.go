@@ -78,13 +78,8 @@ func (b *frozen) subject(subj EntityID, pred PredicateID) []baseRow {
 	if pred == NoPredicate {
 		return rows
 	}
-	return predRows(rows, pred, func(r baseRow) PredicateID { return r.pred })
-}
-
-// predRows returns the rows under pred of rows sorted by predicate.
-func predRows[R any](rows []R, pred PredicateID, predOf func(R) PredicateID) []R {
-	from := func(p PredicateID) int { return lowerBound(rows, func(r R) bool { return predOf(r) < p }) }
-	return rows[from(pred):from(pred+1)]
+	i := lowerBound(rows, func(r baseRow) bool { return r.pred < pred })
+	return rows[i : i+lowerBound(rows[i:], func(r baseRow) bool { return r.pred == pred })]
 }
 
 // lowerBound returns the index of the first of rows that before does not

@@ -983,7 +983,8 @@ func (g *Graph) FactCount(subj EntityID, pred PredicateID) int {
 func (g *Graph) layersLocked(sh *graphShard, subj EntityID, pred PredicateID) ([]baseRow, []FactRow) {
 	delta := sh.delta[subj]
 	if pred != NoPredicate {
-		delta = predRows(delta, pred, func(r FactRow) PredicateID { return r.pred })
+		i := lowerBound(delta, func(r FactRow) bool { return r.pred < pred })
+		delta = delta[i : i+lowerBound(delta[i:], func(r FactRow) bool { return r.pred == pred })]
 	}
 	return g.base.subject(subj, pred), delta
 }
