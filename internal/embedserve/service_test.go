@@ -26,9 +26,12 @@ func newHarness(t *testing.T) *harness {
 		t.Fatal(err)
 	}
 	d := embedding.NewDataset(graphengine.New(w.Graph).Materialize(graphengine.ViewDef{}))
+	// One worker: the model is then the same on every run. Two Hogwild
+	// workers interleave their updates by scheduling, and about one run
+	// in 150 trained a model below TestVerifyFact's thresholds.
 	m, err := embedding.Train(d, embedding.TrainConfig{
 		Model: embedding.DistMult, Dim: 32, Epochs: 40, LearningRate: 0.08,
-		Negatives: 4, Workers: 2, Seed: 3,
+		Negatives: 4, Workers: 1, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,14 @@ type executor struct {
 	skipping bool          // still descending towards the cursor row
 	limit    int           // <= 0 = unlimited
 	yielded  int
-	ctx      context.Context
-	err      error // context error to surface after unwinding
-	yield    func(Row, error) bool
+	// done is ctx's Done channel, fetched once per run and polled at every
+	// candidate: a receive from an open channel is two atomic loads,
+	// where Err on a timer context (the admission budget's) takes a
+	// mutex. nil for a run without a context.
+	ctx   context.Context
+	done  <-chan struct{}
+	err   error // context error to surface after unwinding
+	yield func(Row, error) bool
 }
 
 // term returns the value at one clause position: the constant, or the
@@ -67,10 +72,12 @@ func (e *executor) term(t Term, slot int) kg.Value {
 // write can neither shift nor repeat them), and a scan buffers one
 // consistent read of the predicate.
 func (e *executor) exec(idx int) bool {
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			e.err = err
+	if e.done != nil {
+		select {
+		case <-e.done:
+			e.err = e.ctx.Err()
 			return false
+		default:
 		}
 	}
 	if idx == len(e.plan.steps) {

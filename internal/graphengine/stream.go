@@ -250,6 +250,10 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 		}
 		ctx, cancel := opts.deadline()
 		defer cancel()
+		var done <-chan struct{}
+		if ctx != nil {
+			done = ctx.Done()
+		}
 		ex := &executor{
 			g:        g,
 			plan:     p,
@@ -260,6 +264,7 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			skipping: len(opts.Cursor) > 0,
 			limit:    opts.Limit,
 			ctx:      ctx,
+			done:     done,
 			yield:    yield,
 		}
 		ex.exec(0)

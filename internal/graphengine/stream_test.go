@@ -478,3 +478,61 @@ func TestPlannerCountersSeeFreshWrites(t *testing.T) {
 		t.Fatalf("stream over fresh writes = %d rows, want %d", len(rows), n)
 	}
 }
+
+// countingCtx counts how often a run asks its context for Done and Err.
+type countingCtx struct {
+	context.Context
+	dones, errs int
+}
+
+func (c *countingCtx) Done() <-chan struct{} { c.dones++; return c.Context.Done() }
+func (c *countingCtx) Err() error            { c.errs++; return c.Context.Err() }
+
+// The executor fetches its context's Done channel once per run and polls
+// the channel at every candidate, calling Err only once the context has
+// ended: Err on the admission budget's timer context takes a mutex, too
+// dear for every candidate of every depth. A run cancelled mid-stream
+// still stops at the next candidate.
+func TestStreamPollsContextWithoutErr(t *testing.T) {
+	const n = 3*postingChunkSize + 1
+	g, clauses := streamFixture(t, n)
+	e := New(g)
+	for _, tc := range []struct {
+		name    string
+		clauses []Clause
+	}{
+		{"posting then has-fact", clauses},
+		{"scan", []Clause{{Subject: V("p"), Predicate: clauses[0].Predicate, Object: V("t")}}},
+	} {
+		ctx := &countingCtx{Context: context.Background()}
+		rows := 0
+		for _, err := range e.StreamRows(tc.clauses, QueryOptions{Context: ctx}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows++
+		}
+		if rows != n || ctx.dones != 1 || ctx.errs != 0 {
+			t.Fatalf("%s: %d rows; Done asked %d times, Err %d", tc.name, rows, ctx.dones, ctx.errs)
+		}
+
+		cancelCtx, cancel := context.WithCancel(context.Background())
+		ctx = &countingCtx{Context: cancelCtx}
+		rows = 0
+		var last error
+		for _, err := range e.StreamRows(tc.clauses, QueryOptions{Context: ctx}) {
+			if err != nil {
+				last = err
+				continue
+			}
+			if rows++; rows == postingChunkSize+1 {
+				cancel()
+			}
+		}
+		cancel()
+		if !errors.Is(last, context.Canceled) || rows != postingChunkSize+1 || ctx.dones != 1 || ctx.errs != 1 {
+			t.Fatalf("%s: cancelled at row %d, the run yielded %d rows, ended with %v; Done asked %d times, Err %d",
+				tc.name, postingChunkSize+1, rows, last, ctx.dones, ctx.errs)
+		}
+	}
+}

@@ -8,58 +8,60 @@ import (
 	"unicode/utf8"
 )
 
-// Hand-written decoding of the /ingest request body — the mirror of
-// encode.go. One pass over the bytes walks "asserts"/"retracts" into a
-// reused slice of ingestOp, whose strings are views into the body (or,
-// for a string that carried escapes, into one scratch buffer): no
-// reflection, no per-triple allocation. The grammar is all of JSON —
-// whitespace, every escape including surrogate pairs, unknown fields and
-// arbitrarily nested unknown values are validated and skipped, null
-// leaves a field unset — and what it accepts, json.Unmarshal into
+// Hand-written decoding of the request bodies — the mirror of encode.go.
+// One scanner reads every JSON body the server takes on its serving
+// path: /ingest's batch, and the /query, /subscribe and /annotate
+// requests. One pass over the bytes walks the known fields into reused
+// slices whose strings are views into the body (or, for a string that
+// carried escapes, into one scratch buffer): no reflection, no
+// per-field allocation. The grammar is all of JSON — whitespace, every
+// escape including surrogate pairs, unknown fields and arbitrarily
+// nested unknown values are validated and skipped, null leaves a field
+// unset — and what it accepts, json.Unmarshal into the struct shapes it
+// replaced accepts with the same result:
 //
-//	struct{ Asserts, Retracts []struct{ Subject, Predicate string; Object queryTermJSON } }
+//	/ingest     struct{ Asserts, Retracts []struct{ Subject, Predicate string; Object term } }
+//	/query      struct{ Clauses []clause; Limit *int; Cursor string; Explain bool; AsOf *uint64 `json:"as_of"` }
+//	/subscribe  struct{ Clauses []clause; CoalesceMS, Buffer, MaxPending int }  // coalesce_ms, buffer, max_pending
+//	/annotate   struct{ Text string }
+//	clause      struct{ Subject term; Predicate string; Object term }
+//	term        struct{ Var, Key, String *string; Int *int64 }
 //
-// accepts with the same result, which decode_test.go pins differentially
-// and under fuzzing. It is stricter than that reference in three ways:
-// keys match case-sensitively, a known key repeated inside one object is
-// an error, and so is anything but whitespace after the document.
+// decode_test.go and request_decode_test.go pin that differentially and
+// under fuzzing. The scanner is stricter than those references in three
+// ways: keys match case-sensitively, a known key repeated inside one
+// object is an error, and so is anything but whitespace after the
+// document.
 
 // maxJSONDepth is encoding/json's nesting limit; deeper documents are
 // rejected the same way.
 const maxJSONDepth = 10000
 
-// Object-term fields present (non-null) in a scanned term.
+// Term fields present (non-null) in a scanned term.
 const (
-	termVar uint8 = 1 << iota
+	termVar = 1 << iota
 	termKey
 	termString
 	termInt
 )
 
-// ingestTerm is a scanned object term: which of var/key/string/int it
-// set, and the payload of the last one.
-type ingestTerm struct {
+// scanTerm is a scanned term: which of var/key/string/int it set, and
+// the payload of the last one.
+type scanTerm struct {
 	set  uint8
-	text []byte // key or string payload
+	text []byte // var, key or string payload
 	num  int64  // int payload
 }
 
-// ingestOp is one scanned triple, unresolved.
-type ingestOp struct {
-	subject, predicate []byte
-	object             ingestTerm
-}
-
-// ingestScanner decodes one /ingest body. Its slices are reused across
-// requests; the ops are only valid until the next scan.
-type ingestScanner struct {
+// scanner is the JSON syntax under every request decoder: a position in
+// one body and the primitives that validate, decode and skip its values.
+type scanner struct {
 	data  []byte
 	pos   int
 	depth int
 	// scratch receives the decoded form of every string that needed
 	// decoding. It only grows by append, so earlier views stay intact.
-	scratch           []byte
-	asserts, retracts []ingestOp
+	scratch []byte
 }
 
 // decodeError is a malformed-body error: what was wrong and where.
@@ -70,19 +72,46 @@ type decodeError struct {
 
 func (e *decodeError) Error() string { return fmt.Sprintf("%s at offset %d", e.msg, e.off) }
 
-func (s *ingestScanner) fail(msg string) error { return &decodeError{msg: msg, off: s.pos} }
+func (s *scanner) fail(msg string) error { return &decodeError{msg: msg, off: s.pos} }
+
+func (s *scanner) reset(data []byte) {
+	s.data, s.pos, s.depth, s.scratch = data, 0, 0, s.scratch[:0]
+}
+
+// end rejects anything but whitespace after the document.
+func (s *scanner) end() error {
+	if s.peek(); s.pos != len(s.data) {
+		return s.fail("unexpected data after the document")
+	}
+	return nil
+}
+
+// --- /ingest ---------------------------------------------------------------
+
+// ingestOp is one scanned triple, unresolved.
+type ingestOp struct {
+	subject, predicate []byte
+	object             scanTerm
+}
+
+// ingestScanner decodes one /ingest body. Its slices are reused across
+// requests; the ops are only valid until the next scan.
+type ingestScanner struct {
+	scanner
+	asserts, retracts []ingestOp
+}
 
 // scan decodes data, replacing the scanner's previous ops. A batch
 // larger than maxIngestOps is rejected at the first op past the cap, not
 // after the rest of the body has been decoded.
 func (s *ingestScanner) scan(data []byte) error {
-	s.data, s.pos, s.depth = data, 0, 0
-	s.scratch, s.asserts, s.retracts = s.scratch[:0], s.asserts[:0], s.retracts[:0]
+	s.reset(data)
+	s.asserts, s.retracts = s.asserts[:0], s.retracts[:0]
 	isNull, err := s.open('{')
 	if err != nil {
 		return err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; !isNull; first = false {
 		key, done, err := s.nextKey(first)
 		if err != nil {
@@ -103,24 +132,11 @@ func (s *ingestScanner) scan(data []byte) error {
 			return err
 		}
 	}
-	if s.peek(); s.pos != len(s.data) {
-		return s.fail("unexpected data after the document")
-	}
-	return nil
-}
-
-// once marks the known field bit as present in the object being decoded,
-// rejecting its second appearance.
-func (s *ingestScanner) once(seen *uint8, bit uint8) error {
-	if *seen&bit != 0 {
-		return s.fail("repeated key")
-	}
-	*seen |= bit
-	return nil
+	return s.end()
 }
 
 // triples decodes an array of triples (or null) into dst.
-func (s *ingestScanner) triples(dst *[]ingestOp, seen *uint8, bit uint8) error {
+func (s *ingestScanner) triples(dst *[]ingestOp, seen *uint16, bit uint16) error {
 	if err := s.once(seen, bit); err != nil {
 		return err
 	}
@@ -150,7 +166,7 @@ func (s *ingestScanner) triple(op *ingestOp) error {
 	if err != nil || isNull {
 		return err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; ; first = false {
 		key, done, err := s.nextKey(first)
 		if err != nil || done {
@@ -172,10 +188,179 @@ func (s *ingestScanner) triple(op *ingestOp) error {
 	}
 }
 
-// term decodes an object term {"key":…} / {"string":…} / {"int":…} /
-// {"var":…} (or null), recording every field it sets: whether the set is
-// a legal constant term is the resolver's call.
-func (s *ingestScanner) term(t *ingestTerm, seenOuter *uint8, bit uint8) error {
+// --- /query, /subscribe, /annotate -----------------------------------------
+
+// The top-level fields of the read routes' requests, one bit each. A
+// route decodes the fields its request declares and skips every other
+// key as unknown.
+const (
+	fieldClauses = 1 << iota
+	fieldLimit
+	fieldCursor
+	fieldExplain
+	fieldAsOf
+	fieldCoalesce
+	fieldBuffer
+	fieldMaxPending
+	fieldText
+
+	queryFields     = fieldClauses | fieldLimit | fieldCursor | fieldExplain | fieldAsOf
+	subscribeFields = fieldClauses | fieldCoalesce | fieldBuffer | fieldMaxPending
+	annotateFields  = fieldText
+)
+
+// requestFields maps the top-level keys to their field bits.
+var requestFields = map[string]uint16{
+	"clauses": fieldClauses, "limit": fieldLimit, "cursor": fieldCursor, "explain": fieldExplain,
+	"as_of": fieldAsOf, "coalesce_ms": fieldCoalesce, "buffer": fieldBuffer, "max_pending": fieldMaxPending,
+	"text": fieldText,
+}
+
+// clauseOp is one scanned query clause, unresolved.
+type clauseOp struct {
+	subject, object scanTerm
+	predicate       []byte
+}
+
+// requestScanner decodes one /query, /subscribe or /annotate body into
+// the fields of that route's request. Its slices are reused across
+// requests; what it holds is only valid until the next scan.
+type requestScanner struct {
+	scanner
+	set      uint16     // the fields present and not null
+	clauses  []clauseOp // the first maxQueryClauses+1 clauses
+	nClauses int        // every clause, counted past the cap
+	cursor   []byte
+	text     []byte
+	explain  bool
+	asOf     uint64
+	limit    int64
+	// /subscribe's coalescing window, event buffer and pending bound.
+	coalesceMS, buffer, maxPending int64
+}
+
+// scan decodes data as a request with the given fields, replacing the
+// scanner's previous request.
+func (s *requestScanner) scan(data []byte, fields uint16) error {
+	*s = requestScanner{scanner: s.scanner, clauses: s.clauses[:0]}
+	s.reset(data)
+	isNull, err := s.open('{')
+	if err != nil {
+		return err
+	}
+	var seen uint16
+	for first := true; !isNull; first = false {
+		key, done, err := s.nextKey(first)
+		if err != nil {
+			return err
+		}
+		if done {
+			break
+		}
+		null, bit := false, requestFields[string(key)]&fields
+		switch bit {
+		case 0:
+			err = s.skipValue()
+		case fieldClauses:
+			err = s.clauseList(&seen)
+		case fieldCursor:
+			s.cursor, null, err = s.stringField(&seen, bit)
+		case fieldText:
+			s.text, null, err = s.stringField(&seen, bit)
+		case fieldExplain:
+			s.explain, null, err = s.boolField(&seen, bit)
+		case fieldAsOf:
+			s.asOf, null, err = s.uintField(&seen, bit)
+		case fieldLimit:
+			s.limit, null, err = s.intField(&seen, bit, strconv.IntSize)
+		case fieldCoalesce:
+			s.coalesceMS, null, err = s.intField(&seen, bit, strconv.IntSize)
+		case fieldBuffer:
+			s.buffer, null, err = s.intField(&seen, bit, strconv.IntSize)
+		case fieldMaxPending:
+			s.maxPending, null, err = s.intField(&seen, bit, strconv.IntSize)
+		}
+		if err != nil {
+			return err
+		}
+		if !null {
+			s.set |= bit
+		}
+	}
+	return s.end()
+}
+
+// clauseList decodes the "clauses" array (or null). It keeps the first
+// maxQueryClauses+1 clauses and only counts the rest: the handler names
+// the count in its error, and a 1 MiB body of empty clauses must not
+// cost a slice of them.
+func (s *requestScanner) clauseList(seen *uint16) error {
+	if err := s.once(seen, fieldClauses); err != nil {
+		return err
+	}
+	isNull, err := s.open('[')
+	if err != nil || isNull {
+		return err
+	}
+	for first := true; ; first = false {
+		done, err := s.nextElem(first)
+		if err != nil || done {
+			return err
+		}
+		var c clauseOp
+		if err := s.clause(&c); err != nil {
+			return err
+		}
+		if s.nClauses++; len(s.clauses) <= maxQueryClauses {
+			s.clauses = append(s.clauses, c)
+		}
+	}
+}
+
+// clause decodes {"subject":{…},"predicate":…,"object":{…}} (or null).
+func (s *scanner) clause(c *clauseOp) error {
+	isNull, err := s.open('{')
+	if err != nil || isNull {
+		return err
+	}
+	var seen uint16
+	for first := true; ; first = false {
+		key, done, err := s.nextKey(first)
+		if err != nil || done {
+			return err
+		}
+		switch string(key) {
+		case "subject":
+			err = s.term(&c.subject, &seen, 1)
+		case "predicate":
+			c.predicate, _, err = s.stringField(&seen, 2)
+		case "object":
+			err = s.term(&c.object, &seen, 4)
+		default:
+			err = s.skipValue()
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// --- fields ----------------------------------------------------------------
+
+// once marks the known field bit as present in the object being decoded,
+// rejecting its second appearance.
+func (s *scanner) once(seen *uint16, bit uint16) error {
+	if *seen&bit != 0 {
+		return s.fail("repeated key")
+	}
+	*seen |= bit
+	return nil
+}
+
+// term decodes a term {"var":…} / {"key":…} / {"string":…} / {"int":…}
+// (or null), recording every field it sets: whether the set is legal
+// where the term stands is the resolver's call.
+func (s *scanner) term(t *scanTerm, seenOuter *uint16, bit uint16) error {
 	if err := s.once(seenOuter, bit); err != nil {
 		return err
 	}
@@ -183,7 +368,7 @@ func (s *ingestScanner) term(t *ingestTerm, seenOuter *uint8, bit uint8) error {
 	if err != nil || isNull {
 		return err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; ; first = false {
 		key, done, err := s.nextKey(first)
 		if err != nil || done {
@@ -204,17 +389,14 @@ func (s *ingestScanner) term(t *ingestTerm, seenOuter *uint8, bit uint8) error {
 		case 0:
 			err = s.skipValue()
 		case termInt:
-			n, null, ferr := s.intField(&seen)
+			n, null, ferr := s.intField(&seen, termInt, 64)
 			if err = ferr; err == nil && !null {
 				t.num, t.set = n, t.set|termInt
 			}
 		default:
-			text, null, ferr := s.stringField(&seen, field)
+			text, null, ferr := s.stringField(&seen, uint16(field))
 			if err = ferr; err == nil && !null {
-				t.set |= field
-				if field != termVar {
-					t.text = text
-				}
+				t.text, t.set = text, t.set|field
 			}
 		}
 		if err != nil {
@@ -225,7 +407,7 @@ func (s *ingestScanner) term(t *ingestTerm, seenOuter *uint8, bit uint8) error {
 
 // stringField decodes a string-typed field's value: a string, or null
 // (the field stays unset). bit marks the field in *seen.
-func (s *ingestScanner) stringField(seen *uint8, bit uint8) (text []byte, isNull bool, err error) {
+func (s *scanner) stringField(seen *uint16, bit uint16) (text []byte, isNull bool, err error) {
 	if err := s.once(seen, bit); err != nil {
 		return nil, false, err
 	}
@@ -239,30 +421,69 @@ func (s *ingestScanner) stringField(seen *uint8, bit uint8) (text []byte, isNull
 	return nil, false, s.fail("expected a string")
 }
 
-// intField decodes the "int" field's value: an integer literal in int64
-// range (no fraction, no exponent), or null.
-func (s *ingestScanner) intField(seen *uint8) (n int64, isNull bool, err error) {
-	if err := s.once(seen, termInt); err != nil {
-		return 0, false, err
+// boolField decodes a bool-typed field's value: true, false or null.
+func (s *scanner) boolField(seen *uint16, bit uint16) (v, isNull bool, err error) {
+	if err := s.once(seen, bit); err != nil {
+		return false, false, err
+	}
+	switch s.peek() {
+	case 't':
+		return true, false, s.literal("true")
+	case 'f':
+		return false, false, s.literal("false")
+	case 'n':
+		return false, true, s.literal("null")
+	}
+	return false, false, s.fail("expected a boolean")
+}
+
+// integer decodes an integer-typed field's value: null, or a number
+// literal without fraction or exponent, returned as its bytes.
+func (s *scanner) integer(seen *uint16, bit uint16) (raw []byte, isNull bool, err error) {
+	if err := s.once(seen, bit); err != nil {
+		return nil, false, err
 	}
 	switch c := s.peek(); {
 	case c == 'n':
-		return 0, true, s.literal("null")
+		return nil, true, s.literal("null")
 	case c == '-' || ('0' <= c && c <= '9'):
 		at := s.pos
 		raw, integer, err := s.number()
-		if err != nil {
-			return 0, false, err
+		if err == nil && !integer {
+			s.pos = at
+			err = s.fail("expected an integer")
 		}
-		if integer {
-			if n, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
-				return n, false, nil
-			}
-		}
-		s.pos = at
-		return 0, false, s.fail("expected a 64-bit integer")
+		return raw, false, err
 	}
-	return 0, false, s.fail("expected an integer")
+	return nil, false, s.fail("expected an integer")
+}
+
+// intField decodes a signed integer field of bitSize bits, or null.
+func (s *scanner) intField(seen *uint16, bit uint16, bitSize int) (int64, bool, error) {
+	raw, isNull, err := s.integer(seen, bit)
+	if err != nil || isNull {
+		return 0, isNull, err
+	}
+	n, err := strconv.ParseInt(string(raw), 10, bitSize)
+	if err != nil {
+		s.pos -= len(raw)
+		return 0, false, s.fail(fmt.Sprintf("expected a %d-bit integer", bitSize))
+	}
+	return n, false, nil
+}
+
+// uintField decodes an unsigned 64-bit integer field, or null.
+func (s *scanner) uintField(seen *uint16, bit uint16) (uint64, bool, error) {
+	raw, isNull, err := s.integer(seen, bit)
+	if err != nil || isNull {
+		return 0, isNull, err
+	}
+	n, err := strconv.ParseUint(string(raw), 10, 64)
+	if err != nil {
+		s.pos -= len(raw)
+		return 0, false, s.fail("expected an unsigned 64-bit integer")
+	}
+	return n, false, nil
 }
 
 // --- JSON syntax ---------------------------------------------------------
@@ -270,7 +491,7 @@ func (s *ingestScanner) intField(seen *uint8) (n int64, isNull bool, err error) 
 // peek skips whitespace and returns the next byte, or 0 at the end of
 // the input (a literal NUL is no token either, so callers treat both as
 // "nothing valid here").
-func (s *ingestScanner) peek() byte {
+func (s *scanner) peek() byte {
 	for s.pos < len(s.data) {
 		switch c := s.data[s.pos]; c {
 		case ' ', '\t', '\r', '\n':
@@ -284,7 +505,7 @@ func (s *ingestScanner) peek() byte {
 
 // open consumes the opening delimiter of an object or array, or the
 // literal null in its place.
-func (s *ingestScanner) open(delim byte) (isNull bool, err error) {
+func (s *scanner) open(delim byte) (isNull bool, err error) {
 	switch s.peek() {
 	case delim:
 		s.pos++
@@ -304,7 +525,7 @@ func (s *ingestScanner) open(delim byte) (isNull bool, err error) {
 // nextKey advances to the next member of the open object and returns
 // its key, positioned at the member's value; done reports the closing
 // brace instead.
-func (s *ingestScanner) nextKey(first bool) (key []byte, done bool, err error) {
+func (s *scanner) nextKey(first bool) (key []byte, done bool, err error) {
 	c := s.peek()
 	if c == '}' {
 		s.pos++
@@ -333,7 +554,7 @@ func (s *ingestScanner) nextKey(first bool) (key []byte, done bool, err error) {
 
 // nextElem advances to the next element of the open array, positioned
 // at its value; done reports the closing bracket instead.
-func (s *ingestScanner) nextElem(first bool) (done bool, err error) {
+func (s *scanner) nextElem(first bool) (done bool, err error) {
 	c := s.peek()
 	if c == ']' {
 		s.pos++
@@ -350,7 +571,7 @@ func (s *ingestScanner) nextElem(first bool) (done bool, err error) {
 }
 
 // skipValue validates and skips one value of any shape.
-func (s *ingestScanner) skipValue() error {
+func (s *scanner) skipValue() error {
 	switch c := s.peek(); {
 	case c == '"':
 		mark := len(s.scratch)
@@ -396,7 +617,7 @@ func (s *ingestScanner) skipValue() error {
 	return s.fail("expected a value")
 }
 
-func (s *ingestScanner) literal(word string) error {
+func (s *scanner) literal(word string) error {
 	if len(s.data)-s.pos < len(word) || string(s.data[s.pos:s.pos+len(word)]) != word {
 		return s.fail("invalid literal")
 	}
@@ -406,7 +627,7 @@ func (s *ingestScanner) literal(word string) error {
 
 // number validates the number literal at pos and returns its bytes;
 // integer reports that it has neither fraction nor exponent.
-func (s *ingestScanner) number() (raw []byte, integer bool, err error) {
+func (s *scanner) number() (raw []byte, integer bool, err error) {
 	d, i := s.data, s.pos
 	digits := func() bool {
 		start := i
@@ -449,7 +670,7 @@ func (s *ingestScanner) number() (raw []byte, integer bool, err error) {
 // view into the input; anything else is decoded into scratch exactly as
 // encoding/json decodes it: escapes resolved, a lone surrogate escape or
 // a byte of invalid UTF-8 replaced by U+FFFD.
-func (s *ingestScanner) str() ([]byte, error) {
+func (s *scanner) str() ([]byte, error) {
 	d := s.data
 	start := s.pos + 1
 	i := start

@@ -12,7 +12,8 @@ import (
 )
 
 // The reflective request shape /ingest decoded into before the scanner:
-// kept as the reference the scanner is checked against.
+// kept as the reference the scanner is checked against (its term is
+// /query's, in request_decode_test.go).
 type refIngestTriple struct {
 	Subject   string        `json:"subject"`
 	Predicate string        `json:"predicate"`
@@ -37,35 +38,48 @@ func sameOps(ops []ingestOp, ref []refIngestTriple) error {
 		if string(op.subject) != r.Subject || string(op.predicate) != r.Predicate {
 			return fmt.Errorf("op %d: (%q, %q), reference (%q, %q)", i, op.subject, op.predicate, r.Subject, r.Predicate)
 		}
-		var set uint8
-		if r.Object.Var != nil {
-			set |= termVar
+		if err := sameTerm(op.object, r.Object); err != nil {
+			return fmt.Errorf("op %d: object %w", i, err)
 		}
-		if r.Object.Key != nil {
-			set |= termKey
+	}
+	return nil
+}
+
+// sameTerm compares a scanned term with the reference's: the fields
+// set, and the payload of a well-formed (single-field) term.
+func sameTerm(got scanTerm, r queryTermJSON) error {
+	var set uint8
+	if r.Var != nil {
+		set |= termVar
+	}
+	if r.Key != nil {
+		set |= termKey
+	}
+	if r.String != nil {
+		set |= termString
+	}
+	if r.Int != nil {
+		set |= termInt
+	}
+	if got.set != set {
+		return fmt.Errorf("fields %04b, reference %04b", got.set, set)
+	}
+	switch set {
+	case termVar:
+		if string(got.text) != *r.Var {
+			return fmt.Errorf("var %q, reference %q", got.text, *r.Var)
 		}
-		if r.Object.String != nil {
-			set |= termString
+	case termKey:
+		if string(got.text) != *r.Key {
+			return fmt.Errorf("key %q, reference %q", got.text, *r.Key)
 		}
-		if r.Object.Int != nil {
-			set |= termInt
+	case termString:
+		if string(got.text) != *r.String {
+			return fmt.Errorf("string %q, reference %q", got.text, *r.String)
 		}
-		if op.object.set != set {
-			return fmt.Errorf("op %d: object fields %04b, reference %04b", i, op.object.set, set)
-		}
-		switch set {
-		case termKey:
-			if string(op.object.text) != *r.Object.Key {
-				return fmt.Errorf("op %d: key %q, reference %q", i, op.object.text, *r.Object.Key)
-			}
-		case termString:
-			if string(op.object.text) != *r.Object.String {
-				return fmt.Errorf("op %d: string %q, reference %q", i, op.object.text, *r.Object.String)
-			}
-		case termInt:
-			if op.object.num != *r.Object.Int {
-				return fmt.Errorf("op %d: int %d, reference %d", i, op.object.num, *r.Object.Int)
-			}
+	case termInt:
+		if got.num != *r.Int {
+			return fmt.Errorf("int %d, reference %d", got.num, *r.Int)
 		}
 	}
 	return nil
@@ -73,13 +87,18 @@ func sameOps(ops []ingestOp, ref []refIngestTriple) error {
 
 var ingestFieldNames = []string{"asserts", "retracts", "subject", "predicate", "object", "var", "key", "string", "int"}
 
-// keyProfile walks a document (if it is valid JSON) and reports the two properties the
-// scanner is documented to treat more strictly than encoding/json: a key
-// that matches a field name only case-insensitively (the reference binds
-// it, the scanner skips it as unknown) and a key repeated within one
-// object (the reference lets the last one win or merges, the scanner
-// rejects a repeated known key).
+// keyProfile is keyProfileOf over /ingest's field names.
 func keyProfile(data []byte) (caseVariant, repeated bool) {
+	return keyProfileOf(data, ingestFieldNames)
+}
+
+// keyProfileOf walks a document (if it is valid JSON) and reports the two
+// properties the scanner is documented to treat more strictly than
+// encoding/json: a key that matches one of the field names only
+// case-insensitively (the reference binds it, the scanner skips it as
+// unknown) and a key repeated within one object (the reference lets the
+// last one win or merges, the scanner rejects a repeated known key).
+func keyProfileOf(data []byte, fieldNames []string) (caseVariant, repeated bool) {
 	if !json.Valid(data) {
 		return false, false
 	}
@@ -100,7 +119,7 @@ func keyProfile(data []byte) (caseVariant, repeated bool) {
 					repeated = true
 				}
 				seen[key] = true
-				for _, name := range ingestFieldNames {
+				for _, name := range fieldNames {
 					if key != name && strings.EqualFold(key, name) {
 						caseVariant = true
 					}

@@ -1,24 +1,30 @@
 package server
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
 
+	"saga/internal/embedserve"
 	"saga/internal/kg"
+	"saga/internal/websearch"
 	"saga/saga"
 )
 
-// Append-style encoding of query answers. /query and /subscribe render
-// the same rows — one JSON object per answer, variables in sorted order,
-// entity values as {"key","name"} objects and literals as their string
-// form — and both build their output with the functions below, straight
-// into one byte buffer: no per-row maps, no reflection. The bytes are
-// exactly what json.NewEncoder(w).Encode produced from the
-// map[string]any shape these functions replaced (its default HTML-safe
-// escaping included), which encode_test.go pins differentially and under
-// fuzzing.
+// Append-style encoding of the serving path's answers. /query and
+// /subscribe render the same rows — one JSON object per answer,
+// variables in sorted order, entity values as {"key","name"} objects and
+// literals as their string form — and /entity, /related, /search,
+// /annotate and /rank render their objects field by field, all straight
+// into one pooled byte buffer: no per-row maps, no reflection. The bytes
+// are exactly what json.NewEncoder(w).Encode produced from the map and
+// struct shapes these functions replaced — field order, omitempty, its
+// default HTML-safe escaping, its float format and trailing newline
+// included — which encode_test.go and response_encode_test.go pin
+// differentially and under fuzzing.
 
 const hexDigits = "0123456789abcdef"
 
@@ -28,7 +34,14 @@ const hexDigits = "0123456789abcdef"
 // `<`, `>`, `&` as \u00XX; U+2028 and U+2029 as \u2028 / \u2029; each
 // byte of invalid UTF-8 as \ufffd.
 func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
+	dst = appendEscaped(append(dst, '"'), s)
+	return append(dst, '"')
+}
+
+// appendEscaped appends the body of s's JSON string literal, unquoted.
+// Escaping is per rune, so the literal of a concatenation joined by an
+// ASCII separator is the pieces' bodies joined by it.
+func appendEscaped(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
@@ -71,8 +84,7 @@ func appendJSONString(dst []byte, s string) []byte {
 		}
 		i += size
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return append(dst, s[start:]...)
 }
 
 // rowEncoder appends the answers of one query as JSON objects. The
@@ -81,28 +93,38 @@ func appendJSONString(dst []byte, s string) []byte {
 type rowEncoder struct {
 	g    *saga.Graph
 	vars []string
-	keys [][]byte   // per variable: `"name":`, ready to append
+	keys []byte     // per variable `"name":`, ready to append, back to back
+	ends []int      // where each variable's key ends in keys
 	vals []kg.Value // appendBinding's row scratch
 }
 
 // newRowEncoder prepares an encoder for rows over vars (the query's
 // variables in sorted order — saga.QueryRow.Vars).
 func newRowEncoder(g *saga.Graph, vars []string) *rowEncoder {
-	e := &rowEncoder{g: g, vars: vars, keys: make([][]byte, len(vars))}
-	for i, name := range vars {
-		e.keys[i] = append(appendJSONString(nil, name), ':')
-	}
+	e := new(rowEncoder)
+	e.reset(g, vars)
 	return e
+}
+
+// reset prepares e for rows over vars, reusing its buffers.
+func (e *rowEncoder) reset(g *saga.Graph, vars []string) {
+	e.g, e.vars, e.keys, e.ends = g, vars, e.keys[:0], e.ends[:0]
+	for _, name := range vars {
+		e.keys = append(appendJSONString(e.keys, name), ':')
+		e.ends = append(e.ends, len(e.keys))
+	}
 }
 
 // appendRow appends one answer: {"var":value,...} in variable order.
 func (e *rowEncoder) appendRow(dst []byte, vals []kg.Value) []byte {
 	dst = append(dst, '{')
+	start := 0
 	for i, v := range vals {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, e.keys[i]...)
+		dst = append(dst, e.keys[start:e.ends[i]]...)
+		start = e.ends[i]
 		dst = e.appendValue(dst, v)
 	}
 	return append(dst, '}')
@@ -146,15 +168,259 @@ func (e *rowEncoder) appendValue(dst []byte, v kg.Value) []byte {
 	return appendJSONString(dst, v.String())
 }
 
+// factPair is one (predicate, object) pair of an entity's facts.
+type factPair struct {
+	pred kg.PredicateID
+	obj  kg.Value
+}
+
+var factPairPool = sync.Pool{New: func() any { return new([]factPair) }}
+
+// appendEntity renders e as the object /entity has always answered:
+// id, key, name, aliases, description, popularity, types and facts in
+// that order, the empty ones among aliases, description, types and facts
+// left out, and each fact as the string "<predicate> = <object>".
+func appendEntity(j *jsonBuf, g *saga.Graph, e *kg.Entity) {
+	j.raw(`{"id":`)
+	j.uint(uint64(uint32(e.ID)))
+	j.field(`,"key":`, e.Key)
+	j.field(`,"name":`, e.Name)
+	if len(e.Aliases) > 0 {
+		j.raw(`,"aliases":[`)
+		for i, a := range e.Aliases {
+			if i > 0 {
+				j.raw(",")
+			}
+			j.str(a)
+		}
+		j.raw("]")
+	}
+	if e.Description != "" {
+		j.field(`,"description":`, e.Description)
+	}
+	j.floatField(`,"popularity":`, e.Popularity)
+	if len(e.Types) > 0 {
+		j.raw(`,"types":[`)
+		for i, t := range e.Types {
+			if i > 0 {
+				j.raw(",")
+			}
+			j.str(g.Ontology().Name(t))
+		}
+		j.raw("]")
+	}
+	// Collect (predicate, object) pairs under one read-lock pass, then
+	// resolve names after the visitor returns so the render lookups don't
+	// run while the graph lock is held.
+	pp := factPairPool.Get().(*[]factPair)
+	pairs := (*pp)[:0]
+	g.OutgoingFunc(e.ID, func(tr kg.Triple) bool {
+		pairs = append(pairs, factPair{pred: tr.Predicate, obj: tr.Object})
+		return true
+	})
+	facts := 0
+	for _, pv := range pairs {
+		p := g.Predicate(pv.pred)
+		if p == nil {
+			continue
+		}
+		if facts++; facts == 1 {
+			j.raw(`,"facts":["`)
+		} else {
+			j.raw(`","`)
+		}
+		j.b = appendEscaped(j.b, p.Name)
+		j.raw(" = ")
+		if oe := entityOf(g, pv.obj); oe != nil {
+			j.b = appendEscaped(j.b, oe.Name)
+		} else {
+			j.b = appendEscaped(j.b, pv.obj.String())
+		}
+	}
+	if facts > 0 {
+		j.raw(`"]`)
+	}
+	j.raw("}\n")
+	clear(pairs) // drop the string literals
+	*pp = pairs[:0]
+	factPairPool.Put(pp)
+}
+
+// entityOf returns the entity a value names, or nil for a literal or an
+// entity the dictionary does not know.
+func entityOf(g *saga.Graph, v kg.Value) *kg.Entity {
+	if !v.IsEntity() {
+		return nil
+	}
+	return g.Entity(v.Entity)
+}
+
+// entityNames returns the key and name of an entity, empty when the
+// dictionary does not know it.
+func entityNames(g *saga.Graph, id kg.EntityID) (key, name string) {
+	if e := g.Entity(id); e != nil {
+		return e.Key, e.Name
+	}
+	return "", ""
+}
+
+// appendAnnotations renders /annotate's answer.
+func appendAnnotations(j *jsonBuf, g *saga.Graph, anns []saga.Annotation) {
+	j.raw(`{"annotations":[`)
+	for i, a := range anns {
+		if i > 0 {
+			j.raw(",")
+		}
+		key, name := entityNames(g, a.Entity)
+		j.raw(`{"start":`)
+		j.int(a.Start)
+		j.raw(`,"end":`)
+		j.int(a.End)
+		j.field(`,"surface":`, a.Surface)
+		j.raw(`,"entity":`)
+		j.uint(uint64(uint32(a.Entity)))
+		j.field(`,"key":`, key)
+		j.field(`,"name":`, name)
+		j.floatField(`,"score":`, a.Score)
+		j.raw("}")
+	}
+	j.raw("]}\n")
+}
+
+// appendRanked renders /rank's answer.
+func appendRanked(j *jsonBuf, g *saga.Graph, ranked []saga.RankedFact) {
+	j.raw(`{"ranked":[`)
+	for i, rf := range ranked {
+		if i > 0 {
+			j.raw(",")
+		}
+		j.raw(`{"object":`)
+		if oe := entityOf(g, rf.Triple.Object); oe != nil {
+			j.str(oe.Name)
+		} else {
+			j.str(rf.Triple.Object.String())
+		}
+		j.floatField(`,"score":`, rf.Score)
+		j.raw("}")
+	}
+	j.raw("]}\n")
+}
+
+// appendRelated renders /related's answer.
+func appendRelated(j *jsonBuf, g *saga.Graph, rel []embedserve.ScoredEntity) {
+	j.raw(`{"related":[`)
+	for i, se := range rel {
+		if i > 0 {
+			j.raw(",")
+		}
+		key, name := entityNames(g, se.ID)
+		j.field(`{"key":`, key)
+		j.field(`,"name":`, name)
+		j.floatField(`,"score":`, se.Score)
+		j.raw("}")
+	}
+	j.raw("]}\n")
+}
+
+// appendHits renders /search's answer.
+func appendHits(j *jsonBuf, hits []websearch.Hit) {
+	j.raw(`{"hits":[`)
+	for i, h := range hits {
+		if i > 0 {
+			j.raw(",")
+		}
+		j.field(`{"id":`, h.Doc.ID)
+		j.field(`,"url":`, h.Doc.URL)
+		j.field(`,"title":`, h.Doc.Title)
+		j.floatField(`,"score":`, h.Score)
+		j.raw("}")
+	}
+	j.raw("]}\n")
+}
+
+// jsonBuf is a response body being appended by hand. err keeps the
+// first value JSON cannot carry (a NaN or infinite float), which
+// json.Encoder would have failed on.
+type jsonBuf struct {
+	b   []byte
+	err error
+}
+
+func (j *jsonBuf) raw(s string)  { j.b = append(j.b, s...) }
+func (j *jsonBuf) str(s string)  { j.b = appendJSONString(j.b, s) }
+func (j *jsonBuf) int(n int)     { j.b = strconv.AppendInt(j.b, int64(n), 10) }
+func (j *jsonBuf) uint(n uint64) { j.b = strconv.AppendUint(j.b, n, 10) }
+
+// field appends key — the literal up to the value, e.g. `,"name":` —
+// and the string value.
+func (j *jsonBuf) field(key, v string) {
+	j.raw(key)
+	j.str(v)
+}
+
+// floatField is field for a float value.
+func (j *jsonBuf) floatField(key string, f float64) {
+	j.raw(key)
+	j.float(f)
+}
+
+// float appends f as encoding/json formats a float64: the shortest
+// decimal that round-trips, in exponent form (e-7, not e-07) only below
+// 1e-6 or from 1e21 up.
+func (j *jsonBuf) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if j.err == nil {
+			j.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	j.b = strconv.AppendFloat(j.b, f, format, -1, 64)
+	if n := len(j.b); format == 'e' && j.b[n-4] == 'e' && j.b[n-3] == '-' && j.b[n-2] == '0' {
+		j.b[n-2] = j.b[n-1]
+		j.b = j.b[:n-1]
+	}
+}
+
+// send answers with the finished body — or, if a value could not be
+// encoded, with the 500 writeJSON answers for it.
+func (j *jsonBuf) send(w http.ResponseWriter, status int) {
+	if j.err != nil {
+		status = http.StatusInternalServerError
+		j.b = append(j.b[:0], `{"error":`...)
+		j.str("encode response: " + j.err.Error())
+		j.raw("}\n")
+	}
+	writeJSONBytes(w, status, j.b)
+}
+
 // respBufPool recycles response buffers across requests. Buffers that
 // grew past maxPooledRespBytes are dropped rather than pinned.
-var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
+var respBufPool = sync.Pool{New: func() any { return new(jsonBuf) }}
 
 const maxPooledRespBytes = 1 << 20
 
-func putRespBuf(bufp *[]byte) {
-	if cap(*bufp) <= maxPooledRespBytes {
-		respBufPool.Put(bufp)
+// respond renders an answer into a pooled buffer and sends it with
+// status 200.
+func respond(w http.ResponseWriter, render func(*jsonBuf)) {
+	j := getJSONBuf()
+	defer j.free()
+	render(j)
+	j.send(w, http.StatusOK)
+}
+
+func getJSONBuf() *jsonBuf {
+	j := respBufPool.Get().(*jsonBuf)
+	j.b, j.err = j.b[:0], nil
+	return j
+}
+
+func (j *jsonBuf) free() {
+	if cap(j.b) <= maxPooledRespBytes {
+		respBufPool.Put(j)
 	}
 }
 

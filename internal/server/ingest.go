@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -84,45 +83,6 @@ type ingestState struct {
 
 var ingestPool = sync.Pool{New: func() any { return new(ingestState) }}
 
-// readBody reads the request body into st.body, sized from Content-Length
-// so the common case is one Read. On failure it has already answered —
-// 413 for a body over maxQueryBodyBytes, 400 for a broken read — and
-// returns false.
-func (st *ingestState) readBody(w http.ResponseWriter, r *http.Request) bool {
-	tooLarge := func() bool {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", int64(maxQueryBodyBytes)))
-		return false
-	}
-	if r.ContentLength > maxQueryBodyBytes {
-		return tooLarge()
-	}
-	buf := st.body[:0]
-	if n := r.ContentLength; n >= int64(cap(buf)) {
-		buf = make([]byte, 0, n+1) // +1: room for the Read that reports EOF
-	}
-	body := http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			st.body = buf
-			return true
-		}
-		if err != nil {
-			var maxErr *http.MaxBytesError
-			if errors.As(err, &maxErr) {
-				return tooLarge()
-			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return false
-		}
-	}
-}
-
 // resolve maps the scanned ops onto graph IDs — every entity key and
 // predicate name of the batch under one dictionary read lock — filling
 // st.triples, asserts first. The first triple that does not resolve
@@ -144,25 +104,16 @@ func (st *ingestState) resolve(g *saga.Graph) (status int, err error) {
 					status, err = http.StatusNotFound, fmt.Errorf("triple %d: unknown predicate %q", n, op.predicate)
 					return
 				}
-				switch obj := &op.object; {
-				case obj.set&termVar != 0:
+				if op.object.set&termVar != 0 {
 					status, err = http.StatusBadRequest, fmt.Errorf("triple %d: object must be a constant term", n)
 					return
-				case obj.set == termKey:
-					id, found := d.EntityID(obj.text)
-					if !found {
-						status, err = http.StatusBadRequest, fmt.Errorf("triple %d object: unknown entity key %q", n, obj.text)
-						return
-					}
-					t.Object = kg.EntityValue(id)
-				case obj.set == termString:
-					t.Object = kg.StringValue(string(obj.text))
-				case obj.set == termInt:
-					t.Object = kg.IntValue(obj.num)
-				default:
-					status, err = http.StatusBadRequest, fmt.Errorf("triple %d object: term must set exactly one of var/key/string/int", n)
+				}
+				obj, terr := resolveTerm(d, &op.object)
+				if terr != nil {
+					status, err = http.StatusBadRequest, fmt.Errorf("triple %d object: %w", n, terr)
 					return
 				}
+				t.Object = obj.Const
 				st.triples = append(st.triples, t)
 			}
 		}
@@ -188,11 +139,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			ingestPool.Put(st)
 		}
 	}()
-	if !st.readBody(w, r) {
-		return
+	var err error
+	if st.body, err = readBody(w, r, st.body); err == nil {
+		err = st.scan.scan(st.body)
 	}
-	if err := st.scan.scan(st.body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err != nil {
+		rejectBody(w, err)
 		return
 	}
 	nAsserts := len(st.scan.asserts)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
+	"sync"
 
 	"saga/internal/kg"
 	"saga/saga"
@@ -36,7 +36,8 @@ import (
 // Setting "explain": true returns the execution plan instead of any
 // bindings — one entry per clause in execution order with its access
 // path ("posting", "facts", "has_fact", "scan") and estimated
-// cardinality — without running the query:
+// cardinality — without running the query (explain ignores "as_of": a
+// plan describes the live graph):
 //
 //	{"plan": [{"clause": 0, "path": "posting", "estimate": 12}, ...],
 //	 "variables": ["p"]}
@@ -85,98 +86,100 @@ const (
 	maxQueryLimit = 10000
 )
 
-type queryTermJSON struct {
-	Var    *string `json:"var,omitempty"`
-	Key    *string `json:"key,omitempty"`
-	String *string `json:"string,omitempty"`
-	Int    *int64  `json:"int,omitempty"`
+// requestState is one /query or /annotate request, recycled across
+// requests: the body, the scanner over it, the resolved clauses and the
+// row encoder.
+type requestState struct {
+	body    []byte
+	scan    requestScanner
+	clauses []saga.QueryClause
+	enc     rowEncoder
 }
 
-type queryClauseJSON struct {
-	Subject   queryTermJSON `json:"subject"`
-	Predicate string        `json:"predicate"`
-	Object    queryTermJSON `json:"object"`
+var requestPool = sync.Pool{New: func() any { return new(requestState) }}
+
+func (st *requestState) free() {
+	clear(st.clauses) // drop the variable names and literals
+	if cap(st.body)+cap(st.scan.scratch) <= maxPooledRespBytes {
+		requestPool.Put(st)
+	}
 }
 
-type queryRequest struct {
-	Clauses []queryClauseJSON `json:"clauses"`
-	Limit   *int              `json:"limit"`
-	Cursor  string            `json:"cursor"`
-	Explain bool              `json:"explain"`
-	// AsOf runs the query against the graph as it was at this mutation
-	// watermark, reconstructed from the durable checkpoint retention
-	// (saga.Platform.QueryRowsAt). Results are identical to what the
-	// same query returned live at that watermark. Requires a durable
-	// platform; watermarks older than the retention window return 410.
-	// Explain ignores as_of (plans describe the live graph).
-	AsOf *uint64 `json:"as_of"`
+// read reads and decodes the body as a request with the given fields. On
+// failure it has already answered — 413 for a body over the cap, 400 for
+// anything else — and returns false.
+func (st *requestState) read(w http.ResponseWriter, r *http.Request, fields uint16) bool {
+	var err error
+	if st.body, err = readBody(w, r, st.body); err == nil {
+		err = st.scan.scan(st.body, fields)
+	}
+	if err != nil {
+		rejectBody(w, err)
+		return false
+	}
+	return true
 }
 
-func (s *Server) parseTerm(t queryTermJSON) (saga.QueryTerm, error) {
-	set := 0
-	if t.Var != nil {
-		set++
+// checkClauseCount rejects a request with no clauses or too many.
+func checkClauseCount(n int) error {
+	if n == 0 {
+		return errors.New("no clauses")
 	}
-	if t.Key != nil {
-		set++
+	if n > maxQueryClauses {
+		return fmt.Errorf("%d clauses exceeds the maximum of %d", n, maxQueryClauses)
 	}
-	if t.String != nil {
-		set++
-	}
-	if t.Int != nil {
-		set++
-	}
-	if set != 1 {
-		return saga.QueryTerm{}, errors.New("term must set exactly one of var/key/string/int")
-	}
-	switch {
-	case t.Var != nil:
-		if *t.Var == "" {
+	return nil
+}
+
+// resolveTerm maps a scanned term onto an engine term; it must set
+// exactly one of var/key/string/int.
+func resolveTerm(d kg.DictReader, t *scanTerm) (saga.QueryTerm, error) {
+	switch t.set {
+	case termVar:
+		if len(t.text) == 0 {
 			return saga.QueryTerm{}, errors.New("empty variable name")
 		}
-		return saga.QVar(*t.Var), nil
-	case t.Key != nil:
-		e, ok := s.Platform.Graph().EntityByKey(*t.Key)
+		return saga.QVar(string(t.text)), nil
+	case termKey:
+		id, ok := d.EntityID(t.text)
 		if !ok {
-			return saga.QueryTerm{}, fmt.Errorf("unknown entity key %q", *t.Key)
+			return saga.QueryTerm{}, fmt.Errorf("unknown entity key %q", t.text)
 		}
-		return saga.QEntity(e.ID), nil
-	case t.String != nil:
-		return saga.QConst(kg.StringValue(*t.String)), nil
-	default:
-		return saga.QConst(kg.IntValue(*t.Int)), nil
+		return saga.QEntity(id), nil
+	case termString:
+		return saga.QConst(kg.StringValue(string(t.text))), nil
+	case termInt:
+		return saga.QConst(kg.IntValue(t.num)), nil
 	}
+	return saga.QueryTerm{}, errors.New("term must set exactly one of var/key/string/int")
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeCapped(w, r, &req) {
+	st := requestPool.Get().(*requestState)
+	defer st.free()
+	if !st.read(w, r, queryFields) {
 		return
 	}
-	if len(req.Clauses) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no clauses"))
-		return
-	}
-	if len(req.Clauses) > maxQueryClauses {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%d clauses exceeds the maximum of %d", len(req.Clauses), maxQueryClauses))
+	req := &st.scan
+	if err := checkClauseCount(req.nClauses); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	limit := defaultQueryLimit
-	if req.Limit != nil {
+	if req.set&fieldLimit != 0 {
 		switch {
-		case *req.Limit <= 0:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %d", *req.Limit))
+		case req.limit <= 0:
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %d", req.limit))
 			return
-		case *req.Limit > maxQueryLimit:
+		case req.limit > maxQueryLimit:
 			limit = maxQueryLimit
 		default:
-			limit = *req.Limit
+			limit = int(req.limit)
 		}
 	}
 	var cursor saga.QueryCursor
-	if req.Cursor != "" {
-		c, err := saga.DecodeQueryCursor(req.Cursor)
+	if len(req.cursor) > 0 {
+		c, err := saga.DecodeQueryCursor(string(req.cursor))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad cursor: %w", err))
 			return
@@ -184,7 +187,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cursor = c
 	}
 	g := s.Platform.Graph()
-	clauses, status, err := s.parseClauses(req.Clauses)
+	clauses, status, err := s.parseClauses(req.clauses, st.clauses[:0])
+	st.clauses = clauses
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -193,7 +197,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// explain:true returns the execution plan instead of running the
 	// query: clause order, access paths, and build-time cardinality
 	// estimates, straight from the engine's plan cache.
-	if req.Explain {
+	if req.explain {
 		plan, err := s.Platform.PlanQuery(clauses)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -215,10 +219,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Context: r.Context(),
 	}
 	rows := s.Platform.QueryRows(clauses, opts)
-	if req.AsOf != nil {
+	if req.set&fieldAsOf != 0 {
 		// Point-in-time read: same solve, same options, but over the
 		// as-of overlay instead of the live graph.
-		at, err := s.Platform.QueryRowsAt(clauses, *req.AsOf, opts)
+		at, err := s.Platform.QueryRowsAt(clauses, req.asOf, opts)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, saga.ErrOutsideRetention) {
@@ -233,15 +237,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Rows are encoded as they stream, straight into one pooled buffer;
 	// nothing is written until the page is complete, so an error mid-solve
 	// still gets its own status line.
-	bufp := respBufPool.Get().(*[]byte)
-	defer putRespBuf(bufp)
-	buf := append((*bufp)[:0], `{"bindings":[`...)
-	var (
-		enc   *rowEncoder
+	j := getJSONBuf()
+	defer j.free()
+	j.raw(`{"bindings":[`)
+	var page struct {
 		last  saga.QueryCursor // key tuple of the page's last row
 		count int
 		more  bool
-	)
+	}
 	for row, err := range rows {
 		if err != nil {
 			if contextEnded(w, r, err) {
@@ -250,54 +253,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if count == limit {
-			more = true
+		if page.count == limit {
+			page.more = true
 			break
 		}
-		if enc == nil {
-			enc = newRowEncoder(g, row.Vars)
+		if page.count == 0 {
+			st.enc.reset(g, row.Vars)
 		} else {
-			buf = append(buf, ',')
+			j.raw(",")
 		}
-		buf = enc.appendRow(buf, row.Vals)
-		count++
-		if count == limit {
-			last = row.Key()
+		j.b = st.enc.appendRow(j.b, row.Vals)
+		if page.count++; page.count == limit {
+			page.last = row.Key()
 		}
 	}
-	buf = append(buf, `],"count":`...)
-	buf = strconv.AppendInt(buf, int64(count), 10)
-	buf = append(buf, `,"limit":`...)
-	buf = strconv.AppendInt(buf, int64(limit), 10)
-	if more {
-		buf = append(buf, `,"next_cursor":`...)
-		buf = appendJSONString(buf, saga.EncodeQueryCursor(last))
+	j.raw(`],"count":`)
+	j.int(page.count)
+	j.raw(`,"limit":`)
+	j.int(limit)
+	if page.more {
+		j.raw(`,"next_cursor":`)
+		j.str(saga.EncodeQueryCursor(page.last))
 	}
-	buf = append(buf, '}', '\n')
-	*bufp = buf
-	writeJSONBytes(w, http.StatusOK, buf)
+	j.raw("}\n")
+	j.send(w, http.StatusOK)
 }
 
-// parseClauses converts the request's clause JSON into engine clauses,
-// returning the HTTP status to use on error. Shared by /query and
-// /subscribe.
-func (s *Server) parseClauses(cjs []queryClauseJSON) ([]saga.QueryClause, int, error) {
-	g := s.Platform.Graph()
-	clauses := make([]saga.QueryClause, 0, len(cjs))
-	for i, cj := range cjs {
-		pred, ok := g.PredicateByName(cj.Predicate)
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("clause %d: unknown predicate %q", i, cj.Predicate)
+// parseClauses resolves scanned clauses into engine clauses, appended to
+// dst, under one dictionary read lock, returning the HTTP status to use
+// on error. Shared by /query and /subscribe.
+func (s *Server) parseClauses(ops []clauseOp, dst []saga.QueryClause) (clauses []saga.QueryClause, status int, err error) {
+	s.Platform.Graph().ReadDict(func(d kg.DictReader) {
+		for i := range ops {
+			op := &ops[i]
+			pred, ok := d.PredicateID(op.predicate)
+			if !ok {
+				status, err = http.StatusNotFound, fmt.Errorf("clause %d: unknown predicate %q", i, op.predicate)
+				return
+			}
+			subj, terr := resolveTerm(d, &op.subject)
+			if terr != nil {
+				status, err = http.StatusBadRequest, fmt.Errorf("clause %d subject: %w", i, terr)
+				return
+			}
+			obj, terr := resolveTerm(d, &op.object)
+			if terr != nil {
+				status, err = http.StatusBadRequest, fmt.Errorf("clause %d object: %w", i, terr)
+				return
+			}
+			dst = append(dst, saga.QueryClause{Subject: subj, Predicate: pred, Object: obj})
 		}
-		subj, err := s.parseTerm(cj.Subject)
-		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("clause %d subject: %w", i, err)
-		}
-		obj, err := s.parseTerm(cj.Object)
-		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("clause %d object: %w", i, err)
-		}
-		clauses = append(clauses, saga.QueryClause{Subject: subj, Predicate: pred.ID, Object: obj})
-	}
-	return clauses, 0, nil
+	})
+	return dst, status, err
 }

@@ -12,6 +12,29 @@
 // their compute so a disconnected client aborts the work instead of
 // burning CPU to completion.
 //
+// # JSON without reflection
+//
+// The serving path neither decodes nor encodes through encoding/json.
+// One hand-written scanner (decode.go) reads the bodies of /ingest,
+// /query, /subscribe and /annotate, and accepts what json.Unmarshal into
+// the equivalent structs (kept in the tests as the reference) accepts,
+// with the same result — stricter in exactly three ways, each a 400:
+//
+//   - keys match case-sensitively ("Clauses" is an unknown field);
+//   - a known key repeated inside one object is rejected (encoding/json
+//     let the last one win, or merged a repeated term);
+//   - anything but whitespace after the document is rejected (the
+//     streaming decoder ignored it).
+//
+// Every answer of /query, /subscribe, /entity, /related, /search,
+// /annotate and /rank is appended by hand into a pooled buffer
+// (encode.go) and is byte for byte what json.Encoder writes for the
+// equivalent structs: field order, omitempty, HTML-safe escaping, its
+// float format and trailing newline, and the 500 writeJSON answers for a
+// NaN or infinite score. The cold
+// routes (/health, /rules, /derive, /verify, an explain plan) and every
+// error body still go through writeJSON.
+//
 // # Admission control
 //
 // Every route passes through a per-class admission gate
@@ -34,7 +57,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"saga/internal/admission"
@@ -133,16 +158,10 @@ func writeShed(w http.ResponseWriter, err error) {
 // leave chunked). The bytes are json.Encoder's, trailing newline
 // included. A value that cannot be encoded answers 500.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	bufp := respBufPool.Get().(*[]byte)
-	defer putRespBuf(bufp)
-	*bufp = (*bufp)[:0]
-	if err := json.NewEncoder((*appendWriter)(bufp)).Encode(v); err != nil {
-		status = http.StatusInternalServerError
-		*bufp = append((*bufp)[:0], `{"error":`...)
-		*bufp = appendJSONString(*bufp, "encode response: "+err.Error())
-		*bufp = append(*bufp, "}\n"...)
-	}
-	writeJSONBytes(w, status, *bufp)
+	j := getJSONBuf()
+	defer j.free()
+	j.err = json.NewEncoder((*appendWriter)(&j.b)).Encode(v)
+	j.send(w, status)
 }
 
 // appendWriter is a byte slice as an io.Writer.
@@ -157,23 +176,44 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeCapped decodes a JSON request body of at most maxQueryBodyBytes
-// into v. On failure it has already answered — 413 for a body over the
-// cap, 400 for anything else — and returns false.
-func decodeCapped(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
-	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil {
-		return true
+// readBody reads a request body of at most maxQueryBodyBytes into buf,
+// sized from Content-Length so the common case is one Read. A body over
+// the cap fails with *http.MaxBytesError (straight from Content-Length
+// when it says so).
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	if r.ContentLength > maxQueryBodyBytes {
+		return buf, &http.MaxBytesError{Limit: maxQueryBodyBytes}
 	}
+	buf = buf[:0]
+	if n := r.ContentLength; n >= int64(cap(buf)) {
+		buf = make([]byte, 0, n+1) // +1: room for the Read that reports EOF
+	}
+	body := http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// rejectBody answers a body that could not be read or decoded: 413 for
+// one over the cap, 400 for anything else.
+func rejectBody(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", int64(maxQueryBodyBytes)))
-	} else {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return
 	}
-	return false
+	writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 }
 
 // isClientGone reports whether an error means the request context ended —
@@ -235,55 +275,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// entityResponse is the public JSON shape of an entity.
-type entityResponse struct {
-	ID          uint32   `json:"id"`
-	Key         string   `json:"key"`
-	Name        string   `json:"name"`
-	Aliases     []string `json:"aliases,omitempty"`
-	Description string   `json:"description,omitempty"`
-	Popularity  float64  `json:"popularity"`
-	Types       []string `json:"types,omitempty"`
-	Facts       []string `json:"facts,omitempty"`
-}
-
-func (s *Server) entityJSON(e *kg.Entity) entityResponse {
-	g := s.Platform.Graph()
-	resp := entityResponse{
-		ID: uint32(e.ID), Key: e.Key, Name: e.Name,
-		Aliases: e.Aliases, Description: e.Description, Popularity: e.Popularity,
-	}
-	for _, t := range e.Types {
-		resp.Types = append(resp.Types, g.Ontology().Name(t))
-	}
-	// Collect (predicate, object) pairs under one read-lock pass, then
-	// resolve names after the visitor returns so the render lookups don't
-	// run while the graph lock is held.
-	type predValue struct {
-		pred kg.PredicateID
-		obj  kg.Value
-	}
-	var pvs []predValue
-	g.OutgoingFunc(e.ID, func(tr kg.Triple) bool {
-		pvs = append(pvs, predValue{pred: tr.Predicate, obj: tr.Object})
-		return true
-	})
-	for _, pv := range pvs {
-		p := g.Predicate(pv.pred)
-		if p == nil {
-			continue
-		}
-		obj := pv.obj.String()
-		if pv.obj.IsEntity() {
-			if oe := g.Entity(pv.obj.Entity); oe != nil {
-				obj = oe.Name
-			}
-		}
-		resp.Facts = append(resp.Facts, p.Name+" = "+obj)
-	}
-	return resp
-}
-
 // handleEntity serves GET /entity?key=... or ?id=...
 func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 	g := s.Platform.Graph()
@@ -310,50 +301,28 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("need key or id parameter"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.entityJSON(e))
+	respond(w, func(j *jsonBuf) { appendEntity(j, g, e) })
 }
 
-// annotateRequest is the POST /annotate body; like every JSON body the
-// server accepts it is capped at maxQueryBodyBytes (413 beyond).
-type annotateRequest struct {
-	Text string `json:"text"`
-}
-
-type annotationJSON struct {
-	Start   int     `json:"start"`
-	End     int     `json:"end"`
-	Surface string  `json:"surface"`
-	Entity  uint32  `json:"entity"`
-	Key     string  `json:"key"`
-	Name    string  `json:"name"`
-	Score   float64 `json:"score"`
-}
-
+// handleAnnotate serves POST /annotate with a body {"text": "..."}; like
+// every JSON body the server accepts it is capped at maxQueryBodyBytes
+// (413 beyond).
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	var req annotateRequest
-	if !decodeCapped(w, r, &req) {
+	st := requestPool.Get().(*requestState)
+	defer st.free()
+	if !st.read(w, r, annotateFields) {
 		return
 	}
-	if req.Text == "" {
+	if len(st.scan.text) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("empty text"))
 		return
 	}
-	anns, err := s.Platform.Annotate(req.Text)
+	anns, err := s.Platform.Annotate(string(st.scan.text))
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	g := s.Platform.Graph()
-	out := make([]annotationJSON, 0, len(anns))
-	for _, a := range anns {
-		aj := annotationJSON{Start: a.Start, End: a.End, Surface: a.Surface, Entity: uint32(a.Entity), Score: a.Score}
-		if e := g.Entity(a.Entity); e != nil {
-			aj.Key = e.Key
-			aj.Name = e.Name
-		}
-		out = append(out, aj)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"annotations": out})
+	respond(w, func(j *jsonBuf) { appendAnnotations(j, s.Platform.Graph(), anns) })
 }
 
 // handleRank serves GET /rank?subject=<key>&predicate=<name>.
@@ -377,21 +346,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	type row struct {
-		Object string  `json:"object"`
-		Score  float64 `json:"score"`
-	}
-	out := make([]row, 0, len(ranked))
-	for _, rf := range ranked {
-		obj := rf.Triple.Object.String()
-		if rf.Triple.Object.IsEntity() {
-			if oe := g.Entity(rf.Triple.Object.Entity); oe != nil {
-				obj = oe.Name
-			}
-		}
-		out = append(out, row{Object: obj, Score: rf.Score})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ranked": out})
+	respond(w, func(j *jsonBuf) { appendRanked(j, g, ranked) })
 }
 
 // handleVerify serves GET /verify?subject=<key>&predicate=<name>&object=<key>.
@@ -423,8 +378,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // queryK reads the optional k parameter of the kNN routes: 10 when
 // absent, otherwise an integer in 1..max; anything else is an error, never
 // a silent default.
-func queryK(r *http.Request, max int) (int, error) {
-	ks := r.URL.Query().Get("k")
+func queryK(params url.Values, max int) (int, error) {
+	ks := params.Get("k")
 	if ks == "" {
 		return 10, nil
 	}
@@ -438,12 +393,13 @@ func queryK(r *http.Request, max int) (int, error) {
 // handleRelated serves GET /related?key=<key>&k=<n>.
 func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	g := s.Platform.Graph()
-	e, ok := g.EntityByKey(r.URL.Query().Get("key"))
+	params := r.URL.Query()
+	e, ok := g.EntityByKey(params.Get("key"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("unknown entity"))
 		return
 	}
-	k, err := queryK(r, 1000)
+	k, err := queryK(params, 1000)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -456,21 +412,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	type row struct {
-		Key   string  `json:"key"`
-		Name  string  `json:"name"`
-		Score float64 `json:"score"`
-	}
-	out := make([]row, 0, len(rel))
-	for _, se := range rel {
-		rr := row{Score: se.Score}
-		if re := g.Entity(se.ID); re != nil {
-			rr.Key = re.Key
-			rr.Name = re.Name
-		}
-		out = append(out, rr)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"related": out})
+	respond(w, func(j *jsonBuf) { appendRelated(j, g, rel) })
 }
 
 // handleSearch serves GET /search?q=...&k=10 over the web corpus; k
@@ -480,12 +422,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("search index not configured"))
 		return
 	}
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, errors.New("empty query"))
 		return
 	}
-	k, err := queryK(r, 100)
+	k, err := queryK(params, 100)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -498,15 +441,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		contextEnded(w, r, err)
 		return
 	}
-	type row struct {
-		ID    string  `json:"id"`
-		URL   string  `json:"url"`
-		Title string  `json:"title"`
-		Score float64 `json:"score"`
-	}
-	out := make([]row, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, row{ID: h.Doc.ID, URL: h.Doc.URL, Title: h.Doc.Title, Score: h.Score})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"hits": out})
+	respond(w, func(j *jsonBuf) { appendHits(j, hits) })
 }

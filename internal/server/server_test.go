@@ -14,7 +14,7 @@ import (
 	"saga/saga"
 )
 
-func testServer(t *testing.T) (*Server, *saga.World) {
+func testServer(t testing.TB) (*Server, *saga.World) {
 	t.Helper()
 	w, err := saga.GenerateWorld(saga.WorldConfig{NumPeople: 40, NumClusters: 4, OccupationsPerPerson: 2, Seed: 211})
 	if err != nil {

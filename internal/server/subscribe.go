@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -45,18 +44,6 @@ const (
 	maxSubscribeCoalesceMS = 10_000
 )
 
-type subscribeRequest struct {
-	Clauses []queryClauseJSON `json:"clauses"`
-	// CoalesceMS is the delta-batching window in milliseconds
-	// (default 10, max 10000).
-	CoalesceMS int `json:"coalesce_ms"`
-	// Buffer is the event channel capacity (default 16).
-	Buffer int `json:"buffer"`
-	// MaxPending is the undelivered-delta bound beyond which the
-	// subscriber is evicted (default 4096).
-	MaxPending int `json:"max_pending"`
-}
-
 // appendSubscribeEvent appends the NDJSON line of one subscription
 // event: {"adds":[...],"retracts":[...],"watermark":N} plus "reset":true
 // on a reset event, bindings encoded as /query encodes its rows.
@@ -74,34 +61,39 @@ func appendSubscribeEvent(dst []byte, enc *rowEncoder, ev saga.SubscriptionEvent
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
-	var req subscribeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// The request is decoded like /query's, except that its body cap
+	// surfaces as a decode error (400, not 413). The scanner is not
+	// pooled: the stream outlives any request.
+	var req requestScanner
+	body, err := readBody(w, r, nil)
+	if err == nil {
+		err = req.scan(body, subscribeFields)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	if len(req.Clauses) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no clauses"))
+	if err := checkClauseCount(req.nClauses); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Clauses) > maxQueryClauses {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%d clauses exceeds the maximum of %d", len(req.Clauses), maxQueryClauses))
+	// The window is in milliseconds (default 10, max 10000); buffer is
+	// the event channel capacity (default 16), and max_pending the
+	// undelivered-delta bound beyond which the subscriber is evicted
+	// (default 4096).
+	if req.coalesceMS < 0 || req.coalesceMS > maxSubscribeCoalesceMS {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad coalesce_ms %d", req.coalesceMS))
 		return
 	}
-	if req.CoalesceMS < 0 || req.CoalesceMS > maxSubscribeCoalesceMS {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad coalesce_ms %d", req.CoalesceMS))
-		return
-	}
-	clauses, status, err := s.parseClauses(req.Clauses)
+	clauses, status, err := s.parseClauses(req.clauses, nil)
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
 	sub, err := s.Platform.Subscribe(clauses, saga.SubscribeOptions{
-		Buffer:     req.Buffer,
-		Coalesce:   time.Duration(req.CoalesceMS) * time.Millisecond,
-		MaxPending: req.MaxPending,
+		Buffer:     int(req.buffer),
+		Coalesce:   time.Duration(req.coalesceMS) * time.Millisecond,
+		MaxPending: int(req.maxPending),
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -15,8 +15,8 @@
 # vet + smoke test
 # (bench/ has its own go.mod, so ./... never reaches it and an API drift
 # in saga or internal/server would otherwise break the benchmark
-# silently), a few seconds of native fuzzing on the wire encoder's and the
-# two wire decoders' targets, on the two kernels' and the tokenizer's
+# silently), a few seconds of native fuzzing on the wire encoders' and the
+# wire decoders' targets, on the two kernels' and the tokenizer's
 # differential targets, on the fact set's, the mutation log
 # retention's and the subject runs' model-based ones, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
@@ -161,6 +161,8 @@ echo "== bench module (vet + smoke test) =="
 echo "== fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
+go test -run '^$' -fuzz '^FuzzDecodeQuery$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
+go test -run '^$' -fuzz '^FuzzEncodeResponses$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
