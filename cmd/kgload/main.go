@@ -301,7 +301,7 @@ func runDisconnect(ctx context.Context, client *http.Client, base string, w *sag
 
 // runOversize posts over-limit bodies and expects 413s.
 func runOversize(ctx context.Context, client *http.Client, base string) int {
-	for _, path := range []string{"/query", "/ingest"} {
+	for _, path := range []string{"/query", "/ingest", "/subscribe"} {
 		status, err := workload.OversizedBody(ctx, client, base, path, 1<<20)
 		if err != nil {
 			log.Printf("oversize FAIL: %s: %v", path, err)
@@ -312,6 +312,6 @@ func runOversize(ctx context.Context, client *http.Client, base string) int {
 			return 1
 		}
 	}
-	log.Print("oversize OK: 413 on /query and /ingest")
+	log.Print("oversize OK: 413 on /query, /ingest and /subscribe")
 	return 0
 }

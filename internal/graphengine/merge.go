@@ -8,10 +8,9 @@ import (
 )
 
 // The one sorted merge behind every layered read: the Overlay
-// ((base ∖ dels) ∪ adds, as-of and derived alike) and the incremental CSR
-// rebuild (row ∪ adds ∖ dels) both enumerate a sorted base with a sorted
-// delta folded in, so the result is in the same canonical order a
-// from-scratch build of the same facts would have.
+// ((base ∖ dels) ∪ adds, as-of and derived alike) enumerates a sorted
+// base with a sorted delta folded in, so the result is in the same
+// canonical order a from-scratch build of the same facts would have.
 
 // cmpObject orders fact-list entries the way kg.Graph stores them: by
 // object ValueKey.

@@ -259,3 +259,124 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	close(stop)
 	writers.Wait()
 }
+
+// incrFixture builds a graph with pool entities and a base layer of
+// random entity edges so snapshots start non-trivial.
+func incrFixture(t testing.TB, shards, pool, baseEdges int, seed int64) (*kg.Graph, []kg.EntityID, kg.PredicateID) {
+	t.Helper()
+	g := kg.NewGraphWithShards(shards)
+	p, err := g.AddPredicate(kg.Predicate{Name: "rel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]kg.EntityID, pool)
+	for i := range ids {
+		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < baseEdges; i++ {
+		s, o := ids[rng.Intn(pool)], ids[rng.Intn(pool)]
+		if err := g.Assert(kg.Triple{Subject: s, Predicate: p, Object: kg.EntityValue(o)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, ids, p
+}
+
+// snapshotsEqual compares two snapshots row by row over numRows rows.
+func snapshotsEqual(t *testing.T, step int, got, want *AdjacencySnapshot) {
+	t.Helper()
+	if got.Seq() != want.Seq() {
+		t.Fatalf("step %d: snapshot seq %d, rebuild seq %d", step, got.Seq(), want.Seq())
+	}
+	rows := len(want.offsets) - 1
+	if gr := len(got.offsets) - 1; gr > rows {
+		rows = gr
+	}
+	for id := 0; id < rows; id++ {
+		g, w := got.Neighbors(kg.EntityID(id)), want.Neighbors(kg.EntityID(id))
+		if len(g) != len(w) {
+			t.Fatalf("step %d: row %d has %d neighbors, rebuild has %d (%v vs %v)", step, id, len(g), len(w), g, w)
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("step %d: row %d differs at %d: %v vs %v", step, id, i, g, w)
+			}
+		}
+	}
+}
+
+// TestSnapshotConcurrentWithShardedWrites hammers Snapshot (and the
+// traversals that consume it) while sharded writers mutate the graph:
+// every acquired snapshot must be internally consistent and at a
+// watermark no older than the last mutation its acquirer observed.
+func TestSnapshotConcurrentWithShardedWrites(t *testing.T) {
+	g, ids, p := incrFixture(t, 8, 64, 200, 3)
+	eng := New(g)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 400; i++ {
+				s, o := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				tr := kg.Triple{Subject: s, Predicate: p, Object: kg.EntityValue(o)}
+				if rng.Intn(3) == 0 {
+					g.Retract(tr)
+				} else {
+					_ = g.Assert(tr)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := g.LastSeq()
+				snap := eng.Snapshot()
+				if snap.Seq() < before {
+					t.Errorf("snapshot seq %d older than previously observed watermark %d", snap.Seq(), before)
+					return
+				}
+				// Structural consistency: offsets monotone, neighbors in bounds.
+				rows := len(snap.offsets) - 1
+				for id := 0; id <= rows-1; id++ {
+					if snap.offsets[id] > snap.offsets[id+1] {
+						t.Errorf("offsets not monotone at %d", id)
+						return
+					}
+				}
+				for _, n := range snap.nbrs {
+					if int(n) <= 0 {
+						t.Errorf("out-of-range neighbor %v", n)
+						return
+					}
+				}
+				src := ids[rng.Intn(len(ids))]
+				_ = eng.Snapshot().BFS(src, 2)
+				_ = eng.Neighbors(src)
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	// After quiescence the snapshot must converge to the final watermark.
+	if s := eng.Snapshot(); s.Seq() != g.LastSeq() {
+		t.Fatalf("final snapshot at %d, watermark %d", s.Seq(), g.LastSeq())
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"iter"
 	"slices"
 	"sort"
-	"time"
 
 	"saga/internal/kg"
 )
@@ -55,27 +54,9 @@ type QueryOptions struct {
 	// reorder the join; the walk then continues in the new order.)
 	Cursor []kg.ValueKey
 
-	// Timeout bounds the solve's wall-clock time (0 = none). It is
-	// implemented as a context deadline layered over Context.
-	Timeout time.Duration
-
 	// Context aborts the solve when cancelled (nil = never). The stream
 	// yields the context error as its final element.
 	Context context.Context
-}
-
-// deadline returns the context the solve runs under — Context with
-// Timeout layered over it as a deadline; nil when neither is set — and
-// the function that releases it.
-func (o QueryOptions) deadline() (context.Context, context.CancelFunc) {
-	if o.Timeout <= 0 {
-		return o.Context, func() {}
-	}
-	base := o.Context
-	if base == nil {
-		base = context.Background()
-	}
-	return context.WithTimeout(base, o.Timeout)
 }
 
 // conjGraph is the read surface the conjunctive solver touches: three
@@ -248,11 +229,9 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			yield(Row{}, fmt.Errorf("graphengine: cursor has %d values, query has %d variables", len(opts.Cursor), len(p.vars)))
 			return
 		}
-		ctx, cancel := opts.deadline()
-		defer cancel()
 		var done <-chan struct{}
-		if ctx != nil {
-			done = ctx.Done()
+		if opts.Context != nil {
+			done = opts.Context.Done()
 		}
 		ex := &executor{
 			g:        g,
@@ -263,7 +242,7 @@ func streamPlanned(g conjGraph, clauses []Clause, opts QueryOptions, planFn func
 			cursor:   opts.Cursor,
 			skipping: len(opts.Cursor) > 0,
 			limit:    opts.Limit,
-			ctx:      ctx,
+			ctx:      opts.Context,
 			done:     done,
 			yield:    yield,
 		}

@@ -432,10 +432,13 @@ func TestStreamConjunctiveContextCancel(t *testing.T) {
 		t.Fatalf("cancelled stream yielded %d rows after cancel on the first, want 1", rows)
 	}
 
-	// An already-expired timeout aborts before the first row.
+	// An already-expired deadline aborts before the first row.
 	rows = 0
 	gotErr = nil
-	for _, err := range e.StreamConjunctive(clauses, QueryOptions{Timeout: time.Nanosecond}) {
+	expired, cancelExpired := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancelExpired()
+	<-expired.Done()
+	for _, err := range e.StreamConjunctive(clauses, QueryOptions{Context: expired}) {
 		if err != nil {
 			gotErr = err
 			continue

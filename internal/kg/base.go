@@ -325,9 +325,9 @@ func (s *spares[T]) give(x []T) {
 const foldFloor = 4096
 
 // maybeFold folds the delta into a new base once it holds more than a
-// quarter of the base's facts and more than foldFloor rows: the
-// adjacency snapshot's rebuild rule, which keeps the cost of the folds a
-// write pays for constant on average and the delta small beside the base.
+// quarter of the base's facts and more than foldFloor rows, which keeps
+// the cost of the folds a write pays for constant on average and the
+// delta small beside the base.
 func (g *Graph) maybeFold() {
 	full := func() bool {
 		return g.layers.adds.Load()+g.layers.dels.Load() > max(foldFloor, g.layers.base.Load()/4)

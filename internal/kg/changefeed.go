@@ -4,9 +4,9 @@ import "slices"
 
 // Changefeed is a cursor-bearing subscriber handle over the graph's
 // mutation log: the one implementation of the pull-then-recheck-floor
-// consumption contract that every derived structure (adjacency
-// snapshots, the rules engine's derived facts, the WAL drain, live
-// subscriptions) rides instead of hand-rolling it.
+// consumption contract that each of the log's three consumers (the
+// rules engine's derived facts, the WAL drain, live subscriptions)
+// rides instead of hand-rolling it.
 //
 // The contract:
 //
@@ -40,8 +40,6 @@ import "slices"
 //     equivalent) and Reset the feed to the watermark that read
 //     reflects. The floor-is-raised-first ordering guarantees an
 //     incomplete batch is always detected, never silently applied.
-//   - Lag: LastSeq() minus the cursor — how far behind live the
-//     consumer is, the staleness metric exported by /health.
 //
 // A Changefeed is not safe for concurrent use; each consumer owns its
 // own feed.
@@ -119,16 +117,6 @@ func (f *Changefeed) Reset(seq uint64) {
 // the cap.
 func (f *Changefeed) Bound(maxLag uint64) {
 	f.g.updateFeeds(func() { f.maxLag = maxLag })
-}
-
-// Lag returns how many mutations the feed is behind the graph's
-// watermark (0 when caught up). The watermark is a bare atomic load, so
-// treat the value as a staleness hint, not an exact queue depth.
-func (f *Changefeed) Lag() uint64 {
-	if wm := f.g.LastSeq(); wm > f.cursor {
-		return wm - f.cursor
-	}
-	return 0
 }
 
 // updateFeeds runs change — a registration, a cursor move, a bound or

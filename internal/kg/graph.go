@@ -149,9 +149,8 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // checkpoint recovery — freezes its batch straight into the base. After
 // that, once the delta holds more than a quarter of the base's facts
 // (and more than foldFloor rows), the write that crossed the line folds
-// it into a new base under every shard's and every stripe's write lock:
-// the adjacency snapshot's rebuild rule, so the folds cost a write O(1)
-// on average. Both build the base the one way (builder, sortPostings):
+// it into a new base under every shard's and every stripe's write lock,
+// so the folds cost a write O(1) on average. Both build the base the one way (builder, sortPostings):
 // the rows in identity order, then each predicate's postings
 // radix-sorted on the object key. A base frozen from any update history,
 // read through its delta, holds exactly what a graph built from scratch
@@ -243,9 +242,9 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // packages the pull-then-recheck-floor protocol — pull a
 // batch, verify LogFloor has not passed the cursor, advance — as a
 // cursor-bearing handle with explicit floor/lag semantics and a single
-// rematerialization fallback contract. The graphengine adjacency
-// snapshot, the rules engine, the WAL drain, and live subscriptions all
-// consume the log through it.
+// rematerialization fallback contract. The log has three consumers, the
+// rules engine, the WAL drain and live subscriptions, and all consume it
+// through a Changefeed.
 //
 // # Durability
 //

@@ -101,8 +101,8 @@ func (op MutationOp) String() string {
 
 // Mutation is one entry of the graph's mutation log, as a Changefeed
 // hands it out (the log itself stores compact entries,
-// see mutlog.go). The log gives downstream consumers (adjacency
-// snapshots, derived rules, the WAL, subscriptions) a totally ordered
+// see mutlog.go). The log gives downstream consumers (derived rules,
+// the WAL, subscriptions) a totally ordered
 // change feed, which is how Saga's streaming construction path exposes
 // updates.
 type Mutation struct {

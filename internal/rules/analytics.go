@@ -8,9 +8,10 @@ import (
 	"saga/internal/kg"
 )
 
-// In-graph analytics: whole-graph algorithms that run over the engine's
-// CSR adjacency snapshot (or the predicate index, for sameAs closure)
-// and materialize their result as facts of a derived predicate. The
+// In-graph analytics: whole-graph algorithms that materialize their
+// result as facts of a derived predicate — connected components over the
+// engine's CSR adjacency snapshot, sameAs closure over the predicate
+// index, k-hop reachability over the graph's own reads. The
 // output predicate behaves exactly like a rule head for readers —
 // queryable through every surface, usable in rule bodies (propagation
 // and cascades treat analytics facts like base facts) — but its
@@ -23,6 +24,8 @@ type DeriveReport struct {
 	// Facts is the number of facts the output predicate now holds.
 	Facts int
 	// Watermark is the graph mutation sequence the derivation reflects.
+	// For DeriveKHop it is the watermark when the pass began: writes
+	// racing the pass may be partly reflected.
 	Watermark uint64
 }
 
@@ -125,10 +128,18 @@ func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, err
 	return DeriveReport{Facts: len(facts), Watermark: wm}, nil
 }
 
-// DeriveKHop materializes k-hop reachability over the adjacency
-// snapshot under out: one fact (source, out, node) for every node
-// within 1..k hops of a source, the source itself excluded. Facts are
-// emitted in ascending (source, node) order.
+// DeriveKHop materializes k-hop reachability under out: one fact
+// (source, out, node) for every node within 1..k hops of a source over
+// the undirected entity-to-entity graph, the source itself excluded.
+// Facts are emitted in ascending (source, node) order.
+//
+// The BFS reads the graph, not the adjacency snapshot, so a reach costs
+// the entries it touches rather than a CSR build after every write: a
+// node's neighbors are its outgoing entity objects and, for each
+// predicate holding facts, the subjects of its (predicate, node)
+// posting. Each read takes its own lock, so writes racing the pass may
+// be partly reflected; the report's Watermark is the graph's watermark
+// when the pass began.
 func (e *Engine) DeriveKHop(out kg.PredicateID, sources []kg.EntityID, k int) (DeriveReport, error) {
 	if k <= 0 {
 		return DeriveReport{}, fmt.Errorf("rules: khop: k must be positive")
@@ -139,27 +150,60 @@ func (e *Engine) DeriveKHop(out kg.PredicateID, sources []kg.EntityID, k int) (D
 	if err := e.checkExternal(out); err != nil {
 		return DeriveReport{}, err
 	}
-	snap := e.geng.Snapshot()
+	wm := e.g.LastSeq()
+	var preds []kg.PredicateID
+	for p := kg.PredicateID(1); int(p) <= e.g.NumPredicates(); p++ {
+		if e.g.PredicateFrequency(p) > 0 {
+			preds = append(preds, p)
+		}
+	}
 	srcs := append([]kg.EntityID(nil), sources...)
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
+	// seen[v] is the stamp of the last BFS that reached v (1 + its
+	// source's index in srcs), so no BFS clears it for the next one.
+	// reached holds one BFS: the source, then each level in turn.
+	seen := make([]int32, e.g.NumEntities()+1)
+	var stamp int32
+	var reached []kg.EntityID
+	visit := func(v kg.EntityID) bool {
+		if int(v) >= len(seen) { // registered after the pass began
+			seen = append(seen, make([]int32, int(v)+1-len(seen))...)
+		}
+		if seen[v] != stamp {
+			seen[v] = stamp
+			reached = append(reached, v)
+		}
+		return true
+	}
+	visitObject := func(t kg.Triple) bool {
+		return !t.Object.IsEntity() || visit(t.Object.Entity)
+	}
 	var facts []kg.Triple
 	for i, src := range srcs {
 		if i > 0 && srcs[i-1] == src {
 			continue
 		}
-		var reached []kg.EntityID
-		for w := range snap.BFS(src, k) {
-			if w != src {
-				reached = append(reached, w)
+		stamp = int32(i + 1)
+		reached = reached[:0]
+		visit(src)
+		for depth, lo := 0, 0; depth < k && lo < len(reached); depth++ {
+			hi := len(reached)
+			for _, u := range reached[lo:hi] {
+				e.g.OutgoingFunc(u, visitObject)
+				for _, p := range preds {
+					e.g.SubjectsWithFunc(p, kg.EntityValue(u), visit)
+				}
 			}
+			lo = hi
 		}
-		slices.Sort(reached)
-		for _, w := range reached {
+		slices.Sort(reached[1:])
+		facts = slices.Grow(facts, len(reached)-1)
+		for _, w := range reached[1:] {
 			facts = append(facts, kg.Triple{Subject: src, Predicate: out, Object: kg.EntityValue(w)})
 		}
 	}
 	e.replaceExternal(out, facts)
-	return DeriveReport{Facts: len(facts), Watermark: snap.Seq()}, nil
+	return DeriveReport{Facts: len(facts), Watermark: wm}, nil
 }
 
 // checkExternal validates an analytics output predicate. A rule head

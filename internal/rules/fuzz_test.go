@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -235,6 +236,112 @@ func checkFromScratch(t *testing.T, e *Engine, geng *graphengine.Engine, rs *Rul
 	if t.Failed() {
 		t.FailNow()
 	}
+}
+
+// khopEntities is the size of FuzzDeriveKHop's starting graph.
+const khopEntities = 8
+
+// FuzzDeriveKHop checks DeriveKHop, which reads the graph, against BFS
+// over a fresh adjacency snapshot: Snapshot rebuilds from scratch
+// whenever the graph has moved, so its BFS is the reference. The
+// committed corpus is in testdata/fuzz/FuzzDeriveKHop.
+//
+// Each op is three bytes: kind, then two operands a and b. By kind mod
+// 6: assert the edge (a, p, b) or (a, q, b) — parallel edges under two
+// predicates, and self-loops when a and b name the same entity; retract
+// the live fact a names; assert the literal fact (a, lit, b); register
+// an entity, which stays isolated unless a later op gives it a fact; and
+// derive within k = 1 + kind/6 mod 4 hops of a, b, a again and the
+// newest entity. After the ops every entity is a source at k = 2.
+func FuzzDeriveKHop(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 600 {
+			return
+		}
+		g := kg.NewGraphWithShards(2)
+		geng := graphengine.New(g)
+		ents := make([]kg.EntityID, khopEntities)
+		for i := range ents {
+			ents[i] = mustEnt(t, g, fmt.Sprintf("e%d", i))
+		}
+		preds := []kg.PredicateID{mustPred(t, g, "p"), mustPred(t, g, "q")}
+		lit := mustPred(t, g, "lit")
+		near := mustPred(t, g, "near")
+		rs, err := NewRuleSet(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t, geng, rs)
+
+		check := func(op int, srcs []kg.EntityID, k int) {
+			t.Helper()
+			rep, err := e.DeriveKHop(near, srcs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := geng.Snapshot()
+			if rep.Watermark != snap.Seq() {
+				t.Fatalf("op %d: watermark %d, snapshot at %d", op, rep.Watermark, snap.Seq())
+			}
+			var want []kg.Triple
+			for _, src := range slices.Compact(slices.Sorted(slices.Values(srcs))) {
+				for w := range snap.BFS(src, k) {
+					if w != src {
+						want = append(want, kg.Triple{Subject: src, Predicate: near, Object: kg.EntityValue(w)})
+					}
+				}
+			}
+			got := e.Derived().Entries(near)
+			byPair := func(a, b kg.Triple) int {
+				if c := cmp.Compare(a.Subject, b.Subject); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.Object.Entity, b.Object.Entity)
+			}
+			slices.SortFunc(want, byPair)
+			slices.SortFunc(got, byPair)
+			if rep.Facts != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("op %d: khop(%v, k=%d) reports %d facts %v, snapshot BFS gives %v", op, srcs, k, rep.Facts, got, want)
+			}
+		}
+
+		ent := func(x int) kg.EntityID { return ents[x%len(ents)] }
+		var live []kg.Triple
+		for i := 0; i+2 < len(ops); i += 3 {
+			kind, a, b := ops[i], int(ops[i+1]), int(ops[i+2])
+			var tr kg.Triple
+			switch kind % 6 {
+			case 0, 1:
+				tr = kg.Triple{Subject: ent(a), Predicate: preds[kind%6], Object: kg.EntityValue(ent(b))}
+			case 2:
+				if len(live) > 0 {
+					j := a % len(live)
+					if !g.Retract(live[j]) {
+						t.Fatalf("op %d: retract of live fact %v failed", i/3, live[j])
+					}
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+				continue
+			case 3:
+				tr = kg.Triple{Subject: ent(a), Predicate: lit, Object: kg.IntValue(int64(b))}
+			case 4:
+				ents = append(ents, mustEnt(t, g, fmt.Sprintf("e%d", len(ents))))
+				continue
+			case 5:
+				check(i/3, []kg.EntityID{ent(a), ent(b), ent(a), ents[len(ents)-1]}, 1+int(kind/6)%4)
+				continue
+			}
+			added, err := g.AssertNew(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if added {
+				live = append(live, tr)
+			}
+		}
+		check(len(ops)/3, ents, 2)
+	})
 }
 
 // FuzzParseRules parses arbitrary text against a fresh graph per input.

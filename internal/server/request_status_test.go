@@ -98,9 +98,7 @@ func TestQueryStatusesAndMessages(t *testing.T) {
 		tc{with(`,"max_pending":1e3`), 400, "decode request: *"},
 		tc{`{"clauses":[],"coalesce_ms":-1}`, 400, "no clauses"},
 		tc{`{"clauses":[` + clause(`{"var":"p"}`, "nope", `{"var":"o"}`) + `],"coalesce_ms":-1}`, 400, "bad coalesce_ms -1"},
-		// /subscribe never answered 413: its body cap surfaces as a
-		// decode error.
-		tc{oversized, 400, "decode request: http: request body too large"},
+		tc{oversized, 413, "request body exceeds 1048576 bytes"},
 	)
 	annotate = append(annotate,
 		tc{`null`, 400, "empty text"},

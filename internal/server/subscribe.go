@@ -61,8 +61,7 @@ func appendSubscribeEvent(dst []byte, enc *rowEncoder, ev saga.SubscriptionEvent
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	// The request is decoded like /query's, except that its body cap
-	// surfaces as a decode error (400, not 413). The scanner is not
+	// The request is read and decoded like /query's. The scanner is not
 	// pooled: the stream outlives any request.
 	var req requestScanner
 	body, err := readBody(w, r, nil)
@@ -70,7 +69,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		err = req.scan(body, subscribeFields)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		rejectBody(w, err)
 		return
 	}
 	if err := checkClauseCount(req.nClauses); err != nil {

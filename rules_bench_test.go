@@ -235,3 +235,58 @@ func benchRulesComponents(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(facts), "facts")
 }
+
+// BenchmarkDeriveKHopAfterIngest prices POST /derive's k-hop request
+// after writes, as kgload's load mix sends it: on the end-to-end
+// benchmark's world (seed 1, 20 000 people, 400 clusters), two
+// single-triple collaborator writes — an assert, then its retract —
+// outside the timer, then a timed 2-hop DeriveKHop from one person. The
+// reach touches about 15 000 entities through the occupation and team
+// hubs. The source is the same every op, so the materialization finds
+// its facts already in place and the reach is what the figure prices;
+// a new source each op would add the replacement of ~15 000 derived
+// facts (~200 ms on a 2-core box). Report-only; compare B/op and
+// allocs/op, which do not drift with the box.
+func BenchmarkDeriveKHopAfterIngest(b *testing.B) {
+	w, err := workload.GenerateKG(workload.KGConfig{NumPeople: 20000, NumClusters: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := w.Graph
+	rs, err := rules.ParseRules(g, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := rules.New(graphengine.New(g), rs, rules.Options{NoMaintainer: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	out, err := g.AddPredicate(kg.Predicate{Name: "loadhop"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	collab := w.Preds["collaborator"]
+	people := w.People
+	var facts int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := kg.Triple{Subject: people[i%len(people)], Predicate: collab, Object: kg.EntityValue(people[(i*7+1)%len(people)])}
+		added, err := g.AssertNew(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if added {
+			g.Retract(tr)
+		}
+		b.StartTimer()
+		rep, err := e.DeriveKHop(out, people[:1], 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		facts = rep.Facts
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(facts), "facts")
+}

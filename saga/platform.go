@@ -66,11 +66,11 @@ func (p *Platform) QueryConjunctive(clauses []QueryClause) ([]QueryBinding, erro
 // yield as the join produces them (each once, in an order that is a
 // function of the plan and the facts, not of how the facts arrived), a
 // QueryOptions.Limit terminates the solve early, a Cursor seeks to just
-// after a previous page's last row, and Context/Timeout abort mid-join.
-// A row's values are only valid until the next row is requested (see
-// QueryRow). Errors yield as the final element. This is the serving-path
-// query surface behind POST /query, and the stream every other
-// conjunctive read is an adapter over.
+// after a previous page's last row, and a cancelled Context aborts
+// mid-join. A row's values are only valid until the next row is
+// requested (see QueryRow). Errors yield as the final element. This is
+// the serving-path query surface behind POST /query, and the stream
+// every other conjunctive read is an adapter over.
 func (p *Platform) QueryRows(clauses []QueryClause, opts QueryOptions) iter.Seq2[QueryRow, error] {
 	return p.engine.StreamRows(clauses, opts)
 }

@@ -106,7 +106,7 @@ type (
 	// the stream's next row; Binding() and Key() detach it.
 	QueryRow = graphengine.Row
 	// QueryOptions configure one streaming query: limit push-down,
-	// cursor resumption, timeout, and cancellation.
+	// cursor resumption, and cancellation.
 	QueryOptions = graphengine.QueryOptions
 	// QueryCursor is a binding's identity tuple, the resume position of
 	// a paginated conjunctive query: the next page starts at that row's

@@ -21,7 +21,8 @@
 # retention's and the subject runs' model-based ones, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
-# against a from-scratch derivation and on the rule parser, and a short
+# against a from-scratch derivation, on k-hop reachability against BFS
+# over a from-scratch adjacency snapshot and on the rule parser, and a short
 # open-loop load smoke against an in-process server (kgload -smoke:
 # zero 5xx, zero transport errors, p99 of admitted requests under the
 # read route's deadline).
@@ -175,6 +176,7 @@ go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime "${FUZZTIME:-5s}" ./int
 go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime "${FUZZTIME:-5s}" ./internal/wal/
 go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "${FUZZTIME:-5s}" ./internal/textutil/
 go test -run '^$' -fuzz '^FuzzRuleMaintenance$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
+go test -run '^$' -fuzz '^FuzzDeriveKHop$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
 go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
 
 if [[ "${SKIP_LOAD:-}" != "1" ]]; then
