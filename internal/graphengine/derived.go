@@ -1,13 +1,18 @@
 package graphengine
 
-import "saga/internal/kg"
+import (
+	"math"
+	"slices"
+
+	"saga/internal/kg"
+)
 
 // AttachDerived installs a set of derived facts (the rule engine's) as
 // part of the Engine's read surface: every conjunctive solve
-// (StreamConjunctive, PlanConjunctive, subscription residual solves and
-// re-verification) runs against the union of the graph and the set from
-// now on (see Overlay), so the planner, executor, cursors, subscriptions
-// and the HTTP query surface all work over derived predicates unchanged.
+// (StreamConjunctive, PlanConjunctive, subscription re-solves) runs
+// against the union of the graph and the set from now on (see Overlay),
+// so the planner, executor, cursors, subscriptions and the HTTP query
+// surface all work over derived predicates unchanged.
 // Passing nil detaches. The swap is atomic; in-flight solves keep the
 // surface they started with.
 //
@@ -35,11 +40,13 @@ func (e *Engine) read() conjGraph {
 
 // ApplyDerivedDeltas feeds derived-fact visibility changes into the
 // Engine's subscription hub, so standing queries over derived predicates
-// update live. The rules engine calls this after each maintenance batch
-// with the facts that became visible (adds) and invisible (rets) through
-// the union view — base-graph mutations must not be passed here, the hub
-// consumes those from its own changefeed. A hub that is not running (no
-// subscribers) ignores the call.
+// update live: every subscription a changed fact touches (see
+// touchLocked) is re-solved at once through the union view. The rules
+// engine calls this after each maintenance batch with the facts that
+// became visible (adds) and invisible (rets) through the union view —
+// base-graph mutations must not be passed here, the hub consumes those
+// from its own changefeed. A hub that is not running (no subscribers)
+// ignores the call.
 func (e *Engine) ApplyDerivedDeltas(adds, rets []kg.Triple) {
 	if len(adds) == 0 && len(rets) == 0 {
 		return
@@ -52,24 +59,13 @@ func (e *Engine) ApplyDerivedDeltas(adds, rets []kg.Triple) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.subs) == 0 {
-		return
+	stale := make(map[*Subscription]bool)
+	for _, t := range slices.Concat(adds, rets) {
+		// A derived fact carries no sequence number: its change is news
+		// to every subscription.
+		h.touchLocked(stale, t, math.MaxUint64)
 	}
-	g := e.read()
-	for _, t := range adds {
-		if !g.HasFact(t.Subject, t.Predicate, t.Object) {
-			continue // gone again since: nothing to add
-		}
-		for s := range h.byPred[t.Predicate] {
-			h.deltaAssertLocked(s, t)
-		}
-	}
-	for _, t := range rets {
-		for s := range h.byPred[t.Predicate] {
-			h.deltaRetractLocked(s, t)
-		}
-	}
-	for s := range h.subs {
-		s.notePendingLocked(s.applied)
+	for s := range stale {
+		h.resolveLocked(s) // cannot fail, as in pollLocked
 	}
 }

@@ -2,6 +2,8 @@ package graphengine
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,28 +12,22 @@ import (
 )
 
 // Live subscriptions: standing conjunctive queries whose answer sets are
-// maintained incrementally against the graph's changefeed. A hub
-// goroutine (one per Engine, started lazily) pulls mutation batches
-// through a single kg.Changefeed and delta-joins each mutation against
-// the subscriptions whose clauses mention the mutation's predicate — a
-// predicate-keyed dispatch index (byPred) keeps every other standing
-// query entirely off the per-mutation path:
+// kept current against the graph's changefeed. A hub goroutine (one per
+// Engine, started lazily) pulls mutation batches through a single
+// kg.Changefeed. A mutation touches a subscription when it unifies with
+// one of its clauses (UnifyClause) — a predicate-keyed dispatch index
+// (byPred) keeps every other standing query off the per-mutation path —
+// and each touched subscription is re-solved once per batch, the
+// difference between the fresh answer set and the held one going into
+// the pending set. A mutation that unifies with no clause cannot change
+// the answer set: every row matches each clause to one triple.
 //
-//   - an assert that θ-unifies with a clause triggers a residual solve
-//     of the other clauses with θ substituted (DeltaRows, the delta-join
-//     the rule engine shares), adding bindings the subscriber has not
-//     seen;
-//   - a retract grounds against the current answer set: bindings whose
-//     grounded clause instances include the retracted triple are
-//     re-verified clause by clause (HasFact) and retracted if dead.
-//
-// Residual solves and re-verification run against the live graph, which
-// may be ahead of the mutation being processed; both operations are
-// convergent — a binding is only added if it holds now, only removed if
-// it fails now — so the maintained set always matches a from-scratch
-// solve once the feed drains. If the changefeed reports a floor pass
-// (log truncation), the hub resets the cursor and falls back to a full
-// re-solve per subscription, emitting the difference.
+// The re-solve reads the live graph, which may be ahead of the batch
+// being processed. A mutation it already reflects touches the
+// subscription again when the feed reaches it, and that re-solve finds
+// nothing new, so the held set equals a from-scratch solve once the feed
+// drains — by construction, since it is one. A floor pass (log
+// truncation) resets the cursor and re-solves every subscription.
 //
 // Delivery is per-subscriber: events coalesce for a configurable window,
 // adds and retracts of the same binding cancel in the pending set, a
@@ -95,7 +91,8 @@ type Subscription struct {
 	hub     *subHub
 
 	// Hub-owned state, guarded by the hub's mutex.
-	current   map[string]Binding // answer set by key tuple
+	current   map[string]*subRow // answer set by key tuple
+	solves    uint64             // re-solves so far; stamps subRow.seen
 	applied   uint64             // watermark current reflects
 	pendAdds  map[string]Binding
 	pendRets  map[string]Binding
@@ -104,6 +101,13 @@ type Subscription struct {
 	delivered uint64    // watermark of the last delivered event
 	err       error
 	done      bool
+}
+
+// subRow is one row of a subscription's answer set; seen is the re-solve
+// that last produced it.
+type subRow struct {
+	b    Binding
+	seen uint64
 }
 
 // Vars returns the standing query's variable names in sorted order — the
@@ -127,6 +131,10 @@ type subHub struct {
 	stop    chan struct{}
 
 	evictions metrics.Counter
+
+	// Re-solve scratch: a row's value keys and their encoding.
+	keys []kg.ValueKey
+	key  []byte
 }
 
 // SubscriptionStats is a point-in-time snapshot of the Engine's
@@ -168,7 +176,7 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 		ch:       make(chan SubscriptionEvent, opts.Buffer),
 		opts:     opts,
 		hub:      h,
-		current:  make(map[string]Binding),
+		current:  make(map[string]*subRow),
 		pendAdds: make(map[string]Binding),
 		pendRets: make(map[string]Binding),
 	}
@@ -177,9 +185,11 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 	// Solve the snapshot under the hub lock: the hub cannot process a
 	// feed batch between the solve and the registration, so the first
 	// delta event follows the snapshot with no gap and no overlap (the
-	// hub skips mutations at or below the snapshot watermark via the
-	// delivered/pending watermark anyway — processing is idempotent —
-	// but the lock keeps the first event's semantics exact).
+	// hub skips mutations at or below the snapshot watermark via applied
+	// anyway — a re-solve is idempotent — but the lock keeps the first
+	// event's semantics exact). The snapshot is the first re-solve: every
+	// row is new, so the pending set holds the whole answer set, and it
+	// goes out as the Reset event.
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.running {
@@ -189,20 +199,14 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 		h.feed = e.g.Feed(0)
 	}
 	wm := e.g.LastSeq()
-	var adds []Binding
-	for b, err := range e.StreamConjunctive(clauses, QueryOptions{}) {
-		if err != nil {
-			if !h.running {
-				h.feed.Close()
-			}
-			return nil, err
+	s.applied = wm
+	if err := h.resolveLocked(s); err != nil {
+		if !h.running {
+			h.feed.Close()
 		}
-		s.current[string(appendKeyTuple(nil, BindingKey(b)))] = b
-		adds = append(adds, b)
+		return nil, err
 	}
-	sortBindingsByKey(adds)
-	s.applied, s.delivered = wm, wm
-	s.ch <- SubscriptionEvent{Adds: adds, Watermark: wm, Reset: true}
+	s.sendPendingLocked(true)
 
 	if h.subs == nil {
 		h.subs = make(map[*Subscription]struct{})
@@ -298,7 +302,7 @@ func (e *Engine) subHub() *subHub {
 	return e.hub
 }
 
-// run is the hub goroutine: pull the changefeed, delta-join, flush due
+// run is the hub goroutine: pull the changefeed, re-solve, flush due
 // subscribers, reap closed ones. It exits, closing the feed, when every
 // subscription is gone, and a later Subscribe starts a fresh one.
 func (h *subHub) run(stop chan struct{}) {
@@ -341,55 +345,86 @@ func (h *subHub) tickInterval() time.Duration {
 	return min
 }
 
-// pollLocked pulls the next mutation batch and merges its deltas into
-// the affected subscriptions' pending sets. Dispatch is predicate-keyed:
-// each mutation only visits the subscriptions whose clauses mention its
+// pollLocked pulls the next mutation batch and re-solves the
+// subscriptions it touches, once each. Dispatch is predicate-keyed: a
+// mutation only visits the subscriptions whose clauses mention its
 // predicate (byPred), so standing queries over other predicates cost
-// zero per batch — not even a failed unify. Every subscription still
-// advances its applied watermark: a mutation whose predicate no clause
-// mentions cannot change any answer set. A floor pass falls back to a
-// full re-solve per subscription.
+// nothing per batch — not even a failed unify. Every subscription still
+// advances its applied watermark. A floor pass re-solves every
+// subscription.
 func (h *subHub) pollLocked() {
 	muts, complete := h.feed.Pull()
+	stale := make(map[*Subscription]bool)
 	if !complete {
 		h.feed.Reset(h.e.g.LastSeq())
 		for s := range h.subs {
-			h.resolveFullLocked(s, h.feed.Cursor())
+			stale[s] = true
 		}
+	} else if len(muts) == 0 {
 		return
 	}
-	if len(muts) == 0 {
-		return
-	}
-	g := h.e.read()
 	for _, mu := range muts {
-		// An assert retracted again since adds nothing: the delta-join
-		// solves against the current graph and is told only of facts that
-		// hold.
-		if mu.Op == kg.OpAssert && !g.HasFact(mu.T.Subject, mu.T.Predicate, mu.T.Object) {
-			continue
-		}
-		for s := range h.byPred[mu.T.Predicate] {
-			// Mutations at or below the subscription's snapshot (or
-			// fallback re-solve) watermark are already reflected.
-			if mu.Seq <= s.applied {
-				continue
-			}
-			switch mu.Op {
-			case kg.OpAssert:
-				h.deltaAssertLocked(s, mu.T)
-			case kg.OpRetract:
-				h.deltaRetractLocked(s, mu.T)
-			}
-		}
+		h.touchLocked(stale, mu.T, mu.Seq)
+	}
+	for s := range stale {
+		h.resolveLocked(s) // validated clauses, no cursor, no context: it cannot fail
 	}
 	wm := h.feed.Cursor()
 	for s := range h.subs {
-		if wm > s.applied {
-			s.applied = wm
-		}
+		s.applied = max(s.applied, wm)
 		s.notePendingLocked(s.applied)
 	}
+}
+
+// touchLocked marks stale the subscriptions t may change: those with a
+// clause t unifies with, among those whose answer set does not yet
+// reflect seq (a mutation at or below the snapshot's watermark is in it
+// already).
+func (h *subHub) touchLocked(stale map[*Subscription]bool, t kg.Triple, seq uint64) {
+	for s := range h.byPred[t.Predicate] {
+		if stale[s] || seq <= s.applied {
+			continue
+		}
+		for _, c := range s.clauses {
+			if _, ok := UnifyClause(c, t); ok {
+				stale[s] = true
+				break
+			}
+		}
+	}
+}
+
+// resolveLocked re-solves the standing query and merges the difference
+// from the held answer set into the pending set. Rows are keyed by their
+// values' ValueKeys straight off the stream: a row already held keeps
+// its Binding, and only a new row builds one.
+func (h *subHub) resolveLocked(s *Subscription) error {
+	s.solves++
+	for r, err := range h.e.StreamRows(s.clauses, QueryOptions{}) {
+		if err != nil {
+			return err
+		}
+		h.keys = h.keys[:0]
+		for _, v := range r.Vals {
+			h.keys = append(h.keys, v.MapKey())
+		}
+		h.key = appendKeyTuple(h.key[:0], h.keys)
+		if row := s.current[string(h.key)]; row != nil {
+			row.seen = s.solves
+			continue
+		}
+		key, b := string(h.key), r.Binding()
+		s.current[key] = &subRow{b: b, seen: s.solves}
+		s.addPendingLocked(key, b, true)
+	}
+	for key, row := range s.current {
+		if row.seen != s.solves {
+			delete(s.current, key)
+			s.addPendingLocked(key, row.b, false)
+		}
+	}
+	s.notePendingLocked(s.applied)
+	return nil
 }
 
 // notePendingLocked advances the subscription's pending watermark and
@@ -400,52 +435,6 @@ func (s *Subscription) notePendingLocked(wm uint64) {
 	}
 	if s.pendSince.IsZero() && len(s.pendAdds)+len(s.pendRets) > 0 {
 		s.pendSince = time.Now()
-	}
-}
-
-// deltaAssertLocked joins one asserted triple against the standing
-// query: every clause it unifies with contributes the rows that use it
-// there (DeltaRows), extending the answer set. The caller has checked
-// that t still holds.
-func (h *subHub) deltaAssertLocked(s *Subscription, t kg.Triple) {
-	for i := range s.clauses {
-		for full := range DeltaRows(s.clauses, i, t, h.solve) {
-			key := string(appendKeyTuple(nil, BindingKey(full)))
-			if _, have := s.current[key]; have {
-				continue
-			}
-			s.current[key] = full
-			s.addPendingLocked(key, full, true)
-		}
-	}
-}
-
-// solve streams a residual conjunction's rows through the Engine's plan
-// cache (the substituted shape is cached like any other), until yield
-// returns false or the stream errs.
-func (h *subHub) solve(clauses []Clause, yield func(Binding) bool) {
-	for b, err := range h.e.StreamConjunctive(clauses, QueryOptions{}) {
-		if err != nil || !yield(b) {
-			return
-		}
-	}
-}
-
-// deltaRetractLocked removes answer-set bindings the retracted triple
-// supported: bindings grounding some clause to exactly this triple are
-// re-verified clause by clause and retracted if any grounded instance
-// is gone.
-func (h *subHub) deltaRetractLocked(s *Subscription, t kg.Triple) {
-	tk := t.IdentityKey()
-	for key, b := range s.current {
-		if !bindingGrounds(s.clauses, b, tk) {
-			continue
-		}
-		if bindingHolds(h.e.read(), s.clauses, b) {
-			continue
-		}
-		delete(s.current, key)
-		s.addPendingLocked(key, b, false)
 	}
 }
 
@@ -467,29 +456,27 @@ func (s *Subscription) addPendingLocked(key string, b Binding, add bool) {
 	s.pendRets[key] = b
 }
 
-// resolveFullLocked recomputes the answer set from scratch (the floor-
-// pass fallback) and merges the difference into the pending set.
-func (h *subHub) resolveFullLocked(s *Subscription, wm uint64) {
-	fresh := make(map[string]Binding)
-	for b, err := range h.e.StreamConjunctive(s.clauses, QueryOptions{}) {
-		if err != nil {
-			return // leave current as-is; next pass retries
-		}
-		fresh[string(appendKeyTuple(nil, BindingKey(b)))] = b
+// sendPendingLocked delivers the pending delta as one event if the
+// channel has room, and reports whether it did.
+func (s *Subscription) sendPendingLocked(reset bool) bool {
+	ev := SubscriptionEvent{
+		Adds:      slices.AppendSeq(make([]Binding, 0, len(s.pendAdds)), maps.Values(s.pendAdds)),
+		Retracts:  slices.AppendSeq(make([]Binding, 0, len(s.pendRets)), maps.Values(s.pendRets)),
+		Watermark: s.pendWM,
+		Reset:     reset,
 	}
-	for key, b := range fresh {
-		if _, have := s.current[key]; !have {
-			s.addPendingLocked(key, b, true)
-		}
+	sortBindingsByKey(ev.Adds)
+	sortBindingsByKey(ev.Retracts)
+	select {
+	case s.ch <- ev:
+		clear(s.pendAdds)
+		clear(s.pendRets)
+		s.pendSince = time.Time{}
+		s.delivered = s.pendWM
+		return true
+	default:
+		return false
 	}
-	for key, b := range s.current {
-		if _, still := fresh[key]; !still {
-			s.addPendingLocked(key, b, false)
-		}
-	}
-	s.current = fresh
-	s.applied = wm
-	s.notePendingLocked(wm)
 }
 
 // flushLocked emits due pending deltas and evicts subscribers whose
@@ -498,80 +485,43 @@ func (h *subHub) flushLocked() {
 	now := time.Now()
 	for s := range h.subs {
 		n := len(s.pendAdds) + len(s.pendRets)
-		if n == 0 {
+		if n == 0 || now.Sub(s.pendSince) < s.opts.Coalesce || s.sendPendingLocked(false) {
 			continue
 		}
-		if now.Sub(s.pendSince) < s.opts.Coalesce {
-			continue
-		}
-		ev := SubscriptionEvent{
-			Adds:      make([]Binding, 0, len(s.pendAdds)),
-			Retracts:  make([]Binding, 0, len(s.pendRets)),
-			Watermark: s.pendWM,
-		}
-		for _, b := range s.pendAdds {
-			ev.Adds = append(ev.Adds, b)
-		}
-		for _, b := range s.pendRets {
-			ev.Retracts = append(ev.Retracts, b)
-		}
-		sortBindingsByKey(ev.Adds)
-		sortBindingsByKey(ev.Retracts)
-		select {
-		case s.ch <- ev:
-			s.pendAdds = make(map[string]Binding)
-			s.pendRets = make(map[string]Binding)
-			s.pendSince = time.Time{}
-			s.delivered = s.pendWM
-		default:
-			// Channel full: keep accumulating. Past the bound, evict.
-			if n > s.opts.MaxPending {
-				s.err = ErrSlowSubscriber
-				s.done = true
-				close(s.ch)
-				delete(h.subs, s)
-				h.unindexLocked(s)
-				h.evictions.Inc()
-			}
+		// Channel full: keep accumulating. Past the bound, evict.
+		if n > s.opts.MaxPending {
+			s.err = ErrSlowSubscriber
+			s.done = true
+			close(s.ch)
+			delete(h.subs, s)
+			h.unindexLocked(s)
+			h.evictions.Inc()
 		}
 	}
 }
 
-// bindingGrounds reports whether some clause, grounded under the
-// complete binding b, is exactly the triple with identity tk.
-func bindingGrounds(clauses []Clause, b Binding, tk kg.TripleKey) bool {
-	for _, c := range clauses {
-		sv, ok := resolve(c.Subject, b)
-		if !ok || !sv.IsEntity() {
-			continue
-		}
-		ov, ok := resolve(c.Object, b)
-		if !ok {
-			continue
-		}
-		if (kg.TripleKey{Subject: sv.Entity, Predicate: c.Predicate, Object: ov.MapKey()}) == tk {
-			return true
-		}
+// UnifyClause matches one clause against a concrete triple and returns
+// the variable substitution θ. Constants match under SPO identity; a
+// variable in both positions must bind consistently (Equal semantics,
+// matching the executor's join). The hub's touch filter and the rule
+// engine's delta-join both start from it.
+func UnifyClause(c Clause, t kg.Triple) (Binding, bool) {
+	if c.Predicate != t.Predicate {
+		return nil, false
 	}
-	return false
-}
-
-// bindingHolds re-verifies a complete binding: every clause's grounded
-// instance must still be asserted. It takes the solver's read surface so
-// a clause over a derived predicate verifies against the union view.
-func bindingHolds(g conjGraph, clauses []Clause, b Binding) bool {
-	for _, c := range clauses {
-		sv, ok := resolve(c.Subject, b)
-		if !ok || !sv.IsEntity() {
-			return false
-		}
-		ov, ok := resolve(c.Object, b)
-		if !ok {
-			return false
-		}
-		if !g.HasFact(sv.Entity, c.Predicate, ov) {
-			return false
-		}
+	subj := kg.EntityValue(t.Subject)
+	switch {
+	case c.Subject.Var == "" && (!c.Subject.Const.IsEntity() || c.Subject.Const.Entity != t.Subject),
+		c.Object.Var == "" && c.Object.Const.MapKey() != t.Object.MapKey(),
+		c.Object.Var != "" && c.Object.Var == c.Subject.Var && !subj.Equal(t.Object):
+		return nil, false
 	}
-	return true
+	theta := make(Binding, 2)
+	if c.Object.Var != "" {
+		theta[c.Object.Var] = t.Object
+	}
+	if c.Subject.Var != "" {
+		theta[c.Subject.Var] = subj
+	}
+	return theta, true
 }

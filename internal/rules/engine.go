@@ -20,7 +20,8 @@ type Options struct {
 	// facts whose visibility changed because of the derived store: adds
 	// became visible (stored and not base-asserted), rets became
 	// invisible. Wire it to graphengine.Engine.ApplyDerivedDeltas so
-	// standing subscriptions over derived predicates stay live. Called
+	// standing subscriptions over derived predicates stay live: the hub
+	// re-solves every subscription a changed fact unifies with. Called
 	// with the engine's maintenance lock held; the callback must not call
 	// back into the rules engine.
 	OnDelta func(adds, rets []kg.Triple)
@@ -216,18 +217,19 @@ func (e *Engine) notifyLocked(adds, rets []kg.Triple) {
 }
 
 // propagateLocked drains a worklist of newly visible facts through the
-// byBody index. Every insert that is not base-asserted is appended to
-// adds (the hub needs to hear about store-caused visibility even when
-// the hub's own feed already carries the triggering base mutation — the
-// two consumers race, and the add notification is what makes either
-// order converge).
+// byBody index, joining each into the rule bodies that mention its
+// predicate (deltaRows). Every insert that is not base-asserted is
+// appended to adds: the hub's own feed carries only base mutations, so
+// the add notification is what makes the hub re-solve the subscriptions
+// over the derived predicate, whichever of the two consumers runs
+// first.
 func (e *Engine) propagateLocked(work []kg.Triple, adds []kg.Triple) []kg.Triple {
 	for len(work) > 0 {
 		w := work[0]
 		work = work[1:]
 		for _, ref := range e.rs.byBody[w.Predicate] {
 			r := e.rs.rules[ref.rule]
-			for full := range graphengine.DeltaRows(r.Body, ref.clause, w, e.solve) {
+			for full := range e.deltaRows(r.Body, ref.clause, w) {
 				head, ok := groundClause(r.Head, full)
 				if !ok {
 					continue
@@ -415,7 +417,7 @@ func (e *Engine) deriveSupport(h kg.Triple) (support, bool) {
 			continue
 		}
 		maps.DeleteFunc(theta, func(_ string, v kg.Value) bool { return !v.Equal(v) })
-		sub, valid := graphengine.SubstituteClauses(r.Body, theta)
+		sub, valid := substituteClauses(r.Body, theta)
 		if !valid {
 			continue
 		}

@@ -289,17 +289,29 @@ func TestSubscribeEndpointRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
+	// A request over a cap is refused before anything is allocated for
+	// it: 1<<62 events would ask the runtime for an impossible channel.
+	const q = `{"clauses": [{"subject": {"var": "p"}, "predicate": "memberOf", "object": {"key": "team0"}}]`
 	for _, tc := range []struct {
-		body string
-		code int
+		body  string
+		code  int
+		field string // the field a 400 must name
 	}{
-		{`{"clauses": []}`, http.StatusBadRequest},
-		{`{"clauses": [{"subject": {"var": "p"}, "predicate": "nope", "object": {"key": "team0"}}]}`, http.StatusNotFound},
-		{`{"clauses": [{"subject": {"var": "p"}, "predicate": "memberOf", "object": {"key": "team0"}}], "coalesce_ms": 999999}`, http.StatusBadRequest},
+		{`{"clauses": []}`, http.StatusBadRequest, ""},
+		{`{"clauses": [{"subject": {"var": "p"}, "predicate": "nope", "object": {"key": "team0"}}]}`, http.StatusNotFound, ""},
+		{q + `, "coalesce_ms": 999999}`, http.StatusBadRequest, "coalesce_ms"},
+		{q + `, "buffer": 4611686018427387904}`, http.StatusBadRequest, "buffer"},
+		{q + `, "buffer": 1025}`, http.StatusBadRequest, "buffer"},
+		{q + `, "buffer": -1}`, http.StatusBadRequest, "buffer"},
+		{q + `, "max_pending": 65537}`, http.StatusBadRequest, "max_pending"},
+		{q + `, "max_pending": -1}`, http.StatusBadRequest, "max_pending"},
 	} {
 		rec, body := do(t, h, "POST", "/subscribe", tc.body)
 		if rec.Code != tc.code {
 			t.Fatalf("%s: %d %v, want %d", tc.body, rec.Code, body, tc.code)
+		}
+		if msg := fmt.Sprint(body["error"]); !strings.Contains(msg, tc.field) {
+			t.Fatalf("%s: error %q does not name %s", tc.body, msg, tc.field)
 		}
 	}
 }

@@ -42,6 +42,12 @@ const (
 	subscribeWriteTimeout = 10 * time.Second
 	// maxSubscribeCoalesceMS caps the requested coalescing window.
 	maxSubscribeCoalesceMS = 10_000
+	// maxSubscribeBuffer caps the requested event channel capacity,
+	// which the hub allocates up front.
+	maxSubscribeBuffer = 1024
+	// maxSubscribeMaxPending caps the requested eviction bound: past it
+	// a stalled client would hold the hub's memory without limit.
+	maxSubscribeMaxPending = 65_536
 )
 
 // appendSubscribeEvent appends the NDJSON line of one subscription
@@ -77,12 +83,21 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The window is in milliseconds (default 10, max 10000); buffer is
-	// the event channel capacity (default 16), and max_pending the
-	// undelivered-delta bound beyond which the subscriber is evicted
-	// (default 4096).
-	if req.coalesceMS < 0 || req.coalesceMS > maxSubscribeCoalesceMS {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad coalesce_ms %d", req.coalesceMS))
-		return
+	// the event channel capacity (default 16, max 1024), and max_pending
+	// the undelivered-delta bound beyond which the subscriber is evicted
+	// (default 4096, max 65536). 0 or absent keeps the default.
+	for _, f := range []struct {
+		name   string
+		v, max int64
+	}{
+		{"coalesce_ms", req.coalesceMS, maxSubscribeCoalesceMS},
+		{"buffer", req.buffer, maxSubscribeBuffer},
+		{"max_pending", req.maxPending, maxSubscribeMaxPending},
+	} {
+		if f.v < 0 || f.v > f.max {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s %d", f.name, f.v))
+			return
+		}
 	}
 	clauses, status, err := s.parseClauses(req.clauses, nil)
 	if err != nil {

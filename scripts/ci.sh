@@ -21,8 +21,9 @@
 # retention's and the subject runs' model-based ones, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
-# against a from-scratch derivation, on k-hop reachability against BFS
-# over a from-scratch adjacency snapshot and on the rule parser, and a short
+# against a from-scratch derivation, on subscription mirrors against a
+# from-scratch solve, on k-hop reachability against BFS over a
+# from-scratch adjacency snapshot and on the rule parser, and a short
 # open-loop load smoke against an in-process server (kgload -smoke:
 # zero 5xx, zero transport errors, p99 of admitted requests under the
 # read route's deadline).
@@ -166,6 +167,7 @@ go test -run '^$' -fuzz '^FuzzDecodeQuery$' -fuzztime "${FUZZTIME:-5s}" ./intern
 go test -run '^$' -fuzz '^FuzzEncodeResponses$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
+go test -run '^$' -fuzz '^FuzzSubscriptionMirror$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzLogRetention$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzFactRuns$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/

@@ -18,11 +18,17 @@ import (
 // then times the end-to-end delivery latency of a single mutation: the
 // writer asserts (or retracts) a membership triple matching exactly one
 // "probe" subscription and blocks until that subscriber's event
-// arrives. The hub delta-joins every mutation batch against every
-// registered query, so the subs=1000 vs subs=10000 pair prices the
-// fan-out sweep itself — the non-matching queries each pay a constant
-// unify-and-reject — on top of a latency floor of roughly 1.5x the
-// probe's coalescing window (tick interval is half the window).
+// arrives. The hub visits every query indexed under the mutation's
+// predicate and re-solves the ones it unifies with, so the subs=1000 vs
+// subs=10000 pair prices the fan-out sweep itself — the non-matching
+// queries each pay a constant unify-and-reject — on top of a latency
+// floor of roughly 1.5x the probe's coalescing window (tick interval is
+// half the window).
+//
+// The answers=N pair prices the re-solve: one subscription whose answer
+// set already holds N rows, touched by every write, so each
+// notification pays for the whole answer set. No end-to-end workload
+// holds a standing answer set past a few dozen rows.
 //
 // The coalesce sweep holds the population at 1000 and widens the
 // probe's window: latency should track the window near-linearly, which
@@ -31,17 +37,25 @@ import (
 func BenchmarkE18Subscribe(b *testing.B) {
 	for _, subs := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			benchSubscribeFanout(b, subs, time.Millisecond)
+			benchSubscribeFanout(b, subs, 0, time.Millisecond)
+		})
+	}
+	for _, answers := range []int{100, 20000} {
+		b.Run(fmt.Sprintf("answers=%d", answers), func(b *testing.B) {
+			benchSubscribeFanout(b, 1, answers, time.Millisecond)
 		})
 	}
 	for _, window := range []time.Duration{time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond} {
 		b.Run(fmt.Sprintf("coalesce=%v/sweep", window), func(b *testing.B) {
-			benchSubscribeFanout(b, 1000, window)
+			benchSubscribeFanout(b, 1000, 0, window)
 		})
 	}
 }
 
-func benchSubscribeFanout(b *testing.B, subs int, window time.Duration) {
+// benchSubscribeFanout times one notification per iteration to a probe
+// subscription over team0's members, beside subs-1 idle subscriptions;
+// answers members of team0 are in place before the probe subscribes.
+func benchSubscribeFanout(b *testing.B, subs, answers int, window time.Duration) {
 	g := kg.NewGraphWithShards(16)
 	member, err := g.AddPredicate(kg.Predicate{Name: "memberOf"})
 	if err != nil {
@@ -52,6 +66,17 @@ func benchSubscribeFanout(b *testing.B, subs int, window time.Duration) {
 		if teams[i], err = g.AddEntity(kg.Entity{Key: fmt.Sprintf("team%d", i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	members := make([]kg.Triple, answers)
+	for i := range members {
+		p, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("member%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		members[i] = kg.Triple{Subject: p, Predicate: member, Object: kg.EntityValue(teams[0])}
+	}
+	if _, err := g.AssertBatch(members); err != nil {
+		b.Fatal(err)
 	}
 	person, err := g.AddEntity(kg.Entity{Key: "probe-person"})
 	if err != nil {
@@ -88,7 +113,7 @@ func benchSubscribeFanout(b *testing.B, subs int, window time.Duration) {
 		b.Fatal(err)
 	}
 	handles = append(handles, probe)
-	if ev := <-probe.C; !ev.Reset || len(ev.Adds) != 0 {
+	if ev := <-probe.C; !ev.Reset || len(ev.Adds) != answers {
 		b.Fatalf("probe snapshot: %+v", ev)
 	}
 
