@@ -1045,74 +1045,6 @@ func BenchmarkTripleKey(b *testing.B) {
 	})
 }
 
-// BenchmarkPPRSnapshot compares personalized PageRank over the cached CSR
-// adjacency snapshot (the engine's path) against the pre-snapshot
-// formulation that re-derives each node's neighborhood on every visit:
-// out-edges from its fact lists under the shard lock, in-edges from a
-// reverse map, deduplicated through a map.
-func BenchmarkPPRSnapshot(b *testing.B) {
-	f := getFixture(b)
-	people := f.w.People
-	b.Run("snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = f.engine.PersonalizedPageRank(people[i%len(people)], 0.15, 15)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		g := f.w.Graph
-		// The graph keeps no incoming-edge index; the in-edges come from a
-		// reverse map built before the clock starts.
-		in := make(map[kg.EntityID][]kg.EntityID)
-		for _, t := range g.AllTriples() {
-			if t.Object.IsEntity() {
-				in[t.Object.Entity] = append(in[t.Object.Entity], t.Subject)
-			}
-		}
-		neighbors := func(id kg.EntityID) []kg.EntityID {
-			set := make(map[kg.EntityID]struct{})
-			g.OutgoingFunc(id, func(t kg.Triple) bool {
-				if t.Object.IsEntity() {
-					set[t.Object.Entity] = struct{}{}
-				}
-				return true
-			})
-			for _, s := range in[id] {
-				set[s] = struct{}{}
-			}
-			delete(set, id)
-			out := make([]kg.EntityID, 0, len(set))
-			for n := range set {
-				out = append(out, n)
-			}
-			return out
-		}
-		ppr := func(source kg.EntityID, alpha float64, iters int) map[kg.EntityID]float64 {
-			rank := map[kg.EntityID]float64{source: 1}
-			for it := 0; it < iters; it++ {
-				next := make(map[kg.EntityID]float64, len(rank))
-				next[source] += alpha
-				for u, r := range rank {
-					nbrs := neighbors(u)
-					if len(nbrs) == 0 {
-						next[source] += (1 - alpha) * r
-						continue
-					}
-					share := (1 - alpha) * r / float64(len(nbrs))
-					for _, v := range nbrs {
-						next[v] += share
-					}
-				}
-				rank = next
-			}
-			return rank
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = ppr(people[i%len(people)], 0.15, 15)
-		}
-	})
-}
-
 // BenchmarkSearch measures BM25 query latency on the fixture corpus.
 func BenchmarkSearch(b *testing.B) {
 	f := getFixture(b)

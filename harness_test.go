@@ -96,7 +96,7 @@ func buildFixture() (*fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	walkVecs := embedding.TrainWalkEmbeddings(f.engine, w.People, embedding.WalkEmbedConfig{
+	walkVecs := embedding.TrainWalkEmbeddings(w.Graph, w.People, embedding.WalkEmbedConfig{
 		Dim: 64, WalksPerNode: 25, WalkLength: 3, Seed: 2023,
 	})
 	if err := f.walkSvc.SetWalkEmbeddings(walkVecs); err != nil {

@@ -389,7 +389,7 @@ func TestEvaluateEmpty(t *testing.T) {
 func TestWalkEmbeddingsClusterStructure(t *testing.T) {
 	w := testWorld(t)
 	eng := graphengine.New(w.Graph)
-	vecs := TrainWalkEmbeddings(eng, w.People, WalkEmbedConfig{Dim: 48, WalksPerNode: 30, WalkLength: 3, Seed: 13})
+	vecs := TrainWalkEmbeddings(eng.Graph(), w.People, WalkEmbedConfig{Dim: 48, WalksPerNode: 30, WalkLength: 3, Seed: 13})
 	if len(vecs) != len(w.People) {
 		t.Fatalf("vectors = %d", len(vecs))
 	}
@@ -428,8 +428,8 @@ func TestWalkEmbeddingsDeterministic(t *testing.T) {
 	w := testWorld(t)
 	eng := graphengine.New(w.Graph)
 	cfg := WalkEmbedConfig{Dim: 16, WalksPerNode: 5, WalkLength: 3, Seed: 21}
-	v1 := TrainWalkEmbeddings(eng, w.People[:10], cfg)
-	v2 := TrainWalkEmbeddings(eng, w.People[:10], cfg)
+	v1 := TrainWalkEmbeddings(eng.Graph(), w.People[:10], cfg)
+	v2 := TrainWalkEmbeddings(eng.Graph(), w.People[:10], cfg)
 	for _, p := range w.People[:10] {
 		a, b := v1[p], v2[p]
 		for i := range a {

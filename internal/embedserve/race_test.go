@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"saga/internal/embedding"
-	"saga/internal/graphengine"
 	"saga/internal/kg"
 	"saga/internal/vecindex"
 )
@@ -24,11 +23,10 @@ import (
 // Meaningful under -race.
 func TestConcurrentConfigurationAndQueries(t *testing.T) {
 	h := newHarness(t)
-	eng := graphengine.New(h.w.Graph)
 	entities := slices.Sorted(slices.Values(h.dataset.Ents))
 
 	makeWalks := func(seed int64) map[kg.EntityID]vecindex.Vector {
-		return embedding.TrainWalkEmbeddings(eng, entities, embedding.WalkEmbedConfig{
+		return embedding.TrainWalkEmbeddings(h.w.Graph, entities, embedding.WalkEmbedConfig{
 			Dim: 16, WalksPerNode: 4, WalkLength: 3, Seed: seed,
 		})
 	}
@@ -177,8 +175,7 @@ func TestRelatedEntitiesCachePopulates(t *testing.T) {
 	}
 	check("fallback (gen 0)")
 
-	eng := graphengine.New(h.w.Graph)
-	walks := embedding.TrainWalkEmbeddings(eng, slices.Sorted(slices.Values(h.dataset.Ents)), embedding.WalkEmbedConfig{
+	walks := embedding.TrainWalkEmbeddings(h.w.Graph, slices.Sorted(slices.Values(h.dataset.Ents)), embedding.WalkEmbedConfig{
 		Dim: 16, WalksPerNode: 4, WalkLength: 3, Seed: 9,
 	})
 	if err := h.svc.SetWalkEmbeddings(walks); err != nil {

@@ -223,8 +223,7 @@ func TestRelatedEntitiesModelSpace(t *testing.T) {
 
 func TestRelatedEntitiesWalkSpace(t *testing.T) {
 	h := newHarness(t)
-	eng := graphengine.New(h.w.Graph)
-	walk := embedding.TrainWalkEmbeddings(eng, h.w.People, embedding.WalkEmbedConfig{Dim: 48, WalksPerNode: 25, WalkLength: 3, Seed: 5})
+	walk := embedding.TrainWalkEmbeddings(h.w.Graph, h.w.People, embedding.WalkEmbedConfig{Dim: 48, WalksPerNode: 25, WalkLength: 3, Seed: 5})
 	if err := h.svc.SetWalkEmbeddings(walk); err != nil {
 		t.Fatal(err)
 	}

@@ -117,29 +117,3 @@ func BenchmarkConjunctiveJoin(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPPR(b *testing.B) {
-	g := kg.NewGraph()
-	p, _ := g.AddPredicate(kg.Predicate{Name: "link"})
-	const n = 300
-	ids := make([]kg.EntityID, n)
-	for i := range ids {
-		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("n%d", i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = id
-	}
-	for i := 0; i < n; i++ {
-		for j := 1; j <= 4; j++ {
-			if err := g.Assert(kg.Triple{Subject: ids[i], Predicate: p, Object: kg.EntityValue(ids[(i+j*7)%n])}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	eng := New(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eng.PersonalizedPageRank(ids[i%n], 0.15, 10)
-	}
-}

@@ -265,141 +265,3 @@ func scanReference(g *kg.Graph, minFreq int) map[kg.TripleKey]bool {
 	}
 	return keep
 }
-
-func TestNeighbors(t *testing.T) {
-	f := newFixture(t)
-	nbrs := f.e.Neighbors(f.mvp)
-	if len(nbrs) != 3 {
-		t.Fatalf("Neighbors(mvp) = %v", nbrs)
-	}
-	nbrs = f.e.Neighbors(f.lebron)
-	if len(nbrs) != 3 { // bball, tvactor, mvp
-		t.Fatalf("Neighbors(lebron) = %v", nbrs)
-	}
-}
-
-func TestBFS(t *testing.T) {
-	f := newFixture(t)
-	dist := f.e.Snapshot().BFS(f.lebron, 2)
-	if dist[f.lebron] != 0 {
-		t.Fatal("source distance != 0")
-	}
-	if dist[f.mvp] != 1 {
-		t.Fatalf("dist(mvp) = %d", dist[f.mvp])
-	}
-	if dist[f.curry] != 2 { // via mvp
-		t.Fatalf("dist(curry) = %d", dist[f.curry])
-	}
-	dist1 := f.e.Snapshot().BFS(f.lebron, 1)
-	if _, ok := dist1[f.curry]; ok {
-		t.Fatal("depth-1 BFS reached 2-hop node")
-	}
-}
-
-func TestPPRRelated(t *testing.T) {
-	f := newFixture(t)
-	top := f.e.TopRelatedByPPR(f.lebron, 10)
-	if len(top) == 0 {
-		t.Fatal("no PPR results")
-	}
-	// curry and kobe (share the MVP award) must appear.
-	found := map[kg.EntityID]bool{}
-	for _, se := range top {
-		found[se.ID] = true
-		if se.ID == f.lebron {
-			t.Fatal("source leaked into related list")
-		}
-	}
-	if !found[f.curry] || !found[f.kobe] {
-		t.Fatalf("PPR missed co-award athletes: %v", top)
-	}
-	// Scores are sorted descending.
-	for i := 1; i < len(top); i++ {
-		if top[i].Score > top[i-1].Score {
-			t.Fatal("PPR scores not sorted")
-		}
-	}
-}
-
-func TestPPRMassConservation(t *testing.T) {
-	f := newFixture(t)
-	ppr := f.e.PersonalizedPageRank(f.lebron, 0.15, 25)
-	var total float64
-	for _, m := range ppr {
-		if m < 0 {
-			t.Fatal("negative PPR mass")
-		}
-		total += m
-	}
-	if total < 0.99 || total > 1.01 {
-		t.Fatalf("PPR mass = %v, want ~1", total)
-	}
-}
-
-func TestRandomWalksAndCoOccurrence(t *testing.T) {
-	f := newFixture(t)
-	rng := rand.New(rand.NewSource(1))
-	walks := f.e.Snapshot().RandomWalks(f.lebron, 50, 4, rng)
-	if len(walks) != 50 {
-		t.Fatalf("walks = %d", len(walks))
-	}
-	for _, w := range walks {
-		if w[0] != f.lebron {
-			t.Fatal("walk does not start at source")
-		}
-		if len(w) > 5 {
-			t.Fatalf("walk too long: %v", w)
-		}
-	}
-	co := CoOccurrence(walks)
-	if co[f.mvp] == 0 {
-		t.Fatal("1-hop neighbor never co-occurred in 50 walks")
-	}
-	if co[f.lebron] != 0 {
-		t.Fatal("source counted in its own co-occurrence")
-	}
-}
-
-func TestRandomWalkIsolatedNode(t *testing.T) {
-	g := kg.NewGraph()
-	id, err := g.AddEntity(kg.Entity{Key: "lonely", Name: "Lonely"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(g)
-	walks := e.Snapshot().RandomWalks(id, 3, 5, rand.New(rand.NewSource(2)))
-	for _, w := range walks {
-		if len(w) != 1 {
-			t.Fatalf("isolated node walk = %v", w)
-		}
-	}
-	if got := e.TopRelatedByPPR(id, 5); len(got) != 0 {
-		t.Fatalf("isolated node PPR related = %v", got)
-	}
-}
-
-func TestLargeGraphBFSDepths(t *testing.T) {
-	// Chain graph: e0 - e1 - ... - e49.
-	g := kg.NewGraph()
-	p, _ := g.AddPredicate(kg.Predicate{Name: "next"})
-	ids := make([]kg.EntityID, 50)
-	for i := range ids {
-		id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("c%d", i), Name: "n"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	for i := 0; i+1 < len(ids); i++ {
-		if err := g.Assert(kg.Triple{Subject: ids[i], Predicate: p, Object: kg.EntityValue(ids[i+1])}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(g)
-	dist := e.Snapshot().BFS(ids[0], 49)
-	for i, id := range ids {
-		if dist[id] != i {
-			t.Fatalf("dist(e%d) = %d, want %d", i, dist[id], i)
-		}
-	}
-}

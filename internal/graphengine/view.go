@@ -1,13 +1,12 @@
 // Package graphengine implements the computational graph engine of the
 // Saga platform (Fig 1, Fig 3 of the paper): the filtered scan that is the
 // embedding pipeline's training view, conjunctive triple-pattern queries,
-// graph traversals (BFS, random walks), and personalized PageRank. The
-// embedding pipeline trains on the view scanned here ("we leverage a
-// computational graph engine to generate a view of the KG by filtering out
-// non-relevant facts and possible noises", §2), and the related-entities
-// model consumes pre-computed traversals ("use the scalable graph
-// processing capabilities of our graph engine to pre-compute graph
-// traversals", §2).
+// and live subscriptions. The embedding pipeline trains on the view
+// scanned here ("we leverage a computational graph engine to generate a
+// view of the KG by filtering out non-relevant facts and possible
+// noises", §2). Whole-graph analytics (internal/rules) and the walks of
+// the related-entity embeddings (internal/embedding) read the graph
+// itself; the engine keeps no adjacency of its own.
 //
 // The training view (ViewDef) is one filtered scan of the graph as it is
 // at the call: Scan streams it, Materialize collects it, and the engine
@@ -66,16 +65,15 @@ type ViewDef struct {
 	MinPredicateFreq int
 }
 
-// Engine wraps a graph with query capabilities, plus a cached CSR
-// adjacency snapshot (see AdjacencySnapshot) that traversals read
-// lock-free and that is invalidated by the graph's mutation watermark.
+// Engine wraps a graph with query capabilities: the training-view scan,
+// conjunctive queries with a plan cache, and live subscriptions. It keeps
+// no copy of the graph.
 type Engine struct {
 	g *kg.Graph
 
 	mu  sync.Mutex
 	hub *subHub // lazily created live-subscription dispatcher
 
-	snap  snapshotCache
 	plans *planCache
 
 	// derived, when set (AttachDerived), is the combined base+derived

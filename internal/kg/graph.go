@@ -217,8 +217,8 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // counter is only ever advanced while the mutating shard's write lock is
 // held, so holding every shard's read lock freezes it. LastSeq()/
 // TriplesSnapshot() expose the counter so derived structures
-// (adjacency snapshots, checkpoints) can record the watermark they
-// were built at and later decide staleness with a single comparison: a
+// (checkpoints) can record the watermark they were built at and later
+// decide staleness with a single comparison: a
 // derived structure at watermark w reflects exactly the first w
 // mutations. The log itself is stored as per-shard sub-logs of
 // fixed-capacity chunks (mutlog.go); a Changefeed's Pull merges them
@@ -1045,9 +1045,10 @@ func (g *Graph) NumTriples() int {
 // (by subject, then predicate ID, then object key), stopping early if fn
 // returns false, and returns the mutation
 // watermark the iteration reflects. Both happen under one all-shard
-// read-lock acquisition, so derived structures (adjacency snapshots,
-// views) get a consistent (triples, watermark) pair: the visited triples
-// are exactly the state after the first `seq` mutations. fn must not
+// read-lock acquisition, so derived structures (the training view, the
+// walk embeddings' adjacency) get a consistent (triples, watermark)
+// pair: the visited triples are exactly the state after the first `seq`
+// mutations. fn must not
 // mutate the graph or read its triple indexes; it may read the
 // dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {

@@ -3,83 +3,65 @@ package rules
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"saga/internal/kg"
 )
 
 // In-graph analytics: whole-graph algorithms that materialize their
-// result as facts of a derived predicate — connected components over the
-// engine's CSR adjacency snapshot, sameAs closure over the predicate
-// index, k-hop reachability over the graph's own reads. The
-// output predicate behaves exactly like a rule head for readers —
-// queryable through every surface, usable in rule bodies (propagation
-// and cascades treat analytics facts like base facts) — but its
-// contents are replaced wholesale by each Derive* call and go stale in
-// between: DeriveReport.Watermark records the graph sequence the result
-// reflects.
+// result as facts of a derived predicate — connected components and
+// sameAs closure by union-find over the predicate postings, k-hop
+// reachability over the graph's own reads; no pass keeps a copy of the
+// graph. The output predicate behaves exactly like a rule head for
+// readers — queryable through every surface, usable in rule bodies
+// (propagation and cascades treat analytics facts like base facts) —
+// but its contents are replaced wholesale by each Derive* call and go
+// stale in between: DeriveReport.Watermark records the graph sequence
+// the result reflects.
 
 // DeriveReport describes one analytics materialization.
 type DeriveReport struct {
 	// Facts is the number of facts the output predicate now holds.
 	Facts int
-	// Watermark is the graph mutation sequence the derivation reflects.
-	// For DeriveKHop it is the watermark when the pass began: writes
-	// racing the pass may be partly reflected.
+	// Watermark is the graph mutation sequence when the pass began. Every
+	// pass reads the graph one posting or one entity at a time, so writes
+	// racing it may be partly reflected.
 	Watermark uint64
 }
 
-// DeriveComponents materializes connected components of the engine's
-// adjacency snapshot (undirected, all entity-to-entity edges) under the
-// out predicate: one fact (member, out, representative) per entity with
-// at least one edge, where the representative is the smallest entity ID
-// in the component. Facts are emitted in ascending member order.
+// DeriveComponents materializes the connected components of the
+// undirected entity-to-entity graph (every predicate's entity-valued
+// facts, self-loops left out) under the out predicate: one fact
+// (member, out, representative) per entity with at least one edge, where
+// the representative is the smallest entity ID in the component. Facts
+// are emitted in ascending member order. Entities registered after the
+// pass began are left out; so are their edges.
 func (e *Engine) DeriveComponents(out kg.PredicateID) (DeriveReport, error) {
 	if err := e.checkExternal(out); err != nil {
 		return DeriveReport{}, err
 	}
-	snap := e.geng.Snapshot()
+	wm := e.g.LastSeq()
 	n := e.g.NumEntities()
-	label := make([]kg.EntityID, n+1)
-	var stack []kg.EntityID
-	facts := make([]kg.Triple, 0, n)
-	// Ascending seed order makes the first unvisited node of each
-	// component its minimum ID, so the seed is the representative.
-	for id := kg.EntityID(1); int(id) <= n; id++ {
-		if label[id] != 0 || snap.Degree(id) == 0 {
-			continue
-		}
-		rep := id
-		label[id] = rep
-		stack = append(stack[:0], id)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range snap.Neighbors(v) {
-				if int(w) > n || label[w] != 0 {
-					continue
-				}
-				label[w] = rep
-				stack = append(stack, w)
+	f := make(forest, n+1)
+	for p := kg.PredicateID(1); int(p) <= e.g.NumPredicates(); p++ {
+		e.g.PredicateEntriesFunc(p, func(obj kg.Value, subj kg.EntityID) bool {
+			if obj.IsEntity() && obj.Entity != subj && int(max(subj, obj.Entity)) <= n {
+				f.union(subj, obj.Entity)
 			}
-		}
+			return true
+		})
 	}
-	for id := kg.EntityID(1); int(id) <= n; id++ {
-		if label[id] == 0 {
-			continue
-		}
-		facts = append(facts, kg.Triple{Subject: id, Predicate: out, Object: kg.EntityValue(label[id])})
-	}
+	facts := f.facts(out)
 	e.replaceExternal(out, facts)
-	return DeriveReport{Facts: len(facts), Watermark: snap.Seq()}, nil
+	return DeriveReport{Facts: len(facts), Watermark: wm}, nil
 }
 
 // DeriveSameAsClosure materializes the equivalence closure of the src
 // predicate's base entity-to-entity facts under out: every entity that
 // occurs in a src edge gets one fact (entity, out, canonical) where
 // canonical is the smallest entity ID of its equivalence class (the
-// class representative maps to itself). Facts are emitted in ascending
-// entity order.
+// class representative maps to itself). A self-loop makes its entity a
+// member. Facts are emitted in ascending entity order. Entities
+// registered after the pass began are left out; so are their edges.
 func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, error) {
 	if src == kg.NoPredicate {
 		return DeriveReport{}, fmt.Errorf("rules: sameas closure: source predicate required")
@@ -88,44 +70,68 @@ func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, err
 		return DeriveReport{}, err
 	}
 	wm := e.g.LastSeq()
-	parent := make(map[kg.EntityID]kg.EntityID)
-	var find func(kg.EntityID) kg.EntityID
-	find = func(x kg.EntityID) kg.EntityID {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
+	n := e.g.NumEntities()
+	f := make(forest, n+1)
 	e.g.PredicateEntriesFunc(src, func(obj kg.Value, subj kg.EntityID) bool {
-		if !obj.IsEntity() {
-			return true
-		}
-		ra, rb := find(subj), find(obj.Entity)
-		if ra != rb {
-			// Union by ID: the smaller root wins, so every root is its
-			// class minimum without a second pass.
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
+		if obj.IsEntity() && int(max(subj, obj.Entity)) <= n {
+			f.union(subj, obj.Entity)
 		}
 		return true
 	})
-	members := make([]kg.EntityID, 0, len(parent))
-	for m := range parent {
-		members = append(members, m)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	facts := make([]kg.Triple, 0, len(members))
-	for _, m := range members {
-		facts = append(facts, kg.Triple{Subject: m, Predicate: out, Object: kg.EntityValue(find(m))})
-	}
+	facts := f.facts(out)
 	e.replaceExternal(out, facts)
 	return DeriveReport{Facts: len(facts), Watermark: wm}, nil
+}
+
+// forest is a union-find over entity IDs, indexed by ID: f[x] is x's
+// parent, or 0 while x is in no set.
+type forest []kg.EntityID
+
+// union joins the sets of a and b, entering either that is in none. The
+// smaller root wins, so every root is its set's minimum.
+func (f forest) union(a, b kg.EntityID) {
+	if f[a] == 0 {
+		f[a] = a
+	}
+	if f[b] == 0 {
+		f[b] = b
+	}
+	ra, rb := f.find(a), f.find(b)
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	f[rb] = ra
+}
+
+// find returns the root of x's set, pointing every node on the way at
+// it. x must be in a set.
+func (f forest) find(x kg.EntityID) kg.EntityID {
+	root := x
+	for f[root] != root {
+		root = f[root]
+	}
+	for f[x] != root {
+		f[x], x = root, f[x]
+	}
+	return root
+}
+
+// facts returns one fact (x, out, root of x) for each x in a set, in
+// ascending x.
+func (f forest) facts(out kg.PredicateID) []kg.Triple {
+	var members int
+	for _, p := range f {
+		if p != 0 {
+			members++
+		}
+	}
+	facts := make([]kg.Triple, 0, members)
+	for x, p := range f {
+		if p != 0 {
+			facts = append(facts, kg.Triple{Subject: kg.EntityID(x), Predicate: out, Object: kg.EntityValue(f.find(kg.EntityID(x)))})
+		}
+	}
+	return facts
 }
 
 // DeriveKHop materializes k-hop reachability under out: one fact
@@ -133,8 +139,7 @@ func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, err
 // the undirected entity-to-entity graph, the source itself excluded.
 // Facts are emitted in ascending (source, node) order.
 //
-// The BFS reads the graph, not the adjacency snapshot, so a reach costs
-// the entries it touches rather than a CSR build after every write: a
+// The BFS reads the graph, so a reach costs the entries it touches: a
 // node's neighbors are its outgoing entity objects and, for each
 // predicate holding facts, the subjects of its (predicate, node)
 // posting. Each read takes its own lock, so writes racing the pass may

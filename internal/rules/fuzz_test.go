@@ -241,10 +241,9 @@ func checkFromScratch(t *testing.T, e *Engine, geng *graphengine.Engine, rs *Rul
 // khopEntities is the size of FuzzDeriveKHop's starting graph.
 const khopEntities = 8
 
-// FuzzDeriveKHop checks DeriveKHop, which reads the graph, against BFS
-// over a fresh adjacency snapshot: Snapshot rebuilds from scratch
-// whenever the graph has moved, so its BFS is the reference. The
-// committed corpus is in testdata/fuzz/FuzzDeriveKHop.
+// FuzzDeriveKHop checks DeriveKHop against a BFS over the graph's facts
+// read naively (naiveAdjacency). The committed corpus is in
+// testdata/fuzz/FuzzDeriveKHop.
 //
 // Each op is three bytes: kind, then two operands a and b. By kind mod
 // 6: assert the edge (a, p, b) or (a, q, b) — parallel edges under two
@@ -279,13 +278,13 @@ func FuzzDeriveKHop(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := geng.Snapshot()
-			if rep.Watermark != snap.Seq() {
-				t.Fatalf("op %d: watermark %d, snapshot at %d", op, rep.Watermark, snap.Seq())
+			if wm := g.LastSeq(); rep.Watermark != wm {
+				t.Fatalf("op %d: watermark %d, graph at %d", op, rep.Watermark, wm)
 			}
+			adj := naiveAdjacency(g)
 			var want []kg.Triple
 			for _, src := range slices.Compact(slices.Sorted(slices.Values(srcs))) {
-				for w := range snap.BFS(src, k) {
+				for w := range reach(adj, src, k) {
 					if w != src {
 						want = append(want, kg.Triple{Subject: src, Predicate: near, Object: kg.EntityValue(w)})
 					}
@@ -301,7 +300,7 @@ func FuzzDeriveKHop(f *testing.F) {
 			slices.SortFunc(want, byPair)
 			slices.SortFunc(got, byPair)
 			if rep.Facts != len(want) || !slices.Equal(got, want) {
-				t.Fatalf("op %d: khop(%v, k=%d) reports %d facts %v, snapshot BFS gives %v", op, srcs, k, rep.Facts, got, want)
+				t.Fatalf("op %d: khop(%v, k=%d) reports %d facts %v, the reference BFS gives %v", op, srcs, k, rep.Facts, got, want)
 			}
 		}
 
@@ -342,6 +341,143 @@ func FuzzDeriveKHop(f *testing.F) {
 		}
 		check(len(ops)/3, ents, 2)
 	})
+}
+
+// componentEntities is the size of FuzzDeriveComponents' starting graph.
+const componentEntities = 8
+
+// FuzzDeriveComponents checks DeriveComponents against components found
+// by BFS over the graph's facts read naively (naiveAdjacency): each
+// entity with a neighbour, in ascending ID order, labels what it reaches
+// and is not yet labelled with its own ID. The committed corpus is in
+// testdata/fuzz/FuzzDeriveComponents.
+//
+// Each op is three bytes: kind, then two operands a and b. By kind mod
+// 6: assert the edge (a, p, b) or (a, q, b) — parallel edges under two
+// predicates, and self-loops when a and b name the same entity; retract
+// the live fact a names; assert the literal fact (a, lit, b); register
+// an entity, which stays isolated unless a later op gives it a fact; and
+// derive. After the ops the components are derived once more.
+func FuzzDeriveComponents(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 600 {
+			return
+		}
+		g := kg.NewGraphWithShards(2)
+		geng := graphengine.New(g)
+		ents := make([]kg.EntityID, componentEntities)
+		for i := range ents {
+			ents[i] = mustEnt(t, g, fmt.Sprintf("e%d", i))
+		}
+		preds := []kg.PredicateID{mustPred(t, g, "p"), mustPred(t, g, "q")}
+		lit := mustPred(t, g, "lit")
+		comp := mustPred(t, g, "component")
+		rs, err := NewRuleSet(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t, geng, rs)
+
+		check := func(op int) {
+			t.Helper()
+			rep, err := e.DeriveComponents(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wm := g.LastSeq(); rep.Watermark != wm {
+				t.Fatalf("op %d: watermark %d, graph at %d", op, rep.Watermark, wm)
+			}
+			adj := naiveAdjacency(g)
+			label := make(map[kg.EntityID]kg.EntityID)
+			var want []kg.Triple
+			for id := kg.EntityID(1); int(id) <= g.NumEntities(); id++ {
+				if len(adj[id]) == 0 {
+					continue
+				}
+				if _, done := label[id]; !done {
+					for w := range reach(adj, id, len(adj)) {
+						label[w] = id
+					}
+				}
+				want = append(want, kg.Triple{Subject: id, Predicate: comp, Object: kg.EntityValue(label[id])})
+			}
+			got := e.Derived().Entries(comp)
+			slices.SortFunc(got, func(a, b kg.Triple) int { return cmp.Compare(a.Subject, b.Subject) })
+			if rep.Facts != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("op %d: components report %d facts %v, the reference BFS gives %v", op, rep.Facts, got, want)
+			}
+		}
+
+		ent := func(x int) kg.EntityID { return ents[x%len(ents)] }
+		var live []kg.Triple
+		for i := 0; i+2 < len(ops); i += 3 {
+			kind, a, b := ops[i], int(ops[i+1]), int(ops[i+2])
+			var tr kg.Triple
+			switch kind % 6 {
+			case 0, 1:
+				tr = kg.Triple{Subject: ent(a), Predicate: preds[kind%6], Object: kg.EntityValue(ent(b))}
+			case 2:
+				if len(live) > 0 {
+					j := a % len(live)
+					if !g.Retract(live[j]) {
+						t.Fatalf("op %d: retract of live fact %v failed", i/3, live[j])
+					}
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+				continue
+			case 3:
+				tr = kg.Triple{Subject: ent(a), Predicate: lit, Object: kg.IntValue(int64(b))}
+			case 4:
+				ents = append(ents, mustEnt(t, g, fmt.Sprintf("e%d", len(ents))))
+				continue
+			case 5:
+				check(i / 3)
+				continue
+			}
+			added, err := g.AssertNew(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if added {
+				live = append(live, tr)
+			}
+		}
+		check(len(ops) / 3)
+	})
+}
+
+// naiveAdjacency is the undirected entity-to-entity graph of g's facts,
+// read with AllTriples: each entity's neighbours through an entity-valued
+// fact in either direction, self-loops left out, repeats kept.
+func naiveAdjacency(g *kg.Graph) map[kg.EntityID][]kg.EntityID {
+	adj := make(map[kg.EntityID][]kg.EntityID)
+	for _, t := range g.AllTriples() {
+		if t.Object.IsEntity() && t.Object.Entity != t.Subject {
+			adj[t.Subject] = append(adj[t.Subject], t.Object.Entity)
+			adj[t.Object.Entity] = append(adj[t.Object.Entity], t.Subject)
+		}
+	}
+	return adj
+}
+
+// reach returns the entities within k hops of src in adj, src included.
+func reach(adj map[kg.EntityID][]kg.EntityID, src kg.EntityID, k int) map[kg.EntityID]bool {
+	seen := map[kg.EntityID]bool{src: true}
+	frontier := []kg.EntityID{src}
+	for depth := 0; depth < k && len(frontier) > 0; depth++ {
+		var next []kg.EntityID
+		for _, u := range frontier {
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return seen
 }
 
 // FuzzParseRules parses arbitrary text against a fresh graph per input.

@@ -3,7 +3,8 @@
 // the same Clause/Binding vocabulary the executor already speaks, kept
 // fresh under graph mutations by a changefeed consumer, plus in-graph
 // analytics (connected components, sameAs closure, k-hop reachability)
-// materialized as derived predicates over CSR snapshots.
+// computed from the graph's own reads and materialized as derived
+// predicates.
 //
 // # Rule language
 //
@@ -38,8 +39,8 @@
 // mid-batch state; cursors over a derived predicate are exact while the
 // derived store is unchanged, like base cursors are exact while the
 // graph is unchanged. Analytics predicates are staler still: they
-// reflect the CSR snapshot watermark of their last Derive* call and
-// refresh only when re-derived.
+// reflect the graph as their last Derive* call read it (from the
+// watermark in its report on) and refresh only when re-derived.
 package rules
 
 import (

@@ -431,10 +431,11 @@ func TestSubscribeSlowClientEviction(t *testing.T) {
 	}()
 
 	// Assert distinct collaborator pairs until the subscriber run
-	// completes: every coalescing window ships a fat delta event, filling
-	// the stalled connection's socket buffers until the hub's pending
-	// bound trips. Distinct pairs matter — an assert/retract of the SAME
-	// binding cancels in the hub's pending set and would never grow it.
+	// completes or the pairs run out: every coalescing window ships a fat
+	// delta event, filling the stalled connection's socket buffers until
+	// the hub's pending bound trips. Distinct pairs matter — an
+	// assert/retract of the SAME binding cancels in the hub's pending set
+	// and would never grow it.
 	people := w.People
 	n := len(people)
 	var res outcome
@@ -447,7 +448,12 @@ loop:
 		default:
 		}
 		if churn >= n*(n-1) {
-			t.Fatal("eviction never happened despite exhausting all distinct pairs")
+			// Every distinct pair is written and there is nothing left to
+			// send. The subscriber's run still ends, by the context's
+			// deadline at the latest; the checks below say whether it was
+			// evicted.
+			res = <-done
+			break loop
 		}
 		for i := 0; i < 128 && churn < n*(n-1); i++ {
 			a := people[churn%n]

@@ -137,8 +137,9 @@ func (p *Platform) RuleStats() RuleEngineStats {
 // DeriveRequest names one in-graph analytics materialization.
 type DeriveRequest struct {
 	// Kind selects the algorithm: "components" (connected components of
-	// the adjacency snapshot), "sameas" (equivalence closure of Source's
-	// facts), or "khop" (reachability within K hops of SourceKeys).
+	// the undirected entity graph), "sameas" (equivalence closure of
+	// Source's facts), or "khop" (reachability within K hops of
+	// SourceKeys).
 	Kind string
 	// Out is the output predicate name, created if missing. It must not
 	// be a rule head.
@@ -238,7 +239,7 @@ func (p *Platform) TrainEmbeddings(opts EmbeddingOptions) error {
 		return fmt.Errorf("saga: build embedding service: %w", err)
 	}
 	if opts.WalkEmbeddings {
-		vecs := embedding.TrainWalkEmbeddings(p.engine, d.Ents, opts.Walk)
+		vecs := embedding.TrainWalkEmbeddings(p.graph, d.Ents, opts.Walk)
 		if err := svc.SetWalkEmbeddings(vecs); err != nil {
 			return fmt.Errorf("saga: install walk embeddings: %w", err)
 		}

@@ -135,6 +135,15 @@ func TestPlatformEndToEnd(t *testing.T) {
 	}
 }
 
+// TestScoredEntityIsRelatedEntitiesResult pins the alias to the type the
+// related-entity calls return: a caller can hold their results as
+// []ScoredEntity. It is a compile-time check.
+func TestScoredEntityIsRelatedEntitiesResult(t *testing.T) {
+	var p *Platform
+	var related func(EntityID, int) ([]ScoredEntity, error) = p.RelatedEntities
+	_ = related
+}
+
 func TestPlatformWalkEmbeddings(t *testing.T) {
 	w, err := GenerateWorld(WorldConfig{NumPeople: 80, NumClusters: 8, Seed: 107})
 	if err != nil {

@@ -88,13 +88,11 @@ func NewGraphWithShards(n int) *Graph { return kg.NewGraphWithShards(n) }
 
 // Graph engine (internal/graphengine).
 type (
-	// Engine provides conjunctive queries, traversals, and the filtered
+	// Engine provides conjunctive queries, subscriptions, and the filtered
 	// training-view scan.
 	Engine = graphengine.Engine
 	// ViewDef declares the training view's filter.
 	ViewDef = graphengine.ViewDef
-	// ScoredEntity pairs an entity with a relevance score.
-	ScoredEntity = graphengine.ScoredEntity
 	// QueryClause is one triple pattern of a conjunctive query.
 	QueryClause = graphengine.Clause
 	// QueryTerm is a variable or constant clause position.
@@ -180,6 +178,8 @@ type (
 	RankedFact = embedserve.RankedFact
 	// Verification is a fact-verification outcome.
 	Verification = embedserve.Verification
+	// ScoredEntity is a related entity with its similarity score.
+	ScoredEntity = embedserve.ScoredEntity
 )
 
 // Model kinds.

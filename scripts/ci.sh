@@ -22,9 +22,9 @@
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
 # against a from-scratch derivation, on subscription mirrors against a
-# from-scratch solve, on k-hop reachability against BFS over a
-# from-scratch adjacency snapshot and on the rule parser, and a short
-# open-loop load smoke against an in-process server (kgload -smoke:
+# from-scratch solve, on k-hop reachability and connected components
+# against BFS over the graph's facts read naively and on the rule parser,
+# and a short open-loop load smoke against an in-process server (kgload -smoke:
 # zero 5xx, zero transport errors, p99 of admitted requests under the
 # read route's deadline).
 # Run it before every push; it is exactly what a hosted CI job would
@@ -179,6 +179,7 @@ go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime "${FUZZTIME:-5s}" ./inte
 go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime "${FUZZTIME:-5s}" ./internal/textutil/
 go test -run '^$' -fuzz '^FuzzRuleMaintenance$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
 go test -run '^$' -fuzz '^FuzzDeriveKHop$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
+go test -run '^$' -fuzz '^FuzzDeriveComponents$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
 go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime "${FUZZTIME:-5s}" ./internal/rules/
 
 if [[ "${SKIP_LOAD:-}" != "1" ]]; then
