@@ -121,14 +121,24 @@ func New(g *kg.Graph, model embedding.Model, dataset *embedding.Dataset) (*Servi
 func (s *Service) SetWalkEmbeddings(vecs map[kg.EntityID]vecindex.Vector) error {
 	// Rows go in by ascending ID, not in map-iteration order, so the slab
 	// layout is the same on every process start.
-	ids := make([]kg.EntityID, 0, len(vecs))
+	ids := make([]uint64, 0, len(vecs))
 	for id := range vecs {
-		ids = append(ids, id)
+		ids = append(ids, uint64(id))
 	}
 	slices.Sort(ids)
 	idx := vecindex.NewFlat()
-	for _, id := range ids {
-		if err := idx.Add(uint64(id), vecs[id]); err != nil {
+	if len(ids) > 0 {
+		dim := len(vecs[kg.EntityID(ids[0])])
+		rows := make([]float32, 0, len(ids)*dim)
+		for _, id := range ids {
+			v := vecs[kg.EntityID(id)]
+			if len(v) != dim {
+				return fmt.Errorf("embedserve: walk vector of %v has %d dims, want %d", kg.EntityID(id), len(v), dim)
+			}
+			rows = append(rows, v...)
+		}
+		var err error
+		if idx, err = vecindex.NewFlatFromRows(ids, rows); err != nil {
 			return err
 		}
 	}
@@ -318,11 +328,11 @@ func (s *Service) RelatedEntitiesContext(ctx context.Context, id kg.EntityID, k 
 		// product already equals cosine here.
 		res, err = walk.idx.SearchFiltered(ctx, v, k+1, keep)
 	} else {
-		v, ok := s.entIndex.Get(uint64(id))
+		var ok bool
+		res, ok, err = s.entIndex.SearchCosineByID(ctx, uint64(id), k+1, keep)
 		if !ok {
 			return nil, fmt.Errorf("embedserve: entity %v not in embedding space", id)
 		}
-		res, err = s.entIndex.SearchCosineFiltered(ctx, v, k+1, keep)
 	}
 	if err != nil {
 		return nil, err

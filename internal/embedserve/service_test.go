@@ -2,6 +2,7 @@ package embedserve
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"saga/internal/embedding"
@@ -245,6 +246,15 @@ func TestRelatedEntitiesWalkSpace(t *testing.T) {
 	// Entity without walk embedding errors.
 	if _, err := h.svc.RelatedEntities(h.w.Occupations[0], 3); err == nil {
 		t.Fatal("entity without walk embedding accepted")
+	}
+	// Vectors of unequal length are refused, and the installation in place
+	// keeps serving.
+	ragged := map[kg.EntityID]vecindex.Vector{h.w.People[0]: {1, 0}, h.w.People[1]: {1, 0, 0}}
+	if err := h.svc.SetWalkEmbeddings(ragged); err == nil {
+		t.Fatal("walk vectors of unequal length accepted")
+	}
+	if again, err := h.svc.RelatedEntities(p, 8); err != nil || !reflect.DeepEqual(again, rel) {
+		t.Fatalf("after a refused installation: %v, %v; want %v", again, err, rel)
 	}
 }
 

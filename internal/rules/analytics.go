@@ -44,7 +44,10 @@ func (e *Engine) DeriveComponents(out kg.PredicateID) (DeriveReport, error) {
 	f := make(forest, n+1)
 	for p := kg.PredicateID(1); int(p) <= e.g.NumPredicates(); p++ {
 		e.g.PredicateEntriesFunc(p, func(obj kg.Value, subj kg.EntityID) bool {
-			if obj.IsEntity() && obj.Entity != subj && int(max(subj, obj.Entity)) <= n {
+			if !obj.IsEntity() {
+				return false // entity objects sort first: the rest are literals
+			}
+			if obj.Entity != subj && int(max(subj, obj.Entity)) <= n {
 				f.union(subj, obj.Entity)
 			}
 			return true
@@ -73,7 +76,10 @@ func (e *Engine) DeriveSameAsClosure(src, out kg.PredicateID) (DeriveReport, err
 	n := e.g.NumEntities()
 	f := make(forest, n+1)
 	e.g.PredicateEntriesFunc(src, func(obj kg.Value, subj kg.EntityID) bool {
-		if obj.IsEntity() && int(max(subj, obj.Entity)) <= n {
+		if !obj.IsEntity() {
+			return false // entity objects sort first: the rest are literals
+		}
+		if int(max(subj, obj.Entity)) <= n {
 			f.union(subj, obj.Entity)
 		}
 		return true

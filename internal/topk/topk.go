@@ -25,6 +25,12 @@ func New[T any](k, n int, worse func(a, b T) bool) Heap[T] {
 	return Heap[T]{k: k, items: make([]T, 0, k), worse: worse}
 }
 
+// Reset empties h for a new selection of the best k of at most n items,
+// keeping its storage and its order.
+func (h *Heap[T]) Reset(k, n int) {
+	h.k, h.items = min(k, n), h.items[:0]
+}
+
 // Full reports whether k items are held; only then is there a Worst.
 func (h *Heap[T]) Full() bool { return len(h.items) == h.k }
 

@@ -49,3 +49,48 @@ func dotRowsGo(dst, q, rows []float32) {
 		dst[r] = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
 	}
 }
+
+// dotCodesGo is the reference body of the prefilter's integer kernel:
+// for each group of eight rows, dst[r] = Σ_p lo(qp[p])·c[r][2p] +
+// hi(qp[p])·c[r][2p+1], where lo and hi are the words' signed halves and
+// the group's codes sit pair by pair, sixteen bytes to a pair (row r's
+// two codes at bytes 2r and 2r+1). The sums are exact in int32 for rows
+// no wider than maxCodedDim, so every body returns the same integers.
+func dotCodesGo(dst, qp []int32, codes []int8) {
+	for g := 0; g+8 <= len(dst); g += 8 {
+		var a0, a1, a2, a3, a4, a5, a6, a7 int32
+		blk := codes[2*g*len(qp):][:16*len(qp)]
+		for p, w := range qp {
+			lo, hi := int32(int16(w)), w>>16
+			c := (*[16]int8)(blk[16*p:])
+			a0 += int32(c[0])*lo + int32(c[1])*hi
+			a1 += int32(c[2])*lo + int32(c[3])*hi
+			a2 += int32(c[4])*lo + int32(c[5])*hi
+			a3 += int32(c[6])*lo + int32(c[7])*hi
+			a4 += int32(c[8])*lo + int32(c[9])*hi
+			a5 += int32(c[10])*lo + int32(c[11])*hi
+			a6 += int32(c[12])*lo + int32(c[13])*hi
+			a7 += int32(c[14])*lo + int32(c[15])*hi
+		}
+		d := (*[8]int32)(dst[g:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+}
+
+// boundMaskGo is the reference body of the prefilter's threshold pass:
+// bit r%64 of mask[r/64] is set when row r's upper bound
+// w[r]·(acc[r]·b[0] + b[1]) + b[2] is not below the threshold b[3], or
+// is NaN (a row outside the tame range), and clear otherwise. mask has
+// (len(acc)+63)/64 words; every word is written.
+func boundMaskGo(mask []uint64, acc []int32, w []float32, b *[4]float64) {
+	w = w[:len(acc)]
+	for j := range mask {
+		var m uint64
+		for r := 64 * j; r < min(64*j+64, len(acc)); r++ {
+			if u := float64(w[r])*(float64(acc[r])*b[0]+b[1]) + b[2]; !(u < b[3]) {
+				m |= 1 << (r % 64)
+			}
+		}
+		mask[j] = m
+	}
+}

@@ -35,6 +35,28 @@ func dotRows(dst, q, rows []float32) {
 	dotRowsGo(dst, q, rows)
 }
 
+// dotCodes is the prefilter's integer kernel; len(dst) is a multiple of
+// eight.
+func dotCodes(dst, qp []int32, codes []int8) {
+	codes = codes[:len(dst)*2*len(qp)] // the assembly trusts this bound
+	if useAVX2 {
+		dotCodesAVX2(dst, qp, codes)
+		return
+	}
+	dotCodesGo(dst, qp, codes)
+}
+
+// boundMask is the prefilter's threshold pass: the AVX2 body takes the
+// whole words of 64 rows, the Go body the rest.
+func boundMask(mask []uint64, acc []int32, w []float32, b *[4]float64) {
+	n := 0
+	if useAVX2 {
+		n = len(acc) &^ 63
+		boundMaskAVX2(mask[:n/64], acc[:n], w[:n], b)
+	}
+	boundMaskGo(mask[n/64:], acc[n:], w[n:], b)
+}
+
 // TriDot is the score half of the training step kernel.
 func TriDot(h, r, t []float32) float32 {
 	r, t = r[:len(h)], t[:len(h)] // the assembly trusts these bounds
@@ -56,6 +78,12 @@ func TriUpdate(h, r, t []float32, gf, decay float32) {
 
 //go:noescape
 func dotRowsAVX2(dst, q, rows []float32)
+
+//go:noescape
+func dotCodesAVX2(dst, qp []int32, codes []int8)
+
+//go:noescape
+func boundMaskAVX2(mask []uint64, acc []int32, w []float32, b *[4]float64)
 
 //go:noescape
 func triDotAVX2(h, r, t []float32) float32

@@ -78,6 +78,125 @@ reduce:
 done:
 	RET
 
+// func dotCodesAVX2(dst, qp []int32, codes []int8)
+//
+// dotCodesGo, a group of eight rows to a YMM register: per pair, the
+// group's sixteen codes widen to words (VPMOVSXBW), the query word is
+// broadcast to all eight dwords, and one VPMADDWD forms the eight rows'
+// two-term sums, which VPADDD adds to the rows' lanes — four pairs to a
+// loop trip, then one at a time. The arithmetic is exact integer
+// arithmetic, so the sums are the Go body's.
+TEXT ·dotCodesAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ qp_base+24(FP), SI
+	MOVQ qp_len+32(FP), DX   // pairs
+	MOVQ codes_base+48(FP), BX
+	SHRQ $3, CX              // groups
+	JZ   cdone
+
+cgroup:
+	VPXOR Y0, Y0, Y0
+	MOVQ SI, R8              // query words
+	MOVQ DX, R9              // pairs left
+	CMPQ R9, $4
+	JLT  cpair
+
+cfour:
+	PREFETCHT0 1024(BX)      // the codes stream from memory on a cache miss
+	VPMOVSXBW (BX), Y1
+	VPBROADCASTD (R8), Y2
+	VPMADDWD Y2, Y1, Y1
+	VPMOVSXBW 16(BX), Y3
+	VPBROADCASTD 4(R8), Y4
+	VPMADDWD Y4, Y3, Y3
+	VPMOVSXBW 32(BX), Y5
+	VPBROADCASTD 8(R8), Y6
+	VPMADDWD Y6, Y5, Y5
+	VPMOVSXBW 48(BX), Y7
+	VPBROADCASTD 12(R8), Y8
+	VPMADDWD Y8, Y7, Y7
+	VPADDD Y1, Y3, Y3
+	VPADDD Y5, Y7, Y7
+	VPADDD Y3, Y0, Y0
+	VPADDD Y7, Y0, Y0
+	ADDQ $64, BX
+	ADDQ $16, R8
+	SUBQ $4, R9
+	CMPQ R9, $4
+	JGE  cfour
+
+cpair:
+	TESTQ R9, R9
+	JZ   cstore
+	VPMOVSXBW (BX), Y1
+	VPBROADCASTD (R8), Y2
+	VPMADDWD Y2, Y1, Y1
+	VPADDD Y1, Y0, Y0
+	ADDQ $16, BX
+	ADDQ $4, R8
+	DECQ R9
+	JMP  cpair
+
+cstore:
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  cgroup
+	VZEROUPPER
+
+cdone:
+	RET
+
+// func boundMaskAVX2(mask []uint64, acc []int32, w []float32, b *[4]float64)
+//
+// boundMaskGo, four rows to a YMM register of float64: the same multiply,
+// add, multiply, add (never an FMA), then one VCMPPD with predicate
+// NLT_US, which is true when the bound is not below the threshold or is
+// NaN. len(acc) = 64·len(mask).
+TEXT ·boundMaskAVX2(SB), NOSPLIT, $0-80
+	MOVQ mask_base+0(FP), DI
+	MOVQ mask_len+8(FP), R8  // words
+	MOVQ acc_base+24(FP), SI
+	MOVQ w_base+48(FP), BX
+	MOVQ b+72(FP), AX
+	TESTQ R8, R8
+	JZ   bdone
+	VBROADCASTSD 0(AX), Y12
+	VBROADCASTSD 8(AX), Y13
+	VBROADCASTSD 16(AX), Y14
+	VBROADCASTSD 24(AX), Y15
+
+bword:
+	XORQ R10, R10            // the word
+	XORQ CX, CX              // its next bit
+
+bquad:
+	PREFETCHT0 256(BX)
+	VCVTDQ2PD (SI), Y0
+	VCVTPS2PD (BX), Y1
+	VMULPD Y12, Y0, Y0       // acc*b0
+	VADDPD Y13, Y0, Y0       // +b1
+	VMULPD Y1, Y0, Y0        // *w
+	VADDPD Y14, Y0, Y0       // +b2
+	VCMPPD $5, Y15, Y0, Y0   // !(u < b3)
+	VMOVMSKPD Y0, AX
+	SHLQ CX, AX
+	ORQ  AX, R10
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $4, CX
+	CMPQ CX, $64
+	JLT  bquad
+	MOVQ R10, (DI)
+	ADDQ $8, DI
+	DECQ R8
+	JNZ  bword
+	VZEROUPPER
+
+bdone:
+	RET
+
 // func triDotAVX2(h, r, t []float32) float32
 //
 // triDotGo, eight lanes to a YMM register: two VMULPS and a VADDPS per

@@ -20,3 +20,12 @@ func triBodies() map[string]triBody {
 	}
 	return m
 }
+
+// codeBodies lists every dotCodes body this build can run.
+func codeBodies() map[string]func(dst, qp []int32, codes []int8) {
+	m := map[string]func(dst, qp []int32, codes []int8){"go": dotCodesGo, "dispatch": dotCodes}
+	if useAVX2 {
+		m["avx2"] = dotCodesAVX2
+	}
+	return m
+}

@@ -12,3 +12,8 @@ func kernelBodies() map[string]func(dst, q, rows []float32) {
 func triBodies() map[string]triBody {
 	return map[string]triBody{"go": {triDotGo, triUpdateGo}, "dispatch": {TriDot, TriUpdate}}
 }
+
+// codeBodies lists every dotCodes body this build can run.
+func codeBodies() map[string]func(dst, qp []int32, codes []int8) {
+	return map[string]func(dst, qp []int32, codes []int8){"go": dotCodesGo, "dispatch": dotCodes}
+}

@@ -462,4 +462,26 @@ func BenchmarkDotRows(b *testing.B) {
 			}
 		})
 	}
+	// The prefilter's integer kernel over the same rows' codes.
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	f, err := NewFlatFromRows(ids, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf := prefilters.Get().(*prefilter)
+	pf.prepare(q, false, 0)
+	acc := make([]int32, scanBlock)
+	for name, kernel := range codeBodies() {
+		b.Run("int8-"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < n; lo += scanBlock {
+					g := (min(lo+scanBlock, n) - lo + 7) &^ 7
+					kernel(acc[:g], pf.qp, f.codes[lo*dim:(lo+g)*dim])
+				}
+			}
+		})
+	}
 }

@@ -7,11 +7,12 @@
 //
 // # The scan kernel
 //
-// Every exact search is one blocked scan (FlatIndex.scan): dotRows scores
-// scanBlock consecutive rows of the slab per call, and a selection pass
-// over that block keeps the best k. dotRows(dst, q, rows) sets dst[r] to
-// the inner product of q and row r, computed as follows, and every body
-// of the kernel computes exactly this:
+// Every exact search is one scan (FlatIndex.scan) whose scores come from
+// dotRows: the rows the prefilter (below) cannot rule out, or, when it
+// cannot bound the query, scanBlock consecutive rows of the slab per
+// call. dotRows(dst, q, rows) sets dst[r] to the inner product of q and
+// row r, computed as follows, and every body of the kernel computes
+// exactly this:
 //
 //   - eight float32 lanes, all starting at +0; element i of the row is
 //     multiplied with q[i] and the product, rounded to float32, is added
@@ -28,11 +29,76 @@
 // any search result; TestDotRowsBodiesAgreeBitForBit and FuzzDotRows hold
 // them to it. The purego build tag forces the Go body.
 //
+// # The prefilter
+//
+// Beside the float32 slab a FlatIndex keeps an int8 copy of its rows, and
+// a scan reads the copy first. Row i is coded with its own symmetric
+// scale σ_i, the smallest float32 with 127·σ_i ≥ max|x_ij|, as codes
+// c_ij = round(x_ij/σ_i) in [-127, 127]. Rows are zero-padded to an even
+// dim and stored in groups of eight: for each pair of components, the
+// sixteen bytes of the group's eight rows. The query is coded per scan
+// the same way into int16, with one scale τ = max|q_j|/32767 and
+// d_j = round(q_j/τ), two codes to a 32-bit word. The integer kernel
+// (dotCodes) then forms A_i = Σ_j c_ij·d_j for eight rows at a time —
+// one VPMADDWD of a group's widened pair against the broadcast word
+// gives the eight rows' two-term sums, with no horizontal reduction.
+// Its arithmetic is exact: each term is at most 127·32767 in magnitude,
+// so A_i fits an int32 for dim ≤ maxCodedDim (516), and the Go and AVX2
+// bodies return the same integers (TestDotCodesBodiesAgree).
+//
+// The bound. Write x_ij = σ_i·c_ij + ρ_ij and q_j = τ·d_j + η_j; the
+// rounding leaves |ρ_ij| ≤ σ_i/2 and |η_j| ≤ τ/2 (plus the division's own
+// rounding, 2^-46 and 2^-37 of a step). The exact inner product is
+//
+//	S_i = Σ q_j·x_ij = σ_i·τ·A_i + Σ q_j·ρ_ij + σ_i·Σ η_j·c_ij,
+//
+// so |S_i − σ_i·τ·A_i| ≤ σ_i·(‖q‖₁/2 + 127·dim·τ/2). The float32 score
+// D_i that dotRows computes rounds each term at most m = ⌈dim/8⌉+4 times
+// (the product, the lane adds, three reduction adds), so
+// |D_i − S_i| ≤ γ_m·Σ|q_j·x_ij| + dim·2^-150 with γ_m = m·u/(1−m·u),
+// u = 2^-24, Σ|q_j·x_ij| ≤ 127·σ_i·‖q‖₁, and the last term the products
+// that underflow. Together
+//
+//	|D_i − σ_i·τ·A_i| ≤ σ_i·E + E₀,
+//	E = ‖q‖₁/2 + 127·dim·τ/2 + 127·γ_m·‖q‖₁,  E₀ = dim·2^-150,
+//
+// which prepare computes in float64 with slack for float64's own
+// rounding (E grows by 2^-30 of itself and 2^-40·127·‖q‖₁; E₀ is taken
+// as dim·2^-148). For a cosine scan the score is fl(D_i / fl(qn·rn_i));
+// dividing the interval by qn·rn_i, with the two roundings and
+// |D_i|/(qn·rn_i) ≤ 1.001, adds 4u (and 2^-149 for a quotient that
+// underflows), E₀/(qn·rn_i) is at most E₀·2^40/qn, and a row's factor
+// becomes σ_i/rn_i (stored, like σ_i, per row). So every row gets an
+// interval [lo_i, hi_i], one multiply-add from A_i, that holds its
+// float32 score.
+//
+// Why the answer is exact. T is the k-th largest lo_i among the rows keep
+// accepts. A row with hi_i < T scores below T, and k kept rows score at
+// least T, so it ranks after k rows under worse and cannot be in the
+// answer; every other kept row is re-scored by dotRows and the cosine
+// division exactly as a full scan would score it, and the best k of
+// those are selected by worse. The ids and score bits are therefore the
+// full scan's. The scan finds T as it goes: a running threshold (the
+// k-th largest lo of a kept row so far) only rises, so the rows whose hi
+// falls below it on the way fall below T too; keep is called only on the
+// rows that pass it. boundMask tests a block of rows against it at once;
+// its Go and AVX2 bodies do the same float64 operations in the same
+// order (no fused multiply-add), so they pass the same rows
+// (TestBoundMaskBodiesAgree).
+//
+// When every row is re-scored. The bound holds where nothing overflows
+// and no norm underflows: components finite with largest magnitude in
+// [2^-40, 2^40]. A row outside that range (a zero row among them) has
+// NaN factors, never sets T and is always re-scored; a query outside it
+// (any non-finite component), or an index of dim > 516, skips the
+// integer phase and re-scores every row, block by block, as the scan
+// did before the prefilter. Rescored counts the rows scored in float32.
+//
 // # The training step kernel
 //
-// The same package holds the one other place the repository drops to
-// assembly: TriDot and TriUpdate, the two halves of the embedding
-// trainer's DistMult step (package embedding states what a step is).
+// The same package holds the repository's other assembly: TriDot and
+// TriUpdate, the two halves of the embedding trainer's DistMult step
+// (package embedding states what a step is).
 // TriDot(h, r, t) is Σ (h[i]·r[i])·t[i] under the scan kernel's rules —
 // each of the two products rounded to float32, lane i%8, the same
 // reduction tree, no fused multiply-add. TriUpdate(h, r, t, gf, decay)
@@ -58,9 +124,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"saga/internal/topk"
 )
@@ -137,9 +205,10 @@ type Index interface {
 
 // FlatIndex is an exact brute-force index. Safe for concurrent use.
 // Vectors are stored in one contiguous float32 slab (row i occupies
-// data[i*dim:(i+1)*dim]) so a full scan is sequential memory traversal
-// through the dotRows kernel, not a pointer chase through per-vector
-// allocations.
+// data[i*dim:(i+1)*dim]) so a full scan is sequential memory traversal,
+// not a pointer chase through per-vector allocations; beside the slab
+// sit the rows' int8 codes, which the prefilter reads instead (see the
+// package comment).
 type FlatIndex struct {
 	mu      sync.RWMutex
 	dim     int
@@ -148,6 +217,14 @@ type FlatIndex struct {
 	norms   []float32 // L2 norm per row, maintained on Add for cosine scans
 	pos     map[uint64]int
 	version uint64 // bumped on every Add; result caches key on it
+
+	// The prefilter's copy of the rows, nil when dim > maxCodedDim:
+	// codes in groups of eight rows, and per row its code scale σ and
+	// σ/norm (NaN for a row outside the tame range).
+	codes           []int8
+	scales, cscales []float32
+
+	rescored atomic.Uint64 // rows scored in float32, summed over every scan
 }
 
 // NewFlat returns an empty exact index.
@@ -168,12 +245,20 @@ func NewFlatFromRows(ids []uint64, rows []float32) (*FlatIndex, error) {
 		dim: len(rows) / len(ids), ids: ids, data: rows,
 		norms: make([]float32, len(ids)), pos: make(map[uint64]int, len(ids)), version: 1,
 	}
+	coded := codedDim(f.dim)
+	if coded {
+		f.codes = make([]int8, (len(ids)+7)/8*8*(f.dim+f.dim&1))
+		f.scales, f.cscales = make([]float32, len(ids)), make([]float32, len(ids))
+	}
 	for i, id := range ids {
 		if _, dup := f.pos[id]; dup {
 			return nil, fmt.Errorf("vecindex: duplicate id %d", id)
 		}
 		f.pos[id] = i
 		f.norms[i] = Norm(rows[i*f.dim : (i+1)*f.dim])
+		if coded {
+			f.code(i)
+		}
 	}
 	return f, nil
 }
@@ -189,15 +274,23 @@ func (f *FlatIndex) Add(id uint64, v Vector) error {
 		return fmt.Errorf("vecindex: dim mismatch: got %d want %d", len(v), f.dim)
 	}
 	f.version++
-	if i, ok := f.pos[id]; ok {
+	i, ok := f.pos[id]
+	if ok {
 		copy(f.data[i*f.dim:(i+1)*f.dim], v)
 		f.norms[i] = Norm(v)
-		return nil
+	} else {
+		i = len(f.ids)
+		f.pos[id] = i
+		f.ids = append(f.ids, id)
+		f.data = append(f.data, v...)
+		f.norms = append(f.norms, Norm(v))
 	}
-	f.pos[id] = len(f.ids)
-	f.ids = append(f.ids, id)
-	f.data = append(f.data, v...)
-	f.norms = append(f.norms, Norm(v))
+	if codedDim(f.dim) {
+		if !ok {
+			f.growCodes(i + 1)
+		}
+		f.code(i)
+	}
 	return nil
 }
 
@@ -246,19 +339,45 @@ func (f *FlatIndex) SearchCosineFiltered(ctx context.Context, q Vector, k int, k
 	return f.scan(ctx, q, k, true, keep)
 }
 
+// SearchCosineByID is SearchCosineFiltered with the stored vector of id
+// as the query, read in place under the scan's lock rather than copied
+// out. ok is false, and nothing is searched, when id is not stored.
+func (f *FlatIndex) SearchCosineByID(ctx context.Context, id uint64, k int, keep func(uint64) bool) (res []Result, ok bool, err error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	i, ok := f.pos[id]
+	if !ok {
+		return nil, false, nil
+	}
+	res, err = f.scanLocked(ctx, f.data[i*f.dim:(i+1)*f.dim], k, true, keep)
+	return res, true, err
+}
+
+// Rescored returns how many rows the index's searches have scored in
+// float32 so far: each prefiltered scan's candidates, and every row of a
+// scan the prefilter could not bound.
+func (f *FlatIndex) Rescored() uint64 { return f.rescored.Load() }
+
 // scanBlock is how many rows one kernel call scores: 1 KB of scores, so
-// the selection pass reads them back from L1, and the unit at which a
+// the pass that reads them back finds them in L1, and the unit at which a
 // scan polls its context.
 const scanBlock = 256
 
-// scan is the one exact search: the kernel fills a block of inner
-// products, then one pass over the block applies the cosine scaling, the
-// heap's running threshold and, for the few rows that survive it,
-// the keep filter. keep therefore sees only rows that would otherwise
-// enter the result.
+// scan is the one exact search; see the package comment. The integer
+// kernel scores a block of rows and one pass over the block keeps the
+// rows whose upper bound reaches the running threshold (the k-th largest
+// lower bound of a kept row so far), calling keep on those alone; then
+// only the rows whose upper bound reaches the final threshold are scored
+// in float32 and selected. When the prefilter cannot bound the query,
+// scanAll scores every row instead.
 func (f *FlatIndex) scan(ctx context.Context, q Vector, k int, cosine bool, keep func(uint64) bool) ([]Result, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	return f.scanLocked(ctx, q, k, cosine, keep)
+}
+
+// scanLocked is scan under the caller's read lock.
+func (f *FlatIndex) scanLocked(ctx context.Context, q Vector, k int, cosine bool, keep func(uint64) bool) ([]Result, error) {
 	if len(q) != f.dim || f.dim == 0 || k <= 0 {
 		return nil, nil
 	}
@@ -268,6 +387,79 @@ func (f *FlatIndex) scan(ctx context.Context, q Vector, k int, cosine bool, keep
 			return nil, nil
 		}
 	}
+	pf := prefilters.Get().(*prefilter)
+	defer prefilters.Put(pf)
+	if f.codes == nil || !pf.prepare(q, cosine, qn) {
+		return f.scanAll(ctx, q, qn, k, cosine, keep)
+	}
+	n, dim, dp := len(f.ids), f.dim, f.dim+f.dim&1
+	factors := f.scales
+	if cosine {
+		factors = f.cscales
+	}
+	pf.lows.Reset(k, n)
+	pf.cands = pf.cands[:0]
+	t := math.Inf(-1) // the running threshold on upper bounds
+	done := ctx.Done()
+	var acc [scanBlock]int32
+	var mask [scanBlock / 64]uint64
+	for lo := 0; lo < n; lo += scanBlock {
+		if done != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		hi := min(lo+scanBlock, n)
+		g := (hi - lo + 7) &^ 7
+		dotCodes(acc[:g], pf.qp, f.codes[lo*dp:(lo+g)*dp])
+		ws, words := factors[lo:hi], mask[:(hi-lo+63)/64]
+		boundMask(words, acc[:hi-lo], ws, &[4]float64{pf.alpha, pf.beta, pf.g0, t})
+		for j, m := range words {
+			for ; m != 0; m &= m - 1 {
+				r := 64*j + bits.TrailingZeros64(m)
+				l, u := pf.bounds(acc[r], ws[r])
+				if u < t { // the threshold rose within the block
+					continue
+				}
+				i := lo + r
+				if keep != nil && !keep(f.ids[i]) {
+					continue
+				}
+				if u != u { // outside the tame range
+					u = math.Inf(1)
+				} else if pf.lows.Admits(l) {
+					pf.lows.Push(l)
+					if pf.lows.Full() {
+						t = pf.lows.Worst()
+					}
+				}
+				pf.cands = append(pf.cands, cand{i: int32(i), hi: u})
+			}
+		}
+	}
+	sel := topk.New(k, len(pf.cands), worse)
+	var s [1]float32
+	rescored := 0
+	for _, c := range pf.cands {
+		if c.hi < t {
+			continue
+		}
+		i := int(c.i)
+		dotRows(s[:], q, f.data[i*dim:(i+1)*dim])
+		if r := (Result{ID: f.ids[i], Score: scaled(s[0], cosine, qn, f.norms[i])}); sel.Admits(r) {
+			sel.Push(r)
+		}
+		rescored++
+	}
+	f.rescored.Add(uint64(rescored))
+	return sel.Sorted(), nil
+}
+
+// scanAll is the scan without the prefilter: dotRows scores each block of
+// rows and one pass over it applies the cosine scaling, the heap's
+// running threshold and, for the few rows that survive it, the keep
+// filter.
+func (f *FlatIndex) scanAll(ctx context.Context, q Vector, qn float32, k int, cosine bool, keep func(uint64) bool) ([]Result, error) {
 	n, dim := len(f.ids), f.dim
 	sel := topk.New(k, n, worse)
 	done := ctx.Done()
@@ -278,22 +470,12 @@ func (f *FlatIndex) scan(ctx context.Context, q Vector, k int, cosine bool, keep
 				return nil, err
 			}
 		}
-		hi := lo + scanBlock
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+scanBlock, n)
 		scores := buf[:hi-lo]
 		dotRows(scores, q, f.data[lo*dim:hi*dim])
 		ids, norms := f.ids[lo:hi], f.norms[lo:hi]
 		for i, s := range scores {
-			if cosine {
-				if rn := norms[i]; rn == 0 {
-					s = 0
-				} else {
-					s /= qn * rn
-				}
-			}
-			if below(&sel, s) {
+			if s = scaled(s, cosine, qn, norms[i]); below(&sel, s) {
 				continue
 			}
 			if r := (Result{ID: ids[i], Score: s}); sel.Admits(r) && (keep == nil || keep(r.ID)) {
@@ -301,7 +483,21 @@ func (f *FlatIndex) scan(ctx context.Context, q Vector, k int, cosine bool, keep
 			}
 		}
 	}
+	f.rescored.Add(uint64(n))
 	return sel.Sorted(), nil
+}
+
+// scaled is the score a scan ranks a row by, given its inner product s
+// with the query: s itself, or for a cosine scan s/(qn·rn), where a
+// zero-norm row scores 0.
+func scaled(s float32, cosine bool, qn, rn float32) float32 {
+	if !cosine {
+		return s
+	}
+	if rn == 0 {
+		return 0
+	}
+	return s / (qn * rn)
 }
 
 // Len implements Index.

@@ -8,16 +8,17 @@
 # examples/* have no tests), the full test suite under the race detector — the graph, query, rules,
 # serving and durability packages again at 1, 2 and 4 procs, since green
 # at GOMAXPROCS=1 only is red — the kNN and embedding packages again
-# under -tags purego (the Go bodies of the scan kernel and the training
-# step kernel, which an AVX2 host never otherwise runs a search or a
-# training through; the trained-matrix hash committed in
+# under -tags purego (the Go bodies of the scan kernels, the prefilter's
+# among them, and of the training step kernel, which an AVX2 host never
+# otherwise runs a search or a training through; the trained-matrix hash committed in
 # internal/embedding must come out the same), the benchmark module's own
 # vet + smoke test
 # (bench/ has its own go.mod, so ./... never reaches it and an API drift
 # in saga or internal/server would otherwise break the benchmark
 # silently), a few seconds of native fuzzing on the wire encoders' and the
 # wire decoders' targets, on the two kernels' and the tokenizer's
-# differential targets, on the fact set's, the mutation log
+# differential targets, on the prefiltered kNN scan against a full sort,
+# on the fact set's, the mutation log
 # retention's and the subject runs' model-based ones, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
@@ -172,6 +173,7 @@ go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/k
 go test -run '^$' -fuzz '^FuzzLogRetention$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzFactRuns$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
+go test -run '^$' -fuzz '^FuzzPrefilterScan$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzTriStep$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime "${FUZZTIME:-5s}" ./internal/embedding/
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime "${FUZZTIME:-5s}" ./internal/wal/
