@@ -37,8 +37,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
-
-	"saga/internal/metrics"
 )
 
 // Class is a request priority class.
@@ -121,14 +119,14 @@ type limiter struct {
 	inFlight atomic.Int64
 	queued   atomic.Int64
 
-	admitted     metrics.Counter
-	shedFull     metrics.Counter
-	shedTimeout  metrics.Counter
-	shedDrain    metrics.Counter
-	shedDegraded metrics.Counter
+	admitted     atomic.Int64
+	shedFull     atomic.Int64
+	shedTimeout  atomic.Int64
+	shedDrain    atomic.Int64
+	shedDegraded atomic.Int64
 	// Queue-wait accounting over admitted requests, for drain-latency
 	// visibility: cumulative nanoseconds and the high-water mark.
-	waitTotalNS metrics.Counter
+	waitTotalNS atomic.Int64
 	waitMaxNS   atomic.Int64
 }
 
@@ -183,13 +181,13 @@ func (ctl *Controller) Acquire(ctx context.Context, c Class) (release func(), er
 		return lim.admit(0), nil
 	}
 	if ctl.draining.Load() {
-		lim.shedDrain.Inc()
+		lim.shedDrain.Add(1)
 		return nil, ErrDraining
 	}
 	// Reads keep serving while ingest sheds first: a write arriving when
 	// readers are already queueing is shed before it takes a slot.
 	if c == Write && ctl.classes[Read].queued.Load() > 0 {
-		lim.shedDegraded.Inc()
+		lim.shedDegraded.Add(1)
 		return nil, ErrDegraded
 	}
 	if lim.slots == nil {
@@ -202,12 +200,12 @@ func (ctl *Controller) Acquire(ctx context.Context, c Class) (release func(), er
 	}
 	// At capacity: join the bounded wait queue or shed on the spot.
 	if lim.limits.MaxQueue <= 0 {
-		lim.shedFull.Inc()
+		lim.shedFull.Add(1)
 		return nil, ErrQueueFull
 	}
 	if q := lim.queued.Add(1); q > int64(lim.limits.MaxQueue) {
 		lim.queued.Add(-1)
-		lim.shedFull.Inc()
+		lim.shedFull.Add(1)
 		return nil, ErrQueueFull
 	}
 	var deadline <-chan time.Time
@@ -223,7 +221,7 @@ func (ctl *Controller) Acquire(ctx context.Context, c Class) (release func(), er
 		return lim.admit(time.Since(start)), nil
 	case <-deadline:
 		lim.queued.Add(-1)
-		lim.shedTimeout.Inc()
+		lim.shedTimeout.Add(1)
 		return nil, ErrQueueTimeout
 	case <-ctx.Done():
 		lim.queued.Add(-1)
@@ -234,7 +232,7 @@ func (ctl *Controller) Acquire(ctx context.Context, c Class) (release func(), er
 // admit records the admission and returns its idempotent release.
 func (lim *limiter) admit(waited time.Duration) func() {
 	lim.inFlight.Add(1)
-	lim.admitted.Inc()
+	lim.admitted.Add(1)
 	if waited > 0 {
 		lim.waitTotalNS.Add(int64(waited))
 		for {
@@ -337,12 +335,12 @@ func (ctl *Controller) Stats() Stats {
 		st.Classes[c.String()] = ClassStats{
 			InFlight:         lim.inFlight.Load(),
 			QueueDepth:       lim.queued.Load(),
-			Admitted:         lim.admitted.Value(),
-			ShedQueueFull:    lim.shedFull.Value(),
-			ShedQueueTimeout: lim.shedTimeout.Value(),
-			ShedDraining:     lim.shedDrain.Value(),
-			ShedDegraded:     lim.shedDegraded.Value(),
-			QueueWaitTotalMS: float64(lim.waitTotalNS.Value()) / 1e6,
+			Admitted:         lim.admitted.Load(),
+			ShedQueueFull:    lim.shedFull.Load(),
+			ShedQueueTimeout: lim.shedTimeout.Load(),
+			ShedDraining:     lim.shedDrain.Load(),
+			ShedDegraded:     lim.shedDegraded.Load(),
+			QueueWaitTotalMS: float64(lim.waitTotalNS.Load()) / 1e6,
 			QueueWaitMaxMS:   float64(lim.waitMaxNS.Load()) / 1e6,
 			MaxInFlight:      lim.limits.MaxInFlight,
 			MaxQueue:         lim.limits.MaxQueue,

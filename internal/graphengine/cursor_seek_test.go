@@ -156,15 +156,17 @@ func TestCursorPagesConcatenateToStream(t *testing.T) {
 					base.Retract(mu.T)
 				}
 			}
-			overlay := NewOverlay(base, muts[len(muts)/2:])
+			overlay := mustOverlay(t, live, base, muts[len(muts)/2:])
 
 			// Derived view: the last predicate also carries derived facts,
 			// some of them shadowed by base facts.
-			set := NewFactSet()
+			set := kg.NewGraphOver(live)
 			for i := 0; i < 60; i++ {
 				tr := seekTriple(rng, ents, preds)
 				tr.Predicate = preds[2]
-				set.Insert(tr)
+				if err := set.Assert(tr); err != nil {
+					t.Fatal(err)
+				}
 			}
 			derived := Union(live, set)
 
@@ -247,11 +249,13 @@ func TestNoDuplicateRowsUnderConcurrentWrites(t *testing.T) {
 	if _, err := base.AssertBatch(snapshot); err != nil {
 		t.Fatal(err)
 	}
-	set := NewFactSet()
+	set := kg.NewGraphOver(live)
 	for i := 0; i < 80; i++ {
 		tr := seekTriple(rng, ents, preds)
 		tr.Predicate = preds[2]
-		set.Insert(tr)
+		if err := set.Assert(tr); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var (
@@ -305,7 +309,7 @@ func TestNoDuplicateRowsUnderConcurrentWrites(t *testing.T) {
 	if !complete {
 		t.Fatal("suffix unavailable")
 	}
-	overlay := NewOverlay(base, suffix)
+	overlay := mustOverlay(t, live, base, suffix)
 	for qi, q := range queries {
 		noDups(fmt.Sprintf("overlay q=%d", qi), overlay, q)
 	}

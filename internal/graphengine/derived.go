@@ -7,10 +7,11 @@ import (
 	"saga/internal/kg"
 )
 
-// AttachDerived installs a set of derived facts (the rule engine's) as
-// part of the Engine's read surface: every conjunctive solve
-// (StreamConjunctive, PlanConjunctive, subscription re-solves) runs
-// against the union of the graph and the set from now on (see Overlay),
+// AttachDerived installs a graph of derived facts (the rule engine's,
+// made over the Engine's graph by kg.NewGraphOver) as part of the
+// Engine's read surface: every conjunctive solve (StreamConjunctive,
+// PlanConjunctive, subscription re-solves) runs against the union of the
+// two graphs from now on (see Overlay),
 // so the planner, executor, cursors, subscriptions and the HTTP query
 // surface all work over derived predicates unchanged.
 // Passing nil detaches. The swap is atomic; in-flight solves keep the
@@ -20,7 +21,7 @@ import (
 // clause orderings, and their staleness check re-probes whatever surface
 // the next solve runs on, so a plan built before the attach self-corrects
 // like any other stale plan.
-func (e *Engine) AttachDerived(derived *FactSet) {
+func (e *Engine) AttachDerived(derived *kg.Graph) {
 	if derived == nil {
 		e.derived.Store(nil)
 		return

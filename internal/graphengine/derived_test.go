@@ -9,8 +9,8 @@ import (
 )
 
 // derivedWorld is a four-entity graph with a base predicate and one that
-// carries derived facts, and the (empty) set those live in.
-func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *FactSet, []kg.EntityID, kg.PredicateID, kg.PredicateID) {
+// carries derived facts, and the (empty) graph those live in.
+func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *kg.Graph, []kg.EntityID, kg.PredicateID, kg.PredicateID) {
 	t.Helper()
 	g := kg.NewGraph()
 	e := New(g)
@@ -30,7 +30,7 @@ func derivedWorld(t *testing.T) (*kg.Graph, *Engine, *FactSet, []kg.EntityID, kg
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, e, NewFactSet(), ents, base, der
+	return g, e, kg.NewGraphOver(g), ents, base, der
 }
 
 // TestAttachDerivedQueryTransparency: after AttachDerived, the Engine's
@@ -41,7 +41,9 @@ func TestAttachDerivedQueryTransparency(t *testing.T) {
 	if err := g.Assert(kg.Triple{Subject: ents[1], Predicate: base, Object: kg.StringValue("on")}); err != nil {
 		t.Fatal(err)
 	}
-	r.Insert(kg.Triple{Subject: ents[1], Predicate: der, Object: kg.EntityValue(ents[2])})
+	if err := r.Assert(kg.Triple{Subject: ents[1], Predicate: der, Object: kg.EntityValue(ents[2])}); err != nil {
+		t.Fatal(err)
+	}
 
 	clauses := []Clause{
 		{Subject: V("X"), Predicate: der, Object: V("Y")},
@@ -112,14 +114,16 @@ func TestApplyDerivedDeltasReachesSubscriptions(t *testing.T) {
 	}
 
 	add := kg.Triple{Subject: ents[0], Predicate: der, Object: kg.IntValue(5)}
-	r.Insert(add)
+	if err := r.Assert(add); err != nil {
+		t.Fatal(err)
+	}
 	e.ApplyDerivedDeltas([]kg.Triple{add}, nil)
 	ev := recv(sub)
 	if len(ev.Adds) != 1 || len(ev.Retracts) != 0 {
 		t.Fatalf("delta event = %+v, want one add", ev)
 	}
 
-	r.Remove(add.IdentityKey())
+	r.Retract(add)
 	e.ApplyDerivedDeltas(nil, []kg.Triple{add})
 	ev = recv(sub)
 	if len(ev.Retracts) != 1 {

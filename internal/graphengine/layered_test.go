@@ -38,24 +38,26 @@ func layeredCases(t *testing.T) ([]layeredCase, []kg.EntityID, []kg.PredicateID)
 	// retracts of base facts, re-asserts of retracted ones, adds.
 	asOf := layeredCase{
 		name:    "as-of",
-		view:    NewOverlay(replayMuts(t, muts[:len(muts)/3]), muts[len(muts)/3:]),
+		view:    mustOverlay(t, src, replayMuts(t, muts[:len(muts)/3]), muts[len(muts)/3:]),
 		flat:    replayMuts(t, muts),
 		overlap: func(func(kg.Triple) bool) int { return 0 },
 	}
-	if asOf.view.dels.Len() == 0 || asOf.view.adds.Len() == 0 {
+	if asOf.view.dels.NumTriples() == 0 || asOf.view.adds.NumTriples() == 0 {
 		t.Fatal("history too tame: the suffix removed or added nothing")
 	}
 
-	// Derived: the live graph plus a set of facts on the last predicate,
+	// Derived: the live graph plus a graph of facts on the last predicate,
 	// every third one also asserted in the base — whose copy must win the
 	// enumeration, not double it.
 	base, flat := replayMuts(t, muts), replayMuts(t, muts)
-	adds := NewFactSet()
+	adds := kg.NewGraphOver(base)
 	var shared []kg.Triple
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 40; i++ {
 		tr := kg.Triple{Subject: ents[rng.Intn(len(ents))], Predicate: preds[len(preds)-1], Object: overlayObject(rng, ents)}
-		adds.Insert(tr)
+		if err := adds.Assert(tr); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := flat.AssertNew(tr); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +67,7 @@ func layeredCases(t *testing.T) ([]layeredCase, []kg.EntityID, []kg.PredicateID)
 			}
 		}
 	}
-	for _, tr := range adds.Entries(preds[len(preds)-1]) {
+	for _, tr := range entries(adds, preds[len(preds)-1]) {
 		if base.HasFact(tr.Subject, tr.Predicate, tr.Object) {
 			shared = append(shared, tr)
 		}

@@ -69,17 +69,21 @@ func layeredChunks[T any](adds, dels []T, cmp func(a, b T) int, base func(fn fun
 		base(fn)
 		return
 	}
-	var buf []T
-	stopped := false
+	// The callback's state is one value, which alone moves to the heap:
+	// the no-delta path above allocates nothing.
+	m := struct {
+		adds, dels, buf []T
+		stopped         bool
+	}{adds: adds, dels: dels}
 	base(func(chunk []T) bool {
 		last := chunk[len(chunk)-1]
-		a, d := upTo(adds, last, cmp), upTo(dels, last, cmp)
-		buf = mergeSorted(buf[:0], chunk, adds[:a], dels[:d], cmp)
-		adds, dels = adds[a:], dels[d:]
-		stopped = len(buf) > 0 && !fn(buf)
-		return !stopped
+		a, d := upTo(m.adds, last, cmp), upTo(m.dels, last, cmp)
+		m.buf = mergeSorted(m.buf[:0], chunk, m.adds[:a], m.dels[:d], cmp)
+		m.adds, m.dels = m.adds[a:], m.dels[d:]
+		m.stopped = len(m.buf) > 0 && !fn(m.buf)
+		return !m.stopped
 	})
-	if !stopped && len(adds) > 0 {
-		fn(adds)
+	if !m.stopped && len(m.adds) > 0 {
+		fn(m.adds)
 	}
 }

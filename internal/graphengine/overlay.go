@@ -1,14 +1,18 @@
 package graphengine
 
 import (
+	"fmt"
 	"iter"
+	"math"
 
 	"saga/internal/kg"
 )
 
-// The layered view: a base graph read through two sorted fact sets,
-// (base ∖ dels) ∪ adds. It is the one conjGraph besides *kg.Graph, and
-// it serves both layered reads the platform has:
+// The layered view: a base graph read through two layers,
+// (base ∖ dels) ∪ adds, each a kg.Graph made over the live graph
+// (kg.NewGraphOver), so it shares the live dictionaries. It is the one
+// conjGraph besides *kg.Graph, and every read is the same read of the
+// three graphs. It serves both layered reads the platform has:
 //
 //   - As-of reads (NewOverlay): an immutable base restored from a retained
 //     checkpoint plus the net effect of the mutation suffix up to the
@@ -17,13 +21,13 @@ import (
 //     view costs O(suffix), not O(graph).
 //   - Derived predicates (Union, installed by Engine.AttachDerived): the
 //     live graph plus the rule engine's derived facts, which are never
-//     written into kg.Graph. dels is nil. Freshness is whatever the graph
-//     and the set answer at call time.
+//     written into the live graph. dels is empty. Freshness is whatever
+//     the graphs answer at call time.
 //
 // # Canonical order
 //
-// Every enumeration is the base's sorted list with the sets' sorted lists
-// merged in (layeredChunks) — fact lists by object key, postings by
+// Every enumeration is the base's sorted list with the layers' sorted
+// lists merged in (layeredChunks) — fact lists by object key, postings by
 // subject ID — which is the order any graph holding the same facts
 // enumerates in. An add the base also holds collapses into the base's
 // copy; an add whose base copy is in dels takes its place. A query
@@ -42,47 +46,57 @@ import (
 //
 // # Locking
 //
-// Set reads copy out (see FactSet), so no set lock is held while solver
-// code runs. The base of an as-of overlay must not be mutated while the
-// overlay is in use; wal's SnapshotAt bases satisfy this by construction.
+// Layer reads copy out (Facts, subjectsAfter, entries), so no caller
+// code runs under a layer's lock: the executor recurses into further
+// reads from inside an enumeration, and a visitor holding a layer's read
+// lock could deadlock against a writer queued on it. The base of an
+// as-of overlay must not be mutated while the overlay is in use; wal's
+// SnapshotAt bases satisfy this by construction.
 
 // Overlay is the conjunctive read surface over a base graph layered with
 // removed and added facts. Build one with NewOverlay or Union.
 type Overlay struct {
 	base *kg.Graph
-	// A base fact retracted and then re-asserted sits in both sets: the
+	// A base fact retracted and then re-asserted sits in both layers: the
 	// re-assertion carries its own provenance.
-	adds, dels *FactSet
+	adds, dels *kg.Graph
 }
 
 // NewOverlay builds the as-of overlay for base plus the ordered mutation
-// suffix. The suffix must be exactly the mutations that followed the
-// base's watermark (wal.Manager.SnapshotAt returns such a pair); the
-// base is retained and must not be mutated while the overlay is alive.
-func NewOverlay(base *kg.Graph, muts []kg.Mutation) *Overlay {
-	o := &Overlay{base: base, adds: NewFactSet(), dels: NewFactSet()}
+// suffix, its layers made over live. The suffix must be exactly the
+// mutations that followed the base's watermark (wal.Manager.SnapshotAt
+// returns such a pair); the base is retained and must not be mutated
+// while the overlay is alive. A suffix fact may name an entity or
+// predicate registered after the base's checkpoint, which live's
+// dictionaries hold; one a layer refuses is an error.
+func NewOverlay(live, base *kg.Graph, muts []kg.Mutation) (*Overlay, error) {
+	o := &Overlay{base: base, adds: kg.NewGraphOver(live), dels: kg.NewGraphOver(live)}
 	for _, mu := range muts {
 		t := mu.T
+		var err error
 		switch mu.Op {
 		case kg.OpAssert:
 			// Already present at this point of the suffix: live no-op.
 			if !o.HasFact(t.Subject, t.Predicate, t.Object) {
-				o.adds.Insert(t)
+				err = o.adds.Assert(t)
 			}
 		case kg.OpRetract:
 			// Not present: live no-op.
-			if _, added := o.adds.Remove(t.IdentityKey()); !added && base.HasFact(t.Subject, t.Predicate, t.Object) {
-				o.dels.Insert(t)
+			if !o.adds.Retract(t) && base.HasFact(t.Subject, t.Predicate, t.Object) {
+				err = o.dels.Assert(t)
 			}
 		}
+		if err != nil {
+			return nil, fmt.Errorf("graphengine: as-of mutation %d: %w", mu.Seq, err)
+		}
 	}
-	return o
+	return o, nil
 }
 
-// Union returns the view of base plus the facts of adds, read live: later
-// changes to either show through.
-func Union(base *kg.Graph, adds *FactSet) *Overlay {
-	return &Overlay{base: base, adds: adds}
+// Union returns the view of base plus the facts of adds, a graph made
+// over base, read live: later changes to either show through.
+func Union(base, adds *kg.Graph) *Overlay {
+	return &Overlay{base: base, adds: adds, dels: kg.NewGraphOver(base)}
 }
 
 // --- conjGraph ----------------------------------------------------------
@@ -94,22 +108,20 @@ func (o *Overlay) FactCount(subj kg.EntityID, pred kg.PredicateID) int {
 
 // SubjectsWithCount returns the (pred, obj) posting size.
 func (o *Overlay) SubjectsWithCount(pred kg.PredicateID, obj kg.Value) int {
-	key := obj.MapKey()
-	return o.base.SubjectsWithCount(pred, obj) - o.dels.SubjectCount(pred, key) + o.adds.SubjectCount(pred, key)
+	return o.base.SubjectsWithCount(pred, obj) - o.dels.SubjectsWithCount(pred, obj) + o.adds.SubjectsWithCount(pred, obj)
 }
 
 // PredicateFrequency returns the predicate's triple count.
 func (o *Overlay) PredicateFrequency(pred kg.PredicateID) int {
-	return o.base.PredicateFrequency(pred) - o.dels.Frequency(pred) + o.adds.Frequency(pred)
+	return o.base.PredicateFrequency(pred) - o.dels.PredicateFrequency(pred) + o.adds.PredicateFrequency(pred)
 }
 
 // HasFact reports whether the fact is in the view, exactly.
 func (o *Overlay) HasFact(subj kg.EntityID, pred kg.PredicateID, obj kg.Value) bool {
-	k := kg.TripleKey{Subject: subj, Predicate: pred, Object: obj.MapKey()}
-	if o.adds.Has(k) {
+	if o.adds.HasFact(subj, pred, obj) {
 		return true
 	}
-	return !o.dels.Has(k) && o.base.HasFact(subj, pred, obj)
+	return !o.dels.HasFact(subj, pred, obj) && o.base.HasFact(subj, pred, obj)
 }
 
 // FactsChunked streams the (subj, pred) facts in object-key order, in
@@ -123,8 +135,7 @@ func (o *Overlay) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize 
 // SubjectsWithChunked streams the (pred, obj) subjects greater than
 // after in ascending ID order, in chunks.
 func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, after kg.EntityID, chunkSize int, fn func(chunk []kg.EntityID) bool) {
-	key := obj.MapKey()
-	layeredChunks(o.adds.Subjects(pred, key, after), o.dels.Subjects(pred, key, after), cmpEntity, func(fn func([]kg.EntityID) bool) {
+	layeredChunks(subjectsAfter(o.adds, pred, obj, after), subjectsAfter(o.dels, pred, obj, after), cmpEntity, func(fn func([]kg.EntityID) bool) {
 		o.base.SubjectsWithChunked(pred, obj, after, chunkSize, fn)
 	}, fn)
 }
@@ -135,10 +146,10 @@ func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, after k
 // the base also holds appears twice: the executor's scan sorts and
 // collapses both.
 func (o *Overlay) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.Value, subj kg.EntityID) bool) {
-	removed := o.dels.Frequency(pred) > 0
+	removed := o.dels.PredicateFrequency(pred) > 0
 	stopped := false
 	o.base.PredicateEntriesFunc(pred, func(obj kg.Value, subj kg.EntityID) bool {
-		if removed && o.dels.Has(kg.TripleKey{Subject: subj, Predicate: pred, Object: obj.MapKey()}) {
+		if removed && o.dels.HasFact(subj, pred, obj) {
 			return true
 		}
 		stopped = !fn(obj, subj)
@@ -147,11 +158,32 @@ func (o *Overlay) PredicateEntriesFunc(pred kg.PredicateID, fn func(obj kg.Value
 	if stopped {
 		return
 	}
-	for _, t := range o.adds.Entries(pred) {
+	for _, t := range entries(o.adds, pred) {
 		if !fn(t.Object, t.Subject) {
 			return
 		}
 	}
+}
+
+// subjectsAfter copies out layer's (pred, obj) subjects greater than
+// after, in ascending order.
+func subjectsAfter(layer *kg.Graph, pred kg.PredicateID, obj kg.Value, after kg.EntityID) (out []kg.EntityID) {
+	layer.SubjectsWithChunked(pred, obj, after, math.MaxInt, func(chunk []kg.EntityID) bool {
+		out = chunk // the one chunk, which no later call reuses
+		return false
+	})
+	return out
+}
+
+// entries copies out every fact of layer under pred, objects rebuilt
+// from their identity keys (so without provenance), in object-key order.
+func entries(layer *kg.Graph, pred kg.PredicateID) []kg.Triple {
+	out := make([]kg.Triple, 0, layer.PredicateFrequency(pred))
+	layer.PredicateEntriesFunc(pred, func(obj kg.Value, subj kg.EntityID) bool {
+		out = append(out, kg.Triple{Subject: subj, Predicate: pred, Object: obj})
+		return true
+	})
+	return out
 }
 
 // --- Query surface ------------------------------------------------------

@@ -11,7 +11,7 @@ import (
 )
 
 // The overlay's contract is byte-identity: a conjunctive solve over
-// NewOverlay(base, suffix) must produce exactly the rows — in exactly
+// NewOverlay(live, base, suffix) must produce exactly the rows — in exactly
 // the stream order — that the same solve produced over a live graph
 // holding the first asOf mutations. These tests pin that against
 // from-scratch replays across randomized assert/retract/re-assert
@@ -153,6 +153,16 @@ func replayMuts(t testing.TB, muts []kg.Mutation) *kg.Graph {
 	return g
 }
 
+// mustOverlay is NewOverlay, failing t on its error.
+func mustOverlay(t testing.TB, live, base *kg.Graph, muts []kg.Mutation) *Overlay {
+	t.Helper()
+	ov, err := NewOverlay(live, base, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov
+}
+
 func canonBinding(b Binding) string {
 	names := make([]string, 0, len(b))
 	for n := range b {
@@ -221,7 +231,7 @@ func TestOverlayMatchesLiveReplay(t *testing.T) {
 			cuts := [][2]int{{0, m / 2}, {m / 3, m / 3}, {m / 3, 2 * m / 3}, {m / 2, m}, {0, m}}
 			for _, cut := range cuts {
 				base := replayMuts(t, muts[:cut[0]])
-				ov := NewOverlay(base, muts[cut[0]:cut[1]])
+				ov := mustOverlay(t, src, base, muts[cut[0]:cut[1]])
 				liveEng := New(replayMuts(t, muts[:cut[1]]))
 				for qi, q := range overlayQueries(ents, preds) {
 					label := fmt.Sprintf("cut=%v q=%d", cut, qi)
@@ -282,7 +292,7 @@ func TestOverlayConjGraphContract(t *testing.T) {
 	}
 	m := len(muts)
 	base := replayMuts(t, muts[:m/3])
-	ov := NewOverlay(base, muts[m/3:])
+	ov := mustOverlay(t, src, base, muts[m/3:])
 	live := replayMuts(t, muts)
 
 	objects := make([]kg.Value, 0, len(ents)+8)
@@ -372,5 +382,31 @@ func TestOverlayConjGraphContract(t *testing.T) {
 	ov.FactsChunked(ents[0], preds[0], 1, func([]kg.Triple) bool { stops++; return false })
 	if stops > 1 {
 		t.Fatalf("FactsChunked ignored early stop: %d calls", stops)
+	}
+}
+
+// BenchmarkAsOfRead prices one as-of read: the overlay built over a
+// replayed base from a 200-mutation suffix, then one query streamed
+// through it. allocs/op is the witness; it does not drift with the box.
+func BenchmarkAsOfRead(b *testing.B) {
+	src, ents, preds := newOverlayWorld(b)
+	mutateOverlayWorld(b, src, rand.New(rand.NewSource(3)), 600)
+	muts, complete := src.Feed(0).Pull()
+	if !complete || len(muts) < 400 {
+		b.Fatalf("history unavailable: %d muts, complete=%v", len(muts), complete)
+	}
+	base, suffix := replayMuts(b, muts[:len(muts)-200]), muts[len(muts)-200:]
+	q := overlayQueries(ents, preds)[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		ov, err := NewOverlay(src, base, suffix)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, err := range ov.StreamRows(q, QueryOptions{}) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -3,8 +3,7 @@ package graphengine
 import (
 	"container/list"
 	"sync"
-
-	"saga/internal/metrics"
+	"sync/atomic"
 )
 
 // planCacheCapacity bounds the Engine's plan cache. Shapes are small
@@ -25,10 +24,10 @@ type planCache struct {
 	lru     *list.List // of *planEntry; front = most recently used
 	byShape map[string]*list.Element
 
-	hits          metrics.Counter
-	misses        metrics.Counter
-	invalidations metrics.Counter
-	evictions     metrics.Counter
+	hits          atomic.Int64
+	misses        atomic.Int64
+	invalidations atomic.Int64
+	evictions     atomic.Int64
 }
 
 type planEntry struct {
@@ -56,15 +55,15 @@ func (pc *planCache) plan(g conjGraph, clauses []Clause, shape string) *Plan {
 		if !p.stale(g) {
 			pc.lru.MoveToFront(el)
 			pc.mu.Unlock()
-			pc.hits.Inc()
+			pc.hits.Add(1)
 			return p
 		}
 		pc.lru.Remove(el)
 		delete(pc.byShape, shape)
-		pc.invalidations.Inc()
+		pc.invalidations.Add(1)
 	}
 	pc.mu.Unlock()
-	pc.misses.Inc()
+	pc.misses.Add(1)
 
 	p := buildPlan(g, clauses, shape)
 
@@ -80,7 +79,7 @@ func (pc *planCache) plan(g conjGraph, clauses []Clause, shape string) *Plan {
 			oldest := pc.lru.Back()
 			pc.lru.Remove(oldest)
 			delete(pc.byShape, oldest.Value.(*planEntry).shape)
-			pc.evictions.Inc()
+			pc.evictions.Add(1)
 		}
 	}
 	pc.mu.Unlock()
@@ -104,10 +103,10 @@ func (pc *planCache) stats() PlanCacheStats {
 	size := pc.lru.Len()
 	pc.mu.Unlock()
 	return PlanCacheStats{
-		Hits:          pc.hits.Value(),
-		Misses:        pc.misses.Value(),
-		Invalidations: pc.invalidations.Value(),
-		Evictions:     pc.evictions.Value(),
+		Hits:          pc.hits.Load(),
+		Misses:        pc.misses.Load(),
+		Invalidations: pc.invalidations.Load(),
+		Evictions:     pc.evictions.Load(),
 		Size:          size,
 	}
 }

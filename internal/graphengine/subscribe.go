@@ -5,10 +5,10 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"saga/internal/kg"
-	"saga/internal/metrics"
 )
 
 // Live subscriptions: standing conjunctive queries whose answer sets are
@@ -130,7 +130,7 @@ type subHub struct {
 	running bool
 	stop    chan struct{}
 
-	evictions metrics.Counter
+	evictions atomic.Int64
 
 	// Re-solve scratch: a row's value keys and their encoding.
 	keys []kg.ValueKey
@@ -281,7 +281,7 @@ func (e *Engine) SubscriptionStats() SubscriptionStats {
 	defer h.mu.Unlock()
 	st := SubscriptionStats{
 		Subscribers: len(h.subs),
-		Evictions:   h.evictions.Value(),
+		Evictions:   h.evictions.Load(),
 	}
 	wm := h.e.g.LastSeq()
 	for s := range h.subs {
@@ -495,7 +495,7 @@ func (h *subHub) flushLocked() {
 			close(s.ch)
 			delete(h.subs, s)
 			h.unindexLocked(s)
-			h.evictions.Inc()
+			h.evictions.Add(1)
 		}
 	}
 }

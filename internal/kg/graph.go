@@ -144,7 +144,7 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // A read finds a (subject, predicate) list, or a (predicate, object)
 // posting, by binary search in each layer and merges the two in key
 // order (frozen.merge, posting.each), the way the as-of Overlay layers
-// its fact sets over a graph. A bulk load into a graph that holds no
+// its graphs over a base graph. A bulk load into a graph that holds no
 // fact — AssertBatch, the path of world generation, ImportGraph and
 // checkpoint recovery — freezes its batch straight into the base. After
 // that, once the delta holds more than a quarter of the base's facts
@@ -262,26 +262,9 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // each delta after it, fast-forwards the watermark with
 // AdvanceWatermark, and replays the log suffix.
 type Graph struct {
-	ontology *Ontology
-
-	// dictMu guards the entity/predicate dictionaries. entLen/predLen
-	// mirror len(entities)/len(predicates) and are published atomically so
-	// assert validation never touches the dictionary lock.
-	dictMu     sync.RWMutex
-	entities   []*Entity // EntityID -> *Entity (index 0 unused)
-	entByKey   map[string]EntityID
-	predicates []*Predicate // PredicateID -> *Predicate (index 0 unused)
-	predByName map[string]PredicateID
-	entLen     atomic.Int64
-	predLen    atomic.Int64
-
-	// dirtyEnts collects entity IDs whose records were updated in place
-	// (SetPopularity / UpdateEntity) since the last TakeDirtyEntities
-	// drain. Record updates do not flow through the mutation log — they
-	// carry no sequence number — so the WAL drains this set instead to
-	// make them durable between checkpoints. Guarded by dictMu; allocated
-	// lazily on first update.
-	dirtyEnts map[EntityID]struct{}
+	// The dictionaries and the ontology, shared with every graph made
+	// over this one by NewGraphOver.
+	*dict
 
 	// seq is the global mutation watermark; advanced only under a shard
 	// write lock.
@@ -314,6 +297,32 @@ type Graph struct {
 	layers layerCounts
 }
 
+// dict is a graph's entity and predicate dictionaries and its
+// ontology. All three only ever grow, so a graph made over another by
+// NewGraphOver shares its lender's: an ID valid in one is valid in both.
+type dict struct {
+	ontology *Ontology
+
+	// dictMu guards the entity/predicate dictionaries. entLen/predLen
+	// mirror len(entities)/len(predicates) and are published atomically so
+	// assert validation never touches the dictionary lock.
+	dictMu     sync.RWMutex
+	entities   []*Entity // EntityID -> *Entity (index 0 unused)
+	entByKey   map[string]EntityID
+	predicates []*Predicate // PredicateID -> *Predicate (index 0 unused)
+	predByName map[string]PredicateID
+	entLen     atomic.Int64
+	predLen    atomic.Int64
+
+	// dirtyEnts collects entity IDs whose records were updated in place
+	// (SetPopularity / UpdateEntity) since the last TakeDirtyEntities
+	// drain. Record updates do not flow through the mutation log — they
+	// carry no sequence number — so the WAL drains this set instead to
+	// make them durable between checkpoints. Guarded by dictMu; allocated
+	// lazily on first update.
+	dirtyEnts map[EntityID]struct{}
+}
+
 // NewGraph returns an empty graph with a fresh ontology and the default
 // shard count (GOMAXPROCS rounded up to a power of two).
 func NewGraph() *Graph {
@@ -325,27 +334,42 @@ func NewGraph() *Graph {
 // (n <= 0 clamps to 1, the classic single-lock graph; benchmarks use it
 // as the scaling baseline).
 func NewGraphWithShards(n int) *Graph {
-	s := 1
-	for s < n && s < 256 {
-		s <<= 1
-	}
-	g := &Graph{
+	d := &dict{
 		ontology:   NewOntology(),
 		entities:   []*Entity{nil},
 		entByKey:   make(map[string]EntityID),
 		predicates: []*Predicate{nil},
 		predByName: make(map[string]PredicateID),
-		shardMask:  uint32(s - 1),
-		shards:     make([]graphShard, s),
-		base:       &frozen{},
 	}
-	g.entLen.Store(1)
-	g.predLen.Store(1)
+	d.entLen.Store(1)
+	d.predLen.Store(1)
+	return newGraph(n, d)
+}
+
+// NewGraphOver returns an empty one-shard graph that borrows lender's
+// dictionaries and ontology: it holds its own facts, log and watermark,
+// and accepts exactly the IDs the lender has registered, those
+// registered after it was made included. The rule engine's derived facts
+// and an as-of overlay's layers are such graphs.
+func NewGraphOver(lender *Graph) *Graph {
+	return newGraph(1, lender.dict)
+}
+
+// newGraph returns an empty graph over d with n write shards, rounded
+// up to a power of two and clamped to [1, 256].
+func newGraph(n int, d *dict) *Graph {
+	s := 1
+	for s < n && s < 256 {
+		s <<= 1
+	}
+	g := &Graph{
+		dict:      d,
+		shardMask: uint32(s - 1),
+		shards:    make([]graphShard, s),
+		base:      &frozen{},
+	}
 	for i := range g.shards {
 		g.shards[i].delta = map[EntityID][]FactRow{}
-	}
-	for i := range g.pom {
-		g.pom[i].preds = make(map[PredicateID]*predDelta)
 	}
 	return g
 }

@@ -74,7 +74,7 @@ type predDelta struct {
 // cache line.
 type pomStripe struct {
 	mu    sync.RWMutex
-	preds map[PredicateID]*predDelta
+	preds map[PredicateID]*predDelta // made on the stripe's first write
 	spare spares[EntityID]
 
 	_ [96]byte // pad to 128 bytes
@@ -93,6 +93,9 @@ func (g *Graph) pomEdit(pred PredicateID, obj ValueKey, subj EntityID, present, 
 	defer st.mu.Unlock()
 	pd := st.preds[pred]
 	if pd == nil {
+		if st.preds == nil {
+			st.preds = make(map[PredicateID]*predDelta)
+		}
 		pd = &predDelta{adds: map[ValueKey][]EntityID{}, dels: map[ValueKey][]EntityID{}}
 		st.preds[pred] = pd
 	}
@@ -185,8 +188,8 @@ func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) 
 // stripe read-lock acquisition and invoking fn with no locks held — the
 // bounded-copy read for huge postings, where a limit=10 query should not
 // pay a million-entry slab copy before its first row. fn may read or mutate the graph freely and stops the
-// enumeration by returning false; the chunk slice is reused across calls
-// and must not be retained.
+// enumeration by returning false; the chunk slice is reused by the next
+// call, so only the last chunk delivered may be retained.
 //
 // Each chunk resumes at the first subject greater than the last one
 // delivered (see the package notes above): subjects present throughout

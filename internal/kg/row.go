@@ -6,9 +6,8 @@ import (
 	"unique"
 )
 
-// FactRow is the written form of a fact: what the graph's delta, a
-// mutation-log entry and a graphengine.FactSet hold in place of a
-// Triple, which is built from the row at the read edge. Every holder keys
+// FactRow is the written form of a fact: what the graph's delta and a
+// mutation-log entry hold in place of a Triple, which is built from the row at the read edge. Every holder keys
 // its rows by subject, so the row leaves it out. The object is its
 // identity key laid out flat — kind, the 8-byte payload every kind but a
 // string uses, and a string header only string literals fill — and the
@@ -25,12 +24,12 @@ type FactRow struct {
 	kind ValueKind              // ValueKey.Kind
 	// op is the mutation a log entry records. A row of the graph's delta
 	// holds what it does to the base (see frozen.merge): zero for a fact
-	// the base lacks. Fact sets leave it zero.
+	// the base lacks.
 	op MutationOp
 	// pred is the predicate of a row in a subject's delta, which is
 	// sorted by (pred, object key), and of a row a read hands on. Every
 	// other row — a log entry's (which keys it by predicate beside the
-	// row), RowOf's, a fact set's — leaves it
+	// row), RowOf's — leaves it
 	// zero, so == on such rows compares object and provenance only. op
 	// and pred sit in what would otherwise be padding after kind, which
 	// is what keeps a row at 40 bytes and a log entry at 56.

@@ -224,6 +224,9 @@ func (e *Engine) checkExternal(out kg.PredicateID) error {
 	if out == kg.NoPredicate {
 		return fmt.Errorf("rules: analytics: output predicate required")
 	}
+	if e.g.Predicate(out) == nil {
+		return fmt.Errorf("rules: analytics: predicate %d is not registered in the graph", out)
+	}
 	if e.rs.IsHead(out) {
 		return fmt.Errorf("rules: analytics: predicate %d is a rule head", out)
 	}
@@ -240,9 +243,7 @@ func (e *Engine) replaceExternal(out kg.PredicateID, facts []kg.Triple) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	oldKeys := make(map[kg.TripleKey]kg.Triple)
-	for _, t := range e.st.facts.Entries(out) {
-		oldKeys[t.IdentityKey()] = t
-	}
+	e.st.each(out, func(t kg.Triple) { oldKeys[t.IdentityKey()] = t })
 	var adds, rets []kg.Triple
 	var work []kg.Triple
 	for _, t := range facts {

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"sync"
@@ -51,7 +52,7 @@ type Stats struct {
 // changefeed to keep the store at the fixpoint incrementally
 // (semi-naive: each mutation is delta-substituted into the body atoms
 // that mention its predicate and the residual is solved by the regular
-// executor). Attaching its fact set (Derived) to a graphengine.Engine
+// executor). Attaching its fact graph (Derived) to a graphengine.Engine
 // makes the derived predicates queryable through every existing surface.
 type Engine struct {
 	g    *kg.Graph
@@ -62,8 +63,8 @@ type Engine struct {
 
 	// mu serializes maintenance: changefeed pumping, full re-derivation,
 	// and analytics replacement, and with them every write to the store.
-	// Queries read the store's fact set under its own leaf lock and never
-	// take mu; the OnDelta callback (hub locks) runs under mu.
+	// Queries read the store's fact graph under the graph's own locks and
+	// never take mu; the OnDelta callback (hub locks) runs under mu.
 	mu      sync.Mutex
 	feed    *kg.Changefeed
 	onDelta func(adds, rets []kg.Triple)
@@ -89,11 +90,16 @@ type Engine struct {
 // to make derived predicates queryable; Close stops the maintainer.
 func New(geng *graphengine.Engine, rs *RuleSet, opts Options) (*Engine, error) {
 	g := geng.Graph()
+	for _, p := range rs.Heads() {
+		if g.Predicate(p) == nil {
+			return nil, fmt.Errorf("rules: head predicate %d is not registered in the graph", p)
+		}
+	}
 	e := &Engine{
 		g:       g,
 		geng:    geng,
 		rs:      rs,
-		st:      newStore(rs),
+		st:      newStore(g, rs),
 		onDelta: opts.OnDelta,
 		feed:    g.Feed(0),
 		stop:    make(chan struct{}),
@@ -138,9 +144,9 @@ func (e *Engine) Close() {
 func (e *Engine) RuleSet() *RuleSet { return e.rs }
 
 // Derived returns the engine's derived facts (rules and analytics), live:
-// the set graphengine.Engine.AttachDerived layers over the graph. Callers
-// only read it.
-func (e *Engine) Derived() *graphengine.FactSet { return e.st.facts }
+// a graph made over the base graph (kg.NewGraphOver), which
+// graphengine.Engine.AttachDerived layers over it. Callers only read it.
+func (e *Engine) Derived() *kg.Graph { return e.st.facts }
 
 // Stats snapshots the maintenance counters. It takes no engine lock, so
 // it answers while a maintenance step runs: Cursor is as of the end of
@@ -149,7 +155,7 @@ func (e *Engine) Derived() *graphengine.FactSet { return e.st.facts }
 func (e *Engine) Stats() Stats {
 	cursor, wm := e.cursor.Load(), e.g.LastSeq()
 	return Stats{
-		Facts:       e.st.facts.Len(),
+		Facts:       e.st.facts.NumTriples(),
 		Rules:       e.rs.Len(),
 		Strata:      len(e.rs.strata),
 		Batches:     e.batches.Load(),
@@ -366,7 +372,7 @@ func (e *Engine) rederivePendingLocked(pending map[kg.TripleKey]kg.Triple, adds,
 	}
 	slices.SortFunc(keys, kg.TripleKey.Compare)
 	for _, k := range keys {
-		if e.st.facts.Has(k) {
+		if e.st.facts.HasFact(k.Subject, k.Predicate, k.Object.Value()) {
 			// Reinstated by an assert's or an earlier repair's propagation
 			// (which reported the visibility add already).
 			delete(pending, k)
@@ -390,7 +396,7 @@ func (e *Engine) rederivePendingLocked(pending map[kg.TripleKey]kg.Triple, adds,
 	}
 	for _, k := range keys {
 		ht, waiting := pending[k]
-		if !waiting || e.st.facts.Has(k) {
+		if !waiting || e.st.facts.HasFact(k.Subject, k.Predicate, k.Object.Value()) {
 			continue
 		}
 		e.retractions.Add(1)
@@ -449,13 +455,14 @@ func (e *Engine) rederiveFullLocked() {
 	wm := e.g.LastSeq()
 	e.fullRuns.Add(1)
 
-	old := make(map[kg.TripleKey]kg.Triple)
+	var keys []kg.TripleKey
 	for p := range e.rs.heads {
-		for _, t := range e.st.facts.Entries(p) {
-			k := t.IdentityKey()
-			if t, ok := e.st.remove(k); ok {
-				old[k] = t
-			}
+		e.st.each(p, func(t kg.Triple) { keys = append(keys, t.IdentityKey()) })
+	}
+	old := make(map[kg.TripleKey]kg.Triple, len(keys))
+	for _, k := range keys {
+		if t, ok := e.st.remove(k); ok {
+			old[k] = t
 		}
 	}
 
@@ -486,14 +493,14 @@ func (e *Engine) rederiveFullLocked() {
 	// assert.
 	var adds, rets []kg.Triple
 	for p := range e.rs.heads {
-		for _, t := range e.st.facts.Entries(p) {
+		e.st.each(p, func(t kg.Triple) {
 			k := t.IdentityKey()
 			if _, had := old[k]; had {
 				delete(old, k)
 			} else if !e.g.HasFact(t.Subject, t.Predicate, t.Object) {
 				adds = append(adds, t)
 			}
-		}
+		})
 	}
 	for _, t := range old {
 		e.retractions.Add(1)

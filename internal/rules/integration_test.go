@@ -275,7 +275,7 @@ func TestIncrementalEqualsFromScratchUnderChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	stopRead := make(chan struct{})
 	// Concurrent readers over the derived predicate, racing the
-	// maintainer's writes to the fact set on each of its access paths:
+	// maintainer's writes to the derived graph on each of its access paths:
 	// the scan, a fact list, a posting.
 	shapes := [][]graphengine.Clause{
 		{{Subject: graphengine.V("X"), Predicate: chain.ID, Object: graphengine.V("Y")}},
@@ -372,7 +372,7 @@ func TestPlanCacheRevalidatesAcrossDerivation(t *testing.T) {
 		mustAssert(t, g, ents[i], link, kg.EntityValue(ents[i+1]))
 	}
 	e.Sync()
-	if n := e.Derived().Len(); n != 100 {
+	if n := e.Derived().NumTriples(); n != 100 {
 		t.Fatalf("rules derived %d near facts, want 100", n)
 	}
 	before := geng.PlanCacheStats()

@@ -24,9 +24,10 @@
 // strata would slot in later.
 //
 // Head predicates are ordinary kg predicates (so the HTTP layer resolves
-// them by name), but derived facts are never written into kg.Graph: they
-// live in the rule engine's own graphengine.FactSet, which the query
-// stack layers over the graph (graphengine.Overlay). A head predicate may
+// them by name), but derived facts are never written into the base
+// graph: they live in the rule engine's own kg.Graph, made over the base
+// graph's dictionaries (kg.NewGraphOver), which the query stack layers
+// over the base graph (graphengine.Overlay). A head predicate may
 // also carry base facts; the union presents both.
 //
 // # Consistency contract

@@ -54,9 +54,9 @@ func newTestEngine(t testing.TB, geng *graphengine.Engine, rs *RuleSet) *Engine 
 	return e
 }
 
-// hasDerived probes the engine's derived fact set.
+// hasDerived probes the engine's derived fact graph.
 func hasDerived(e *Engine, s kg.EntityID, p kg.PredicateID, o kg.Value) bool {
-	return e.Derived().Has(kg.Triple{Subject: s, Predicate: p, Object: o}.IdentityKey())
+	return e.Derived().HasFact(s, p, o)
 }
 
 // derivedKeys snapshots the engine's rule-derived fact keys (analytics
@@ -64,9 +64,7 @@ func hasDerived(e *Engine, s kg.EntityID, p kg.PredicateID, o kg.Value) bool {
 func derivedKeys(e *Engine) map[kg.TripleKey]bool {
 	out := make(map[kg.TripleKey]bool)
 	for _, p := range e.rs.Heads() {
-		for _, t := range e.Derived().Entries(p) {
-			out[t.IdentityKey()] = true
-		}
+		e.st.each(p, func(t kg.Triple) { out[t.IdentityKey()] = true })
 	}
 	return out
 }
@@ -359,7 +357,7 @@ func TestFullDerivationClosure(t *testing.T) {
 	g, geng, rs, ents, _, chain := chainWorld(t, n)
 	e := newTestEngine(t, geng, rs)
 	want := n * (n - 1) / 2
-	if got := e.Derived().Len(); got != want {
+	if got := e.Derived().NumTriples(); got != want {
 		t.Fatalf("closure size = %d, want %d", got, want)
 	}
 	for i := 0; i < n; i++ {
@@ -436,8 +434,8 @@ func TestRetractKillsSelfSupportGhost(t *testing.T) {
 	}
 	e := newTestEngine(t, geng, rs)
 	// Cycle closure: chain(a,b), chain(b,a), chain(a,a), chain(b,b).
-	if e.Derived().Len() != 4 {
-		t.Fatalf("cycle closure size = %d, want 4", e.Derived().Len())
+	if e.Derived().NumTriples() != 4 {
+		t.Fatalf("cycle closure size = %d, want 4", e.Derived().NumTriples())
 	}
 	if !g.Retract(kg.Triple{Subject: a, Predicate: rt, Object: kg.EntityValue(b)}) {
 		t.Fatal("retract failed")
@@ -593,4 +591,33 @@ func TestOperatorLiteralConstants(t *testing.T) {
 		t.Fatal("operator-soup literal mangled in flight")
 	}
 	requireFixpoint(t, e, g)
+}
+
+// TestUnregisteredPredicatesRefused: the derived store reads the base
+// graph's dictionaries, so a rule head or an analytics output the graph
+// has not registered is refused up front rather than dropped fact by
+// fact.
+func TestUnregisteredPredicatesRefused(t *testing.T) {
+	g := kg.NewGraph()
+	geng := graphengine.New(g)
+	base := mustPred(t, g, "base")
+	v := graphengine.V
+	rs, err := NewRuleSet([]Rule{{
+		Head: graphengine.Clause{Subject: v("X"), Predicate: base + 1, Object: v("Y")},
+		Body: []graphengine.Clause{{Subject: v("X"), Predicate: base, Object: v("Y")}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(geng, rs, Options{NoMaintainer: true}); err == nil {
+		t.Fatal("New accepted a rule whose head predicate the graph has not registered")
+	}
+	empty, err := NewRuleSet(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, geng, empty)
+	if _, err := e.DeriveComponents(base + 1); err == nil {
+		t.Fatal("DeriveComponents accepted an output predicate the graph has not registered")
+	}
 }

@@ -3,15 +3,15 @@ package rules
 import (
 	"slices"
 
-	"saga/internal/graphengine"
 	"saga/internal/kg"
 )
 
 // store is the derived-fact state: every fact the rule engine (or an
-// analytics pass) has materialized, held in a graphengine.FactSet — the
-// same sorted index the query stack layers over the graph, so derived
-// facts get every access path and the canonical order for free — plus
-// what is rule-specific, the support side-tables.
+// analytics pass) has materialized, held in a kg.Graph made over the
+// base graph (kg.NewGraphOver) — the graph's own indexes, which the query
+// stack layers over the base graph, so derived facts get every access
+// path and the canonical order for free — plus what is rule-specific,
+// the support side-tables.
 //
 // Each derived fact records ONE support: the rule and the grounded body
 // facts of one derivation that produced it. A single support is enough
@@ -40,11 +40,11 @@ import (
 // dependents index like any base fact, so a rule body over an analytics
 // predicate stays incremental.
 //
-// Locking: queries read facts concurrently under its own leaf lock; the
-// side-tables belong to the maintainer and are guarded by Engine.mu, as
-// is every insert and remove.
+// Locking: queries read facts concurrently under the graph's own locks;
+// the side-tables belong to the maintainer and are guarded by Engine.mu,
+// as is every insert and remove.
 type store struct {
-	facts *graphengine.FactSet
+	facts *kg.Graph
 	rs    *RuleSet
 
 	supports   map[kg.TripleKey]support
@@ -64,9 +64,9 @@ type support struct {
 	body []kg.TripleKey
 }
 
-func newStore(rs *RuleSet) *store {
+func newStore(g *kg.Graph, rs *RuleSet) *store {
 	return &store{
-		facts:      graphengine.NewFactSet(),
+		facts:      kg.NewGraphOver(g),
 		rs:         rs,
 		supports:   make(map[kg.TripleKey]support),
 		dependents: make(map[kg.TripleKey][]kg.TripleKey),
@@ -75,9 +75,11 @@ func newStore(rs *RuleSet) *store {
 
 // insert adds t with the given support, reporting whether it was new.
 // An already-present fact keeps its existing support (first derivation
-// wins; any valid support serves the cascade equally).
+// wins; any valid support serves the cascade equally). t's IDs come from
+// the base graph, whose dictionaries the store's graph reads, so the
+// graph accepts it.
 func (st *store) insert(t kg.Triple, sup support) bool {
-	if !st.facts.Insert(t) {
+	if added, _ := st.facts.AssertNew(t); !added {
 		return false
 	}
 	k := t.IdentityKey()
@@ -102,13 +104,14 @@ func (st *store) listed(sup support, i int) bool {
 	return true
 }
 
-// remove deletes the fact with identity key k, reporting whether it was
-// present. The fact's own support is unlisted from dependents, but
-// dependents[k] — the facts k supports — is preserved: the caller's
+// remove deletes the fact with identity key k, returning it and
+// whether it was present. Every stored fact carries no provenance, so k
+// names it whole. The fact's own support is unlisted from dependents,
+// but dependents[k] — the facts k supports — is preserved: the caller's
 // cascade consumes it.
 func (st *store) remove(k kg.TripleKey) (kg.Triple, bool) {
-	t, ok := st.facts.Remove(k)
-	if !ok {
+	t := kg.Triple{Subject: k.Subject, Predicate: k.Predicate, Object: k.Object.Value()}
+	if !st.facts.Retract(t) {
 		return kg.Triple{}, false
 	}
 	sup := st.supports[k]
@@ -119,6 +122,17 @@ func (st *store) remove(k kg.TripleKey) (kg.Triple, bool) {
 	}
 	delete(st.supports, k)
 	return t, true
+}
+
+// each calls fn with every stored fact under pred, objects rebuilt from
+// their identity keys (so without provenance), in object-key order. fn
+// runs under a read lock of the store's graph: it may read the base
+// graph, but must not read or write the store.
+func (st *store) each(pred kg.PredicateID, fn func(kg.Triple)) {
+	st.facts.PredicateEntriesFunc(pred, func(obj kg.Value, subj kg.EntityID) bool {
+		fn(kg.Triple{Subject: subj, Predicate: pred, Object: obj})
+		return true
+	})
 }
 
 // unlist removes head key k from body key bk's dependents by

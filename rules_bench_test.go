@@ -35,7 +35,8 @@ import (
 // object and the derived (chain, manager) posting is 2,000 subjects long;
 // 1% of the edges are cut and re-asserted per iteration. Removal from that
 // posting was a linear scan per fact in the rule store's private indexes
-// (quadratic in the cut); on the shared FactSet it is a binary search.
+// (quadratic in the cut); in the derived graph's posting delta it is a
+// binary search.
 // Reported, not gated.
 //
 // "cc" prices one connected-components materialization (union-find over

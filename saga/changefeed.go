@@ -72,7 +72,7 @@ func (p *Platform) overlayAt(asOf uint64) (*graphengine.Overlay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return graphengine.NewOverlay(base, suffix), nil
+	return graphengine.NewOverlay(p.graph, base, suffix)
 }
 
 // Subscribe registers a standing conjunctive query: the full answer

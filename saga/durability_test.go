@@ -76,6 +76,64 @@ func TestDurablePlatformRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAsOfReadSeesLateEntity: an as-of read at a watermark past the
+// newest checkpoint sees a fact about an entity and a predicate
+// registered after that checkpoint, which the checkpoint's base graph
+// has never heard of.
+func TestAsOfReadSeesLateEntity(t *testing.T) {
+	p, _, err := OpenDurablePlatform(t.TempDir(), DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.CloseDurable()
+	g := p.Graph()
+	early, err := g.AddEntity(Entity{Key: "early"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knows, err := g.AddPredicate(Predicate{Name: "knows"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Assert(Triple{Subject: early, Predicate: knows, Object: EntityValue(early)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CheckpointDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	late, err := g.AddEntity(Entity{Key: "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := g.AddPredicate(Predicate{Name: "joined"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Assert(Triple{Subject: late, Predicate: joined, Object: EntityValue(early)}); err != nil {
+		t.Fatal(err)
+	}
+	wm, err := p.SyncDurable()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows, err := p.QueryRowsAt([]QueryClause{{Subject: QVar("s"), Predicate: joined, Object: QVar("o")}}, wm, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []QueryBinding
+	for row, err := range rows {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, row.Binding())
+	}
+	if len(got) != 1 || !got[0]["s"].Equal(EntityValue(late)) || !got[0]["o"].Equal(EntityValue(early)) {
+		t.Fatalf("as-of rows at watermark %d = %v, want the one (late, joined, early) row", wm, got)
+	}
+}
+
 // TestMemoryPlatformDurabilityErrors pins the memory-only behavior of
 // the durability methods.
 func TestMemoryPlatformDurabilityErrors(t *testing.T) {

@@ -18,8 +18,8 @@
 # silently), a few seconds of native fuzzing on the wire encoders' and the
 # wire decoders' targets, on the two kernels' and the tokenizer's
 # differential targets, on the prefiltered kNN scan against a full sort,
-# on the fact set's, the mutation log
-# retention's and the subject runs' model-based ones, on the stored fact
+# on the mutation log retention's and the
+# subject runs' model-based ones, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
 # against a from-scratch derivation, on subscription mirrors against a
@@ -149,8 +149,8 @@ else
     go test -race ./...
     # internal/wal's on-disk byte-identity test and internal/kg's chunked-
     # log pull-beside-truncate test ride this set; internal/rules is in it
-    # because query goroutines read the rule engine's FactSet directly
-    # while the maintainer writes it.
+    # because query goroutines read the rule engine's derived graph
+    # directly while the maintainer writes it.
     echo "== go test -race -cpu 1,2,4 (order and concurrency contracts) =="
     go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/rules ./internal/server ./internal/wal ./saga
 fi
@@ -167,7 +167,6 @@ go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./inter
 go test -run '^$' -fuzz '^FuzzDecodeQuery$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzEncodeResponses$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
-go test -run '^$' -fuzz '^FuzzFactSet$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzSubscriptionMirror$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzLogRetention$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
