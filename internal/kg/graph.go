@@ -14,6 +14,11 @@ import (
 // entity live in the triple store; this record holds the identity and the
 // textual features (name, aliases, description) that the semantic
 // annotation service embeds and matches against (paper §3).
+//
+// A registered record is immutable: Graph.Entity hands it out with no
+// lock held, and an update replaces it with a changed copy. The record
+// AddEntity stores, and its Key and Name bytes, sit in dictionary-owned
+// chunks in ID order.
 type Entity struct {
 	ID EntityID
 	// Key is the stable external identifier ("Q42"-style).
@@ -114,9 +119,15 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // locks are always acquired in index order and writers hold at most one
 // shard lock, so the two patterns cannot deadlock.
 //
-// The entity/predicate dictionaries live outside the shards behind their
-// own lock; assert validation reads only atomically published dictionary
-// lengths, keeping dictionary readers off the write hot path.
+// The entity/predicate dictionaries live outside the shards (dict.go). A
+// read by ID — Entity, Predicate, Entities, Predicates and assert
+// validation — takes no lock: the records sit in append-only tables
+// published through atomic pointers and lengths. Their writers serialize
+// on the dictionary lock, which also guards the key and name maps that
+// EntityByKey, PredicateByName and ReadDict read. AddEntity lays the
+// records, and their keys and names, out in ID order, so rendering the
+// entities of a posting, which lists them in ID order, reads
+// neighboring memory.
 //
 // # Index layout and canonical order
 //
@@ -196,10 +207,12 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // shard or stripe read lock. The callback must not mutate the graph, and
 // must not read the triple indexes either: a second read lock on a shard
 // or stripe blocks behind any writer queued between the two, and that
-// writer waits for the first. Dictionary reads (Entity, Predicate,
-// EntityByKey, PredicateByName, Entities, ...) are allowed: no code path
-// takes a shard or stripe lock while holding the dictionary lock, and
-// Entities/Predicates run their own callbacks with no lock held. Joins
+// writer waits for the first. Dictionary reads are allowed: reads by ID
+// (Entity, Predicate, Entities, Predicates) take no lock, and the reads
+// by key or name (EntityByKey, PredicateByName, ReadDict) take only the
+// dictionary lock, which no code path holds while it waits for a shard
+// or stripe. Entities and Predicates run their own callbacks with no
+// lock held. Joins
 // against further index reads use the chunked reads (FactsChunked,
 // SubjectsWithChunked), whose callbacks run with no lock held.
 //
@@ -287,40 +300,16 @@ type Graph struct {
 	shardMask uint32
 	shards    []graphShard
 
-	// pom holds the predicate-major index's delta (see pom.go).
-	pom [pomStripeCount]pomStripe
+	// pom holds the predicate-major index's delta (see pom.go): a
+	// predicate's stripe is pom[pred&pomMask].
+	pom     []pomStripe
+	pomMask uint32
 
 	// base is the frozen layer (base.go). Only a fold or a bulk load
 	// replaces it, under every shard's and every stripe's write lock, so
 	// any one of those locks keeps it fixed.
 	base   *frozen
 	layers layerCounts
-}
-
-// dict is a graph's entity and predicate dictionaries and its
-// ontology. All three only ever grow, so a graph made over another by
-// NewGraphOver shares its lender's: an ID valid in one is valid in both.
-type dict struct {
-	ontology *Ontology
-
-	// dictMu guards the entity/predicate dictionaries. entLen/predLen
-	// mirror len(entities)/len(predicates) and are published atomically so
-	// assert validation never touches the dictionary lock.
-	dictMu     sync.RWMutex
-	entities   []*Entity // EntityID -> *Entity (index 0 unused)
-	entByKey   map[string]EntityID
-	predicates []*Predicate // PredicateID -> *Predicate (index 0 unused)
-	predByName map[string]PredicateID
-	entLen     atomic.Int64
-	predLen    atomic.Int64
-
-	// dirtyEnts collects entity IDs whose records were updated in place
-	// (SetPopularity / UpdateEntity) since the last TakeDirtyEntities
-	// drain. Record updates do not flow through the mutation log — they
-	// carry no sequence number — so the WAL drains this set instead to
-	// make them durable between checkpoints. Guarded by dictMu; allocated
-	// lazily on first update.
-	dirtyEnts map[EntityID]struct{}
 }
 
 // NewGraph returns an empty graph with a fresh ontology and the default
@@ -334,16 +323,7 @@ func NewGraph() *Graph {
 // (n <= 0 clamps to 1, the classic single-lock graph; benchmarks use it
 // as the scaling baseline).
 func NewGraphWithShards(n int) *Graph {
-	d := &dict{
-		ontology:   NewOntology(),
-		entities:   []*Entity{nil},
-		entByKey:   make(map[string]EntityID),
-		predicates: []*Predicate{nil},
-		predByName: make(map[string]PredicateID),
-	}
-	d.entLen.Store(1)
-	d.predLen.Store(1)
-	return newGraph(n, d)
+	return newGraph(n, newDict())
 }
 
 // NewGraphOver returns an empty one-shard graph that borrows lender's
@@ -362,10 +342,16 @@ func newGraph(n int, d *dict) *Graph {
 	for s < n && s < 256 {
 		s <<= 1
 	}
+	stripes := 1
+	if s > 1 {
+		stripes = pomStripeCount
+	}
 	g := &Graph{
 		dict:      d,
 		shardMask: uint32(s - 1),
 		shards:    make([]graphShard, s),
+		pom:       make([]pomStripe, stripes),
+		pomMask:   uint32(stripes - 1),
 		base:      &frozen{},
 	}
 	for i := range g.shards {
@@ -420,227 +406,22 @@ func (g *Graph) unlockAll() {
 // Ontology returns the graph's ontology.
 func (g *Graph) Ontology() *Ontology { return g.ontology }
 
-// AddEntity registers an entity. The Key must be unique; re-adding an
-// existing key returns the existing ID without modifying the record.
-func (g *Graph) AddEntity(e Entity) (EntityID, error) {
-	if e.Key == "" {
-		return NoEntity, fmt.Errorf("kg: entity key must be non-empty")
-	}
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if id, ok := g.entByKey[e.Key]; ok {
-		return id, nil
-	}
-	id := EntityID(len(g.entities))
-	e.ID = id
-	stored := e
-	g.entities = append(g.entities, &stored)
-	g.entByKey[e.Key] = id
-	g.entLen.Store(int64(len(g.entities)))
-	return id, nil
-}
-
-// Entity returns the entity record for id, or nil if unknown. The
-// returned pointer must be treated as read-only and immutable: record
-// updates (SetPopularity) replace the stored pointer with a fresh copy
-// instead of mutating the record in place, so lock-free readers holding a
-// previously returned pointer never observe a torn write — they simply
-// keep reading the version they fetched.
-func (g *Graph) Entity(id EntityID) *Entity {
-	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	if int(id) >= len(g.entities) {
-		return nil
-	}
-	return g.entities[id]
-}
-
-// EntityByKey resolves an external key to an entity record. The returned
-// pointer carries the same read-only contract as Entity.
-func (g *Graph) EntityByKey(key string) (*Entity, bool) {
-	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	id, ok := g.entByKey[key]
-	if !ok {
-		return nil, false
-	}
-	return g.entities[id], true
-}
-
-// SetPopularity updates an entity's popularity prior. The stored record
-// is replaced copy-on-write: pointers handed out before the update keep
-// their old (fully consistent) view, which makes the update safe against
-// readers that inspect entity records outside the graph lock.
-func (g *Graph) SetPopularity(id EntityID, pop float64) {
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if int(id) < len(g.entities) && g.entities[id] != nil {
-		cp := *g.entities[id]
-		cp.Popularity = pop
-		g.entities[id] = &cp
-		g.markEntityDirtyLocked(id)
-	}
-}
-
-// markEntityDirtyLocked records that id's dictionary record changed in
-// place. Callers must hold dictMu.
-func (g *Graph) markEntityDirtyLocked(id EntityID) {
-	if g.dirtyEnts == nil {
-		g.dirtyEnts = make(map[EntityID]struct{})
-	}
-	g.dirtyEnts[id] = struct{}{}
-}
-
-// TakeDirtyEntities drains and returns the IDs of entities whose
-// records were updated in place (SetPopularity / UpdateEntity) since
-// the previous drain, sorted ascending. The WAL commit path calls this
-// to persist record updates as log records; anyone else draining it
-// would steal the WAL's durability signal, so there is at most one
-// consumer per graph.
-func (g *Graph) TakeDirtyEntities() []EntityID {
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if len(g.dirtyEnts) == 0 {
-		return nil
-	}
-	out := make([]EntityID, 0, len(g.dirtyEnts))
-	for id := range g.dirtyEnts {
-		out = append(out, id)
-	}
-	clear(g.dirtyEnts)
-	slices.Sort(out)
-	return out
-}
-
-// ReplaceEntity overwrites the stored record for e.ID with e (copy-on-
-// write, like SetPopularity). It exists for WAL replay of record-update
-// log records — AddEntity deliberately refuses to modify an existing
-// key — and therefore does NOT mark the entity dirty: replaying a
-// durable update must not re-enqueue it for the next commit. The ID
-// must already be registered and the Key must match the registered one
-// (identity is immutable).
-func (g *Graph) ReplaceEntity(e Entity) error {
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if int(e.ID) <= 0 || int(e.ID) >= len(g.entities) || g.entities[e.ID] == nil {
-		return fmt.Errorf("kg: ReplaceEntity: unknown entity ID %d", e.ID)
-	}
-	if g.entities[e.ID].Key != e.Key {
-		return fmt.Errorf("kg: ReplaceEntity: key %q does not match registered key %q for ID %d",
-			e.Key, g.entities[e.ID].Key, e.ID)
-	}
-	stored := e
-	g.entities[e.ID] = &stored
-	return nil
-}
-
-// UpdateEntity applies fn to a private copy of the entity record (with
-// Aliases and Types cloned, so fn may rewrite them freely) and replaces
-// the stored record with the result — the copy-on-write counterpart of
-// mutating the pointer Entity() hands out, which is forbidden because
-// lock-free readers may hold it. ID and Key are identity and are restored
-// after fn runs; to re-key an entity, add a new one. Returns false if id
-// is unknown. fn must not retain the pointer or call back into the graph.
-func (g *Graph) UpdateEntity(id EntityID, fn func(*Entity)) bool {
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if int(id) >= len(g.entities) || g.entities[id] == nil {
-		return false
-	}
-	cp := *g.entities[id]
-	cp.Aliases = slices.Clone(cp.Aliases)
-	cp.Types = slices.Clone(cp.Types)
-	fn(&cp)
-	cp.ID = id
-	cp.Key = g.entities[id].Key
-	g.entities[id] = &cp
-	g.markEntityDirtyLocked(id)
-	return true
-}
-
-// AddPredicate registers a predicate, returning the existing ID if the name
-// is already registered.
-func (g *Graph) AddPredicate(p Predicate) (PredicateID, error) {
-	if p.Name == "" {
-		return NoPredicate, fmt.Errorf("kg: predicate name must be non-empty")
-	}
-	g.dictMu.Lock()
-	defer g.dictMu.Unlock()
-	if id, ok := g.predByName[p.Name]; ok {
-		return id, nil
-	}
-	id := PredicateID(len(g.predicates))
-	p.ID = id
-	stored := p
-	g.predicates = append(g.predicates, &stored)
-	g.predByName[p.Name] = id
-	g.predLen.Store(int64(len(g.predicates)))
-	return id, nil
-}
-
-// Predicate returns the predicate record for id, or nil if unknown.
-func (g *Graph) Predicate(id PredicateID) *Predicate {
-	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	if int(id) >= len(g.predicates) {
-		return nil
-	}
-	return g.predicates[id]
-}
-
-// PredicateByName resolves a predicate name.
-func (g *Graph) PredicateByName(name string) (*Predicate, bool) {
-	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	id, ok := g.predByName[name]
-	if !ok {
-		return nil, false
-	}
-	return g.predicates[id], true
-}
-
-// DictReader resolves external keys and predicate names, given as the
-// bytes a request carried them in, to IDs without allocating. It is only
-// valid inside the Graph.ReadDict call that supplied it.
-type DictReader struct{ g *Graph }
-
-// ReadDict runs fn with the dictionaries read-locked once, so a batch of
-// lookups costs one lock round-trip instead of one per key. fn must only
-// look up: it must not call back into the graph's dictionaries or block.
-func (g *Graph) ReadDict(fn func(DictReader)) {
-	g.dictMu.RLock()
-	defer g.dictMu.RUnlock()
-	fn(DictReader{g})
-}
-
-// EntityID resolves an entity key.
-func (d DictReader) EntityID(key []byte) (EntityID, bool) {
-	id, ok := d.g.entByKey[string(key)]
-	return id, ok
-}
-
-// PredicateID resolves a predicate name.
-func (d DictReader) PredicateID(name []byte) (PredicateID, bool) {
-	id, ok := d.g.predByName[string(name)]
-	return id, ok
-}
-
 // validate checks a triple's references against the atomically published
 // dictionary lengths, and that every time it carries is one a row can
 // hold (see TimeInRange). IDs are assigned densely and only ever grow, so
 // an ID below a length observed now is guaranteed registered; the check
 // never takes a lock.
 func (g *Graph) validate(t Triple) error {
-	if int64(t.Subject) >= g.entLen.Load() || t.Subject == NoEntity {
+	if int(t.Subject) >= g.ents.len() || t.Subject == NoEntity {
 		return fmt.Errorf("kg: assert: unknown subject %v", t.Subject)
 	}
-	if int64(t.Predicate) >= g.predLen.Load() || t.Predicate == NoPredicate {
+	if int(t.Predicate) >= g.preds.len() || t.Predicate == NoPredicate {
 		return fmt.Errorf("kg: assert: unknown predicate %v", t.Predicate)
 	}
 	if t.Object.Kind == 0 {
 		return fmt.Errorf("kg: assert: invalid object value")
 	}
-	if t.Object.IsEntity() && (int64(t.Object.Entity) >= g.entLen.Load() || t.Object.Entity == NoEntity) {
+	if t.Object.IsEntity() && (int(t.Object.Entity) >= g.ents.len() || t.Object.Entity == NoEntity) {
 		return fmt.Errorf("kg: assert: unknown object entity %v", t.Object.Entity)
 	}
 	if t.Object.Kind == KindTime && !TimeInRange(t.Object.TS) {
@@ -1043,16 +824,6 @@ func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
 	return ok
 }
 
-// NumEntities returns the number of registered entities.
-func (g *Graph) NumEntities() int {
-	return int(g.entLen.Load()) - 1
-}
-
-// NumPredicates returns the number of registered predicates.
-func (g *Graph) NumPredicates() int {
-	return int(g.predLen.Load()) - 1
-}
-
 // NumTriples returns the number of asserted facts, summed shard by shard.
 func (g *Graph) NumTriples() int {
 	n := 0
@@ -1089,7 +860,7 @@ func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
 // factsLocked calls fn with every fact in identity order, stopping early
 // if fn returns false. The caller holds every shard's lock.
 func (g *Graph) factsLocked(fn func(subj EntityID, r FactRow) bool) {
-	for s := EntityID(1); int64(s) < g.entLen.Load(); s++ {
+	for s := EntityID(1); int(s) < g.ents.len(); s++ {
 		base, delta := g.layersLocked(g.shard(s), s, NoPredicate)
 		if !g.base.merge(base, delta, func(r FactRow) bool { return fn(s, r) }) {
 			return
@@ -1117,35 +888,6 @@ func (g *Graph) allTriplesLocked() []Triple {
 		return true
 	})
 	return out
-}
-
-// Entities streams the records of every entity registered when it is
-// called to fn, stopping early if fn returns false. The records come from
-// a copy of the dictionary taken under its lock, and fn runs with no lock
-// held: it may read the graph, dictionaries and triple indexes alike.
-func (g *Graph) Entities(fn func(*Entity) bool) {
-	g.dictMu.RLock()
-	ents := slices.Clone(g.entities[1:])
-	g.dictMu.RUnlock()
-	for _, e := range ents {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
-// Predicates streams the records of every predicate registered when it
-// is called to fn, stopping early if fn returns false; like Entities, fn
-// runs with no lock held.
-func (g *Graph) Predicates(fn func(*Predicate) bool) {
-	g.dictMu.RLock()
-	preds := slices.Clone(g.predicates[1:])
-	g.dictMu.RUnlock()
-	for _, p := range preds {
-		if !fn(p) {
-			return
-		}
-	}
 }
 
 // appendMutationsSince appends the per-shard logs' entries with sequence

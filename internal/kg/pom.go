@@ -52,9 +52,11 @@ import (
 // the whole enumeration is delivered exactly once, and none is delivered
 // twice. Graph.FactsChunked gives fact lists the same guarantee.
 
-// pomStripeCount is the number of predicate lock stripes. Predicates are
-// few (hundreds, not millions); 64 stripes keeps writer collisions on
-// distinct predicates rare while bounding the fixed per-graph footprint.
+// pomStripeCount is the number of predicate lock stripes of a graph with
+// more than one shard. Predicates are few (hundreds, not millions); 64
+// stripes keeps writer collisions on distinct predicates rare while
+// bounding the fixed per-graph footprint. A one-shard graph has one
+// stripe: its writers already serialize on the shard's lock.
 const pomStripeCount = 64
 
 // predDelta is what the writes since the last fold changed of one
@@ -81,7 +83,7 @@ type pomStripe struct {
 }
 
 func (g *Graph) pomStripe(pred PredicateID) *pomStripe {
-	return &g.pom[uint32(pred)&(pomStripeCount-1)]
+	return &g.pom[uint32(pred)&g.pomMask]
 }
 
 // pomEdit records that subj's (pred, obj) fact is now present or absent;

@@ -32,7 +32,7 @@ func ComputeStats(g *Graph) Stats {
 	}
 	g.rlockAll()
 	defer g.runlockAll()
-	for p := PredicateID(1); int64(p) < g.predLen.Load(); p++ {
+	for p := PredicateID(1); int(p) < g.preds.len(); p++ {
 		st := g.pomStripe(p)
 		st.mu.RLock()
 		total, entities := g.predTotalsLocked(st, p)
@@ -44,7 +44,7 @@ func ComputeStats(g *Graph) Stats {
 		}
 	}
 	s.LiteralTriples = s.Triples - s.EntityTriples
-	for subj := EntityID(1); int64(subj) < g.entLen.Load(); subj++ {
+	for subj := EntityID(1); int(subj) < g.ents.len(); subj++ {
 		s.MaxOutDegree = max(s.MaxOutDegree, countRows(g.layersLocked(g.shard(subj), subj, NoPredicate)))
 	}
 	if s.Entities > 0 {

@@ -44,12 +44,16 @@ func appendJSONString(dst []byte, s string) []byte {
 func appendEscaped(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
+		// Skip the run of bytes that stand for themselves; the run up to
+		// the next byte that does not is appended whole.
+		for i < len(s) && plainByte[s[i]] {
+			i++
+		}
+		if i == len(s) {
+			break
+		}
 		b := s[i]
 		if b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '\\', '"':
@@ -86,6 +90,20 @@ func appendEscaped(dst []byte, s string) []byte {
 	}
 	return append(dst, s[start:]...)
 }
+
+// plainByte[b] reports whether the ASCII byte b stands for itself in a
+// JSON string literal: not a control byte, `"`, `\`, `<`, `>` or `&`.
+// Bytes from utf8.RuneSelf up start a multi-byte rune, which
+// appendEscaped decodes, and are not plain.
+var plainByte = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = true
+	}
+	for _, b := range `"\<>&` {
+		t[b] = false
+	}
+	return t
+}()
 
 // rowEncoder appends the answers of one query as JSON objects. The
 // variable names are escaped once, up front; values are rendered against

@@ -58,22 +58,26 @@ func dotRowsGo(dst, q, rows []float32) {
 // no wider than maxCodedDim, so every body returns the same integers.
 func dotCodesGo(dst, qp []int32, codes []int8) {
 	for g := 0; g+8 <= len(dst); g += 8 {
-		var a0, a1, a2, a3, a4, a5, a6, a7 int32
 		blk := codes[2*g*len(qp):][:16*len(qp)]
-		for p, w := range qp {
-			lo, hi := int32(int16(w)), w>>16
-			c := (*[16]int8)(blk[16*p:])
-			a0 += int32(c[0])*lo + int32(c[1])*hi
-			a1 += int32(c[2])*lo + int32(c[3])*hi
-			a2 += int32(c[4])*lo + int32(c[5])*hi
-			a3 += int32(c[6])*lo + int32(c[7])*hi
-			a4 += int32(c[8])*lo + int32(c[9])*hi
-			a5 += int32(c[10])*lo + int32(c[11])*hi
-			a6 += int32(c[12])*lo + int32(c[13])*hi
-			a7 += int32(c[14])*lo + int32(c[15])*hi
-		}
 		d := (*[8]int32)(dst[g:])
-		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		// Two passes of four rows each: half as many sums live at once
+		// as one pass of eight, whose sums amd64's compiler spills.
+		for h := 0; h < 16; h += 8 {
+			var a0, a1, a2, a3 int32
+			b := blk[h:]
+			for _, w := range qp {
+				lo, hi := int32(int16(w)), w>>16
+				c := (*[8]int8)(b)
+				a0 += int32(c[0])*lo + int32(c[1])*hi
+				a1 += int32(c[2])*lo + int32(c[3])*hi
+				a2 += int32(c[4])*lo + int32(c[5])*hi
+				a3 += int32(c[6])*lo + int32(c[7])*hi
+				if len(b) > 16 {
+					b = b[16:]
+				}
+			}
+			d[h/2], d[h/2+1], d[h/2+2], d[h/2+3] = a0, a1, a2, a3
+		}
 	}
 }
 

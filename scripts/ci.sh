@@ -18,8 +18,8 @@
 # silently), a few seconds of native fuzzing on the wire encoders' and the
 # wire decoders' targets, on the two kernels' and the tokenizer's
 # differential targets, on the prefiltered kNN scan against a full sort,
-# on the mutation log retention's and the
-# subject runs' model-based ones, on the stored fact
+# on the mutation log retention's, the
+# subject runs' and the entity dictionary's model-based ones, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
 # against a from-scratch derivation, on subscription mirrors against a
@@ -171,6 +171,7 @@ go test -run '^$' -fuzz '^FuzzSubscriptionMirror$' -fuzztime "${FUZZTIME:-5s}" .
 go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzLogRetention$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzFactRuns$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
+go test -run '^$' -fuzz '^FuzzDictionary$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/
 go test -run '^$' -fuzz '^FuzzDotRows$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzPrefilterScan$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
 go test -run '^$' -fuzz '^FuzzTriStep$' -fuzztime "${FUZZTIME:-5s}" ./internal/vecindex/
