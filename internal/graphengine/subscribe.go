@@ -15,8 +15,9 @@ import (
 // kept current against the graph's changefeed. A hub goroutine (one per
 // Engine, started lazily) pulls mutation batches through a single
 // kg.Changefeed. A mutation touches a subscription when it unifies with
-// one of its clauses (UnifyClause) — a predicate-keyed dispatch index
-// (byPred) keeps every other standing query off the per-mutation path —
+// one of its clauses (UnifyClause) — a dispatch index keyed by predicate
+// and constant object (byKey) keeps every other standing query off the
+// per-mutation path —
 // and each touched subscription is re-solved once per batch, the
 // difference between the fresh answer set and the held one going into
 // the pending set. A mutation that unifies with no clause cannot change
@@ -28,6 +29,12 @@ import (
 // nothing new, so the held set equals a from-scratch solve once the feed
 // drains — by construction, since it is one. A floor pass (log
 // truncation) resets the cursor and re-solves every subscription.
+//
+// A tick costs what it touches, not the number of subscriptions: the
+// smallest coalescing window is kept as subscriptions come and go
+// (windows), only subscriptions holding undelivered deltas are visited
+// by a flush (pending), and an untouched subscription's watermark is the
+// hub's (wm), read when the subscription next has something to deliver.
 //
 // Delivery is per-subscriber: events coalesce for a configurable window,
 // adds and retracts of the same binding cancel in the pending set, a
@@ -93,7 +100,7 @@ type Subscription struct {
 	// Hub-owned state, guarded by the hub's mutex.
 	current   map[string]*subRow // answer set by key tuple
 	solves    uint64             // re-solves so far; stamps subRow.seen
-	applied   uint64             // watermark current reflects
+	applied   uint64             // watermark current reflects, or the hub's wm if later
 	pendAdds  map[string]Binding
 	pendRets  map[string]Binding
 	pendWM    uint64    // watermark the pending delta reflects
@@ -125,7 +132,10 @@ type subHub struct {
 
 	mu      sync.Mutex
 	subs    map[*Subscription]struct{}
-	byPred  map[kg.PredicateID]map[*Subscription]struct{}
+	byKey   map[dispatchKey]map[*Subscription]struct{}
+	pending map[*Subscription]struct{} // the subscriptions holding deltas
+	windows map[time.Duration]int      // subscriptions per coalescing window
+	wm      uint64                     // the feed's cursor after the last poll
 	feed    *kg.Changefeed
 	running bool
 	stop    chan struct{}
@@ -200,7 +210,13 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 	}
 	wm := e.g.LastSeq()
 	s.applied = wm
+	if h.subs == nil {
+		h.subs = make(map[*Subscription]struct{})
+		h.pending = make(map[*Subscription]struct{})
+		h.windows = make(map[time.Duration]int)
+	}
 	if err := h.resolveLocked(s); err != nil {
+		delete(h.pending, s)
 		if !h.running {
 			h.feed.Close()
 		}
@@ -208,10 +224,8 @@ func (e *Engine) Subscribe(clauses []Clause, opts SubscribeOptions) (*Subscripti
 	}
 	s.sendPendingLocked(true)
 
-	if h.subs == nil {
-		h.subs = make(map[*Subscription]struct{})
-	}
 	h.subs[s] = struct{}{}
+	h.windows[opts.Coalesce]++
 	h.indexLocked(s)
 	if !h.running {
 		h.feed.Reset(wm)
@@ -234,23 +248,49 @@ func (s *Subscription) Close() {
 	}
 	s.done = true
 	close(s.ch)
+	h.removeLocked(s)
+}
+
+// removeLocked forgets a subscription that has ended.
+func (h *subHub) removeLocked(s *Subscription) {
 	delete(h.subs, s)
+	delete(h.pending, s)
+	if h.windows[s.opts.Coalesce]--; h.windows[s.opts.Coalesce] == 0 {
+		delete(h.windows, s.opts.Coalesce)
+	}
 	h.unindexLocked(s)
 }
 
-// indexLocked registers the subscription under every predicate its
-// clauses mention — the dispatch index pollLocked and the derived-delta
-// path route mutations through, so a mutation batch only ever touches
-// the subscriptions whose clauses could unify with it.
-func (h *subHub) indexLocked(s *Subscription) {
-	if h.byPred == nil {
-		h.byPred = make(map[kg.PredicateID]map[*Subscription]struct{})
+// dispatchKey is where the dispatch index lists a clause: under its
+// predicate and its object's key, the zero key for a variable object. A
+// clause with a constant object unifies only with triples carrying that
+// object.
+type dispatchKey struct {
+	pred kg.PredicateID
+	obj  kg.ValueKey
+}
+
+func (c *Clause) dispatchKey() dispatchKey {
+	if c.Object.Var != "" {
+		return dispatchKey{pred: c.Predicate}
 	}
-	for _, c := range s.clauses {
-		set := h.byPred[c.Predicate]
+	return dispatchKey{c.Predicate, c.Object.Const.MapKey()}
+}
+
+// indexLocked registers the subscription under every clause's dispatch
+// key — the index pollLocked and the derived-delta path route mutations
+// through, so a mutation batch only ever touches the subscriptions whose
+// clauses could unify with it.
+func (h *subHub) indexLocked(s *Subscription) {
+	if h.byKey == nil {
+		h.byKey = make(map[dispatchKey]map[*Subscription]struct{})
+	}
+	for i := range s.clauses {
+		k := s.clauses[i].dispatchKey()
+		set := h.byKey[k]
 		if set == nil {
 			set = make(map[*Subscription]struct{})
-			h.byPred[c.Predicate] = set
+			h.byKey[k] = set
 		}
 		set[s] = struct{}{}
 	}
@@ -258,11 +298,12 @@ func (h *subHub) indexLocked(s *Subscription) {
 
 // unindexLocked removes the subscription from the dispatch index.
 func (h *subHub) unindexLocked(s *Subscription) {
-	for _, c := range s.clauses {
-		if set := h.byPred[c.Predicate]; set != nil {
+	for i := range s.clauses {
+		k := s.clauses[i].dispatchKey()
+		if set := h.byKey[k]; set != nil {
 			delete(set, s)
 			if len(set) == 0 {
-				delete(h.byPred, c.Predicate)
+				delete(h.byKey, k)
 			}
 		}
 	}
@@ -334,9 +375,9 @@ func (h *subHub) tickInterval() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	min := defaultSubCoalesce
-	for s := range h.subs {
-		if s.opts.Coalesce < min {
-			min = s.opts.Coalesce
+	for w := range h.windows {
+		if w < min {
+			min = w
 		}
 	}
 	if min /= 2; min < time.Millisecond {
@@ -346,11 +387,12 @@ func (h *subHub) tickInterval() time.Duration {
 }
 
 // pollLocked pulls the next mutation batch and re-solves the
-// subscriptions it touches, once each. Dispatch is predicate-keyed: a
-// mutation only visits the subscriptions whose clauses mention its
-// predicate (byPred), so standing queries over other predicates cost
-// nothing per batch — not even a failed unify. Every subscription still
-// advances its applied watermark. A floor pass re-solves every
+// subscriptions it touches, once each. Dispatch is keyed: a mutation
+// only visits the subscriptions with a clause over its predicate whose
+// object is a variable or its object (byKey), so standing queries over
+// other predicates or objects cost nothing per batch — not even a failed
+// unify. The hub's watermark advances to the feed's cursor; the pending
+// deltas' watermarks follow it. A floor pass re-solves every
 // subscription.
 func (h *subHub) pollLocked() {
 	muts, complete := h.feed.Pull()
@@ -369,10 +411,9 @@ func (h *subHub) pollLocked() {
 	for s := range stale {
 		h.resolveLocked(s) // validated clauses, no cursor, no context: it cannot fail
 	}
-	wm := h.feed.Cursor()
-	for s := range h.subs {
-		s.applied = max(s.applied, wm)
-		s.notePendingLocked(s.applied)
+	h.wm = h.feed.Cursor()
+	for s := range h.pending {
+		s.notePendingLocked(h.wm)
 	}
 }
 
@@ -381,14 +422,16 @@ func (h *subHub) pollLocked() {
 // reflect seq (a mutation at or below the snapshot's watermark is in it
 // already).
 func (h *subHub) touchLocked(stale map[*Subscription]bool, t kg.Triple, seq uint64) {
-	for s := range h.byPred[t.Predicate] {
-		if stale[s] || seq <= s.applied {
-			continue
-		}
-		for _, c := range s.clauses {
-			if _, ok := UnifyClause(c, t); ok {
-				stale[s] = true
-				break
+	for _, k := range [2]dispatchKey{{pred: t.Predicate}, {t.Predicate, t.Object.MapKey()}} {
+		for s := range h.byKey[k] {
+			if stale[s] || seq <= s.applied {
+				continue
+			}
+			for i := range s.clauses {
+				if s.clauses[i].matches(t) {
+					stale[s] = true
+					break
+				}
 			}
 		}
 	}
@@ -423,18 +466,22 @@ func (h *subHub) resolveLocked(s *Subscription) error {
 			s.addPendingLocked(key, row.b, false)
 		}
 	}
-	s.notePendingLocked(s.applied)
+	s.notePendingLocked(max(s.applied, h.wm))
 	return nil
 }
 
-// notePendingLocked advances the subscription's pending watermark and
-// stamps the coalescing clock on the first delta of a window.
+// notePendingLocked advances the subscription's pending watermark and,
+// if it holds deltas, lists it as pending and stamps the coalescing
+// clock on the first delta of a window.
 func (s *Subscription) notePendingLocked(wm uint64) {
 	if wm > s.pendWM {
 		s.pendWM = wm
 	}
-	if s.pendSince.IsZero() && len(s.pendAdds)+len(s.pendRets) > 0 {
-		s.pendSince = time.Now()
+	if len(s.pendAdds)+len(s.pendRets) > 0 {
+		s.hub.pending[s] = struct{}{}
+		if s.pendSince.IsZero() {
+			s.pendSince = time.Now()
+		}
 	}
 }
 
@@ -473,6 +520,7 @@ func (s *Subscription) sendPendingLocked(reset bool) bool {
 		clear(s.pendRets)
 		s.pendSince = time.Time{}
 		s.delivered = s.pendWM
+		delete(s.hub.pending, s)
 		return true
 	default:
 		return false
@@ -483,9 +531,13 @@ func (s *Subscription) sendPendingLocked(reset bool) bool {
 // pending sets outgrew their bound while their channels stayed full.
 func (h *subHub) flushLocked() {
 	now := time.Now()
-	for s := range h.subs {
+	for s := range h.pending {
 		n := len(s.pendAdds) + len(s.pendRets)
-		if n == 0 || now.Sub(s.pendSince) < s.opts.Coalesce || s.sendPendingLocked(false) {
+		if n == 0 {
+			delete(h.pending, s) // an add and a retract cancelled
+			continue
+		}
+		if now.Sub(s.pendSince) < s.opts.Coalesce || s.sendPendingLocked(false) {
 			continue
 		}
 		// Channel full: keep accumulating. Past the bound, evict.
@@ -493,8 +545,7 @@ func (h *subHub) flushLocked() {
 			s.err = ErrSlowSubscriber
 			s.done = true
 			close(s.ch)
-			delete(h.subs, s)
-			h.unindexLocked(s)
+			h.removeLocked(s)
 			h.evictions.Add(1)
 		}
 	}
@@ -506,14 +557,7 @@ func (h *subHub) flushLocked() {
 // matching the executor's join). The hub's touch filter and the rule
 // engine's delta-join both start from it.
 func UnifyClause(c Clause, t kg.Triple) (Binding, bool) {
-	if c.Predicate != t.Predicate {
-		return nil, false
-	}
-	subj := kg.EntityValue(t.Subject)
-	switch {
-	case c.Subject.Var == "" && (!c.Subject.Const.IsEntity() || c.Subject.Const.Entity != t.Subject),
-		c.Object.Var == "" && c.Object.Const.MapKey() != t.Object.MapKey(),
-		c.Object.Var != "" && c.Object.Var == c.Subject.Var && !subj.Equal(t.Object):
+	if !c.matches(t) {
 		return nil, false
 	}
 	theta := make(Binding, 2)
@@ -521,7 +565,20 @@ func UnifyClause(c Clause, t kg.Triple) (Binding, bool) {
 		theta[c.Object.Var] = t.Object
 	}
 	if c.Subject.Var != "" {
-		theta[c.Subject.Var] = subj
+		theta[c.Subject.Var] = kg.EntityValue(t.Subject)
 	}
 	return theta, true
+}
+
+// matches reports whether UnifyClause(*c, t) succeeds, building no
+// substitution.
+func (c *Clause) matches(t kg.Triple) bool {
+	switch {
+	case c.Predicate != t.Predicate,
+		c.Subject.Var == "" && (!c.Subject.Const.IsEntity() || c.Subject.Const.Entity != t.Subject),
+		c.Object.Var == "" && c.Object.Const.MapKey() != t.Object.MapKey(),
+		c.Object.Var != "" && c.Object.Var == c.Subject.Var && !kg.EntityValue(t.Subject).Equal(t.Object):
+		return false
+	}
+	return true
 }

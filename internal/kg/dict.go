@@ -3,7 +3,6 @@ package kg
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -25,11 +24,9 @@ import (
 // # Layout
 //
 // AddEntity stores each new record in a dictionary-owned chunk of
-// records in ID order, and its Key and Name in an append-only string
-// arena (strArena), so the entities a posting walk or a join names — in
-// ascending ID order — are read from neighboring memory, and entByKey's
-// keys are the arena's strings. A record replaced copy-on-write lives on
-// the heap on its own.
+// records in ID order, so the records a posting walk or a join reads —
+// in ascending ID order — sit in neighboring memory. A record replaced
+// copy-on-write lives on the heap on its own.
 type dict struct {
 	ontology *Ontology
 
@@ -41,7 +38,6 @@ type dict struct {
 	entByKey   map[string]EntityID
 	predByName map[string]PredicateID
 	recs       []Entity // the record chunk AddEntity fills
-	strs       strArena
 
 	// dirtyEnts collects entity IDs whose records were updated in place
 	// (SetPopularity / UpdateEntity) since the last TakeDirtyEntities
@@ -124,12 +120,9 @@ func (t *table[T]) add(r *T) {
 // set replaces the record of a registered ID.
 func (t *table[T]) set(id uint32, r *T) { (*t.slots.Load())[id].Store(r) }
 
-// Chunk bounds: a chunk is sized to what the dictionary already holds,
-// within these limits, so a small graph stays small.
-const (
-	minRecChunk, maxRecChunk = 16, 256       // records
-	minStrChunk, maxStrChunk = 256, 16 << 10 // arena bytes
-)
+// Record chunk bounds: a chunk is sized to what the dictionary already
+// holds, within these limits, so a small graph stays small.
+const minRecChunk, maxRecChunk = 16, 256
 
 // newRecord returns a slot for the next entity's record in the chunk
 // being filled, opening a new chunk when it is full. A slot is written
@@ -140,31 +133,6 @@ func (d *dict) newRecord() *Entity {
 	}
 	d.recs = d.recs[:len(d.recs)+1]
 	return &d.recs[len(d.recs)-1]
-}
-
-// strArena copies short strings into chunks of bytes that are written
-// once, in order, and never modified: a strings.Builder grown to the
-// chunk's size up front never moves its buffer, so every string cut from
-// it stays valid, and a full chunk is left to the strings cut from it.
-type strArena struct {
-	b    strings.Builder
-	used int // bytes in the chunks before b's
-}
-
-// intern returns a copy of s in the arena; a string longer than a
-// quarter of the largest chunk is returned as it is.
-func (a *strArena) intern(s string) string {
-	if len(s) == 0 || len(s) > maxStrChunk/4 {
-		return s
-	}
-	if a.b.Cap()-a.b.Len() < len(s) {
-		a.used += a.b.Len()
-		a.b = strings.Builder{}
-		a.b.Grow(min(max(a.used, minStrChunk), maxStrChunk))
-	}
-	start := a.b.Len()
-	a.b.WriteString(s)
-	return a.b.String()[start:]
 }
 
 // AddEntity registers an entity. The Key must be unique; re-adding an
@@ -179,7 +147,6 @@ func (g *Graph) AddEntity(e Entity) (EntityID, error) {
 		return id, nil
 	}
 	e.ID = EntityID(g.ents.len())
-	e.Key, e.Name = g.strs.intern(e.Key), g.strs.intern(e.Name)
 	rec := g.newRecord()
 	*rec = e
 	g.ents.add(rec)

@@ -9,15 +9,15 @@ import (
 )
 
 // dictKeys are the keys FuzzDictionary registers: repeats come from the
-// small set, escapable bytes, invalid UTF-8 and a key too long for the
-// string arena from its tail.
+// small set, escapable bytes, invalid UTF-8 and a 4 KB key from its
+// tail.
 var dictKeys = []string{
 	"Q1", "Q2", "Q3", "person7", `a"b`, `back\slash`, "<tag>&", "line\nbreak",
-	"\x00ctl", "bad\xffutf8", "sep ", strings.Repeat("k", maxStrChunk/4+1),
+	"\x00ctl", "bad\xffutf8", "sep ", strings.Repeat("k", 4<<10+1),
 }
 
 // dictName returns the name op byte b asks for: empty, short or long
-// (past the arena's size limit), with escapable bytes mixed in.
+// (up to 15 KB), with escapable bytes mixed in.
 func dictName(b byte) string {
 	switch b % 4 {
 	case 0:
@@ -39,7 +39,7 @@ func dictName(b byte) string {
 func FuzzDictionary(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 0, 1, 1, 3, 5, 2, 1, 9})
 	f.Add([]byte{0, 4, 7, 0, 5, 200, 0, 11, 255, 3, 1, 3, 4, 1, 6, 5, 2, 2, 7, 6, 0})
-	f.Add(func() []byte { // enough fresh entities to fill several arena chunks
+	f.Add(func() []byte { // enough fresh entities to fill several record chunks
 		var b []byte
 		for i := byte(0); i < 120; i++ {
 			b = append(b, 0, 128+i, i, 1, i%11, 0, i%7, i, 1+4*(i%60))

@@ -19,7 +19,10 @@ import (
 // variables in sorted order, entity values as {"key","name"} objects and
 // literals as their string form — and /entity, /related, /search,
 // /annotate and /rank render their objects field by field, all straight
-// into one pooled byte buffer: no per-row maps, no reflection. The bytes
+// into one pooled byte buffer: no per-row maps, no reflection. An
+// entity's "key" and "name" members, in a binding, a /related entry or
+// an annotation, are appended from the server's memo (entityMemo,
+// names.go), escaped once per record. The bytes
 // are exactly what json.NewEncoder(w).Encode produced from the map and
 // struct shapes these functions replaced — field order, omitempty, its
 // default HTML-safe escaping, its float format and trailing newline
@@ -106,14 +109,16 @@ var plainByte = func() (t [256]bool) {
 }()
 
 // rowEncoder appends the answers of one query as JSON objects. The
-// variable names are escaped once, up front; values are rendered against
-// the graph's entity dictionary as they are appended.
+// variable names are escaped once, up front; an entity value's members
+// come from names, checked against the graph's current record as they
+// are appended.
 type rowEncoder struct {
-	g    *saga.Graph
-	vars []string
-	keys []byte     // per variable `"name":`, ready to append, back to back
-	ends []int      // where each variable's key ends in keys
-	vals []kg.Value // appendBinding's row scratch
+	g     *saga.Graph
+	names *entityMemo // nil: every entity rendered afresh
+	vars  []string
+	keys  []byte     // per variable `"name":`, ready to append, back to back
+	ends  []int      // where each variable's key ends in keys
+	vals  []kg.Value // appendBinding's row scratch
 }
 
 // newRowEncoder prepares an encoder for rows over vars (the query's
@@ -175,12 +180,8 @@ func (e *rowEncoder) appendBindings(dst []byte, bs []saga.QueryBinding) []byte {
 // kg.Value.String().
 func (e *rowEncoder) appendValue(dst []byte, v kg.Value) []byte {
 	if v.IsEntity() {
-		if ent := e.g.Entity(v.Entity); ent != nil {
-			dst = append(dst, `{"key":`...)
-			dst = appendJSONString(dst, ent.Key)
-			dst = append(dst, `,"name":`...)
-			dst = appendJSONString(dst, ent.Name)
-			return append(dst, '}')
+		if obj, ok := e.names.appendMembers(append(dst, '{'), e.g, v.Entity); ok {
+			return append(obj, '}')
 		}
 	}
 	return appendJSONString(dst, v.String())
@@ -273,15 +274,6 @@ func entityOf(g *saga.Graph, v kg.Value) *kg.Entity {
 	return g.Entity(v.Entity)
 }
 
-// entityNames returns the key and name of an entity, empty when the
-// dictionary does not know it.
-func entityNames(g *saga.Graph, id kg.EntityID) (key, name string) {
-	if e := g.Entity(id); e != nil {
-		return e.Key, e.Name
-	}
-	return "", ""
-}
-
 // appendAnnotations renders /annotate's answer.
 func appendAnnotations(j *jsonBuf, g *saga.Graph, anns []saga.Annotation) {
 	j.raw(`{"annotations":[`)
@@ -289,7 +281,6 @@ func appendAnnotations(j *jsonBuf, g *saga.Graph, anns []saga.Annotation) {
 		if i > 0 {
 			j.raw(",")
 		}
-		key, name := entityNames(g, a.Entity)
 		j.raw(`{"start":`)
 		j.int(a.Start)
 		j.raw(`,"end":`)
@@ -297,8 +288,8 @@ func appendAnnotations(j *jsonBuf, g *saga.Graph, anns []saga.Annotation) {
 		j.field(`,"surface":`, a.Surface)
 		j.raw(`,"entity":`)
 		j.uint(uint64(uint32(a.Entity)))
-		j.field(`,"key":`, key)
-		j.field(`,"name":`, name)
+		j.raw(",")
+		j.entity(g, a.Entity)
 		j.floatField(`,"score":`, a.Score)
 		j.raw("}")
 	}
@@ -331,9 +322,8 @@ func appendRelated(j *jsonBuf, g *saga.Graph, rel []embedserve.ScoredEntity) {
 		if i > 0 {
 			j.raw(",")
 		}
-		key, name := entityNames(g, se.ID)
-		j.field(`{"key":`, key)
-		j.field(`,"name":`, name)
+		j.raw("{")
+		j.entity(g, se.ID)
 		j.floatField(`,"score":`, se.Score)
 		j.raw("}")
 	}
@@ -358,10 +348,12 @@ func appendHits(j *jsonBuf, hits []websearch.Hit) {
 
 // jsonBuf is a response body being appended by hand. err keeps the
 // first value JSON cannot carry (a NaN or infinite float), which
-// json.Encoder would have failed on.
+// json.Encoder would have failed on; names is the memo entities are
+// named from (nil: rendered afresh).
 type jsonBuf struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names *entityMemo
 }
 
 func (j *jsonBuf) raw(s string)  { j.b = append(j.b, s...) }
@@ -374,6 +366,15 @@ func (j *jsonBuf) uint(n uint64) { j.b = strconv.AppendUint(j.b, n, 10) }
 func (j *jsonBuf) field(key, v string) {
 	j.raw(key)
 	j.str(v)
+}
+
+// entity appends the "key" and "name" members of id, both empty for an
+// entity the dictionary does not know.
+func (j *jsonBuf) entity(g *saga.Graph, id kg.EntityID) {
+	var ok bool
+	if j.b, ok = j.names.appendMembers(j.b, g, id); !ok {
+		j.raw(`"key":"","name":""`)
+	}
 }
 
 // floatField is field for a float value.
@@ -421,11 +422,12 @@ var respBufPool = sync.Pool{New: func() any { return new(jsonBuf) }}
 
 const maxPooledRespBytes = 1 << 20
 
-// respond renders an answer into a pooled buffer and sends it with
-// status 200.
-func respond(w http.ResponseWriter, render func(*jsonBuf)) {
+// respond renders an answer into a pooled buffer, naming entities from
+// the server's memo, and sends it with status 200.
+func (s *Server) respond(w http.ResponseWriter, render func(*jsonBuf)) {
 	j := getJSONBuf()
 	defer j.free()
+	j.names = &s.names
 	render(j)
 	j.send(w, http.StatusOK)
 }
@@ -437,6 +439,7 @@ func getJSONBuf() *jsonBuf {
 }
 
 func (j *jsonBuf) free() {
+	j.names = nil
 	if cap(j.b) <= maxPooledRespBytes {
 		respBufPool.Put(j)
 	}

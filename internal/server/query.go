@@ -100,6 +100,7 @@ var requestPool = sync.Pool{New: func() any { return new(requestState) }}
 
 func (st *requestState) free() {
 	clear(st.clauses) // drop the variable names and literals
+	st.enc.g, st.enc.names = nil, nil
 	if cap(st.body)+cap(st.scan.scratch) <= maxPooledRespBytes {
 		requestPool.Put(st)
 	}
@@ -259,6 +260,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if page.count == 0 {
 			st.enc.reset(g, row.Vars)
+			st.enc.names = &s.names
 		} else {
 			j.raw(",")
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"saga/internal/kg"
 	"saga/saga"
@@ -12,11 +13,15 @@ import (
 
 // BenchmarkRenderEntityRows renders one page of 250 person rows of the
 // end-to-end benchmark's world (20 000 people) through the /query row
-// encoder: the people in ID order, as a posting walk's page lists them,
-// and shuffled; hot, the same page again and again, and cold, after a
-// 64 MB sweep has pushed the records, keys and names out of the caches.
-// ns/row is the number, the render alone (a cold op's ns/op includes its
-// sweep); allocs/op must stay 0.
+// encoder and a server's entity memo: the people in ID order, as a
+// posting walk's page lists them, and shuffled; hot, the same page again
+// and again, and cold, after a 64 MB sweep has pushed the records, the
+// memo and its bytes out of the caches; and fill, the page's first
+// render on a fresh server, which escapes every key and name and fills
+// the memo. ns/row is the number, the render alone (a cold op's ns/op
+// includes its sweep); allocs/op must stay 0 but in fill, which reports
+// the memo's bytes and entry per rendered entity (memo_B/row) and its
+// slot table (table_B), which spans the IDs up to the page's highest.
 func BenchmarkRenderEntityRows(b *testing.B) {
 	w, err := saga.GenerateWorld(saga.WorldConfig{NumPeople: 20000, NumClusters: 400, Seed: 1})
 	if err != nil {
@@ -30,6 +35,7 @@ func BenchmarkRenderEntityRows(b *testing.B) {
 	}
 	sorted := slices.Sorted(slices.Values(page))
 	sweep := make([]byte, 64<<20)
+	var srv Server
 	enc := newRowEncoder(w.Graph, []string{"p"})
 	row := make([]kg.Value, 1)
 	var dst []byte
@@ -50,6 +56,7 @@ func BenchmarkRenderEntityRows(b *testing.B) {
 				name = order.name + "/cold"
 			}
 			b.Run(name, func(b *testing.B) {
+				enc.names = &srv.names
 				render(order.ids)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -68,4 +75,18 @@ func BenchmarkRenderEntityRows(b *testing.B) {
 			})
 		}
 	}
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		var m *entityMemo
+		for i := 0; i < b.N; i++ {
+			m = new(entityMemo)
+			enc.names = m
+			render(sorted)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pageSize), "ns/row")
+		held := m.used + m.buf.Len() + pageSize*int(unsafe.Sizeof(memoEntry{}))
+		b.ReportMetric(float64(held)/pageSize, "memo_B/row")
+		table := *m.slots.Load()
+		b.ReportMetric(float64(len(table)*int(unsafe.Sizeof(table[0]))), "table_B")
+	})
 }

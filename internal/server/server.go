@@ -76,6 +76,8 @@ type Server struct {
 	Platform  *saga.Platform
 	Search    *websearch.Index
 	Admission *admission.Controller
+
+	names entityMemo // entities' rendered "key" and "name" members
 }
 
 // New builds a Server over an initialized platform.
@@ -301,7 +303,7 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("need key or id parameter"))
 		return
 	}
-	respond(w, func(j *jsonBuf) { appendEntity(j, g, e) })
+	s.respond(w, func(j *jsonBuf) { appendEntity(j, g, e) })
 }
 
 // handleAnnotate serves POST /annotate with a body {"text": "..."}; like
@@ -322,7 +324,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	respond(w, func(j *jsonBuf) { appendAnnotations(j, s.Platform.Graph(), anns) })
+	s.respond(w, func(j *jsonBuf) { appendAnnotations(j, s.Platform.Graph(), anns) })
 }
 
 // handleRank serves GET /rank?subject=<key>&predicate=<name>.
@@ -346,7 +348,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	respond(w, func(j *jsonBuf) { appendRanked(j, g, ranked) })
+	s.respond(w, func(j *jsonBuf) { appendRanked(j, g, ranked) })
 }
 
 // handleVerify serves GET /verify?subject=<key>&predicate=<name>&object=<key>.
@@ -412,7 +414,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	respond(w, func(j *jsonBuf) { appendRelated(j, g, rel) })
+	s.respond(w, func(j *jsonBuf) { appendRelated(j, g, rel) })
 }
 
 // handleSearch serves GET /search?q=...&k=10 over the web corpus; k
@@ -441,5 +443,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		contextEnded(w, r, err)
 		return
 	}
-	respond(w, func(j *jsonBuf) { appendHits(j, hits) })
+	s.respond(w, func(j *jsonBuf) { appendHits(j, hits) })
 }

@@ -119,6 +119,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	enc := newRowEncoder(s.Platform.Graph(), sub.Vars())
+	enc.names = &s.names
 	var line []byte // reused across events
 	ctx := r.Context()
 	for {

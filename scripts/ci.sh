@@ -19,7 +19,8 @@
 # wire decoders' targets, on the two kernels' and the tokenizer's
 # differential targets, on the prefiltered kNN scan against a full sort,
 # on the mutation log retention's, the
-# subject runs' and the entity dictionary's model-based ones, on the stored fact
+# subject runs' and the entity dictionary's model-based ones, on the server's
+# entity render memo against a memo-free render, on the stored fact
 # row's round trip, on the model file reader's, on the checkpoint
 # loader's and on the log segment replayer's, on rule maintenance
 # against a from-scratch derivation, on subscription mirrors against a
@@ -166,6 +167,7 @@ go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime "${FUZZTIME:-5s}" ./i
 go test -run '^$' -fuzz '^FuzzDecodeIngest$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeQuery$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzEncodeResponses$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
+go test -run '^$' -fuzz '^FuzzEntityRenderMemo$' -fuzztime "${FUZZTIME:-5s}" ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeCursor$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzSubscriptionMirror$' -fuzztime "${FUZZTIME:-5s}" ./internal/graphengine/
 go test -run '^$' -fuzz '^FuzzFactRow$' -fuzztime "${FUZZTIME:-5s}" ./internal/kg/

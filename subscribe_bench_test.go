@@ -18,12 +18,12 @@ import (
 // then times the end-to-end delivery latency of a single mutation: the
 // writer asserts (or retracts) a membership triple matching exactly one
 // "probe" subscription and blocks until that subscriber's event
-// arrives. The hub visits every query indexed under the mutation's
-// predicate and re-solves the ones it unifies with, so the subs=1000 vs
-// subs=10000 pair prices the fan-out sweep itself — the non-matching
-// queries each pay a constant unify-and-reject — on top of a latency
-// floor of roughly 1.5x the probe's coalescing window (tick interval is
-// half the window).
+// arrives. The hub visits only the queries indexed under the mutation's
+// predicate and object, and a tick only the subscriptions holding
+// deltas, so the subs=1000 vs subs=10000 pair checks that the idle
+// population costs nothing per write: both sit on a latency floor of
+// roughly 1.5x the probe's coalescing window (tick interval is half the
+// window).
 //
 // The answers=N pair prices the re-solve: one subscription whose answer
 // set already holds N rows, touched by every write, so each
@@ -85,9 +85,9 @@ func benchSubscribeFanout(b *testing.B, subs, answers int, window time.Duration)
 	eng := graphengine.New(g)
 
 	// The idle population: each query is bound to its own team entity, so
-	// the probe triple never matches any of them — they cost exactly one
-	// failed unify per mutation. Wide windows keep their (empty) flush
-	// checks off the hot path.
+	// the probe triple never matches any of them, and the hub never
+	// visits them. Their wide windows leave the tick interval to the
+	// probe's.
 	handles := make([]*graphengine.Subscription, 0, subs)
 	b.Cleanup(func() {
 		for _, s := range handles {
