@@ -89,7 +89,10 @@ func BenchmarkE4EntityLinking(b *testing.B) {
 
 // BenchmarkE5TrainingThroughput measures Hogwild SGD edge throughput at
 // 1, 2, and 4 workers (the paper's multi-GPU scaling axis, mapped to
-// goroutines; ROADMAP.md's Hogwild residual records how it scales).
+// goroutines; ROADMAP.md's Hogwild residual records how it scales). Each
+// worker is an updater plus the sampler goroutine that draws its steps,
+// so one worker already runs on two cores and W workers start 2W
+// goroutines.
 func BenchmarkE5TrainingThroughput(b *testing.B) {
 	f := getFixture(b)
 	for _, workers := range []int{1, 2, 4} {

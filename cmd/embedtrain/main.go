@@ -27,7 +27,7 @@ func main() {
 	dim := flag.Int("dim", 32, "embedding dimensionality")
 	epochs := flag.Int("epochs", 30, "training epochs")
 	partitions := flag.Int("partitions", 1, "random edge buckets per epoch")
-	workers := flag.Int("workers", 1, "Hogwild workers (1 trains deterministically and, on a handful of relations, fastest)")
+	workers := flag.Int("workers", 1, "Hogwild updaters, each fed by its own sampler goroutine (1 trains deterministically on two cores and, on a handful of relations, fastest)")
 	people := flag.Int("people", 200, "number of person entities")
 	clusters := flag.Int("clusters", 10, "number of communities")
 	minFreq := flag.Int("minpredfreq", 2, "drop predicates rarer than this")

@@ -7,7 +7,12 @@
 //
 // The paper trains on GPU clusters; this reproduction substitutes
 // multi-goroutine CPU training with the same partitioned data-parallel
-// structure.
+// structure. Every updater — one by default, TrainConfig.Workers of them
+// under Hogwild — is fed by its own sampler goroutine: the sampler draws
+// the shuffles, the negatives and their known-triple probes, none of
+// which reads a parameter, and hands the steps over in blocks, so the
+// updater's dependency chain holds only the steps themselves. One updater
+// thus trains on two cores.
 //
 // # Parameters and the step kernel
 //
@@ -33,9 +38,11 @@
 // triple's other end about once per |E| draws, so h and t can be one row:
 // each element is read from all three rows before any is written and the
 // writes go h, r, t, so the value that stays is t'. Both bodies do exactly
-// this. With one worker and one seed the trained matrices are therefore
-// the same bytes on every run and on every CPU, and /related answers do
-// not depend on the machine (TestTrainingIsDeterministic commits their
+// this. The sampler draws, in order, what the updater drew inline before
+// it had one (TestSamplerStreamMatchesInlineDraws). With one worker and
+// one seed the trained matrices are therefore the same bytes on every
+// run, at every GOMAXPROCS and on every CPU, and /related answers do not
+// depend on the machine (TestTrainingIsDeterministic commits their
 // hash). TransE and ComplEx train through plain Go loops over the same
 // rows; Score is the float64 definition for every kind, and is what
 // serving and Evaluate read.

@@ -100,6 +100,16 @@ func row(m []float32, i int32, dim int) []float32 {
 	return m[o : o+dim : o+dim]
 }
 
+// touch reads the first and the last element of the entity rows a step
+// will update, so that the rows are on their way into the cache before
+// the step needs them; the sum only keeps the loads from being dropped.
+func (b *base) touch(st step) float32 {
+	ent, dim := b.ent, b.dim
+	last := dim - 1
+	h, t, nh, nt := int(st.h)*dim, int(st.t)*dim, int(st.nh)*dim, int(st.nt)*dim
+	return ent[h] + ent[h+last] + ent[t] + ent[t+last] + ent[nh] + ent[nh+last] + ent[nt] + ent[nt+last]
+}
+
 func (b *base) NumEntities() int  { return len(b.ent) / b.dim }
 func (b *base) NumRelations() int { return len(b.rel) / b.dim }
 func (b *base) Dim() int          { return b.dim }

@@ -123,11 +123,22 @@ func TrainFromDisk(d *Dataset, paths []string, cfg TrainConfig) (Model, DiskTrai
 	if err != nil {
 		return nil, stats, err
 	}
+	stats, err = trainFromDisk(model, d, paths, cfg)
+	if err != nil {
+		return nil, stats, err
+	}
+	return model, stats, nil
+}
+
+// trainFromDisk is TrainFromDisk's loop on a given model; a test hands it
+// one that records the steps it is given.
+func trainFromDisk(model Model, d *Dataset, paths []string, cfg TrainConfig) (DiskTrainStats, error) {
+	var stats DiskTrainStats
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for pi, path := range paths {
 			triples, err := ReadPartition(path, d.NumEntities(), d.NumRelations())
 			if err != nil {
-				return nil, stats, err
+				return stats, err
 			}
 			stats.BucketsStreamed++
 			if len(triples) > stats.MaxResidentTriples {
@@ -141,8 +152,8 @@ func TrainFromDisk(d *Dataset, paths []string, cfg TrainConfig) (Model, DiskTrai
 			for i := range part {
 				part[i] = int32(i)
 			}
-			trainBucket(model, bucket, part, cfg, cfg.Seed+int64(epoch)*7919+int64(pi)*31)
+			trainBucket(model, bucket, part, cfg, bucketSeed(cfg.Seed, epoch, pi), nil)
 		}
 	}
-	return model, stats, nil
+	return stats, nil
 }

@@ -19,13 +19,16 @@ type TrainConfig struct {
 	LearningRate float64
 	// Negatives per positive triple; default 2.
 	Negatives int
-	// Workers is the Hogwild parallelism; default 1. One worker is
-	// deterministic for a seed, and on a graph with a handful of relations
-	// it is also the fastest: every step writes a relation row, so more
-	// workers mostly contend for the same cache lines (E5).
+	// Workers is the Hogwild parallelism: how many updaters apply steps
+	// concurrently, each with its own sampler goroutine drawing them
+	// (trainBucket); default 1. One worker is deterministic for a seed
+	// and already keeps two cores busy, its sampler's and its updater's;
+	// on a graph with a handful of relations it is also the fastest, as
+	// every step writes a relation row and more updaters mostly contend
+	// for the same cache lines (E5).
 	Workers int
-	// Seed makes initialization and sampling reproducible (per worker the
-	// seed is derived deterministically).
+	// Seed makes initialization and sampling reproducible (per bucket and
+	// worker the seed is derived deterministically).
 	Seed int64
 	// Partitions splits each epoch's triples into random edge-based
 	// buckets trained one bucket at a time — the shallow-model scaling
@@ -83,25 +86,67 @@ func TrainInto(model Model, d *Dataset, cfg TrainConfig) error {
 			model.NumEntities(), model.NumRelations(), d.NumEntities(), d.NumRelations())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	parts := partitionIndexes(len(d.Triples), cfg.Partitions, rng)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		parts := partitionIndexes(len(d.Triples), cfg.Partitions, rng)
-		for _, part := range parts {
-			trainBucket(model, d, part, cfg, cfg.Seed+int64(epoch)*7919)
+		var next [][]int32
+		for bi, part := range parts {
+			var ahead func()
+			if bi == len(parts)-1 && epoch+1 < cfg.Epochs {
+				// The next epoch's shuffle, drawn by a sampler once its
+				// last block is handed over, while its updater works on.
+				ahead = func() { next = partitionIndexes(len(d.Triples), cfg.Partitions, rng) }
+			}
+			trainBucket(model, d, part, cfg, bucketSeed(cfg.Seed, epoch, bi), ahead)
 		}
+		parts = next
 	}
 	return nil
 }
 
+// bucketSeed seeds bucket bi of an epoch, so that no two buckets of a run
+// replay one random stream; bucket 0's seed is the epoch's.
+func bucketSeed(seed int64, epoch, bi int) int64 {
+	return seed + int64(epoch)*7919 + int64(bi)*31
+}
+
+// A step is one Update of the stream: the positive (h, r, t) and the
+// negative (nh, r, nt) drawn for it.
+type step struct{ h, r, t, nh, nt int32 }
+
+const (
+	// blockSteps caps a block handed from sampler to updater: 40 KB.
+	blockSteps = 2048
+	// ringBlocks is how many blocks each sampler may fill ahead.
+	ringBlocks = 4
+	// touchAhead is how many steps ahead the updater reads the entity
+	// rows it is about to update, so their cache misses overlap the
+	// steps in between.
+	touchAhead = 3
+)
+
 // trainBucket runs one pass over the triple indexes in part using
-// cfg.Workers Hogwild goroutines. Parameter updates are intentionally
-// unsynchronized: gradients of shallow models are sparse, so collisions
-// are rare and Hogwild converges (this is how the large-scale systems the
-// paper cites — PBG, DGL-KE, Marius — parallelize shallow models too).
-// To the race detector those colliding updates are nevertheless real data
-// races, so race-instrumented builds serialize the workers — `go test
-// -race ./...` then checks every lock-based invariant in the repo without
-// drowning in reports from the one algorithm whose race is by design.
-func trainBucket(model Model, d *Dataset, part []int32, cfg TrainConfig, seed int64) {
+// cfg.Workers Hogwild updaters, each fed by its own sampler goroutine.
+// Worker w owns the w-th chunk of part and an RNG seeded seed+w·104729;
+// its sampler draws, in chunk order, cfg.Negatives corruptions per triple
+// and hands them over in blocks through a ring of ringBlocks reused
+// buffers (none of it reads a parameter), and its updater applies them
+// in that order — so one worker's stream, and with it the trained bytes,
+// is what one goroutine drawing and updating inline produced, while the
+// draws and the known-triple probes run on another core. Worker 0's
+// updater is the calling goroutine; ahead, if not nil, runs on worker
+// 0's sampler after its last draw. trainBucket returns, or re-panics,
+// only once every goroutine it started has exited.
+//
+// Parameter updates are intentionally unsynchronized: gradients of
+// shallow models are sparse, so collisions are rare and Hogwild
+// converges (this is how the large-scale systems the paper cites — PBG,
+// DGL-KE, Marius — parallelize shallow models too). To the race detector
+// those colliding updates are nevertheless real data races, so
+// race-instrumented builds run one updater — `go test -race ./...` then
+// checks every lock-based invariant in the repo, the sampler's hand-over
+// among them, without drowning in reports from the one algorithm whose
+// race is by design.
+func trainBucket(model Model, d *Dataset, part []int32, cfg TrainConfig, seed int64, ahead func()) {
 	workers := cfg.Workers
 	if raceDetectorEnabled {
 		workers = 1
@@ -112,32 +157,121 @@ func trainBucket(model Model, d *Dataset, part []int32, cfg TrainConfig, seed in
 	if workers < 1 {
 		workers = 1
 	}
-	var wg sync.WaitGroup
 	chunk := (len(part) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(part) {
-			hi = len(part)
-		}
-		if lo >= hi {
-			break
-		}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for w := 1; w < workers && w*chunk < len(part); w++ {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*104729))
-			nEnt := int32(d.NumEntities())
-			for _, ti := range part[lo:hi] {
-				tr := d.Triples[ti]
-				for n := 0; n < cfg.Negatives; n++ {
-					nh, nt := corrupt(tr, nEnt, d, rng)
-					model.Update(tr[0], tr[1], tr[2], nh, nt, cfg.LearningRate)
+			runWorker(model, d, part[w*chunk:min((w+1)*chunk, len(part))], cfg, seed+int64(w)*104729, nil)
+		}(w)
+	}
+	runWorker(model, d, part[:min(chunk, len(part))], cfg, seed, ahead)
+}
+
+// runWorker trains one worker's chunk: a sampler goroutine draws the
+// steps, the calling goroutine applies them.
+func runWorker(model Model, d *Dataset, chunk []int32, cfg TrainConfig, seed int64, ahead func()) {
+	s := newSampler(len(chunk) * cfg.Negatives)
+	go s.run(d, chunk, cfg.Negatives, seed, ahead)
+	defer s.stop()
+	// The model kinds' rows can be touched ahead (base.touch); others not.
+	b, _ := model.(interface{ touch(step) float32 })
+	var touched float32
+	for blk := range s.full {
+		for i, st := range blk {
+			if b != nil && i+touchAhead < len(blk) {
+				touched += b.touch(blk[i+touchAhead])
+			}
+			model.Update(st.h, st.r, st.t, st.nh, st.nt, cfg.LearningRate)
+		}
+		s.free <- blk[:0]
+	}
+	s.touched = touched
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+}
+
+// A sampler draws one worker's step stream ahead of its updater. Blocks
+// travel free → sampler → full → updater → free; with ringBlocks
+// buffers in all, a send on either channel never blocks, and only the
+// sampler waits (for a free block, or for quit).
+type sampler struct {
+	full, free chan []step
+	quit       chan struct{} // closed by stop: the updater is gone
+	exited     chan struct{} // closed by run as it returns
+	// panicked is run's recovered panic, written before full is closed.
+	panicked any
+	// touched keeps the updater's row reads alive.
+	touched float32
+}
+
+// newSampler sizes the ring for a stream of steps steps: blocks of
+// blockSteps, smaller for a short stream so that it is still pipelined.
+func newSampler(steps int) *sampler {
+	s := &sampler{
+		full:   make(chan []step, ringBlocks),
+		free:   make(chan []step, ringBlocks),
+		quit:   make(chan struct{}),
+		exited: make(chan struct{}),
+	}
+	size := min(blockSteps, max(1, (steps+ringBlocks-1)/ringBlocks))
+	for i := 0; i < ringBlocks; i++ {
+		s.free <- make([]step, 0, size)
+	}
+	return s
+}
+
+// run draws the chunk's steps on an RNG seeded seed, in the order the
+// updater applies them, then runs ahead.
+func (s *sampler) run(d *Dataset, chunk []int32, negatives int, seed int64, ahead func()) {
+	defer close(s.exited)
+	defer close(s.full)
+	defer func() { s.panicked = recover() }()
+	blk := s.next()
+	if blk == nil {
+		return
+	}
+	rng := rand.New(rand.NewSource(seed))
+	nEnt := int32(d.NumEntities())
+	for _, ti := range chunk {
+		tr := d.Triples[ti]
+		for n := 0; n < negatives; n++ {
+			nh, nt := corrupt(tr, nEnt, d, rng)
+			blk = append(blk, step{tr[0], tr[1], tr[2], nh, nt})
+			if len(blk) == cap(blk) {
+				s.full <- blk
+				if blk = s.next(); blk == nil {
+					return
 				}
 			}
-		}(w, lo, hi)
+		}
 	}
-	wg.Wait()
+	if len(blk) > 0 {
+		s.full <- blk
+	}
+	if ahead != nil {
+		ahead()
+	}
+}
+
+// next returns a free block, or nil once the updater has stopped.
+func (s *sampler) next() []step {
+	select {
+	case blk := <-s.free:
+		return blk
+	case <-s.quit:
+		return nil
+	}
+}
+
+// stop releases the sampler, on every exit of the updater, and waits for
+// it to return.
+func (s *sampler) stop() {
+	close(s.quit)
+	<-s.exited
 }
 
 // corrupt produces a negative by replacing head or tail with a uniformly

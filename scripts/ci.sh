@@ -6,8 +6,10 @@
 # on-disk format through the real binary), a default-argument run of
 # every example and the odke/weblink/embedtrain commands (cmd/* and
 # examples/* have no tests), the full test suite under the race detector — the graph, query, rules,
-# serving and durability packages again at 1, 2 and 4 procs, since green
-# at GOMAXPROCS=1 only is red — the kNN and embedding packages again
+# serving, durability and embedding-training packages again at 1, 2 and 4
+# procs, since green at GOMAXPROCS=1 only is red (the trainer's sampler
+# and updater must hand over the same stream, and train the committed
+# hash, however many procs run them) — the kNN and embedding packages again
 # under -tags purego (the Go bodies of the scan kernels, the prefilter's
 # among them, and of the training step kernel, which an AVX2 host never
 # otherwise runs a search or a training through; the trained-matrix hash committed in
@@ -153,7 +155,7 @@ else
     # because query goroutines read the rule engine's derived graph
     # directly while the maintainer writes it.
     echo "== go test -race -cpu 1,2,4 (order and concurrency contracts) =="
-    go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/rules ./internal/server ./internal/wal ./saga
+    go test -race -cpu 1,2,4 ./internal/kg ./internal/graphengine ./internal/rules ./internal/server ./internal/wal ./internal/embedding ./saga
 fi
 
 echo "== go test -tags purego (Go bodies of the kNN and training kernels) =="
