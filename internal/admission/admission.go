@@ -266,9 +266,6 @@ func (ctl *Controller) WithBudget(ctx context.Context, c Class) (context.Context
 	return context.WithTimeoutCause(ctx, b, ErrBudget)
 }
 
-// Budget returns class c's configured request budget (0 = none).
-func (ctl *Controller) Budget(c Class) time.Duration { return ctl.classes[c].limits.Budget }
-
 // StartDrain flips the controller into drain mode: every non-exempt
 // Acquire sheds with ErrDraining from now on, while requests already
 // admitted run to completion. Exempt traffic keeps flowing so health
@@ -278,9 +275,6 @@ func (ctl *Controller) StartDrain() {
 		ctl.drainStart.Store(time.Now().UnixNano())
 	}
 }
-
-// Draining reports whether StartDrain has been called.
-func (ctl *Controller) Draining() bool { return ctl.draining.Load() }
 
 // ClassStats is one class's admission snapshot, shaped for /health.
 type ClassStats struct {

@@ -207,8 +207,8 @@ func TestWithBudget(t *testing.T) {
 	if ctx2 != base {
 		t.Fatal("zero budget should not wrap the context")
 	}
-	if ctl.Budget(Read) != 10*time.Millisecond || ctl.Budget(Subscribe) != 0 {
-		t.Fatal("Budget accessor mismatch")
+	if ctl.classes[Read].limits.Budget != 10*time.Millisecond || ctl.classes[Subscribe].limits.Budget != 0 {
+		t.Fatal("configured budgets mismatch")
 	}
 }
 

@@ -224,8 +224,10 @@ func TestPipelineIncremental(t *testing.T) {
 	if first.Processed != 120 || first.Skipped != 0 {
 		t.Fatalf("first pass = %+v", first)
 	}
-	if p.NumCached() != 120 {
-		t.Fatalf("cached = %d", p.NumCached())
+	for _, d := range docs {
+		if _, ok := p.Result(d.ID); !ok {
+			t.Fatalf("doc %s not cached", d.ID)
+		}
 	}
 	// No changes: everything skipped.
 	second := p.Run(docs)

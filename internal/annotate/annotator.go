@@ -394,6 +394,3 @@ func (a *Annotator) tokenFeature(token string) vecindex.Vector {
 	a.featMu.Unlock()
 	return v
 }
-
-// Mode returns the annotator's configured mode.
-func (a *Annotator) Mode() Mode { return a.cfg.Mode }

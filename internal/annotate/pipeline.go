@@ -99,13 +99,6 @@ func (p *Pipeline) Result(docID string) (*DocAnnotations, bool) {
 	return r, ok
 }
 
-// NumCached returns the number of cached document results.
-func (p *Pipeline) NumCached() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.results)
-}
-
 // LinkToGraph materializes annotations as KG edges, extending the graph
 // with links from entities to Web documents (Fig 4: "extending our KG
 // with edges linking KG entities to unstructured Web documents"). Each

@@ -314,23 +314,6 @@ func TestTrainFromDiskParity(t *testing.T) {
 	}
 }
 
-func TestRankTails(t *testing.T) {
-	m, _ := NewModel(DistMult, 6, 2, 8, 1)
-	cands := []int32{0, 1, 2, 3, 4, 5}
-	ranked := RankTails(m, 0, 0, cands)
-	if len(ranked) != 6 {
-		t.Fatalf("ranked = %v", ranked)
-	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i].Score > ranked[i-1].Score {
-			t.Fatal("RankTails not sorted")
-		}
-	}
-	if got := RankTails(m, 0, 0, nil); len(got) != 0 {
-		t.Fatal("empty candidates")
-	}
-}
-
 func TestCalibrateThresholdSeparable(t *testing.T) {
 	w := testWorld(t)
 	d := NewDataset(entityView(t, w))
@@ -354,13 +337,13 @@ func TestCalibrateThresholdSeparable(t *testing.T) {
 	var correct, total int
 	for _, tr := range test.Triples {
 		total++
-		if VerifyThreshold(m, tr[0], tr[1], tr[2], thr) {
+		if m.Score(tr[0], tr[1], tr[2]) >= thr {
 			correct++
 		}
 	}
 	for _, tr := range neg {
 		total++
-		if !VerifyThreshold(m, tr[0], tr[1], tr[2], thr) {
+		if m.Score(tr[0], tr[1], tr[2]) < thr {
 			correct++
 		}
 	}

@@ -70,31 +70,6 @@ type ScoredTail struct {
 	Score float64
 }
 
-// RankTails scores each candidate tail for (h, r, ?) and returns them
-// sorted by descending score. This is the batch-inference primitive of
-// Fig 3: the graph engine materializes candidates and the model scores
-// them.
-func RankTails(m Model, h, r int32, candidates []int32) []ScoredTail {
-	out := make([]ScoredTail, len(candidates))
-	for i, c := range candidates {
-		out[i] = ScoredTail{Tail: c, Score: m.Score(h, r, c)}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Tail < out[j].Tail
-	})
-	return out
-}
-
-// VerifyThreshold classifies a triple as correct when its score clears
-// the given threshold. Calibrate the threshold on held-out data with
-// CalibrateThreshold.
-func VerifyThreshold(m Model, h, r, t int32, threshold float64) bool {
-	return m.Score(h, r, t) >= threshold
-}
-
 // CalibrateThreshold picks the score threshold that maximizes accuracy on
 // labelled positive and negative triples (simple sweep over midpoints).
 func CalibrateThreshold(m Model, pos, neg [][3]int32) float64 {

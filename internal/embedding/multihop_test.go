@@ -135,15 +135,18 @@ func TestPathQuerySingleHopMatchesScore(t *testing.T) {
 	pIdx, _ := f.d.EntityIndex(f.w.People[3])
 	cands := []int32{0, 1, 2, 3, 4, 5, 6, 7}
 	for kind, m := range f.models {
-		direct := RankTails(m, pIdx, f.member, cands)
 		path, err := AnswerPathQuery(m, PathQuery{Start: pIdx, Relations: []int32{f.member}}, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range direct {
-			if direct[i].Tail != path[i].Tail {
-				t.Errorf("%s: 1-hop path order differs from direct scoring at %d: %v vs %v",
-					kind, i, direct[i], path[i])
+		if len(path) != len(cands) {
+			t.Fatalf("%s: %d ranked tails, want %d", kind, len(path), len(cands))
+		}
+		for i := 1; i < len(path); i++ {
+			prev := m.Score(pIdx, f.member, path[i-1].Tail)
+			if s := m.Score(pIdx, f.member, path[i].Tail); s > prev {
+				t.Errorf("%s: 1-hop path order differs from direct scoring at %d: %v (%v) after %v (%v)",
+					kind, i, path[i], s, path[i-1], prev)
 				break
 			}
 		}

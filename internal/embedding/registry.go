@@ -292,43 +292,3 @@ func (r *Registry) Load(name string, version int) (Model, ModelInfo, error) {
 	}
 	return m, info, nil
 }
-
-// LoadLatest retrieves the highest registered version of name.
-func (r *Registry) LoadLatest(name string) (Model, ModelInfo, error) {
-	versions, err := r.Versions(name)
-	if err != nil {
-		return nil, ModelInfo{}, err
-	}
-	if len(versions) == 0 {
-		return nil, ModelInfo{}, fmt.Errorf("embedding: registry: no versions of %q", name)
-	}
-	return r.Load(name, versions[len(versions)-1])
-}
-
-// List returns metadata for every registered model, sorted by name then
-// version.
-func (r *Registry) List() ([]ModelInfo, error) {
-	matches, err := filepath.Glob(filepath.Join(r.dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	var out []ModelInfo
-	for _, m := range matches {
-		data, err := os.ReadFile(m)
-		if err != nil {
-			return nil, err
-		}
-		var info ModelInfo
-		if err := json.Unmarshal(data, &info); err != nil {
-			continue // skip foreign json files
-		}
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version < out[j].Version
-	})
-	return out, nil
-}

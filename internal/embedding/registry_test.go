@@ -127,7 +127,7 @@ func TestRegistryVersioning(t *testing.T) {
 		t.Fatalf("versions = %v", versions)
 	}
 
-	// Load a specific version and the latest.
+	// Load each version.
 	loaded, info, err := reg.Load("general-kg", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -135,24 +135,12 @@ func TestRegistryVersioning(t *testing.T) {
 	if loaded.Kind() != DistMult || info.Metrics["mrr"] != 0.42 {
 		t.Fatalf("v1 = %v %+v", loaded.Kind(), info)
 	}
-	latest, latestInfo, err := reg.LoadLatest("general-kg")
+	latest, latestInfo, err := reg.Load("general-kg", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if latest.Kind() != TransE || latestInfo.Version != 2 {
-		t.Fatalf("latest = %v v%d", latest.Kind(), latestInfo.Version)
-	}
-
-	// List is sorted and complete.
-	all, err := reg.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("list = %d entries", len(all))
-	}
-	if all[0].Name != "general-kg" || all[0].Version != 1 || all[2].Name != "related-entities" {
-		t.Fatalf("list order = %+v", all)
+		t.Fatalf("v2 = %v v%d", latest.Kind(), latestInfo.Version)
 	}
 }
 
@@ -165,10 +153,13 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := reg.Register("", m, nil); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if _, _, err := reg.LoadLatest("never-registered"); err == nil {
+	if _, _, err := reg.Load("never-registered", 1); err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if _, _, err := reg.Load("never-registered", 1); err == nil {
+	if _, err := reg.Register("kg", m, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := reg.Load("kg", 2); err == nil {
 		t.Fatal("unknown version accepted")
 	}
 }
@@ -188,7 +179,7 @@ func TestRegistryReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := reg2.LoadLatest("kg")
+	loaded, _, err := reg2.Load("kg", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,8 +186,8 @@ func TestRelatedEntitiesCachePopulates(t *testing.T) {
 
 // TestRelatedEntitiesFallbackMatchesSimilarity pins the satellite fix:
 // fallback (model-space) related-entity scores must agree with the
-// pairwise Similarity (cosine), not an inner product against
-// unnormalized stored vectors.
+// pairwise cosine of the two entities' embeddings, not an inner product
+// against unnormalized stored vectors.
 func TestRelatedEntitiesFallbackMatchesSimilarity(t *testing.T) {
 	h := newHarness(t)
 	p := h.w.People[0]
@@ -198,10 +198,12 @@ func TestRelatedEntitiesFallbackMatchesSimilarity(t *testing.T) {
 	if len(res) == 0 {
 		t.Fatal("no related entities")
 	}
+	vp, _ := h.svc.EntityEmbedding(p)
 	for _, r := range res {
-		want := h.svc.Similarity(p, r.ID)
+		vr, _ := h.svc.EntityEmbedding(r.ID)
+		want := float64(vecindex.Cosine(vp, vr))
 		if diff := r.Score - want; diff > 1e-5 || diff < -1e-5 {
-			t.Fatalf("entity %v scored %v, Similarity says %v", r.ID, r.Score, want)
+			t.Fatalf("entity %v scored %v, cosine says %v", r.ID, r.Score, want)
 		}
 	}
 	for i := 1; i < len(res); i++ {

@@ -165,17 +165,6 @@ func (s *Service) EntityEmbedding(id kg.EntityID) (vecindex.Vector, bool) {
 	return v, ok
 }
 
-// Similarity returns the cosine similarity of two entities' model
-// embeddings (0 when either is unknown).
-func (s *Service) Similarity(a, b kg.EntityID) float64 {
-	va, ok1 := s.entIndex.Get(uint64(a))
-	vb, ok2 := s.entIndex.Get(uint64(b))
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return float64(vecindex.Cosine(va, vb))
-}
-
 // RankedFact is a fact with its model plausibility score.
 type RankedFact struct {
 	Triple kg.Triple
@@ -284,8 +273,8 @@ type ScoredEntity struct {
 // related-entities application. It prefers the traversal-based walk
 // embeddings when installed (the paper's specialized related-entity path)
 // and falls back to model-embedding kNN ranked by cosine similarity, so
-// the fallback's scores agree with Similarity instead of mixing a
-// normalized query with unnormalized stored vectors.
+// the fallback's scores are the cosines of the two entities' embeddings
+// instead of mixing a normalized query with unnormalized stored vectors.
 func (s *Service) RelatedEntities(id kg.EntityID, k int) ([]ScoredEntity, error) {
 	return s.RelatedEntitiesContext(context.Background(), id, k)
 }

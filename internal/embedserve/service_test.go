@@ -1,7 +1,6 @@
 package embedserve
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -57,11 +56,11 @@ func TestEntityEmbeddingAndSimilarity(t *testing.T) {
 	if !ok || len(v) == 0 {
 		t.Fatal("missing embedding for person")
 	}
-	if s := h.svc.Similarity(p, p); s < 0.999 {
+	if s := vecindex.Cosine(v, v); s < 0.999 {
 		t.Fatalf("self similarity = %v", s)
 	}
-	if s := h.svc.Similarity(p, kg.EntityID(1<<30)); s != 0 {
-		t.Fatalf("unknown-entity similarity = %v", s)
+	if _, ok := h.svc.EntityEmbedding(kg.EntityID(1 << 30)); ok {
+		t.Fatal("unknown entity has an embedding")
 	}
 }
 
@@ -331,84 +330,5 @@ func TestDecodeVectorErrors(t *testing.T) {
 		if got[i] != v[i] {
 			t.Fatal("round trip mismatch")
 		}
-	}
-}
-
-func TestBatchScore(t *testing.T) {
-	h := newHarness(t)
-	occ := h.w.Preds["occupation"]
-	var cands []CandidateTriple
-	for _, p := range h.w.People[:20] {
-		for _, o := range h.w.OccupationGold[p] {
-			cands = append(cands, CandidateTriple{Subject: p, Predicate: occ, Object: o})
-		}
-	}
-	// One unmappable candidate (literal-only predicate).
-	cands = append(cands, CandidateTriple{Subject: h.w.People[0], Predicate: h.w.Preds["dateOfBirth"], Object: h.w.Occupations[0]})
-
-	for _, workers := range []int{0, 1, 4} {
-		res, err := h.svc.BatchScore(cands, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != len(cands) {
-			t.Fatalf("results = %d, want %d", len(res), len(cands))
-		}
-		for i, r := range res[:len(res)-1] {
-			if !r.Mapped {
-				t.Fatalf("candidate %d not mapped", i)
-			}
-			if r.Candidate != cands[i] {
-				t.Fatal("result order not preserved")
-			}
-			// Must equal direct scoring.
-			hIdx, _ := h.dataset.EntityIndex(r.Candidate.Subject)
-			rIdx, _ := h.dataset.RelationIndex(r.Candidate.Predicate)
-			tIdx, _ := h.dataset.EntityIndex(r.Candidate.Object)
-			if want := h.model.Score(hIdx, rIdx, tIdx); r.Score != want {
-				t.Fatalf("batch score %v != direct %v", r.Score, want)
-			}
-		}
-		if res[len(res)-1].Mapped {
-			t.Fatal("unmappable candidate reported mapped")
-		}
-	}
-	// Empty input.
-	empty, err := h.svc.BatchScore(nil, 4)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty batch = %v,%v", empty, err)
-	}
-}
-
-func BenchmarkBatchScore(b *testing.B) {
-	w, err := workload.GenerateKG(workload.KGConfig{NumPeople: 100, NumClusters: 8, Seed: 17})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := embedding.NewDataset(graphengine.New(w.Graph).Materialize(graphengine.ViewDef{}))
-	m, err := embedding.Train(d, embedding.TrainConfig{Model: embedding.DistMult, Dim: 32, Epochs: 5, Seed: 17})
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc, err := New(w.Graph, m, d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	occ := w.Preds["occupation"]
-	var cands []CandidateTriple
-	for _, p := range w.People {
-		for _, o := range w.Occupations {
-			cands = append(cands, CandidateTriple{Subject: p, Predicate: occ, Object: o})
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.BatchScore(cands, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(cands)*b.N)/b.Elapsed().Seconds(), "triples/s")
-		})
 	}
 }

@@ -112,13 +112,3 @@ func compareKeyRows(a, b []kg.ValueKey) int {
 	}
 	return 0
 }
-
-// resolve substitutes the binding into a term, returning the concrete
-// value and whether the term is now constant.
-func resolve(t Term, bound Binding) (kg.Value, bool) {
-	if t.Var == "" {
-		return t.Const, true
-	}
-	v, ok := bound[t.Var]
-	return v, ok
-}

@@ -173,7 +173,7 @@ func TestLayeredViewReadsLikeFlatGraph(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := v.QueryConjunctive(q)
+				got, err := collectSorted(v.StreamConjunctive(q, QueryOptions{}))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -205,9 +205,3 @@ func (o *Overlay) StreamRows(clauses []Clause, opts QueryOptions) iter.Seq2[Row,
 func (o *Overlay) StreamConjunctive(clauses []Clause, opts QueryOptions) iter.Seq2[Binding, error] {
 	return streamConjunctive(o, clauses, opts)
 }
-
-// QueryConjunctive collects the full answer set sorted by key tuple,
-// matching Engine.QueryConjunctive's contract.
-func (o *Overlay) QueryConjunctive(clauses []Clause) ([]Binding, error) {
-	return collectSorted(o.StreamConjunctive(clauses, QueryOptions{}))
-}

@@ -249,7 +249,7 @@ func TestOverlayMatchesLiveReplay(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: live query: %v", label, err)
 					}
-					gotAll, err := ov.QueryConjunctive(q)
+					gotAll, err := collectSorted(ov.StreamConjunctive(q, QueryOptions{}))
 					if err != nil {
 						t.Fatalf("%s: overlay query: %v", label, err)
 					}

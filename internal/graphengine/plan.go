@@ -128,13 +128,6 @@ type Plan struct {
 	freqs []planFreq
 }
 
-// Steps returns a copy of the plan's step list.
-func (p *Plan) Steps() []PlanStep {
-	out := make([]PlanStep, len(p.steps))
-	copy(out, p.steps)
-	return out
-}
-
 // Vars returns a copy of the query's variable names in sorted order —
 // the canonical order of binding key tuples and cursors.
 func (p *Plan) Vars() []string {

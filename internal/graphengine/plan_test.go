@@ -195,7 +195,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 func TestPlanAccessPaths(t *testing.T) {
 	g, clauses := streamFixture(t, 16)
 	p := buildPlan(g, clauses, "")
-	steps := p.Steps()
+	steps := p.steps
 	if len(steps) != 2 {
 		t.Fatalf("plan has %d steps, want 2", len(steps))
 	}

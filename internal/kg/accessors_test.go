@@ -18,12 +18,12 @@ func TestAccessorsAndStringers(t *testing.T) {
 	b := mustEntity(t, g, "Q2", "B")
 	p := mustPredicate(t, g, "knows")
 
-	// HasType.
-	if !g.Entity(a).HasType(ty) {
-		t.Fatal("HasType(a, Person) = false")
+	// Entity types.
+	if ts := g.Entity(a).Types; len(ts) != 1 || ts[0] != ty {
+		t.Fatalf("a's types = %v, want [Person]", ts)
 	}
-	if g.Entity(b).HasType(ty) {
-		t.Fatal("HasType(b, Person) = true")
+	if ts := g.Entity(b).Types; len(ts) != 0 {
+		t.Fatalf("b's types = %v, want none", ts)
 	}
 
 	// Ontology accessors.
@@ -64,19 +64,19 @@ func TestAccessorsAndStringers(t *testing.T) {
 		t.Fatal("unknown predicate name resolved")
 	}
 
-	// AssertAll.
+	// AssertBatch.
 	batch := []Triple{
 		{Subject: a, Predicate: p, Object: EntityValue(b)},
 		{Subject: b, Predicate: p, Object: EntityValue(a)},
 	}
-	if err := g.AssertAll(batch); err != nil {
+	if _, err := g.AssertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumTriples() != 2 {
 		t.Fatalf("NumTriples = %d", g.NumTriples())
 	}
-	if err := g.AssertAll([]Triple{{Subject: 999, Predicate: p, Object: IntValue(1)}}); err == nil {
-		t.Fatal("AssertAll with bad triple accepted")
+	if _, err := g.AssertBatch([]Triple{{Subject: 999, Predicate: p, Object: IntValue(1)}}); err == nil {
+		t.Fatal("AssertBatch with bad triple accepted")
 	}
 
 	// Entities / Predicates iterators with early stop.

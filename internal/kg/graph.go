@@ -35,16 +35,6 @@ type Entity struct {
 	Popularity float64
 }
 
-// HasType reports whether the entity carries the exact type t.
-func (e *Entity) HasType(t TypeID) bool {
-	for _, et := range e.Types {
-		if et == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Predicate is the metadata record for an edge label.
 type Predicate struct {
 	ID   PredicateID
@@ -515,14 +505,6 @@ func (g *Graph) logLocked(sh *graphShard, subj EntityID, pred PredicateID, row F
 	if len(sh.log.chunks) == 1 {
 		sh.trimAt.Store(seq)
 	}
-}
-
-// AssertAll adds a batch of triples. Unlike looped Assert calls, the whole
-// batch is validated up front: if any triple is invalid, an error is
-// returned and nothing is applied.
-func (g *Graph) AssertAll(ts []Triple) error {
-	_, err := g.AssertBatch(ts)
-	return err
 }
 
 // AssertBatch is the batch ingestion fast path: it validates every triple

@@ -344,13 +344,8 @@ func TestStats(t *testing.T) {
 	if s.MaxOutDegree != 2 {
 		t.Fatalf("MaxOutDegree = %d, want 2", s.MaxOutDegree)
 	}
-	rare := s.RarePredicates(2)
-	if len(rare) != 2 {
-		t.Fatalf("RarePredicates(2) = %v, want both predicates", rare)
-	}
-	top := s.TopPredicates(1)
-	if len(top) != 1 {
-		t.Fatalf("TopPredicates(1) = %v", top)
+	if len(s.PredFreq) != 2 || s.PredFreq[rel] != 1 || s.PredFreq[height] != 1 {
+		t.Fatalf("PredFreq = %v, want rel and height once each", s.PredFreq)
 	}
 }
 
@@ -385,17 +380,11 @@ func TestValueEqualityAndKeys(t *testing.T) {
 }
 
 func TestValuePredicatesAndString(t *testing.T) {
-	if !EntityValue(3).IsEntity() || EntityValue(3).IsLiteral() {
+	if !EntityValue(3).IsEntity() {
 		t.Fatal("EntityValue classification wrong")
 	}
-	if IntValue(1).IsEntity() || !IntValue(1).IsLiteral() {
+	if IntValue(1).IsEntity() || (Value{}).IsEntity() {
 		t.Fatal("IntValue classification wrong")
-	}
-	if (Value{}).IsLiteral() {
-		t.Fatal("zero Value must not be a literal")
-	}
-	if !BoolValue(true).Bool() || BoolValue(false).Bool() {
-		t.Fatal("Bool() payload wrong")
 	}
 	for _, v := range []Value{EntityValue(1), StringValue("a"), IntValue(2), FloatValue(2.5), BoolValue(true), TimeValue(time.Now())} {
 		if v.String() == "" || v.String() == "<invalid>" {

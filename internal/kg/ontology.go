@@ -2,14 +2,14 @@ package kg
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
 // Ontology is the type system of the knowledge graph: a forest of types
 // connected by subtype-of edges. Entities are assigned one or more types;
 // queries like "movies" → ontology_type_movie (paper §1) resolve against
-// it, and the annotation service uses it for type-compatibility scoring.
+// it, and ODKE's entity resolver and extractors use IsA to keep only
+// candidates of a compatible type.
 //
 // Ontology is safe for concurrent use.
 type Ontology struct {
@@ -17,17 +17,14 @@ type Ontology struct {
 	names  []string // TypeID -> name (index 0 unused)
 	byName map[string]TypeID
 	parent []TypeID // TypeID -> parent (NoType for roots)
-	// children is derived and maintained incrementally.
-	children map[TypeID][]TypeID
 }
 
 // NewOntology returns an empty ontology.
 func NewOntology() *Ontology {
 	return &Ontology{
-		names:    []string{""},
-		byName:   make(map[string]TypeID),
-		parent:   []TypeID{NoType},
-		children: make(map[TypeID][]TypeID),
+		names:  []string{""},
+		byName: make(map[string]TypeID),
+		parent: []TypeID{NoType},
 	}
 }
 
@@ -53,9 +50,6 @@ func (o *Ontology) AddType(name string, parent TypeID) (TypeID, error) {
 	o.names = append(o.names, name)
 	o.parent = append(o.parent, parent)
 	o.byName[name] = id
-	if parent != NoType {
-		o.children[parent] = append(o.children[parent], id)
-	}
 	return id, nil
 }
 
@@ -106,65 +100,9 @@ func (o *Ontology) IsA(t, ancestor TypeID) bool {
 	return false
 }
 
-// Ancestors returns the chain from t's parent up to its root, nearest first.
-func (o *Ontology) Ancestors(t TypeID) []TypeID {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	var out []TypeID
-	for int(t) < len(o.parent) {
-		p := o.parent[t]
-		if p == NoType {
-			break
-		}
-		out = append(out, p)
-		t = p
-	}
-	return out
-}
-
-// Children returns the direct subtypes of t in insertion order.
-func (o *Ontology) Children(t TypeID) []TypeID {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	kids := o.children[t]
-	out := make([]TypeID, len(kids))
-	copy(out, kids)
-	return out
-}
-
-// LCA returns the lowest common ancestor of a and b, or NoType when the
-// two types live in different trees. It is used by the contextual reranker
-// as a crude type-similarity signal.
-func (o *Ontology) LCA(a, b TypeID) TypeID {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	seen := make(map[TypeID]bool)
-	for t := a; t != NoType && int(t) < len(o.parent); t = o.parent[t] {
-		seen[t] = true
-	}
-	for t := b; t != NoType && int(t) < len(o.parent); t = o.parent[t] {
-		if seen[t] {
-			return t
-		}
-	}
-	return NoType
-}
-
 // Len returns the number of registered types.
 func (o *Ontology) Len() int {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return len(o.names) - 1
-}
-
-// TypeNames returns all registered type names, sorted.
-func (o *Ontology) TypeNames() []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	out := make([]string, 0, len(o.byName))
-	for name := range o.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -52,36 +53,13 @@ func TestOntologyIsA(t *testing.T) {
 	if o.IsA(NoType, ids["Thing"]) || o.IsA(ids["Thing"], NoType) {
 		t.Error("IsA with NoType must be false")
 	}
-}
-
-func TestOntologyLCA(t *testing.T) {
-	o, ids := buildTestOntology(t)
-	if got := o.LCA(ids["BasketballPlayer"], ids["Academic"]); got != ids["Person"] {
-		t.Fatalf("LCA(BasketballPlayer,Academic) = %v, want Person", o.Name(got))
+	// The parent chain runs from a type up to its root, nearest first.
+	var chain []string
+	for ty := o.Parent(ids["BasketballPlayer"]); ty != NoType; ty = o.Parent(ty) {
+		chain = append(chain, o.Name(ty))
 	}
-	if got := o.LCA(ids["Movie"], ids["Athlete"]); got != ids["Thing"] {
-		t.Fatalf("LCA(Movie,Athlete) = %v, want Thing", o.Name(got))
-	}
-	if got := o.LCA(ids["Movie"], ids["Movie"]); got != ids["Movie"] {
-		t.Fatalf("LCA(Movie,Movie) = %v, want Movie", o.Name(got))
-	}
-}
-
-func TestOntologyAncestorsAndChildren(t *testing.T) {
-	o, ids := buildTestOntology(t)
-	anc := o.Ancestors(ids["BasketballPlayer"])
-	want := []TypeID{ids["Athlete"], ids["Person"], ids["Thing"]}
-	if len(anc) != len(want) {
-		t.Fatalf("Ancestors = %v, want %v", anc, want)
-	}
-	for i := range want {
-		if anc[i] != want[i] {
-			t.Fatalf("Ancestors[%d] = %v, want %v", i, anc[i], want[i])
-		}
-	}
-	kids := o.Children(ids["Person"])
-	if len(kids) != 2 {
-		t.Fatalf("Children(Person) = %v, want 2", kids)
+	if want := []string{"Athlete", "Person", "Thing"}; !slices.Equal(chain, want) {
+		t.Errorf("parent chain of BasketballPlayer = %v, want %v", chain, want)
 	}
 }
 
@@ -103,15 +81,12 @@ func TestOntologyDuplicateAndErrors(t *testing.T) {
 	if o.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", o.Len())
 	}
-	names := o.TypeNames()
-	if len(names) != 7 || names[0] > names[len(names)-1] {
-		t.Fatalf("TypeNames not sorted or wrong length: %v", names)
-	}
 }
 
-// Property: for every type in a randomly generated chain ontology,
-// IsA(t, root) holds, and LCA(a, b) is an ancestor-or-self of both.
-func TestOntologyPropertyLCA(t *testing.T) {
+// Property: for every type in a randomly generated ontology, IsA(t, root)
+// and IsA(t, Parent(t)) hold, IsA(Parent(t), t) does not, and IsA(a, b)
+// holds exactly when b is on a's parent chain.
+func TestOntologyPropertyIsA(t *testing.T) {
 	f := func(depthsRaw []uint8) bool {
 		o := NewOntology()
 		root, _ := o.AddType("root", NoType)
@@ -129,16 +104,19 @@ func TestOntologyPropertyLCA(t *testing.T) {
 			}
 			nodes = append(nodes, id)
 		}
-		for i := 0; i < len(nodes); i++ {
-			if !o.IsA(nodes[i], root) {
+		for i, n := range nodes {
+			if !o.IsA(n, root) {
 				return false
 			}
-			j := (i * 7) % len(nodes)
-			l := o.LCA(nodes[i], nodes[j])
-			if l == NoType {
+			if p := o.Parent(n); p != NoType && (!o.IsA(n, p) || o.IsA(p, n)) {
 				return false
 			}
-			if !o.IsA(nodes[i], l) || !o.IsA(nodes[j], l) {
+			m := nodes[(i*7)%len(nodes)]
+			onChain := false
+			for a := n; a != NoType; a = o.Parent(a) {
+				onChain = onChain || a == m
+			}
+			if o.IsA(n, m) != onChain {
 				return false
 			}
 		}

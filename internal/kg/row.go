@@ -71,14 +71,6 @@ func rowOf(k ValueKey, p Provenance) FactRow {
 // Key returns the row's object identity key.
 func (r *FactRow) Key() ValueKey { return ValueKey{Kind: r.kind, Num: r.num, Str: r.str} }
 
-// Triple returns the fact the row stores under subject subj and
-// predicate pred: the object is the Value the row's key denotes (see
-// ValueKey.Value).
-func (r *FactRow) Triple(subj EntityID, pred PredicateID) (t Triple) {
-	r.fill(&t, subj, pred)
-	return t
-}
-
 // fill overwrites *t with the fact the row stores under (subj, pred). The
 // graph's reads fill their destination — a visitor's one Triple, a
 // result slot — in place: assembling a Triple from a separately built

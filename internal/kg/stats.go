@@ -1,7 +1,5 @@
 package kg
 
-import "sort"
-
 // Stats summarizes the shape of a graph, for diagnostics.
 type Stats struct {
 	Entities   int
@@ -51,45 +49,4 @@ func ComputeStats(g *Graph) Stats {
 		s.MeanOutDegree = float64(s.Triples) / float64(s.Entities)
 	}
 	return s
-}
-
-// RarePredicates returns the predicates whose triple frequency is strictly
-// below minFreq, sorted by ID. Per §2 of the paper, triples with rare
-// predicates "could create noise during the learning process and filtering
-// them out can produce a cleaner training set".
-func (s Stats) RarePredicates(minFreq int) []PredicateID {
-	var out []PredicateID
-	for p, n := range s.PredFreq {
-		if n < minFreq {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TopPredicates returns the k most frequent predicates, most frequent first.
-func (s Stats) TopPredicates(k int) []PredicateID {
-	type pf struct {
-		p PredicateID
-		n int
-	}
-	all := make([]pf, 0, len(s.PredFreq))
-	for p, n := range s.PredFreq {
-		all = append(all, pf{p, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].p < all[j].p
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]PredicateID, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].p
-	}
-	return out
 }

@@ -99,12 +99,6 @@ func BoolValue(b bool) Value {
 // IsEntity reports whether the value references an entity.
 func (v Value) IsEntity() bool { return v.Kind == KindEntity }
 
-// IsLiteral reports whether the value is any literal kind.
-func (v Value) IsLiteral() bool { return v.Kind != KindEntity && v.Kind != 0 }
-
-// Bool returns the boolean payload of a KindBool value.
-func (v Value) Bool() bool { return v.Kind == KindBool && v.Num != 0 }
-
 // Equal reports deep equality of two values. Time values compare with
 // time.Time.Equal so location differences do not break equality.
 func (v Value) Equal(o Value) bool {

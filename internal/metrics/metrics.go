@@ -1,7 +1,7 @@
-// Package metrics implements the evaluation metrics used across the
-// benchmark harness: ranking metrics (MRR, Hits@K, NDCG, precision@k),
-// classification metrics (precision/recall/F1, accuracy, ROC AUC), and
-// small summary-statistics helpers.
+// Package metrics implements the evaluation metrics the experiments
+// print: mean reciprocal rank, a binary confusion matrix's
+// precision/recall/F1, ROC AUC, and the mean and nearest-rank percentile
+// of a sample.
 package metrics
 
 import (
@@ -23,80 +23,6 @@ func MRR(ranks []int) float64 {
 		}
 	}
 	return sum / float64(len(ranks))
-}
-
-// HitsAt computes the fraction of queries whose true item ranked within the
-// top k (1-based ranks; rank 0 = miss).
-func HitsAt(k int, ranks []int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	var hits int
-	for _, r := range ranks {
-		if r > 0 && r <= k {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(ranks))
-}
-
-// PrecisionAtK computes |retrieved[:k] ∩ relevant| / k.
-func PrecisionAtK(retrieved []string, relevant map[string]bool, k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k > len(retrieved) {
-		k = len(retrieved)
-	}
-	if k == 0 {
-		return 0
-	}
-	var hit int
-	for _, r := range retrieved[:k] {
-		if relevant[r] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(k)
-}
-
-// RecallAtK computes |retrieved[:k] ∩ relevant| / |relevant|.
-func RecallAtK(retrieved []string, relevant map[string]bool, k int) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	if k > len(retrieved) {
-		k = len(retrieved)
-	}
-	var hit int
-	for _, r := range retrieved[:k] {
-		if relevant[r] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(relevant))
-}
-
-// NDCGAtK computes normalized discounted cumulative gain at k for a ranked
-// list with graded relevance gains.
-func NDCGAtK(gains []float64, k int) float64 {
-	if k > len(gains) {
-		k = len(gains)
-	}
-	var dcg float64
-	for i := 0; i < k; i++ {
-		dcg += gains[i] / math.Log2(float64(i)+2)
-	}
-	ideal := append([]float64(nil), gains...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(ideal)))
-	var idcg float64
-	for i := 0; i < k; i++ {
-		idcg += ideal[i] / math.Log2(float64(i)+2)
-	}
-	if idcg == 0 {
-		return 0
-	}
-	return dcg / idcg
 }
 
 // Confusion is a binary-classification confusion matrix.
@@ -143,15 +69,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy returns (TP+TN) / total, or 0 when empty.
-func (c Confusion) Accuracy() float64 {
-	n := c.TP + c.FP + c.TN + c.FN
-	if n == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(n)
-}
-
 // AUC computes the ROC area under the curve from scores of positive and
 // negative examples using the rank-sum (Mann-Whitney U) formulation.
 // Ties contribute 0.5.
@@ -183,20 +100,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) using nearest-rank on a

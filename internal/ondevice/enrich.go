@@ -164,12 +164,6 @@ func collectOutgoing(g *kg.Graph, id kg.EntityID, buf []predValue) []predValue {
 	return buf
 }
 
-// Lookup serves a cached entity.
-func (c *PiggybackCache) Lookup(entityKey string) ([]string, bool) {
-	f, ok := c.facts[entityKey]
-	return f, ok
-}
-
 // Size returns the number of cached entities.
 func (c *PiggybackCache) Size() int { return len(c.facts) }
 

@@ -22,15 +22,9 @@ func TestRecordNormalization(t *testing.T) {
 	if got := r.NormEmail(); got != "tim@example.com" {
 		t.Fatalf("NormEmail = %q", got)
 	}
-	if got := r.NormName(); got != "smith tim" {
-		t.Fatalf("NormName = %q", got)
-	}
 	r2 := Record{Name: "Tim Smith", Phone: "123-555-1234"}
 	if r.NormPhone() != r2.NormPhone() {
 		t.Fatal("formatted and bare phones must normalize equal")
-	}
-	if r.NormName() != r2.NormName() {
-		t.Fatal("reordered names must normalize equal")
 	}
 }
 
@@ -386,7 +380,7 @@ func TestSyncPerSourcePrefsRespected(t *testing.T) {
 	}
 	// Phone retains its own calendar entities locally.
 	hasCalendar := false
-	phoneClusters, err := phone.Builder().CanonicalClusters(func(rk string) bool {
+	phoneClusters, err := phone.b.CanonicalClusters(func(rk string) bool {
 		return hasSourcePrefix(rk, SourceCalendar)
 	})
 	if err != nil {
@@ -578,14 +572,14 @@ func TestPiggybackCache(t *testing.T) {
 	c := NewPiggybackCache()
 	// People have outgoing facts; teams are only fact objects.
 	key := w.Graph.Entity(w.People[0]).Key
-	if _, ok := c.Lookup(key); ok {
+	if _, ok := c.facts[key]; ok {
 		t.Fatal("cold cache hit")
 	}
 	facts, ok := c.ServerInteraction(w.Graph, key)
 	if !ok || len(facts) == 0 {
 		t.Fatal("interaction returned no facts")
 	}
-	cached, ok := c.Lookup(key)
+	cached, ok := c.facts[key]
 	if !ok || len(cached) != len(facts) {
 		t.Fatal("cache miss or truncation after interaction")
 	}

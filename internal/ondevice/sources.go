@@ -69,23 +69,6 @@ func (r Record) NormEmail() string {
 	return strings.ToLower(strings.TrimSpace(r.Email))
 }
 
-// NormName canonicalizes the display name: lowercased tokens in sorted
-// order so "Smith, Tim" equals "Tim Smith".
-func (r Record) NormName() string {
-	toks := textutil.Tokenize(r.Name)
-	words := make([]string, len(toks))
-	for i, t := range toks {
-		words[i] = t.Text
-	}
-	// Sort tokens for order independence.
-	for i := 1; i < len(words); i++ {
-		for j := i; j > 0 && words[j] < words[j-1]; j-- {
-			words[j], words[j-1] = words[j-1], words[j]
-		}
-	}
-	return strings.Join(words, " ")
-}
-
 // DeviceDataConfig sizes GenerateDeviceData.
 type DeviceDataConfig struct {
 	// NumPersons is the number of underlying real people; default 20.

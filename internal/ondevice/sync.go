@@ -46,9 +46,6 @@ func NewDevice(baseDir, name string, capability int, prefs map[SourceKind]bool, 
 // Close releases the device's store.
 func (d *Device) Close() error { return d.b.Close() }
 
-// Builder exposes the device's construction pipeline.
-func (d *Device) Builder() *Builder { return d.b }
-
 // AddLocalRecords registers records originating on this device.
 func (d *Device) AddLocalRecords(recs []Record) {
 	d.local = append(d.local, recs...)

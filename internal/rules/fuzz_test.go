@@ -510,7 +510,7 @@ func FuzzParseRules(f *testing.F) {
 			return
 		}
 		placed := make([]int, rs.Len())
-		for _, stratum := range rs.Strata() {
+		for _, stratum := range rs.strata {
 			for _, ri := range stratum {
 				placed[ri]++
 			}
@@ -524,7 +524,7 @@ func FuzzParseRules(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of an accepted program failed: %v", err)
 		}
-		a, b := rs.Rules(), again.Rules()
+		a, b := rs.rules, again.rules
 		if !slices.EqualFunc(a, b, sameRule) {
 			t.Fatalf("re-parse gave other rules:\n%+v\n%+v", a, b)
 		}

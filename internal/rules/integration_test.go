@@ -364,7 +364,7 @@ func TestPlanCacheRevalidatesAcrossDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in := first.Steps()[0].Input; in != 0 {
+	if in := first.Describe()[0].Clause; in != 0 {
 		t.Fatalf("with near empty the plan starts at clause %d, want its scan (clause 0)", in)
 	}
 
@@ -384,7 +384,7 @@ func TestPlanCacheRevalidatesAcrossDerivation(t *testing.T) {
 	if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Invalidations != 1 {
 		t.Fatalf("plan cache %+v -> %+v, want one more miss, no hit, 1 invalidation", before, after)
 	}
-	if in := second.Steps()[0].Input; in != 1 {
+	if in := second.Describe()[0].Clause; in != 1 {
 		t.Fatalf("after 100 derivations the plan starts at clause %d, want the selective tag clause (1)", in)
 	}
 }

@@ -161,13 +161,6 @@ func bindsEveryVar(c, head graphengine.Clause) bool {
 	return true
 }
 
-// Rules returns a copy of the rule list in definition order.
-func (rs *RuleSet) Rules() []Rule {
-	out := make([]Rule, len(rs.rules))
-	copy(out, rs.rules)
-	return out
-}
-
 // Len returns the number of rules.
 func (rs *RuleSet) Len() int { return len(rs.rules) }
 
@@ -188,17 +181,6 @@ func (rs *RuleSet) Heads() []kg.PredicateID {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Strata returns the stratification: rule indices grouped by stratum,
-// in evaluation order (a stratum's dependencies precede it; mutually
-// recursive head predicates share a stratum).
-func (rs *RuleSet) Strata() [][]int {
-	out := make([][]int, len(rs.strata))
-	for i, s := range rs.strata {
-		out[i] = append([]int(nil), s...)
-	}
 	return out
 }
 

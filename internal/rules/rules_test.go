@@ -91,7 +91,7 @@ func naiveEval(g *kg.Graph, rs *RuleSet) map[kg.TripleKey]kg.Triple {
 		for _, t := range derived {
 			facts = append(facts, t)
 		}
-		for _, r := range rs.Rules() {
+		for _, r := range rs.rules {
 			var rows []graphengine.Binding
 			naiveMatch(facts, r.Body, graphengine.Binding{}, &rows)
 			for _, row := range rows {
@@ -243,7 +243,7 @@ func TestStratification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strata := rs.Strata()
+	strata := rs.strata
 	if len(strata) != 3 {
 		t.Fatalf("strata = %v, want 3", strata)
 	}
@@ -263,7 +263,7 @@ func TestStratification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs2.Strata(); len(got) != 1 || len(got[0]) != 3 {
+	if got := rs2.strata; len(got) != 1 || len(got[0]) != 3 {
 		t.Fatalf("mutually recursive strata = %v, want one stratum of 3 rules", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestParseRules(t *testing.T) {
 			t.Fatalf("head predicate %q not created", name)
 		}
 	}
-	rules := rs.Rules()
+	rules := rs.rules
 	if rules[2].Head.Object.Const.Str != "=" || rules[2].Body[0].Object.Const.Str != "=" {
 		t.Fatalf("'=' literal mangled: %+v", rules[2])
 	}

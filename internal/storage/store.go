@@ -7,8 +7,7 @@
 //
 // The store is a small LSM: writes land in a memtable; when the memtable
 // exceeds its budget it is sorted and spilled to an immutable on-disk
-// segment; reads consult the memtable then segments newest-first; Compact
-// merges all runs into one, dropping tombstones and shadowed versions.
+// segment; reads consult the memtable then segments newest-first.
 // Checkpoint persists a manifest so a store can be reopened with identical
 // contents, which is what makes the on-device construction pipeline
 // pausable and resumable without losing state.
@@ -237,77 +236,12 @@ func (s *Store) Flush() error {
 // construction pipeline.
 func (s *Store) Checkpoint() error { return s.Flush() }
 
-// Compact merges the memtable and all segments into a single segment,
-// dropping tombstones and shadowed versions.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	merged, err := s.mergedLocked("")
-	if err != nil {
-		return err
-	}
-	name := fmt.Sprintf("seg-%06d.dat", s.nextSeg)
-	s.nextSeg++
-	path := filepath.Join(s.dir, name)
-	w, err := newSegmentWriter(path)
-	if err != nil {
-		return err
-	}
-	for _, kv := range merged {
-		if err := w.add(kv.key, kv.value, false); err != nil {
-			return err
-		}
-	}
-	seg, err := w.finish()
-	if err != nil {
-		return err
-	}
-	old := s.segments
-	s.segments = []*segment{seg}
-	s.mem = make(map[string]memEntry)
-	s.memBytes = 0
-	if err := s.writeManifestLocked(); err != nil {
-		return err
-	}
-	for _, o := range old {
-		o.close()
-		os.Remove(o.path)
-	}
-	return nil
-}
-
 // SpillCount returns how many times the memtable exceeded its budget and
 // spilled to disk.
 func (s *Store) SpillCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.spills
-}
-
-// MemBytes returns the current memtable footprint estimate.
-func (s *Store) MemBytes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.memBytes
-}
-
-// NumSegments returns the number of on-disk segments.
-func (s *Store) NumSegments() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.segments)
-}
-
-// Len returns the number of live keys (scans everything; intended for
-// tests and small stores).
-func (s *Store) Len() (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	merged, err := s.mergedLocked("")
-	if err != nil {
-		return 0, err
-	}
-	return len(merged), nil
 }
 
 // Close flushes and releases file handles.

@@ -18,6 +18,13 @@ func openTemp(t *testing.T, budget int) *Store {
 	return s
 }
 
+// numKeys counts the store's live keys.
+func numKeys(s *Store) (int, error) {
+	n := 0
+	err := s.Scan("", func(string, []byte) bool { n++; return true })
+	return n, err
+}
+
 func TestPutGet(t *testing.T) {
 	s := openTemp(t, 0)
 	if err := s.Put("a", []byte("1")); err != nil {
@@ -46,7 +53,7 @@ func TestOverwrite(t *testing.T) {
 	if err != nil || string(v) != "v2" {
 		t.Fatalf("Get = %q,%v", v, err)
 	}
-	n, err := s.Len()
+	n, err := numKeys(s)
 	if err != nil || n != 1 {
 		t.Fatalf("Len = %d,%v", n, err)
 	}
@@ -97,8 +104,8 @@ func TestSpillOnBudget(t *testing.T) {
 	if s.SpillCount() == 0 {
 		t.Fatal("no spills under tiny budget")
 	}
-	if s.MemBytes() > 64+32 {
-		t.Fatalf("memtable footprint %d exceeds budget after spill", s.MemBytes())
+	if s.memBytes > 64+32 {
+		t.Fatalf("memtable footprint %d exceeds budget after spill", s.memBytes)
 	}
 	for i := 0; i < 50; i++ {
 		v, err := s.Get(fmt.Sprintf("key-%03d", i))
@@ -207,43 +214,9 @@ func TestReopenRecoversState(t *testing.T) {
 			t.Fatalf("Get(%s) after reopen = %q,%v", k, v, err)
 		}
 	}
-	n, err := s2.Len()
+	n, err := numKeys(s2)
 	if err != nil || n != 29 {
 		t.Fatalf("Len after reopen = %d,%v", n, err)
-	}
-}
-
-func TestCompact(t *testing.T) {
-	s := openTemp(t, 64)
-	for i := 0; i < 60; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i%20), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Delete(fmt.Sprintf("k%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumSegments() != 1 {
-		t.Fatalf("segments after compact = %d", s.NumSegments())
-	}
-	n, err := s.Len()
-	if err != nil || n != 15 {
-		t.Fatalf("Len after compact = %d,%v", n, err)
-	}
-	for i := 5; i < 20; i++ {
-		if _, err := s.Get(fmt.Sprintf("k%02d", i)); err != nil {
-			t.Fatalf("key k%02d lost in compaction: %v", i, err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Get(fmt.Sprintf("k%02d", i)); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("tombstoned key k%02d resurrected by compaction", i)
-		}
 	}
 }
 
@@ -322,7 +295,7 @@ func TestStoreMatchesMapModel(t *testing.T) {
 					return false
 				}
 			}
-			n, err := st.Len()
+			n, err := numKeys(st)
 			return err == nil && n == len(model)
 		}
 		if !check(s) {

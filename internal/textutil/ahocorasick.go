@@ -139,14 +139,3 @@ func (m *Matcher) Match(tokens []string) []TokenMatch {
 	}
 	return out
 }
-
-// NumPatterns returns the number of registered patterns.
-func (m *Matcher) NumPatterns() int { return len(m.patternLens) }
-
-// PatternLen returns the token length of pattern id.
-func (m *Matcher) PatternLen(id int) int {
-	if id < 0 || id >= len(m.patternLens) {
-		return 0
-	}
-	return m.patternLens[id]
-}

@@ -221,8 +221,8 @@ func TestJaroWinklerMatchesReference(t *testing.T) {
 		if got, want := JaroWinkler(a, b), refJaroWinkler(a, b); got != want {
 			t.Fatalf("JaroWinkler(%q, %q) = %v, want %v", a, b, got, want)
 		}
-		if got, want := Jaro(a, b), refJaro(a, b); got != want {
-			t.Fatalf("Jaro(%q, %q) = %v, want %v", a, b, got, want)
+		if got, want := jaro([]rune(a), []rune(b)), refJaro(a, b); got != want {
+			t.Fatalf("jaro(%q, %q) = %v, want %v", a, b, got, want)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { JaroWinkler("joe root", "joseph edward root") }); n != 0 {

@@ -2,63 +2,9 @@ package textutil
 
 import "strings"
 
-// Levenshtein computes the edit distance between two strings using the
-// two-row dynamic program. Runs in O(len(a)*len(b)) time and O(len(b))
-// space, over runes.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// LevenshteinSimilarity maps edit distance to [0,1]: 1 for equal strings,
-// 0 when the distance equals the longer length.
-func LevenshteinSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	longest := la
-	if lb > longest {
-		longest = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(longest)
-}
-
-// jaroStack is how many runes of each string Jaro handles in buffers on
-// its own stack; names and surface forms are shorter, so comparing them
-// allocates nothing.
+// jaroStack is how many runes of each string JaroWinkler handles in
+// buffers on its own stack; names and surface forms are shorter, so
+// comparing them allocates nothing.
 const jaroStack = 64
 
 // runesOf appends the runes of s to buf.
@@ -69,12 +15,7 @@ func runesOf(buf []rune, s string) []rune {
 	return buf
 }
 
-// Jaro computes the Jaro similarity of two strings in [0,1].
-func Jaro(a, b string) float64 {
-	var bufA, bufB [jaroStack]rune
-	return jaro(runesOf(bufA[:0], a), runesOf(bufB[:0], b))
-}
-
+// jaro computes the Jaro similarity of two rune strings in [0,1].
 func jaro(ra, rb []rune) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
@@ -147,36 +88,6 @@ func JaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
-}
-
-// TokenJaccard computes the Jaccard similarity of the word-token sets of
-// two strings. Used by entity matching for name comparison where word
-// order varies ("Tim Smith" vs "Smith, Tim").
-func TokenJaccard(a, b string) float64 {
-	as := tokenSet(a)
-	bs := tokenSet(b)
-	if len(as) == 0 && len(bs) == 0 {
-		return 1
-	}
-	var inter int
-	for t := range as {
-		if bs[t] {
-			inter++
-		}
-	}
-	union := len(as) + len(bs) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-func tokenSet(s string) map[string]bool {
-	out := make(map[string]bool)
-	for _, t := range Tokenize(s) {
-		out[t.Text] = true
-	}
-	return out
 }
 
 // DigitsOnly strips every non-digit rune; used to canonicalize phone

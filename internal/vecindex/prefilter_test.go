@@ -329,12 +329,12 @@ func FuzzPrefilterScan(f *testing.F) {
 		if want := fullSortSearch(c.ids, c.vecs, c.q, k, false, keep); !sameResults(plain, want) {
 			t.Fatalf("SearchFiltered k %d\n got %v\nwant %v", k, plain, want)
 		}
-		cosine, err := idx.SearchCosineFiltered(context.Background(), c.q, k, keep)
+		cosine, err := idx.scan(context.Background(), c.q, k, true, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := fullSortSearch(c.ids, c.vecs, c.q, k, true, keep); !sameResults(cosine, want) {
-			t.Fatalf("SearchCosineFiltered k %d\n got %v\nwant %v", k, cosine, want)
+			t.Fatalf("cosine scan k %d\n got %v\nwant %v", k, cosine, want)
 		}
 	})
 }
@@ -364,7 +364,7 @@ func TestPrefilterAdversarialRows(t *testing.T) {
 				t.Fatalf("trial %d k %d: SearchFiltered\n got %v\nwant %v", trial, k, filtered, want)
 			}
 			if want := fullSortSearch(c.ids, c.vecs, c.q, k, true, keep); !sameResults(cosine, want) {
-				t.Fatalf("trial %d k %d: SearchCosineFiltered\n got %v\nwant %v", trial, k, cosine, want)
+				t.Fatalf("trial %d k %d: cosine scan\n got %v\nwant %v", trial, k, cosine, want)
 			}
 		}
 	}
@@ -372,14 +372,14 @@ func TestPrefilterAdversarialRows(t *testing.T) {
 
 // The prefilter re-scores a handful of rows on a smooth distribution, and
 // every row when it cannot bound the query; SearchCosineByID answers what
-// SearchCosineFiltered answers for a copy of the stored row.
+// a cosine scan answers for a copy of the stored row.
 func TestPrefilterRescoresFewRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3703))
 	c := randomCase(rng, 5000, 32, 0, 0)
 	f := c.flat(t)
 	before := f.Rescored()
 	q, _ := f.Get(c.ids[7])
-	want, err := f.SearchCosineFiltered(context.Background(), q, 10, nil)
+	want, err := f.scan(context.Background(), q, 10, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestPrefilterConcurrentScansAndAdds(t *testing.T) {
 		plain, filtered, cosine := c.searches(t, k, nil)
 		got := [3][]Result{f.Search(c.q, k), nil, nil}
 		got[1], _ = f.SearchFiltered(context.Background(), c.q, k, nil)
-		got[2], _ = f.SearchCosineFiltered(context.Background(), c.q, k, nil)
+		got[2], _ = f.scan(context.Background(), c.q, k, true, nil)
 		for m, want := range [3][]Result{plain, filtered, cosine} {
 			if !sameResults(got[m], want) {
 				t.Fatalf("k %d mode %d: after concurrent adds\n got %v\nwant %v", k, m, got[m], want)

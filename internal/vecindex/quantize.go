@@ -55,15 +55,6 @@ func Quantize(v Vector) QuantizedVector {
 	return q
 }
 
-// Dequantize reconstructs the approximate float vector.
-func (q QuantizedVector) Dequantize() Vector {
-	v := make(Vector, len(q.Codes))
-	for i, c := range q.Codes {
-		v[i] = float32(c) * q.Scale
-	}
-	return v
-}
-
 // DotQuantized computes the inner product of a float query against a
 // quantized vector without materializing the dequantized form.
 func DotQuantized(q Vector, v QuantizedVector) float32 {
@@ -138,13 +129,6 @@ func (f *QuantizedIndex) Len() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.ids)
-}
-
-// Dim returns the vector dimensionality.
-func (f *QuantizedIndex) Dim() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.dim
 }
 
 // MemoryBytes reports the total code storage.

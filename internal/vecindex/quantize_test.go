@@ -10,10 +10,9 @@ import (
 func TestQuantizeRoundTrip(t *testing.T) {
 	v := Vector{1.0, -0.5, 0.25, 0}
 	q := Quantize(v)
-	back := q.Dequantize()
 	for i := range v {
-		if math.Abs(float64(back[i]-v[i])) > float64(q.Scale) {
-			t.Fatalf("element %d: %v -> %v (scale %v)", i, v[i], back[i], q.Scale)
+		if back := float32(q.Codes[i]) * q.Scale; math.Abs(float64(back-v[i])) > float64(q.Scale) {
+			t.Fatalf("element %d: %v -> %v (scale %v)", i, v[i], back, q.Scale)
 		}
 	}
 	if q.MemoryBytes() != len(v)+4 {
@@ -26,12 +25,6 @@ func TestQuantizeZeroVector(t *testing.T) {
 	for _, c := range q.Codes {
 		if c != 0 {
 			t.Fatal("zero vector must quantize to zero codes")
-		}
-	}
-	back := q.Dequantize()
-	for _, x := range back {
-		if x != 0 {
-			t.Fatal("zero vector dequantize")
 		}
 	}
 }
@@ -77,8 +70,8 @@ func TestQuantizedIndexSearchAgreesWithFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if quant.Len() != 400 || quant.Dim() != 24 {
-		t.Fatalf("len/dim = %d/%d", quant.Len(), quant.Dim())
+	if quant.Len() != 400 || quant.dim != 24 {
+		t.Fatalf("len/dim = %d/%d", quant.Len(), quant.dim)
 	}
 	// Recall@10 of quantized vs exact must be high.
 	var hit, total int
@@ -146,9 +139,8 @@ func TestQuantizePropertyBounds(t *testing.T) {
 			return true
 		}
 		q := Quantize(v)
-		back := q.Dequantize()
 		for i := range v {
-			if math.Abs(float64(back[i]-v[i])) > float64(q.Scale)*0.51 {
+			if back := float32(q.Codes[i]) * q.Scale; math.Abs(float64(back-v[i])) > float64(q.Scale)*0.51 {
 				return false
 			}
 		}

@@ -282,7 +282,7 @@ func (c searchCase) searches(t testing.TB, k int, keep func(uint64) bool) (plain
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosine, err = f.SearchCosineFiltered(context.Background(), c.q, k, keep)
+	cosine, err = f.scan(context.Background(), c.q, k, true, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestScanMatchesFullSort(t *testing.T) {
 				t.Fatalf("dim %d n %d k %d: SearchFiltered\n got %v\nwant %v", dim, n, k, filtered, want)
 			}
 			if want := fullSortSearch(c.ids, c.vecs, c.q, k, true, keep); !sameResults(cosine, want) {
-				t.Fatalf("dim %d n %d k %d: SearchCosineFiltered\n got %v\nwant %v", dim, n, k, cosine, want)
+				t.Fatalf("dim %d n %d k %d: cosine scan\n got %v\nwant %v", dim, n, k, cosine, want)
 			}
 		}
 	}
@@ -327,8 +327,8 @@ func TestScanMatchesOldImplementation(t *testing.T) {
 		for _, k := range []int{1, 11, n + 1} {
 			_, filtered, cosine := c.searches(t, k, keep)
 			for name, pair := range map[string][2][]Result{
-				"SearchFiltered":       {filtered, oldSearch(c.ids, c.vecs, c.q, k, false, keep)},
-				"SearchCosineFiltered": {cosine, oldSearch(c.ids, c.vecs, c.q, k, true, keep)},
+				"SearchFiltered": {filtered, oldSearch(c.ids, c.vecs, c.q, k, false, keep)},
+				"cosine scan":    {cosine, oldSearch(c.ids, c.vecs, c.q, k, true, keep)},
 			} {
 				got, want := pair[0], pair[1]
 				if len(got) != len(want) {
@@ -380,7 +380,7 @@ func TestSelectionIndependentOfInsertionOrder(t *testing.T) {
 				c.vecs = append(c.vecs, vecs[i])
 			}
 			plain, filtered, cosine := c.searches(t, k, keep)
-			ivf, err := BuildIVF(c.ids, c.vecs, IVFOptions{NList: 1, NProbe: 1, Seed: 1})
+			ivf, err := BuildIVF(c.ids, c.vecs, IVFOptions{NList: 1, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,7 +390,7 @@ func TestSelectionIndependentOfInsertionOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got := [5][]Result{plain, filtered, cosine, ivf.Search(q, k), quant.Search(q, k)}
+			got := [5][]Result{plain, filtered, cosine, ivf.SearchNProbe(q, k, 1), quant.Search(q, k)}
 			if oi == 0 {
 				first = got
 				if want := fullSortSearch(ids, vecs, q, k, false, nil); !reflect.DeepEqual(plain, want) {
@@ -398,7 +398,7 @@ func TestSelectionIndependentOfInsertionOrder(t *testing.T) {
 				}
 				continue
 			}
-			for j, name := range []string{"Search", "SearchFiltered", "SearchCosineFiltered", "IVF", "Quantized"} {
+			for j, name := range []string{"Search", "SearchFiltered", "cosine scan", "IVF", "Quantized"} {
 				if !reflect.DeepEqual(got[j], first[j]) {
 					t.Fatalf("k %d order %d: %s depends on insertion order\n got %v\nwant %v", k, oi, name, got[j], first[j])
 				}
@@ -433,7 +433,7 @@ func TestScanPollsContextOncePerBlock(t *testing.T) {
 	}
 	kept := 0
 	ctx = &countingCtx{Context: context.Background(), cancelAfter: 2}
-	res, err := f.SearchCosineFiltered(ctx, c.q, 5, func(uint64) bool { kept++; return true })
+	res, err := f.scan(ctx, c.q, 5, true, func(uint64) bool { kept++; return true })
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("cancelled scan returned %v, %v", res, err)
 	}

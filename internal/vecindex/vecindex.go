@@ -190,19 +190,6 @@ type Result struct {
 	Score float32
 }
 
-// Index is the interface shared by the flat and IVF implementations.
-type Index interface {
-	// Add inserts a vector under id. Duplicate IDs replace the old vector.
-	Add(id uint64, v Vector) error
-	// Search returns the k most similar vectors by inner product, highest
-	// first.
-	Search(q Vector, k int) []Result
-	// Len returns the number of stored vectors.
-	Len() int
-	// Dim returns the vector dimensionality (0 while empty).
-	Dim() int
-}
-
 // FlatIndex is an exact brute-force index. Safe for concurrent use.
 // Vectors are stored in one contiguous float32 slab (row i occupies
 // data[i*dim:(i+1)*dim]) so a full scan is sequential memory traversal,
@@ -263,7 +250,7 @@ func NewFlatFromRows(ids []uint64, rows []float32) (*FlatIndex, error) {
 	return f, nil
 }
 
-// Add implements Index.
+// Add inserts a vector under id. Duplicate IDs replace the old vector.
 func (f *FlatIndex) Add(id uint64, v Vector) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -316,7 +303,8 @@ func (f *FlatIndex) Get(id uint64) (Vector, bool) {
 	return append(Vector(nil), f.data[i*f.dim:(i+1)*f.dim]...), true
 }
 
-// Search implements Index.
+// Search returns the k most similar vectors by inner product, highest
+// first.
 func (f *FlatIndex) Search(q Vector, k int) []Result {
 	res, _ := f.scan(context.Background(), q, k, false, nil)
 	return res
@@ -328,20 +316,13 @@ func (f *FlatIndex) SearchFiltered(ctx context.Context, q Vector, k int, keep fu
 	return f.scan(ctx, q, k, false, keep)
 }
 
-// SearchCosineFiltered ranks by cosine similarity instead of raw inner
-// product, restricted to IDs accepted by keep (nil = all). Stored vectors
-// need not be normalized: each row's score is its inner product with q
-// scaled by the row's cached L2 norm and q's norm, so the ranking agrees
-// with Cosine() regardless of how the vectors were scaled at Add time.
-// Zero-norm rows score 0, matching Cosine; a zero-norm query has no
-// neighbours.
-func (f *FlatIndex) SearchCosineFiltered(ctx context.Context, q Vector, k int, keep func(uint64) bool) ([]Result, error) {
-	return f.scan(ctx, q, k, true, keep)
-}
-
-// SearchCosineByID is SearchCosineFiltered with the stored vector of id
-// as the query, read in place under the scan's lock rather than copied
-// out. ok is false, and nothing is searched, when id is not stored.
+// SearchCosineByID ranks the vectors accepted by keep (nil = all) by
+// cosine similarity to the stored vector of id, read in place under the
+// scan's lock rather than copied out. Stored vectors need not be
+// normalized: each row's score is its inner product with the query scaled
+// by both cached L2 norms, so the ranking agrees with Cosine however the
+// vectors were scaled at Add time, and zero-norm rows score 0. ok is
+// false, and nothing is searched, when id is not stored.
 func (f *FlatIndex) SearchCosineByID(ctx context.Context, id uint64, k int, keep func(uint64) bool) (res []Result, ok bool, err error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -500,14 +481,14 @@ func scaled(s float32, cosine bool, qn, rn float32) float32 {
 	return s / (qn * rn)
 }
 
-// Len implements Index.
+// Len returns the number of stored vectors.
 func (f *FlatIndex) Len() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.ids)
 }
 
-// Dim implements Index.
+// Dim returns the vector dimensionality (0 while empty).
 func (f *FlatIndex) Dim() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -562,23 +543,19 @@ func worse(a, b Result) bool {
 
 // IVFIndex is an inverted-file approximate index: vectors are assigned to
 // the nearest of nlist centroids at build time; queries scan only the
-// nprobe nearest lists. Build it once with BuildIVF; Search is safe for
-// concurrent use afterwards.
+// nprobe nearest lists. Build it once with BuildIVF; SearchNProbe is safe
+// for concurrent use afterwards.
 type IVFIndex struct {
-	dim       int
 	centroids []Vector
 	lists     [][]int // centroid -> indexes into ids/vecs
 	ids       []uint64
 	vecs      []Vector
-	nprobe    int
 }
 
 // IVFOptions configure BuildIVF.
 type IVFOptions struct {
 	// NList is the number of clusters; default sqrt(n) clamped to [1,256].
 	NList int
-	// NProbe is the default number of lists scanned per query; default 4.
-	NProbe int
 	// Seed makes clustering reproducible.
 	Seed int64
 }
@@ -610,14 +587,6 @@ func BuildIVF(ids []uint64, vecs []Vector, opts IVFOptions) (*IVFIndex, error) {
 	if nlist > len(vecs) {
 		nlist = len(vecs)
 	}
-	nprobe := opts.NProbe
-	if nprobe <= 0 {
-		nprobe = 4
-	}
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-
 	centroids := kmeans(vecs, nlist, rand.New(rand.NewSource(opts.Seed)))
 	lists := make([][]int, len(centroids))
 	for i, v := range vecs {
@@ -629,26 +598,7 @@ func BuildIVF(ids []uint64, vecs []Vector, opts IVFOptions) (*IVFIndex, error) {
 	for i, v := range vecs {
 		vecsCp[i] = append(Vector(nil), v...)
 	}
-	return &IVFIndex{dim: dim, centroids: centroids, lists: lists, ids: idsCp, vecs: vecsCp, nprobe: nprobe}, nil
-}
-
-// Add is unsupported on the immutable IVF index.
-func (ix *IVFIndex) Add(id uint64, v Vector) error {
-	return errors.New("vecindex: IVF index is immutable; rebuild to add vectors")
-}
-
-// Len implements Index.
-func (ix *IVFIndex) Len() int { return len(ix.ids) }
-
-// Dim implements Index.
-func (ix *IVFIndex) Dim() int { return ix.dim }
-
-// NList returns the number of clusters.
-func (ix *IVFIndex) NList() int { return len(ix.centroids) }
-
-// Search implements Index with the index's default nprobe.
-func (ix *IVFIndex) Search(q Vector, k int) []Result {
-	return ix.SearchNProbe(q, k, ix.nprobe)
+	return &IVFIndex{centroids: centroids, lists: lists, ids: idsCp, vecs: vecsCp}, nil
 }
 
 // SearchNProbe searches scanning the given number of nearest lists.

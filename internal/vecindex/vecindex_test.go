@@ -143,12 +143,12 @@ func TestSearchKEdgeCases(t *testing.T) {
 
 func TestIVFBuildAndSearch(t *testing.T) {
 	ids, vecs := randomVectors(500, 16, 1)
-	ix, err := BuildIVF(ids, vecs, IVFOptions{NList: 16, NProbe: 16, Seed: 1})
+	ix, err := BuildIVF(ids, vecs, IVFOptions{NList: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 500 || ix.Dim() != 16 || ix.NList() != 16 {
-		t.Fatalf("ix = len %d dim %d nlist %d", ix.Len(), ix.Dim(), ix.NList())
+	if len(ix.ids) != 500 || len(ix.vecs[0]) != 16 || len(ix.centroids) != 16 {
+		t.Fatalf("ix = len %d dim %d nlist %d", len(ix.ids), len(ix.vecs[0]), len(ix.centroids))
 	}
 	// With nprobe == nlist the IVF search is exact: compare to flat.
 	flat := NewFlat()
@@ -229,14 +229,6 @@ func TestIVFErrors(t *testing.T) {
 	}
 	if _, err := BuildIVF([]uint64{1, 2}, []Vector{{1, 2}, {1}}, IVFOptions{}); err == nil {
 		t.Fatal("inconsistent dims accepted")
-	}
-	ids, vecs := randomVectors(10, 4, 5)
-	ix, err := BuildIVF(ids, vecs, IVFOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add(99, vecs[0]); err == nil {
-		t.Fatal("IVF Add must be rejected")
 	}
 }
 
@@ -347,8 +339,8 @@ func TestNewFlatFromRowsEqualsAddLoop(t *testing.T) {
 		if got, want := bulk.Search(q, 10), byAdd.Search(q, 10); !sameResults(got, want) {
 			t.Fatalf("Search differs: %v vs %v", got, want)
 		}
-		got, _ := bulk.SearchCosineFiltered(context.Background(), q, 10, nil)
-		want, _ := byAdd.SearchCosineFiltered(context.Background(), q, 10, nil)
+		got, _ := bulk.scan(context.Background(), q, 10, true, nil)
+		want, _ := byAdd.scan(context.Background(), q, 10, true, nil)
 		if !sameResults(got, want) {
 			t.Fatalf("cosine search differs: %v vs %v", got, want)
 		}

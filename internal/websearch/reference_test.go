@@ -21,7 +21,6 @@ import (
 type refIndex struct {
 	docs     map[string]*webcorpus.Document
 	postings map[string]map[string]int
-	docTerms map[string]map[string]int
 	docLen   map[string]int
 	totalLen int
 }
@@ -30,7 +29,6 @@ func newRefIndex(docs []*webcorpus.Document) *refIndex {
 	ix := &refIndex{
 		docs:     make(map[string]*webcorpus.Document),
 		postings: make(map[string]map[string]int),
-		docTerms: make(map[string]map[string]int),
 		docLen:   make(map[string]int),
 	}
 	for _, d := range docs {
@@ -44,7 +42,6 @@ func (ix *refIndex) add(d *webcorpus.Document) {
 	ix.docs[d.ID] = d
 	ix.docLen[d.ID] = len(toks)
 	ix.totalLen += len(toks)
-	terms := make(map[string]int, len(toks))
 	for _, t := range toks {
 		m := ix.postings[t.Text]
 		if m == nil {
@@ -52,27 +49,7 @@ func (ix *refIndex) add(d *webcorpus.Document) {
 			ix.postings[t.Text] = m
 		}
 		m[d.ID]++
-		terms[t.Text]++
 	}
-	ix.docTerms[d.ID] = terms
-}
-
-func (ix *refIndex) update(d *webcorpus.Document) {
-	if oldTerms, ok := ix.docTerms[d.ID]; ok {
-		for term, n := range oldTerms {
-			if m := ix.postings[term]; m != nil {
-				m[d.ID] -= n
-				if m[d.ID] <= 0 {
-					delete(m, d.ID)
-				}
-				if len(m) == 0 {
-					delete(ix.postings, term)
-				}
-			}
-		}
-		ix.totalLen -= ix.docLen[d.ID]
-	}
-	ix.add(d)
 }
 
 func (ix *refIndex) search(query string, k int) []Hit {
@@ -174,39 +151,6 @@ func TestSearchMatchesReference(t *testing.T) {
 	docs, queries := corpusAndQueries(t, 2000)
 	ix, ref := NewIndex(docs), newRefIndex(docs)
 	compareAll(t, ix, ref, queries, "fresh index")
-
-	// Interleaved updates: changed text, shrunk text, emptied text, a
-	// document edited in place before Update, brand-new documents.
-	rng := rand.New(rand.NewSource(19))
-	for round := 0; round < 60; round++ {
-		changed := docs[rng.Intn(len(docs))]
-		other := docs[rng.Intn(len(docs))]
-		switch round % 5 {
-		case 0:
-			changed.Text += " breaking update about the championship award " + other.Title
-		case 1:
-			changed.Text = changed.Text[:len(changed.Text)/3]
-		case 2:
-			changed.Text = ""
-		case 3:
-			changed.Title, changed.Text = other.Title, other.Text
-		case 4:
-			changed = &webcorpus.Document{ID: fmt.Sprintf("new%03d", round), Title: "Late " + other.Title, Text: other.Text, Version: 1}
-			docs = append(docs, changed)
-		}
-		ix.Update(changed)
-		ref.update(changed)
-		if ix.NumDocs() != len(ref.docs) {
-			t.Fatalf("round %d: NumDocs %d, reference %d", round, ix.NumDocs(), len(ref.docs))
-		}
-		if got, ok := ix.Doc(changed.ID); !ok || got != changed {
-			t.Fatalf("round %d: Doc(%s) = %v, %v", round, changed.ID, got, ok)
-		}
-		if round%6 == 0 {
-			compareAll(t, ix, ref, queries[:80], fmt.Sprintf("after update %d", round))
-		}
-	}
-	compareAll(t, ix, ref, queries, "after all updates")
 }
 
 // TestSearchLeavesScratchClean: the pooled accumulator must be all zero

@@ -8,21 +8,12 @@
 // appearance (a document keeps its number for life; none is ever
 // removed), and everything per document or per term is a slice indexed by
 // that number: a term's postings are {document, term frequency} pairs
-// sorted by document number, a document's length and its distinct terms
-// sit beside its pointer. A search accumulates scores into a pooled
-// float64 slice indexed by document number and selects the top k with a
-// bounded heap, so its cost is the postings of the query's terms plus
-// O(log k) per document that beats the running k-th score — no map of
-// scores, no sort of every hit.
-//
-// Update re-indexes one document under its existing number (or adds it
-// if its ID is new): the postings of the terms it held at its last
-// indexing — remembered by the index, so the caller may have edited the
-// document in place — are removed, and the current text is indexed. A
-// term whose last posting goes keeps its number and an empty list. The
-// BM25 length normalization depends on the corpus-wide average length,
-// which every Update moves, so it is computed per posting at query time
-// from the stored document length rather than cached per document.
+// sorted by document number, and a document's length sits beside its
+// pointer. A search accumulates scores into a pooled float64 slice
+// indexed by document number and selects the top k with a bounded heap,
+// so its cost is the postings of the query's terms plus O(log k) per
+// document that beats the running k-th score — no map of scores, no sort
+// of every hit.
 package websearch
 
 import (
@@ -51,15 +42,13 @@ type posting struct {
 }
 
 // Index is an inverted index with BM25 scoring. Build with NewIndex;
-// Search is safe for concurrent use. Documents can be re-indexed after
-// mutation with Update.
+// Search is safe for concurrent use.
 type Index struct {
 	mu sync.RWMutex
 
 	docNum   map[string]int32      // Doc.ID -> document number
 	docs     []*webcorpus.Document // by document number
-	docLen   []int32               // tokens at last indexing, by document number
-	docTerms [][]int32             // distinct term numbers at last indexing, by document number
+	docLen   []int32               // tokens, by document number
 	totalLen int
 
 	termNum  map[string]int32 // term -> term number
@@ -99,7 +88,6 @@ func (ix *Index) indexLocked(d *webcorpus.Document) {
 		ix.docNum[d.ID] = num
 		ix.docs = append(ix.docs, nil)
 		ix.docLen = append(ix.docLen, 0)
-		ix.docTerms = append(ix.docTerms, nil)
 	}
 	toks := textutil.Tokenize(d.Title + " " + d.Text)
 	ix.docs[num] = d
@@ -119,17 +107,14 @@ func (ix *Index) indexLocked(d *webcorpus.Document) {
 		terms[i] = tn
 	}
 	slices.Sort(terms)
-	distinct := terms[:0]
 	for i := 0; i < len(terms); {
 		j := i
 		for j < len(terms) && terms[j] == terms[i] {
 			j++
 		}
 		ix.insertPosting(terms[i], posting{doc: num, tf: int32(j - i)})
-		distinct = append(distinct, terms[i])
 		i = j
 	}
-	ix.docTerms[num] = distinct
 }
 
 // insertPosting places p in term tn's list, which stays sorted by
@@ -142,39 +127,6 @@ func (ix *Index) insertPosting(tn int32, p posting) {
 		i = sort.Search(len(post), func(i int) bool { return post[i].doc >= p.doc })
 	}
 	ix.postings[tn] = slices.Insert(post, i, p)
-}
-
-// Update re-indexes a changed document (removing its old postings).
-func (ix *Index) Update(d *webcorpus.Document) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if num, ok := ix.docNum[d.ID]; ok {
-		for _, tn := range ix.docTerms[num] {
-			post := ix.postings[tn]
-			i := sort.Search(len(post), func(i int) bool { return post[i].doc >= num })
-			ix.postings[tn] = slices.Delete(post, i, i+1)
-		}
-		ix.totalLen -= int(ix.docLen[num])
-	}
-	ix.indexLocked(d)
-}
-
-// NumDocs returns the indexed document count.
-func (ix *Index) NumDocs() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.docs)
-}
-
-// Doc returns an indexed document by ID.
-func (ix *Index) Doc(id string) (*webcorpus.Document, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	num, ok := ix.docNum[id]
-	if !ok {
-		return nil, false
-	}
-	return ix.docs[num], true
 }
 
 // Hit is one search result.

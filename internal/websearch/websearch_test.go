@@ -88,36 +88,6 @@ func TestIDFRareTermWins(t *testing.T) {
 	}
 }
 
-func TestUpdateReindexes(t *testing.T) {
-	d := mkDoc("d1", "", "original content about cats")
-	ix := NewIndex([]*webcorpus.Document{d, mkDoc("d2", "", "dogs only")})
-	if hits := ix.Search("cats", 5); len(hits) != 1 {
-		t.Fatalf("pre-update hits = %v", hits)
-	}
-	d.Text = "now about birds"
-	d.Version++
-	ix.Update(d)
-	if hits := ix.Search("cats", 5); len(hits) != 0 {
-		t.Fatalf("stale postings after update: %v", hits)
-	}
-	if hits := ix.Search("birds", 5); len(hits) != 1 {
-		t.Fatalf("new postings missing: %v", hits)
-	}
-	if ix.NumDocs() != 2 {
-		t.Fatalf("NumDocs = %d", ix.NumDocs())
-	}
-}
-
-func TestDocLookup(t *testing.T) {
-	ix := NewIndex([]*webcorpus.Document{mkDoc("d1", "t", "x")})
-	if _, ok := ix.Doc("d1"); !ok {
-		t.Fatal("Doc(d1) missing")
-	}
-	if _, ok := ix.Doc("nope"); ok {
-		t.Fatal("Doc(nope) found")
-	}
-}
-
 func TestSearchOverGeneratedCorpus(t *testing.T) {
 	w, err := workload.GenerateKG(workload.KGConfig{NumPeople: 40, NumClusters: 4, Seed: 31})
 	if err != nil {

@@ -37,14 +37,6 @@ const (
 // into the empty graph dst (bulk seeding for a durable data directory).
 var ImportGraph = wal.ImportGraph
 
-// OpenDurable opens (or creates) the durable data directory dir over the
-// empty graph g: an existing directory is recovered into g, a fresh one
-// starts an empty log. Callers mutate g as usual and call Commit /
-// Checkpoint on the manager to persist.
-func OpenDurable(dir string, g *Graph, opts DurableOptions) (*DurableManager, *RecoveryInfo, error) {
-	return wal.Open(dir, g, opts)
-}
-
 // OpenDurablePlatform opens the durable data directory dir and wraps the
 // recovered graph in a Platform whose durability hooks (ODKE barrier,
 // CloseDurable) are wired. The returned RecoveryInfo reports what was

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"saga/internal/kg"
+	"saga/internal/wal"
 )
 
 // The order contract: row order is a function of the facts. One seeded
@@ -231,7 +232,7 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, writers := range []int{1, 4} {
 			replica := fmt.Sprintf("shards=%d writers=%d", shards, writers)
-			g := NewGraphWithShards(shards)
+			g := kg.NewGraphWithShards(shards)
 			d := orderWorld(t, g)
 			if ops == nil {
 				ops = orderHistory(d)
@@ -255,8 +256,8 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 	// checkpoint load plus a log replay, and the as-of overlay a retained
 	// base plus a suffix.
 	dir := t.TempDir()
-	g := NewGraphWithShards(2)
-	m, _, err := OpenDurable(dir, g, DurableOptions{})
+	g := kg.NewGraphWithShards(2)
+	m, _, err := wal.Open(dir, g, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +290,8 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered := NewGraphWithShards(8)
-	m2, info, err := OpenDurable(dir, recovered, DurableOptions{})
+	recovered := kg.NewGraphWithShards(8)
+	m2, info, err := wal.Open(dir, recovered, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

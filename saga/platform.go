@@ -54,14 +54,6 @@ func (p *Platform) Graph() *Graph { return p.graph }
 // Engine returns the graph query engine.
 func (p *Platform) Engine() *Engine { return p.engine }
 
-// QueryConjunctive evaluates a conjunctive triple-pattern query (the §1
-// "movies directed by X" shape) and returns all satisfying bindings,
-// sorted and deduplicated. It materializes the whole answer set; serving
-// paths should prefer QueryRows or QueryStream with a limit.
-func (p *Platform) QueryConjunctive(clauses []QueryClause) ([]QueryBinding, error) {
-	return p.engine.QueryConjunctive(clauses)
-}
-
 // QueryRows evaluates a conjunctive query as a stream of slot rows: rows
 // yield as the join produces them (each once, in an order that is a
 // function of the plan and the facts, not of how the facts arrived), a
@@ -349,9 +341,6 @@ func (p *Platform) BuildAnnotator(cfg AnnotateConfig) error {
 	return nil
 }
 
-// Annotator returns the annotation service, or nil before BuildAnnotator.
-func (p *Platform) Annotator() *Annotator { return p.annotator }
-
 // Annotate links entity mentions in text.
 func (p *Platform) Annotate(text string) ([]Annotation, error) {
 	if p.annotator == nil {
@@ -392,15 +381,6 @@ func (p *Platform) BuildODKE(index *websearch.Index, fuser Fuser) error {
 	}
 	p.odkePipe = pipe
 	return nil
-}
-
-// ODKE returns the extraction pipeline, or nil before BuildODKE.
-func (p *Platform) ODKE() *ODKEPipeline { return p.odkePipe }
-
-// FindGaps profiles the KG (and optional query log) for missing/stale
-// facts.
-func (p *Platform) FindGaps(queryLog []QueryLogEntry, cfg ProfilerConfig) []Gap {
-	return odke.FindGaps(p.graph, queryLog, cfg)
 }
 
 // RunODKE executes the extraction pipeline over the gaps.

@@ -2,6 +2,8 @@ package saga
 
 import (
 	"testing"
+
+	"saga/internal/odke"
 )
 
 func buildPlatform(t *testing.T) (*Platform, *World) {
@@ -112,7 +114,7 @@ func TestPlatformEndToEnd(t *testing.T) {
 	if err := p.BuildODKE(index, MajorityVoteFuser{}); err != nil {
 		t.Fatal(err)
 	}
-	gaps := p.FindGaps(nil, ProfilerConfig{CoverageThreshold: 0.5})
+	gaps := odke.FindGaps(p.graph, nil, odke.ProfilerConfig{CoverageThreshold: 0.5})
 	var targetGap *Gap
 	for i := range gaps {
 		if gaps[i].Subject == target && gaps[i].Predicate == pred {
@@ -198,16 +200,16 @@ func TestFacadeAccessorsAndHelpers(t *testing.T) {
 	if p.Graph() != w.Graph {
 		t.Fatal("Graph() mismatch")
 	}
-	if p.Engine() == nil || p.EmbeddingService() == nil || p.Model() == nil || p.Dataset() == nil || p.Annotator() == nil {
+	if p.Engine() == nil || p.EmbeddingService() == nil || p.Model() == nil || p.Dataset() == nil || p.annotator == nil {
 		t.Fatal("initialized component accessor returned nil")
 	}
-	if p.ODKE() != nil {
-		t.Fatal("ODKE non-nil before BuildODKE")
+	if p.odkePipe != nil {
+		t.Fatal("ODKE pipeline built before BuildODKE")
 	}
 
 	// Conjunctive query through the facade.
 	team := w.Teams[0]
-	bindings, err := p.QueryConjunctive([]QueryClause{
+	bindings, err := p.Engine().QueryConjunctive([]QueryClause{
 		{Subject: QVar("p"), Predicate: w.Preds["memberOf"], Object: QEntity(team)},
 	})
 	if err != nil {
@@ -217,7 +219,7 @@ func TestFacadeAccessorsAndHelpers(t *testing.T) {
 		t.Fatalf("bindings = %d, want %d", len(bindings), len(w.ClusterMembers[0]))
 	}
 	// QConst with a literal object.
-	heights, err := p.QueryConjunctive([]QueryClause{
+	heights, err := p.Engine().QueryConjunctive([]QueryClause{
 		{Subject: QVar("x"), Predicate: w.Preds["height"], Object: QConst(IntValue(175))},
 	})
 	if err != nil {
@@ -236,28 +238,9 @@ func TestFacadeAccessorsAndHelpers(t *testing.T) {
 		t.Fatalf("pipeline processed %d", stats.Processed)
 	}
 
-	// Engine + KV + query log helpers.
-	if NewEngine(w.Graph) == nil {
-		t.Fatal("NewEngine nil")
-	}
-	kv, err := OpenKV(t.TempDir(), KVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	log := GenerateQueryLog(w, QueryLogConfig{NumQueries: 20, Seed: 1})
-	if len(log) != 20 {
-		t.Fatalf("query log = %d", len(log))
-	}
-
 	// Value constructor re-exports.
-	if !EntityValue(1).IsEntity() || !StringValue("s").IsLiteral() ||
-		!FloatValue(1.5).IsLiteral() || !BoolValue(true).Bool() {
+	if !EntityValue(1).IsEntity() || StringValue("s").Kind != KindString ||
+		FloatValue(1.5).Kind != KindFloat || BoolValue(true).Kind != KindBool {
 		t.Fatal("value constructor re-exports broken")
 	}
 }
@@ -311,7 +294,7 @@ func TestRetrainSeesTheGraphAsItIsNow(t *testing.T) {
 				Subject: w.People[i], Predicate: w.Preds["collaborator"], Object: EntityValue(fresh[i%2]),
 			})
 		}
-		if err := w.Graph.AssertAll(added); err != nil {
+		if _, err := w.Graph.AssertBatch(added); err != nil {
 			t.Fatal(err)
 		}
 		if got := train(); got != before+len(added) {

@@ -18,7 +18,6 @@ import (
 	"saga/internal/odke"
 	"saga/internal/ondevice"
 	"saga/internal/rules"
-	"saga/internal/storage"
 	"saga/internal/vecindex"
 	"saga/internal/webcorpus"
 	"saga/internal/websearch"
@@ -81,11 +80,6 @@ const (
 // count (GOMAXPROCS rounded up to a power of two).
 func NewGraph() *Graph { return kg.NewGraph() }
 
-// NewGraphWithShards returns an empty knowledge graph with an explicit
-// write-shard count (rounded up to a power of two); shard count 1 is the
-// classic single-lock graph.
-func NewGraphWithShards(n int) *Graph { return kg.NewGraphWithShards(n) }
-
 // Graph engine (internal/graphengine).
 type (
 	// Engine provides conjunctive queries, subscriptions, and the filtered
@@ -139,9 +133,6 @@ var (
 	DecodeQueryCursor = graphengine.DecodeCursor
 )
 
-// NewEngine wraps a graph with query and view capabilities.
-func NewEngine(g *Graph) *Engine { return graphengine.New(g) }
-
 // Rule layer (internal/rules).
 type (
 	// RuleSet is a validated, stratified rule program.
@@ -191,9 +182,7 @@ const (
 
 // Annotation (internal/annotate).
 type (
-	// Annotator links text to KG entities.
-	Annotator = annotate.Annotator
-	// AnnotateConfig configures an Annotator.
+	// AnnotateConfig configures the annotation service.
 	AnnotateConfig = annotate.Config
 	// Annotation is one linked mention.
 	Annotation = annotate.Annotation
@@ -214,16 +203,12 @@ const (
 type (
 	// Gap is a missing or stale fact slot.
 	Gap = odke.Gap
-	// ODKEPipeline runs gap → search → extract → fuse → write.
-	ODKEPipeline = odke.Pipeline
 	// ODKEReport summarizes a pipeline run.
 	ODKEReport = odke.Report
 	// Fuser corroborates candidate facts.
 	Fuser = odke.Fuser
 	// CandidateFact is one extracted hypothesis.
 	CandidateFact = odke.CandidateFact
-	// ProfilerConfig configures gap detection.
-	ProfilerConfig = odke.ProfilerConfig
 	// MajorityVoteFuser corroborates by vote share.
 	MajorityVoteFuser = odke.MajorityVoteFuser
 	// BestExtractorFuser trusts the single most confident candidate.
@@ -263,17 +248,6 @@ type (
 	StaticAsset = ondevice.StaticAsset
 )
 
-// Storage (internal/storage).
-type (
-	// KVStore is the disk-oriented key-value store.
-	KVStore = storage.Store
-	// KVOptions configure a KVStore.
-	KVOptions = storage.Options
-)
-
-// OpenKV opens a disk-oriented store in dir.
-func OpenKV(dir string, opts KVOptions) (*KVStore, error) { return storage.Open(dir, opts) }
-
 // Vector index (internal/vecindex).
 type (
 	// Vector is a dense embedding.
@@ -291,16 +265,7 @@ type (
 	World = workload.World
 	// CorpusConfig sizes the synthetic web corpus.
 	CorpusConfig = webcorpus.Config
-	// QueryLogEntry is one serving-layer query observation.
-	QueryLogEntry = workload.QueryLogEntry
-	// QueryLogConfig sizes the synthetic query log.
-	QueryLogConfig = workload.QueryLogConfig
 )
-
-// GenerateQueryLog samples a popularity-biased query log over a world.
-func GenerateQueryLog(w *World, cfg QueryLogConfig) []QueryLogEntry {
-	return workload.GenerateQueryLog(w, cfg)
-}
 
 // GenerateWorld builds a synthetic open-domain KG.
 func GenerateWorld(cfg WorldConfig) (*World, error) { return workload.GenerateKG(cfg) }

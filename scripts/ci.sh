@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # ci.sh — the local CI gate: formatting, vet, build (plus an arm64
 # cross-build: the kNN kernel's generic body must compile where the amd64
-# assembly does not), a flag-parse smoke of kgserve, a durable kgserve
-# smoke (seed a data dir, ingest, kill -9, restart, SIGTERM, restart: the
-# on-disk format through the real binary), a default-argument run of
+# assembly does not), the reach scan (scripts/reach.sh: every production
+# function is linked by a binary, the bench/ harness or the experiments,
+# or scripts/reach_allow.txt says why it stays), a flag-parse smoke of
+# kgserve, a durable kgserve smoke (seed a data dir, ingest, kill -9,
+# restart, SIGTERM, restart: the on-disk format through the real binary),
+# a default-argument run of
 # every example and the odke/weblink/embedtrain commands (cmd/* and
 # examples/* have no tests), the full test suite under the race detector — the graph, query, rules,
 # serving, durability and embedding-training packages again at 1, 2 and 4
@@ -57,6 +60,9 @@ go vet ./...
 echo "== go build =="
 go build ./...
 GOARCH=arm64 go build ./...
+
+echo "== reach (production code a binary links, or allowlisted) =="
+scripts/reach.sh
 
 echo "== kgserve flag parse =="
 go run ./cmd/kgserve -h >/dev/null 2>&1

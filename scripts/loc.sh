@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # loc.sh — Go code lines per package: non-test files, comment-only and
 # blank lines left out (the count a simplicity PR's headline is made of).
+# Below the total, one more line counts the same way over the _test.go
+# files outside bench/.
 #
 # Usage:
 #   scripts/loc.sh          # the working tree (tracked and new files)
@@ -20,12 +22,23 @@ else
     show() { cat "$1"; }
 fi
 
-list | grep '\.go$' | grep -v '_test\.go$' | while read -r f; do
-    if [[ -z "$rev" && ! -f "$f" ]]; then
-        continue # tracked, deleted in the working tree
-    fi
-    n=$(show "$f" | grep -v '^\s*//' | grep -cv '^\s*$' || true)
-    echo "$(dirname "$f") $n"
+gofiles() { # the Go files of the tree, less those deleted in the working tree
+    list | grep '\.go$' | while read -r f; do
+        if [[ -n "$rev" || -f "$f" ]]; then
+            echo "$f"
+        fi
+    done
+}
+loc() { # loc <file>: its non-comment, non-blank lines
+    show "$1" | grep -v '^\s*//' | grep -cv '^\s*$' || true
+}
+
+gofiles | grep -v '_test\.go$' | while read -r f; do
+    echo "$(dirname "$f") $(loc "$f")"
 done | awk '{ n[$1] += $2; total += $2 }
     END { for (p in n) printf "%7d  %s\n", n[p], p; printf "%7d  ~total\n", total }' |
     sort -k2 | sed 's/~total/total/'
+
+gofiles | grep '_test\.go$' | grep -v '^bench/' | while read -r f; do
+    loc "$f"
+done | awk '{ total += $1 } END { printf "%7d  tests outside bench/\n", total }'
