@@ -53,6 +53,10 @@ func TestOntologyIsA(t *testing.T) {
 	if o.IsA(NoType, ids["Thing"]) || o.IsA(ids["Thing"], NoType) {
 		t.Error("IsA with NoType must be false")
 	}
+}
+
+func TestOntologyAncestorsAndChildren(t *testing.T) {
+	o, ids := buildTestOntology(t)
 	// The parent chain runs from a type up to its root, nearest first.
 	var chain []string
 	for ty := o.Parent(ids["BasketballPlayer"]); ty != NoType; ty = o.Parent(ty) {
@@ -60,6 +64,17 @@ func TestOntologyIsA(t *testing.T) {
 	}
 	if want := []string{"Athlete", "Person", "Thing"}; !slices.Equal(chain, want) {
 		t.Errorf("parent chain of BasketballPlayer = %v, want %v", chain, want)
+	}
+	// Type IDs run 1..Len, so the children of Person are the IDs whose
+	// parent is Person.
+	var kids []string
+	for id := TypeID(1); int(id) <= o.Len(); id++ {
+		if o.Parent(id) == ids["Person"] {
+			kids = append(kids, o.Name(id))
+		}
+	}
+	if want := []string{"Athlete", "Academic"}; !slices.Equal(kids, want) {
+		t.Errorf("children of Person = %v, want %v", kids, want)
 	}
 }
 
