@@ -387,7 +387,7 @@ func BenchmarkE12DiskTraining(b *testing.B) {
 
 // BenchmarkE13Conjunctive measures the paper's §1 retrieval shape — a
 // two-clause bound-object conjunctive query ("people in team T who won
-// award A") — on a skewed 64-shard graph: a hot follows predicate and a
+// award A") — on a skewed graph: a hot follows predicate and a
 // few hot teams dominate the postings while the queried (memberOf, team)
 // pair is selective. The "pom" case runs the planner over the
 // predicate-major index (counter estimates + one posting-list read); the
@@ -396,7 +396,7 @@ func BenchmarkE12DiskTraining(b *testing.B) {
 // a graph with no reverse index at all, excluded from the benchcmp gate
 // as a deliberately-degraded baseline foil (see scripts/benchcmp).
 func BenchmarkE13Conjunctive(b *testing.B) {
-	g := kg.NewGraphWithShards(64)
+	g := kg.NewGraph()
 	add := func(key string) kg.EntityID {
 		id, err := g.AddEntity(kg.Entity{Key: key})
 		if err != nil {
@@ -502,7 +502,7 @@ func BenchmarkE13Conjunctive(b *testing.B) {
 // QueryConjunctive solves, dedups, and sorts the full answer set, then
 // the caller keeps the first ten. Report-only per the E14+ convention.
 func BenchmarkE14QueryStream(b *testing.B) {
-	g := kg.NewGraphWithShards(64)
+	g := kg.NewGraph()
 	add := func(key string) kg.EntityID {
 		id, err := g.AddEntity(kg.Entity{Key: key})
 		if err != nil {
@@ -636,18 +636,13 @@ func BenchmarkE14QueryStream(b *testing.B) {
 
 // BenchmarkE15Ingest measures parallel same-predicate batch ingestion —
 // the ODKE bulk-load shape: 8 goroutines AssertBatch disjoint subject
-// ranges of ONE predicate into a 64-shard graph, so writers land on
-// distinct shards but every index update converges on the same hot
-// predicate's pom stripe, taken inline once per triple. Gated (E15).
-//
-// Because every writer asserts the one predicate, the shard count cannot
-// separate here: at -cpu 2, 64 shards and 1 shard read within each
-// other's spread. BenchmarkGraphAssertParallel's disjoint rows are the
-// figure that prices the shards.
+// ranges of ONE predicate into one graph, each subject's run of a batch
+// under one hold of the graph's write lock, every index update on the
+// same hot predicate's posting. Gated (E15).
 func BenchmarkE15Ingest(b *testing.B) {
 	const pool = 1 << 16
 	const batchSize = 512
-	g := kg.NewGraphWithShards(64)
+	g := kg.NewGraph()
 	p, _ := g.AddPredicate(kg.Predicate{Name: "type"})
 	ids := make([]kg.EntityID, pool)
 	for i := range ids {
@@ -661,9 +656,9 @@ func BenchmarkE15Ingest(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
 	// SetParallelism targets ≈8 goroutines but RunParallel spawns
 	// parallelism*GOMAXPROCS, which overshoots on core counts that
-	// don't divide 8 — so ranges are striped mod 64 (the shard
-	// count), keeping every worker's subjects on their own shard
-	// for any worker count up to 64.
+	// don't divide 8 — so worker w owns the subjects congruent to w
+	// mod 64, keeping the subject ranges disjoint for any worker count
+	// up to 64.
 	b.SetParallelism((8 + procs - 1) / procs)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -674,10 +669,9 @@ func BenchmarkE15Ingest(b *testing.B) {
 		for pb.Next() {
 			i++
 			for j := range batch {
-				// Worker w owns the subjects congruent to w mod 64
-				// (disjoint shards across workers); every object
-				// value is fresh, so each batch asserts batchSize
-				// new facts of the one shared predicate.
+				// Worker w owns the subjects congruent to w mod 64;
+				// every object value is fresh, so each batch asserts
+				// batchSize new facts of the one shared predicate.
 				s := ids[rng.Intn(pool/64)*64+w%64]
 				batch[j] = kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(w)<<48 | i<<16 | int64(j))}
 			}
@@ -705,7 +699,7 @@ func BenchmarkE15Ingest(b *testing.B) {
 func BenchmarkGraphRetractHot(b *testing.B) {
 	for _, n := range []int{16384, 131072, 1048576} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := kg.NewGraphWithShards(64)
+			g := kg.NewGraph()
 			typeP, _ := g.AddPredicate(kg.Predicate{Name: "type"})
 			person, err := g.AddEntity(kg.Entity{Key: "Person"})
 			if err != nil {
@@ -749,7 +743,7 @@ func BenchmarkGraphRetractHot(b *testing.B) {
 // half of one predicate's 256.
 func BenchmarkGraphAssertWideSubject(b *testing.B) {
 	const preds, perPred = 64, 256
-	g := kg.NewGraphWithShards(8)
+	g := kg.NewGraph()
 	s, err := g.AddEntity(kg.Entity{Key: "wide"})
 	if err != nil {
 		b.Fatal(err)
@@ -814,12 +808,11 @@ func BenchmarkGraphFootprint(b *testing.B) {
 
 // BenchmarkGraphAssertBatchSorted measures the disk-restore shape: one
 // 65536-triple snapshot in AllTriples order (subjects ascending, then
-// predicate, then object identity) bulk-loaded into a fresh 64-shard
-// graph with a single AssertBatch call. The "sorted" case takes the
-// merge-append fast path (O(n) sortedness check + stable shard bucket);
-// the "shuffled" case replays the identical triples through a fixed
-// permutation and pays the general per-batch (shard, identity) comparison
-// sort. Graph construction and entity registration happen off the clock.
+// predicate, then object identity) bulk-loaded into a fresh graph with a
+// single AssertBatch call. The "sorted" case takes the fast path (an
+// O(n) sortedness check); the "shuffled" case replays the identical
+// triples through a fixed permutation and pays the general per-batch
+// identity comparison sort. Graph construction and entity registration happen off the clock.
 func BenchmarkGraphAssertBatchSorted(b *testing.B) {
 	const pool = 4096
 	const perSubject = 16 // 4 predicates x 4 ascending objects
@@ -842,7 +835,7 @@ func BenchmarkGraphAssertBatchSorted(b *testing.B) {
 	// Template graph fixes the ID assignment; every fresh graph below
 	// registers the same records in the same order, so the snapshot's IDs
 	// stay valid.
-	tmpl := kg.NewGraphWithShards(64)
+	tmpl := kg.NewGraph()
 	ids, preds := build(tmpl)
 	snapshot := make([]kg.Triple, 0, batchSize)
 	for si, s := range ids {
@@ -871,7 +864,7 @@ func BenchmarkGraphAssertBatchSorted(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g := kg.NewGraphWithShards(64)
+				g := kg.NewGraph()
 				build(g)
 				b.StartTimer()
 				added, err := g.AssertBatch(c.batch)
@@ -907,71 +900,65 @@ func BenchmarkGraphAssert(b *testing.B) {
 }
 
 // BenchmarkGraphAssertParallel measures concurrent triple ingestion at 8
-// goroutines, comparing the single-lock baseline (shards=1) against the
-// sharded write path (shards=8). Each goroutine asserts fresh facts for
-// its own subject slice, the write pattern ODKE-style ingestion produces.
-// In the shards=N rows every writer asserts the one predicate, so every
-// write also takes that predicate's pom stripe and the writers meet
-// there whatever the shard count: the two rows cannot separate. In the
-// disjoint rows each writer owns its predicate as well as its subjects,
-// so a write meets another writer only on a shard lock; they are the
-// figure that prices the shards.
+// goroutines into one graph, whose writers serialize on its write lock.
+// Each goroutine asserts fresh facts for its own subject slice, the write
+// pattern ODKE-style ingestion produces. In the shared row every writer
+// asserts the one predicate; in the disjoint row each writer owns its
+// predicate as well as its subjects, the shape that a graph partitioned
+// by subject and predicate would let run side by side.
 func BenchmarkGraphAssertParallel(b *testing.B) {
 	const pool, writers = 8192, 8
 	for _, disjoint := range []bool{false, true} {
-		for _, shards := range []int{1, 8} {
-			name := fmt.Sprintf("shards=%d", shards)
-			if disjoint {
-				name = "disjoint/" + name
-			}
-			b.Run(name, func(b *testing.B) {
-				g := kg.NewGraphWithShards(shards)
-				preds := make([]kg.PredicateID, writers)
-				for i := range preds {
-					preds[i], _ = g.AddPredicate(kg.Predicate{Name: fmt.Sprintf("p%d", i)})
-				}
-				ids := make([]kg.EntityID, pool)
-				for i := range ids {
-					id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ids[i] = id
-				}
-				var worker atomic.Int64
-				procs := runtime.GOMAXPROCS(0)
-				b.SetParallelism((writers + procs - 1) / procs) // ≈8 goroutines total
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					w := int(worker.Add(1)) - 1
-					rng := rand.New(rand.NewSource(int64(w)))
-					p := preds[0]
-					if disjoint {
-						p = preds[w%writers]
-					}
-					var i int64
-					for pb.Next() {
-						i++
-						// Worker w owns the subjects congruent to w mod 8, so
-						// writers land on distinct shards (mirroring ingestion
-						// workers partitioned by subject) and every object value
-						// is fresh.
-						s := ids[rng.Intn(pool/writers)*writers+w%writers]
-						_ = g.Assert(kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(w)<<40 | i)})
-					}
-				})
-			})
+		name := "shared"
+		if disjoint {
+			name = "disjoint"
 		}
+		b.Run(name, func(b *testing.B) {
+			g := kg.NewGraph()
+			preds := make([]kg.PredicateID, writers)
+			for i := range preds {
+				preds[i], _ = g.AddPredicate(kg.Predicate{Name: fmt.Sprintf("p%d", i)})
+			}
+			ids := make([]kg.EntityID, pool)
+			for i := range ids {
+				id, err := g.AddEntity(kg.Entity{Key: fmt.Sprintf("e%d", i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ids[i] = id
+			}
+			var worker atomic.Int64
+			procs := runtime.GOMAXPROCS(0)
+			b.SetParallelism((writers + procs - 1) / procs) // ≈8 goroutines total
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				w := int(worker.Add(1)) - 1
+				rng := rand.New(rand.NewSource(int64(w)))
+				p := preds[0]
+				if disjoint {
+					p = preds[w%writers]
+				}
+				var i int64
+				for pb.Next() {
+					i++
+					// Worker w owns the subjects congruent to w mod 8
+					// (mirroring ingestion workers partitioned by subject),
+					// and every object value is fresh.
+					s := ids[rng.Intn(pool/writers)*writers+w%writers]
+					_ = g.Assert(kg.Triple{Subject: s, Predicate: p, Object: kg.IntValue(int64(w)<<40 | i)})
+				}
+			})
+		})
 	}
 }
 
 // BenchmarkGraphAssertBatch compares looped Assert against the AssertBatch
-// fast path (one lock acquisition per shard, indexes grown per run) for a
+// fast path (one lock acquisition per subject, indexes grown per run) for a
 // 512-triple ingestion batch.
 func BenchmarkGraphAssertBatch(b *testing.B) {
 	const pool, batchSize = 1024, 512
 	mkGraph := func(b *testing.B) (*kg.Graph, []kg.EntityID, kg.PredicateID) {
-		g := kg.NewGraphWithShards(8)
+		g := kg.NewGraph()
 		p, _ := g.AddPredicate(kg.Predicate{Name: "p"})
 		ids := make([]kg.EntityID, pool)
 		for i := range ids {

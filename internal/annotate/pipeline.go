@@ -126,9 +126,9 @@ func (p *Pipeline) LinkToGraph(g *kg.Graph) (int, error) {
 	p.mu.Unlock()
 
 	// Register all document entities first, then assert every mention
-	// edge in one batch: the graph's batch path takes each shard lock
-	// once and grows index slices per (subject, predicate) run, instead
-	// of a lock round-trip per annotation. AssertBatch also reports the
+	// edge in one batch: the graph's batch path takes its write lock
+	// once a subject and grows index slices per (subject, predicate)
+	// run, instead of a lock round-trip per annotation. AssertBatch also reports the
 	// number of newly added facts, which is exactly this function's
 	// return value (duplicate mention edges from re-linked documents are
 	// skipped, as before).

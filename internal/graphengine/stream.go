@@ -46,8 +46,8 @@ type QueryOptions struct {
 	// rows of the pages before it.
 	//
 	// The stream order is a function of the plan and the facts alone, so
-	// a cursor stays meaningful across restarts, checkpoint recovery and
-	// shard counts, and under concurrent writes: the page resumes at the
+	// a cursor stays meaningful across restarts and checkpoint recovery,
+	// and under concurrent writes: the page resumes at the
 	// cursor row's successor in that order whether or not the cursor row
 	// itself still exists, and a row present throughout a cursor walk is
 	// delivered exactly once. (A plan-cache replan after large drift can
@@ -121,8 +121,8 @@ func (r Row) Key() []kg.ValueKey {
 // a bound-object step by subject ID, an unbound step by (subject, object
 // key) — which makes it a function of the plan and the facts, not of how
 // the facts arrived: the live graph, a graph recovered from a checkpoint,
-// an as-of Overlay at the same watermark and a graph with a different
-// shard count all stream byte-identical rows. The planner fixes a clause
+// an as-of Overlay at the same watermark and a graph that took the same
+// facts in another order all stream byte-identical rows. The planner fixes a clause
 // order once from counter estimates (ties keep the earlier clause — see
 // buildPlan) and the Engine's plan cache returns the same plan for an
 // unchanged shape, so consecutive pages see the same order. The order is

@@ -17,7 +17,7 @@ import (
 // limit must terminate early.
 func streamFixture(t testing.TB, nMembers int) (g *kg.Graph, clauses []Clause) {
 	t.Helper()
-	g = kg.NewGraphWithShards(8)
+	g = kg.NewGraph()
 	add := func(key string) kg.EntityID {
 		id, err := g.AddEntity(kg.Entity{Key: key})
 		if err != nil {
@@ -456,7 +456,7 @@ func TestStreamConjunctiveContextCancel(t *testing.T) {
 // Read-your-writes for the planner: facts asserted moments ago must be
 // visible to the estimates and expansions of the very next query.
 func TestPlannerCountersSeeFreshWrites(t *testing.T) {
-	g := kg.NewGraphWithShards(8)
+	g := kg.NewGraph()
 	member, _ := g.AddPredicate(kg.Predicate{Name: "memberOf"})
 	team, err := g.AddEntity(kg.Entity{Key: "team"})
 	if err != nil {

@@ -57,7 +57,7 @@ func FuzzSubscriptionMirror(f *testing.F) {
 		if len(ops) > 600 {
 			return
 		}
-		g := kg.NewGraphWithShards(2)
+		g := kg.NewGraph()
 		ents := make([]kg.EntityID, mirrorEntities)
 		objects := make([]kg.Value, 0, mirrorEntities+4)
 		for i := range ents {

@@ -105,7 +105,7 @@ func (e *Engine) Materialize(def ViewDef) []kg.Triple {
 // graph. It is the one read of the training view: the embedding trainer
 // collects 12-byte ID records from it.
 //
-// fn may run inside the graph's all-shard read lock and must not call
+// fn may run inside the graph's read lock and must not call
 // back into the graph.
 func (e *Engine) Scan(def ViewDef, fn func(kg.Triple)) {
 	// A predicate's frequency is complete only at the end of the cut, so

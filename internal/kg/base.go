@@ -12,9 +12,9 @@ import (
 
 // frozen is the graph's base layer: most of its facts, frozen into
 // sorted arrays that hold no pointer the collector has to trace, read
-// through the small delta of writes since (graphShard.delta and the pom
-// stripes' predDelta). It is never modified; a fold or a bulk load
-// replaces it whole.
+// through the small delta of writes since (Graph.delta and the pom's
+// predDelta). It is never modified; a fold or a bulk load replaces it
+// whole.
 type frozen struct {
 	// off[s] is where subject s's facts start in rows and off[s+1] where
 	// they end, for s < len(off)-1. A subject's rows are sorted by
@@ -335,22 +335,18 @@ func (g *Graph) maybeFold() {
 	if !full() {
 		return
 	}
-	g.lockAll()
-	defer g.unlockAll()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if full() {
 		g.foldLocked()
 	}
 }
 
 // foldLocked freezes every fact into a new base and empties the delta.
-// The caller holds every shard's and every stripe's write lock.
+// The caller holds the write lock.
 func (g *Graph) foldLocked() {
 	start := time.Now()
-	n := 0
-	for i := range g.shards {
-		n += g.shards[i].triples
-	}
-	bl := newBuilder(n)
+	bl := newBuilder(g.triples)
 	g.factsLocked(func(subj EntityID, r FactRow) bool {
 		bl.add(subj, r)
 		return true
@@ -363,15 +359,11 @@ func (g *Graph) foldLocked() {
 }
 
 // install makes b the base, which holds every fact, and empties the
-// delta. The caller holds every shard's and every stripe's write lock.
+// delta. The caller holds the write lock.
 func (g *Graph) install(b *frozen) {
 	g.base = b
-	for i := range g.shards {
-		g.shards[i].delta = map[EntityID][]FactRow{}
-	}
-	for i := range g.pom {
-		clear(g.pom[i].preds)
-	}
+	g.delta = map[EntityID][]FactRow{}
+	clear(g.pom)
 	g.layers.base.Store(int64(len(g.base.rows)))
 	g.layers.adds.Store(0)
 	g.layers.dels.Store(0)

@@ -13,9 +13,6 @@ func TestNewGraphOver(t *testing.T) {
 	a := mustEntity(t, lender, "a", "A")
 	p := mustPredicate(t, lender, "p")
 	b := NewGraphOver(lender)
-	if b.NumShards() != 1 {
-		t.Fatalf("borrower has %d shards, want 1", b.NumShards())
-	}
 
 	// An entity and a predicate the lender registers after the borrower
 	// was made are valid in the borrower.

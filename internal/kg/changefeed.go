@@ -12,9 +12,9 @@ import "slices"
 //
 //   - Registration: Feed opens a feed and registers it with the graph;
 //     Close unregisters it. The log keeps exactly the entries above the
-//     smallest open cursor (give or take the one chunk per shard the
-//     log is trimmed by) and none when no feed is open, so a consumer
-//     that stops reading must Close its feed or it pins the log. A feed
+//     smallest open cursor (give or take the one chunk the log is
+//     trimmed by) and none when no feed is open, so a consumer that
+//     stops reading must Close its feed or it pins the log. A feed
 //     Bound at a lag stops holding the log once it lags past it.
 //   - Cursor: the feed has consumed exactly the first Cursor()
 //     mutations. A fresh feed starts wherever the consumer's derived
@@ -25,8 +25,8 @@ import "slices"
 //     holds), reads the cut, and Resets the feed to the cut's watermark:
 //     the open feed keeps every entry past the cut in the log.
 //   - Pull: returns the mutations strictly after the cursor under one
-//     consistent all-shard cut and advances the cursor past them. The
-//     second return value reports completeness.
+//     consistent cut (the graph's read lock) and advances the cursor
+//     past them. The second return value reports completeness.
 //   - Floor: LogFloor is the highest sequence number dropped from the
 //     log. Retention never raises it past an open cursor within its
 //     feed's bound; TruncateLog and AdvanceWatermark may, and a feed
@@ -71,8 +71,8 @@ func (f *Changefeed) Close() {
 }
 
 // Pull returns the mutations strictly after the cursor, in ascending
-// sequence order under one consistent all-shard cut, and advances the
-// cursor past them. complete=false means log compaction has passed the
+// sequence order under one consistent cut, and advances the cursor
+// past them. complete=false means log compaction has passed the
 // cursor (LogFloor > cursor) so the batch may have holes; the cursor is
 // left unchanged and the caller must rebuild its derived state and
 // Reset. A complete empty batch means the feed is caught up.
@@ -121,20 +121,17 @@ func (f *Changefeed) Bound(maxLag uint64) {
 
 // updateFeeds runs change — a registration, a cursor move, a bound or
 // a close — under feedMu, then drops the chunks no open feed still
-// needs. It locks only the shards whose first chunk can go: a cursor
-// that moves within a chunk costs a load per shard.
+// needs. It takes the write lock only when the log's first chunk can go:
+// a cursor that moves within a chunk costs one load.
 func (g *Graph) updateFeeds(change func()) {
 	g.feedMu.Lock()
 	change()
 	keep := g.retainAboveLocked()
 	g.feedMu.Unlock()
-	for i := range g.shards {
-		sh := &g.shards[i]
-		if at := sh.trimAt.Load(); at != 0 && at <= keep {
-			sh.mu.Lock()
-			g.trimShardLocked(sh)
-			sh.mu.Unlock()
-		}
+	if at := g.trimAt.Load(); at != 0 && at <= keep {
+		g.mu.Lock()
+		g.trimLocked()
+		g.mu.Unlock()
 	}
 }
 
@@ -153,17 +150,17 @@ func (g *Graph) retainAboveLocked() uint64 {
 	return keep
 }
 
-// trimShardLocked drops sh's leading log chunks whose entries every open
+// trimLocked drops the log's leading chunks whose entries every open
 // feed has read, raising the floor past them first, and records where
 // the first chunk left ends. Both happen under feedMu: a feed registered
 // after the smallest cursor was read sees the raised floor, so it is
 // never both counted out and left above the floor, and an updateFeeds
-// that follows sees the recorded end. The caller holds sh's write lock.
-func (g *Graph) trimShardLocked(sh *graphShard) {
+// that follows sees the recorded end. The caller holds the write lock.
+func (g *Graph) trimLocked() {
 	g.feedMu.Lock()
-	n, last := sh.log.chunksThrough(g.retainAboveLocked())
+	n, last := g.log.chunksThrough(g.retainAboveLocked())
 	g.raiseFloor(last)
-	sh.log.dropChunks(n)
-	sh.trimAt.Store(sh.log.firstEnd())
+	g.log.dropChunks(n)
+	g.trimAt.Store(g.log.firstEnd())
 	g.feedMu.Unlock()
 }

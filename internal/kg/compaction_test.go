@@ -31,7 +31,8 @@ func buildMutating(t *testing.T, g *Graph, n int) {
 }
 
 func TestTruncateLogRaisesFloorAndDropsEntries(t *testing.T) {
-	g := NewGraphWithShards(4)
+	g := NewGraph()
+	g.Feed(0) // keep the whole history: more than a chunk of it
 	buildMutating(t, g, 100)
 	wm := g.LastSeq()
 	if g.LogFloor() != 0 {
@@ -76,7 +77,7 @@ func TestTruncateLogRaisesFloorAndDropsEntries(t *testing.T) {
 }
 
 func TestTruncateLogClampsToWatermark(t *testing.T) {
-	g := NewGraphWithShards(2)
+	g := NewGraph()
 	buildMutating(t, g, 30)
 	wm := g.LastSeq()
 	dropped := g.TruncateLog(wm + 1000)
@@ -104,7 +105,7 @@ func TestTruncateLogClampsToWatermark(t *testing.T) {
 }
 
 func TestAdvanceWatermark(t *testing.T) {
-	g := NewGraphWithShards(4)
+	g := NewGraph()
 	buildMutating(t, g, 20)
 	low := g.LastSeq()
 
@@ -151,7 +152,7 @@ func TestAdvanceWatermark(t *testing.T) {
 }
 
 func TestAllTriplesSnapshotMatchesAllTriples(t *testing.T) {
-	g := NewGraphWithShards(4)
+	g := NewGraph()
 	buildMutating(t, g, 60)
 	snap, wm := g.AllTriplesSnapshot()
 	if wm != g.LastSeq() {
@@ -181,19 +182,17 @@ func checkFeed(t *testing.T, what string, muts []Mutation, after uint64) {
 	}
 }
 
-// The per-shard log is chunked: pulls, truncation and appends must all
+// The log is chunked: pulls, truncation and appends must all
 // behave across chunk boundaries exactly as they do inside one chunk
 // (the tests above never fill one).
 func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
-	g := NewGraphWithShards(2)
+	g := NewGraph()
 	// Keep the whole history in the chunks under test.
 	g.Feed(0)
-	buildMutating(t, g, 10*mutLogChunkCap) // 12 mutations per 10 steps: ~6 chunks a shard
+	buildMutating(t, g, 10*mutLogChunkCap) // 12 mutations per 10 steps: ~12 chunks
 	wm := g.LastSeq()
-	for i := range g.shards {
-		if n := len(g.shards[i].log.chunks); n < 4 {
-			t.Fatalf("shard %d holds %d chunks; the test needs several", i, n)
-		}
+	if n := len(g.log.chunks); n < 8 {
+		t.Fatalf("the log holds %d chunks; the test needs several", n)
 	}
 	for _, from := range []uint64{0, 1, mutLogChunkCap - 1, mutLogChunkCap, 3*mutLogChunkCap + 7, wm - 1, wm} {
 		muts := g.appendMutationsSince(nil, from)
@@ -204,7 +203,7 @@ func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
 	}
 
 	// A cut inside a chunk trims it; whole chunks before it go.
-	cut := uint64(2*mutLogChunkCap*len(g.shards) + 11)
+	cut := uint64(4*mutLogChunkCap + 11)
 	if dropped := g.TruncateLog(cut); uint64(dropped) != cut {
 		t.Fatalf("TruncateLog(%d) dropped %d", cut, dropped)
 	}
@@ -232,24 +231,6 @@ func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
 	if feed.Cursor() != g.LastSeq() {
 		t.Fatalf("cursor %d, watermark %d", feed.Cursor(), g.LastSeq())
 	}
-
-	// A truncation caught half-way — one shard cut, the other not yet —
-	// leaves holes below the floor. The pull must still come back
-	// ascending with nothing invented in the gaps, into a dirty buffer too.
-	half := g.LastSeq() - uint64(mutLogChunkCap)
-	g.shards[0].log.dropThrough(half)
-	holed := g.appendMutationsSince(got[:0], cut)
-	if len(holed) == 0 || uint64(len(holed)) >= g.LastSeq()-cut {
-		t.Fatalf("holed pull has %d entries", len(holed))
-	}
-	for i, m := range holed {
-		if m.Seq <= cut || (i > 0 && m.Seq <= holed[i-1].Seq) {
-			t.Fatalf("holed pull entry %d has seq %d after %d", i, m.Seq, holed[max(i-1, 0)].Seq)
-		}
-		if m.Seq <= half && g.shardIndex(m.T.Subject) == 0 {
-			t.Fatalf("holed pull resurrected dropped entry %d", m.Seq)
-		}
-	}
 }
 
 // A consumer pulling across chunk boundaries beside a live writer and a
@@ -257,7 +238,7 @@ func TestChunkedLogAcrossChunkBoundaries(t *testing.T) {
 // often than not — always sees the gapless feed; a consumer left behind
 // the floor is told so rather than handed a batch with holes.
 func TestChunkedLogPullDuringTruncate(t *testing.T) {
-	g := NewGraphWithShards(2)
+	g := NewGraph()
 	e := make([]EntityID, 8)
 	for i := range e {
 		e[i] = mustEntity(t, g, fmt.Sprintf("c%d", i), "")
@@ -266,7 +247,7 @@ func TestChunkedLogPullDuringTruncate(t *testing.T) {
 	const total = 40 * mutLogChunkCap
 	var consumed atomic.Uint64
 	// Open the feeds before the writer starts: with no feed open the log
-	// keeps only a chunk a shard, and the floor would pass cursor 0.
+	// keeps only a chunk, and the floor would pass cursor 0.
 	feed, lagging := g.Feed(0), g.Feed(0)
 	var wg sync.WaitGroup
 	wg.Add(2)

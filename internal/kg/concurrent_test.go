@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// shardFixture registers pool entities and one predicate on a graph with
-// the given shard count.
-func shardFixture(t testing.TB, shards, pool int) (*Graph, []EntityID, PredicateID) {
+// poolFixture registers pool entities and one predicate on a new graph
+// and opens a feed at 0 on it.
+func poolFixture(t testing.TB, pool int) (*Graph, []EntityID, PredicateID) {
 	t.Helper()
-	g := NewGraphWithShards(shards)
+	g := NewGraph()
 	g.Feed(0) // keep the whole history: the tests replay it
 	p, err := g.AddPredicate(Predicate{Name: "p"})
 	if err != nil {
@@ -29,22 +29,8 @@ func shardFixture(t testing.TB, shards, pool int) (*Graph, []EntityID, Predicate
 	return g, ids, p
 }
 
-func TestNewGraphWithShardsRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {7, 8}, {8, 8}, {300, 256},
-	} {
-		if got := NewGraphWithShards(tc.in).NumShards(); got != tc.want {
-			t.Errorf("NewGraphWithShards(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	if NewGraph().NumShards() < 1 {
-		t.Fatal("default graph has no shards")
-	}
-}
-
 // TestConcurrentShardHammer drives concurrent Assert/Retract across
-// subjects spanning every shard while readers take TriplesSnapshot and
-// MutationsSince cuts, then verifies the watermark contract end to end:
+// subjects while readers take TriplesSnapshot and MutationsSince cuts, then verifies the watermark contract end to end:
 // replaying the full merged mutation log into a fresh graph reproduces
 // exactly the final triple set, and each observed snapshot count is
 // consistent with replaying its watermark prefix.
@@ -55,7 +41,7 @@ func TestConcurrentShardHammer(t *testing.T) {
 		pool     = 64
 		snapsPer = 40
 	)
-	g, ids, p := shardFixture(t, 8, pool)
+	g, ids, p := poolFixture(t, pool)
 
 	type snapObs struct {
 		seq   uint64
@@ -111,8 +97,8 @@ func TestConcurrentShardHammer(t *testing.T) {
 		}
 	}
 
-	// Replay the full log into a single-shard graph: final states must match.
-	replay := NewGraphWithShards(1)
+	// Replay the full log into a fresh graph: final states must match.
+	replay := NewGraph()
 	if _, err := replay.AddPredicate(Predicate{Name: "p"}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +156,8 @@ func TestAssertBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 20; round++ {
 		pool := 10 + rng.Intn(40)
-		gBatch, ids, p := shardFixture(t, 1+rng.Intn(8), pool)
-		gSeq, _, _ := shardFixture(t, 4, pool)
+		gBatch, ids, p := poolFixture(t, pool)
+		gSeq, _, _ := poolFixture(t, pool)
 		p2b, _ := gBatch.AddPredicate(Predicate{Name: "q"})
 		p2s, _ := gSeq.AddPredicate(Predicate{Name: "q"})
 		if p2b != p2s {
@@ -244,7 +230,7 @@ func TestAssertBatchEquivalence(t *testing.T) {
 }
 
 func TestAssertBatchValidatesUpFront(t *testing.T) {
-	g, ids, p := shardFixture(t, 4, 8)
+	g, ids, p := poolFixture(t, 8)
 	batch := []Triple{
 		{Subject: ids[0], Predicate: p, Object: IntValue(1)},
 		{Subject: EntityID(999), Predicate: p, Object: IntValue(2)}, // invalid
@@ -260,7 +246,7 @@ func TestAssertBatchValidatesUpFront(t *testing.T) {
 }
 
 func TestAssertBatchFirstOccurrenceWins(t *testing.T) {
-	g, ids, p := shardFixture(t, 4, 4)
+	g, ids, p := poolFixture(t, 4)
 	first := Triple{Subject: ids[0], Predicate: p, Object: IntValue(7), Prov: Provenance{Source: "first"}}
 	second := first
 	second.Prov.Source = "second"
@@ -344,7 +330,7 @@ func TestEntityRecordCopyOnWrite(t *testing.T) {
 // float fact must remove it from every index, and a re-assert must not
 // leave a phantom duplicate in spo.
 func TestRetractNaNFloatFact(t *testing.T) {
-	g, ids, p := shardFixture(t, 4, 2)
+	g, ids, p := poolFixture(t, 2)
 	nan := FloatValue(math.NaN())
 	tr := Triple{Subject: ids[0], Predicate: p, Object: nan}
 	if err := g.Assert(tr); err != nil {
@@ -371,7 +357,7 @@ func TestRetractNaNFloatFact(t *testing.T) {
 // exact ordered delta the watermark promises: after base, two more
 // applied mutations yield exactly two entries covering (base, base+2].
 func TestMutationsSinceWatermark(t *testing.T) {
-	g, ids, p := shardFixture(t, 4, 16)
+	g, ids, p := poolFixture(t, 16)
 	for i := 0; i < 15; i++ {
 		if err := g.Assert(Triple{Subject: ids[i], Predicate: p, Object: EntityValue(ids[i+1])}); err != nil {
 			t.Fatal(err)

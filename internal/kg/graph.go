@@ -3,7 +3,6 @@ package kg
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,78 +45,30 @@ type Predicate struct {
 	Functional bool
 }
 
-// graphShard holds the delta and the mutation sub-log for the subjects
-// whose ID is ≡ i mod S, S the shard count. Everything inside is guarded
-// by the shard's own lock, so writers touching different shards never
-// contend. The trailing pad keeps two shards' mutexes off one cache line.
-type graphShard struct {
-	mu sync.RWMutex
-
-	// delta[subj] is what the writes since the last fold changed of
-	// subj's facts: its rows sorted by (predicate, object key), each
-	// with an op that says what it does to the base (see frozen.merge).
-	// A subject the writes left as the base has it has no entry.
-	delta map[EntityID][]FactRow
-	spare spares[FactRow]
-
-	// triples is the number of facts about the shard's subjects.
-	triples int
-
-	// log holds this shard's slice of the global mutation feed. Sequence
-	// numbers are drawn from Graph.seq while the shard write lock is held,
-	// so within one shard the log is strictly ascending in Seq.
-	log mutLog
-
-	// trimAt is the cursor at which the log's first chunk can be
-	// dropped (mutLog.firstEnd), 0 for an empty log. It is stored under
-	// the shard's write lock: by a trim, which also holds Graph.feedMu,
-	// and by an append to a one-chunk log. A value left stale by
-	// TruncateLog or AdvanceWatermark costs at most one needless trim.
-	trimAt atomic.Uint64
-
-	_ [64]byte // pad to 128 bytes so neighboring shard mutexes don't share a line
-}
-
-// setDelta stores subj's delta rows, dropping the entry once they drain.
-func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
-	if len(rows) > 0 {
-		sh.delta[subj] = rows
-		return
-	}
-	sh.spare.give(rows)
-	delete(sh.delta, subj)
-}
-
 // Graph is an in-memory triple store with entity/predicate dictionaries,
 // a subject-major and a predicate-major index, and a mutation log. It is
 // safe for concurrent use.
 //
-// # Sharded write path
+// # Locking
 //
-// The subject-major index is partitioned into S shards (S a power of
-// two, default GOMAXPROCS rounded up) by subject ID, each with its own
-// RWMutex, so concurrent Assert/Retract on different subjects scale with
-// cores instead of serializing on one graph lock. Reads bound to a
-// subject (Facts, OutgoingFunc, HasFact) touch exactly one shard. Reads
-// bound to a predicate (SubjectsWithFunc, PredicateFrequency) touch
-// exactly one pom stripe. Reads that span subjects either visit shards
-// one at a time (NumTriples — each shard internally consistent, the sum
-// as fresh as the moment its shard was visited) or, when they carry
-// watermark semantics (TriplesSnapshot, AllTriples, a Changefeed's
-// Pull), hold
-// every shard's read lock at once for a single consistent cut. Shard
-// locks are always acquired in index order and writers hold at most one
-// shard lock, so the two patterns cannot deadlock.
+// One RWMutex (mu) guards the triple state: both fact layers, the
+// predicate-major delta, the fact count and the mutation log. A write —
+// Assert, Retract, one subject's run of an AssertBatch — holds the write
+// lock; every read of the triple indexes holds the read lock once, for
+// as long as it reads. So every read is a consistent cut: a fact list, a
+// posting, a whole-graph scan (TriplesSnapshot, AllTriples, a
+// Changefeed's Pull) each see the state after exactly the first LastSeq
+// mutations at the moment the lock was taken. Writers serialize; readers
+// share the lock with one another.
 //
-// The entity/predicate dictionaries live outside the shards (dict.go). A
-// read by ID — Entity, Predicate, Entities, Predicates and assert
-// validation — takes no lock: the records sit in append-only tables
-// published through atomic pointers and lengths. Their writers serialize
-// on the dictionary lock, which also guards the key and name maps that
-// EntityByKey, PredicateByName and ReadDict read. AddEntity lays the
-// records, and their keys and names, out in ID order, so rendering the
-// entities of a posting, which lists them in ID order, reads
-// neighboring memory.
+// The entity/predicate dictionaries live outside it (dict.go). A read by
+// ID — Entity, Predicate, Entities, Predicates and assert validation —
+// takes no lock: the records sit in append-only tables published through
+// atomic pointers and lengths. Their writers serialize on the dictionary
+// lock, which also guards the key and name maps that EntityByKey,
+// PredicateByName and ReadDict read. AddEntity lays the records, and
+// their keys and names, out in ID order, so rendering the entities of a
+// posting, which lists them in ID order, reads neighboring memory.
 //
 // # Index layout and canonical order
 //
@@ -131,14 +82,14 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 //	            provenance an index into a small table of interned handles
 //	     preds: predicate -> its distinct objects in key order, each
 //	            with offsets into one []EntityID of ascending subjects
-//	delta: per shard, subject -> []FactRow          (the rows the writes
-//	     since the base changed, sorted like the base's: a fact the base
-//	     lacks, a base fact hidden (op OpRetract), or a base fact under
-//	     another provenance (op OpAssert))
-//	pom: per stripe, predicate -> the postings' delta (pom.go: the
-//	     subjects each (predicate, object) gained and lost since the
-//	     base, each list ascending, and the change in the totals)
-//	log: per shard, chunks of 56-byte entries      (seq, subject,
+//	delta: subject -> []FactRow          (the rows the writes since the
+//	     base changed, sorted like the base's: a fact the base lacks, a
+//	     base fact hidden (op OpRetract), or a base fact under another
+//	     provenance (op OpAssert))
+//	pom: predicate -> the postings' delta (pom.go: the subjects each
+//	     (predicate, object) gained and lost since the base, each list
+//	     ascending, and the change in the totals)
+//	log: chunks of 56-byte entries in sequence order (seq, subject,
 //	     predicate and a FactRow whose op field holds the mutation's op;
 //	     see mutlog.go)
 //
@@ -150,12 +101,13 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // checkpoint recovery — freezes its batch straight into the base. After
 // that, once the delta holds more than a quarter of the base's facts
 // (and more than foldFloor rows), the write that crossed the line folds
-// it into a new base under every shard's and every stripe's write lock,
-// so the folds cost a write O(1) on average. Both build the base the one way (builder, sortPostings):
-// the rows in identity order, then each predicate's postings
-// radix-sorted on the object key. A base frozen from any update history,
-// read through its delta, holds exactly what a graph built from scratch
-// with the same facts holds. Layers reports the two layers' sizes and the folds.
+// it into a new base under the write lock, so the folds cost a write
+// O(1) on average. Both build the base the one way (builder,
+// sortPostings): the rows in identity order, then each predicate's
+// postings radix-sorted on the object key. A base frozen from any update
+// history, read through its delta, holds exactly what a graph built from
+// scratch with the same facts holds. Layers reports the two layers'
+// sizes and the folds.
 //
 // A delta row is a FactRow (row.go): its object key laid out flat and an
 // interned provenance handle, 40 bytes where a Triple is 128; a base row
@@ -170,41 +122,39 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // Every enumeration the query stack builds on — a fact list, a posting —
 // is ordered by a key of the facts themselves, never by arrival: two
 // graphs holding the same facts enumerate them identically whatever
-// their shard counts, writer interleavings, folds or retract/re-assert
-// histories, and so does a graph recovered from a checkpoint.
-// Cross-subject probes (SubjectsWithFunc, SubjectsWithCount,
-// PredicateFrequency, PredicateEntriesFunc) read one pom stripe instead
-// of sweeping every shard; an entity's incoming edges under a known
+// their writer interleavings, folds or retract/re-assert histories, and
+// so does a graph recovered from a checkpoint. Cross-subject probes
+// (SubjectsWithFunc, SubjectsWithCount, PredicateFrequency,
+// PredicateEntriesFunc) read the predicate-major index instead of
+// sweeping every subject; an entity's incoming edges under a known
 // predicate are its posting.
 //
 // # Write path and lock order
 //
-// A mutation takes its subject shard's write lock, finds the fact in the
-// subject's delta rows and, failing that, in its base rows by binary
-// search (which is also the duplicate check), records the change in the
-// delta, and then maintains the pom delta inline under the predicate's
-// stripe lock — shard lock, then stripe lock, the stripe strictly
-// leaf-level. Because every stripe write happens under a shard write
-// lock, the all-shard read lock (rlockAll) freezes the pom index at the
-// watermark exactly like the subject-major layers. A fold and a bulk
-// load take every shard's write lock in index order and then every
-// stripe's (lockAll), the same order.
+// A mutation takes the write lock, finds the fact in the subject's delta
+// rows and, failing that, in its base rows by binary search (which is
+// also the duplicate check), records the change in the delta, maintains
+// the predicate's posting delta, and logs it. A log append that starts a
+// new chunk first trims the chunks every open feed has read, taking the
+// feed registry's lock (feedMu) inside the write lock: mu, then feedMu,
+// and nothing is acquired inside feedMu. A fold and a bulk load hold the
+// write lock for the whole rebuild.
 //
 // # Visitor callbacks
 //
 // The visitors — FactsFunc, OutgoingFunc, SubjectsWithFunc,
-// PredicateEntriesFunc, TriplesSnapshot — run their callback under a
-// shard or stripe read lock. The callback must not mutate the graph, and
-// must not read the triple indexes either: a second read lock on a shard
-// or stripe blocks behind any writer queued between the two, and that
-// writer waits for the first. Dictionary reads are allowed: reads by ID
-// (Entity, Predicate, Entities, Predicates) take no lock, and the reads
-// by key or name (EntityByKey, PredicateByName, ReadDict) take only the
-// dictionary lock, which no code path holds while it waits for a shard
-// or stripe. Entities and Predicates run their own callbacks with no
-// lock held. Joins
-// against further index reads use the chunked reads (FactsChunked,
-// SubjectsWithChunked), whose callbacks run with no lock held.
+// PredicateEntriesFunc, TriplesSnapshot — run their callback under the
+// read lock. The callback must not mutate the graph, and must not read
+// the triple indexes either: a second read lock blocks behind any writer
+// queued between the two, and that writer waits for the first.
+// Dictionary reads are allowed: reads by ID (Entity, Predicate,
+// Entities, Predicates) take no lock, and the reads by key or name
+// (EntityByKey, PredicateByName, ReadDict) take only the dictionary
+// lock, which no code path holds while it waits for the graph lock.
+// Entities and Predicates run their own callbacks with no lock held.
+// Joins against further index reads use the chunked reads
+// (FactsChunked, SubjectsWithChunked), whose callbacks run with no lock
+// held.
 //
 // Fact identity is the comparable TripleKey struct (subject ID, predicate
 // ID, object ValueKey); see ValueKey for the per-kind payload encoding.
@@ -215,18 +165,16 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 //
 // # Mutation log and watermark semantics
 //
-// Every successful Assert/Retract draws a sequence number from one global
+// Every successful Assert/Retract draws a sequence number from one
 // atomic counter that increases by exactly 1 per applied mutation; the
-// counter is only ever advanced while the mutating shard's write lock is
-// held, so holding every shard's read lock freezes it. LastSeq()/
-// TriplesSnapshot() expose the counter so derived structures
-// (checkpoints) can record the watermark they were built at and later
-// decide staleness with a single comparison: a
-// derived structure at watermark w reflects exactly the first w
-// mutations. The log itself is stored as per-shard sub-logs of
-// fixed-capacity chunks (mutlog.go); a Changefeed's Pull merges them
-// by sequence number under the all-shard read lock, so consumers still
-// see one totally ordered change feed.
+// counter is only ever advanced under the write lock, so the read lock
+// freezes it. LastSeq()/TriplesSnapshot() expose the counter so derived
+// structures (checkpoints) can record the watermark they were built at
+// and later decide staleness with a single comparison: a derived
+// structure at watermark w reflects exactly the first w mutations. The
+// log itself is one list of fixed-capacity chunks in sequence order
+// (mutlog.go); a Changefeed's Pull copies the entries past its cursor
+// out under the read lock, one totally ordered change feed.
 // Registering entities or predicates does not bump the watermark — a new
 // entity is observable in derived edge structures only once a triple
 // mentions it, and asserting that triple bumps the watermark.
@@ -234,8 +182,8 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // The in-memory log keeps only what an open changefeed still needs:
 // Feed registers a feed and Close unregisters it, and the log holds the
 // entries above the smallest open cursor — none when no feed is open —
-// trimmed a chunk at a time as feeds read on (and checked whenever a
-// shard's last chunk fills). A feed may be bounded, so that it stops
+// trimmed a chunk at a time as feeds read on (and checked whenever the
+// log's last chunk fills). A feed may be bounded, so that it stops
 // holding the log once it lags too far. TruncateLog, a test hook, drops a
 // prefix whatever the feeds have read, and LogFloor reports the highest
 // dropped sequence number. A read of the log past seq is complete only
@@ -254,7 +202,7 @@ func (sh *graphShard) setDelta(subj EntityID, rows []FactRow) {
 // The graph itself is volatile. Crash-safe deployments pair it with
 // internal/wal: the WAL manager drains this mutation log into an
 // append-only CRC-framed log on disk (the watermark is the LSN) and takes
-// periodic checkpoints under the all-shard cut. The durability contract
+// periodic checkpoints under the read lock's cut. The durability contract
 // is defined by the WAL's fsync policy — after a crash, recovery is
 // guaranteed to restore a watermark-consistent prefix that includes every
 // mutation at or below the WAL's acknowledged-durable watermark
@@ -269,128 +217,90 @@ type Graph struct {
 	// over this one by NewGraphOver.
 	*dict
 
-	// seq is the global mutation watermark; advanced only under a shard
-	// write lock.
+	// seq is the mutation watermark; advanced only under the write lock.
 	seq atomic.Uint64
 
-	// logFloor is the highest sequence number dropped from the per-shard
-	// mutation sub-logs (retention, TruncateLog, AdvanceWatermark).
-	// Entries at or below it are no longer retrievable via
-	// a Changefeed. It is raised BEFORE any entry is dropped, so a
-	// consumer that pulls mutations and then observes logFloor <= its
-	// watermark is guaranteed a complete feed.
+	// logFloor is the highest sequence number dropped from the mutation
+	// log (retention, TruncateLog, AdvanceWatermark). Entries at or below
+	// it are no longer retrievable via a Changefeed. It is raised BEFORE
+	// any entry is dropped, so a consumer that pulls mutations and then
+	// observes logFloor <= its watermark is guaranteed a complete feed.
 	logFloor atomic.Uint64
 
 	// feedMu guards feeds, every open feed's cursor, and retention's
-	// reading of them with the raise of logFloor that follows. A shard's
-	// trim takes it under the shard's write lock: feedMu is leaf-level.
+	// reading of them with the raise of logFloor that follows. A trim
+	// takes it under the write lock: feedMu is leaf-level.
 	feedMu sync.Mutex
 	feeds  []*Changefeed
 
-	shardMask uint32
-	shards    []graphShard
+	// mu guards everything below it but the atomics, which are written
+	// under it and read without it.
+	mu sync.RWMutex
 
-	// pom holds the predicate-major index's delta (see pom.go): a
-	// predicate's stripe is pom[pred&pomMask].
-	pom     []pomStripe
-	pomMask uint32
+	// delta[subj] is what the writes since the last fold changed of
+	// subj's facts: its rows sorted by (predicate, object key), each
+	// with an op that says what it does to the base (see frozen.merge).
+	// A subject the writes left as the base has it has no entry.
+	delta map[EntityID][]FactRow
+	spare spares[FactRow]
+
+	// pom holds the predicate-major index's delta (see pom.go).
+	pom      map[PredicateID]*predDelta
+	pomSpare spares[EntityID]
+
+	// triples is the number of facts.
+	triples int
+
+	// log holds the mutation feed in ascending Seq.
+	log mutLog
+
+	// trimAt is the cursor at which the log's first chunk can be dropped
+	// (mutLog.firstEnd), 0 for an empty log, so that a feed cursor moving
+	// within a chunk costs a load, not a lock. It is stored under the
+	// write lock: by a trim, which also holds feedMu, and by an append to
+	// a one-chunk log. A value left stale by TruncateLog or
+	// AdvanceWatermark costs at most one needless trim.
+	trimAt atomic.Uint64
 
 	// base is the frozen layer (base.go). Only a fold or a bulk load
-	// replaces it, under every shard's and every stripe's write lock, so
-	// any one of those locks keeps it fixed.
+	// replaces it, under the write lock.
 	base   *frozen
 	layers layerCounts
 }
 
-// NewGraph returns an empty graph with a fresh ontology and the default
-// shard count (GOMAXPROCS rounded up to a power of two).
+// NewGraph returns an empty graph with a fresh ontology.
 func NewGraph() *Graph {
-	return NewGraphWithShards(runtime.GOMAXPROCS(0))
+	return newGraph(newDict())
 }
 
-// NewGraphWithShards returns an empty graph with the given number of
-// write shards, rounded up to a power of two and clamped to [1, 256]
-// (n <= 0 clamps to 1, the classic single-lock graph; benchmarks use it
-// as the scaling baseline).
-func NewGraphWithShards(n int) *Graph {
-	return newGraph(n, newDict())
-}
-
-// NewGraphOver returns an empty one-shard graph that borrows lender's
-// dictionaries and ontology: it holds its own facts, log and watermark,
-// and accepts exactly the IDs the lender has registered, those
-// registered after it was made included. The rule engine's derived facts
-// and an as-of overlay's layers are such graphs.
+// NewGraphOver returns an empty graph that borrows lender's dictionaries
+// and ontology: it holds its own facts, log and watermark, and accepts
+// exactly the IDs the lender has registered, those registered after it
+// was made included. The rule engine's derived facts and an as-of
+// overlay's layers are such graphs.
 func NewGraphOver(lender *Graph) *Graph {
-	return newGraph(1, lender.dict)
+	return newGraph(lender.dict)
 }
 
-// newGraph returns an empty graph over d with n write shards, rounded
-// up to a power of two and clamped to [1, 256].
-func newGraph(n int, d *dict) *Graph {
-	s := 1
-	for s < n && s < 256 {
-		s <<= 1
-	}
-	stripes := 1
-	if s > 1 {
-		stripes = pomStripeCount
-	}
-	g := &Graph{
-		dict:      d,
-		shardMask: uint32(s - 1),
-		shards:    make([]graphShard, s),
-		pom:       make([]pomStripe, stripes),
-		pomMask:   uint32(stripes - 1),
-		base:      &frozen{},
-	}
-	for i := range g.shards {
-		g.shards[i].delta = map[EntityID][]FactRow{}
-	}
-	return g
+// newGraph returns an empty graph over d.
+func newGraph(d *dict) *Graph {
+	return &Graph{dict: d, delta: map[EntityID][]FactRow{}, pom: map[PredicateID]*predDelta{}, base: &frozen{}}
 }
 
-// NumShards returns the number of write shards.
-func (g *Graph) NumShards() int { return len(g.shards) }
+// NumShards returns 1. The graph has one lock and no write shards; the
+// method stays because the benchmark harness (bench/workload.go) prints
+// it.
+func (g *Graph) NumShards() int { return 1 }
 
-func (g *Graph) shardIndex(subj EntityID) uint32 { return uint32(subj) & g.shardMask }
-
-func (g *Graph) shard(subj EntityID) *graphShard { return &g.shards[g.shardIndex(subj)] }
-
-// rlockAll acquires every shard's read lock in index order, freezing the
-// watermark and the whole triple state — the pom index included, since
-// every stripe write happens under a shard write lock — for a consistent
-// cut.
-func (g *Graph) rlockAll() {
-	for i := range g.shards {
-		g.shards[i].mu.RLock()
+// setDelta stores subj's delta rows, dropping the entry once they drain.
+// The caller holds the write lock.
+func (g *Graph) setDelta(subj EntityID, rows []FactRow) {
+	if len(rows) > 0 {
+		g.delta[subj] = rows
+		return
 	}
-}
-
-func (g *Graph) runlockAll() {
-	for i := range g.shards {
-		g.shards[i].mu.RUnlock()
-	}
-}
-
-// lockAll write-locks every shard, then every pom stripe: the cut under
-// which the base is replaced.
-func (g *Graph) lockAll() {
-	for i := range g.shards {
-		g.shards[i].mu.Lock()
-	}
-	for i := range g.pom {
-		g.pom[i].mu.Lock()
-	}
-}
-
-func (g *Graph) unlockAll() {
-	for i := range g.pom {
-		g.pom[i].mu.Unlock()
-	}
-	for i := range g.shards {
-		g.shards[i].mu.Unlock()
-	}
+	g.spare.give(rows)
+	delete(g.delta, subj)
 }
 
 // Ontology returns the graph's ontology.
@@ -441,10 +351,9 @@ func (g *Graph) AssertNew(t Triple) (bool, error) {
 	}
 	row := RowOf(t.Object, t.Prov)
 	row.pred = t.Predicate
-	sh := g.shard(t.Subject)
-	sh.mu.Lock()
-	added := g.addLocked(sh, t.Subject, row)
-	sh.mu.Unlock()
+	g.mu.Lock()
+	added := g.addLocked(t.Subject, row)
+	g.mu.Unlock()
 	if added {
 		g.maybeFold()
 	}
@@ -455,9 +364,9 @@ func (g *Graph) AssertNew(t Triple) (bool, error) {
 // unless the graph holds it, and reports whether it did. The delta takes
 // it as a row the base lacks, or by undoing (or, under another
 // provenance, replacing) its base row's removal; the pom posting, the
-// fact count and the log follow. The caller holds sh's write lock.
-func (g *Graph) addLocked(sh *graphShard, subj EntityID, row FactRow) bool {
-	d, key := sh.delta[subj], row.Key()
+// fact count and the log follow. The caller holds the write lock.
+func (g *Graph) addLocked(subj EntityID, row FactRow) bool {
+	d, key := g.delta[subj], row.Key()
 	// A delta row found is a hidden base fact or the fact itself.
 	i, inBase := slices.BinarySearchFunc(d, row, compareRows)
 	switch {
@@ -478,39 +387,39 @@ func (g *Graph) addLocked(sh *graphShard, subj EntityID, row FactRow) bool {
 			return false
 		}
 		if d == nil {
-			d = sh.spare.take()
+			d = g.spare.take()
 		}
 		d = slices.Insert(d, i, row)
 		g.layers.adds.Add(1)
 	}
-	sh.setDelta(subj, d)
-	sh.triples++
+	g.setDelta(subj, d)
+	g.triples++
 	g.pomEdit(row.pred, key, subj, true, inBase)
 	pred := row.pred
 	row.pred, row.op = 0, OpAssert
-	g.logLocked(sh, subj, pred, row)
+	g.logLocked(subj, pred, row)
 	return true
 }
 
-// logLocked appends a mutation to sh's log under a fresh sequence
-// number. When the shard's last chunk is full it first drops the chunks
-// every open feed has read: a trim per chunk, not per entry. The caller
-// holds sh's write lock.
-func (g *Graph) logLocked(sh *graphShard, subj EntityID, pred PredicateID, row FactRow) {
-	if sh.log.full() {
-		g.trimShardLocked(sh)
+// logLocked appends a mutation to the log under a fresh sequence number.
+// When the log's last chunk is full it first drops the chunks every open
+// feed has read: a trim per chunk, not per entry. The caller holds the
+// write lock.
+func (g *Graph) logLocked(subj EntityID, pred PredicateID, row FactRow) {
+	if g.log.full() {
+		g.trimLocked()
 	}
 	seq := g.seq.Add(1)
-	sh.log.append(logEntry{seq: seq, subj: subj, pred: pred, row: row})
-	if len(sh.log.chunks) == 1 {
-		sh.trimAt.Store(seq)
+	g.log.append(logEntry{seq: seq, subj: subj, pred: pred, row: row})
+	if len(g.log.chunks) == 1 {
+		g.trimAt.Store(seq)
 	}
 }
 
 // AssertBatch is the batch ingestion fast path: it validates every triple
 // up front (applying nothing on error), orders the batch by (subject,
 // predicate, object identity), and applies it one subject at a time —
-// one shard lock acquisition per subject. It returns the number of facts
+// one write-lock hold per subject. It returns the number of facts
 // newly added — triples whose SPO identity already existed in the graph,
 // or that repeat an identity earlier in the batch (first occurrence in
 // input order wins), are skipped.
@@ -565,16 +474,15 @@ func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 	}
 	for i := 0; i < len(kept); {
 		subj := keys[kept[i]].Subject
-		sh := g.shard(subj)
-		sh.mu.Lock()
+		g.mu.Lock()
 		for ; i < len(kept) && keys[kept[i]].Subject == subj; i++ {
 			row := rowOf(keys[kept[i]].Object, ts[kept[i]].Prov)
 			row.pred = keys[kept[i]].Predicate
-			if g.addLocked(sh, subj, row) {
+			if g.addLocked(subj, row) {
 				added++
 			}
 		}
-		sh.mu.Unlock()
+		g.mu.Unlock()
 	}
 	g.maybeFold()
 	return added, nil
@@ -584,29 +492,26 @@ func (g *Graph) AssertBatch(ts []Triple) (added int, err error) {
 // base, logging each fact, when the graph holds no fact; it reports
 // false, and does nothing, otherwise. A graph that holds facts is told
 // from its layer counts, without a lock, so that a batch into it never
-// waits for the all-shard cut.
+// waits behind a reader to learn it.
 func (g *Graph) load(ts []Triple, keys []TripleKey, kept []int32) bool {
 	if g.layers.base.Load()+g.layers.adds.Load() > g.layers.dels.Load() {
 		return false
 	}
-	g.lockAll()
-	defer g.unlockAll()
-	for i := range g.shards {
-		if g.shards[i].triples > 0 {
-			return false
-		}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.triples > 0 {
+		return false
 	}
 	bl := newBuilder(len(kept))
 	for _, oi := range kept {
 		k := keys[oi]
-		sh := g.shard(k.Subject)
 		row := rowOf(k.Object, ts[oi].Prov)
 		row.op = OpAssert
-		g.logLocked(sh, k.Subject, k.Predicate, row)
-		sh.triples++
+		g.logLocked(k.Subject, k.Predicate, row)
 		row.pred, row.op = k.Predicate, 0
 		bl.add(k.Subject, row)
 	}
+	g.triples = len(kept)
 	b := bl.seal()
 	b.sortPostings()
 	g.install(b)
@@ -617,10 +522,9 @@ func (g *Graph) load(ts []Triple, keys []TripleKey, kept []int32) bool {
 // and appends an OpRetract mutation carrying t. It reports whether a fact
 // was removed.
 func (g *Graph) Retract(t Triple) bool {
-	sh := g.shard(t.Subject)
-	sh.mu.Lock()
-	removed := g.removeLocked(sh, t)
-	sh.mu.Unlock()
+	g.mu.Lock()
+	removed := g.removeLocked(t)
+	g.mu.Unlock()
 	if removed {
 		g.maybeFold()
 	}
@@ -629,11 +533,11 @@ func (g *Graph) Retract(t Triple) bool {
 
 // removeLocked removes t's fact if the graph holds it, and reports
 // whether it did: the delta drops the fact's added row, or hides its base
-// row. The caller holds sh's write lock.
-func (g *Graph) removeLocked(sh *graphShard, t Triple) bool {
+// row. The caller holds the write lock.
+func (g *Graph) removeLocked(t Triple) bool {
 	key := t.Object.MapKey()
 	hide := FactRow{num: key.Num, str: key.Str, kind: key.Kind, op: OpRetract, pred: t.Predicate}
-	d := sh.delta[t.Subject]
+	d := g.delta[t.Subject]
 	i, found := slices.BinarySearchFunc(d, hide, compareRows)
 	inBase := !found || d[i].op != 0
 	switch {
@@ -650,27 +554,26 @@ func (g *Graph) removeLocked(sh *graphShard, t Triple) bool {
 			return false
 		}
 		if d == nil {
-			d = sh.spare.take()
+			d = g.spare.take()
 		}
 		d = slices.Insert(d, i, hide)
 		g.layers.dels.Add(1)
 	}
-	sh.setDelta(t.Subject, d)
-	sh.triples--
+	g.setDelta(t.Subject, d)
+	g.triples--
 	g.pomEdit(t.Predicate, key, t.Subject, false, inBase)
 	row := rowOf(key, t.Prov)
 	row.op = OpRetract
-	g.logLocked(sh, t.Subject, t.Predicate, row)
+	g.logLocked(t.Subject, t.Predicate, row)
 	return true
 }
 
 // Facts returns all triples with the given subject and predicate, in
 // object-key order.
 func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
-	sh := g.shard(subj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	base, delta := g.layersLocked(sh, subj, pred)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	base, delta := g.layersLocked(subj, pred)
 	n := countRows(base, delta)
 	if n == 0 {
 		return nil
@@ -685,16 +588,15 @@ func (g *Graph) Facts(subj EntityID, pred PredicateID) []Triple {
 }
 
 // FactsFunc streams the (subj, pred) triples to fn in object-key order
-// under the subject shard's read lock, stopping early if fn returns
-// false. It is the allocation-free counterpart of Facts for callers that
-// filter or aggregate and would discard the slice. fn must not mutate the
-// graph or read its triple indexes; it may read the dictionaries (see
-// Visitor callbacks on Graph).
+// under the read lock, stopping early if fn returns false. It is the
+// allocation-free counterpart of Facts for callers that filter or
+// aggregate and would discard the slice. fn must not mutate the graph or
+// read its triple indexes; it may read the dictionaries (see Visitor
+// callbacks on Graph).
 func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool) {
-	sh := g.shard(subj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	base, delta := g.layersLocked(sh, subj, pred)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	base, delta := g.layersLocked(subj, pred)
 	var t Triple
 	g.base.merge(base, delta, func(r FactRow) bool {
 		r.fill(&t, subj, pred)
@@ -705,10 +607,10 @@ func (g *Graph) FactsFunc(subj EntityID, pred PredicateID, fn func(Triple) bool)
 // FactsChunked streams the (subj, pred) triples to fn in object-key
 // order, in chunks of at most chunkSize — the fact-list counterpart of
 // the pom index's SubjectsWithChunked. Each chunk is copied out under one
-// shard read-lock acquisition and fn runs with no locks held, so fn may
-// read (or mutate) the graph and the lock hold time is bounded by
-// chunkSize regardless of the fact list's length. fn returning false
-// stops the enumeration; the chunk slice is reused across calls.
+// read-lock acquisition and fn runs with no locks held, so fn may read
+// (or mutate) the graph and the lock hold time is bounded by chunkSize
+// regardless of the fact list's length. fn returning false stops the
+// enumeration; the chunk slice is reused across calls.
 //
 // Each chunk resumes at the first fact whose object key is greater than
 // the last one delivered, so neither a write nor a fold can shift the
@@ -718,14 +620,13 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 	if chunkSize <= 0 {
 		chunkSize = 1024
 	}
-	sh := g.shard(subj)
 	var (
 		buf   []Triple
 		after ValueKey // the zero key sorts before every fact's
 	)
 	for {
-		sh.mu.RLock()
-		base, delta := g.layersLocked(sh, subj, pred)
+		g.mu.RLock()
+		base, delta := g.layersLocked(subj, pred)
 		if i, found := g.base.search(base, after); found {
 			base = base[i+1:]
 		} else {
@@ -745,7 +646,7 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 			r.fill(&buf[len(buf)-1], subj, pred)
 			return true
 		})
-		sh.mu.RUnlock()
+		g.mu.RUnlock()
 		if len(buf) == 0 || !fn(buf) || done {
 			return
 		}
@@ -754,20 +655,19 @@ func (g *Graph) FactsChunked(subj EntityID, pred PredicateID, chunkSize int, fn 
 }
 
 // FactCount returns the number of (subj, pred, *) facts without
-// materializing the fact slice: one shard read lock and a few binary
-// searches. It is the planner's bound-subject selectivity probe.
+// materializing the fact slice: one read lock and a few binary searches.
+// It is the planner's bound-subject selectivity probe.
 func (g *Graph) FactCount(subj EntityID, pred PredicateID) int {
-	sh := g.shard(subj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return countRows(g.layersLocked(sh, subj, pred))
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return countRows(g.layersLocked(subj, pred))
 }
 
 // layersLocked returns subj's facts under pred — under every predicate
 // for NoPredicate — as its base rows and its delta rows (see
-// frozen.merge). The caller holds sh's lock.
-func (g *Graph) layersLocked(sh *graphShard, subj EntityID, pred PredicateID) ([]baseRow, []FactRow) {
-	delta := sh.delta[subj]
+// frozen.merge). The caller holds the lock.
+func (g *Graph) layersLocked(subj EntityID, pred PredicateID) ([]baseRow, []FactRow) {
+	delta := g.delta[subj]
 	if pred != NoPredicate {
 		i := lowerBound(delta, func(r FactRow) bool { return r.pred < pred })
 		delta = delta[i : i+lowerBound(delta[i:], func(r FactRow) bool { return r.pred == pred })]
@@ -776,15 +676,14 @@ func (g *Graph) layersLocked(sh *graphShard, subj EntityID, pred PredicateID) ([
 }
 
 // OutgoingFunc streams every triple whose subject is subj to fn under the
-// subject shard's read lock, stopping early if fn returns false. The
-// order is by predicate ID, then by object key. fn must not mutate the
-// graph or read its triple indexes; it may read the dictionaries (see
-// Visitor callbacks on Graph).
+// read lock, stopping early if fn returns false. The order is by
+// predicate ID, then by object key. fn must not mutate the graph or read
+// its triple indexes; it may read the dictionaries (see Visitor
+// callbacks on Graph).
 func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
-	sh := g.shard(subj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	base, delta := g.layersLocked(sh, subj, NoPredicate)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	base, delta := g.layersLocked(subj, NoPredicate)
 	var t Triple
 	g.base.merge(base, delta, func(r FactRow) bool {
 		r.fill(&t, subj, r.pred)
@@ -794,10 +693,9 @@ func (g *Graph) OutgoingFunc(subj EntityID, fn func(Triple) bool) {
 
 // HasFact reports whether the exact fact (ignoring provenance) is asserted.
 func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
-	sh := g.shard(subj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	base, delta := g.layersLocked(sh, subj, pred)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	base, delta := g.layersLocked(subj, pred)
 	key := obj.MapKey()
 	if i, ok := SearchRows(delta, key); ok {
 		return delta[i].op != OpRetract
@@ -806,31 +704,25 @@ func (g *Graph) HasFact(subj EntityID, pred PredicateID, obj Value) bool {
 	return ok
 }
 
-// NumTriples returns the number of asserted facts, summed shard by shard.
+// NumTriples returns the number of asserted facts.
 func (g *Graph) NumTriples() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		n += sh.triples
-		sh.mu.RUnlock()
-	}
-	return n
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.triples
 }
 
 // TriplesSnapshot streams every asserted triple to fn in identity order
 // (by subject, then predicate ID, then object key), stopping early if fn
-// returns false, and returns the mutation
-// watermark the iteration reflects. Both happen under one all-shard
-// read-lock acquisition, so derived structures (the training view, the
-// walk embeddings' adjacency) get a consistent (triples, watermark)
-// pair: the visited triples are exactly the state after the first `seq`
-// mutations. fn must not
-// mutate the graph or read its triple indexes; it may read the
-// dictionaries (see Visitor callbacks on Graph).
+// returns false, and returns the mutation watermark the iteration
+// reflects. Both happen under one read-lock hold, so derived structures
+// (the training view, the walk embeddings' adjacency) get a consistent
+// (triples, watermark) pair: the visited triples are exactly the state
+// after the first `seq` mutations. fn must not mutate the graph or read
+// its triple indexes; it may read the dictionaries (see Visitor
+// callbacks on Graph).
 func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
-	g.rlockAll()
-	defer g.runlockAll()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	var t Triple
 	g.factsLocked(func(subj EntityID, r FactRow) bool {
 		r.fill(&t, subj, r.pred)
@@ -840,10 +732,10 @@ func (g *Graph) TriplesSnapshot(fn func(Triple) bool) (seq uint64) {
 }
 
 // factsLocked calls fn with every fact in identity order, stopping early
-// if fn returns false. The caller holds every shard's lock.
+// if fn returns false. The caller holds the lock.
 func (g *Graph) factsLocked(fn func(subj EntityID, r FactRow) bool) {
 	for s := EntityID(1); int(s) < g.ents.len(); s++ {
-		base, delta := g.layersLocked(g.shard(s), s, NoPredicate)
+		base, delta := g.layersLocked(s, NoPredicate)
 		if !g.base.merge(base, delta, func(r FactRow) bool { return fn(s, r) }) {
 			return
 		}
@@ -853,17 +745,13 @@ func (g *Graph) factsLocked(fn func(subj EntityID, r FactRow) bool) {
 // AllTriples materializes every asserted triple in identity order (by
 // subject, then predicate, then object identity key).
 func (g *Graph) AllTriples() []Triple {
-	g.rlockAll()
-	defer g.runlockAll()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	return g.allTriplesLocked()
 }
 
 func (g *Graph) allTriplesLocked() []Triple {
-	total := 0
-	for i := range g.shards {
-		total += g.shards[i].triples
-	}
-	out := make([]Triple, 0, total)
+	out := make([]Triple, 0, g.triples)
 	g.factsLocked(func(subj EntityID, r FactRow) bool {
 		out = out[:len(out)+1]
 		r.fill(&out[len(out)-1], subj, r.pred)
@@ -872,73 +760,34 @@ func (g *Graph) allTriplesLocked() []Triple {
 	return out
 }
 
-// appendMutationsSince appends the per-shard logs' entries with sequence
-// numbers strictly greater than seq to dst as one ascending feed, under
-// one all-shard cut: the read behind a Changefeed's Pull.
-//
-// Sequence numbers are dense — every number drawn is logged on exactly
-// one shard — so the entries past seq are the contiguous range
-// first..last and each is placed at its offset from first: no comparison
-// sort, no scratch. Only a pull racing TruncateLog (or starting below the
-// floor) can see a range with holes, where some shards have dropped
-// entries others still hold; the empty slots are then squeezed out, and
-// the floor check every consumer makes rejects the batch.
+// appendMutationsSince appends the log's entries with sequence numbers
+// strictly greater than seq to dst, ascending, under the read lock: the
+// read behind a Changefeed's Pull. The log is in sequence order, so the
+// entries past seq are one contiguous run of it.
 func (g *Graph) appendMutationsSince(dst []Mutation, seq uint64) []Mutation {
-	g.rlockAll()
-	defer g.runlockAll()
-	total := 0
-	first, last := ^uint64(0), uint64(0)
-	for i := range g.shards {
-		log := &g.shards[i].log
-		c, off := log.seek(seq)
-		if c == len(log.chunks) {
-			continue
-		}
-		first = min(first, log.chunks[c][off].seq)
-		tail := log.chunks[len(log.chunks)-1]
-		last = max(last, tail[len(tail)-1].seq)
-		total -= off
-		for _, chunk := range log.chunks[c:] {
-			total += len(chunk)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	c, off := g.log.seek(seq)
+	n := -off
+	for _, chunk := range g.log.chunks[c:] {
+		n += len(chunk)
+	}
+	dst = slices.Grow(dst, n)
+	for ; c < len(g.log.chunks); c, off = c+1, 0 {
+		chunk := g.log.chunks[c][off:]
+		for j := range chunk {
+			dst = dst[:len(dst)+1]
+			chunk[j].fill(&dst[len(dst)-1])
 		}
 	}
-	if total == 0 {
-		return dst
-	}
-	span := int(last - first + 1)
-	dst = slices.Grow(dst, span)
-	out := dst[len(dst) : len(dst)+span]
-	if span != total {
-		clear(out)
-	}
-	for i := range g.shards {
-		log := &g.shards[i].log
-		c, off := log.seek(seq)
-		for ; c < len(log.chunks); c, off = c+1, 0 {
-			chunk := log.chunks[c][off:]
-			for j := range chunk {
-				chunk[j].fill(&out[chunk[j].seq-first])
-			}
-		}
-	}
-	if span != total {
-		n := 0
-		for i := range out {
-			if out[i].Seq != 0 {
-				out[n] = out[i]
-				n++
-			}
-		}
-		out = out[:n]
-	}
-	return dst[:len(dst)+len(out)]
+	return dst
 }
 
 // LastSeq returns the sequence number of the most recent mutation. A bare
 // atomic load: the mutation that owns the returned number may still be
-// completing on its shard, so treat the value as a staleness hint; use
-// TriplesSnapshot or a Changefeed for reads whose watermark must
-// exactly match the observed state.
+// completing under the write lock, so treat the value as a staleness
+// hint; use TriplesSnapshot or a Changefeed for reads whose watermark
+// must exactly match the observed state.
 func (g *Graph) LastSeq() uint64 {
 	return g.seq.Load()
 }
@@ -959,14 +808,9 @@ func (g *Graph) LogFloor() uint64 {
 
 // LogEntries returns the number of mutations the in-memory log holds.
 func (g *Graph) LogEntries() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		n += sh.log.len()
-		sh.mu.RUnlock()
-	}
-	return n
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.log.len()
 }
 
 // raiseFloor raises logFloor to seq unless it is already there.
@@ -985,9 +829,9 @@ func (g *Graph) raiseFloor(seq uint64) {
 // retention drops what no open feed needs — but the fault hook tests use
 // to force a floor pass: feeds it passes see an incomplete Pull and must
 // fall back to a full read. The floor (LogFloor) is raised first, then
-// shards are compacted one at a time, the chunk the cut lands in trimmed
-// at its head; concurrent writers are unaffected (their entries are
-// strictly above upTo), and concurrent log readers detect the
+// the log is cut under the write lock, the chunk the cut lands in
+// trimmed at its head; concurrent writers are unaffected (their entries
+// are strictly above upTo), and concurrent log readers detect the
 // truncation via the floor check described on LogFloor.
 func (g *Graph) TruncateLog(upTo uint64) int {
 	if upTo == 0 {
@@ -1001,14 +845,9 @@ func (g *Graph) TruncateLog(upTo uint64) int {
 		upTo = wm
 	}
 	g.raiseFloor(upTo)
-	dropped := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		dropped += sh.log.dropThrough(upTo)
-		sh.mu.Unlock()
-	}
-	return dropped
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.log.dropThrough(upTo)
 }
 
 // AdvanceWatermark fast-forwards the mutation watermark to seq without
@@ -1021,29 +860,28 @@ func (g *Graph) TruncateLog(upTo uint64) int {
 // running. Rewinding is not possible: seq below the current watermark
 // is an error, and nothing is modified.
 func (g *Graph) AdvanceWatermark(seq uint64) error {
-	g.lockAll()
-	defer g.unlockAll()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	cur := g.seq.Load()
 	if seq < cur {
 		return fmt.Errorf("kg: AdvanceWatermark(%d) below current watermark %d", seq, cur)
 	}
 	// Floor first, then drop (same ordering contract as TruncateLog) —
-	// though with every shard write-locked no reader can interleave.
+	// though with the write lock held no reader can interleave.
 	g.raiseFloor(seq)
-	for i := range g.shards {
-		g.shards[i].log = mutLog{}
-	}
+	g.log = mutLog{}
 	g.seq.Store(seq)
 	return nil
 }
 
 // AllTriplesSnapshot is AllTriples plus the mutation watermark the
-// materialized slice reflects, both taken under one all-shard cut. It is
-// the checkpoint read: the returned triples are exactly the state after
-// the first seq mutations, in identity order — the order AssertBatch
-// detects in O(n) and a bulk load freezes straight into a base.
+// materialized slice reflects, both taken under one read-lock hold. It
+// is the checkpoint read: the returned triples are exactly the state
+// after the first seq mutations, in identity order — the order
+// AssertBatch detects in O(n) and a bulk load freezes straight into a
+// base.
 func (g *Graph) AllTriplesSnapshot() (ts []Triple, seq uint64) {
-	g.rlockAll()
-	defer g.runlockAll()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	return g.allTriplesLocked(), g.seq.Load()
 }

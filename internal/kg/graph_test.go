@@ -203,7 +203,7 @@ func TestIncomingOutgoing(t *testing.T) {
 // A visitor whose callback returns false stops after that element and
 // releases its lock: a write right after it must not block.
 func TestVisitorsEarlyStop(t *testing.T) {
-	g := NewGraphWithShards(4)
+	g := NewGraph()
 	obj := mustEntity(t, g, "obj", "O")
 	p := mustPredicate(t, g, "p")
 	for i := 0; i < 6; i++ {

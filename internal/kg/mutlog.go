@@ -33,15 +33,15 @@ func (e *logEntry) fill(m *Mutation) {
 // mutLogChunkCap is the capacity of one log chunk: 73 entries of 56 bytes
 // plus the 8-byte header the Go allocator puts in front of a pointerful
 // object over 512 bytes fill the 4 096-byte size class exactly — small
-// enough that an idle shard of a tiny graph wastes little, large enough
+// enough that the idle log of a tiny graph wastes little, large enough
 // that a chunk header per 73 entries is noise.
 const mutLogChunkCap = 73
 
-// mutLog is one shard's slice of the mutation feed, strictly ascending in
-// seq, held as fixed-capacity chunks. Appending never copies an entry
-// already logged (a grown slice re-copies every entry about five times
-// over on its way up), and retention drops whole chunks instead of
-// copying the surviving tail. No chunk is empty; every chunk but the last
+// mutLog is the mutation feed, strictly ascending in seq, held as
+// fixed-capacity chunks. Appending never copies an entry already logged
+// (a grown slice re-copies every entry about five times over on its way
+// up), and retention drops whole chunks instead of copying the
+// surviving tail. No chunk is empty; every chunk but the last
 // is full to its capacity.
 type mutLog struct {
 	chunks [][]logEntry
@@ -171,7 +171,7 @@ type NetChange struct {
 }
 
 // NetChangeSince folds the log window (base, wm] into its net change,
-// where wm is the watermark of the all-shard cut the fold runs under. ok
+// where wm is the watermark of the read-lock cut the fold runs under. ok
 // is false when the window is no longer in memory (LogFloor() > base).
 //
 // A fact's log entries alternate assert and retract — an assert is
@@ -183,38 +183,30 @@ type NetChange struct {
 // instead of comparing facts keeps the cut held for a fraction of what a
 // comparison sort of the window takes.
 func (g *Graph) NetChangeSince(base uint64) (ch NetChange, wm uint64, ok bool) {
-	g.rlockAll()
-	defer g.runlockAll()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	wm = g.seq.Load()
 	if g.logFloor.Load() > base {
 		return NetChange{}, wm, false
 	}
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		ch.Facts += sh.triples
-		c, off := sh.log.seek(base)
-		for _, chunk := range sh.log.chunks[c:] {
-			n += len(chunk)
-		}
-		n -= off
+	ch.Facts = g.triples
+	c, off := g.log.seek(base)
+	n := -off
+	for _, chunk := range g.log.chunks[c:] {
+		n += len(chunk)
 	}
 	// Each entry as one word: the upper half of its fact's hash over its
-	// position in win. Positions follow shard order, and a fact lives in
-	// one shard, whose entries are in seq order, so a stable sort of the
-	// words on their upper halves groups each fact's entries in seq order.
+	// position in win. Positions follow seq order, so a stable sort of
+	// the words on their upper halves groups each fact's entries in seq
+	// order.
 	win := make([]*logEntry, 0, n)
 	words := make([]uint64, 0, n)
-	for i := range g.shards {
-		sh := &g.shards[i]
-		c, off := sh.log.seek(base)
-		for ; c < len(sh.log.chunks); c, off = c+1, 0 {
-			chunk := sh.log.chunks[c]
-			for j := off; j < len(chunk); j++ {
-				e := &chunk[j]
-				words = append(words, maphash.Comparable(netSeed, e.key())&^0xffffffff|uint64(len(win)))
-				win = append(win, e)
-			}
+	for ; c < len(g.log.chunks); c, off = c+1, 0 {
+		chunk := g.log.chunks[c]
+		for j := off; j < len(chunk); j++ {
+			e := &chunk[j]
+			words = append(words, maphash.Comparable(netSeed, e.key())&^0xffffffff|uint64(len(win)))
+			win = append(win, e)
 		}
 	}
 	radixSort(words, func(w uint64) uint64 { return w >> 32 })

@@ -51,7 +51,7 @@ func churn(g *Graph, rng *rand.Rand, ents []EntityID, preds []PredicateID, n int
 // mutations — Retracted removed, then Asserted added — gives the state at
 // the returned watermark, provenance included.
 func TestNetChangeSinceReproducesWindow(t *testing.T) {
-	g := NewGraphWithShards(4)
+	g := NewGraph()
 	g.Feed(0) // keep the whole history: every window is folded
 	ents := make([]EntityID, 6)
 	for i := range ents {
@@ -81,7 +81,7 @@ func TestNetChangeSinceReproducesWindow(t *testing.T) {
 			}
 		}
 
-		ref := NewGraphWithShards(2)
+		ref := NewGraph()
 		for _, e := range ents {
 			mustEntity(t, ref, g.Entity(e).Key, "")
 		}
@@ -130,7 +130,7 @@ func TestNetChangeSinceReproducesWindow(t *testing.T) {
 // Two facts whose hashes share the upper half — the fold's grouping key —
 // land in one group, interleaved; the fold must still tell them apart.
 func TestNetChangeSinceSplitsHashCollisions(t *testing.T) {
-	g := NewGraphWithShards(1)
+	g := NewGraph()
 	s := mustEntity(t, g, "s", "")
 	p := mustPredicate(t, g, "p")
 	seen := make(map[uint64]int64)

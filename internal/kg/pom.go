@@ -1,47 +1,37 @@
 package kg
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // The predicate-major secondary index ("pom": predicate → object key →
 // posting list of subjects). Any cross-subject probe — the bound-object
 // clause of a conjunctive query, a selectivity estimate — would otherwise
-// have to sweep every subject shard; the pom index holds the postings
-// merged across shards, so one stripe read-lock answers the whole-graph
-// question. A posting is in two layers: the base's (frozen.posting: a
-// predicate's distinct objects in key order, each with its subjects in
-// one []EntityID) and the delta's, partitioned by predicate into fixed
-// lock stripes (predDelta: the subjects each object gained and lost since
-// the base). Per-predicate totals ride along, making PredicateFrequency
-// and the planner's cost estimates O(1) count lookups instead of shard
-// sweeps or slice builds.
+// have to sweep every subject; the pom index answers the whole-graph
+// question under one read-lock hold. A posting is in two layers: the
+// base's (frozen.posting: a predicate's distinct objects in key order,
+// each with its subjects in one []EntityID) and the delta's (predDelta:
+// the subjects each object gained and lost since the base).
+// Per-predicate totals ride along, making PredicateFrequency and the
+// planner's cost estimates O(1) count lookups instead of sweeps or slice
+// builds.
 //
 // # The sorted-posting invariant
 //
 // A (pred, obj) posting is a []EntityID in ascending subject-ID order
-// with no duplicates (the graph dedups SPO identity, and a subject is
-// owned by one shard, so two writers never race on one slot). The order
-// is a function of the facts alone: whatever the shard count, the writer
-// interleaving, or the retract/re-assert history, two graphs holding the
-// same facts hold byte-identical postings — which is what lets a
-// checkpoint-recovered graph, an as-of overlay and the live graph stream
-// the same rows in the same order. A read merges the base's list with
-// the delta's (posting.each); a write splices only the delta's short
-// lists.
+// with no duplicates (the graph dedups SPO identity). The order is a
+// function of the facts alone: whatever the writer interleaving or the
+// retract/re-assert history, two graphs holding the same facts hold
+// byte-identical postings — which is what lets a checkpoint-recovered
+// graph, an as-of overlay and the live graph stream the same rows in the
+// same order. A read merges the base's list with the delta's
+// (posting.each); a write splices only the delta's short lists.
 //
-// # Locking and watermark contract
+// # Locking
 //
-// Writers maintain the posting inline: the mutation takes its subject
-// shard's write lock, then the predicate's stripe lock (strictly
-// leaf-level — nothing is acquired inside it), applies, and releases.
-// Readers take the stripe read lock alone and never a shard lock inside
-// it. Because every stripe write happens under some shard write lock,
-// the all-shard read lock (rlockAll) freezes the pom index: a consistent
-// cut at watermark w observes postings reflecting exactly the first w
-// mutations. A plain pom read is internally consistent for its
-// predicate's stripe and as fresh as the moment the stripe lock was taken.
+// The pom delta is guarded by the graph's lock like every other layer:
+// a mutation maintains the posting inline under the write lock, and a
+// read holds the read lock, so a posting read is a consistent cut — it
+// reflects exactly the first LastSeq mutations at the moment the lock
+// was taken, the same cut as any other read under that hold.
 //
 // # Key-resume chunked reads
 //
@@ -51,13 +41,6 @@ import (
 // delivered subjects are strictly ascending, every subject present for
 // the whole enumeration is delivered exactly once, and none is delivered
 // twice. Graph.FactsChunked gives fact lists the same guarantee.
-
-// pomStripeCount is the number of predicate lock stripes of a graph with
-// more than one shard. Predicates are few (hundreds, not millions); 64
-// stripes keeps writer collisions on distinct predicates rare while
-// bounding the fixed per-graph footprint. A one-shard graph has one
-// stripe: its writers already serialize on the shard's lock.
-const pomStripeCount = 64
 
 // predDelta is what the writes since the last fold changed of one
 // predicate's postings.
@@ -71,35 +54,14 @@ type predDelta struct {
 	total, entities int
 }
 
-// pomStripe guards the posting deltas of the predicates hashing to the
-// stripe. The trailing pad keeps neighboring stripes' mutexes off one
-// cache line.
-type pomStripe struct {
-	mu    sync.RWMutex
-	preds map[PredicateID]*predDelta // made on the stripe's first write
-	spare spares[EntityID]
-
-	_ [96]byte // pad to 128 bytes
-}
-
-func (g *Graph) pomStripe(pred PredicateID) *pomStripe {
-	return &g.pom[uint32(pred)&g.pomMask]
-}
-
 // pomEdit records that subj's (pred, obj) fact is now present or absent;
-// inBase says whether the base holds it. The caller holds subj's shard
-// write lock and has established the fact's presence changed.
+// inBase says whether the base holds it. The caller holds the write lock
+// and has established the fact's presence changed.
 func (g *Graph) pomEdit(pred PredicateID, obj ValueKey, subj EntityID, present, inBase bool) {
-	st := g.pomStripe(pred)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	pd := st.preds[pred]
+	pd := g.pom[pred]
 	if pd == nil {
-		if st.preds == nil {
-			st.preds = make(map[PredicateID]*predDelta)
-		}
 		pd = &predDelta{adds: map[ValueKey][]EntityID{}, dels: map[ValueKey][]EntityID{}}
-		st.preds[pred] = pd
+		g.pom[pred] = pd
 	}
 	m := pd.adds
 	if inBase {
@@ -107,14 +69,14 @@ func (g *Graph) pomEdit(pred PredicateID, obj ValueKey, subj EntityID, present, 
 	}
 	p := m[obj]
 	if p == nil {
-		p = st.spare.take()
+		p = g.pomSpare.take()
 	}
 	i, _ := slices.BinarySearch(p, subj)
 	switch {
 	case present != inBase:
 		m[obj] = slices.Insert(p, i, subj)
 	case len(p) == 1:
-		st.spare.give(p)
+		g.pomSpare.give(p)
 		delete(m, obj)
 	default:
 		m[obj] = slices.Delete(p, i, i+1)
@@ -135,9 +97,9 @@ func (g *Graph) pomEdit(pred PredicateID, obj ValueKey, subj EntityID, present, 
 type posting struct{ base, adds, dels []EntityID }
 
 // postingLocked returns the (pred, obj) posting. The caller holds the
-// stripe's lock.
-func (g *Graph) postingLocked(st *pomStripe, pred PredicateID, obj ValueKey) (p posting) {
-	if pd := st.preds[pred]; pd != nil {
+// lock.
+func (g *Graph) postingLocked(pred PredicateID, obj ValueKey) (p posting) {
+	if pd := g.pom[pred]; pd != nil {
 		p.adds, p.dels = pd.adds[obj], pd.dels[obj]
 	}
 	p.base = g.base.posting(pred, obj)
@@ -173,21 +135,20 @@ func (p posting) each(fn func(EntityID) bool) bool {
 func (g *Graph) SyncIndexes() {}
 
 // SubjectsWithFunc streams the subjects carrying (pred, obj) facts to fn
-// in ascending ID order under the stripe read lock — one consistent point
-// for the whole predicate — stopping early if fn returns false. fn must
-// not mutate the graph or read its triple indexes; it may read the
+// in ascending ID order under the read lock — one consistent point for
+// the whole posting — stopping early if fn returns false. fn must not
+// mutate the graph or read its triple indexes; it may read the
 // dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) bool) {
-	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	g.postingLocked(st, pred, obj.MapKey()).each(fn)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.postingLocked(pred, obj.MapKey()).each(fn)
 }
 
 // SubjectsWithChunked streams the subjects greater than after (NoEntity
 // for all of them) carrying (pred, obj) facts to fn in ascending ID
 // order, in chunks of at most chunkSize, copying each chunk out under one
-// stripe read-lock acquisition and invoking fn with no locks held — the
+// read-lock acquisition and invoking fn with no locks held — the
 // bounded-copy read for huge postings, where a limit=10 query should not
 // pay a million-entry slab copy before its first row. fn may read or mutate the graph freely and stops the
 // enumeration by returning false; the chunk slice is reused by the next
@@ -201,7 +162,6 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID,
 	if chunkSize <= 0 {
 		chunkSize = 1024
 	}
-	st := g.pomStripe(pred)
 	key := obj.MapKey()
 	past := func(ids []EntityID) []EntityID {
 		i, found := slices.BinarySearch(ids, after)
@@ -212,8 +172,8 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID,
 	}
 	var buf []EntityID
 	for {
-		st.mu.RLock()
-		p := g.postingLocked(st, pred, key)
+		g.mu.RLock()
+		p := g.postingLocked(pred, key)
 		p = posting{past(p.base), past(p.adds), past(p.dels)}
 		if buf == nil {
 			// Sized to the smaller of the chunk and the posting: a selective
@@ -236,7 +196,7 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID,
 				return true
 			})
 		}
-		st.mu.RUnlock()
+		g.mu.RUnlock()
 		if len(buf) == 0 || !fn(buf) || done {
 			return
 		}
@@ -246,33 +206,31 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, after EntityID,
 
 // SubjectsWithCount returns the number of subjects carrying (pred, obj)
 // facts without materializing the posting list. It is the planner's
-// bound-object selectivity probe: one stripe read lock, a binary search
-// and two map lookups, zero allocations.
+// bound-object selectivity probe: one read lock, a binary search and
+// two map lookups, zero allocations.
 func (g *Graph) SubjectsWithCount(pred PredicateID, obj Value) int {
-	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return g.postingLocked(st, pred, obj.MapKey()).count()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.postingLocked(pred, obj.MapKey()).count()
 }
 
 // PredicateFrequency returns the current number of triples using pred —
-// an O(1) counter read from the predicate-major index, not a shard sweep.
+// an O(1) counter read from the predicate-major index, not a sweep.
 func (g *Graph) PredicateFrequency(pred PredicateID) int {
-	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	n, _ := g.predTotalsLocked(st, pred)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	n, _ := g.predTotalsLocked(pred)
 	return n
 }
 
 // predTotalsLocked returns the number of (pred, *) facts, and of those
-// whose object is an entity. The caller holds the stripe's lock.
-func (g *Graph) predTotalsLocked(st *pomStripe, pred PredicateID) (total, entities int) {
+// whose object is an entity. The caller holds the lock.
+func (g *Graph) predTotalsLocked(pred PredicateID) (total, entities int) {
 	if int(pred) < len(g.base.preds) {
 		p := &g.base.preds[pred]
 		total, entities = len(p.subjs), p.entities
 	}
-	if pd := st.preds[pred]; pd != nil {
+	if pd := g.pom[pred]; pd != nil {
 		total, entities = total+pd.total, entities+pd.entities
 	}
 	return total, entities
@@ -283,18 +241,17 @@ func (g *Graph) predTotalsLocked(st *pomStripe, pred PredicateID) (total, entiti
 // subject, stopping early if fn returns false: the base's keys merged
 // with the ones only the delta holds, which are the only keys sorted.
 // Object values are reconstructed from their identity keys, so
-// provenance is not carried. fn runs under the stripe read lock: it must
+// provenance is not carried. fn runs under the read lock: it must
 // not mutate the graph or read its triple indexes; it may read the
 // dictionaries (see Visitor callbacks on Graph).
 func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj EntityID) bool) {
-	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	var old basePred
 	if int(pred) < len(g.base.preds) {
 		old = g.base.preds[pred]
 	}
-	pd := st.preds[pred]
+	pd := g.pom[pred]
 	var keys []ValueKey
 	if pd != nil {
 		for k := range pd.adds {

@@ -14,7 +14,7 @@ import (
 // the pieces the chunked-read tests need.
 func chunkedFixture(t testing.TB, n int) (g *Graph, pred PredicateID, team Value, subs []EntityID) {
 	t.Helper()
-	g = NewGraphWithShards(4)
+	g = NewGraph()
 	p, err := g.AddPredicate(Predicate{Name: "memberOf"})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func (g *Graph) SubjectsWithSweep(pred PredicateID, obj Value) []EntityID {
 
 // checkPomAgainstSweep compares, for every (pred, obj) pair in the pools,
 // the predicate-major index (SubjectsWithFunc / SubjectsWithCount /
-// PredicateFrequency) against the shard-swept runs reference
+// PredicateFrequency) against the subject-swept reference
 // (SubjectsWithSweep), and the counter-driven ComputeStats against a full
 // triple scan. It also holds every enumeration to the canonical order:
 // postings ascending by subject ID, fact lists ascending by object key.
@@ -151,11 +151,11 @@ func checkPomAgainstSweep(t *testing.T, g *Graph, preds []PredicateID, objs []Va
 
 // Property: across randomized Assert/Retract/AssertBatch interleavings
 // (with entity and adversarial-literal objects), the predicate-major
-// index agrees exactly with the shard-swept per-shard pos index, and the
+// index agrees exactly with a sweep of every subject's facts, and the
 // maintained counters agree with full scans.
 func TestPomMatchesSweepRandomized(t *testing.T) {
-	f := func(ops []uint32, shardBits uint8) bool {
-		g := NewGraphWithShards(1 << (shardBits % 4)) // 1..8 shards
+	f := func(ops []uint32) bool {
+		g := NewGraph()
 		const nEnts = 12
 		const nPreds = 5
 		ents := make([]EntityID, nEnts)
@@ -212,9 +212,9 @@ func TestPomMatchesSweepRandomized(t *testing.T) {
 // Concurrent churn under the race detector: writers interleave
 // Assert/Retract/AssertBatch on overlapping subjects and predicates while
 // readers hammer the pom accessors; when the writers drain, the index
-// must agree with the shard-swept reference.
+// must agree with the subject-swept reference.
 func TestPomConcurrentChurn(t *testing.T) {
-	g := NewGraphWithShards(8)
+	g := NewGraph()
 	const nEnts = 64
 	const nPreds = 6
 	ents := make([]EntityID, nEnts)
@@ -334,11 +334,11 @@ func TestValueKeyRoundTrip(t *testing.T) {
 // interleave Assert/Retract/AssertBatch with a retract-biased mix over a
 // deliberately small (pred, obj) space, so postings grow to hundreds of
 // subjects and are spliced mid-list constantly while readers (including
-// the shard-swept reference) hammer the accessors. When the writers
+// the subject-swept reference) hammer the accessors. When the writers
 // drain, the predicate-major index must agree exactly with
 // SubjectsWithSweep and still be sorted.
 func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
-	g := NewGraphWithShards(8)
+	g := NewGraph()
 	const nEnts = 512
 	const nPreds = 3
 	ents := make([]EntityID, nEnts)
@@ -427,7 +427,7 @@ func TestPomRetractHeavyConcurrentChurn(t *testing.T) {
 // ascending ID order whatever the history.
 func TestHotPostingRetractThenRead(t *testing.T) {
 	const n = 200
-	g := NewGraphWithShards(1)
+	g := NewGraph()
 	p, _ := g.AddPredicate(Predicate{Name: "type"})
 	person, err := g.AddEntity(Entity{Key: "Person"})
 	if err != nil {
@@ -503,7 +503,7 @@ func TestHotPostingRetractThenRead(t *testing.T) {
 // point.
 func TestPomCountsMatchModelRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := NewGraphWithShards(16)
+	g := NewGraph()
 	const nEnts, nPreds = 48, 4
 	ents := make([]EntityID, nEnts)
 	for i := range ents {

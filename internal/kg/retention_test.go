@@ -2,7 +2,6 @@ package kg
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,7 @@ type retentionFeed struct {
 //     LogFloor(), and every feed with its cursor at or above the floor
 //     reads exactly the reference suffix past it;
 //   - the log holds no more than the reference entries above the
-//     smallest open cursor plus one chunk per shard.
+//     smallest open cursor plus one chunk.
 //
 // A goroutine beside the ops opens, pulls and closes feeds of its own
 // and reads the log with no feed held, so the registry and the
@@ -40,7 +39,9 @@ type retentionFeed struct {
 // registered at or above the floor must pull complete and gapless, and
 // a pull the floor check accepts must have no hole.
 func FuzzLogRetention(f *testing.F) {
-	// Byte 0 picks the shard count; then (op, arg) pairs, op = byte % 10:
+	// Byte 0 is skipped, so that the seeds and the stored corpus written
+	// when it picked a shard count keep their meaning; then (op, arg)
+	// pairs, op = byte % 10:
 	// 0/1/2 open a feed at 0 (bounded at arg when arg is odd) /
 	// LastSeq() / a seq, 3 Pull, 4 Reset, 5 Close, 6 Assert, 7 Retract,
 	// 8 AssertBatch, 9 TruncateLog.
@@ -63,7 +64,7 @@ func FuzzLogRetention(f *testing.F) {
 		if len(ops) < 2 || len(ops) > 800 {
 			return
 		}
-		g := NewGraphWithShards(1 << (ops[0] % 4))
+		g := NewGraph()
 		ents := make([]EntityID, 12)
 		for i := range ents {
 			ents[i] = mustEntity(t, g, fmt.Sprintf("e%d", i), "")
@@ -269,8 +270,8 @@ func FuzzLogRetention(f *testing.F) {
 			pause.Lock()
 			held, above := g.LogEntries(), len(ref)-int(keep)
 			pause.Unlock()
-			if held > above+g.NumShards()*mutLogChunkCap {
-				t.Fatalf("op %d: the log holds %d entries; %d lie above the smallest open cursor %d (%d shards)", i, held, above, keep, g.NumShards())
+			if held > above+mutLogChunkCap {
+				t.Fatalf("op %d: the log holds %d entries; %d lie above the smallest open cursor %d", i, held, above, keep)
 			}
 			if msg := bad.Load(); msg != nil {
 				t.Fatal(*msg)
@@ -279,37 +280,20 @@ func FuzzLogRetention(f *testing.F) {
 	})
 }
 
-// truncatePartway runs TruncateLog(upTo) with the last shard read-locked,
-// so the call stops partway, and checks that once it has compacted the
-// first shard the floor already covers upTo: the floor is raised before
-// any entry is dropped. It truncates plainly when the first shard holds
-// nothing to drop or is the last one.
+// truncatePartway runs TruncateLog(upTo) with the graph read-locked, so
+// the call stops before it drops anything, and checks that by then the
+// floor already covers upTo: the floor is raised before any entry is
+// dropped.
 func truncatePartway(t *testing.T, g *Graph, upTo uint64) {
 	upTo = min(upTo, g.LastSeq())
-	last, first := &g.shards[len(g.shards)-1], &g.shards[0]
-	holds := func() bool {
-		first.mu.RLock()
-		defer first.mu.RUnlock()
-		return len(first.log.chunks) > 0 && first.log.chunks[0][0].seq <= upTo
-	}
-	if first == last || !holds() {
-		g.TruncateLog(upTo)
-		return
-	}
-	last.mu.RLock()
-	done := make(chan struct{})
-	go func() {
-		g.TruncateLog(upTo)
-		close(done)
-	}()
-	for holds() {
-		runtime.Gosched()
-	}
-	floor := g.LogFloor()
-	last.mu.RUnlock()
+	g.mu.RLock()
+	done := start(func() { g.TruncateLog(upTo) })
+	awaitWriter(&g.mu, done)
+	floor, held := g.LogFloor(), g.log.len()
+	g.mu.RUnlock()
 	<-done
 	if floor < upTo {
-		t.Fatalf("TruncateLog(%d) dropped entries with the floor still at %d", upTo, floor)
+		t.Fatalf("TruncateLog(%d) queued for the lock with the floor still at %d (%d entries held)", upTo, floor, held)
 	}
 }
 
@@ -318,7 +302,7 @@ func truncatePartway(t *testing.T, g *Graph, upTo uint64) {
 // the feed and the feed's next Pull comes back incomplete. Reset and
 // Bound(0) make it hold the log again.
 func TestBoundedFeedReleasesTheLog(t *testing.T) {
-	g := NewGraphWithShards(1)
+	g := NewGraph()
 	s := mustEntity(t, g, "s", "")
 	pred := mustPredicate(t, g, "p")
 	assertN := func(n int) {

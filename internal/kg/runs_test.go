@@ -10,8 +10,8 @@ import (
 // A subject's facts come out of OutgoingFunc by predicate ID, then by
 // object key, the same on every call and whatever order they went in.
 func TestOutgoingFuncOrder(t *testing.T) {
-	build := func(shards int, asserts []int) *Graph {
-		g := NewGraphWithShards(shards)
+	build := func(asserts []int) *Graph {
+		g := NewGraph()
 		s := mustEntity(t, g, "ada", "")
 		for _, name := range []string{"p1", "p2", "p3", "p4", "p5"} {
 			mustPredicate(t, g, name)
@@ -43,10 +43,10 @@ func TestOutgoingFuncOrder(t *testing.T) {
 		forward[i] = i
 	}
 	scrambled := []int{13, 2, 9, 0, 14, 6, 11, 4, 7, 1, 12, 3, 10, 5, 8}
-	for _, g := range []*Graph{build(1, forward), build(8, scrambled)} {
+	for i, g := range []*Graph{build(forward), build(scrambled)} {
 		for call := 0; call < 50; call++ {
 			if got := outgoing(g); !slices.Equal(got, want) {
-				t.Fatalf("call %d on %d shards: OutgoingFunc gave %v, want %v", call, g.NumShards(), got, want)
+				t.Fatalf("graph %d, call %d: OutgoingFunc gave %v, want %v", i, call, got, want)
 			}
 		}
 	}
@@ -61,21 +61,22 @@ var factRunsPool = []Value{
 	IntValue(-3), IntValue(0), IntValue(7),
 }
 
-// factRunsSubjects are the subjects the ops touch, ascending. On 8
-// shards they land in slots 0, 0, 0, 1, 2, 2, 4 and 5, so later subjects
-// sit past a shard's slot range until something grows it.
+// factRunsSubjects are the subjects the ops touch, ascending, with gaps
+// between them, so later subjects sit past the base's subject range
+// until a fold or a bulk load grows it.
 var factRunsSubjects = []EntityID{1, 2, 3, 9, 16, 17, 33, 40}
 
 // forceFold folds the delta into a new base whatever its size.
 func forceFold(g *Graph) {
-	g.lockAll()
-	defer g.unlockAll()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.foldLocked()
 }
 
 // FuzzFactRuns checks the base and delta layers against a reference
 // model, a plain map from fact identity to the provenance the first
-// assertion gave it. Byte 0 picks 1, 2 or 8 shards; then each (op, arg)
+// assertion gave it. Byte 0 is skipped, so that the seeds written when it
+// picked a shard count keep their meaning; then each (op, arg)
 // pair is an op, op % 4: 0 AssertNew, 1 Retract, 2 AssertBatch of 1–8
 // facts where every third repeats the first with another provenance, 3
 // retract every fact of one subject (a subject drained to empty; later
@@ -108,7 +109,7 @@ func FuzzFactRuns(f *testing.F) {
 		if len(ops) < 1 || len(ops) > 400 {
 			return
 		}
-		g := NewGraphWithShards([]int{1, 2, 8}[ops[0]%3])
+		g := NewGraph()
 		for i := 1; i <= 40; i++ {
 			mustEntity(t, g, fmt.Sprintf("e%d", i), "")
 		}
@@ -307,7 +308,7 @@ func checkFactRuns(t *testing.T, g *Graph, preds []PredicateID, ref map[TripleKe
 // (FactsChunked) and a posting (SubjectsWithChunked). Run it with -race.
 func TestChunkedReadsAcrossFold(t *testing.T) {
 	const n = 600
-	g := NewGraphWithShards(4)
+	g := NewGraph()
 	for i := 1; i <= n; i++ {
 		mustEntity(t, g, fmt.Sprintf("e%d", i), "")
 	}
@@ -398,7 +399,7 @@ func TestChunkedReadsAcrossFold(t *testing.T) {
 func TestConcurrentBulkLoads(t *testing.T) {
 	const writers = 4
 	for round := 0; round < 20; round++ {
-		g := NewGraphWithShards(4)
+		g := NewGraph()
 		for i := 1; i <= 32; i++ {
 			mustEntity(t, g, fmt.Sprintf("e%d", i), "")
 		}

@@ -20,21 +20,18 @@ type Stats struct {
 // of a full triple scan: predicate frequencies and the entity/literal
 // split come from the predicate-major index's per-predicate totals, and
 // out-degrees from the lengths of the subjects' rows (never touching
-// individual triples). It reads under the all-shard cut, so the counters
-// are of one consistent state.
+// individual triples). It reads under one read-lock hold, so the
+// counters are of one consistent state.
 func ComputeStats(g *Graph) Stats {
 	s := Stats{
 		Entities:   g.NumEntities(),
 		Predicates: g.NumPredicates(),
 		PredFreq:   make(map[PredicateID]int),
 	}
-	g.rlockAll()
-	defer g.runlockAll()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	for p := PredicateID(1); int(p) < g.preds.len(); p++ {
-		st := g.pomStripe(p)
-		st.mu.RLock()
-		total, entities := g.predTotalsLocked(st, p)
-		st.mu.RUnlock()
+		total, entities := g.predTotalsLocked(p)
 		if total > 0 {
 			s.PredFreq[p] = total
 			s.Triples += total
@@ -43,7 +40,7 @@ func ComputeStats(g *Graph) Stats {
 	}
 	s.LiteralTriples = s.Triples - s.EntityTriples
 	for subj := EntityID(1); int(subj) < g.ents.len(); subj++ {
-		s.MaxOutDegree = max(s.MaxOutDegree, countRows(g.layersLocked(g.shard(subj), subj, NoPredicate)))
+		s.MaxOutDegree = max(s.MaxOutDegree, countRows(g.layersLocked(subj, NoPredicate)))
 	}
 	if s.Entities > 0 {
 		s.MeanOutDegree = float64(s.Triples) / float64(s.Entities)

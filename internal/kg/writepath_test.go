@@ -8,15 +8,15 @@ import (
 )
 
 // The merge-append AssertBatch fast path (identity-sorted input detected
-// in O(n), stable-bucketed by shard instead of comparison-sorted) must be
+// in O(n) instead of comparison-sorted) must be
 // semantically identical to the general sorted path: same facts, same
 // added count, same index contents.
 func TestAssertBatchSortedEquivalence(t *testing.T) {
-	f := func(ops []uint32, shardBits uint8) bool {
+	f := func(ops []uint32) bool {
 		const nEnts = 12
 		const nPreds = 4
 		mk := func() (*Graph, []EntityID, []PredicateID, []Value) {
-			g := NewGraphWithShards(1 << (shardBits % 4))
+			g := NewGraph()
 			ents := make([]EntityID, nEnts)
 			for i := range ents {
 				id, err := g.AddEntity(Entity{Key: fmt.Sprintf("e%d", i)})
@@ -102,7 +102,7 @@ func sortTriplesByIdentity(ts []Triple) {
 // On the merge-append path, the first occurrence of an in-batch duplicate
 // identity must win (same provenance contract as the sorting path).
 func TestAssertBatchSortedFirstWins(t *testing.T) {
-	g := NewGraphWithShards(4)
+	g := NewGraph()
 	a, err := g.AddEntity(Entity{Key: "a"})
 	if err != nil {
 		t.Fatal(err)

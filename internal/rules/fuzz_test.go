@@ -62,7 +62,7 @@ func FuzzRuleMaintenance(f *testing.F) {
 		if len(ops) > 600 {
 			return
 		}
-		g := kg.NewGraphWithShards(2)
+		g := kg.NewGraph()
 		geng := graphengine.New(g)
 		ents := make([]kg.EntityID, maintenanceEntities)
 		for i := range ents {
@@ -257,7 +257,7 @@ func FuzzDeriveKHop(f *testing.F) {
 		if len(ops) > 600 {
 			return
 		}
-		g := kg.NewGraphWithShards(2)
+		g := kg.NewGraph()
 		geng := graphengine.New(g)
 		ents := make([]kg.EntityID, khopEntities)
 		for i := range ents {
@@ -364,7 +364,7 @@ func FuzzDeriveComponents(f *testing.F) {
 		if len(ops) > 600 {
 			return
 		}
-		g := kg.NewGraphWithShards(2)
+		g := kg.NewGraph()
 		geng := graphengine.New(g)
 		ents := make([]kg.EntityID, componentEntities)
 		for i := range ents {

@@ -39,7 +39,7 @@ func TestCheckpointKeepsLaggingConsumer(t *testing.T) {
 	}
 	runs := e.Stats().FullRuns
 
-	// Extend the chain, and add more pairs than a log chunk a shard holds,
+	// Extend the chain, and add more pairs than a log chunk holds,
 	// so retention has whole chunks it could drop.
 	batch := []kg.Triple{{Subject: mustEnt(t, g, "a4"), Predicate: rt, Object: kg.EntityValue(mustEnt(t, g, "tail"))}}
 	for i := 0; i < 200; i++ {

@@ -319,8 +319,8 @@ func TestHealthReportsGraphLayers(t *testing.T) {
 }
 
 // logChunk is the capacity of one chunk of the graph's mutation log
-// (kg's TestStoredSizes pins it): retention drops whole chunks, so a
-// shard may hold up to one chunk it no longer needs.
+// (kg's TestStoredSizes pins it): retention drops whole chunks, so the
+// log may hold up to one chunk it no longer needs.
 const logChunk = 73
 
 // healthLog reads the log retention figures off /health.
@@ -341,9 +341,9 @@ func healthLog(t *testing.T, srv *Server) (entries, floor uint64) {
 
 // TestHealthReportsLogRetention: /health reports how much of the
 // mutation log the graph keeps. With no changefeed open — a memory-only
-// server — that is at most one chunk a shard, whatever was ingested; a
-// durable server keeps the entries since its newest checkpoint, and
-// after a checkpoint again at most one chunk a shard.
+// server — that is at most one chunk, whatever was ingested; a durable
+// server keeps the entries since its newest checkpoint, and after a
+// checkpoint again at most one chunk.
 func TestHealthReportsLogRetention(t *testing.T) {
 	batch := func(w *saga.World, g *kg.Graph, n int) string {
 		var sb strings.Builder
@@ -365,8 +365,8 @@ func TestHealthReportsLogRetention(t *testing.T) {
 			t.Fatalf("ingest: %d %v", rec.Code, resp)
 		}
 		entries, floor := healthLog(t, srv)
-		if max := uint64(g.NumShards() * logChunk); entries > max {
-			t.Fatalf("log_entries = %d with no feed open, want at most %d (%d shards)", entries, max, g.NumShards())
+		if entries > logChunk {
+			t.Fatalf("log_entries = %d with no feed open, want at most %d", entries, logChunk)
 		}
 		if floor == 0 || floor > g.LastSeq() {
 			t.Fatalf("log_floor = %d, watermark %d", floor, g.LastSeq())
@@ -400,15 +400,15 @@ func TestHealthReportsLogRetention(t *testing.T) {
 		}
 		entries, floor := healthLog(t, srv)
 		since := g.LastSeq() - ckpt
-		if entries < since || entries > since+uint64(g.NumShards()*logChunk) || floor > ckpt {
-			t.Fatalf("log_entries = %d, log_floor = %d; %d mutations since the checkpoint at %d (%d shards)",
-				entries, floor, since, ckpt, g.NumShards())
+		if entries < since || entries > since+logChunk || floor > ckpt {
+			t.Fatalf("log_entries = %d, log_floor = %d; %d mutations since the checkpoint at %d",
+				entries, floor, since, ckpt)
 		}
 		if _, err := p.CheckpointDurable(); err != nil {
 			t.Fatal(err)
 		}
-		if entries, _ := healthLog(t, srv); entries > uint64(g.NumShards()*logChunk) {
-			t.Fatalf("log_entries = %d right after a checkpoint, want at most %d (%d shards)", entries, g.NumShards()*logChunk, g.NumShards())
+		if entries, _ := healthLog(t, srv); entries > logChunk {
+			t.Fatalf("log_entries = %d right after a checkpoint, want at most %d", entries, logChunk)
 		}
 	})
 }

@@ -14,7 +14,7 @@ import (
 // nMembers members — no embeddings or search index needed.
 func paginationServer(t testing.TB, nMembers int) (*Server, []string) {
 	t.Helper()
-	g := kg.NewGraphWithShards(8)
+	g := kg.NewGraph()
 	member, _ := g.AddPredicate(kg.Predicate{Name: "memberOf"})
 	team, err := g.AddEntity(kg.Entity{Key: "team", Name: "Team"})
 	if err != nil {

@@ -116,11 +116,10 @@ func TestEntityEndpoint(t *testing.T) {
 
 // GET /entity lists a subject's facts in the graph's order for them, by
 // predicate ID and then object key: two calls answer the same bytes, and
-// so does a graph holding the same facts asserted in another order on
-// another shard count.
+// so does a graph holding the same facts asserted in another order.
 func TestEntityBodyIsDeterministic(t *testing.T) {
-	build := func(shards int, order []int) http.Handler {
-		g := kg.NewGraphWithShards(shards)
+	build := func(order []int) http.Handler {
+		g := kg.NewGraph()
 		var ids []kg.EntityID
 		for _, key := range []string{"ada", "babbage", "lovelace", "turing"} {
 			id, err := g.AddEntity(kg.Entity{Key: key, Name: strings.ToUpper(key)})
@@ -163,12 +162,12 @@ func TestEntityBodyIsDeterministic(t *testing.T) {
 		}
 		return rec.Body.String()
 	}
-	h := build(1, forward)
+	h := build(forward)
 	want := get(h)
 	if got := get(h); got != want {
 		t.Fatalf("second call answered\n%s\nfirst\n%s", got, want)
 	}
-	other := build(8, []int{14, 3, 9, 0, 12, 6, 1, 11, 4, 8, 13, 2, 7, 10, 5})
+	other := build([]int{14, 3, 9, 0, 12, 6, 1, 11, 4, 8, 13, 2, 7, 10, 5})
 	if got := get(other); got != want {
 		t.Fatalf("same facts in another insertion order answered\n%s\nwant\n%s", got, want)
 	}

@@ -192,7 +192,7 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 
 	// Reconstruct the full asOf state from base + suffix and compare
 	// against a prefix replay of the original history.
-	ref := kg.NewGraphWithShards(2)
+	ref := kg.NewGraph()
 	copyDicts(t, ref, g)
 	baseMuts, _ := g.Feed(0).Pull()
 	for _, mu := range append(baseMuts[:oldest:oldest], suffix...) {

@@ -321,7 +321,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if asDelta && w != baseWM {
 			put(baseWM, baseFile)
 		}
-		_ = loadChain(fs, testDir, w, kg.NewGraphWithShards(2))
+		_ = loadChain(fs, testDir, w, kg.NewGraph())
 	})
 }
 

@@ -75,7 +75,7 @@ const scenarioBurst = 300
 // ("F" full, "D" delta).
 func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, applied uint64, ackedPops, finalPops map[kg.EntityID]float64, kinds string) {
 	t.Helper()
-	g = kg.NewGraphWithShards(4)
+	g = kg.NewGraph()
 	g.Feed(0)
 	m, _, err := Open(testDir, g, Options{FS: fs, Sync: SyncEachCommit})
 	if err != nil {
@@ -132,7 +132,7 @@ func runScenario(t *testing.T, seed int64, fs *FaultFS) (g *kg.Graph, acked, app
 // invariants, then runs the continuation leg.
 func checkRecovery(t *testing.T, label string, writer *kg.Graph, acked, applied uint64, ackedPops, finalPops map[kg.EntityID]float64, crashed *FaultFS) {
 	t.Helper()
-	g2 := kg.NewGraphWithShards(4)
+	g2 := kg.NewGraph()
 	g2.Feed(0)
 	m2, info, err := Open(testDir, g2, Options{FS: crashed, Sync: SyncEachCommit})
 	if err != nil {
@@ -194,7 +194,7 @@ func checkRecovery(t *testing.T, label string, writer *kg.Graph, acked, applied 
 		t.Fatalf("%s: post-recovery Close: %v", label, err)
 	}
 
-	g3 := kg.NewGraphWithShards(4)
+	g3 := kg.NewGraph()
 	m3, info3, err := Open(testDir, g3, Options{FS: crashed})
 	if err != nil {
 		t.Fatalf("%s: reopen after continuation: %v", label, err)

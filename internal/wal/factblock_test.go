@@ -279,7 +279,7 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := NewFaultFS(1)
 		writeFile(t, fs, segName(1), append(header[:len(header):len(header)], data...))
-		if m, _, err := Open(testDir, kg.NewGraphWithShards(2), Options{FS: fs}); err == nil {
+		if m, _, err := Open(testDir, kg.NewGraph(), Options{FS: fs}); err == nil {
 			_ = m.Close()
 		}
 	})

@@ -26,7 +26,7 @@
 // from the graph's in-memory log window (B, W] (kg.Graph.NetChangeSince),
 // which the manager keeps in memory by holding a changefeed open at B.
 // Writing one costs O(change), not O(graph). A full checkpoint — the
-// whole graph under the all-shard cut (AllTriplesSnapshot) — is the same
+// whole graph under one read-lock cut (AllTriplesSnapshot) — is the same
 // format with base 0 and no retractions, so there is one writer and one
 // loader; added facts go in identity order, exactly the order
 // AssertBatch's merge-append restore path detects in O(n). A checkpoint

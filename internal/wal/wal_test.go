@@ -18,7 +18,7 @@ const testDir = "/w"
 func mustOpen(t testing.TB, fs FS, opts Options) (*kg.Graph, *Manager, *RecoveryInfo) {
 	t.Helper()
 	opts.FS = fs
-	g := kg.NewGraphWithShards(4)
+	g := kg.NewGraph()
 	m, info, err := Open(testDir, g, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -274,7 +274,7 @@ func replayPrefix(t testing.TB, src *kg.Graph, wm uint64) *kg.Graph {
 	if src.LogFloor() != 0 {
 		t.Fatalf("reference graph log was truncated (floor %d); scenario must keep it", src.LogFloor())
 	}
-	ref := kg.NewGraphWithShards(2)
+	ref := kg.NewGraph()
 	copyDicts(t, ref, src)
 	muts, complete := src.Feed(0).Pull()
 	if !complete {
@@ -603,12 +603,12 @@ func TestCorruptCheckpointIsFatal(t *testing.T) {
 }
 
 func TestImportGraph(t *testing.T) {
-	src := kg.NewGraphWithShards(4)
+	src := kg.NewGraph()
 	s := newScripted(t, src, 23)
 	for i := 0; i < 200; i++ {
 		s.step()
 	}
-	dst := kg.NewGraphWithShards(8)
+	dst := kg.NewGraph()
 	if err := ImportGraph(dst, src); err != nil {
 		t.Fatalf("ImportGraph: %v", err)
 	}
@@ -627,7 +627,7 @@ func TestCheckpointRestart64K(t *testing.T) {
 		t.Skip("64K restore skipped in -short")
 	}
 	const nTriples = 64 << 10
-	src := kg.NewGraphWithShards(16)
+	src := kg.NewGraph()
 	pred, err := src.AddPredicate(kg.Predicate{Name: "links"})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"saga/internal/textutil"
@@ -187,4 +188,33 @@ func TestSearchCancelled(t *testing.T) {
 	if hits, err := ix.SearchContext(context.Background(), "the award", 10); err != nil || len(hits) == 0 {
 		t.Fatalf("live search after a cancelled one returned %v, %v", hits, err)
 	}
+}
+
+// TestConcurrentSearches runs searches on one index from several
+// goroutines at once, each checked against the reference: the index
+// holds no lock, so under -race this checks that a search writes nothing
+// another reads but its own pooled scratch.
+func TestConcurrentSearches(t *testing.T) {
+	docs, queries := corpusAndQueries(t, 500)
+	ix, ref := NewIndex(docs), newRefIndex(docs)
+	queries = queries[:80]
+	want := make([][]Hit, len(queries))
+	for i, q := range queries {
+		want[i] = ref.search(q, 10)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range queries {
+				j := (i + 17*w) % len(queries)
+				if d := sameHits(ix.Search(queries[j], 10), want[j]); d != "" {
+					t.Errorf("goroutine %d, query %q: %s", w, queries[j], d)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -4,23 +4,21 @@
 // documents", Fig 5): the query synthesizer issues queries here and gets
 // relevance-ranked documents back.
 //
-// Layout. Documents and terms are numbered densely in order of first
-// appearance (a document keeps its number for life; none is ever
-// removed), and everything per document or per term is a slice indexed by
-// that number: a term's postings are {document, term frequency} pairs
-// sorted by document number, and a document's length sits beside its
-// pointer. A search accumulates scores into a pooled float64 slice
-// indexed by document number and selects the top k with a bounded heap,
-// so its cost is the postings of the query's terms plus O(log k) per
-// document that beats the running k-th score — no map of scores, no sort
-// of every hit.
+// Layout. Documents are numbered in the order NewIndex is given them and
+// terms in order of first appearance, and everything per document or per
+// term is a slice indexed by that number: a term's postings are
+// {document, term frequency} pairs sorted by document number, and a
+// document's length sits beside its pointer. A search accumulates scores
+// into a pooled float64 slice indexed by document number and selects the
+// top k with a bounded heap, so its cost is the postings of the query's
+// terms plus O(log k) per document that beats the running k-th score —
+// no map of scores, no sort of every hit.
 package websearch
 
 import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -41,12 +39,9 @@ type posting struct {
 	tf  int32
 }
 
-// Index is an inverted index with BM25 scoring. Build with NewIndex;
-// Search is safe for concurrent use.
+// Index is an inverted index with BM25 scoring. NewIndex builds it and
+// nothing writes it after, so Search is safe for concurrent use.
 type Index struct {
-	mu sync.RWMutex
-
-	docNum   map[string]int32      // Doc.ID -> document number
 	docs     []*webcorpus.Document // by document number
 	docLen   []int32               // tokens, by document number
 	totalLen int
@@ -65,33 +60,29 @@ type searchScratch struct {
 	touched []int32
 }
 
-// NewIndex builds an index over the documents (title + text).
+// NewIndex builds an index over the documents (title + text), whose IDs
+// must be distinct.
 func NewIndex(docs []*webcorpus.Document) *Index {
 	ix := &Index{
-		docNum:  make(map[string]int32, len(docs)),
+		docs:    make([]*webcorpus.Document, 0, len(docs)),
+		docLen:  make([]int32, 0, len(docs)),
 		termNum: make(map[string]int32),
 	}
 	ix.scratch.New = func() any { return new(searchScratch) }
 	for _, d := range docs {
-		ix.indexLocked(d)
+		ix.index(d)
 	}
 	return ix
 }
 
-// indexLocked (re-)indexes d under its document number, assigning the
-// next one if d.ID is new. A known document's old postings must already
-// be gone.
-func (ix *Index) indexLocked(d *webcorpus.Document) {
-	num, known := ix.docNum[d.ID]
-	if !known {
-		num = int32(len(ix.docs))
-		ix.docNum[d.ID] = num
-		ix.docs = append(ix.docs, nil)
-		ix.docLen = append(ix.docLen, 0)
-	}
+// index adds d under the next document number. That number is the
+// largest yet, so each of d's postings goes at the end of its term's
+// list, which stays sorted by document number.
+func (ix *Index) index(d *webcorpus.Document) {
+	num := int32(len(ix.docs))
 	toks := textutil.Tokenize(d.Title + " " + d.Text)
-	ix.docs[num] = d
-	ix.docLen[num] = int32(len(toks))
+	ix.docs = append(ix.docs, d)
+	ix.docLen = append(ix.docLen, int32(len(toks)))
 	ix.totalLen += len(toks)
 
 	terms := make([]int32, len(toks))
@@ -112,21 +103,9 @@ func (ix *Index) indexLocked(d *webcorpus.Document) {
 		for j < len(terms) && terms[j] == terms[i] {
 			j++
 		}
-		ix.insertPosting(terms[i], posting{doc: num, tf: int32(j - i)})
+		ix.postings[terms[i]] = append(ix.postings[terms[i]], posting{doc: num, tf: int32(j - i)})
 		i = j
 	}
-}
-
-// insertPosting places p in term tn's list, which stays sorted by
-// document number; a new document's number is the largest, so building an
-// index only ever appends.
-func (ix *Index) insertPosting(tn int32, p posting) {
-	post := ix.postings[tn]
-	i := len(post)
-	if i > 0 && post[i-1].doc > p.doc {
-		i = sort.Search(len(post), func(i int) bool { return post[i].doc >= p.doc })
-	}
-	ix.postings[tn] = slices.Insert(post, i, p)
 }
 
 // Hit is one search result.
@@ -147,8 +126,6 @@ func (ix *Index) Search(query string, k int) []Hit {
 // client stops a broad query's scoring pass instead of burning CPU to
 // completion. A cancelled search returns ctx's error and no hits.
 func (ix *Index) SearchContext(ctx context.Context, query string, k int) ([]Hit, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if k <= 0 || len(ix.docs) == 0 {
 		return nil, nil
 	}

@@ -180,7 +180,7 @@ func GenerateKG(cfg KGConfig) (*World, error) {
 
 	prov := kg.Provenance{Source: "curated", Confidence: 0.95, SourceQuality: 0.9, ObservedAt: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)}
 	// Facts are accumulated and flushed through the graph's batch
-	// ingestion fast path (one lock acquisition per shard, indexes grown
+	// ingestion fast path (one lock acquisition per subject, indexes grown
 	// once) instead of locking per triple. Validation happens at flush;
 	// every referenced entity/predicate is registered before then.
 	var batch []kg.Triple

@@ -69,7 +69,7 @@ const (
 // closure's expected fact count.
 func benchOrgWorld(b *testing.B, chains, depth int, shareRoot bool) (*kg.Graph, *graphengine.Engine, *rules.RuleSet, []kg.Triple, int) {
 	b.Helper()
-	g := kg.NewGraphWithShards(16)
+	g := kg.NewGraph()
 	pred, err := g.AddPredicate(kg.Predicate{Name: "reportsTo"})
 	if err != nil {
 		b.Fatal(err)

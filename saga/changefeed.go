@@ -29,9 +29,6 @@ type (
 	SubscribeOptions = graphengine.SubscribeOptions
 	// SubscriptionStats snapshots the engine's subscription hub.
 	SubscriptionStats = graphengine.SubscriptionStats
-	// AsOfOverlay is a point-in-time conjunctive read surface over a
-	// retained checkpoint plus a log suffix.
-	AsOfOverlay = graphengine.Overlay
 )
 
 // Changefeed error sentinels.
@@ -112,7 +109,7 @@ type ChangefeedStats struct {
 	// LogEntries is the number of mutations the graph's in-memory log
 	// retains: those above the slowest open changefeed's cursor (on a
 	// durable platform, the newest checkpoint at the latest), give or
-	// take a log chunk a shard.
+	// take a log chunk.
 	LogEntries int `json:"log_entries"`
 	// LogFloor is the highest mutation sequence number dropped from the
 	// in-memory log.

@@ -13,7 +13,7 @@ import (
 
 // The order contract: row order is a function of the facts. One seeded
 // history — asserts, retracts, re-asserts, a hot posting that arrives
-// shuffled — is ingested under every shard count and writer interleaving,
+// shuffled — is ingested under every writer interleaving,
 // recovered from a checkpoint plus log, and read back through the as-of
 // overlay; every one of those must stream byte-identical rows and cut
 // byte-identical cursor pages for a query set that covers every access
@@ -221,7 +221,7 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 	check := func(replica string, q orderQuery, got string) {
 		t.Helper()
 		if got != ref[q.name] {
-			t.Fatalf("%s: query %s diverges from the 1-shard, 1-writer replica (%d vs %d transcript bytes)", replica, q.name, len(got), len(ref[q.name]))
+			t.Fatalf("%s: query %s diverges from the 1-writer replica (%d vs %d transcript bytes)", replica, q.name, len(got), len(ref[q.name]))
 		}
 	}
 	live := func(p *Platform, q orderQuery) func(QueryOptions) func(func(QueryRow, error) bool) {
@@ -229,26 +229,24 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 	}
 
 	var ops []kg.Mutation
-	for _, shards := range []int{1, 2, 8} {
-		for _, writers := range []int{1, 4} {
-			replica := fmt.Sprintf("shards=%d writers=%d", shards, writers)
-			g := kg.NewGraphWithShards(shards)
-			d := orderWorld(t, g)
-			if ops == nil {
-				ops = orderHistory(d)
-			}
-			orderApply(t, g, ops, writers)
-			p := orderPlatform(t, g)
-			if ref == nil {
-				ref = make(map[string]string)
-				for _, q := range orderQueries(d) {
-					ref[q.name] = orderTranscript(t, replica+" "+q.name, live(p, q))
-				}
-				continue
-			}
+	for _, writers := range []int{1, 4} {
+		replica := fmt.Sprintf("writers=%d", writers)
+		g := kg.NewGraph()
+		d := orderWorld(t, g)
+		if ops == nil {
+			ops = orderHistory(d)
+		}
+		orderApply(t, g, ops, writers)
+		p := orderPlatform(t, g)
+		if ref == nil {
+			ref = make(map[string]string)
 			for _, q := range orderQueries(d) {
-				check(replica, q, orderTranscript(t, replica+" "+q.name, live(p, q)))
+				ref[q.name] = orderTranscript(t, replica+" "+q.name, live(p, q))
 			}
+			continue
+		}
+		for _, q := range orderQueries(d) {
+			check(replica, q, orderTranscript(t, replica+" "+q.name, live(p, q)))
 		}
 	}
 
@@ -256,7 +254,7 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 	// checkpoint load plus a log replay, and the as-of overlay a retained
 	// base plus a suffix.
 	dir := t.TempDir()
-	g := kg.NewGraphWithShards(2)
+	g := kg.NewGraph()
 	m, _, err := wal.Open(dir, g, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +288,7 @@ func TestRowOrderIsAFunctionOfTheFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered := kg.NewGraphWithShards(8)
+	recovered := kg.NewGraph()
 	m2, info, err := wal.Open(dir, recovered, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)

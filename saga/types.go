@@ -76,8 +76,7 @@ const (
 	GapStale   = odke.GapStale
 )
 
-// NewGraph returns an empty knowledge graph with the default write-shard
-// count (GOMAXPROCS rounded up to a power of two).
+// NewGraph returns an empty knowledge graph.
 func NewGraph() *Graph { return kg.NewGraph() }
 
 // Graph engine (internal/graphengine).
@@ -103,8 +102,8 @@ type (
 	// QueryCursor is a binding's identity tuple, the resume position of
 	// a paginated conjunctive query: the next page starts at that row's
 	// successor in the stream's canonical order, which depends on the
-	// facts alone — not on restarts, recovery, shard count or whether the
-	// row itself still exists.
+	// facts alone — not on restarts, recovery, writer interleaving or
+	// whether the row itself still exists.
 	QueryCursor = []kg.ValueKey
 	// QueryPlan is an immutable conjunctive-query execution plan:
 	// clause order, access paths, and build-time cardinality estimates.
@@ -145,10 +144,6 @@ type (
 	DeriveReport = rules.DeriveReport
 )
 
-// ParseRules parses a Datalog-style rule program against a graph without
-// installing it (Platform.DefineRulesText parses and installs).
-var ParseRules = rules.ParseRules
-
 // Embeddings (internal/embedding, internal/embedserve).
 type (
 	// Dataset is a re-indexed embedding training set.
@@ -159,8 +154,6 @@ type (
 	Model = embedding.Model
 	// ModelKind selects TransE, DistMult, or ComplEx.
 	ModelKind = embedding.ModelKind
-	// EvalResult holds link-prediction metrics.
-	EvalResult = embedding.EvalResult
 	// WalkEmbedConfig configures traversal-based related-entity vectors.
 	WalkEmbedConfig = embedding.WalkEmbedConfig
 	// EmbeddingService serves embeddings for ranking/verification/related.
@@ -207,20 +200,9 @@ type (
 	ODKEReport = odke.Report
 	// Fuser corroborates candidate facts.
 	Fuser = odke.Fuser
-	// CandidateFact is one extracted hypothesis.
-	CandidateFact = odke.CandidateFact
 	// MajorityVoteFuser corroborates by vote share.
 	MajorityVoteFuser = odke.MajorityVoteFuser
-	// BestExtractorFuser trusts the single most confident candidate.
-	BestExtractorFuser = odke.BestExtractorFuser
-	// LogisticFuser is the trained corroboration model.
-	LogisticFuser = odke.LogisticFuser
-	// FusionTrainingExample is one labelled value group.
-	FusionTrainingExample = odke.TrainingExample
 )
-
-// TrainFuser fits the logistic corroboration model.
-var TrainFuser = odke.TrainLogisticFuser
 
 // Web substrates (internal/webcorpus, internal/websearch).
 type (
@@ -228,32 +210,18 @@ type (
 	Document = webcorpus.Document
 	// SearchIndex is the BM25 search engine.
 	SearchIndex = websearch.Index
-	// SearchHit is one search result.
-	SearchHit = websearch.Hit
 )
 
 // On-device (internal/ondevice).
 type (
 	// DeviceRecord is one raw source observation.
 	DeviceRecord = ondevice.Record
-	// PersonalBuilder is the incremental personal-KG pipeline.
-	PersonalBuilder = ondevice.Builder
-	// PersonEntity is a fused on-device person.
-	PersonEntity = ondevice.PersonEntity
-	// DeviceSim simulates one device in a sync group.
-	DeviceSim = ondevice.Device
-	// DeviceSyncGroup is a user's linked devices.
-	DeviceSyncGroup = ondevice.SyncGroup
-	// StaticAsset is the shipped popular-entity artifact.
-	StaticAsset = ondevice.StaticAsset
 )
 
 // Vector index (internal/vecindex).
 type (
 	// Vector is a dense embedding.
 	Vector = vecindex.Vector
-	// FlatIndex is the exact kNN index.
-	FlatIndex = vecindex.FlatIndex
 )
 
 // Workload generators (internal/workload) — exposed so downstream users

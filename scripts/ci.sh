@@ -3,7 +3,8 @@
 # cross-build: the kNN kernel's generic body must compile where the amd64
 # assembly does not), the reach scan (scripts/reach.sh: every production
 # function is linked by a binary, the bench/ harness or the experiments,
-# or scripts/reach_allow.txt says why it stays), a flag-parse smoke of
+# and every re-export of package saga is named by some code, or
+# scripts/reach_allow.txt says why it stays), a flag-parse smoke of
 # kgserve, a durable kgserve smoke (seed a data dir, ingest, kill -9,
 # restart, SIGTERM, restart: the on-disk format through the real binary),
 # a default-argument run of

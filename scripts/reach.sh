@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# reach.sh — production functions that nothing shipped links.
+# reach.sh — production functions that nothing shipped links, and
+# package saga's re-exports that nothing names.
 #
 # Builds every cmd/* and examples/* binary, the bench/ module's binary and
 # its smoke-test binary, and the root package's experiment test binary
@@ -11,9 +12,18 @@
 # scripts/, that no binary holds. purego- and arm64-only files are not in
 # that build: their default-build twins stand for them.
 #
-# scripts/reach_allow.txt names the functions that stay unreached, one
-# symbol and its keep reason a line. The script fails on an unreached
-# function missing from it, and on an entry whose function is now reached
+# A linker keeps no symbol for a type alias, and none for a constant or
+# a variable it can fold or drop, so package saga's re-exports are
+# checked by name instead: every exported type alias, constant and
+# variable declared in saga/*.go (tests excluded) is listed as
+# saga/saga.<name> unless some Go code of the repo names it — in saga/
+# by the bare name on a line other than its declaration and comments,
+# anywhere else (tests, bench/, cmd/ and examples/ included) as
+# saga.<name>.
+#
+# scripts/reach_allow.txt names the functions and re-exports that stay
+# unreached, one symbol and its keep reason a line. The script fails on
+# an unreached one missing from it, and on an entry that is now reached
 # or gone.
 #
 # Usage:
@@ -89,6 +99,42 @@ go list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... |
             }' $files)
     done | sort >"$tmp/declared"
 
+# Package saga's exported type aliases, constants and variables, at one
+# tab inside a type/var/const block or on a one-line declaration, with
+# the file and line that declare them; each counts as reached when a line
+# of code names it in saga/ (its own declaration and comments aside; a
+# name after another package's dot, kg.Value, is not it) or as
+# saga.<name> anywhere else.
+git ls-files --cached --others --exclude-standard '*.go' | while read -r f; do
+    if [[ -f $f ]]; then echo "$f"; fi
+done >"$tmp/gofiles"
+mapfile -t sagafiles < <(grep '^saga/' "$tmp/gofiles")
+mapfile -t otherfiles < <(grep -v '^saga/' "$tmp/gofiles")
+for f in saga/*.go; do
+    if [[ $f == *_test.go ]]; then continue; fi
+    awk -v f="$f" '
+        /^(type|var|const) \($/ { block = $1; next }
+        /^\)$/ { block = ""; next }
+        block == "type" && /^\t[A-Z][A-Za-z0-9_]* = / { print $1, f ":" FNR }
+        (block == "var" || block == "const") && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {
+            n = split(substr($0, 2, RLENGTH - 1), names, ", ")
+            for (i = 1; i <= n; i++) print names[i], f ":" FNR
+        }
+        /^type [A-Z][A-Za-z0-9_]* = / { print $2, f ":" FNR }
+        /^(var|const) [A-Z]/ { match($2, /^[A-Za-z0-9_]*/); print substr($2, 1, RLENGTH), f ":" FNR }
+    ' "$f"
+done | while read -r name at; do
+    printf 'saga/saga.%s\t%s\t1\n' "$name" "$at" >>"$tmp/declared"
+    if awk -v name="$name" -v at="$at" '
+        FILENAME ":" FNR == at || /^[ \t]*\/\// { next }
+        $0 ~ "(^|[^A-Za-z0-9_.]|saga\\.)" name "([^A-Za-z0-9_]|$)" { found = 1; exit }
+        END { exit !found }' "${sagafiles[@]}" ||
+        grep -qE -- "\<saga\.$name\>" "${otherfiles[@]}" /dev/null; then
+        echo "saga/saga.$name" >>"$tmp/reached"
+    fi
+done
+sort -o "$tmp/declared" "$tmp/declared"
+
 # The allowlist: "<symbol> <reason>" a line; blank and # lines ignored.
 allow=scripts/reach_allow.txt
 if [[ -f "$allow" ]]; then
@@ -112,6 +158,6 @@ awk -F'\t' '
             if (!(s in declared)) { stale++; printf "STALE      %s  allowlisted, but no such function\n", s }
             else if (s in reached) { stale++; printf "STALE      %s  allowlisted, but a binary reaches it\n", s }
         }
-        printf "%d unreached functions outside the allowlist (%d lines), %d allowlisted, %d stale entries\n", unreached, lines, kept, stale
+        printf "%d unreached functions and re-exports outside the allowlist (%d lines), %d allowlisted, %d stale entries\n", unreached, lines, kept, stale
         exit unreached + stale > 0
     }' "$tmp/reached" "$tmp/allow" "$tmp/declared"

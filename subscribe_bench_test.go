@@ -56,7 +56,7 @@ func BenchmarkE18Subscribe(b *testing.B) {
 // subscription over team0's members, beside subs-1 idle subscriptions;
 // answers members of team0 are in place before the probe subscribes.
 func benchSubscribeFanout(b *testing.B, subs, answers int, window time.Duration) {
-	g := kg.NewGraphWithShards(16)
+	g := kg.NewGraph()
 	member, err := g.AddPredicate(kg.Predicate{Name: "memberOf"})
 	if err != nil {
 		b.Fatal(err)
